@@ -31,7 +31,10 @@
 //!
 //! A resolved count of 1 skips thread machinery entirely and runs the
 //! region inline on the caller — the exact sequential path the pre-PR
-//! stub always took.
+//! stub always took. A region of zero or one item resolves to 1 without
+//! consulting the chain at all: the width is not cached (the process's
+//! CPU affinity may change between regions), so looking it up would cost
+//! a syscall per region for no change in the result.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -104,7 +107,15 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = current_num_threads().min(n.max(1));
+    // A region of at most one item resolves to one thread whatever the
+    // crew width, so skip the lookup: on Linux the default width comes
+    // from `available_parallelism`, a syscall plus cgroup file reads that
+    // cost more than a one-block compress or decode.
+    let threads = if n <= 1 {
+        1
+    } else {
+        current_num_threads().min(n)
+    };
     if threads <= 1 {
         // Sequential path: no queues, no slots, no spawns.
         return items.into_iter().map(f).collect();

@@ -1,14 +1,17 @@
 /// Append-only MSB-first bit sink backed by a `Vec<u8>`.
 ///
-/// Writes are buffered in a 64-bit accumulator and flushed to the byte
-/// vector whole bytes at a time, which keeps the per-bit cost low in the
-/// hot encoding loops of the compressors.
+/// Writes collect in a 64-bit accumulator that holds up to 63 pending
+/// bits; each time it fills, the whole word goes to the byte vector in
+/// one 8-byte append. Only [`align_to_byte`](Self::align_to_byte) (and
+/// the calls built on it) flushes a partial word, so the hot encoding
+/// loops of the compressors pay one shift-or per field.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bit accumulator; pending bits live in the *low* `pending` bits.
+    /// Bit accumulator; pending bits live in the *low* `pending` bits,
+    /// and every bit above them is zero.
     acc: u64,
-    /// Number of valid bits in `acc` (always < 8 after `flush_acc`).
+    /// Number of valid bits in `acc` (always < 64 between calls).
     pending: u32,
 }
 
@@ -32,11 +35,7 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | u64::from(bit);
-        self.pending += 1;
-        if self.pending == 8 {
-            self.flush_acc();
-        }
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Appends the low `width` bits of `value`, most significant first.
@@ -45,28 +44,25 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, width: u32) {
         debug_assert!(width <= 64);
-        if width == 0 {
-            return;
-        }
-        let value = if width == 64 {
-            value
-        } else {
+        let value = if width < 64 {
             value & ((1u64 << width) - 1)
-        };
-        // Split so that acc never holds more than 64 bits.
-        let room = 64 - self.pending;
-        if width <= room {
-            self.acc = if width == 64 { value } else { (self.acc << width) | value };
-            self.pending += width;
         } else {
-            let hi = width - room;
-            self.acc = (self.acc << room) | (value >> hi);
-            self.pending = 64;
-            self.drain_acc();
-            self.acc = value & ((1u64 << hi) - 1);
-            self.pending = hi;
+            value
+        };
+        let total = self.pending + width;
+        if total < 64 {
+            // `width < 64` here, so the shift is in range.
+            self.acc = (self.acc << width) | value;
+            self.pending = total;
+        } else {
+            // Fill the word, emit it, keep the `total − 64` low bits left.
+            let spill = total - 64;
+            let room = 64 - self.pending; // 1..=64
+            let word = (self.acc << (room - 1) << 1) | (value >> spill);
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & !(u64::MAX << spill);
+            self.pending = spill;
         }
-        self.drain_acc();
     }
 
     /// Appends `value` as a two's-complement field of `width` bits.
@@ -83,13 +79,17 @@ impl BitWriter {
         self.write_bits(value as u64, width);
     }
 
-    /// Pads with zero bits to the next byte boundary (no-op if aligned).
+    /// Pads with zero bits to the next byte boundary (no-op if aligned)
+    /// and moves every pending byte into the output.
     pub fn align_to_byte(&mut self) {
-        let rem = self.pending % 8;
-        if rem != 0 {
-            self.write_bits(0, 8 - rem);
+        if self.pending == 0 {
+            return;
         }
-        self.drain_acc();
+        let nbytes = self.pending.div_ceil(8) as usize;
+        let word = self.acc << (64 - self.pending);
+        self.bytes.extend_from_slice(&word.to_be_bytes()[..nbytes]);
+        self.acc = 0;
+        self.pending = 0;
     }
 
     /// Number of bits written so far.
@@ -120,34 +120,6 @@ impl BitWriter {
     pub fn aligned_bytes(&mut self) -> &[u8] {
         self.align_to_byte();
         &self.bytes
-    }
-
-    /// Flush whole bytes out of the accumulator.
-    #[inline]
-    fn drain_acc(&mut self) {
-        while self.pending >= 8 {
-            self.flush_acc_byte();
-        }
-    }
-
-    #[inline]
-    fn flush_acc(&mut self) {
-        self.flush_acc_byte();
-    }
-
-    #[inline]
-    fn flush_acc_byte(&mut self) {
-        debug_assert!(self.pending >= 8);
-        let shift = self.pending - 8;
-        let byte = if shift == 64 { 0 } else { (self.acc >> shift) as u8 };
-        self.bytes.push(byte);
-        self.pending -= 8;
-        // Mask off the emitted bits so acc stays canonical.
-        if self.pending == 0 {
-            self.acc = 0;
-        } else {
-            self.acc &= (1u64 << self.pending) - 1;
-        }
     }
 }
 

@@ -36,8 +36,87 @@ fn field_strategy() -> impl Strategy<Value = Field> {
     ]
 }
 
+/// The byte-at-a-time writer the word-at-a-time [`BitWriter`] must
+/// reproduce: one bit per step, a byte pushed whenever eight are ready.
+#[derive(Default)]
+struct ReferenceWriter {
+    bytes: Vec<u8>,
+    cur: u8,
+    filled: u32,
+}
+
+impl ReferenceWriter {
+    fn write_bits(&mut self, value: u64, width: u32) {
+        for i in (0..width).rev() {
+            self.cur = (self.cur << 1) | ((value >> i) & 1) as u8;
+            self.filled += 1;
+            if self.filled == 8 {
+                self.bytes.push(self.cur);
+                self.cur = 0;
+                self.filled = 0;
+            }
+        }
+    }
+
+    fn align(&mut self) {
+        if self.filled > 0 {
+            self.write_bits(0, 8 - self.filled);
+        }
+    }
+
+    fn bit_len(&self) -> u64 {
+        self.bytes.len() as u64 * 8 + u64::from(self.filled)
+    }
+}
+
+/// One step of a writer schedule: a field, or (`None`) an alignment.
+fn step_strategy() -> impl Strategy<Value = Option<(u64, u32)>> {
+    prop_oneof![
+        (any::<u64>(), 0u32..=64).prop_map(Some),
+        (any::<u64>(), 0u32..=8).prop_map(Some),
+        Just(None),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn writer_matches_per_bit_reference(
+        schedules in proptest::collection::vec(
+            proptest::collection::vec(step_strategy(), 0..120),
+            1..4,
+        ),
+    ) {
+        // One writer reused across schedules (`clear` + `aligned_bytes`),
+        // one fresh writer per schedule (`into_bytes`); both must equal
+        // the reference bytes, and `bit_len` must agree after every step.
+        let mut reused = BitWriter::new();
+        for steps in &schedules {
+            reused.clear();
+            let mut fresh = BitWriter::new();
+            let mut reference = ReferenceWriter::default();
+            for step in steps {
+                match *step {
+                    Some((value, width)) => {
+                        reused.write_bits(value, width);
+                        fresh.write_bits(value, width);
+                        reference.write_bits(value, width);
+                    }
+                    None => {
+                        reused.align_to_byte();
+                        fresh.align_to_byte();
+                        reference.align();
+                    }
+                }
+                prop_assert_eq!(reused.bit_len(), reference.bit_len());
+                prop_assert_eq!(fresh.bit_len(), reference.bit_len());
+            }
+            reference.align();
+            prop_assert_eq!(reused.aligned_bytes(), reference.bytes.as_slice());
+            prop_assert_eq!(fresh.into_bytes(), reference.bytes.clone());
+        }
+    }
 
     #[test]
     fn roundtrip_field_schedule(fields in proptest::collection::vec(field_strategy(), 0..200)) {

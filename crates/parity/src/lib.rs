@@ -66,6 +66,23 @@ pub fn gf_inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize]
 }
 
+/// `dst[k] ^= c · src[k]` over the common length. One 256-entry product
+/// row is built per call, so the byte loop is a lookup and an xor with
+/// no branch — the encode and repair kernel.
+fn mul_add(dst: &mut [u8], src: &[u8], c: u8) {
+    if c == 0 {
+        return;
+    }
+    let lc = LOG[c as usize] as usize;
+    let mut row = [0u8; 256];
+    for (x, r) in row.iter_mut().enumerate().skip(1) {
+        *r = EXP[lc + LOG[x] as usize];
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= row[s as usize];
+    }
+}
+
 /// Why encoding or reconstruction failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParityError {
@@ -172,16 +189,7 @@ impl ReedSolomon {
         let mut out = vec![vec![0u8; len]; self.parity];
         for (j, p) in out.iter_mut().enumerate() {
             for (i, s) in shards.iter().enumerate() {
-                let c = self.coef(j, i);
-                if c == 0 {
-                    continue;
-                }
-                let ct = LOG[c as usize] as usize;
-                for (pb, &sb) in p.iter_mut().zip(s.iter()) {
-                    if sb != 0 {
-                        *pb ^= EXP[ct + LOG[sb as usize] as usize];
-                    }
-                }
+                mul_add(p, s, self.coef(j, i));
             }
         }
         Ok(out)
@@ -250,17 +258,8 @@ impl ReedSolomon {
         let mut recovered = vec![vec![0u8; len]; d];
         for (i, out) in recovered.iter_mut().enumerate() {
             for (r, &idx) in survivors.iter().enumerate() {
-                let c = inv[i * d + r];
-                if c == 0 {
-                    continue;
-                }
-                let ct = LOG[c as usize] as usize;
                 let src = shards[idx].as_ref().expect("survivor present");
-                for (ob, &sb) in out.iter_mut().zip(src.iter()) {
-                    if sb != 0 {
-                        *ob ^= EXP[ct + LOG[sb as usize] as usize];
-                    }
-                }
+                mul_add(out, src, inv[i * d + r]);
             }
         }
         for (i, rec) in recovered.into_iter().enumerate() {
@@ -349,6 +348,52 @@ mod tests {
             state as u8
         };
         (0..d).map(|_| (0..len).map(|_| next()).collect()).collect()
+    }
+
+    /// The per-byte log/exp encoder `encode` replaced, kept as the
+    /// reference its output must equal.
+    fn reference_encode(rs: &ReedSolomon, shards: &[&[u8]]) -> Vec<Vec<u8>> {
+        let len = shards.first().map_or(0, |s| s.len());
+        let mut out = vec![vec![0u8; len]; rs.parity];
+        for (j, p) in out.iter_mut().enumerate() {
+            for (i, s) in shards.iter().enumerate() {
+                let c = rs.coef(j, i);
+                if c == 0 {
+                    continue;
+                }
+                let ct = LOG[c as usize] as usize;
+                for (pb, &sb) in p.iter_mut().zip(s.iter()) {
+                    if sb != 0 {
+                        *pb ^= EXP[ct + LOG[sb as usize] as usize];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn encode_matches_per_byte_reference() {
+        for d in 1..=8usize {
+            for p in 1..=4usize {
+                for (len, seed) in [(0usize, 1u64), (1, 2), (97, 3), (1000, 4 + d as u64)] {
+                    let rs = ReedSolomon::new(d, p).unwrap();
+                    let mut data = shard_data(d, len, seed * 31 + p as u64);
+                    if let Some(first) = data.first_mut() {
+                        // Every byte value, zero included, through every coefficient.
+                        for (k, b) in first.iter_mut().enumerate().take(256) {
+                            *b = k as u8;
+                        }
+                    }
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    assert_eq!(
+                        rs.encode(&refs).unwrap(),
+                        reference_encode(&rs, &refs),
+                        "data {d} parity {p} len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

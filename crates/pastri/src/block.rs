@@ -31,9 +31,9 @@ use crate::container::{CompressorOptions, EcqRepr, ScaleRule};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::fit_pattern;
-use crate::quant::{ecq_bits, Quantizer, ScaleQuantizer};
+use crate::quant::{Quantizer, ScaleQuantizer};
 use crate::stats::CompressionStats;
-use crate::encoding::EncodingTree;
+use crate::encoding::{EcqCounts, EncodingTree};
 
 /// How a block was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,13 +143,15 @@ fn compress_block_inner(
     // ECQ with verify-and-nudge: the residual is quantized against the
     // *reconstructed* prediction, then the decoded value is checked
     // point-by-point; any floating-point corner case gets the code nudged
-    // by ±1, and if that still fails the block goes verbatim.
+    // by ±1, and if that still fails the block goes verbatim. The same
+    // pass takes the census that prices every representation below, so
+    // the stream is walked once before it is emitted.
     let mut ecq = Vec::with_capacity(block_size);
-    let mut ecb_max = 1u32;
+    let mut counts = EcqCounts::default();
     for (j, sh) in shat.iter().enumerate() {
         let sub = &block[j * sbs..(j + 1) * sbs];
-        for (i, &v) in sub.iter().enumerate() {
-            let pred = sh * phat[i];
+        for (&v, &ph) in sub.iter().zip(&phat) {
+            let pred = sh * ph;
             let Some(mut q) = quant.quantize(v - pred) else {
                 write_verbatim(block, w, &mut stats);
                 return BlockKind::Verbatim;
@@ -163,11 +165,11 @@ fn compress_block_inner(
                     return BlockKind::Verbatim;
                 }
             }
-            ecb_max = ecb_max.max(ecq_bits(q));
+            counts.record(q);
             ecq.push(q);
         }
     }
-    let ecb_max = ecb_max.max(2);
+    let ecb_max = counts.max_bits().max(2);
 
     // Fixed header + PQ + SQ costs (everything but the ECQ payload).
     let pat_sb_bits = u64::from(bits_for(geom.num_subblocks as u64));
@@ -177,9 +179,9 @@ fn compress_block_inner(
         + sbs as u64 * u64::from(pb)
         + geom.num_subblocks as u64 * u64::from(sq_quant.bits());
 
-    let all_zero_ecq = ecq.iter().all(|&q| q == 0);
-    let dense_cost = tree.stream_cost(&ecq, ecb_max);
-    let nol = ecq.iter().filter(|&&q| q != 0).count() as u64;
+    let nol = counts.nonzero();
+    let all_zero_ecq = nol == 0;
+    let dense_cost = tree.cost_from_counts(&counts, ecb_max);
     let idx_bits = u64::from(bits_for(block_size as u64));
     let count_bits = u64::from(bits_for(block_size as u64 + 1));
     let sparse_cost = count_bits + nol * (idx_bits + u64::from(ecb_max));
@@ -249,9 +251,7 @@ fn compress_block_inner(
         s.record_ecq_bits(ecq_payload);
         let block_type = paper_block_type(kind, ecb_max);
         s.record_block(kind, block_type_index(block_type));
-        for &q in &ecq {
-            s.record_ecq_value(block_type_index(block_type), ecq_bits(q));
-        }
+        s.record_ecq_counts(block_type_index(block_type), &counts);
     }
     kind
 }

@@ -238,36 +238,37 @@ impl Compressor {
     /// original length is recorded so decompression restores it exactly.
     #[must_use]
     pub fn compress(&self, data: &[f64]) -> Vec<u8> {
-        self.compress_impl(data, None).0
+        self.compress_impl(data, None)
     }
 
     /// Like [`compress`](Self::compress), also returning statistics.
     #[must_use]
     pub fn compress_with_stats(&self, data: &[f64]) -> (Vec<u8>, CompressionStats) {
         let mut stats = CompressionStats::default();
-        let out = self.compress_impl(data, Some(&mut stats)).0;
+        let out = self.compress_impl(data, Some(&mut stats));
         stats.compressed_bytes = out.len() as u64;
         stats.original_bytes = (data.len() * 8) as u64;
         (out, stats)
     }
 
-    fn compress_impl(
-        &self,
-        data: &[f64],
-        stats: Option<&mut CompressionStats>,
-    ) -> (Vec<u8>, ()) {
+    /// Shared body of [`compress`](Self::compress) and
+    /// [`compress_with_stats`](Self::compress_with_stats). Per-block
+    /// statistics are gathered only when `stats` is given: plain
+    /// compression does not pay for the accounting.
+    fn compress_impl(&self, data: &[f64], stats: Option<&mut CompressionStats>) -> Vec<u8> {
         let _span = telemetry::span("compress.container");
         let bs = self.geometry.block_size();
         let num_blocks = self.geometry.blocks_for_len(data.len());
+        let want_stats = stats.is_some();
 
         // Per-block payloads in parallel; the tail block is padded.
-        let results: Vec<(Vec<u8>, CompressionStats)> = (0..num_blocks)
+        let results: Vec<(Vec<u8>, Option<Box<CompressionStats>>)> = (0..num_blocks)
             .into_par_iter()
             .map(|b| {
                 let _block_span = telemetry::span("compress.block");
                 let start = b * bs;
                 let end = ((b + 1) * bs).min(data.len());
-                let mut local = CompressionStats::default();
+                let mut local = want_stats.then(Box::<CompressionStats>::default);
                 let mut w = BitWriter::new();
                 if end - start == bs {
                     compress_block(
@@ -276,7 +277,7 @@ impl Compressor {
                         &self.quant,
                         &self.options,
                         &mut w,
-                        Some(&mut local),
+                        local.as_deref_mut(),
                     );
                 } else {
                     let mut padded = vec![0.0f64; bs];
@@ -287,7 +288,7 @@ impl Compressor {
                         &self.quant,
                         &self.options,
                         &mut w,
-                        Some(&mut local),
+                        local.as_deref_mut(),
                     );
                 }
                 (w.into_bytes(), local)
@@ -301,14 +302,14 @@ impl Compressor {
         let overhead = self.assemble_container(&mut out, data.len(), &payloads);
         drop(assemble_span);
         if let Some(s) = stats {
-            for (_, local) in &results {
+            for local in results.iter().filter_map(|(_, l)| l.as_deref()) {
                 s.merge(local);
             }
             // Everything that is not block payload — header, framing,
             // and the parity section — is container overhead.
             s.record_container_bits(overhead as u64 * 8);
         }
-        (out, ())
+        out
     }
 
     /// Writes the complete container — header, framed blocks, and (for

@@ -16,6 +16,66 @@ use bitio::{BitReader, BitWriter};
 use crate::error::DecompressError;
 use crate::quant::ecq_bits;
 
+/// Census of an ECQ stream by Fig. 6 bin, with the 2-bit bin split by
+/// sign: everything any tree needs to price the stream exactly (see
+/// [`EncodingTree::cost_from_counts`]) without walking it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct EcqCounts {
+    /// `by_bits[b]` counts the values `v` with `ecq_bits(v) == b`.
+    pub(crate) by_bits: [u64; 66],
+    /// Values equal to `+1` (the rest of `by_bits[2]` are `−1`).
+    plus_one: u64,
+}
+
+impl Default for EcqCounts {
+    fn default() -> Self {
+        Self {
+            by_bits: [0; 66],
+            plus_one: 0,
+        }
+    }
+}
+
+impl EcqCounts {
+    /// Counts every value of `ecq`.
+    #[cfg(test)]
+    pub(crate) fn of(ecq: &[i64]) -> Self {
+        let mut c = Self::default();
+        for &v in ecq {
+            c.record(v);
+        }
+        c
+    }
+
+    /// Counts one value.
+    #[inline]
+    pub(crate) fn record(&mut self, v: i64) {
+        self.by_bits[ecq_bits(v) as usize] += 1;
+        self.plus_one += u64::from(v == 1);
+    }
+
+    /// Values counted.
+    #[must_use]
+    pub(crate) fn total(&self) -> u64 {
+        self.by_bits.iter().sum()
+    }
+
+    /// Non-zero values counted.
+    #[must_use]
+    pub(crate) fn nonzero(&self) -> u64 {
+        self.total() - self.by_bits[1]
+    }
+
+    /// `EC_{b,max}`: the widest bin holding a value (1 when empty).
+    #[must_use]
+    pub(crate) fn max_bits(&self) -> u32 {
+        self.by_bits
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(1, |b| b as u32)
+    }
+}
+
 /// Which ECQ encoding to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EncodingTree {
@@ -131,17 +191,45 @@ impl EncodingTree {
         ecq.iter().map(|&v| self.symbol_cost(v, ecb_max)).sum()
     }
 
+    /// Total cost in bits of the stream `counts` was taken over: equal
+    /// to [`stream_cost`](Self::stream_cost) on that stream, in time
+    /// independent of its length.
+    #[must_use]
+    pub(crate) fn cost_from_counts(&self, counts: &EcqCounts, ecb_max: u32) -> u64 {
+        let zeros = counts.by_bits[1];
+        let nonzero = counts.nonzero();
+        let plus = counts.plus_one;
+        let minus = counts.by_bits[2] - plus;
+        let others = nonzero - plus - minus;
+        let ecb = u64::from(ecb_max);
+        match self.resolve(ecb_max) {
+            Resolved::Tri => zeros + 2 * nonzero,
+            Resolved::Tree1 => zeros + (1 + ecb) * nonzero,
+            Resolved::Tree2 => zeros + 2 * plus + 3 * minus + (3 + ecb) * others,
+            Resolved::Tree3 => zeros + 3 * (plus + minus) + (2 + ecb) * others,
+            Resolved::Tree4 => {
+                zeros
+                    + (2..counts.by_bits.len() as u64)
+                        .map(|b| counts.by_bits[b as usize] * (2 * b - 1))
+                        .sum::<u64>()
+            }
+            Resolved::Fixed => ecb * (zeros + nonzero),
+        }
+    }
+
     /// Encodes a stream of ECQ values.
+    ///
+    /// Tree 5's two coders (the 3-symbol code and Tree 3) emit each
+    /// symbol as one `(code, len)` field: prefix and value bits are
+    /// packed first, so the writer sees one call per value.
     pub fn encode_stream(&self, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
         match self.resolve(ecb_max) {
             Resolved::Tri => {
                 for &v in ecq {
-                    match v {
-                        0 => w.write_bit(false),
-                        1 => w.write_bits(0b10, 2),
-                        -1 => w.write_bits(0b11, 2),
-                        _ => unreachable!("EC_b,max = 2 stream contains {v}"),
-                    }
+                    assert!((-1..=1).contains(&v), "EC_b,max = 2 stream contains {v}");
+                    // 0 → `0`, 1 → `10`, −1 → `11`.
+                    let nz = u64::from(v != 0);
+                    w.write_bits((nz << 1) | u64::from(v < 0), 1 + nz as u32);
                 }
             }
             Resolved::Tree1 => {
@@ -168,16 +256,22 @@ impl EncodingTree {
                 }
             }
             Resolved::Tree3 => {
+                // "Others" is `10` + the value's `EC_{b,max}`-bit two's
+                // complement, one field while `2 + EC_{b,max} ≤ 64`.
+                let mask = u64::MAX >> (64 - ecb_max.clamp(1, 64));
                 for &v in ecq {
-                    match v {
-                        0 => w.write_bit(false),
-                        1 => w.write_bits(0b110, 3),
-                        -1 => w.write_bits(0b111, 3),
+                    let (code, len) = match v {
+                        0 => (0, 1),
+                        1 => (0b110, 3),
+                        -1 => (0b111, 3),
+                        _ if ecb_max <= 62 => ((0b10 << ecb_max) | (v as u64 & mask), 2 + ecb_max),
                         _ => {
                             w.write_bits(0b10, 2);
                             w.write_signed(v, ecb_max);
+                            continue;
                         }
-                    }
+                    };
+                    w.write_bits(code, len);
                 }
             }
             Resolved::Tree4 => {
@@ -434,5 +528,122 @@ mod tests {
         let mut out = Vec::new();
         let err = EncodingTree::Tree4.decode_stream(1, 8, &mut r, &mut out);
         assert!(err.is_err());
+    }
+
+    /// The fused ECQ census prices every tree exactly: for any stream and
+    /// any `EC_{b,max}`, `cost_from_counts` over the stream's
+    /// [`EcqCounts`] equals the per-symbol `stream_cost`, and the
+    /// single-write encoder emits exactly that many bits and decodes back
+    /// to the stream.
+    mod census {
+        use super::ALL;
+        use crate::encoding::EcqCounts;
+        use crate::quant::ecq_bits;
+        use bitio::{BitReader, BitWriter};
+        use proptest::prelude::*;
+
+        /// A value from Fig. 6 bin `bits` (`1` is zero; bin `b ≥ 2` holds
+        /// magnitudes `2^{b-2} ..= 2^{b-1} − 1`), with a random sign.
+        fn from_bin(bits: u32, r: u64) -> i64 {
+            if bits == 1 {
+                return 0;
+            }
+            let lo = 1i64 << (bits - 2);
+            let mag = lo + (r >> 2) as i64 % lo;
+            if r & 1 == 0 {
+                mag
+            } else {
+                -mag
+            }
+        }
+
+        /// An ECQ stream whose values all fit `ecb_max` bits. `shape` picks the
+        /// distribution: all zero; only `{0, ±1}` with the two signs at
+        /// independent rates (Tree 2 prices them differently); PaSTRI-like
+        /// (mostly zero, some ±1, a thin tail); or uniform over Tree 4's bins.
+        fn stream(ecb_max: u32, shape: u8, len: usize, seed: u64) -> Vec<i64> {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let plus_rate = next() % 100;
+            let minus_rate = next() % 100;
+            (0..len)
+                .map(|_| {
+                    let r = next();
+                    match shape {
+                        0 => 0,
+                        1 => match r % 200 {
+                            p if p < plus_rate => 1,
+                            p if p < plus_rate + minus_rate => -1,
+                            _ => 0,
+                        },
+                        2 => match r % 100 {
+                            0..=79 => 0,
+                            80..=89 => 1,
+                            90..=94 => -1,
+                            _ => from_bin(2 + (next() % u64::from(ecb_max - 1)) as u32, next()),
+                        },
+                        _ => from_bin(1 + (r % u64::from(ecb_max)) as u32, next()),
+                    }
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn cost_from_counts_equals_stream_cost(
+                ecb_max in 2u32..=62,
+                shape in 0u8..4,
+                len in 0usize..600,
+                seed in any::<u64>(),
+            ) {
+                let ecq = stream(ecb_max, shape, len, seed);
+                let counts = EcqCounts::of(&ecq);
+                prop_assert_eq!(counts.total(), len as u64);
+                prop_assert_eq!(counts.nonzero(), ecq.iter().filter(|&&v| v != 0).count() as u64);
+                prop_assert_eq!(counts.max_bits(), ecq.iter().map(|&v| ecq_bits(v)).max().unwrap_or(1));
+                // The block encoder's width, and the wider one this stream was drawn for.
+                let derived = counts.max_bits().max(2);
+                for ecb in [derived, ecb_max] {
+                    for tree in ALL {
+                        prop_assert_eq!(
+                            tree.cost_from_counts(&counts, ecb),
+                            tree.stream_cost(&ecq, ecb),
+                            "{} at EC_b,max {}", tree.name(), ecb
+                        );
+                    }
+                }
+            }
+
+            #[test]
+            fn encoder_writes_the_priced_bits_and_decodes_back(
+                ecb_max in 2u32..=62,
+                shape in 0u8..4,
+                len in 0usize..400,
+                seed in any::<u64>(),
+                lead in 0u32..64,
+            ) {
+                let ecq = stream(ecb_max, shape, len, seed);
+                let ecb = EcqCounts::of(&ecq).max_bits().max(2);
+                for tree in ALL {
+                    let mut w = BitWriter::new();
+                    w.write_bits(0, lead); // start mid-word
+                    tree.encode_stream(&ecq, ecb, &mut w);
+                    prop_assert_eq!(w.bit_len(), u64::from(lead) + tree.stream_cost(&ecq, ecb), "{}", tree.name());
+                    let bytes = w.into_bytes();
+                    let mut r = BitReader::new(&bytes);
+                    r.read_bits(lead).unwrap();
+                    let mut back = Vec::new();
+                    tree.decode_stream(ecq.len(), ecb, &mut r, &mut back).unwrap();
+                    prop_assert_eq!(&back, &ecq, "{}", tree.name());
+                }
+            }
+        }
     }
 }

@@ -40,6 +40,20 @@ pub fn ecq_bin_max(bits: u32) -> i64 {
 /// the arithmetic stays exact in `i64`/`f64` well away from overflow.
 pub const MAX_SAFE_CODE: i64 = 1i64 << 52;
 
+/// `x.round()` as an integer (halves away from zero) for `|x| ≤ 2^52`,
+/// inline: truncate, then step by the sign of a fractional part of at
+/// least one half. `x − trunc(x)` is exact in that range, so this matches
+/// `f64::round` bit for bit, without the libm call `round` compiles to
+/// on the baseline x86-64 target. Every larger f64 is an integer whose
+/// code would exceed [`MAX_SAFE_CODE`] anyway.
+#[inline]
+fn round_half_away(x: f64) -> i64 {
+    debug_assert!(x.abs() <= MAX_SAFE_CODE as f64);
+    let t = x as i64;
+    let frac = x - t as f64;
+    t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+}
+
 /// The per-block quantizer: holds the error bound and derived bin sizes.
 #[derive(Debug, Clone, Copy)]
 pub struct Quantizer {
@@ -74,12 +88,8 @@ impl Quantizer {
         if !v.is_finite() {
             return None;
         }
-        let q = (v / self.bin).round();
-        if q.abs() > MAX_SAFE_CODE as f64 {
-            None
-        } else {
-            Some(q as i64)
-        }
+        let x = v / self.bin;
+        (x.abs() <= MAX_SAFE_CODE as f64).then(|| round_half_away(x))
     }
 
     /// Dequantizes a PQ/ECQ code.
@@ -183,6 +193,55 @@ mod tests {
                 "v={v}: code {code} back {back}"
             );
         }
+    }
+
+    #[test]
+    fn inline_rounding_matches_f64_round() {
+        let below_2_52 = MAX_SAFE_CODE as f64 - 0.5;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            1.4999999999999998,
+            below_2_52,
+            below_2_52 - 1.0,
+            MAX_SAFE_CODE as f64 - 1.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            5e-324,                  // smallest subnormal
+            1e-300,
+        ];
+        edges.extend(edges.clone().into_iter().map(|x| -x));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Halves and near-halves at every scale up to 2^52.
+            let mag = (x >> 11) as f64 / (1u64 << 53) as f64 * 2f64.powi((x % 53) as i32);
+            edges.push(if x & 1 == 0 { mag } else { -mag });
+            edges.push((x % (1 << 20)) as f64 + 0.5);
+        }
+        for v in edges {
+            assert!(v.abs() < MAX_SAFE_CODE as f64);
+            assert_eq!(round_half_away(v), v.round() as i64, "x = {v:e}");
+        }
+    }
+
+    #[test]
+    fn quantize_matches_round_past_the_inline_range() {
+        let q = Quantizer::new(0.5); // bin 1: codes equal the rounded input
+        let lim = MAX_SAFE_CODE as f64;
+        assert_eq!(q.quantize(lim - 0.5), Some(MAX_SAFE_CODE));
+        assert_eq!(q.quantize(lim), Some(MAX_SAFE_CODE));
+        assert_eq!(q.quantize(-lim), Some(-MAX_SAFE_CODE));
+        assert_eq!(q.quantize(lim + 2.0), None);
+        assert_eq!(q.quantize(-0.5), Some(-1));
+        assert_eq!(q.quantize(0.49999999999999994), Some(0));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! constitutes around 70-80%").
 
 use crate::block::BlockKind;
+use crate::encoding::EcqCounts;
 
 /// Maximum ECQ bin index tracked in histograms (bin = bits needed).
 pub const MAX_ECQ_BIN: usize = 56;
@@ -89,6 +90,15 @@ impl CompressionStats {
     pub(crate) fn record_ecq_value(&mut self, block_type: usize, bits: u32) {
         let bin = (bits as usize).min(MAX_ECQ_BIN - 1);
         self.ecq_hist_by_type[block_type.min(3)][bin] += 1;
+    }
+
+    /// Adds a block's ECQ census to the histogram of its block type; bins
+    /// past the last tracked one fold into it.
+    pub(crate) fn record_ecq_counts(&mut self, block_type: usize, counts: &EcqCounts) {
+        let hist = &mut self.ecq_hist_by_type[block_type.min(3)];
+        for (bits, &n) in counts.by_bits.iter().enumerate() {
+            hist[bits.min(MAX_ECQ_BIN - 1)] += n;
+        }
     }
 
     pub(crate) fn record_header_bits(&mut self, bits: u64) {

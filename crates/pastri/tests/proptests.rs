@@ -175,6 +175,17 @@ proptest! {
     }
 
     #[test]
+    fn stats_never_change_the_bytes(
+        data in proptest::collection::vec(-1e-4..1e-4f64, 0..400),
+        opts in options_strategy(),
+    ) {
+        // Plain compression skips the accounting; the output must not notice.
+        let geom = BlockGeometry::new(6, 10);
+        let c = Compressor::with_options(geom, 1e-10, opts);
+        prop_assert_eq!(c.compress_with_stats(&data).0, c.compress(&data));
+    }
+
+    #[test]
     fn stats_block_accounting(
         data in proptest::collection::vec(-1e-4..1e-4f64, 1..500),
     ) {
