@@ -1416,7 +1416,7 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         cfg.retry.jitter_seed = Some(seed);
     }
     // The whole fetch is one trace, seeded by --seed: every request
-    // carries the same trace id to a v3 server, which adopts it into
+    // carries the same trace id to the server, which adopts it into
     // its own spans — `pastri trace --merge` joins the two exports on
     // that id. Pure function of the seed, so reruns trace identically.
     telemetry::set_trace_seed(seed);
@@ -1478,8 +1478,8 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             ws.cache_hits,
             ws.cache_hits + ws.cache_misses
         )?;
-        // Overload counters (v2 servers; a v1 peer reports zeros) —
-        // shed-at-server vs failed-at-client in one place.
+        // Overload counters: shed-at-server vs failed-at-client in
+        // one place.
         writeln!(
             out,
             "  server overload: {} admitted, {} shed, {} refused draining",
@@ -1498,36 +1498,30 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             };
             writeln!(out, "  breaker {ep}: {state}")?;
         }
-        // v3 servers also expose the full snapshot: latency percentiles
-        // the pre-digested WireStats can't carry, plus journal health.
-        match client.server_telemetry() {
-            Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes).into_owned();
-                let snap = telemetry::export::from_json_lines(&text)
-                    .map_err(|e| CliError::new(format!("fetch: telemetry scrape: {e}")))?;
-                let pct = |q| {
-                    snap.histograms
-                        .iter()
-                        .find(|h| h.name == "server.read_us")
-                        .and_then(|h| h.percentile_us(q))
-                        .unwrap_or(0)
-                };
-                let drops: u64 = snap.events_dropped.iter().map(|c| c.value).sum();
-                writeln!(
-                    out,
-                    "  server telemetry: read p50 {} us, p99 {} us, {} journal event(s), \
-                     {} journal drop(s)",
-                    pct(0.50),
-                    pct(0.99),
-                    snap.events.len(),
-                    drops
-                )?;
-            }
-            // A v1/v2 peer has no snapshot frame; the WireStats block
-            // above already said everything it can.
-            Err(eri_server::ClientError::Protocol(_)) => {}
-            Err(e) => return Err(client_err(e)),
-        }
+        // The full snapshot adds what the pre-digested WireStats can't
+        // carry: latency percentiles and journal health. A scrape that
+        // fails is a fault, not a missing feature.
+        let bytes = client.server_telemetry().map_err(client_err)?;
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let snap = telemetry::export::from_json_lines(&text)
+            .map_err(|e| CliError::new(format!("fetch: telemetry scrape: {e}")))?;
+        let pct = |q| {
+            snap.histograms
+                .iter()
+                .find(|h| h.name == "server.read_us")
+                .and_then(|h| h.percentile_us(q))
+                .unwrap_or(0)
+        };
+        let drops: u64 = snap.events_dropped.iter().map(|c| c.value).sum();
+        writeln!(
+            out,
+            "  server telemetry: read p50 {} us, p99 {} us, {} journal event(s), \
+             {} journal drop(s)",
+            pct(0.50),
+            pct(0.99),
+            snap.events.len(),
+            drops
+        )?;
     }
     if let Some(tcap) = telem {
         tcap.finish(out)?;
@@ -1770,7 +1764,7 @@ fn top_text(endpoint: &str, tick: usize, m: &TopMetrics) -> String {
 }
 
 /// `pastri top <endpoint>` — live dashboard over TelemetrySnapshot
-/// scrapes: polls a v3 `serve --listen` endpoint, computes deltas and
+/// scrapes: polls a `serve --listen` endpoint, computes deltas and
 /// rates between consecutive snapshots, and prints one plain-text
 /// block per tick. `--once` takes a single scrape (rates over the
 /// server's span horizon); `--json` emits one JSON object per tick for
@@ -1797,12 +1791,6 @@ pub fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ..Default::default()
     };
     let mut client = eri_server::RemoteClient::connect(&[ep], cfg).map_err(client_err)?;
-    if client.negotiated_version() < 3 {
-        return Err(CliError::new(format!(
-            "top: server speaks protocol v{} (telemetry scraping needs v3)",
-            client.negotiated_version()
-        )));
-    }
     let scrape = |client: &mut eri_server::RemoteClient| -> Result<telemetry::Snapshot, CliError> {
         let bytes = client.server_telemetry().map_err(client_err)?;
         let text = String::from_utf8_lossy(&bytes).into_owned();

@@ -224,7 +224,7 @@ REMOTE SERVING (`serve --listen` / `fetch`):
   budget exit 2; unreachable endpoints and blown deadlines exit 1.
 
 LIVE OBSERVABILITY (DESIGN §15):
-  A v3 `serve --listen` endpoint answers TelemetrySnapshot scrape
+  A `serve --listen` endpoint answers TelemetrySnapshot scrape
   frames (full counters, gauges, 32-bucket histograms, and the bounded
   event journal) admitted at priority >= 1, so scrapes survive
   overload. `pastri top <endpoint>` polls those snapshots and prints

@@ -541,6 +541,54 @@ fn transport_exit_codes_follow_the_documented_contract() {
     let (_, astats) = server.join().unwrap();
     assert_eq!(astats.refused_draining, 2, "both attempts refused with Draining");
     assert_eq!(astats.admitted, 0, "nothing admitted while draining");
+
+    // A wrong reply to the telemetry scrape: `fetch --stats` must
+    // surface the protocol fault as exit 1, not swallow it. The mock
+    // server serves reads and stats correctly but answers
+    // `TelemetryRequest` with a `StatsResponse`.
+    use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock, WireStats};
+    use std::io::Write as _;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let mock_addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = eri_server::transport::Conn::Tcp(stream);
+        let hello = Hello {
+            version: protocol::PROTO_VERSION,
+            num_blocks: 2,
+            num_subblocks: 1,
+            subblock_size: 4,
+            error_bound: 1e-10,
+        };
+        protocol::write_frame(&mut conn, &Message::Hello(hello)).unwrap();
+        conn.flush().unwrap();
+        let mut scrapes = 0u32;
+        while let Ok(msg) = protocol::read_frame(&mut conn) {
+            let reply = match msg {
+                Message::ReadRequest(rq) => {
+                    let blocks = rq.ids.iter().map(|&id| WireBlock::Values(vec![id as f64; 4]));
+                    Message::ReadResponse(ReadResponse {
+                        request_id: rq.request_id,
+                        blocks: blocks.collect(),
+                    })
+                }
+                Message::StatsRequest => Message::StatsResponse(WireStats::default()),
+                Message::TelemetryRequest => {
+                    scrapes += 1;
+                    Message::StatsResponse(WireStats::default())
+                }
+                other => panic!("mock server got {other:?}"),
+            };
+            protocol::write_frame(&mut conn, &reply).unwrap();
+            conn.flush().unwrap();
+        }
+        scrapes
+    });
+    let wrong_scrape = exit_code(&sv(&[
+        "fetch", &format!("tcp:{mock_addr}"), "--stats", "--deadline-ms", "10000",
+    ]));
+    assert_eq!(wrong_scrape, 1, "a protocol fault in the telemetry scrape is exit 1");
+    assert_eq!(server.join().unwrap(), 1, "the scrape was sent once, not retried");
 }
 
 /// Polls (briefly) until a serve thread has bound its unix socket.

@@ -151,8 +151,8 @@ pub fn read_exact_retry<R: Read + ?Sized>(
     Ok(())
 }
 
-/// splitmix64: the statelesss mixer used across the repo's fault and
-/// workload seeding (same construction as `faults`' internal hasher).
+/// splitmix64: the stateless mixer used across the repo's fault and
+/// workload seeding.
 #[must_use]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -10,7 +10,7 @@
 //!   structured [`Shed`](Admission::Shed) verdict carrying a
 //!   retry-after hint — never parked until its deadline times out
 //!   silently. The shedding rule compares the request's remaining
-//!   budget (`budget_ms` from the v2 wire frame) against the estimated
+//!   budget (`budget_ms` from the wire `ReadRequest`) against the estimated
 //!   queue wait: `queued × EWMA(service time)` whenever every permit is
 //!   taken.
 //! * **Priority classes.** Priority 0 (normal) requests are sheddable

@@ -21,7 +21,7 @@
 //! the same bounded exponential + seeded half-range jitter the store
 //! reader uses — so a storm of clients with distinct seeds decorrelates
 //! deterministically. When more than one replica endpoint is
-//! configured, each retry also *hedges*: it moves to the next replica
+//! configured, every retry also *hedges*: it moves to the next replica
 //! in round-robin order (counted in `rpc.hedges`), so a dead or
 //! stalling replica costs one attempt, not the whole deadline.
 
@@ -33,7 +33,7 @@ use durable::retry::RetryPolicy;
 use crate::breaker::{Breaker, BreakerConfig, BreakerState, Transition};
 use crate::protocol::{
     self, FrameError, Hello, Message, OverloadReason, ReadRequest, WireBlock, WireStats,
-    MIN_PROTO_VERSION, PROTO_VERSION,
+    PROTO_VERSION,
 };
 pub use crate::protocol::BlockErrorKind;
 use crate::transport::{Conn, Endpoint};
@@ -54,9 +54,6 @@ pub struct ClientConfig {
     pub connect_timeout: Duration,
     /// Retry/backoff schedule (attempt budget = `max_retries`).
     pub retry: RetryPolicy,
-    /// Fail over to the next replica on each retry when more than one
-    /// endpoint is configured.
-    pub hedge: bool,
     /// Response-size budget one exchange may provision for:
     /// `read_blocks` splits its id list into batches whose worst-case
     /// `ReadResponse` fits this many payload bytes (always further
@@ -71,10 +68,6 @@ pub struct ClientConfig {
     /// whose rolling failure window fills is refused traffic for the
     /// cooldown, then probed half-open.
     pub breaker: Option<BreakerConfig>,
-    /// Priority carried on v2 read requests: 0 = sheddable under
-    /// estimated queue wait, ≥1 = rides the queue out (still subject
-    /// to hard limits).
-    pub priority: u8,
 }
 
 impl Default for ClientConfig {
@@ -84,10 +77,8 @@ impl Default for ClientConfig {
             attempt_timeout: Duration::from_secs(1),
             connect_timeout: Duration::from_secs(1),
             retry: RetryPolicy::default(),
-            hedge: true,
             max_response_bytes: protocol::MAX_FRAME_PAYLOAD as usize,
             breaker: Some(BreakerConfig::default()),
-            priority: 0,
         }
     }
 }
@@ -330,13 +321,6 @@ impl RemoteClient {
             .collect()
     }
 
-    /// The protocol version both sides agreed to speak:
-    /// `min(ours, server's)`.
-    #[must_use]
-    pub fn negotiated_version(&self) -> u32 {
-        self.hello.version.min(PROTO_VERSION)
-    }
-
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
@@ -399,31 +383,22 @@ impl RemoteClient {
         ids: &[u64],
     ) -> Result<Vec<Result<Vec<f64>, BlockError>>, ClientError> {
         let rq_ids = ids.to_vec();
-        // Advisory deadline for the server's write budget.
-        let deadline_ms = u32::try_from(self.cfg.deadline.as_millis()).unwrap_or(u32::MAX);
-        let version = self.negotiated_version();
-        let priority = self.cfg.priority;
-        // Trace propagation (v3 peers): every attempt of this logical
-        // request carries the same context — the ambient one when the
-        // caller opened a trace (the CLI does, around a whole fetch),
-        // or a fresh seeded id so nothing on the wire is untraced.
-        let trace = (version >= 3)
-            .then(|| telemetry::current_trace().unwrap_or_else(telemetry::new_trace));
+        // Trace propagation: every attempt of this logical request
+        // carries the same context — the ambient one when the caller
+        // opened a trace (the CLI does, around a whole fetch), or a
+        // fresh seeded id so nothing on the wire is untraced.
+        let trace = telemetry::current_trace().unwrap_or_else(telemetry::new_trace);
         let reply = self.roundtrip(&mut |request_id, remaining| {
             // Deadline propagation: the server sees how much budget
             // this attempt actually has left, so its admission queue
             // can shed instead of serving a reply nobody will wait for.
-            let budget_ms = u32::try_from(remaining.as_millis()).unwrap_or(u32::MAX);
-            let rq = ReadRequest { request_id, deadline_ms, budget_ms, priority, ids: rq_ids.clone() };
-            match trace {
-                Some(ctx) => Message::TracedReadRequest(protocol::TracedReadRequest {
-                    request: rq,
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                }),
-                None if version >= 2 => Message::ReadRequestV2(rq),
-                None => Message::ReadRequest(rq),
-            }
+            Message::ReadRequest(ReadRequest {
+                request_id,
+                budget_ms: u32::try_from(remaining.as_millis()).unwrap_or(u32::MAX),
+                trace_id: trace.trace_id,
+                span_id: trace.span_id,
+                ids: rq_ids.clone(),
+            })
         })?;
         let rs = match reply {
             Message::ReadResponse(rs) => rs,
@@ -462,11 +437,8 @@ impl RemoteClient {
 
     /// Fetches the server's serving/retry/repair counters.
     pub fn server_stats(&mut self) -> Result<WireStats, ClientError> {
-        let v2 = self.negotiated_version() >= 2;
-        let reply = self
-            .roundtrip(&mut |_, _| if v2 { Message::StatsRequestV2 } else { Message::StatsRequest })?;
-        match reply {
-            Message::StatsResponse(s) | Message::StatsResponseV2(s) => Ok(s),
+        match self.roundtrip(&mut |_, _| Message::StatsRequest)? {
+            Message::StatsResponse(s) => Ok(s),
             other => Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other)))),
         }
     }
@@ -474,17 +446,10 @@ impl RemoteClient {
     /// Scrapes the server's full telemetry snapshot — counters, gauges,
     /// complete histograms, and the event journal — as the line-JSON
     /// export bytes ([`telemetry::export::from_json_lines`] decodes
-    /// them). Requires a v3 peer; the scrape rides admission at
-    /// priority ≥ 1 server-side so it survives overload.
+    /// them). The scrape rides admission at priority 1 server-side so
+    /// it survives overload.
     pub fn server_telemetry(&mut self) -> Result<Vec<u8>, ClientError> {
-        if self.negotiated_version() < 3 {
-            return Err(ClientError::Protocol(format!(
-                "server speaks protocol v{}; telemetry scrape needs v3",
-                self.negotiated_version()
-            )));
-        }
-        let reply = self.roundtrip(&mut |_, _| Message::TelemetryRequest)?;
-        match reply {
+        match self.roundtrip(&mut |_, _| Message::TelemetryRequest)? {
             Message::TelemetryResponse(bytes) => Ok(bytes),
             other => Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other)))),
         }
@@ -632,7 +597,7 @@ impl RemoteClient {
                     self.stats.retries += 1;
                     telemetry::counter_add("rpc.retries", 1);
                     telemetry::journal("rpc.retry", request_id, u64::from(attempt));
-                    if self.cfg.hedge && self.replicas.len() > 1 {
+                    if self.replicas.len() > 1 {
                         replica = (replica + 1) % self.replicas.len();
                         self.stats.hedges += 1;
                         telemetry::counter_add("rpc.hedges", 1);
@@ -718,14 +683,10 @@ fn kind_of(msg: &Message) -> &'static str {
     match msg {
         Message::Hello(_) => "Hello",
         Message::ReadRequest(_) => "ReadRequest",
-        Message::ReadRequestV2(_) => "ReadRequestV2",
         Message::ReadResponse(_) => "ReadResponse",
         Message::StatsRequest => "StatsRequest",
         Message::StatsResponse(_) => "StatsResponse",
-        Message::StatsRequestV2 => "StatsRequestV2",
-        Message::StatsResponseV2(_) => "StatsResponseV2",
         Message::Overloaded(_) => "Overloaded",
-        Message::TracedReadRequest(_) => "TracedReadRequest",
         Message::TelemetryRequest => "TelemetryRequest",
         Message::TelemetryResponse(_) => "TelemetryResponse",
     }
@@ -751,13 +712,11 @@ fn open_conn(
             )))
         }
     };
-    // Version negotiation: the server announces the highest version it
-    // speaks; we accept anything in our supported range and then speak
-    // min(ours, theirs) — a v1 server gets only v1 frames from us.
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&hello.version) {
+    // One wire version: any other is refused, never downgraded to.
+    if hello.version != PROTO_VERSION {
         return Err(AttemptError::Protocol(format!(
-            "protocol version {} (client speaks {}..={})",
-            hello.version, MIN_PROTO_VERSION, PROTO_VERSION
+            "server speaks protocol version {}, client speaks {PROTO_VERSION}",
+            hello.version
         )));
     }
     Ok((conn, hello))

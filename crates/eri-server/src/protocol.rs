@@ -7,11 +7,8 @@
 //! offset  size  field
 //! 0       4     magic "PTRF"
 //! 4       1     kind (1=Hello 2=ReadRequest 3=ReadResponse
-//!                     4=StatsRequest 5=StatsResponse
-//!                     6=ReadRequestV2 7=Overloaded
-//!                     8=StatsRequestV2 9=StatsResponseV2
-//!                     10=TracedReadRequest 11=TelemetryRequest
-//!                     12=TelemetryResponse)
+//!                     4=StatsRequest 5=StatsResponse 6=Overloaded
+//!                     7=TelemetryRequest 8=TelemetryResponse)
 //! 5       3     reserved, must be zero
 //! 8       4     payload length, u32 LE (hard cap 64 MiB)
 //! 12      N     payload (kind-specific, little-endian fixed-width)
@@ -34,40 +31,24 @@
 //!   `num_blocks u64`, `num_subblocks u32`, `subblock_size u32`,
 //!   `error_bound f64` (bit pattern). Lets a client check that every
 //!   replica serves the same dataset before reading from it.
-//! * `ReadRequest`: `request_id u64`, `deadline_ms u32`, `count u32`,
-//!   then `count` block ids as `u64`.
+//! * `ReadRequest`: `request_id u64`, `budget_ms u32` (the client's
+//!   *remaining* whole-call deadline budget at send time, which
+//!   admission control weighs against its estimated queue wait),
+//!   `trace_id u64`, `span_id u64` (the client's
+//!   [`telemetry::TraceContext`], so the server's spans for this
+//!   request carry the originating trace id; a zero `trace_id` means
+//!   "untraced" and the server adopts nothing), `count u32`, then
+//!   `count` block ids as `u64`.
 //! * `ReadResponse`: `request_id u64`, `count u32`, then per block a
 //!   `status u8` — `0` followed by `len u32` + `len` f64 bit patterns,
 //!   or an error code followed by `msg_len u32` + UTF-8 message. A bad
 //!   block degrades to its own status byte; the other blocks in the
 //!   response are unaffected.
-//! * `StatsRequest`: empty. `StatsResponse`: the nine v1 [`WireStats`]
+//! * `StatsRequest`: empty. `StatsResponse`: the twelve [`WireStats`]
 //!   fields in declaration order, each `u64`.
-//!
-//! Version 2 (negotiated — see below) adds four kinds:
-//!
-//! * `ReadRequestV2`: like `ReadRequest` but with a `budget_ms u32`
-//!   (the client's *remaining* whole-call deadline budget at send time,
-//!   which admission control weighs against its estimated queue wait)
-//!   and a `priority u8` (`0` = normal, sheddable; `1` = critical,
-//!   rides out the queue-wait estimate) between `deadline_ms` and the
-//!   id count.
 //! * `Overloaded`: the server shed a request instead of serving it —
 //!   `request_id u64`, `reason u8` (0 = shed under load, 1 = draining),
-//!   `retry_after_ms u32` (backoff hint). Only ever sent in reply to a
-//!   `ReadRequestV2`; v1 clients get per-block `Io` errors instead.
-//! * `StatsRequestV2`/`StatsResponseV2`: the full [`WireStats`]
-//!   including the admission-control counters (`shed`,
-//!   `refused_draining`, `admitted`).
-//!
-//! Version 3 (negotiated — see below) adds the observability kinds:
-//!
-//! * `TracedReadRequest`: the v2 read layout plus a `trace_id u64` and
-//!   `span_id u64` between `priority` and the id count — the client's
-//!   [`telemetry::TraceContext`] riding with the request, so the
-//!   server's spans for this request carry the originating trace id.
-//!   Semantically identical to `ReadRequestV2` otherwise; a zero
-//!   `trace_id` means "untraced" and the server adopts nothing.
+//!   `retry_after_ms u32` (backoff hint).
 //! * `TelemetryRequest` (empty) / `TelemetryResponse`: a full
 //!   `telemetry::Snapshot` scrape — counters, gauges, 32-bucket
 //!   histograms, journal events — as the line-JSON bytes produced by
@@ -75,15 +56,9 @@
 //!   carries raw bytes). Scrapes are admitted at priority 1 so `pastri
 //!   top` keeps working while the server sheds load.
 //!
-//! **Version negotiation.** The server always speaks first with a
-//! `Hello` carrying [`PROTO_VERSION`]; a client accepts any server
-//! version in `MIN_PROTO_VERSION..=PROTO_VERSION` and then speaks the
-//! *minimum* of the two, so a v2 client never sends v2 kinds to a v1
-//! server. The server infers the peer's version per request from the
-//! kind it used (kind 2 → v1, kind 6 → v2, kinds 10/11 → v3) and never
-//! replies with a kind the peer could not have learned from its own
-//! request — a v1 peer is never sent `Overloaded` or
-//! `StatsResponseV2`, and only v3 peers see `TelemetryResponse`.
+//! **One version.** The server always speaks first with a `Hello`
+//! carrying [`PROTO_VERSION`]; a client refuses any other version
+//! with a protocol error. There is no negotiation and no downgrade.
 
 use std::io::{self, Read, Write};
 
@@ -92,9 +67,7 @@ use checksum::crc32;
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
 pub const MAGIC: [u8; 4] = *b"PTRF";
 /// Protocol version spoken by this build; carried in `Hello`.
-pub const PROTO_VERSION: u32 = 3;
-/// Oldest peer version this build still interoperates with.
-pub const MIN_PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 4;
 /// Fixed frame header length (magic + kind + reserved + payload len).
 pub const HEADER_LEN: usize = 12;
 /// Hard cap on payload length — reject before allocating.
@@ -106,12 +79,9 @@ pub const MAX_BLOCK_ERROR_MESSAGE: usize = 256;
 
 /// Fixed `ReadResponse` payload overhead: request id (8) + count (4).
 const READ_RESPONSE_OVERHEAD: usize = 12;
-/// Fixed request payload overhead, sized for the widest (v3, traced)
-/// layout: request id (8) + deadline (4) + budget (4) + priority (1) +
-/// trace id (8) + span id (8) + count (4). Batch sizing uses this for
-/// every version so a batch that fits a traced request always fits the
-/// narrower v1/v2 layouts too.
-const READ_REQUEST_OVERHEAD: usize = 37;
+/// Fixed `ReadRequest` payload overhead: request id (8) + budget (4) +
+/// trace id (8) + span id (8) + count (4).
+const READ_REQUEST_OVERHEAD: usize = 32;
 
 /// How many block ids one `ReadRequest`/`ReadResponse` exchange can
 /// carry under `payload_cap` bytes of frame payload, for blocks of
@@ -262,21 +232,17 @@ pub struct Hello {
     pub error_bound: f64,
 }
 
-/// A batch read: block ids plus the client's deadline (advisory on the
-/// server side — the client enforces its own clock; the server uses it
-/// to size its write timeout).
-///
-/// The v2 fields ride only in `ReadRequestV2` frames: `budget_ms` is
-/// the remaining whole-call budget at send time (what admission
-/// control weighs against its queue-wait estimate) and `priority`
-/// selects the shedding class. A v1 frame decodes with
-/// `budget_ms = deadline_ms` and `priority = 0`.
+/// A batch read: block ids, the client's remaining deadline budget
+/// (what admission control weighs against its queue-wait estimate),
+/// and the client's trace context (`trace_id == 0` means untraced).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRequest {
     pub request_id: u64,
-    pub deadline_ms: u32,
     pub budget_ms: u32,
-    pub priority: u8,
+    /// Cross-process correlation id ([`telemetry::TraceContext::trace_id`]).
+    pub trace_id: u64,
+    /// Client-side originating span id.
+    pub span_id: u64,
     pub ids: Vec<u64>,
 }
 
@@ -328,18 +294,6 @@ pub struct Overloaded {
     pub retry_after_ms: u32,
 }
 
-/// A v2 read request plus the client's trace context (v3). The ids are
-/// non-zero for a traced request; an all-zero context decodes fine and
-/// simply means "untraced" — the server adopts nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedReadRequest {
-    pub request: ReadRequest,
-    /// Cross-process correlation id ([`telemetry::TraceContext::trace_id`]).
-    pub trace_id: u64,
-    /// Client-side originating span id.
-    pub span_id: u64,
-}
-
 /// Response to a [`ReadRequest`], one [`WireBlock`] per requested id in
 /// request order.
 #[derive(Debug, Clone, PartialEq)]
@@ -351,9 +305,7 @@ pub struct ReadResponse {
 /// Serving counters over the wire — the transport projection of
 /// `ServerStats` (plus cache hit/miss), so a remote client can assert
 /// the same retry/repair attribution an in-process caller reads from
-/// `ServerHandle::stats`.
-/// The admission-control fields travel only in `StatsResponseV2`; a
-/// v1 `StatsResponse` decodes with them zeroed.
+/// `ServerHandle::stats` — plus the admission-control counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
     pub requests: u64,
@@ -365,11 +317,11 @@ pub struct WireStats {
     pub blocks_dropped: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Requests shed by admission control (v2 only).
+    /// Requests shed by admission control.
     pub shed: u64,
-    /// Requests refused because the server was draining (v2 only).
+    /// Requests refused because the server was draining.
     pub refused_draining: u64,
-    /// Requests admitted past admission control (v2 only).
+    /// Requests admitted past admission control.
     pub admitted: u64,
 }
 
@@ -381,11 +333,7 @@ pub enum Message {
     ReadResponse(ReadResponse),
     StatsRequest,
     StatsResponse(WireStats),
-    ReadRequestV2(ReadRequest),
     Overloaded(Overloaded),
-    StatsRequestV2,
-    StatsResponseV2(WireStats),
-    TracedReadRequest(TracedReadRequest),
     TelemetryRequest,
     /// Raw `telemetry::export::json_lines` bytes — opaque at this
     /// layer; the client parses them with `from_json_lines`.
@@ -400,13 +348,9 @@ impl Message {
             Message::ReadResponse(_) => 3,
             Message::StatsRequest => 4,
             Message::StatsResponse(_) => 5,
-            Message::ReadRequestV2(_) => 6,
-            Message::Overloaded(_) => 7,
-            Message::StatsRequestV2 => 8,
-            Message::StatsResponseV2(_) => 9,
-            Message::TracedReadRequest(_) => 10,
-            Message::TelemetryRequest => 11,
-            Message::TelemetryResponse(_) => 12,
+            Message::Overloaded(_) => 6,
+            Message::TelemetryRequest => 7,
+            Message::TelemetryResponse(_) => 8,
         }
     }
 }
@@ -428,7 +372,7 @@ impl FrameHeader {
             return Err(FrameError::BadMagic([raw[0], raw[1], raw[2], raw[3]]));
         }
         let kind = raw[4];
-        if !(1..=12).contains(&kind) {
+        if !(1..=8).contains(&kind) {
             return Err(FrameError::UnknownKind(kind));
         }
         if raw[5..8] != [0, 0, 0] {
@@ -513,19 +457,10 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             p.extend_from_slice(&h.error_bound.to_bits().to_le_bytes());
         }
         Message::ReadRequest(rq) => {
-            // v1 layout: the budget/priority fields stay off the wire.
             p.extend_from_slice(&rq.request_id.to_le_bytes());
-            p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
-            p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        Message::ReadRequestV2(rq) => {
-            p.extend_from_slice(&rq.request_id.to_le_bytes());
-            p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
             p.extend_from_slice(&rq.budget_ms.to_le_bytes());
-            p.push(rq.priority);
+            p.extend_from_slice(&rq.trace_id.to_le_bytes());
+            p.extend_from_slice(&rq.span_id.to_le_bytes());
             p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
             for id in &rq.ids {
                 p.extend_from_slice(&id.to_le_bytes());
@@ -557,39 +492,11 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
                 }
             }
         }
-        Message::TracedReadRequest(t) => {
-            let rq = &t.request;
-            p.extend_from_slice(&rq.request_id.to_le_bytes());
-            p.extend_from_slice(&rq.deadline_ms.to_le_bytes());
-            p.extend_from_slice(&rq.budget_ms.to_le_bytes());
-            p.push(rq.priority);
-            p.extend_from_slice(&t.trace_id.to_le_bytes());
-            p.extend_from_slice(&t.span_id.to_le_bytes());
-            p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
-        }
         Message::TelemetryResponse(bytes) => {
             p.extend_from_slice(bytes);
         }
-        Message::StatsRequest | Message::StatsRequestV2 | Message::TelemetryRequest => {}
+        Message::StatsRequest | Message::TelemetryRequest => {}
         Message::StatsResponse(s) => {
-            for v in [
-                s.requests,
-                s.blocks,
-                s.store_reads,
-                s.transient_retries,
-                s.backoff_us,
-                s.blocks_repaired,
-                s.blocks_dropped,
-                s.cache_hits,
-                s.cache_misses,
-            ] {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Message::StatsResponseV2(s) => {
             for v in [
                 s.requests,
                 s.blocks,
@@ -667,7 +574,9 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
         }),
         2 => {
             let request_id = c.u64()?;
-            let deadline_ms = c.u32()?;
+            let budget_ms = c.u32()?;
+            let trace_id = c.u64()?;
+            let span_id = c.u64()?;
             let count = c.u32()? as usize;
             // Each id is 8 bytes; the count must fit what's present.
             if count > c.buf.len() / 8 {
@@ -677,14 +586,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             for _ in 0..count {
                 ids.push(c.u64()?);
             }
-            // A v1 peer's whole deadline is its budget; normal priority.
-            Message::ReadRequest(ReadRequest {
-                request_id,
-                deadline_ms,
-                budget_ms: deadline_ms,
-                priority: 0,
-                ids,
-            })
+            Message::ReadRequest(ReadRequest { request_id, budget_ms, trace_id, span_id, ids })
         }
         3 => {
             let request_id = c.u64()?;
@@ -729,71 +631,19 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             blocks_dropped: c.u64()?,
             cache_hits: c.u64()?,
             cache_misses: c.u64()?,
-            ..WireStats::default()
+            shed: c.u64()?,
+            refused_draining: c.u64()?,
+            admitted: c.u64()?,
         }),
         6 => {
-            let request_id = c.u64()?;
-            let deadline_ms = c.u32()?;
-            let budget_ms = c.u32()?;
-            let priority = c.u8()?;
-            let count = c.u32()? as usize;
-            if count > c.buf.len() / 8 {
-                return Err(FrameError::Malformed("id count past end of payload"));
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
-            Message::ReadRequestV2(ReadRequest { request_id, deadline_ms, budget_ms, priority, ids })
-        }
-        7 => {
             let request_id = c.u64()?;
             let reason = OverloadReason::from_code(c.u8()?)
                 .ok_or(FrameError::Malformed("unknown overload reason"))?;
             let retry_after_ms = c.u32()?;
             Message::Overloaded(Overloaded { request_id, reason, retry_after_ms })
         }
-        8 => Message::StatsRequestV2,
-        10 => {
-            let request_id = c.u64()?;
-            let deadline_ms = c.u32()?;
-            let budget_ms = c.u32()?;
-            let priority = c.u8()?;
-            let trace_id = c.u64()?;
-            let span_id = c.u64()?;
-            let count = c.u32()? as usize;
-            if count > c.buf.len() / 8 {
-                return Err(FrameError::Malformed("id count past end of payload"));
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
-            Message::TracedReadRequest(TracedReadRequest {
-                request: ReadRequest { request_id, deadline_ms, budget_ms, priority, ids },
-                trace_id,
-                span_id,
-            })
-        }
-        11 => Message::TelemetryRequest,
-        12 => {
-            let bytes = c.take(c.buf.len())?.to_vec();
-            Message::TelemetryResponse(bytes)
-        }
-        9 => Message::StatsResponseV2(WireStats {
-            requests: c.u64()?,
-            blocks: c.u64()?,
-            store_reads: c.u64()?,
-            transient_retries: c.u64()?,
-            backoff_us: c.u64()?,
-            blocks_repaired: c.u64()?,
-            blocks_dropped: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            shed: c.u64()?,
-            refused_draining: c.u64()?,
-            admitted: c.u64()?,
-        }),
+        7 => Message::TelemetryRequest,
+        8 => Message::TelemetryResponse(c.take(c.buf.len())?.to_vec()),
         _ => return Err(FrameError::UnknownKind(kind)),
     };
     c.done()?;
@@ -812,6 +662,8 @@ mod tests {
         assert!(r.is_empty(), "frame fully consumed");
     }
 
+    /// At least one message of every kind, with every count and length
+    /// field exercised at zero and non-zero.
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello(Hello {
@@ -821,70 +673,19 @@ mod tests {
                 subblock_size: 16,
                 error_bound: 1e-10,
             }),
-            // v1 requests round-trip only when budget mirrors the
-            // deadline and priority is normal — exactly what a v1
-            // encoder produces and a v1 decode reconstructs.
             Message::ReadRequest(ReadRequest {
                 request_id: 7,
-                deadline_ms: 250,
-                budget_ms: 250,
-                priority: 0,
+                budget_ms: 117,
+                trace_id: 0xdead_beef_cafe_f00d,
+                span_id: 0x1234_5678_9abc_def0,
                 ids: vec![0, 99, 3, 3],
             }),
             Message::ReadRequest(ReadRequest {
                 request_id: 8,
-                deadline_ms: 0,
                 budget_ms: 0,
-                priority: 0,
+                trace_id: 0,
+                span_id: 0,
                 ids: vec![],
-            }),
-            Message::ReadRequestV2(ReadRequest {
-                request_id: 9,
-                deadline_ms: 250,
-                budget_ms: 117,
-                priority: 1,
-                ids: vec![5, 5, 0],
-            }),
-            Message::Overloaded(Overloaded {
-                request_id: 10,
-                reason: OverloadReason::Shed,
-                retry_after_ms: 12,
-            }),
-            Message::Overloaded(Overloaded {
-                request_id: 11,
-                reason: OverloadReason::Draining,
-                retry_after_ms: 0,
-            }),
-            Message::TracedReadRequest(TracedReadRequest {
-                request: ReadRequest {
-                    request_id: 12,
-                    deadline_ms: 250,
-                    budget_ms: 99,
-                    priority: 0,
-                    ids: vec![2, 4, 2],
-                },
-                trace_id: 0xdead_beef_cafe_f00d,
-                span_id: 0x1234_5678_9abc_def0,
-            }),
-            Message::TelemetryRequest,
-            Message::TelemetryResponse(
-                b"{\"type\":\"meta\",\"version\":2,\"spans_dropped\":0}\n".to_vec(),
-            ),
-            Message::TelemetryResponse(Vec::new()),
-            Message::StatsRequestV2,
-            Message::StatsResponseV2(WireStats {
-                requests: 1,
-                blocks: 2,
-                store_reads: 3,
-                transient_retries: 4,
-                backoff_us: 5,
-                blocks_repaired: 6,
-                blocks_dropped: 7,
-                cache_hits: 8,
-                cache_misses: 9,
-                shed: 10,
-                refused_draining: 11,
-                admitted: 12,
             }),
             Message::ReadResponse(ReadResponse {
                 request_id: 7,
@@ -909,9 +710,56 @@ mod tests {
                 blocks_dropped: 7,
                 cache_hits: 8,
                 cache_misses: 9,
-                ..WireStats::default()
+                shed: 10,
+                refused_draining: 11,
+                admitted: 12,
             }),
+            Message::Overloaded(Overloaded {
+                request_id: 10,
+                reason: OverloadReason::Shed,
+                retry_after_ms: 12,
+            }),
+            Message::Overloaded(Overloaded {
+                request_id: 11,
+                reason: OverloadReason::Draining,
+                retry_after_ms: 0,
+            }),
+            Message::TelemetryRequest,
+            Message::TelemetryResponse(
+                b"{\"type\":\"meta\",\"version\":2,\"spans_dropped\":0}\n".to_vec(),
+            ),
+            Message::TelemetryResponse(Vec::new()),
         ]
+    }
+
+    /// Frame offsets of every `u32` count or length field in `msg`'s
+    /// frame: the header's payload length, plus the id count, block
+    /// count and per-block value/message lengths where the kind has
+    /// them.
+    fn length_fields(msg: &Message) -> Vec<usize> {
+        let mut offsets = vec![8];
+        match msg {
+            Message::ReadRequest(_) => offsets.push(HEADER_LEN + 28),
+            Message::ReadResponse(rs) => {
+                offsets.push(HEADER_LEN + 8);
+                let mut off = HEADER_LEN + 12;
+                for b in &rs.blocks {
+                    offsets.push(off + 1);
+                    off += 5 + match b {
+                        WireBlock::Values(v) => 8 * v.len(),
+                        WireBlock::Error { message, .. } => message.len(),
+                    };
+                }
+            }
+            _ => {}
+        }
+        offsets
+    }
+
+    fn recompute_crc(frame: &mut [u8]) {
+        let crc_off = frame.len() - 4;
+        let crc = crc32(&frame[..crc_off]);
+        frame[crc_off..].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -923,26 +771,46 @@ mod tests {
 
     #[test]
     fn every_flipped_bit_is_detected() {
-        // Flip each bit of a small frame: every mutation must surface
-        // as a structured FrameError, never a silently different
-        // message or a panic.
-        let msg = Message::ReadRequestV2(ReadRequest {
-            request_id: 42,
-            deadline_ms: 100,
-            budget_ms: 80,
-            priority: 0,
-            ids: vec![5, 6],
-        });
-        let clean = frame_bytes(&msg).unwrap();
-        for byte in 0..clean.len() {
-            for bit in 0..8 {
-                let mut dirty = clean.clone();
-                dirty[byte] ^= 1 << bit;
-                let got = read_frame(&mut &dirty[..]);
-                assert!(
-                    got.is_err(),
-                    "flip at byte {byte} bit {bit} went undetected"
-                );
+        // Every kind, three mutation families. Each mutation must
+        // surface as a structured FrameError — never a silently
+        // different message, never a panic.
+        let samples = sample_messages();
+        let mut kinds: Vec<u8> = samples.iter().map(Message::kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds, (1..=8).collect::<Vec<u8>>(), "samples cover every kind in order");
+        for msg in &samples {
+            let clean = frame_bytes(msg).unwrap();
+
+            // Every single-bit flip, header and payload and CRC alike.
+            for byte in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut dirty = clean.clone();
+                    dirty[byte] ^= 1 << bit;
+                    let got = read_frame(&mut &dirty[..]);
+                    assert!(got.is_err(), "{msg:?}: flip at byte {byte} bit {bit} went undetected");
+                }
+            }
+
+            // Every truncation prefix of the frame.
+            for cut in 0..clean.len() {
+                let err = read_frame(&mut &clean[..cut]).unwrap_err();
+                assert!(matches!(err, FrameError::Io(_)), "{msg:?}: cut at {cut}: {err}");
+            }
+
+            // Every count/length field inflated, CRC recomputed so the
+            // bounds checks themselves must catch it.
+            for off in length_fields(msg) {
+                let stored = u32::from_le_bytes(clean[off..off + 4].try_into().unwrap());
+                for inflated in [stored + 1, stored + 8, u32::MAX] {
+                    let mut dirty = clean.clone();
+                    dirty[off..off + 4].copy_from_slice(&inflated.to_le_bytes());
+                    recompute_crc(&mut dirty);
+                    let got = read_frame(&mut &dirty[..]);
+                    assert!(
+                        got.is_err(),
+                        "{msg:?}: field at {off} inflated to {inflated} decoded as {got:?}"
+                    );
+                }
             }
         }
     }
@@ -979,17 +847,15 @@ mod tests {
         // count check itself must catch it.
         let msg = Message::ReadRequest(ReadRequest {
             request_id: 1,
-            deadline_ms: 1,
             budget_ms: 1,
-            priority: 0,
+            trace_id: 0,
+            span_id: 0,
             ids: vec![],
         });
         let mut frame = frame_bytes(&msg).unwrap();
-        let count_off = HEADER_LEN + 8 + 4;
+        let count_off = HEADER_LEN + 28;
         frame[count_off..count_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc_off = frame.len() - 4;
-        let crc = crc32(&frame[..crc_off]);
-        frame[crc_off..].copy_from_slice(&crc.to_le_bytes());
+        recompute_crc(&mut frame);
         assert!(matches!(
             read_frame(&mut &frame[..]).unwrap_err(),
             FrameError::Malformed("id count past end of payload")
@@ -1007,8 +873,16 @@ mod tests {
         assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::BadReserved));
 
         let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
-        frame[4] = 13;
-        assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::UnknownKind(13)));
+        frame[4] = 9;
+        assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::UnknownKind(9)));
+
+        // The header accepts exactly the eight kinds.
+        for kind in 0..=u8::MAX {
+            let mut raw = [0u8; HEADER_LEN];
+            raw[..4].copy_from_slice(&MAGIC);
+            raw[4] = kind;
+            assert_eq!(FrameHeader::parse(raw).is_ok(), (1..=8).contains(&kind), "kind {kind}");
+        }
     }
 
     #[test]
@@ -1045,11 +919,11 @@ mod tests {
             // message, or every slot full values — whichever is wider.
             let per_slot = 5 + (8 * values).max(MAX_BLOCK_ERROR_MESSAGE);
             assert!(12 + n * per_slot <= cap, "values={values} cap={cap} n={n}");
-            // Request side is budgeted for the widest (traced v3) layout.
-            assert!(37 + n * 8 <= cap, "request side: values={values} cap={cap} n={n}");
+            // Request side: fixed overhead plus 8 bytes per id.
+            assert!(32 + n * 8 <= cap, "request side: values={values} cap={cap} n={n}");
             // And n is maximal: one more block would overflow a side.
             assert!(
-                12 + (n + 1) * per_slot > cap || 37 + (n + 1) * 8 > cap,
+                12 + (n + 1) * per_slot > cap || 32 + (n + 1) * 8 > cap,
                 "values={values} cap={cap} n={n} not maximal"
             );
         }
@@ -1058,43 +932,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_carry_no_v2_fields_and_decode_with_defaults() {
-        // A v2 request downgraded to a v1 frame drops budget/priority
-        // on the wire; decoding reconstructs the v1 defaults. This is
-        // the frame-level contract version negotiation relies on.
-        let rq = ReadRequest {
-            request_id: 3,
-            deadline_ms: 500,
-            budget_ms: 123,
-            priority: 1,
-            ids: vec![1, 2],
-        };
-        let v1 = frame_bytes(&Message::ReadRequest(rq.clone())).unwrap();
-        let v2 = frame_bytes(&Message::ReadRequestV2(rq.clone())).unwrap();
-        assert_eq!(v2.len(), v1.len() + 5, "v2 adds budget (4) + priority (1)");
-        let v3 = frame_bytes(&Message::TracedReadRequest(TracedReadRequest {
-            request: rq,
-            trace_id: 1,
-            span_id: 2,
-        }))
-        .unwrap();
-        assert_eq!(v3.len(), v2.len() + 16, "v3 adds trace id (8) + span id (8)");
-        match read_frame(&mut &v1[..]).unwrap() {
-            Message::ReadRequest(got) => {
-                assert_eq!(got.budget_ms, got.deadline_ms);
-                assert_eq!(got.priority, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // And v1 stats zero the admission counters.
-        let full = WireStats { requests: 7, shed: 9, refused_draining: 2, admitted: 5, ..WireStats::default() };
-        let v1_stats = frame_bytes(&Message::StatsResponse(full)).unwrap();
-        match read_frame(&mut &v1_stats[..]).unwrap() {
-            Message::StatsResponse(got) => {
-                assert_eq!(got.requests, 7);
-                assert_eq!((got.shed, got.refused_draining, got.admitted), (0, 0, 0));
-            }
-            other => panic!("unexpected {other:?}"),
+    fn read_requests_have_one_fixed_layout() {
+        // Traced or not, a read request is the 32-byte fixed overhead
+        // plus 8 bytes per id; an untraced request carries a zero
+        // trace id and round-trips as such.
+        for (trace_id, span_id) in [(0, 0), (1, 2)] {
+            let rq = ReadRequest { request_id: 3, budget_ms: 123, trace_id, span_id, ids: vec![1, 2] };
+            let frame = frame_bytes(&Message::ReadRequest(rq.clone())).unwrap();
+            assert_eq!(frame.len(), HEADER_LEN + READ_REQUEST_OVERHEAD + 2 * 8 + 4);
+            assert_eq!(read_frame(&mut &frame[..]).unwrap(), Message::ReadRequest(rq));
         }
     }
 

@@ -34,8 +34,7 @@
 //!   and a deadline-aware queue that refuses a request *immediately*
 //!   when its estimated wait exceeds the deadline budget it carried.
 //!   A shed surfaces as an `Overloaded` frame with a retry-after hint
-//!   to v2 peers, and as structured per-block `Io` errors to v1 peers
-//!   (who cannot parse the new kind) — never as a silent timeout.
+//!   — never as a silent timeout.
 //! * **Drain, don't drop.** [`StopHandle::drain`] stops admitting,
 //!   refuses new requests with a `Draining` status, waits for every
 //!   admitted request to finish, then stops the listener. The
@@ -573,33 +572,18 @@ fn wire_stats(handle: &ServerHandle, admission: &AdmissionController) -> WireSta
     }
 }
 
-/// A shed reply the peer can parse: v2 peers get the `Overloaded`
-/// frame (reason + retry-after hint); v1 peers — who would reject
-/// kind 7 as an unknown frame — get structured per-block `Io` errors
-/// carrying the same story in the first slot.
-fn shed_reply(rq: &ReadRequest, peer_version: u32, cause: crate::admission::ShedCause, retry_after: Duration) -> Message {
-    let retry_after_ms = u32::try_from(retry_after.as_millis()).unwrap_or(u32::MAX);
-    if peer_version >= 2 {
-        return Message::Overloaded(Overloaded {
-            request_id: rq.request_id,
-            reason: cause.reason(),
-            retry_after_ms,
-        });
-    }
-    let blocks = (0..rq.ids.len())
-        .map(|i| WireBlock::Error {
-            kind: BlockErrorKind::Io,
-            message: if i == 0 {
-                protocol::clamp_block_error_message(format!(
-                    "server {}: retry after {retry_after_ms} ms",
-                    cause.reason()
-                ))
-            } else {
-                String::new()
-            },
-        })
-        .collect();
-    Message::ReadResponse(ReadResponse { request_id: rq.request_id, blocks })
+/// The structured refusal for a shed request: reason plus retry-after
+/// hint, answering `request_id` (0 for requests that carry no id).
+fn overloaded(
+    request_id: u64,
+    cause: crate::admission::ShedCause,
+    retry_after: Duration,
+) -> Message {
+    Message::Overloaded(Overloaded {
+        request_id,
+        reason: cause.reason(),
+        retry_after_ms: u32::try_from(retry_after.as_millis()).unwrap_or(u32::MAX),
+    })
 }
 
 /// Request key for the overload injector: order-sensitive fold of the
@@ -619,7 +603,6 @@ fn request_key(ids: &[u64]) -> u64 {
 #[allow(clippy::too_many_arguments)]
 fn serve_read<'a>(
     rq: &ReadRequest,
-    peer_version: u32,
     handle: &ServerHandle,
     admission: &'a AdmissionController,
     inject: Option<&InjectedLoad>,
@@ -657,7 +640,7 @@ fn serve_read<'a>(
         if load.shed {
             admission.record_injected_shed();
             return (
-                shed_reply(rq, peer_version, crate::admission::ShedCause::Injected, load.retry_after),
+                overloaded(rq.request_id, crate::admission::ShedCause::Injected, load.retry_after),
                 None,
             );
         }
@@ -666,13 +649,12 @@ fn serve_read<'a>(
     let per_slot = 5 + (8 * values_per_block).max(protocol::MAX_BLOCK_ERROR_MESSAGE);
     let bytes = 12 + rq.ids.len() * per_slot;
     let budget = Duration::from_millis(u64::from(rq.budget_ms));
-    let permit =
-        match admission.admit_with_priority(conn_id, budget, bytes, rq.priority) {
-            Admission::Admitted(p) => p,
-            Admission::Shed { cause, retry_after } => {
-                return (shed_reply(rq, peer_version, cause, retry_after), None)
-            }
-        };
+    let permit = match admission.admit(conn_id, budget, bytes) {
+        Admission::Admitted(p) => p,
+        Admission::Shed { cause, retry_after } => {
+            return (overloaded(rq.request_id, cause, retry_after), None)
+        }
+    };
     if let Some(load) = inject {
         if !load.delay.is_zero() {
             // Slow-handler injection: burn service time while holding
@@ -747,39 +729,14 @@ fn handle_conn(
             }
         };
         let (reply, permit) = match msg {
-            Message::ReadRequest(ref rq) | Message::ReadRequestV2(ref rq) => {
-                let peer_version = if matches!(msg, Message::ReadRequestV2(_)) { 2 } else { 1 };
-                let load = opts.inject.as_ref().map(|i| {
-                    let key = request_key(&rq.ids);
-                    let attempt = inject_attempts.entry(key).or_insert(0);
-                    let decision = i.decide(key, *attempt);
-                    *attempt += 1;
-                    decision
-                });
-                serve_read(
-                    rq,
-                    peer_version,
-                    handle,
-                    admission,
-                    load.as_ref(),
-                    batch_cap,
-                    values_per_block,
-                    conn_id,
-                    opts.slow_request,
-                )
-            }
-            Message::TracedReadRequest(ref traced) => {
+            Message::ReadRequest(rq) => {
                 // Adopt the client's trace context for the whole serve:
                 // every span/journal entry recorded on this thread while
                 // the guard lives carries the originating trace id. A
                 // zero trace id means "untraced" — adopt nothing.
-                let _trace = (traced.trace_id != 0).then(|| {
-                    telemetry::push_trace(TraceContext {
-                        trace_id: traced.trace_id,
-                        span_id: traced.span_id,
-                    })
+                let _trace = (rq.trace_id != 0).then(|| {
+                    telemetry::push_trace(TraceContext { trace_id: rq.trace_id, span_id: rq.span_id })
                 });
-                let rq = &traced.request;
                 let load = opts.inject.as_ref().map(|i| {
                     let key = request_key(&rq.ids);
                     let attempt = inject_attempts.entry(key).or_insert(0);
@@ -788,8 +745,7 @@ fn handle_conn(
                     decision
                 });
                 serve_read(
-                    rq,
-                    3,
+                    &rq,
                     handle,
                     admission,
                     load.as_ref(),
@@ -800,9 +756,6 @@ fn handle_conn(
                 )
             }
             Message::StatsRequest => (Message::StatsResponse(wire_stats(handle, admission)), None),
-            Message::StatsRequestV2 => {
-                (Message::StatsResponseV2(wire_stats(handle, admission)), None)
-            }
             Message::TelemetryRequest => {
                 // A live scrape of the full recorder. Admitted at
                 // priority 1 so dashboards keep reading while priority-0
@@ -819,15 +772,9 @@ fn handle_conn(
                         telemetry::counter_add("server.scrapes", 1);
                         (Message::TelemetryResponse(bytes), Some(p))
                     }
-                    Admission::Shed { cause, retry_after } => (
-                        Message::Overloaded(Overloaded {
-                            request_id: 0,
-                            reason: cause.reason(),
-                            retry_after_ms: u32::try_from(retry_after.as_millis())
-                                .unwrap_or(u32::MAX),
-                        }),
-                        None,
-                    ),
+                    Admission::Shed { cause, retry_after } => {
+                        (overloaded(0, cause, retry_after), None)
+                    }
                 }
             }
             // Only clients send these; a peer that does is broken.
@@ -835,7 +782,6 @@ fn handle_conn(
             | Message::ReadResponse(_)
             | Message::StatsResponse(_)
             | Message::Overloaded(_)
-            | Message::StatsResponseV2(_)
             | Message::TelemetryResponse(_) => return,
         };
         let wrote =

@@ -1,5 +1,5 @@
 //! Integration tests for the overload-control layer (DESIGN §14):
-//! graceful drain books and PTRF version negotiation.
+//! graceful drain books and the single PTRF wire version.
 //!
 //! * **Drain, don't drop.** A server with slow (injected-delay)
 //!   handlers is drained while concurrent clients hammer it. The
@@ -7,27 +7,25 @@
 //!   complete) and every response a client *did* receive must be
 //!   byte-identical to the store — an admitted request is never
 //!   dropped or torn, and every refusal is a structured error.
-//! * **v1 peer ↔ v2 server.** A raw client speaking only v1 frames
-//!   (kinds 2/4) gets correct data, v1-kind replies, and — when the
-//!   server sheds — structured per-block `Io` errors instead of the
-//!   v2 `Overloaded` frame it could not parse.
-//! * **v2 client ↔ v1 server.** A `RemoteClient` handshaking with a
-//!   version-1 server must send only v1 request kinds and still
-//!   complete reads and stats calls.
+//! * **Raw frames.** A client speaking bare `ReadRequest` frames gets
+//!   correct data and, when the server sheds, a structured
+//!   `Overloaded` frame carrying the retry hint.
+//! * **One version.** A `RemoteClient` refuses a server announcing any
+//!   other protocol version with a protocol error naming both.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use durable::retry::RetryPolicy;
 use eri_server::protocol::{
-    self, BlockErrorKind, Hello, Message, ReadRequest, ReadResponse, WireBlock, WireStats,
-    MIN_PROTO_VERSION, PROTO_VERSION,
+    self, Hello, Message, OverloadReason, Overloaded, ReadRequest, WireBlock, PROTO_VERSION,
 };
 use eri_server::transport::{Conn, ServeOptions};
 use eri_server::{
-    ClientConfig, Endpoint, InjectedLoad, OverloadInject, RemoteClient, ServerConfig, ServerHandle,
-    TransportServer,
+    ClientConfig, ClientError, Endpoint, InjectedLoad, OverloadInject, RemoteClient, ServerConfig,
+    ServerHandle, TransportServer,
 };
 
 const BLOCKS: usize = 8;
@@ -170,37 +168,31 @@ fn drain_books_prove_no_admitted_request_was_dropped() {
     assert!(ok_reads.load(Ordering::SeqCst) > 0, "no client ever succeeded");
 }
 
-/// A v1-only peer gets v1-kind replies (never `Overloaded` /
-/// `StatsResponseV2`), correct data, and — when shed — structured
-/// per-block `Io` errors carrying the retry hint.
+/// Connects raw, checks the `Hello`, sends one `ReadRequest` for `ids`
+/// and returns the reply.
+fn raw_read(ep: &Endpoint, request_id: u64, ids: Vec<u64>) -> Message {
+    let mut conn = Conn::connect(ep, Duration::from_secs(2)).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match protocol::read_frame(&mut conn).unwrap() {
+        Message::Hello(h) => assert_eq!(h.version, PROTO_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let rq = ReadRequest { request_id, budget_ms: 2_000, trace_id: 0, span_id: 0, ids };
+    protocol::write_frame(&mut conn, &Message::ReadRequest(rq)).unwrap();
+    conn.flush().unwrap();
+    protocol::read_frame(&mut conn).unwrap()
+}
+
+/// A raw-frame client gets the store's values for a `ReadRequest`, and
+/// a structured `Overloaded` frame with the retry hint when shed.
 #[test]
-fn v1_peer_never_sees_v2_frames() {
-    let dir = tmpdir("v1-peer");
+fn raw_read_requests_get_values_or_a_structured_shed() {
+    let dir = tmpdir("raw-frames");
     let store = build_store(&dir);
 
-    // Clean server first: v1 reads and stats round-trip with v1 kinds.
     let (srv, ep) = bind_server(&store, ServeOptions::default());
     let server = std::thread::spawn(move || srv.run(Some(1)));
-    let mut conn = Conn::connect(&ep, Duration::from_secs(2)).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let hello = match protocol::read_frame(&mut conn).unwrap() {
-        Message::Hello(h) => h,
-        other => panic!("expected Hello, got {other:?}"),
-    };
-    assert_eq!(hello.version, PROTO_VERSION, "server announces its highest version");
-
-    protocol::write_frame(
-        &mut conn,
-        &Message::ReadRequest(ReadRequest {
-            request_id: 7,
-            deadline_ms: 2_000,
-            budget_ms: 0, // not encoded in a v1 frame
-            priority: 0,  // not encoded in a v1 frame
-            ids: vec![0, 3],
-        }),
-    )
-    .unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
+    match raw_read(&ep, 7, vec![0, 3]) {
         Message::ReadResponse(rr) => {
             assert_eq!(rr.request_id, 7);
             assert_eq!(rr.blocks.len(), 2);
@@ -213,19 +205,10 @@ fn v1_peer_never_sees_v2_frames() {
                 }
             }
         }
-        other => panic!("v1 read must get a ReadResponse, got {other:?}"),
+        other => panic!("a read must get a ReadResponse, got {other:?}"),
     }
-
-    protocol::write_frame(&mut conn, &Message::StatsRequest).unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
-        Message::StatsResponse(_) => {}
-        other => panic!("v1 stats must get a v1 StatsResponse, got {other:?}"),
-    }
-    drop(conn);
     server.join().unwrap().unwrap();
 
-    // Shedding server: the v1 peer must get per-block Io errors with
-    // the retry hint folded into the message — never a kind-7 frame.
     let opts = ServeOptions {
         inject: Some(Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
             shed: true,
@@ -236,58 +219,33 @@ fn v1_peer_never_sees_v2_frames() {
     };
     let (srv, ep) = bind_server(&store, opts);
     let server = std::thread::spawn(move || srv.run(Some(1)));
-    let mut conn = Conn::connect(&ep, Duration::from_secs(2)).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let Message::Hello(_) = protocol::read_frame(&mut conn).unwrap() else {
-        panic!("expected Hello")
-    };
-    protocol::write_frame(
-        &mut conn,
-        &Message::ReadRequest(ReadRequest {
+    assert_eq!(
+        raw_read(&ep, 8, vec![1, 2]),
+        Message::Overloaded(Overloaded {
             request_id: 8,
-            deadline_ms: 2_000,
-            budget_ms: 0,
-            priority: 0,
-            ids: vec![1, 2],
-        }),
-    )
-    .unwrap();
-    match protocol::read_frame(&mut conn).unwrap() {
-        Message::ReadResponse(rr) => {
-            assert_eq!(rr.request_id, 8);
-            assert_eq!(rr.blocks.len(), 2, "every requested slot answered");
-            let WireBlock::Error { kind, message } = &rr.blocks[0] else {
-                panic!("a shed must surface as a structured per-block error")
-            };
-            assert_eq!(*kind, BlockErrorKind::Io, "shed is availability, not corruption");
-            assert!(
-                message.contains("retry after 9 ms"),
-                "retry hint must survive the v1 downgrade: {message:?}"
-            );
-        }
-        Message::Overloaded(o) => panic!("v1 peer got a v2 Overloaded frame: {o:?}"),
-        other => panic!("unexpected reply {other:?}"),
-    }
-    drop(conn);
+            reason: OverloadReason::Shed,
+            retry_after_ms: 9,
+        })
+    );
     server.join().unwrap().unwrap();
 }
 
-/// A v2 `RemoteClient` handshaking with a v1 server speaks only v1
-/// request kinds and still completes reads and stats.
+/// A `RemoteClient` refuses a server announcing another protocol
+/// version: a clean protocol error naming both versions, no downgrade.
 #[test]
-fn v2_client_downgrades_to_a_v1_server() {
+fn client_refuses_a_server_speaking_another_version() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let old = PROTO_VERSION - 1;
 
-    // Mock v1 server: one connection, replies to v1 kinds only, and
-    // records any v2 frame kind the client (wrongly) sends.
+    // Mock server: one connection, announces the previous version.
     let server = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut conn = Conn::Tcp(stream);
         protocol::write_frame(
             &mut conn,
             &Message::Hello(Hello {
-                version: 1,
+                version: old,
                 num_blocks: 4,
                 num_subblocks: 1,
                 subblock_size: 4,
@@ -296,57 +254,21 @@ fn v2_client_downgrades_to_a_v1_server() {
         )
         .unwrap();
         conn.flush().unwrap();
-        let mut v2_frames = 0u32;
-        let mut served = 0u32;
-        // Loop ends when the client hangs up and the read errors out.
-        while let Ok(msg) = protocol::read_frame(&mut conn) {
-            match msg {
-                Message::ReadRequest(rq) => {
-                    // A v1 decode carries the deadline as the budget.
-                    assert_eq!(rq.budget_ms, rq.deadline_ms);
-                    assert_eq!(rq.priority, 0);
-                    let blocks = rq
-                        .ids
-                        .iter()
-                        .map(|&id| WireBlock::Values(vec![id as f64 + 0.5; 4]))
-                        .collect();
-                    protocol::write_frame(
-                        &mut conn,
-                        &Message::ReadResponse(ReadResponse { request_id: rq.request_id, blocks }),
-                    )
-                    .unwrap();
-                    served += 1;
-                }
-                Message::StatsRequest => {
-                    protocol::write_frame(
-                        &mut conn,
-                        &Message::StatsResponse(WireStats { requests: 11, ..WireStats::default() }),
-                    )
-                    .unwrap();
-                }
-                Message::ReadRequestV2(_) | Message::StatsRequestV2 => v2_frames += 1,
-                other => panic!("mock v1 server got {other:?}"),
-            }
-            conn.flush().unwrap();
-        }
-        (v2_frames, served)
+        // The client must hang up without sending a frame.
+        protocol::read_frame(&mut conn).is_err()
     });
 
     let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
-    let mut client = RemoteClient::connect(&[ep], ClientConfig::default()).unwrap();
-    assert_eq!(client.negotiated_version(), MIN_PROTO_VERSION);
-
-    let blocks = client.read_blocks(&[0, 2, 3]).unwrap();
-    assert_eq!(blocks.len(), 3);
-    for (slot, id) in blocks.iter().zip([0u64, 2, 3]) {
-        assert_eq!(slot.as_ref().unwrap(), &vec![id as f64 + 0.5; 4]);
-    }
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.requests, 11);
-    assert_eq!((stats.shed, stats.refused_draining, stats.admitted), (0, 0, 0));
-    drop(client);
-
-    let (v2_frames, served) = server.join().unwrap();
-    assert_eq!(v2_frames, 0, "a v2 client must never send v2 kinds to a v1 server");
-    assert!(served >= 1);
+    let cfg = ClientConfig {
+        retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
+        ..ClientConfig::default()
+    };
+    let err = match RemoteClient::connect(&[ep], cfg) {
+        Ok(_) => panic!("a version-{old} server must be refused"),
+        Err(e) => e,
+    };
+    let ClientError::Protocol(msg) = &err else { panic!("want a protocol error, got {err}") };
+    assert!(msg.contains(&old.to_string()), "names the server's version: {msg}");
+    assert!(msg.contains(&PROTO_VERSION.to_string()), "names the client's version: {msg}");
+    assert!(server.join().unwrap(), "the client sent nothing after the Hello");
 }

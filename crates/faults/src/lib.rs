@@ -29,6 +29,8 @@
 
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
 
+use durable::retry::splitmix64;
+
 pub mod overload;
 pub mod proxy;
 
@@ -553,13 +555,6 @@ impl<W: durable::SyncWrite> durable::SyncWrite for FaultyWriter<W> {
         }
         self.inner.sync()
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Maps a hash to `[0, 1)`.

@@ -519,7 +519,6 @@ fn run_transport_inner(
                         max_backoff: Duration::from_millis(10),
                         jitter_seed: Some(splitmix64(cfg.seed ^ (c as u64) << 33)),
                     },
-                    hedge: true,
                     // Wire-fault mode runs breaker-less so its tallies
                     // stay bit-identical to the pre-breaker baseline;
                     // overload mode turns it on with count-driven

@@ -112,7 +112,7 @@ fn thread_idx() -> u32 {
 // ---------------------------------------------------------------------------
 
 /// A request's cross-process correlation identity: the 64-bit trace id
-/// travels with the request over the wire (the PTRF TracedReadRequest
+/// travels with the request over the wire (in every PTRF ReadRequest
 /// frame) so the server's spans for that request carry the same id as
 /// the client's; `span_id` identifies the client-side span that issued
 /// the request. Both are non-zero — 0 everywhere means "untraced".

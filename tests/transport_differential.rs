@@ -98,7 +98,6 @@ fn fault_client_cfg() -> ClientConfig {
             max_backoff: Duration::from_millis(20),
             jitter_seed: Some(0x7EAC),
         },
-        hedge: true,
         ..ClientConfig::default()
     }
 }
@@ -283,7 +282,6 @@ fn stall_past_deadline_is_an_error_not_a_hang() {
             max_backoff: Duration::from_millis(5),
             jitter_seed: Some(1),
         },
-        hedge: false,
         ..ClientConfig::default()
     };
     let started = Instant::now();
@@ -476,7 +474,7 @@ fn oversized_batches_degrade_to_per_block_errors() {
     let ids: Vec<u64> = (0..cap as u64 + 1).collect();
     protocol::write_frame(
         &mut sock,
-        &Message::ReadRequest(ReadRequest { request_id: 9, deadline_ms: 5000, budget_ms: 5000, priority: 0, ids }),
+        &Message::ReadRequest(ReadRequest { request_id: 9, budget_ms: 5000, trace_id: 0, span_id: 0, ids }),
     )
     .unwrap();
     let reply = protocol::read_frame(&mut sock).unwrap();
@@ -500,7 +498,7 @@ fn oversized_batches_degrade_to_per_block_errors() {
     // The connection survives: a conforming batch still serves.
     protocol::write_frame(
         &mut sock,
-        &Message::ReadRequest(ReadRequest { request_id: 10, deadline_ms: 5000, budget_ms: 5000, priority: 0, ids: vec![0, 1] }),
+        &Message::ReadRequest(ReadRequest { request_id: 10, budget_ms: 5000, trace_id: 0, span_id: 0, ids: vec![0, 1] }),
     )
     .unwrap();
     let Message::ReadResponse(rs2) = protocol::read_frame(&mut sock).unwrap() else {
