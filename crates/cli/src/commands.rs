@@ -1851,8 +1851,7 @@ pub fn trace_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .map_err(|e| CliError::new(format!("{path}: {e}")))?,
         );
     }
-    let with_pids: Vec<(&telemetry::Snapshot, u64)> =
-        snaps.iter().zip(1u64..).map(|(s, pid)| (s, pid)).collect();
+    let with_pids: Vec<(&telemetry::Snapshot, u64)> = snaps.iter().zip(1u64..).collect();
     let merged = telemetry::export::chrome_merged(&with_pids);
     // Join accounting: a trace id seen in more than one input is a
     // request correlated across processes — the merge's reason to exist.

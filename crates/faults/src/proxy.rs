@@ -21,8 +21,8 @@
 //! `splitmix64(seed ^ connection-index)`, so given a deterministic
 //! connection order (one sequential client), the same seed injects the
 //! same faults at the same byte offsets on every run — which is what
-//! lets `BENCH_transport.json` assert bit-identical tallies across
-//! reruns. `max_faults` bounds the storm so a retrying client always
+//! lets `pastri soak --transport --clients 1` report bit-identical
+//! tallies and fault counts across reruns. `max_faults` bounds the storm so a retrying client always
 //! gets through eventually.
 //!
 //! [`FaultyReader`]: crate::FaultyReader

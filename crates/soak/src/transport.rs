@@ -744,6 +744,41 @@ mod tests {
     }
 
     #[test]
+    fn sequential_storm_fires_every_class_and_replays_proxy_counts() {
+        // One sequential client, every connection faulted, capped at one
+        // class rotation per replica: the connection order, and so every
+        // fault, is a pure function of the seed.
+        let mut cfg = TransportStormConfig::storm(&tmp("seq-a"), 42);
+        cfg.clients = 1;
+        cfg.requests_per_client = 64;
+        cfg.scale = 24;
+        cfg.faults.faulty_every = 1;
+        cfg.faults.max_faults = 5;
+        let a = run_transport(&cfg).unwrap();
+        assert!(a.zero_data_loss(), "{:?}", a.tallies);
+        // At most one fault per class per replica fits the cap, so a
+        // sum equal to the replica count means every class fired on
+        // every replica.
+        let p = a.proxy;
+        let replicas = cfg.replicas as u64;
+        for (class, n) in [
+            ("truncates", p.truncates),
+            ("corrupts", p.corrupts),
+            ("drops", p.drops),
+            ("stalls", p.stalls),
+            ("resets", p.resets),
+        ] {
+            assert_eq!(n, replicas, "{class} must fire once per replica: {p:?}");
+        }
+
+        let mut cfg_b = cfg.clone();
+        cfg_b.dir = tmp("seq-b");
+        let b = run_transport(&cfg_b).unwrap();
+        assert_eq!(a.tallies, b.tallies, "tallies are a pure function of the seed");
+        assert_eq!(a.proxy, b.proxy, "a sequential client replays the proxy counts");
+    }
+
+    #[test]
     fn planned_batches_are_pure() {
         let cfg = TransportStormConfig::storm(Path::new("/nonexistent"), 7);
         assert_eq!(planned_batch(&cfg, 2, 5), planned_batch(&cfg, 2, 5));

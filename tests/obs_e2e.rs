@@ -196,7 +196,7 @@ fn faulty_overloaded_fetch_traces_end_to_end_and_merges() {
     let path = fixture(&dir, "accept.eristore");
 
     // Seeded overload: forced sheds + slow-handler delays.
-    let injector = OverloadInjector::new(0x0BE5_EED, OverloadConfig::default());
+    let injector = OverloadInjector::new(0x00BE_5EED, OverloadConfig::default());
     let inject = move |key: u64, attempt: u32| {
         let d = injector.decide(key, attempt);
         InjectedLoad { shed: d.shed, retry_after: d.retry_after, delay: d.delay }
