@@ -104,7 +104,7 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// The parent directory of `path`, defaulting to `.` for bare names.
-fn parent_of(path: &Path) -> PathBuf {
+pub fn parent_of(path: &Path) -> PathBuf {
     match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),

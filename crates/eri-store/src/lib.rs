@@ -310,7 +310,7 @@ impl StoreWriter {
             .write(true)
             .truncate(true)
             .open(journal_path(path))?;
-        durable::fsync_dir(&parent_of(path))?;
+        durable::fsync_dir(&durable::parent_of(path))?;
         w.durability = Some(Durability {
             journal: JournalWriter::new(jfile),
             path: path.to_path_buf(),
@@ -564,14 +564,6 @@ pub fn shard_ranges(num_blocks: usize, shards: usize) -> Vec<std::ops::Range<usi
         start += len;
     }
     out
-}
-
-/// The parent directory of `path`, defaulting to `.` for bare names.
-fn parent_of(path: &Path) -> PathBuf {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    }
 }
 
 /// The 48 checksummed header bytes (magic through index offset).

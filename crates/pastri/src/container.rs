@@ -314,9 +314,8 @@ impl Compressor {
 
     /// Writes the complete container — header, framed blocks, and (for
     /// parity-enabled options) the parity section — into `out` from the
-    /// per-block compressed `payloads`. Both compression paths funnel
-    /// through here, which is what keeps them byte-identical. Returns the
-    /// non-payload byte count (header + framing + parity section).
+    /// per-block compressed `payloads`. Returns the non-payload byte
+    /// count (header + framing + parity section).
     fn assemble_container(&self, out: &mut Vec<u8>, data_len: usize, payloads: &[&[u8]]) -> usize {
         let num_blocks = payloads.len();
         let parity = self.options.parity;
@@ -326,7 +325,6 @@ impl Compressor {
             .map(|p| varint_len(p.len() as u64) + 4 + p.len())
             .sum();
 
-        out.clear();
         out.extend_from_slice(&MAGIC);
         out.push(if with_parity { VERSION_V3 } else { VERSION_V2 });
         out.push(self.options.metric.wire_id());
@@ -361,93 +359,10 @@ impl Compressor {
         out.len() - payloads.iter().map(|p| p.len()).sum::<usize>()
     }
 
-    /// Sequential [`compress`](Self::compress) into a caller-owned output
-    /// buffer, reusing `scratch` across calls so steady-state compression
-    /// performs no per-block allocations. Output is byte-identical to
-    /// `compress` — this is what the parallel streaming pipeline's workers
-    /// run, and the determinism guarantee rests on that identity.
-    pub fn compress_with_scratch(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        scratch: &mut CompressScratch,
-    ) {
-        let _span = telemetry::span("compress.container");
-        let bs = self.geometry.block_size();
-        let num_blocks = self.geometry.blocks_for_len(data.len());
-        // Payloads are buffered (concatenated, with recorded lengths)
-        // before assembly: the v3 header records the blocks-section
-        // length and the parity section needs every payload, so the
-        // header can no longer be streamed out first. The buffers live in
-        // `scratch`, keeping the steady state allocation-free.
-        scratch.payloads.clear();
-        scratch.lens.clear();
-        for b in 0..num_blocks {
-            let _block_span = telemetry::span("compress.block");
-            let start = b * bs;
-            let end = ((b + 1) * bs).min(data.len());
-            scratch.writer.clear();
-            if end - start == bs {
-                compress_block(
-                    &data[start..end],
-                    &self.geometry,
-                    &self.quant,
-                    &self.options,
-                    &mut scratch.writer,
-                    None,
-                );
-            } else {
-                scratch.padded.clear();
-                scratch.padded.resize(bs, 0.0);
-                scratch.padded[..end - start].copy_from_slice(&data[start..end]);
-                compress_block(
-                    &scratch.padded,
-                    &self.geometry,
-                    &self.quant,
-                    &self.options,
-                    &mut scratch.writer,
-                    None,
-                );
-            }
-            let payload = scratch.writer.aligned_bytes();
-            scratch.payloads.extend_from_slice(payload);
-            scratch.lens.push(payload.len());
-        }
-        let mut payloads = Vec::with_capacity(num_blocks);
-        let mut at = 0usize;
-        for &len in &scratch.lens {
-            payloads.push(&scratch.payloads[at..at + len]);
-            at += len;
-        }
-        let _assemble_span = telemetry::span("container.assemble");
-        self.assemble_container(out, data.len(), &payloads);
-    }
-
     /// Decompresses a PaSTRI container produced by any [`Compressor`];
     /// geometry, error bound, and tree are read from the header.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
         decompress(bytes)
-    }
-}
-
-/// Reusable per-worker buffers for
-/// [`Compressor::compress_with_scratch`]: one bit writer and one padded
-/// tail-block buffer, both of which keep their allocations across calls.
-#[derive(Debug, Default)]
-pub struct CompressScratch {
-    writer: BitWriter,
-    padded: Vec<f64>,
-    /// Concatenated per-block payloads awaiting assembly.
-    payloads: Vec<u8>,
-    /// Byte length of each payload in `payloads`.
-    lens: Vec<usize>,
-}
-
-impl CompressScratch {
-    /// Creates empty scratch space.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -1001,20 +916,6 @@ mod tests {
             out.extend_from_slice(frame.payload);
         }
         out
-    }
-
-    #[test]
-    fn scratch_compress_is_byte_identical_including_tail_blocks() {
-        let geom = BlockGeometry::new(4, 9); // block = 36
-        let c = Compressor::new(geom, 1e-10);
-        let mut scratch = CompressScratch::new();
-        let mut out = Vec::new();
-        // Reuse the same scratch across lengths so stale state would show.
-        for len in [0usize, 1, 35, 36, 37, 71, 360] {
-            let data: Vec<f64> = (0..len).map(|i| (i as f64 * 0.13).sin() * 1e-6).collect();
-            c.compress_with_scratch(&data, &mut out, &mut scratch);
-            assert_eq!(out, c.compress(&data), "len={len}");
-        }
     }
 
     #[test]

@@ -31,23 +31,13 @@ use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use durable::{
-    fsync_dir, journal_path, remove_journal, scan_journal, Checkpoint, JournalWriter, SyncWrite,
+    fsync_dir, journal_path, parent_of, remove_journal, scan_journal, Checkpoint, JournalWriter,
+    SyncWrite,
 };
 use rayon::ParallelSlice;
 
-use crate::container::Compressor;
+use crate::container::{varint_len, Compressor};
 use crate::stream::{write_varint, STREAM_MAGIC, STREAM_VERSION};
-
-/// Encoded length of a varint, mirroring
-/// [`write_varint`](crate::stream::write_varint).
-fn varint_len(mut v: u64) -> u64 {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
 
 /// A [`StreamWriter`](crate::stream::StreamWriter) whose output survives
 /// crashes: segments are committed in fsync'd batches, each sealed by a
@@ -184,7 +174,7 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
         for container in &containers {
             write_varint(&mut self.sink, container.len() as u64)?;
             self.sink.write_all(container)?;
-            self.written_bytes += varint_len(container.len() as u64) + container.len() as u64;
+            self.written_bytes += (varint_len(container.len() as u64) + container.len()) as u64;
         }
         // Data must be durable before the journal may claim it.
         self.sink.sync()?;
@@ -217,7 +207,9 @@ pub struct DurableFileWriter {
 
 impl DurableFileWriter {
     /// Starts a fresh durable stream at `path`, truncating any previous
-    /// artifact and journal.
+    /// artifact and journal. The parent directory is fsync'd once both
+    /// files exist, so a later checkpoint never names files whose
+    /// directory entries a power loss could still drop.
     pub fn create(
         path: &Path,
         compressor: Compressor,
@@ -235,6 +227,7 @@ impl DurableFileWriter {
             .write(true)
             .truncate(true)
             .open(&jp)?;
+        fsync_dir(&parent_of(path))?;
         let inner = DurableStreamWriter::new(
             file,
             journal,
@@ -354,14 +347,6 @@ impl DurableFileWriter {
         drop(journal);
         remove_journal(&self.path)?;
         Ok(cp)
-    }
-}
-
-/// The parent directory of `path`, defaulting to `.` for bare names.
-fn parent_of(path: &Path) -> PathBuf {
-    match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
     }
 }
 

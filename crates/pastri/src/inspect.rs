@@ -8,6 +8,7 @@
 use bitio::{bits_for, BitReader};
 
 use crate::block::{paper_block_type, BlockKind};
+use crate::container::read_varint;
 use crate::encoding::EncodingTree;
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
@@ -377,26 +378,6 @@ pub fn container_bit_stats(bytes: &[u8]) -> Result<CompressionStats, DecompressE
     stats.original_bytes = (h.original_len * 8) as u64;
     stats.record_container_bits((pos as u64 - payload_bytes) * 8);
     Ok(stats)
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecompressError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos).ok_or(DecompressError::Truncated)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(DecompressError::corrupt("varint overflow"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecompressError::corrupt("varint overflow"));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ pub mod stream;
 
 pub use block::{compress_block, decompress_block, BlockKind};
 pub use container::{
-    decompress, decompress_into, decompress_lossy, BlockOutcome, CompressScratch, Compressor,
-    CompressorOptions, EcqRepr, LossyDecode, ParityConfig, ScaleRule,
+    decompress, decompress_into, decompress_lossy, BlockOutcome, Compressor, CompressorOptions,
+    EcqRepr, LossyDecode, ParityConfig, ScaleRule,
 };
 pub use encoding::EncodingTree;
 pub use error::DecompressError;

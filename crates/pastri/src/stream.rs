@@ -11,9 +11,10 @@
 //! read; memory never exceeds one segment each way.
 //!
 //! Two writers produce this format: the sequential [`StreamWriter`] and
-//! the multithreaded [`ParallelStreamWriter`] (reader → N compress
-//! workers → in-order writer). Their outputs are byte-identical at any
-//! thread count, so the choice is purely a throughput knob.
+//! [`DurableStreamWriter`](crate::durable_stream::DurableStreamWriter),
+//! which compresses whole batches of segments on the rayon pool and
+//! journals checkpoints. Their outputs are byte-identical at any thread
+//! count, so the choice is about crash safety and throughput, not bytes.
 //!
 //! Integrity comes from the embedded containers: each segment payload is
 //! a v2 container carrying its own header and per-block CRC32s, so a
@@ -45,13 +46,9 @@
 //! assert_eq!(restored.len(), 200);
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
-use crate::container::{CompressScratch, Compressor};
+use crate::container::Compressor;
 use crate::error::DecompressError;
 
 pub(crate) const STREAM_MAGIC: [u8; 5] = *b"PSTRS";
@@ -72,7 +69,6 @@ pub struct StreamWriter<W: Write> {
     buffer: Vec<f64>,
     segment_values: usize,
     started: bool,
-    finished: bool,
 }
 
 impl<W: Write> StreamWriter<W> {
@@ -95,22 +91,14 @@ impl<W: Write> StreamWriter<W> {
             buffer: Vec::with_capacity(segment_values),
             segment_values,
             started: false,
-            finished: false,
         })
     }
 
     /// Appends values to the stream, flushing any full segments.
     ///
     /// # Errors
-    /// `InvalidInput` if the stream was already finished; otherwise any
-    /// I/O error from the sink.
+    /// Any I/O error from the sink.
     pub fn write_values(&mut self, values: &[f64]) -> io::Result<()> {
-        if self.finished {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "write after finish",
-            ));
-        }
         self.buffer.extend_from_slice(values);
         while self.buffer.len() >= self.segment_values {
             let rest = self.buffer.split_off(self.segment_values);
@@ -129,7 +117,6 @@ impl<W: Write> StreamWriter<W> {
             self.emit_segment(&tail)?;
         }
         write_varint(&mut self.sink, 0)?;
-        self.finished = true;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -148,515 +135,6 @@ impl<W: Write> StreamWriter<W> {
         let container = self.compressor.compress(values);
         write_varint(&mut self.sink, container.len() as u64)?;
         self.sink.write_all(&container)
-    }
-}
-
-/// Work sent to the compress crew.
-enum Job {
-    /// A segment: its stream position and values. The writer keeps its own
-    /// `Arc` so the data can be recompressed inline if the crew dies.
-    Segment(u64, Arc<Vec<f64>>),
-    /// Test hook: the receiving worker exits immediately, as if it died.
-    Exit,
-    /// Test hook: the receiving worker wedges for the given duration, as
-    /// if stuck on a pathological input.
-    Stall(Duration),
-}
-
-/// A compressed segment coming back: stream position and container bytes.
-type SegmentDone = (u64, Vec<u8>);
-
-/// How long a [`ParallelStreamWriter`] waits for *any* crew progress
-/// before declaring the remaining workers wedged.
-const DEFAULT_JOB_TIMEOUT: Duration = Duration::from_secs(60);
-/// Poll granularity of the progress watchdog.
-const WATCHDOG_TICK: Duration = Duration::from_millis(10);
-
-/// Structured diagnosis of a compress-crew failure: which workers were
-/// lost and how much work was outstanding when the writer noticed.
-///
-/// Reachable two ways: as the payload of the `io::Error` returned in
-/// [`fail_on_crew_loss`](ParallelStreamWriter::fail_on_crew_loss) mode
-/// (recover it with `err.get_ref()` + `downcast_ref::<CrewFailure>()`),
-/// or in [`WriteReport::degraded`] after a graceful fallback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrewFailure {
-    /// Zero-based ids of the workers known to have exited, in exit order.
-    /// Empty when the crew *timed out* rather than exited: wedged threads
-    /// are still running, so none have logged an exit.
-    pub disconnected_workers: Vec<usize>,
-    /// Segments submitted but not yet returned when the failure was
-    /// detected.
-    pub jobs_in_flight: usize,
-    /// `true` if the crew stopped making progress (watchdog timeout)
-    /// rather than exiting outright.
-    pub timed_out: bool,
-}
-
-impl std::fmt::Display for CrewFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.timed_out {
-            write!(
-                f,
-                "compression crew stalled (no progress within the job timeout) \
-                 with {} job(s) in flight",
-                self.jobs_in_flight
-            )
-        } else {
-            write!(
-                f,
-                "compression worker(s) {:?} exited unexpectedly with {} job(s) in flight",
-                self.disconnected_workers, self.jobs_in_flight
-            )
-        }
-    }
-}
-
-impl std::error::Error for CrewFailure {}
-
-/// Outcome of [`ParallelStreamWriter::finish_with_report`].
-#[derive(Debug, Clone)]
-pub struct WriteReport {
-    /// Total segments written (including the partial tail, if any).
-    pub segments: u64,
-    /// `Some` if the crew was lost and the writer fell back to inline
-    /// sequential compression. The output is still complete and
-    /// byte-identical to an undisturbed run.
-    pub degraded: Option<CrewFailure>,
-}
-
-/// Logs a worker's id on thread exit — normal return, panic, or test
-/// injection alike — so the writer can report *which* workers were lost.
-struct ExitLog(Arc<Mutex<Vec<usize>>>, usize);
-
-impl Drop for ExitLog {
-    fn drop(&mut self) {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(self.1);
-    }
-}
-
-/// Parallel [`StreamWriter`]: reader thread → N compress workers →
-/// in-order writer, producing *byte-identical* output to the sequential
-/// writer at any thread count.
-///
-/// Full segments are fanned out over a bounded channel to persistent
-/// worker threads (each reusing a [`CompressScratch`], so steady-state
-/// compression does no per-block allocations); finished containers come
-/// back tagged with their stream position and are written strictly in
-/// order through a reorder buffer. The bounded job queue gives
-/// backpressure: a slow sink or crew throttles `write_values` instead of
-/// buffering the dataset.
-///
-/// A panic in any worker resurfaces on the caller (from `write_values`
-/// or [`finish`](Self::finish)) after the crew drains — never a deadlock.
-///
-/// Crew loss without a panic — workers exiting early or stalling past the
-/// job timeout — does not sink the stream: the writer keeps every
-/// submitted segment's values and falls back to compressing them inline,
-/// so the output stays complete and byte-identical. The fallback is
-/// reported in [`WriteReport::degraded`]; callers that would rather fail
-/// fast opt in with [`fail_on_crew_loss`](Self::fail_on_crew_loss).
-pub struct ParallelStreamWriter<W: Write> {
-    sink: W,
-    compressor: Compressor,
-    /// Pending raw values (less than one segment).
-    buffer: Vec<f64>,
-    segment_values: usize,
-    started: bool,
-    /// Sequence number the next submitted segment gets.
-    next_seq: u64,
-    /// Sequence number the next segment written to the sink must have.
-    next_write: u64,
-    /// Finished segments that arrived ahead of `next_write`.
-    reorder: BTreeMap<u64, Vec<u8>>,
-    /// Values of every submitted-but-unwritten segment, retained so the
-    /// writer can compress them inline if the crew dies. `Arc` keeps the
-    /// retention copy-free: the worker and the writer share one buffer.
-    in_flight: BTreeMap<u64, Arc<Vec<f64>>>,
-    /// `None` once [`finish`](Self::finish) (or crew loss) closed the
-    /// queue.
-    job_tx: Option<mpsc::SyncSender<Job>>,
-    done_rx: mpsc::Receiver<SegmentDone>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Ids of workers that have exited, in exit order.
-    exited: Arc<Mutex<Vec<usize>>>,
-    job_timeout: Duration,
-    /// `false` (default): degrade to inline compression on crew loss.
-    /// `true`: surface a structured [`CrewFailure`] error instead.
-    strict: bool,
-    /// Set once the writer has fallen back to inline compression.
-    degraded: Option<CrewFailure>,
-}
-
-impl<W: Write> ParallelStreamWriter<W> {
-    /// Creates a parallel writer with `threads` compress workers (0 =
-    /// resolve like the runtime: `RAYON_NUM_THREADS`, then available
-    /// parallelism).
-    ///
-    /// # Errors
-    /// `InvalidInput` if `blocks_per_segment` is zero.
-    pub fn new(
-        sink: W,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        threads: usize,
-    ) -> io::Result<Self> {
-        if blocks_per_segment == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "blocks_per_segment must be at least 1",
-            ));
-        }
-        let threads = if threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            threads
-        }
-        .max(1);
-        let segment_values = compressor.geometry().block_size() * blocks_per_segment;
-        // Bounded job queue: at most ~2 segments in flight per worker.
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(threads * 2);
-        let (done_tx, done_rx) = mpsc::channel::<SegmentDone>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let exited = Arc::new(Mutex::new(Vec::new()));
-        let workers = (0..threads)
-            .map(|id| {
-                let job_rx = Arc::clone(&job_rx);
-                let done_tx = done_tx.clone();
-                let exited = Arc::clone(&exited);
-                std::thread::spawn(move || {
-                    // Records this worker's exit however the thread ends.
-                    let _log = ExitLog(exited, id);
-                    let mut scratch = CompressScratch::new();
-                    loop {
-                        // Hold the receiver lock only for the pickup, not
-                        // the compression.
-                        let idle_from = telemetry::is_enabled().then(Instant::now);
-                        let job = {
-                            let guard = match job_rx.lock() {
-                                Ok(g) => g,
-                                // A sibling panicked during pickup; keep
-                                // draining so the pipeline still finishes.
-                                Err(poisoned) => poisoned.into_inner(),
-                            };
-                            guard.recv()
-                        };
-                        if let Some(t) = idle_from {
-                            telemetry::counter_add(
-                                "stream.worker_idle_ns",
-                                t.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        match job {
-                            Ok(Job::Segment(seq, values)) => {
-                                let busy_from = telemetry::is_enabled().then(Instant::now);
-                                let mut container = Vec::new();
-                                // Byte-identical to `Compressor::compress`,
-                                // which is what makes parallel == sequential
-                                // output.
-                                compressor.compress_with_scratch(
-                                    &values,
-                                    &mut container,
-                                    &mut scratch,
-                                );
-                                if let Some(t) = busy_from {
-                                    telemetry::counter_add(
-                                        "stream.worker_busy_ns",
-                                        t.elapsed().as_nanos() as u64,
-                                    );
-                                }
-                                if done_tx.send((seq, container)).is_err() {
-                                    break;
-                                }
-                            }
-                            Ok(Job::Exit) | Err(_) => break,
-                            Ok(Job::Stall(d)) => std::thread::sleep(d),
-                        }
-                    }
-                })
-            })
-            .collect();
-        Ok(Self {
-            sink,
-            compressor,
-            buffer: Vec::with_capacity(segment_values),
-            segment_values,
-            started: false,
-            next_seq: 0,
-            next_write: 0,
-            reorder: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
-            job_tx: Some(job_tx),
-            done_rx,
-            workers,
-            exited,
-            job_timeout: DEFAULT_JOB_TIMEOUT,
-            strict: false,
-            degraded: None,
-        })
-    }
-
-    /// Fail with a structured [`CrewFailure`] `io::Error` on crew loss
-    /// instead of degrading to inline compression.
-    pub fn fail_on_crew_loss(&mut self) {
-        self.strict = true;
-    }
-
-    /// Overrides how long the writer waits without *any* crew progress
-    /// before treating the remaining workers as wedged (default 60 s).
-    pub fn set_job_timeout(&mut self, timeout: Duration) {
-        self.job_timeout = timeout.max(WATCHDOG_TICK);
-    }
-
-    /// Test hook: tells `n` workers to exit as if they had died. Workers
-    /// pick these jobs up in queue order, after any segments already
-    /// enqueued.
-    #[doc(hidden)]
-    pub fn inject_worker_exits(&mut self, n: usize) {
-        if let Some(tx) = &self.job_tx {
-            for _ in 0..n {
-                if tx.send(Job::Exit).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Test hook: wedges one worker for `d`, as if stuck on a
-    /// pathological input.
-    #[doc(hidden)]
-    pub fn inject_worker_stall(&mut self, d: Duration) {
-        if let Some(tx) = &self.job_tx {
-            let _ = tx.send(Job::Stall(d));
-        }
-    }
-
-    /// Appends values to the stream, fanning full segments out to the
-    /// worker crew. Blocks only when the bounded job queue is full.
-    ///
-    /// # Errors
-    /// Any sink I/O error; a structured [`CrewFailure`] error on crew
-    /// loss in [`fail_on_crew_loss`](Self::fail_on_crew_loss) mode.
-    /// A worker panic resurfaces here as a panic.
-    pub fn write_values(&mut self, values: &[f64]) -> io::Result<()> {
-        self.buffer.extend_from_slice(values);
-        while self.buffer.len() >= self.segment_values {
-            let rest = self.buffer.split_off(self.segment_values);
-            let full = std::mem::replace(&mut self.buffer, rest);
-            self.submit(full)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the tail segment, drains the crew, writes the terminator,
-    /// and returns the sink. A worker panic resurfaces here as a panic.
-    pub fn finish(self) -> io::Result<W> {
-        self.finish_with_report().map(|(sink, _)| sink)
-    }
-
-    /// Like [`finish`](Self::finish), but also reports how the write
-    /// went — in particular whether the crew was lost along the way and
-    /// the writer degraded to inline compression.
-    pub fn finish_with_report(mut self) -> io::Result<(W, WriteReport)> {
-        if !self.buffer.is_empty() {
-            let tail = std::mem::take(&mut self.buffer);
-            self.submit(tail)?;
-        }
-        // Closing the queue lets workers drain out and exit.
-        drop(self.job_tx.take());
-        let mut deadline = Instant::now() + self.job_timeout;
-        while self.degraded.is_none() && self.next_write < self.next_seq {
-            match self.done_rx.recv_timeout(WATCHDOG_TICK) {
-                Ok(done) => {
-                    self.record_done(done);
-                    self.write_ready()?;
-                    deadline = Instant::now() + self.job_timeout;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        self.handle_crew_loss(true)?;
-                    }
-                }
-                // All workers gone with segments still owed.
-                Err(RecvTimeoutError::Disconnected) => self.handle_crew_loss(false)?,
-            }
-        }
-        // Flush anything compressed inline by a degradation fallback.
-        self.write_ready()?;
-        debug_assert_eq!(self.next_write, self.next_seq, "every segment written");
-        if self.degraded.is_none() {
-            for h in self.workers.drain(..) {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-        self.ensure_header()?;
-        write_varint(&mut self.sink, 0)?;
-        self.sink.flush()?;
-        let report = WriteReport {
-            segments: self.next_seq,
-            degraded: self.degraded.take(),
-        };
-        Ok((self.sink, report))
-    }
-
-    /// Sends one segment to the crew and opportunistically drains
-    /// finished ones. While the bounded queue is full, drains results
-    /// instead of blocking blindly, and a progress watchdog catches a
-    /// wedged crew.
-    fn submit(&mut self, values: Vec<f64>) -> io::Result<()> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        telemetry::counter_add("stream.jobs_submitted", 1);
-        if self.degraded.is_some() || self.job_tx.is_none() {
-            // Crew already lost: compress inline.
-            telemetry::counter_add("stream.inline_fallbacks", 1);
-            let container = self.compressor.compress(&values);
-            self.reorder.insert(seq, container);
-            return self.write_ready();
-        }
-        let values = Arc::new(values);
-        self.in_flight.insert(seq, Arc::clone(&values));
-        telemetry::gauge_add("stream.queue_depth", 1);
-        let mut job = Job::Segment(seq, values);
-        let mut deadline = Instant::now() + self.job_timeout;
-        loop {
-            let tx = self.job_tx.as_ref().expect("queue checked open above");
-            match tx.try_send(job) {
-                Ok(()) => break,
-                Err(TrySendError::Disconnected(_)) => {
-                    // Every worker is gone; diagnose and recover or fail.
-                    self.handle_crew_loss(false)?;
-                    return self.write_ready();
-                }
-                Err(TrySendError::Full(j)) => {
-                    job = j;
-                    // Queue full: wait for a result to free a slot. Any
-                    // progress resets the watchdog.
-                    let stall_from = telemetry::is_enabled().then(Instant::now);
-                    let waited = self.done_rx.recv_timeout(WATCHDOG_TICK);
-                    if let Some(t) = stall_from {
-                        telemetry::counter_add(
-                            "stream.commit_stall_ns",
-                            t.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    match waited {
-                        Ok(done) => {
-                            self.record_done(done);
-                            deadline = Instant::now() + self.job_timeout;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                self.handle_crew_loss(true)?;
-                                return self.write_ready();
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            self.handle_crew_loss(false)?;
-                            return self.write_ready();
-                        }
-                    }
-                }
-            }
-        }
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.record_done(done);
-        }
-        self.write_ready()
-    }
-
-    /// Books a finished segment: it is no longer in flight and waits in
-    /// the reorder buffer for its turn.
-    fn record_done(&mut self, (seq, container): SegmentDone) {
-        if self.in_flight.remove(&seq).is_some() {
-            telemetry::gauge_add("stream.queue_depth", -1);
-        }
-        self.reorder.insert(seq, container);
-    }
-
-    /// Writes every segment that is next in stream order.
-    fn write_ready(&mut self) -> io::Result<()> {
-        while let Some(container) = self.reorder.remove(&self.next_write) {
-            self.ensure_header()?;
-            write_varint(&mut self.sink, container.len() as u64)?;
-            self.sink.write_all(&container)?;
-            self.next_write += 1;
-            telemetry::counter_add("stream.segments_written", 1);
-        }
-        Ok(())
-    }
-
-    fn ensure_header(&mut self) -> io::Result<()> {
-        if !self.started {
-            self.sink.write_all(&STREAM_MAGIC)?;
-            self.sink.write_all(&[STREAM_VERSION])?;
-            self.started = true;
-        }
-        Ok(())
-    }
-
-    /// The crew was lost with work outstanding: either every worker
-    /// exited (`timed_out == false`) or the survivors stopped making
-    /// progress (`timed_out == true`).
-    ///
-    /// A worker panic re-raises here, preserving the panic-propagation
-    /// guarantee. Otherwise: in strict mode, returns a structured
-    /// [`CrewFailure`] `io::Error`; by default, recompresses every
-    /// in-flight segment inline so the stream still completes
-    /// byte-identically, and records the failure for the
-    /// [`WriteReport`].
-    fn handle_crew_loss(&mut self, timed_out: bool) -> io::Result<()> {
-        telemetry::event("stream.crew_loss");
-        if timed_out {
-            telemetry::counter_add("stream.watchdog_fires", 1);
-        }
-        // Close the queue so any surviving workers drain out and exit.
-        drop(self.job_tx.take());
-        if timed_out {
-            // Wedged threads may never return; joining could hang
-            // forever. Detach them — they exit on their own when (if)
-            // they come back and find the queue closed.
-            self.workers.drain(..);
-        } else {
-            for h in self.workers.drain(..) {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-        // Results that made it out before the failure still count.
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.record_done(done);
-        }
-        let failure = CrewFailure {
-            disconnected_workers: self
-                .exited
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone(),
-            jobs_in_flight: self.in_flight.len(),
-            timed_out,
-        };
-        if self.strict {
-            return Err(io::Error::other(failure));
-        }
-        // Graceful degradation: compress everything still owed inline.
-        // `compress` is byte-identical to the workers' path, so the
-        // stream comes out exactly as an undisturbed run would have.
-        let owed = std::mem::take(&mut self.in_flight);
-        telemetry::gauge_add("stream.queue_depth", -(owed.len() as i64));
-        telemetry::counter_add("stream.inline_fallbacks", owed.len() as u64);
-        for (seq, values) in owed {
-            let container = self.compressor.compress(&values);
-            self.reorder.insert(seq, container);
-        }
-        self.degraded = Some(failure);
-        Ok(())
     }
 }
 
@@ -1328,130 +806,6 @@ mod tests {
         let mut out = Vec::new();
         let err = salvage(&b"not a stream at all"[..], &mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn parallel_writer_is_byte_identical_to_sequential() {
-        // Partial tail segment and awkward chunk sizes included.
-        let data = patterned(36 * 23 + 17);
-        let mut expected = Vec::new();
-        let mut w = StreamWriter::new(&mut expected, compressor(), 4).unwrap();
-        for chunk in data.chunks(77) {
-            w.write_values(chunk).unwrap();
-        }
-        w.finish().unwrap();
-
-        for threads in [1usize, 2, 8] {
-            let mut sink = Vec::new();
-            let mut w =
-                ParallelStreamWriter::new(&mut sink, compressor(), 4, threads).unwrap();
-            for chunk in data.chunks(77) {
-                w.write_values(chunk).unwrap();
-            }
-            w.finish().unwrap();
-            assert_eq!(sink, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_writer_reorders_many_small_segments() {
-        // One block per segment maximizes in-flight reordering pressure.
-        let data = patterned(36 * 64);
-        let mut w = ParallelStreamWriter::new(Vec::new(), compressor(), 1, 8).unwrap();
-        w.write_values(&data).unwrap();
-        let sink = w.finish().unwrap();
-        let restored = StreamReader::new(sink.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert_eq!(restored.len(), data.len());
-        for (a, b) in data.iter().zip(&restored) {
-            assert!((a - b).abs() <= 1e-9);
-        }
-    }
-
-    #[test]
-    fn parallel_writer_empty_stream_and_input_validation() {
-        let w = ParallelStreamWriter::new(Vec::new(), compressor(), 2, 3).unwrap();
-        let sink = w.finish().unwrap();
-        let restored = StreamReader::new(sink.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert!(restored.is_empty());
-
-        let err = match ParallelStreamWriter::new(Vec::new(), compressor(), 0, 3) {
-            Err(e) => e,
-            Ok(_) => panic!("zero blocks_per_segment must be rejected"),
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn crew_loss_strict_mode_yields_structured_error() {
-        let data = patterned(36);
-        let mut w = ParallelStreamWriter::new(Vec::new(), compressor(), 1, 2).unwrap();
-        w.fail_on_crew_loss();
-        w.inject_worker_exits(2);
-        // With the whole crew told to exit, continued writing must
-        // surface the loss in bounded time.
-        let err = loop {
-            if let Err(e) = w.write_values(&data) {
-                break e;
-            }
-        };
-        let failure = err
-            .get_ref()
-            .and_then(|inner| inner.downcast_ref::<CrewFailure>())
-            .expect("error must carry a structured CrewFailure");
-        assert!(!failure.timed_out);
-        assert!(
-            failure.jobs_in_flight >= 1,
-            "the rejected segment itself was in flight"
-        );
-        let mut ids = failure.disconnected_workers.clone();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1], "both workers reported by id");
-    }
-
-    #[test]
-    fn crew_loss_degrades_to_inline_and_stays_byte_identical() {
-        let data = patterned(36 * 13 + 7);
-        let mut expected = Vec::new();
-        let mut w = StreamWriter::new(&mut expected, compressor(), 2).unwrap();
-        w.write_values(&data).unwrap();
-        w.finish().unwrap();
-
-        let mut w = ParallelStreamWriter::new(Vec::new(), compressor(), 2, 3).unwrap();
-        // Kill the whole crew up front: every segment degrades inline.
-        w.inject_worker_exits(3);
-        for chunk in data.chunks(50) {
-            w.write_values(chunk).unwrap();
-        }
-        let (sink, report) = w.finish_with_report().unwrap();
-        let failure = report.degraded.expect("crew loss must be reported");
-        assert!(!failure.timed_out);
-        assert_eq!(failure.disconnected_workers.len(), 3);
-        assert_eq!(sink, expected, "degraded output must stay byte-identical");
-    }
-
-    #[test]
-    fn wedged_crew_times_out_and_degrades() {
-        let data = patterned(36 * 8);
-        let mut expected = Vec::new();
-        let mut w = StreamWriter::new(&mut expected, compressor(), 1).unwrap();
-        w.write_values(&data).unwrap();
-        w.finish().unwrap();
-
-        let mut w = ParallelStreamWriter::new(Vec::new(), compressor(), 1, 1).unwrap();
-        w.set_job_timeout(Duration::from_millis(100));
-        // The single worker wedges far past the timeout.
-        w.inject_worker_stall(Duration::from_secs(5));
-        w.write_values(&data).unwrap();
-        let (sink, report) = w.finish_with_report().unwrap();
-        let failure = report.degraded.expect("stall must trip the watchdog");
-        assert!(failure.timed_out);
-        assert_eq!(sink, expected, "timed-out run must stay byte-identical");
     }
 
     #[test]

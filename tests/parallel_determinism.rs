@@ -3,11 +3,14 @@
 //! decoded values, for the current v2 format and the legacy v1 golden
 //! fixtures. This is the contract that makes the thread count a pure
 //! throughput knob: no reproducibility surface, no format divergence.
+//! Streams go through `DurableStreamWriter`, the parallel stream path
+//! `pastri compress --stream` runs.
 
 use std::path::Path;
 
-use pastri::stream::{ParallelStreamWriter, StreamReader, StreamWriter};
-use pastri::{CompressScratch, Compressor};
+use pastri::durable_stream::DurableStreamWriter;
+use pastri::stream::{StreamReader, StreamWriter};
+use pastri::Compressor;
 use qchem::basis::BfConfig;
 use qchem::dataset::EriDataset;
 
@@ -53,35 +56,42 @@ fn containers_byte_identical_across_thread_counts() {
             let bytes = pool(threads).install(|| c.compress(&data));
             assert_eq!(bytes, baseline, "{} threads={threads}", config.label());
         }
-        // The scratch (worker) path is the same bytes again.
-        let mut scratch = CompressScratch::new();
-        let mut out = Vec::new();
-        c.compress_with_scratch(&data, &mut out, &mut scratch);
-        assert_eq!(out, baseline, "{} scratch path", config.label());
     }
 }
 
 #[test]
 fn streams_byte_identical_across_thread_counts() {
     let config = BfConfig::dd_dd();
-    let data = dataset(config, 21);
     let c = compressor(config);
+    // One block per segment gives the most segments and batches for the
+    // pool to reorder; the empty input is a header and terminator only.
+    for data in [dataset(config, 21), Vec::new()] {
+        for blocks_per_segment in [1usize, 4] {
+            let mut baseline = Vec::new();
+            let mut w = StreamWriter::new(&mut baseline, c, blocks_per_segment).unwrap();
+            for chunk in data.chunks(997) {
+                w.write_values(chunk).unwrap();
+            }
+            w.finish().unwrap();
 
-    let mut baseline = Vec::new();
-    let mut w = StreamWriter::new(&mut baseline, c, 4).unwrap();
-    for chunk in data.chunks(997) {
-        w.write_values(chunk).unwrap();
-    }
-    w.finish().unwrap();
-
-    for threads in THREAD_COUNTS {
-        let mut sink = Vec::new();
-        let mut w = ParallelStreamWriter::new(&mut sink, c, 4, threads).unwrap();
-        for chunk in data.chunks(997) {
-            w.write_values(chunk).unwrap();
+            for threads in THREAD_COUNTS {
+                let (sink, _, cp) = pool(threads).install(|| {
+                    let mut w =
+                        DurableStreamWriter::new(Vec::new(), Vec::new(), c, blocks_per_segment, 3)
+                            .unwrap();
+                    for chunk in data.chunks(997) {
+                        w.write_values(chunk).unwrap();
+                    }
+                    w.finish().unwrap()
+                });
+                let what = format!(
+                    "values={} blocks_per_segment={blocks_per_segment} threads={threads}",
+                    data.len()
+                );
+                assert_eq!(sink, baseline, "{what}");
+                assert_eq!(cp.values, data.len() as u64, "{what}");
+            }
         }
-        w.finish().unwrap();
-        assert_eq!(sink, baseline, "threads={threads}");
     }
 }
 

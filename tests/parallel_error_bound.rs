@@ -2,11 +2,13 @@
 //! `|decompressed − original| ≤ EB` holds under the *parallel* pipeline —
 //! every scaling metric, the sparse ECQ fallback, all three evaluation
 //! error bounds, and both the in-memory container fan-out and the
-//! streaming worker crew. Block content is generated adversarially
-//! (patterned, noisy, sparse-with-outliers, constant) rather than from
-//! the physics model, so the bound is exercised at its edges.
+//! parallel batches of `DurableStreamWriter` (the `--stream` path).
+//! Block content is generated adversarially (patterned, noisy,
+//! sparse-with-outliers, constant) rather than from the physics model,
+//! so the bound is exercised at its edges.
 
-use pastri::stream::{ParallelStreamWriter, StreamReader};
+use pastri::durable_stream::DurableStreamWriter;
+use pastri::stream::StreamReader;
 use pastri::{
     BlockGeometry, CompressorOptions, Compressor, EcqRepr, EncodingTree, ScalingMetric,
 };
@@ -100,11 +102,13 @@ proptest! {
         let restored = pool.install(|| pastri::decompress(&bytes).unwrap());
         check_bound(&values, &restored, eb, "container");
 
-        // Same input through the streaming worker crew: same guarantee,
-        // and (determinism) the same container bytes inside.
-        let mut w = ParallelStreamWriter::new(Vec::new(), c, 2, threads).unwrap();
-        w.write_values(&values).unwrap();
-        let sink = w.finish().unwrap();
+        // Same input through the durable writer's parallel batches: same
+        // guarantee, and (determinism) the same container bytes inside.
+        let (sink, _, _) = pool.install(|| {
+            let mut w = DurableStreamWriter::new(Vec::new(), Vec::new(), c, 2, 2).unwrap();
+            w.write_values(&values).unwrap();
+            w.finish().unwrap()
+        });
         let streamed = StreamReader::new(sink.as_slice()).unwrap().read_to_vec().unwrap();
         prop_assert_eq!(&streamed, &restored, "stream and container decode must agree");
     }

@@ -92,33 +92,28 @@ fn telemetry_never_changes_the_output_bytes() {
 }
 
 #[test]
-fn parallel_stream_writer_publishes_pipeline_counters() {
+fn durable_stream_writer_publishes_one_span_per_batch() {
     let _guard = lock();
     let (geom, data) = dd_dataset(8);
     let compressor = Compressor::new(geom, 1e-10);
 
     telemetry::reset();
     telemetry::set_enabled(true);
-    let mut w = pastri::stream::ParallelStreamWriter::new(Vec::new(), compressor, 2, 2)
-        .expect("writer");
+    let mut w =
+        pastri::durable_stream::DurableStreamWriter::new(Vec::new(), Vec::new(), compressor, 2, 2)
+            .expect("writer");
     w.write_values(&data).expect("write");
-    let (sink, report) = w.finish_with_report().expect("finish");
+    let (sink, _, cp) = w.finish().expect("finish");
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
 
     assert!(!sink.is_empty());
-    assert_eq!(report.segments, 4);
-    // 8 blocks at 2 blocks/segment: 4 jobs submitted, 4 segments written.
-    assert_eq!(snap.counter("stream.jobs_submitted"), 4);
-    assert_eq!(snap.counter("stream.segments_written"), 4);
-    // Workers spent observable time on the jobs.
-    assert!(snap.counter("stream.worker_busy_ns") > 0);
-    // The queue-depth gauge drained back to zero at finish.
-    let depth = snap.gauges.iter().find(|g| g.name == "stream.queue_depth");
-    if let Some(g) = depth {
-        assert_eq!(g.value, 0, "queue depth must drain to 0");
-        assert!(g.max >= 1, "at least one job was queued");
-    }
+    assert_eq!(cp.segments, 4);
+    // 8 blocks at 2 blocks/segment and 2 segments/checkpoint: two full
+    // batches, each one span and one journal record; `finish` has no
+    // tail left to commit.
+    assert_eq!(snap.spans_named("durable.commit_batch").count(), 2);
+    assert_eq!(snap.counter("durable.checkpoints"), 2);
 }
 
 #[test]
@@ -170,12 +165,31 @@ fn durable_fsyncs_are_counted_and_timed() {
     telemetry::reset();
     telemetry::set_enabled(true);
     durable::atomic_write(&path, b"payload").expect("atomic write");
+    let after_atomic = telemetry::snapshot().counter("durable.fsyncs");
+    // A fresh durable stream fsyncs its directory before any write, so
+    // the new artifact's and journal's entries survive a power loss.
+    let stream_path = dir.join("fsync-probe.pstrs");
+    let w = pastri::durable_stream::DurableFileWriter::create(
+        &stream_path,
+        Compressor::new(BlockGeometry::new(4, 9), 1e-10),
+        1,
+        1,
+    )
+    .expect("create durable stream");
+    let after_create = telemetry::snapshot().counter("durable.fsyncs");
+    drop(w);
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&stream_path);
+    let _ = std::fs::remove_file(durable::journal_path(&stream_path));
 
     // atomic_write fsyncs the file and its directory.
-    assert!(snap.counter("durable.fsyncs") >= 2, "{:?}", snap.counters);
+    assert!(after_atomic >= 2, "{:?}", snap.counters);
+    assert!(
+        after_create > after_atomic,
+        "DurableFileWriter::create must fsync the parent directory"
+    );
     let hist = snap
         .histograms
         .iter()
