@@ -104,23 +104,6 @@ impl BitWriter {
         self.align_to_byte();
         self.bytes
     }
-
-    /// Resets to empty while keeping the byte buffer's allocation, so a
-    /// writer can be reused across many blocks without reallocating.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.acc = 0;
-        self.pending = 0;
-    }
-
-    /// Byte-aligns (zero-padding the final partial byte) and returns the
-    /// encoded bytes without consuming the writer. Identical contents to
-    /// [`into_bytes`](Self::into_bytes); pair with [`clear`](Self::clear)
-    /// for allocation reuse.
-    pub fn aligned_bytes(&mut self) -> &[u8] {
-        self.align_to_byte();
-        &self.bytes
-    }
 }
 
 #[cfg(test)]
@@ -159,20 +142,5 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bits(0b11, 2);
         assert_eq!(w.into_bytes(), vec![0b1100_0000]);
-    }
-
-    #[test]
-    fn clear_and_aligned_bytes_reuse_matches_fresh_writer() {
-        let mut reused = BitWriter::new();
-        reused.write_bits(0xDEAD, 16); // dirty it, then reset
-        reused.clear();
-        assert_eq!(reused.bit_len(), 0);
-
-        let mut fresh = BitWriter::new();
-        for w in [&mut reused, &mut fresh] {
-            w.write_bits(0b101, 3);
-            w.write_bits(u64::MAX, 64);
-        }
-        assert_eq!(reused.aligned_bytes(), fresh.into_bytes().as_slice());
     }
 }

@@ -88,33 +88,26 @@ proptest! {
             1..4,
         ),
     ) {
-        // One writer reused across schedules (`clear` + `aligned_bytes`),
-        // one fresh writer per schedule (`into_bytes`); both must equal
-        // the reference bytes, and `bit_len` must agree after every step.
-        let mut reused = BitWriter::new();
+        // A fresh writer per schedule must equal the reference bytes, and
+        // `bit_len` must agree after every step.
         for steps in &schedules {
-            reused.clear();
             let mut fresh = BitWriter::new();
             let mut reference = ReferenceWriter::default();
             for step in steps {
                 match *step {
                     Some((value, width)) => {
-                        reused.write_bits(value, width);
                         fresh.write_bits(value, width);
                         reference.write_bits(value, width);
                     }
                     None => {
-                        reused.align_to_byte();
                         fresh.align_to_byte();
                         reference.align();
                     }
                 }
-                prop_assert_eq!(reused.bit_len(), reference.bit_len());
                 prop_assert_eq!(fresh.bit_len(), reference.bit_len());
             }
             reference.align();
-            prop_assert_eq!(reused.aligned_bytes(), reference.bytes.as_slice());
-            prop_assert_eq!(fresh.into_bytes(), reference.bytes.clone());
+            prop_assert_eq!(fresh.into_bytes(), reference.bytes);
         }
     }
 

@@ -359,7 +359,18 @@ pub fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "in.pastri")?;
     let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
-    let info = pastri::inspect(&bytes).map_err(|e| CliError::new(format!("{input}: {e}")))?;
+    // Damage in a recognized container is exit 2. Anything without the
+    // container magic, or with an unknown version (a `.pstrs` stream
+    // lands here as one), is not a container: exit 1.
+    let inspect_err = |e: pastri::DecompressError| {
+        let msg = format!("{input}: {e}");
+        if bytes.starts_with(b"PSTR") && !matches!(e, pastri::DecompressError::BadVersion(_)) {
+            CliError::corruption(msg)
+        } else {
+            CliError::new(msg)
+        }
+    };
+    let info = pastri::inspect(&bytes).map_err(inspect_err)?;
     writeln!(
         out,
         "{input}: valid PaSTRI container, {} bytes, {} values ({:.2}x vs raw)",
@@ -387,8 +398,7 @@ pub fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "  blocks: {}", census.join(", "))?;
     // Storage breakdown (paper Sec. V-B), reconstructed from the wire:
     // raw bits per category plus the percentage of the accounted total.
-    let stats = pastri::container_bit_stats(&bytes)
-        .map_err(|e| CliError::new(format!("{input}: {e}")))?;
+    let stats = pastri::container_bit_stats(&bytes).map_err(inspect_err)?;
     let b = stats.breakdown();
     writeln!(
         out,
@@ -420,7 +430,7 @@ pub fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `pastri verify <file>`: scan any PaSTRI artifact — a single container
-/// (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR1/2`) — and
+/// (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR2`) — and
 /// print a per-block/segment damage report. Exit codes are the scripting
 /// contract: 0 clean, 2 when damage is found in a recognized artifact,
 /// 1 for I/O trouble or an unrecognized format.
@@ -579,8 +589,7 @@ fn verify_store(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
     };
     writeln!(
         out,
-        "{input}: ERI store v{}, {} block(s) scanned, {} damaged ({} repairable)",
-        store.version(),
+        "{input}: ERI store, {} block(s) scanned, {} damaged ({} repairable)",
         report.blocks,
         report.damaged.len(),
         repairable.len(),

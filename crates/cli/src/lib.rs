@@ -43,9 +43,9 @@ use std::fmt;
 /// * `0` — success, artifact clean
 /// * `1` — I/O or usage error (missing file, bad flag, unknown format)
 /// * `2` — corruption found in a recognized PaSTRI artifact
-///   (`verify`/`decompress` hit damage, `scrub` could not fully repair,
-///   `salvage` had to drop segments, or `soak` lost data / violated an
-///   SLO gate)
+///   (`verify`/`decompress`/`inspect` hit damage, `scrub` could not
+///   fully repair, `salvage` had to drop segments, or `soak` lost data /
+///   violated an SLO gate)
 #[derive(Debug)]
 pub struct CliError {
     pub message: String,

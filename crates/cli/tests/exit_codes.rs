@@ -130,6 +130,13 @@ fn exit_codes_follow_the_documented_contract() {
     bytes[decoded.outcomes[0].offset as usize + 8] ^= 0x40;
     fs::write(&damaged_container, &bytes).unwrap();
 
+    // Header-damaged container: flip a bit of the stored error bound, so
+    // only the header CRC can tell.
+    let header_damaged = p(&dir, "header-damaged.pastri");
+    let mut bytes = container_bytes.clone();
+    bytes[13] ^= 0x10;
+    fs::write(&header_damaged, &bytes).unwrap();
+
     // Corrupt stream: flip deep inside the first segment's container
     // (walk the framing: "PSTRS" + version byte, then varint length),
     // plus a truncated copy whose tail salvage must drop.
@@ -248,6 +255,27 @@ fn exit_codes_follow_the_documented_contract() {
             label: "verify damaged stream",
             argv: sv(&["verify", &damaged_stream]),
             want: 2,
+        },
+        // inspect: clean / header damage / not a container / a stream.
+        Case {
+            label: "inspect clean container",
+            argv: sv(&["inspect", &container]),
+            want: 0,
+        },
+        Case {
+            label: "inspect header-damaged container",
+            argv: sv(&["inspect", &header_damaged]),
+            want: 2,
+        },
+        Case {
+            label: "inspect unknown magic",
+            argv: sv(&["inspect", &junk]),
+            want: 1,
+        },
+        Case {
+            label: "inspect stream",
+            argv: sv(&["inspect", &stream]),
+            want: 1,
         },
         // salvage: clean / missing / lossy (dropped tail).
         Case {

@@ -152,14 +152,8 @@ pub fn read_exact_retry<R: Read + ?Sized>(
 }
 
 /// splitmix64: the stateless mixer used across the repo's fault and
-/// workload seeding.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// workload seeding (defined once, in `telemetry`).
+pub use telemetry::splitmix64;
 
 #[cfg(test)]
 mod tests {

@@ -24,9 +24,7 @@
 //! index_crc32      4 bytes  u32 LE  (CRC32 of the index bytes above)
 //! ```
 //!
-//! Version 1 (`"ERISTOR1"`) is the same layout minus the three CRC32
-//! fields (48-byte header, 16-byte index entries); the reader keeps it
-//! decodable. The per-entry `payload_crc32` covers the block's container
+//! The per-entry `payload_crc32` covers the block's container
 //! bytes as written, so [`StoreReader::verify`] can certify the whole
 //! store — and [`StoreReader::read_block`] can pin damage to one block —
 //! without decompressing anything.
@@ -58,15 +56,12 @@ use rayon::prelude::*;
 pub use durable::retry::RetryPolicy;
 
 const MAGIC_V2: [u8; 8] = *b"ERISTOR2";
-const MAGIC_V1: [u8; 8] = *b"ERISTOR1";
 /// Header bytes covered by the v2 header CRC (everything before it).
 const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8 + 8 + 8;
-const HEADER_LEN_V1: u64 = HEADER_BODY_LEN;
 /// Total v2 header length (body + header CRC32). Public so tooling and
 /// fault injectors can locate block spans without re-deriving the
 /// layout.
 pub const HEADER_LEN_V2: u64 = HEADER_BODY_LEN + 4;
-const INDEX_ENTRY_V1: u64 = 16;
 /// Size of one v2 index entry: offset u64 + len u64 + payload CRC32.
 pub const INDEX_ENTRY_V2: u64 = 20;
 
@@ -203,6 +198,30 @@ pub struct ReadStats {
     /// Blocks that failed terminally: damaged beyond the parity budget
     /// (or carrying no parity at all).
     pub blocks_dropped: u64,
+}
+
+/// Reads the CRC32 stored right after `body` and checks it against
+/// `body`; `offset` locates a mismatch in the error.
+fn read_stored_crc<R: Read>(
+    r: &mut R,
+    policy: &RetryPolicy,
+    stats: &mut ReadStats,
+    body: &[u8],
+    offset: u64,
+) -> Result<(), StoreError> {
+    let mut crc_buf = [0u8; 4];
+    read_exact_retry(r, &mut crc_buf, policy, stats)?;
+    let stored = u32::from_le_bytes(crc_buf);
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(StoreError::Checksum {
+            block: None,
+            offset: Some(offset),
+            expected: stored,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 /// Fills `buf` completely via the shared [`durable::retry`] loop, then
@@ -578,14 +597,13 @@ fn header_bytes(eb: f64, geometry: BlockGeometry, num_blocks: u64, index_offset:
     h
 }
 
-/// One index entry: where the block's container lives, and (v2) the
-/// CRC32 of those bytes.
+/// One index entry: where the block's container lives, and the CRC32 of
+/// those bytes.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     offset: u64,
     len: u64,
-    /// `None` for v1 stores (no stored checksum).
-    crc: Option<u32>,
+    crc: u32,
 }
 
 /// One damaged block found by [`StoreReader::verify`].
@@ -623,7 +641,6 @@ impl VerifyReport {
 pub struct StoreReader<R: Read + Seek = File> {
     source: R,
     retry: RetryPolicy,
-    version: u8,
     geometry: BlockGeometry,
     error_bound: f64,
     index: Vec<IndexEntry>,
@@ -646,37 +663,18 @@ impl StoreReader<File> {
 
 impl<R: Read + Seek> StoreReader<R> {
     /// Opens a store from any seekable byte source, retrying transient
-    /// read errors per `retry`. Validates the header (and, for v2, the
-    /// header and index checksums) and loads the index.
+    /// read errors per `retry`. Validates the header and index checksums
+    /// and loads the index.
     pub fn from_source(mut source: R, retry: RetryPolicy) -> Result<Self, StoreError> {
         let mut stats = ReadStats::default();
         let file_len = source.seek(SeekFrom::End(0))?;
         source.seek(SeekFrom::Start(0))?;
         let mut header = [0u8; HEADER_BODY_LEN as usize];
         read_exact_retry(&mut source, &mut header, &retry, &mut stats)?;
-        let version = if header[..8] == MAGIC_V2 {
-            2
-        } else if header[..8] == MAGIC_V1 {
-            1
-        } else {
+        if header[..8] != MAGIC_V2 {
             return Err(StoreError::corrupt("bad magic"));
-        };
-        if version == 2 {
-            let mut crc_buf = [0u8; 4];
-            read_exact_retry(&mut source, &mut crc_buf, &retry, &mut stats)?;
-            let stored = u32::from_le_bytes(crc_buf);
-            let actual = crc32(&header);
-            if stored != actual {
-                return Err(StoreError::Checksum {
-                    block: None,
-                    offset: Some(HEADER_BODY_LEN),
-                    expected: stored,
-                    actual,
-                });
-            }
         }
-        let header_len = if version == 2 { HEADER_LEN_V2 } else { HEADER_LEN_V1 };
-        let entry_len = if version == 2 { INDEX_ENTRY_V2 } else { INDEX_ENTRY_V1 };
+        read_stored_crc(&mut source, &retry, &mut stats, &header, HEADER_BODY_LEN)?;
 
         let rd_u64 = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
         let eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
@@ -694,33 +692,20 @@ impl<R: Read + Seek> StoreReader<R> {
         // against the real file size *before* the index allocation, so a
         // hostile block count cannot request more memory than the file
         // could hold.
-        let index_bytes_len = (num_blocks as u64).saturating_mul(entry_len);
-        if index_offset < header_len || index_offset.saturating_add(index_bytes_len) > file_len {
+        let index_bytes_len = (num_blocks as u64).saturating_mul(INDEX_ENTRY_V2);
+        if index_offset < HEADER_LEN_V2 || index_offset.saturating_add(index_bytes_len) > file_len {
             return Err(StoreError::corrupt("index out of bounds"));
         }
         source.seek(SeekFrom::Start(index_offset))?;
         let mut index_bytes = vec![0u8; index_bytes_len as usize];
         read_exact_retry(&mut source, &mut index_bytes, &retry, &mut stats)?;
-        if version == 2 {
-            let mut crc_buf = [0u8; 4];
-            read_exact_retry(&mut source, &mut crc_buf, &retry, &mut stats)?;
-            let stored = u32::from_le_bytes(crc_buf);
-            let actual = crc32(&index_bytes);
-            if stored != actual {
-                return Err(StoreError::Checksum {
-                    block: None,
-                    offset: Some(index_offset),
-                    expected: stored,
-                    actual,
-                });
-            }
-        }
+        read_stored_crc(&mut source, &retry, &mut stats, &index_bytes, index_offset)?;
         let mut index = Vec::with_capacity(num_blocks);
-        for (i, entry) in index_bytes.chunks_exact(entry_len as usize).enumerate() {
+        for (i, entry) in index_bytes.chunks_exact(INDEX_ENTRY_V2 as usize).enumerate() {
             let off = u64::from_le_bytes(entry[..8].try_into().unwrap());
             let len = u64::from_le_bytes(entry[8..16].try_into().unwrap());
-            let crc = (version == 2).then(|| u32::from_le_bytes(entry[16..20].try_into().unwrap()));
-            if off < header_len || off.saturating_add(len) > index_offset {
+            let crc = u32::from_le_bytes(entry[16..20].try_into().unwrap());
+            if off < HEADER_LEN_V2 || off.saturating_add(len) > index_offset {
                 return Err(StoreError::corrupt("block entry out of bounds").with_block(i));
             }
             index.push(IndexEntry { offset: off, len, crc });
@@ -728,18 +713,11 @@ impl<R: Read + Seek> StoreReader<R> {
         Ok(Self {
             source,
             retry,
-            version,
             geometry: BlockGeometry::new(num_sb, sb_size),
             error_bound: eb,
             index,
             stats,
         })
-    }
-
-    /// Store format version (1 = legacy checksum-free, 2 = checksummed).
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Number of stored blocks.
@@ -789,19 +767,17 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     /// Reads block `i`'s raw container bytes and verifies its stored
-    /// CRC32 (v2).
+    /// CRC32.
     fn read_block_bytes(&mut self, i: usize) -> Result<Vec<u8>, StoreError> {
         let (entry, payload) = self.read_block_raw(i)?;
-        if let Some(stored) = entry.crc {
-            let actual = crc32(&payload);
-            if stored != actual {
-                return Err(StoreError::Checksum {
-                    block: Some(i),
-                    offset: Some(entry.offset),
-                    expected: stored,
-                    actual,
-                });
-            }
+        let actual = crc32(&payload);
+        if entry.crc != actual {
+            return Err(StoreError::Checksum {
+                block: Some(i),
+                offset: Some(entry.offset),
+                expected: entry.crc,
+                actual,
+            });
         }
         Ok(payload)
     }
@@ -812,9 +788,8 @@ impl<R: Read + Seek> StoreReader<R> {
     /// — so a wrong repair can never masquerade as a right one.
     fn try_repair_block(&mut self, i: usize) -> Option<Vec<u8>> {
         let (entry, payload) = self.read_block_raw(i).ok()?;
-        let stored = entry.crc?;
         let (repaired, report) = pastri::repair_container(&payload).ok()?;
-        if report.is_fully_repaired() && crc32(&repaired) == stored {
+        if report.is_fully_repaired() && crc32(&repaired) == entry.crc {
             Some(repaired)
         } else {
             None
@@ -867,10 +842,9 @@ impl<R: Read + Seek> StoreReader<R> {
     /// Scans every block and reports all damage, instead of stopping at
     /// the first bad block like [`read_all`](Self::read_all).
     ///
-    /// v2 blocks are certified by their stored CRC32 — bit-exact payload
+    /// Blocks are certified by their stored CRC32 — bit-exact payload
     /// bytes are exactly what the writer produced, so decodability
-    /// follows without paying for decompression. v1 blocks carry no
-    /// checksum, so they are strictly decompressed instead.
+    /// follows without paying for decompression.
     pub fn verify(&mut self) -> Result<VerifyReport, StoreError> {
         let mut report = VerifyReport {
             blocks: self.num_blocks(),
@@ -878,20 +852,14 @@ impl<R: Read + Seek> StoreReader<R> {
         };
         for i in 0..self.num_blocks() {
             let offset = self.index[i].offset;
-            let outcome = match self.read_block_bytes(i) {
-                Ok(payload) if self.version == 1 => {
-                    pastri::decompress(&payload).map(|_| ()).map_err(StoreError::from)
-                }
-                Ok(_) => Ok(()),
+            match self.read_block_bytes(i) {
+                Ok(_) => {}
                 Err(e @ StoreError::Io(_)) => return Err(e), // the medium, not the data
-                Err(e) => Err(e),
-            };
-            if let Err(error) = outcome {
-                report.damaged.push(BlockDamage {
+                Err(error) => report.damaged.push(BlockDamage {
                     block: i,
                     offset,
                     error,
-                });
+                }),
             }
         }
         Ok(report)
@@ -1133,7 +1101,6 @@ mod tests {
             assert_eq!(w.finish().unwrap(), 12);
         }
         let mut r = StoreReader::open(&path).unwrap();
-        assert_eq!(r.version(), 2);
         assert_eq!(r.num_blocks(), 12);
         assert_eq!(r.geometry(), geom);
         assert_eq!(r.error_bound(), eb);
@@ -1320,57 +1287,6 @@ mod tests {
             matches!(err, StoreError::Checksum { block: None, .. }),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn v1_stores_still_read() {
-        // Hand-build the legacy layout: 48-byte header, no CRCs, 16-byte
-        // index entries — byte-for-byte what the pre-v2 writer emitted.
-        let geom = BlockGeometry::new(4, 4);
-        let eb = 1e-9;
-        let blocks: Vec<Vec<f64>> = (0..5).map(|b| patterned_block(geom, b)).collect();
-        let c = Compressor::new(geom, eb);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_V1);
-        bytes.extend_from_slice(&eb.to_le_bytes());
-        bytes.extend_from_slice(&(geom.num_subblocks as u64).to_le_bytes());
-        bytes.extend_from_slice(&(geom.subblock_size as u64).to_le_bytes());
-        bytes.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // index offset, patched below
-        let mut spans = Vec::new();
-        for b in &blocks {
-            let payload = c.compress(b);
-            spans.push((bytes.len() as u64, payload.len() as u64));
-            bytes.extend_from_slice(&payload);
-        }
-        let index_offset = bytes.len() as u64;
-        for &(off, len) in &spans {
-            bytes.extend_from_slice(&off.to_le_bytes());
-            bytes.extend_from_slice(&len.to_le_bytes());
-        }
-        bytes[40..48].copy_from_slice(&index_offset.to_le_bytes());
-
-        let mut r = StoreReader::from_source(Cursor::new(bytes.clone()), RetryPolicy::none()).unwrap();
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.num_blocks(), 5);
-        for (i, b) in blocks.iter().enumerate() {
-            let got = r.read_block(i).unwrap();
-            for (a, g) in b.iter().zip(&got) {
-                assert!((a - g).abs() <= eb);
-            }
-        }
-        assert!(r.verify().unwrap().is_clean());
-
-        // v1 damage is still caught — by decompression (container CRCs),
-        // not the (absent) index checksum.
-        let (off, len) = spans[2];
-        let mut damaged = bytes.clone();
-        damaged[(off + len / 2) as usize] ^= 0x08;
-        let mut r =
-            StoreReader::from_source(Cursor::new(damaged), RetryPolicy::none()).unwrap();
-        let report = r.verify().unwrap();
-        assert_eq!(report.damaged.len(), 1);
-        assert_eq!(report.damaged[0].block, 2);
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //! compression never fails and the error bound `|v − v̂| ≤ EB` holds for
 //! *every* input (verified point-by-point during encoding; see
 //! `verify-and-nudge` below).
+//!
+//! One walker reads this layout: `walk_block` parses every field and makes
+//! every width and index check, handing the fields to a `BlockSink`. It has
+//! two sinks: [`decompress_block`] dequantizes into the block, and
+//! [`crate::container_bit_stats`] recovers the compressor's bit accounting.
 
 use bitio::{bits_for, BitReader, BitWriter};
 
@@ -249,9 +254,9 @@ fn compress_block_inner(
             _ => unreachable!(),
         };
         s.record_ecq_bits(ecq_payload);
-        let block_type = paper_block_type(kind, ecb_max);
-        s.record_block(kind, block_type_index(block_type));
-        s.record_ecq_counts(block_type_index(block_type), &counts);
+        let block_type = usize::from(paper_block_type(kind, ecb_max));
+        s.record_block(kind, block_type);
+        s.record_ecq_counts(block_type, &counts);
     }
     kind
 }
@@ -282,8 +287,168 @@ pub fn paper_block_type(kind: BlockKind, ecb_max: u32) -> u8 {
     }
 }
 
-fn block_type_index(t: u8) -> usize {
-    t as usize
+/// A block's kind and the bits each of its fields took, as [`walk_block`]
+/// measured them on the wire.
+pub(crate) struct BlockLayout {
+    pub(crate) kind: BlockKind,
+    /// `EC_{b,max}`; 0 for kinds that carry no ECQ payload.
+    pub(crate) ecb_max: u32,
+    /// Kind tag, pattern index and width fields.
+    pub(crate) header_bits: u64,
+    pub(crate) pq_bits: u64,
+    pub(crate) sq_bits: u64,
+    /// Dense stream, or sparse count plus outlier list.
+    pub(crate) ecq_bits: u64,
+    pub(crate) verbatim_bits: u64,
+}
+
+/// What [`walk_block`] hands each field to, in wire order, as it reads a
+/// block. The walker owns the layout and every check on it; a sink only
+/// consumes. Every method defaults to ignoring its field.
+pub(crate) trait BlockSink {
+    /// Value `i` of a Verbatim block.
+    fn verbatim(&mut self, _i: usize, _v: f64) {}
+    /// The next pattern code (PQ), in point order.
+    fn pattern(&mut self, _q: i64) {}
+    /// The scale code (SQ) of sub-block `j`; every pattern code has
+    /// already arrived.
+    fn scale(&mut self, _j: usize, _q: i64, _sq_quant: &ScaleQuantizer) {}
+    /// The dense ECQ stream, one code per point.
+    fn dense(&mut self, _ecq: &[i64]) {}
+    /// A sparse outlier: point `idx` carries ECQ code `q`.
+    fn outlier(&mut self, _idx: usize, _q: i64) {}
+    /// The block has been read in full.
+    fn end(&mut self, _layout: &BlockLayout) {}
+}
+
+/// Reads one block's bit layout from `r` — the only reader of it — and
+/// feeds every field to `sink`. [`decompress_block`] and
+/// [`crate::container_bit_stats`] are its two sinks; a compressed-domain
+/// consumer gets P, S and the sparse ECQ the same way, without building
+/// the block.
+pub(crate) fn walk_block<S: BlockSink>(
+    r: &mut BitReader<'_>,
+    geom: &BlockGeometry,
+    tree: EncodingTree,
+    sink: &mut S,
+) -> Result<(), DecompressError> {
+    let start = r.bit_pos();
+    let kind = BlockKind::from_bits(r.read_bits(3)?)
+        .ok_or(DecompressError::corrupt("unknown block kind"))?;
+    let block_size = geom.block_size();
+    let mut layout = BlockLayout {
+        kind,
+        ecb_max: 0,
+        header_bits: 3,
+        pq_bits: 0,
+        sq_bits: 0,
+        ecq_bits: 0,
+        verbatim_bits: 0,
+    };
+    match kind {
+        BlockKind::AllZero => {}
+        BlockKind::Verbatim => {
+            for i in 0..block_size {
+                sink.verbatim(i, f64::from_bits(r.read_bits(64)?));
+            }
+            layout.verbatim_bits = block_size as u64 * 64;
+        }
+        BlockKind::PatternOnly | BlockKind::Dense | BlockKind::Sparse => {
+            let sbs = geom.subblock_size;
+            let _pattern_sb = r.read_bits(bits_for(geom.num_subblocks as u64))?;
+            let pb = r.read_bits(6)? as u32;
+            if !(2..=62).contains(&pb) {
+                return Err(DecompressError::corrupt("pattern bit width out of range"));
+            }
+            let sb_bits = r.read_bits(6)? as u32;
+            if !(2..=62).contains(&sb_bits) {
+                return Err(DecompressError::corrupt("scale bit width out of range"));
+            }
+            for _ in 0..sbs {
+                sink.pattern(r.read_signed(pb)?);
+            }
+            let sq_quant = ScaleQuantizer::new(sb_bits);
+            for j in 0..geom.num_subblocks {
+                sink.scale(j, r.read_signed(sq_quant.bits())?, &sq_quant);
+            }
+            layout.pq_bits = sbs as u64 * u64::from(pb);
+            layout.sq_bits = geom.num_subblocks as u64 * u64::from(sq_quant.bits());
+
+            if kind != BlockKind::PatternOnly {
+                let ecb_max = r.read_bits(6)? as u32;
+                if !(1..=62).contains(&ecb_max) {
+                    return Err(DecompressError::corrupt("EC bit width out of range"));
+                }
+                layout.ecb_max = ecb_max;
+                let ecq_start = r.bit_pos();
+                if kind == BlockKind::Dense {
+                    let mut ecq = Vec::with_capacity(block_size);
+                    tree.decode_stream(block_size, ecb_max, r, &mut ecq)?;
+                    sink.dense(&ecq);
+                } else {
+                    let nol = r.read_bits(bits_for(block_size as u64 + 1))? as usize;
+                    if nol > block_size {
+                        return Err(DecompressError::corrupt("outlier count exceeds block size"));
+                    }
+                    for _ in 0..nol {
+                        let idx = r.read_bits(bits_for(block_size as u64))? as usize;
+                        if idx >= block_size {
+                            return Err(DecompressError::corrupt("outlier index out of range"));
+                        }
+                        sink.outlier(idx, r.read_signed(ecb_max)?);
+                    }
+                }
+                layout.ecq_bits = r.bit_pos() - ecq_start;
+            }
+            layout.header_bits =
+                r.bit_pos() - start - layout.pq_bits - layout.sq_bits - layout.ecq_bits;
+        }
+    }
+    sink.end(&layout);
+    Ok(())
+}
+
+/// The decode sink: dequantizes each field straight into the block.
+struct DecodeSink<'a> {
+    quant: &'a Quantizer,
+    out: &'a mut [f64],
+    /// Dequantized pattern, filled before any scale arrives.
+    phat: Vec<f64>,
+}
+
+impl BlockSink for DecodeSink<'_> {
+    fn verbatim(&mut self, i: usize, v: f64) {
+        self.out[i] = v;
+    }
+
+    fn pattern(&mut self, q: i64) {
+        self.phat.push(self.quant.dequantize(q));
+    }
+
+    fn scale(&mut self, j: usize, q: i64, sq_quant: &ScaleQuantizer) {
+        // Prediction row `j` = its scale times the pattern.
+        let sh = sq_quant.dequantize(q);
+        let sbs = self.phat.len();
+        for (o, &p) in self.out[j * sbs..(j + 1) * sbs].iter_mut().zip(&self.phat) {
+            *o = sh * p;
+        }
+    }
+
+    fn dense(&mut self, ecq: &[i64]) {
+        for (o, &q) in self.out.iter_mut().zip(ecq) {
+            *o += self.quant.dequantize(q);
+        }
+    }
+
+    fn outlier(&mut self, idx: usize, q: i64) {
+        self.out[idx] += self.quant.dequantize(q);
+    }
+
+    fn end(&mut self, layout: &BlockLayout) {
+        if layout.kind == BlockKind::AllZero {
+            self.out.fill(0.0);
+        }
+    }
 }
 
 /// Decompresses one block from `r` into `out`.
@@ -297,84 +462,12 @@ pub fn decompress_block(
     out: &mut [f64],
 ) -> Result<(), DecompressError> {
     assert_eq!(out.len(), geom.block_size());
-    let kind = BlockKind::from_bits(r.read_bits(3)?)
-        .ok_or(DecompressError::corrupt("unknown block kind"))?;
-    match kind {
-        BlockKind::AllZero => {
-            out.fill(0.0);
-            return Ok(());
-        }
-        BlockKind::Verbatim => {
-            for v in out.iter_mut() {
-                *v = f64::from_bits(r.read_bits(64)?);
-            }
-            return Ok(());
-        }
-        _ => {}
-    }
-
-    let sbs = geom.subblock_size;
-    let block_size = geom.block_size();
-    let _pattern_sb = r.read_bits(bits_for(geom.num_subblocks as u64))? as usize;
-    let pb = r.read_bits(6)? as u32;
-    if !(2..=62).contains(&pb) {
-        return Err(DecompressError::corrupt("pattern bit width out of range"));
-    }
-    let sb_bits = r.read_bits(6)? as u32;
-    if !(2..=62).contains(&sb_bits) {
-        return Err(DecompressError::corrupt("scale bit width out of range"));
-    }
-    let mut phat = Vec::with_capacity(sbs);
-    for _ in 0..sbs {
-        phat.push(quant.dequantize(r.read_signed(pb)?));
-    }
-    let sq_quant = ScaleQuantizer::new(sb_bits);
-    let mut shat = Vec::with_capacity(geom.num_subblocks);
-    for _ in 0..geom.num_subblocks {
-        shat.push(sq_quant.dequantize(r.read_signed(sq_quant.bits())?));
-    }
-
-    // Prediction from pattern & scales.
-    for (j, sh) in shat.iter().enumerate() {
-        for i in 0..sbs {
-            out[j * sbs + i] = sh * phat[i];
-        }
-    }
-
-    match kind {
-        BlockKind::PatternOnly => {}
-        BlockKind::Dense => {
-            let ecb_max = r.read_bits(6)? as u32;
-            if !(1..=62).contains(&ecb_max) {
-                return Err(DecompressError::corrupt("EC bit width out of range"));
-            }
-            let mut ecq = Vec::with_capacity(block_size);
-            tree.decode_stream(block_size, ecb_max, r, &mut ecq)?;
-            for (o, q) in out.iter_mut().zip(ecq) {
-                *o += quant.dequantize(q);
-            }
-        }
-        BlockKind::Sparse => {
-            let ecb_max = r.read_bits(6)? as u32;
-            if !(1..=62).contains(&ecb_max) {
-                return Err(DecompressError::corrupt("EC bit width out of range"));
-            }
-            let nol = r.read_bits(bits_for(block_size as u64 + 1))? as usize;
-            if nol > block_size {
-                return Err(DecompressError::corrupt("outlier count exceeds block size"));
-            }
-            for _ in 0..nol {
-                let idx = r.read_bits(bits_for(block_size as u64))? as usize;
-                if idx >= block_size {
-                    return Err(DecompressError::corrupt("outlier index out of range"));
-                }
-                let q = r.read_signed(ecb_max)?;
-                out[idx] += quant.dequantize(q);
-            }
-        }
-        BlockKind::AllZero | BlockKind::Verbatim => unreachable!(),
-    }
-    Ok(())
+    let mut sink = DecodeSink {
+        quant,
+        out,
+        phat: Vec::with_capacity(geom.subblock_size),
+    };
+    walk_block(r, geom, tree, &mut sink)
 }
 
 #[cfg(test)]

@@ -420,6 +420,9 @@ pub(crate) fn write_parity_record(
 /// Parsed, validated container header.
 pub(crate) struct Header {
     pub(crate) version: u8,
+    /// Scaling metric recorded at compression time (provenance; `None`
+    /// for an id this build does not know).
+    pub(crate) metric: Option<ScalingMetric>,
     pub(crate) tree: EncodingTree,
     pub(crate) eb: f64,
     pub(crate) geometry: BlockGeometry,
@@ -459,7 +462,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
         return Err(DecompressError::BadVersion(version));
     }
     pos += 1;
-    let _metric = *bytes.get(pos).ok_or(DecompressError::Truncated)?;
+    let metric = ScalingMetric::from_wire_id(*bytes.get(pos).ok_or(DecompressError::Truncated)?);
     pos += 1;
     let tree_id = *bytes.get(pos).ok_or(DecompressError::Truncated)?;
     let tree = EncodingTree::from_wire_id(tree_id)
@@ -534,6 +537,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
 
     Ok(Header {
         version,
+        metric,
         tree,
         eb,
         geometry,
@@ -594,6 +598,27 @@ pub(crate) fn next_frame<'a>(
     })
 }
 
+/// Walks the v3 parity record chain that starts at `pos` (a handful of
+/// varints, no payload is read), leaving `pos` just past the section.
+/// A no-op for containers without parity.
+pub(crate) fn skip_parity_section(
+    bytes: &[u8],
+    header: &Header,
+    pos: &mut usize,
+) -> Result<(), DecompressError> {
+    if !header.has_parity() {
+        return Ok(());
+    }
+    for _ in 0..header.num_blocks.div_ceil(header.parity_group) {
+        let record_len = read_varint(bytes, pos)? as usize;
+        *pos = pos
+            .checked_add(record_len)
+            .filter(|&p| p <= bytes.len())
+            .ok_or(DecompressError::Truncated)?;
+    }
+    Ok(())
+}
+
 /// Verifies a frame's stored CRC32 against its payload (no-op for v1).
 pub(crate) fn verify_frame(frame: &BlockFrame<'_>, block: usize) -> Result<(), DecompressError> {
     if let Some(stored) = frame.stored_crc {
@@ -640,16 +665,9 @@ pub fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), Decompres
                 DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
             );
         }
-        // Strict decode also demands an intact parity section: walk the
-        // record chain (a handful of varints) so a torn tail is an error,
-        // not silence.
-        for _ in 0..header.num_blocks.div_ceil(header.parity_group) {
-            let record_len = read_varint(bytes, &mut pos)? as usize;
-            pos = pos
-                .checked_add(record_len)
-                .filter(|&p| p <= bytes.len())
-                .ok_or(DecompressError::Truncated)?;
-        }
+        // Strict decode also demands an intact parity section, so a torn
+        // tail is an error, not silence.
+        skip_parity_section(bytes, &header, &mut pos)?;
         if pos != bytes.len() {
             return Err(
                 DecompressError::corrupt("trailing bytes after parity section")

@@ -1,19 +1,22 @@
 //! Container inspection without full decompression.
 //!
-//! Parses the container header and each block's 3-bit kind tag (the first
-//! bits of every payload), giving tooling a cheap census — sizes, error
-//! bound, geometry, per-kind block counts — without decoding a single
-//! data value.
+//! Both entry points read a container through the decoder's own walkers:
+//! [`parse_header`] (so the header CRC, error bound, block count and size
+//! ceiling are validated exactly as `decompress` validates them),
+//! [`next_frame`], [`skip_parity_section`] and, for the bit accounting,
+//! [`walk_block`]. [`inspect`] is a cheap census — sizes, error bound,
+//! geometry, per-kind block counts from each payload's 3-bit kind tag —
+//! that never decodes a value; [`container_bit_stats`] walks every block's
+//! bit layout to recover the compressor's storage accounting.
 
-use bitio::{bits_for, BitReader};
+use bitio::BitReader;
 
-use crate::block::{paper_block_type, BlockKind};
-use crate::container::read_varint;
-use crate::encoding::EncodingTree;
+use crate::block::{paper_block_type, walk_block, BlockKind, BlockLayout, BlockSink};
+use crate::container::{next_frame, parse_header, skip_parity_section};
+use crate::encoding::{EcqCounts, EncodingTree};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::ScalingMetric;
-use crate::quant::{ecq_bits, ScaleQuantizer};
 use crate::stats::CompressionStats;
 
 /// Everything the container header + block tags reveal.
@@ -77,157 +80,36 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerInfo, DecompressError> {
 /// occupies. This is what lets recovery re-walk back-to-back containers
 /// (e.g. rebuilding a store index after a crash) without an index.
 pub fn inspect_prefix(bytes: &[u8]) -> Result<(ContainerInfo, usize), DecompressError> {
-    let (h, mut pos) = parse_container_header(bytes)?;
-    let ParsedHeader {
-        version,
-        checksummed,
-        error_bound,
-        metric,
-        tree,
-        geometry,
-        original_len,
-        num_blocks,
-        parity_group,
-        parity_shards,
-    } = h;
-
+    let header = parse_header(bytes)?;
+    let mut pos = header.blocks_start;
     let mut kind_counts = [0u64; 5];
     let mut payload_bytes = 0u64;
-    for _ in 0..num_blocks {
-        let len = read_varint(bytes, &mut pos)? as usize;
-        if checksummed {
-            bytes.get(pos..pos + 4).ok_or(DecompressError::Truncated)?;
-            pos += 4;
-        }
-        let payload = bytes
-            .get(pos..pos.checked_add(len).ok_or(DecompressError::Truncated)?)
-            .ok_or(DecompressError::Truncated)?;
-        // Kind is the top 3 bits of the first payload byte; an AllZero
-        // block is 1 byte, everything else longer.
-        let first = *payload.first().ok_or(DecompressError::corrupt("empty block payload"))?;
-        let kind = first >> 5;
-        if kind > BlockKind::Verbatim as u8 {
-            return Err(DecompressError::corrupt("unknown block kind"));
-        }
+    for b in 0..header.num_blocks {
+        let frame =
+            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
+        // The kind is the top 3 bits of the (never empty) payload.
+        let kind = BlockKind::from_bits(u64::from(frame.payload[0] >> 5))
+            .ok_or(DecompressError::corrupt("unknown block kind"))?;
         kind_counts[kind as usize] += 1;
-        payload_bytes += len as u64;
-        pos += len;
+        payload_bytes += frame.payload.len() as u64;
     }
-    // v3: the parity section follows the blocks; walk its record chain so
-    // the returned prefix length covers the full container.
-    let mut parity_bytes = 0u64;
-    if version >= 3 && parity_shards > 0 {
-        let parity_start = pos;
-        for _ in 0..num_blocks.div_ceil(parity_group) {
-            let record_len = read_varint(bytes, &mut pos)? as usize;
-            pos = pos
-                .checked_add(record_len)
-                .filter(|&p| p <= bytes.len())
-                .ok_or(DecompressError::Truncated)?;
-        }
-        parity_bytes = (pos - parity_start) as u64;
-    }
+    let parity_start = pos;
+    skip_parity_section(bytes, &header, &mut pos)?;
     Ok((
         ContainerInfo {
-            version,
-            error_bound,
-            geometry,
-            original_len,
-            num_blocks,
+            version: header.version,
+            error_bound: header.eb,
+            geometry: header.geometry,
+            original_len: header.original_len,
+            num_blocks: header.num_blocks,
             container_bytes: pos,
-            metric,
-            tree,
+            metric: header.metric,
+            tree: header.tree,
             kind_counts,
             payload_bytes,
-            parity_group,
-            parity_shards,
-            parity_bytes,
-        },
-        pos,
-    ))
-}
-
-/// Container header fields shared by the census and bit-accounting walks.
-struct ParsedHeader {
-    version: u8,
-    checksummed: bool,
-    error_bound: f64,
-    metric: Option<ScalingMetric>,
-    tree: EncodingTree,
-    geometry: BlockGeometry,
-    original_len: usize,
-    num_blocks: usize,
-    parity_group: usize,
-    parity_shards: usize,
-}
-
-/// Parses the fixed container header at the start of `bytes`, returning
-/// the fields plus the byte offset where the block frames begin.
-fn parse_container_header(bytes: &[u8]) -> Result<(ParsedHeader, usize), DecompressError> {
-    let mut pos = 0usize;
-    if bytes.get(..4) != Some(b"PSTR".as_slice()) {
-        return Err(DecompressError::BadMagic);
-    }
-    pos += 4;
-    let version = *bytes.get(pos).ok_or(DecompressError::Truncated)?;
-    if version != 1 && version != 2 && version != 3 {
-        return Err(DecompressError::BadVersion(version));
-    }
-    let checksummed = version >= 2;
-    pos += 1;
-    let metric = ScalingMetric::from_wire_id(*bytes.get(pos).ok_or(DecompressError::Truncated)?);
-    pos += 1;
-    let tree = EncodingTree::from_wire_id(*bytes.get(pos).ok_or(DecompressError::Truncated)?)
-        .ok_or(DecompressError::corrupt("unknown encoding tree"))?;
-    pos += 1;
-    let eb_bytes: [u8; 8] = bytes
-        .get(pos..pos + 8)
-        .ok_or(DecompressError::Truncated)?
-        .try_into()
-        .unwrap();
-    let error_bound = f64::from_le_bytes(eb_bytes);
-    pos += 8;
-    let num_sb = read_varint(bytes, &mut pos)? as usize;
-    let sb_size = read_varint(bytes, &mut pos)? as usize;
-    if num_sb == 0 || sb_size == 0 || num_sb.saturating_mul(sb_size) > (1 << 28) {
-        return Err(DecompressError::corrupt("implausible geometry"));
-    }
-    let original_len = read_varint(bytes, &mut pos)? as usize;
-    let num_blocks = read_varint(bytes, &mut pos)? as usize;
-    if num_blocks > bytes.len() {
-        return Err(DecompressError::corrupt("block count exceeds container size"));
-    }
-    let (mut parity_group, mut parity_shards) = (0usize, 0usize);
-    if version >= 3 {
-        parity_group = read_varint(bytes, &mut pos)? as usize;
-        parity_shards = read_varint(bytes, &mut pos)? as usize;
-        let _blocks_len = read_varint(bytes, &mut pos)?;
-        if parity_group == 0
-            || parity_shards == 0
-            || parity_group.saturating_add(parity_shards) > 255
-        {
-            return Err(DecompressError::corrupt("implausible parity geometry"));
-        }
-    }
-    let geometry = BlockGeometry::new(num_sb, sb_size);
-    if checksummed {
-        // Header CRC32 — present but not verified here: inspection is a
-        // census, `decompress`/`decompress_lossy` do the verification.
-        bytes.get(pos..pos + 4).ok_or(DecompressError::Truncated)?;
-        pos += 4;
-    }
-    Ok((
-        ParsedHeader {
-            version,
-            checksummed,
-            error_bound,
-            metric,
-            tree,
-            geometry,
-            original_len,
-            num_blocks,
-            parity_group,
-            parity_shards,
+            parity_group: header.parity_group,
+            parity_shards: header.parity_shards,
+            parity_bytes: (pos - parity_start) as u64,
         },
         pos,
     ))
@@ -244,140 +126,73 @@ fn parse_container_header(bytes: &[u8]) -> Result<(ParsedHeader, usize), Decompr
 /// bytes; `pastri inspect` uses this to print the Sec. V-B storage
 /// breakdown for archived datasets whose compression-time stats are gone.
 pub fn container_bit_stats(bytes: &[u8]) -> Result<CompressionStats, DecompressError> {
-    let (h, mut pos) = parse_container_header(bytes)?;
-    let geom = h.geometry;
-    let sbs = geom.subblock_size;
-    let block_size = geom.block_size();
-    let pat_sb_bits = u64::from(bits_for(geom.num_subblocks as u64));
-
-    let mut stats = CompressionStats::default();
+    let header = parse_header(bytes)?;
+    let mut sink = StatsSink {
+        stats: CompressionStats::default(),
+        counts: EcqCounts::default(),
+        block_size: header.geometry.block_size(),
+    };
+    let mut pos = header.blocks_start;
     let mut payload_bytes = 0u64;
-    for _ in 0..h.num_blocks {
-        let len = read_varint(bytes, &mut pos)? as usize;
-        if h.checksummed {
-            bytes.get(pos..pos + 4).ok_or(DecompressError::Truncated)?;
-            pos += 4;
-        }
-        let payload = bytes
-            .get(pos..pos.checked_add(len).ok_or(DecompressError::Truncated)?)
-            .ok_or(DecompressError::Truncated)?;
-        pos += len;
-        payload_bytes += len as u64;
-
-        let mut r = BitReader::new(payload);
-        let kind = BlockKind::from_bits(r.read_bits(3)?)
-            .ok_or(DecompressError::corrupt("unknown block kind"))?;
-        match kind {
-            BlockKind::AllZero => {
-                stats.record_header_bits(3);
-                // The compressor has always filed AllZero under type
-                // index 1; reproduce its accounting exactly.
-                stats.record_block(BlockKind::AllZero, 1);
-                continue;
-            }
-            BlockKind::Verbatim => {
-                stats.record_header_bits(3);
-                stats.record_verbatim_bits(block_size as u64 * 64);
-                stats.record_block(BlockKind::Verbatim, 3);
-                continue;
-            }
-            _ => {}
-        }
-
-        let _pattern_sb = r.read_bits(bits_for(geom.num_subblocks as u64))?;
-        let pb = r.read_bits(6)? as u32;
-        if !(2..=62).contains(&pb) {
-            return Err(DecompressError::corrupt("pattern bit width out of range"));
-        }
-        let sb_bits = r.read_bits(6)? as u32;
-        if !(2..=62).contains(&sb_bits) {
-            return Err(DecompressError::corrupt("scale bit width out of range"));
-        }
-        for _ in 0..sbs {
-            r.read_signed(pb)?;
-        }
-        let sq_quant = ScaleQuantizer::new(sb_bits);
-        for _ in 0..geom.num_subblocks {
-            r.read_signed(sq_quant.bits())?;
-        }
-        stats.record_pq_bits(sbs as u64 * u64::from(pb));
-        stats.record_sq_bits(geom.num_subblocks as u64 * u64::from(sq_quant.bits()));
-
-        match kind {
-            BlockKind::PatternOnly => {
-                stats.record_header_bits(3 + pat_sb_bits + 12);
-                stats.record_ecq_bits(0);
-                let bt = usize::from(paper_block_type(kind, 0));
-                stats.record_block(kind, bt);
-                for _ in 0..block_size {
-                    stats.record_ecq_value(bt, ecq_bits(0));
-                }
-            }
-            BlockKind::Dense => {
-                stats.record_header_bits(3 + pat_sb_bits + 12 + 6);
-                let ecb_max = r.read_bits(6)? as u32;
-                if !(1..=62).contains(&ecb_max) {
-                    return Err(DecompressError::corrupt("EC bit width out of range"));
-                }
-                let before = r.bit_pos();
-                let mut ecq = Vec::with_capacity(block_size);
-                h.tree.decode_stream(block_size, ecb_max, &mut r, &mut ecq)?;
-                stats.record_ecq_bits(r.bit_pos() - before);
-                let bt = usize::from(paper_block_type(kind, ecb_max));
-                stats.record_block(kind, bt);
-                for &q in &ecq {
-                    stats.record_ecq_value(bt, ecq_bits(q));
-                }
-            }
-            BlockKind::Sparse => {
-                stats.record_header_bits(3 + pat_sb_bits + 12 + 6);
-                let ecb_max = r.read_bits(6)? as u32;
-                if !(1..=62).contains(&ecb_max) {
-                    return Err(DecompressError::corrupt("EC bit width out of range"));
-                }
-                let count_bits = bits_for(block_size as u64 + 1);
-                let idx_bits = bits_for(block_size as u64);
-                let nol = r.read_bits(count_bits)? as usize;
-                if nol > block_size {
-                    return Err(DecompressError::corrupt("outlier count exceeds block size"));
-                }
-                stats.record_ecq_bits(
-                    u64::from(count_bits) + nol as u64 * u64::from(idx_bits + ecb_max),
-                );
-                let bt = usize::from(paper_block_type(kind, ecb_max));
-                stats.record_block(kind, bt);
-                for _ in 0..nol {
-                    let idx = r.read_bits(idx_bits)? as usize;
-                    if idx >= block_size {
-                        return Err(DecompressError::corrupt("outlier index out of range"));
-                    }
-                    let q = r.read_signed(ecb_max)?;
-                    stats.record_ecq_value(bt, ecq_bits(q));
-                }
-                // The encoder histograms every point, zeros included.
-                for _ in 0..block_size - nol {
-                    stats.record_ecq_value(bt, ecq_bits(0));
-                }
-            }
-            BlockKind::AllZero | BlockKind::Verbatim => unreachable!(),
-        }
+    for b in 0..header.num_blocks {
+        let frame =
+            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
+        payload_bytes += frame.payload.len() as u64;
+        let mut r = BitReader::new(frame.payload);
+        walk_block(&mut r, &header.geometry, header.tree, &mut sink)
+            .map_err(|e| e.with_block(b).at_offset(frame.offset))?;
     }
+    skip_parity_section(bytes, &header, &mut pos)?;
 
-    // v3: walk the parity record chain so overhead accounting covers it.
-    if h.version >= 3 && h.parity_shards > 0 {
-        for _ in 0..h.num_blocks.div_ceil(h.parity_group) {
-            let record_len = read_varint(bytes, &mut pos)? as usize;
-            pos = pos
-                .checked_add(record_len)
-                .filter(|&p| p <= bytes.len())
-                .ok_or(DecompressError::Truncated)?;
-        }
-    }
-
+    let mut stats = sink.stats;
     stats.compressed_bytes = pos as u64;
-    stats.original_bytes = (h.original_len * 8) as u64;
+    stats.original_bytes = (header.original_len * 8) as u64;
     stats.record_container_bits((pos as u64 - payload_bytes) * 8);
     Ok(stats)
+}
+
+/// The bit-accounting sink: files each block exactly as the compressor
+/// did when it wrote it.
+struct StatsSink {
+    stats: CompressionStats,
+    /// ECQ census of the block being walked.
+    counts: EcqCounts,
+    block_size: usize,
+}
+
+impl BlockSink for StatsSink {
+    fn dense(&mut self, ecq: &[i64]) {
+        for &q in ecq {
+            self.counts.record(q);
+        }
+    }
+
+    fn outlier(&mut self, _idx: usize, q: i64) {
+        self.counts.record(q);
+    }
+
+    fn end(&mut self, layout: &BlockLayout) {
+        let s = &mut self.stats;
+        s.record_header_bits(layout.header_bits);
+        s.record_pq_bits(layout.pq_bits);
+        s.record_sq_bits(layout.sq_bits);
+        s.record_ecq_bits(layout.ecq_bits);
+        s.record_verbatim_bits(layout.verbatim_bits);
+        // The compressor has always filed AllZero under type index 1 and
+        // Verbatim under 3; reproduce its accounting exactly.
+        let block_type = match layout.kind {
+            BlockKind::AllZero => 1,
+            BlockKind::Verbatim => 3,
+            kind => usize::from(paper_block_type(kind, layout.ecb_max)),
+        };
+        s.record_block(layout.kind, block_type);
+        if !matches!(layout.kind, BlockKind::AllZero | BlockKind::Verbatim) {
+            // The encoder histograms every point, zeros included.
+            let mut counts = std::mem::take(&mut self.counts);
+            counts.by_bits[1] += self.block_size as u64 - counts.total();
+            s.record_ecq_counts(block_type, &counts);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -87,6 +87,7 @@ impl CompressionStats {
         self.type_counts[block_type.min(3)] += 1;
     }
 
+    #[cfg(test)]
     pub(crate) fn record_ecq_value(&mut self, block_type: usize, bits: u32) {
         let bin = (bits as usize).min(MAX_ECQ_BIN - 1);
         self.ecq_hist_by_type[block_type.min(3)][bin] += 1;

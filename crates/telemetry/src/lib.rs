@@ -131,9 +131,11 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
-/// Local splitmix64 (this crate is dependency-free by design; the same
-/// generator exists in `durable::retry` but cannot be imported here).
-fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64: the stateless mixer behind trace ids here and, re-exported
+/// as `durable::retry::splitmix64`, the repo's fault and workload seeding.
+/// It lives in this crate because `telemetry` is dependency-free by design.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -20,6 +20,8 @@ proptest! {
         }
         let _ = pastri::decompress(&bytes);
         let _ = pastri::inspect(&bytes);
+        let _ = pastri::inspect_prefix(&bytes);
+        let _ = pastri::container_bit_stats(&bytes);
     }
 
     #[test]
@@ -76,13 +78,9 @@ proptest! {
     }
 
     #[test]
-    fn eri_store_reader_never_panics(mut bytes in soup(), version in 0u8..3) {
-        if bytes.len() >= 8 {
-            match version {
-                1 => bytes[..8].copy_from_slice(b"ERISTOR1"),
-                2 => bytes[..8].copy_from_slice(b"ERISTOR2"),
-                _ => {}
-            }
+    fn eri_store_reader_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
+        if with_magic && bytes.len() >= 8 {
+            bytes[..8].copy_from_slice(b"ERISTOR2");
         }
         let cursor = std::io::Cursor::new(bytes);
         if let Ok(mut store) = eri_store::StoreReader::from_source(

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use faults::BitFlipper;
 use pastri::stream::{salvage, StreamReader, StreamWriter};
-use pastri::{decompress, decompress_lossy, inspect, repair_container};
+use pastri::{container_bit_stats, decompress, decompress_lossy, inspect, repair_container};
 use pastri::{BlockGeometry, Compressor};
 
 const EB: f64 = 1e-10;
@@ -139,6 +139,28 @@ fn golden_v3_every_body_byte_flip_repairs_byte_identical() {
         assert!(report.is_fully_repaired(), "offset {pos}: {report:?}");
         assert!(!report.is_clean(), "offset {pos}: flip went undetected");
         assert_eq!(repaired, clean, "offset {pos}: repair not byte-identical");
+    }
+}
+
+/// Inspection trusts the header no more than decoding does: every
+/// single-bit flip after the magic and version, up to the end of the
+/// header CRC (byte 28 of the golden container), is an error for both
+/// `inspect` and `container_bit_stats` — never a census of a wrong
+/// error bound or geometry.
+#[test]
+fn golden_v3_header_bit_flips_fail_inspection() {
+    let clean = golden("v3_container.pastri");
+    assert!(inspect(&clean).is_ok() && container_bit_stats(&clean).is_ok());
+    for pos in 5..28 {
+        for bit in 0..8 {
+            let mut damaged = clean.clone();
+            damaged[pos] ^= 1 << bit;
+            assert!(inspect(&damaged).is_err(), "byte {pos} bit {bit}: inspect accepted");
+            assert!(
+                container_bit_stats(&damaged).is_err(),
+                "byte {pos} bit {bit}: container_bit_stats accepted"
+            );
+        }
     }
 }
 
