@@ -159,9 +159,27 @@ fn parse_options(args: &Args) -> Result<CompressorOptions, CliError> {
     })
 }
 
+/// Runs `f` on a rayon pool of `threads` workers, or on the global
+/// pool when `threads` is 0 (RAYON_NUM_THREADS, then available
+/// parallelism). Output is byte-identical at every thread count.
+fn with_threads<T: Send>(
+    threads: usize,
+    f: impl FnOnce() -> Result<T, CliError> + Send,
+) -> Result<T, CliError> {
+    if threads == 0 {
+        return f();
+    }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map_err(|e| CliError::new(format!("thread pool: {e}")))?
+        .install(f)
+}
+
 /// `pastri compress <in.f64> <out.pastri> --config ... [--eb ...]
 /// [--threads N] [--stream [--segment-blocks B] [--checkpoint-every N]
-/// [--resume]]`.
+/// [--resume]]`. An `<out>` ending in `.eristore` writes the block
+/// store `pastri serve` mounts instead of a container.
 pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
@@ -172,9 +190,14 @@ pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if !(eb.is_finite() && eb > 0.0) {
         return Err(CliError::new("--eb must be finite and > 0"));
     }
-    // 0 = auto (RAYON_NUM_THREADS, then available parallelism). Output is
-    // byte-identical at every thread count.
     let threads = args.get_usize("threads", 0)?;
+    if output.ends_with(".eristore") {
+        compress_store(&args, input, output, config, eb, threads, out)?;
+        if let Some(t) = telem {
+            t.finish(out)?;
+        }
+        return Ok(());
+    }
     let compressor = Compressor::with_options(
         BlockGeometry::from_dims(config.dims()),
         eb,
@@ -242,15 +265,7 @@ pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok((total_in, skipped))
         };
         // `--threads N` pins the batch-compression crew; 0 = auto.
-        let (total_in, skipped) = if threads > 0 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| CliError::new(format!("thread pool: {e}")))?;
-            pool.install(run)?
-        } else {
-            run()?
-        };
+        let (total_in, skipped) = with_threads(threads, run)?;
         let out_len = fs::metadata(output)?.len();
         let resumed = if skipped > 0 {
             format!(", resumed at value {skipped}")
@@ -268,16 +283,7 @@ pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
     let data = read_f64_file(input)?;
-    let (bytes, stats) = if threads > 0 {
-        // Pin the in-memory fan-out's crew size for this compression.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| CliError::new(format!("thread pool: {e}")))?;
-        pool.install(|| compressor.compress_with_stats(&data))
-    } else {
-        compressor.compress_with_stats(&data)
-    };
+    let (bytes, stats) = with_threads(threads, || Ok(compressor.compress_with_stats(&data)))?;
     durable::atomic_write(std::path::Path::new(output), &bytes)
         .map_err(|e| CliError::new(format!("writing {output}: {e}")))?;
     writeln!(
@@ -294,6 +300,55 @@ pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(t) = telem {
         t.finish(out)?;
     }
+    Ok(())
+}
+
+/// `compress` to a `.eristore`: one block store of whole `--config`
+/// blocks at default compressor options, the header recording only
+/// geometry and error bound. Until `finish` rewrites it, the file
+/// carries a placeholder header whose CRC fails, so a torn write is
+/// refused by `serve` and `verify` rather than read.
+fn compress_store(
+    args: &Args,
+    input: &str,
+    output: &str,
+    config: BfConfig,
+    eb: f64,
+    threads: usize,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    for flag in ["metric", "tree"] {
+        if args.get(flag).is_some() {
+            return Err(CliError::new(format!(
+                "--{flag} does not apply to a .eristore output (stores use default options)"
+            )));
+        }
+    }
+    if args.switch("stream") {
+        return Err(CliError::new("--stream does not apply to a .eristore output"));
+    }
+    let data = read_f64_file(input)?;
+    let bs = config.block_size();
+    if data.len() % bs != 0 {
+        return Err(CliError::new(format!(
+            "{input}: {} values is not a whole number of {bs}-value blocks",
+            data.len()
+        )));
+    }
+    let store_err = |e: eri_store::StoreError| CliError::new(format!("writing {output}: {e}"));
+    let geometry = BlockGeometry::from_dims(config.dims());
+    let mut writer =
+        eri_store::StoreWriter::create(std::path::Path::new(output), geometry, eb)
+            .map_err(store_err)?;
+    with_threads(threads, || writer.append_blocks(&data).map_err(store_err))?;
+    let blocks = writer.finish().map_err(store_err)?;
+    let out_len = fs::metadata(output)?.len();
+    writeln!(
+        out,
+        "{input} -> {output} (block store, {blocks} blocks): {} -> {out_len} bytes (ratio {:.2}x, EB {eb:.1e})",
+        data.len() * 8,
+        (data.len() * 8) as f64 / out_len as f64
+    )?;
     Ok(())
 }
 
@@ -1252,8 +1307,18 @@ fn server_err(e: eri_server::ServerError) -> CliError {
     }
 }
 
-/// Parses `--blocks 0,3,7-9` into explicit ids.
-fn parse_block_list(spec: &str) -> Result<Vec<usize>, CliError> {
+/// Parses `--blocks 0,3,7-9` into explicit ids, rejecting any id or
+/// range end at or past `num_blocks` before a range is expanded.
+fn parse_block_list(spec: &str, num_blocks: usize) -> Result<Vec<usize>, CliError> {
+    let in_range = |id: usize| {
+        if id < num_blocks {
+            Ok(id)
+        } else {
+            Err(CliError::new(format!(
+                "--blocks: block {id} out of range (store has {num_blocks})"
+            )))
+        }
+    };
     let mut ids = Vec::new();
     for part in spec.split(',').filter(|p| !p.is_empty()) {
         match part.split_once('-') {
@@ -1263,7 +1328,7 @@ fn parse_block_list(spec: &str) -> Result<Vec<usize>, CliError> {
                     b.trim().parse::<usize>(),
                 );
                 match (a, b) {
-                    (Ok(a), Ok(b)) if a <= b => ids.extend(a..=b),
+                    (Ok(a), Ok(b)) if a <= b => ids.extend(a..=in_range(b)?),
                     _ => {
                         return Err(CliError::new(format!(
                             "--blocks: `{part}` is not a block id range"
@@ -1271,15 +1336,15 @@ fn parse_block_list(spec: &str) -> Result<Vec<usize>, CliError> {
                     }
                 }
             }
-            None => ids.push(part.trim().parse::<usize>().map_err(|_| {
+            None => ids.push(in_range(part.trim().parse::<usize>().map_err(|_| {
                 CliError::new(format!("--blocks: `{part}` is not a block id"))
-            })?),
+            })?)?),
         }
     }
     Ok(ids)
 }
 
-/// Shared server tunables for `serve` / `bench-server`.
+/// Server tunables for `serve`.
 fn server_config(args: &Args) -> Result<eri_server::ServerConfig, CliError> {
     let mut cfg = eri_server::ServerConfig::default();
     cfg.shards_per_store = args.get_usize("shards", cfg.shards_per_store)?.max(1);
@@ -1334,7 +1399,7 @@ pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let ids = match args.get("blocks") {
-        Some(spec) => parse_block_list(spec)?,
+        Some(spec) => parse_block_list(spec, srv.num_blocks())?,
         None => (0..srv.num_blocks()).collect(),
     };
 
@@ -1433,7 +1498,10 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let mut client = eri_server::RemoteClient::connect(&replicas, cfg).map_err(client_err)?;
     let ids: Vec<u64> = match args.get("blocks") {
-        Some(spec) => parse_block_list(spec)?.into_iter().map(|i| i as u64).collect(),
+        Some(spec) => {
+            let num_blocks = usize::try_from(client.num_blocks()).unwrap_or(usize::MAX);
+            parse_block_list(spec, num_blocks)?.into_iter().map(|i| i as u64).collect()
+        }
         None => (0..client.num_blocks()).collect(),
     };
 
@@ -1535,114 +1603,6 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(tcap) = telem {
         tcap.finish(out)?;
     }
-    Ok(())
-}
-
-/// Deterministic ERI-magnitude block for `bench-server --gen-blocks`
-/// fixtures (same envelope the integration fixtures use).
-fn bench_block(geom: BlockGeometry, seed: usize) -> Vec<f64> {
-    let mut block = Vec::with_capacity(geom.block_size());
-    for sb in 0..geom.num_subblocks {
-        let s = ((sb + seed) as f64 * 0.61).cos();
-        for i in 0..geom.subblock_size {
-            block.push(s * ((i as f64 + seed as f64) * 0.37).sin() * 1e-6);
-        }
-    }
-    block
-}
-
-/// `pastri bench-server` — seeded Zipf-ish traffic replay against the
-/// cache server, emitting BENCH_server.json. With `--gen-blocks N` the
-/// store is synthesized first (a seeded fixture), so CI can run the
-/// whole benchmark from nothing.
-pub fn bench_server(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
-    let telem = telemetry_capture(&args)?;
-    let store = args.positional(0, "store")?;
-    let cfg = server_config(&args)?;
-
-    let mut replay = eri_server::replay::ReplayConfig::default();
-    replay.seed = args.get_usize("seed", replay.seed as usize)? as u64;
-    replay.clients = args.get_usize("clients", replay.clients)?.max(1);
-    replay.requests_per_client = args.get_usize("requests", replay.requests_per_client)?.max(1);
-    replay.max_batch = args.get_usize("max-batch", replay.max_batch)?.max(1);
-    replay.skew = args.get_f64("skew", replay.skew)?;
-    let bench_out = args.get("bench-out").unwrap_or("BENCH_server.json");
-
-    let gen_blocks = args.get_usize("gen-blocks", 0)?;
-    if gen_blocks > 0 {
-        let geom = BlockGeometry::new(
-            args.get_usize("subblocks", 4)?,
-            args.get_usize("subblock-size", 32)?,
-        );
-        let eb = args.get_f64("eb", 1e-10)?;
-        if let Some(parent) = std::path::Path::new(store).parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)
-                    .map_err(|e| CliError::new(format!("creating {}: {e}", parent.display())))?;
-            }
-        }
-        let mut w = eri_store::StoreWriter::create(std::path::Path::new(store), geom, eb)
-            .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        for b in 0..gen_blocks {
-            w.append_block(&bench_block(geom, replay.seed as usize + b))
-                .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        }
-        w.finish()
-            .map_err(|e| CliError::new(format!("generating {store}: {e}")))?;
-        writeln!(out, "bench-server: generated {gen_blocks}-block store at {store}")?;
-    }
-
-    let srv = eri_server::ServerHandle::open(&[store], &cfg).map_err(server_err)?;
-    let report = eri_server::replay::run(&srv, &replay);
-
-    let t = &report.tallies;
-    let s = &report.cache;
-    writeln!(
-        out,
-        "bench-server: seed {} — {} requests from {} clients over {} blocks, {:.2}s wall",
-        replay.seed, t.requests, replay.clients, report.dataset_blocks, report.wall_s
-    )?;
-    writeln!(
-        out,
-        "  served {} blocks ({} bytes) at {:.1} MB/s, value_sig {:016x}",
-        t.blocks_served, t.bytes_served, report.mb_per_s, t.value_sig
-    )?;
-    writeln!(
-        out,
-        "  cache: hit rate {:.3} ({}/{} lookups), high water {} of {} bytes",
-        s.hit_rate().unwrap_or(0.0),
-        s.hits,
-        s.lookups,
-        s.high_water_bytes,
-        s.capacity_bytes
-    )?;
-    writeln!(
-        out,
-        "  latency: read p50 {} µs, p99 {} µs; miss p99 {} µs",
-        report.read_p50_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-        report.read_p99_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-        report.miss_p99_us.map_or_else(|| "n/a".into(), |v| v.to_string()),
-    )?;
-    writeln!(
-        out,
-        "  reuse model: {:.2}s regen, {:.2}s uncached, {:.2}s at measured hit rate",
-        report.reuse.original_s, report.reuse.uncached_s, report.reuse.cached_s
-    )?;
-    fs::write(bench_out, report.to_json())
-        .map_err(|e| CliError::new(format!("writing {bench_out}: {e}")))?;
-    writeln!(out, "  report: {bench_out}")?;
-    if let Some(tcap) = telem {
-        tcap.finish(out)?;
-    }
-
-    if !report.pass() {
-        return Err(CliError::corruption(format!(
-            "bench-server: {} batch(es) failed to serve",
-            t.batches_failed
-        )));
-    }
-    writeln!(out, "bench-server: PASS — every batch served")?;
     Ok(())
 }
 
@@ -2144,6 +2104,34 @@ mod tests {
         fs::write(&comp, &bytes).unwrap();
         let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
         assert_eq!(err.code, 2);
+    }
+
+    #[test]
+    fn compressed_store_serves_what_the_container_decompresses() {
+        let dir = tmpdir();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (raw, store, comp) = (path("s.f64"), path("s.eristore"), path("s.pastri"));
+        let (served, direct) = (path("s-served.f64"), path("s-direct.f64"));
+        let mut out = Vec::new();
+        generate(
+            &sv(&[&raw, "--config", "dddd", "--blocks", "12", "--model"]),
+            &mut out,
+        )
+        .unwrap();
+        compress(&sv(&[&raw, &store, "--config", "dddd"]), &mut out).unwrap();
+        verify(&sv(&[&store]), &mut out).unwrap();
+        serve(&sv(&[&store, "--out", &served]), &mut out).unwrap();
+        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+        decompress(&sv(&[&comp, &direct]), &mut out).unwrap();
+        assert_eq!(fs::read(&served).unwrap(), fs::read(&direct).unwrap());
+
+        // Options a store header cannot record are usage errors.
+        for (flag, value) in [("--metric", "AR"), ("--tree", "3")] {
+            let argv = sv(&[&raw, &path("s-bad.eristore"), "--config", "dddd", flag, value]);
+            let err = compress(&argv, &mut out).unwrap_err();
+            assert_eq!(err.code, 1, "{flag}");
+            assert!(err.message.contains(".eristore"), "{flag}: {}", err.message);
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Subcommands (see [`run`]):
 //!
-//! * `compress`   — raw little-endian f64 file → PaSTRI container
+//! * `compress`   — raw little-endian f64 file → PaSTRI container, or
+//!   the ERI block store `serve` mounts when the output ends `.eristore`
 //! * `decompress` — PaSTRI container → raw f64 file
 //! * `inspect`    — print container metadata and per-block-kind census
 //! * `verify`     — integrity-scan a container/stream/store; non-zero
@@ -25,8 +26,6 @@
 //!   percentiles, admission and journal state per tick
 //! * `trace`      — merge telemetry JSON-lines exports from different
 //!   processes into one Chrome trace joined on shared trace ids
-//! * `bench-server` — seeded traffic replay against the cache server,
-//!   emitting BENCH_server.json
 //!
 //! The argument parser is deliberately dependency-free: flags are
 //! `--key value` pairs after the subcommand, positional paths first.
@@ -107,7 +106,6 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         "fetch" => commands::fetch(rest, out),
         "top" => commands::top(rest, out),
         "trace" => commands::trace_cmd(rest, out),
-        "bench-server" => commands::bench_server(rest, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{}", usage())?;
             Ok(())
@@ -128,6 +126,7 @@ USAGE:
   pastri compress   <in.f64> <out.pastri> --config (dd|dd) --eb 1e-10
                     [--metric ER] [--tree 5] [--stream [--segment-blocks 64]
                     [--checkpoint-every 16] [--resume]]
+  pastri compress   <in.f64> <out.eristore> --config (dd|dd) --eb 1e-10
   pastri decompress <in.pastri> <out.f64>
   pastri inspect    <in.pastri>
   pastri verify     <file>            (container, stream, or ERI store)
@@ -152,10 +151,6 @@ USAGE:
   pastri top        <endpoint> [--interval-ms 1000] [--count N]
                     [--once] [--json] [--deadline-ms 2000]
   pastri trace      --merge <a.jsonl> <b.jsonl>... [--out merged.json]
-  pastri bench-server <store.eristore> [--gen-blocks N] [--seed 42]
-                    [--clients 4] [--requests 256] [--max-batch 8]
-                    [--skew 3.0] [--shards 4] [--cache-mb 8]
-                    [--bench-out BENCH_server.json]
 
 FLAGS:
   --config   BF configuration, e.g. '(dd|dd)', '(ff|ff)', 'fdff'
@@ -201,16 +196,15 @@ SOAK (deterministic fault-storm harness with SLO gates):
   --slo-max-quarantined N --slo-max-resident-values N   SLO gates
   --bench-out FILE            machine-readable report (BENCH_soak.json)
 
-CACHE SERVER (`serve` / `bench-server`):
-  `pastri serve` mounts one or more stores (shared geometry and error
-  bound) as one global block index space behind shard-parallel readers
-  and a byte-budgeted hot-block cache, then serves the requested blocks
-  in order (all blocks when --blocks is omitted). `pastri bench-server`
-  replays a seeded Zipf-ish workload against the same server: for a
-  fixed --seed the report's `tallies` line (requests, blocks, bytes,
-  value signature) is bit-identical at any thread count, while `cache`
-  and `timing` carry the scheduling-dependent hit rate and latency
-  percentiles. --gen-blocks N synthesizes the store first.
+CACHE SERVER (`serve`):
+  `pastri compress <in.f64> <out.eristore>` writes a block store: the
+  input must hold whole --config blocks, compressed at default options
+  (--metric, --tree and --stream do not apply). `pastri serve` mounts
+  one or more stores (shared geometry and error bound) as one global
+  block index space behind shard-parallel readers and a byte-budgeted
+  hot-block cache, then serves the requested blocks in order (all
+  blocks when --blocks is omitted); --out writes them as raw f64,
+  byte-identical to compressing to a container and decompressing.
 
 REMOTE SERVING (`serve --listen` / `fetch`):
   `pastri serve --listen tcp:127.0.0.1:7421` (or `unix:/path.sock`)
@@ -263,6 +257,6 @@ EXIT CODES:
   2  corruption found (verify found damage; decompress hit damage in a
      recognized artifact; scrub could not fully repair, or found damage
      without --repair; salvage dropped data; soak lost data or violated
-     an SLO gate; serve/bench-server hit a block beyond the parity
+     an SLO gate; serve hit a block beyond the parity
      budget; fetch saw corrupt frames or blocks past the retry budget)"
 }

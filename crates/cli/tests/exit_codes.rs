@@ -38,8 +38,7 @@ fn p(path: &Path, name: &str) -> String {
     path.join(name).to_string_lossy().into_owned()
 }
 
-/// Builds a small seeded ERI store for the `serve` / `bench-server`
-/// rows (same patterned-block fixture the integration tests use).
+/// Builds a small seeded ERI store for the `serve` rows (same patterned-block fixture the integration tests use).
 fn build_server_store(path: &str, n: usize) {
     let geom = pastri::BlockGeometry::new(4, 16);
     let mut w = eri_store::StoreWriter::create(Path::new(path), geom, 1e-10).unwrap();
@@ -155,6 +154,9 @@ fn exit_codes_follow_the_documented_contract() {
     fs::write(&junk, b"something else entirely").unwrap();
     let odd_raw = p(&dir, "odd.f64");
     fs::write(&odd_raw, [0u8; 9]).unwrap();
+    // Whole f64s, but not a whole number of `dddd` blocks.
+    let ragged_raw = p(&dir, "ragged.f64");
+    fs::write(&ragged_raw, &fs::read(&raw).unwrap()[..8 * 100]).unwrap();
 
     // Soak fixtures: output locations, plus a path whose parent is a
     // regular file so the store directory cannot be created (I/O error).
@@ -170,15 +172,13 @@ fn exit_codes_follow_the_documented_contract() {
     let out_f64 = p(&dir, "out.f64");
     let out_pstrs = p(&dir, "out.pstrs");
 
-    // Cache-server fixtures: a clean store, a copy with one block
-    // shredded beyond the parity budget, and report/output paths.
+    // Cache-server fixtures: a clean store and a copy with one block
+    // shredded beyond the parity budget.
     let clean_store = p(&dir, "clean.eristore");
     let shredded_store = p(&dir, "shredded.eristore");
     build_server_store(&clean_store, 12);
     build_server_store(&shredded_store, 12);
     shred_store_block(&shredded_store, 3);
-    let server_bench = p(&dir, "BENCH_server.json");
-    let gen_store = p(&dir, "generated.eristore");
 
     struct Case {
         label: &'static str,
@@ -207,6 +207,23 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "compress odd-length raw",
             argv: sv(&["compress", &odd_raw, &p(&dir, "c4.pastri"), "--config", "dddd"]),
+            want: 1,
+        },
+        // compress to a block store: clean / ragged input / a
+        // container-only flag.
+        Case {
+            label: "compress store clean",
+            argv: sv(&["compress", &raw, &p(&dir, "c5.eristore"), "--config", "dddd"]),
+            want: 0,
+        },
+        Case {
+            label: "compress store ragged input",
+            argv: sv(&["compress", &ragged_raw, &p(&dir, "c6.eristore"), "--config", "dddd"]),
+            want: 1,
+        },
+        Case {
+            label: "compress store with --stream",
+            argv: sv(&["compress", &raw, &p(&dir, "c7.eristore"), "--config", "dddd", "--stream"]),
             want: 1,
         },
         // decompress: clean / missing / damage in a recognized artifact.
@@ -348,31 +365,13 @@ fn exit_codes_follow_the_documented_contract() {
             want: 1,
         },
         Case {
-            label: "serve shredded block",
-            argv: sv(&["serve", &shredded_store]),
-            want: 2,
-        },
-        // bench-server: clean replay (generating its own store) /
-        // missing store / replay that hits the shredded block.
-        Case {
-            label: "bench-server clean",
-            argv: sv(&[
-                "bench-server", &gen_store, "--gen-blocks", "10", "--clients", "2",
-                "--requests", "16", "--bench-out", &server_bench,
-            ]),
-            want: 0,
-        },
-        Case {
-            label: "bench-server missing store",
-            argv: sv(&["bench-server", &missing, "--bench-out", &server_bench]),
+            label: "serve huge block range",
+            argv: sv(&["serve", &clean_store, "--blocks", "0-4000000000"]),
             want: 1,
         },
         Case {
-            label: "bench-server shredded store",
-            argv: sv(&[
-                "bench-server", &shredded_store, "--clients", "2", "--requests", "64",
-                "--skew", "1.0", "--bench-out", &server_bench,
-            ]),
+            label: "serve shredded block",
+            argv: sv(&["serve", &shredded_store]),
             want: 2,
         },
         // usage errors.

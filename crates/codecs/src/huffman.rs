@@ -14,6 +14,13 @@ use crate::CodecError;
 /// entropy of any realistic quantization-code distribution.
 pub const MAX_CODE_LEN: u32 = 32;
 
+/// Largest alphabet [`HuffmanCode::read_table`] accepts: the biggest any
+/// writer in the workspace emits (SZ's 2^16 quantization intervals;
+/// `deflate_like`'s literal/length alphabet is 512). A table header
+/// claiming more is corrupt, and is rejected before anything is
+/// allocated for it.
+pub const MAX_ALPHABET: usize = 1 << 16;
+
 /// A built canonical Huffman code: per-symbol (code, length) pairs.
 #[derive(Debug, Clone)]
 pub struct HuffmanCode {
@@ -132,8 +139,8 @@ impl HuffmanCode {
     pub fn read_table(input: &[u8], pos: &mut usize) -> Result<Self, CodecError> {
         let n = crate::varint::read_u64(input, pos)
             .ok_or(CodecError::Corrupt("huffman table truncated"))? as usize;
-        if n > (1 << 28) {
-            return Err(CodecError::Corrupt("huffman alphabet implausibly large"));
+        if n > MAX_ALPHABET {
+            return Err(CodecError::Corrupt("huffman alphabet larger than MAX_ALPHABET"));
         }
         let mut lengths = Vec::with_capacity(n);
         while lengths.len() < n {
@@ -411,6 +418,25 @@ mod tests {
         assert_eq!(dec, syms);
         // 100 one-bit codes -> ~13 bytes payload, plus small table.
         assert!(enc.len() < 40, "len={}", enc.len());
+    }
+
+    #[test]
+    fn oversized_alphabet_is_rejected_before_the_table_is_built() {
+        // 12 bytes: one symbol, then a 2^28-entry table made of one
+        // 2^28-long zero run.
+        let mut bytes = Vec::new();
+        for v in [1u64, 1 << 28, 0, 1 << 28] {
+            crate::varint::write_u64(&mut bytes, v);
+        }
+        assert_eq!(bytes.len(), 12);
+        match decode_stream(&bytes) {
+            Err(CodecError::Corrupt(msg)) => assert!(msg.contains("MAX_ALPHABET"), "{msg}"),
+            other => panic!("expected the alphabet cap to reject it, got {other:?}"),
+        }
+        // The largest alphabet a writer emits still round-trips.
+        let syms = [0u32, MAX_ALPHABET as u32 - 1, 0];
+        let enc = encode_stream(&syms, MAX_ALPHABET);
+        assert_eq!(decode_stream(&enc).unwrap().0, syms);
     }
 
     #[test]

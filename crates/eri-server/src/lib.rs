@@ -14,7 +14,7 @@
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
 //!   cache ([`cache::BlockCache`]) holding *decompressed* blocks, so a
 //!   popular quartet pays decompression once, not once per reuse.
-//! * **Batched reads** — [`ServerHandle::read_blocks`] takes one
+//! * **Batched reads** — [`ServerHandle::read_blocks_each`] takes one
 //!   request's block ids, serves hits from memory, fans the misses
 //!   across shards on the rayon pool, and reassembles results in
 //!   request order.
@@ -33,10 +33,11 @@
 //! `cache.evictions` / `cache.admission_rejects` and the `cache.bytes`
 //! gauge.
 //!
-//! Two front ends share this handle: the in-process API used by tests
-//! and the pfs-sim reuse projection, and the `pastri serve` /
-//! `pastri bench-server` CLI pair (see `replay` for the seeded traffic
-//! generator behind BENCH_server.json).
+//! Two front ends share this handle: the in-process batch API used by
+//! `pastri serve` and the tests, and the PTRF wire transport behind
+//! `pastri serve --listen` / `pastri fetch`. Both serve through
+//! [`ServerHandle::read_blocks_each`]; [`ServerHandle::read_blocks`] is
+//! its all-or-nothing collect.
 
 use std::fs::File;
 use std::io::{Read, Seek};
@@ -54,7 +55,6 @@ pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod protocol;
-pub mod replay;
 pub mod transport;
 
 pub use admission::{AdmissionConfig, AdmissionController, DrainOutcome, InjectedLoad, OverloadInject};
@@ -153,9 +153,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Batch positions paired with the blocks served into them.
-type FetchedBlocks = Vec<(usize, Arc<Vec<f64>>)>;
-
 /// One request slot's outcome: the position in the caller's id list
 /// paired with the served block or its structured error.
 type SlotResult = (usize, Result<Arc<Vec<f64>>, ServerError>);
@@ -198,7 +195,6 @@ pub struct ServerHandle {
     error_bound: f64,
     num_blocks: usize,
     stores: usize,
-    compressed_bytes: u64,
     served_requests: AtomicU64,
     served_blocks: AtomicU64,
     store_reads: AtomicU64,
@@ -233,7 +229,6 @@ impl ServerHandle {
         let mut geometry: Option<BlockGeometry> = None;
         let mut error_bound = 0.0f64;
         let mut base = 0usize;
-        let mut compressed_bytes = 0u64;
         for (si, path) in paths.iter().enumerate() {
             let path = path.as_ref();
             let open_source = |e: std::io::Error, block: usize| ServerError::Store {
@@ -261,7 +256,6 @@ impl ServerHandle {
                 }
             }
             let nb = probe.num_blocks();
-            compressed_bytes += probe.payload_bytes();
             for range in shard_ranges(nb, cfg.shards_per_store) {
                 // Each shard gets a private file handle so shard reads
                 // never serialize on one seek position.
@@ -289,7 +283,6 @@ impl ServerHandle {
             error_bound,
             num_blocks: base,
             stores: paths.len(),
-            compressed_bytes,
             served_requests: AtomicU64::new(0),
             served_blocks: AtomicU64::new(0),
             store_reads: AtomicU64::new(0),
@@ -324,18 +317,6 @@ impl ServerHandle {
     #[must_use]
     pub fn num_stores(&self) -> usize {
         self.stores
-    }
-
-    /// Compressed payload bytes across all mounted stores.
-    #[must_use]
-    pub fn compressed_bytes(&self) -> u64 {
-        self.compressed_bytes
-    }
-
-    /// Decompressed size of the full dataset in bytes.
-    #[must_use]
-    pub fn raw_bytes(&self) -> u64 {
-        (self.num_blocks * self.geometry.block_size() * 8) as u64
     }
 
     /// Hot-block cache counters.
@@ -381,57 +362,14 @@ impl ServerHandle {
     }
 
     /// Serves one batch: block `ids` (duplicates and any order allowed)
-    /// → decompressed blocks in the same positions. Hits come straight
-    /// from the cache; misses are grouped per shard and fetched in
-    /// parallel on the rayon pool, each through the repair-on-read
-    /// path, then admitted to the cache post-repair.
+    /// → one `Result` per position, in request order. Hits come
+    /// straight from the cache; misses are grouped per shard and
+    /// fetched in parallel on the rayon pool, each through the
+    /// repair-on-read path, then admitted to the cache post-repair.
     ///
-    /// Fails fast on the first shard error (lowest shard index wins,
-    /// deterministically), tagged with the global block id.
-    pub fn read_blocks(&self, ids: &[usize]) -> Result<Vec<Arc<Vec<f64>>>, ServerError> {
-        telemetry::counter_add("server.requests", 1);
-        self.served_requests.fetch_add(1, Ordering::Relaxed);
-        let _batch = telemetry::span("server.batch");
-        let mut out: Vec<Option<Arc<Vec<f64>>>> = vec![None; ids.len()];
-        let mut by_shard: Vec<Vec<(usize, usize)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (pos, &id) in ids.iter().enumerate() {
-            if id >= self.num_blocks {
-                return Err(ServerError::OutOfRange { index: id, blocks: self.num_blocks });
-            }
-            let t = Instant::now();
-            match self.cache.get(id as u64) {
-                Some(hit) => {
-                    telemetry::observe_us("server.read_us", t.elapsed().as_micros() as u64);
-                    out[pos] = Some(hit);
-                }
-                None => by_shard[self.shard_of_block(id)].push((pos, id)),
-            }
-        }
-
-        let groups: Vec<(usize, Vec<(usize, usize)>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .collect();
-        let fetched: Vec<Result<FetchedBlocks, ServerError>> = groups
-            .into_par_iter()
-            .map(|(sid, items)| self.fetch_from_shard(sid, &items))
-            .collect();
-        for group in fetched {
-            for (pos, block) in group? {
-                out[pos] = Some(block);
-            }
-        }
-        telemetry::counter_add("server.blocks", ids.len() as u64);
-        self.served_blocks.fetch_add(ids.len() as u64, Ordering::Relaxed);
-        Ok(out.into_iter().map(|b| b.expect("every position filled")).collect())
-    }
-
-    /// Degraded-mode batch: like [`ServerHandle::read_blocks`] but one
-    /// bad block never sinks the batch — every position gets its own
-    /// `Result`, so a corrupt or out-of-range block id yields a
-    /// structured per-position error while the rest of the batch is
-    /// served normally. This is the transport serving path: a remote
+    /// One bad block never sinks the batch: a corrupt or out-of-range
+    /// id yields a structured error at its own position while the rest
+    /// is served normally. This is the transport serving path: a remote
     /// client asked for 64 blocks deserves 63 good blocks and one
     /// per-block error frame, not a connection reset.
     pub fn read_blocks_each(&self, ids: &[usize]) -> Vec<Result<Arc<Vec<f64>>, ServerError>> {
@@ -463,7 +401,7 @@ impl ServerHandle {
             .collect();
         let fetched: Vec<Vec<SlotResult>> = groups
             .into_par_iter()
-            .map(|(sid, items)| self.fetch_from_shard_each(sid, &items))
+            .map(|(sid, items)| self.fetch_from_shard(sid, &items))
             .collect();
         for group in fetched {
             for (pos, res) in group {
@@ -475,9 +413,17 @@ impl ServerHandle {
         out.into_iter().map(|b| b.expect("every position filled")).collect()
     }
 
+    /// All-or-nothing batch: [`ServerHandle::read_blocks_each`]
+    /// collected into one `Result`. A failed batch reports the error of
+    /// its first failing position; the blocks that did read are still
+    /// cached.
+    pub fn read_blocks(&self, ids: &[usize]) -> Result<Vec<Arc<Vec<f64>>>, ServerError> {
+        self.read_blocks_each(ids).into_iter().collect()
+    }
+
     /// Convenience wrapper: one block.
     pub fn read_block(&self, id: usize) -> Result<Arc<Vec<f64>>, ServerError> {
-        Ok(self.read_blocks(&[id])?.pop().expect("one result"))
+        self.read_blocks_each(&[id]).pop().expect("one result")
     }
 
     /// One cache-miss store read under the shard lock: repair-on-read
@@ -517,36 +463,12 @@ impl ServerHandle {
     /// Fetches a batch's misses that all route to shard `sid`. Runs on
     /// a rayon worker; holds the shard lock across the group so one
     /// seek pass serves it. Duplicate ids within the group are read
-    /// once and fanned to every position. Fail-fast: the group stops at
-    /// its first error (lowest-shard-first determinism for
-    /// `read_blocks`).
+    /// once and fanned to every position. An error is recorded against
+    /// its own position and the rest of the group is still served.
+    /// Duplicates of a *failed* id are re-read rather than memoized —
+    /// errors carry non-clonable I/O sources, and a block that just
+    /// failed may well heal on the retry path anyway.
     fn fetch_from_shard(
-        &self,
-        sid: usize,
-        items: &[(usize, usize)],
-    ) -> Result<FetchedBlocks, ServerError> {
-        let shard = &self.shards[sid];
-        let mut reader = lock_recover(&shard.reader);
-        let mut got: FetchedBlocks = Vec::with_capacity(items.len());
-        let mut this_batch: FetchedBlocks = Vec::new(); // id → block, tiny
-        for &(pos, id) in items {
-            if let Some((_, b)) = this_batch.iter().find(|(bid, _)| *bid == id) {
-                got.push((pos, Arc::clone(b)));
-                continue;
-            }
-            let block = self.read_miss(shard, &mut reader, id)?;
-            this_batch.push((id, Arc::clone(&block)));
-            got.push((pos, block));
-        }
-        Ok(got)
-    }
-
-    /// Degraded sibling of [`ServerHandle::fetch_from_shard`]: an error
-    /// is recorded against its own position and the rest of the group
-    /// is still served. Duplicates of a *failed* id are re-read rather
-    /// than memoized — errors carry non-clonable I/O sources, and a
-    /// block that just failed may well heal on the retry path anyway.
-    fn fetch_from_shard_each(
         &self,
         sid: usize,
         items: &[(usize, usize)],
@@ -554,7 +476,7 @@ impl ServerHandle {
         let shard = &self.shards[sid];
         let mut reader = lock_recover(&shard.reader);
         let mut got: Vec<SlotResult> = Vec::with_capacity(items.len());
-        let mut this_batch: FetchedBlocks = Vec::new();
+        let mut this_batch: Vec<(usize, Arc<Vec<f64>>)> = Vec::new(); // id → block, tiny
         for &(pos, id) in items {
             if let Some((_, b)) = this_batch.iter().find(|(bid, _)| *bid == id) {
                 got.push((pos, Ok(Arc::clone(b))));

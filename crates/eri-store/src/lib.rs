@@ -738,15 +738,6 @@ impl<R: Read + Seek> StoreReader<R> {
         self.error_bound
     }
 
-    /// Total compressed payload bytes across all blocks (container
-    /// bytes as indexed, excluding header and index overhead) — the
-    /// numerator a server needs to report an effective compression
-    /// ratio without re-reading the file.
-    #[must_use]
-    pub fn payload_bytes(&self) -> u64 {
-        self.index.iter().map(|e| e.len).sum()
-    }
-
     /// Lifetime counters: transient retries absorbed, backoff slept,
     /// blocks repaired from parity, blocks lost.
     #[must_use]

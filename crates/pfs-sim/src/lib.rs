@@ -264,22 +264,6 @@ impl ReuseModel {
         }
     }
 
-    /// Compressor infrastructure behind the sharded cache server:
-    /// generate once, compress once, but only the *missed* fraction of
-    /// reuses pays decompression — cache hits serve the already
-    /// decompressed block straight from memory. `hit_rate` is the
-    /// measured `cache.hits / (cache.hits + cache.misses)` from a
-    /// server run (BENCH_server.json), clamped to `[0, 1]`; at 0 this
-    /// degenerates to [`with_compressor`](Self::with_compressor).
-    #[must_use]
-    pub fn with_cache_server(&self, prof: &CompressorProfile, hit_rate: f64) -> ReuseBreakdown {
-        let base = self.with_compressor(prof);
-        ReuseBreakdown {
-            decompress_s: base.decompress_s * (1.0 - hit_rate.clamp(0.0, 1.0)),
-            ..base
-        }
-    }
-
     /// Compressor infrastructure on faulty storage *with* the integrity
     /// layer: corruption is detected by checksums and contained by
     /// per-block framing, so only the damaged fraction is regenerated and
@@ -388,34 +372,6 @@ mod tests {
             compress_mbs: 104.1,
             decompress_mbs: 148.6,
         }
-    }
-
-    #[test]
-    fn cache_server_hit_rate_discounts_only_decompression() {
-        let model = ReuseModel {
-            bytes: 1e9,
-            eri_gen_mbs: 322.82,
-            reuse_count: 20,
-        };
-        let prof = pastri_like();
-        let base = model.with_compressor(&prof);
-
-        // A cold cache is exactly the plain compressor pipeline.
-        let cold = model.with_cache_server(&prof, 0.0);
-        assert_eq!(cold.total_s(), base.total_s());
-
-        // Hits discount decompression linearly and touch nothing else.
-        let warm = model.with_cache_server(&prof, 0.75);
-        assert!((warm.decompress_s - base.decompress_s * 0.25).abs() < 1e-12);
-        assert_eq!(warm.calculate_s, base.calculate_s);
-        assert_eq!(warm.compress_s, base.compress_s);
-        assert!(warm.total_s() < cold.total_s());
-
-        // A perfect cache pays decompression never; rates outside [0,1]
-        // clamp rather than going negative.
-        let perfect = model.with_cache_server(&prof, 1.0);
-        assert_eq!(perfect.decompress_s, 0.0);
-        assert_eq!(model.with_cache_server(&prof, 7.0).total_s(), perfect.total_s());
     }
 
     #[test]

@@ -4,10 +4,32 @@
 //! attacker-controlled input: decoders must validate them against the
 //! bytes actually present *before* allocating.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 fn soup() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..4096)
+}
+
+/// A valid `json_lines` export carrying every record type (meta,
+/// span, counter, gauge, histogram, journal event), recorded once.
+fn telemetry_export() -> &'static str {
+    static EXPORT: OnceLock<String> = OnceLock::new();
+    EXPORT.get_or_init(|| {
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        {
+            let _span = telemetry::span("fuzz.span");
+            telemetry::counter_add("fuzz.counter", 3);
+            telemetry::gauge_set("fuzz.gauge", -2);
+            telemetry::observe_us("fuzz.us", 17);
+            telemetry::journal("fuzz.event", 1, 2);
+        }
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        telemetry::export::json_lines(&snap)
+    })
 }
 
 proptest! {
@@ -123,5 +145,42 @@ proptest! {
                 let _ = lossless::deflate_like::decompress(&bytes);
             }
         }
+    }
+
+    #[test]
+    fn huffman_table_reader_never_panics(bytes in soup()) {
+        let mut pos = 0;
+        let _ = codecs::huffman::HuffmanCode::read_table(&bytes, &mut pos);
+        let _ = codecs::huffman::decode_stream(&bytes);
+    }
+
+    #[test]
+    fn checkpoint_journal_scan_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
+        let magic = durable::JOURNAL_MAGIC;
+        if with_magic && bytes.len() >= magic.len() {
+            bytes[..magic.len()].copy_from_slice(&magic);
+        }
+        let (last, valid) = durable::scan_journal(&bytes);
+        prop_assert!(valid <= bytes.len());
+        prop_assert!(last.is_none() || valid > magic.len());
+    }
+
+    #[test]
+    fn telemetry_json_reader_never_panics(bytes in soup()) {
+        let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn telemetry_json_reader_survives_a_damaged_export(
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let mut bytes = telemetry_export().as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
+        bytes.truncate(cut % bytes.len());
+        let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
     }
 }

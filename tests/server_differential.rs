@@ -215,6 +215,13 @@ fn beyond_parity_damage_is_an_error_not_wrong_data() {
             }
             assert!(err.is_corruption(), "{err}");
 
+            // A failed batch reports its first failing position: the
+            // shredded block ahead of an out-of-range id.
+            match srv.read_blocks(&[shredded, 99]).unwrap_err() {
+                ServerError::Store { block, .. } => assert_eq!(block, shredded),
+                other => panic!("expected the shredded block's store error, got {other}"),
+            }
+
             // Every other block still serves, bit-identical to direct.
             for (id, want) in direct.iter().enumerate() {
                 if id == shredded {
@@ -223,6 +230,67 @@ fn beyond_parity_damage_is_an_error_not_wrong_data() {
                 let got = srv.read_block(id).unwrap();
                 assert_bit_identical(&got, want.as_ref().unwrap(), id);
             }
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrent_callers_share_one_cache_at_1_and_4_threads() {
+    const CALLERS: u64 = 4;
+    const BATCHES: u64 = 40;
+    const STORE_BLOCKS: usize = 48;
+    let dir = common::tmpdir("server-diff-concurrent");
+    for threads in [1usize, 4] {
+        let path = dir.join(format!("concurrent-{threads}.eristore"));
+        common::build_store(&path, geom(), EB, STORE_BLOCKS, 9000);
+        let all: Vec<usize> = (0..STORE_BLOCKS).collect();
+        let direct: Vec<Vec<f64>> = direct_read(&path, &all)
+            .into_iter()
+            .map(|r| r.expect("clean store reads"))
+            .collect();
+        // The cache holds about a quarter of the decompressed store, so
+        // the callers both hit and evict.
+        let cfg = ServerConfig {
+            cache_bytes: STORE_BLOCKS / 4 * eri_server::cache::entry_cost(geom().block_size()),
+            cache_shards: 2,
+            ..ServerConfig::default()
+        };
+
+        pool(threads).install(|| {
+            let srv = ServerHandle::open(&[&path], &cfg).unwrap();
+            std::thread::scope(|scope| {
+                for caller in 0..CALLERS {
+                    let (srv, direct) = (&srv, &direct);
+                    scope.spawn(move || {
+                        for b in 0..BATCHES {
+                            let key = (caller << 32) | b;
+                            let r = durable::retry::splitmix64(key);
+                            // Half the ids come from a hot set of 8
+                            // blocks; the last id repeats the first.
+                            let len = 1 + (r % 7) as usize;
+                            let mut ids: Vec<usize> = (0..len as u64)
+                                .map(|k| {
+                                    let x = durable::retry::splitmix64(key ^ ((k + 1) << 40));
+                                    if x & 1 == 0 {
+                                        (x >> 1) as usize % 8
+                                    } else {
+                                        (x >> 1) as usize % STORE_BLOCKS
+                                    }
+                                })
+                                .collect();
+                            ids.push(ids[0]);
+                            let got = srv.read_blocks(&ids).unwrap();
+                            for (block, &id) in got.iter().zip(&ids) {
+                                assert_bit_identical(block, &direct[id], id);
+                            }
+                        }
+                    });
+                }
+            });
+            let stats = srv.cache_stats();
+            assert!(stats.hits > 0, "callers must share cached blocks: {stats:?}");
+            assert!(stats.evictions > 0, "a quarter-size cache must evict: {stats:?}");
         });
     }
     std::fs::remove_dir_all(&dir).ok();
