@@ -492,19 +492,32 @@ pub fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 pub fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "file")?;
-    let mut magic = [0u8; 8];
-    {
-        use std::io::Read;
-        let mut f = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-        let n = f.read(&mut magic).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-        magic[n..].fill(0);
-    }
+    let found = damage(input, false)?;
+    found.print(input, out)?;
+    found.verdict(input)
+}
+
+/// The on-disk layouts `verify`, `scrub` and `salvage` recognize.
+enum Artifact {
+    Container,
+    Stream,
+    Store,
+}
+
+/// Tells the layouts apart by their magic. An unknown magic is exit 1:
+/// the file was never claimed to be a PaSTRI artifact.
+fn sniff(input: &str) -> Result<Artifact, CliError> {
+    use std::io::Read;
+    let mut magic = Vec::with_capacity(8);
+    fs::File::open(input)
+        .and_then(|f| f.take(8).read_to_end(&mut magic))
+        .map_err(|e| CliError::new(format!("{input}: {e}")))?;
     if magic.starts_with(b"ERISTOR") {
-        verify_store(input, out)
+        Ok(Artifact::Store)
     } else if magic.starts_with(b"PSTRS") {
-        verify_stream(input, out)
+        Ok(Artifact::Stream)
     } else if magic.starts_with(b"PSTR") {
-        verify_container(input, out)
+        Ok(Artifact::Container)
     } else {
         Err(CliError::new(format!(
             "{input}: not a PaSTRI container, stream, or store (unknown magic)"
@@ -512,157 +525,211 @@ pub fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-fn damage_verdict(
-    input: &str,
-    repairable: usize,
-    unrepairable: usize,
-    total: usize,
-    unit: &str,
-) -> Result<(), CliError> {
-    let damaged = repairable + unrepairable;
-    if damaged == 0 {
-        Ok(())
-    } else if unrepairable == 0 {
-        Err(CliError::corruption(format!(
-            "{input}: {damaged} of {total} {unit}(s) damaged (all repairable — run `pastri scrub --repair`)"
-        )))
+/// A failed [`pastri::stream::salvage`]: `InvalidData` from a file that
+/// carries the stream magic is a damaged stream header (exit 2);
+/// anything else is I/O trouble or not a stream at all (exit 1).
+fn salvage_failure(input: &str, e: std::io::Error) -> CliError {
+    let msg = format!("{input}: {e}");
+    if e.kind() == std::io::ErrorKind::InvalidData && matches!(sniff(input), Ok(Artifact::Stream)) {
+        CliError::corruption(msg)
     } else {
-        Err(CliError::corruption(format!(
-            "{input}: {damaged} of {total} {unit}(s) damaged ({unrepairable} beyond the parity budget)"
-        )))
+        CliError::new(msg)
     }
 }
 
-fn verify_container(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
-    let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
-    // The repair report is the classification: it finds *all* on-disk
-    // damage (payloads, framing, and the parity section itself) and says
-    // which of it the parity budget covers — without modifying the file.
-    let (_, report) = pastri::repair_container(&bytes)
-        .map_err(|e| CliError::corruption(format!("{input}: unrecoverable header damage: {e}")))?;
-    let repairable = report.repaired_blocks.len();
-    let unrepairable = report.unrepairable_blocks.len();
-    writeln!(
-        out,
-        "{input}: PaSTRI container, {} blocks, {} damaged ({repairable} repairable, {unrepairable} unrepairable)",
-        report.total_blocks,
-        repairable + unrepairable,
-    )?;
-    for b in &report.repaired_blocks {
-        writeln!(out, "  block {b}: damaged, repairable from parity")?;
-    }
-    for b in &report.unrepairable_blocks {
-        writeln!(out, "  block {b}: damaged beyond the parity budget")?;
-    }
-    for g in &report.parity_groups_rebuilt {
-        writeln!(out, "  parity group {g}: parity section damaged (rebuildable)")?;
-    }
-    if report.is_clean() {
-        return Ok(());
-    }
-    if repairable + unrepairable == 0 {
-        // Damage confined to the redundancy itself: the data is intact,
-        // but the file is not the one the writer produced.
-        return Err(CliError::corruption(format!(
-            "{input}: {} parity group(s) damaged (data intact — run `pastri scrub --repair`)",
-            report.parity_groups_rebuilt.len()
-        )));
-    }
-    damage_verdict(input, repairable, unrepairable, report.total_blocks, "block")
+/// One integrity pass over an artifact: the classification `verify`
+/// prints and `scrub` prints and heals.
+struct Damage {
+    kind: &'static str,
+    /// `block` or `segment`.
+    unit: &'static str,
+    total: usize,
+    repairable: usize,
+    /// Damaged units beyond the parity budget; a lost stream tail counts
+    /// as one.
+    unrepairable: usize,
+    /// Container parity groups that were damaged while their data is
+    /// intact.
+    parity_groups: usize,
+    tail_lost: bool,
+    /// One report line per damaged unit.
+    lines: Vec<String>,
+    /// The artifact with every repairable unit healed (and unrepairable
+    /// stream segments dropped); only built when healing was asked for
+    /// and something is damaged.
+    healed: Option<Vec<u8>>,
 }
 
-fn verify_stream(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
-    let file = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-    let mut reader = pastri::stream::StreamReader::new(std::io::BufReader::new(file))
-        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-    let mut lines: Vec<String> = Vec::new();
-    let mut repairable = 0usize;
-    let mut unrepairable = 0usize;
-    let mut total = 0usize;
-    let mut tail_lost = false;
-    loop {
-        match reader.next_segment_or_skip() {
-            Ok(Some(seg)) => {
-                total += 1;
-                match (&seg.values, &seg.repair) {
-                    (Ok(_), None) => {}
-                    (Ok(_), Some(_)) => {
-                        repairable += 1;
-                        lines.push(format!(
-                            "  segment {}: damaged, repairable from parity",
-                            seg.index
-                        ));
-                    }
-                    (Err(e), _) => {
-                        unrepairable += 1;
-                        lines.push(format!("  segment {}: {e}", seg.index));
-                    }
-                }
+/// Classifies every block or segment of `input` through the library's
+/// own repair path for its layout. Without `heal`, streams and stores
+/// are scanned without holding the whole file in memory.
+fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
+    let read = || fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")));
+    let found = match sniff(input)? {
+        Artifact::Container => {
+            // The repair report finds *all* on-disk damage (payloads,
+            // framing, and the parity section itself) and says which of
+            // it the parity budget covers.
+            let (repaired, report) = pastri::repair_container(&read()?).map_err(|e| {
+                CliError::corruption(format!("{input}: unrecoverable header damage: {e}"))
+            })?;
+            let mut lines = Vec::new();
+            for b in &report.repaired_blocks {
+                lines.push(format!("  block {b}: damaged, repairable from parity"));
             }
-            Ok(None) => break,
-            Err(e) => {
-                // Framing damage: the rest of the stream is unreadable.
-                unrepairable += 1;
-                lines.push(format!("  segment {total}: framing lost ({e})"));
-                tail_lost = true;
-                break;
+            for b in &report.unrepairable_blocks {
+                lines.push(format!("  block {b}: damaged beyond the parity budget"));
+            }
+            for g in &report.parity_groups_rebuilt {
+                lines.push(format!(
+                    "  parity group {g}: parity section damaged (rebuildable)"
+                ));
+            }
+            Damage {
+                kind: "PaSTRI container",
+                unit: "block",
+                total: report.total_blocks,
+                repairable: report.repaired_blocks.len(),
+                unrepairable: report.unrepairable_blocks.len(),
+                parity_groups: report.parity_groups_rebuilt.len(),
+                tail_lost: false,
+                lines,
+                healed: (heal && report.is_damaged()).then_some(repaired),
             }
         }
-    }
-    writeln!(
-        out,
-        "{input}: PaSTRI stream, {total} segment(s) scanned, {} damaged ({repairable} repairable){}",
-        repairable + unrepairable,
-        if tail_lost { ", tail unreadable" } else { "" }
-    )?;
-    for line in &lines {
-        writeln!(out, "{line}")?;
-    }
-    damage_verdict(
-        input,
-        repairable,
-        unrepairable,
-        total.max(repairable + unrepairable),
-        "segment",
-    )
+        Artifact::Stream => {
+            // Salvage repairs what parity covers and drops the rest; its
+            // report is the classification and its output the heal.
+            let file = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
+            let (mut healed, mut discard) = (Vec::new(), std::io::sink());
+            let sink: &mut dyn Write = if heal { &mut healed } else { &mut discard };
+            let report = pastri::stream::salvage(std::io::BufReader::new(file), sink)
+                .map_err(|e| salvage_failure(input, e))?;
+            let scanned = report.kept + report.dropped.len();
+            let mut lines = Vec::new();
+            for (i, _) in &report.repaired {
+                lines.push(format!("  segment {i}: damaged, repairable from parity"));
+            }
+            for (i, e) in &report.dropped {
+                lines.push(format!(
+                    "  segment {i}: damaged beyond the parity budget ({e})"
+                ));
+            }
+            if report.tail_lost {
+                lines.push(format!(
+                    "  segment {scanned}: framing lost, tail unreadable"
+                ));
+            }
+            let tail = usize::from(report.tail_lost);
+            Damage {
+                kind: "PaSTRI stream",
+                unit: "segment",
+                total: scanned + tail,
+                repairable: report.repaired.len(),
+                unrepairable: report.dropped.len() + tail,
+                parity_groups: 0,
+                tail_lost: report.tail_lost,
+                lines,
+                healed: (heal && !report.is_clean()).then_some(healed),
+            }
+        }
+        Artifact::Store => {
+            let report = eri_store::StoreReader::open(std::path::Path::new(input))
+                .and_then(|mut store| store.scrub())
+                .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
+            let healed = if heal && !report.is_clean() {
+                let mut bytes = read()?;
+                report
+                    .heal(&mut bytes)
+                    .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
+                Some(bytes)
+            } else {
+                None
+            };
+            let lines = (report.damaged.iter())
+                .map(|d| {
+                    let fate = if d.repaired.is_some() {
+                        "repairable from parity"
+                    } else {
+                        "beyond the parity budget"
+                    };
+                    format!(
+                        "  block {} (offset {}): {} — {fate}",
+                        d.block, d.offset, d.error
+                    )
+                })
+                .collect();
+            let repairable = report.repairable();
+            Damage {
+                kind: "ERI store",
+                unit: "block",
+                total: report.blocks,
+                repairable,
+                unrepairable: report.damaged.len() - repairable,
+                parity_groups: 0,
+                tail_lost: false,
+                lines,
+                healed,
+            }
+        }
+    };
+    Ok(found)
 }
 
-fn verify_store(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
-    let mut store = eri_store::StoreReader::open(std::path::Path::new(input))
-        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-    let report = store
-        .verify()
-        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-    // Classify each damaged block: can its container's parity rebuild it?
-    let repairable: std::collections::BTreeSet<usize> = if report.is_clean() {
-        Default::default()
-    } else {
-        let (outcome, _) = store
-            .scrub()
-            .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-        outcome.repaired.into_iter().collect()
-    };
-    writeln!(
-        out,
-        "{input}: ERI store, {} block(s) scanned, {} damaged ({} repairable)",
-        report.blocks,
-        report.damaged.len(),
-        repairable.len(),
-    )?;
-    for d in &report.damaged {
-        let fate = if repairable.contains(&d.block) {
-            "repairable from parity"
-        } else {
-            "beyond the parity budget"
-        };
+impl Damage {
+    fn is_clean(&self) -> bool {
+        self.repairable + self.unrepairable + self.parity_groups == 0
+    }
+
+    /// The summary line, then one line per damaged unit.
+    fn print(&self, input: &str, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
-            "  block {} (offset {}): {} — {fate}",
-            d.block, d.offset, d.error
+            "{input}: {}, {} {}(s) scanned, {} damaged ({} repairable, {} unrepairable){}",
+            self.kind,
+            self.total,
+            self.unit,
+            self.repairable + self.unrepairable,
+            self.repairable,
+            self.unrepairable,
+            if self.tail_lost {
+                ", tail unreadable"
+            } else {
+                ""
+            }
         )?;
+        for line in &self.lines {
+            writeln!(out, "{line}")?;
+        }
+        Ok(())
     }
-    let unrepairable = report.damaged.len() - repairable.len();
-    damage_verdict(input, repairable.len(), unrepairable, report.blocks, "block")
+
+    /// Exit 0 when clean, else exit 2 with what was found: `verify`'s
+    /// verdict, and `scrub`'s without `--repair`.
+    fn verdict(&self, input: &str) -> Result<(), CliError> {
+        let damaged = self.repairable + self.unrepairable;
+        let what = if self.is_clean() {
+            return Ok(());
+        } else if damaged == 0 {
+            // Damage confined to the redundancy itself: the data is
+            // intact, but the file is not the one the writer produced.
+            format!(
+                "{} parity group(s) damaged (data intact — run `pastri scrub --repair`)",
+                self.parity_groups
+            )
+        } else if self.unrepairable == 0 {
+            format!(
+                "{damaged} of {} {}(s) damaged (all repairable — run `pastri scrub --repair`)",
+                self.total, self.unit
+            )
+        } else {
+            format!(
+                "{damaged} of {} {}(s) damaged ({} beyond the parity budget)",
+                self.total, self.unit, self.unrepairable
+            )
+        };
+        Err(CliError::corruption(format!("{input}: {what}")))
+    }
 }
 
 /// `pastri salvage <in.pstrs> <out.pstrs>`: rewrite a damaged stream,
@@ -672,8 +739,8 @@ fn verify_store(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
 /// (temp file, fsync, rename) and always verifies clean; the exit code
 /// reports
 /// what salvage found in the *input* — 0 if no data was lost (repairs
-/// are not losses), 2 if segments were dropped or the tail was
-/// unreadable.
+/// are not losses), 2 if segments were dropped, the tail was
+/// unreadable, or the stream header itself is damaged.
 pub fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "in.pstrs")?;
@@ -683,7 +750,7 @@ pub fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError::new(format!("{output}: {e}")))?;
     let mut sink = std::io::BufWriter::new(outfile);
     let report = pastri::stream::salvage(std::io::BufReader::new(infile), &mut sink)
-        .map_err(|e| CliError::new(format!("salvaging {input}: {e}")))?;
+        .map_err(|e| salvage_failure(input, e))?;
     let outfile = sink
         .into_inner()
         .map_err(|e| CliError::new(format!("{output}: {e}")))?;
@@ -721,13 +788,14 @@ pub fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 /// `pastri scrub <file> [--repair]`: the maintenance half of
 /// self-healing storage. Scans any PaSTRI artifact — container, stream,
-/// or ERI store — and classifies every damaged block/segment as
-/// repairable (its parity budget covers the damage) or not. With
-/// `--repair`, repairable damage is healed *in place*: the fixed file is
-/// rewritten atomically (temp + fsync + rename), byte-identical to what
-/// the writer originally produced. When damage exceeds the parity
-/// budget, the damaged original is preserved at `<file>.quarantine`
-/// before any rewrite, so nothing is destroyed by a best-effort repair.
+/// or ERI store — with the same classifier as `verify`, which marks
+/// every damaged block/segment as repairable (its parity budget covers
+/// the damage) or not. With `--repair`, repairable damage is healed *in
+/// place*: the fixed file is rewritten atomically (temp + fsync +
+/// rename), byte-identical to what the writer originally produced. When
+/// damage exceeds the parity budget, the damaged original is preserved
+/// at `<file>.quarantine` before any rewrite, so nothing is destroyed by
+/// a best-effort repair.
 ///
 /// Exit codes: 0 clean, 0 damage fully repaired in place (with report),
 /// 2 damage present and not (fully) repaired.
@@ -735,25 +803,44 @@ pub fn scrub(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "file")?;
-    let do_repair = args.switch("repair");
-    let bytes = fs::read(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-    let result = if bytes.starts_with(b"ERISTOR") {
-        scrub_store(input, do_repair, out)
-    } else if bytes.starts_with(b"PSTRS") {
-        scrub_stream(input, &bytes, do_repair, out)
-    } else if bytes.starts_with(b"PSTR") {
-        scrub_container(input, &bytes, do_repair, out)
-    } else {
-        Err(CliError::new(format!(
-            "{input}: not a PaSTRI container, stream, or store (unknown magic)"
-        )))
-    };
+    let result = damage(input, args.switch("repair")).and_then(|found| heal(input, &found, out));
     // Telemetry is exported even when the scrub found damage: the
     // capture of a failing run is exactly what a postmortem wants.
     if let Some(t) = telem {
         t.finish(out)?;
     }
     result
+}
+
+/// Prints a scrub classification and writes its healed bytes, if any,
+/// back in place.
+fn heal(input: &str, found: &Damage, out: &mut dyn Write) -> Result<(), CliError> {
+    found.print(input, out)?;
+    if found.is_clean() {
+        writeln!(out, "{input}: clean")?;
+        return Ok(());
+    }
+    let Some(healed) = &found.healed else {
+        return found.verdict(input);
+    };
+    if found.unrepairable == 0 {
+        rewrite_atomic(input, healed)?;
+        writeln!(
+            out,
+            "{input}: repaired in place ({} {}(s) rebuilt from parity, {} parity group(s) regenerated)",
+            found.repairable, found.unit, found.parity_groups
+        )?;
+        return Ok(());
+    }
+    // Partial repair: heal what the parity covers, but keep the damaged
+    // original quarantined and report failure.
+    let original = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
+    quarantine(input, &original, out)?;
+    rewrite_atomic(input, healed)?;
+    Err(CliError::corruption(format!(
+        "{input}: {} {}(s) damaged beyond the parity budget",
+        found.unrepairable, found.unit
+    )))
 }
 
 /// Atomically replaces `path` with `bytes` (temp + fsync + rename).
@@ -775,155 +862,6 @@ fn quarantine(path: &str, bytes: &[u8], out: &mut dyn Write) -> Result<(), CliEr
     telemetry::event("scrub.quarantine");
     writeln!(out, "  damaged original preserved at {qpath}")?;
     Ok(())
-}
-
-fn scrub_container(
-    input: &str,
-    bytes: &[u8],
-    do_repair: bool,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let (repaired_bytes, report) = pastri::repair_container(bytes)
-        .map_err(|e| CliError::corruption(format!("{input}: unrecoverable header damage: {e}")))?;
-    if report.is_clean() {
-        writeln!(out, "{input}: clean ({} blocks)", report.total_blocks)?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "{input}: PaSTRI container, {} blocks — {} repairable, {} unrepairable, {} parity group(s) to rebuild",
-        report.total_blocks,
-        report.repaired_blocks.len(),
-        report.unrepairable_blocks.len(),
-        report.parity_groups_rebuilt.len(),
-    )?;
-    if !do_repair {
-        return Err(CliError::corruption(format!(
-            "{input}: damage found (re-run with --repair to heal in place)"
-        )));
-    }
-    if report.is_fully_repaired() {
-        rewrite_atomic(input, &repaired_bytes)?;
-        writeln!(
-            out,
-            "{input}: repaired in place ({} block(s) rebuilt, {} parity group(s) regenerated)",
-            report.repaired_blocks.len(),
-            report.parity_groups_rebuilt.len()
-        )?;
-        return Ok(());
-    }
-    // Partial repair: heal what the parity covers, but keep the damaged
-    // original quarantined and report failure.
-    quarantine(input, bytes, out)?;
-    rewrite_atomic(input, &repaired_bytes)?;
-    Err(CliError::corruption(format!(
-        "{input}: {} block(s) damaged beyond the parity budget",
-        report.unrepairable_blocks.len()
-    )))
-}
-
-fn scrub_stream(
-    input: &str,
-    bytes: &[u8],
-    do_repair: bool,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    // Salvage into memory: that *is* the scrub — it repairs what parity
-    // covers and drops the rest, and its report is the classification.
-    let mut healed = Vec::with_capacity(bytes.len());
-    let report = pastri::stream::salvage(bytes, &mut healed)
-        .map_err(|e| CliError::new(format!("scrubbing {input}: {e}")))?;
-    if report.is_clean() {
-        writeln!(out, "{input}: clean ({} segments)", report.kept)?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "{input}: PaSTRI stream — {} kept, {} repairable, {} beyond repair{}",
-        report.kept,
-        report.repaired.len(),
-        report.dropped.len(),
-        if report.tail_lost { ", tail unreadable" } else { "" }
-    )?;
-    if !do_repair {
-        return Err(CliError::corruption(format!(
-            "{input}: damage found (re-run with --repair to heal in place)"
-        )));
-    }
-    if report.is_lossless() {
-        rewrite_atomic(input, &healed)?;
-        writeln!(
-            out,
-            "{input}: repaired in place ({} segment(s) rebuilt from parity)",
-            report.repaired.len()
-        )?;
-        return Ok(());
-    }
-    quarantine(input, bytes, out)?;
-    rewrite_atomic(input, &healed)?;
-    Err(CliError::corruption(format!(
-        "{input}: {} segment(s) dropped{}",
-        report.dropped.len(),
-        if report.tail_lost { " and the tail was unreadable" } else { "" }
-    )))
-}
-
-fn scrub_store(input: &str, do_repair: bool, out: &mut dyn Write) -> Result<(), CliError> {
-    let path = std::path::Path::new(input);
-    let mut store = eri_store::StoreReader::open(path)
-        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-    let (outcome, patches) = store
-        .scrub()
-        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-    if outcome.is_clean() {
-        writeln!(out, "{input}: clean ({} blocks)", outcome.blocks)?;
-        return Ok(());
-    }
-    writeln!(
-        out,
-        "{input}: ERI store, {} blocks — {} repairable, {} unrepairable",
-        outcome.blocks,
-        outcome.repaired.len(),
-        outcome.unrepairable.len(),
-    )?;
-    for b in &outcome.unrepairable {
-        writeln!(out, "  block {b}: damaged beyond the parity budget")?;
-    }
-    if !do_repair {
-        return Err(CliError::corruption(format!(
-            "{input}: damage found (re-run with --repair to heal in place)"
-        )));
-    }
-    // Splice the certified patches into a copy and atomically swap it
-    // in. Each patch is byte-identical to the originally-written block
-    // (the index CRC vouches), so repaired stores verify clean.
-    let original = fs::read(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-    let mut bytes = original.clone();
-    for (offset, patch) in &patches {
-        let start = *offset as usize;
-        let end = start + patch.len();
-        if end > bytes.len() {
-            return Err(CliError::corruption(format!(
-                "{input}: repair patch for offset {offset} falls outside the file"
-            )));
-        }
-        bytes[start..end].copy_from_slice(patch);
-    }
-    if outcome.unrepairable.is_empty() {
-        rewrite_atomic(input, &bytes)?;
-        writeln!(
-            out,
-            "{input}: repaired in place ({} block(s) rebuilt from parity)",
-            outcome.repaired.len()
-        )?;
-        return Ok(());
-    }
-    quarantine(input, &original, out)?;
-    rewrite_atomic(input, &bytes)?;
-    Err(CliError::corruption(format!(
-        "{input}: {} block(s) damaged beyond the parity budget",
-        outcome.unrepairable.len()
-    )))
 }
 
 /// `pastri gen <out.f64> --molecule benzene --config (dd|dd) ...`.
@@ -2076,37 +2014,6 @@ mod tests {
     }
 
     #[test]
-    fn exit_codes_follow_the_documented_contract() {
-        let dir = tmpdir();
-        // Missing file: I/O error, code 1.
-        let missing = dir.join("nope.pstrs").to_string_lossy().into_owned();
-        let err = verify(&sv(&[&missing]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 1);
-        // Unknown magic: usage/format error, code 1 (not corruption —
-        // the file was never claimed to be a PaSTRI artifact).
-        let junk = dir.join("junk2.bin").to_string_lossy().into_owned();
-        fs::write(&junk, b"something else entirely").unwrap();
-        let err = verify(&sv(&[&junk]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 1);
-        // Damage in a recognized container: code 2.
-        let raw = dir.join("ec.f64").to_string_lossy().into_owned();
-        let comp = dir.join("ec.pastri").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "4", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
-        let mut bytes = fs::read(&comp).unwrap();
-        let last = bytes.len() - 9;
-        bytes[last] ^= 0x01;
-        fs::write(&comp, &bytes).unwrap();
-        let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 2);
-    }
-
-    #[test]
     fn compressed_store_serves_what_the_container_decompresses() {
         let dir = tmpdir();
         let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
@@ -2212,6 +2119,7 @@ mod tests {
         fs::write(&comp, &bytes).unwrap();
         let mut report = Vec::new();
         let err = verify(&sv(&[&comp]), &mut report).unwrap_err();
+        assert_eq!(err.code, 2);
         assert!(err.message.contains("damaged"), "{}", err.message);
         let text = String::from_utf8(report).unwrap();
         assert!(text.contains("block"), "{text}");

@@ -43,8 +43,8 @@ use std::fmt;
 /// * `1` — I/O or usage error (missing file, bad flag, unknown format)
 /// * `2` — corruption found in a recognized PaSTRI artifact
 ///   (`verify`/`decompress`/`inspect` hit damage, `scrub` could not
-///   fully repair, `salvage` had to drop segments, or `soak` lost data /
-///   violated an SLO gate)
+///   fully repair, `salvage` had to drop segments or met a damaged
+///   stream header, or `soak` lost data / violated an SLO gate)
 #[derive(Debug)]
 pub struct CliError {
     pub message: String,
@@ -256,7 +256,8 @@ EXIT CODES:
   1  I/O or usage error (missing file, bad flag, unknown format)
   2  corruption found (verify found damage; decompress hit damage in a
      recognized artifact; scrub could not fully repair, or found damage
-     without --repair; salvage dropped data; soak lost data or violated
+     without --repair; salvage dropped data or met a damaged stream
+     header; soak lost data or violated
      an SLO gate; serve hit a block beyond the parity
      budget; fetch saw corrupt frames or blocks past the retry budget)"
 }

@@ -147,6 +147,10 @@ fn exit_codes_follow_the_documented_contract() {
     fs::write(&damaged_stream, &bytes).unwrap();
     let truncated_stream = p(&dir, "truncated.pstrs");
     fs::write(&truncated_stream, &stream_bytes[..stream_bytes.len() - 12]).unwrap();
+    // A stream whose header names an unknown version: damage in a
+    // recognized artifact, so every integrity command exits 2.
+    let bad_version_stream = p(&dir, "bad-version.pstrs");
+    fs::write(&bad_version_stream, b"PSTRS\x09\x00").unwrap();
 
     // Not-a-PaSTRI-artifact input (unknown magic) and a raw file whose
     // length is not a multiple of 8 (invalid f64 input).
@@ -273,6 +277,11 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["verify", &damaged_stream]),
             want: 2,
         },
+        Case {
+            label: "verify stream bad version",
+            argv: sv(&["verify", &bad_version_stream]),
+            want: 2,
+        },
         // inspect: clean / header damage / not a container / a stream.
         Case {
             label: "inspect clean container",
@@ -310,6 +319,16 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["salvage", &truncated_stream, &p(&dir, "cut.pstrs")]),
             want: 2,
         },
+        Case {
+            label: "salvage stream bad version",
+            argv: sv(&["salvage", &bad_version_stream, &p(&dir, "bv.pstrs")]),
+            want: 2,
+        },
+        Case {
+            label: "salvage container",
+            argv: sv(&["salvage", &container, &p(&dir, "not-a-stream.pstrs")]),
+            want: 1,
+        },
         // scrub: clean / missing / damage without --repair.
         Case {
             label: "scrub clean container",
@@ -324,6 +343,11 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "scrub damaged stream detect-only",
             argv: sv(&["scrub", &damaged_stream]),
+            want: 2,
+        },
+        Case {
+            label: "scrub stream bad version",
+            argv: sv(&["scrub", &bad_version_stream]),
             want: 2,
         },
         // soak: clean storm / un-creatable store dir / impossible gate.
@@ -374,6 +398,28 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["serve", &shredded_store]),
             want: 2,
         },
+        // verify / scrub on a store: clean / shredded beyond the parity
+        // budget, detect-only and with --repair (which quarantines).
+        Case {
+            label: "verify clean store",
+            argv: sv(&["verify", &clean_store]),
+            want: 0,
+        },
+        Case {
+            label: "verify shredded store",
+            argv: sv(&["verify", &shredded_store]),
+            want: 2,
+        },
+        Case {
+            label: "scrub shredded store detect-only",
+            argv: sv(&["scrub", &shredded_store]),
+            want: 2,
+        },
+        Case {
+            label: "scrub --repair shredded store",
+            argv: sv(&["scrub", &shredded_store, "--repair"]),
+            want: 2,
+        },
         // usage errors.
         Case {
             label: "unknown subcommand",
@@ -401,6 +447,10 @@ fn exit_codes_follow_the_documented_contract() {
         failures.is_empty(),
         "exit-code contract violations:\n{}",
         failures.join("\n")
+    );
+    assert!(
+        Path::new(&format!("{shredded_store}.quarantine")).exists(),
+        "scrub --repair must quarantine a store it cannot fully heal"
     );
 }
 

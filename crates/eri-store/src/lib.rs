@@ -25,7 +25,7 @@
 //! ```
 //!
 //! The per-entry `payload_crc32` covers the block's container
-//! bytes as written, so [`StoreReader::verify`] can certify the whole
+//! bytes as written, so [`StoreReader::scrub`] can certify the whole
 //! store — and [`StoreReader::read_block`] can pin damage to one block —
 //! without decompressing anything.
 //!
@@ -606,7 +606,7 @@ struct IndexEntry {
     crc: u32,
 }
 
-/// One damaged block found by [`StoreReader::verify`].
+/// One damaged block found by [`StoreReader::scrub`].
 #[derive(Debug)]
 pub struct BlockDamage {
     /// Zero-based block index.
@@ -615,22 +615,57 @@ pub struct BlockDamage {
     pub offset: u64,
     /// What was wrong with it.
     pub error: StoreError,
+    /// The container rebuilt from its own parity section, certified
+    /// byte-identical to what the writer stored by the index CRC;
+    /// `None` when the damage exceeds the parity budget.
+    pub repaired: Option<Vec<u8>>,
 }
 
-/// Result of a full-store scan.
+/// Result of a full-store [`StoreReader::scrub`] scan.
 #[derive(Debug)]
-pub struct VerifyReport {
+pub struct ScrubReport {
     /// Blocks scanned (the store's block count).
     pub blocks: usize,
     /// Every block that failed verification.
     pub damaged: Vec<BlockDamage>,
 }
 
-impl VerifyReport {
+impl ScrubReport {
     /// Did every block verify?
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.damaged.is_empty()
+    }
+
+    /// Damaged blocks whose containers rebuilt byte-identical.
+    #[must_use]
+    pub fn repairable(&self) -> usize {
+        self.damaged.iter().filter(|d| d.repaired.is_some()).count()
+    }
+
+    /// Splices every rebuilt container into `bytes`, the scanned store
+    /// file's contents. Unrepairable blocks are left as they are.
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] if a rebuilt container would not fit
+    /// inside `bytes` (they are not the bytes that were scanned).
+    pub fn heal(&self, bytes: &mut [u8]) -> Result<(), StoreError> {
+        for d in &self.damaged {
+            let Some(container) = &d.repaired else {
+                continue;
+            };
+            let span = usize::try_from(d.offset)
+                .ok()
+                .and_then(|start| Some(start..start.checked_add(container.len())?))
+                .filter(|span| span.end <= bytes.len())
+                .ok_or(StoreError::Corrupt {
+                    block: Some(d.block),
+                    offset: Some(d.offset),
+                    reason: "repaired block falls outside the file",
+                })?;
+            bytes[span].copy_from_slice(container);
+        }
+        Ok(())
     }
 }
 
@@ -831,80 +866,33 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     /// Scans every block and reports all damage, instead of stopping at
-    /// the first bad block like [`read_all`](Self::read_all).
+    /// the first bad block like [`read_all`](Self::read_all), and tries
+    /// to rebuild each damaged block from its container's parity
+    /// section.
     ///
     /// Blocks are certified by their stored CRC32 — bit-exact payload
     /// bytes are exactly what the writer produced, so decodability
-    /// follows without paying for decompression.
-    pub fn verify(&mut self) -> Result<VerifyReport, StoreError> {
-        let mut report = VerifyReport {
+    /// follows without paying for decompression. A caller heals the
+    /// store by splicing the rebuilt containers into a copy of the file
+    /// ([`ScrubReport::heal`]) and atomically swapping it in.
+    pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
+        let mut report = ScrubReport {
             blocks: self.num_blocks(),
             damaged: Vec::new(),
         };
         for i in 0..self.num_blocks() {
-            let offset = self.index[i].offset;
             match self.read_block_bytes(i) {
                 Ok(_) => {}
                 Err(e @ StoreError::Io(_)) => return Err(e), // the medium, not the data
                 Err(error) => report.damaged.push(BlockDamage {
                     block: i,
-                    offset,
+                    offset: self.index[i].offset,
                     error,
+                    repaired: self.try_repair_block(i),
                 }),
             }
         }
         Ok(report)
-    }
-
-    /// Scrub pass: scans every block like [`verify`](Self::verify), then
-    /// tries to rebuild each damaged one from its container's parity
-    /// section. Returns the classification plus, for every successful
-    /// rebuild, the `(absolute file offset, repaired container bytes)`
-    /// patch — byte-identical to what the writer stored (certified by
-    /// the index CRC), so a caller can splice the patches into a copy of
-    /// the store file and atomically swap it in.
-    pub fn scrub(&mut self) -> Result<(ScrubOutcome, Vec<ScrubPatch>), StoreError> {
-        let report = self.verify()?;
-        let mut outcome = ScrubOutcome {
-            blocks: report.blocks,
-            repaired: Vec::new(),
-            unrepairable: Vec::new(),
-        };
-        let mut patches = Vec::new();
-        for damage in report.damaged {
-            let i = damage.block;
-            match self.try_repair_block(i) {
-                Some(repaired) => {
-                    outcome.repaired.push(i);
-                    patches.push((self.index[i].offset, repaired));
-                }
-                None => outcome.unrepairable.push(i),
-            }
-        }
-        Ok((outcome, patches))
-    }
-}
-
-/// One successful rebuild from a scrub pass: the damaged container's
-/// absolute file offset and its byte-identical replacement.
-pub type ScrubPatch = (u64, Vec<u8>);
-
-/// Classification from a [`StoreReader::scrub`] pass.
-#[derive(Debug)]
-pub struct ScrubOutcome {
-    /// Blocks scanned.
-    pub blocks: usize,
-    /// Damaged blocks whose containers rebuilt byte-identical.
-    pub repaired: Vec<usize>,
-    /// Damaged blocks beyond their parity budget (quarantine these).
-    pub unrepairable: Vec<usize>,
-}
-
-impl ScrubOutcome {
-    /// No damage at all?
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.repaired.is_empty() && self.unrepairable.is_empty()
     }
 }
 
@@ -1034,7 +1022,7 @@ mod tests {
 
         // And the resumed store verifies clean.
         let mut r = StoreReader::open(&path).unwrap();
-        assert!(r.verify().unwrap().is_clean());
+        assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1053,7 +1041,7 @@ mod tests {
             w.append_block(&patterned_block(geom, b)).unwrap();
         }
         assert_eq!(w.finish().unwrap(), 3);
-        assert!(StoreReader::open(&path).unwrap().verify().unwrap().is_clean());
+        assert!(StoreReader::open(&path).unwrap().scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1106,7 +1094,7 @@ mod tests {
         // Full stream.
         let all = r.read_all().unwrap();
         assert_eq!(all.len(), 12 * geom.block_size());
-        assert!(r.verify().unwrap().is_clean());
+        assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1124,7 +1112,7 @@ mod tests {
             r.read_block(0),
             Err(StoreError::OutOfRange { .. })
         ));
-        assert!(r.verify().unwrap().is_clean());
+        assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1210,23 +1198,31 @@ mod tests {
         assert_eq!(r.read_stats().blocks_repaired, 1);
         assert_eq!(r.read_stats().blocks_dropped, 0);
 
-        // verify() still reports the on-disk damage (it certifies bytes,
-        // not serveability)...
-        let report = r.verify().unwrap();
+        // scrub() still reports the on-disk damage (it certifies bytes,
+        // not serveability), classifies it repairable with a rebuilt
+        // container byte-identical to what the writer stored, and heals
+        // the file's bytes back to the clean store.
+        let report = r.scrub().unwrap();
         assert_eq!(report.blocks, 6);
         assert_eq!(report.damaged.len(), 1);
+        assert_eq!(report.repairable(), 1);
         assert_eq!(report.damaged[0].block, 4);
         assert_eq!(report.damaged[0].offset, off);
-        // ...and scrub() classifies it repairable, with a patch that is
-        // byte-identical to what the writer originally stored.
-        let (outcome, patches) = r.scrub().unwrap();
-        assert_eq!(outcome.repaired, vec![4]);
-        assert!(outcome.unrepairable.is_empty());
-        assert_eq!(patches.len(), 1);
-        assert_eq!(patches[0].0, off);
         assert_eq!(
-            patches[0].1,
-            clean_bytes[off as usize..(off + len) as usize].to_vec()
+            report.damaged[0].repaired.as_deref(),
+            Some(&clean_bytes[off as usize..(off + len) as usize])
+        );
+        let mut healed = r.source.into_inner();
+        report.heal(&mut healed).unwrap();
+        assert_eq!(healed, clean_bytes);
+        // A rebuilt container that would not fit the given bytes is
+        // refused, not spliced.
+        let err = report
+            .heal(&mut healed[..(off + len / 2) as usize])
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt { block: Some(4), .. }),
+            "got {err:?}"
         );
     }
 
@@ -1257,10 +1253,11 @@ mod tests {
         assert_eq!(r.read_stats().blocks_dropped, 1);
         assert_eq!(r.read_stats().blocks_repaired, 0);
         // scrub() agrees: damaged, and beyond repair.
-        let (outcome, patches) = r.scrub().unwrap();
-        assert_eq!(outcome.unrepairable, vec![4]);
-        assert!(outcome.repaired.is_empty());
-        assert!(patches.is_empty());
+        let report = r.scrub().unwrap();
+        assert_eq!(report.damaged.len(), 1);
+        assert_eq!(report.damaged[0].block, 4);
+        assert!(report.damaged[0].repaired.is_none());
+        assert_eq!(report.repairable(), 0);
     }
 
     #[test]
@@ -1304,7 +1301,7 @@ mod tests {
         assert_eq!(r.num_blocks(), 8);
         let all = r.read_all().unwrap();
         assert_eq!(all.len(), 8 * geom.block_size());
-        assert!(r.verify().unwrap().is_clean());
+        assert!(r.scrub().unwrap().is_clean());
         assert!(
             r.source.transient_errors_injected() > 0,
             "the fault injector must actually have fired"

@@ -19,9 +19,6 @@
 //! kill point and asserts the durability invariants on what the "dead"
 //! process left behind.
 //!
-//! [`flip_bits`] is the in-memory counterpart for tests that corrupt a
-//! byte buffer directly.
-//!
 //! This crate is test support: production code never depends on it
 //! (repo crates pull it in under `[dev-dependencies]` only), but it is a
 //! normal library so the CLI's self-test and `pfs-sim`'s failure model
@@ -173,45 +170,15 @@ impl<R: Seek> Seek for FaultyReader<R> {
     }
 }
 
-/// Flips `k` distinct bits of `bytes` within byte range
-/// `[from, bytes.len())`, chosen deterministically from `seed`. Returns
-/// the flipped `(byte, bit)` positions. Panics if the range cannot hold
-/// `k` distinct bits.
-pub fn flip_bits(bytes: &mut [u8], from: usize, k: usize, seed: u64) -> Vec<(usize, u8)> {
-    let span = bytes.len().checked_sub(from).expect("range start past end");
-    assert!(k <= span * 8, "cannot flip {k} distinct bits in {span} bytes");
-    let mut flipped = Vec::with_capacity(k);
-    let mut state = seed;
-    while flipped.len() < k {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let h = splitmix64(state);
-        let byte = from + (h as usize) % span;
-        let bit = ((h >> 32) % 8) as u8;
-        if flipped.contains(&(byte, bit)) {
-            continue;
-        }
-        bytes[byte] ^= 1 << bit;
-        flipped.push((byte, bit));
-    }
-    telemetry::counter_add("faults.bit_flips", flipped.len() as u64);
-    flipped
-}
-
 /// Deterministic silent-data-corruption injector: exactly `k` distinct
 /// bit flips at seeded offsets within a fixed byte span `[from, to)`.
 ///
 /// The flip *plan* — which (absolute byte, bit) positions get hit — is a
-/// pure function of `(span, k, seed)`, computed up front with the same
-/// arithmetic as [`flip_bits`]. The plan can then be applied any way a
-/// test needs: to an in-memory buffer ([`apply`](Self::apply)), to a
-/// file on disk in place ([`apply_to_file`](Self::apply_to_file)), or in
-/// flight through [`Read`]/[`Write`] wrappers
-/// ([`reader`](Self::reader) / [`writer`](Self::writer)) — all four
+/// pure function of `(span, k, seed)`, computed up front. The plan can
+/// be applied to an in-memory buffer ([`apply`](Self::apply)) or to a
+/// file on disk in place ([`apply_to_file`](Self::apply_to_file)); both
 /// produce byte-identical corruption, so an SDC scenario reproduces
-/// exactly regardless of how the bytes move. The wrappers compose with
-/// [`FaultyWriter`]/[`CrashBudget`]: wrap a `FaultyWriter` in a
-/// `BitFlipper` writer to model a run that both crashes *and* takes
-/// silent corruption.
+/// exactly regardless of where the bytes live.
 #[derive(Debug, Clone)]
 pub struct BitFlipper {
     /// Planned `(absolute byte offset, bit)` flips, sorted by offset.
@@ -275,108 +242,6 @@ impl BitFlipper {
         }
         self.apply(&mut bytes);
         std::fs::write(path, bytes)
-    }
-
-    /// Wraps a writer: planned flips land on bytes as they stream
-    /// through (offset = count of bytes written so far).
-    pub fn writer<W: Write>(self, inner: W) -> FlippingWriter<W> {
-        FlippingWriter {
-            inner,
-            flipper: self,
-            pos: 0,
-        }
-    }
-
-    /// Wraps a reader: planned flips land on bytes as they are read.
-    pub fn reader<R: Read>(self, inner: R) -> FlippingReader<R> {
-        FlippingReader {
-            inner,
-            flipper: self,
-            pos: 0,
-        }
-    }
-
-    /// Flips the planned bits inside `buf`, which holds the bytes at
-    /// absolute offsets `[pos, pos + buf.len())`.
-    fn apply_window(&self, buf: &mut [u8], pos: u64) {
-        let end = pos + buf.len() as u64;
-        let start = self.plan.partition_point(|&(b, _)| b < pos);
-        let mut landed = 0u64;
-        for &(byte, bit) in &self.plan[start..] {
-            if byte >= end {
-                break;
-            }
-            buf[(byte - pos) as usize] ^= 1 << bit;
-            landed += 1;
-        }
-        if landed > 0 {
-            telemetry::counter_add("faults.bit_flips", landed);
-        }
-    }
-}
-
-/// Write half of [`BitFlipper`]: corrupts planned offsets in flight.
-pub struct FlippingWriter<W> {
-    inner: W,
-    flipper: BitFlipper,
-    pos: u64,
-}
-
-impl<W> FlippingWriter<W> {
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FlippingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut corrupted = buf.to_vec();
-        self.flipper.apply_window(&mut corrupted, self.pos);
-        let n = self.inner.write(&corrupted)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl<W: durable::SyncWrite> durable::SyncWrite for FlippingWriter<W> {
-    fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()
-    }
-}
-
-/// Read half of [`BitFlipper`]: corrupts planned offsets in flight.
-pub struct FlippingReader<R> {
-    inner: R,
-    flipper: BitFlipper,
-    pos: u64,
-}
-
-impl<R> FlippingReader<R> {
-    /// Unwraps the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read> Read for FlippingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.flipper.apply_window(&mut buf[..n], self.pos);
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl<R: Seek> Seek for FlippingReader<R> {
-    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
-        let pos = self.inner.seek(to)?;
-        self.pos = pos;
-        Ok(pos)
     }
 }
 
@@ -806,12 +671,13 @@ mod tests {
 
     #[test]
     fn bit_flipper_every_route_is_identical() {
-        // The same plan applied in memory, through a writer, through a
-        // reader, and to a file must corrupt byte-identically.
+        // The same plan applied in memory and to a file must corrupt
+        // byte-identically, and only at or past the span start.
         let clean = data(2048);
         let flipper = BitFlipper::new(64, 2048, 12, 0xfeed);
         assert_eq!(flipper.plan().len(), 12);
         assert!(flipper.plan().windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        assert!(flipper.plan().iter().all(|&(b, _)| b >= 64));
 
         let mut in_memory = clean.clone();
         flipper.apply(&mut in_memory);
@@ -821,19 +687,7 @@ mod tests {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(diff, 12);
-
-        // Writer route, in awkward chunk sizes.
-        let mut w = flipper.clone().writer(Vec::new());
-        for chunk in clean.chunks(37) {
-            w.write_all(chunk).unwrap();
-        }
-        assert_eq!(w.into_inner(), in_memory);
-
-        // Reader route.
-        let mut r = flipper.clone().reader(Cursor::new(clean.clone()));
-        let mut via_reader = Vec::new();
-        r.read_to_end(&mut via_reader).unwrap();
-        assert_eq!(via_reader, in_memory);
+        assert_eq!(in_memory[..64], clean[..64]);
 
         // File route.
         let path = std::env::temp_dir().join(format!("bitflip-{}", std::process::id()));
@@ -846,68 +700,5 @@ mod tests {
         // → different plan.
         assert_eq!(BitFlipper::new(64, 2048, 12, 0xfeed).plan(), flipper.plan());
         assert_ne!(BitFlipper::new(64, 2048, 12, 0xbeef).plan(), flipper.plan());
-    }
-
-    #[test]
-    fn bit_flipper_seek_keeps_offsets_absolute() {
-        let clean = data(1024);
-        let flipper = BitFlipper::new(0, 1024, 9, 3);
-        let mut expect = clean.clone();
-        flipper.apply(&mut expect);
-
-        let mut r = flipper.reader(Cursor::new(clean));
-        let mut second = vec![0u8; 512];
-        r.seek(SeekFrom::Start(512)).unwrap();
-        r.read_exact(&mut second).unwrap();
-        let mut first = vec![0u8; 512];
-        r.seek(SeekFrom::Start(0)).unwrap();
-        r.read_exact(&mut first).unwrap();
-        first.extend_from_slice(&second);
-        assert_eq!(first, expect, "flips must track absolute offsets across seeks");
-    }
-
-    #[test]
-    fn bit_flipper_composes_with_crash_budget() {
-        // SDC + crash in one run: the flipper corrupts in flight, the
-        // budget kills the process partway. Bytes that land before the
-        // kill carry the planned flips; nothing lands after.
-        let budget = CrashBudget::new(300);
-        let faulty = FaultyWriter::new(
-            Vec::new(),
-            1,
-            WriteFaultConfig {
-                kill_after: Some(budget),
-                torn_kill: true,
-                ..Default::default()
-            },
-        );
-        let flipper = BitFlipper::new(0, 1000, 20, 55);
-        let mut w = flipper.clone().writer(faulty);
-        let err = w.write_all(&data(1000)).unwrap_err();
-        assert!(is_injected_crash(&err));
-        let landed = w.into_inner().into_inner();
-        assert_eq!(landed.len(), 300);
-        let mut expect = data(1000);
-        flipper.apply(&mut expect);
-        assert_eq!(landed, expect[..300].to_vec());
-    }
-
-    #[test]
-    fn flip_bits_flips_exactly_k_distinct() {
-        let mut buf = data(512);
-        let clean = buf.clone();
-        let flipped = flip_bits(&mut buf, 100, 8, 77);
-        assert_eq!(flipped.len(), 8);
-        let diff_bits: u32 = buf
-            .iter()
-            .zip(&clean)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff_bits, 8);
-        assert!(flipped.iter().all(|&(b, _)| b >= 100));
-        // Deterministic.
-        let mut again = clean.clone();
-        assert_eq!(flip_bits(&mut again, 100, 8, 77), flipped);
-        assert_eq!(again, buf);
     }
 }

@@ -697,12 +697,12 @@ fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
     let bytes = std::fs::read(&ctx.path)?;
     let mut r = StoreReader::from_source(std::io::Cursor::new(&bytes[..]), RetryPolicy::none())
         .map_err(store_io)?;
-    let (outcome, patches) = r.scrub().map_err(store_io)?;
-    let newly_lost: Vec<usize> = outcome
-        .unrepairable
+    let report = r.scrub().map_err(store_io)?;
+    let newly_lost: Vec<usize> = report
+        .damaged
         .iter()
-        .copied()
-        .filter(|b| !ctx.ledger.contains(b))
+        .filter(|d| d.repaired.is_none() && !ctx.ledger.contains(&d.block))
+        .map(|d| d.block)
         .collect();
     if !newly_lost.is_empty() {
         // Evidence first: preserve the damaged original before any
@@ -714,14 +714,12 @@ fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
             ctx.ledger.insert(b);
         }
     }
-    if !patches.is_empty() {
+    let repaired = report.repairable();
+    if repaired > 0 {
         let mut healed = bytes;
-        for (offset, replacement) in &patches {
-            let start = *offset as usize;
-            healed[start..start + replacement.len()].copy_from_slice(replacement);
-        }
+        report.heal(&mut healed).map_err(store_io)?;
         atomic_write(&ctx.path, &healed)?;
-        ctx.tallies.scrub_repaired += patches.len() as u64;
+        ctx.tallies.scrub_repaired += repaired as u64;
         // Flips already applied on top of now-healed bytes are gone;
         // nothing else to do — the splice is certified byte-identical.
     }

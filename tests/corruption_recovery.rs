@@ -74,7 +74,7 @@ fn golden_v1_damage_never_panics() {
     let clean = golden("v1_container.pastri");
     for seed in 0..64u64 {
         let mut bytes = clean.clone();
-        faults::flip_bits(&mut bytes, 4, 3, seed);
+        faults::BitFlipper::new(4, bytes.len() as u64, 3, seed).apply(&mut bytes);
         let _ = pastri::decompress(&bytes);
         let _ = pastri::decompress_lossy(&bytes);
         let _ = pastri::inspect(&bytes);
@@ -261,7 +261,7 @@ proptest! {
         let clean = decode_all_segments(&bytes);
 
         let (start, end) = ranges[target];
-        faults::flip_bits(&mut bytes[start..end], 0, k, seed);
+        faults::BitFlipper::new(start as u64, end as u64, k, seed).apply(&mut bytes);
 
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         let mut seen = vec![false; segments];
@@ -294,7 +294,7 @@ proptest! {
         let clean = decode_all_segments(&bytes);
 
         let (start, end) = ranges[target];
-        faults::flip_bits(&mut bytes[start..end], 0, k, seed);
+        faults::BitFlipper::new(start as u64, end as u64, k, seed).apply(&mut bytes);
 
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         let mut seen = vec![false; segments];

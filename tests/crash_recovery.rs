@@ -443,7 +443,7 @@ fn store_crash_states_resume_byte_identical() {
             assert!(!journal_path(&path).exists());
             let mut r = StoreReader::open(&path).unwrap();
             assert_eq!(r.num_blocks(), blocks);
-            assert!(r.verify().unwrap().damaged.is_empty());
+            assert!(r.scrub().unwrap().is_clean());
             let _ = std::fs::remove_file(&path);
         }
     }

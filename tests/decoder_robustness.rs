@@ -109,7 +109,7 @@ proptest! {
             cursor,
             eri_store::RetryPolicy::none(),
         ) {
-            let _ = store.verify();
+            let _ = store.scrub();
         }
     }
 
