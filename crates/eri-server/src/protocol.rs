@@ -62,8 +62,6 @@
 
 use std::io::{self, Read, Write};
 
-use checksum::crc32;
-
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
 pub const MAGIC: [u8; 4] = *b"PTRF";
 /// Protocol version spoken by this build; carried in `Hello`.
@@ -388,22 +386,24 @@ impl FrameHeader {
 
 /// Encodes `msg` as one complete frame (header + payload + CRC).
 /// A payload past [`MAX_FRAME_PAYLOAD`] is a real
-/// [`FrameError::TooLarge`] — enforced here, at encode time, so an
-/// oversized message is never put on the wire for the peer to reject
-/// (and the `u32` length field can never silently truncate).
+/// [`FrameError::TooLarge`] — enforced here, at encode time and before
+/// anything is allocated or encoded, so an oversized message is never
+/// put on the wire for the peer to reject (and the `u32` length field
+/// can never silently truncate). The frame is sized first, encoded in
+/// place into one buffer, and CRC'd once.
 pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>, FrameError> {
-    let payload = encode_payload(msg);
-    if payload.len() as u64 > u64::from(MAX_FRAME_PAYLOAD) {
-        return Err(FrameError::TooLarge(u32::try_from(payload.len()).unwrap_or(u32::MAX)));
+    let len = payload_len(msg);
+    if len > MAX_FRAME_PAYLOAD as usize {
+        return Err(FrameError::TooLarge(u32::try_from(len).unwrap_or(u32::MAX)));
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+    let mut out = Vec::with_capacity(HEADER_LEN + len + 4);
     out.extend_from_slice(&MAGIC);
     out.push(msg.kind());
     out.extend_from_slice(&[0, 0, 0]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    encode_payload(msg, &mut out);
+    assert_eq!(out.len(), HEADER_LEN + len, "payload_len disagrees with encode_payload");
+    checksum::append_crc32_of(&mut out);
     Ok(out)
 }
 
@@ -446,8 +446,46 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, FrameError> {
     decode_frame(&header, &body)
 }
 
-fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut p = Vec::new();
+/// Exact encoded payload length of `msg`, computed without encoding.
+fn payload_len(msg: &Message) -> usize {
+    match msg {
+        // version, num_blocks, num_subblocks, subblock_size, error_bound.
+        Message::Hello(_) => 4 + 8 + 4 + 4 + 8,
+        Message::ReadRequest(rq) => READ_REQUEST_OVERHEAD + 8 * rq.ids.len(),
+        Message::ReadResponse(rs) => {
+            READ_RESPONSE_OVERHEAD
+                + rs.blocks
+                    .iter()
+                    .map(|b| {
+                        5 + match b {
+                            WireBlock::Values(v) => 8 * v.len(),
+                            WireBlock::Error { message, .. } => message.len(),
+                        }
+                    })
+                    .sum::<usize>()
+        }
+        Message::StatsRequest | Message::TelemetryRequest => 0,
+        // The twelve `WireStats` counters.
+        Message::StatsResponse(_) => 12 * 8,
+        // request_id, reason, retry_after_ms.
+        Message::Overloaded(_) => 8 + 1 + 4,
+        Message::TelemetryResponse(bytes) => bytes.len(),
+    }
+}
+
+/// Appends `words` as little-endian `u64`s in one bulk run.
+fn put_u64s(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (dst, w) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *dst = w.to_le_bytes();
+    }
+}
+
+/// Appends `msg`'s payload to `p`. Counts and lengths are cast to the
+/// wire's `u32` fields: [`frame_bytes`] has already capped the whole
+/// payload at [`MAX_FRAME_PAYLOAD`], so none of them can truncate.
+fn encode_payload(msg: &Message, p: &mut Vec<u8>) {
     match msg {
         Message::Hello(h) => {
             p.extend_from_slice(&h.version.to_le_bytes());
@@ -462,9 +500,7 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             p.extend_from_slice(&rq.trace_id.to_le_bytes());
             p.extend_from_slice(&rq.span_id.to_le_bytes());
             p.extend_from_slice(&(rq.ids.len() as u32).to_le_bytes());
-            for id in &rq.ids {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
+            put_u64s(p, rq.ids.iter().copied());
         }
         Message::Overloaded(o) => {
             p.extend_from_slice(&o.request_id.to_le_bytes());
@@ -479,9 +515,7 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
                     WireBlock::Values(v) => {
                         p.push(0);
                         p.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        for x in v {
-                            p.extend_from_slice(&x.to_bits().to_le_bytes());
-                        }
+                        put_u64s(p, v.iter().map(|x| x.to_bits()));
                     }
                     WireBlock::Error { kind, message } => {
                         p.push(kind.code());
@@ -515,7 +549,6 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
             }
         }
     }
-    p
 }
 
 /// Bounds-checked little-endian payload cursor. Every read is checked
@@ -553,6 +586,13 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A run of `n` little-endian `u64`s, taken in one bounds check.
+    fn u64s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = u64> + 'a, FrameError> {
+        let bytes = n.checked_mul(8).ok_or(FrameError::Malformed("field past end of payload"))?;
+        let (words, _) = self.take(bytes)?.as_chunks::<8>();
+        Ok(words.iter().map(|w| u64::from_le_bytes(*w)))
+    }
+
     fn done(&self) -> Result<(), FrameError> {
         if self.buf.is_empty() {
             Ok(())
@@ -582,10 +622,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             if count > c.buf.len() / 8 {
                 return Err(FrameError::Malformed("id count past end of payload"));
             }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(c.u64()?);
-            }
+            let ids = c.u64s(count)?.collect();
             Message::ReadRequest(ReadRequest { request_id, budget_ms, trace_id, span_id, ids })
         }
         3 => {
@@ -603,11 +640,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
                     if len > c.buf.len() / 8 {
                         return Err(FrameError::Malformed("value count past end of payload"));
                     }
-                    let mut values = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        values.push(c.f64()?);
-                    }
-                    blocks.push(WireBlock::Values(values));
+                    blocks.push(WireBlock::Values(c.u64s(len)?.map(f64::from_bits).collect()));
                 } else {
                     let kind = BlockErrorKind::from_code(status)
                         .ok_or(FrameError::Malformed("unknown block status"))?;
@@ -653,6 +686,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use checksum::crc32;
 
     fn round_trip(msg: &Message) {
         let bytes = frame_bytes(msg).unwrap();
@@ -815,6 +849,142 @@ mod tests {
         }
     }
 
+    /// Two frames past the checksum kernel's 128-byte threshold: a
+    /// 1000-id request and a 16-block `(dd|dd)`-sized response, filled
+    /// with fixed bit patterns.
+    fn large_messages() -> Vec<Message> {
+        let word = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        vec![
+            Message::ReadRequest(ReadRequest {
+                request_id: 1,
+                budget_ms: 2,
+                trace_id: 3,
+                span_id: 4,
+                ids: (0..1000).map(word).collect(),
+            }),
+            Message::ReadResponse(ReadResponse {
+                request_id: 42,
+                blocks: (0..16u64)
+                    .map(|b| {
+                        WireBlock::Values((0..1296).map(|i| f64::from_bits(word(b * 1296 + i))).collect())
+                    })
+                    .collect(),
+            }),
+        ]
+    }
+
+    #[test]
+    fn frames_match_their_pinned_encoding() {
+        // (frame length, trailing CRC field) of every sample frame, as
+        // encoded by the two-pass encoder and the table-only CRC before
+        // frames were sized first and encoded in place. The trailing
+        // field pins every byte before it; the CRC of a *whole* frame is
+        // always the residue 0x2144df1c and pins nothing.
+        let pinned: [(usize, u32); 13] = [
+            (44, 0x1c3c_a417),
+            (80, 0x71fd_696b),
+            (48, 0x7ae0_087c),
+            (104, 0x5a58_5878),
+            (16, 0x1bea_10c7),
+            (112, 0x8c3c_42d4),
+            (29, 0xffdf_e357),
+            (29, 0x55ff_acda),
+            (16, 0x9565_1724),
+            (62, 0x0767_d872),
+            (16, 0x4c45_0588),
+            (8048, 0x7c00_4b11),
+            (165_996, 0xc427_f8c9),
+        ];
+        let msgs: Vec<Message> = sample_messages().into_iter().chain(large_messages()).collect();
+        assert_eq!(msgs.len(), pinned.len());
+        for (msg, &(len, crc)) in msgs.iter().zip(&pinned) {
+            let frame = frame_bytes(msg).unwrap();
+            assert_eq!(frame.len(), len, "{msg:?}");
+            let stored = u32::from_le_bytes(frame[len - 4..].try_into().unwrap());
+            assert_eq!(stored, crc, "frame of {} bytes", len);
+            assert_eq!(crc32(&frame), 0x2144_df1c);
+            assert_eq!(payload_len(msg), len - HEADER_LEN - 4, "size-first length");
+            // Compared as bytes: the large samples carry NaN bit patterns.
+            assert_eq!(frame_bytes(&read_frame(&mut &frame[..]).unwrap()).unwrap(), frame);
+        }
+    }
+
+    #[test]
+    fn spliced_and_inflated_frames_never_panic() {
+        // 256 seeded mutants of valid payloads — two payloads spliced
+        // at seeded cut points (under either kind), count/length fields
+        // inflated, and truncations — each reframed with a correct
+        // header length and CRC so it reaches `decode_payload` and the
+        // bulk value decoder. Every mutant must yield a structured
+        // FrameError or a message that re-encodes to the same bytes.
+        let frames: Vec<(Message, Vec<u8>)> = sample_messages()
+            .into_iter()
+            .chain(large_messages())
+            .map(|m| {
+                let f = frame_bytes(&m).unwrap();
+                (m, f)
+            })
+            .collect();
+        let payload = |f: &[u8]| f[HEADER_LEN..f.len() - 4].to_vec();
+        let reframe = |kind: u8, payload: &[u8]| {
+            let mut f = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+            f.extend_from_slice(&MAGIC);
+            f.extend_from_slice(&[kind, 0, 0, 0]);
+            f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            f.extend_from_slice(payload);
+            f.extend_from_slice(&[0; 4]);
+            recompute_crc(&mut f);
+            f
+        };
+        let mut rng = 0x5eed_u64;
+        let mut next = |n: usize| {
+            rng = durable::retry::splitmix64(rng);
+            (rng % n.max(1) as u64) as usize
+        };
+        let (mut decoded, mut refused) = (0, 0);
+        for i in 0..256 {
+            let (msg_a, a) = &frames[next(frames.len())];
+            let (_, b) = &frames[next(frames.len())];
+            let (pa, pb) = (payload(a), payload(b));
+            let (kind, body) = match i % 3 {
+                0 => {
+                    let mut body = pa[..next(pa.len() + 1)].to_vec();
+                    body.extend_from_slice(&pb[next(pb.len() + 1)..]);
+                    (if next(2) == 0 { a[4] } else { b[4] }, body)
+                }
+                1 => {
+                    let mut body = pa.clone();
+                    let fields: Vec<usize> =
+                        length_fields(msg_a).into_iter().skip(1).map(|off| off - HEADER_LEN).collect();
+                    if !fields.is_empty() {
+                        let off = fields[next(fields.len())];
+                        let stored = u32::from_le_bytes(body[off..off + 4].try_into().unwrap());
+                        let inflated = match next(3) {
+                            0 => stored.saturating_add(1 + next(16) as u32),
+                            1 => stored.saturating_mul(2).max(1),
+                            _ => u32::MAX - next(8) as u32,
+                        };
+                        body[off..off + 4].copy_from_slice(&inflated.to_le_bytes());
+                    }
+                    (a[4], body)
+                }
+                _ => (a[4], pa[..next(pa.len())].to_vec()),
+            };
+            let mutant = reframe(kind, &body);
+            match read_frame(&mut &mutant[..]) {
+                Ok(msg) => {
+                    assert_eq!(frame_bytes(&msg).unwrap(), mutant, "mutant {i} re-encodes differently");
+                    decoded += 1;
+                }
+                Err(e) => {
+                    assert!(matches!(e, FrameError::Malformed(_)), "mutant {i}: {e}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(decoded > 0 && refused > 0, "decoded={decoded} refused={refused}");
+    }
+
     #[test]
     fn truncated_frames_error_cleanly() {
         let msg = Message::Hello(Hello {
@@ -900,6 +1070,16 @@ mod tests {
         let err = write_frame(&mut sink, &msg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(sink.is_empty(), "no bytes written for an oversized frame");
+
+        // One byte over the cap is refused with the exact size, worked
+        // out before any of the payload is encoded.
+        let over = MAX_FRAME_PAYLOAD as usize + 1;
+        let msg = Message::TelemetryResponse(vec![0; over]);
+        assert_eq!(payload_len(&msg), over);
+        assert!(matches!(frame_bytes(&msg).unwrap_err(), FrameError::TooLarge(n) if n as usize == over));
+        // Exactly at the cap still frames.
+        let msg = Message::TelemetryResponse(vec![0; MAX_FRAME_PAYLOAD as usize]);
+        assert_eq!(frame_bytes(&msg).unwrap().len(), HEADER_LEN + MAX_FRAME_PAYLOAD as usize + 4);
     }
 
     #[test]

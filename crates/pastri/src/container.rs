@@ -650,7 +650,7 @@ pub fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), Decompres
     let tree = header.tree;
 
     // Slice out per-block payloads (cheap sequential scan, including CRC
-    // verification at ~1 GB/s), then decode in parallel.
+    // verification), then decode in parallel.
     let mut frames = Vec::with_capacity(header.num_blocks);
     let mut pos = header.blocks_start;
     for b in 0..header.num_blocks {
