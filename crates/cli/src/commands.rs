@@ -1480,25 +1480,31 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         cs.retries, cs.hedges, cs.frame_errors, cs.deadline_exceeded
     )?;
     if args.switch("stats") {
-        let ws = client.server_stats().map_err(client_err)?;
+        // One scrape carries the server's books, its latency histograms
+        // and its journal health. A scrape that fails is a fault, not a
+        // missing feature.
+        let snap = scrape(&mut client, "fetch")?;
+        let c = |name| snap.counter(name);
         writeln!(
             out,
             "  server: {} requests, {} blocks, {} store reads, {} transient retries, \
              {} repaired, cache {}/{} hits",
-            ws.requests,
-            ws.blocks,
-            ws.store_reads,
-            ws.transient_retries,
-            ws.blocks_repaired,
-            ws.cache_hits,
-            ws.cache_hits + ws.cache_misses
+            c("server.requests"),
+            c("server.blocks"),
+            c("server.store_reads"),
+            c("store.transient_retries"),
+            c("store.blocks_repaired"),
+            c("cache.hits"),
+            c("cache.hits") + c("cache.misses")
         )?;
         // Overload counters: shed-at-server vs failed-at-client in
         // one place.
         writeln!(
             out,
             "  server overload: {} admitted, {} shed, {} refused draining",
-            ws.admitted, ws.shed, ws.refused_draining
+            c("server.admitted"),
+            c("server.shed"),
+            c("server.refused_draining")
         )?;
         let cs = client.stats();
         writeln!(
@@ -1513,27 +1519,13 @@ pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             };
             writeln!(out, "  breaker {ep}: {state}")?;
         }
-        // The full snapshot adds what the pre-digested WireStats can't
-        // carry: latency percentiles and journal health. A scrape that
-        // fails is a fault, not a missing feature.
-        let bytes = client.server_telemetry().map_err(client_err)?;
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        let snap = telemetry::export::from_json_lines(&text)
-            .map_err(|e| CliError::new(format!("fetch: telemetry scrape: {e}")))?;
-        let pct = |q| {
-            snap.histograms
-                .iter()
-                .find(|h| h.name == "server.read_us")
-                .and_then(|h| h.percentile_us(q))
-                .unwrap_or(0)
-        };
         let drops: u64 = snap.events_dropped.iter().map(|c| c.value).sum();
         writeln!(
             out,
             "  server telemetry: read p50 {} us, p99 {} us, {} journal event(s), \
              {} journal drop(s)",
-            pct(0.50),
-            pct(0.99),
+            snap_pct(&snap, "server.read_us", 0.50),
+            snap_pct(&snap, "server.read_us", 0.99),
             snap.events.len(),
             drops
         )?;
@@ -1559,6 +1551,17 @@ struct TopMetrics {
     scrapes: u64,
     journal_events: usize,
     journal_drops: u64,
+}
+
+/// One `TelemetryRequest` scrape of a `serve --listen` endpoint, decoded;
+/// `cmd` prefixes the error.
+fn scrape(
+    client: &mut eri_server::RemoteClient,
+    cmd: &str,
+) -> Result<telemetry::Snapshot, CliError> {
+    let bytes = client.server_telemetry().map_err(client_err)?;
+    telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes))
+        .map_err(|e| CliError::new(format!("{cmd}: telemetry scrape: {e}")))
 }
 
 fn snap_gauge(snap: &telemetry::Snapshot, name: &str) -> i64 {
@@ -1698,17 +1701,11 @@ pub fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ..Default::default()
     };
     let mut client = eri_server::RemoteClient::connect(&[ep], cfg).map_err(client_err)?;
-    let scrape = |client: &mut eri_server::RemoteClient| -> Result<telemetry::Snapshot, CliError> {
-        let bytes = client.server_telemetry().map_err(client_err)?;
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        telemetry::export::from_json_lines(&text)
-            .map_err(|e| CliError::new(format!("top: telemetry scrape: {e}")))
-    };
     let mut prev: Option<(std::time::Instant, telemetry::Snapshot)> = None;
     let mut tick = 0usize;
     loop {
         let now = std::time::Instant::now();
-        let snap = scrape(&mut client)?;
+        let snap = scrape(&mut client, "top")?;
         if once || prev.is_some() {
             tick += 1;
             let (dt, prev_snap) = match &prev {

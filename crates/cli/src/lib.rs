@@ -236,9 +236,11 @@ OVERLOAD PROTECTION (DESIGN §14):
   client treats `Overloaded` as a backoff signal (exit 1, distinct from
   frame corruption's exit 2) and runs a per-endpoint circuit breaker
   (open -> half-open probe -> close) that steers hedged failover away
-  from saturated replicas. `fetch --stats` prints both sides: server
-  admitted/shed/refused-draining and client breaker transitions, so
-  shed-at-server is distinguishable from failed-at-client. `pastri soak
+  from saturated replicas. `fetch --stats` prints both sides: the
+  server's books (requests, blocks, store reads, retries, repairs,
+  cache hits, admitted/shed/refused-draining), read from one telemetry
+  scrape, and the client's breaker transitions, so shed-at-server is
+  distinguishable from failed-at-client. `pastri soak
   <dir> --transport --overload` drives a seeded overload storm (forced
   sheds + slow handlers, pure function of --seed) and gates on shed
   rate, queue-wait p99, and breaker-transition counts; the run ends in

@@ -556,21 +556,15 @@ fn transport_exit_codes_follow_the_documented_contract() {
     let server = std::thread::spawn(move || {
         let cfg = eri_server::ServerConfig::default();
         let handle = eri_server::ServerHandle::open(&[&store3], &cfg).unwrap();
-        let opts = eri_server::transport::ServeOptions {
-            inject: Some(std::sync::Arc::new(|_key: u64, _attempt: u32| {
-                eri_server::InjectedLoad {
-                    shed: true,
-                    retry_after: std::time::Duration::from_millis(1),
-                    delay: std::time::Duration::ZERO,
-                }
-            })
-                as std::sync::Arc<dyn eri_server::OverloadInject>),
-            ..Default::default()
-        };
+        let inject = std::sync::Arc::new(|_key: u64, _attempt: u32| eri_server::InjectedLoad {
+            shed: true,
+            retry_after: std::time::Duration::from_millis(1),
+            delay: std::time::Duration::ZERO,
+        });
         let srv = eri_server::TransportServer::bind_with(
             &eri_server::Endpoint::parse("tcp:127.0.0.1:0").unwrap(),
             std::sync::Arc::new(handle),
-            opts,
+            Some(inject),
         )
         .unwrap();
         let eri_server::Endpoint::Tcp(addr) = srv.local_endpoint() else { unreachable!() };
@@ -621,9 +615,9 @@ fn transport_exit_codes_follow_the_documented_contract() {
 
     // A wrong reply to the telemetry scrape: `fetch --stats` must
     // surface the protocol fault as exit 1, not swallow it. The mock
-    // server serves reads and stats correctly but answers
-    // `TelemetryRequest` with a `StatsResponse`.
-    use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock, WireStats};
+    // server serves reads correctly but answers `TelemetryRequest`
+    // with a `Hello`.
+    use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock};
     use std::io::Write as _;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let mock_addr = listener.local_addr().unwrap();
@@ -649,10 +643,9 @@ fn transport_exit_codes_follow_the_documented_contract() {
                         blocks: blocks.collect(),
                     })
                 }
-                Message::StatsRequest => Message::StatsResponse(WireStats::default()),
                 Message::TelemetryRequest => {
                     scrapes += 1;
-                    Message::StatsResponse(WireStats::default())
+                    Message::Hello(hello)
                 }
                 other => panic!("mock server got {other:?}"),
             };
@@ -666,6 +659,49 @@ fn transport_exit_codes_follow_the_documented_contract() {
     ]));
     assert_eq!(wrong_scrape, 1, "a protocol fault in the telemetry scrape is exit 1");
     assert_eq!(server.join().unwrap(), 1, "the scrape was sent once, not retried");
+}
+
+/// `fetch --stats` prints the server's books from a live scrape. The
+/// server is the real `pastri` binary in a child process, so its
+/// telemetry recorder holds only this exchange: one 12-block read, all
+/// misses, nothing shed.
+#[test]
+fn fetch_stats_reports_the_server_books() {
+    use std::io::BufRead as _;
+    let dir = tmpdir("fetch-stats");
+    let store = p(&dir, "books.eristore");
+    build_server_store(&store, 12);
+    let sock = p(&dir, "books.sock");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_pastri"))
+        .args(["serve", &store, "--listen", &format!("unix:{sock}"), "--serve-conns", "1"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The first line is printed once the socket is bound.
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.starts_with("serve: listening on"), "{line:?}");
+
+    let mut out = Vec::new();
+    let fetched = pastri_cli::run(&sv(&["fetch", &format!("unix:{sock}"), "--stats"]), &mut out);
+    if fetched.is_err() {
+        // The server is still waiting for its one connection.
+        let _ = child.kill();
+    }
+    fetched.unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    assert!(
+        lines.contains(
+            &"server: 1 requests, 12 blocks, 12 store reads, 0 transient retries, \
+              0 repaired, cache 0/12 hits"
+        ),
+        "{text}"
+    );
+    assert!(lines.contains(&"server overload: 1 admitted, 0 shed, 0 refused draining"), "{text}");
+    assert!(child.wait().unwrap().success(), "bounded serve --listen is exit 0");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Polls (briefly) until a serve thread has bound its unix socket.

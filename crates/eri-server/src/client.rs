@@ -32,8 +32,7 @@ use durable::retry::RetryPolicy;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState, Transition};
 use crate::protocol::{
-    self, FrameError, Hello, Message, OverloadReason, ReadRequest, WireBlock, WireStats,
-    PROTO_VERSION,
+    self, FrameError, Hello, Message, OverloadReason, ReadRequest, WireBlock, PROTO_VERSION,
 };
 pub use crate::protocol::BlockErrorKind;
 use crate::transport::{Conn, Endpoint};
@@ -41,7 +40,7 @@ use crate::transport::{Conn, Endpoint};
 /// Client tunables.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Whole-call budget for one `read_blocks` / `server_stats`,
+    /// Whole-call budget for one `read_blocks` / `server_telemetry`,
     /// covering every retry, backoff sleep, and reconnect within it.
     pub deadline: Duration,
     /// Budget for one attempt's socket reads/writes (further capped by
@@ -435,14 +434,6 @@ impl RemoteClient {
             .collect()
     }
 
-    /// Fetches the server's serving/retry/repair counters.
-    pub fn server_stats(&mut self) -> Result<WireStats, ClientError> {
-        match self.roundtrip(&mut |_, _| Message::StatsRequest)? {
-            Message::StatsResponse(s) => Ok(s),
-            other => Err(ClientError::Protocol(format!("unexpected reply {:?}", kind_of(&other)))),
-        }
-    }
-
     /// Scrapes the server's full telemetry snapshot — counters, gauges,
     /// complete histograms, and the event journal — as the line-JSON
     /// export bytes ([`telemetry::export::from_json_lines`] decodes
@@ -684,8 +675,6 @@ fn kind_of(msg: &Message) -> &'static str {
         Message::Hello(_) => "Hello",
         Message::ReadRequest(_) => "ReadRequest",
         Message::ReadResponse(_) => "ReadResponse",
-        Message::StatsRequest => "StatsRequest",
-        Message::StatsResponse(_) => "StatsResponse",
         Message::Overloaded(_) => "Overloaded",
         Message::TelemetryRequest => "TelemetryRequest",
         Message::TelemetryResponse(_) => "TelemetryResponse",

@@ -42,7 +42,6 @@
 use std::fs::File;
 use std::io::{Read, Seek};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -168,23 +167,6 @@ struct Shard {
     reader: Mutex<StoreReader<BoxedSource>>,
 }
 
-/// Aggregated serving counters, independent of whether the global
-/// telemetry recorder is enabled. `reads` carries the transient-retry /
-/// repair attribution for the server miss path — the same numbers a
-/// direct `StoreReader` would have accumulated for the same reads (the
-/// differential battery asserts exact parity under injected faults).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Batches served via `read_blocks` / `read_blocks_each`.
-    pub requests: u64,
-    /// Block positions served (hits + misses).
-    pub blocks: u64,
-    /// Blocks that went to a store shard (cache misses, post-dedup).
-    pub store_reads: u64,
-    /// Transient-retry + repair counters summed across shard readers.
-    pub reads: ReadStats,
-}
-
 /// An open server: mounted stores, shard router, and hot-block cache.
 /// All read methods take `&self` and are safe to call from many threads
 /// (tests drive it from rayon workers).
@@ -195,9 +177,6 @@ pub struct ServerHandle {
     error_bound: f64,
     num_blocks: usize,
     stores: usize,
-    served_requests: AtomicU64,
-    served_blocks: AtomicU64,
-    store_reads: AtomicU64,
 }
 
 impl ServerHandle {
@@ -283,9 +262,6 @@ impl ServerHandle {
             error_bound,
             num_blocks: base,
             stores: paths.len(),
-            served_requests: AtomicU64::new(0),
-            served_blocks: AtomicU64::new(0),
-            store_reads: AtomicU64::new(0),
         })
     }
 
@@ -342,19 +318,6 @@ impl ServerHandle {
         total
     }
 
-    /// Serving counters plus the aggregated shard [`ReadStats`] — the
-    /// numbers `pastri serve` prints and the wire `StatsResponse`
-    /// carries, live whether or not telemetry is enabled.
-    #[must_use]
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            requests: self.served_requests.load(Ordering::Relaxed),
-            blocks: self.served_blocks.load(Ordering::Relaxed),
-            store_reads: self.store_reads.load(Ordering::Relaxed),
-            reads: self.read_stats(),
-        }
-    }
-
     /// Shard index serving global block `id` (ids are contiguous per
     /// shard, in order, so this is a binary search).
     fn shard_of_block(&self, id: usize) -> usize {
@@ -374,7 +337,6 @@ impl ServerHandle {
     /// per-block error frame, not a connection reset.
     pub fn read_blocks_each(&self, ids: &[usize]) -> Vec<Result<Arc<Vec<f64>>, ServerError>> {
         telemetry::counter_add("server.requests", 1);
-        self.served_requests.fetch_add(1, Ordering::Relaxed);
         let _batch = telemetry::span("server.batch");
         let mut out: Vec<Option<Result<Arc<Vec<f64>>, ServerError>>> =
             (0..ids.len()).map(|_| None).collect();
@@ -409,7 +371,6 @@ impl ServerHandle {
             }
         }
         telemetry::counter_add("server.blocks", ids.len() as u64);
-        self.served_blocks.fetch_add(ids.len() as u64, Ordering::Relaxed);
         out.into_iter().map(|b| b.expect("every position filled")).collect()
     }
 
@@ -454,7 +415,6 @@ impl ServerHandle {
         telemetry::observe_us("server.miss_us", us);
         telemetry::observe_us("server.read_us", us);
         telemetry::counter_add("server.store_reads", 1);
-        self.store_reads.fetch_add(1, Ordering::Relaxed);
         let block = Arc::new(values);
         self.cache.insert(id as u64, Arc::clone(&block));
         Ok(block)

@@ -7,8 +7,8 @@
 //! offset  size  field
 //! 0       4     magic "PTRF"
 //! 4       1     kind (1=Hello 2=ReadRequest 3=ReadResponse
-//!                     4=StatsRequest 5=StatsResponse 6=Overloaded
-//!                     7=TelemetryRequest 8=TelemetryResponse)
+//!                     6=Overloaded 7=TelemetryRequest
+//!                     8=TelemetryResponse; 4 and 5 are retired)
 //! 5       3     reserved, must be zero
 //! 8       4     payload length, u32 LE (hard cap 64 MiB)
 //! 12      N     payload (kind-specific, little-endian fixed-width)
@@ -44,8 +44,6 @@
 //!   or an error code followed by `msg_len u32` + UTF-8 message. A bad
 //!   block degrades to its own status byte; the other blocks in the
 //!   response are unaffected.
-//! * `StatsRequest`: empty. `StatsResponse`: the twelve [`WireStats`]
-//!   fields in declaration order, each `u64`.
 //! * `Overloaded`: the server shed a request instead of serving it —
 //!   `request_id u64`, `reason u8` (0 = shed under load, 1 = draining),
 //!   `retry_after_ms u32` (backoff hint).
@@ -54,7 +52,8 @@
 //!   histograms, journal events — as the line-JSON bytes produced by
 //!   `telemetry::export::json_lines` (opaque at this layer; the frame
 //!   carries raw bytes). Scrapes are admitted at priority 1 so `pastri
-//!   top` keeps working while the server sheds load.
+//!   top` keeps working while the server sheds load. The scrape is
+//!   the one remote view of a server's counters.
 //!
 //! **One version.** The server always speaks first with a `Hello`
 //! carrying [`PROTO_VERSION`]; a client refuses any other version
@@ -81,20 +80,32 @@ const READ_RESPONSE_OVERHEAD: usize = 12;
 /// trace id (8) + span id (8) + count (4).
 const READ_REQUEST_OVERHEAD: usize = 32;
 
+/// Worst-case `ReadResponse` payload bytes for `ids` blocks of
+/// `values_per_block` f64 values: the fixed overhead plus, per slot,
+/// the larger of full values (1 + 4 + 8·values) or a clamped error
+/// message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The one formula
+/// behind both the batch cap ([`max_ids_per_read`]) and the server's
+/// admission byte budget. Saturates rather than overflowing.
+#[must_use]
+pub fn max_read_response_len(ids: usize, values_per_block: usize) -> usize {
+    let per_slot =
+        8usize.saturating_mul(values_per_block).max(MAX_BLOCK_ERROR_MESSAGE).saturating_add(5);
+    READ_RESPONSE_OVERHEAD.saturating_add(ids.saturating_mul(per_slot))
+}
+
 /// How many block ids one `ReadRequest`/`ReadResponse` exchange can
 /// carry under `payload_cap` bytes of frame payload, for blocks of
 /// `values_per_block` f64 values. Sized for the worst case on both
-/// sides of the wire: 8 bytes per id in the request, and per response
-/// slot the larger of full values (1 + 4 + 8·values) or a clamped
-/// error message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The client
-/// chunks its id lists with this and the server rejects batches past
-/// it, so neither side can be asked to encode a frame the other would
-/// refuse as [`FrameError::TooLarge`]. Returns 0 when even a single
-/// block cannot fit — callers must surface that as a config error.
+/// sides of the wire: 8 bytes per id in the request, and
+/// [`max_read_response_len`] in the response. The client chunks its
+/// id lists with this and the server rejects batches past it, so
+/// neither side can be asked to encode a frame the other would refuse
+/// as [`FrameError::TooLarge`]. Returns 0 when even a single block
+/// cannot fit — callers must surface that as a config error.
 #[must_use]
 pub fn max_ids_per_read(values_per_block: usize, payload_cap: usize) -> usize {
     let cap = payload_cap.min(MAX_FRAME_PAYLOAD as usize);
-    let per_slot = 5 + 8usize.saturating_mul(values_per_block).max(MAX_BLOCK_ERROR_MESSAGE);
+    let per_slot = max_read_response_len(1, values_per_block) - READ_RESPONSE_OVERHEAD;
     let by_response = cap.saturating_sub(READ_RESPONSE_OVERHEAD) / per_slot;
     let by_request = cap.saturating_sub(READ_REQUEST_OVERHEAD) / 8;
     by_response.min(by_request)
@@ -300,37 +311,12 @@ pub struct ReadResponse {
     pub blocks: Vec<WireBlock>,
 }
 
-/// Serving counters over the wire — the transport projection of
-/// `ServerStats` (plus cache hit/miss), so a remote client can assert
-/// the same retry/repair attribution an in-process caller reads from
-/// `ServerHandle::stats` — plus the admission-control counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    pub requests: u64,
-    pub blocks: u64,
-    pub store_reads: u64,
-    pub transient_retries: u64,
-    pub backoff_us: u64,
-    pub blocks_repaired: u64,
-    pub blocks_dropped: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Requests shed by admission control.
-    pub shed: u64,
-    /// Requests refused because the server was draining.
-    pub refused_draining: u64,
-    /// Requests admitted past admission control.
-    pub admitted: u64,
-}
-
 /// Every message the protocol can carry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     Hello(Hello),
     ReadRequest(ReadRequest),
     ReadResponse(ReadResponse),
-    StatsRequest,
-    StatsResponse(WireStats),
     Overloaded(Overloaded),
     TelemetryRequest,
     /// Raw `telemetry::export::json_lines` bytes — opaque at this
@@ -344,8 +330,6 @@ impl Message {
             Message::Hello(_) => 1,
             Message::ReadRequest(_) => 2,
             Message::ReadResponse(_) => 3,
-            Message::StatsRequest => 4,
-            Message::StatsResponse(_) => 5,
             Message::Overloaded(_) => 6,
             Message::TelemetryRequest => 7,
             Message::TelemetryResponse(_) => 8,
@@ -370,7 +354,7 @@ impl FrameHeader {
             return Err(FrameError::BadMagic([raw[0], raw[1], raw[2], raw[3]]));
         }
         let kind = raw[4];
-        if !(1..=8).contains(&kind) {
+        if !matches!(kind, 1..=3 | 6..=8) {
             return Err(FrameError::UnknownKind(kind));
         }
         if raw[5..8] != [0, 0, 0] {
@@ -464,9 +448,7 @@ fn payload_len(msg: &Message) -> usize {
                     })
                     .sum::<usize>()
         }
-        Message::StatsRequest | Message::TelemetryRequest => 0,
-        // The twelve `WireStats` counters.
-        Message::StatsResponse(_) => 12 * 8,
+        Message::TelemetryRequest => 0,
         // request_id, reason, retry_after_ms.
         Message::Overloaded(_) => 8 + 1 + 4,
         Message::TelemetryResponse(bytes) => bytes.len(),
@@ -529,25 +511,7 @@ fn encode_payload(msg: &Message, p: &mut Vec<u8>) {
         Message::TelemetryResponse(bytes) => {
             p.extend_from_slice(bytes);
         }
-        Message::StatsRequest | Message::TelemetryRequest => {}
-        Message::StatsResponse(s) => {
-            for v in [
-                s.requests,
-                s.blocks,
-                s.store_reads,
-                s.transient_retries,
-                s.backoff_us,
-                s.blocks_repaired,
-                s.blocks_dropped,
-                s.cache_hits,
-                s.cache_misses,
-                s.shed,
-                s.refused_draining,
-                s.admitted,
-            ] {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        Message::TelemetryRequest => {}
     }
 }
 
@@ -653,21 +617,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
             }
             Message::ReadResponse(ReadResponse { request_id, blocks })
         }
-        4 => Message::StatsRequest,
-        5 => Message::StatsResponse(WireStats {
-            requests: c.u64()?,
-            blocks: c.u64()?,
-            store_reads: c.u64()?,
-            transient_retries: c.u64()?,
-            backoff_us: c.u64()?,
-            blocks_repaired: c.u64()?,
-            blocks_dropped: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            shed: c.u64()?,
-            refused_draining: c.u64()?,
-            admitted: c.u64()?,
-        }),
         6 => {
             let request_id = c.u64()?;
             let reason = OverloadReason::from_code(c.u8()?)
@@ -733,21 +682,6 @@ mod tests {
                     WireBlock::Error { kind: BlockErrorKind::OutOfRange, message: String::new() },
                 ],
             }),
-            Message::StatsRequest,
-            Message::StatsResponse(WireStats {
-                requests: 1,
-                blocks: 2,
-                store_reads: 3,
-                transient_retries: 4,
-                backoff_us: 5,
-                blocks_repaired: 6,
-                blocks_dropped: 7,
-                cache_hits: 8,
-                cache_misses: 9,
-                shed: 10,
-                refused_draining: 11,
-                admitted: 12,
-            }),
             Message::Overloaded(Overloaded {
                 request_id: 10,
                 reason: OverloadReason::Shed,
@@ -811,7 +745,7 @@ mod tests {
         let samples = sample_messages();
         let mut kinds: Vec<u8> = samples.iter().map(Message::kind).collect();
         kinds.dedup();
-        assert_eq!(kinds, (1..=8).collect::<Vec<u8>>(), "samples cover every kind in order");
+        assert_eq!(kinds, [1, 2, 3, 6, 7, 8], "samples cover every kind in order");
         for msg in &samples {
             let clean = frame_bytes(msg).unwrap();
 
@@ -880,13 +814,11 @@ mod tests {
         // frames were sized first and encoded in place. The trailing
         // field pins every byte before it; the CRC of a *whole* frame is
         // always the residue 0x2144df1c and pins nothing.
-        let pinned: [(usize, u32); 13] = [
+        let pinned: [(usize, u32); 11] = [
             (44, 0x1c3c_a417),
             (80, 0x71fd_696b),
             (48, 0x7ae0_087c),
             (104, 0x5a58_5878),
-            (16, 0x1bea_10c7),
-            (112, 0x8c3c_42d4),
             (29, 0xffdf_e357),
             (29, 0x55ff_acda),
             (16, 0x9565_1724),
@@ -1004,7 +936,7 @@ mod tests {
     #[test]
     fn hostile_lengths_are_rejected_before_allocation() {
         // Payload length over the cap.
-        let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
+        let mut frame = frame_bytes(&Message::TelemetryRequest).unwrap();
         frame[8..12].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
         assert!(matches!(
             read_frame(&mut &frame[..]).unwrap_err(),
@@ -1034,25 +966,29 @@ mod tests {
 
     #[test]
     fn bad_magic_and_reserved_are_rejected() {
-        let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
+        let mut frame = frame_bytes(&Message::TelemetryRequest).unwrap();
         frame[0] = b'X';
         assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::BadMagic(_)));
 
-        let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
+        let mut frame = frame_bytes(&Message::TelemetryRequest).unwrap();
         frame[5] = 1;
         assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::BadReserved));
 
-        let mut frame = frame_bytes(&Message::StatsRequest).unwrap();
+        let mut frame = frame_bytes(&Message::TelemetryRequest).unwrap();
         frame[4] = 9;
         assert!(matches!(read_frame(&mut &frame[..]).unwrap_err(), FrameError::UnknownKind(9)));
 
-        // The header accepts exactly the eight kinds.
-        for kind in 0..=u8::MAX {
-            let mut raw = [0u8; HEADER_LEN];
-            raw[..4].copy_from_slice(&MAGIC);
-            raw[4] = kind;
-            assert_eq!(FrameHeader::parse(raw).is_ok(), (1..=8).contains(&kind), "kind {kind}");
-        }
+        // The header accepts exactly the six live kinds; 4 and 5 (the
+        // retired stats pair) are unknown like any other.
+        let accepted: Vec<u8> = (0..=u8::MAX)
+            .filter(|&kind| {
+                let mut raw = [0u8; HEADER_LEN];
+                raw[..4].copy_from_slice(&MAGIC);
+                raw[4] = kind;
+                FrameHeader::parse(raw).is_ok()
+            })
+            .collect();
+        assert_eq!(accepted, [1, 2, 3, 6, 7, 8]);
     }
 
     #[test]
@@ -1098,6 +1034,7 @@ mod tests {
             // Worst-case response: every slot an error with a clamped
             // message, or every slot full values — whichever is wider.
             let per_slot = 5 + (8 * values).max(MAX_BLOCK_ERROR_MESSAGE);
+            assert_eq!(max_read_response_len(n, values), 12 + n * per_slot);
             assert!(12 + n * per_slot <= cap, "values={values} cap={cap} n={n}");
             // Request side: fixed overhead plus 8 bytes per id.
             assert!(32 + n * 8 <= cap, "request side: values={values} cap={cap} n={n}");
@@ -1107,8 +1044,11 @@ mod tests {
                 "values={values} cap={cap} n={n} not maximal"
             );
         }
-        // A block too large to ever fit one frame yields 0, not a lie.
+        // A block too large to ever fit one frame yields 0, not a lie,
+        // and no size overflows.
         assert_eq!(max_ids_per_read(MAX_FRAME_PAYLOAD as usize, usize::MAX), 0);
+        assert_eq!(max_ids_per_read(usize::MAX, usize::MAX), 0);
+        assert_eq!(max_read_response_len(usize::MAX, 1), usize::MAX);
     }
 
     #[test]

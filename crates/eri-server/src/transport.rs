@@ -18,7 +18,7 @@
 //!   a structured per-block error in the response while its siblings
 //!   are served normally.
 //! * **Slow peers are bounded.** Once a frame's first byte arrives the
-//!   whole frame must land within `frame_timeout` — an *absolute*
+//!   whole frame must land within `FRAME_TIMEOUT` (5 s) — an *absolute*
 //!   deadline, so a peer trickling one byte per read cannot keep
 //!   resetting the clock — and handlers keep polling the stop flag
 //!   mid-frame, so one bad peer can neither pin a handler thread nor
@@ -28,8 +28,8 @@
 //!   per-block errors instead of an oversized frame the client would
 //!   reject as corrupt (conforming clients chunk with
 //!   [`crate::protocol::max_ids_per_read`] and never trip this).
-//! * **Overload sheds, never stalls.** Every read request passes
-//!   admission control ([`crate::admission`]): a global in-flight
+//! * **Overload sheds, never stalls.** Every request after `Hello`
+//!   passes admission control ([`crate::admission`]): a global in-flight
 //!   permit budget, a per-connection limit, a response-bytes budget,
 //!   and a deadline-aware queue that refuses a request *immediately*
 //!   when its estimated wait exceeds the deadline budget it carried.
@@ -55,7 +55,7 @@ use crate::admission::{
 };
 use crate::protocol::{
     self, BlockErrorKind, FrameError, FrameHeader, Hello, Message, Overloaded, ReadRequest,
-    ReadResponse, WireBlock, WireStats, HEADER_LEN, PROTO_VERSION,
+    ReadResponse, WireBlock, HEADER_LEN, PROTO_VERSION,
 };
 use telemetry::TraceContext;
 use crate::{ServerError, ServerHandle};
@@ -180,52 +180,17 @@ enum Listener {
     Unix(UnixListener),
 }
 
-/// Tunables for the serving loop.
-#[derive(Clone)]
-pub struct ServeOptions {
-    /// How often idle handlers / the accept loop check the stop flag.
-    pub idle_poll: Duration,
-    /// Budget for finishing a frame once its first byte arrived — cuts
-    /// off peers that stall mid-frame.
-    pub frame_timeout: Duration,
-    /// Budget for writing a response back.
-    pub write_timeout: Duration,
-    /// Read requests whose service time crosses this threshold are
-    /// recorded in the structured event journal (`rpc.slow`), tagged
-    /// with the request's trace id.
-    pub slow_request: Duration,
-    /// Admission-control limits (permits, queue, bytes, per-conn).
-    pub admission: AdmissionConfig,
-    /// Seeded overload injector (soak/bench only): forces
-    /// deterministic sheds and slow-handler delays.
-    pub inject: Option<Arc<dyn OverloadInject>>,
-}
-
-impl std::fmt::Debug for ServeOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeOptions")
-            .field("idle_poll", &self.idle_poll)
-            .field("frame_timeout", &self.frame_timeout)
-            .field("write_timeout", &self.write_timeout)
-            .field("slow_request", &self.slow_request)
-            .field("admission", &self.admission)
-            .field("inject", &self.inject.as_ref().map(|_| "<injector>"))
-            .finish()
-    }
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            idle_poll: Duration::from_millis(50),
-            frame_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            slow_request: Duration::from_millis(100),
-            admission: AdmissionConfig::default(),
-            inject: None,
-        }
-    }
-}
+/// How often idle handlers check the stop flag.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+/// Budget for finishing a frame once its first byte arrived — cuts off
+/// peers that stall mid-frame.
+const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
+/// Budget for writing a response back.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Read requests whose service time crosses this threshold are recorded
+/// in the structured event journal (`rpc.slow`), tagged with the
+/// request's trace id.
+const SLOW_REQUEST: Duration = Duration::from_millis(100);
 
 /// Stops a running [`TransportServer`] from another thread: sets the
 /// flag, then pokes the listener so a blocked `accept` returns.
@@ -283,7 +248,7 @@ pub struct TransportServer {
     handle: Arc<ServerHandle>,
     stop: Arc<AtomicBool>,
     local: Endpoint,
-    opts: ServeOptions,
+    inject: Option<Arc<dyn OverloadInject>>,
     conns_served: AtomicU64,
     admission: Arc<AdmissionController>,
 }
@@ -296,13 +261,16 @@ impl TransportServer {
     /// fails with `AddrInUse`, and a non-socket file is never removed
     /// (`AlreadyExists`).
     pub fn bind(ep: &Endpoint, handle: Arc<ServerHandle>) -> io::Result<Self> {
-        Self::bind_with(ep, handle, ServeOptions::default())
+        Self::bind_with(ep, handle, None)
     }
 
+    /// [`TransportServer::bind`] with a seeded overload injector (soak
+    /// and tests only) that forces deterministic sheds and slow-handler
+    /// delays.
     pub fn bind_with(
         ep: &Endpoint,
         handle: Arc<ServerHandle>,
-        opts: ServeOptions,
+        inject: Option<Arc<dyn OverloadInject>>,
     ) -> io::Result<Self> {
         let (listener, local) = match ep {
             Endpoint::Tcp(addr) => {
@@ -341,15 +309,14 @@ impl TransportServer {
                 (Listener::Unix(UnixListener::bind(path)?), Endpoint::Unix(path.clone()))
             }
         };
-        let admission = Arc::new(AdmissionController::new(opts.admission.clone()));
         Ok(TransportServer {
             listener,
             handle,
             stop: Arc::new(AtomicBool::new(false)),
             local,
-            opts,
+            inject,
             conns_served: AtomicU64::new(0),
-            admission,
+            admission: Arc::new(AdmissionController::new(AdmissionConfig::default())),
         })
     }
 
@@ -434,11 +401,11 @@ impl TransportServer {
             self.conns_served.fetch_add(1, Ordering::Relaxed);
             let handle = Arc::clone(&self.handle);
             let stop = Arc::clone(&self.stop);
-            let opts = self.opts.clone();
+            let inject = self.inject.clone();
             let admission = Arc::clone(&self.admission);
             let conn_id = accepted;
             handlers.push(std::thread::spawn(move || {
-                handle_conn(conn, &handle, &stop, &opts, &admission, conn_id);
+                handle_conn(conn, &handle, &stop, inject.as_deref(), &admission, conn_id);
             }));
         }
         for h in handlers {
@@ -474,7 +441,6 @@ fn read_exact_deadline(
     buf: &mut [u8],
     deadline: Instant,
     stop: &AtomicBool,
-    opts: &ServeOptions,
 ) -> io::Result<()> {
     let mut filled = 0;
     while filled < buf.len() {
@@ -485,7 +451,7 @@ fn read_exact_deadline(
         if now >= deadline {
             return Err(io::Error::new(io::ErrorKind::TimedOut, "frame deadline exceeded"));
         }
-        let slice = (deadline - now).min(opts.idle_poll).max(Duration::from_millis(1));
+        let slice = (deadline - now).min(IDLE_POLL).max(Duration::from_millis(1));
         conn.set_read_timeout(Some(slice))?;
         match conn.read(&mut buf[filled..]) {
             Ok(0) => {
@@ -503,21 +469,17 @@ fn read_exact_deadline(
 }
 
 /// Reads one frame with stop-flag polling: waits for the first byte
-/// under `idle_poll` timeouts (checking `stop` between polls), then
-/// holds the peer to an absolute `frame_timeout` deadline for the rest
+/// under `IDLE_POLL` timeouts (checking `stop` between polls), then
+/// holds the peer to an absolute `FRAME_TIMEOUT` deadline for the rest
 /// of the frame. Returns `Ok(None)` on clean EOF before a frame
 /// starts, or when stopped while idle.
-fn read_frame_polled(
-    conn: &mut Conn,
-    stop: &AtomicBool,
-    opts: &ServeOptions,
-) -> Result<Option<Message>, FrameError> {
+fn read_frame_polled(conn: &mut Conn, stop: &AtomicBool) -> Result<Option<Message>, FrameError> {
     let mut first = [0u8; 1];
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(None);
         }
-        conn.set_read_timeout(Some(opts.idle_poll))?;
+        conn.set_read_timeout(Some(IDLE_POLL))?;
         match conn.read(&mut first) {
             Ok(0) => return Ok(None), // clean EOF between frames
             Ok(_) => break,
@@ -533,13 +495,13 @@ fn read_frame_polled(
     }
     // A frame has started: the *whole* frame must arrive before one
     // absolute deadline, no matter how many reads it takes.
-    let deadline = Instant::now() + opts.frame_timeout;
+    let deadline = Instant::now() + FRAME_TIMEOUT;
     let mut raw = [0u8; HEADER_LEN];
     raw[0] = first[0];
-    read_exact_deadline(conn, &mut raw[1..], deadline, stop, opts)?;
+    read_exact_deadline(conn, &mut raw[1..], deadline, stop)?;
     let header = FrameHeader::parse(raw)?;
     let mut body = vec![0u8; header.payload_len as usize + 4];
-    read_exact_deadline(conn, &mut body, deadline, stop, opts)?;
+    read_exact_deadline(conn, &mut body, deadline, stop)?;
     protocol::decode_frame(&header, &body).map(Some)
 }
 
@@ -550,26 +512,6 @@ fn block_error(e: &ServerError) -> WireBlock {
         _ => BlockErrorKind::Io,
     };
     WireBlock::Error { kind, message: protocol::clamp_block_error_message(e.to_string()) }
-}
-
-fn wire_stats(handle: &ServerHandle, admission: &AdmissionController) -> WireStats {
-    let s = handle.stats();
-    let c = handle.cache_stats();
-    let a = admission.stats();
-    WireStats {
-        requests: s.requests,
-        blocks: s.blocks,
-        store_reads: s.store_reads,
-        transient_retries: s.reads.transient_retries,
-        backoff_us: s.reads.backoff_micros,
-        blocks_repaired: s.reads.blocks_repaired,
-        blocks_dropped: s.reads.blocks_dropped,
-        cache_hits: c.hits,
-        cache_misses: c.misses,
-        shed: a.shed,
-        refused_draining: a.refused_draining,
-        admitted: a.admitted,
-    }
 }
 
 /// The structured refusal for a shed request: reason plus retry-after
@@ -600,7 +542,6 @@ fn request_key(ids: &[u64]) -> u64 {
 /// Serves one read request through admission control. Returns the
 /// reply plus the permit still held (dropped by the caller *after* the
 /// response is written, so drain accounting covers the write).
-#[allow(clippy::too_many_arguments)]
 fn serve_read<'a>(
     rq: &ReadRequest,
     handle: &ServerHandle,
@@ -609,7 +550,6 @@ fn serve_read<'a>(
     batch_cap: usize,
     values_per_block: usize,
     conn_id: u64,
-    slow_request: Duration,
 ) -> (Message, Option<Permit<'a>>) {
     telemetry::counter_add("rpc.requests", 1);
     let served_at = Instant::now();
@@ -646,8 +586,7 @@ fn serve_read<'a>(
         }
     }
     // Worst-case bytes this response may pin while in flight.
-    let per_slot = 5 + (8 * values_per_block).max(protocol::MAX_BLOCK_ERROR_MESSAGE);
-    let bytes = 12 + rq.ids.len() * per_slot;
+    let bytes = protocol::max_read_response_len(rq.ids.len(), values_per_block);
     let budget = Duration::from_millis(u64::from(rq.budget_ms));
     let permit = match admission.admit(conn_id, budget, bytes) {
         Admission::Admitted(p) => p,
@@ -672,7 +611,7 @@ fn serve_read<'a>(
         })
         .collect();
     let elapsed = served_at.elapsed();
-    if elapsed >= slow_request {
+    if elapsed >= SLOW_REQUEST {
         telemetry::journal(
             "rpc.slow",
             rq.request_id,
@@ -686,7 +625,7 @@ fn handle_conn(
     mut conn: Conn,
     handle: &ServerHandle,
     stop: &AtomicBool,
-    opts: &ServeOptions,
+    inject: Option<&dyn OverloadInject>,
     admission: &AdmissionController,
     conn_id: u64,
 ) {
@@ -703,7 +642,7 @@ fn handle_conn(
         subblock_size: geom.subblock_size as u32,
         error_bound: handle.error_bound(),
     });
-    if conn.set_write_timeout(Some(opts.write_timeout)).is_err()
+    if conn.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || protocol::write_frame(&mut conn, &hello).is_err()
         || conn.flush().is_err()
     {
@@ -714,7 +653,7 @@ fn handle_conn(
     // decisions stay deterministic per client).
     let mut inject_attempts: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
     loop {
-        let msg = match read_frame_polled(&mut conn, stop, opts) {
+        let msg = match read_frame_polled(&mut conn, stop) {
             Ok(Some(m)) => m,
             Ok(None) => return,
             Err(e) => {
@@ -737,7 +676,7 @@ fn handle_conn(
                 let _trace = (rq.trace_id != 0).then(|| {
                     telemetry::push_trace(TraceContext { trace_id: rq.trace_id, span_id: rq.span_id })
                 });
-                let load = opts.inject.as_ref().map(|i| {
+                let load = inject.map(|i| {
                     let key = request_key(&rq.ids);
                     let attempt = inject_attempts.entry(key).or_insert(0);
                     let decision = i.decide(key, *attempt);
@@ -752,10 +691,8 @@ fn handle_conn(
                     batch_cap,
                     values_per_block,
                     conn_id,
-                    opts.slow_request,
                 )
             }
-            Message::StatsRequest => (Message::StatsResponse(wire_stats(handle, admission)), None),
             Message::TelemetryRequest => {
                 // A live scrape of the full recorder. Admitted at
                 // priority 1 so dashboards keep reading while priority-0
@@ -780,7 +717,6 @@ fn handle_conn(
             // Only clients send these; a peer that does is broken.
             Message::Hello(_)
             | Message::ReadResponse(_)
-            | Message::StatsResponse(_)
             | Message::Overloaded(_)
             | Message::TelemetryResponse(_) => return,
         };

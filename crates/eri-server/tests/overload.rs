@@ -22,7 +22,7 @@ use durable::retry::RetryPolicy;
 use eri_server::protocol::{
     self, Hello, Message, OverloadReason, Overloaded, ReadRequest, WireBlock, PROTO_VERSION,
 };
-use eri_server::transport::{Conn, ServeOptions};
+use eri_server::transport::Conn;
 use eri_server::{
     ClientConfig, ClientError, Endpoint, InjectedLoad, OverloadInject, RemoteClient, ServerConfig,
     ServerHandle, TransportServer,
@@ -73,13 +73,16 @@ fn assert_block_close(got: &[f64], b: usize) {
     }
 }
 
-fn bind_server(store: &std::path::Path, opts: ServeOptions) -> (TransportServer, Endpoint) {
+fn bind_server(
+    store: &std::path::Path,
+    inject: Option<Arc<dyn OverloadInject>>,
+) -> (TransportServer, Endpoint) {
     let cfg = ServerConfig::default();
     let handle = ServerHandle::open(&[&store], &cfg).unwrap();
     let srv = TransportServer::bind_with(
         &Endpoint::parse("tcp:127.0.0.1:0").unwrap(),
         Arc::new(handle),
-        opts,
+        inject,
     )
     .unwrap();
     let ep = srv.local_endpoint();
@@ -96,15 +99,12 @@ fn drain_books_prove_no_admitted_request_was_dropped() {
 
     // Every request's handler sleeps 2 ms, so the drain reliably
     // catches requests mid-service.
-    let opts = ServeOptions {
-        inject: Some(Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
-            shed: false,
-            retry_after: Duration::ZERO,
-            delay: Duration::from_millis(2),
-        }) as Arc<dyn OverloadInject>),
-        ..Default::default()
-    };
-    let (srv, ep) = bind_server(&store, opts);
+    let inject = Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
+        shed: false,
+        retry_after: Duration::ZERO,
+        delay: Duration::from_millis(2),
+    });
+    let (srv, ep) = bind_server(&store, Some(inject));
     let stop = srv.stop_handle();
     let server = std::thread::spawn(move || srv.run(None));
 
@@ -190,7 +190,7 @@ fn raw_read_requests_get_values_or_a_structured_shed() {
     let dir = tmpdir("raw-frames");
     let store = build_store(&dir);
 
-    let (srv, ep) = bind_server(&store, ServeOptions::default());
+    let (srv, ep) = bind_server(&store, None);
     let server = std::thread::spawn(move || srv.run(Some(1)));
     match raw_read(&ep, 7, vec![0, 3]) {
         Message::ReadResponse(rr) => {
@@ -209,15 +209,12 @@ fn raw_read_requests_get_values_or_a_structured_shed() {
     }
     server.join().unwrap().unwrap();
 
-    let opts = ServeOptions {
-        inject: Some(Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
-            shed: true,
-            retry_after: Duration::from_millis(9),
-            delay: Duration::ZERO,
-        }) as Arc<dyn OverloadInject>),
-        ..Default::default()
-    };
-    let (srv, ep) = bind_server(&store, opts);
+    let inject = Arc::new(|_key: u64, _attempt: u32| InjectedLoad {
+        shed: true,
+        retry_after: Duration::from_millis(9),
+        delay: Duration::ZERO,
+    });
+    let (srv, ep) = bind_server(&store, Some(inject));
     let server = std::thread::spawn(move || srv.run(Some(1)));
     assert_eq!(
         raw_read(&ep, 8, vec![1, 2]),

@@ -414,15 +414,11 @@ pub fn salvage<R: Read, W: Write>(source: R, mut sink: W) -> io::Result<SalvageR
     Ok(report)
 }
 
-pub(crate) fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
+/// Writes `v` as the container's LEB128 varint in one `write_all`.
+pub(crate) fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(10);
+    crate::container::write_varint(&mut buf, v);
+    w.write_all(&buf)
 }
 
 fn read_varint<R: Read>(r: &mut R) -> Result<u64, DecompressError> {

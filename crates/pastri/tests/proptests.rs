@@ -131,20 +131,23 @@ proptest! {
                 data.extend(pattern.iter().map(|p| p * s));
             }
         }
-        // Parity off: this asserts the *codec's* compression ratio, and
-        // with ≤ 6 blocks the default 2-shards-per-group FEC overhead
-        // would dominate the measurement.
+        // This asserts the *codec's* compression ratio: block payload
+        // bits only. Parity is off, and the container's fixed header and
+        // per-block framing (224 bits for one small block) are left out —
+        // with 1–3 small blocks they, not the codec, set the ratio.
         let c = Compressor::with_options(geom, 1e-10, CompressorOptions {
             parity: ParityConfig::NONE,
             ..Default::default()
         });
-        let bytes = c.compress(&data);
+        let (bytes, stats) = c.compress_with_stats(&data);
         let back = c.decompress(&bytes).unwrap();
         for (a, b) in data.iter().zip(&back) {
             prop_assert!((a - b).abs() <= 1e-10);
         }
-        let cr = (data.len() * 8) as f64 / bytes.len() as f64;
-        prop_assert!(cr > 6.0, "CR only {} on perfectly scaled data", cr);
+        let payload_bits =
+            stats.header_bits + stats.pq_bits + stats.sq_bits + stats.ecq_bits + stats.verbatim_bits;
+        let cr = (data.len() * 64) as f64 / payload_bits as f64;
+        prop_assert!(cr > 6.0, "codec CR only {} on perfectly scaled data", cr);
     }
 
     #[test]

@@ -19,9 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use durable::retry::{splitmix64, RetryPolicy};
-use eri_server::transport::ServeOptions;
 use eri_server::{
-    AdmissionConfig, BreakerConfig, ClientConfig, Endpoint, InjectedLoad, OverloadInject,
+    BreakerConfig, ClientConfig, Endpoint, InjectedLoad, OverloadInject,
     RemoteClient, ServerConfig, ServerHandle, TransportServer,
 };
 use eri_store::{StoreReader, StoreWriter};
@@ -103,11 +102,6 @@ pub struct OverloadStormConfig {
     /// transitions are a pure function of each client's outcome
     /// sequence — which the injector makes a pure function of the seed.
     pub breaker: BreakerConfig,
-    /// Server admission tuning. Defaults are generous enough that the
-    /// only sheds in the storm are the injected ones (organic shedding
-    /// is exercised by directed admission tests instead — mixing the
-    /// two would make the tallies timing-dependent).
-    pub admission: AdmissionConfig,
     /// Budget for the end-of-run graceful drain.
     pub drain_deadline: Duration,
 }
@@ -121,7 +115,6 @@ impl Default for OverloadStormConfig {
                 window_us: u64::MAX,
                 cooldown_us: 0,
             },
-            admission: AdmissionConfig::default(),
             drain_deadline: Duration::from_secs(10),
         }
     }
@@ -453,6 +446,10 @@ fn run_transport_inner(
     // Servers, one per replica. Wire-fault mode interposes a seeded
     // fault proxy per replica; overload mode serves on a clean wire
     // and instead installs the seeded overload injector in-process.
+    // The server's default admission limits are generous enough that
+    // the only sheds in the storm are the injected ones (organic
+    // shedding is exercised by directed admission tests instead —
+    // mixing the two would make the tallies timing-dependent).
     let mut servers = Vec::new();
     let mut proxies = Vec::new();
     let mut endpoints = Vec::new();
@@ -461,28 +458,20 @@ fn run_transport_inner(
             ServerHandle::open(&[store_path(r)], &ServerConfig::default())
                 .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?,
         );
-        let opts = match &cfg.overload {
-            None => ServeOptions::default(),
-            Some(o) => {
-                let injector = OverloadInjector::new(
-                    splitmix64(cfg.seed ^ ((r as u64 + 1) * 0x0FE2_10AD)),
-                    o.inject.clone(),
-                );
-                let inject = move |key: u64, attempt: u32| {
-                    let d = injector.decide(key, attempt);
-                    InjectedLoad { shed: d.shed, retry_after: d.retry_after, delay: d.delay }
-                };
-                ServeOptions {
-                    admission: o.admission.clone(),
-                    inject: Some(Arc::new(inject) as Arc<dyn OverloadInject>),
-                    ..ServeOptions::default()
-                }
-            }
-        };
+        let inject = cfg.overload.as_ref().map(|o| {
+            let injector = OverloadInjector::new(
+                splitmix64(cfg.seed ^ ((r as u64 + 1) * 0x0FE2_10AD)),
+                o.inject.clone(),
+            );
+            Arc::new(move |key: u64, attempt: u32| {
+                let d = injector.decide(key, attempt);
+                InjectedLoad { shed: d.shed, retry_after: d.retry_after, delay: d.delay }
+            }) as Arc<dyn OverloadInject>
+        });
         let srv = Arc::new(TransportServer::bind_with(
             &Endpoint::parse("tcp:127.0.0.1:0").expect("static endpoint"),
             handle,
-            opts,
+            inject,
         )?);
         let Endpoint::Tcp(addr) = srv.local_endpoint() else { unreachable!() };
         let stop = srv.stop_handle();

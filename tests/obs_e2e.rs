@@ -25,7 +25,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use eri_server::transport::ServeOptions;
 use eri_server::{
     ClientConfig, Endpoint, InjectedLoad, OverloadInject, RemoteClient, ServerConfig,
     ServerHandle, TransportServer,
@@ -55,11 +54,12 @@ fn fixture(dir: &Path, name: &str) -> PathBuf {
     path
 }
 
-/// Starts a TCP transport server over `path` with the given options.
+/// Starts a TCP transport server over `path` with an optional overload
+/// injector.
 #[allow(clippy::type_complexity)]
 fn start_server(
     path: &Path,
-    opts: ServeOptions,
+    inject: Option<Arc<dyn OverloadInject>>,
 ) -> (
     String,
     eri_server::StopHandle,
@@ -69,7 +69,7 @@ fn start_server(
         ServerHandle::open(&[path.to_path_buf()], &ServerConfig::default()).unwrap(),
     );
     let srv = Arc::new(
-        TransportServer::bind_with(&Endpoint::Tcp("127.0.0.1:0".into()), handle, opts).unwrap(),
+        TransportServer::bind_with(&Endpoint::Tcp("127.0.0.1:0".into()), handle, inject).unwrap(),
     );
     let Endpoint::Tcp(addr) = srv.local_endpoint() else { unreachable!() };
     let stop = srv.stop_handle();
@@ -99,7 +99,7 @@ fn scrape_round_trips_every_observed_name_bit_identically() {
     let _guard = lock();
     let dir = common::tmpdir("obs-scrape");
     let path = fixture(&dir, "scrape.eristore");
-    let (addr, stop, jh) = start_server(&path, ServeOptions::default());
+    let (addr, stop, jh) = start_server(&path, None);
 
     telemetry::reset();
     telemetry::set_enabled(true);
@@ -201,11 +201,7 @@ fn faulty_overloaded_fetch_traces_end_to_end_and_merges() {
         let d = injector.decide(key, attempt);
         InjectedLoad { shed: d.shed, retry_after: d.retry_after, delay: d.delay }
     };
-    let opts = ServeOptions {
-        inject: Some(Arc::new(inject) as Arc<dyn OverloadInject>),
-        ..ServeOptions::default()
-    };
-    let (addr, stop, jh) = start_server(&path, opts);
+    let (addr, stop, jh) = start_server(&path, Some(Arc::new(inject)));
 
     // Seeded wire faults between client and server.
     let proxy = FaultyProxy::start(
@@ -313,7 +309,7 @@ fn top_once_json_reports_live_rates() {
     let _guard = lock();
     let dir = common::tmpdir("obs-top");
     let path = fixture(&dir, "top.eristore");
-    let (addr, stop, jh) = start_server(&path, ServeOptions::default());
+    let (addr, stop, jh) = start_server(&path, None);
 
     telemetry::reset();
     telemetry::set_enabled(true);
