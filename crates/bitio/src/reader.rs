@@ -39,7 +39,7 @@ impl<'a> BitReader<'a> {
 
     /// Total number of bits in the underlying buffer.
     #[must_use]
-    pub fn bit_len(&self) -> u64 {
+    pub(crate) fn bit_len(&self) -> u64 {
         self.bytes.len() as u64 * 8
     }
 
@@ -51,7 +51,7 @@ impl<'a> BitReader<'a> {
 
     /// Bits remaining until the end of the buffer.
     #[must_use]
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.bit_len() - self.pos
     }
 

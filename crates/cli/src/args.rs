@@ -4,7 +4,7 @@ use crate::CliError;
 
 /// Parsed positional arguments and flags.
 #[derive(Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     pub positional: Vec<String>,
     flags: Vec<(String, String)>,
     /// Flags present without a value (e.g. `--model`).
@@ -14,7 +14,7 @@ pub struct Args {
 impl Args {
     /// Parses `argv`: positionals anywhere, `--key value` pairs, and
     /// bare `--switch`es (a `--key` followed by another `--...` or end).
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
+    pub(crate) fn parse(argv: &[String]) -> Result<Self, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -42,7 +42,7 @@ impl Args {
     }
 
     /// Positional argument `idx` or an error naming it.
-    pub fn positional(&self, idx: usize, name: &str) -> Result<&str, CliError> {
+    pub(crate) fn positional(&self, idx: usize, name: &str) -> Result<&str, CliError> {
         self.positional
             .get(idx)
             .map(String::as_str)
@@ -51,7 +51,7 @@ impl Args {
 
     /// String flag value.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.flags
             .iter()
             .rev()
@@ -62,7 +62,7 @@ impl Args {
     /// Every value given for a repeatable flag, in order (e.g.
     /// `--replica a --replica b`).
     #[must_use]
-    pub fn get_all(&self, key: &str) -> Vec<&str> {
+    pub(crate) fn get_all(&self, key: &str) -> Vec<&str> {
         self.flags
             .iter()
             .filter(|(k, _)| k == key)
@@ -72,12 +72,12 @@ impl Args {
 
     /// Boolean switch presence.
     #[must_use]
-    pub fn switch(&self, key: &str) -> bool {
+    pub(crate) fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|k| k == key)
     }
 
     /// Parsed numeric flag with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, CliError> {
+    pub(crate) fn get_f64(&self, key: &str, default: f64) -> Result<f64, CliError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -87,7 +87,7 @@ impl Args {
     }
 
     /// Parsed integer flag with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, CliError> {
+    pub(crate) fn get_usize(&self, key: &str, default: usize) -> Result<usize, CliError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v

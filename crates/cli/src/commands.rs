@@ -180,7 +180,7 @@ fn with_threads<T: Send>(
 /// [--threads N] [--stream [--segment-blocks B] [--checkpoint-every N]
 /// [--resume]]`. An `<out>` ending in `.eristore` writes the block
 /// store `pastri serve` mounts instead of a container.
-pub fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in.f64")?;
@@ -368,7 +368,7 @@ fn read_chunk(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<usize, CliEr
 }
 
 /// `pastri decompress <in.pastri> <out.f64>`.
-pub fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in.pastri")?;
@@ -410,7 +410,7 @@ pub fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> 
 
 /// `pastri inspect <in.pastri>`: header metadata + per-kind block census
 /// via the cheap O(blocks) inspection API — no value is decoded.
-pub fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "in.pastri")?;
     let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
@@ -473,7 +473,7 @@ pub fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `pastri report <telemetry.jsonl>`: re-render a line-oriented JSON
 /// telemetry capture (from `--telemetry json --telemetry-out FILE`) as
 /// the human-readable summary tree.
-pub fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "telemetry.jsonl")?;
     let text = fs::read_to_string(input)
@@ -489,7 +489,7 @@ pub fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// print a per-block/segment damage report. Exit codes are the scripting
 /// contract: 0 clean, 2 when damage is found in a recognized artifact,
 /// 1 for I/O trouble or an unrecognized format.
-pub fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "file")?;
     let found = damage(input, false)?;
@@ -741,7 +741,7 @@ impl Damage {
 /// what salvage found in the *input* — 0 if no data was lost (repairs
 /// are not losses), 2 if segments were dropped, the tail was
 /// unreadable, or the stream header itself is damaged.
-pub fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let input = args.positional(0, "in.pstrs")?;
     let output = args.positional(1, "out.pstrs")?;
@@ -799,7 +799,7 @@ pub fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// Exit codes: 0 clean, 0 damage fully repaired in place (with report),
 /// 2 damage present and not (fully) repaired.
-pub fn scrub(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn scrub(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "file")?;
@@ -865,7 +865,7 @@ fn quarantine(path: &str, bytes: &[u8], out: &mut dyn Write) -> Result<(), CliEr
 }
 
 /// `pastri gen <out.f64> --molecule benzene --config (dd|dd) ...`.
-pub fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let output = args.positional(0, "out.f64")?;
     let config = parse_config(&args)?;
@@ -898,7 +898,7 @@ pub fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `pastri assess <original.f64> <decompressed.f64>`.
-pub fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let orig_path = args.positional(0, "original.f64")?;
     let dec_path = args.positional(1, "decompressed.f64")?;
@@ -931,7 +931,7 @@ pub fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 ///
 /// Exit codes: 0 all gates hold and no data was lost, 1 I/O or usage
 /// error, 2 unaccounted data loss or a violated SLO gate.
-pub fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let dir = args.positional(0, "dir")?;
@@ -1078,8 +1078,15 @@ fn soak_transport(
     out: &mut dyn Write,
     telem: Option<TelemetryCapture>,
 ) -> Result<(), CliError> {
-    let mut cfg = soak::TransportStormConfig::storm(std::path::Path::new(dir), 42);
-    cfg.seed = args.get_usize("seed", 42)? as u64;
+    let dir = std::path::Path::new(dir);
+    let seed = args.get_usize("seed", 42)? as u64;
+    let mut cfg = if args.switch("overload") {
+        // Overload mode: clean wire, seeded server-side injector,
+        // client breakers, graceful drain (DESIGN §14).
+        soak::TransportStormConfig::overload_storm(dir, seed)
+    } else {
+        soak::TransportStormConfig::storm(dir, seed)
+    };
     cfg.replicas = args.get_usize("replicas", cfg.replicas)?;
     cfg.clients = args.get_usize("clients", cfg.clients)?;
     cfg.requests_per_client = args.get_usize("requests", cfg.requests_per_client)?;
@@ -1089,12 +1096,7 @@ fn soak_transport(
     cfg.faults.faulty_every =
         args.get_usize("faulty-every", cfg.faults.faulty_every as usize)? as u32;
     cfg.faults.max_faults = args.get_usize("max-faults", cfg.faults.max_faults as usize)? as u32;
-    if args.switch("overload") {
-        // Overload mode: clean wire, seeded server-side injector,
-        // client breakers, graceful drain (DESIGN §14). Defaults to
-        // one replica so the shed/breaker tallies stay seed-pure.
-        cfg.replicas = args.get_usize("replicas", 1)?;
-        let mut ovl = soak::OverloadStormConfig::default();
+    if let Some(ovl) = cfg.overload.as_mut() {
         ovl.inject.shed_every = args.get_usize("shed-every", ovl.inject.shed_every as usize)? as u64;
         ovl.inject.max_sheds_per_key =
             args.get_usize("max-sheds-per-key", ovl.inject.max_sheds_per_key as usize)? as u32;
@@ -1103,7 +1105,6 @@ fn soak_transport(
         ovl.breaker.failure_threshold = args
             .get_usize("breaker-threshold", ovl.breaker.failure_threshold as usize)?
             as u32;
-        cfg.overload = Some(ovl);
     }
     cfg.slo = soak::TransportSloGates {
         rpc_p99_us: args
@@ -1299,7 +1300,7 @@ fn server_config(args: &Args) -> Result<eri_server::ServerConfig, CliError> {
 /// server is exposed over the PTRF wire protocol for `pastri fetch`
 /// (DESIGN §13) until interrupted, or for `--serve-conns N`
 /// connections when bounded serving is wanted (tests, one-shot jobs).
-pub fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     args.positional(0, "store")?;
@@ -1396,7 +1397,7 @@ fn client_err(e: eri_server::ClientError) -> CliError {
 /// §13). Exit contract: 0 all blocks served, 1 unreachable/deadline,
 /// 2 corruption (wire frames or stored blocks) that outlived the retry
 /// budget.
-pub fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let telem = telemetry_capture(&args)?;
     let primary = args.positional(0, "endpoint")?;
@@ -1680,7 +1681,7 @@ fn top_text(endpoint: &str, tick: usize, m: &TopMetrics) -> String {
 /// server's span horizon); `--json` emits one JSON object per tick for
 /// scripts and tests. The scrape rides admission at priority ≥ 1
 /// server-side, so `top` keeps answering while the server sheds load.
-pub fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     let endpoint = args.positional(0, "endpoint")?;
     let ep = eri_server::Endpoint::parse(endpoint)
@@ -1735,7 +1736,7 @@ pub fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// spans stamped with the same wire-propagated trace id line up across
 /// lanes, which is the whole point: one timeline for one request's
 /// journey through retries, sheds, and the server's cache and store.
-pub fn trace_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn trace_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
     // `--merge a.jsonl b.jsonl`: the parser binds the first path to the
     // flag and leaves the rest positional — gather both.

@@ -30,8 +30,8 @@
 //! The argument parser is deliberately dependency-free: flags are
 //! `--key value` pairs after the subcommand, positional paths first.
 
-pub mod args;
-pub mod commands;
+mod args;
+mod commands;
 
 use std::fmt;
 
@@ -54,7 +54,7 @@ pub struct CliError {
 impl CliError {
     /// An I/O or usage error (exit code 1).
     #[must_use]
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
             code: 1,
@@ -63,7 +63,7 @@ impl CliError {
 
     /// Damage found in a recognized artifact (exit code 2).
     #[must_use]
-    pub fn corruption(message: impl Into<String>) -> Self {
+    pub(crate) fn corruption(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
             code: 2,
@@ -119,7 +119,7 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
 
 /// The top-level usage text.
 #[must_use]
-pub fn usage() -> &'static str {
+pub(crate) fn usage() -> &'static str {
     "pastri — error-bounded lossy compression for two-electron integrals
 
 USAGE:

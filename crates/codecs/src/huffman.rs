@@ -19,7 +19,7 @@ pub const MAX_CODE_LEN: u32 = 32;
 /// `deflate_like`'s literal/length alphabet is 512). A table header
 /// claiming more is corrupt, and is rejected before anything is
 /// allocated for it.
-pub const MAX_ALPHABET: usize = 1 << 16;
+pub(crate) const MAX_ALPHABET: usize = 1 << 16;
 
 /// A built canonical Huffman code: per-symbol (code, length) pairs.
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ impl HuffmanCode {
     /// Rebuilds the code from serialized lengths (the decoder-side entry).
     ///
     /// Fails if the lengths violate the Kraft inequality (not a prefix code).
-    pub fn from_lengths(lengths: Vec<u32>) -> Result<Self, CodecError> {
+    pub(crate) fn from_lengths(lengths: Vec<u32>) -> Result<Self, CodecError> {
         let mut kraft: u64 = 0;
         let mut any = false;
         for &l in &lengths {

@@ -187,7 +187,7 @@ impl Drop for AtomicFile {
 pub const JOURNAL_MAGIC: [u8; 6] = *b"PSTRJ\x01";
 /// Bytes per journal record: segments, values, bytes (u64 LE each) +
 /// CRC32 of those 24 bytes.
-pub const RECORD_LEN: usize = 28;
+pub(crate) const RECORD_LEN: usize = 28;
 
 /// Sidecar journal path for an artifact: `<artifact>.journal`.
 #[must_use]
@@ -326,17 +326,6 @@ pub fn scan_journal(bytes: &[u8]) -> (Option<Checkpoint>, usize) {
         }
     }
     (last, JOURNAL_MAGIC.len() + accepted * RECORD_LEN)
-}
-
-/// Loads the last valid checkpoint from a journal file. `Ok(None)` when
-/// the journal is missing or holds no valid record — both mean "no
-/// committed prefix", not an error.
-pub fn load_checkpoint(path: &Path) -> io::Result<Option<Checkpoint>> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(parse_last_checkpoint(&bytes)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 /// A quarantine path for a damaged artifact that never collides with an
@@ -518,11 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn load_checkpoint_missing_file_is_none() {
-        assert_eq!(load_checkpoint(&tmp("never-created")).unwrap(), None);
-    }
-
-    #[test]
     fn journal_file_lifecycle() {
         let artifact = tmp("artifact.pstrs");
         let jp = journal_path(&artifact);
@@ -532,7 +516,7 @@ mod tests {
             let mut j = JournalWriter::new(f);
             j.record(Checkpoint { segments: 2, values: 72, bytes: 300 }).unwrap();
         }
-        let cp = load_checkpoint(&jp).unwrap().unwrap();
+        let cp = parse_last_checkpoint(&std::fs::read(&jp).unwrap()).unwrap();
         assert_eq!(cp.bytes, 300);
         // Resume appends to the existing sequence without re-writing magic.
         {
@@ -540,10 +524,10 @@ mod tests {
             let mut j = JournalWriter::resume(f);
             j.record(Checkpoint { segments: 3, values: 108, bytes: 450 }).unwrap();
         }
-        let cp = load_checkpoint(&jp).unwrap().unwrap();
+        let cp = parse_last_checkpoint(&std::fs::read(&jp).unwrap()).unwrap();
         assert_eq!(cp.segments, 3);
         remove_journal(&artifact).unwrap();
-        assert_eq!(load_checkpoint(&jp).unwrap(), None);
+        assert!(!jp.exists());
         remove_journal(&artifact).unwrap(); // idempotent
     }
 }

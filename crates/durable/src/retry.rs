@@ -15,7 +15,7 @@ use std::time::Duration;
 /// Error kinds treated as transient: routine on congested parallel file
 /// systems, worth retrying rather than failing an SCF iteration.
 #[must_use]
-pub fn is_transient(kind: ErrorKind) -> bool {
+pub(crate) fn is_transient(kind: ErrorKind) -> bool {
     matches!(
         kind,
         ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
@@ -60,15 +60,6 @@ impl RetryPolicy {
             initial_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             jitter_seed: None,
-        }
-    }
-
-    /// The default policy with jitter seeded from `seed`.
-    #[must_use]
-    pub fn jittered(seed: u64) -> Self {
-        Self {
-            jitter_seed: Some(seed),
-            ..Self::default()
         }
     }
 

@@ -7,7 +7,7 @@
 //!
 //! * **Shed early, shed loudly.** A request that cannot be served
 //!   within its deadline budget is refused *immediately* with a
-//!   structured [`Shed`](Admission::Shed) verdict carrying a
+//!   structured `Shed` verdict carrying a
 //!   retry-after hint — never parked until its deadline times out
 //!   silently. The shedding rule compares the request's remaining
 //!   budget (`budget_ms` from the wire `ReadRequest`) against the estimated
@@ -17,15 +17,14 @@
 //!   by the queue-wait estimate; priority ≥ 1 (critical) requests ride
 //!   out the estimate and only shed on hard limits (queue depth,
 //!   response-bytes budget, drain).
-//! * **Admitted means finished.** Once [`admit`](AdmissionController::admit)
-//!   returns a [`Permit`], the request counts as admitted and the
-//!   server *will* serve it: drain waits for every permit to drop
-//!   before the listener stops, and the `admitted`/`completed`
-//!   counters in [`AdmissionStats`] prove the books balance.
-//! * **Draining refuses, never drops.** After
-//!   [`begin_drain`](AdmissionController::begin_drain), new requests
-//!   (and requests still waiting in the queue) get a structured
-//!   `Draining` refusal; permit holders run to completion.
+//! * **Admitted means finished.** Once `admit` returns a `Permit`, the
+//!   request counts as admitted and the server *will* serve it: drain
+//!   waits for every permit to drop before the listener stops, and the
+//!   `admitted`/`completed` counters in [`AdmissionStats`] prove the
+//!   books balance.
+//! * **Draining refuses, never drops.** After `begin_drain`, new
+//!   requests (and requests still waiting in the queue) get a
+//!   structured `Draining` refusal; permit holders run to completion.
 //!
 //! The controller is deliberately clock-light: the only timing inputs
 //! are the EWMA of observed service times and the caller-supplied
@@ -41,7 +40,7 @@ use crate::protocol::OverloadReason;
 
 /// Tunables for [`AdmissionController`].
 #[derive(Debug, Clone)]
-pub struct AdmissionConfig {
+pub(crate) struct AdmissionConfig {
     /// Global cap on concurrently served requests (permits).
     pub max_in_flight: usize,
     /// Cap on concurrently admitted requests per connection.
@@ -68,7 +67,7 @@ impl Default for AdmissionConfig {
 /// Why a request was shed (the wire maps all of these to an
 /// `Overloaded` frame; the distinction feeds telemetry and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedCause {
+pub(crate) enum ShedCause {
     /// Estimated queue wait exceeds the request's deadline budget.
     WaitExceedsBudget,
     /// The admission queue is at `max_queued`.
@@ -86,7 +85,7 @@ pub enum ShedCause {
 impl ShedCause {
     /// The wire-level reason carried in the `Overloaded` frame.
     #[must_use]
-    pub fn reason(self) -> OverloadReason {
+    pub(crate) fn reason(self) -> OverloadReason {
         match self {
             ShedCause::Draining => OverloadReason::Draining,
             _ => OverloadReason::Shed,
@@ -97,7 +96,7 @@ impl ShedCause {
     /// and `report` can show *why* requests were refused, not just how
     /// many.
     #[must_use]
-    pub fn journal_kind(self) -> &'static str {
+    pub(crate) fn journal_kind(self) -> &'static str {
         match self {
             ShedCause::WaitExceedsBudget => "shed.wait_exceeds_budget",
             ShedCause::QueueFull => "shed.queue_full",
@@ -110,7 +109,7 @@ impl ShedCause {
 }
 
 /// The verdict for one request.
-pub enum Admission<'a> {
+pub(crate) enum Admission<'a> {
     /// Serve it; drop the permit when done.
     Admitted(Permit<'a>),
     /// Refuse it with a structured hint.
@@ -129,7 +128,7 @@ pub struct AdmissionStats {
 }
 
 /// Outcome of [`StopHandle::drain`](crate::StopHandle::drain) /
-/// [`AdmissionController::await_drained`].
+/// `AdmissionController::await_drained`.
 #[derive(Debug, Clone, Copy)]
 pub struct DrainOutcome {
     /// Every admitted request finished before the deadline.
@@ -182,9 +181,9 @@ struct Inner {
     est_service_us: u64,
 }
 
-/// The admission state machine. One per [`TransportServer`]
-/// (crate::TransportServer); handlers call
-/// [`admit`](AdmissionController::admit) per read request.
+/// The admission state machine. One per
+/// [`TransportServer`](crate::TransportServer); handlers call
+/// `admit` per read request.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     inner: Mutex<Inner>,
@@ -193,7 +192,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     #[must_use]
-    pub fn new(cfg: AdmissionConfig) -> Self {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Self {
         AdmissionController {
             cfg,
             inner: Mutex::new(Inner {
@@ -207,11 +206,6 @@ impl AdmissionController {
             }),
             cv: Condvar::new(),
         }
-    }
-
-    #[must_use]
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Current counters.
@@ -255,11 +249,11 @@ impl AdmissionController {
     /// Decides one request: admit (possibly after queueing within
     /// `budget`), or shed with a retry-after hint. `bytes` is the
     /// worst-case response size this request may pin while in flight.
-    pub fn admit(&self, conn_id: u64, budget: Duration, bytes: usize) -> Admission<'_> {
+    pub(crate) fn admit(&self, conn_id: u64, budget: Duration, bytes: usize) -> Admission<'_> {
         self.admit_with_priority(conn_id, budget, bytes, 0)
     }
 
-    pub fn admit_with_priority(
+    pub(crate) fn admit_with_priority(
         &self,
         conn_id: u64,
         budget: Duration,
@@ -329,7 +323,7 @@ impl AdmissionController {
 
     /// Records a shed decided outside the controller (the seeded
     /// injector), so `server.shed` and the drain books still see it.
-    pub fn record_injected_shed(&self) {
+    pub(crate) fn record_injected_shed(&self) {
         let mut inner = lock_recover(&self.inner);
         inner.stats.shed += 1;
         telemetry::counter_add("server.shed", 1);
@@ -338,20 +332,15 @@ impl AdmissionController {
 
     /// Stops admitting: every subsequent (and currently queued) request
     /// gets a structured `Draining` refusal; permit holders finish.
-    pub fn begin_drain(&self) {
+    pub(crate) fn begin_drain(&self) {
         lock_recover(&self.inner).draining = true;
         telemetry::gauge_set("server.draining", 1);
         self.cv.notify_all();
     }
 
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        lock_recover(&self.inner).draining
-    }
-
     /// Blocks until every admitted request has completed (or `deadline`
     /// passes). Call after [`begin_drain`](Self::begin_drain).
-    pub fn await_drained(&self, deadline: Duration) -> DrainOutcome {
+    pub(crate) fn await_drained(&self, deadline: Duration) -> DrainOutcome {
         let start = Instant::now();
         let mut inner = lock_recover(&self.inner);
         while inner.in_flight > 0 {
@@ -395,7 +384,7 @@ impl AdmissionController {
 
 /// RAII admission permit: dropping it completes the request in the
 /// books, feeds the service-time EWMA, and wakes queued waiters.
-pub struct Permit<'a> {
+pub(crate) struct Permit<'a> {
     controller: &'a AdmissionController,
     conn_id: u64,
     bytes: usize,

@@ -35,7 +35,7 @@ use durable::retry::splitmix64;
 
 /// Fixed bookkeeping cost charged per entry on top of the payload
 /// (map slot + arena slot + list links, order-of-magnitude).
-pub const ENTRY_OVERHEAD: usize = 64;
+pub(crate) const ENTRY_OVERHEAD: usize = 64;
 
 /// Sentinel "no slot" index for the intrusive list.
 const NIL: usize = usize::MAX;
@@ -193,12 +193,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of lookups served from memory; `None` before any.
-    #[must_use]
-    pub fn hit_rate(&self) -> Option<f64> {
-        (self.lookups > 0).then(|| self.hits as f64 / self.lookups as f64)
-    }
-
     /// One JSON object line with only the deterministic fields — the
     /// text the cache proptests (and CI) diff across same-seed runs.
     #[must_use]
@@ -256,7 +250,7 @@ impl BlockCache {
     /// Which shard `key` lives on — public so the model-based tests can
     /// replicate the routing.
     #[must_use]
-    pub fn shard_of(&self, key: u64) -> usize {
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         (splitmix64(key) % self.shards.len() as u64) as usize
     }
 
@@ -318,12 +312,6 @@ impl BlockCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Configured byte budget.
-    #[must_use]
-    pub fn byte_budget(&self) -> usize {
-        self.budget
     }
 
     /// Current counters.

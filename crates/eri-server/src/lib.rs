@@ -14,7 +14,7 @@
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
 //!   cache ([`cache::BlockCache`]) holding *decompressed* blocks, so a
 //!   popular quartet pays decompression once, not once per reuse.
-//! * **Batched reads** — [`ServerHandle::read_blocks_each`] takes one
+//! * **Batched reads** — `ServerHandle::read_blocks_each` takes one
 //!   request's block ids, serves hits from memory, fans the misses
 //!   across shards on the rayon pool, and reassembles results in
 //!   request order.
@@ -36,7 +36,7 @@
 //! Two front ends share this handle: the in-process batch API used by
 //! `pastri serve` and the tests, and the PTRF wire transport behind
 //! `pastri serve --listen` / `pastri fetch`. Both serve through
-//! [`ServerHandle::read_blocks_each`]; [`ServerHandle::read_blocks`] is
+//! `ServerHandle::read_blocks_each`; [`ServerHandle::read_blocks`] is
 //! its all-or-nothing collect.
 
 use std::fs::File;
@@ -56,7 +56,7 @@ pub mod client;
 pub mod protocol;
 pub mod transport;
 
-pub use admission::{AdmissionConfig, AdmissionController, DrainOutcome, InjectedLoad, OverloadInject};
+pub use admission::{AdmissionController, DrainOutcome, InjectedLoad, OverloadInject};
 pub use breaker::{Breaker, BreakerConfig, BreakerState, Transition};
 pub use cache::{BlockCache, CacheStats};
 pub use client::{BlockError, BlockErrorKind, ClientConfig, ClientError, ClientStats, RemoteClient};
@@ -69,7 +69,7 @@ pub trait ShardSource: Read + Seek + Send {}
 impl<T: Read + Seek + Send> ShardSource for T {}
 
 /// Boxed shard source, as produced by an [`ServerHandle::open_with_sources`] factory.
-pub type BoxedSource = Box<dyn ShardSource>;
+pub(crate) type BoxedSource = Box<dyn ShardSource>;
 
 /// Recovers a shard lock even if a previous holder panicked mid-read.
 /// The guarded state is a read-only file handle plus retry/repair
@@ -279,7 +279,7 @@ impl ServerHandle {
 
     /// Shared error bound of the mounted stores.
     #[must_use]
-    pub fn error_bound(&self) -> f64 {
+    pub(crate) fn error_bound(&self) -> f64 {
         self.error_bound
     }
 
@@ -335,7 +335,10 @@ impl ServerHandle {
     /// is served normally. This is the transport serving path: a remote
     /// client asked for 64 blocks deserves 63 good blocks and one
     /// per-block error frame, not a connection reset.
-    pub fn read_blocks_each(&self, ids: &[usize]) -> Vec<Result<Arc<Vec<f64>>, ServerError>> {
+    pub(crate) fn read_blocks_each(
+        &self,
+        ids: &[usize],
+    ) -> Vec<Result<Arc<Vec<f64>>, ServerError>> {
         telemetry::counter_add("server.requests", 1);
         let _batch = telemetry::span("server.batch");
         let mut out: Vec<Option<Result<Arc<Vec<f64>>, ServerError>>> =
@@ -374,7 +377,7 @@ impl ServerHandle {
         out.into_iter().map(|b| b.expect("every position filled")).collect()
     }
 
-    /// All-or-nothing batch: [`ServerHandle::read_blocks_each`]
+    /// All-or-nothing batch: `ServerHandle::read_blocks_each`
     /// collected into one `Result`. A failed batch reports the error of
     /// its first failing position; the blocks that did read are still
     /// cached.

@@ -62,17 +62,17 @@
 use std::io::{self, Read, Write};
 
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
-pub const MAGIC: [u8; 4] = *b"PTRF";
+pub(crate) const MAGIC: [u8; 4] = *b"PTRF";
 /// Protocol version spoken by this build; carried in `Hello`.
 pub const PROTO_VERSION: u32 = 4;
 /// Fixed frame header length (magic + kind + reserved + payload len).
-pub const HEADER_LEN: usize = 12;
+pub(crate) const HEADER_LEN: usize = 12;
 /// Hard cap on payload length — reject before allocating.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 << 20;
 /// Per-block error messages are clamped to this many bytes on the wire
 /// so a worst-case all-errors response still fits the batch budget
 /// computed by [`max_ids_per_read`].
-pub const MAX_BLOCK_ERROR_MESSAGE: usize = 256;
+pub(crate) const MAX_BLOCK_ERROR_MESSAGE: usize = 256;
 
 /// Fixed `ReadResponse` payload overhead: request id (8) + count (4).
 const READ_RESPONSE_OVERHEAD: usize = 12;
@@ -87,7 +87,7 @@ const READ_REQUEST_OVERHEAD: usize = 32;
 /// behind both the batch cap ([`max_ids_per_read`]) and the server's
 /// admission byte budget. Saturates rather than overflowing.
 #[must_use]
-pub fn max_read_response_len(ids: usize, values_per_block: usize) -> usize {
+pub(crate) fn max_read_response_len(ids: usize, values_per_block: usize) -> usize {
     let per_slot =
         8usize.saturating_mul(values_per_block).max(MAX_BLOCK_ERROR_MESSAGE).saturating_add(5);
     READ_RESPONSE_OVERHEAD.saturating_add(ids.saturating_mul(per_slot))
@@ -97,7 +97,7 @@ pub fn max_read_response_len(ids: usize, values_per_block: usize) -> usize {
 /// carry under `payload_cap` bytes of frame payload, for blocks of
 /// `values_per_block` f64 values. Sized for the worst case on both
 /// sides of the wire: 8 bytes per id in the request, and
-/// [`max_read_response_len`] in the response. The client chunks its
+/// `max_read_response_len` in the response. The client chunks its
 /// id lists with this and the server rejects batches past it, so
 /// neither side can be asked to encode a frame the other would refuse
 /// as [`FrameError::TooLarge`]. Returns 0 when even a single block
@@ -115,7 +115,7 @@ pub fn max_ids_per_read(values_per_block: usize, payload_cap: usize) -> usize {
 /// bytes (cut on a char boundary) so the worst-case response size
 /// stays inside the [`max_ids_per_read`] budget.
 #[must_use]
-pub fn clamp_block_error_message(mut msg: String) -> String {
+pub(crate) fn clamp_block_error_message(mut msg: String) -> String {
     if msg.len() > MAX_BLOCK_ERROR_MESSAGE {
         let mut cut = MAX_BLOCK_ERROR_MESSAGE;
         while !msg.is_char_boundary(cut) {
@@ -176,7 +176,7 @@ impl FrameError {
     /// `rpc.frame_errors` and force a reconnect; I/O errors follow the
     /// transient-retry classification instead.
     #[must_use]
-    pub fn is_corrupt_frame(&self) -> bool {
+    pub(crate) fn is_corrupt_frame(&self) -> bool {
         !matches!(self, FrameError::Io(_))
     }
 }
@@ -340,7 +340,7 @@ impl Message {
 /// A parsed, validated frame header (magic/reserved/length checked;
 /// CRC still pending — it covers the payload too).
 #[derive(Debug, Clone, Copy)]
-pub struct FrameHeader {
+pub(crate) struct FrameHeader {
     pub kind: u8,
     pub payload_len: u32,
     raw: [u8; HEADER_LEN],
@@ -349,7 +349,7 @@ pub struct FrameHeader {
 impl FrameHeader {
     /// Validates the fixed 12-byte header. The CRC is *not* checked
     /// here — it trails the payload.
-    pub fn parse(raw: [u8; HEADER_LEN]) -> Result<Self, FrameError> {
+    pub(crate) fn parse(raw: [u8; HEADER_LEN]) -> Result<Self, FrameError> {
         if raw[..4] != MAGIC {
             return Err(FrameError::BadMagic([raw[0], raw[1], raw[2], raw[3]]));
         }
@@ -375,7 +375,7 @@ impl FrameHeader {
 /// put on the wire for the peer to reject (and the `u32` length field
 /// can never silently truncate). The frame is sized first, encoded in
 /// place into one buffer, and CRC'd once.
-pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>, FrameError> {
+pub(crate) fn frame_bytes(msg: &Message) -> Result<Vec<u8>, FrameError> {
     let len = payload_len(msg);
     if len > MAX_FRAME_PAYLOAD as usize {
         return Err(FrameError::TooLarge(u32::try_from(len).unwrap_or(u32::MAX)));
@@ -402,7 +402,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 
 /// Decodes a frame body (`payload ++ crc32`, exactly
 /// `header.payload_len + 4` bytes) read after `header`.
-pub fn decode_frame(header: &FrameHeader, body: &[u8]) -> Result<Message, FrameError> {
+pub(crate) fn decode_frame(header: &FrameHeader, body: &[u8]) -> Result<Message, FrameError> {
     let want = header.payload_len as usize + 4;
     if body.len() != want {
         return Err(FrameError::Malformed("frame body length"));

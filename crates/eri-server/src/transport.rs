@@ -14,7 +14,7 @@
 //!   field, so nothing is decoded from a frame that wasn't proven
 //!   intact.
 //! * **Degraded, not dead.** Block reads go through
-//!   [`crate::ServerHandle::read_blocks_each`]: a corrupt block becomes
+//!   `crate::ServerHandle::read_blocks_each`: a corrupt block becomes
 //!   a structured per-block error in the response while its siblings
 //!   are served normally.
 //! * **Slow peers are bounded.** Once a frame's first byte arrives the
@@ -45,7 +45,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,14 +135,14 @@ impl Conn {
         }
     }
 
-    pub fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, d: Option<Duration>) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_write_timeout(d),
             Conn::Unix(s) => s.set_write_timeout(d),
         }
     }
 
-    pub fn shutdown(&self) -> io::Result<()> {
+    pub(crate) fn shutdown(&self) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),
             Conn::Unix(s) => s.shutdown(Shutdown::Both),
@@ -249,7 +249,6 @@ pub struct TransportServer {
     stop: Arc<AtomicBool>,
     local: Endpoint,
     inject: Option<Arc<dyn OverloadInject>>,
-    conns_served: AtomicU64,
     admission: Arc<AdmissionController>,
 }
 
@@ -315,7 +314,6 @@ impl TransportServer {
             stop: Arc::new(AtomicBool::new(false)),
             local,
             inject,
-            conns_served: AtomicU64::new(0),
             admission: Arc::new(AdmissionController::new(AdmissionConfig::default())),
         })
     }
@@ -340,12 +338,6 @@ impl TransportServer {
     #[must_use]
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admission
-    }
-
-    /// Connections accepted so far.
-    #[must_use]
-    pub fn connections_served(&self) -> u64 {
-        self.conns_served.load(Ordering::Relaxed)
     }
 
     fn accept(&self) -> io::Result<Conn> {
@@ -398,7 +390,6 @@ impl TransportServer {
                 break;
             }
             accepted += 1;
-            self.conns_served.fetch_add(1, Ordering::Relaxed);
             let handle = Arc::clone(&self.handle);
             let stop = Arc::clone(&self.stop);
             let inject = self.inject.clone();

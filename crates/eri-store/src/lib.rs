@@ -98,7 +98,7 @@ pub enum StoreError {
 impl StoreError {
     /// Corruption with no location attached yet.
     #[must_use]
-    pub const fn corrupt(reason: &'static str) -> Self {
+    pub(crate) const fn corrupt(reason: &'static str) -> Self {
         StoreError::Corrupt {
             block: None,
             offset: None,
@@ -108,7 +108,7 @@ impl StoreError {
 
     /// Attributes a corruption/checksum error to block `b`.
     #[must_use]
-    pub fn with_block(self, b: usize) -> Self {
+    pub(crate) fn with_block(self, b: usize) -> Self {
         match self {
             StoreError::Corrupt { offset, reason, .. } => StoreError::Corrupt {
                 block: Some(b),
@@ -686,13 +686,6 @@ impl StoreReader<File> {
     /// Opens a store and loads its index.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         Self::from_source(File::open(path)?, RetryPolicy::default())
-    }
-
-    /// Opens a store with an explicit transient-retry policy. Each call
-    /// owns an independent file handle, so a sharded server can open one
-    /// reader per shard of the same store and read them concurrently.
-    pub fn open_with_retry(path: &Path, retry: RetryPolicy) -> Result<Self, StoreError> {
-        Self::from_source(File::open(path)?, retry)
     }
 }
 

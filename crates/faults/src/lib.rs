@@ -102,11 +102,6 @@ impl<R> FaultyReader<R> {
         self.transient_emitted
     }
 
-    /// Unwraps the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
     /// Should the byte at absolute `offset` be corrupted, and if so
     /// which bit? Pure function of (seed, offset) — read-chunking and
     /// seek patterns cannot change the answer.
@@ -263,7 +258,7 @@ impl CrashBudget {
 
     /// Bytes still writable before the crash fires.
     #[must_use]
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.0.load(std::sync::atomic::Ordering::SeqCst)
     }
 
@@ -305,7 +300,7 @@ pub struct WriteFaultConfig {
 
 /// Error kind used for injected crashes.
 #[must_use]
-pub fn crash_error() -> io::Error {
+pub(crate) fn crash_error() -> io::Error {
     io::Error::other("injected crash")
 }
 
@@ -352,14 +347,9 @@ impl<W> FaultyWriter<W> {
         self
     }
 
-    /// Has the injected crash fired?
-    #[must_use]
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Unwraps the inner writer (whatever it received pre-crash).
-    pub fn into_inner(self) -> W {
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> W {
         self.inner
     }
 
@@ -592,7 +582,6 @@ mod tests {
             if kill_at < 1000 {
                 let e = result.unwrap_err();
                 assert!(is_injected_crash(&e), "{e}");
-                assert!(w.is_dead());
                 // Everything else fails too, like a killed process.
                 assert!(w.write(b"x").is_err());
                 assert!(w.flush().is_err());

@@ -82,7 +82,7 @@ impl OverloadInjector {
     /// How many leading presentations of `key` are forcibly shed
     /// (0 = never targeted).
     #[must_use]
-    pub fn forced_sheds(&self, key: u64) -> u32 {
+    pub(crate) fn forced_sheds(&self, key: u64) -> u32 {
         if self.cfg.shed_every == 0 || self.cfg.max_sheds_per_key == 0 {
             return 0;
         }
@@ -95,7 +95,7 @@ impl OverloadInjector {
 
     /// The slow-handler delay injected once `key` is admitted.
     #[must_use]
-    pub fn handler_delay(&self, key: u64) -> Duration {
+    pub(crate) fn handler_delay(&self, key: u64) -> Duration {
         if self.cfg.delay_every == 0 || self.cfg.max_delay.is_zero() {
             return Duration::ZERO;
         }

@@ -59,7 +59,7 @@ impl WireFault {
     /// so a merged trace shows *which* wire fault a retry recovered
     /// from.
     #[must_use]
-    pub fn journal_kind(self) -> &'static str {
+    pub(crate) fn journal_kind(self) -> &'static str {
         match self {
             WireFault::Truncate => "wire.truncate",
             WireFault::Corrupt => "wire.corrupt",
@@ -131,16 +131,6 @@ impl ProxyTallies {
         self.drops += other.drops;
         self.stalls += other.stalls;
         self.resets += other.resets;
-    }
-
-    /// One diffable JSON object line, keys in declaration order.
-    #[must_use]
-    pub fn tally_line(&self) -> String {
-        format!(
-            "{{\"conns\": {}, \"truncates\": {}, \"corrupts\": {}, \"drops\": {}, \
-             \"stalls\": {}, \"resets\": {}}}",
-            self.conns, self.truncates, self.corrupts, self.drops, self.stalls, self.resets
-        )
     }
 }
 
@@ -215,7 +205,7 @@ impl FaultyProxy {
 
     /// Fault counts so far.
     #[must_use]
-    pub fn tallies(&self) -> ProxyTallies {
+    pub(crate) fn tallies(&self) -> ProxyTallies {
         ProxyTallies {
             conns: self.state.conns.load(Ordering::Relaxed),
             truncates: self.state.truncates.load(Ordering::Relaxed),

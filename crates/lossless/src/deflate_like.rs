@@ -23,7 +23,7 @@ const DIST_BITS: u32 = 15; // window = 32 KiB
 
 /// Compresses arbitrary bytes.
 #[must_use]
-pub fn compress(data: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(data: &[u8]) -> Vec<u8> {
     let tokens = lzss::tokenize(data);
     // Build the literal/length symbol stream.
     let mut freqs = vec![0u64; ALPHABET];
@@ -60,7 +60,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decompresses a stream produced by `compress`.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, LosslessError> {
     let mut pos = 0usize;
     if bytes.get(..4) != Some(&MAGIC) {

@@ -50,7 +50,7 @@ const fn build_tables() -> ([u8; 512], [u8; 256]) {
 /// GF(2^8) multiplication.
 #[inline]
 #[must_use]
-pub fn gf_mul(a: u8, b: u8) -> u8 {
+pub(crate) fn gf_mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
     } else {
@@ -61,7 +61,7 @@ pub fn gf_mul(a: u8, b: u8) -> u8 {
 /// GF(2^8) multiplicative inverse. Panics on 0 (which has none).
 #[inline]
 #[must_use]
-pub fn gf_inv(a: u8) -> u8 {
+pub(crate) fn gf_inv(a: u8) -> u8 {
     assert!(a != 0, "0 has no inverse in GF(256)");
     EXP[255 - LOG[a as usize] as usize]
 }
@@ -151,18 +151,6 @@ impl ReedSolomon {
             });
         }
         Ok(Self { data, parity })
-    }
-
-    /// Payload shard count.
-    #[must_use]
-    pub fn data_shards(&self) -> usize {
-        self.data
-    }
-
-    /// Parity shard count (= erasures tolerated).
-    #[must_use]
-    pub fn parity_shards(&self) -> usize {
-        self.parity
     }
 
     /// Cauchy coefficient for parity row `j`, data column `i`:

@@ -42,7 +42,7 @@ use crate::encoding::{EcqCounts, EncodingTree};
 
 /// How a block was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockKind {
+pub(crate) enum BlockKind {
     /// Every value is within `EB` of zero; nothing stored.
     AllZero = 0,
     /// Pattern + scales suffice; all ECQ are zero (paper "type 0").
@@ -73,7 +73,7 @@ impl BlockKind {
 ///
 /// `block.len()` must equal `geom.block_size()` (callers zero-pad partial
 /// trailing blocks, mirroring the paper's screened-element handling).
-pub fn compress_block(
+pub(crate) fn compress_block(
     block: &[f64],
     geom: &BlockGeometry,
     quant: &Quantizer,
@@ -276,7 +276,7 @@ fn write_verbatim(block: &[f64], w: &mut BitWriter, stats: &mut Option<&mut Comp
 /// The paper's block taxonomy (Fig. 6): type 0 = all-zero ECQ, type 1 =
 /// `EC_{b,max} = 2`, type 2 = `3..=6`, type 3 = `> 6`.
 #[must_use]
-pub fn paper_block_type(kind: BlockKind, ecb_max: u32) -> u8 {
+pub(crate) fn paper_block_type(kind: BlockKind, ecb_max: u32) -> u8 {
     match kind {
         BlockKind::AllZero | BlockKind::PatternOnly => 0,
         _ => match ecb_max {
@@ -454,7 +454,7 @@ impl BlockSink for DecodeSink<'_> {
 /// Decompresses one block from `r` into `out`.
 ///
 /// `out.len()` must equal `geom.block_size()`.
-pub fn decompress_block(
+pub(crate) fn decompress_block(
     r: &mut BitReader<'_>,
     geom: &BlockGeometry,
     quant: &Quantizer,

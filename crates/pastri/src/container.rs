@@ -104,13 +104,13 @@ impl ParityConfig {
     /// Is this configuration encodable? GF(256) limits a group plus its
     /// shards to 255 total.
     #[must_use]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.group_size >= 1 && self.group_size + self.parity_shards <= 255
     }
 
     /// Does this configuration emit a parity section?
     #[must_use]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.parity_shards > 0
     }
 }
@@ -181,24 +181,6 @@ impl Compressor {
         Self::with_options(geometry, eb, CompressorOptions::default())
     }
 
-    /// Compressor with a *value-range-relative* error bound: the absolute
-    /// bound becomes `rel · (max − min)` of the finite values in `data`
-    /// (the convention SZ and ZFP expose as "REL" mode). Falls back to
-    /// `rel` itself on constant/empty data.
-    #[must_use]
-    pub fn with_relative_bound(geometry: BlockGeometry, rel: f64, data: &[f64]) -> Self {
-        assert!(rel.is_finite() && rel > 0.0, "relative bound must be finite and > 0");
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in data {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        let range = if hi > lo { hi - lo } else { 1.0 };
-        Self::new(geometry, rel * range)
-    }
-
     /// Compressor with explicit metric/tree choices.
     #[must_use]
     pub fn with_options(geometry: BlockGeometry, eb: f64, options: CompressorOptions) -> Self {
@@ -225,12 +207,6 @@ impl Compressor {
     #[must_use]
     pub fn error_bound(&self) -> f64 {
         self.quant.eb()
-    }
-
-    /// Options in effect.
-    #[must_use]
-    pub fn options(&self) -> CompressorOptions {
-        self.options
     }
 
     /// Compresses a stream of doubles. The final partial block (if any) is
@@ -642,7 +618,7 @@ pub(crate) fn verify_frame(frame: &BlockFrame<'_>, block: usize) -> Result<(), D
 /// Strict: the first damaged block aborts the decode, and the error
 /// carries that block's index and byte offset. Use [`decompress_lossy`]
 /// to recover everything around the damage instead.
-pub fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), DecompressError> {
+pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), DecompressError> {
     let _span = telemetry::span("decompress.container");
     let header = parse_header(bytes)?;
     let geometry = header.geometry;
@@ -1057,25 +1033,6 @@ mod tests {
         // Second decode into the same buffer.
         super::decompress_into(&bytes, &mut buf).unwrap();
         assert_eq!(buf.len(), data.len());
-    }
-
-    #[test]
-    fn relative_bound_scales_with_range() {
-        let geom = BlockGeometry::new(2, 4);
-        let small: Vec<f64> = (0..16).map(|i| i as f64 * 1e-8).collect();
-        let large: Vec<f64> = (0..16).map(|i| i as f64 * 1e-2).collect();
-        let c_small = Compressor::with_relative_bound(geom, 1e-4, &small);
-        let c_large = Compressor::with_relative_bound(geom, 1e-4, &large);
-        // Absolute bounds scale with the data range.
-        assert!((c_small.error_bound() - 15e-8 * 1e-4).abs() < 1e-20);
-        assert!((c_large.error_bound() - 15e-2 * 1e-4).abs() < 1e-14);
-        // And the bound holds relative to each dataset's range.
-        for (c, data) in [(c_small, &small), (c_large, &large)] {
-            let back = c.decompress(&c.compress(data)).unwrap();
-            for (a, b) in data.iter().zip(&back) {
-                assert!((a - b).abs() <= c.error_bound());
-            }
-        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
     /// The caller is responsible for having truncated the sink to
     /// `committed.bytes` and positioned it there, and for skipping
     /// `committed.values` source values before writing more.
-    pub fn resume(
+    pub(crate) fn resume(
         sink: W,
         journal: JournalWriter<J>,
         compressor: Compressor,
@@ -119,7 +119,7 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
     /// The last durable checkpoint: everything at or before it survives
     /// a crash.
     #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
+    pub(crate) fn checkpoint(&self) -> Checkpoint {
         self.committed
     }
 

@@ -98,15 +98,6 @@ pub enum EncodingTree {
 }
 
 impl EncodingTree {
-    /// All five paper trees, in Fig. 7 order.
-    pub const PAPER_TREES: [EncodingTree; 5] = [
-        EncodingTree::Tree1,
-        EncodingTree::Tree2,
-        EncodingTree::Tree3,
-        EncodingTree::Tree4,
-        EncodingTree::Tree5,
-    ];
-
     /// Display name matching Fig. 7.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -122,7 +113,7 @@ impl EncodingTree {
 
     /// 3-bit wire id for the container header.
     #[must_use]
-    pub fn wire_id(&self) -> u8 {
+    pub(crate) fn wire_id(&self) -> u8 {
         match self {
             EncodingTree::Tree1 => 0,
             EncodingTree::Tree2 => 1,
@@ -135,7 +126,7 @@ impl EncodingTree {
 
     /// Inverse of [`wire_id`](Self::wire_id).
     #[must_use]
-    pub fn from_wire_id(id: u8) -> Option<Self> {
+    pub(crate) fn from_wire_id(id: u8) -> Option<Self> {
         Some(match id {
             0 => EncodingTree::Tree1,
             1 => EncodingTree::Tree2,
@@ -151,7 +142,7 @@ impl EncodingTree {
     /// `EC_{b,max}` (used for the dense-vs-sparse decision without a
     /// second encoding pass).
     #[must_use]
-    pub fn symbol_cost(&self, v: i64, ecb_max: u32) -> u64 {
+    pub(crate) fn symbol_cost(&self, v: i64, ecb_max: u32) -> u64 {
         match self.resolve(ecb_max) {
             Resolved::Tri => match v {
                 0 => 1,
@@ -222,7 +213,7 @@ impl EncodingTree {
     /// Tree 5's two coders (the 3-symbol code and Tree 3) emit each
     /// symbol as one `(code, len)` field: prefix and value bits are
     /// packed first, so the writer sees one call per value.
-    pub fn encode_stream(&self, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
+    pub(crate) fn encode_stream(&self, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
         match self.resolve(ecb_max) {
             Resolved::Tri => {
                 for &v in ecq {
@@ -303,7 +294,7 @@ impl EncodingTree {
     }
 
     /// Decodes `n` ECQ values into `out`.
-    pub fn decode_stream(
+    pub(crate) fn decode_stream(
         &self,
         n: usize,
         ecb_max: u32,

@@ -52,7 +52,7 @@ impl DecompressError {
     /// attributed to a block). Attach context with [`Self::with_block`] /
     /// [`Self::at_offset`].
     #[must_use]
-    pub const fn corrupt(reason: &'static str) -> Self {
+    pub(crate) const fn corrupt(reason: &'static str) -> Self {
         DecompressError::Corrupt {
             block: None,
             offset: None,
@@ -63,7 +63,7 @@ impl DecompressError {
     /// Attributes a corruption or checksum error to block `b`; other
     /// variants pass through unchanged.
     #[must_use]
-    pub fn with_block(self, b: usize) -> Self {
+    pub(crate) fn with_block(self, b: usize) -> Self {
         match self {
             DecompressError::Corrupt { offset, reason, .. } => DecompressError::Corrupt {
                 block: Some(b),
@@ -88,7 +88,7 @@ impl DecompressError {
     /// Records the container byte offset where a corruption or checksum
     /// error was detected; other variants pass through unchanged.
     #[must_use]
-    pub fn at_offset(self, o: u64) -> Self {
+    pub(crate) fn at_offset(self, o: u64) -> Self {
         match self {
             DecompressError::Corrupt { block, reason, .. } => DecompressError::Corrupt {
                 block,
@@ -107,16 +107,6 @@ impl DecompressError {
                 actual,
             },
             other => other,
-        }
-    }
-
-    /// The block index this error is attributed to, if any.
-    #[must_use]
-    pub fn block(&self) -> Option<usize> {
-        match self {
-            DecompressError::Corrupt { block, .. }
-            | DecompressError::ChecksumMismatch { block, .. } => *block,
-            _ => None,
         }
     }
 }
@@ -182,7 +172,6 @@ mod tests {
                 reason: "bad thing"
             }
         );
-        assert_eq!(e.block(), Some(3));
         assert_eq!(e.to_string(), "corrupt stream: bad thing (block 3, offset 40)");
     }
 
@@ -192,7 +181,6 @@ mod tests {
             DecompressError::Truncated.with_block(1).at_offset(2),
             DecompressError::Truncated
         );
-        assert_eq!(DecompressError::BadMagic.block(), None);
     }
 
     #[test]

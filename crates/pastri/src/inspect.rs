@@ -40,8 +40,8 @@ pub struct ContainerInfo {
     pub metric: Option<ScalingMetric>,
     /// Encoding tree recorded at compression time.
     pub tree: EncodingTree,
-    /// Blocks per [`BlockKind`], indexed by discriminant
-    /// (AllZero, PatternOnly, Dense, Sparse, Verbatim).
+    /// Blocks per storage kind, in index order: all-zero, pattern-only,
+    /// dense, sparse, verbatim.
     pub kind_counts: [u64; 5],
     /// Sum of per-block payload bytes (container minus framing).
     pub payload_bytes: u64,

@@ -65,16 +65,15 @@ mod repair;
 mod stats;
 pub mod stream;
 
-pub use block::{compress_block, decompress_block, BlockKind};
 pub use container::{
-    decompress, decompress_into, decompress_lossy, BlockOutcome, Compressor, CompressorOptions,
-    EcqRepr, LossyDecode, ParityConfig, ScaleRule,
+    decompress, decompress_lossy, BlockOutcome, Compressor, CompressorOptions, EcqRepr,
+    LossyDecode, ParityConfig, ScaleRule,
 };
 pub use encoding::EncodingTree;
 pub use error::DecompressError;
 pub use geometry::BlockGeometry;
 pub use inspect::{container_bit_stats, inspect, inspect_prefix, ContainerInfo};
 pub use metrics::{fit_pattern, PatternFit, ScalingMetric};
-pub use quant::{ecq_bin_max, ecq_bits, Quantizer, ScaleQuantizer};
+pub use quant::{ecq_bits, Quantizer, ScaleQuantizer};
 pub use repair::{repair_container, RepairReport};
 pub use stats::{BlockTypeStats, CompressionStats, StorageBreakdown};

@@ -40,22 +40,10 @@ impl ScalingMetric {
         ScalingMetric::Is,
     ];
 
-    /// Short name as used in the paper.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScalingMetric::Fr => "FR",
-            ScalingMetric::Er => "ER",
-            ScalingMetric::Ar => "AR",
-            ScalingMetric::Aar => "AAR",
-            ScalingMetric::Is => "IS",
-        }
-    }
-
     /// 3-bit wire id stored in the container header (provenance only —
     /// decompression does not need the metric).
     #[must_use]
-    pub fn wire_id(&self) -> u8 {
+    pub(crate) fn wire_id(&self) -> u8 {
         match self {
             ScalingMetric::Fr => 0,
             ScalingMetric::Er => 1,
@@ -67,7 +55,7 @@ impl ScalingMetric {
 
     /// Inverse of [`wire_id`](Self::wire_id).
     #[must_use]
-    pub fn from_wire_id(id: u8) -> Option<Self> {
+    pub(crate) fn from_wire_id(id: u8) -> Option<Self> {
         Some(match id {
             0 => ScalingMetric::Fr,
             1 => ScalingMetric::Er,
@@ -81,7 +69,7 @@ impl ScalingMetric {
     /// The metric value of one sub-block (signed where the metric carries
     /// a sign; magnitude otherwise).
     #[must_use]
-    pub fn value(&self, sb: &[f64]) -> f64 {
+    pub(crate) fn value(&self, sb: &[f64]) -> f64 {
         match self {
             ScalingMetric::Fr => sb[0],
             ScalingMetric::Er => {
@@ -109,7 +97,7 @@ impl ScalingMetric {
     /// Whether the metric's value is inherently non-negative, requiring an
     /// explicit sign correction on the scaling coefficients (Fig. 4).
     #[must_use]
-    pub fn needs_sign_correction(&self) -> bool {
+    pub(crate) fn needs_sign_correction(&self) -> bool {
         matches!(self, ScalingMetric::Aar | ScalingMetric::Is)
     }
 }
@@ -179,7 +167,7 @@ pub fn fit_pattern(metric: ScalingMetric, geom: &BlockGeometry, block: &[f64]) -
 
 /// Index of the largest-magnitude element (first on ties).
 #[must_use]
-pub fn argmax_abs(xs: &[f64]) -> usize {
+pub(crate) fn argmax_abs(xs: &[f64]) -> usize {
     let mut best = 0usize;
     let mut bv = -1.0f64;
     for (i, &v) in xs.iter().enumerate() {
@@ -271,7 +259,7 @@ mod tests {
         let block = vec![0.0; 12];
         for m in ScalingMetric::ALL {
             let fit = fit_pattern(m, &geom(), &block);
-            assert!(fit.scales.iter().all(|&s| s == 0.0), "{}", m.name());
+            assert!(fit.scales.iter().all(|&s| s == 0.0), "{m:?}");
         }
     }
 

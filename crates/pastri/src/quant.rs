@@ -28,17 +28,9 @@ pub fn ecq_bits(v: i64) -> u32 {
     }
 }
 
-/// Largest magnitude an `i`-bit ECQ bin holds: `2^{i-1} − 1`.
-#[inline]
-#[must_use]
-pub fn ecq_bin_max(bits: u32) -> i64 {
-    debug_assert!((1..=63).contains(&bits));
-    (1i64 << (bits - 1)) - 1
-}
-
 /// Quantization codes above this magnitude force the verbatim fallback:
 /// the arithmetic stays exact in `i64`/`f64` well away from overflow.
-pub const MAX_SAFE_CODE: i64 = 1i64 << 52;
+pub(crate) const MAX_SAFE_CODE: i64 = 1i64 << 52;
 
 /// `x.round()` as an integer (halves away from zero) for `|x| ≤ 2^52`,
 /// inline: truncate, then step by the sign of a fractional part of at
@@ -135,7 +127,7 @@ impl ScaleQuantizer {
 
     /// Bit width `S_b`.
     #[must_use]
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.sb_bits
     }
 
@@ -174,7 +166,7 @@ mod tests {
         assert_eq!(ecq_bits(8), 5);
         for bits in 2..=20u32 {
             let lo = 1i64 << (bits - 2);
-            let hi = ecq_bin_max(bits);
+            let hi = (1i64 << (bits - 1)) - 1;
             assert_eq!(ecq_bits(lo), bits);
             assert_eq!(ecq_bits(hi), bits);
             assert_eq!(ecq_bits(-lo), bits);

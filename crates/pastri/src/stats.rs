@@ -7,7 +7,7 @@ use crate::block::BlockKind;
 use crate::encoding::EcqCounts;
 
 /// Maximum ECQ bin index tracked in histograms (bin = bits needed).
-pub const MAX_ECQ_BIN: usize = 56;
+pub(crate) const MAX_ECQ_BIN: usize = 56;
 
 /// Aggregate statistics over a compression run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +18,8 @@ pub struct CompressionStats {
     pub compressed_bytes: u64,
     /// Blocks compressed (including the padded tail block).
     pub blocks: u64,
-    /// Blocks per [`BlockKind`] (indexed by discriminant).
+    /// Blocks per storage kind, in index order: all-zero, pattern-only,
+    /// dense, sparse, verbatim.
     pub kind_counts: [u64; 5],
     /// Blocks per paper block type 0–3 (Fig. 6). Verbatim counts as 3.
     pub type_counts: [u64; 4],

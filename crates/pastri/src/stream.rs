@@ -153,12 +153,6 @@ pub struct SegmentOutcome {
 }
 
 impl SegmentOutcome {
-    /// Did this segment decode cleanly (possibly after parity repair)?
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.values.is_ok()
-    }
-
     /// Was this segment damaged on disk but fully reconstructed?
     #[must_use]
     pub fn was_repaired(&self) -> bool {
@@ -243,12 +237,6 @@ impl<R: Read> StreamReader<R> {
             done: false,
             next_index: 0,
         })
-    }
-
-    /// Index the next segment will have (segments consumed so far).
-    #[must_use]
-    pub fn segments_read(&self) -> usize {
-        self.next_index
     }
 
     /// Reads and decompresses the next segment; `None` at the terminator.
@@ -421,24 +409,20 @@ pub(crate) fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     w.write_all(&buf)
 }
 
+/// Reads one varint: at most 10 bytes, through the first without the
+/// continuation bit, decoded by the container's reader so both share
+/// one overflow rule.
 fn read_varint<R: Read>(r: &mut R) -> Result<u64, DecompressError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        read_exact_or_truncated(r, &mut byte)?;
-        if shift == 63 && byte[0] > 1 {
-            return Err(DecompressError::corrupt("varint overflow"));
-        }
-        v |= u64::from(byte[0] & 0x7f) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(DecompressError::corrupt("varint overflow"));
+    let mut buf = [0u8; 10];
+    let mut n = 0;
+    while n < buf.len() {
+        read_exact_or_truncated(r, &mut buf[n..=n])?;
+        n += 1;
+        if buf[n - 1] & 0x80 == 0 {
+            break;
         }
     }
+    crate::container::read_varint(&buf[..n], &mut 0)
 }
 
 /// Reads exactly `len` bytes, growing the buffer in bounded steps so the
@@ -582,7 +566,6 @@ mod tests {
         }
         // 10 blocks at 3 per segment: 3+3+3+1 blocks => 108,108,108,36.
         assert_eq!(lens, vec![108, 108, 108, 36]);
-        assert_eq!(r.segments_read(), 4);
     }
 
     #[test]
@@ -602,6 +585,17 @@ mod tests {
             }
         };
         assert!(result.is_err(), "truncation must surface as an error");
+    }
+
+    #[test]
+    fn damaged_length_varint() {
+        let next = |varint: &[u8]| {
+            let bytes = [&STREAM_MAGIC[..], &[STREAM_VERSION], varint].concat();
+            StreamReader::new(bytes.as_slice()).unwrap().next_segment()
+        };
+        let overflow = DecompressError::corrupt("varint overflow");
+        assert_eq!(next(&[0xff; 10]), Err(overflow));
+        assert_eq!(next(&[0xff; 9]), Err(DecompressError::Truncated));
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl GpfsModel {
 
     /// Seconds to move `bytes` with `cores` files in parallel.
     #[must_use]
-    pub fn io_seconds(&self, bytes: f64, cores: u32) -> f64 {
+    pub(crate) fn io_seconds(&self, bytes: f64, cores: u32) -> f64 {
         assert!(cores > 0);
         let per_core = bytes / f64::from(cores);
         let stream = per_core / (self.per_process_mbs * 1e6);
@@ -153,80 +153,13 @@ pub struct ReuseBreakdown {
     pub compress_s: f64,
     /// Seconds decompressing (per reuse, totalled).
     pub decompress_s: f64,
-    /// Seconds in scrub/repair passes: rebuilding damaged blocks from
-    /// their containers' parity sections instead of regenerating them
-    /// (zero for formats without a parity layer).
-    pub repair_s: f64,
 }
 
 impl ReuseBreakdown {
     /// Total elapsed seconds.
     #[must_use]
     pub fn total_s(&self) -> f64 {
-        self.calculate_s + self.compress_s + self.decompress_s + self.repair_s
-    }
-}
-
-/// Storage-fault model for the reuse loop: expected corruption and
-/// transient-I/O costs over many SCF reuses of one compressed dataset.
-///
-/// A dataset that "lives" on a parallel file system across 20 reuses is
-/// exposed to bit rot, torn writes, and congested-server hiccups the
-/// whole time. What those cost depends on the storage format's integrity
-/// design: with per-block checksums and salvage (container v2 /
-/// `ERISTOR2`), a detected corruption loses only the damaged blocks and
-/// only those are regenerated; with the v3 parity layer on top, the
-/// damaged blocks rebuild bit-exact from their parity group and nothing
-/// is regenerated at all; without either, detection happens — if at
-/// all — as garbage SCF energies, and the honest recovery cost is
-/// regenerating the full dataset.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultModel {
-    /// Probability that any given reuse observes detectable corruption
-    /// somewhere in the dataset (per-reuse, not per-byte).
-    pub corruption_per_reuse: f64,
-    /// Probability that any given reuse observes *silent* corruption:
-    /// bit flips the storage stack never reports (SDC). Per-block
-    /// checksums turn these into detected, block-contained losses; a
-    /// parity layer additionally repairs them in place; a format with
-    /// neither learns about them as garbage SCF energies.
-    pub silent_corruption_per_reuse: f64,
-    /// Fraction of blocks lost when corruption strikes. Independent
-    /// per-block framing keeps this near `1 / num_blocks`; framing-level
-    /// damage loses more.
-    pub damaged_block_fraction: f64,
-    /// Expected transient-I/O retries per reuse (interrupted or
-    /// would-block reads on a busy file system).
-    pub transient_retries_per_reuse: f64,
-    /// Seconds per transient retry (bounded backoff + the re-read).
-    pub retry_s: f64,
-}
-
-impl FaultModel {
-    /// No faults: reduces every faulted projection to the fault-free one.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            corruption_per_reuse: 0.0,
-            silent_corruption_per_reuse: 0.0,
-            damaged_block_fraction: 0.0,
-            transient_retries_per_reuse: 0.0,
-            retry_s: 0.0,
-        }
-    }
-
-    /// A long-lived GPFS dataset: corruption is rare per reuse but not
-    /// negligible over a campaign, damage is contained to a sliver of
-    /// blocks, and transient retries are routine.
-    #[must_use]
-    pub fn gpfs_resident() -> Self {
-        Self {
-            corruption_per_reuse: 0.01,
-            silent_corruption_per_reuse: 0.005,
-            damaged_block_fraction: 1e-4,
-            transient_retries_per_reuse: 2.0,
-            retry_s: 0.05,
-        }
+        self.calculate_s + self.compress_s + self.decompress_s
     }
 }
 
@@ -248,7 +181,6 @@ impl ReuseModel {
             calculate_s: f64::from(self.reuse_count) * self.bytes / (self.eri_gen_mbs * 1e6),
             compress_s: 0.0,
             decompress_s: 0.0,
-            repair_s: 0.0,
         }
     }
 
@@ -260,94 +192,6 @@ impl ReuseModel {
             calculate_s: self.bytes / (self.eri_gen_mbs * 1e6),
             compress_s: self.bytes / (prof.compress_mbs * 1e6),
             decompress_s: f64::from(self.reuse_count) * self.bytes / (prof.decompress_mbs * 1e6),
-            repair_s: 0.0,
-        }
-    }
-
-    /// Compressor infrastructure on faulty storage *with* the integrity
-    /// layer: corruption is detected by checksums and contained by
-    /// per-block framing, so only the damaged fraction is regenerated and
-    /// recompressed; transient errors cost bounded retries folded into
-    /// the reuse (decompress) phase.
-    #[must_use]
-    pub fn with_compressor_faulty(
-        &self,
-        prof: &CompressorProfile,
-        faults: &FaultModel,
-    ) -> ReuseBreakdown {
-        let base = self.with_compressor(prof);
-        let reuses = f64::from(self.reuse_count);
-        // Expected bytes regenerated over the campaign: each reuse hits
-        // corruption with some probability, losing a fraction of blocks.
-        // Checksums catch silent flips too, so they join the detected
-        // rate here — contained, but still regenerated.
-        let corruption = faults.corruption_per_reuse + faults.silent_corruption_per_reuse;
-        let lost_bytes = reuses * corruption * faults.damaged_block_fraction * self.bytes;
-        ReuseBreakdown {
-            calculate_s: base.calculate_s + lost_bytes / (self.eri_gen_mbs * 1e6),
-            compress_s: base.compress_s + lost_bytes / (prof.compress_mbs * 1e6),
-            decompress_s: base.decompress_s
-                + reuses * faults.transient_retries_per_reuse * faults.retry_s,
-            repair_s: 0.0,
-        }
-    }
-
-    /// Compressor infrastructure on faulty storage with the *self-healing*
-    /// layer (container v3): checksums localize damage exactly as in
-    /// [`Self::with_compressor_faulty`], but the per-group Reed-Solomon
-    /// parity rebuilds damaged blocks bit-exact from the surviving shards,
-    /// so nothing is regenerated or recompressed. Repair reads the damaged
-    /// block's whole parity group of compressed payloads and runs the
-    /// GF(256) decode — streaming work charged to `repair_s` at the
-    /// decompressor's rate. Parity emission itself is part of the measured
-    /// `compress_mbs` (v3 writers emit parity by default), so no extra
-    /// compress-side charge appears here.
-    #[must_use]
-    pub fn with_compressor_self_healing(
-        &self,
-        prof: &CompressorProfile,
-        faults: &FaultModel,
-    ) -> ReuseBreakdown {
-        /// Data shards per parity group (`ParityConfig::default`).
-        const PARITY_GROUP: f64 = 8.0;
-        let base = self.with_compressor(prof);
-        let reuses = f64::from(self.reuse_count);
-        let corruption = faults.corruption_per_reuse + faults.silent_corruption_per_reuse;
-        let damaged_bytes = reuses * corruption * faults.damaged_block_fraction * self.bytes;
-        let repaired_compressed = damaged_bytes / prof.ratio * PARITY_GROUP;
-        ReuseBreakdown {
-            calculate_s: base.calculate_s,
-            compress_s: base.compress_s,
-            decompress_s: base.decompress_s
-                + reuses * faults.transient_retries_per_reuse * faults.retry_s,
-            repair_s: repaired_compressed / (prof.decompress_mbs * 1e6),
-        }
-    }
-
-    /// Compressor infrastructure on faulty storage *without* checksums
-    /// (the pre-v2 formats): detected corruption cannot be localized, so
-    /// each corrupted reuse regenerates and recompresses the full
-    /// dataset, and every transient error fails the load outright —
-    /// costing a full re-read/decompress pass instead of a bounded retry.
-    #[must_use]
-    pub fn with_compressor_faulty_no_integrity(
-        &self,
-        prof: &CompressorProfile,
-        faults: &FaultModel,
-    ) -> ReuseBreakdown {
-        let base = self.with_compressor(prof);
-        let reuses = f64::from(self.reuse_count);
-        // Silent flips are just as fatal here: they surface as garbage
-        // energies and force the same full regeneration.
-        let corrupted_reuses =
-            reuses * (faults.corruption_per_reuse + faults.silent_corruption_per_reuse);
-        let failed_loads = reuses * faults.transient_retries_per_reuse;
-        ReuseBreakdown {
-            calculate_s: base.calculate_s + corrupted_reuses * self.bytes / (self.eri_gen_mbs * 1e6),
-            compress_s: base.compress_s + corrupted_reuses * self.bytes / (prof.compress_mbs * 1e6),
-            decompress_s: base.decompress_s
-                + failed_loads * self.bytes / (prof.decompress_mbs * 1e6),
-            repair_s: 0.0,
         }
     }
 }
@@ -473,81 +317,5 @@ mod tests {
     fn gamess_rates_match_paper() {
         assert_eq!(gamess_eri_rate_mbs("(dd|dd)"), 322.82);
         assert_eq!(gamess_eri_rate_mbs("(ff|ff)"), 622.81);
-    }
-
-    #[test]
-    fn zero_faults_reduce_to_fault_free_model() {
-        let m = ReuseModel {
-            bytes: 2e9,
-            eri_gen_mbs: 322.82,
-            reuse_count: 20,
-        };
-        let clean = m.with_compressor(&pastri_like());
-        let faulted = m.with_compressor_faulty(&pastri_like(), &FaultModel::none());
-        let no_integrity =
-            m.with_compressor_faulty_no_integrity(&pastri_like(), &FaultModel::none());
-        let healing = m.with_compressor_self_healing(&pastri_like(), &FaultModel::none());
-        assert_eq!(clean.total_s(), faulted.total_s());
-        assert_eq!(clean.total_s(), no_integrity.total_s());
-        assert_eq!(clean.total_s(), healing.total_s());
-        assert_eq!(healing.repair_s, 0.0);
-    }
-
-    #[test]
-    fn parity_repair_beats_drop_and_regenerate() {
-        // The self-healing layer's claim: when corruption (detected or
-        // silent) strikes, rebuilding damaged blocks from parity is
-        // cheaper than regenerating + recompressing them, and it never
-        // touches the generation or compression phases at all.
-        let m = ReuseModel {
-            bytes: 2e9,
-            eri_gen_mbs: 322.82,
-            reuse_count: 20,
-        };
-        let faults = FaultModel::gpfs_resident();
-        assert!(faults.silent_corruption_per_reuse > 0.0);
-        let clean = m.with_compressor(&pastri_like());
-        let drop = m.with_compressor_faulty(&pastri_like(), &faults);
-        let heal = m.with_compressor_self_healing(&pastri_like(), &faults);
-        // Repair does real work...
-        assert!(heal.repair_s > 0.0);
-        // ...but generation and compression stay at the fault-free cost,
-        // unlike the drop-and-regenerate path.
-        assert_eq!(heal.calculate_s, clean.calculate_s);
-        assert_eq!(heal.compress_s, clean.compress_s);
-        assert!(drop.calculate_s > clean.calculate_s);
-        // Net: self-healing strictly beats drop-and-regenerate.
-        assert!(
-            heal.total_s() < drop.total_s(),
-            "heal {}s vs drop {}s",
-            heal.total_s(),
-            drop.total_s()
-        );
-    }
-
-    #[test]
-    fn integrity_layer_pays_for_itself_on_faulty_storage() {
-        let m = ReuseModel {
-            bytes: 2e9,
-            eri_gen_mbs: 322.82,
-            reuse_count: 20,
-        };
-        let faults = FaultModel::gpfs_resident();
-        let clean = m.with_compressor(&pastri_like());
-        let with = m.with_compressor_faulty(&pastri_like(), &faults);
-        let without = m.with_compressor_faulty_no_integrity(&pastri_like(), &faults);
-        // Faults always cost something...
-        assert!(with.total_s() > clean.total_s());
-        // ...but block-contained recovery costs far less than full
-        // regeneration: the fault overhead shrinks by >10x.
-        let overhead_with = with.total_s() - clean.total_s();
-        let overhead_without = without.total_s() - clean.total_s();
-        assert!(
-            overhead_without > 10.0 * overhead_with,
-            "contained {overhead_with}s vs uncontained {overhead_without}s"
-        );
-        // And the faulted-but-protected pipeline still beats regenerating
-        // every time.
-        assert!(m.original().total_s() > 2.0 * with.total_s());
     }
 }

@@ -8,11 +8,11 @@
 //! sub-block structure relies on.
 
 /// Total angular momentum of a shell (0 = s, 1 = p, 2 = d, 3 = f, ...).
-pub type AngMom = u32;
+pub(crate) type AngMom = u32;
 
 /// One Cartesian component `(i, j, k)` with `i + j + k = l`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CartComp {
+pub(crate) struct CartComp {
     pub i: u32,
     pub j: u32,
     pub k: u32,
@@ -21,7 +21,7 @@ pub struct CartComp {
 impl CartComp {
     /// Total angular momentum of this component.
     #[must_use]
-    pub fn l(&self) -> u32 {
+    pub(crate) fn l(&self) -> u32 {
         self.i + self.j + self.k
     }
 }
@@ -29,7 +29,7 @@ impl CartComp {
 /// Number of Cartesian basis functions in a shell of angular momentum `l`:
 /// `(l+1)(l+2)/2`.
 #[must_use]
-pub fn shell_size(l: AngMom) -> usize {
+pub(crate) fn shell_size(l: AngMom) -> usize {
     ((l + 1) * (l + 2) / 2) as usize
 }
 
@@ -38,7 +38,7 @@ pub fn shell_size(l: AngMom) -> usize {
 ///
 /// For `l = 1` this yields `p^x, p^y, p^z`.
 #[must_use]
-pub fn components(l: AngMom) -> Vec<CartComp> {
+pub(crate) fn components(l: AngMom) -> Vec<CartComp> {
     let mut out = Vec::with_capacity(shell_size(l));
     for i in (0..=l).rev() {
         for j in (0..=(l - i)).rev() {
@@ -65,7 +65,7 @@ pub fn shell_letter(l: AngMom) -> char {
 
 /// Parses a shell letter back to its angular momentum.
 #[must_use]
-pub fn letter_to_l(c: char) -> Option<AngMom> {
+pub(crate) fn letter_to_l(c: char) -> Option<AngMom> {
     match c.to_ascii_lowercase() {
         's' => Some(0),
         'p' => Some(1),
@@ -80,7 +80,7 @@ pub fn letter_to_l(c: char) -> Option<AngMom> {
 /// Double factorial `n!! = n (n-2) (n-4) ...` with `(-1)!! = 0!! = 1`.
 /// Used by the Boys function asymptotics and Gaussian normalization.
 #[must_use]
-pub fn double_factorial(n: i64) -> f64 {
+pub(crate) fn double_factorial(n: i64) -> f64 {
     if n <= 0 {
         return 1.0;
     }
@@ -96,7 +96,7 @@ pub fn double_factorial(n: i64) -> f64 {
 /// Normalization constant of a primitive Cartesian Gaussian
 /// `x^i y^j z^k exp(-a r^2)`.
 #[must_use]
-pub fn primitive_norm(a: f64, comp: CartComp) -> f64 {
+pub(crate) fn primitive_norm(a: f64, comp: CartComp) -> f64 {
     let l = comp.l();
     let num = (2.0 * a / std::f64::consts::PI).powf(0.75)
         * (4.0 * a).powf(f64::from(l) / 2.0);

@@ -101,7 +101,7 @@ impl BfConfig {
 
     /// Number of sub-blocks per block, `N1·N2` (Algorithm 1, line 3).
     #[must_use]
-    pub fn num_subblocks(&self) -> usize {
+    pub(crate) fn num_subblocks(&self) -> usize {
         let d = self.dims();
         d[0] * d[1]
     }

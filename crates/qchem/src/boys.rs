@@ -4,7 +4,7 @@
 //! a `(ff|ff)` ERI needs orders up to `n = 12`. Evaluation strategy
 //! (standard in integral codes):
 //!
-//! * `x` below [`SERIES_CUTOFF`]: evaluate the highest order needed with the
+//! * `x` below `SERIES_CUTOFF` (117): evaluate the highest order needed with the
 //!   convergent Kummer series
 //!   `F_n(x) = e^{-x} Σ_k (2x)^k (2n-1)!! / (2n+2k+1)!!`,
 //!   then fill lower orders by the *downward* recursion
@@ -23,16 +23,16 @@ use crate::angular::double_factorial;
 /// `~1e-40`, so the branch is exact to double precision for every
 /// supported order. Below the cutoff the all-positive Kummer series is
 /// used (no cancellation; ~`2x + 90` terms worst case).
-pub const SERIES_CUTOFF: f64 = 117.0;
+pub(crate) const SERIES_CUTOFF: f64 = 117.0;
 
 /// Maximum order supported (enough for `(hh|hh)` quartets, l=5 ⇒ n=20).
-pub const MAX_ORDER: usize = 24;
+pub(crate) const MAX_ORDER: usize = 24;
 
 /// Evaluates `F_0(x) … F_{n_max}(x)` into `out[0..=n_max]`.
 ///
 /// # Panics
 /// Panics if `n_max > MAX_ORDER`, `x < 0`, or `out` is too short.
-pub fn boys(n_max: usize, x: f64, out: &mut [f64]) {
+pub(crate) fn boys(n_max: usize, x: f64, out: &mut [f64]) {
     assert!(n_max <= MAX_ORDER, "boys order {n_max} > MAX_ORDER");
     assert!(x >= 0.0 && x.is_finite(), "boys argument must be finite and >= 0");
     assert!(out.len() > n_max);

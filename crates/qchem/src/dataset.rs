@@ -45,7 +45,7 @@ pub struct DatasetSpec {
 /// ever reach the integral file. Chosen just below the paper's tightest
 /// error bound (1e-11) so the surviving data is exactly what a compressor
 /// would actually be fed.
-pub const SCREEN_THRESHOLD: f64 = 1e-11;
+pub(crate) const SCREEN_THRESHOLD: f64 = 1e-11;
 
 /// A generated ERI dataset: a flat `f64` stream of whole blocks.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ impl EriDataset {
     }
 
     /// Analytic generation (see module docs). Quartets whose blocks fall
-    /// entirely below [`SCREEN_THRESHOLD`] are rejected and replaced, the
+    /// entirely below `SCREEN_THRESHOLD` (1e-11) are rejected and replaced, the
     /// way Schwarz screening removes them from real GAMESS integral files.
     #[must_use]
     pub fn generate(spec: &DatasetSpec) -> Self {

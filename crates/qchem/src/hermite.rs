@@ -21,7 +21,7 @@
 ///
 /// Indexed as `E[i][j][t]` with `i ≤ i_max`, `j ≤ j_max`, `t ≤ i + j`.
 #[derive(Debug, Clone)]
-pub struct ETable {
+pub(crate) struct ETable {
     data: Vec<f64>,
     j_max: usize,
     t_stride: usize,
@@ -31,7 +31,7 @@ impl ETable {
     /// Builds the full `E_t^{ij}` table for exponents `a`, `b` and centre
     /// coordinates `ax`, `bx` in this dimension.
     #[must_use]
-    pub fn build(i_max: usize, j_max: usize, a: f64, b: f64, ax: f64, bx: f64) -> Self {
+    pub(crate) fn build(i_max: usize, j_max: usize, a: f64, b: f64, ax: f64, bx: f64) -> Self {
         let p = a + b;
         let q = a * b / p;
         let px = (a * ax + b * bx) / p;
@@ -79,7 +79,7 @@ impl ETable {
     /// `E_t^{ij}`; zero outside the valid `t` range.
     #[inline]
     #[must_use]
-    pub fn get(&self, i: usize, j: usize, t: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize, t: usize) -> f64 {
         if t >= self.t_stride {
             return 0.0;
         }

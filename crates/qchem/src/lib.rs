@@ -14,7 +14,7 @@
 //!   sizes `(l+1)(l+2)/2`.
 //! * [`boys`] — the Boys function `F_n(x)`, the special function at the core
 //!   of Gaussian integral evaluation.
-//! * [`hermite`] — McMurchie–Davidson Hermite expansion coefficients `E_t^{ij}`.
+//! * `hermite` — McMurchie–Davidson Hermite expansion coefficients `E_t^{ij}`.
 //! * [`md`] — Hermite Coulomb integrals `R^n_{tuv}` and full contracted
 //!   shell-quartet ERI blocks.
 //! * [`molecule`] — the three benchmark molecules (benzene, glutamine,
@@ -47,15 +47,14 @@ pub mod angular;
 pub mod basis;
 pub mod boys;
 pub mod dataset;
-pub mod hermite;
+mod hermite;
 pub mod linalg;
 pub mod md;
 pub mod mp2;
 pub mod molecule;
 pub mod oneint;
 pub mod scf;
-pub mod sto3g;
-pub mod uhf;
+mod sto3g;
 
 pub use basis::{BfConfig, Shell};
 pub use dataset::{DatasetSpec, EriDataset};

@@ -16,7 +16,7 @@ pub struct Matrix {
 impl Matrix {
     /// Zero matrix.
     #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -26,7 +26,7 @@ impl Matrix {
 
     /// Identity matrix.
     #[must_use]
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -38,8 +38,9 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
+    #[cfg(test)]
     #[must_use]
-    pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), rows * cols);
         Self {
             rows,
@@ -50,7 +51,7 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     #[must_use]
-    pub fn mul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn mul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -69,7 +70,7 @@ impl Matrix {
 
     /// Transpose.
     #[must_use]
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -79,23 +80,9 @@ impl Matrix {
         out
     }
 
-    /// Largest absolute off-diagonal element (square matrices).
-    #[must_use]
-    pub fn max_offdiagonal(&self) -> f64 {
-        let mut m = 0.0f64;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if i != j {
-                    m = m.max(self[(i, j)].abs());
-                }
-            }
-        }
-        m
-    }
-
     /// Frobenius norm of `self − other`.
     #[must_use]
-    pub fn distance(&self, other: &Matrix) -> f64 {
+    pub(crate) fn distance(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
             .iter()
@@ -103,12 +90,6 @@ impl Matrix {
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Underlying row-major data.
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 }
 
@@ -135,7 +116,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 /// # Panics
 /// Panics if `a` is not square.
 #[must_use]
-pub fn eigh(a: &Matrix) -> (Vec<f64>, Matrix) {
+pub(crate) fn eigh(a: &Matrix) -> (Vec<f64>, Matrix) {
     assert_eq!(a.rows, a.cols, "eigh needs a square matrix");
     let n = a.rows;
     let mut m = a.clone();
@@ -205,7 +186,7 @@ pub fn eigh(a: &Matrix) -> (Vec<f64>, Matrix) {
 /// # Panics
 /// Panics if any eigenvalue is ≤ 1e-12 (linearly dependent basis).
 #[must_use]
-pub fn inverse_sqrt(s: &Matrix) -> Matrix {
+pub(crate) fn inverse_sqrt(s: &Matrix) -> Matrix {
     let (vals, vecs) = eigh(s);
     let n = s.rows;
     let mut d = Matrix::zeros(n, n);

@@ -26,7 +26,7 @@ use crate::hermite::ETable;
 /// Hermite Coulomb integral table `R_{tuv} = R^0_{tuv}` for one primitive
 /// quartet, valid for `t + u + v ≤ l_total`.
 #[derive(Debug)]
-pub struct RTable {
+pub(crate) struct RTable {
     data: Vec<f64>,
     dim: usize, // l_total + 1
 }
@@ -35,7 +35,7 @@ impl RTable {
     /// Builds `R^0_{tuv}` for reduced exponent `alpha` and centre
     /// displacement `pq = P − Q`, up to total Hermite order `l_total`.
     #[must_use]
-    pub fn build(l_total: usize, alpha: f64, pq: [f64; 3]) -> Self {
+    pub(crate) fn build(l_total: usize, alpha: f64, pq: [f64; 3]) -> Self {
         let dim = l_total + 1;
         let t2 = alpha * (pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2]);
         let fs = boys::boys_vec(l_total, t2);
@@ -91,7 +91,7 @@ impl RTable {
     /// `R^0_{tuv}`.
     #[inline]
     #[must_use]
-    pub fn get(&self, t: usize, u: usize, v: usize) -> f64 {
+    pub(crate) fn get(&self, t: usize, u: usize, v: usize) -> f64 {
         self.data[(t * self.dim + u) * self.dim + v]
     }
 }
@@ -106,7 +106,7 @@ impl RTable {
 /// "shell-pair data" optimization of integral codes) removes the dominant
 /// redundant work.
 #[derive(Debug, Clone)]
-pub struct ShellPair {
+pub(crate) struct ShellPair {
     /// Angular momenta of the two shells.
     pub la: usize,
     pub lb: usize,
@@ -130,7 +130,7 @@ struct PairPrimitive {
 impl ShellPair {
     /// Builds the pair tables for shells `sa`, `sb`.
     #[must_use]
-    pub fn build(sa: &Shell, sb: &Shell) -> Self {
+    pub(crate) fn build(sa: &Shell, sb: &Shell) -> Self {
         let (la, lb) = (sa.l as usize, sb.l as usize);
         let mut prims = Vec::with_capacity(sa.exps.len() * sb.exps.len());
         for (pa, &a) in sa.exps.iter().enumerate() {
@@ -174,7 +174,7 @@ pub fn eri_block(sa: &Shell, sb: &Shell, sc: &Shell, sd: &Shell) -> Vec<f64> {
 /// Like [`eri_block`], but with the pair tables precomputed — use this
 /// when evaluating many quartets sharing bra/ket pairs.
 #[must_use]
-pub fn eri_block_from_pairs(bra: &ShellPair, ket: &ShellPair) -> Vec<f64> {
+pub(crate) fn eri_block_from_pairs(bra: &ShellPair, ket: &ShellPair) -> Vec<f64> {
     let (na, nb, nc, nd) = (
         bra.comps_a.len(),
         bra.comps_b.len(),

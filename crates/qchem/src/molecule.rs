@@ -218,12 +218,6 @@ impl Molecule {
             _ => None,
         }
     }
-
-    /// All three benchmark molecules, in the paper's order.
-    #[must_use]
-    pub fn benchmark_set() -> Vec<Self> {
-        vec![Self::tri_alanine(), Self::benzene(), Self::glutamine()]
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +267,11 @@ mod tests {
 
     #[test]
     fn no_atom_collisions() {
-        for m in Molecule::benchmark_set() {
+        for m in [
+            Molecule::tri_alanine(),
+            Molecule::benzene(),
+            Molecule::glutamine(),
+        ] {
             for i in 0..m.atoms.len() {
                 for j in (i + 1)..m.atoms.len() {
                     let d: f64 = (0..3)

@@ -26,7 +26,7 @@ use crate::scf::ScfResult;
 /// values, μ slowest) into the MO basis with coefficients `c`
 /// (AO rows × MO columns).
 #[must_use]
-pub fn ao_to_mo(eri_ao: &[f64], c: &Matrix) -> Vec<f64> {
+pub(crate) fn ao_to_mo(eri_ao: &[f64], c: &Matrix) -> Vec<f64> {
     let n = c.rows;
     assert_eq!(eri_ao.len(), n * n * n * n, "ERI tensor size mismatch");
     assert_eq!(c.rows, c.cols);

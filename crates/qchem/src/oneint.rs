@@ -3,9 +3,9 @@
 //! the ERIs that a Hartree–Fock calculation needs.
 //!
 //! All three reduce to McMurchie–Davidson machinery already built for the
-//! ERIs: the Hermite expansion tables `E_t^{ij}` ([`crate::hermite`]) and,
+//! ERIs: the Hermite expansion tables `E_t^{ij}` (`crate::hermite`) and,
 //! for nuclear attraction, the Hermite Coulomb integrals `R_{tuv}`
-//! ([`crate::md::RTable`]).
+//! (`crate::md::RTable`).
 
 use crate::angular::{components, primitive_norm};
 use crate::basis::Shell;

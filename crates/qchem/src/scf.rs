@@ -55,8 +55,9 @@ impl HfSystem {
     }
 
     /// Same, with a total charge (e.g. +1 for HeH⁺).
+    #[cfg(test)]
     #[must_use]
-    pub fn sto3g_with_charge(molecule: &Molecule, charge: i32) -> Self {
+    pub(crate) fn sto3g_with_charge(molecule: &Molecule, charge: i32) -> Self {
         let mut sys = Self::sto3g(molecule);
         sys.n_electrons = (sys.n_electrons as i64 - i64::from(charge)) as usize;
         sys
@@ -70,7 +71,7 @@ impl HfSystem {
 
     /// Classical nuclear repulsion energy.
     #[must_use]
-    pub fn nuclear_repulsion(&self) -> f64 {
+    pub(crate) fn nuclear_repulsion(&self) -> f64 {
         let mut e = 0.0;
         for i in 0..self.atoms.len() {
             for j in (i + 1)..self.atoms.len() {
@@ -86,7 +87,7 @@ impl HfSystem {
 
     /// Assembles overlap and core-Hamiltonian matrices.
     #[must_use]
-    pub fn one_electron_matrices(&self) -> (Matrix, Matrix) {
+    pub(crate) fn one_electron_matrices(&self) -> (Matrix, Matrix) {
         let n = self.nbf();
         let mut s = Matrix::zeros(n, n);
         let mut h = Matrix::zeros(n, n);
@@ -296,8 +297,9 @@ pub mod systems {
     use crate::molecule::{Atom, Molecule};
 
     /// H₂ at the Szabo–Ostlund bond length 1.4 a₀.
+    #[cfg(test)]
     #[must_use]
-    pub fn h2() -> Molecule {
+    pub(crate) fn h2() -> Molecule {
         Molecule {
             name: "H2",
             atoms: vec![
@@ -308,8 +310,9 @@ pub mod systems {
     }
 
     /// A helium atom.
+    #[cfg(test)]
     #[must_use]
-    pub fn helium() -> Molecule {
+    pub(crate) fn helium() -> Molecule {
         Molecule {
             name: "He",
             atoms: vec![Atom { z: 2, pos: [0.0; 3] }],
@@ -317,8 +320,9 @@ pub mod systems {
     }
 
     /// HeH⁺ at 1.4632 a₀ (Szabo & Ostlund's worked example geometry).
+    #[cfg(test)]
     #[must_use]
-    pub fn heh_cation() -> Molecule {
+    pub(crate) fn heh_cation() -> Molecule {
         Molecule {
             name: "HeH+",
             atoms: vec![

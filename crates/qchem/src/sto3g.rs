@@ -45,7 +45,7 @@ fn normalized(mut shell: Shell) -> Shell {
 
 /// STO-3G shells for one atom. Returns `None` for unsupported elements.
 #[must_use]
-pub fn shells_for_atom(atom: &Atom) -> Option<Vec<Shell>> {
+pub(crate) fn shells_for_atom(atom: &Atom) -> Option<Vec<Shell>> {
     let mk = |l: u32, exps: &[f64], coefs: &[f64]| {
         normalized(Shell {
             center: atom.pos,
@@ -81,7 +81,7 @@ pub fn shells_for_atom(atom: &Atom) -> Option<Vec<Shell>> {
 /// # Panics
 /// Panics on elements outside {H, He, C, N, O}.
 #[must_use]
-pub fn shells_for_molecule(molecule: &Molecule) -> Vec<Shell> {
+pub(crate) fn shells_for_molecule(molecule: &Molecule) -> Vec<Shell> {
     molecule
         .atoms
         .iter()

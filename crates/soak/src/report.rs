@@ -73,7 +73,7 @@ pub struct Tallies {
 impl Tallies {
     /// Accumulates another store's tallies (fold in store-index order
     /// for determinism; addition is commutative anyway).
-    pub fn add(&mut self, other: &Tallies) {
+    pub(crate) fn add(&mut self, other: &Tallies) {
         self.ops_executed += other.ops_executed;
         self.ops_skipped += other.ops_skipped;
         self.reads += other.reads;
@@ -153,7 +153,7 @@ impl SoakReport {
 
     /// The run's overall verdict: no data loss and no violated gate.
     #[must_use]
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.zero_data_loss() && self.all_gates_pass()
     }
 }
@@ -162,14 +162,14 @@ impl SoakReport {
 /// resolved to the histogram's bucket upper bounds (clamped to the
 /// observed max, which is exact). Returns `None` for an empty histogram.
 #[must_use]
-pub fn percentile_us(h: &HistRec, q: f64) -> Option<u64> {
+pub(crate) fn percentile_us(h: &HistRec, q: f64) -> Option<u64> {
     h.percentile_us(q)
 }
 
 /// Evaluates gates and assembles the report from the run's raw outcome
 /// plus the telemetry snapshot.
 #[must_use]
-pub fn build(
+pub(crate) fn build(
     cfg: &SoakConfig,
     tallies: Tallies,
     unaccounted_loss: u64,

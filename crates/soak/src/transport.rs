@@ -290,7 +290,7 @@ impl TransportReport {
 
     /// The storm's overall verdict.
     #[must_use]
-    pub fn passed(&self) -> bool {
+    pub(crate) fn passed(&self) -> bool {
         self.zero_data_loss() && self.all_gates_pass() && self.overload_sound()
     }
 

@@ -6,7 +6,7 @@
 //! 1. **Best-fit curve-fitting prediction** — each point is predicted from
 //!    the *previously decompressed* neighbours by one of three models:
 //!    preceding value, linear extrapolation `2a − b`, or quadratic
-//!    `3a − 3b + c`. The best model is selected per [`SEGMENT`]-point
+//!    `3a − 3b + c`. The best model is selected per 1024-point
 //!    segment by measuring true residuals on the encoder side; only a
 //!    2-bit id per segment is transmitted (SZ transmits no per-point
 //!    choices either — its 1.4 pipeline fixes the predictor for a buffer).
@@ -36,7 +36,7 @@ const RADIUS: u32 = INTERVALS / 2;
 /// Reserved Huffman symbol for unpredictable points.
 const UNPRED: u32 = 0;
 /// Points per predictor-selection segment.
-pub const SEGMENT: usize = 1024;
+pub(crate) const SEGMENT: usize = 1024;
 
 const MAGIC: [u8; 4] = *b"SZ1D";
 
@@ -90,28 +90,6 @@ impl SzCompressor {
     pub fn new(eb: f64) -> Self {
         assert!(eb.is_finite() && eb > 0.0, "error bound must be finite and > 0");
         Self { eb }
-    }
-
-    /// Compressor with a value-range-relative bound (`rel · (max − min)`
-    /// of the finite values), the real SZ's "REL" mode.
-    #[must_use]
-    pub fn with_relative_bound(rel: f64, data: &[f64]) -> Self {
-        assert!(rel.is_finite() && rel > 0.0, "relative bound must be finite and > 0");
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in data {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        let range = if hi > lo { hi - lo } else { 1.0 };
-        Self::new(rel * range)
-    }
-
-    /// The configured error bound.
-    #[must_use]
-    pub fn error_bound(&self) -> f64 {
-        self.eb
     }
 
     /// Compresses `data`, guaranteeing `|v − v̂| ≤ eb` for finite inputs
@@ -419,18 +397,6 @@ mod tests {
         // Either an error or (rarely) still decodable if the cut hit
         // padding; must not panic.
         let _ = decompress(&bad);
-    }
-
-    #[test]
-    fn relative_bound_mode() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).sin() * 3.0).collect();
-        let c = SzCompressor::with_relative_bound(1e-6, &data);
-        // Range is ~6, so the absolute bound is ~6e-6.
-        assert!((c.error_bound() - 6e-6).abs() < 1e-6);
-        let back = c.decompress(&c.compress(&data)).unwrap();
-        for (a, b) in data.iter().zip(&back) {
-            assert!((a - b).abs() <= c.error_bound());
-        }
     }
 
     #[test]

@@ -403,7 +403,7 @@ pub fn chrome(snap: &Snapshot) -> String {
 /// renders the client snapshot as pid 1 and the server snapshot as
 /// pid 2 so the viewer shows one cross-process timeline.
 #[must_use]
-pub fn chrome_with_pid(snap: &Snapshot, pid: u64) -> String {
+pub(crate) fn chrome_with_pid(snap: &Snapshot, pid: u64) -> String {
     format!("[{}]\n", chrome_events(snap, pid).join(",\n "))
 }
 

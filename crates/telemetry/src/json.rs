@@ -57,7 +57,7 @@ impl Value {
     /// (all 64 bits; trace ids depend on this), rejects negatives and
     /// fractions.
     #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) => u64::try_from(*i).ok(),
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 1.8e19 => Some(*n as u64),
@@ -67,7 +67,7 @@ impl Value {
 
     /// The number as a signed integer, exact for integer tokens.
     #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(i) => i64::try_from(*i).ok(),
             Value::Num(n) if n.fract() == 0.0 && n.abs() <= 9.2e18 => Some(*n as i64),
@@ -334,7 +334,7 @@ impl Parser<'_> {
 /// of what [`parse`] unescapes). Shared by every exporter so hand-rolled
 /// writers cannot drift from the reader.
 #[must_use]
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

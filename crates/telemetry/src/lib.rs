@@ -372,7 +372,7 @@ impl GaugeVal {
 
 /// Power-of-two buckets: bucket 0 is `0 µs`, bucket i ≥ 1 holds values
 /// in `[2^(i-1), 2^i)` µs, the last bucket is open-ended.
-pub const HIST_BUCKETS: usize = 32;
+pub(crate) const HIST_BUCKETS: usize = 32;
 
 struct HistVal {
     count: AtomicU64,
@@ -417,7 +417,7 @@ impl HistVal {
 /// Bucket index for a microsecond value (shared with exporters so the
 /// rendered bounds match the recorded ones).
 #[must_use]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -427,7 +427,7 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// Inclusive-exclusive microsecond bounds of bucket `i`.
 #[must_use]
-pub fn bucket_bounds(i: usize) -> (u64, Option<u64>) {
+pub(crate) fn bucket_bounds(i: usize) -> (u64, Option<u64>) {
     match i {
         0 => (0, Some(1)),
         _ if i == HIST_BUCKETS - 1 => (1 << (i - 1), None),
@@ -446,30 +446,15 @@ static HISTS: Table<HistVal> = Table::new();
 /// Default cap on buffered span/event records; beyond the effective cap
 /// ([`span_capacity`]) new records are counted in
 /// [`Snapshot::spans_dropped`] instead of stored, so a pathological run
-/// cannot eat unbounded memory. Override with [`set_capacity`] or the
-/// `PASTRI_TELEMETRY_CAP` environment variable.
-pub const SPAN_CAP: usize = 100_000;
+/// cannot eat unbounded memory. Override with the `PASTRI_TELEMETRY_CAP`
+/// environment variable.
+pub(crate) const SPAN_CAP: usize = 100_000;
 const SPAN_SHARDS: usize = 8;
 
-static CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the span-record cap for this process (0 restores the
-/// default resolution: `PASTRI_TELEMETRY_CAP` env, else [`SPAN_CAP`]).
-/// Records already buffered are kept even if the new cap is smaller;
-/// only future pushes see the new limit.
-pub fn set_capacity(cap: usize) {
-    CAP_OVERRIDE.store(cap, Ordering::SeqCst);
-}
-
-/// The effective span-record cap: [`set_capacity`] override if set,
-/// else `PASTRI_TELEMETRY_CAP` from the environment (read once), else
-/// [`SPAN_CAP`].
+/// The effective span-record cap: `PASTRI_TELEMETRY_CAP` from the
+/// environment (read once), else `SPAN_CAP` (100 000).
 #[must_use]
 pub fn span_capacity() -> usize {
-    let o = CAP_OVERRIDE.load(Ordering::Relaxed);
-    if o != 0 {
-        return o;
-    }
     static ENV_CAP: OnceLock<Option<usize>> = OnceLock::new();
     ENV_CAP
         .get_or_init(|| {
@@ -658,18 +643,6 @@ pub fn observe_us(name: &'static str, micros: u64) {
     }
 }
 
-/// Times a closure and records its wall time into histogram `name`
-/// (µs). The closure always runs; the clock is only read when enabled.
-pub fn time_us<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    if !is_enabled() {
-        return f();
-    }
-    let start = Instant::now();
-    let out = f();
-    observe_us(name, u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Structured event journal
 // ---------------------------------------------------------------------------
@@ -680,7 +653,7 @@ pub fn time_us<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 /// and counted per kind in [`Snapshot::events_dropped`] — `top` and
 /// `report` always see the newest events plus an honest account of what
 /// scrolled off.
-pub const JOURNAL_CAP: usize = 1024;
+pub(crate) const JOURNAL_CAP: usize = 1024;
 
 static JOURNAL_SEQ: AtomicU64 = AtomicU64::new(0);
 static JOURNAL_DROPS: Table<CounterVal> = Table::new();
@@ -836,7 +809,8 @@ pub struct HistRec {
     pub min: u64,
     /// Largest observation (µs).
     pub max: u64,
-    /// Per-bucket counts (see [`bucket_bounds`]).
+    /// Per-bucket counts: bucket 0 holds 0 µs, bucket `i ≥ 1` holds
+    /// `[2^(i-1), 2^i)` µs, and the last bucket is open-ended.
     pub buckets: Vec<u64>,
 }
 
@@ -879,7 +853,7 @@ pub struct Snapshot {
     pub spans_dropped: u64,
     /// Journal events still in the ring, oldest first.
     pub events: Vec<JournalRec>,
-    /// Per-kind counts of journal events dropped at [`JOURNAL_CAP`],
+    /// Per-kind counts of journal events dropped at `JOURNAL_CAP` (1024),
     /// sorted by kind.
     pub events_dropped: Vec<CounterRec>,
 }
@@ -1134,6 +1108,9 @@ mod tests {
         let _g = lock();
         set_enabled(true);
         reset();
+        if std::env::var("PASTRI_TELEMETRY_CAP").is_err() {
+            assert_eq!(span_capacity(), SPAN_CAP, "default resolution");
+        }
         // Fill the buffer past the cap with cheap events.
         let cap = span_capacity();
         for _ in 0..(cap + 50) {
@@ -1278,43 +1255,5 @@ mod tests {
         assert_eq!(traced.trace, ctx.trace_id);
         let untraced = snap.events.iter().find(|e| e.kind == "j.untraced").unwrap();
         assert_eq!(untraced.trace, 0);
-    }
-
-    #[test]
-    fn span_capacity_is_configurable() {
-        let _g = lock();
-        let env_default = std::env::var("PASTRI_TELEMETRY_CAP").is_err();
-        if env_default {
-            assert_eq!(span_capacity(), SPAN_CAP, "default resolution");
-        }
-        set_capacity(100);
-        assert_eq!(span_capacity(), 100);
-        set_enabled(true);
-        reset();
-        for _ in 0..150 {
-            event("cap.small");
-        }
-        let snap = snapshot();
-        set_enabled(false);
-        set_capacity(0); // restore default before any assert can bail
-        assert_eq!(snap.spans.len(), 100);
-        assert_eq!(snap.spans_dropped, 50);
-        if env_default {
-            assert_eq!(span_capacity(), SPAN_CAP);
-        }
-        reset();
-    }
-
-    #[test]
-    fn time_us_runs_closure_in_both_states() {
-        let _g = lock();
-        set_enabled(false);
-        assert_eq!(time_us("t.noop", || 41 + 1), 42);
-        set_enabled(true);
-        reset();
-        assert_eq!(time_us("t.timed", || 42), 42);
-        let snap = snapshot();
-        set_enabled(false);
-        assert_eq!(snap.histograms.iter().find(|h| h.name == "t.timed").unwrap().count, 1);
     }
 }

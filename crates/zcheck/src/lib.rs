@@ -36,7 +36,7 @@ impl Assessment {
 
     /// Bit rate: output bits per input value (`64 / CR` for doubles).
     #[must_use]
-    pub fn bitrate(&self) -> f64 {
+    pub(crate) fn bitrate(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
@@ -107,71 +107,6 @@ pub fn error_autocorrelation(original: &[f64], decompressed: &[f64], lag: usize)
         .map(|i| (err[i] - mean) * (err[i + lag] - mean))
         .sum();
     cov / var
-}
-
-/// Pearson correlation between original and decompressed data — a
-/// Z-Checker quality metric (should be ≈ 1 for any usable compressor).
-#[must_use]
-pub fn pearson_correlation(original: &[f64], decompressed: &[f64]) -> f64 {
-    assert_eq!(original.len(), decompressed.len());
-    let n = original.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    let (ma, mb) = (mean(original), mean(decompressed));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&a, &b) in original.iter().zip(decompressed) {
-        cov += (a - ma) * (b - mb);
-        va += (a - ma) * (a - ma);
-        vb += (b - mb) * (b - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return if va == vb { 1.0 } else { 0.0 };
-    }
-    cov / (va * vb).sqrt()
-}
-
-/// Distribution summary of the pointwise absolute errors: mean, and the
-/// p50/p90/p99/max quantiles — Z-Checker's error-distribution view.
-#[derive(Debug, Clone, Copy)]
-pub struct ErrorQuantiles {
-    pub mean: f64,
-    pub p50: f64,
-    pub p90: f64,
-    pub p99: f64,
-    pub max: f64,
-}
-
-/// Computes [`ErrorQuantiles`] of `|original − decompressed|`.
-#[must_use]
-pub fn error_quantiles(original: &[f64], decompressed: &[f64]) -> ErrorQuantiles {
-    assert_eq!(original.len(), decompressed.len());
-    let mut errs: Vec<f64> = original
-        .iter()
-        .zip(decompressed)
-        .map(|(a, b)| (a - b).abs())
-        .collect();
-    if errs.is_empty() {
-        return ErrorQuantiles {
-            mean: 0.0,
-            p50: 0.0,
-            p90: 0.0,
-            p99: 0.0,
-            max: 0.0,
-        };
-    }
-    errs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let q = |p: f64| errs[((errs.len() - 1) as f64 * p).round() as usize];
-    ErrorQuantiles {
-        mean: errs.iter().sum::<f64>() / errs.len() as f64,
-        p50: q(0.50),
-        p90: q(0.90),
-        p99: q(0.99),
-        max: *errs.last().unwrap(),
-    }
 }
 
 /// One point on a rate–distortion curve (Fig. 9(b)).
@@ -293,47 +228,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let _ = assess(&[1.0], &[1.0, 2.0], 8);
-    }
-
-    #[test]
-    fn pearson_of_identical_is_one() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        assert!((pearson_correlation(&xs, &xs) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_of_negated_is_minus_one() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        let neg: Vec<f64> = xs.iter().map(|v| -v).collect();
-        assert!((pearson_correlation(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_survives_small_noise() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).sin()).collect();
-        let noisy: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| v + 1e-8 * if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(pearson_correlation(&xs, &noisy) > 0.999999);
-    }
-
-    #[test]
-    fn quantiles_ordering() {
-        let orig = vec![0.0; 1000];
-        let dec: Vec<f64> = (0..1000).map(|i| i as f64 * 1e-6).collect();
-        let q = error_quantiles(&orig, &dec);
-        assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.max);
-        assert!((q.max - 999e-6).abs() < 1e-12);
-        assert!((q.p50 - 500e-6).abs() < 2e-6);
-        assert!((q.mean - 499.5e-6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantiles_empty() {
-        let q = error_quantiles(&[], &[]);
-        assert_eq!(q.max, 0.0);
-        assert_eq!(q.mean, 0.0);
     }
 }

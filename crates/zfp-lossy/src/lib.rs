@@ -79,28 +79,6 @@ impl ZfpCompressor {
         }
     }
 
-    /// Compressor with a value-range-relative tolerance
-    /// (`rel · (max − min)` of the finite values).
-    #[must_use]
-    pub fn with_relative_bound(rel: f64, data: &[f64]) -> Self {
-        assert!(rel.is_finite() && rel > 0.0, "relative bound must be finite and > 0");
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in data {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        let range = if hi > lo { hi - lo } else { 1.0 };
-        Self::new(rel * range)
-    }
-
-    /// The configured tolerance.
-    #[must_use]
-    pub fn error_bound(&self) -> f64 {
-        self.tolerance
-    }
-
     /// Compresses `data`. Finite values are restored within the tolerance;
     /// blocks containing non-finite values are stored verbatim.
     #[must_use]
@@ -575,17 +553,6 @@ mod tests {
         let c = ZfpCompressor::new(1e-9);
         let bytes = c.compress(&[1.0, 2.0]);
         assert!(decompress(&bytes[..6]).is_err());
-    }
-
-    #[test]
-    fn relative_bound_mode() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).cos() * 5.0).collect();
-        let c = ZfpCompressor::with_relative_bound(1e-7, &data);
-        assert!((c.error_bound() - 10.0 * 1e-7).abs() < 2e-7);
-        let back = c.decompress(&c.compress(&data)).unwrap();
-        for (a, b) in data.iter().zip(&back) {
-            assert!((a - b).abs() <= c.error_bound());
-        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Shared fixtures for the repo-level integration tests: one seeded
-//! store builder instead of every test crate growing its own. Used by
-//! `soak_smoke.rs` and `server_differential.rs` (and open to the rest —
+//! store builder and one stream-framing walker instead of every test
+//! crate growing its own. Used by `soak_smoke.rs`,
+//! `server_differential.rs`, `salvage_truncation.rs` and
+//! `corruption_recovery.rs` (and open to the rest —
 //! `eri_store_integration.rs`'s inline builders predate it).
 #![allow(dead_code)] // each including test crate uses a subset
 
@@ -51,6 +53,32 @@ pub fn build_store(
     }
     writer.finish().expect("fixture finish");
     blocks
+}
+
+/// `[start, end)` of each segment's container payload in a `PSTRS`
+/// stream, found by re-walking the framing: a 6-byte header ("PSTRS" +
+/// version), then per segment a LEB128 length and that many bytes, and
+/// a zero length at the end.
+pub fn stream_segment_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut ranges = Vec::new();
+    let mut pos = 6;
+    loop {
+        let (mut len, mut shift) = (0usize, 0);
+        loop {
+            let b = bytes[pos];
+            pos += 1;
+            len |= usize::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        if len == 0 {
+            return ranges;
+        }
+        ranges.push((pos, pos + len));
+        pos += len;
+    }
 }
 
 /// `(offset, len)` of block `i`'s container span, parsed from the v2

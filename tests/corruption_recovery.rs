@@ -7,6 +7,8 @@
 //! pin the promise that v1 containers and streams remain decodable by
 //! every future reader.
 
+mod common;
+
 use std::path::Path;
 
 use pastri::stream::{salvage, StreamReader, StreamWriter};
@@ -107,8 +109,7 @@ fn patterned(n: usize) -> Vec<f64> {
 }
 
 /// Builds a stream of `segments` one-block segments and locates each
-/// segment's container payload `[start, end)` by re-walking the framing
-/// (varint length + payload, zero terminator).
+/// segment's container payload `[start, end)`.
 fn stream_with_ranges(segments: usize) -> (Vec<u8>, Vec<(usize, usize)>) {
     stream_with_ranges_using(segments, test_compressor())
 }
@@ -121,34 +122,9 @@ fn stream_with_ranges_using(
     let mut w = StreamWriter::new(&mut sink, compressor, 1).unwrap();
     w.write_values(&patterned(BLOCK_VALUES * segments)).unwrap();
     w.finish().unwrap();
-
-    let mut ranges = Vec::new();
-    let mut pos = 6; // "PSTRS" + version byte
-    loop {
-        let (len, after) = read_varint(&sink, pos);
-        if len == 0 {
-            break;
-        }
-        ranges.push((after, after + len));
-        pos = after + len;
-    }
+    let ranges = common::stream_segment_ranges(&sink);
     assert_eq!(ranges.len(), segments);
     (sink, ranges)
-}
-
-/// LEB128 varint at `pos`; returns (value, offset past it).
-fn read_varint(bytes: &[u8], mut pos: usize) -> (usize, usize) {
-    let mut v = 0usize;
-    let mut shift = 0;
-    loop {
-        let b = bytes[pos];
-        pos += 1;
-        v |= ((b & 0x7f) as usize) << shift;
-        if b & 0x80 == 0 {
-            return (v, pos);
-        }
-        shift += 7;
-    }
 }
 
 fn decode_all_segments(bytes: &[u8]) -> Vec<Vec<f64>> {

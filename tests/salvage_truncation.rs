@@ -13,6 +13,8 @@
 //! An exhaustive sweep pins one shape; a proptest varies segment count,
 //! segment size, and cut point.
 
+mod common;
+
 use pastri::stream::{salvage, StreamReader, StreamWriter};
 use pastri::{BlockGeometry, Compressor};
 use proptest::prelude::*;
@@ -38,35 +40,12 @@ fn build_stream(segments: usize, blocks_per_segment: usize) -> Vec<u8> {
     sink
 }
 
-/// Offset just past each complete segment frame (varint + payload),
-/// found by re-walking the framing.
+/// Offset just past each complete segment frame (varint + payload).
 fn frame_ends(bytes: &[u8]) -> Vec<usize> {
-    let mut ends = Vec::new();
-    let mut pos = 6; // "PSTRS" + version
-    loop {
-        let (len, after) = read_varint_at(bytes, pos);
-        if len == 0 {
-            break;
-        }
-        pos = after + len;
-        ends.push(pos);
-    }
-    ends
-}
-
-/// LEB128 varint at `pos`; returns (value, offset past it).
-fn read_varint_at(bytes: &[u8], mut pos: usize) -> (usize, usize) {
-    let mut v = 0usize;
-    let mut shift = 0;
-    loop {
-        let b = bytes[pos];
-        pos += 1;
-        v |= ((b & 0x7f) as usize) << shift;
-        if b & 0x80 == 0 {
-            return (v, pos);
-        }
-        shift += 7;
-    }
+    common::stream_segment_ranges(bytes)
+        .into_iter()
+        .map(|(_, end)| end)
+        .collect()
 }
 
 fn decode_all(bytes: &[u8]) -> Vec<Vec<f64>> {
