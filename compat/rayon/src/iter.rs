@@ -5,7 +5,8 @@
 //! pointer-sized `Vec`, not the data itself); structural adaptors
 //! (`zip`, `enumerate`) restructure that sequence cheaply; [`map`]
 //! stays lazy and executes on the worker crew at the terminal call
-//! (`collect` / `for_each`). Output order always equals input order.
+//! (`collect` / `for_each` / `try_for_each`). Output order always equals
+//! input order.
 //!
 //! [`map`]: ParIter::map
 
@@ -74,6 +75,17 @@ impl<T: Send> ParIter<T> {
         F: Fn(T) + Sync,
     {
         run_map(self.items, f);
+    }
+
+    /// Applies the fallible `f` to every item in parallel. Like
+    /// `Result` collection, the error of the *lowest-index* failure wins,
+    /// so the result is deterministic under any scheduling.
+    pub fn try_for_each<E, F>(self, f: F) -> Result<(), E>
+    where
+        E: Send,
+        F: Fn(T) -> Result<(), E> + Sync,
+    {
+        run_map(self.items, f).into_iter().collect()
     }
 
     /// Collects the items into `C`, preserving order.

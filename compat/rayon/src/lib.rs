@@ -126,6 +126,17 @@ mod tests {
             }
         });
         assert_eq!(buf, [0, 0, 1, 1, 2, 2]);
+
+        let mut buf = [0u32; 6];
+        let failed = buf.par_chunks_mut(2).enumerate().try_for_each(|(i, c)| {
+            c.fill(1);
+            match i {
+                0 => Ok(()),
+                _ => Err(i),
+            }
+        });
+        assert_eq!(failed, Err(1), "the lowest-index failure wins");
+        assert_eq!(buf, [1; 6], "every item ran");
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! * [`BitWriter`] — append bits/fields to a growable byte buffer,
 //! * [`BitReader`] — consume them back in the same order.
 //!
+//! Both sides move whole words. The writer packs fields into a 64-bit
+//! accumulator and appends it 8 bytes at a time; the reader serves each
+//! field from one bounds-checked 8-byte big-endian load and a shift.
+//! For decoders that take several symbols per load, the reader also
+//! offers [`BitReader::peek_word`] (at least [`PEEK_BITS`] upcoming bits,
+//! zero-padded past the end) and the checked [`BitReader::skip`] that
+//! commits what was consumed.
+//!
 //! Bits are packed MSB-first within each byte: the first bit written becomes
 //! the most significant bit of the first byte. Multi-bit fields are written
 //! most-significant-bit first, so a field value `0b101` written with width 3
@@ -36,7 +44,7 @@
 mod reader;
 mod writer;
 
-pub use reader::{BitReader, ReadError};
+pub use reader::{BitReader, ReadError, PEEK_BITS};
 pub use writer::BitWriter;
 
 /// Number of bits needed to represent `v` distinct values (`ceil(log2(v))`),

@@ -21,12 +21,26 @@ impl fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
+/// Bits of the stream [`BitReader::peek_word`] guarantees: a byte-aligned
+/// 8-byte load shifted left by the cursor's offset within its byte
+/// keeps at least `64 − 7` of them.
+pub const PEEK_BITS: u32 = 57;
+
 /// MSB-first bit source over a byte slice; the inverse of
 /// [`BitWriter`](crate::BitWriter).
+///
+/// Reads are word loads: [`read_bits`](Self::read_bits) fetches the 8
+/// bytes around the cursor as one big-endian `u64` and shifts the field
+/// out, splitting fields wider than [`PEEK_BITS`] in two.
+/// [`peek_word`](Self::peek_word) exposes that load, zero-padded past the
+/// end of the buffer, so a decoder can take several symbols from one
+/// word and then commit them with the checked [`skip`](Self::skip).
+/// Every load goes through `slice::get`, so nothing reads outside the
+/// buffer, and a failed read leaves the cursor where it was.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Absolute bit cursor from the start of `bytes`.
+    /// Absolute bit cursor from the start of `bytes`; never past its end.
     pos: u64,
 }
 
@@ -55,15 +69,60 @@ impl<'a> BitReader<'a> {
         self.bit_len() - self.pos
     }
 
+    /// The stream from the cursor on, MSB-aligned. The top
+    /// [`PEEK_BITS`] bits (or more) are the stream's next bits; bits past
+    /// the end of the buffer, and any below the valid ones, read as
+    /// zero. Does not move the cursor.
+    #[inline]
+    #[must_use]
+    pub fn peek_word(&self) -> u64 {
+        let at = (self.pos / 8) as usize;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(eight) => u64::from_be_bytes(eight.try_into().expect("8-byte slice")),
+            None => {
+                let tail = self.bytes.get(at..).unwrap_or_default();
+                let mut buf = [0u8; 8];
+                buf[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(buf)
+            }
+        };
+        word << (self.pos % 8)
+    }
+
+    /// Advances the cursor by `n` bits, or fails without moving it when
+    /// fewer than `n` remain.
+    #[inline]
+    pub fn skip(&mut self, n: u32) -> Result<(), ReadError> {
+        self.check(n)?;
+        self.pos += u64::from(n);
+        Ok(())
+    }
+
+    /// Fails when fewer than `width` bits remain.
+    #[inline]
+    fn check(&self, width: u32) -> Result<(), ReadError> {
+        if self.remaining() < u64::from(width) {
+            return Err(ReadError {
+                at_bit: self.pos,
+                wanted: width,
+            });
+        }
+        Ok(())
+    }
+
+    /// Takes a field of `width` (`1..=PEEK_BITS`) bits the caller has
+    /// checked are there.
+    #[inline]
+    fn take(&mut self, width: u32) -> u64 {
+        let v = self.peek_word() >> (64 - width);
+        self.pos += u64::from(width);
+        v
+    }
+
     /// Reads one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, ReadError> {
-        if self.pos >= self.bit_len() {
-            return Err(ReadError {
-                at_bit: self.pos,
-                wanted: 1,
-            });
-        }
+        self.check(1)?;
         let byte = self.bytes[(self.pos / 8) as usize];
         let bit = (byte >> (7 - (self.pos % 8))) & 1;
         self.pos += 1;
@@ -77,27 +136,14 @@ impl<'a> BitReader<'a> {
         if width == 0 {
             return Ok(0);
         }
-        if self.remaining() < u64::from(width) {
-            return Err(ReadError {
-                at_bit: self.pos,
-                wanted: width,
-            });
+        self.check(width)?;
+        if width > PEEK_BITS {
+            // One word holds only `PEEK_BITS` sure bits: take the top 32
+            // first, then the remaining 26..=32.
+            let hi = self.take(32);
+            return Ok((hi << (width - 32)) | self.take(width - 32));
         }
-        let mut out: u64 = 0;
-        let mut left = width;
-        while left > 0 {
-            let byte_idx = (self.pos / 8) as usize;
-            let bit_in_byte = (self.pos % 8) as u32;
-            let avail = 8 - bit_in_byte;
-            let take = avail.min(left);
-            let byte = u64::from(self.bytes[byte_idx]);
-            // Extract `take` bits starting at `bit_in_byte` (from MSB).
-            let chunk = (byte >> (avail - take)) & ((1u64 << take) - 1);
-            out = if take == 64 { chunk } else { (out << take) | chunk };
-            self.pos += u64::from(take);
-            left -= take;
-        }
-        Ok(out)
+        Ok(self.take(width))
     }
 
     /// Reads a two's-complement signed field of `width` bits and
@@ -186,5 +232,100 @@ mod tests {
         assert_eq!(err.at_bit, 6);
         assert_eq!(err.wanted, 10);
         assert!(err.to_string().contains("exhausted"));
+    }
+
+    /// The reader's contract against the writer, at every lead offset:
+    /// fields of widths 0..=64 (the split above `PEEK_BITS` included)
+    /// read back what was written; a read that runs past the end fails
+    /// with its own start and width and leaves the cursor where it was;
+    /// and `peek_word` near the end reads zeros, never the bytes that
+    /// follow the slice.
+    mod contract {
+        use crate::{BitReader, BitWriter, ReadError};
+        use proptest::prelude::*;
+
+        fn low(v: u64, width: u32) -> u64 {
+            v & u64::MAX.checked_shr(64 - width).unwrap_or(0)
+        }
+
+        proptest! {
+            #[test]
+            fn fields_roundtrip_and_overruns_fail_in_place(
+                lead in 0u32..64,
+                fields in proptest::collection::vec((0u32..=64, any::<u64>()), 0..48),
+                cut in any::<u64>(),
+            ) {
+                let mut w = BitWriter::new();
+                w.write_bits(u64::MAX, lead);
+                let mut starts = Vec::with_capacity(fields.len());
+                for &(width, v) in &fields {
+                    starts.push(w.bit_len());
+                    w.write_bits(v, width);
+                }
+                let end = w.bit_len();
+                let bytes = w.into_bytes();
+                let bit_len = bytes.len() as u64 * 8;
+
+                let mut r = BitReader::new(&bytes);
+                prop_assert_eq!(r.read_bits(lead).unwrap(), low(u64::MAX, lead));
+                for &(width, v) in &fields {
+                    prop_assert_eq!(r.read_bits(width).unwrap(), low(v, width));
+                }
+                prop_assert_eq!(r.bit_pos(), end);
+                let pad = (bit_len - end) as u32;
+                let overrun = ReadError { at_bit: end, wanted: pad + 1 };
+                prop_assert_eq!(r.read_bits(pad + 1), Err(overrun));
+                prop_assert_eq!(r.skip(pad + 1), Err(overrun));
+                prop_assert_eq!(r.bit_pos(), end);
+                r.skip(pad).unwrap();
+                let overrun = ReadError { at_bit: bit_len, wanted: 1 };
+                prop_assert_eq!(r.read_bit(), Err(overrun));
+                prop_assert_eq!(r.read_signed(1), Err(overrun));
+                prop_assert_eq!(r.peek_word(), 0);
+
+                // Cut at a byte boundary: every field before the cut reads
+                // back, and the first one across it fails in place.
+                let limit = cut % (bit_len / 8 + 1) * 8;
+                let mut r = BitReader::new(&bytes[..(limit / 8) as usize]);
+                let fields = std::iter::once((0, (lead, u64::MAX)))
+                    .chain(starts.iter().copied().zip(fields.iter().copied()));
+                for (start, (width, v)) in fields {
+                    prop_assert_eq!(r.bit_pos(), start);
+                    if start + u64::from(width) <= limit {
+                        prop_assert_eq!(r.read_bits(width).unwrap(), low(v, width));
+                        continue;
+                    }
+                    let overrun = ReadError { at_bit: start, wanted: width };
+                    prop_assert_eq!(r.read_bits(width), Err(overrun));
+                    prop_assert_eq!(r.read_signed(width), Err(overrun));
+                    prop_assert_eq!(r.skip(width), Err(overrun));
+                    prop_assert_eq!(r.bit_pos(), start);
+                    // What is left of the field still reads.
+                    let rest = (limit - start) as u32;
+                    prop_assert_eq!(r.read_bits(rest).unwrap(), low(v, width) >> (width - rest));
+                    break;
+                }
+            }
+
+            #[test]
+            fn peek_word_near_the_end_stays_in_the_slice(
+                bytes in proptest::collection::vec(any::<u8>(), 0..24),
+            ) {
+                // The slice is followed by set bits the reader must not see.
+                let mut backing = bytes.clone();
+                backing.extend_from_slice(&[0xff; 8]);
+                let bit_len = bytes.len() as u64 * 8;
+                let bit = |i: u64| i < bit_len && (bytes[(i / 8) as usize] >> (7 - i % 8)) & 1 == 1;
+                for pos in bit_len.saturating_sub(64)..=bit_len {
+                    let mut r = BitReader::new(&backing[..bytes.len()]);
+                    r.skip(pos as u32).unwrap();
+                    let want = (0..64 - pos % 8)
+                        .filter(|&i| bit(pos + i))
+                        .fold(0u64, |acc, i| acc | 1 << (63 - i));
+                    prop_assert_eq!(r.peek_word(), want, "pos {}", pos);
+                    prop_assert_eq!(r.bit_pos(), pos);
+                }
+            }
+        }
     }
 }

@@ -29,6 +29,11 @@
 //! every width and index check, handing the fields to a `BlockSink`. It has
 //! two sinks: [`decompress_block`] dequantizes into the block, and
 //! [`crate::container_bit_stats`] recovers the compressor's bit accounting.
+//!
+//! On the decode path the dense ECQ stream never lands in a buffer: the
+//! tree decoder hands each value to the sink as it decodes it, and Tree 5
+//! decodes a word's worth of symbols per bit-reader load (see
+//! `EncodingTree::decode_stream`).
 
 use bitio::{bits_for, BitReader, BitWriter};
 
@@ -313,10 +318,9 @@ pub(crate) trait BlockSink {
     /// The scale code (SQ) of sub-block `j`; every pattern code has
     /// already arrived.
     fn scale(&mut self, _j: usize, _q: i64, _sq_quant: &ScaleQuantizer) {}
-    /// The dense ECQ stream, one code per point.
-    fn dense(&mut self, _ecq: &[i64]) {}
-    /// A sparse outlier: point `idx` carries ECQ code `q`.
-    fn outlier(&mut self, _idx: usize, _q: i64) {}
+    /// Point `idx` carries ECQ code `q`: every point of a Dense block in
+    /// order, as its stream decodes, or each outlier of a Sparse one.
+    fn ecq(&mut self, _idx: usize, _q: i64) {}
     /// The block has been read in full.
     fn end(&mut self, _layout: &BlockLayout) {}
 }
@@ -382,9 +386,7 @@ pub(crate) fn walk_block<S: BlockSink>(
                 layout.ecb_max = ecb_max;
                 let ecq_start = r.bit_pos();
                 if kind == BlockKind::Dense {
-                    let mut ecq = Vec::with_capacity(block_size);
-                    tree.decode_stream(block_size, ecb_max, r, &mut ecq)?;
-                    sink.dense(&ecq);
+                    tree.decode_stream(block_size, ecb_max, r, |i, q| sink.ecq(i, q))?;
                 } else {
                     let nol = r.read_bits(bits_for(block_size as u64 + 1))? as usize;
                     if nol > block_size {
@@ -395,7 +397,7 @@ pub(crate) fn walk_block<S: BlockSink>(
                         if idx >= block_size {
                             return Err(DecompressError::corrupt("outlier index out of range"));
                         }
-                        sink.outlier(idx, r.read_signed(ecb_max)?);
+                        sink.ecq(idx, r.read_signed(ecb_max)?);
                     }
                 }
                 layout.ecq_bits = r.bit_pos() - ecq_start;
@@ -434,13 +436,7 @@ impl BlockSink for DecodeSink<'_> {
         }
     }
 
-    fn dense(&mut self, ecq: &[i64]) {
-        for (o, &q) in self.out.iter_mut().zip(ecq) {
-            *o += self.quant.dequantize(q);
-        }
-    }
-
-    fn outlier(&mut self, idx: usize, q: i64) {
+    fn ecq(&mut self, idx: usize, q: i64) {
         self.out[idx] += self.quant.dequantize(q);
     }
 

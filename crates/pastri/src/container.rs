@@ -658,12 +658,11 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
     out.par_chunks_mut(bs)
         .zip(frames.par_iter())
         .enumerate()
-        .map(|(b, (chunk, frame))| {
+        .try_for_each(|(b, (chunk, frame))| {
             let mut r = BitReader::new(frame.payload);
             decompress_block(&mut r, &geometry, &quant, tree, chunk)
                 .map_err(|e| e.with_block(b).at_offset(frame.offset))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+        })?;
     out.truncate(header.original_len);
     Ok(())
 }

@@ -11,7 +11,7 @@
 //! All trees encode one `i64` ECQ value per symbol. "Others" leaves carry
 //! the value verbatim in `EC_{b,max}` signed bits.
 
-use bitio::{BitReader, BitWriter};
+use bitio::{BitReader, BitWriter, PEEK_BITS};
 
 use crate::error::DecompressError;
 use crate::quant::ecq_bits;
@@ -293,40 +293,35 @@ impl EncodingTree {
         }
     }
 
-    /// Decodes `n` ECQ values into `out`.
+    /// Decodes `n` ECQ values, handing value `i` to `emit(i, v)` in
+    /// order.
+    ///
+    /// Tree 5's two coders (the 3-symbol code and Tree 3) decode from a
+    /// bit reservoir ([`decode_prefix3`]); the other trees read symbol by
+    /// symbol. On error `emit` may already have seen values decoded from
+    /// bits past the end of the stream; the caller discards them.
     pub(crate) fn decode_stream(
         &self,
         n: usize,
         ecb_max: u32,
         r: &mut BitReader<'_>,
-        out: &mut Vec<i64>,
+        mut emit: impl FnMut(usize, i64),
     ) -> Result<(), DecompressError> {
-        out.reserve(n);
         match self.resolve(ecb_max) {
-            Resolved::Tri => {
-                for _ in 0..n {
-                    let v = if !r.read_bit()? {
-                        0
-                    } else if !r.read_bit()? {
-                        1
-                    } else {
-                        -1
-                    };
-                    out.push(v);
-                }
-            }
+            Resolved::Tri => decode_prefix3(&Prefix3::TRI, n, ecb_max, r, emit)?,
+            Resolved::Tree3 => decode_prefix3(&Prefix3::tree3(ecb_max), n, ecb_max, r, emit)?,
             Resolved::Tree1 => {
-                for _ in 0..n {
+                for i in 0..n {
                     let v = if !r.read_bit()? {
                         0
                     } else {
                         r.read_signed(ecb_max)?
                     };
-                    out.push(v);
+                    emit(i, v);
                 }
             }
             Resolved::Tree2 => {
-                for _ in 0..n {
+                for i in 0..n {
                     let v = if !r.read_bit()? {
                         0
                     } else if !r.read_bit()? {
@@ -336,25 +331,11 @@ impl EncodingTree {
                     } else {
                         r.read_signed(ecb_max)?
                     };
-                    out.push(v);
-                }
-            }
-            Resolved::Tree3 => {
-                for _ in 0..n {
-                    let v = if !r.read_bit()? {
-                        0
-                    } else if !r.read_bit()? {
-                        r.read_signed(ecb_max)?
-                    } else if !r.read_bit()? {
-                        1
-                    } else {
-                        -1
-                    };
-                    out.push(v);
+                    emit(i, v);
                 }
             }
             Resolved::Tree4 => {
-                for _ in 0..n {
+                for i in 0..n {
                     let mut bits = 1u32;
                     while r.read_bit()? {
                         bits += 1;
@@ -363,7 +344,7 @@ impl EncodingTree {
                         }
                     }
                     if bits == 1 {
-                        out.push(0);
+                        emit(i, 0);
                         continue;
                     }
                     let neg = r.read_bit()?;
@@ -372,12 +353,12 @@ impl EncodingTree {
                     } else {
                         1
                     };
-                    out.push(if neg { -(mag as i64) } else { mag as i64 });
+                    emit(i, if neg { -(mag as i64) } else { mag as i64 });
                 }
             }
             Resolved::Fixed => {
-                for _ in 0..n {
-                    out.push(r.read_signed(ecb_max)?);
+                for i in 0..n {
+                    emit(i, r.read_signed(ecb_max)?);
                 }
             }
         }
@@ -414,6 +395,96 @@ enum Resolved {
     Fixed,
 }
 
+/// A prefix code whose symbol is fixed by its first three bits: Tree 5's
+/// two coders. Indexed by those three bits, byte `top` of `lens` is the
+/// symbol's length and `val[top]` its value. At the indices set in
+/// `others` the value is instead the `EC_{b,max}`-bit two's complement
+/// after a 2-bit prefix, and `val` holds 0.
+struct Prefix3 {
+    /// One length per byte, so the decode loop's critical path reads a
+    /// length with a shift rather than a dependent load.
+    lens: u64,
+    val: [i64; 8],
+    others: u32,
+}
+
+impl Prefix3 {
+    /// `0 → 0`, `10 → 1`, `11 → −1`.
+    const TRI: Self = Self {
+        lens: pack([1, 1, 1, 1, 2, 2, 2, 2]),
+        val: [0, 0, 0, 0, 1, 1, -1, -1],
+        others: 0,
+    };
+
+    /// `0 → 0`, `10` + value, `110 → 1`, `111 → −1`.
+    fn tree3(ecb_max: u32) -> Self {
+        let other = 2 + ecb_max;
+        Self {
+            lens: pack([1, 1, 1, 1, other, other, 3, 3]),
+            val: [0, 0, 0, 0, 0, 0, 1, -1],
+            others: 0b0011_0000,
+        }
+    }
+}
+
+/// Packs eight lengths (each < 256) into the bytes of a `u64`, entry `k`
+/// in byte `k`.
+const fn pack(lens: [u32; 8]) -> u64 {
+    let mut packed = 0;
+    let mut k = 0;
+    while k < 8 {
+        packed |= (lens[k] as u64) << (8 * k);
+        k += 1;
+    }
+    packed
+}
+
+/// Decodes `n` symbols of `code` from a bit reservoir: one
+/// [`BitReader::peek_word`] serves every symbol that fits in its
+/// [`PEEK_BITS`], each decoded branch-free from the word's top three
+/// bits, and one checked [`BitReader::skip`] commits them. Bits past the
+/// end of the stream peek as zero, so a truncated stream decodes padding
+/// into the reservoir, and that `skip` is what turns it into `Truncated`.
+/// A symbol wider than a peeked word (Tree 3's "others" at
+/// `EC_{b,max} > 55`) is read with checked field reads.
+fn decode_prefix3(
+    code: &Prefix3,
+    n: usize,
+    ecb_max: u32,
+    r: &mut BitReader<'_>,
+    mut emit: impl FnMut(usize, i64),
+) -> Result<(), DecompressError> {
+    debug_assert!((1..=64).contains(&ecb_max));
+    let mut i = 0;
+    while i < n {
+        let mut word = r.peek_word();
+        let mut used = 0;
+        while i < n {
+            let top = (word >> 61) as usize;
+            // Byte `top` of `lens`: shift by `8 · top`.
+            let len = ((code.lens >> ((word >> 58) & 0x38)) & 0xff) as u32;
+            if used + len > PEEK_BITS {
+                break;
+            }
+            let payload = ((word << 2) as i64) >> (64 - ecb_max);
+            let is_other = -i64::from((code.others >> top) & 1);
+            emit(i, (payload & is_other) | code.val[top]);
+            word <<= len;
+            used += len;
+            i += 1;
+        }
+        if used == 0 {
+            // The next symbol is an "others" wider than a peeked word.
+            r.skip(2)?;
+            emit(i, r.read_signed(ecb_max)?);
+            i += 1;
+        } else {
+            r.skip(used)?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,9 +498,23 @@ mod tests {
         assert_eq!(w.bit_len(), cost, "{}: cost model mismatch", tree.name());
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        let mut out = Vec::new();
-        tree.decode_stream(ecq.len(), ecb_max, &mut r, &mut out).unwrap();
+        let out = decode(tree, ecq.len(), ecb_max, &mut r).unwrap();
         assert_eq!(out, ecq, "{}", tree.name());
+    }
+
+    /// [`EncodingTree::decode_stream`] collected into a `Vec`.
+    fn decode(
+        tree: EncodingTree,
+        n: usize,
+        ecb_max: u32,
+        r: &mut BitReader<'_>,
+    ) -> Result<Vec<i64>, DecompressError> {
+        let mut out = Vec::with_capacity(n);
+        tree.decode_stream(n, ecb_max, r, |i, v| {
+            assert_eq!(i, out.len(), "values arrive in order");
+            out.push(v);
+        })?;
+        Ok(out)
     }
 
     const ALL: [EncodingTree; 6] = [
@@ -516,9 +601,7 @@ mod tests {
         // All-ones stream: prefix never terminates.
         let bytes = vec![0xffu8; 16];
         let mut r = BitReader::new(&bytes);
-        let mut out = Vec::new();
-        let err = EncodingTree::Tree4.decode_stream(1, 8, &mut r, &mut out);
-        assert!(err.is_err());
+        assert!(decode(EncodingTree::Tree4, 1, 8, &mut r).is_err());
     }
 
     /// The fused ECQ census prices every tree exactly: for any stream and
@@ -552,7 +635,7 @@ mod tests {
         /// distribution: all zero; only `{0, ±1}` with the two signs at
         /// independent rates (Tree 2 prices them differently); PaSTRI-like
         /// (mostly zero, some ±1, a thin tail); or uniform over Tree 4's bins.
-        fn stream(ecb_max: u32, shape: u8, len: usize, seed: u64) -> Vec<i64> {
+        pub(super) fn stream(ecb_max: u32, shape: u8, len: usize, seed: u64) -> Vec<i64> {
             let mut x = seed | 1;
             let mut next = move || {
                 x ^= x << 13;
@@ -630,9 +713,185 @@ mod tests {
                     let bytes = w.into_bytes();
                     let mut r = BitReader::new(&bytes);
                     r.read_bits(lead).unwrap();
-                    let mut back = Vec::new();
-                    tree.decode_stream(ecq.len(), ecb, &mut r, &mut back).unwrap();
+                    let back = super::decode(tree, ecq.len(), ecb, &mut r).unwrap();
                     prop_assert_eq!(&back, &ecq, "{}", tree.name());
+                }
+            }
+        }
+    }
+
+    /// The per-bit decoder every tree had before the bit reservoir: it
+    /// reads one bit at a time and only through `read_bit`, so it shares
+    /// no logic with the word-at-a-time paths it checks.
+    fn reference_decode(
+        tree: EncodingTree,
+        n: usize,
+        ecb_max: u32,
+        r: &mut BitReader<'_>,
+    ) -> Result<Vec<i64>, DecompressError> {
+        let bits = |r: &mut BitReader<'_>, width: u32| -> Result<u64, DecompressError> {
+            let mut v = 0u64;
+            for _ in 0..width {
+                v = (v << 1) | u64::from(r.read_bit()?);
+            }
+            Ok(v)
+        };
+        let signed = |v: u64, width: u32| ((v << (64 - width)) as i64) >> (64 - width);
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = match tree.resolve(ecb_max) {
+                Resolved::Tri => match bits(r, 1)? {
+                    0 => 0,
+                    _ if bits(r, 1)? == 0 => 1,
+                    _ => -1,
+                },
+                Resolved::Tree1 => match bits(r, 1)? {
+                    0 => 0,
+                    _ => signed(bits(r, ecb_max)?, ecb_max),
+                },
+                Resolved::Tree2 => match bits(r, 1)? {
+                    0 => 0,
+                    _ if bits(r, 1)? == 0 => 1,
+                    _ if bits(r, 1)? == 0 => -1,
+                    _ => signed(bits(r, ecb_max)?, ecb_max),
+                },
+                Resolved::Tree3 => match bits(r, 1)? {
+                    0 => 0,
+                    _ if bits(r, 1)? == 0 => signed(bits(r, ecb_max)?, ecb_max),
+                    _ if bits(r, 1)? == 0 => 1,
+                    _ => -1,
+                },
+                Resolved::Tree4 => {
+                    let mut width = 1u32;
+                    while bits(r, 1)? == 1 {
+                        width += 1;
+                        if width > 64 {
+                            return Err(DecompressError::corrupt("tree4 prefix overrun"));
+                        }
+                    }
+                    if width == 1 {
+                        0
+                    } else {
+                        let neg = bits(r, 1)? == 1;
+                        let mag = if width > 2 {
+                            (1u64 << (width - 2)) + bits(r, width - 2)?
+                        } else {
+                            1
+                        };
+                        if neg {
+                            -(mag as i64)
+                        } else {
+                            mag as i64
+                        }
+                    }
+                }
+                Resolved::Fixed => signed(bits(r, ecb_max)?, ecb_max),
+            };
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    /// Every ECQ decoder against [`reference_decode`], at every lead
+    /// offset and `EC_{b,max}` the block layout admits: on byte soup and
+    /// on valid encodings cut at every byte length, both decoders return
+    /// `Ok` with the same values and end position, or both return `Err`.
+    mod differential {
+        use super::{census, decode, reference_decode, ALL};
+        use bitio::{BitReader, BitWriter};
+        use proptest::prelude::*;
+
+        /// Decodes `n` values at `ecb_max` after `lead` bits with both
+        /// decoders, checks that they agree, and returns the values when
+        /// both succeed.
+        fn agree(
+            tree_ix: usize,
+            n: usize,
+            ecb_max: u32,
+            lead: u32,
+            bytes: &[u8],
+        ) -> Option<Vec<i64>> {
+            let tree = ALL[tree_ix];
+            let mut fast = BitReader::new(bytes);
+            fast.skip(lead).ok()?;
+            let mut slow = fast.clone();
+            match (
+                decode(tree, n, ecb_max, &mut fast),
+                reference_decode(tree, n, ecb_max, &mut slow),
+            ) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got, want, "{} at EC_b,max {ecb_max}", tree.name());
+                    assert_eq!(
+                        fast.bit_pos(),
+                        slow.bit_pos(),
+                        "{} at EC_b,max {ecb_max}",
+                        tree.name()
+                    );
+                    Some(got)
+                }
+                (Err(_), Err(_)) => None,
+                (got, want) => panic!(
+                    "{} at EC_b,max {ecb_max}: {:?} vs reference {:?}",
+                    tree.name(),
+                    got.map(|v| v.len()),
+                    want.map(|v| v.len()),
+                ),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn fast_decoders_match_the_reference_on_byte_soup(
+                tree_ix in 0usize..6,
+                ecb_max in 1u32..=62,
+                lead in 0u32..64,
+                n in 0usize..=1296,
+                len in 0usize..2048,
+                thinning in 0u32..4,
+                seed in any::<u64>(),
+            ) {
+                // ANDing `thinning` extra random words into each byte makes
+                // zero bits, and so long runs of short symbols, likelier.
+                let mut x = seed | 1;
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| (0..thinning).fold(next(), |b, _| b & next()) as u8)
+                    .collect();
+                agree(tree_ix, n, ecb_max, lead, &bytes);
+            }
+        }
+
+        proptest! {
+            // Every cut re-decodes the stream up to it; CI runs 2000 cases.
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn fast_decoders_match_the_reference_on_cut_encodings(
+                tree_ix in 0usize..6,
+                ecb_max in 1u32..=62,
+                lead in 0u32..64,
+                n in 0usize..=1296,
+                shape in 0u8..4,
+                seed in any::<u64>(),
+            ) {
+                let mut ecq = census::stream(ecb_max.max(2), shape, n, seed);
+                if ecb_max == 1 {
+                    // One signed bit holds only 0 and −1.
+                    ecq.iter_mut().for_each(|v| *v = v.signum().min(0));
+                }
+                let mut w = BitWriter::new();
+                w.write_bits(seed, lead);
+                ALL[tree_ix].encode_stream(&ecq, ecb_max, &mut w);
+                let bytes = w.into_bytes();
+                let whole = agree(tree_ix, n, ecb_max, lead, &bytes);
+                prop_assert_eq!(whole, Some(ecq));
+                for cut in 0..bytes.len() {
+                    agree(tree_ix, n, ecb_max, lead, &bytes[..cut]);
                 }
             }
         }

@@ -161,13 +161,7 @@ struct StatsSink {
 }
 
 impl BlockSink for StatsSink {
-    fn dense(&mut self, ecq: &[i64]) {
-        for &q in ecq {
-            self.counts.record(q);
-        }
-    }
-
-    fn outlier(&mut self, _idx: usize, q: i64) {
+    fn ecq(&mut self, _idx: usize, q: i64) {
         self.counts.record(q);
     }
 
