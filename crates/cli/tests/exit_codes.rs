@@ -14,6 +14,19 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The tests here drive the CLI in-process, and `soak`, `serve --listen`
+/// and `--telemetry` reset or toggle the one process-wide telemetry
+/// recorder: a `serve` in one test could wipe the read histogram a
+/// `soak` in another is gating on, turning its SLO row into a vacuous
+/// pass. Each test holds this lock from start to end.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still run.
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pastri-{name}-{}", std::process::id()));
@@ -88,6 +101,7 @@ fn read_varint_at(bytes: &[u8], mut pos: usize) -> (usize, usize) {
 
 #[test]
 fn exit_codes_follow_the_documented_contract() {
+    let _serial = one_at_a_time();
     let dir = tmpdir("exit-codes");
     let raw = p(&dir, "data.f64");
     let container = p(&dir, "clean.pastri");
@@ -460,6 +474,7 @@ fn exit_codes_follow_the_documented_contract() {
 /// the table has consumed their connections.
 #[test]
 fn transport_exit_codes_follow_the_documented_contract() {
+    let _serial = one_at_a_time();
     let dir = tmpdir("transport-exit-codes");
     let store = p(&dir, "wire.eristore");
     build_server_store(&store, 12);
@@ -668,6 +683,7 @@ fn transport_exit_codes_follow_the_documented_contract() {
 #[test]
 fn fetch_stats_reports_the_server_books() {
     use std::io::BufRead as _;
+    let _serial = one_at_a_time();
     let dir = tmpdir("fetch-stats");
     let store = p(&dir, "books.eristore");
     build_server_store(&store, 12);
@@ -720,6 +736,7 @@ fn wait_for_path(path: &str) {
 /// `.quarantine.2`, … (satellite for `durable::fresh_quarantine_path`).
 #[test]
 fn repeated_scrub_quarantines_do_not_clobber() {
+    let _serial = one_at_a_time();
     let dir = tmpdir("quarantine");
     let raw = p(&dir, "q.f64");
     let comp = p(&dir, "q.pastri");

@@ -38,12 +38,13 @@
 use bitio::{bits_for, BitReader, BitWriter};
 
 use crate::container::{CompressorOptions, EcqRepr, ScaleRule};
+use crate::encoding::{EcqCensus, EcqCounts, EncodingTree};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
-use crate::metrics::fit_pattern;
+use crate::metrics::{fit_pattern, fit_values, ScalingMetric};
 use crate::quant::{Quantizer, ScaleQuantizer};
+use crate::simd::{quantize_row, Simd};
 use crate::stats::CompressionStats;
-use crate::encoding::{EcqCounts, EncodingTree};
 
 /// How a block was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,11 +89,12 @@ pub(crate) fn compress_block(
 ) {
     assert_eq!(block.len(), geom.block_size(), "partial block passed to compress_block");
     let start_bits = w.bit_len();
-    let kind = compress_block_inner(block, geom, quant, opts, w, stats);
+    let kind = compress_block_inner(Simd::detect(), block, geom, quant, opts, w, stats);
     debug_assert!(w.bit_len() > start_bits || kind == BlockKind::AllZero);
 }
 
 fn compress_block_inner(
+    simd: Simd,
     block: &[f64],
     geom: &BlockGeometry,
     quant: &Quantizer,
@@ -104,16 +106,21 @@ fn compress_block_inner(
     let tree = opts.tree;
     let eb = quant.eb();
     let block_size = geom.block_size();
+    let sbs = geom.subblock_size;
 
+    // One pass over the block finds each sub-block's extremum (ER's
+    // metric), the block's, and with it whether every value is finite.
+    let select_stage = telemetry::span("compress.pattern_select");
+    let scan = simd.er_scan(geom, block);
     // Non-finite data can't be quantized: store raw.
-    if block.iter().any(|v| !v.is_finite()) {
+    if !scan.is_finite() {
+        drop(select_stage);
         write_verbatim(block, w, &mut stats);
         return BlockKind::Verbatim;
     }
-
     // All-zero (within EB) block: 3 bits total.
-    let ext = block.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if ext <= eb {
+    if scan.ext() <= eb {
+        drop(select_stage);
         w.write_bits(BlockKind::AllZero as u64, 3);
         if let Some(s) = stats.as_deref_mut() {
             s.record_header_bits(3);
@@ -121,13 +128,13 @@ fn compress_block_inner(
         }
         return BlockKind::AllZero;
     }
-
-    // Pattern fit + quantization. Overflow anywhere -> verbatim.
-    let fit = {
-        let _stage = telemetry::span("compress.pattern_select");
-        fit_pattern(metric, geom, block)
+    let fit = match metric {
+        ScalingMetric::Er => fit_values(metric, geom, block, &scan.values),
+        _ => fit_pattern(metric, geom, block),
     };
-    let sbs = geom.subblock_size;
+    drop(select_stage);
+
+    // Pattern quantization. Overflow anywhere -> verbatim.
     let pattern = &block[fit.pattern_sb * sbs..(fit.pattern_sb + 1) * sbs];
     let quantize_stage = telemetry::span("compress.quantize");
     let Some((pq, pb)) = quant.quantize_pattern(pattern) else {
@@ -150,36 +157,24 @@ fn compress_block_inner(
     drop(quantize_stage);
 
     let _ecq_stage = telemetry::span("compress.ecq_encode");
-    // ECQ with verify-and-nudge: the residual is quantized against the
-    // *reconstructed* prediction, then the decoded value is checked
-    // point-by-point; any floating-point corner case gets the code nudged
-    // by ±1, and if that still fails the block goes verbatim. The same
-    // pass takes the census that prices every representation below, so
-    // the stream is walked once before it is emitted.
-    let mut ecq = Vec::with_capacity(block_size);
-    let mut counts = EcqCounts::default();
-    for (j, sh) in shat.iter().enumerate() {
-        let sub = &block[j * sbs..(j + 1) * sbs];
-        for (&v, &ph) in sub.iter().zip(&phat) {
-            let pred = sh * ph;
-            let Some(mut q) = quant.quantize(v - pred) else {
-                write_verbatim(block, w, &mut stats);
-                return BlockKind::Verbatim;
-            };
-            if (v - (pred + quant.dequantize(q))).abs() > eb {
-                let qq = if v > pred + quant.dequantize(q) { q + 1 } else { q - 1 };
-                if (v - (pred + quant.dequantize(qq))).abs() <= eb {
-                    q = qq;
-                } else {
-                    write_verbatim(block, w, &mut stats);
-                    return BlockKind::Verbatim;
-                }
-            }
-            counts.record(q);
-            ecq.push(q);
-        }
+    // ECQ against the *reconstructed* prediction, verified point by point
+    // (see `simd`): one sub-block row at a time, taking the census
+    // that prices every representation below, so the stream is walked
+    // once before it is emitted. A point no code within EB reconstructs
+    // sends the block verbatim.
+    let mut ecq = vec![0i64; block_size];
+    let mut census = EcqCensus::default();
+    let rows = ecq.chunks_exact_mut(sbs).zip(block.chunks_exact(sbs));
+    for ((codes, row), &sh) in rows.zip(&shat) {
+        let Some(row_census) = quantize_row(simd, row, &phat, sh, quant, codes) else {
+            write_verbatim(block, w, &mut stats);
+            return BlockKind::Verbatim;
+        };
+        census.merge(&row_census);
     }
-    let ecb_max = counts.max_bits().max(2);
+    let ecb_max = census.max_bits.max(2);
+    // Tree 4's price and the statistics need every value's bin.
+    let counts = (stats.is_some() || tree == EncodingTree::Tree4).then(|| EcqCounts::of(&ecq));
 
     // Fixed header + PQ + SQ costs (everything but the ECQ payload).
     let pat_sb_bits = u64::from(bits_for(geom.num_subblocks as u64));
@@ -189,9 +184,11 @@ fn compress_block_inner(
         + sbs as u64 * u64::from(pb)
         + geom.num_subblocks as u64 * u64::from(sq_quant.bits());
 
-    let nol = counts.nonzero();
+    let nol = census.nonzero();
     let all_zero_ecq = nol == 0;
-    let dense_cost = tree.cost_from_counts(&counts, ecb_max);
+    let dense_cost = tree.cost_from_census(&census, ecb_max).unwrap_or_else(|| {
+        tree.cost_from_counts(counts.as_ref().expect("counted for Tree 4"), ecb_max)
+    });
     let idx_bits = u64::from(bits_for(block_size as u64));
     let count_bits = u64::from(bits_for(block_size as u64 + 1));
     let sparse_cost = count_bits + nol * (idx_bits + u64::from(ecb_max));
@@ -261,7 +258,10 @@ fn compress_block_inner(
         s.record_ecq_bits(ecq_payload);
         let block_type = usize::from(paper_block_type(kind, ecb_max));
         s.record_block(kind, block_type);
-        s.record_ecq_counts(block_type, &counts);
+        s.record_ecq_counts(
+            block_type,
+            counts.as_ref().expect("counted for the statistics"),
+        );
     }
     kind
 }
@@ -469,7 +469,6 @@ pub(crate) fn decompress_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ScalingMetric;
 
     fn geom() -> BlockGeometry {
         BlockGeometry::new(6, 8)
@@ -652,6 +651,90 @@ mod tests {
         let mut out = vec![0.0; g.block_size()];
         let err = decompress_block(&mut r, &g, &quant, EncodingTree::Tree5, &mut out);
         assert!(err.is_err());
+    }
+
+    /// Each build of the vectorized loops writes the same bytes, for
+    /// every tree, representation and scale rule, on blocks that take
+    /// every path: AllZero, PatternOnly, Dense, Sparse, scalar-path rows
+    /// and Verbatim.
+    #[test]
+    fn every_simd_build_writes_the_same_bytes() {
+        let g = BlockGeometry::new(6, 36);
+        let mut x = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut blocks: Vec<Vec<f64>> = vec![vec![0.0; 216], vec![-0.0; 216]];
+        for k in 0..60 {
+            let pat: Vec<f64> = (0..36)
+                .map(|_| ((next() >> 11) as f64 / 2f64.powi(53) - 0.5) * 1e-6)
+                .collect();
+            let noise = [0.0, 1e-11, 1e-10, 1e-9, 1e-7][k % 5];
+            let mut b = Vec::new();
+            for j in 0..6 {
+                let s = 1.0 - j as f64 * 0.17;
+                b.extend(
+                    pat.iter()
+                        .map(|p| p * s + ((next() >> 11) as f64 / 2f64.powi(53) - 0.5) * noise),
+                );
+            }
+            if k % 7 == 3 {
+                b[(next() % 216) as usize] = 1e6; // huge outlier: scalar rows or verbatim
+            }
+            if k % 11 == 5 {
+                b[(next() % 216) as usize] = f64::NAN;
+            }
+            blocks.push(b);
+        }
+        let eb_values = [1e-10, 1e-12, 2.5e-11];
+        for tree in [
+            EncodingTree::Tree1,
+            EncodingTree::Tree4,
+            EncodingTree::Tree5,
+            EncodingTree::FixedLength,
+        ] {
+            for ecq_repr in [EcqRepr::Auto, EcqRepr::DenseOnly, EcqRepr::SparseOnly] {
+                for scale_rule in [ScaleRule::Practical, ScaleRule::NaiveEbBins] {
+                    let opts = CompressorOptions {
+                        tree,
+                        ecq_repr,
+                        scale_rule,
+                        ..Default::default()
+                    };
+                    for (i, block) in blocks.iter().enumerate() {
+                        let quant = Quantizer::new(eb_values[i % 3]);
+                        let outputs: Vec<(&str, Vec<u8>, CompressionStats)> =
+                            crate::simd::Simd::variants()
+                                .into_iter()
+                                .map(|(name, simd)| {
+                                    let mut w = BitWriter::new();
+                                    let mut stats = CompressionStats::default();
+                                    compress_block_inner(
+                                        simd,
+                                        block,
+                                        &g,
+                                        &quant,
+                                        &opts,
+                                        &mut w,
+                                        Some(&mut stats),
+                                    );
+                                    (name, w.into_bytes(), stats)
+                                })
+                                .collect();
+                        for (name, bytes, stats) in &outputs[1..] {
+                            assert_eq!(
+                                bytes, &outputs[0].1,
+                                "{name} vs portable: block {i} {opts:?}"
+                            );
+                            assert_eq!(stats, &outputs[0].2, "{name} vs portable stats: block {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

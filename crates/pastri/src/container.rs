@@ -64,6 +64,7 @@ use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::ScalingMetric;
 use crate::quant::Quantizer;
+use crate::simd;
 use crate::stats::CompressionStats;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PSTR";
@@ -244,8 +245,12 @@ impl Compressor {
                 let _block_span = telemetry::span("compress.block");
                 let start = b * bs;
                 let end = ((b + 1) * bs).min(data.len());
+                // The next block loads while this one is coded.
+                simd::prefetch(&data[end..((b + 2) * bs).min(data.len())]);
                 let mut local = want_stats.then(Box::<CompressionStats>::default);
-                let mut w = BitWriter::new();
+                // A byte per value holds all but the least compressible
+                // blocks without regrowing.
+                let mut w = BitWriter::with_capacity(bs);
                 if end - start == bs {
                     compress_block(
                         &data[start..end],
@@ -272,7 +277,7 @@ impl Compressor {
             .collect();
 
         // Assemble the container.
-        let mut out = Vec::with_capacity(32 + results.iter().map(|(p, _)| p.len() + 9).sum::<usize>());
+        let mut out = Vec::new();
         let payloads: Vec<&[u8]> = results.iter().map(|(p, _)| p.as_slice()).collect();
         let assemble_span = telemetry::span("container.assemble");
         let overhead = self.assemble_container(&mut out, data.len(), &payloads);
@@ -296,24 +301,54 @@ impl Compressor {
         let num_blocks = payloads.len();
         let parity = self.options.parity;
         let with_parity = parity.enabled();
-        let blocks_len: usize = payloads
-            .iter()
-            .map(|p| varint_len(p.len() as u64) + 4 + p.len())
-            .sum();
+        let blocks_len: usize = payloads.iter().map(|p| framed_len(p)).sum();
+        let header_varints = [
+            self.geometry.num_subblocks,
+            self.geometry.subblock_size,
+            data_len,
+            num_blocks,
+            parity.group_size,
+            parity.parity_shards,
+            blocks_len,
+        ];
+        // The three parity fields are v3 only.
+        let header_varints = &header_varints[..if with_parity { 7 } else { 4 }];
+        let groups = || {
+            let mut group_offset = 0u64;
+            payloads.chunks(parity.group_size).map(move |group| {
+                let offset = group_offset;
+                group_offset += group.iter().map(|p| framed_len(p) as u64).sum::<u64>();
+                (group, offset)
+            })
+        };
+
+        // Reserve the exact length, parity section included, so `out`
+        // never regrows mid-write.
+        let header_len = MAGIC.len()
+            + 3
+            + 8
+            + header_varints
+                .iter()
+                .map(|&v| varint_len(v as u64))
+                .sum::<usize>()
+            + 4;
+        let parity_len: usize = if with_parity {
+            groups()
+                .map(|(group, offset)| parity_record_len(group, offset, parity.parity_shards))
+                .sum()
+        } else {
+            0
+        };
+        let start = out.len();
+        out.reserve_exact(header_len + blocks_len + parity_len);
 
         out.extend_from_slice(&MAGIC);
         out.push(if with_parity { VERSION_V3 } else { VERSION_V2 });
         out.push(self.options.metric.wire_id());
         out.push(self.options.tree.wire_id());
         out.extend_from_slice(&self.quant.eb().to_le_bytes());
-        write_varint(out, self.geometry.num_subblocks as u64);
-        write_varint(out, self.geometry.subblock_size as u64);
-        write_varint(out, data_len as u64);
-        write_varint(out, num_blocks as u64);
-        if with_parity {
-            write_varint(out, parity.group_size as u64);
-            write_varint(out, parity.parity_shards as u64);
-            write_varint(out, blocks_len as u64);
+        for &v in header_varints {
+            write_varint(out, v as u64);
         }
         checksum::append_crc32_of(out);
 
@@ -323,15 +358,11 @@ impl Compressor {
             out.extend_from_slice(p);
         }
         if with_parity {
-            let mut group_offset = 0u64;
-            for group in payloads.chunks(parity.group_size) {
-                write_parity_record(out, group, group_offset, parity.parity_shards);
-                group_offset += group
-                    .iter()
-                    .map(|p| (varint_len(p.len() as u64) + 4 + p.len()) as u64)
-                    .sum::<u64>();
+            for (group, offset) in groups() {
+                write_parity_record(out, group, offset, parity.parity_shards);
             }
         }
+        debug_assert_eq!(out.len() - start, header_len + blocks_len + parity_len);
         out.len() - payloads.iter().map(|p| p.len()).sum::<usize>()
     }
 
@@ -350,6 +381,31 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
     Ok(out)
 }
 
+/// A block's bytes in the blocks section: length varint, CRC32, payload.
+fn framed_len(payload: &[u8]) -> usize {
+    varint_len(payload.len() as u64) + 4 + payload.len()
+}
+
+/// The bytes after a parity record's length varint: group offset and
+/// payload-length varints, meta CRC32, then per shard a CRC32 and the
+/// shard (as long as the group's longest payload).
+fn parity_record_body_len(payloads: &[&[u8]], group_offset: u64, parity_shards: usize) -> usize {
+    let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
+    varint_len(group_offset)
+        + payloads
+            .iter()
+            .map(|p| varint_len(p.len() as u64))
+            .sum::<usize>()
+        + 4
+        + parity_shards * (4 + shard_len)
+}
+
+/// The full length [`write_parity_record`] writes for this group.
+fn parity_record_len(payloads: &[&[u8]], group_offset: u64, parity_shards: usize) -> usize {
+    let body = parity_record_body_len(payloads, group_offset, parity_shards);
+    varint_len(body as u64) + body
+}
+
 /// One complete parity record as assembled by the writer: the canonical
 /// byte encoding for the group covering `payloads`, starting
 /// `group_offset` bytes into the blocks section. `pub(crate)` so the
@@ -361,30 +417,24 @@ pub(crate) fn write_parity_record(
     parity_shards: usize,
 ) {
     let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut meta = Vec::new();
-    write_varint(&mut meta, group_offset);
-    for p in payloads {
-        write_varint(&mut meta, p.len() as u64);
-    }
-    let record_len = meta.len() + 4 + parity_shards * 4 + parity_shards * shard_len;
     let record_start = out.len();
-    write_varint(out, record_len as u64);
-    out.extend_from_slice(&meta);
+    write_varint(
+        out,
+        parity_record_body_len(payloads, group_offset, parity_shards) as u64,
+    );
+    write_varint(out, group_offset);
+    for p in payloads {
+        write_varint(out, p.len() as u64);
+    }
     let meta_crc = crc32(&out[record_start..]);
     out.extend_from_slice(&meta_crc.to_le_bytes());
 
+    // Shorter payloads read as zero-padded to the shard length.
     let rs = parity::ReedSolomon::new(payloads.len(), parity_shards)
         .expect("parity config validated at construction");
-    let padded: Vec<Vec<u8>> = payloads
-        .iter()
-        .map(|p| {
-            let mut v = p.to_vec();
-            v.resize(shard_len, 0);
-            v
-        })
-        .collect();
-    let refs: Vec<&[u8]> = padded.iter().map(Vec::as_slice).collect();
-    let shards = rs.encode(&refs).expect("shards padded to equal length");
+    let shards = rs
+        .encode_padded(payloads, shard_len)
+        .expect("no payload is longer than the shard length");
     for s in &shards {
         out.extend_from_slice(&crc32(s).to_le_bytes());
     }

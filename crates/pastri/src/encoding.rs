@@ -16,6 +16,60 @@ use bitio::{BitReader, BitWriter, PEEK_BITS};
 use crate::error::DecompressError;
 use crate::quant::ecq_bits;
 
+/// The integer census of an ECQ stream that the compressor takes as it
+/// quantizes: enough to pick `EC_{b,max}` and to price the stream under
+/// every tree but Tree 4 (see [`EncodingTree::cost_from_census`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EcqCensus {
+    /// Values counted.
+    pub(crate) total: u64,
+    pub(crate) zeros: u64,
+    pub(crate) plus_one: u64,
+    pub(crate) minus_one: u64,
+    /// `EC_{b,max}`: the widest value's Fig. 6 bin (1 when empty).
+    pub(crate) max_bits: u32,
+}
+
+impl Default for EcqCensus {
+    fn default() -> Self {
+        Self {
+            total: 0,
+            zeros: 0,
+            plus_one: 0,
+            minus_one: 0,
+            max_bits: 1,
+        }
+    }
+}
+
+impl EcqCensus {
+    /// Counts one value.
+    #[inline]
+    pub(crate) fn record(&mut self, v: i64) {
+        self.total += 1;
+        self.zeros += u64::from(v == 0);
+        self.plus_one += u64::from(v == 1);
+        self.minus_one += u64::from(v == -1);
+        self.max_bits = self.max_bits.max(ecq_bits(v));
+    }
+
+    /// Adds the census of a further stretch of the stream.
+    #[inline]
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.total += other.total;
+        self.zeros += other.zeros;
+        self.plus_one += other.plus_one;
+        self.minus_one += other.minus_one;
+        self.max_bits = self.max_bits.max(other.max_bits);
+    }
+
+    /// Non-zero values counted.
+    #[must_use]
+    pub(crate) fn nonzero(&self) -> u64 {
+        self.total - self.zeros
+    }
+}
+
 /// Census of an ECQ stream by Fig. 6 bin, with the 2-bit bin split by
 /// sign: everything any tree needs to price the stream exactly (see
 /// [`EncodingTree::cost_from_counts`]) without walking it again.
@@ -38,7 +92,6 @@ impl Default for EcqCounts {
 
 impl EcqCounts {
     /// Counts every value of `ecq`.
-    #[cfg(test)]
     pub(crate) fn of(ecq: &[i64]) -> Self {
         let mut c = Self::default();
         for &v in ecq {
@@ -60,12 +113,6 @@ impl EcqCounts {
         self.by_bits.iter().sum()
     }
 
-    /// Non-zero values counted.
-    #[must_use]
-    pub(crate) fn nonzero(&self) -> u64 {
-        self.total() - self.by_bits[1]
-    }
-
     /// `EC_{b,max}`: the widest bin holding a value (1 when empty).
     #[must_use]
     pub(crate) fn max_bits(&self) -> u32 {
@@ -73,6 +120,18 @@ impl EcqCounts {
             .iter()
             .rposition(|&n| n > 0)
             .map_or(1, |b| b as u32)
+    }
+
+    /// The integer census these counts refine.
+    #[must_use]
+    pub(crate) fn census(&self) -> EcqCensus {
+        EcqCensus {
+            total: self.total(),
+            zeros: self.by_bits[1],
+            plus_one: self.plus_one,
+            minus_one: self.by_bits[2] - self.plus_one,
+            max_bits: self.max_bits(),
+        }
     }
 }
 
@@ -187,25 +246,33 @@ impl EncodingTree {
     /// independent of its length.
     #[must_use]
     pub(crate) fn cost_from_counts(&self, counts: &EcqCounts, ecb_max: u32) -> u64 {
-        let zeros = counts.by_bits[1];
-        let nonzero = counts.nonzero();
-        let plus = counts.plus_one;
-        let minus = counts.by_bits[2] - plus;
+        self.cost_from_census(&counts.census(), ecb_max)
+            .unwrap_or_else(|| {
+                counts.by_bits[1]
+                    + (2..counts.by_bits.len() as u64)
+                        .map(|b| counts.by_bits[b as usize] * (2 * b - 1))
+                        .sum::<u64>()
+            })
+    }
+
+    /// Total cost in bits of the stream `census` was taken over, for
+    /// every tree but Tree 4, whose prefix length grows with each value's
+    /// bin: pricing it takes the full [`EcqCounts`] histogram (`None`).
+    #[must_use]
+    pub(crate) fn cost_from_census(&self, census: &EcqCensus, ecb_max: u32) -> Option<u64> {
+        let zeros = census.zeros;
+        let nonzero = census.nonzero();
+        let (plus, minus) = (census.plus_one, census.minus_one);
         let others = nonzero - plus - minus;
         let ecb = u64::from(ecb_max);
-        match self.resolve(ecb_max) {
+        Some(match self.resolve(ecb_max) {
             Resolved::Tri => zeros + 2 * nonzero,
             Resolved::Tree1 => zeros + (1 + ecb) * nonzero,
             Resolved::Tree2 => zeros + 2 * plus + 3 * minus + (3 + ecb) * others,
             Resolved::Tree3 => zeros + 3 * (plus + minus) + (2 + ecb) * others,
-            Resolved::Tree4 => {
-                zeros
-                    + (2..counts.by_bits.len() as u64)
-                        .map(|b| counts.by_bits[b as usize] * (2 * b - 1))
-                        .sum::<u64>()
-            }
+            Resolved::Tree4 => return None,
             Resolved::Fixed => ecb * (zeros + nonzero),
-        }
+        })
     }
 
     /// Encodes a stream of ECQ values.
@@ -611,7 +678,7 @@ mod tests {
     /// to the stream.
     mod census {
         use super::ALL;
-        use crate::encoding::EcqCounts;
+        use crate::encoding::{EcqCensus, EcqCounts};
         use crate::quant::ecq_bits;
         use bitio::{BitReader, BitWriter};
         use proptest::prelude::*;
@@ -679,8 +746,13 @@ mod tests {
             ) {
                 let ecq = stream(ecb_max, shape, len, seed);
                 let counts = EcqCounts::of(&ecq);
+                let mut census = EcqCensus::default();
+                for &v in &ecq {
+                    census.record(v);
+                }
+                prop_assert_eq!(census, counts.census());
                 prop_assert_eq!(counts.total(), len as u64);
-                prop_assert_eq!(counts.nonzero(), ecq.iter().filter(|&&v| v != 0).count() as u64);
+                prop_assert_eq!(census.nonzero(), ecq.iter().filter(|&&v| v != 0).count() as u64);
                 prop_assert_eq!(counts.max_bits(), ecq.iter().map(|&v| ecq_bits(v)).max().unwrap_or(1));
                 // The block encoder's width, and the wider one this stream was drawn for.
                 let derived = counts.max_bits().max(2);

@@ -52,6 +52,8 @@
 //! assert!(compressed.len() * 4 < data.len() * 8, "compresses > 4x");
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 mod block;
 mod container;
 pub mod durable_stream;
@@ -62,6 +64,7 @@ mod inspect;
 mod metrics;
 mod quant;
 mod repair;
+mod simd;
 mod stats;
 pub mod stream;
 

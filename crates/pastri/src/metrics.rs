@@ -72,15 +72,7 @@ impl ScalingMetric {
     pub(crate) fn value(&self, sb: &[f64]) -> f64 {
         match self {
             ScalingMetric::Fr => sb[0],
-            ScalingMetric::Er => {
-                let mut best = 0.0f64;
-                for &v in sb {
-                    if v.abs() > best.abs() {
-                        best = v;
-                    }
-                }
-                best
-            }
+            ScalingMetric::Er => er_extremum(sb).1,
             ScalingMetric::Ar => sb.iter().sum::<f64>() / sb.len() as f64,
             ScalingMetric::Aar => sb.iter().map(|v| v.abs()).sum::<f64>() / sb.len() as f64,
             ScalingMetric::Is => {
@@ -120,18 +112,29 @@ pub struct PatternFit {
 #[must_use]
 pub fn fit_pattern(metric: ScalingMetric, geom: &BlockGeometry, block: &[f64]) -> PatternFit {
     debug_assert_eq!(block.len(), geom.block_size());
+    let values: Vec<f64> = block
+        .chunks_exact(geom.subblock_size)
+        .map(|sb| metric.value(sb))
+        .collect();
+    fit_values(metric, geom, block, &values)
+}
+
+/// The fit for per-sub-block metric `values`: the pattern is the first
+/// sub-block of largest metric magnitude.
+pub(crate) fn fit_values(
+    metric: ScalingMetric,
+    geom: &BlockGeometry,
+    block: &[f64],
+    values: &[f64],
+) -> PatternFit {
     let sbs = geom.subblock_size;
-    // Metric value per sub-block; pattern = largest magnitude.
-    let mut values = Vec::with_capacity(geom.num_subblocks);
     let mut pattern_sb = 0usize;
     let mut best = -1.0f64;
-    for sb in 0..geom.num_subblocks {
-        let v = metric.value(&block[sb * sbs..(sb + 1) * sbs]);
+    for (sb, v) in values.iter().enumerate() {
         if v.abs() > best {
             best = v.abs();
             pattern_sb = sb;
         }
-        values.push(v);
     }
     let pat = &block[pattern_sb * sbs..(pattern_sb + 1) * sbs];
     let pat_metric = values[pattern_sb];
@@ -139,11 +142,11 @@ pub fn fit_pattern(metric: ScalingMetric, geom: &BlockGeometry, block: &[f64]) -
     let anchor = argmax_abs(pat);
 
     let mut scales = Vec::with_capacity(geom.num_subblocks);
-    for sb in 0..geom.num_subblocks {
+    for (sb, &value) in values.iter().enumerate() {
         let s = if pat_metric == 0.0 {
             0.0
         } else {
-            let raw = values[sb] / pat_metric;
+            let raw = value / pat_metric;
             let signed = if metric.needs_sign_correction() {
                 let sub = &block[sb * sbs..(sb + 1) * sbs];
                 let same_sign = sub[anchor] * pat[anchor] >= 0.0;
@@ -163,6 +166,68 @@ pub fn fit_pattern(metric: ScalingMetric, geom: &BlockGeometry, block: &[f64]) -
         pattern_sb,
         scales,
     }
+}
+
+/// Every bit of an f64 but its sign.
+const MAGNITUDE: u64 = !(1 << 63);
+
+/// ER's statistic of one sub-block from one integer max over
+/// `|v|`'s bit pattern (which orders finite magnitudes as their values
+/// do): that bit pattern, and the first element of that magnitude —
+/// `+0.0` when every element is zero. For finite and infinite elements
+/// alike this is the element of largest `|v|`, first on ties; a NaN
+/// sorts above every magnitude, so it is picked over the rest.
+#[inline(always)]
+fn er_extremum(sb: &[f64]) -> (u64, f64) {
+    let max = sb.iter().fold(0, |m, &v| m.max(v.to_bits() & MAGNITUDE));
+    let value = if max == 0 {
+        0.0
+    } else {
+        sb.iter()
+            .copied()
+            .find(|v| v.to_bits() & MAGNITUDE == max)
+            .expect("the maximum is some element's")
+    };
+    (max, value)
+}
+
+/// One pass of ER over a block: what the compressor needs to decide
+/// Verbatim or AllZero, and the metric values [`fit_values`] takes.
+pub(crate) struct ErScan {
+    /// `max |v|` over the block as a bit pattern: at or above
+    /// [`f64::INFINITY`]'s when some value is not finite.
+    ext_bits: u64,
+    /// ER's value per sub-block.
+    pub(crate) values: Vec<f64>,
+}
+
+impl ErScan {
+    /// Whether every value of the block is finite.
+    pub(crate) fn is_finite(&self) -> bool {
+        self.ext_bits < f64::INFINITY.to_bits()
+    }
+
+    /// The block's largest `|v|` (meaningful when [`is_finite`](Self::is_finite)).
+    pub(crate) fn ext(&self) -> f64 {
+        f64::from_bits(self.ext_bits)
+    }
+}
+
+/// Scans `block` once for ER: per sub-block extremum, their maximum, and
+/// with it the finiteness of the whole block. Compiled into each build
+/// of [`crate::simd::Simd`].
+#[inline(always)]
+pub(crate) fn er_scan(geom: &BlockGeometry, block: &[f64]) -> ErScan {
+    // A plain loop rather than `collect`, whose out-of-line body would
+    // not be compiled for the caller's target features.
+    let mut ext_bits = 0;
+    let mut values = Vec::with_capacity(geom.num_subblocks);
+    for sb in block.chunks_exact(geom.subblock_size) {
+        let (max, value) = er_extremum(sb);
+        ext_bits = ext_bits.max(max);
+        values.push(value);
+    }
+    ErScan { ext_bits, values }
 }
 
 /// Index of the largest-magnitude element (first on ties).
@@ -269,6 +334,181 @@ mod tests {
             assert_eq!(ScalingMetric::from_wire_id(m.wire_id()), Some(m));
         }
         assert_eq!(ScalingMetric::from_wire_id(7), None);
+    }
+
+    /// ER's value of one sub-block as the float compare loop computed it
+    /// before the one-pass scan: the first element of largest `|v|`,
+    /// `+0.0` for an all-zero sub-block; a NaN never compares larger.
+    fn reference_er_value(sb: &[f64]) -> f64 {
+        let mut best = 0.0f64;
+        for &v in sb {
+            if v.abs() > best.abs() {
+                best = v;
+            }
+        }
+        best
+    }
+
+    /// A block of `geom` built to hit the scan's corners: magnitude ties
+    /// of either sign within and between sub-blocks, all-zero and `−0.0`
+    /// sub-blocks, subnormals, and (when `specials`) ±Inf and NaN.
+    fn adversarial_block(geom: &BlockGeometry, seed: u64, specials: bool) -> Vec<f64> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let palette = [
+            0.0, -0.0, 1.5e-7, -1.5e-7, 3.0e-7, -3.0e-7, 5e-324, -5e-324, 1.0, -1.0,
+        ];
+        let sbs = geom.subblock_size;
+        let mut block = Vec::with_capacity(geom.block_size());
+        for _ in 0..geom.num_subblocks {
+            match next() % 4 {
+                0 => block.extend((0..sbs).map(|_| if next() % 2 == 0 { 0.0 } else { -0.0 })),
+                1 => block
+                    .extend((0..sbs).map(|_| palette[(next() % palette.len() as u64) as usize])),
+                _ => block
+                    .extend((0..sbs).map(|_| ((next() >> 11) as f64 / 2f64.powi(53) - 0.5) * 1e-6)),
+            }
+        }
+        if specials {
+            for _ in 0..=(next() % 3) {
+                let i = (next() % block.len() as u64) as usize;
+                block[i] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][(next() % 3) as usize];
+            }
+        }
+        block
+    }
+
+    /// Checks every build of the ER scan, `ScalingMetric::value` and
+    /// `fit_pattern` against the float compare loop on one block.
+    fn check_er(geom: &BlockGeometry, block: &[f64]) {
+        let has_nan = block.iter().any(|v| v.is_nan());
+        let finite = block.iter().all(|v| v.is_finite());
+        let reference: Vec<f64> = block
+            .chunks_exact(geom.subblock_size)
+            .map(reference_er_value)
+            .collect();
+        for (name, simd) in crate::simd::Simd::variants() {
+            let scan = simd.er_scan(geom, block);
+            assert_eq!(scan.is_finite(), finite, "{name}: {block:?}");
+            if finite {
+                let ext = block.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+                assert_eq!(scan.ext().to_bits(), ext.to_bits(), "{name}: {block:?}");
+            }
+            if !has_nan {
+                let got: Vec<u64> = scan.values.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{name}: {block:?}");
+            }
+        }
+        for (sb, &want) in block.chunks_exact(geom.subblock_size).zip(&reference) {
+            if !sb.iter().any(|v| v.is_nan()) {
+                assert_eq!(
+                    ScalingMetric::Er.value(sb).to_bits(),
+                    want.to_bits(),
+                    "{sb:?}"
+                );
+            }
+        }
+        if !has_nan {
+            // The pattern choice and scales as `fit_pattern` made them
+            // from the reference values.
+            let fit = fit_pattern(ScalingMetric::Er, geom, block);
+            let mut best = -1.0f64;
+            let mut pattern_sb = 0;
+            for (sb, v) in reference.iter().enumerate() {
+                if v.abs() > best {
+                    best = v.abs();
+                    pattern_sb = sb;
+                }
+            }
+            assert_eq!(fit.pattern_sb, pattern_sb, "{block:?}");
+            let p = reference[pattern_sb];
+            for (s, &v) in fit.scales.iter().zip(&reference) {
+                let want = if p == 0.0 {
+                    0.0
+                } else {
+                    (v / p).clamp(-1.0, 1.0)
+                };
+                assert_eq!(s.to_bits(), want.to_bits(), "{block:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn er_scan_matches_the_compare_loop_on_corner_blocks() {
+        let g = geom();
+        let fixed: [[f64; 12]; 6] = [
+            // Equal magnitudes of either sign within a sub-block: first wins.
+            [0.3, -0.3, 0.1, 0.0, -0.5, 0.5, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0],
+            // The same extremum in two sub-blocks: the first is the pattern.
+            [0.1, 0.9, 0.0, 0.0, -0.9, 0.2, 0.0, 0.0, 0.9, 0.0, 0.0, 0.0],
+            // All zeros of both signs: every value +0.0, pattern 0.
+            [
+                -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0,
+            ],
+            // Subnormal extremum beside a zero sub-block.
+            [
+                5e-324, -5e-324, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 1e-310, 0.0, 0.0, 0.0,
+            ],
+            // Infinities: the largest magnitude, first on ties.
+            [
+                1.0,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                0.0,
+                2.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+            ],
+            // NaN: not finite.
+            [
+                1.0,
+                f64::NAN,
+                0.0,
+                0.0,
+                2.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+            ],
+        ];
+        for block in &fixed {
+            check_er(&g, block);
+        }
+        for seed in 0..2000 {
+            let g =
+                [geom(), BlockGeometry::new(36, 36), BlockGeometry::new(5, 7)][seed as usize % 3];
+            check_er(&g, &adversarial_block(&g, seed, seed % 4 == 0));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn er_scan_matches_the_compare_loop(
+            num_sb in 1usize..40,
+            sbs in 1usize..40,
+            seed in proptest::prelude::any::<u64>(),
+            specials in proptest::prelude::any::<bool>(),
+        ) {
+            let g = BlockGeometry::new(num_sb, sbs);
+            check_er(&g, &adversarial_block(&g, seed, specials));
+        }
     }
 
     #[test]

@@ -71,6 +71,13 @@ impl Quantizer {
         self.eb
     }
 
+    /// The bin size `2·EB`.
+    #[inline]
+    #[must_use]
+    pub(crate) fn bin(&self) -> f64 {
+        self.bin
+    }
+
     /// Quantizes one pattern point / EC value with bin `2·EB`.
     /// Returns `None` if the code would leave the safe integer range
     /// (caller falls back to verbatim storage).
