@@ -13,9 +13,15 @@
 //!   independence),
 //! * dataset-global Huffman payload with one shared dictionary (the
 //!   serializing variant the paper warns about).
+//!
+//! Type-3 blocks carry ECQ values up to 2^31, far wider than any table
+//! a decoder accepts ([`MAX_ALPHABET`]). Such an alphabet is priced as a
+//! [`MAX_ALPHABET`]-slot table whose last slot is an escape: every
+//! symbol at or above it codes as the escape plus its raw 32 bits.
+//! Alphabets that fit are priced as they are.
 
 use bench::{geometry_of, print_header, print_row, standard_dataset, MOLECULES};
-use codecs::huffman::HuffmanCode;
+use codecs::huffman::{HuffmanCode, MAX_ALPHABET};
 use pastri::{ecq_bits, fit_pattern, EncodingTree, Quantizer, ScaleQuantizer, ScalingMetric};
 use qchem::basis::BfConfig;
 
@@ -51,6 +57,33 @@ fn to_symbols(ecq: &[i64]) -> (Vec<u32>, usize) {
     (syms, alphabet)
 }
 
+/// The escape slot of a too-wide alphabet (see the module docs).
+const ESCAPE: u32 = MAX_ALPHABET as u32 - 1;
+/// Raw bits an escaped symbol pays after the escape code.
+const RAW_BITS: u64 = 32;
+
+/// Huffman-codes `syms` over an alphabet of `alphabet` symbols:
+/// `(payload bits, dictionary bits)`, or `None` for an empty stream.
+fn huffman_bits(syms: &[u32], alphabet: usize) -> Option<(u64, u64)> {
+    let escaped = alphabet > MAX_ALPHABET;
+    let slot = |s: u32| if escaped { s.min(ESCAPE) } else { s } as usize;
+    let mut freqs = vec![0u64; alphabet.min(MAX_ALPHABET)];
+    for &s in syms {
+        freqs[slot(s)] += 1;
+    }
+    let code = HuffmanCode::from_frequencies(&freqs)?;
+    let payload = syms
+        .iter()
+        .map(|&s| {
+            let raw = if escaped && s >= ESCAPE { RAW_BITS } else { 0 };
+            u64::from(code.symbol_cost(slot(s)).unwrap()) + raw
+        })
+        .sum();
+    let mut dict = Vec::new();
+    code.write_table(&mut dict);
+    Some((payload, dict.len() as u64 * 8))
+}
+
 fn main() {
     let eb = 1e-10;
     println!("Sec. IV-C ablation — fixed trees vs Huffman for ECQ (EB = {eb:.0e})\n");
@@ -84,24 +117,12 @@ fn main() {
             tree5_bits += t5;
 
             let (syms, alphabet) = to_symbols(&ecq);
-            if let Some(code) = {
-                let mut freqs = vec![0u64; alphabet];
-                for &s in &syms {
-                    freqs[s as usize] += 1;
-                }
-                HuffmanCode::from_frequencies(&freqs)
-            } {
-                let payload: u64 = syms
-                    .iter()
-                    .map(|&s| u64::from(code.symbol_cost(s as usize).unwrap()))
-                    .sum();
-                let mut dict = Vec::new();
-                code.write_table(&mut dict);
+            if let Some((payload, dict)) = huffman_bits(&syms, alphabet) {
                 blk_huff_payload += payload;
-                blk_huff_dict += dict.len() as u64 * 8;
+                blk_huff_dict += dict;
                 if ecb_max <= 3 {
                     small_tree5 += t5;
-                    small_huff += payload + dict.len() as u64 * 8;
+                    small_huff += payload + dict;
                 }
             }
             global_alphabet = global_alphabet.max(alphabet);
@@ -109,19 +130,8 @@ fn main() {
         }
 
         // Global Huffman: one dictionary over the whole dataset.
-        let mut freqs = vec![0u64; global_alphabet.max(1)];
-        for &s in &all_syms {
-            freqs[s as usize] += 1;
-        }
-        let global_bits = HuffmanCode::from_frequencies(&freqs).map_or(0, |code| {
-            let payload: u64 = all_syms
-                .iter()
-                .map(|&s| u64::from(code.symbol_cost(s as usize).unwrap()))
-                .sum();
-            let mut dict = Vec::new();
-            code.write_table(&mut dict);
-            payload + dict.len() as u64 * 8
-        });
+        let global_bits = huffman_bits(&all_syms, global_alphabet.max(1))
+            .map_or(0, |(payload, dict)| payload + dict);
 
         print_row(
             &[

@@ -635,7 +635,7 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
         }
         Artifact::Store => {
             let report = eri_store::StoreReader::open(std::path::Path::new(input))
-                .and_then(|mut store| store.scrub())
+                .and_then(|store| store.scrub())
                 .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
             let healed = if heal && !report.is_clean() {
                 let mut bytes = read()?;
@@ -1286,14 +1286,11 @@ fn parse_block_list(spec: &str, num_blocks: usize) -> Result<Vec<usize>, CliErro
 /// Server tunables for `serve`.
 fn server_config(args: &Args) -> Result<eri_server::ServerConfig, CliError> {
     let mut cfg = eri_server::ServerConfig::default();
-    cfg.shards_per_store = args.get_usize("shards", cfg.shards_per_store)?.max(1);
     cfg.cache_bytes = args.get_usize("cache-mb", cfg.cache_bytes >> 20)? << 20;
-    cfg.cache_shards = args.get_usize("cache-shards", cfg.cache_shards)?.max(1);
     Ok(cfg)
 }
 
-/// `pastri serve` — mount one or more stores behind the sharded cache
-/// server and serve a batched read in-process: the CLI face of
+/// `pastri serve` — mount one or more stores behind the cache server and serve a batched read in-process: the CLI face of
 /// [`eri_server::ServerHandle`]. With `--out`, the served blocks are
 /// written as raw little-endian f64 in request order. With `--listen
 /// <tcp:HOST:PORT | unix:PATH>`, no local read happens: the mounted
@@ -1362,10 +1359,9 @@ pub(crate) fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
     let r = srv.read_stats();
     writeln!(
         out,
-        "serve: {} block(s) from {} store(s) across {} shard(s) in {:.3}s",
+        "serve: {} block(s) from {} store(s) in {:.3}s",
         blocks.len(),
         srv.num_stores(),
-        srv.num_shards(),
         wall
     )?;
     writeln!(

@@ -16,7 +16,7 @@
 //! * `assess`     — compare an original and a decompressed file
 //! * `report`     — re-render a saved `--telemetry json` capture as the
 //!   human-readable summary tree
-//! * `serve`      — mount ERI stores behind the sharded cache server and
+//! * `serve`      — mount ERI stores behind the cache server and
 //!   serve a batched block read, or expose them over the PTRF wire
 //!   protocol with `--listen`
 //! * `fetch`      — read blocks from a `serve --listen` endpoint with
@@ -143,7 +143,7 @@ USAGE:
                      [--slo-max-shed-rate F] [--slo-queue-wait-p99-us N]
                      [--slo-max-breaker-opened N]]
   pastri serve      <store.eristore>... [--blocks 0,3,7-9] [--out raw.f64]
-                    [--shards 4] [--cache-mb 8] [--cache-shards 8]
+                    [--cache-mb 8]
                     [--listen (tcp:HOST:PORT|unix:PATH) [--serve-conns N]]
   pastri fetch      <endpoint> [--replica ENDPOINT]... [--blocks 0,3,7-9]
                     [--out raw.f64] [--deadline-ms 5000] [--attempt-ms 1000]
@@ -201,10 +201,12 @@ CACHE SERVER (`serve`):
   input must hold whole --config blocks, compressed at default options
   (--metric, --tree and --stream do not apply). `pastri serve` mounts
   one or more stores (shared geometry and error bound) as one global
-  block index space behind shard-parallel readers and a byte-budgeted
-  hot-block cache, then serves the requested blocks in order (all
-  blocks when --blocks is omitted); --out writes them as raw f64,
-  byte-identical to compressing to a container and decompressing.
+  block index space, one reader per store shared by every thread, plus
+  a byte-budgeted hot-block cache (--cache-mb), then serves the
+  requested blocks in order (all blocks when --blocks is omitted);
+  --out writes them as raw f64, byte-identical to compressing to a
+  container and decompressing. Damaged blocks heal from parity on read
+  and are counted as `repaired on read`.
 
 REMOTE SERVING (`serve --listen` / `fetch`):
   `pastri serve --listen tcp:127.0.0.1:7421` (or `unix:/path.sock`)

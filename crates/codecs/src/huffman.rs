@@ -19,7 +19,7 @@ pub const MAX_CODE_LEN: u32 = 32;
 /// `deflate_like`'s literal/length alphabet is 512). A table header
 /// claiming more is corrupt, and is rejected before anything is
 /// allocated for it.
-pub(crate) const MAX_ALPHABET: usize = 1 << 16;
+pub const MAX_ALPHABET: usize = 1 << 16;
 
 /// A built canonical Huffman code: per-symbol (code, length) pairs.
 #[derive(Debug, Clone)]

@@ -28,7 +28,10 @@
 //!
 //! Sinks are abstracted by [`SyncWrite`] (a `Write` that can fsync), so
 //! the fault-injection harness can interpose on every byte and fsync of
-//! both the data file and the journal.
+//! both the data file and the journal. Sources are abstracted by
+//! [`ReadAt`] (positional reads through `&self`), so one open file can
+//! serve many threads at once and the same harness can interpose on
+//! every read.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -88,6 +91,52 @@ impl SyncWrite for io::Sink {
 impl<W: SyncWrite + ?Sized> SyncWrite for &mut W {
     fn sync(&mut self) -> io::Result<()> {
         (**self).sync()
+    }
+}
+
+/// A byte source read by absolute offset through a shared reference —
+/// `pread(2)`, not seek + read — so any number of threads can read one
+/// handle at once without a lock or a shared cursor.
+pub trait ReadAt {
+    /// Reads up to `buf.len()` bytes starting at `offset`; returns how
+    /// many were read (0 at or past the end). Like `Read::read`, a call
+    /// may return fewer bytes than asked for.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize>;
+
+    /// Total length of the source in bytes.
+    fn size(&self) -> io::Result<u64>;
+}
+
+impl ReadAt for File {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        std::os::unix::fs::FileExt::read_at(self, buf, offset)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+}
+
+impl ReadAt for &[u8] {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        let start = usize::try_from(offset).map_or(self.len(), |o| o.min(self.len()));
+        let n = buf.len().min(self.len() - start);
+        buf[..n].copy_from_slice(&self[start..start + n]);
+        Ok(n)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+}
+
+impl<R: ReadAt + ?Sized> ReadAt for Box<R> {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        (**self).read_at(buf, offset)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        (**self).size()
     }
 }
 

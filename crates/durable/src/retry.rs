@@ -9,7 +9,9 @@
 //! reproducible under test: the same policy produces the same sleep
 //! sequence on every run.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
+
+use crate::ReadAt;
 use std::time::Duration;
 
 /// Error kinds treated as transient: routine on congested parallel file
@@ -97,22 +99,24 @@ pub struct RetryStats {
     pub backoff_micros: u64,
 }
 
-/// Fills `buf` completely, retrying transient errors per `policy` and
-/// accumulating what that cost into `stats` (even on failure).
+/// Fills `buf` completely from `r` starting at `offset`, retrying
+/// transient errors per `policy` and accumulating what that cost into
+/// `stats` (even on failure).
 ///
-/// Hand-rolled rather than `Read::read_exact` because std's loop retries
-/// `Interrupted` *unboundedly* and fails every other transient kind
+/// Hand-rolled rather than a plain read loop because std's loops retry
+/// `Interrupted` *unboundedly* and fail every other transient kind
 /// immediately — here both are bounded and backed off.
-pub fn read_exact_retry<R: Read + ?Sized>(
-    r: &mut R,
+pub fn read_exact_retry<R: ReadAt + ?Sized>(
+    r: &R,
     buf: &mut [u8],
+    offset: u64,
     policy: &RetryPolicy,
     stats: &mut RetryStats,
 ) -> io::Result<()> {
     let mut filled = 0usize;
     let mut retries = 0u32;
     while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+        match r.read_at(&mut buf[filled..], offset + filled as u64) {
             Ok(0) => {
                 return Err(io::Error::new(
                     ErrorKind::UnexpectedEof,
@@ -149,23 +153,27 @@ pub use telemetry::splitmix64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::cell::Cell;
 
-    /// A reader that fails with `kind` for the first `fail` calls, then
-    /// serves from the cursor.
+    /// A source that fails with `kind` for the first `fail` calls, then
+    /// serves from `inner`.
     struct Flaky {
-        inner: Cursor<Vec<u8>>,
-        fail: u32,
+        inner: Vec<u8>,
+        fail: Cell<u32>,
         kind: ErrorKind,
     }
 
-    impl Read for Flaky {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.fail > 0 {
-                self.fail -= 1;
+    impl ReadAt for Flaky {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+            if self.fail.get() > 0 {
+                self.fail.set(self.fail.get() - 1);
                 return Err(io::Error::new(self.kind, "injected"));
             }
-            self.inner.read(buf)
+            (&self.inner[..]).read_at(buf, offset)
+        }
+
+        fn size(&self) -> io::Result<u64> {
+            Ok(self.inner.len() as u64)
         }
     }
 
@@ -180,28 +188,28 @@ mod tests {
 
     #[test]
     fn retries_within_budget_succeed() {
-        let mut r = Flaky {
-            inner: Cursor::new(vec![7u8; 32]),
-            fail: 3,
+        let r = Flaky {
+            inner: vec![7u8; 32],
+            fail: Cell::new(3),
             kind: ErrorKind::WouldBlock,
         };
         let mut buf = [0u8; 32];
         let mut stats = RetryStats::default();
-        read_exact_retry(&mut r, &mut buf, &instant(4), &mut stats).unwrap();
+        read_exact_retry(&r, &mut buf, 0, &instant(4), &mut stats).unwrap();
         assert_eq!(buf, [7u8; 32]);
         assert_eq!(stats.transient_retries, 3);
     }
 
     #[test]
     fn budget_exhaustion_surfaces_with_stats() {
-        let mut r = Flaky {
-            inner: Cursor::new(vec![7u8; 8]),
-            fail: 10,
+        let r = Flaky {
+            inner: vec![7u8; 8],
+            fail: Cell::new(10),
             kind: ErrorKind::TimedOut,
         };
         let mut buf = [0u8; 8];
         let mut stats = RetryStats::default();
-        let err = read_exact_retry(&mut r, &mut buf, &instant(2), &mut stats).unwrap_err();
+        let err = read_exact_retry(&r, &mut buf, 0, &instant(2), &mut stats).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::TimedOut);
         // The failed call's absorbed retries are still visible.
         assert_eq!(stats.transient_retries, 2);
@@ -209,25 +217,25 @@ mod tests {
 
     #[test]
     fn non_transient_errors_fail_immediately() {
-        let mut r = Flaky {
-            inner: Cursor::new(vec![0u8; 8]),
-            fail: 1,
+        let r = Flaky {
+            inner: vec![0u8; 8],
+            fail: Cell::new(1),
             kind: ErrorKind::PermissionDenied,
         };
         let mut buf = [0u8; 8];
         let mut stats = RetryStats::default();
-        let err = read_exact_retry(&mut r, &mut buf, &instant(8), &mut stats).unwrap_err();
+        let err = read_exact_retry(&r, &mut buf, 0, &instant(8), &mut stats).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::PermissionDenied);
         assert_eq!(stats.transient_retries, 0);
     }
 
     #[test]
     fn short_source_is_unexpected_eof() {
-        let mut r = Cursor::new(vec![1u8; 4]);
+        let r: &[u8] = &[1u8; 4];
         let mut buf = [0u8; 8];
         let mut stats = RetryStats::default();
         let err =
-            read_exact_retry(&mut r, &mut buf, &RetryPolicy::none(), &mut stats).unwrap_err();
+            read_exact_retry(&r, &mut buf, 0, &RetryPolicy::none(), &mut stats).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
     }
 

@@ -1,37 +1,39 @@
-//! Sharded cache server over `eri-store`: the serve-many-readers layer
-//! of the PaSTRI reuse story.
+//! Cache server over `eri-store`: the serve-many-readers layer of the
+//! PaSTRI reuse story.
 //!
 //! The paper's payoff is compress-once / decompress-many — two-electron
 //! integrals are generated once, then re-read every SCF iteration. This
 //! crate turns the single-process `StoreReader` into a concurrent,
 //! read-mostly service:
 //!
-//! * **Shard router** — each store's shell-quartet block range is split
-//!   into contiguous shards ([`eri_store::shard_ranges`]); every shard
-//!   owns an independent file handle behind its own lock, so a batch
-//!   fanned across shards reads genuinely in parallel. Multiple stores
+//! * **One reader per store** — each mounted store is one
+//!   [`eri_store::StoreReader`] (one open file, one loaded index).
+//!   Its reads are positional and take `&self`, so every thread reads
+//!   through it at once with no lock and no seek state. Multiple stores
 //!   mount side by side under one global block index space.
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
 //!   cache ([`cache::BlockCache`]) holding *decompressed* blocks, so a
 //!   popular quartet pays decompression once, not once per reuse.
 //! * **Batched reads** — `ServerHandle::read_blocks_each` takes one
-//!   request's block ids, serves hits from memory, fans the misses
-//!   across shards on the rayon pool, and reassembles results in
-//!   request order.
+//!   request's block ids, serves hits from memory, fans the distinct
+//!   misses out on the rayon pool, and reassembles results in request
+//!   order.
 //! * **Repair-on-read preserved** — misses go through
-//!   [`eri_store::StoreReader::read_block`], so an injected fault heals
-//!   from container parity and counts `store.blocks_repaired` exactly
-//!   like a direct read; only the *post-repair* block is ever admitted
-//!   to the cache (there is no pre-repair value to leak: insertion
-//!   happens strictly after `read_block` returns the certified block).
+//!   [`eri_store::StoreReader::read_block_noting_repair`], so an
+//!   injected fault heals from container parity and counts
+//!   `store.blocks_repaired` exactly like a direct read; only the
+//!   *post-repair* block is ever admitted to the cache (there is no
+//!   pre-repair value to leak: insertion happens strictly after the
+//!   read returns the certified block).
 //!
 //! Telemetry contract (all under the global recorder, off by default):
 //! counters `server.requests`, `server.blocks`, `server.store_reads`;
 //! histograms `server.read_us` (per-block service time, hits included)
 //! and `server.miss_us` (store fetch + decompress path only); span
-//! `server.batch`. The cache layer adds `cache.hits` / `cache.misses` /
-//! `cache.evictions` / `cache.admission_rejects` and the `cache.bytes`
-//! gauge.
+//! `server.batch`; journal event `store.repair` (block id, 1) for each
+//! read that rebuilt its block from parity. The cache layer adds
+//! `cache.hits` / `cache.misses` / `cache.evictions` /
+//! `cache.admission_rejects` and the `cache.bytes` gauge.
 //!
 //! Two front ends share this handle: the in-process batch API used by
 //! `pastri serve` and the tests, and the PTRF wire transport behind
@@ -40,12 +42,12 @@
 //! its all-or-nothing collect.
 
 use std::fs::File;
-use std::io::{Read, Seek};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use eri_store::{shard_ranges, ReadStats, RetryPolicy, StoreError, StoreReader};
+use durable::ReadAt;
+use eri_store::{ReadStats, RetryPolicy, StoreError, StoreReader};
 use pastri::BlockGeometry;
 use rayon::prelude::*;
 
@@ -62,20 +64,18 @@ pub use cache::{BlockCache, CacheStats};
 pub use client::{BlockError, BlockErrorKind, ClientConfig, ClientError, ClientStats, RemoteClient};
 pub use transport::{Endpoint, StopHandle, TransportServer};
 
-/// Byte source a shard reader can be built over. File-backed in
+/// Byte source a store reader is built over, as produced by an
+/// [`ServerHandle::open_with_sources`] factory. File-backed in
 /// production; tests substitute `faults::FaultyReader` (transient-retry
-/// parity) or a panicking reader (poison recovery).
-pub trait ShardSource: Read + Seek + Send {}
-impl<T: Read + Seek + Send> ShardSource for T {}
+/// parity) or a panicking source (panic recovery).
+pub(crate) type BoxedSource = Box<dyn ReadAt + Send + Sync>;
 
-/// Boxed shard source, as produced by an [`ServerHandle::open_with_sources`] factory.
-pub(crate) type BoxedSource = Box<dyn ShardSource>;
+/// Lock shards inside the hot-block cache.
+const CACHE_SHARDS: usize = 8;
 
-/// Recovers a shard lock even if a previous holder panicked mid-read.
-/// The guarded state is a read-only file handle plus retry/repair
-/// counters — nothing is left half-written by an unwind — so serving
-/// must continue rather than brick the shard (the old `.unwrap()` here
-/// turned one injected panic into permanent `PoisonError`s).
+/// Recovers a cache or admission lock even if a previous holder
+/// panicked, so one panic does not turn every later call into a
+/// `PoisonError`.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -83,7 +83,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Anything the server can fail with.
 #[derive(Debug)]
 pub enum ServerError {
-    /// A shard read failed; `block` is the *global* block id.
+    /// A store read failed; `block` is the *global* block id.
     Store { block: usize, source: StoreError },
     /// The mounted stores cannot form one coherent index space.
     Config(String),
@@ -130,53 +130,42 @@ impl ServerError {
 /// Tunables for [`ServerHandle::open`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Contiguous shards each mounted store is split into (each shard =
-    /// one independent file handle + lock).
-    pub shards_per_store: usize,
     /// Hot-block cache byte budget (decompressed payload + overhead).
     pub cache_bytes: usize,
-    /// Lock shards inside the cache.
-    pub cache_shards: usize,
-    /// Transient-retry policy handed to every shard reader.
+    /// Transient-retry policy handed to every store reader.
     pub retry: RetryPolicy,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            shards_per_store: 4,
             cache_bytes: 8 << 20,
-            cache_shards: 8,
             retry: RetryPolicy::default(),
         }
     }
 }
 
-/// One request slot's outcome: the position in the caller's id list
-/// paired with the served block or its structured error.
-type SlotResult = (usize, Result<Arc<Vec<f64>>, ServerError>);
-
-/// One shard: a contiguous global block range served by its own reader.
-struct Shard {
-    /// First global block id this shard serves.
-    global_start: usize,
-    /// Number of blocks in the shard.
-    len: usize,
-    /// The shard's range start *within its own store*.
-    local_start: usize,
-    reader: Mutex<StoreReader<BoxedSource>>,
+/// One mounted store: its reader and where its blocks start in the
+/// global index space.
+struct Mount {
+    /// First global block id this store serves.
+    first_block: usize,
+    reader: StoreReader<BoxedSource>,
 }
 
-/// An open server: mounted stores, shard router, and hot-block cache.
-/// All read methods take `&self` and are safe to call from many threads
-/// (tests drive it from rayon workers).
+/// An open server: mounted stores and hot-block cache. All read methods
+/// take `&self` and are safe to call from many threads (tests drive it
+/// from rayon workers).
 pub struct ServerHandle {
-    shards: Vec<Shard>,
+    /// Never empty: mounting refuses an empty path list.
+    mounts: Vec<Mount>,
     cache: BlockCache,
-    geometry: BlockGeometry,
-    error_bound: f64,
     num_blocks: usize,
-    stores: usize,
+    /// Whether a batch's misses fan out on the rayon pool — resolved
+    /// once at mount, because asking the pool its width costs a
+    /// syscall plus cgroup reads on Linux (~15 µs, about one block
+    /// decode) and a one-thread pool would pay it on every batch.
+    fan_out: bool,
 }
 
 impl ServerHandle {
@@ -191,77 +180,45 @@ impl ServerHandle {
     }
 
     /// [`ServerHandle::open`] with an injectable byte-source factory:
-    /// `source_for(path)` is called once per probe and once per shard,
-    /// each call producing an independent seekable handle over that
-    /// store's bytes. Production uses plain `File`s; the differential
+    /// `source_for(path)` is called once per store and its reader serves
+    /// every thread. Production uses plain `File`s; the differential
     /// tests wrap files in seeded `FaultyReader`s (retry attribution
-    /// parity) or panic-once readers (shard-lock poison recovery).
+    /// parity) or panic-once sources (panic recovery).
     pub fn open_with_sources(
         paths: &[impl AsRef<Path>],
         cfg: &ServerConfig,
         source_for: &mut dyn FnMut(&Path) -> std::io::Result<BoxedSource>,
     ) -> Result<Self, ServerError> {
-        if paths.is_empty() {
-            return Err(ServerError::Config("no stores to mount".into()));
-        }
-        let mut shards = Vec::new();
-        let mut geometry: Option<BlockGeometry> = None;
-        let mut error_bound = 0.0f64;
-        let mut base = 0usize;
+        let mut mounts: Vec<Mount> = Vec::with_capacity(paths.len());
+        let mut first_block = 0usize;
         for (si, path) in paths.iter().enumerate() {
             let path = path.as_ref();
-            let open_source = |e: std::io::Error, block: usize| ServerError::Store {
-                block,
-                source: StoreError::Io(e),
-            };
-            let probe = StoreReader::from_source(
-                source_for(path).map_err(|e| open_source(e, base))?,
-                cfg.retry,
-            )
-            .map_err(|e| ServerError::Store { block: base, source: e })?;
-            match geometry {
-                None => {
-                    geometry = Some(probe.geometry());
-                    error_bound = probe.error_bound();
-                }
-                Some(g) => {
-                    if probe.geometry() != g || probe.error_bound() != error_bound {
-                        return Err(ServerError::Config(format!(
-                            "store {} ({}) disagrees on geometry or error bound",
-                            si,
-                            path.display()
-                        )));
-                    }
+            let store_err = |source| ServerError::Store { block: first_block, source };
+            let source = source_for(path).map_err(|e| store_err(StoreError::Io(e)))?;
+            let reader = StoreReader::from_source(source, cfg.retry).map_err(store_err)?;
+            if let Some(first) = mounts.first() {
+                if reader.geometry() != first.reader.geometry()
+                    || reader.error_bound() != first.reader.error_bound()
+                {
+                    return Err(ServerError::Config(format!(
+                        "store {} ({}) disagrees on geometry or error bound",
+                        si,
+                        path.display()
+                    )));
                 }
             }
-            let nb = probe.num_blocks();
-            for range in shard_ranges(nb, cfg.shards_per_store) {
-                // Each shard gets a private file handle so shard reads
-                // never serialize on one seek position.
-                let source = source_for(path).map_err(|e| open_source(e, base + range.start))?;
-                let reader = StoreReader::from_source(source, cfg.retry).map_err(|e| {
-                    ServerError::Store { block: base + range.start, source: e }
-                })?;
-                shards.push(Shard {
-                    global_start: base + range.start,
-                    len: range.len(),
-                    local_start: range.start,
-                    reader: Mutex::new(reader),
-                });
-            }
-            base += nb;
+            let nb = reader.num_blocks();
+            mounts.push(Mount { first_block, reader });
+            first_block += nb;
+        }
+        if mounts.is_empty() {
+            return Err(ServerError::Config("no stores to mount".into()));
         }
         Ok(ServerHandle {
-            shards,
-            cache: BlockCache::new(cfg.cache_bytes, cfg.cache_shards),
-            // Filled on the first iteration; `paths` was checked
-            // non-empty above, so this can only be a logic error — but
-            // mount paths return structured errors, never panic.
-            geometry: geometry
-                .ok_or_else(|| ServerError::Config("no store produced a geometry".into()))?,
-            error_bound,
-            num_blocks: base,
-            stores: paths.len(),
+            mounts,
+            cache: BlockCache::new(cfg.cache_bytes, CACHE_SHARDS),
+            num_blocks: first_block,
+            fan_out: rayon::current_num_threads() > 1,
         })
     }
 
@@ -274,25 +231,19 @@ impl ServerHandle {
     /// Shared block geometry of the mounted stores.
     #[must_use]
     pub fn geometry(&self) -> BlockGeometry {
-        self.geometry
+        self.mounts[0].reader.geometry()
     }
 
     /// Shared error bound of the mounted stores.
     #[must_use]
     pub(crate) fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-
-    /// Number of store shards behind the router.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.mounts[0].reader.error_bound()
     }
 
     /// Number of mounted stores.
     #[must_use]
     pub fn num_stores(&self) -> usize {
-        self.stores
+        self.mounts.len()
     }
 
     /// Hot-block cache counters.
@@ -301,15 +252,15 @@ impl ServerHandle {
         self.cache.stats()
     }
 
-    /// Aggregated transient-retry / repair counters across every shard
+    /// Aggregated transient-retry / repair counters across every store
     /// reader — `blocks_repaired` here must match what the same reads
     /// would have cost a direct `StoreReader` (the differential tests
     /// hold the server to that).
     #[must_use]
     pub fn read_stats(&self) -> ReadStats {
         let mut total = ReadStats::default();
-        for s in &self.shards {
-            let st = lock_recover(&s.reader).read_stats();
+        for m in &self.mounts {
+            let st = m.reader.read_stats();
             total.transient_retries += st.transient_retries;
             total.backoff_micros += st.backoff_micros;
             total.blocks_repaired += st.blocks_repaired;
@@ -318,17 +269,12 @@ impl ServerHandle {
         total
     }
 
-    /// Shard index serving global block `id` (ids are contiguous per
-    /// shard, in order, so this is a binary search).
-    fn shard_of_block(&self, id: usize) -> usize {
-        self.shards.partition_point(|s| s.global_start + s.len <= id)
-    }
-
     /// Serves one batch: block `ids` (duplicates and any order allowed)
     /// → one `Result` per position, in request order. Hits come
-    /// straight from the cache; misses are grouped per shard and
-    /// fetched in parallel on the rayon pool, each through the
-    /// repair-on-read path, then admitted to the cache post-repair.
+    /// straight from the cache; the distinct missed ids are fetched in
+    /// parallel on the rayon pool (in request order on a one-thread
+    /// pool), each through the repair-on-read path, then admitted to
+    /// the cache post-repair.
     ///
     /// One bad block never sinks the batch: a corrupt or out-of-range
     /// id yields a structured error at its own position while the rest
@@ -343,7 +289,8 @@ impl ServerHandle {
         let _batch = telemetry::span("server.batch");
         let mut out: Vec<Option<Result<Arc<Vec<f64>>, ServerError>>> =
             (0..ids.len()).map(|_| None).collect();
-        let mut by_shard: Vec<Vec<(usize, usize)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        // Every miss as (id, position).
+        let mut misses: Vec<(usize, usize)> = Vec::new();
         for (pos, &id) in ids.iter().enumerate() {
             if id >= self.num_blocks {
                 out[pos] = Some(Err(ServerError::OutOfRange { index: id, blocks: self.num_blocks }));
@@ -355,22 +302,38 @@ impl ServerHandle {
                     telemetry::observe_us("server.read_us", t.elapsed().as_micros() as u64);
                     out[pos] = Some(Ok(hit));
                 }
-                None => by_shard[self.shard_of_block(id)].push((pos, id)),
+                None => misses.push((id, pos)),
             }
         }
 
-        let groups: Vec<(usize, Vec<(usize, usize)>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .collect();
-        let fetched: Vec<Vec<SlotResult>> = groups
-            .into_par_iter()
-            .map(|(sid, items)| self.fetch_from_shard(sid, &items))
-            .collect();
-        for group in fetched {
-            for (pos, res) in group {
-                out[pos] = Some(res);
+        // One run of positions per distinct id, runs in first-request
+        // order: each id is read once, and a one-thread pool reads in
+        // request order.
+        misses.sort_unstable();
+        let mut runs: Vec<&[(usize, usize)]> = misses.chunk_by(|a, b| a.0 == b.0).collect();
+        runs.sort_unstable_by_key(|run| run[0].1);
+        let read = |run: &&[(usize, usize)]| self.read_miss(run[0].0);
+        let fetched: Vec<Result<Arc<Vec<f64>>, ServerError>> = if self.fan_out {
+            runs.par_iter().map(read).collect()
+        } else {
+            runs.iter().map(read).collect()
+        };
+        for (run, res) in runs.iter().zip(fetched) {
+            match res {
+                Ok(block) => {
+                    for &(_, pos) in *run {
+                        out[pos] = Some(Ok(Arc::clone(&block)));
+                    }
+                }
+                // Errors carry non-clonable I/O sources, and a block that
+                // just failed may heal on the retry path: re-read it for
+                // every further position that asked.
+                Err(e) => {
+                    out[run[0].1] = Some(Err(e));
+                    for &(id, pos) in &run[1..] {
+                        out[pos] = Some(self.read_miss(id));
+                    }
+                }
             }
         }
         telemetry::counter_add("server.blocks", ids.len() as u64);
@@ -390,29 +353,27 @@ impl ServerHandle {
         self.read_blocks_each(&[id]).pop().expect("one result")
     }
 
-    /// One cache-miss store read under the shard lock: repair-on-read
-    /// via `StoreReader::read_block`, telemetry, and strictly
-    /// post-repair cache admission (`read_block` only returns certified
+    /// One cache-miss store read: repair-on-read via
+    /// `StoreReader::read_block_noting_repair`, telemetry, and strictly
+    /// post-repair cache admission (the reader only returns certified
     /// — checksum-verified, parity-rebuilt if needed — values, so
     /// nothing stale can be admitted).
-    fn read_miss(
-        &self,
-        shard: &Shard,
-        reader: &mut StoreReader<BoxedSource>,
-        id: usize,
-    ) -> Result<Arc<Vec<f64>>, ServerError> {
+    fn read_miss(&self, id: usize) -> Result<Arc<Vec<f64>>, ServerError> {
         let t = Instant::now();
-        let local = id - shard.global_start + shard.local_start;
-        let repaired_before = reader.read_stats().blocks_repaired;
-        let values = reader
-            .read_block(local)
+        // Mounts are in global order, so the owner is the last one
+        // starting at or before `id`.
+        let mount = &self.mounts[self.mounts.partition_point(|m| m.first_block <= id) - 1];
+        let (values, repaired) = mount
+            .reader
+            .read_block_noting_repair(id - mount.first_block)
             .map_err(|e| ServerError::Store { block: id, source: e })?;
-        let repaired = reader.read_stats().blocks_repaired - repaired_before;
-        if repaired > 0 {
+        if repaired {
             // Repair-on-read healed this block mid-serve: a journal
             // event ties the heal to the block id (and, when the read
-            // came over the wire, to the originating trace).
-            telemetry::journal("store.repair", id as u64, repaired);
+            // came over the wire, to the originating trace). The flag
+            // comes from this read alone, so concurrent batches on the
+            // same reader never claim each other's repairs.
+            telemetry::journal("store.repair", id as u64, 1);
         }
         let us = t.elapsed().as_micros() as u64;
         telemetry::observe_us("server.miss_us", us);
@@ -421,39 +382,6 @@ impl ServerHandle {
         let block = Arc::new(values);
         self.cache.insert(id as u64, Arc::clone(&block));
         Ok(block)
-    }
-
-    /// Fetches a batch's misses that all route to shard `sid`. Runs on
-    /// a rayon worker; holds the shard lock across the group so one
-    /// seek pass serves it. Duplicate ids within the group are read
-    /// once and fanned to every position. An error is recorded against
-    /// its own position and the rest of the group is still served.
-    /// Duplicates of a *failed* id are re-read rather than memoized —
-    /// errors carry non-clonable I/O sources, and a block that just
-    /// failed may well heal on the retry path anyway.
-    fn fetch_from_shard(
-        &self,
-        sid: usize,
-        items: &[(usize, usize)],
-    ) -> Vec<SlotResult> {
-        let shard = &self.shards[sid];
-        let mut reader = lock_recover(&shard.reader);
-        let mut got: Vec<SlotResult> = Vec::with_capacity(items.len());
-        let mut this_batch: Vec<(usize, Arc<Vec<f64>>)> = Vec::new(); // id → block, tiny
-        for &(pos, id) in items {
-            if let Some((_, b)) = this_batch.iter().find(|(bid, _)| *bid == id) {
-                got.push((pos, Ok(Arc::clone(b))));
-                continue;
-            }
-            match self.read_miss(shard, &mut reader, id) {
-                Ok(block) => {
-                    this_batch.push((id, Arc::clone(&block)));
-                    got.push((pos, Ok(block)));
-                }
-                Err(e) => got.push((pos, Err(e))),
-            }
-        }
-        got
     }
 }
 
@@ -492,7 +420,7 @@ mod tests {
         let path = tmp("order.eristore");
         build(&path, geom, 10, 0);
         let srv = ServerHandle::open(&[&path], &ServerConfig::default()).unwrap();
-        let mut direct = StoreReader::open(&path).unwrap();
+        let direct = StoreReader::open(&path).unwrap();
 
         // Shuffled, with duplicates — positions must still line up.
         let ids = [7usize, 0, 7, 3, 9, 1, 1];
@@ -514,8 +442,8 @@ mod tests {
         assert_eq!(srv.num_blocks(), 12);
         assert_eq!(srv.num_stores(), 2);
 
-        let mut da = StoreReader::open(&pa).unwrap();
-        let mut db = StoreReader::open(&pb).unwrap();
+        let da = StoreReader::open(&pa).unwrap();
+        let db = StoreReader::open(&pb).unwrap();
         for id in 0..12 {
             let want = if id < 5 {
                 da.read_block(id).unwrap()

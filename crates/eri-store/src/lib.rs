@@ -37,16 +37,19 @@
 //! Reads run through a [`RetryPolicy`]: transient `Interrupted` /
 //! `WouldBlock` / `TimedOut` errors — routine on congested parallel file
 //! systems — are retried with bounded exponential backoff instead of
-//! failing an SCF iteration. The reader is generic over `Read + Seek`,
-//! so tests inject faults without touching the filesystem.
+//! failing an SCF iteration. The reader is generic over
+//! [`durable::ReadAt`] — positional reads through `&self` — so one
+//! [`StoreReader`] serves any number of threads at once, and tests
+//! inject faults without touching the filesystem.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use checksum::crc32;
 use durable::retry::RetryStats;
-use durable::{journal_path, remove_journal, scan_journal, Checkpoint, JournalWriter};
+use durable::{journal_path, remove_journal, scan_journal, Checkpoint, JournalWriter, ReadAt};
 use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
 
@@ -200,17 +203,49 @@ pub struct ReadStats {
     pub blocks_dropped: u64,
 }
 
-/// Reads the CRC32 stored right after `body` and checks it against
-/// `body`; `offset` locates a mismatch in the error.
-fn read_stored_crc<R: Read>(
-    r: &mut R,
+/// [`ReadStats`] as the reader keeps them: atomics, so threads sharing
+/// one [`StoreReader`] all count into the same totals.
+#[derive(Debug, Default)]
+struct SharedStats {
+    transient_retries: AtomicU64,
+    backoff_micros: AtomicU64,
+    blocks_repaired: AtomicU64,
+    blocks_dropped: AtomicU64,
+}
+
+impl SharedStats {
+    fn snapshot(&self) -> ReadStats {
+        ReadStats {
+            transient_retries: self.transient_retries.load(Ordering::Relaxed),
+            backoff_micros: self.backoff_micros.load(Ordering::Relaxed),
+            blocks_repaired: self.blocks_repaired.load(Ordering::Relaxed),
+            blocks_dropped: self.blocks_dropped.load(Ordering::Relaxed),
+        }
+    }
+
+    fn repaired(&self) {
+        self.blocks_repaired.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter_add("store.blocks_repaired", 1);
+    }
+
+    fn dropped(&self) {
+        self.blocks_dropped.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter_add("store.blocks_dropped", 1);
+    }
+}
+
+/// Reads the CRC32 stored at `crc_at` and checks it against `body`;
+/// `offset` locates a mismatch in the error.
+fn read_stored_crc<R: ReadAt>(
+    r: &R,
     policy: &RetryPolicy,
-    stats: &mut ReadStats,
+    stats: &SharedStats,
     body: &[u8],
+    crc_at: u64,
     offset: u64,
 ) -> Result<(), StoreError> {
     let mut crc_buf = [0u8; 4];
-    read_exact_retry(r, &mut crc_buf, policy, stats)?;
+    read_exact_retry(r, &mut crc_buf, crc_at, policy, stats)?;
     let stored = u32::from_le_bytes(crc_buf);
     let actual = crc32(body);
     if stored != actual {
@@ -224,25 +259,26 @@ fn read_stored_crc<R: Read>(
     Ok(())
 }
 
-/// Fills `buf` completely via the shared [`durable::retry`] loop, then
-/// folds the call's retry cost into this reader's [`ReadStats`] and the
+/// Fills `buf` from `offset` via the shared [`durable::retry`] loop,
+/// then folds the call's retry cost into this reader's stats and the
 /// `store.transient_retries` / `store.backoff_us` telemetry counters —
 /// the per-store attribution the shared loop deliberately leaves to its
 /// callers. Accounted even when the read ultimately fails.
-fn read_exact_retry<R: Read>(
-    r: &mut R,
+fn read_exact_retry<R: ReadAt>(
+    r: &R,
     buf: &mut [u8],
+    offset: u64,
     policy: &RetryPolicy,
-    stats: &mut ReadStats,
+    stats: &SharedStats,
 ) -> io::Result<()> {
     let mut rs = RetryStats::default();
-    let result = durable::retry::read_exact_retry(r, buf, policy, &mut rs);
+    let result = durable::retry::read_exact_retry(r, buf, offset, policy, &mut rs);
     if rs.transient_retries > 0 {
-        stats.transient_retries += rs.transient_retries;
+        stats.transient_retries.fetch_add(rs.transient_retries, Ordering::Relaxed);
         telemetry::counter_add("store.transient_retries", rs.transient_retries);
     }
     if rs.backoff_micros > 0 {
-        stats.backoff_micros += rs.backoff_micros;
+        stats.backoff_micros.fetch_add(rs.backoff_micros, Ordering::Relaxed);
         telemetry::counter_add("store.backoff_us", rs.backoff_micros);
     }
     result
@@ -562,29 +598,6 @@ impl StoreWriter {
     }
 }
 
-/// Splits `num_blocks` into at most `shards` contiguous, near-even,
-/// non-empty ranges covering `0..num_blocks` — the shard layout the
-/// cache server routes shell-quartet block indices through. The first
-/// `num_blocks % shards` ranges are one block longer, so any two ranges
-/// differ in length by at most one.
-#[must_use]
-pub fn shard_ranges(num_blocks: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    if num_blocks == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, num_blocks);
-    let base = num_blocks / shards;
-    let extra = num_blocks % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
 /// The 48 checksummed header bytes (magic through index offset).
 fn header_bytes(eb: f64, geometry: BlockGeometry, num_blocks: u64, index_offset: u64) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_BODY_LEN as usize);
@@ -672,14 +685,18 @@ impl ScrubReport {
 /// Read side: random access to stored blocks. Generic over the byte
 /// source so tests can inject I/O faults; production code uses
 /// [`StoreReader::open`], which reads from a [`File`].
+///
+/// Every read is positional and takes `&self`, and the counters are
+/// atomics, so one reader (one open file, one loaded index) serves any
+/// number of threads at once.
 #[derive(Debug)]
-pub struct StoreReader<R: Read + Seek = File> {
+pub struct StoreReader<R: ReadAt = File> {
     source: R,
     retry: RetryPolicy,
     geometry: BlockGeometry,
     error_bound: f64,
     index: Vec<IndexEntry>,
-    stats: ReadStats,
+    stats: SharedStats,
 }
 
 impl StoreReader<File> {
@@ -689,20 +706,19 @@ impl StoreReader<File> {
     }
 }
 
-impl<R: Read + Seek> StoreReader<R> {
-    /// Opens a store from any seekable byte source, retrying transient
-    /// read errors per `retry`. Validates the header and index checksums
-    /// and loads the index.
-    pub fn from_source(mut source: R, retry: RetryPolicy) -> Result<Self, StoreError> {
-        let mut stats = ReadStats::default();
-        let file_len = source.seek(SeekFrom::End(0))?;
-        source.seek(SeekFrom::Start(0))?;
+impl<R: ReadAt> StoreReader<R> {
+    /// Opens a store from any positional byte source, retrying
+    /// transient read errors per `retry`. Validates the header and
+    /// index checksums and loads the index.
+    pub fn from_source(source: R, retry: RetryPolicy) -> Result<Self, StoreError> {
+        let stats = SharedStats::default();
+        let file_len = source.size()?;
         let mut header = [0u8; HEADER_BODY_LEN as usize];
-        read_exact_retry(&mut source, &mut header, &retry, &mut stats)?;
+        read_exact_retry(&source, &mut header, 0, &retry, &stats)?;
         if header[..8] != MAGIC_V2 {
             return Err(StoreError::corrupt("bad magic"));
         }
-        read_stored_crc(&mut source, &retry, &mut stats, &header, HEADER_BODY_LEN)?;
+        read_stored_crc(&source, &retry, &stats, &header, HEADER_BODY_LEN, HEADER_BODY_LEN)?;
 
         let rd_u64 = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
         let eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
@@ -724,10 +740,10 @@ impl<R: Read + Seek> StoreReader<R> {
         if index_offset < HEADER_LEN_V2 || index_offset.saturating_add(index_bytes_len) > file_len {
             return Err(StoreError::corrupt("index out of bounds"));
         }
-        source.seek(SeekFrom::Start(index_offset))?;
         let mut index_bytes = vec![0u8; index_bytes_len as usize];
-        read_exact_retry(&mut source, &mut index_bytes, &retry, &mut stats)?;
-        read_stored_crc(&mut source, &retry, &mut stats, &index_bytes, index_offset)?;
+        read_exact_retry(&source, &mut index_bytes, index_offset, &retry, &stats)?;
+        let crc_at = index_offset + index_bytes_len;
+        read_stored_crc(&source, &retry, &stats, &index_bytes, crc_at, index_offset)?;
         let mut index = Vec::with_capacity(num_blocks);
         for (i, entry) in index_bytes.chunks_exact(INDEX_ENTRY_V2 as usize).enumerate() {
             let off = u64::from_le_bytes(entry[..8].try_into().unwrap());
@@ -767,27 +783,27 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     /// Lifetime counters: transient retries absorbed, backoff slept,
-    /// blocks repaired from parity, blocks lost.
+    /// blocks repaired from parity, blocks lost — summed over every
+    /// thread that has read through this reader.
     #[must_use]
     pub fn read_stats(&self) -> ReadStats {
-        self.stats
+        self.stats.snapshot()
     }
 
     /// Reads block `i`'s raw container bytes, unverified.
-    fn read_block_raw(&mut self, i: usize) -> Result<(IndexEntry, Vec<u8>), StoreError> {
+    fn read_block_raw(&self, i: usize) -> Result<(IndexEntry, Vec<u8>), StoreError> {
         let entry = *self.index.get(i).ok_or(StoreError::OutOfRange {
             index: i,
             blocks: self.index.len(),
         })?;
-        self.source.seek(SeekFrom::Start(entry.offset))?;
         let mut payload = vec![0u8; entry.len as usize];
-        read_exact_retry(&mut self.source, &mut payload, &self.retry, &mut self.stats)?;
+        read_exact_retry(&self.source, &mut payload, entry.offset, &self.retry, &self.stats)?;
         Ok((entry, payload))
     }
 
     /// Reads block `i`'s raw container bytes and verifies its stored
     /// CRC32.
-    fn read_block_bytes(&mut self, i: usize) -> Result<Vec<u8>, StoreError> {
+    fn read_block_bytes(&self, i: usize) -> Result<Vec<u8>, StoreError> {
         let (entry, payload) = self.read_block_raw(i)?;
         let actual = crc32(&payload);
         if entry.crc != actual {
@@ -805,7 +821,7 @@ impl<R: Read + Seek> StoreReader<R> {
     /// section. The repair is accepted only if the rebuilt bytes match
     /// the index CRC — i.e. they are bit-for-bit what the writer stored
     /// — so a wrong repair can never masquerade as a right one.
-    fn try_repair_block(&mut self, i: usize) -> Option<Vec<u8>> {
+    fn try_repair_block(&self, i: usize) -> Option<Vec<u8>> {
         let (entry, payload) = self.read_block_raw(i).ok()?;
         let (repaired, report) = pastri::repair_container(&payload).ok()?;
         if report.is_fully_repaired() && crc32(&repaired) == entry.crc {
@@ -815,42 +831,47 @@ impl<R: Read + Seek> StoreReader<R> {
         }
     }
 
-    /// Reads and decompresses block `i` (random access: one seek + one
+    /// Reads and decompresses block `i` (random access: one positional
     /// read of the compressed payload). A block whose checksum fails is
     /// transparently rebuilt from its container's parity section when
     /// possible (counted in [`ReadStats::blocks_repaired`]); damage
     /// beyond the parity budget is reported with the block index and
     /// file offset attached (and counted in
     /// [`ReadStats::blocks_dropped`]).
-    pub fn read_block(&mut self, i: usize) -> Result<Vec<f64>, StoreError> {
-        let payload = match self.read_block_bytes(i) {
-            Ok(p) => p,
+    pub fn read_block(&self, i: usize) -> Result<Vec<f64>, StoreError> {
+        self.read_block_noting_repair(i).map(|(values, _)| values)
+    }
+
+    /// [`read_block`](Self::read_block), also saying whether *this* read
+    /// rebuilt the block from parity. Threads sharing the reader cannot
+    /// learn that by diffing [`read_stats`](Self::read_stats) around
+    /// the call — another thread's repair may land in between.
+    pub fn read_block_noting_repair(&self, i: usize) -> Result<(Vec<f64>, bool), StoreError> {
+        let (payload, repaired) = match self.read_block_bytes(i) {
+            Ok(p) => (p, false),
             Err(e @ StoreError::Checksum { .. }) => match self.try_repair_block(i) {
-                Some(repaired) => {
-                    self.stats.blocks_repaired += 1;
-                    telemetry::counter_add("store.blocks_repaired", 1);
-                    repaired
+                Some(rebuilt) => {
+                    self.stats.repaired();
+                    (rebuilt, true)
                 }
                 None => {
-                    self.stats.blocks_dropped += 1;
-                    telemetry::counter_add("store.blocks_dropped", 1);
+                    self.stats.dropped();
                     return Err(e);
                 }
             },
             Err(e) => return Err(e),
         };
         match pastri::decompress(&payload) {
-            Ok(values) => Ok(values),
+            Ok(values) => Ok((values, repaired)),
             Err(e) => {
-                self.stats.blocks_dropped += 1;
-                telemetry::counter_add("store.blocks_dropped", 1);
+                self.stats.dropped();
                 Err(e.into())
             }
         }
     }
 
     /// Reads the whole store back as one stream (iteration order).
-    pub fn read_all(&mut self) -> Result<Vec<f64>, StoreError> {
+    pub fn read_all(&self) -> Result<Vec<f64>, StoreError> {
         let mut out = Vec::with_capacity(self.num_blocks() * self.geometry.block_size());
         for i in 0..self.num_blocks() {
             out.extend(self.read_block(i)?);
@@ -868,7 +889,7 @@ impl<R: Read + Seek> StoreReader<R> {
     /// follows without paying for decompression. A caller heals the
     /// store by splicing the rebuilt containers into a copy of the file
     /// ([`ScrubReport::heal`]) and atomically swapping it in.
-    pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
+    pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport {
             blocks: self.num_blocks(),
             damaged: Vec::new(),
@@ -893,7 +914,6 @@ impl<R: Read + Seek> StoreReader<R> {
 mod tests {
     use super::*;
     use faults::{FaultConfig, FaultyReader};
-    use std::io::Cursor;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("eri-store-{}-{name}", std::process::id()))
@@ -910,28 +930,6 @@ mod tests {
         block
     }
 
-    #[test]
-    fn shard_ranges_cover_contiguously_and_near_evenly() {
-        for (nb, shards) in [(0, 4), (1, 4), (7, 3), (12, 4), (5, 8), (100, 7), (9, 1)] {
-            let ranges = shard_ranges(nb, shards);
-            if nb == 0 {
-                assert!(ranges.is_empty());
-                continue;
-            }
-            assert_eq!(ranges.len(), shards.min(nb), "nb={nb} shards={shards}");
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous: nb={nb} shards={shards}");
-                assert!(!r.is_empty(), "no empty shard: nb={nb} shards={shards}");
-                next = r.end;
-            }
-            assert_eq!(next, nb, "full cover: nb={nb} shards={shards}");
-            let lens: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
-            let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-            assert!(max - min <= 1, "near-even: {lens:?}");
-        }
-    }
-
     /// A finished store as raw bytes, plus each block's (offset, len).
     fn store_bytes(geom: BlockGeometry, eb: f64, blocks: &[Vec<f64>]) -> (Vec<u8>, Vec<(u64, u64)>) {
         let path = tmp(&format!("mk-{:p}", blocks.as_ptr()));
@@ -942,7 +940,7 @@ mod tests {
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let r = StoreReader::from_source(Cursor::new(bytes.clone()), RetryPolicy::none()).unwrap();
+        let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
         let spans = r.index.iter().map(|e| (e.offset, e.len)).collect();
         (bytes, spans)
     }
@@ -1014,7 +1012,7 @@ mod tests {
         assert!(!journal_path(&path).exists());
 
         // And the resumed store verifies clean.
-        let mut r = StoreReader::open(&path).unwrap();
+        let r = StoreReader::open(&path).unwrap();
         assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
@@ -1072,7 +1070,7 @@ mod tests {
             }
             assert_eq!(w.finish().unwrap(), 12);
         }
-        let mut r = StoreReader::open(&path).unwrap();
+        let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.num_blocks(), 12);
         assert_eq!(r.geometry(), geom);
         assert_eq!(r.error_bound(), eb);
@@ -1099,7 +1097,7 @@ mod tests {
             .unwrap()
             .finish()
             .unwrap();
-        let mut r = StoreReader::open(&path).unwrap();
+        let r = StoreReader::open(&path).unwrap();
         assert_eq!(r.num_blocks(), 0);
         assert!(matches!(
             r.read_block(0),
@@ -1156,7 +1154,7 @@ mod tests {
         let blocks: Vec<Vec<f64>> = (0..3).map(|b| patterned_block(geom, b)).collect();
         let (mut bytes, _) = store_bytes(geom, 1e-9, &blocks);
         bytes[10] ^= 0x02; // inside the error-bound field
-        let err = StoreReader::from_source(Cursor::new(bytes), RetryPolicy::none()).unwrap_err();
+        let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
         assert!(
             matches!(err, StoreError::Checksum { block: None, .. }),
             "got {err:?}"
@@ -1172,13 +1170,13 @@ mod tests {
         let (off, len) = spans[4];
         bytes[(off + len / 2) as usize] ^= 0x01;
 
-        let mut clean_r =
-            StoreReader::from_source(Cursor::new(clean_bytes.clone()), RetryPolicy::none())
+        let clean_r =
+            StoreReader::from_source(&clean_bytes[..], RetryPolicy::none())
                 .unwrap();
         let expected = clean_r.read_block(4).unwrap();
 
-        let mut r =
-            StoreReader::from_source(Cursor::new(bytes), RetryPolicy::none()).unwrap();
+        let r =
+            StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
         // Undamaged blocks still read, and don't touch the repair stats.
         for i in [0usize, 1, 2, 3, 5] {
             r.read_block(i).unwrap();
@@ -1205,7 +1203,7 @@ mod tests {
             report.damaged[0].repaired.as_deref(),
             Some(&clean_bytes[off as usize..(off + len) as usize])
         );
-        let mut healed = r.source.into_inner();
+        let mut healed = r.source.to_vec();
         report.heal(&mut healed).unwrap();
         assert_eq!(healed, clean_bytes);
         // A rebuilt container that would not fit the given bytes is
@@ -1230,8 +1228,8 @@ mod tests {
         for p in (off + 8..off + len).step_by(7) {
             bytes[p as usize] ^= 0x55;
         }
-        let mut r =
-            StoreReader::from_source(Cursor::new(bytes), RetryPolicy::none()).unwrap();
+        let r =
+            StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
         for i in [0usize, 1, 2, 3, 5] {
             r.read_block(i).unwrap();
         }
@@ -1263,7 +1261,7 @@ mod tests {
         let index_offset =
             u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
         bytes[index_offset + 2] ^= 0x20;
-        let err = StoreReader::from_source(Cursor::new(bytes), RetryPolicy::none()).unwrap_err();
+        let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
         assert!(
             matches!(err, StoreError::Checksum { block: None, .. }),
             "got {err:?}"
@@ -1276,7 +1274,7 @@ mod tests {
         let blocks: Vec<Vec<f64>> = (0..8).map(|b| patterned_block(geom, b)).collect();
         let (bytes, _) = store_bytes(geom, 1e-9, &blocks);
         let flaky = FaultyReader::new(
-            Cursor::new(bytes),
+            &bytes[..],
             1234,
             FaultConfig {
                 transient_rate: 0.4,
@@ -1290,7 +1288,7 @@ mod tests {
             max_retries: 4, // keep the test instant: zero backoff from none()
             ..RetryPolicy::none()
         };
-        let mut r = StoreReader::from_source(flaky, retry).unwrap();
+        let r = StoreReader::from_source(flaky, retry).unwrap();
         assert_eq!(r.num_blocks(), 8);
         let all = r.read_all().unwrap();
         assert_eq!(all.len(), 8 * geom.block_size());
@@ -1313,7 +1311,7 @@ mod tests {
         let blocks: Vec<Vec<f64>> = (0..8).map(|b| patterned_block(geom, b)).collect();
         let (bytes, _) = store_bytes(geom, 1e-9, &blocks);
         let flaky = FaultyReader::new(
-            Cursor::new(bytes),
+            &bytes[..],
             1234,
             FaultConfig {
                 transient_rate: 0.9,
@@ -1323,7 +1321,7 @@ mod tests {
             },
         );
         let result = StoreReader::from_source(flaky, RetryPolicy::none())
-            .and_then(|mut r| r.read_all());
+            .and_then(|r| r.read_all());
         assert!(
             matches!(result, Err(StoreError::Io(ref e)) if e.kind() == ErrorKind::WouldBlock),
             "without retries the transient error must surface: {result:?}"
@@ -1339,10 +1337,54 @@ mod tests {
         // open() must fail on the bounds check (the header CRC also
         // breaks, but either way: no giant allocation).
         bytes[32..40].copy_from_slice(&(1u64 << 50).to_le_bytes());
-        let err = StoreReader::from_source(Cursor::new(bytes), RetryPolicy::none()).unwrap_err();
+        let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
         assert!(
             matches!(err, StoreError::Checksum { .. } | StoreError::Corrupt { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn one_reader_shared_by_four_threads_matches_a_sequential_reader() {
+        let geom = BlockGeometry::new(4, 16);
+        let blocks: Vec<Vec<f64>> = (0..16).map(|b| patterned_block(geom, b)).collect();
+        let (mut bytes, spans) = store_bytes(geom, 1e-9, &blocks);
+        // Seeded silent corruption: one bit in the middle of each of two
+        // blocks, inside the parity budget.
+        let damaged = [3usize, 9];
+        for (k, &b) in damaged.iter().enumerate() {
+            let at = spans[b].0 + spans[b].1 / 2;
+            faults::BitFlipper::new(at, at + 4, 1, 0x5eed + k as u64).apply(&mut bytes);
+        }
+
+        let sequential = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        let want: Vec<Vec<f64>> = (0..16).map(|i| sequential.read_block(i).unwrap()).collect();
+
+        let shared = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        let got: Vec<(usize, Vec<f64>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        (t..16)
+                            .step_by(4)
+                            .map(|i| {
+                                let (values, repaired) = shared.read_block_noting_repair(i).unwrap();
+                                (i, values, repaired)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got.len(), 16);
+        for (i, values, repaired) in &got {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(values), bits(&want[*i]), "block {i}");
+            assert_eq!(*repaired, damaged.contains(i), "block {i} repair flag");
+        }
+        assert_eq!(shared.read_stats().blocks_repaired, damaged.len() as u64);
+        assert_eq!(shared.read_stats().blocks_dropped, 0);
     }
 }

@@ -1,14 +1,16 @@
 //! Deterministic I/O fault injection — the test harness behind the
 //! repo's corruption-resilience guarantees.
 //!
-//! [`FaultyReader`] wraps any `Read` (and passes `Seek` through) and
-//! injects the failure modes a compressed-ERI dataset actually meets on
-//! a parallel file system: flipped bits, a truncated tail, short reads,
-//! and transient `Interrupted`/`WouldBlock` errors. Everything is keyed
-//! off a caller-supplied seed and the *absolute byte offset*, so a given
-//! (source, seed, config) triple always injects the same faults no
-//! matter how the consumer chunks its reads — a failing test seed
-//! reproduces exactly.
+//! [`FaultyReader`] wraps any positional source ([`durable::ReadAt`])
+//! and injects the failure modes a compressed-ERI dataset actually
+//! meets on a parallel file system: flipped bits, a truncated tail,
+//! short reads, and transient `Interrupted`/`WouldBlock` errors. Flips
+//! and truncation are keyed off a caller-supplied seed and the
+//! *absolute byte offset*, so a given (source, seed, config) triple
+//! always corrupts the same bytes no matter how the consumer chunks or
+//! orders its reads; transient errors and short reads are drawn per
+//! `read_at` call, so a sequential consumer replays them exactly — a
+//! failing test seed reproduces.
 //!
 //! [`FaultyWriter`] is the write-side mirror: short writes, torn writes,
 //! and deterministic *kill points* — after a caller-chosen number of
@@ -24,9 +26,11 @@
 //! normal library so the CLI's self-test and `pfs-sim`'s failure model
 //! can share the same arithmetic.
 
-use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{self, ErrorKind, Write};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use durable::retry::splitmix64;
+use durable::ReadAt;
 
 pub mod overload;
 pub mod proxy;
@@ -38,7 +42,7 @@ pub use proxy::{FaultyProxy, ProxyFaultConfig, ProxyTallies, WireFault};
 pub struct FaultConfig {
     /// Probability that any given byte has one of its bits flipped.
     pub bit_flip_rate: f64,
-    /// Probability that a `read` call fails with a transient error
+    /// Probability that a `read_at` call fails with a transient error
     /// before touching the source.
     pub transient_rate: f64,
     /// Error kind for transient failures ([`ErrorKind::Interrupted`] or
@@ -68,18 +72,18 @@ impl Default for FaultConfig {
     }
 }
 
-/// Wraps a reader and injects the faults described by a [`FaultConfig`],
-/// deterministically per seed.
+/// Wraps a positional source and injects the faults described by a
+/// [`FaultConfig`], deterministically per seed. Shareable across
+/// threads like the source it wraps: the call counter is atomic.
 #[derive(Debug)]
 pub struct FaultyReader<R> {
     inner: R,
     seed: u64,
     config: FaultConfig,
-    /// Absolute offset of the next byte to be read (tracks seeks).
-    pos: u64,
-    /// Monotonic `read`-call counter (drives transient-error draws).
-    calls: u64,
-    transient_emitted: u32,
+    /// Monotonic `read_at`-call counter (drives the transient-error and
+    /// short-read draws).
+    calls: AtomicU64,
+    transient_emitted: AtomicU32,
 }
 
 impl<R> FaultyReader<R> {
@@ -90,21 +94,20 @@ impl<R> FaultyReader<R> {
             inner,
             seed,
             config,
-            pos: 0,
-            calls: 0,
-            transient_emitted: 0,
+            calls: AtomicU64::new(0),
+            transient_emitted: AtomicU32::new(0),
         }
     }
 
     /// How many transient errors have been injected so far.
     #[must_use]
     pub fn transient_errors_injected(&self) -> u32 {
-        self.transient_emitted
+        self.transient_emitted.load(Ordering::Relaxed)
     }
 
     /// Should the byte at absolute `offset` be corrupted, and if so
     /// which bit? Pure function of (seed, offset) — read-chunking and
-    /// seek patterns cannot change the answer.
+    /// read order cannot change the answer.
     fn flip_for_offset(&self, offset: u64) -> Option<u8> {
         if self.config.bit_flip_rate <= 0.0 {
             return None;
@@ -116,26 +119,35 @@ impl<R> FaultyReader<R> {
             None
         }
     }
+
+    /// Draws whether call number `call` fails transiently, counting the
+    /// emission against the cap (never past it, even under contention).
+    fn transient_fires(&self, call: u64) -> bool {
+        if self.config.transient_rate <= 0.0 {
+            return false;
+        }
+        let h = splitmix64(self.seed ^ 0xdead_4bad ^ call.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        unit_f64(h) < self.config.transient_rate
+            && self
+                .transient_emitted
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < self.config.max_transient_errors).then_some(n + 1)
+                })
+                .is_ok()
+    }
 }
 
-impl<R: Read> Read for FaultyReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let call = self.calls;
-        self.calls += 1;
-        if self.config.transient_rate > 0.0
-            && self.transient_emitted < self.config.max_transient_errors
-        {
-            let h = splitmix64(self.seed ^ 0xdead_4bad ^ call.wrapping_mul(0x2545_f491_4f6c_dd1d));
-            if unit_f64(h) < self.config.transient_rate {
-                self.transient_emitted += 1;
-                return Err(io::Error::new(self.config.transient_kind, "injected transient"));
-            }
+impl<R: ReadAt> ReadAt for FaultyReader<R> {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.transient_fires(call) {
+            return Err(io::Error::new(self.config.transient_kind, "injected transient"));
         }
 
         let mut want = buf.len();
         if let Some(limit) = self.config.truncate_at {
-            let left = limit.saturating_sub(self.pos);
-            want = want.min(left as usize);
+            let left = limit.saturating_sub(offset);
+            want = want.min(usize::try_from(left).unwrap_or(usize::MAX));
             if want == 0 && !buf.is_empty() {
                 return Ok(0); // truncated tail
             }
@@ -145,23 +157,18 @@ impl<R: Read> Read for FaultyReader<R> {
             want = 1 + (h as usize % want);
         }
 
-        let n = self.inner.read(&mut buf[..want])?;
+        let n = self.inner.read_at(&mut buf[..want], offset)?;
         for (i, byte) in buf[..n].iter_mut().enumerate() {
-            if let Some(mask) = self.flip_for_offset(self.pos + i as u64) {
+            if let Some(mask) = self.flip_for_offset(offset + i as u64) {
                 *byte ^= mask;
                 telemetry::counter_add("faults.bit_flips", 1);
             }
         }
-        self.pos += n as u64;
         Ok(n)
     }
-}
 
-impl<R: Seek> Seek for FaultyReader<R> {
-    fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
-        let pos = self.inner.seek(to)?;
-        self.pos = pos;
-        Ok(pos)
+    fn size(&self) -> io::Result<u64> {
+        self.inner.size()
     }
 }
 
@@ -420,7 +427,6 @@ fn unit_f64(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
@@ -428,11 +434,11 @@ mod tests {
 
     fn read_all_through(cfg: FaultConfig, seed: u64, chunk: usize) -> Vec<u8> {
         let src = data(4096);
-        let mut r = FaultyReader::new(Cursor::new(src), seed, cfg);
+        let r = FaultyReader::new(&src[..], seed, cfg);
         let mut out = Vec::new();
         let mut buf = vec![0u8; chunk];
         loop {
-            match r.read(&mut buf) {
+            match r.read_at(&mut buf, out.len() as u64) {
                 Ok(0) => break,
                 Ok(n) => out.extend_from_slice(&buf[..n]),
                 Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
@@ -504,12 +510,12 @@ mod tests {
             ..Default::default()
         };
         let src = data(4096);
-        let mut r = FaultyReader::new(Cursor::new(src.clone()), 9, cfg);
+        let r = FaultyReader::new(&src[..], 9, cfg);
         let mut out = Vec::new();
         let mut buf = [0u8; 128];
         let mut transients = 0;
         loop {
-            match r.read(&mut buf) {
+            match r.read_at(&mut buf, out.len() as u64) {
                 Ok(0) => break,
                 Ok(n) => out.extend_from_slice(&buf[..n]),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => transients += 1,
@@ -529,14 +535,13 @@ mod tests {
         };
         // Read straight through.
         let straight = read_all_through(cfg, 11, 4096);
-        // Read the second half first, then the first half, via seeks.
-        let mut r = FaultyReader::new(Cursor::new(data(4096)), 11, cfg);
+        // Read the second half first, then the first half.
+        let src = data(4096);
+        let r = FaultyReader::new(&src[..], 11, cfg);
         let mut second = vec![0u8; 2048];
-        r.seek(SeekFrom::Start(2048)).unwrap();
-        r.read_exact(&mut second).unwrap();
+        assert_eq!(r.read_at(&mut second, 2048).unwrap(), 2048);
         let mut first = vec![0u8; 2048];
-        r.seek(SeekFrom::Start(0)).unwrap();
-        r.read_exact(&mut first).unwrap();
+        assert_eq!(r.read_at(&mut first, 0).unwrap(), 2048);
         first.extend_from_slice(&second);
         assert_eq!(first, straight, "flips must depend on offset, not read order");
     }
@@ -655,8 +660,6 @@ mod tests {
         assert!(w.flush().is_err());
         assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
-
-    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn bit_flipper_every_route_is_identical() {

@@ -15,9 +15,11 @@
 //! At the end the harness proves **zero data loss** — every committed
 //! block either decodes within the error bound against its regenerable
 //! expected values, or is accounted for in the quarantine ledger — and
-//! evaluates declarative **SLO gates** (read p99 latency from telemetry
-//! histograms, repair success rate, resident-memory high-water from the
-//! gauge, max quarantine count).
+//! evaluates declarative **SLO gates** (read p99 latency, repair
+//! success rate, resident-memory high-water, max quarantine count). The
+//! gates read what the run measured itself, per store; the same numbers
+//! also go to telemetry for observers, but a reset of the process-wide
+//! recorder mid-run cannot turn a failing gate into a pass.
 //!
 //! # Determinism
 //!
@@ -129,16 +131,18 @@ impl Default for FaultPlan {
 /// must hold for the run to pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SloGates {
-    /// Read p99 latency (µs), from the `soak.read_us` telemetry
-    /// histogram, must be at or below this.
+    /// Read p99 latency (µs) over every storm block read must be at or
+    /// below this. A run that read blocks but has no latency samples
+    /// fails it.
     pub read_p99_us: Option<u64>,
     /// repaired / (repaired + unrepairable) must be at least this
     /// (vacuously passes when no block was ever damaged).
     pub min_repair_success: Option<f64>,
     /// Total quarantined blocks must not exceed this.
     pub max_quarantined: Option<u64>,
-    /// High-water mark of the `soak.resident_values` gauge (decompressed
-    /// f64 values held at once) must not exceed this.
+    /// Decompressed f64 values held at once — the sum of every store's
+    /// own high-water, since stores run concurrently — must not exceed
+    /// this.
     pub max_resident_values: Option<i64>,
 }
 
@@ -320,6 +324,24 @@ struct StoreCtx {
     /// these may legitimately fail.
     ledger: BTreeSet<usize>,
     tallies: Tallies,
+    /// Latency (µs) of every storm block read, in op order.
+    read_us: Vec<u64>,
+    /// Most decompressed values this store's ops held at once.
+    resident_high_water: i64,
+}
+
+impl StoreCtx {
+    /// Notes `n` decompressed values held resident: the store's own
+    /// high-water for the gate, the `soak.resident_values` gauge for
+    /// observers. Pair with [`release`](Self::release).
+    fn hold(&mut self, n: usize) {
+        self.resident_high_water = self.resident_high_water.max(n as i64);
+        telemetry::gauge_add("soak.resident_values", n as i64);
+    }
+
+    fn release(&self, n: usize) {
+        telemetry::gauge_add("soak.resident_values", -(n as i64));
+    }
 }
 
 /// Runs the configured soak: populate, storm, final verification sweep,
@@ -379,6 +401,8 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
                 path: store_path(&cfg.dir, s),
                 ledger: BTreeSet::new(),
                 tallies: Tallies::default(),
+                read_us: Vec::new(),
+                resident_high_water: 0,
             };
             for op in ops {
                 if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -404,7 +428,7 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
     let mut unaccounted_loss = 0u64;
     for ctx in &mut ctxs {
         scrub_store(ctx)?;
-        let mut r = StoreReader::open(&ctx.path).map_err(store_io)?;
+        let r = StoreReader::open(&ctx.path).map_err(store_io)?;
         for b in 0..cfg.scale {
             match r.read_block(b) {
                 Ok(values) => {
@@ -420,8 +444,11 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
         let stats = r.read_stats();
         ctx.tallies.read_repaired += stats.blocks_repaired;
     }
+    let mut measured = report::Measured::default();
     for ctx in &ctxs {
         tallies.add(&ctx.tallies);
+        measured.read_us.extend_from_slice(&ctx.read_us);
+        measured.resident_high_water += ctx.resident_high_water;
     }
     tallies.quarantined = ctxs.iter().map(|c| c.ledger.len() as u64).sum();
 
@@ -435,7 +462,7 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
 
     let snap = telemetry::snapshot();
     let wall = started.elapsed();
-    Ok(report::build(cfg, tallies, unaccounted_loss, &snap, wall))
+    Ok(report::build(cfg, tallies, unaccounted_loss, &measured, &snap, wall))
 }
 
 /// Store errors cross the rayon boundary as plain I/O errors carrying
@@ -520,24 +547,26 @@ fn op_read(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), Soa
         max_backoff: Duration::from_micros(500),
         jitter_seed: Some(op_seed),
     };
-    let mut r = StoreReader::from_source(faulty, retry).map_err(store_io)?;
+    let r = StoreReader::from_source(faulty, retry).map_err(store_io)?;
     let k = 1 + (splitmix64(op_seed ^ 0x0B10) % 4) as usize;
     for j in 0..k {
         let b = (splitmix64(op_seed ^ (0x77 + j as u64)) % cfg.scale as u64) as usize;
         let t = Instant::now();
         let outcome = r.read_block(b);
-        telemetry::observe_us("soak.read_us", t.elapsed().as_micros() as u64);
+        let us = t.elapsed().as_micros() as u64;
+        ctx.read_us.push(us);
+        telemetry::observe_us("soak.read_us", us);
         ctx.tallies.block_reads += 1;
         match outcome {
             Ok(values) => {
-                telemetry::gauge_add("soak.resident_values", values.len() as i64);
+                ctx.hold(values.len());
                 let expected = expected_block(cfg.geometry, ctx.id, b);
                 if !within_bound(&values, &expected, cfg.error_bound) {
                     // Served values outside the bound: silent corruption
                     // leaked through every integrity layer. Data loss.
                     ctx.tallies.value_mismatches += 1;
                 }
-                telemetry::gauge_add("soak.resident_values", -(values.len() as i64));
+                ctx.release(values.len());
             }
             // Damage beyond the parity budget: tolerated here, must be
             // quarantined by a scrub before the final sweep accepts it.
@@ -564,11 +593,11 @@ fn op_write_container(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Res
     let back = std::fs::read(&path)?;
     let values = pastri::decompress(&back)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    telemetry::gauge_add("soak.resident_values", values.len() as i64);
+    ctx.hold(values.len());
     if !within_bound(&values, &block, cfg.error_bound) {
         ctx.tallies.value_mismatches += 1;
     }
-    telemetry::gauge_add("soak.resident_values", -(values.len() as i64));
+    ctx.release(values.len());
     let _ = std::fs::remove_file(&path);
     Ok(())
 }
@@ -676,7 +705,7 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
     w.finish().map_err(store_io)?;
     ctx.tallies.resumes += 1;
 
-    let mut r = StoreReader::open(&side).map_err(store_io)?;
+    let r = StoreReader::open(&side).map_err(store_io)?;
     for b in 0..total {
         let values = r.read_block(b).map_err(store_io)?;
         if !within_bound(&values, &scratch_block(cfg.geometry, op_seed, b), cfg.error_bound) {
@@ -695,9 +724,9 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
 /// in the ledger.
 fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
     let bytes = std::fs::read(&ctx.path)?;
-    let mut r = StoreReader::from_source(std::io::Cursor::new(&bytes[..]), RetryPolicy::none())
+    let report = StoreReader::from_source(&bytes[..], RetryPolicy::none())
+        .and_then(|r| r.scrub())
         .map_err(store_io)?;
-    let report = r.scrub().map_err(store_io)?;
     let newly_lost: Vec<usize> = report
         .damaged
         .iter()

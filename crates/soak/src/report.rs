@@ -1,5 +1,5 @@
 //! End-of-run accounting: op/fault tallies, SLO gate evaluation against
-//! the telemetry snapshot, and the `BENCH_soak.json` emitter.
+//! what the run measured itself, and the `BENCH_soak.json` emitter.
 //!
 //! The JSON deliberately separates the **deterministic** sections
 //! (`"tallies"` and the config echo — bit-identical for the same seed
@@ -127,8 +127,8 @@ pub struct SoakReport {
     pub unaccounted_loss: u64,
     /// Wall time of the whole run.
     pub wall: Duration,
-    /// Read p99 (µs) from the `soak.read_us` histogram, when any block
-    /// was read.
+    /// Read p99 (µs) over the storm's block reads, when any block was
+    /// read.
     pub read_p99_us: Option<u64>,
     /// High-water mark of decompressed values resident at once.
     pub resident_high_water: i64,
@@ -166,23 +166,33 @@ pub(crate) fn percentile_us(h: &HistRec, q: f64) -> Option<u64> {
     h.percentile_us(q)
 }
 
-/// Evaluates gates and assembles the report from the run's raw outcome
-/// plus the telemetry snapshot.
+/// What the gates read, measured by the run itself and merged in store
+/// order — not taken from the process-wide telemetry recorder, which any
+/// in-process `telemetry::reset` would empty mid-run.
+#[derive(Debug, Default)]
+pub(crate) struct Measured {
+    /// Latency (µs) of every storm block read.
+    pub(crate) read_us: Vec<u64>,
+    /// Sum of the stores' resident-value high-waters: the most the
+    /// concurrently running stores can hold at once.
+    pub(crate) resident_high_water: i64,
+}
+
+/// Evaluates gates and assembles the report from the run's raw outcome,
+/// its own measurements, and the telemetry snapshot (read only for the
+/// span-drop count).
 #[must_use]
 pub(crate) fn build(
     cfg: &SoakConfig,
     tallies: Tallies,
     unaccounted_loss: u64,
+    measured: &Measured,
     snap: &Snapshot,
     wall: Duration,
 ) -> SoakReport {
-    let read_hist = snap.histograms.iter().find(|h| h.name == "soak.read_us");
-    let read_p99_us = read_hist.and_then(|h| percentile_us(h, 0.99));
-    let resident_high_water = snap
-        .gauges
-        .iter()
-        .find(|g| g.name == "soak.resident_values")
-        .map_or(0, |g| g.max);
+    let read_hist = HistRec::of_samples("soak.read_us", &measured.read_us);
+    let read_p99_us = percentile_us(&read_hist, 0.99);
+    let resident_high_water = measured.resident_high_water;
 
     let mut gates = Vec::new();
     if let Some(limit) = cfg.slo.read_p99_us {
@@ -191,8 +201,9 @@ pub(crate) fn build(
             gate: "read_p99_us",
             threshold: limit as f64,
             actual,
-            // No reads at all is a vacuous pass; otherwise p99 ≤ limit.
-            pass: actual.is_none_or(|v| v <= limit as f64),
+            // No reads at all is a vacuous pass; reads without samples
+            // fail — the gate cannot vouch for what it did not see.
+            pass: actual.map_or(tallies.block_reads == 0, |v| v <= limit as f64),
         });
     }
     if let Some(min) = cfg.slo.min_repair_success {
@@ -338,6 +349,39 @@ impl SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gates_read_the_runs_own_samples_not_the_recorder() {
+        let mut cfg = SoakConfig::storm(std::path::Path::new("/nonexistent"), 1);
+        cfg.slo.read_p99_us = Some(10);
+        cfg.slo.max_resident_values = Some(100);
+        let tallies = Tallies {
+            reads: 1,
+            block_reads: 3,
+            ..Tallies::default()
+        };
+        // An empty snapshot — as after a reset mid-run — plus local
+        // samples over both limits: both gates fail.
+        let over = Measured {
+            read_us: vec![50, 60, 70],
+            resident_high_water: 128,
+        };
+        let report = build(&cfg, tallies, 0, &over, &Snapshot::default(), Duration::ZERO);
+        assert!(report.gates.iter().all(|g| !g.pass), "{:?}", report.gates);
+        assert_eq!(report.read_p99_us, Some(70));
+        // Reads made but no samples kept: the latency gate fails too.
+        let blind = Measured::default();
+        let report = build(&cfg, tallies, 0, &blind, &Snapshot::default(), Duration::ZERO);
+        let read_gate = report.gates.iter().find(|g| g.gate == "read_p99_us").unwrap();
+        assert!(!read_gate.pass && read_gate.actual.is_none(), "{read_gate:?}");
+        // Within both limits: pass.
+        let under = Measured {
+            read_us: vec![1, 2, 3],
+            resident_high_water: 32,
+        };
+        let report = build(&cfg, tallies, 0, &under, &Snapshot::default(), Duration::ZERO);
+        assert!(report.all_gates_pass(), "{:?}", report.gates);
+    }
 
     fn hist(buckets: Vec<u64>, max: u64) -> HistRec {
         HistRec {

@@ -815,6 +815,26 @@ pub struct HistRec {
 }
 
 impl HistRec {
+    /// A histogram of `samples` (µs), bucketed exactly as
+    /// [`observe_us`] buckets them — for callers that keep their own
+    /// samples and want the recorder's percentile semantics without
+    /// depending on the process-wide recorder.
+    #[must_use]
+    pub fn of_samples(name: &str, samples: &[u64]) -> Self {
+        let mut buckets = vec![0u64; HIST_BUCKETS];
+        for &v in samples {
+            buckets[bucket_of(v)] += 1;
+        }
+        HistRec {
+            name: name.to_string(),
+            count: samples.len() as u64,
+            sum: samples.iter().sum(),
+            min: samples.iter().copied().min().unwrap_or(0),
+            max: samples.iter().copied().max().unwrap_or(0),
+            buckets,
+        }
+    }
+
     /// The value at or below which a fraction `q` of observations fall,
     /// resolved to the histogram's bucket upper bounds (clamped to the
     /// observed max, which is exact). Returns `None` for an empty
@@ -995,6 +1015,26 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn of_samples_buckets_like_the_recorder() {
+        let _g = lock();
+        set_enabled(true);
+        reset();
+        let samples = [0u64, 1, 3, 7, 8, 900, 70_000, 1 << 40];
+        for &v in &samples {
+            observe_us("test.of_samples", v);
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        let recorded = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "test.of_samples")
+            .expect("histogram recorded");
+        assert_eq!(&HistRec::of_samples("test.of_samples", &samples), recorded);
+        assert_eq!(HistRec::of_samples("empty", &[]).percentile_us(0.99), None);
     }
 
     #[test]

@@ -441,7 +441,7 @@ fn store_crash_states_resume_byte_identical() {
                 "snapshot {snap_idx} jcut {jcut}: resumed store must be byte-identical"
             );
             assert!(!journal_path(&path).exists());
-            let mut r = StoreReader::open(&path).unwrap();
+            let r = StoreReader::open(&path).unwrap();
             assert_eq!(r.num_blocks(), blocks);
             assert!(r.scrub().unwrap().is_clean());
             let _ = std::fs::remove_file(&path);

@@ -104,9 +104,8 @@ proptest! {
         if with_magic && bytes.len() >= 8 {
             bytes[..8].copy_from_slice(b"ERISTOR2");
         }
-        let cursor = std::io::Cursor::new(bytes);
-        if let Ok(mut store) = eri_store::StoreReader::from_source(
-            cursor,
+        if let Ok(store) = eri_store::StoreReader::from_source(
+            &bytes[..],
             eri_store::RetryPolicy::none(),
         ) {
             let _ = store.scrub();

@@ -37,7 +37,7 @@ fn analytic_dataset_through_disk_store() {
     assert!(ratio > 2.0, "on-disk ratio only {ratio:.2}");
 
     // SCF-iteration access pattern: repeated passes over subsets.
-    let mut r = StoreReader::open(&path).unwrap();
+    let r = StoreReader::open(&path).unwrap();
     for _iteration in 0..3 {
         for b in (0..ds.num_blocks()).step_by(3) {
             let block = r.read_block(b).unwrap();
@@ -71,7 +71,7 @@ fn store_survives_many_small_blocks() {
         }
         w.finish().unwrap();
     }
-    let mut r = StoreReader::open(&path).unwrap();
+    let r = StoreReader::open(&path).unwrap();
     assert_eq!(r.num_blocks(), n);
     // Spot-check first, middle, last.
     for &b in &[0usize, n / 2, n - 1] {

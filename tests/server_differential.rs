@@ -48,7 +48,7 @@ fn shuffled_ids(n: usize, seed: u64) -> Vec<usize> {
 
 /// Reads every id directly, accepting per-block failures.
 fn direct_read(path: &Path, ids: &[usize]) -> Vec<Result<Vec<f64>, StoreError>> {
-    let mut reader = StoreReader::open(path).unwrap();
+    let reader = StoreReader::open(path).unwrap();
     ids.iter().map(|&i| reader.read_block(i)).collect()
 }
 
@@ -189,6 +189,47 @@ fn sdc_heals_through_the_server_and_cache_serves_the_healed_block() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two batches read one shared store reader at once, and only one of
+/// them touches a damaged block: the server must journal exactly one
+/// `store.repair`, naming that block's *global* id. The repair flag
+/// comes from the read itself, so the clean batch's concurrent reads
+/// can neither claim the repair nor hide it.
+#[test]
+fn concurrent_batches_journal_one_repair_under_its_global_id() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let dir = common::tmpdir("server-diff-repair-journal");
+    let first = fixture(&dir, "journal-a.eristore");
+    let second = fixture(&dir, "journal-b.eristore");
+    let damaged_local = 5usize;
+    flip_one_bit(&second, damaged_local, 0x5EED);
+    let damaged_global = BLOCKS + damaged_local;
+    // Batch A reads both stores, damaged block included; batch B reads
+    // only clean blocks of the damaged store.
+    let batch_a: Vec<usize> = (0..BLOCKS).step_by(3).chain([damaged_global]).collect();
+    let batch_b: Vec<usize> = (BLOCKS..2 * BLOCKS).filter(|&id| id != damaged_global).collect();
+
+    for round in 0..8 {
+        pool(4).install(|| {
+            let srv = ServerHandle::open(&[&first, &second], &ServerConfig::default()).unwrap();
+            telemetry::reset();
+            telemetry::set_enabled(true);
+            std::thread::scope(|scope| {
+                for batch in [&batch_a, &batch_b] {
+                    let srv = &srv;
+                    scope.spawn(move || srv.read_blocks(batch).unwrap());
+                }
+            });
+            let snap = telemetry::snapshot();
+            telemetry::set_enabled(false);
+            let repairs: Vec<_> = snap.events.iter().filter(|e| e.kind == "store.repair").collect();
+            assert_eq!(repairs.len(), 1, "round {round}: {repairs:?}");
+            assert_eq!(repairs[0].a, damaged_global as u64, "round {round}");
+            assert_eq!(srv.read_stats().blocks_repaired, 1, "round {round}");
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn beyond_parity_damage_is_an_error_not_wrong_data() {
     let dir = common::tmpdir("server-diff-shred");
@@ -253,7 +294,6 @@ fn concurrent_callers_share_one_cache_at_1_and_4_threads() {
         // the callers both hit and evict.
         let cfg = ServerConfig {
             cache_bytes: STORE_BLOCKS / 4 * eri_server::cache::entry_cost(geom().block_size()),
-            cache_shards: 2,
             ..ServerConfig::default()
         };
 

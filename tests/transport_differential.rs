@@ -7,14 +7,13 @@
 //! end-to-end and zero data loss.
 //!
 //! Also home to this PR's regression battery for the serving core:
-//! shard-lock poison recovery (a panicking injected fault must not
-//! brick subsequent reads) and server-path transient-retry attribution
+//! panic recovery (a panicking injected fault must not brick
+//! subsequent reads) and server-path transient-retry attribution
 //! (the server's `ReadStats` must match what the same reads cost a
 //! direct reader under the same seeded fault stream).
 
 mod common;
 
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,6 +23,7 @@ use eri_server::{
     BlockErrorKind, ClientConfig, ClientError, Endpoint, RemoteClient, ServerConfig, ServerHandle,
     TransportServer,
 };
+use durable::ReadAt;
 use eri_store::{RetryPolicy, StoreReader};
 use faults::proxy::{FaultyProxy, ProxyFaultConfig, WireFault};
 use faults::{BitFlipper, FaultConfig, FaultyReader};
@@ -109,7 +109,7 @@ fn remote_equals_inprocess_equals_direct_over_both_families() {
     let sock = dir.join("srv.sock");
     let ids = shuffled_ids(BLOCKS, 0x11FE);
 
-    let mut direct = StoreReader::open(&path).unwrap();
+    let direct = StoreReader::open(&path).unwrap();
     let want: Vec<Vec<f64>> = ids.iter().map(|&i| direct.read_block(i).unwrap()).collect();
 
     for ep in [tcp_any(), Endpoint::Unix(sock.clone())] {
@@ -142,7 +142,7 @@ fn every_fault_class_recovers_byte_identical() {
     let path = fixture(&dir, "faulted.eristore");
     let ids = shuffled_ids(BLOCKS, 0xFA17);
 
-    let mut direct = StoreReader::open(&path).unwrap();
+    let direct = StoreReader::open(&path).unwrap();
     let want: Vec<Vec<f64>> = ids.iter().map(|&i| direct.read_block(i).unwrap()).collect();
 
     for class in WireFault::ALL {
@@ -209,7 +209,7 @@ fn hedged_failover_serves_every_block_when_a_replica_dies_mid_batch() {
     std::fs::copy(&path_a, &path_b).unwrap();
 
     let ids = shuffled_ids(BLOCKS, 0x4ED6);
-    let mut direct = StoreReader::open(&path_a).unwrap();
+    let direct = StoreReader::open(&path_a).unwrap();
     let want: Vec<Vec<f64>> = ids.iter().map(|&i| direct.read_block(i).unwrap()).collect();
 
     let (ep_a, stop_a, jh_a, _ha) =
@@ -321,7 +321,7 @@ fn repair_on_read_and_cache_admission_survive_the_wire() {
     }
 
     // Direct baseline: heals the one block, counts one repair.
-    let mut direct = StoreReader::open(&direct_path).unwrap();
+    let direct = StoreReader::open(&direct_path).unwrap();
     let ids: Vec<usize> = (0..BLOCKS).collect();
     let want: Vec<Vec<f64>> = ids.iter().map(|&i| direct.read_block(i).unwrap()).collect();
     let direct_stats = direct.read_stats();
@@ -374,7 +374,7 @@ fn per_block_errors_degrade_without_sinking_the_batch() {
         }
         std::fs::write(&path, bytes).unwrap();
     }
-    let mut direct = StoreReader::open(&path).unwrap();
+    let direct = StoreReader::open(&path).unwrap();
     assert!(direct.read_block(shredded).is_err(), "shred must overwhelm parity");
 
     let (local, stop, jh, _handle) =
@@ -416,7 +416,7 @@ fn whole_store_fetches_chunk_below_the_frame_cap_byte_identical() {
     let dir = common::tmpdir("transport-chunk");
     let path = fixture(&dir, "chunk.eristore");
     let ids: Vec<u64> = (0..BLOCKS as u64).collect();
-    let mut direct = StoreReader::open(&path).unwrap();
+    let direct = StoreReader::open(&path).unwrap();
     let want: Vec<Vec<f64>> =
         ids.iter().map(|&i| direct.read_block(i as usize).unwrap()).collect();
 
@@ -558,7 +558,7 @@ fn unix_bind_refuses_live_sockets_and_regular_files() {
 }
 
 /// Satellite: server-path transient-retry attribution. The same seeded
-/// transient fault stream under the server's shard reader and a direct
+/// transient fault stream under the server's store reader and a direct
 /// reader must cost the same `ReadStats`, and the server must surface
 /// them through `ServerHandle::read_stats`.
 #[test]
@@ -580,7 +580,7 @@ fn server_retry_attribution_matches_direct_reads() {
     let ids: Vec<usize> = (0..BLOCKS).collect();
 
     // Direct baseline through the same injector.
-    let mut direct = StoreReader::from_source(
+    let direct = StoreReader::from_source(
         FaultyReader::new(std::fs::File::open(&path).unwrap(), seed, fault_cfg),
         retry,
     )
@@ -592,14 +592,15 @@ fn server_retry_attribution_matches_direct_reads() {
         "fault stream must actually fire: {direct_stats:?}"
     );
 
-    // Server over the identical injector: one shard so the read
-    // sequence is identical to the direct reader's.
-    let cfg = ServerConfig { shards_per_store: 1, retry, ..ServerConfig::default() };
+    // Server over the identical injector, read on one thread so the
+    // read sequence is identical to the direct reader's.
+    let cfg = ServerConfig { retry, ..ServerConfig::default() };
     let srv = ServerHandle::open_with_sources(&[&path], &cfg, &mut |p| {
         Ok(Box::new(FaultyReader::new(std::fs::File::open(p)?, seed, fault_cfg)))
     })
     .unwrap();
-    let got = srv.read_blocks(&ids).unwrap();
+    let one_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+    let got = one_thread.install(|| srv.read_blocks(&ids)).unwrap();
     for (pos, &id) in ids.iter().enumerate() {
         assert_bit_identical(&got[pos], &want[pos], id);
     }
@@ -620,32 +621,29 @@ struct PanicOnce<R> {
     armed: Arc<AtomicBool>,
 }
 
-impl<R: Read> Read for PanicOnce<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl<R: ReadAt> ReadAt for PanicOnce<R> {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
         if self.armed.swap(false, Ordering::SeqCst) {
-            panic!("injected fault: panic mid-read while holding the shard lock");
+            panic!("injected fault: panic mid-read on the shared store reader");
         }
-        self.inner.read(buf)
+        self.inner.read_at(buf, offset)
+    }
+
+    fn size(&self) -> std::io::Result<u64> {
+        self.inner.size()
     }
 }
 
-impl<R: Seek> Seek for PanicOnce<R> {
-    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        self.inner.seek(pos)
-    }
-}
-
-/// Satellite regression: a panic inside a shard read (lock held) used
-/// to poison the shard mutex and turn every subsequent read into a
-/// `PoisonError` unwrap panic. The lock now recovers: the guarded
-/// state is a read-only file handle.
+/// Satellite regression: a panic inside a store read must not brick the
+/// server. The shared reader has no lock to poison: its state is a
+/// read-only source, the index and atomic counters.
 #[test]
 fn panicking_injected_fault_does_not_poison_subsequent_reads() {
     let dir = common::tmpdir("transport-poison");
     let path = fixture(&dir, "poison.eristore");
     let armed = Arc::new(AtomicBool::new(false));
 
-    let cfg = ServerConfig { shards_per_store: 1, ..ServerConfig::default() };
+    let cfg = ServerConfig::default();
     let armed_factory = Arc::clone(&armed);
     let srv = ServerHandle::open_with_sources(&[&path], &cfg, &mut |p| {
         Ok(Box::new(PanicOnce {
@@ -655,23 +653,23 @@ fn panicking_injected_fault_does_not_poison_subsequent_reads() {
     })
     .unwrap();
 
-    let mut direct = StoreReader::open(&path).unwrap();
+    let direct = StoreReader::open(&path).unwrap();
     let ids: Vec<usize> = (0..BLOCKS).collect();
 
-    // Arm after open (the probe/header reads must succeed), then the
-    // first batch read panics while the shard lock is held.
+    // Arm after open (the header/index reads must succeed), then the
+    // first batch read panics inside the shared reader.
     armed.store(true, Ordering::SeqCst);
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = srv.read_blocks(&ids);
     }));
     assert!(unwound.is_err(), "the injected panic must propagate");
 
-    // The shard must keep serving: every block, byte-identical.
+    // The reader must keep serving: every block, byte-identical.
     let got = srv.read_blocks(&ids).unwrap();
     for (pos, &id) in ids.iter().enumerate() {
         assert_bit_identical(&got[pos], &direct.read_block(id).unwrap(), id);
     }
-    // And stats still aggregate across the once-poisoned lock.
+    // And stats still aggregate after the panic.
     let _ = srv.read_stats();
     std::fs::remove_dir_all(&dir).ok();
 }
