@@ -15,9 +15,7 @@
 //! runtime free of `unsafe`: `std::thread::scope` lets workers borrow the
 //! caller's closure and data directly, where a persistent pool would need
 //! lifetime-erased job pointers. Crew spawn cost (tens of µs per thread)
-//! is amortized by the block-granular work this workspace feeds it; the
-//! long-lived-worker shape lives in `pastri::stream`'s pipeline, where
-//! jobs own their data and `'static` spawning is natural.
+//! is amortized by the block-granular work this workspace feeds it.
 //!
 //! # Thread-count resolution
 //!

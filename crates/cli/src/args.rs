@@ -2,43 +2,76 @@
 
 use crate::CliError;
 
+/// The flags one subcommand reads, declared once: `--key value` flags
+/// and bare `--switch`es. [`Args::parse`] rejects any other `--name`.
+#[derive(Debug)]
+pub(crate) struct Flags {
+    pub values: &'static [&'static str],
+    pub switches: &'static [&'static str],
+}
+
+impl Flags {
+    /// A subcommand that takes positionals only.
+    pub(crate) const NONE: Flags = Flags {
+        values: &[],
+        switches: &[],
+    };
+}
+
 /// Parsed positional arguments and flags.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Args {
     pub positional: Vec<String>,
     flags: Vec<(String, String)>,
     /// Flags present without a value (e.g. `--model`).
     switches: Vec<String>,
+    declared: &'static Flags,
 }
 
 impl Args {
-    /// Parses `argv`: positionals anywhere, `--key value` pairs, and
-    /// bare `--switch`es (a `--key` followed by another `--...` or end).
-    pub(crate) fn parse(argv: &[String]) -> Result<Self, CliError> {
-        let mut args = Args::default();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(key) = a.strip_prefix("--") {
-                if key.is_empty() {
-                    return Err(CliError::new("empty flag `--`"));
-                }
-                match argv.get(i + 1) {
+    /// Parses `argv` against the subcommand's `declared` flags:
+    /// positionals anywhere, `--key value` for a declared value flag, a
+    /// bare `--switch` for a declared switch (which never takes the next
+    /// word, so `--stream in.f64` leaves `in.f64` positional).
+    ///
+    /// # Errors
+    /// An undeclared `--name`, or a value flag with no value after it.
+    pub(crate) fn parse(argv: &[String], declared: &'static Flags) -> Result<Self, CliError> {
+        let mut args = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+            switches: Vec::new(),
+            declared,
+        };
+        let mut words = argv.iter();
+        while let Some(a) = words.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                args.positional.push(a.clone());
+                continue;
+            };
+            if declared.switches.contains(&key) {
+                args.switches.push(key.to_string());
+            } else if declared.values.contains(&key) {
+                match words.next() {
                     Some(v) if !v.starts_with("--") => {
-                        args.flags.push((key.to_string(), v.clone()));
-                        i += 2;
+                        args.flags.push((key.to_string(), v.clone()))
                     }
-                    _ => {
-                        args.switches.push(key.to_string());
-                        i += 1;
-                    }
+                    _ => return Err(CliError::new(format!("--{key} needs a value"))),
                 }
             } else {
-                args.positional.push(a.clone());
-                i += 1;
+                return Err(CliError::new(format!("unknown flag `--{key}`")));
             }
         }
         Ok(args)
+    }
+
+    /// A command may only read what it declared: a typo here would
+    /// otherwise read as "flag never given".
+    fn check_declared(&self, key: &str) {
+        debug_assert!(
+            self.declared.values.contains(&key) || self.declared.switches.contains(&key),
+            "undeclared flag --{key}"
+        );
     }
 
     /// Positional argument `idx` or an error naming it.
@@ -52,6 +85,7 @@ impl Args {
     /// String flag value.
     #[must_use]
     pub(crate) fn get(&self, key: &str) -> Option<&str> {
+        self.check_declared(key);
         self.flags
             .iter()
             .rev()
@@ -63,6 +97,7 @@ impl Args {
     /// `--replica a --replica b`).
     #[must_use]
     pub(crate) fn get_all(&self, key: &str) -> Vec<&str> {
+        self.check_declared(key);
         self.flags
             .iter()
             .filter(|(k, _)| k == key)
@@ -73,6 +108,7 @@ impl Args {
     /// Boolean switch presence.
     #[must_use]
     pub(crate) fn switch(&self, key: &str) -> bool {
+        self.check_declared(key);
         self.switches.iter().any(|k| k == key)
     }
 
@@ -101,9 +137,18 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Args {
+    const TEST: Flags = Flags {
+        values: &["eb", "blocks", "missing"],
+        switches: &["model"],
+    };
+
+    fn try_parse(words: &[&str]) -> Result<Args, CliError> {
         let v: Vec<String> = words.iter().map(|s| (*s).to_string()).collect();
-        Args::parse(&v).unwrap()
+        Args::parse(&v, &TEST)
+    }
+
+    fn parse(words: &[&str]) -> Args {
+        try_parse(words).unwrap()
     }
 
     #[test]
@@ -127,8 +172,22 @@ mod tests {
         assert_eq!(a.get_f64("eb", 0.0).unwrap(), 1e-10);
         assert_eq!(a.get_usize("blocks", 0).unwrap(), 42);
         assert_eq!(a.get_f64("missing", 7.5).unwrap(), 7.5);
-        let bad = parse(&["--eb", "--x"]); // eb becomes a switch
-        assert_eq!(bad.get_f64("eb", 3.0).unwrap(), 3.0);
+        let bad = try_parse(&["--eb", "--model"]).unwrap_err(); // eb has no value
+        assert!(bad.message.contains("--eb"), "{}", bad.message);
+    }
+
+    #[test]
+    fn undeclared_flag_is_rejected_by_name() {
+        let err = try_parse(&["in.f64", "--shards", "4"]).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("--shards"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_switch_never_swallows_the_next_word() {
+        let a = parse(&["--model", "in.f64", "out.bin"]);
+        assert!(a.switch("model"));
+        assert_eq!(a.positional, vec!["in.f64", "out.bin"]);
     }
 
     #[test]

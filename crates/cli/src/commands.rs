@@ -8,7 +8,7 @@ use qchem::basis::BfConfig;
 use qchem::dataset::{DatasetSpec, EriDataset};
 use qchem::molecule::Molecule;
 
-use crate::args::Args;
+use crate::args::{Args, Flags};
 use crate::CliError;
 
 /// Which telemetry exporter `--telemetry` selected.
@@ -176,12 +176,20 @@ fn with_threads<T: Send>(
         .install(f)
 }
 
+const COMPRESS: Flags = Flags {
+    values: &[
+        "config", "eb", "threads", "metric", "tree", "segment-blocks", "checkpoint-every",
+        "telemetry", "telemetry-out",
+    ],
+    switches: &["stream", "resume"],
+};
+
 /// `pastri compress <in.f64> <out.pastri> --config ... [--eb ...]
 /// [--threads N] [--stream [--segment-blocks B] [--checkpoint-every N]
 /// [--resume]]`. An `<out>` ending in `.eristore` writes the block
 /// store `pastri serve` mounts instead of a container.
 pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &COMPRESS)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in.f64")?;
     let output = args.positional(1, "out.pastri")?;
@@ -305,9 +313,11 @@ pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
 
 /// `compress` to a `.eristore`: one block store of whole `--config`
 /// blocks at default compressor options, the header recording only
-/// geometry and error bound. Until `finish` rewrites it, the file
-/// carries a placeholder header whose CRC fails, so a torn write is
-/// refused by `serve` and `verify` rather than read.
+/// geometry and error bound. The store is journaled like every durable
+/// artifact, with one checkpoint covering the whole input. Until
+/// `finish` rewrites it, the file carries a placeholder header whose
+/// CRC fails, so a torn write is refused by `serve` and `verify` rather
+/// than read.
 fn compress_store(
     args: &Args,
     input: &str,
@@ -317,15 +327,14 @@ fn compress_store(
     threads: usize,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    for flag in ["metric", "tree"] {
-        if args.get(flag).is_some() {
-            return Err(CliError::new(format!(
-                "--{flag} does not apply to a .eristore output (stores use default options)"
-            )));
-        }
-    }
-    if args.switch("stream") {
-        return Err(CliError::new("--stream does not apply to a .eristore output"));
+    let stray = ["metric", "tree", "segment-blocks", "checkpoint-every"]
+        .into_iter()
+        .find(|flag| args.get(flag).is_some())
+        .or_else(|| ["stream", "resume"].into_iter().find(|flag| args.switch(flag)));
+    if let Some(flag) = stray {
+        return Err(CliError::new(format!(
+            "--{flag} does not apply to a .eristore output (stores use default options)"
+        )));
     }
     let data = read_f64_file(input)?;
     let bs = config.block_size();
@@ -337,8 +346,9 @@ fn compress_store(
     }
     let store_err = |e: eri_store::StoreError| CliError::new(format!("writing {output}: {e}"));
     let geometry = BlockGeometry::from_dims(config.dims());
+    let blocks = (data.len() / bs).max(1);
     let mut writer =
-        eri_store::StoreWriter::create(std::path::Path::new(output), geometry, eb)
+        eri_store::StoreWriter::create_durable(std::path::Path::new(output), geometry, eb, blocks)
             .map_err(store_err)?;
     with_threads(threads, || writer.append_blocks(&data).map_err(store_err))?;
     let blocks = writer.finish().map_err(store_err)?;
@@ -367,9 +377,14 @@ fn read_chunk(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<usize, CliEr
     Ok(filled)
 }
 
+const DECOMPRESS: Flags = Flags {
+    values: &["telemetry", "telemetry-out"],
+    switches: &[],
+};
+
 /// `pastri decompress <in.pastri> <out.f64>`.
 pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &DECOMPRESS)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in.pastri")?;
     let output = args.positional(1, "out.f64")?;
@@ -411,7 +426,7 @@ pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), Cli
 /// `pastri inspect <in.pastri>`: header metadata + per-kind block census
 /// via the cheap O(blocks) inspection API — no value is decoded.
 pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "in.pastri")?;
     let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
     // Damage in a recognized container is exit 2. Anything without the
@@ -474,7 +489,7 @@ pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
 /// telemetry capture (from `--telemetry json --telemetry-out FILE`) as
 /// the human-readable summary tree.
 pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "telemetry.jsonl")?;
     let text = fs::read_to_string(input)
         .map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
@@ -490,7 +505,7 @@ pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 /// contract: 0 clean, 2 when damage is found in a recognized artifact,
 /// 1 for I/O trouble or an unrecognized format.
 pub(crate) fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "file")?;
     let found = damage(input, false)?;
     found.print(input, out)?;
@@ -742,7 +757,7 @@ impl Damage {
 /// are not losses), 2 if segments were dropped, the tail was
 /// unreadable, or the stream header itself is damaged.
 pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "in.pstrs")?;
     let output = args.positional(1, "out.pstrs")?;
     let infile = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
@@ -786,6 +801,11 @@ pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
     }
 }
 
+const SCRUB: Flags = Flags {
+    values: &["telemetry", "telemetry-out"],
+    switches: &["repair"],
+};
+
 /// `pastri scrub <file> [--repair]`: the maintenance half of
 /// self-healing storage. Scans any PaSTRI artifact — container, stream,
 /// or ERI store — with the same classifier as `verify`, which marks
@@ -800,7 +820,7 @@ pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
 /// Exit codes: 0 clean, 0 damage fully repaired in place (with report),
 /// 2 damage present and not (fully) repaired.
 pub(crate) fn scrub(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SCRUB)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "file")?;
     let result = damage(input, args.switch("repair")).and_then(|found| heal(input, &found, out));
@@ -864,9 +884,14 @@ fn quarantine(path: &str, bytes: &[u8], out: &mut dyn Write) -> Result<(), CliEr
     Ok(())
 }
 
+const GENERATE: Flags = Flags {
+    values: &["config", "blocks", "seed", "molecule", "cluster"],
+    switches: &["model"],
+};
+
 /// `pastri gen <out.f64> --molecule benzene --config (dd|dd) ...`.
 pub(crate) fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &GENERATE)?;
     let output = args.positional(0, "out.f64")?;
     let config = parse_config(&args)?;
     let blocks = args.get_usize("blocks", 100)?;
@@ -899,7 +924,7 @@ pub(crate) fn generate(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
 
 /// `pastri assess <original.f64> <decompressed.f64>`.
 pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &Flags::NONE)?;
     let orig_path = args.positional(0, "original.f64")?;
     let dec_path = args.positional(1, "decompressed.f64")?;
     let orig = read_f64_file(orig_path)?;
@@ -922,6 +947,21 @@ pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
     Ok(())
 }
 
+const SOAK: Flags = Flags {
+    values: &[
+        "telemetry", "telemetry-out", "seed", "ops", "stores", "scale", "eb", "subblocks",
+        "subblock-size", "read-weight", "container-weight", "stream-weight", "crash-weight",
+        "scrub-weight", "bit-flip-every", "flips-per-event", "torn-every", "transient-rate",
+        "max-transients", "slo-read-p99-us", "slo-min-repair-success", "slo-max-quarantined",
+        "slo-max-resident-values", "seconds", "bench-out", "replicas", "clients", "requests",
+        "max-batch", "faulty-every", "max-faults", "shed-every", "max-sheds-per-key",
+        "delay-every", "breaker-threshold", "slo-rpc-p99-us", "slo-max-deadline-exceeded",
+        "slo-max-frame-errors", "slo-max-shed-rate", "slo-queue-wait-p99-us",
+        "slo-max-breaker-opened",
+    ],
+    switches: &["transport", "overload", "keep"],
+};
+
 /// `pastri soak <dir> [--seed N] [--ops N] [--stores N] [--scale N] …`:
 /// the deterministic fault-storm soak harness (see the `soak` crate).
 /// Runs a seeded mixed workload across many stores under SDC, crash,
@@ -932,7 +972,7 @@ pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 /// Exit codes: 0 all gates hold and no data was lost, 1 I/O or usage
 /// error, 2 unaccounted data loss or a violated SLO gate.
 pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SOAK)?;
     let telem = telemetry_capture(&args)?;
     let dir = args.positional(0, "dir")?;
 
@@ -1290,6 +1330,11 @@ fn server_config(args: &Args) -> Result<eri_server::ServerConfig, CliError> {
     Ok(cfg)
 }
 
+const SERVE: Flags = Flags {
+    values: &["telemetry", "telemetry-out", "cache-mb", "listen", "serve-conns", "blocks", "out"],
+    switches: &[],
+};
+
 /// `pastri serve` — mount one or more stores behind the cache server and serve a batched read in-process: the CLI face of
 /// [`eri_server::ServerHandle`]. With `--out`, the served blocks are
 /// written as raw little-endian f64 in request order. With `--listen
@@ -1298,7 +1343,7 @@ fn server_config(args: &Args) -> Result<eri_server::ServerConfig, CliError> {
 /// (DESIGN §13) until interrupted, or for `--serve-conns N`
 /// connections when bounded serving is wanted (tests, one-shot jobs).
 pub(crate) fn serve(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &SERVE)?;
     let telem = telemetry_capture(&args)?;
     args.positional(0, "store")?;
     let cfg = server_config(&args)?;
@@ -1387,6 +1432,14 @@ fn client_err(e: eri_server::ClientError) -> CliError {
     }
 }
 
+const FETCH: Flags = Flags {
+    values: &[
+        "telemetry", "telemetry-out", "replica", "deadline-ms", "attempt-ms", "retries", "seed",
+        "blocks", "out",
+    ],
+    switches: &["stats"],
+};
+
 /// `pastri fetch` — read blocks from a `pastri serve --listen` endpoint
 /// over the PTRF wire protocol, with deadlines, bounded seeded-jitter
 /// retry, and hedged failover across `--replica` endpoints (DESIGN
@@ -1394,7 +1447,7 @@ fn client_err(e: eri_server::ClientError) -> CliError {
 /// 2 corruption (wire frames or stored blocks) that outlived the retry
 /// budget.
 pub(crate) fn fetch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &FETCH)?;
     let telem = telemetry_capture(&args)?;
     let primary = args.positional(0, "endpoint")?;
 
@@ -1670,6 +1723,11 @@ fn top_text(endpoint: &str, tick: usize, m: &TopMetrics) -> String {
     s
 }
 
+const TOP: Flags = Flags {
+    values: &["interval-ms", "count", "deadline-ms"],
+    switches: &["once", "json"],
+};
+
 /// `pastri top <endpoint>` — live dashboard over TelemetrySnapshot
 /// scrapes: polls a `serve --listen` endpoint, computes deltas and
 /// rates between consecutive snapshots, and prints one plain-text
@@ -1678,7 +1736,7 @@ fn top_text(endpoint: &str, tick: usize, m: &TopMetrics) -> String {
 /// scripts and tests. The scrape rides admission at priority ≥ 1
 /// server-side, so `top` keeps answering while the server sheds load.
 pub(crate) fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &TOP)?;
     let endpoint = args.positional(0, "endpoint")?;
     let ep = eri_server::Endpoint::parse(endpoint)
         .map_err(|e| CliError::new(format!("<endpoint>: {e}")))?;
@@ -1725,6 +1783,11 @@ pub(crate) fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> 
     }
 }
 
+const TRACE: Flags = Flags {
+    values: &["merge", "out"],
+    switches: &[],
+};
+
 /// `pastri trace --merge <a.jsonl> <b.jsonl>... [--out merged.json]` —
 /// joins telemetry JSON-lines exports from different processes (a
 /// `fetch --telemetry json` capture and the serving side's scrape or
@@ -1733,7 +1796,7 @@ pub(crate) fn top(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> 
 /// lanes, which is the whole point: one timeline for one request's
 /// journey through retries, sheds, and the server's cache and store.
 pub(crate) fn trace_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(argv, &TRACE)?;
     // `--merge a.jsonl b.jsonl`: the parser binds the first path to the
     // flag and leaves the rest positional — gather both.
     let mut inputs: Vec<String> = args.get_all("merge").iter().map(|s| (*s).to_string()).collect();
@@ -2246,7 +2309,7 @@ mod tests {
         // parity shards (located by walking the container prefix).
         let store_path = dir.join("ss.eristore");
         let geom = pastri::BlockGeometry::new(4, 9);
-        let mut w = eri_store::StoreWriter::create(&store_path, geom, 1e-10).unwrap();
+        let mut w = eri_store::StoreWriter::create_durable(&store_path, geom, 1e-10, 5).unwrap();
         let values: Vec<f64> = (0..geom.block_size() * 5)
             .map(|i| ((i % 53) as f64 * 0.23).sin() * 2e-6)
             .collect();
@@ -2393,11 +2456,11 @@ mod tests {
 
     #[test]
     fn metric_and_tree_flags() {
-        let args = Args::parse(&sv(&["--metric", "aar", "--tree", "3"])).unwrap();
+        let args = Args::parse(&sv(&["--metric", "aar", "--tree", "3"]), &COMPRESS).unwrap();
         let opts = parse_options(&args).unwrap();
         assert_eq!(opts.metric, ScalingMetric::Aar);
         assert_eq!(opts.tree, EncodingTree::Tree3);
-        let args = Args::parse(&sv(&["--metric", "nope"])).unwrap();
+        let args = Args::parse(&sv(&["--metric", "nope"]), &COMPRESS).unwrap();
         assert!(parse_options(&args).is_err());
     }
 }

@@ -28,7 +28,8 @@
 //!   processes into one Chrome trace joined on shared trace ids
 //!
 //! The argument parser is deliberately dependency-free: flags are
-//! `--key value` pairs after the subcommand, positional paths first.
+//! `--key value` pairs or bare `--switch`es after the subcommand, which
+//! declares both once; any other `--name` is a usage error.
 
 mod args;
 mod commands;
@@ -161,7 +162,7 @@ FLAGS:
   --cluster  tile N copies at 4.5 A (production-scale far-field mix)
   --model    use the fast Eq.-3 far-field model generator
 
-TELEMETRY (compress, decompress, scrub):
+TELEMETRY (compress, decompress, scrub, soak, serve, fetch):
   --telemetry <summary|json|chrome>  capture spans, counters, and stage
              timings for the run: `summary` prints a human-readable tree,
              `json` emits one JSON object per line (re-render later with
@@ -169,9 +170,10 @@ TELEMETRY (compress, decompress, scrub):
              (load in chrome://tracing or Perfetto).
   --telemetry-out FILE  write the capture to FILE instead of stdout.
 
-DURABILITY (streamed compression):
+DURABILITY (streamed compression and block stores):
   --stream writes durably: segments are fsync'd in batches and sealed by
   a <out>.journal checkpoint record; the journal is removed on success.
+  A .eristore output is journaled the same way, with one checkpoint.
   --checkpoint-every N   segments per durable batch (default 16)
   --resume               continue an interrupted --stream run: loads the
                          last checkpoint, discards the torn tail, skips
@@ -199,7 +201,8 @@ SOAK (deterministic fault-storm harness with SLO gates):
 CACHE SERVER (`serve`):
   `pastri compress <in.f64> <out.eristore>` writes a block store: the
   input must hold whole --config blocks, compressed at default options
-  (--metric, --tree and --stream do not apply). `pastri serve` mounts
+  (--metric, --tree, --stream, --resume, --segment-blocks and
+  --checkpoint-every do not apply). `pastri serve` mounts
   one or more stores (shared geometry and error bound) as one global
   block index space, one reader per store shared by every thread, plus
   a byte-budgeted hot-block cache (--cache-mb), then serves the

@@ -54,7 +54,7 @@ fn p(path: &Path, name: &str) -> String {
 /// Builds a small seeded ERI store for the `serve` rows (same patterned-block fixture the integration tests use).
 fn build_server_store(path: &str, n: usize) {
     let geom = pastri::BlockGeometry::new(4, 16);
-    let mut w = eri_store::StoreWriter::create(Path::new(path), geom, 1e-10).unwrap();
+    let mut w = eri_store::StoreWriter::create_durable(Path::new(path), geom, 1e-10, n.max(1)).unwrap();
     for b in 0..n {
         let mut block = Vec::with_capacity(geom.block_size());
         for sb in 0..geom.num_subblocks {
@@ -243,6 +243,31 @@ fn exit_codes_follow_the_documented_contract() {
             label: "compress store with --stream",
             argv: sv(&["compress", &raw, &p(&dir, "c7.eristore"), "--config", "dddd", "--stream"]),
             want: 1,
+        },
+        Case {
+            label: "compress store with --resume",
+            argv: sv(&["compress", &raw, &p(&dir, "c8.eristore"), "--config", "dddd", "--resume"]),
+            want: 1,
+        },
+        Case {
+            label: "compress store with --segment-blocks",
+            argv: sv(&[
+                "compress", &raw, &p(&dir, "c9.eristore"), "--config", "dddd", "--segment-blocks", "2",
+            ]),
+            want: 1,
+        },
+        Case {
+            label: "compress store with --checkpoint-every",
+            argv: sv(&[
+                "compress", &raw, &p(&dir, "c10.eristore"), "--config", "dddd", "--checkpoint-every", "2",
+            ]),
+            want: 1,
+        },
+        // A switch never swallows the positional after it.
+        Case {
+            label: "compress --stream before the positionals",
+            argv: sv(&["compress", "--stream", &raw, &p(&dir, "c11.pstrs"), "--config", "dddd"]),
+            want: 0,
         },
         // decompress: clean / missing / damage in a recognized artifact.
         Case {
@@ -445,6 +470,21 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["verify"]),
             want: 1,
         },
+        Case {
+            label: "serve with a removed flag",
+            argv: sv(&["serve", &clean_store, "--shards", "4"]),
+            want: 1,
+        },
+        Case {
+            label: "serve with a misspelled flag",
+            argv: sv(&["serve", &clean_store, "--cache-mv", "64"]),
+            want: 1,
+        },
+        Case {
+            label: "value flag with no value",
+            argv: sv(&["gen", &p(&dir, "g.f64"), "--config", "dddd", "--model", "--blocks"]),
+            want: 1,
+        },
     ];
 
     let mut failures = Vec::new();
@@ -465,6 +505,10 @@ fn exit_codes_follow_the_documented_contract() {
     assert!(
         Path::new(&format!("{shredded_store}.quarantine")).exists(),
         "scrub --repair must quarantine a store it cannot fully heal"
+    );
+    assert!(
+        !Path::new(&p(&dir, "c5.eristore.journal")).exists(),
+        "a finished store leaves no journal"
     );
 }
 

@@ -10,9 +10,9 @@
 //!   over the destination, fsync the directory. A crash at any instant
 //!   leaves either the old file or the new one — never a torn mix.
 //!
-//! * **An append-side checkpoint journal** ([`JournalWriter`],
-//!   [`Checkpoint`]) for streams that grow over hours: after each batch
-//!   of segments is written *and fsync'd*, a fixed-size CRC-protected
+//! * **An append-side checkpoint journal** ([`Checkpoint`] records) for
+//!   artifacts that grow over hours: after each batch of segments or
+//!   blocks is written *and fsync'd*, a fixed-size CRC-protected
 //!   record `(segments, values, bytes)` is appended to a sidecar
 //!   `<artifact>.journal` file and fsync'd in turn. The last valid
 //!   record defines the artifact's *committed prefix*: everything at or
@@ -20,6 +20,10 @@
 //!   uncommitted and may be truncated away on resume. A torn final
 //!   journal record (the crash landed mid-append) fails its CRC and is
 //!   ignored, falling back to the previous record.
+//!   [`Journaled`] binds an artifact to its journal and is the one
+//!   create, commit, recovery and finish protocol: durable streams and
+//!   ERI block stores both go through it, and every fsync it issues is
+//!   counted.
 //!
 //! The write ordering — data write, data fsync, journal record, journal
 //! fsync — guarantees a checkpoint is only ever visible once the bytes
@@ -34,7 +38,7 @@
 //! every read.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use checksum::crc32;
@@ -292,7 +296,7 @@ impl Checkpoint {
 
 /// Appends checkpoint records, each followed by an fsync, so the journal
 /// never claims more than the data file durably holds.
-pub struct JournalWriter<J: SyncWrite> {
+pub(crate) struct JournalWriter<J: SyncWrite> {
     sink: J,
     header_written: bool,
 }
@@ -413,6 +417,163 @@ pub fn remove_journal(artifact: &Path) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
         Err(e) => Err(e),
     }
+}
+
+/// A growing artifact plus its checkpoint journal: the one create,
+/// commit, recovery and finish protocol behind every durable writer
+/// (streams and block stores alike).
+///
+/// [`commit`](Self::commit) is the write ordering the journal rests on:
+/// data fsync, then the journal record and its fsync. For files,
+/// [`create`](Journaled::create) and [`resume`](Journaled::resume) open
+/// the `<path>` + `<path>.journal` pair and [`finish`](Journaled::finish)
+/// retires the journal. Every fsync goes through [`SyncWrite::sync`] or
+/// [`fsync_dir`], so `durable.fsyncs` and `durable.fsync_us` see them all.
+pub struct Journaled<W: SyncWrite, J: SyncWrite> {
+    data: W,
+    journal: JournalWriter<J>,
+    committed: Checkpoint,
+}
+
+impl<W: SyncWrite, J: SyncWrite> Journaled<W, J> {
+    /// A fresh artifact over caller-supplied sinks: `journal` receives
+    /// the journal from its magic onward.
+    pub fn new(data: W, journal: J) -> Self {
+        Self {
+            data,
+            journal: JournalWriter::new(journal),
+            committed: Checkpoint::default(),
+        }
+    }
+
+    /// The artifact sink the writer appends to.
+    pub fn data_mut(&mut self) -> &mut W {
+        &mut self.data
+    }
+
+    /// The last durable checkpoint: everything at or before it survives
+    /// a crash.
+    #[must_use]
+    pub fn committed(&self) -> Checkpoint {
+        self.committed
+    }
+
+    /// Makes `cp` durable. The data is fsync'd first, so the journal
+    /// never describes bytes that could still be lost; then the record
+    /// is appended and fsync'd.
+    pub fn commit(&mut self, cp: Checkpoint) -> io::Result<()> {
+        self.data.sync()?;
+        self.journal.record(cp)?;
+        self.committed = cp;
+        Ok(())
+    }
+
+    /// Syncs the data one last time (bytes written since the last
+    /// commit, such as a terminator or a rewritten header) and returns
+    /// the sinks and the last checkpoint.
+    pub fn close(mut self) -> io::Result<(W, J, Checkpoint)> {
+        self.data.sync()?;
+        Ok((self.data, self.journal.into_inner(), self.committed))
+    }
+}
+
+impl Journaled<File, File> {
+    /// Starts a fresh artifact at `path`, truncating any previous
+    /// artifact and journal. The directory is fsync'd once both files
+    /// exist, so a later checkpoint never names files whose directory
+    /// entries a power loss could still drop.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let open = |p: &Path| {
+            OpenOptions::new()
+                .create(true)
+                .write(true)
+                .truncate(true)
+                .open(p)
+        };
+        let data = open(path)?;
+        let journal = open(&journal_path(path))?;
+        fsync_dir(&parent_of(path))?;
+        Ok(Self::new(data, journal))
+    }
+
+    /// Recovers an interrupted write at `path`: loads the last valid
+    /// journal record, truncates the artifact to its committed prefix
+    /// and the journal to its valid prefix (both fsync'd, a torn tail
+    /// counted in `durable.resume_truncations`), and leaves both files
+    /// positioned for appending. With no usable journal the artifact
+    /// restarts empty. The data file is opened readable too, so a
+    /// writer can re-read its committed prefix.
+    ///
+    /// # Errors
+    /// `InvalidData` if the journal claims more durable bytes than the
+    /// artifact holds — the write ordering makes that impossible from a
+    /// crash, so the pair was tampered with or split.
+    pub fn resume(path: &Path) -> io::Result<Self> {
+        let jp = journal_path(path);
+        let journal_bytes = match std::fs::read(&jp) {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let (cp, valid_len) = scan_journal(&journal_bytes);
+        let cp = cp.unwrap_or_default();
+        let open = |p: &Path| {
+            OpenOptions::new()
+                .create(true)
+                .truncate(false) // the committed prefix is kept; `set_len` trims the tail
+                .read(true)
+                .write(true)
+                .open(p)
+        };
+        let mut data = open(path)?;
+        let on_disk = data.metadata()?.len();
+        if on_disk < cp.bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "journal claims {} durable bytes but {} holds only {on_disk}",
+                    cp.bytes,
+                    path.display()
+                ),
+            ));
+        }
+        if on_disk > cp.bytes || journal_bytes.len() > valid_len {
+            telemetry::counter_add("durable.resume_truncations", 1);
+        }
+        truncate_durably(&mut data, cp.bytes)?;
+        let mut journal = open(&jp)?;
+        truncate_durably(&mut journal, valid_len as u64)?;
+        fsync_dir(&parent_of(path))?;
+        let journal = if valid_len == 0 {
+            JournalWriter::new(journal)
+        } else {
+            JournalWriter::resume(journal)
+        };
+        Ok(Self {
+            data,
+            journal,
+            committed: cp,
+        })
+    }
+
+    /// Completes the artifact at `path`: the final data fsync, then the
+    /// journal — the "write in progress" marker — is unlinked and the
+    /// directory fsync'd. Returns the last checkpoint.
+    pub fn finish(self, path: &Path) -> io::Result<Checkpoint> {
+        let (data, journal, cp) = self.close()?;
+        drop(data);
+        drop(journal);
+        remove_journal(path)?;
+        Ok(cp)
+    }
+}
+
+/// Cuts `file` to `len` bytes, fsyncs, and positions it at the new end.
+fn truncate_durably(file: &mut File, len: u64) -> io::Result<()> {
+    file.set_len(len)?;
+    file.sync()?;
+    file.seek(SeekFrom::Start(len))?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -578,5 +739,99 @@ mod tests {
         remove_journal(&artifact).unwrap();
         assert!(!jp.exists());
         remove_journal(&artifact).unwrap(); // idempotent
+    }
+
+    /// The `Journaled` recovery tests share the process-wide telemetry
+    /// recorder (one of them counts `durable.resume_truncations`), so
+    /// they run one at a time.
+    static RECOVERY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn recovery_lock() -> std::sync::MutexGuard<'static, ()> {
+        RECOVERY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A `Journaled` file pair at `name` holding `commits` checkpoints of
+    /// 10 data bytes each, plus 7 uncommitted bytes, left unfinished.
+    fn interrupted(name: &str, commits: u64) -> PathBuf {
+        let path = tmp(name);
+        let mut j = Journaled::create(&path).unwrap();
+        for i in 1..=commits {
+            j.data_mut().write_all(&[i as u8; 10]).unwrap();
+            j.commit(Checkpoint { segments: i, values: i * 4, bytes: i * 10 }).unwrap();
+        }
+        j.data_mut().write_all(&[0xEE; 7]).unwrap();
+        path
+    }
+
+    fn cleanup(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(journal_path(path));
+    }
+
+    #[test]
+    fn journaled_resume_refuses_a_journal_that_outruns_its_artifact() {
+        let _serial = recovery_lock();
+        let path = interrupted("outrun.bin", 3);
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(25).unwrap();
+        let err = Journaled::resume(&path).err().expect("outrunning journal must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn journaled_resume_trims_a_torn_journal_tail_and_appends_after_it() {
+        let _serial = recovery_lock();
+        let path = interrupted("torn.bin", 2);
+        let jp = journal_path(&path);
+        let clean_len = std::fs::read(&jp).unwrap().len();
+        let mut jf = OpenOptions::new().append(true).open(&jp).unwrap();
+        jf.write_all(&[0xAB; RECORD_LEN - 3]).unwrap();
+        drop(jf);
+
+        let mut j = Journaled::resume(&path).unwrap();
+        assert_eq!(j.committed().segments, 2);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 20, "uncommitted tail cut");
+        assert_eq!(std::fs::metadata(&jp).unwrap().len(), clean_len as u64);
+        j.data_mut().write_all(&[3; 10]).unwrap();
+        let next = Checkpoint { segments: 3, values: 12, bytes: 30 };
+        j.commit(next).unwrap();
+        let journal = std::fs::read(&jp).unwrap();
+        assert_eq!(journal.len(), clean_len + RECORD_LEN, "appended after the valid prefix");
+        assert_eq!(parse_last_checkpoint(&journal), Some(next));
+        assert_eq!(j.finish(&path).unwrap(), next);
+        assert!(!jp.exists(), "finish removes the journal");
+        assert_eq!(std::fs::read(&path).unwrap(), [[1u8; 10], [2; 10], [3; 10]].concat());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn journaled_resume_without_a_journal_starts_fresh() {
+        let _serial = recovery_lock();
+        let path = interrupted("absent.bin", 2);
+        std::fs::remove_file(journal_path(&path)).unwrap();
+        let mut j = Journaled::resume(&path).unwrap();
+        assert_eq!(j.committed(), Checkpoint::default());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "nothing was committed");
+        j.data_mut().write_all(b"fresh").unwrap();
+        let cp = Checkpoint { segments: 1, values: 1, bytes: 5 };
+        j.commit(cp).unwrap();
+        let journal = std::fs::read(journal_path(&path)).unwrap();
+        assert!(journal.starts_with(&JOURNAL_MAGIC), "a fresh journal writes its magic");
+        assert_eq!(parse_last_checkpoint(&journal), Some(cp));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn journaled_resume_counts_one_truncation() {
+        let _serial = recovery_lock();
+        let path = interrupted("count.bin", 2);
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        let j = Journaled::resume(&path).unwrap();
+        telemetry::set_enabled(false);
+        let snap = telemetry::snapshot();
+        assert_eq!(snap.counter("durable.resume_truncations"), 1);
+        drop(j);
+        cleanup(&path);
     }
 }

@@ -48,7 +48,7 @@ fn expected_block(b: usize) -> Vec<f64> {
 fn build_store(dir: &std::path::Path) -> std::path::PathBuf {
     let path = dir.join("overload.eristore");
     let geom = pastri::BlockGeometry::new(SUBBLOCKS, SUBBLOCK_SIZE);
-    let mut w = eri_store::StoreWriter::create(&path, geom, 1e-10).unwrap();
+    let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, BLOCKS).unwrap();
     for b in 0..BLOCKS {
         w.append_block(&expected_block(b)).unwrap();
     }

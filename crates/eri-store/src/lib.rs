@@ -42,14 +42,15 @@
 //! [`StoreReader`] serves any number of threads at once, and tests
 //! inject faults without touching the filesystem.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use checksum::crc32;
 use durable::retry::RetryStats;
-use durable::{journal_path, remove_journal, scan_journal, Checkpoint, JournalWriter, ReadAt};
+use durable::{Checkpoint, Journaled, ReadAt};
 use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
 
@@ -284,59 +285,27 @@ fn read_exact_retry<R: ReadAt>(
     result
 }
 
-/// Durable-mode state of a [`StoreWriter`]: the checkpoint journal and
-/// its batching policy.
-struct Durability {
-    journal: JournalWriter<File>,
-    path: PathBuf,
-    checkpoint_every: usize,
-    /// Blocks appended since the last checkpoint.
-    uncheckpointed: usize,
-}
-
 /// Writes a block store: append blocks, then [`finish`](StoreWriter::finish).
 ///
-/// Two modes: [`create`](Self::create) is the plain volatile writer (a
-/// crash loses the whole store, since the header is only finalized on
-/// finish); [`create_durable`](Self::create_durable) additionally
-/// maintains a `<path>.journal` checkpoint sidecar — every
-/// `checkpoint_every` blocks the data is fsync'd and a journal record
-/// commits the prefix, so after a crash
+/// Every store is journaled through [`durable::Journaled`]: every
+/// `checkpoint_every` appended blocks the data is fsync'd and a
+/// `<path>.journal` record commits the prefix, so after a crash
 /// [`open_for_append`](Self::open_for_append) can truncate back to the
 /// last checkpoint, rebuild the index by re-walking the committed
-/// containers, and continue. Both modes emit byte-identical files.
+/// containers, and continue. A resumed store is byte-identical to an
+/// uninterrupted one.
 pub struct StoreWriter {
-    file: File,
+    out: Journaled<File, File>,
+    path: PathBuf,
     compressor: Compressor,
     index: Vec<(u64, u64, u32)>,
     cursor: u64,
-    durability: Option<Durability>,
+    checkpoint_every: usize,
 }
 
 impl StoreWriter {
     /// Creates a store at `path` for blocks of `geometry` at error bound
-    /// `eb` (truncates any existing file).
-    pub fn create(path: &Path, geometry: BlockGeometry, eb: f64) -> Result<Self, StoreError> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .read(true)
-            .truncate(true)
-            .open(path)?;
-        // Placeholder header; rewritten with final values (and CRC) on
-        // finish().
-        file.write_all(&header_bytes(eb, geometry, 0, 0))?;
-        file.write_all(&0u32.to_le_bytes())?;
-        Ok(Self {
-            file,
-            compressor: Compressor::new(geometry, eb),
-            index: Vec::new(),
-            cursor: HEADER_LEN_V2,
-            durability: None,
-        })
-    }
-
-    /// Like [`create`](Self::create), but journaled: every
+    /// `eb` (truncating any existing store and journal). Every
     /// `checkpoint_every` appended blocks, the file is fsync'd and a
     /// checkpoint record is durably appended to `<path>.journal`. A
     /// crash then loses at most the blocks since the last checkpoint —
@@ -350,37 +319,18 @@ impl StoreWriter {
         eb: f64,
         checkpoint_every: usize,
     ) -> Result<Self, StoreError> {
-        if checkpoint_every == 0 {
-            return Err(StoreError::Io(io::Error::new(
-                ErrorKind::InvalidInput,
-                "checkpoint_every must be at least 1",
-            )));
-        }
-        let mut w = Self::create(path, geometry, eb)?;
-        // The placeholder header must be durable before the journal can
-        // describe byte offsets past it.
-        w.file.sync_all()?;
-        let jfile = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(journal_path(path))?;
-        durable::fsync_dir(&durable::parent_of(path))?;
-        w.durability = Some(Durability {
-            journal: JournalWriter::new(jfile),
-            path: path.to_path_buf(),
-            checkpoint_every,
-            uncheckpointed: 0,
-        });
-        Ok(w)
+        check_checkpoint_every(checkpoint_every)?;
+        let out = Journaled::create(path)?;
+        Self::over(out, path, geometry, eb, checkpoint_every, Vec::new())
     }
 
-    /// Resumes an interrupted durable write at `path`: loads the last
-    /// valid checkpoint from `<path>.journal`, truncates the store to
-    /// the committed prefix, and rebuilds the index by re-walking the
-    /// committed containers. Returns the writer plus the checkpoint —
-    /// `checkpoint.segments` blocks are already in the store, so the
-    /// producer resumes appending from block `checkpoint.segments`.
+    /// Resumes an interrupted write at `path`: [`Journaled::resume`]
+    /// loads the last valid checkpoint from `<path>.journal` and
+    /// truncates the store to the committed prefix; the index is then
+    /// rebuilt by re-walking the committed containers. Returns the
+    /// writer plus the checkpoint — `checkpoint.segments` blocks are
+    /// already in the store, so the producer resumes appending from
+    /// block `checkpoint.segments`.
     ///
     /// With no usable journal the store restarts from scratch (the
     /// checkpoint comes back all-zero).
@@ -395,118 +345,66 @@ impl StoreWriter {
         eb: f64,
         checkpoint_every: usize,
     ) -> Result<(Self, Checkpoint), StoreError> {
-        if checkpoint_every == 0 {
-            return Err(StoreError::Io(io::Error::new(
-                ErrorKind::InvalidInput,
-                "checkpoint_every must be at least 1",
-            )));
-        }
-        let jp = journal_path(path);
-        let journal_bytes = match std::fs::read(&jp) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
+        check_checkpoint_every(checkpoint_every)?;
+        let mut out = Journaled::resume(path).map_err(|e| match e.kind() {
+            ErrorKind::InvalidData => {
+                StoreError::corrupt("journal claims more durable bytes than the store holds")
+            }
+            _ => StoreError::Io(e),
+        })?;
+        let cp = out.committed();
+        let index = if cp.bytes == 0 {
+            Vec::new() // nothing committed: a fresh store
+        } else {
+            committed_index(out.data_mut(), cp, geometry, eb)?
         };
-        let (cp, valid_len) = scan_journal(&journal_bytes);
-        let Some(cp) = cp else {
-            // No committed prefix at all: restart from scratch.
-            let w = Self::create_durable(path, geometry, eb, checkpoint_every)?;
-            return Ok((w, Checkpoint::default()));
-        };
-
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        if file.metadata()?.len() < cp.bytes {
-            return Err(StoreError::corrupt(
-                "journal claims more durable bytes than the store holds",
-            ));
-        }
-        // Lenient header check: count/index/CRC slots hold placeholders
-        // until finish(), but magic, error bound, and geometry must
-        // already match what the resume asks for.
-        let mut header = [0u8; HEADER_BODY_LEN as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut header)?;
-        if header[..8] != MAGIC_V2 {
-            return Err(StoreError::corrupt("bad magic"));
-        }
-        let h_eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
-        let h_num_sb = u64::from_le_bytes(header[16..24].try_into().unwrap());
-        let h_sb_size = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if h_eb != eb
-            || h_num_sb != geometry.num_subblocks as u64
-            || h_sb_size != geometry.subblock_size as u64
-        {
-            return Err(StoreError::corrupt(
-                "resume parameters do not match the store header",
-            ));
-        }
-        // Drop everything past the committed prefix (possibly torn).
-        file.set_len(cp.bytes)?;
-        file.sync_all()?;
-
-        // Rebuild the index: the committed prefix is exactly
-        // `cp.segments` whole containers back to back.
-        file.seek(SeekFrom::Start(HEADER_LEN_V2))?;
-        let mut blocks_bytes = vec![0u8; (cp.bytes - HEADER_LEN_V2) as usize];
-        file.read_exact(&mut blocks_bytes)?;
-        let mut index = Vec::new();
-        let mut pos = 0usize;
-        while pos < blocks_bytes.len() {
-            let (_, consumed) = pastri::inspect_prefix(&blocks_bytes[pos..]).map_err(|_| {
-                StoreError::corrupt("unparseable container inside the committed prefix")
-                    .with_block(index.len())
-            })?;
-            let payload = &blocks_bytes[pos..pos + consumed];
-            index.push((HEADER_LEN_V2 + pos as u64, consumed as u64, crc32(payload)));
-            pos += consumed;
-        }
-        if index.len() as u64 != cp.segments {
-            return Err(StoreError::corrupt(
-                "committed block count does not match the journal",
-            ));
-        }
-
-        // Journal: drop any torn tail record, then append to it.
-        let mut jfile = OpenOptions::new().read(true).write(true).open(&jp)?;
-        jfile.set_len(valid_len as u64)?;
-        jfile.sync_all()?;
-        jfile.seek(SeekFrom::Start(valid_len as u64))?;
-        file.seek(SeekFrom::Start(cp.bytes))?;
-        Ok((
-            Self {
-                file,
-                compressor: Compressor::new(geometry, eb),
-                index,
-                cursor: cp.bytes,
-                durability: Some(Durability {
-                    journal: JournalWriter::resume(jfile),
-                    path: path.to_path_buf(),
-                    checkpoint_every,
-                    uncheckpointed: 0,
-                }),
-            },
-            cp,
-        ))
+        let w = Self::over(out, path, geometry, eb, checkpoint_every, index)?;
+        Ok((w, cp))
     }
 
-    /// In durable mode: commits a checkpoint if enough blocks have
-    /// accumulated. Data fsync strictly precedes the journal record, so
-    /// the journal never describes bytes that could still be lost.
-    fn maybe_checkpoint(&mut self) -> Result<(), StoreError> {
-        let Some(d) = &mut self.durability else {
-            return Ok(());
-        };
-        if d.uncheckpointed < d.checkpoint_every {
-            return Ok(());
+    /// A writer over `out` whose committed prefix holds `index`'s
+    /// blocks. An empty artifact first gets the placeholder header,
+    /// rewritten with final values (and CRC) on finish(); the first
+    /// commit's data fsync makes it durable.
+    fn over(
+        mut out: Journaled<File, File>,
+        path: &Path,
+        geometry: BlockGeometry,
+        eb: f64,
+        checkpoint_every: usize,
+        index: Vec<(u64, u64, u32)>,
+    ) -> Result<Self, StoreError> {
+        let mut cursor = out.committed().bytes;
+        if cursor == 0 {
+            out.data_mut().write_all(&header_bytes(eb, geometry, 0, 0))?;
+            out.data_mut().write_all(&0u32.to_le_bytes())?;
+            cursor = HEADER_LEN_V2;
         }
-        self.file.sync_all()?;
-        let bs = self.compressor.geometry().block_size() as u64;
-        d.journal.record(Checkpoint {
-            segments: self.index.len() as u64,
-            values: self.index.len() as u64 * bs,
-            bytes: self.cursor,
-        })?;
-        d.uncheckpointed = 0;
+        Ok(Self {
+            out,
+            path: path.to_path_buf(),
+            compressor: Compressor::new(geometry, eb),
+            index,
+            cursor,
+            checkpoint_every,
+        })
+    }
+
+    /// Writes one compressed block and commits a checkpoint once
+    /// `checkpoint_every` blocks have accumulated since the last one.
+    fn push(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        self.out.data_mut().write_all(payload)?;
+        self.index
+            .push((self.cursor, payload.len() as u64, crc32(payload)));
+        self.cursor += payload.len() as u64;
+        let blocks = self.index.len() as u64;
+        if blocks - self.out.committed().segments >= self.checkpoint_every as u64 {
+            self.out.commit(Checkpoint {
+                segments: blocks,
+                values: blocks * self.compressor.geometry().block_size() as u64,
+                bytes: self.cursor,
+            })?;
+        }
         Ok(())
     }
 
@@ -521,14 +419,7 @@ impl StoreWriter {
             "append_block needs exactly one block"
         );
         let payload = self.compressor.compress(block);
-        self.file.write_all(&payload)?;
-        self.index
-            .push((self.cursor, payload.len() as u64, crc32(&payload)));
-        self.cursor += payload.len() as u64;
-        if let Some(d) = &mut self.durability {
-            d.uncheckpointed += 1;
-        }
-        self.maybe_checkpoint()
+        self.push(&payload)
     }
 
     /// Compresses and appends a batch of full blocks, fanning the
@@ -552,20 +443,14 @@ impl StoreWriter {
             .map(|block| compressor.compress(block))
             .collect();
         for payload in payloads {
-            self.file.write_all(&payload)?;
-            self.index
-                .push((self.cursor, payload.len() as u64, crc32(&payload)));
-            self.cursor += payload.len() as u64;
-            if let Some(d) = &mut self.durability {
-                d.uncheckpointed += 1;
-            }
-            self.maybe_checkpoint()?;
+            self.push(&payload)?;
         }
         Ok(())
     }
 
-    /// Writes the checksummed index and the final header. Returns the
-    /// block count.
+    /// Writes the checksummed index and the final header, then makes
+    /// the finished store durable before its journal is removed. Returns
+    /// the block count.
     pub fn finish(mut self) -> Result<usize, StoreError> {
         let index_offset = self.cursor;
         let mut index_bytes = Vec::with_capacity(self.index.len() * INDEX_ENTRY_V2 as usize);
@@ -574,28 +459,82 @@ impl StoreWriter {
             index_bytes.extend_from_slice(&len.to_le_bytes());
             index_bytes.extend_from_slice(&crc.to_le_bytes());
         }
-        self.file.write_all(&index_bytes)?;
-        self.file.write_all(&crc32(&index_bytes).to_le_bytes())?;
-
         let header = header_bytes(
             self.compressor.error_bound(),
             self.compressor.geometry(),
             self.index.len() as u64,
             index_offset,
         );
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&header)?;
-        self.file.write_all(&crc32(&header).to_le_bytes())?;
-        self.file.flush()?;
-        if let Some(d) = self.durability.take() {
-            // The finished store must be durable before the journal — the
-            // "write in progress" marker — disappears.
-            self.file.sync_all()?;
-            drop(d.journal);
-            remove_journal(&d.path)?;
-        }
+        let file = self.out.data_mut();
+        file.write_all(&index_bytes)?;
+        file.write_all(&crc32(&index_bytes).to_le_bytes())?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        file.write_all(&crc32(&header).to_le_bytes())?;
+        self.out.finish(&self.path)?;
         Ok(self.index.len())
     }
+}
+
+/// The index of a store's committed prefix (`cp.bytes` long), after a
+/// lenient header check: count/index/CRC slots hold placeholders until
+/// finish(), but magic, error bound, and geometry must already match
+/// what the resume asks for. The prefix must be exactly `cp.segments`
+/// whole containers back to back.
+fn committed_index(
+    file: &File,
+    cp: Checkpoint,
+    geometry: BlockGeometry,
+    eb: f64,
+) -> Result<Vec<(u64, u64, u32)>, StoreError> {
+    if cp.bytes < HEADER_LEN_V2 {
+        return Err(StoreError::corrupt("committed prefix is shorter than the header"));
+    }
+    let mut prefix = vec![0u8; cp.bytes as usize];
+    file.read_exact_at(&mut prefix, 0)?;
+    let header = &prefix[..HEADER_BODY_LEN as usize];
+    if header[..8] != MAGIC_V2 {
+        return Err(StoreError::corrupt("bad magic"));
+    }
+    let h_eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
+    let h_num_sb = u64::from_le_bytes(header[16..24].try_into().unwrap());
+    let h_sb_size = u64::from_le_bytes(header[24..32].try_into().unwrap());
+    if h_eb != eb
+        || h_num_sb != geometry.num_subblocks as u64
+        || h_sb_size != geometry.subblock_size as u64
+    {
+        return Err(StoreError::corrupt(
+            "resume parameters do not match the store header",
+        ));
+    }
+    let blocks_bytes = &prefix[HEADER_LEN_V2 as usize..];
+    let mut index = Vec::new();
+    let mut pos = 0usize;
+    while pos < blocks_bytes.len() {
+        let (_, consumed) = pastri::inspect_prefix(&blocks_bytes[pos..]).map_err(|_| {
+            StoreError::corrupt("unparseable container inside the committed prefix")
+                .with_block(index.len())
+        })?;
+        let payload = &blocks_bytes[pos..pos + consumed];
+        index.push((HEADER_LEN_V2 + pos as u64, consumed as u64, crc32(payload)));
+        pos += consumed;
+    }
+    if index.len() as u64 != cp.segments {
+        return Err(StoreError::corrupt(
+            "committed block count does not match the journal",
+        ));
+    }
+    Ok(index)
+}
+
+fn check_checkpoint_every(checkpoint_every: usize) -> Result<(), StoreError> {
+    if checkpoint_every == 0 {
+        return Err(StoreError::Io(io::Error::new(
+            ErrorKind::InvalidInput,
+            "checkpoint_every must be at least 1",
+        )));
+    }
+    Ok(())
 }
 
 /// The 48 checksummed header bytes (magic through index offset).
@@ -913,6 +852,7 @@ impl<R: ReadAt> StoreReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use durable::journal_path;
     use faults::{FaultConfig, FaultyReader};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -933,7 +873,7 @@ mod tests {
     /// A finished store as raw bytes, plus each block's (offset, len).
     fn store_bytes(geom: BlockGeometry, eb: f64, blocks: &[Vec<f64>]) -> (Vec<u8>, Vec<(u64, u64)>) {
         let path = tmp(&format!("mk-{:p}", blocks.as_ptr()));
-        let mut w = StoreWriter::create(&path, geom, eb).unwrap();
+        let mut w = StoreWriter::create_durable(&path, geom, eb, 64).unwrap();
         for b in blocks {
             w.append_block(b).unwrap();
         }
@@ -958,7 +898,7 @@ mod tests {
                 .build()
                 .unwrap();
             let path = tmp(&format!("batch-{threads}"));
-            let mut w = StoreWriter::create(&path, geom, 1e-10).unwrap();
+            let mut w = StoreWriter::create_durable(&path, geom, 1e-10, 64).unwrap();
             pool.install(|| w.append_blocks(&flat)).unwrap();
             assert_eq!(w.finish().unwrap(), 16);
             let bytes = std::fs::read(&path).unwrap();
@@ -1058,13 +998,29 @@ mod tests {
     }
 
     #[test]
+    fn open_for_append_rejects_a_checkpoint_inside_the_header() {
+        let geom = BlockGeometry::new(4, 4);
+        let path = tmp("durable-short-prefix");
+        drop(StoreWriter::create_durable(&path, geom, 1e-9, 1).unwrap());
+        let journal = File::create(journal_path(&path)).unwrap();
+        let mut forged = Journaled::new(io::sink(), journal);
+        forged.commit(Checkpoint { segments: 1, values: 16, bytes: 10 }).unwrap();
+        assert!(matches!(
+            StoreWriter::open_for_append(&path, geom, 1e-9, 1),
+            Err(StoreError::Corrupt { .. })
+        ));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(journal_path(&path));
+    }
+
+    #[test]
     fn write_read_roundtrip_random_access() {
         let path = tmp("roundtrip");
         let geom = BlockGeometry::new(6, 8);
         let eb = 1e-10;
         let blocks: Vec<Vec<f64>> = (0..12).map(|b| patterned_block(geom, b)).collect();
         {
-            let mut w = StoreWriter::create(&path, geom, eb).unwrap();
+            let mut w = StoreWriter::create_durable(&path, geom, eb, 64).unwrap();
             for b in &blocks {
                 w.append_block(b).unwrap();
             }
@@ -1093,7 +1049,7 @@ mod tests {
     fn empty_store() {
         let path = tmp("empty");
         let geom = BlockGeometry::new(2, 2);
-        StoreWriter::create(&path, geom, 1e-8)
+        StoreWriter::create_durable(&path, geom, 1e-8, 64)
             .unwrap()
             .finish()
             .unwrap();
@@ -1113,13 +1069,14 @@ mod tests {
         let path = tmp("unfinished");
         let geom = BlockGeometry::new(2, 2);
         {
-            let mut w = StoreWriter::create(&path, geom, 1e-8).unwrap();
+            let mut w = StoreWriter::create_durable(&path, geom, 1e-8, 64).unwrap();
             w.append_block(&[1e-5; 4]).unwrap();
             // dropped without finish()
         }
         let err = StoreReader::open(&path);
         assert!(err.is_err(), "index offset 0 must be rejected");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(journal_path(&path));
     }
 
     #[test]
@@ -1140,12 +1097,13 @@ mod tests {
     fn wrong_block_size_panics() {
         let path = tmp("wrongsize");
         let geom = BlockGeometry::new(2, 2);
-        let mut w = StoreWriter::create(&path, geom, 1e-8).unwrap();
+        let mut w = StoreWriter::create_durable(&path, geom, 1e-8, 64).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = w.append_block(&[0.0; 3]);
         }));
         assert!(result.is_err());
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(journal_path(&path));
     }
 
     #[test]

@@ -12,28 +12,25 @@
 //! prefix of the stream that is on disk byte-exact.
 //!
 //! [`DurableFileWriter`] binds the writer to a real file plus its
-//! `<path>.journal` sidecar and adds the recovery half:
-//! [`resume`](DurableFileWriter::resume) loads the last checkpoint,
-//! truncates both files to their committed prefixes (discarding torn
-//! tails), and continues. The producer re-feeds its input starting at
-//! [`Checkpoint::values`]; because checkpoints land only on whole-
-//! segment boundaries and segmentation is deterministic, a resumed run
-//! finishes byte-identical to one that was never interrupted. On a
-//! successful [`finish`](DurableFileWriter::finish) the journal is
-//! removed — its absence next to a terminated stream is the "write
-//! completed" marker.
+//! `<path>.journal` sidecar through [`durable::Journaled`], which owns
+//! the recovery half: [`resume`](DurableFileWriter::resume) loads the
+//! last checkpoint, truncates both files to their committed prefixes
+//! (discarding torn tails), and continues. The producer re-feeds its
+//! input starting at [`Checkpoint::values`]; because checkpoints land
+//! only on whole-segment boundaries and segmentation is deterministic, a
+//! resumed run finishes byte-identical to one that was never
+//! interrupted. On a successful [`finish`](DurableFileWriter::finish)
+//! the journal is removed — its absence next to a terminated stream is
+//! the "write completed" marker.
 //!
 //! Batches are compressed on the rayon crew (order-preserving, one
 //! segment per task), so durability and parallel throughput compose.
 
-use std::fs::OpenOptions;
-use std::io::{self, Seek, SeekFrom};
+use std::fs::File;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use durable::{
-    fsync_dir, journal_path, parent_of, remove_journal, scan_journal, Checkpoint, JournalWriter,
-    SyncWrite,
-};
+use durable::{Checkpoint, Journaled, SyncWrite};
 use rayon::ParallelSlice;
 
 use crate::container::{varint_len, Compressor};
@@ -44,8 +41,7 @@ use crate::stream::{write_varint, STREAM_MAGIC, STREAM_VERSION};
 /// checkpoint journal record. Generic over [`SyncWrite`] sinks so the
 /// fault harness can interpose on every byte and fsync of both files.
 pub struct DurableStreamWriter<W: SyncWrite, J: SyncWrite> {
-    sink: W,
-    journal: JournalWriter<J>,
+    out: Journaled<W, J>,
     compressor: Compressor,
     /// Pending raw values (less than one segment).
     buffer: Vec<f64>,
@@ -53,10 +49,9 @@ pub struct DurableStreamWriter<W: SyncWrite, J: SyncWrite> {
     pending: Vec<Vec<f64>>,
     segment_values: usize,
     checkpoint_every: usize,
-    /// Physical bytes written to the sink so far (committed or not).
+    /// Physical bytes written to the sink so far (committed or not);
+    /// 0 until the stream header goes out.
     written_bytes: u64,
-    committed: Checkpoint,
-    started: bool,
 }
 
 impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
@@ -73,27 +68,22 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
         blocks_per_segment: usize,
         checkpoint_every: usize,
     ) -> io::Result<Self> {
-        Self::resume(
-            sink,
-            JournalWriter::new(journal_sink),
+        Self::over(
+            Journaled::new(sink, journal_sink),
             compressor,
             blocks_per_segment,
             checkpoint_every,
-            Checkpoint::default(),
         )
     }
 
-    /// Continues a stream whose committed prefix is already in `sink`.
-    /// The caller is responsible for having truncated the sink to
-    /// `committed.bytes` and positioned it there, and for skipping
-    /// `committed.values` source values before writing more.
-    pub(crate) fn resume(
-        sink: W,
-        journal: JournalWriter<J>,
+    /// Continues the stream whose committed prefix `out` already holds;
+    /// the caller skips `out.committed().values` source values before
+    /// writing more.
+    fn over(
+        out: Journaled<W, J>,
         compressor: Compressor,
         blocks_per_segment: usize,
         checkpoint_every: usize,
-        committed: Checkpoint,
     ) -> io::Result<Self> {
         if blocks_per_segment == 0 || checkpoint_every == 0 {
             return Err(io::Error::new(
@@ -102,17 +92,15 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
             ));
         }
         let segment_values = compressor.geometry().block_size() * blocks_per_segment;
+        let written_bytes = out.committed().bytes;
         Ok(Self {
-            sink,
-            journal,
+            out,
             compressor,
             buffer: Vec::with_capacity(segment_values),
             pending: Vec::new(),
             segment_values,
             checkpoint_every,
-            written_bytes: committed.bytes,
-            started: committed.bytes > 0,
-            committed,
+            written_bytes,
         })
     }
 
@@ -120,7 +108,7 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
     /// a crash.
     #[must_use]
     pub(crate) fn checkpoint(&self) -> Checkpoint {
-        self.committed
+        self.out.committed()
     }
 
     /// Appends values, committing a checkpointed batch whenever
@@ -144,16 +132,20 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
     /// recovery truncates back to the checkpoint and a re-run of
     /// `finish` rewrites it, which is what makes a crash between
     /// terminator and journal-removal harmless.
-    pub fn finish(mut self) -> io::Result<(W, J, Checkpoint)> {
+    pub fn finish(self) -> io::Result<(W, J, Checkpoint)> {
+        self.seal()?.close()
+    }
+
+    /// Commits the tail and writes the terminator, unsynced.
+    fn seal(mut self) -> io::Result<Journaled<W, J>> {
         if !self.buffer.is_empty() {
             let tail = std::mem::take(&mut self.buffer);
             self.pending.push(tail);
         }
         self.commit_batch()?;
         self.ensure_header()?;
-        write_varint(&mut self.sink, 0)?;
-        self.sink.sync()?;
-        Ok((self.sink, self.journal.into_inner(), self.committed))
+        write_varint(self.out.data_mut(), 0)?;
+        Ok(self.out)
     }
 
     /// Writes, fsyncs, and journals every pending segment as one batch.
@@ -171,28 +163,26 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
             .par_iter()
             .map(|seg| compressor.compress(seg))
             .collect();
+        let sink = self.out.data_mut();
         for container in &containers {
-            write_varint(&mut self.sink, container.len() as u64)?;
-            self.sink.write_all(container)?;
+            write_varint(sink, container.len() as u64)?;
+            sink.write_all(container)?;
             self.written_bytes += (varint_len(container.len() as u64) + container.len()) as u64;
         }
-        // Data must be durable before the journal may claim it.
-        self.sink.sync()?;
-        self.committed = Checkpoint {
-            segments: self.committed.segments + batch.len() as u64,
-            values: self.committed.values
-                + batch.iter().map(|s| s.len() as u64).sum::<u64>(),
+        let committed = self.out.committed();
+        self.out.commit(Checkpoint {
+            segments: committed.segments + batch.len() as u64,
+            values: committed.values + batch.iter().map(|s| s.len() as u64).sum::<u64>(),
             bytes: self.written_bytes,
-        };
-        self.journal.record(self.committed)
+        })
     }
 
     fn ensure_header(&mut self) -> io::Result<()> {
-        if !self.started {
-            self.sink.write_all(&STREAM_MAGIC)?;
-            self.sink.write_all(&[STREAM_VERSION])?;
-            self.written_bytes += STREAM_MAGIC.len() as u64 + 1;
-            self.started = true;
+        if self.written_bytes == 0 {
+            let sink = self.out.data_mut();
+            sink.write_all(&STREAM_MAGIC)?;
+            sink.write_all(&[STREAM_VERSION])?;
+            self.written_bytes = STREAM_MAGIC.len() as u64 + 1;
         }
         Ok(())
     }
@@ -201,51 +191,27 @@ impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
 /// [`DurableStreamWriter`] bound to a file and its `<path>.journal`
 /// sidecar, with crash recovery.
 pub struct DurableFileWriter {
-    inner: DurableStreamWriter<std::fs::File, std::fs::File>,
+    inner: DurableStreamWriter<File, File>,
     path: PathBuf,
 }
 
 impl DurableFileWriter {
     /// Starts a fresh durable stream at `path`, truncating any previous
-    /// artifact and journal. The parent directory is fsync'd once both
-    /// files exist, so a later checkpoint never names files whose
-    /// directory entries a power loss could still drop.
+    /// artifact and journal (see [`Journaled::create`]).
     pub fn create(
         path: &Path,
         compressor: Compressor,
         blocks_per_segment: usize,
         checkpoint_every: usize,
     ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let jp = journal_path(path);
-        let journal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&jp)?;
-        fsync_dir(&parent_of(path))?;
-        let inner = DurableStreamWriter::new(
-            file,
-            journal,
-            compressor,
-            blocks_per_segment,
-            checkpoint_every,
-        )?;
-        Ok(Self {
-            inner,
-            path: path.to_path_buf(),
-        })
+        let out = Journaled::create(path)?;
+        Self::over(out, path, compressor, blocks_per_segment, checkpoint_every)
     }
 
-    /// Resumes an interrupted write at `path`: loads the last valid
-    /// journal record, truncates the artifact to its committed prefix
-    /// and the journal to its valid prefix (both fsync'd), and
-    /// continues. With no usable journal the stream restarts from
-    /// scratch.
+    /// Resumes an interrupted write at `path`: [`Journaled::resume`]
+    /// truncates the artifact to its committed prefix and the journal
+    /// to its valid prefix, and the stream continues from there. With
+    /// no usable journal the stream restarts from scratch.
     ///
     /// The caller must skip [`checkpoint`](Self::checkpoint)`().values`
     /// source values before feeding more data; the finished output is
@@ -261,66 +227,18 @@ impl DurableFileWriter {
         blocks_per_segment: usize,
         checkpoint_every: usize,
     ) -> io::Result<Self> {
-        let jp = journal_path(path);
-        let journal_bytes = match std::fs::read(&jp) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let (cp, valid_len) = scan_journal(&journal_bytes);
-        let cp = cp.unwrap_or_default();
+        let out = Journaled::resume(path)?;
+        Self::over(out, path, compressor, blocks_per_segment, checkpoint_every)
+    }
 
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false) // committed prefix is kept; set_len below trims the tail
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let on_disk = file.metadata()?.len();
-        if on_disk < cp.bytes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal claims {} durable bytes but {} holds only {on_disk}",
-                    cp.bytes,
-                    path.display()
-                ),
-            ));
-        }
-        // Discard everything past the committed prefix (uncommitted
-        // tail, possibly torn by the crash).
-        if on_disk > cp.bytes || journal_bytes.len() > valid_len {
-            telemetry::counter_add("durable.resume_truncations", 1);
-        }
-        file.set_len(cp.bytes)?;
-        file.sync_all()?;
-        file.seek(SeekFrom::Start(cp.bytes))?;
-
-        let mut jfile = OpenOptions::new()
-            .create(true)
-            .truncate(false) // valid records are kept; set_len below drops a torn tail
-            .read(true)
-            .write(true)
-            .open(&jp)?;
-        // Drop any torn tail record so future appends stay aligned.
-        jfile.set_len(valid_len as u64)?;
-        jfile.sync_all()?;
-        jfile.seek(SeekFrom::Start(valid_len as u64))?;
-        fsync_dir(&parent_of(path))?;
-
-        let journal = if valid_len == 0 {
-            JournalWriter::new(jfile)
-        } else {
-            JournalWriter::resume(jfile)
-        };
-        let inner = DurableStreamWriter::resume(
-            file,
-            journal,
-            compressor,
-            blocks_per_segment,
-            checkpoint_every,
-            cp,
-        )?;
+    fn over(
+        out: Journaled<File, File>,
+        path: &Path,
+        compressor: Compressor,
+        blocks_per_segment: usize,
+        checkpoint_every: usize,
+    ) -> io::Result<Self> {
+        let inner = DurableStreamWriter::over(out, compressor, blocks_per_segment, checkpoint_every)?;
         Ok(Self {
             inner,
             path: path.to_path_buf(),
@@ -342,11 +260,7 @@ impl DurableFileWriter {
     /// Finishes the stream and removes the journal — the durable marker
     /// that the artifact is complete. Returns the final checkpoint.
     pub fn finish(self) -> io::Result<Checkpoint> {
-        let (file, journal, cp) = self.inner.finish()?;
-        drop(file);
-        drop(journal);
-        remove_journal(&self.path)?;
-        Ok(cp)
+        self.inner.seal()?.finish(&self.path)
     }
 }
 
@@ -354,6 +268,8 @@ impl DurableFileWriter {
 mod tests {
     use super::*;
     use crate::geometry::BlockGeometry;
+    use durable::journal_path;
+    use std::fs::OpenOptions;
     use crate::stream::{StreamReader, StreamWriter};
 
     fn compressor() -> Compressor {

@@ -421,8 +421,13 @@ fn run_transport_inner(
     // Replica stores: write the first, byte-copy the rest.
     let store_path = |r: usize| cfg.dir.join(format!("replica-{r:02}.eristore"));
     {
-        let mut w = StoreWriter::create(&store_path(0), cfg.geometry, cfg.error_bound)
-            .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
+        let mut w = StoreWriter::create_durable(
+            &store_path(0),
+            cfg.geometry,
+            cfg.error_bound,
+            cfg.scale.max(1),
+        )
+        .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
         for b in 0..cfg.scale {
             w.append_block(&expected_block(cfg.geometry, 0, b))
                 .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;

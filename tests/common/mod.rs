@@ -46,7 +46,7 @@ pub fn build_store(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).expect("fixture dir");
     }
-    let mut writer = StoreWriter::create(path, geom, eb).expect("fixture store");
+    let mut writer = StoreWriter::create_durable(path, geom, eb, n.max(1)).expect("fixture store");
     let blocks: Vec<Vec<f64>> = (0..n).map(|b| patterned_block(geom, seed + b)).collect();
     for b in &blocks {
         writer.append_block(b).expect("fixture append");

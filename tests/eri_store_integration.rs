@@ -26,7 +26,7 @@ fn analytic_dataset_through_disk_store() {
     let path = store_path("analytic");
 
     // Write block by block, as an integral program would during generation.
-    let mut w = StoreWriter::create(&path, geom, eb).unwrap();
+    let mut w = StoreWriter::create_durable(&path, geom, eb, ds.num_blocks().max(1)).unwrap();
     for b in 0..ds.num_blocks() {
         w.append_block(ds.block(b)).unwrap();
     }
@@ -62,7 +62,7 @@ fn store_survives_many_small_blocks() {
     let eb = 1e-9;
     let n = 500usize;
     {
-        let mut w = StoreWriter::create(&path, geom, eb).unwrap();
+        let mut w = StoreWriter::create_durable(&path, geom, eb, n).unwrap();
         for b in 0..n {
             let block: Vec<f64> = (0..geom.block_size())
                 .map(|i| ((i + b) as f64 * 0.21).sin() * 1e-5)

@@ -198,3 +198,61 @@ fn durable_fsyncs_are_counted_and_timed() {
     assert_eq!(hist.count, snap.counter("durable.fsyncs"));
     assert!(hist.buckets.iter().sum::<u64>() == hist.count);
 }
+
+/// A durable store write's every fsync is counted: the directory at
+/// create, a data and a journal fsync per checkpoint, and the final data
+/// fsync plus the directory fsync of the journal's removal.
+#[test]
+fn durable_store_counts_its_data_and_journal_fsyncs() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("telemetry-e2e-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fsyncs.eristore");
+    let (geom, data) = dd_dataset(12);
+    let (every, checkpoints) = (4usize, 3u64);
+
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, every).unwrap();
+    w.append_blocks(&data).unwrap();
+    w.finish().unwrap();
+    telemetry::set_enabled(false);
+    let snap = telemetry::snapshot();
+    let _ = std::fs::remove_file(&path);
+
+    assert_eq!(snap.counter("durable.checkpoints"), checkpoints);
+    assert_eq!(
+        snap.counter("durable.fsyncs"),
+        2 * checkpoints + 3,
+        "{:?}",
+        snap.counters
+    );
+}
+
+/// Resuming a store whose tail outran its last checkpoint trims the tail
+/// and counts it.
+#[test]
+fn store_resume_over_a_torn_tail_counts_a_truncation() {
+    let _guard = lock();
+    let dir = std::env::temp_dir().join(format!("telemetry-e2e-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("torn.eristore");
+    let (geom, data) = dd_dataset(6);
+    {
+        let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, 4).unwrap();
+        w.append_blocks(&data).unwrap();
+        // Dropped unfinished: blocks 4 and 5 are past the checkpoint.
+    }
+
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let (w, cp) = eri_store::StoreWriter::open_for_append(&path, geom, 1e-10, 4).unwrap();
+    telemetry::set_enabled(false);
+    let snap = telemetry::snapshot();
+    drop(w);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(durable::journal_path(&path));
+
+    assert_eq!(cp.segments, 4);
+    assert_eq!(snap.counter("durable.resume_truncations"), 1);
+}
