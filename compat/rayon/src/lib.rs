@@ -8,7 +8,10 @@
 //! in-order result collection (parallel output is byte-identical to
 //! sequential), panic propagation out of worker crews, nested-region
 //! degradation to sequential, and a `RAYON_NUM_THREADS` /
-//! [`ThreadPool::install`] thread-count override chain. See
+//! [`ThreadPool::install`] thread-count override chain. The default
+//! width (`RAYON_NUM_THREADS`, else available parallelism) is resolved
+//! once per process; each region clamps the available-parallelism
+//! width by the calling thread's current CPU affinity. See
 //! [`runtime`] for the execution model. Swapping the real rayon back in
 //! requires only a manifest change; no source edits.
 //!

@@ -12,10 +12,14 @@
 //! PaSTRI determinism suite pins down.
 //!
 //! Scoped crews (rather than one persistent global pool) keep the whole
-//! runtime free of `unsafe`: `std::thread::scope` lets workers borrow the
-//! caller's closure and data directly, where a persistent pool would need
-//! lifetime-erased job pointers. Crew spawn cost (tens of µs per thread)
-//! is amortized by the block-granular work this workspace feeds it.
+//! runtime free of lifetime-erased job pointers: `std::thread::scope`
+//! lets workers borrow the caller's closure and data directly. A crew
+//! of 2 threads costs 49–56 µs to spawn on a 2-vCPU VM, about one
+//! 64-block `(dd|dd)` container decode in six; the block-granular work
+//! this workspace feeds it amortizes that. A persistent crew woken per
+//! region would save it, but it needs `unsafe` job passing, and the
+//! seeded `perf` benchmark pins itself to one CPU, so none of its
+//! regions ever spawns a crew to measure the gain on.
 //!
 //! # Thread-count resolution
 //!
@@ -25,19 +29,29 @@
 //! 2. an enclosing [`ThreadPool::install`](crate::ThreadPool::install) →
 //!    that pool's configured count;
 //! 3. the `RAYON_NUM_THREADS` environment variable (≥ 1);
-//! 4. `std::thread::available_parallelism()`.
+//! 4. `std::thread::available_parallelism()`, clamped by the calling
+//!    thread's current CPU affinity.
+//!
+//! Steps 3 and 4 are resolved once per process, at the first region
+//! that needs them, as real rayon sizes its global pool once:
+//! `available_parallelism` is a syscall plus cgroup file reads (22–24 µs
+//! a call on a 2-vCPU VM), about 7% of a 64-block decode. Setting or
+//! removing `RAYON_NUM_THREADS` after that has no effect. The affinity
+//! can still change later — a program may generate its inputs on every
+//! CPU and then pin itself to one — so when the width comes from
+//! `available_parallelism`, each region clamps it by the calling
+//! thread's affinity count: one `sched_getaffinity` call (~0.3 µs) on
+//! Linux, none elsewhere. The clamp only narrows: a thread whose
+//! affinity widens after the first resolution keeps the cached width.
 //!
 //! A resolved count of 1 skips thread machinery entirely and runs the
-//! region inline on the caller — the exact sequential path the pre-PR
-//! stub always took. A region of zero or one item resolves to 1 without
-//! consulting the chain at all: the width is not cached (the process's
-//! CPU affinity may change between regions), so looking it up would cost
-//! a syscall per region for no change in the result.
+//! region inline on the caller, in item order. A region of zero or one
+//! item resolves to 1 without consulting the chain at all.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Set while this thread is a crew worker: nested regions degrade to
@@ -77,10 +91,32 @@ pub fn current_num_threads() -> usize {
     if installed > 0 {
         return installed;
     }
-    if let Some(n) = env_num_threads() {
-        return n;
+    match *PROCESS_WIDTH.get_or_init(ProcessWidth::resolve) {
+        ProcessWidth::Env(n) => n,
+        ProcessWidth::Machine(n) => affinity_cpus().map_or(n, |cpus| n.min(cpus)),
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The process-wide default width, resolved at the first region that
+/// needs it.
+static PROCESS_WIDTH: OnceLock<ProcessWidth> = OnceLock::new();
+
+enum ProcessWidth {
+    /// `RAYON_NUM_THREADS`, taken as given.
+    Env(usize),
+    /// `available_parallelism`, clamped per region by the affinity.
+    Machine(usize),
+}
+
+impl ProcessWidth {
+    fn resolve() -> Self {
+        match env_num_threads() {
+            Some(n) => Self::Env(n),
+            None => Self::Machine(
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            ),
+        }
+    }
 }
 
 /// `RAYON_NUM_THREADS` when set to a positive integer.
@@ -89,6 +125,30 @@ fn env_num_threads() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
+}
+
+/// How many CPUs the calling thread may run on now, or `None` when the
+/// platform has no cheap way to ask.
+#[cfg(target_os = "linux")]
+fn affinity_cpus() -> Option<usize> {
+    /// `cpu_set_t` of the C library: a bit mask of 1024 CPUs.
+    type CpuSet = [u64; 16];
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut CpuSet) -> i32;
+    }
+    let mut mask: CpuSet = [0; 16];
+    // SAFETY: `mask` is a writable `cpu_set_t`-sized buffer and the size
+    // passed is its size; pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut mask) } != 0 {
+        return None;
+    }
+    let cpus: u32 = mask.iter().map(|w| w.count_ones()).sum();
+    (cpus > 0).then_some(cpus as usize)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn affinity_cpus() -> Option<usize> {
+    None
 }
 
 /// Applies `f` to every item, returning results in input order.
@@ -106,9 +166,7 @@ where
 {
     let n = items.len();
     // A region of at most one item resolves to one thread whatever the
-    // crew width, so skip the lookup: on Linux the default width comes
-    // from `available_parallelism`, a syscall plus cgroup file reads that
-    // cost more than a one-block compress or decode.
+    // crew width, so skip even the affinity lookup.
     let threads = if n <= 1 {
         1
     } else {

@@ -2,7 +2,10 @@
 //! the crew would have; two or more items still recruit a crew.
 //!
 //! A separate test binary (one process, one test) because it sets
-//! `RAYON_NUM_THREADS`, which every region in the process reads.
+//! `RAYON_NUM_THREADS`, which the runtime reads once per process, at the
+//! first region that needs a default width. Every region before the
+//! `set_var` has at most one item or runs under `install(4)`, so none
+//! of them resolves the default and the variable still takes effect.
 
 use rayon::prelude::*;
 use std::thread::{self, ThreadId};

@@ -161,11 +161,6 @@ pub struct ServerHandle {
     mounts: Vec<Mount>,
     cache: BlockCache,
     num_blocks: usize,
-    /// Whether a batch's misses fan out on the rayon pool — resolved
-    /// once at mount, because asking the pool its width costs a
-    /// syscall plus cgroup reads on Linux (~15 µs, about one block
-    /// decode) and a one-thread pool would pay it on every batch.
-    fan_out: bool,
 }
 
 impl ServerHandle {
@@ -218,7 +213,6 @@ impl ServerHandle {
             mounts,
             cache: BlockCache::new(cfg.cache_bytes, CACHE_SHARDS),
             num_blocks: first_block,
-            fan_out: rayon::current_num_threads() > 1,
         })
     }
 
@@ -312,12 +306,8 @@ impl ServerHandle {
         misses.sort_unstable();
         let mut runs: Vec<&[(usize, usize)]> = misses.chunk_by(|a, b| a.0 == b.0).collect();
         runs.sort_unstable_by_key(|run| run[0].1);
-        let read = |run: &&[(usize, usize)]| self.read_miss(run[0].0);
-        let fetched: Vec<Result<Arc<Vec<f64>>, ServerError>> = if self.fan_out {
-            runs.par_iter().map(read).collect()
-        } else {
-            runs.iter().map(read).collect()
-        };
+        let fetched: Vec<Result<Arc<Vec<f64>>, ServerError>> =
+            runs.par_iter().map(|run| self.read_miss(run[0].0)).collect();
         for (run, res) in runs.iter().zip(fetched) {
             match res {
                 Ok(block) => {

@@ -142,18 +142,3 @@ fn golden_v1_decode_identical_across_thread_counts() {
         assert_eq!(values, stream_baseline, "v1 stream at {threads} threads");
     }
 }
-
-#[test]
-fn env_thread_override_does_not_change_bytes() {
-    // RAYON_NUM_THREADS is the deployment-side knob; it must be as inert
-    // for output as the programmatic one. (Set once up front — env vars
-    // are process-global, so this test doesn't toggle it repeatedly.)
-    let config = BfConfig::dd_dd();
-    let data = dataset(config, 6);
-    let c = compressor(config);
-    let via_pool = pool(3).install(|| c.compress(&data));
-    std::env::set_var("RAYON_NUM_THREADS", "5");
-    let via_env = c.compress(&data);
-    std::env::remove_var("RAYON_NUM_THREADS");
-    assert_eq!(via_env, via_pool);
-}
