@@ -1,6 +1,6 @@
 //! CRC32 (IEEE 802.3 / zlib polynomial, reflected) — the integrity
 //! checksum used by the v2 PaSTRI container, the `PSTRS` stream, the
-//! `ERISTOR2` block store, the durable journal and the PTRF wire frame.
+//! `ERISTOR2` block store, durable commit records and the PTRF wire frame.
 //!
 //! Dependency-free, with two paths chosen at run time:
 //!

@@ -213,23 +213,23 @@ pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
     );
     if args.switch("stream") {
         // Bounded-memory, crash-safe path: read/compress/write segment
-        // by segment through a durable writer that fsyncs checkpointed
-        // batches and seals each in a `<out>.journal` record. `--resume`
-        // picks an interrupted run back up at its last checkpoint.
+        // by segment through a durable writer that seals each batch with
+        // an in-band commit frame and one fsync. `--resume` picks an
+        // interrupted run back up at its last verified commit.
         let segment_blocks = args.get_usize("segment-blocks", 64)?.max(1);
         let checkpoint_every = args.get_usize("checkpoint-every", 16)?.max(1);
         let resume = args.switch("resume");
         let run = || -> Result<(u64, u64), CliError> {
             let out_path = std::path::Path::new(output);
             let mut writer = if resume {
-                pastri::durable_stream::DurableFileWriter::resume(
+                pastri::stream::StreamWriter::resume(
                     out_path,
                     compressor,
                     segment_blocks,
                     checkpoint_every,
                 )
             } else {
-                pastri::durable_stream::DurableFileWriter::create(
+                pastri::stream::StreamWriter::create(
                     out_path,
                     compressor,
                     segment_blocks,
@@ -313,11 +313,10 @@ pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
 
 /// `compress` to a `.eristore`: one block store of whole `--config`
 /// blocks at default compressor options, the header recording only
-/// geometry and error bound. The store is journaled like every durable
-/// artifact, with one checkpoint covering the whole input. Until
-/// `finish` rewrites it, the file carries a placeholder header whose
-/// CRC fails, so a torn write is refused by `serve` and `verify` rather
-/// than read.
+/// geometry and error bound. The store commits in-band like every
+/// durable artifact, with one commit covering the whole input. Until
+/// `finish` appends the index and trailer the file has no trailer, so a
+/// torn write is refused by `serve` and `verify` rather than read.
 fn compress_store(
     args: &Args,
     input: &str,
@@ -563,9 +562,11 @@ struct Damage {
     /// Damaged units beyond the parity budget; a lost stream tail counts
     /// as one.
     unrepairable: usize,
-    /// Container parity groups that were damaged while their data is
-    /// intact.
-    parity_groups: usize,
+    /// Redundancy damaged while the data it guards is intact: container
+    /// parity groups, or stream commit frames.
+    redundancy: usize,
+    /// `parity group` or `commit frame`.
+    redundancy_unit: &'static str,
     tail_lost: bool,
     /// One report line per damaged unit.
     lines: Vec<String>,
@@ -606,7 +607,8 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                 total: report.total_blocks,
                 repairable: report.repaired_blocks.len(),
                 unrepairable: report.unrepairable_blocks.len(),
-                parity_groups: report.parity_groups_rebuilt.len(),
+                redundancy: report.parity_groups_rebuilt.len(),
+                redundancy_unit: "parity group",
                 tail_lost: false,
                 lines,
                 healed: (heal && report.is_damaged()).then_some(repaired),
@@ -618,7 +620,7 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
             let file = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
             let (mut healed, mut discard) = (Vec::new(), std::io::sink());
             let sink: &mut dyn Write = if heal { &mut healed } else { &mut discard };
-            let report = pastri::stream::salvage(std::io::BufReader::new(file), sink)
+            let report = pastri::stream::salvage(file, sink)
                 .map_err(|e| salvage_failure(input, e))?;
             let scanned = report.kept + report.dropped.len();
             let mut lines = Vec::new();
@@ -635,6 +637,9 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                     "  segment {scanned}: framing lost, tail unreadable"
                 ));
             }
+            for at in &report.commits_damaged {
+                lines.push(format!("  commit frame at offset {at}: damaged (rebuildable)"));
+            }
             let tail = usize::from(report.tail_lost);
             Damage {
                 kind: "PaSTRI stream",
@@ -642,7 +647,8 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                 total: scanned + tail,
                 repairable: report.repaired.len(),
                 unrepairable: report.dropped.len() + tail,
-                parity_groups: 0,
+                redundancy: report.commits_damaged.len(),
+                redundancy_unit: "commit frame",
                 tail_lost: report.tail_lost,
                 lines,
                 healed: (heal && !report.is_clean()).then_some(healed),
@@ -681,7 +687,8 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                 total: report.blocks,
                 repairable,
                 unrepairable: report.damaged.len() - repairable,
-                parity_groups: 0,
+                redundancy: 0,
+                redundancy_unit: "parity group",
                 tail_lost: false,
                 lines,
                 healed,
@@ -693,7 +700,7 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
 
 impl Damage {
     fn is_clean(&self) -> bool {
-        self.repairable + self.unrepairable + self.parity_groups == 0
+        self.repairable + self.unrepairable + self.redundancy == 0
     }
 
     /// The summary line, then one line per damaged unit.
@@ -729,8 +736,8 @@ impl Damage {
             // Damage confined to the redundancy itself: the data is
             // intact, but the file is not the one the writer produced.
             format!(
-                "{} parity group(s) damaged (data intact — run `pastri scrub --repair`)",
-                self.parity_groups
+                "{} {}(s) damaged (data intact — run `pastri scrub --repair`)",
+                self.redundancy, self.redundancy_unit
             )
         } else if self.unrepairable == 0 {
             format!(
@@ -764,12 +771,10 @@ pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
     let outfile = durable::AtomicFile::create(std::path::Path::new(output))
         .map_err(|e| CliError::new(format!("{output}: {e}")))?;
     let mut sink = std::io::BufWriter::new(outfile);
-    let report = pastri::stream::salvage(std::io::BufReader::new(infile), &mut sink)
+    let report = pastri::stream::salvage(infile, &mut sink)
         .map_err(|e| salvage_failure(input, e))?;
-    let outfile = sink
-        .into_inner()
-        .map_err(|e| CliError::new(format!("{output}: {e}")))?;
-    outfile
+    sink.into_inner()
+        .map_err(|e| CliError::new(format!("{output}: {e}")))?
         .commit()
         .map_err(|e| CliError::new(format!("{output}: {e}")))?;
     writeln!(
@@ -847,8 +852,8 @@ fn heal(input: &str, found: &Damage, out: &mut dyn Write) -> Result<(), CliError
         rewrite_atomic(input, healed)?;
         writeln!(
             out,
-            "{input}: repaired in place ({} {}(s) rebuilt from parity, {} parity group(s) regenerated)",
-            found.repairable, found.unit, found.parity_groups
+            "{input}: repaired in place ({} {}(s) rebuilt from parity, {} {}(s) regenerated)",
+            found.repairable, found.unit, found.redundancy, found.redundancy_unit
         )?;
         return Ok(());
     }
@@ -1988,19 +1993,18 @@ mod tests {
         }
     }
 
-    /// LEB128 varint at `pos`; returns (value, offset past it).
-    fn read_varint_at(bytes: &[u8], mut pos: usize) -> (usize, usize) {
-        let mut v = 0usize;
-        let mut shift = 0;
-        loop {
-            let b = bytes[pos];
-            pos += 1;
-            v |= ((b & 0x7f) as usize) << shift;
-            if b & 0x80 == 0 {
-                return (v, pos);
-            }
-            shift += 7;
-        }
+    /// `(container length, offset)` of a stream's first segment, found
+    /// by the stream module's walker.
+    fn first_segment(bytes: &[u8]) -> (usize, usize) {
+        pastri::stream::Frames::new(bytes)
+            .unwrap()
+            .find_map(|frame| match frame.unwrap() {
+                pastri::stream::Frame::Segment { at, container } => {
+                    Some((container.len(), at as usize))
+                }
+                pastri::stream::Frame::Commit { .. } => None,
+            })
+            .unwrap()
     }
 
     #[test]
@@ -2026,10 +2030,9 @@ mod tests {
         // Clean stream verifies with exit 0.
         verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
 
-        // Flip one bit deep inside the first segment's container (walk
-        // the stream framing: "PSTRS" + version byte, then varint len).
+        // Flip one bit deep inside the first segment's container.
         let clean = fs::read(&comp).unwrap();
-        let (seg_len, seg_start) = read_varint_at(&clean, 6);
+        let (seg_len, seg_start) = first_segment(&clean);
         let mut bytes = clean.clone();
         bytes[seg_start + seg_len / 2] ^= 0x10;
         fs::write(&comp, &bytes).unwrap();
@@ -2125,11 +2128,11 @@ mod tests {
         compress(&argv, &mut out).unwrap();
 
         // Interrupted run: feed a prefix through the durable writer and
-        // "crash" (drop without finish), leaving artifact + journal.
+        // "crash" (drop without finish), leaving an uncommitted tail.
         {
             let config = qchem::basis::BfConfig::parse("dddd").unwrap();
             let compressor = Compressor::new(BlockGeometry::from_dims(config.dims()), 1e-10);
-            let mut w = pastri::durable_stream::DurableFileWriter::create(
+            let mut w = pastri::stream::StreamWriter::create(
                 std::path::Path::new(&part),
                 compressor,
                 2,
@@ -2149,8 +2152,6 @@ mod tests {
         assert_eq!(fs::read(&part).unwrap(), fs::read(&full).unwrap());
         let text = String::from_utf8(resumed_out).unwrap();
         assert!(text.contains("resumed at value"), "{text}");
-        // The journal is gone: the artifact is marked complete.
-        assert!(!durable::journal_path(std::path::Path::new(&part)).exists());
         verify(&sv(&[&part]), &mut Vec::new()).unwrap();
     }
 
@@ -2293,7 +2294,7 @@ mod tests {
         scrub(&sv(&[&comp]), &mut Vec::new()).unwrap();
 
         // Flip deep inside the first segment, then heal in place.
-        let (seg_len, seg_start) = read_varint_at(&clean, 6);
+        let (seg_len, seg_start) = first_segment(&clean);
         let mut bytes = clean.clone();
         bytes[seg_start + seg_len / 2] ^= 0x20;
         fs::write(&comp, &bytes).unwrap();
@@ -2304,6 +2305,18 @@ mod tests {
         assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
         assert_eq!(fs::read(&comp).unwrap(), clean);
         verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
+
+        // A flip inside the last commit record (before the terminator)
+        // spares every segment, yet verify reports it and scrub rebuilds it.
+        let mut bytes = clean.clone();
+        let last_record = bytes.len() - 1 - 10;
+        bytes[last_record] ^= 0x04;
+        fs::write(&comp, &bytes).unwrap();
+        let mut report = Vec::new();
+        assert_eq!(verify(&sv(&[&comp]), &mut report).unwrap_err().code, 2);
+        assert!(String::from_utf8(report).unwrap().contains("commit frame at offset"));
+        scrub(&sv(&[&comp, "--repair"]), &mut Vec::new()).unwrap();
+        assert_eq!(fs::read(&comp).unwrap(), clean);
 
         // Same cycle for an ERI store: flip inside the first block's
         // parity shards (located by walking the container prefix).
@@ -2319,10 +2332,10 @@ mod tests {
         let clean = fs::read(&store_path).unwrap();
         scrub(&sv(&[&store]), &mut Vec::new()).unwrap();
 
-        const STORE_HEADER: usize = 52;
-        let (_, first_len) = pastri::inspect_prefix(&clean[STORE_HEADER..]).unwrap();
+        let header = eri_store::HEADER_LEN_V2 as usize;
+        let (_, first_len) = pastri::inspect_prefix(&clean[header..]).unwrap();
         let mut bytes = clean.clone();
-        bytes[STORE_HEADER + first_len - 9] ^= 0x04;
+        bytes[header + first_len - 9] ^= 0x04;
         fs::write(&store_path, &bytes).unwrap();
         let err = scrub(&sv(&[&store]), &mut Vec::new()).unwrap_err();
         assert_eq!(err.code, 2);

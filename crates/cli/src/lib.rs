@@ -171,13 +171,13 @@ TELEMETRY (compress, decompress, scrub, soak, serve, fetch):
   --telemetry-out FILE  write the capture to FILE instead of stdout.
 
 DURABILITY (streamed compression and block stores):
-  --stream writes durably: segments are fsync'd in batches and sealed by
-  a <out>.journal checkpoint record; the journal is removed on success.
-  A .eristore output is journaled the same way, with one checkpoint.
+  --stream writes durably: each batch of segments is sealed by a commit
+  record inside <out> itself and made durable by one fsync; no other
+  file is written. A .eristore output commits the same way, once.
   --checkpoint-every N   segments per durable batch (default 16)
-  --resume               continue an interrupted --stream run: loads the
-                         last checkpoint, discards the torn tail, skips
-                         the already-committed input, and finishes
+  --resume               continue an interrupted --stream run: finds the
+                         last verified commit, discards the torn tail,
+                         skips the already-committed input, and finishes
                          byte-identical to an uninterrupted run. Pass
                          the same flags as the interrupted run.
 

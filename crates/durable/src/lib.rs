@@ -10,38 +10,37 @@
 //!   over the destination, fsync the directory. A crash at any instant
 //!   leaves either the old file or the new one — never a torn mix.
 //!
-//! * **An append-side checkpoint journal** ([`Checkpoint`] records) for
-//!   artifacts that grow over hours: after each batch of segments or
-//!   blocks is written *and fsync'd*, a fixed-size CRC-protected
-//!   record `(segments, values, bytes)` is appended to a sidecar
-//!   `<artifact>.journal` file and fsync'd in turn. The last valid
-//!   record defines the artifact's *committed prefix*: everything at or
-//!   before `bytes` is durable and byte-exact, everything after is
-//!   uncommitted and may be truncated away on resume. A torn final
-//!   journal record (the crash landed mid-append) fails its CRC and is
-//!   ignored, falling back to the previous record.
-//!   [`Journaled`] binds an artifact to its journal and is the one
-//!   create, commit, recovery and finish protocol: durable streams and
-//!   ERI block stores both go through it, and every fsync it issues is
-//!   counted.
+//! * **In-band commit records** for artifacts that grow over hours:
+//!   [`Journaled`] appends a fixed-size, CRC-protected record
+//!   `(segments, values, bytes, span CRC)` to the artifact itself after
+//!   each batch of segments or blocks, then fsyncs once. The span CRC
+//!   covers every byte since the previous record, so one data fsync
+//!   makes the batch and its commit durable together. Artifacts are
+//!   append-only: no write ever overwrites committed bytes.
 //!
-//! The write ordering — data write, data fsync, journal record, journal
-//! fsync — guarantees a checkpoint is only ever visible once the bytes
-//! it describes are durable, so recovery never trusts a checkpoint ahead
-//! of the data.
+//! Recovery is the format's own walk: a stream or store walks its
+//! framing with positional reads and hands each frame and commit record
+//! it meets to a [`CommitScan`]. A commit counts only if its record and
+//! its whole span verify; the artifact is cut after the last such
+//! commit. Anything past it — a torn record, a lost or torn unsynced
+//! write, a terminator or index written after the last commit — is a
+//! torn tail and is trimmed. A record that fails while bytes follow it
+//! cannot come from a crash (nothing is written after a record until
+//! its fsync returns), so it is `InvalidData`, never a tail — and so is
+//! a record the walk could not reach because the framing before it is
+//! damaged.
 //!
 //! Sinks are abstracted by [`SyncWrite`] (a `Write` that can fsync), so
-//! the fault-injection harness can interpose on every byte and fsync of
-//! both the data file and the journal. Sources are abstracted by
-//! [`ReadAt`] (positional reads through `&self`), so one open file can
-//! serve many threads at once and the same harness can interpose on
-//! every read.
+//! the fault-injection harness can interpose on every byte and fsync.
+//! Sources are abstracted by [`ReadAt`] (positional reads through
+//! `&self`), so one open file can serve many threads at once and the
+//! same harness can interpose on every read.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use checksum::crc32;
+use checksum::{crc32, Crc32};
 
 pub mod retry;
 
@@ -86,12 +85,6 @@ impl SyncWrite for Vec<u8> {
     }
 }
 
-impl SyncWrite for io::Sink {
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 impl<W: SyncWrite + ?Sized> SyncWrite for &mut W {
     fn sync(&mut self) -> io::Result<()> {
         (**self).sync()
@@ -121,7 +114,7 @@ impl ReadAt for File {
     }
 }
 
-impl ReadAt for &[u8] {
+impl ReadAt for [u8] {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
         let start = usize::try_from(offset).map_or(self.len(), |o| o.min(self.len()));
         let n = buf.len().min(self.len() - start);
@@ -131,6 +124,16 @@ impl ReadAt for &[u8] {
 
     fn size(&self) -> io::Result<u64> {
         Ok(self.len() as u64)
+    }
+}
+
+impl<R: ReadAt + ?Sized> ReadAt for &R {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+        (**self).read_at(buf, offset)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        (**self).size()
     }
 }
 
@@ -236,22 +239,18 @@ impl Drop for AtomicFile {
     }
 }
 
-/// Magic + version prefix of a checkpoint journal file.
-pub const JOURNAL_MAGIC: [u8; 6] = *b"PSTRJ\x01";
-/// Bytes per journal record: segments, values, bytes (u64 LE each) +
-/// CRC32 of those 24 bytes.
-pub(crate) const RECORD_LEN: usize = 28;
-
-/// Sidecar journal path for an artifact: `<artifact>.journal`.
-#[must_use]
-pub fn journal_path(artifact: &Path) -> PathBuf {
-    let mut name = artifact.file_name().map_or_else(
-        || std::ffi::OsString::from("artifact"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(".journal");
-    parent_of(artifact).join(name)
+/// Fills `buf` from `r` at `offset`, failing with `UnexpectedEof` if the
+/// source ends first.
+pub fn read_exact_at<R: ReadAt + ?Sized>(r: &R, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    read_exact_retry(r, buf, offset, &RetryPolicy::none(), &mut RetryStats::default())
 }
+
+/// First bytes of every commit record — distinct from a container's
+/// `PSTR`, so a store walker tells the two apart by their first word.
+pub const COMMIT_MAGIC: [u8; 4] = *b"PSTC";
+/// Bytes per commit record: magic, segments, values, bytes (u64 LE
+/// each), the span CRC32 and the CRC32 of the 32 bytes before it.
+pub const RECORD_LEN: usize = 36;
 
 /// One durable position in a growing artifact: everything at or before
 /// it survives a crash byte-exact.
@@ -262,123 +261,184 @@ pub struct Checkpoint {
     /// Source values (f64s) those segments cover — what a resuming
     /// producer must skip before feeding the writer again.
     pub values: u64,
-    /// Artifact byte length at the checkpoint — what recovery truncates
-    /// the file to.
+    /// Artifact byte length at the checkpoint, its commit record
+    /// included — what recovery truncates the file to.
     pub bytes: u64,
 }
 
 impl Checkpoint {
-    fn encode(&self) -> [u8; RECORD_LEN] {
+    /// The commit record for `self`, sealing a span whose CRC32 is
+    /// `span_crc`.
+    fn record(&self, span_crc: u32) -> [u8; RECORD_LEN] {
         let mut rec = [0u8; RECORD_LEN];
-        rec[..8].copy_from_slice(&self.segments.to_le_bytes());
-        rec[8..16].copy_from_slice(&self.values.to_le_bytes());
-        rec[16..24].copy_from_slice(&self.bytes.to_le_bytes());
-        let crc = crc32(&rec[..24]);
-        rec[24..].copy_from_slice(&crc.to_le_bytes());
+        rec[..4].copy_from_slice(&COMMIT_MAGIC);
+        rec[4..12].copy_from_slice(&self.segments.to_le_bytes());
+        rec[12..20].copy_from_slice(&self.values.to_le_bytes());
+        rec[20..28].copy_from_slice(&self.bytes.to_le_bytes());
+        rec[28..32].copy_from_slice(&span_crc.to_le_bytes());
+        let crc = crc32(&rec[..32]);
+        rec[32..].copy_from_slice(&crc.to_le_bytes());
         rec
     }
 
-    fn decode(rec: &[u8]) -> Option<Checkpoint> {
-        if rec.len() != RECORD_LEN {
+    /// The checkpoint and span CRC a record holds, or `None` when its
+    /// magic or its own CRC fails.
+    fn parse_record(rec: &[u8]) -> Option<(Checkpoint, u32)> {
+        let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().unwrap());
+        let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
+        if rec.len() != RECORD_LEN || rec[..4] != COMMIT_MAGIC || crc32(&rec[..32]) != u32_at(32) {
             return None;
         }
-        let stored = u32::from_le_bytes(rec[24..28].try_into().unwrap());
-        if crc32(&rec[..24]) != stored {
-            return None;
-        }
-        Some(Checkpoint {
-            segments: u64::from_le_bytes(rec[..8].try_into().unwrap()),
-            values: u64::from_le_bytes(rec[8..16].try_into().unwrap()),
-            bytes: u64::from_le_bytes(rec[16..24].try_into().unwrap()),
+        let cp = Checkpoint {
+            segments: u64_at(4),
+            values: u64_at(12),
+            bytes: u64_at(20),
+        };
+        Some((cp, u32_at(28)))
+    }
+}
+
+/// Recovery's half of the commit protocol: a format's walker hands it the
+/// artifact's bytes in order — the frames it reads through
+/// [`feed`](Self::feed), each commit record it meets through
+/// [`record`](Self::record) — and it keeps the last commit that verifies.
+///
+/// A commit verifies when its record CRC holds, it names its own end
+/// offset and the segment count the walker has seen, it does not regress,
+/// and the CRC32 of every byte since the previous record matches. The
+/// span CRC runs over the bytes the walker already holds; only the few
+/// framing bytes between them (a header, a length varint) are read here.
+///
+/// A record is written only after everything before it, and anything
+/// after it only once it is durable. So a record that fails while more
+/// bytes follow it is damage, never a torn tail; only a failing record
+/// that ends the artifact can be one.
+pub struct CommitScan<'a, R: ReadAt + ?Sized> {
+    source: &'a R,
+    size: u64,
+    last: Checkpoint,
+    /// End of the previous record met: where the current span starts.
+    span_start: u64,
+    /// CRC32 of `[span_start, fed)`.
+    span: Crc32,
+    fed: u64,
+}
+
+impl<'a, R: ReadAt + ?Sized> CommitScan<'a, R> {
+    /// A scan of `source` from its first byte.
+    ///
+    /// # Errors
+    /// Any I/O error sizing the source.
+    pub fn new(source: &'a R) -> io::Result<Self> {
+        Ok(Self {
+            source,
+            size: source.size()?,
+            last: Checkpoint::default(),
+            span_start: 0,
+            span: Crc32::new(),
+            fed: 0,
         })
     }
-}
 
-/// Appends checkpoint records, each followed by an fsync, so the journal
-/// never claims more than the data file durably holds.
-pub(crate) struct JournalWriter<J: SyncWrite> {
-    sink: J,
-    header_written: bool,
-}
-
-impl<J: SyncWrite> JournalWriter<J> {
-    /// A journal starting from scratch: the magic goes out with the
-    /// first record.
-    pub fn new(sink: J) -> Self {
-        Self {
-            sink,
-            header_written: false,
-        }
+    /// Hashes `bytes`, which the walker read at offset `at`.
+    ///
+    /// # Errors
+    /// Any I/O error reading the framing bytes before `at`.
+    pub fn feed(&mut self, at: u64, bytes: &[u8]) -> io::Result<()> {
+        self.hash_to(at)?;
+        self.span.update(bytes);
+        self.fed += bytes.len() as u64;
+        Ok(())
     }
 
-    /// A journal being appended to after a crash: the magic is already
-    /// on disk, new records extend the existing sequence.
-    pub fn resume(sink: J) -> Self {
-        Self {
-            sink,
-            header_written: true,
-        }
-    }
-
-    /// Durably appends one checkpoint: record write, then fsync. When
-    /// this returns, recovery will find `cp` (or a later checkpoint).
-    pub fn record(&mut self, cp: Checkpoint) -> io::Result<()> {
-        if !self.header_written {
-            self.sink.write_all(&JOURNAL_MAGIC)?;
-            self.header_written = true;
-        }
-        self.sink.write_all(&cp.encode())?;
-        telemetry::counter_add("durable.checkpoints", 1);
-        self.sink.sync()
-    }
-
-    /// Unwraps the sink.
-    pub fn into_inner(self) -> J {
-        self.sink
-    }
-}
-
-/// Scans raw journal bytes for the last valid checkpoint.
-///
-/// Tolerates exactly the damage a crash can cause: a missing or torn
-/// final record (short or failing its CRC) is ignored and the previous
-/// record wins. Returns `None` for an empty, headerless, or record-free
-/// journal — recovery then treats the artifact as having no committed
-/// prefix. Records must be monotonic (a crash cannot reorder appends);
-/// scanning stops at the first regression so a corrupt middle record
-/// cannot inflate the committed prefix.
-#[must_use]
-pub fn parse_last_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
-    scan_journal(bytes).0
-}
-
-/// Like [`parse_last_checkpoint`], but also returns the byte length of
-/// the journal's *valid prefix* (magic + accepted records). A resuming
-/// writer truncates the journal to this length before appending, so a
-/// torn tail record can never knock later appends out of alignment.
-#[must_use]
-pub fn scan_journal(bytes: &[u8]) -> (Option<Checkpoint>, usize) {
-    let Some(body) = bytes.strip_prefix(JOURNAL_MAGIC.as_slice()) else {
-        return (None, 0);
-    };
-    let mut last: Option<Checkpoint> = None;
-    let mut accepted = 0usize;
-    for rec in body.chunks(RECORD_LEN) {
-        match Checkpoint::decode(rec) {
-            Some(cp) => {
-                if let Some(prev) = last {
-                    if cp.bytes < prev.bytes || cp.segments < prev.segments {
-                        break;
-                    }
-                }
-                last = Some(cp);
-                accepted += 1;
+    /// Weighs the `record` bytes found at offset `at`, after the walker
+    /// has seen `segments` segments (or blocks) in all.
+    ///
+    /// # Errors
+    /// `InvalidData` when the commit fails and bytes follow it: damage
+    /// inside committed data. Any I/O error.
+    pub fn record(&mut self, at: u64, record: &[u8], segments: u64) -> io::Result<()> {
+        self.hash_to(at)?;
+        let end = at + RECORD_LEN as u64;
+        let span_crc = std::mem::take(&mut self.span).finish();
+        let from = self.span_start;
+        (self.span_start, self.fed) = (end, end);
+        match Checkpoint::parse_record(record) {
+            Some((cp, crc))
+                if cp.bytes == end
+                    && crc == span_crc
+                    && cp.segments == segments
+                    && cp.segments >= self.last.segments
+                    && cp.values >= self.last.values =>
+            {
+                self.last = cp;
             }
-            // Torn or corrupt record: nothing after it can be trusted.
-            None => break,
+            _ if end < self.size => return Err(damaged(from, end)),
+            _ => {}
         }
+        Ok(())
     }
-    (last, JOURNAL_MAGIC.len() + accepted * RECORD_LEN)
+
+    /// The last verified commit, once the walker has stopped — at the
+    /// end of the artifact, or at bytes it cannot frame. Everything since
+    /// the last record met is searched for a record that names its own
+    /// offset, which a misread frame may have swallowed: one with bytes
+    /// after it, or whose span verifies, proves committed data damaged.
+    /// The search holds one 64 KiB window.
+    ///
+    /// # Errors
+    /// `InvalidData` for such a record; any I/O error.
+    pub fn finish(self) -> io::Result<Checkpoint> {
+        const WINDOW: u64 = 64 << 10;
+        let mut span = Crc32::new();
+        let mut pos = self.span_start;
+        let mut buf = Vec::new();
+        while pos + RECORD_LEN as u64 <= self.size {
+            buf.resize((self.size - pos).min(WINDOW + RECORD_LEN as u64) as usize, 0);
+            read_exact_at(self.source, &mut buf, pos)?;
+            let mut i = 0;
+            while i + RECORD_LEN <= buf.len() {
+                let end = pos + (i + RECORD_LEN) as u64;
+                match Checkpoint::parse_record(&buf[i..i + RECORD_LEN]) {
+                    Some((cp, crc)) if cp.bytes == end => {
+                        span.update(&buf[..i]);
+                        if end < self.size || span.finish() == crc {
+                            return Err(damaged(self.span_start, end));
+                        }
+                        return Ok(self.last); // the last write, torn: a tail
+                    }
+                    _ => i += 1,
+                }
+            }
+            span.update(&buf[..i]);
+            pos += i as u64;
+        }
+        Ok(self.last)
+    }
+
+    /// Hashes the bytes in `[fed, to)`, reading them from the source:
+    /// the framing between the frames the walker hands over.
+    fn hash_to(&mut self, to: u64) -> io::Result<()> {
+        let mut buf = [0u8; 64];
+        while self.fed < to {
+            let n = buf.len().min((to - self.fed) as usize);
+            read_exact_at(self.source, &mut buf[..n], self.fed)?;
+            self.span.update(&buf[..n]);
+            self.fed += n as u64;
+        }
+        Ok(())
+    }
+}
+
+/// Damage in the span from `from` to the commit ending at `end`.
+fn damaged(from: u64, end: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "committed data is damaged between offsets {from} and {end} \
+             (a crash only ever tears the tail)"
+        ),
+    )
 }
 
 /// A quarantine path for a damaged artifact that never collides with an
@@ -408,47 +468,46 @@ pub fn fresh_quarantine_path(artifact: &Path) -> PathBuf {
     unreachable!("u64 quarantine suffixes exhausted")
 }
 
-/// Durably removes an artifact's journal (after a successful finish):
-/// unlink + directory fsync. Missing journal is fine.
-pub fn remove_journal(artifact: &Path) -> io::Result<()> {
-    let jp = journal_path(artifact);
-    match std::fs::remove_file(&jp) {
-        Ok(()) => fsync_dir(&parent_of(&jp)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// A growing artifact plus its checkpoint journal: the one create,
-/// commit, recovery and finish protocol behind every durable writer
-/// (streams and block stores alike).
+/// A growing, append-only artifact that carries its own commit records:
+/// the one append, commit and recover protocol behind every durable
+/// writer (streams and block stores alike).
 ///
-/// [`commit`](Self::commit) is the write ordering the journal rests on:
-/// data fsync, then the journal record and its fsync. For files,
-/// [`create`](Journaled::create) and [`resume`](Journaled::resume) open
-/// the `<path>` + `<path>.journal` pair and [`finish`](Journaled::finish)
-/// retires the journal. Every fsync goes through [`SyncWrite::sync`] or
-/// [`fsync_dir`], so `durable.fsyncs` and `durable.fsync_us` see them all.
-pub struct Journaled<W: SyncWrite, J: SyncWrite> {
+/// Bytes go out through [`Write`], which tracks the write position and
+/// a running CRC32 of everything since the last commit.
+/// [`commit`](Self::commit) appends the record sealing that span and
+/// fsyncs once, so the batch and its commit become durable together.
+/// For files, [`create`](Journaled::create) fsyncs the new file's
+/// directory entry and [`resume`](Journaled::resume) cuts an interrupted
+/// artifact back to its last verified commit. Every fsync goes through
+/// [`SyncWrite::sync`] or [`fsync_dir`], so `durable.fsyncs` and
+/// `durable.fsync_us` see them all.
+pub struct Journaled<W: Write> {
     data: W,
-    journal: JournalWriter<J>,
     committed: Checkpoint,
+    position: u64,
+    span: Crc32,
 }
 
-impl<W: SyncWrite, J: SyncWrite> Journaled<W, J> {
-    /// A fresh artifact over caller-supplied sinks: `journal` receives
-    /// the journal from its magic onward.
-    pub fn new(data: W, journal: J) -> Self {
+impl<W: Write> Journaled<W> {
+    /// A fresh, empty artifact over a caller-supplied sink.
+    pub fn new(data: W) -> Self {
+        Self::at(data, Checkpoint::default())
+    }
+
+    /// An artifact whose bytes up to `committed` are already in `data`.
+    fn at(data: W, committed: Checkpoint) -> Self {
         Self {
             data,
-            journal: JournalWriter::new(journal),
-            committed: Checkpoint::default(),
+            committed,
+            position: committed.bytes,
+            span: Crc32::new(),
         }
     }
 
-    /// The artifact sink the writer appends to.
-    pub fn data_mut(&mut self) -> &mut W {
-        &mut self.data
+    /// Bytes written so far, committed or not.
+    #[must_use]
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
     /// The last durable checkpoint: everything at or before it survives
@@ -458,122 +517,104 @@ impl<W: SyncWrite, J: SyncWrite> Journaled<W, J> {
         self.committed
     }
 
-    /// Makes `cp` durable. The data is fsync'd first, so the journal
-    /// never describes bytes that could still be lost; then the record
-    /// is appended and fsync'd.
-    pub fn commit(&mut self, cp: Checkpoint) -> io::Result<()> {
+    /// Appends the record sealing everything written since the previous
+    /// one as `segments` segments (or blocks) covering `values` source
+    /// values, without syncing: a copy that is made durable as a whole,
+    /// such as an atomically replaced file, needs no fsync per record.
+    pub fn seal(&mut self, segments: u64, values: u64) -> io::Result<Checkpoint> {
+        let cp = Checkpoint {
+            segments,
+            values,
+            bytes: self.position + RECORD_LEN as u64,
+        };
+        self.data.write_all(&cp.record(std::mem::take(&mut self.span).finish()))?;
+        self.position = cp.bytes;
+        Ok(cp)
+    }
+}
+
+impl<W: SyncWrite> Journaled<W> {
+    /// Commits everything written so far as `segments` segments (or
+    /// blocks) covering `values` source values: [`seal`](Self::seal),
+    /// then one data fsync. When this returns, recovery finds this
+    /// checkpoint (or a later one).
+    pub fn commit(&mut self, segments: u64, values: u64) -> io::Result<()> {
+        let cp = self.seal(segments, values)?;
+        telemetry::counter_add("durable.checkpoints", 1);
         self.data.sync()?;
-        self.journal.record(cp)?;
         self.committed = cp;
         Ok(())
     }
 
     /// Syncs the data one last time (bytes written since the last
-    /// commit, such as a terminator or a rewritten header) and returns
-    /// the sinks and the last checkpoint.
-    pub fn close(mut self) -> io::Result<(W, J, Checkpoint)> {
+    /// commit, such as a terminator or an index) and returns the sink
+    /// and the last checkpoint.
+    pub fn close(mut self) -> io::Result<(W, Checkpoint)> {
         self.data.sync()?;
-        Ok((self.data, self.journal.into_inner(), self.committed))
+        Ok((self.data, self.committed))
     }
 }
 
-impl Journaled<File, File> {
-    /// Starts a fresh artifact at `path`, truncating any previous
-    /// artifact and journal. The directory is fsync'd once both files
-    /// exist, so a later checkpoint never names files whose directory
-    /// entries a power loss could still drop.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        let open = |p: &Path| {
-            OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(p)
-        };
-        let data = open(path)?;
-        let journal = open(&journal_path(path))?;
-        fsync_dir(&parent_of(path))?;
-        Ok(Self::new(data, journal))
+impl<W: Write> Write for Journaled<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.data.write(buf)?;
+        self.span.update(&buf[..n]);
+        self.position += n as u64;
+        Ok(n)
     }
 
-    /// Recovers an interrupted write at `path`: loads the last valid
-    /// journal record, truncates the artifact to its committed prefix
-    /// and the journal to its valid prefix (both fsync'd, a torn tail
-    /// counted in `durable.resume_truncations`), and leaves both files
-    /// positioned for appending. With no usable journal the artifact
-    /// restarts empty. The data file is opened readable too, so a
-    /// writer can re-read its committed prefix.
+    fn flush(&mut self) -> io::Result<()> {
+        self.data.flush()
+    }
+}
+
+impl Journaled<File> {
+    /// Starts a fresh artifact at `path`, truncating any previous one,
+    /// and fsyncs the directory so a later commit never lives in a file
+    /// whose directory entry a power loss could still drop.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let data = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(path)?;
+        fsync_dir(&parent_of(path))?;
+        Ok(Self::new(data))
+    }
+
+    /// Recovers an interrupted write at `path` (creating the file if it
+    /// is missing). `walk` reads the artifact's own framing through a
+    /// [`CommitScan`] and returns the last verified commit, plus whatever
+    /// the format needs to continue. The file is then cut to that commit
+    /// and fsync'd (a trimmed tail is counted in
+    /// `durable.resume_truncations`), the directory is fsync'd, and the
+    /// artifact is positioned for appending. With no verified commit the
+    /// artifact restarts empty.
     ///
     /// # Errors
-    /// `InvalidData` if the journal claims more durable bytes than the
-    /// artifact holds — the write ordering makes that impossible from a
-    /// crash, so the pair was tampered with or split.
-    pub fn resume(path: &Path) -> io::Result<Self> {
-        let jp = journal_path(path);
-        let journal_bytes = match std::fs::read(&jp) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let (cp, valid_len) = scan_journal(&journal_bytes);
-        let cp = cp.unwrap_or_default();
-        let open = |p: &Path| {
-            OpenOptions::new()
-                .create(true)
-                .truncate(false) // the committed prefix is kept; `set_len` trims the tail
-                .read(true)
-                .write(true)
-                .open(p)
-        };
-        let mut data = open(path)?;
-        let on_disk = data.metadata()?.len();
-        if on_disk < cp.bytes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal claims {} durable bytes but {} holds only {on_disk}",
-                    cp.bytes,
-                    path.display()
-                ),
-            ));
-        }
-        if on_disk > cp.bytes || journal_bytes.len() > valid_len {
+    /// Whatever `walk` returns — `InvalidData` (or the format's own
+    /// corruption error) for damage inside committed bytes — and any I/O
+    /// error.
+    pub fn resume<T, E: From<io::Error>>(
+        path: &Path,
+        walk: impl FnOnce(&File) -> Result<(Checkpoint, T), E>,
+    ) -> Result<(Self, T), E> {
+        let mut data = OpenOptions::new()
+            .create(true)
+            .truncate(false) // the committed prefix is kept; `set_len` trims the tail
+            .read(true)
+            .write(true)
+            .open(path)?;
+        let (cp, state) = walk(&data)?;
+        if data.metadata()?.len() > cp.bytes {
             telemetry::counter_add("durable.resume_truncations", 1);
         }
-        truncate_durably(&mut data, cp.bytes)?;
-        let mut journal = open(&jp)?;
-        truncate_durably(&mut journal, valid_len as u64)?;
+        data.set_len(cp.bytes)?;
+        data.sync()?;
+        data.seek(SeekFrom::Start(cp.bytes))?;
         fsync_dir(&parent_of(path))?;
-        let journal = if valid_len == 0 {
-            JournalWriter::new(journal)
-        } else {
-            JournalWriter::resume(journal)
-        };
-        Ok(Self {
-            data,
-            journal,
-            committed: cp,
-        })
+        Ok((Self::at(data, cp), state))
     }
-
-    /// Completes the artifact at `path`: the final data fsync, then the
-    /// journal — the "write in progress" marker — is unlinked and the
-    /// directory fsync'd. Returns the last checkpoint.
-    pub fn finish(self, path: &Path) -> io::Result<Checkpoint> {
-        let (data, journal, cp) = self.close()?;
-        drop(data);
-        drop(journal);
-        remove_journal(path)?;
-        Ok(cp)
-    }
-}
-
-/// Cuts `file` to `len` bytes, fsyncs, and positions it at the new end.
-fn truncate_durably(file: &mut File, len: u64) -> io::Result<()> {
-    file.set_len(len)?;
-    file.sync()?;
-    file.seek(SeekFrom::Start(len))?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -619,83 +660,137 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A toy artifact for the commit tests: 10-byte data chunks, each
+    /// counted as one segment, with commit records between them.
+    const CHUNK: usize = 10;
+
+    /// The toy format's walker: the last verified commit of `bytes`.
+    fn walk<R: ReadAt + ?Sized>(src: &R) -> io::Result<Checkpoint> {
+        let size = src.size()?;
+        let mut scan = CommitScan::new(src)?;
+        let (mut pos, mut segments) = (0u64, 0u64);
+        let mut rec = [0u8; RECORD_LEN];
+        loop {
+            if pos + RECORD_LEN as u64 <= size {
+                read_exact_at(src, &mut rec, pos)?;
+                if rec[..4] == COMMIT_MAGIC {
+                    scan.record(pos, &rec, segments)?;
+                    pos += RECORD_LEN as u64;
+                    continue;
+                }
+            }
+            if pos + CHUNK as u64 > size {
+                return scan.finish();
+            }
+            let mut chunk = [0u8; CHUNK];
+            read_exact_at(src, &mut chunk, pos)?;
+            scan.feed(pos, &chunk)?;
+            pos += CHUNK as u64;
+            segments += 1;
+        }
+    }
+
+    /// `commits` chunks of byte `i`, each committed, plus `tail` bytes
+    /// of an uncommitted chunk.
+    fn artifact(commits: u64, tail: usize) -> Vec<u8> {
+        let mut j = Journaled::new(Vec::new());
+        for i in 1..=commits {
+            j.write_all(&[i as u8; CHUNK]).unwrap();
+            j.commit(i, i * 4).unwrap();
+        }
+        j.write_all(&vec![0xEE; tail]).unwrap();
+        j.close().unwrap().0
+    }
+
+    fn cp(i: u64) -> Checkpoint {
+        Checkpoint { segments: i, values: i * 4, bytes: i * (CHUNK + RECORD_LEN) as u64 }
+    }
+
     #[test]
     fn journal_roundtrip_last_record_wins() {
-        let mut j = JournalWriter::new(Vec::new());
-        for i in 1..=5u64 {
-            j.record(Checkpoint {
-                segments: i,
-                values: i * 100,
-                bytes: 6 + i * 37,
-            })
-            .unwrap();
+        let bytes = artifact(5, 0);
+        assert_eq!(bytes.len(), 5 * (CHUNK + RECORD_LEN));
+        assert_eq!(walk(&bytes.as_slice()).unwrap(), cp(5));
+        // Every commit boundary is itself a committed prefix.
+        for i in 0..=5 {
+            let prefix = &bytes[..cp(i).bytes as usize];
+            assert_eq!(walk(&prefix).unwrap(), cp(i));
         }
-        let bytes = j.into_inner();
-        assert_eq!(bytes.len(), JOURNAL_MAGIC.len() + 5 * RECORD_LEN);
-        let cp = parse_last_checkpoint(&bytes).unwrap();
-        assert_eq!(cp.segments, 5);
-        assert_eq!(cp.values, 500);
-        assert_eq!(cp.bytes, 6 + 5 * 37);
     }
 
     #[test]
     fn torn_tail_record_falls_back() {
-        let mut j = JournalWriter::new(Vec::new());
-        j.record(Checkpoint { segments: 1, values: 10, bytes: 50 }).unwrap();
-        j.record(Checkpoint { segments: 2, values: 20, bytes: 99 }).unwrap();
-        let full = j.into_inner();
-        // Every torn prefix of the final record must fall back to cp 1;
-        // the full journal reads cp 2.
+        let full = artifact(2, 0);
+        // Every torn prefix of the final record falls back to commit 1.
         for cut in 0..RECORD_LEN {
             let torn = &full[..full.len() - RECORD_LEN + cut];
-            let cp = parse_last_checkpoint(torn).unwrap();
-            assert_eq!(cp.segments, 1, "cut {cut} bytes into final record");
+            assert_eq!(walk(&torn).unwrap(), cp(1), "cut {cut} bytes into final record");
         }
-        assert_eq!(parse_last_checkpoint(&full).unwrap().segments, 2);
-        // A flipped bit in the tail record also falls back.
-        let mut flipped = full.clone();
-        let n = flipped.len();
-        flipped[n - 10] ^= 0x40;
-        assert_eq!(parse_last_checkpoint(&flipped).unwrap().segments, 1);
+        // A flipped bit in the tail record, or in the span it seals, also
+        // falls back: nothing verified follows the damage.
+        for at in [full.len() - 10, full.len() - RECORD_LEN - 3] {
+            let mut flipped = full.clone();
+            flipped[at] ^= 0x40;
+            assert_eq!(walk(&flipped.as_slice()).unwrap(), cp(1), "flip at {at}");
+        }
     }
 
     #[test]
-    fn scan_journal_reports_valid_prefix_length() {
-        let mut j = JournalWriter::new(Vec::new());
-        j.record(Checkpoint { segments: 1, values: 36, bytes: 60 }).unwrap();
-        j.record(Checkpoint { segments: 2, values: 72, bytes: 110 }).unwrap();
-        let mut bytes = j.into_inner();
-        let clean_len = bytes.len();
-        assert_eq!(scan_journal(&bytes).1, clean_len);
-        // A torn third record doesn't extend the valid prefix.
-        bytes.extend_from_slice(&[0xAB; RECORD_LEN - 5]);
-        let (cp, len) = scan_journal(&bytes);
-        assert_eq!(cp.unwrap().segments, 2);
-        assert_eq!(len, clean_len);
-        assert_eq!(scan_journal(b"JUNK").1, 0);
+    fn commit_scan_reports_valid_prefix_length() {
+        // The committed length is the end of the last verified record,
+        // whatever follows it.
+        for tail in [0, 3, CHUNK + 5, CHUNK + RECORD_LEN - 1] {
+            let bytes = artifact(2, tail);
+            assert_eq!(walk(&bytes.as_slice()).unwrap().bytes, cp(2).bytes, "tail {tail}");
+        }
     }
 
     #[test]
     fn headerless_or_empty_journal_is_none() {
-        assert_eq!(parse_last_checkpoint(&[]), None);
-        assert_eq!(parse_last_checkpoint(b"JUNKJUNKJUNK"), None);
-        assert_eq!(parse_last_checkpoint(&JOURNAL_MAGIC), None);
-        // Magic + torn first record: still no committed prefix.
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&[1, 2, 3]);
-        assert_eq!(parse_last_checkpoint(&bytes), None);
+        // No verified record: nothing is committed.
+        assert_eq!(walk(&&[][..]).unwrap(), Checkpoint::default());
+        assert_eq!(walk(&&[7u8; 95][..]).unwrap(), Checkpoint::default());
+        let mut first = artifact(1, 0);
+        first.truncate(CHUNK + 3);
+        assert_eq!(walk(&first.as_slice()).unwrap(), Checkpoint::default());
     }
 
     #[test]
     fn regressing_record_stops_the_scan() {
-        // A corrupt-but-CRC-valid regression (can only happen through
-        // tampering) must not extend the committed prefix.
-        let mut j = JournalWriter::new(Vec::new());
-        j.record(Checkpoint { segments: 3, values: 30, bytes: 90 }).unwrap();
-        j.record(Checkpoint { segments: 1, values: 10, bytes: 40 }).unwrap();
-        j.record(Checkpoint { segments: 9, values: 90, bytes: 999 }).unwrap();
-        let cp = parse_last_checkpoint(&j.into_inner()).unwrap();
-        assert_eq!(cp.segments, 3);
+        // A record with a valid CRC that regresses (only tampering makes
+        // one) never becomes the commit, and bytes after it make it
+        // damage rather than a tail.
+        let mut j = Journaled::new(Vec::new());
+        j.write_all(&[1; CHUNK]).unwrap();
+        j.commit(1, 40).unwrap();
+        j.write_all(&[2; CHUNK]).unwrap();
+        j.commit(2, 10).unwrap(); // values regress
+        let regressed = j.data.clone();
+        assert_eq!(walk(&regressed.as_slice()).unwrap().segments, 1);
+        j.write_all(&[3; CHUNK]).unwrap();
+        j.commit(3, 90).unwrap();
+        let err = walk(&j.data.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn finish_finds_a_record_the_walk_could_not_reach() {
+        // A walker that stops after the first chunk, as if the framing
+        // there were damaged: the search past the stop finds the records.
+        let stopped = |bytes: &[u8]| {
+            let mut scan = CommitScan::new(bytes).unwrap();
+            scan.feed(0, &bytes[..CHUNK]).unwrap();
+            scan.finish()
+        };
+        // A record with bytes after it was durable: damage.
+        let err = stopped(&artifact(2, 0)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The final record, its span intact: the framing is damaged.
+        assert!(stopped(&artifact(1, 0)).is_err());
+        // The final record, its span torn: a crash's tail.
+        let mut torn = artifact(1, 0);
+        torn[3] = 0;
+        assert_eq!(stopped(&torn).unwrap(), Checkpoint::default());
     }
 
     #[test]
@@ -716,29 +811,34 @@ mod tests {
         let _ = std::fs::remove_file(&second);
     }
 
+    /// The files next to `path` whose names extend it (a sidecar would).
+    fn sidecars(path: &Path) -> Vec<String> {
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&stem) && n.len() > stem.len())
+            .collect()
+    }
+
     #[test]
     fn journal_file_lifecycle() {
-        let artifact = tmp("artifact.pstrs");
-        let jp = journal_path(&artifact);
-        assert!(jp.to_string_lossy().ends_with(".pstrs.journal"));
-        {
-            let f = File::create(&jp).unwrap();
-            let mut j = JournalWriter::new(f);
-            j.record(Checkpoint { segments: 2, values: 72, bytes: 300 }).unwrap();
-        }
-        let cp = parse_last_checkpoint(&std::fs::read(&jp).unwrap()).unwrap();
-        assert_eq!(cp.bytes, 300);
-        // Resume appends to the existing sequence without re-writing magic.
-        {
-            let f = OpenOptions::new().append(true).open(&jp).unwrap();
-            let mut j = JournalWriter::resume(f);
-            j.record(Checkpoint { segments: 3, values: 108, bytes: 450 }).unwrap();
-        }
-        let cp = parse_last_checkpoint(&std::fs::read(&jp).unwrap()).unwrap();
-        assert_eq!(cp.segments, 3);
-        remove_journal(&artifact).unwrap();
-        assert!(!jp.exists());
-        remove_journal(&artifact).unwrap(); // idempotent
+        let path = tmp("lifecycle.bin");
+        let mut j = Journaled::create(&path).unwrap();
+        j.write_all(&[1; CHUNK]).unwrap();
+        j.commit(1, 4).unwrap();
+        assert_eq!(j.close().unwrap().1, cp(1));
+        assert_eq!(std::fs::read(&path).unwrap(), artifact(1, 0));
+        // Resume appends after the committed prefix, in the same file.
+        let (mut j, ()) = Journaled::resume(&path, |f| walk(f).map(|cp| (cp, ()))).unwrap();
+        assert_eq!(j.committed(), cp(1));
+        j.write_all(&[2; CHUNK]).unwrap();
+        j.commit(2, 8).unwrap();
+        drop(j);
+        assert_eq!(std::fs::read(&path).unwrap(), artifact(2, 0));
+        assert!(sidecars(&path).is_empty(), "no sidecar: {:?}", sidecars(&path));
+        let _ = std::fs::remove_file(&path);
     }
 
     /// The `Journaled` recovery tests share the process-wide telemetry
@@ -750,88 +850,78 @@ mod tests {
         RECOVERY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// A `Journaled` file pair at `name` holding `commits` checkpoints of
-    /// 10 data bytes each, plus 7 uncommitted bytes, left unfinished.
-    fn interrupted(name: &str, commits: u64) -> PathBuf {
+    /// `bytes` laid down at a fresh path named `name`.
+    fn on_disk(name: &str, bytes: &[u8]) -> PathBuf {
         let path = tmp(name);
-        let mut j = Journaled::create(&path).unwrap();
-        for i in 1..=commits {
-            j.data_mut().write_all(&[i as u8; 10]).unwrap();
-            j.commit(Checkpoint { segments: i, values: i * 4, bytes: i * 10 }).unwrap();
-        }
-        j.data_mut().write_all(&[0xEE; 7]).unwrap();
+        std::fs::write(&path, bytes).unwrap();
         path
     }
 
-    fn cleanup(path: &Path) {
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(journal_path(path));
+    fn resume(path: &Path) -> io::Result<Journaled<File>> {
+        Journaled::resume(path, |f| walk(f).map(|cp| (cp, ()))).map(|(j, ())| j)
     }
 
     #[test]
     fn journaled_resume_refuses_a_journal_that_outruns_its_artifact() {
         let _serial = recovery_lock();
-        let path = interrupted("outrun.bin", 3);
-        OpenOptions::new().write(true).open(&path).unwrap().set_len(25).unwrap();
-        let err = Journaled::resume(&path).err().expect("outrunning journal must be refused");
+        // A flipped bit inside commit 2's span, with commit 3 intact: the
+        // damage lies before a verified commit, so it is corruption, and
+        // the file is left as it was.
+        let mut bytes = artifact(3, 7);
+        bytes[cp(1).bytes as usize + 4] ^= 0x08;
+        let path = on_disk("outrun.bin", &bytes);
+        let err = resume(&path).err().expect("damage before a verified commit must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        cleanup(&path);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing trimmed");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journaled_resume_trims_a_torn_journal_tail_and_appends_after_it() {
         let _serial = recovery_lock();
-        let path = interrupted("torn.bin", 2);
-        let jp = journal_path(&path);
-        let clean_len = std::fs::read(&jp).unwrap().len();
-        let mut jf = OpenOptions::new().append(true).open(&jp).unwrap();
-        jf.write_all(&[0xAB; RECORD_LEN - 3]).unwrap();
-        drop(jf);
+        let mut bytes = artifact(2, 0);
+        bytes.extend_from_slice(&[3; CHUNK]);
+        bytes.extend_from_slice(&COMMIT_MAGIC); // a torn third record
+        let path = on_disk("torn.bin", &bytes);
 
-        let mut j = Journaled::resume(&path).unwrap();
-        assert_eq!(j.committed().segments, 2);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 20, "uncommitted tail cut");
-        assert_eq!(std::fs::metadata(&jp).unwrap().len(), clean_len as u64);
-        j.data_mut().write_all(&[3; 10]).unwrap();
-        let next = Checkpoint { segments: 3, values: 12, bytes: 30 };
-        j.commit(next).unwrap();
-        let journal = std::fs::read(&jp).unwrap();
-        assert_eq!(journal.len(), clean_len + RECORD_LEN, "appended after the valid prefix");
-        assert_eq!(parse_last_checkpoint(&journal), Some(next));
-        assert_eq!(j.finish(&path).unwrap(), next);
-        assert!(!jp.exists(), "finish removes the journal");
-        assert_eq!(std::fs::read(&path).unwrap(), [[1u8; 10], [2; 10], [3; 10]].concat());
-        cleanup(&path);
+        let mut j = resume(&path).unwrap();
+        assert_eq!(j.committed(), cp(2));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), cp(2).bytes, "torn tail cut");
+        j.write_all(&[3; CHUNK]).unwrap();
+        j.commit(3, 12).unwrap();
+        assert_eq!(j.close().unwrap().1, cp(3));
+        assert_eq!(std::fs::read(&path).unwrap(), artifact(3, 0));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journaled_resume_without_a_journal_starts_fresh() {
         let _serial = recovery_lock();
-        let path = interrupted("absent.bin", 2);
-        std::fs::remove_file(journal_path(&path)).unwrap();
-        let mut j = Journaled::resume(&path).unwrap();
+        let path = on_disk("absent.bin", &artifact(0, 25));
+        let mut j = resume(&path).unwrap();
         assert_eq!(j.committed(), Checkpoint::default());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "nothing was committed");
-        j.data_mut().write_all(b"fresh").unwrap();
-        let cp = Checkpoint { segments: 1, values: 1, bytes: 5 };
-        j.commit(cp).unwrap();
-        let journal = std::fs::read(journal_path(&path)).unwrap();
-        assert!(journal.starts_with(&JOURNAL_MAGIC), "a fresh journal writes its magic");
-        assert_eq!(parse_last_checkpoint(&journal), Some(cp));
-        cleanup(&path);
+        j.write_all(&[1; CHUNK]).unwrap();
+        j.commit(1, 4).unwrap();
+        drop(j);
+        assert_eq!(std::fs::read(&path).unwrap(), artifact(1, 0));
+        // A missing file is created empty.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(resume(&path).unwrap().committed(), Checkpoint::default());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journaled_resume_counts_one_truncation() {
         let _serial = recovery_lock();
-        let path = interrupted("count.bin", 2);
+        let path = on_disk("count.bin", &artifact(2, 7));
         telemetry::reset();
         telemetry::set_enabled(true);
-        let j = Journaled::resume(&path).unwrap();
+        let j = resume(&path).unwrap();
         telemetry::set_enabled(false);
         let snap = telemetry::snapshot();
         assert_eq!(snap.counter("durable.resume_truncations"), 1);
         drop(j);
-        cleanup(&path);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -169,7 +169,7 @@ mod tests {
                 self.fail.set(self.fail.get() - 1);
                 return Err(io::Error::new(self.kind, "injected"));
             }
-            (&self.inner[..]).read_at(buf, offset)
+            self.inner[..].read_at(buf, offset)
         }
 
         fn size(&self) -> io::Result<u64> {

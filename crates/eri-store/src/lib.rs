@@ -15,13 +15,15 @@
 //! error bound      8 bytes  f64 LE
 //! num_subblocks    8 bytes  u64 LE
 //! subblock_size    8 bytes  u64 LE
-//! num_blocks       8 bytes  u64 LE
-//! index offset     8 bytes  u64 LE  (absolute file offset of the index)
-//! header_crc32     4 bytes  u32 LE  (CRC32 of the 48 bytes above)
-//! blocks           num_blocks × PaSTRI containers, back to back
+//! header_crc32     4 bytes  u32 LE  (CRC32 of the 32 bytes above)
+//! blocks           num_blocks PaSTRI containers in order, with a
+//!                  36-byte `durable` commit record ("PSTC") after
+//!                  each committed batch
 //! index            num_blocks × (offset u64 LE, length u64 LE,
 //!                                payload_crc32 u32 LE)
 //! index_crc32      4 bytes  u32 LE  (CRC32 of the index bytes above)
+//! trailer          index offset u64 LE, num_blocks u64 LE,
+//!                  trailer_crc32 u32 LE (CRC32 of those 16 bytes)
 //! ```
 //!
 //! The per-entry `payload_crc32` covers the block's container
@@ -29,10 +31,11 @@
 //! store — and [`StoreReader::read_block`] can pin damage to one block —
 //! without decompressing anything.
 //!
-//! The index is written last (after all blocks), so a writer streams
-//! blocks without knowing their sizes in advance; the fixed-size header
-//! slots for block count and index offset are patched on close (along
-//! with the header CRC, which is computed over the final header bytes).
+//! The file is append-only: a writer streams blocks without knowing
+//! their sizes in advance, commits them in batches in-band, and
+//! `finish` appends the index and the trailer. Nothing is ever patched
+//! in place, so a reader finds a finished store by its trailer and an
+//! unfinished one has none.
 //!
 //! Reads run through a [`RetryPolicy`]: transient `Interrupted` /
 //! `WouldBlock` / `TimedOut` errors — routine on congested parallel file
@@ -43,14 +46,14 @@
 //! inject faults without touching the filesystem.
 
 use std::fs::File;
-use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::io::{self, ErrorKind, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use checksum::crc32;
 use durable::retry::RetryStats;
-use durable::{Checkpoint, Journaled, ReadAt};
+use durable::{read_exact_at, Checkpoint, CommitScan, Journaled, ReadAt, SyncWrite};
+use durable::{COMMIT_MAGIC, RECORD_LEN};
 use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
 
@@ -61,13 +64,16 @@ pub use durable::retry::RetryPolicy;
 
 const MAGIC_V2: [u8; 8] = *b"ERISTOR2";
 /// Header bytes covered by the v2 header CRC (everything before it).
-const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8 + 8 + 8;
+const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8;
 /// Total v2 header length (body + header CRC32). Public so tooling and
 /// fault injectors can locate block spans without re-deriving the
 /// layout.
 pub const HEADER_LEN_V2: u64 = HEADER_BODY_LEN + 4;
 /// Size of one v2 index entry: offset u64 + len u64 + payload CRC32.
 pub const INDEX_ENTRY_V2: u64 = 20;
+/// Size of the trailer ending every finished store: index offset u64 +
+/// block count u64 + CRC32.
+pub const TRAILER_LEN: u64 = 20;
 
 /// Errors from the block store.
 #[derive(Debug)]
@@ -107,30 +113,6 @@ impl StoreError {
             block: None,
             offset: None,
             reason,
-        }
-    }
-
-    /// Attributes a corruption/checksum error to block `b`.
-    #[must_use]
-    pub(crate) fn with_block(self, b: usize) -> Self {
-        match self {
-            StoreError::Corrupt { offset, reason, .. } => StoreError::Corrupt {
-                block: Some(b),
-                offset,
-                reason,
-            },
-            StoreError::Checksum {
-                offset,
-                expected,
-                actual,
-                ..
-            } => StoreError::Checksum {
-                block: Some(b),
-                offset,
-                expected,
-                actual,
-            },
-            other => other,
         }
     }
 }
@@ -285,31 +267,32 @@ fn read_exact_retry<R: ReadAt>(
     result
 }
 
+/// The writer's index: each block's (offset, length, payload CRC32).
+type Entries = Vec<(u64, u64, u32)>;
+
 /// Writes a block store: append blocks, then [`finish`](StoreWriter::finish).
 ///
-/// Every store is journaled through [`durable::Journaled`]: every
-/// `checkpoint_every` appended blocks the data is fsync'd and a
-/// `<path>.journal` record commits the prefix, so after a crash
-/// [`open_for_append`](Self::open_for_append) can truncate back to the
-/// last checkpoint, rebuild the index by re-walking the committed
-/// containers, and continue. A resumed store is byte-identical to an
-/// uninterrupted one.
-pub struct StoreWriter {
-    out: Journaled<File, File>,
-    path: PathBuf,
+/// Every store commits in-band through [`durable::Journaled`]: every
+/// `checkpoint_every` appended blocks a commit record is appended and
+/// the data fsync'd once, so after a crash
+/// [`open_for_append`](StoreWriter::open_for_append) can cut the file
+/// after the last verified commit, rebuild the index by re-walking the
+/// committed containers, and continue. A resumed store is
+/// byte-identical to an uninterrupted one. Over an in-memory sink
+/// ([`new`](Self::new)) the same bytes come out.
+pub struct StoreWriter<W: SyncWrite = File> {
+    out: Journaled<W>,
     compressor: Compressor,
-    index: Vec<(u64, u64, u32)>,
-    cursor: u64,
+    index: Entries,
     checkpoint_every: usize,
 }
 
-impl StoreWriter {
+impl StoreWriter<File> {
     /// Creates a store at `path` for blocks of `geometry` at error bound
-    /// `eb` (truncating any existing store and journal). Every
-    /// `checkpoint_every` appended blocks, the file is fsync'd and a
-    /// checkpoint record is durably appended to `<path>.journal`. A
-    /// crash then loses at most the blocks since the last checkpoint —
-    /// recover with [`open_for_append`](Self::open_for_append).
+    /// `eb` (truncating any existing store). Every `checkpoint_every`
+    /// appended blocks a commit record is appended and the file
+    /// fsync'd. A crash then loses at most the blocks since the last
+    /// commit — recover with [`open_for_append`](Self::open_for_append).
     ///
     /// # Errors
     /// `InvalidInput` (as `StoreError::Io`) if `checkpoint_every` is 0.
@@ -319,26 +302,23 @@ impl StoreWriter {
         eb: f64,
         checkpoint_every: usize,
     ) -> Result<Self, StoreError> {
-        check_checkpoint_every(checkpoint_every)?;
-        let out = Journaled::create(path)?;
-        Self::over(out, path, geometry, eb, checkpoint_every, Vec::new())
+        Self::over(Journaled::create(path)?, geometry, eb, checkpoint_every, Vec::new())
     }
 
-    /// Resumes an interrupted write at `path`: [`Journaled::resume`]
-    /// loads the last valid checkpoint from `<path>.journal` and
-    /// truncates the store to the committed prefix; the index is then
-    /// rebuilt by re-walking the committed containers. Returns the
-    /// writer plus the checkpoint — `checkpoint.segments` blocks are
-    /// already in the store, so the producer resumes appending from
-    /// block `checkpoint.segments`.
+    /// Resumes an interrupted write at `path`: [`committed_index`]
+    /// walks the file to its last verified commit and rebuilds the
+    /// index of the blocks before it, and [`Journaled::resume`] cuts the
+    /// file there. Returns the writer plus the checkpoint —
+    /// `checkpoint.segments` blocks are already in the store, so the
+    /// producer resumes appending from block `checkpoint.segments`.
     ///
-    /// With no usable journal the store restarts from scratch (the
+    /// With no verified commit the store restarts from scratch (the
     /// checkpoint comes back all-zero).
     ///
     /// # Errors
-    /// `Corrupt` if the journal claims more bytes than the file holds,
-    /// if the header disagrees with `geometry`/`eb`, or if the committed
-    /// prefix does not parse back into `checkpoint.segments` containers.
+    /// `Corrupt` if damage lies before a commit that verifies (the file
+    /// is then left untouched) or if the header disagrees with
+    /// `geometry`/`eb`.
     pub fn open_for_append(
         path: &Path,
         geometry: BlockGeometry,
@@ -346,64 +326,81 @@ impl StoreWriter {
         checkpoint_every: usize,
     ) -> Result<(Self, Checkpoint), StoreError> {
         check_checkpoint_every(checkpoint_every)?;
-        let mut out = Journaled::resume(path).map_err(|e| match e.kind() {
-            ErrorKind::InvalidData => {
-                StoreError::corrupt("journal claims more durable bytes than the store holds")
+        let (out, index) = Journaled::resume(path, |file| {
+            let (cp, index) = committed_index(file)?;
+            let mut header = [0u8; HEADER_BODY_LEN as usize];
+            if cp.bytes > 0 {
+                read_exact_at(file, &mut header, 0)?;
+                if header[..] != header_bytes(eb, geometry)[..] {
+                    return Err(StoreError::corrupt(
+                        "resume parameters do not match the store header",
+                    ));
+                }
             }
-            _ => StoreError::Io(e),
+            Ok((cp, index))
         })?;
         let cp = out.committed();
-        let index = if cp.bytes == 0 {
-            Vec::new() // nothing committed: a fresh store
-        } else {
-            committed_index(out.data_mut(), cp, geometry, eb)?
-        };
-        let w = Self::over(out, path, geometry, eb, checkpoint_every, index)?;
+        let w = Self::over(out, geometry, eb, checkpoint_every, index)?;
         Ok((w, cp))
     }
+}
 
-    /// A writer over `out` whose committed prefix holds `index`'s
-    /// blocks. An empty artifact first gets the placeholder header,
-    /// rewritten with final values (and CRC) on finish(); the first
-    /// commit's data fsync makes it durable.
-    fn over(
-        mut out: Journaled<File, File>,
-        path: &Path,
+impl<W: SyncWrite> StoreWriter<W> {
+    /// A store written to `sink`, byte-identical to
+    /// [`create_durable`](StoreWriter::create_durable)'s file.
+    ///
+    /// # Errors
+    /// `InvalidInput` (as `StoreError::Io`) if `checkpoint_every` is 0;
+    /// any I/O error writing the header.
+    pub fn new(
+        sink: W,
         geometry: BlockGeometry,
         eb: f64,
         checkpoint_every: usize,
-        index: Vec<(u64, u64, u32)>,
     ) -> Result<Self, StoreError> {
-        let mut cursor = out.committed().bytes;
-        if cursor == 0 {
-            out.data_mut().write_all(&header_bytes(eb, geometry, 0, 0))?;
-            out.data_mut().write_all(&0u32.to_le_bytes())?;
-            cursor = HEADER_LEN_V2;
+        Self::over(Journaled::new(sink), geometry, eb, checkpoint_every, Vec::new())
+    }
+
+    /// A writer over `out` whose committed prefix holds `index`'s
+    /// blocks. An empty artifact first gets its header, which the first
+    /// commit seals.
+    fn over(
+        mut out: Journaled<W>,
+        geometry: BlockGeometry,
+        eb: f64,
+        checkpoint_every: usize,
+        index: Entries,
+    ) -> Result<Self, StoreError> {
+        check_checkpoint_every(checkpoint_every)?;
+        if out.position() == 0 {
+            let header = header_bytes(eb, geometry);
+            out.write_all(&header)?;
+            out.write_all(&crc32(&header).to_le_bytes())?;
         }
         Ok(Self {
             out,
-            path: path.to_path_buf(),
             compressor: Compressor::new(geometry, eb),
             index,
-            cursor,
             checkpoint_every,
         })
     }
 
-    /// Writes one compressed block and commits a checkpoint once
-    /// `checkpoint_every` blocks have accumulated since the last one.
+    /// Commits every block appended so far.
+    fn commit(&mut self) -> io::Result<()> {
+        let blocks = self.index.len() as u64;
+        self.out
+            .commit(blocks, blocks * self.compressor.geometry().block_size() as u64)
+    }
+
+    /// Writes one compressed block and commits once `checkpoint_every`
+    /// blocks have accumulated since the last commit.
     fn push(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        self.out.data_mut().write_all(payload)?;
-        self.index
-            .push((self.cursor, payload.len() as u64, crc32(payload)));
-        self.cursor += payload.len() as u64;
+        let offset = self.out.position();
+        self.out.write_all(payload)?;
+        self.index.push((offset, payload.len() as u64, crc32(payload)));
         let blocks = self.index.len() as u64;
         if blocks - self.out.committed().segments >= self.checkpoint_every as u64 {
-            self.out.commit(Checkpoint {
-                segments: blocks,
-                values: blocks * self.compressor.geometry().block_size() as u64,
-                bytes: self.cursor,
-            })?;
+            self.commit()?;
         }
         Ok(())
     }
@@ -448,83 +445,110 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Writes the checksummed index and the final header, then makes
-    /// the finished store durable before its journal is removed. Returns
-    /// the block count.
+    /// Commits any blocks since the last commit, appends the checksummed
+    /// index and the trailer, and syncs. Returns the block count.
     pub fn finish(mut self) -> Result<usize, StoreError> {
-        let index_offset = self.cursor;
-        let mut index_bytes = Vec::with_capacity(self.index.len() * INDEX_ENTRY_V2 as usize);
-        for &(off, len, crc) in &self.index {
-            index_bytes.extend_from_slice(&off.to_le_bytes());
-            index_bytes.extend_from_slice(&len.to_le_bytes());
-            index_bytes.extend_from_slice(&crc.to_le_bytes());
+        if self.index.len() as u64 > self.out.committed().segments {
+            self.commit()?;
         }
-        let header = header_bytes(
-            self.compressor.error_bound(),
-            self.compressor.geometry(),
-            self.index.len() as u64,
-            index_offset,
-        );
-        let file = self.out.data_mut();
-        file.write_all(&index_bytes)?;
-        file.write_all(&crc32(&index_bytes).to_le_bytes())?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
-        file.write_all(&crc32(&header).to_le_bytes())?;
-        self.out.finish(&self.path)?;
+        let index_offset = self.out.position();
+        let mut index = Vec::with_capacity(self.index.len() * INDEX_ENTRY_V2 as usize + 4);
+        for &(off, len, crc) in &self.index {
+            index.extend_from_slice(&off.to_le_bytes());
+            index.extend_from_slice(&len.to_le_bytes());
+            index.extend_from_slice(&crc.to_le_bytes());
+        }
+        checksum::append_crc32_of(&mut index);
+        let mut trailer = [index_offset, self.index.len() as u64].map(u64::to_le_bytes).concat();
+        checksum::append_crc32_of(&mut trailer);
+        self.out.write_all(&index)?;
+        self.out.write_all(&trailer)?;
+        self.out.close()?;
         Ok(self.index.len())
     }
 }
 
-/// The index of a store's committed prefix (`cp.bytes` long), after a
-/// lenient header check: count/index/CRC slots hold placeholders until
-/// finish(), but magic, error bound, and geometry must already match
-/// what the resume asks for. The prefix must be exactly `cp.segments`
-/// whole containers back to back.
-fn committed_index(
-    file: &File,
-    cp: Checkpoint,
-    geometry: BlockGeometry,
-    eb: f64,
-) -> Result<Vec<(u64, u64, u32)>, StoreError> {
-    if cp.bytes < HEADER_LEN_V2 {
-        return Err(StoreError::corrupt("committed prefix is shorter than the header"));
-    }
-    let mut prefix = vec![0u8; cp.bytes as usize];
-    file.read_exact_at(&mut prefix, 0)?;
-    let header = &prefix[..HEADER_BODY_LEN as usize];
-    if header[..8] != MAGIC_V2 {
-        return Err(StoreError::corrupt("bad magic"));
-    }
-    let h_eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
-    let h_num_sb = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let h_sb_size = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    if h_eb != eb
-        || h_num_sb != geometry.num_subblocks as u64
-        || h_sb_size != geometry.subblock_size as u64
-    {
-        return Err(StoreError::corrupt(
-            "resume parameters do not match the store header",
-        ));
-    }
-    let blocks_bytes = &prefix[HEADER_LEN_V2 as usize..];
+/// The last verified commit of the store in `source`, and the index of
+/// the blocks it covers: the file's framing — containers and commit
+/// records after the header — is walked with positional reads, holding
+/// one container (plus one commit record) at a time, and every record
+/// goes through a [`CommitScan`]. The walk stops at the first bytes that
+/// are neither (a torn tail, or a finished store's index), and the scan
+/// searches what follows for a commit the walk could not reach.
+///
+/// # Errors
+/// `Corrupt` if committed data is damaged; any I/O error.
+pub fn committed_index<R: ReadAt + ?Sized>(
+    source: &R,
+) -> Result<(Checkpoint, Entries), StoreError> {
+    let corrupt = |e: io::Error| match e.kind() {
+        ErrorKind::InvalidData => StoreError::corrupt("damaged bytes inside committed data"),
+        _ => StoreError::Io(e),
+    };
+    let size = source.size()?;
+    let mut scan = CommitScan::new(source)?;
     let mut index = Vec::new();
-    let mut pos = 0usize;
-    while pos < blocks_bytes.len() {
-        let (_, consumed) = pastri::inspect_prefix(&blocks_bytes[pos..]).map_err(|_| {
-            StoreError::corrupt("unparseable container inside the committed prefix")
-                .with_block(index.len())
-        })?;
-        let payload = &blocks_bytes[pos..pos + consumed];
-        index.push((HEADER_LEN_V2 + pos as u64, consumed as u64, crc32(payload)));
-        pos += consumed;
+    let mut pos = HEADER_LEN_V2;
+    let mut record = [0u8; RECORD_LEN];
+    while pos < size {
+        let word = &mut record[..(size - pos).min(RECORD_LEN as u64) as usize];
+        read_exact_at(source, word, pos)?;
+        if word.starts_with(&COMMIT_MAGIC) {
+            if word.len() < RECORD_LEN {
+                break; // a torn record
+            }
+            scan.record(pos, &record, index.len() as u64).map_err(corrupt)?;
+            pos += RECORD_LEN as u64;
+            continue;
+        }
+        let Some(container) = read_container(source, pos, size)? else {
+            break;
+        };
+        scan.feed(pos, &container)?;
+        let len = container.len() as u64;
+        index.push((pos, len, crc32(&container)));
+        pos += len;
     }
-    if index.len() as u64 != cp.segments {
-        return Err(StoreError::corrupt(
-            "committed block count does not match the journal",
-        ));
+    let cp = scan.finish().map_err(corrupt)?;
+    // `finish` writes the trailer only once its last commit is durable,
+    // so a trailer that verifies names where that commit ends.
+    if size >= HEADER_LEN_V2 + TRAILER_LEN {
+        let mut trailer = [0u8; TRAILER_LEN as usize];
+        read_exact_at(source, &mut trailer, size - TRAILER_LEN)?;
+        let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
+        let stored = u32::from_le_bytes(trailer[16..].try_into().unwrap());
+        if crc32(&trailer[..16]) == stored && index_offset != cp.bytes.max(HEADER_LEN_V2) {
+            return Err(StoreError::corrupt("damaged bytes before the index the trailer names"));
+        }
     }
-    Ok(index)
+    index.truncate(cp.segments as usize);
+    Ok((cp, index))
+}
+
+/// The whole container starting at `pos`, read in doubling steps from
+/// 4 KiB so the buffer stays within twice the container (and within the
+/// file); `None` when the bytes there are not one.
+fn read_container<R: ReadAt + ?Sized>(
+    source: &R,
+    pos: u64,
+    size: u64,
+) -> io::Result<Option<Vec<u8>>> {
+    let remaining = size - pos;
+    let mut want = remaining.min(4 << 10);
+    loop {
+        let mut buf = vec![0u8; want as usize];
+        read_exact_at(source, &mut buf, pos)?;
+        match pastri::inspect_prefix(&buf) {
+            Ok((_, len)) => {
+                buf.truncate(len);
+                return Ok(Some(buf));
+            }
+            Err(pastri::DecompressError::Truncated) if want < remaining => {
+                want = (want * 2).min(remaining);
+            }
+            Err(_) => return Ok(None),
+        }
+    }
 }
 
 fn check_checkpoint_every(checkpoint_every: usize) -> Result<(), StoreError> {
@@ -537,15 +561,13 @@ fn check_checkpoint_every(checkpoint_every: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// The 48 checksummed header bytes (magic through index offset).
-fn header_bytes(eb: f64, geometry: BlockGeometry, num_blocks: u64, index_offset: u64) -> Vec<u8> {
+/// The 32 checksummed header bytes (magic through subblock size).
+fn header_bytes(eb: f64, geometry: BlockGeometry) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_BODY_LEN as usize);
     h.extend_from_slice(&MAGIC_V2);
     h.extend_from_slice(&eb.to_le_bytes());
     h.extend_from_slice(&(geometry.num_subblocks as u64).to_le_bytes());
     h.extend_from_slice(&(geometry.subblock_size as u64).to_le_bytes());
-    h.extend_from_slice(&num_blocks.to_le_bytes());
-    h.extend_from_slice(&index_offset.to_le_bytes());
     h
 }
 
@@ -669,16 +691,31 @@ impl<R: ReadAt> StoreReader<R> {
         if num_sb == 0 || sb_size == 0 || num_sb.saturating_mul(sb_size) > (1 << 28) {
             return Err(StoreError::corrupt("implausible geometry"));
         }
-        let num_blocks = rd_u64(32) as usize;
-        let index_offset = rd_u64(40);
-        // Index plausibility: every entry must fit in the file — checked
-        // against the real file size *before* the index allocation, so a
-        // hostile block count cannot request more memory than the file
-        // could hold.
-        let index_bytes_len = (num_blocks as u64).saturating_mul(INDEX_ENTRY_V2);
-        if index_offset < HEADER_LEN_V2 || index_offset.saturating_add(index_bytes_len) > file_len {
+        // The trailer — the last thing `finish` writes — says where the
+        // index is. An unfinished store has none, so its checksum fails.
+        if file_len < HEADER_LEN_V2 + 4 + TRAILER_LEN {
+            return Err(StoreError::corrupt("no trailer: the store was never finished"));
+        }
+        let trailer_at = file_len - TRAILER_LEN;
+        let mut trailer = [0u8; TRAILER_LEN as usize - 4];
+        read_exact_retry(&source, &mut trailer, trailer_at, &retry, &stats)?;
+        read_stored_crc(&source, &retry, &stats, &trailer, file_len - 4, trailer_at)?;
+        let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
+        let num_blocks = u64::from_le_bytes(trailer[8..].try_into().unwrap());
+        // Index plausibility: the index and its CRC must fill the bytes
+        // between the index offset and the trailer exactly — checked
+        // *before* the index allocation, so a hostile block count cannot
+        // request more memory than the file could hold.
+        let index_bytes_len = num_blocks.saturating_mul(INDEX_ENTRY_V2);
+        if index_offset < HEADER_LEN_V2
+            || index_bytes_len
+                .checked_add(4)
+                .and_then(|n| index_offset.checked_add(n))
+                != Some(trailer_at)
+        {
             return Err(StoreError::corrupt("index out of bounds"));
         }
+        let num_blocks = num_blocks as usize;
         let mut index_bytes = vec![0u8; index_bytes_len as usize];
         read_exact_retry(&source, &mut index_bytes, index_offset, &retry, &stats)?;
         let crc_at = index_offset + index_bytes_len;
@@ -689,7 +726,11 @@ impl<R: ReadAt> StoreReader<R> {
             let len = u64::from_le_bytes(entry[8..16].try_into().unwrap());
             let crc = u32::from_le_bytes(entry[16..20].try_into().unwrap());
             if off < HEADER_LEN_V2 || off.saturating_add(len) > index_offset {
-                return Err(StoreError::corrupt("block entry out of bounds").with_block(i));
+                return Err(StoreError::Corrupt {
+                    block: Some(i),
+                    offset: None,
+                    reason: "block entry out of bounds",
+                });
             }
             index.push(IndexEntry { offset: off, len, crc });
         }
@@ -852,7 +893,6 @@ impl<R: ReadAt> StoreReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use durable::journal_path;
     use faults::{FaultConfig, FaultyReader};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -907,21 +947,43 @@ mod tests {
         }
     }
 
+    /// A store of `blocks` committed every `every`, written in memory.
+    fn memory_store(geom: BlockGeometry, eb: f64, blocks: &[Vec<f64>], every: usize) -> Vec<u8> {
+        let mut sink = Vec::new();
+        let mut w = StoreWriter::new(&mut sink, geom, eb, every).unwrap();
+        for b in blocks {
+            w.append_block(b).unwrap();
+        }
+        w.finish().unwrap();
+        sink
+    }
+
     #[test]
     fn durable_store_is_byte_identical_and_drops_journal_on_finish() {
+        // A file store equals the in-memory one and leaves no sidecar.
         let geom = BlockGeometry::new(6, 8);
         let blocks: Vec<Vec<f64>> = (0..11).map(|b| patterned_block(geom, b)).collect();
-        let (expected, _) = store_bytes(geom, 1e-10, &blocks);
-
         let path = tmp("durable-identical");
         let mut w = StoreWriter::create_durable(&path, geom, 1e-10, 3).unwrap();
         for b in &blocks {
             w.append_block(b).unwrap();
         }
-        assert!(journal_path(&path).exists(), "journal alive mid-write");
         assert_eq!(w.finish().unwrap(), 11);
-        assert!(!journal_path(&path).exists(), "journal removed on finish");
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(std::fs::read(&path).unwrap(), memory_store(geom, 1e-10, &blocks, 3));
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        let sidecars: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&stem) && n.len() > stem.len())
+            .collect();
+        assert!(sidecars.is_empty(), "{sidecars:?}");
+        // Four commits (3 + 3 + 3 + the finishing 2) and no patched bytes:
+        // the file opens and its blocks read back.
+        let (cp, index) = committed_index(&std::fs::read(&path).unwrap().as_slice()).unwrap();
+        assert_eq!((cp.segments, index.len()), (11, 11));
+        let r = StoreReader::open(&path).unwrap();
+        assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -930,8 +992,6 @@ mod tests {
         let geom = BlockGeometry::new(6, 8);
         let eb = 1e-10;
         let blocks: Vec<Vec<f64>> = (0..17).map(|b| patterned_block(geom, b)).collect();
-        let (expected, _) = store_bytes(geom, eb, &blocks);
-
         let path = tmp("durable-resume");
         {
             let mut w = StoreWriter::create_durable(&path, geom, eb, 4).unwrap();
@@ -948,8 +1008,7 @@ mod tests {
             w.append_block(b).unwrap();
         }
         assert_eq!(w.finish().unwrap(), 17);
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
-        assert!(!journal_path(&path).exists());
+        assert_eq!(std::fs::read(&path).unwrap(), memory_store(geom, eb, &blocks, 4));
 
         // And the resumed store verifies clean.
         let r = StoreReader::open(&path).unwrap();
@@ -959,13 +1018,13 @@ mod tests {
 
     #[test]
     fn open_for_append_without_journal_restarts() {
+        // Killed before its first commit: nothing to keep.
         let geom = BlockGeometry::new(4, 4);
         let path = tmp("durable-nojournal");
         {
             let mut w = StoreWriter::create_durable(&path, geom, 1e-9, 2).unwrap();
             w.append_block(&patterned_block(geom, 0)).unwrap();
         }
-        let _ = std::fs::remove_file(journal_path(&path));
         let (mut w, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp, Checkpoint::default());
         for b in 0..3 {
@@ -994,23 +1053,98 @@ mod tests {
             Err(StoreError::Corrupt { .. })
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_path(&path));
     }
 
     #[test]
     fn open_for_append_rejects_a_checkpoint_inside_the_header() {
         let geom = BlockGeometry::new(4, 4);
-        let path = tmp("durable-short-prefix");
-        drop(StoreWriter::create_durable(&path, geom, 1e-9, 1).unwrap());
-        let journal = File::create(journal_path(&path)).unwrap();
-        let mut forged = Journaled::new(io::sink(), journal);
-        forged.commit(Checkpoint { segments: 1, values: 16, bytes: 10 }).unwrap();
+        let blocks: Vec<Vec<f64>> = (0..4).map(|b| patterned_block(geom, b)).collect();
+        let clean = memory_store(geom, 1e-9, &blocks, 2);
+        let path = tmp("durable-header-flip");
+        // A flipped header bit lies inside the first commit's span, and
+        // the second commit still verifies: corruption, file untouched.
+        let mut bytes = clean.clone();
+        bytes[10] ^= 0x02;
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            StoreWriter::open_for_append(&path, geom, 1e-9, 1),
+            StoreWriter::open_for_append(&path, geom, 1e-9, 2),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // A forged record claiming to end inside the header verifies
+        // nothing: the store restarts rather than trusting it.
+        let mut forged = Journaled::new(Vec::new());
+        forged.write_all(&clean[..HEADER_LEN_V2 as usize]).unwrap();
+        forged.commit(1, 16).unwrap();
+        let mut bytes = forged.close().unwrap().0;
+        bytes[HEADER_LEN_V2 as usize + 20..][..8].copy_from_slice(&10u64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
+        assert_eq!(cp, Checkpoint::default());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_tail_is_trimmed_but_a_flip_before_a_verified_commit_is_corrupt() {
+        let geom = BlockGeometry::new(4, 4);
+        let blocks: Vec<Vec<f64>> = (0..6).map(|b| patterned_block(geom, b)).collect();
+        let clean = memory_store(geom, 1e-9, &blocks, 2);
+        let (cp, index) = committed_index(&clean.as_slice()).unwrap();
+        assert_eq!(cp.segments, 6, "the index and trailer are past the last commit");
+        let path = tmp("durable-torn-vs-flip");
+        // Torn inside block 5 (after the commit sealing blocks 0..4):
+        // trimmed back to 4 blocks, and the resume finishes identical.
+        let (off5, len5, _) = index[5];
+        std::fs::write(&path, &clean[..(off5 + len5 / 2) as usize]).unwrap();
+        let (mut w, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
+        assert_eq!(cp.segments, 4);
+        for b in &blocks[4..] {
+            w.append_block(b).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), clean);
+        // A flip inside block 1, sealed by commits that still verify.
+        let (off1, len1, _) = index[1];
+        let mut bytes = clean.clone();
+        bytes[(off1 + len1 / 2) as usize] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            StoreWriter::open_for_append(&path, geom, 1e-9, 2),
             Err(StoreError::Corrupt { .. })
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_path(&path));
+    }
+
+    #[test]
+    fn framing_damage_before_a_verified_commit_is_corrupt_and_kept() {
+        // A flipped container magic stops the walk at that block; the
+        // commits past it still verify, so nothing may be trimmed. A
+        // flipped magic in the last commit record hides that record, but
+        // the finished store's trailer says where the last commit ends.
+        let geom = BlockGeometry::new(4, 4);
+        let blocks: Vec<Vec<f64>> = (0..6).map(|b| patterned_block(geom, b)).collect();
+        let clean = memory_store(geom, 1e-9, &blocks, 2);
+        let (cp, index) = committed_index(&clean.as_slice()).unwrap();
+        let last_record = (cp.bytes - RECORD_LEN as u64) as usize;
+        let path = tmp("framing-flip");
+        for at in [0, 3, 5].map(|block| index[block].0 as usize).into_iter().chain([last_record]) {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    StoreWriter::open_for_append(&path, geom, 1e-9, 2),
+                    Err(StoreError::Corrupt { .. })
+                ),
+                "flip at {at}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "flip at {at}: nothing trimmed");
+        }
+        // A finished store with no blocks has no commit, yet reopens.
+        std::fs::write(&path, memory_store(geom, 1e-9, &[], 2)).unwrap();
+        let (_, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
+        assert_eq!(cp, Checkpoint::default());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1074,9 +1208,8 @@ mod tests {
             // dropped without finish()
         }
         let err = StoreReader::open(&path);
-        assert!(err.is_err(), "index offset 0 must be rejected");
+        assert!(err.is_err(), "a store with no trailer must be rejected");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_path(&path));
     }
 
     #[test]
@@ -1103,7 +1236,6 @@ mod tests {
         }));
         assert!(result.is_err());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_path(&path));
     }
 
     #[test]
@@ -1214,10 +1346,10 @@ mod tests {
         let geom = BlockGeometry::new(4, 4);
         let blocks: Vec<Vec<f64>> = (0..3).map(|b| patterned_block(geom, b)).collect();
         let (mut bytes, _) = store_bytes(geom, 1e-9, &blocks);
-        // The index sits between the last block and the trailing 4-byte
-        // index CRC; flip a bit in its first entry.
-        let index_offset =
-            u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+        // The index sits between the last commit and the index CRC; the
+        // trailer says where. Flip a bit in its first entry.
+        let at = bytes.len() - TRAILER_LEN as usize;
+        let index_offset = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
         bytes[index_offset + 2] ^= 0x20;
         let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
         assert!(
@@ -1292,9 +1424,10 @@ mod tests {
         let blocks: Vec<Vec<f64>> = (0..2).map(|b| patterned_block(geom, b)).collect();
         let (mut bytes, _) = store_bytes(geom, 1e-9, &blocks);
         // Claim ~10^15 blocks; the index could never fit in the file, so
-        // open() must fail on the bounds check (the header CRC also
+        // open() must fail on the bounds check (the trailer CRC also
         // breaks, but either way: no giant allocation).
-        bytes[32..40].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        let at = bytes.len() - 12;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
         let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
         assert!(
             matches!(err, StoreError::Checksum { .. } | StoreError::Corrupt { .. }),

@@ -12,11 +12,15 @@
 //! `read_at` call, so a sequential consumer replays them exactly — a
 //! failing test seed reproduces.
 //!
+//! [`PowerLossFile`] records one file's writes and fsyncs and builds
+//! the states a power loss may leave: unsynced writes lost, torn or
+//! persisted out of order, and an unsynced directory entry gone.
+//!
 //! [`FaultyWriter`] is the write-side mirror: short writes, torn writes,
 //! and deterministic *kill points* — after a caller-chosen number of
-//! bytes (shared across several writers via a [`CrashBudget`]) every
-//! subsequent write and fsync fails as if the process had been killed at
-//! that instant, optionally firing an injectable abort hook first. The
+//! bytes every subsequent write and fsync fails as if the process had
+//! been killed at that instant, optionally firing an injectable abort
+//! hook first. The
 //! crash-recovery harness replays every byte of a compression run as a
 //! kill point and asserts the durability invariants on what the "dead"
 //! process left behind.
@@ -33,8 +37,10 @@ use durable::retry::splitmix64;
 use durable::ReadAt;
 
 pub mod overload;
+pub mod power;
 pub mod proxy;
 
+pub use power::PowerLossFile;
 pub use proxy::{FaultyProxy, ProxyFaultConfig, ProxyTallies, WireFault};
 
 /// What to inject. The default injects nothing — enable modes per test.
@@ -247,57 +253,16 @@ impl BitFlipper {
     }
 }
 
-/// Shared byte allowance for a simulated crash: writers draw from it on
-/// every accepted byte, and once it runs dry they all die together —
-/// modeling a process kill at one instant across the data file *and*
-/// its journal. Cloning shares the same budget.
-#[derive(Debug, Clone)]
-pub struct CrashBudget(std::sync::Arc<std::sync::atomic::AtomicU64>);
-
-impl CrashBudget {
-    /// A budget of `bytes` accepted writes before the crash.
-    #[must_use]
-    pub fn new(bytes: u64) -> Self {
-        Self(std::sync::Arc::new(std::sync::atomic::AtomicU64::new(
-            bytes,
-        )))
-    }
-
-    /// Bytes still writable before the crash fires.
-    #[must_use]
-    pub(crate) fn remaining(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Draws up to `want` bytes; returns how many were granted (0 once
-    /// exhausted). Thread-safe: concurrent writers cannot overdraw.
-    fn take(&self, want: u64) -> u64 {
-        use std::sync::atomic::Ordering;
-        let mut cur = self.0.load(Ordering::SeqCst);
-        loop {
-            let grant = cur.min(want);
-            match self
-                .0
-                .compare_exchange(cur, cur - grant, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return grant,
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
 /// What [`FaultyWriter`] injects. Default injects nothing.
 #[derive(Default)]
 pub struct WriteFaultConfig {
     /// Accept at most a prefix of each write (exercises callers that
     /// wrongly assume `write` takes the whole buffer).
     pub short_writes: bool,
-    /// Crash once this shared budget is exhausted: every later write,
-    /// flush, and sync fails with [`ErrorKind::Other`] ("injected
-    /// crash"). Share one budget across the data and journal writers to
-    /// model a whole-process kill.
-    pub kill_after: Option<CrashBudget>,
+    /// Crash once this many bytes have been accepted: every later
+    /// write, flush, and sync fails with [`ErrorKind::Other`]
+    /// ("injected crash"), as if the process were killed.
+    pub kill_after: Option<u64>,
     /// If `true`, the killing write is *torn*: the bytes still in budget
     /// are accepted (and reach the inner writer) before the failure —
     /// byte-granular kill points. If `false`, the killing write is
@@ -327,6 +292,8 @@ pub struct FaultyWriter<W> {
     seed: u64,
     config: WriteFaultConfig,
     calls: u64,
+    /// Bytes accepted so far (what the kill budget is charged).
+    accepted: u64,
     dead: bool,
     abort_hook: Option<Box<dyn FnMut() + Send>>,
 }
@@ -340,6 +307,7 @@ impl<W> FaultyWriter<W> {
             seed,
             config,
             calls: 0,
+            accepted: 0,
             dead: false,
             abort_hook: None,
         }
@@ -386,20 +354,17 @@ impl<W: Write> Write for FaultyWriter<W> {
             let h = splitmix64(self.seed ^ 0x7717_a9b3 ^ call);
             want = 1 + (h as usize % want);
         }
-        if let Some(budget) = &self.config.kill_after {
-            if self.config.torn_kill {
-                let grant = budget.take(want as u64) as usize;
-                if grant == 0 && !buf.is_empty() {
-                    return Err(self.die());
-                }
-                want = grant;
-            } else if budget.remaining() < want as u64 {
+        if let Some(limit) = self.config.kill_after {
+            let left = limit.saturating_sub(self.accepted);
+            if self.config.torn_kill && left > 0 {
+                want = want.min(left as usize);
+            } else if left < want as u64 {
                 return Err(self.die());
-            } else {
-                budget.take(want as u64);
             }
         }
-        self.inner.write(&buf[..want])
+        let n = self.inner.write(&buf[..want])?;
+        self.accepted += n as u64;
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -577,7 +542,7 @@ mod tests {
                 Vec::new(),
                 9,
                 WriteFaultConfig {
-                    kill_after: Some(CrashBudget::new(kill_at)),
+                    kill_after: Some(kill_at),
                     torn_kill: true,
                     ..Default::default()
                 },
@@ -606,7 +571,7 @@ mod tests {
             Vec::new(),
             9,
             WriteFaultConfig {
-                kill_after: Some(CrashBudget::new(10)),
+                kill_after: Some(10),
                 torn_kill: false,
                 ..Default::default()
             },
@@ -620,26 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_kills_both_writers_together() {
-        let budget = CrashBudget::new(6);
-        let cfg = || WriteFaultConfig {
-            kill_after: Some(budget.clone()),
-            torn_kill: true,
-            ..Default::default()
-        };
-        let mut a = FaultyWriter::new(Vec::new(), 1, cfg());
-        let mut b = FaultyWriter::new(Vec::new(), 2, cfg());
-        a.write_all(b"1234").unwrap(); // budget: 2 left
-        let err = b.write_all(b"abcd").unwrap_err(); // torn after "ab"
-        assert!(is_injected_crash(&err));
-        // a's next write also dies: the shared budget is dry.
-        assert_eq!(budget.remaining(), 0);
-        assert!(a.write_all(b"x").is_err());
-        assert_eq!(a.into_inner(), b"1234");
-        assert_eq!(b.into_inner(), b"ab");
-    }
-
-    #[test]
     fn abort_hook_fires_exactly_once() {
         let fired = std::sync::Arc::new(AtomicU32::new(0));
         let fired2 = std::sync::Arc::clone(&fired);
@@ -647,7 +592,7 @@ mod tests {
             Vec::new(),
             3,
             WriteFaultConfig {
-                kill_after: Some(CrashBudget::new(2)),
+                kill_after: Some(2),
                 torn_kill: true,
                 ..Default::default()
             },

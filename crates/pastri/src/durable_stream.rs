@@ -1,266 +1,99 @@
-//! Crash-safe, resumable stream compression.
+//! Crash-safe, resumable stream files.
 //!
-//! [`DurableStreamWriter`] produces exactly the wire format of
-//! [`StreamWriter`](crate::stream::StreamWriter) — byte-identical, so
-//! readers cannot tell the two apart — but commits it durably in
-//! checkpointed batches: every `checkpoint_every` full segments, the
-//! data sink is fsync'd and a `(segments, values, bytes)` record is
-//! appended to a [`durable`] checkpoint journal (itself fsync'd). The
-//! write ordering — data, data fsync, journal record, journal fsync —
-//! means the journal never describes bytes that could still be lost, so
-//! after a crash at *any* instant the last valid journal record names a
-//! prefix of the stream that is on disk byte-exact.
+//! A [`StreamWriter`] over a [`File`] commits in batches: every
+//! `checkpoint_every` full segments it appends a commit frame and fsyncs
+//! once, so after a crash at *any* instant the last commit whose record
+//! and span verify names a prefix of the stream that is on disk
+//! byte-exact. There is no sidecar file: the stream carries its own
+//! commits.
 //!
-//! [`DurableFileWriter`] binds the writer to a real file plus its
-//! `<path>.journal` sidecar through [`durable::Journaled`], which owns
-//! the recovery half: [`resume`](DurableFileWriter::resume) loads the
-//! last checkpoint, truncates both files to their committed prefixes
-//! (discarding torn tails), and continues. The producer re-feeds its
-//! input starting at [`Checkpoint::values`]; because checkpoints land
-//! only on whole-segment boundaries and segmentation is deterministic, a
+//! [`StreamWriter::resume`] walks the file's framing with positional
+//! reads ([`committed`]), cuts it after the last verified commit
+//! (discarding torn tails) and continues. The producer re-feeds its
+//! input starting at [`Checkpoint::values`]; because commits land only
+//! on whole-segment boundaries and segmentation is deterministic, a
 //! resumed run finishes byte-identical to one that was never
-//! interrupted. On a successful [`finish`](DurableFileWriter::finish)
-//! the journal is removed — its absence next to a terminated stream is
-//! the "write completed" marker.
-//!
-//! Batches are compressed on the rayon crew (order-preserving, one
-//! segment per task), so durability and parallel throughput compose.
+//! interrupted.
 
 use std::fs::File;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use durable::{Checkpoint, Journaled, SyncWrite};
-use rayon::ParallelSlice;
+use durable::{Checkpoint, CommitScan, Journaled, ReadAt, COMMIT_MAGIC};
 
-use crate::container::{varint_len, Compressor};
-use crate::stream::{write_varint, STREAM_MAGIC, STREAM_VERSION};
+use crate::container::Compressor;
+use crate::error::DecompressError;
+use crate::stream::{Frame, Frames, StreamWriter};
 
-/// A [`StreamWriter`](crate::stream::StreamWriter) whose output survives
-/// crashes: segments are committed in fsync'd batches, each sealed by a
-/// checkpoint journal record. Generic over [`SyncWrite`] sinks so the
-/// fault harness can interpose on every byte and fsync of both files.
-pub struct DurableStreamWriter<W: SyncWrite, J: SyncWrite> {
-    out: Journaled<W, J>,
-    compressor: Compressor,
-    /// Pending raw values (less than one segment).
-    buffer: Vec<f64>,
-    /// Full segments accumulated toward the next checkpoint.
-    pending: Vec<Vec<f64>>,
-    segment_values: usize,
-    checkpoint_every: usize,
-    /// Physical bytes written to the sink so far (committed or not);
-    /// 0 until the stream header goes out.
-    written_bytes: u64,
-}
-
-impl<W: SyncWrite, J: SyncWrite> DurableStreamWriter<W, J> {
-    /// A fresh durable stream: `journal_sink` receives the journal from
-    /// its magic onward.
+impl StreamWriter<File> {
+    /// Starts a fresh durable stream at `path`, truncating any previous
+    /// file (see [`Journaled::create`]).
     ///
     /// # Errors
-    /// `InvalidInput` if `blocks_per_segment` or `checkpoint_every` is
-    /// zero.
-    pub fn new(
-        sink: W,
-        journal_sink: J,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<Self> {
-        Self::over(
-            Journaled::new(sink, journal_sink),
-            compressor,
-            blocks_per_segment,
-            checkpoint_every,
-        )
-    }
-
-    /// Continues the stream whose committed prefix `out` already holds;
-    /// the caller skips `out.committed().values` source values before
-    /// writing more.
-    fn over(
-        out: Journaled<W, J>,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<Self> {
-        if blocks_per_segment == 0 || checkpoint_every == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "blocks_per_segment and checkpoint_every must be at least 1",
-            ));
-        }
-        let segment_values = compressor.geometry().block_size() * blocks_per_segment;
-        let written_bytes = out.committed().bytes;
-        Ok(Self {
-            out,
-            compressor,
-            buffer: Vec::with_capacity(segment_values),
-            pending: Vec::new(),
-            segment_values,
-            checkpoint_every,
-            written_bytes,
-        })
-    }
-
-    /// The last durable checkpoint: everything at or before it survives
-    /// a crash.
-    #[must_use]
-    pub(crate) fn checkpoint(&self) -> Checkpoint {
-        self.out.committed()
-    }
-
-    /// Appends values, committing a checkpointed batch whenever
-    /// `checkpoint_every` full segments have accumulated.
-    pub fn write_values(&mut self, values: &[f64]) -> io::Result<()> {
-        self.buffer.extend_from_slice(values);
-        while self.buffer.len() >= self.segment_values {
-            let rest = self.buffer.split_off(self.segment_values);
-            let full = std::mem::replace(&mut self.buffer, rest);
-            self.pending.push(full);
-            if self.pending.len() >= self.checkpoint_every {
-                self.commit_batch()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits the tail (as its own checkpointed batch), writes the
-    /// terminator, and syncs. Returns the sinks and the final
-    /// checkpoint; the terminator byte is deliberately *not* journaled —
-    /// recovery truncates back to the checkpoint and a re-run of
-    /// `finish` rewrites it, which is what makes a crash between
-    /// terminator and journal-removal harmless.
-    pub fn finish(self) -> io::Result<(W, J, Checkpoint)> {
-        self.seal()?.close()
-    }
-
-    /// Commits the tail and writes the terminator, unsynced.
-    fn seal(mut self) -> io::Result<Journaled<W, J>> {
-        if !self.buffer.is_empty() {
-            let tail = std::mem::take(&mut self.buffer);
-            self.pending.push(tail);
-        }
-        self.commit_batch()?;
-        self.ensure_header()?;
-        write_varint(self.out.data_mut(), 0)?;
-        Ok(self.out)
-    }
-
-    /// Writes, fsyncs, and journals every pending segment as one batch.
-    fn commit_batch(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let _span = telemetry::span("durable.commit_batch");
-        self.ensure_header()?;
-        let batch = std::mem::take(&mut self.pending);
-        let compressor = self.compressor;
-        // Order-preserving parallel compression; `compress` is
-        // byte-identical to the sequential writer's path.
-        let containers: Vec<Vec<u8>> = batch
-            .par_iter()
-            .map(|seg| compressor.compress(seg))
-            .collect();
-        let sink = self.out.data_mut();
-        for container in &containers {
-            write_varint(sink, container.len() as u64)?;
-            sink.write_all(container)?;
-            self.written_bytes += (varint_len(container.len() as u64) + container.len()) as u64;
-        }
-        let committed = self.out.committed();
-        self.out.commit(Checkpoint {
-            segments: committed.segments + batch.len() as u64,
-            values: committed.values + batch.iter().map(|s| s.len() as u64).sum::<u64>(),
-            bytes: self.written_bytes,
-        })
-    }
-
-    fn ensure_header(&mut self) -> io::Result<()> {
-        if self.written_bytes == 0 {
-            let sink = self.out.data_mut();
-            sink.write_all(&STREAM_MAGIC)?;
-            sink.write_all(&[STREAM_VERSION])?;
-            self.written_bytes = STREAM_MAGIC.len() as u64 + 1;
-        }
-        Ok(())
-    }
-}
-
-/// [`DurableStreamWriter`] bound to a file and its `<path>.journal`
-/// sidecar, with crash recovery.
-pub struct DurableFileWriter {
-    inner: DurableStreamWriter<File, File>,
-    path: PathBuf,
-}
-
-impl DurableFileWriter {
-    /// Starts a fresh durable stream at `path`, truncating any previous
-    /// artifact and journal (see [`Journaled::create`]).
+    /// Any I/O error; `InvalidInput` for a zero segment or batch size.
     pub fn create(
         path: &Path,
         compressor: Compressor,
         blocks_per_segment: usize,
         checkpoint_every: usize,
     ) -> io::Result<Self> {
-        let out = Journaled::create(path)?;
-        Self::over(out, path, compressor, blocks_per_segment, checkpoint_every)
+        Self::over(Journaled::create(path)?, compressor, blocks_per_segment, checkpoint_every)
     }
 
-    /// Resumes an interrupted write at `path`: [`Journaled::resume`]
-    /// truncates the artifact to its committed prefix and the journal
-    /// to its valid prefix, and the stream continues from there. With
-    /// no usable journal the stream restarts from scratch.
+    /// Resumes an interrupted write at `path`: the file is cut after its
+    /// last verified commit and the stream continues from there. With no
+    /// verified commit the stream restarts from scratch.
     ///
     /// The caller must skip [`checkpoint`](Self::checkpoint)`().values`
     /// source values before feeding more data; the finished output is
     /// then byte-identical to an uninterrupted run.
     ///
     /// # Errors
-    /// `InvalidData` if the journal claims more durable bytes than the
-    /// artifact holds — that means the pair was tampered with or split,
-    /// since the write ordering makes it impossible from a crash.
+    /// `InvalidData` if damage lies before a commit that verifies — a
+    /// crash cannot cause that, so the file is left untouched. Any I/O
+    /// error.
     pub fn resume(
         path: &Path,
         compressor: Compressor,
         blocks_per_segment: usize,
         checkpoint_every: usize,
     ) -> io::Result<Self> {
-        let out = Journaled::resume(path)?;
-        Self::over(out, path, compressor, blocks_per_segment, checkpoint_every)
+        let (out, ()) = Journaled::resume(path, |file| committed(file).map(|cp| (cp, ())))?;
+        Self::over(out, compressor, blocks_per_segment, checkpoint_every)
     }
+}
 
-    fn over(
-        out: Journaled<File, File>,
-        path: &Path,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<Self> {
-        let inner = DurableStreamWriter::over(out, compressor, blocks_per_segment, checkpoint_every)?;
-        Ok(Self {
-            inner,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// The last durable checkpoint (what a crash right now would
-    /// preserve, and how many source values a resume would skip).
-    #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.inner.checkpoint()
-    }
-
-    /// See [`DurableStreamWriter::write_values`].
-    pub fn write_values(&mut self, values: &[f64]) -> io::Result<()> {
-        self.inner.write_values(values)
-    }
-
-    /// Finishes the stream and removes the journal — the durable marker
-    /// that the artifact is complete. Returns the final checkpoint.
-    pub fn finish(self) -> io::Result<Checkpoint> {
-        self.inner.seal()?.finish(&self.path)
+/// The last verified commit of the stream in `source`: its framing is
+/// walked with positional reads, one frame at a time, and every frame
+/// goes through a [`CommitScan`]. A missing or damaged header, or a
+/// version-1 stream, leaves no framing to walk: the scan only searches
+/// for a commit past it.
+///
+/// # Errors
+/// `InvalidData` for damage inside committed bytes; any read failure
+/// other than the source ending.
+pub fn committed<R: ReadAt + ?Sized>(source: &R) -> io::Result<Checkpoint> {
+    let mut scan = CommitScan::new(source)?;
+    let mut segments = 0u64;
+    let mut frames = match Frames::new(source) {
+        Ok(frames) if frames.version >= 2 => frames,
+        Err(DecompressError::Unreadable(kind)) => return Err(kind.into()),
+        _ => return scan.finish(),
+    };
+    loop {
+        match frames.next() {
+            Some(Ok(Frame::Segment { at, container })) => {
+                scan.feed(at, &container)?;
+                segments += 1;
+            }
+            // A commit frame without its magic is misread framing (say,
+            // after a torn length varint), not a damaged record.
+            Some(Ok(Frame::Commit { at, record })) if record.starts_with(&COMMIT_MAGIC) => {
+                scan.record(at, &record, segments)?;
+            }
+            Some(Err(DecompressError::Unreadable(kind))) => return Err(kind.into()),
+            _ => return scan.finish(),
+        }
     }
 }
 
@@ -268,9 +101,8 @@ impl DurableFileWriter {
 mod tests {
     use super::*;
     use crate::geometry::BlockGeometry;
-    use durable::journal_path;
-    use std::fs::OpenOptions;
-    use crate::stream::{StreamReader, StreamWriter};
+    use crate::stream::StreamReader;
+    use std::path::PathBuf;
 
     fn compressor() -> Compressor {
         Compressor::new(BlockGeometry::new(4, 9), 1e-9)
@@ -280,59 +112,60 @@ mod tests {
         (0..n).map(|i| ((i % 36) as f64 * 0.3).sin() * 1e-5).collect()
     }
 
-    fn sequential_stream(data: &[f64], blocks_per_segment: usize) -> Vec<u8> {
-        let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), blocks_per_segment).unwrap();
+    fn memory_stream(data: &[f64], blocks_per_segment: usize, checkpoint_every: usize) -> Vec<u8> {
+        let mut w =
+            StreamWriter::new(Vec::new(), compressor(), blocks_per_segment, checkpoint_every)
+                .unwrap();
         w.write_values(data).unwrap();
-        w.finish().unwrap();
-        sink
+        w.finish().unwrap().0
     }
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pastri-durable-{}-{name}", std::process::id()))
     }
 
+    /// A stream file at `name` fed `fed` values of `data` and dropped
+    /// without `finish` — the "crash".
+    fn interrupted(name: &str, data: &[f64], fed: usize, bps: usize, every: usize) -> PathBuf {
+        let path = tmp(name);
+        let mut w = StreamWriter::create(&path, compressor(), bps, every).unwrap();
+        w.write_values(&data[..fed]).unwrap();
+        path
+    }
+
     #[test]
     fn durable_output_is_byte_identical_to_plain_writer() {
+        // Chunking never moves a byte, and a file holds what memory holds.
         let data = patterned(36 * 23 + 17);
-        let expected = sequential_stream(&data, 2);
         for checkpoint_every in [1usize, 3, 100] {
-            let mut w = DurableStreamWriter::new(
-                Vec::new(),
-                Vec::new(),
-                compressor(),
-                2,
-                checkpoint_every,
-            )
-            .unwrap();
+            let expected = memory_stream(&data, 2, checkpoint_every);
+            let mut w = StreamWriter::new(Vec::new(), compressor(), 2, checkpoint_every).unwrap();
             for chunk in data.chunks(77) {
                 w.write_values(chunk).unwrap();
             }
-            let (sink, journal, cp) = w.finish().unwrap();
+            let (sink, cp) = w.finish().unwrap();
             assert_eq!(sink, expected, "checkpoint_every={checkpoint_every}");
             assert_eq!(cp.values, data.len() as u64);
-            assert_eq!(cp.bytes, sink.len() as u64 - 1, "terminator not journaled");
-            // The journal's last record matches the returned checkpoint.
-            assert_eq!(durable::parse_last_checkpoint(&journal), Some(cp));
+            assert_eq!(cp.bytes, sink.len() as u64 - 1, "terminator not committed");
+            assert_eq!(committed(&sink.as_slice()).unwrap(), cp);
         }
     }
 
     #[test]
     fn checkpoints_land_on_batch_boundaries() {
         let data = patterned(36 * 9); // 9 one-block segments
-        let mut w =
-            DurableStreamWriter::new(Vec::new(), Vec::new(), compressor(), 1, 4).unwrap();
+        let mut w = StreamWriter::new(Vec::new(), compressor(), 1, 4).unwrap();
         w.write_values(&data).unwrap();
         // Two full batches of 4 committed; the 9th segment still pending.
         assert_eq!(w.checkpoint().segments, 8);
         assert_eq!(w.checkpoint().values, 36 * 8);
-        let (_, _, cp) = w.finish().unwrap();
+        let (_, cp) = w.finish().unwrap();
         assert_eq!(cp.segments, 9);
     }
 
     #[test]
     fn zero_checkpoint_every_is_rejected() {
-        let err = match DurableStreamWriter::new(Vec::new(), Vec::new(), compressor(), 1, 0) {
+        let err = match StreamWriter::new(Vec::new(), compressor(), 1, 0) {
             Err(e) => e,
             Ok(_) => panic!("zero checkpoint_every must be rejected"),
         };
@@ -341,121 +174,145 @@ mod tests {
 
     #[test]
     fn file_writer_lifecycle_removes_journal_on_finish() {
+        // No sidecar is ever created: the file alone carries the commits.
         let path = tmp("lifecycle.pstrs");
         let data = patterned(36 * 7 + 5);
-        let mut w = DurableFileWriter::create(&path, compressor(), 2, 2).unwrap();
+        let mut w = StreamWriter::create(&path, compressor(), 2, 2).unwrap();
         w.write_values(&data).unwrap();
-        assert!(journal_path(&path).exists(), "journal alive mid-write");
         w.finish().unwrap();
-        assert!(!journal_path(&path).exists(), "journal removed on finish");
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes, sequential_stream(&data, 2));
+        let dir = path.parent().unwrap();
+        let stem = path.file_name().unwrap().to_string_lossy().into_owned();
+        let sidecars: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&stem) && n.len() > stem.len())
+            .collect();
+        assert!(sidecars.is_empty(), "{sidecars:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), memory_stream(&data, 2, 2));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn interrupted_write_resumes_byte_identical() {
-        let path = tmp("resume.pstrs");
         let data = patterned(36 * 31 + 13);
-        let expected = sequential_stream(&data, 2);
-
-        // First attempt: feed a prefix, then "crash" (drop without
-        // finish). Un-checkpointed bytes are left dangling in the file.
-        let fed = {
-            let mut w = DurableFileWriter::create(&path, compressor(), 2, 3).unwrap();
-            let prefix = &data[..36 * 20 + 7];
-            for chunk in prefix.chunks(101) {
-                w.write_values(chunk).unwrap();
-            }
-            prefix.len()
-        };
-        // Resume: skip the committed values, re-feed the rest.
-        let w = DurableFileWriter::resume(&path, compressor(), 2, 3).unwrap();
+        let path = interrupted("resume.pstrs", &data, 36 * 20 + 7, 2, 3);
+        let w = StreamWriter::resume(&path, compressor(), 2, 3).unwrap();
         let cp = w.checkpoint();
         assert!(cp.values > 0, "some batches must have committed");
-        assert!(cp.values <= fed as u64);
+        assert!(cp.values <= (36 * 20 + 7) as u64);
         let mut w = w;
         for chunk in data[cp.values as usize..].chunks(55) {
             w.write_values(chunk).unwrap();
         }
-        let finished = w.finish().unwrap();
+        let (_, finished) = w.finish().unwrap();
         assert_eq!(finished.values, data.len() as u64);
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(std::fs::read(&path).unwrap(), memory_stream(&data, 2, 3));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resume_with_torn_journal_tail_recovers() {
-        let path = tmp("torn-journal.pstrs");
+        // The crash tore the last commit frame: resume falls back to the
+        // commit before it.
         let data = patterned(36 * 12);
-        let expected = sequential_stream(&data, 1);
-        {
-            let mut w = DurableFileWriter::create(&path, compressor(), 1, 2).unwrap();
-            w.write_values(&data[..36 * 7]).unwrap();
-        }
-        // Crash tore the final journal record.
-        let jp = journal_path(&path);
-        let mut jbytes = std::fs::read(&jp).unwrap();
-        let cut = jbytes.len() - 11;
-        jbytes.truncate(cut);
-        jbytes.extend_from_slice(&[0xEE; 4]); // plus some garbage
-        std::fs::write(&jp, &jbytes).unwrap();
+        let path = interrupted("torn-commit.pstrs", &data, 36 * 7, 1, 2);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = committed(&bytes.as_slice()).unwrap();
+        assert_eq!(last.segments, 6);
+        bytes.truncate(last.bytes as usize - 11);
+        bytes.extend_from_slice(&[0xEE; 4]); // plus some garbage
+        std::fs::write(&path, &bytes).unwrap();
 
-        let w = DurableFileWriter::resume(&path, compressor(), 1, 2).unwrap();
-        let cp = w.checkpoint();
-        assert_eq!(cp.segments % 2, 0, "only whole batches are committed");
+        let w = StreamWriter::resume(&path, compressor(), 1, 2).unwrap();
+        assert_eq!(w.checkpoint().segments, 4, "the previous whole batch");
+        let skip = w.checkpoint().values as usize;
         let mut w = w;
-        w.write_values(&data[cp.values as usize..]).unwrap();
+        w.write_values(&data[skip..]).unwrap();
         w.finish().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(std::fs::read(&path).unwrap(), memory_stream(&data, 1, 2));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn resume_without_journal_restarts_from_scratch() {
-        let path = tmp("no-journal.pstrs");
+        // Killed before the first commit: nothing to keep.
         let data = patterned(36 * 5);
-        {
-            let mut w = DurableFileWriter::create(&path, compressor(), 1, 2).unwrap();
-            w.write_values(&data[..36 * 3]).unwrap();
-        }
-        let _ = std::fs::remove_file(journal_path(&path));
-        let mut w = DurableFileWriter::resume(&path, compressor(), 1, 2).unwrap();
+        let path = interrupted("no-commit.pstrs", &data, 36, 1, 2);
+        assert!(std::fs::metadata(&path).unwrap().len() == 0, "nothing written yet");
+        std::fs::write(&path, b"PSTRS\x02garbage").unwrap();
+        let mut w = StreamWriter::resume(&path, compressor(), 1, 2).unwrap();
         assert_eq!(w.checkpoint(), Checkpoint::default());
         w.write_values(&data).unwrap();
         w.finish().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), sequential_stream(&data, 1));
+        assert_eq!(std::fs::read(&path).unwrap(), memory_stream(&data, 1, 2));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn journal_claiming_more_than_file_is_invalid_data() {
-        let path = tmp("overclaim.pstrs");
+        // A flipped bit inside a committed segment, with a verified commit
+        // after it: corruption, refused, and the file left as it was.
         let data = patterned(36 * 6);
-        {
-            let mut w = DurableFileWriter::create(&path, compressor(), 1, 1).unwrap();
-            w.write_values(&data).unwrap();
-        }
-        // Shear the data file *below* the committed prefix — a crash
-        // cannot do this (checkpoints follow fsync), so resume refuses.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len / 2).unwrap();
-        drop(f);
-        let err = match DurableFileWriter::resume(&path, compressor(), 1, 1) {
+        let path = interrupted("flipped.pstrs", &data, 36 * 6, 1, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first = Frames::new(bytes.as_slice())
+            .unwrap()
+            .find_map(|f| match f.unwrap() {
+                Frame::Segment { at, container } => Some(at as usize + container.len() / 2),
+                Frame::Commit { .. } => None,
+            })
+            .unwrap();
+        bytes[first] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = match StreamWriter::resume(&path, compressor(), 1, 1) {
             Err(e) => e,
-            Ok(_) => panic!("overclaiming journal must be rejected"),
+            Ok(_) => panic!("damage before a verified commit must be refused"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing trimmed");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(journal_path(&path));
+    }
+
+    #[test]
+    fn framing_damage_before_a_verified_commit_is_invalid_data() {
+        // A flipped segment length varint — to another length, or to the
+        // zero terminator — or a flipped header stops the walk early; the
+        // commits past it still verify, so the file is refused and left
+        // as it was.
+        let data = patterned(36 * 6);
+        let path = interrupted("framing.pstrs", &data, 36 * 6, 1, 2);
+        let clean = std::fs::read(&path).unwrap();
+        let varints: Vec<usize> = Frames::new(clean.as_slice())
+            .unwrap()
+            .filter_map(|f| match f {
+                Ok(Frame::Segment { at, container }) => {
+                    Some(at as usize - crate::container::varint_len(container.len() as u64))
+                }
+                _ => None, // commit frames, and the end of the unfinished stream
+            })
+            .collect();
+        let header = [(0, 0x01), (5, 0x01), (5, 0x02)];
+        let varints = varints.iter().take(4).flat_map(|&at| [(at, 0x02), (at, clean[at])]);
+        for (at, mask) in header.into_iter().chain(varints) {
+            let mut bytes = clean.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = match StreamWriter::resume(&path, compressor(), 1, 2) {
+                Err(e) => e,
+                Ok(_) => panic!("byte {at}, mask {mask:#x}: damage must be refused"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing trimmed");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn committed_prefix_is_always_readable_mid_write() {
         let path = tmp("prefix-readable.pstrs");
         let data = patterned(36 * 10);
-        let mut w = DurableFileWriter::create(&path, compressor(), 1, 5).unwrap();
+        let mut w = StreamWriter::create(&path, compressor(), 1, 5).unwrap();
         w.write_values(&data).unwrap();
         let cp = w.checkpoint();
         assert_eq!(cp.segments, 10);

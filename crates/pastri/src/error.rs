@@ -17,6 +17,8 @@ pub enum DecompressError {
     BadVersion(u8),
     /// The stream ended before all declared content was read.
     Truncated,
+    /// Reading the source failed for a reason other than its end.
+    Unreadable(std::io::ErrorKind),
     /// Structurally invalid content. `block` and `offset` localize the
     /// damage when it was found inside a specific block: `block` is the
     /// zero-based block index and `offset` the container byte offset of
@@ -117,6 +119,7 @@ impl fmt::Display for DecompressError {
             DecompressError::BadMagic => write!(f, "not a PaSTRI stream (bad magic)"),
             DecompressError::BadVersion(v) => write!(f, "unsupported container version {v}"),
             DecompressError::Truncated => write!(f, "stream truncated"),
+            DecompressError::Unreadable(kind) => write!(f, "source unreadable: {kind}"),
             DecompressError::Corrupt { block, offset, reason } => {
                 write!(f, "corrupt stream: {reason}")?;
                 if let Some(b) = block {

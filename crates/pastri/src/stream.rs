@@ -4,20 +4,31 @@
 //! are produced).
 //!
 //! Wire format: the ASCII magic `PSTRS` + version byte, then a sequence
-//! of *segments* — each a varint byte length followed by a complete
-//! standalone PaSTRI container of up to `blocks_per_segment` blocks — and
-//! a zero-length terminator. Segments are independently decodable, so a
-//! reader can fan them out across threads or resume after a partial
-//! read; memory never exceeds one segment each way.
+//! of *frames*, each opened by a varint:
 //!
-//! Two writers produce this format: the sequential [`StreamWriter`] and
-//! [`DurableStreamWriter`](crate::durable_stream::DurableStreamWriter),
-//! which compresses whole batches of segments on the rayon pool and
-//! journals checkpoints. Their outputs are byte-identical at any thread
-//! count, so the choice is about crash safety and throughput, not bytes.
+//! * a *segment* — the varint is the byte length of a complete
+//!   standalone PaSTRI container of up to `blocks_per_segment` blocks;
+//! * a *commit frame* (version 2) — the varint is 1, a length no
+//!   container can have, and a [`durable`] commit record follows,
+//!   sealing every byte since the previous one;
+//! * the terminator — a zero varint.
+//!
+//! Version 1, the frozen layout of the golden fixtures, has no commit
+//! frames. [`Frames`] is the one walker over both versions: the reader,
+//! [`salvage`] and crash recovery all go through it. Segments are
+//! independently decodable, so a reader can fan them out across threads
+//! or resume after a partial read; memory never exceeds one segment each
+//! way.
+//!
+//! [`StreamWriter`] writes version 2 over any [`SyncWrite`] sink: every
+//! `checkpoint_every` segments it compresses the batch on the rayon
+//! crew, appends a commit frame and fsyncs once. Its output is
+//! byte-identical at any thread count; over a file
+//! ([`StreamWriter::create`](crate::durable_stream)) it resumes after a
+//! crash.
 //!
 //! Integrity comes from the embedded containers: each segment payload is
-//! a v2 container carrying its own header and per-block CRC32s, so a
+//! a container carrying its own header and per-block CRC32s, so a
 //! flipped bit inside a segment is detected there. Because segments are
 //! length-prefixed and independent, a damaged segment can be *skipped* —
 //! [`StreamReader::next_segment_or_skip`] keeps reading past it, and
@@ -31,12 +42,11 @@
 //! use pastri::stream::{StreamWriter, StreamReader};
 //!
 //! let compressor = Compressor::new(BlockGeometry::new(4, 9), 1e-9);
-//! let mut sink = Vec::new();
-//! let mut w = StreamWriter::new(&mut sink, compressor, 8).unwrap();
+//! let mut w = StreamWriter::new(Vec::new(), compressor, 8, 4).unwrap();
 //! for chunk in [[0.25f64; 100], [0.5; 100]] {
 //!     w.write_values(&chunk).unwrap();
 //! }
-//! w.finish().unwrap();
+//! let (sink, _) = w.finish().unwrap();
 //!
 //! let mut r = StreamReader::new(sink.as_slice()).unwrap();
 //! let mut restored = Vec::new();
@@ -46,55 +56,91 @@
 //! assert_eq!(restored.len(), 200);
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+
+use durable::{Checkpoint, CommitScan, Journaled, ReadAt, SyncWrite, RECORD_LEN};
+use rayon::ParallelSlice;
 
 use crate::container::Compressor;
 use crate::error::DecompressError;
 
 pub(crate) const STREAM_MAGIC: [u8; 5] = *b"PSTRS";
-pub(crate) const STREAM_VERSION: u8 = 1;
+/// The layout every writer produces: commit frames between segments.
+pub(crate) const STREAM_VERSION: u8 = 2;
+/// The frame varint that opens a commit frame (version 2 only).
+const COMMIT_FRAME: u64 = 1;
 
 /// Declared-length sanity ceiling for one segment (1 GiB).
-const MAX_SEGMENT_BYTES: usize = 1 << 30;
-/// Segment buffers grow in steps of at most this much, so a hostile
-/// length field costs at most one wasted step before the short read
-/// surfaces — never a multi-GiB up-front allocation.
-const SEGMENT_ALLOC_STEP: usize = 4 << 20;
+const MAX_SEGMENT_BYTES: u64 = 1 << 30;
 
-/// Streaming compressor: feeds values in, emits framed containers.
-pub struct StreamWriter<W: Write> {
-    sink: W,
+/// Compresses values into a version-2 stream, committing every
+/// `checkpoint_every` segments: the batch is compressed on the rayon
+/// crew (order-preserving, one segment per task), written, sealed by a
+/// commit frame and fsync'd once. `Vec<u8>` and other in-memory sinks
+/// sync for free; over a file the stream survives crashes (see
+/// [`crate::durable_stream`]).
+pub struct StreamWriter<W: SyncWrite> {
+    out: Journaled<W>,
     compressor: Compressor,
     /// Pending raw values (less than one segment).
     buffer: Vec<f64>,
+    /// Full segments accumulated toward the next commit.
+    pending: Vec<Vec<f64>>,
     segment_values: usize,
-    started: bool,
+    checkpoint_every: usize,
 }
 
-impl<W: Write> StreamWriter<W> {
-    /// Creates a writer flushing whole segments of
-    /// `blocks_per_segment` blocks.
+impl<W: SyncWrite> StreamWriter<W> {
+    /// Creates a writer flushing whole segments of `blocks_per_segment`
+    /// blocks and committing every `checkpoint_every` segments.
     ///
     /// # Errors
-    /// `InvalidInput` if `blocks_per_segment` is zero.
-    pub fn new(sink: W, compressor: Compressor, blocks_per_segment: usize) -> io::Result<Self> {
-        if blocks_per_segment == 0 {
+    /// `InvalidInput` if `blocks_per_segment` or `checkpoint_every` is
+    /// zero.
+    pub fn new(
+        sink: W,
+        compressor: Compressor,
+        blocks_per_segment: usize,
+        checkpoint_every: usize,
+    ) -> io::Result<Self> {
+        Self::over(Journaled::new(sink), compressor, blocks_per_segment, checkpoint_every)
+    }
+
+    /// Continues the stream whose committed prefix `out` already holds;
+    /// the caller skips `out.committed().values` source values before
+    /// writing more.
+    pub(crate) fn over(
+        out: Journaled<W>,
+        compressor: Compressor,
+        blocks_per_segment: usize,
+        checkpoint_every: usize,
+    ) -> io::Result<Self> {
+        if blocks_per_segment == 0 || checkpoint_every == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "blocks_per_segment must be at least 1",
+                "blocks_per_segment and checkpoint_every must be at least 1",
             ));
         }
         let segment_values = compressor.geometry().block_size() * blocks_per_segment;
         Ok(Self {
-            sink,
+            out,
             compressor,
             buffer: Vec::with_capacity(segment_values),
+            pending: Vec::new(),
             segment_values,
-            started: false,
+            checkpoint_every,
         })
     }
 
-    /// Appends values to the stream, flushing any full segments.
+    /// The last durable checkpoint: what a crash right now would
+    /// preserve, and how many source values a resume would skip.
+    #[must_use]
+    pub fn checkpoint(&self) -> Checkpoint {
+        self.out.committed()
+    }
+
+    /// Appends values, committing a batch whenever `checkpoint_every`
+    /// full segments have accumulated.
     ///
     /// # Errors
     /// Any I/O error from the sink.
@@ -103,38 +149,180 @@ impl<W: Write> StreamWriter<W> {
         while self.buffer.len() >= self.segment_values {
             let rest = self.buffer.split_off(self.segment_values);
             let full = std::mem::replace(&mut self.buffer, rest);
-            self.emit_segment(&full)?;
+            self.pending.push(full);
+            if self.pending.len() >= self.checkpoint_every {
+                self.commit_batch()?;
+            }
         }
         Ok(())
     }
 
-    /// Flushes the final partial segment and writes the terminator.
-    /// Returns the underlying sink.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.ensure_header()?;
+    /// Commits the tail (as its own batch), writes the terminator and
+    /// syncs. Returns the sink and the final checkpoint. The terminator
+    /// is past the last commit: recovery trims it and a resumed
+    /// `finish` rewrites it.
+    ///
+    /// # Errors
+    /// Any I/O error from the sink.
+    pub fn finish(mut self) -> io::Result<(W, Checkpoint)> {
         if !self.buffer.is_empty() {
             let tail = std::mem::take(&mut self.buffer);
-            self.emit_segment(&tail)?;
+            self.pending.push(tail);
         }
-        write_varint(&mut self.sink, 0)?;
-        self.sink.flush()?;
-        Ok(self.sink)
+        self.commit_batch()?;
+        self.ensure_header()?;
+        write_varint(&mut self.out, 0)?;
+        self.out.close()
+    }
+
+    /// Writes every pending segment, then commits them as one batch.
+    fn commit_batch(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let _span = telemetry::span("durable.commit_batch");
+        self.ensure_header()?;
+        let batch = std::mem::take(&mut self.pending);
+        let compressor = self.compressor;
+        let containers: Vec<Vec<u8>> = batch
+            .par_iter()
+            .map(|seg| compressor.compress(seg))
+            .collect();
+        for container in &containers {
+            write_varint(&mut self.out, container.len() as u64)?;
+            self.out.write_all(container)?;
+        }
+        write_varint(&mut self.out, COMMIT_FRAME)?;
+        let committed = self.out.committed();
+        self.out.commit(
+            committed.segments + batch.len() as u64,
+            committed.values + batch.iter().map(|s| s.len() as u64).sum::<u64>(),
+        )
     }
 
     fn ensure_header(&mut self) -> io::Result<()> {
-        if !self.started {
-            self.sink.write_all(&STREAM_MAGIC)?;
-            self.sink.write_all(&[STREAM_VERSION])?;
-            self.started = true;
+        if self.out.position() == 0 {
+            self.out.write_all(&STREAM_MAGIC)?;
+            self.out.write_all(&[STREAM_VERSION])?;
         }
         Ok(())
     }
+}
 
-    fn emit_segment(&mut self, values: &[f64]) -> io::Result<()> {
-        self.ensure_header()?;
-        let container = self.compressor.compress(values);
-        write_varint(&mut self.sink, container.len() as u64)?;
-        self.sink.write_all(&container)
+/// One unit of stream framing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Frame {
+    /// A segment: the stream offset of its container, and the
+    /// container's bytes.
+    Segment { at: u64, container: Vec<u8> },
+    /// A commit record (version 2): its stream offset and bytes.
+    Commit { at: u64, record: [u8; RECORD_LEN] },
+}
+
+/// The one walker over stream framing, versions 1 and 2: yields each
+/// segment and commit frame in order and stops at the terminator, or
+/// after the first framing error. Reads are positional and hold one
+/// frame at a time; a length field claiming more than the source holds
+/// fails before anything is allocated for it.
+pub struct Frames<R: ReadAt> {
+    source: R,
+    size: u64,
+    pub(crate) version: u8,
+    /// Offset of the next unread byte.
+    pos: u64,
+    done: bool,
+}
+
+impl<R: ReadAt> Frames<R> {
+    /// Validates the stream header.
+    ///
+    /// # Errors
+    /// `BadMagic`, `BadVersion`, `Truncated` if the header is short, or
+    /// `Unreadable` if the source fails.
+    pub fn new(source: R) -> Result<Self, DecompressError> {
+        let mut frames = Self {
+            size: source.size().map_err(unreadable)?,
+            source,
+            version: 0,
+            pos: 0,
+            done: false,
+        };
+        let mut magic = [0u8; 6];
+        frames.read_exact(&mut magic)?;
+        if magic[..5] != STREAM_MAGIC {
+            return Err(DecompressError::BadMagic);
+        }
+        if !(1..=STREAM_VERSION).contains(&magic[5]) {
+            return Err(DecompressError::BadVersion(magic[5]));
+        }
+        frames.version = magic[5];
+        Ok(frames)
+    }
+
+    fn read_frame(&mut self) -> Result<Option<Frame>, DecompressError> {
+        let len = self.read_varint()?;
+        let at = self.pos;
+        if len == 0 {
+            return Ok(None);
+        }
+        if len == COMMIT_FRAME && self.version >= 2 {
+            let mut record = [0u8; RECORD_LEN];
+            self.read_exact(&mut record)?;
+            return Ok(Some(Frame::Commit { at, record }));
+        }
+        if len > MAX_SEGMENT_BYTES {
+            return Err(DecompressError::corrupt("segment implausibly large"));
+        }
+        if len > self.size.saturating_sub(at) {
+            return Err(DecompressError::Truncated);
+        }
+        let mut container = vec![0u8; len as usize];
+        self.read_exact(&mut container)?;
+        Ok(Some(Frame::Segment { at, container }))
+    }
+
+    /// Reads one varint, at most 10 bytes in one read, decoded by the
+    /// container's reader so both share one overflow rule.
+    fn read_varint(&mut self) -> Result<u64, DecompressError> {
+        let mut buf = [0u8; 10];
+        let n = self.size.saturating_sub(self.pos).min(10) as usize;
+        durable::read_exact_at(&self.source, &mut buf[..n], self.pos).map_err(unreadable)?;
+        let mut used = 0;
+        let v = crate::container::read_varint(&buf[..n], &mut used)?;
+        self.pos += used as u64;
+        Ok(v)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), DecompressError> {
+        durable::read_exact_at(&self.source, buf, self.pos).map_err(unreadable)?;
+        self.pos += buf.len() as u64;
+        Ok(())
+    }
+}
+
+/// The source ending is a truncated stream; any other read failure is
+/// the medium's, not the stream's.
+fn unreadable(e: io::Error) -> DecompressError {
+    match e.kind() {
+        io::ErrorKind::UnexpectedEof => DecompressError::Truncated,
+        kind => DecompressError::Unreadable(kind),
+    }
+}
+
+impl<R: ReadAt> Iterator for Frames<R> {
+    type Item = Result<Frame, DecompressError>;
+
+    /// The next frame; `None` at the terminator. An error is framing
+    /// damage — a damaged length varint, an implausible length or a
+    /// truncated tail — after which no further frame can be found, or
+    /// `Unreadable` if the source fails; `None` follows it.
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let result = self.read_frame().transpose();
+        self.done = !matches!(result, Some(Ok(_)));
+        result
     }
 }
 
@@ -151,7 +339,6 @@ pub struct SegmentOutcome {
     /// when damage exceeded the parity budget (`values` is the error).
     pub repair: Option<crate::repair::RepairReport>,
 }
-
 impl SegmentOutcome {
     /// Was this segment damaged on disk but fully reconstructed?
     #[must_use]
@@ -214,27 +401,18 @@ fn decode_with_repair(container: &[u8]) -> RepairedDecode {
     }
 }
 
-/// Streaming decompressor: yields one segment of values at a time.
-pub struct StreamReader<R: Read> {
-    source: R,
-    done: bool,
+/// Streaming decompressor: yields one segment of values at a time,
+/// stepping over commit frames.
+pub struct StreamReader<R: ReadAt> {
+    frames: Frames<R>,
     next_index: usize,
 }
 
-impl<R: Read> StreamReader<R> {
+impl<R: ReadAt> StreamReader<R> {
     /// Validates the stream header.
-    pub fn new(mut source: R) -> Result<Self, DecompressError> {
-        let mut magic = [0u8; 6];
-        read_exact_or_truncated(&mut source, &mut magic)?;
-        if magic[..5] != STREAM_MAGIC {
-            return Err(DecompressError::BadMagic);
-        }
-        if magic[5] != STREAM_VERSION {
-            return Err(DecompressError::BadVersion(magic[5]));
-        }
+    pub fn new(source: R) -> Result<Self, DecompressError> {
         Ok(Self {
-            source,
-            done: false,
+            frames: Frames::new(source)?,
             next_index: 0,
         })
     }
@@ -282,20 +460,13 @@ impl<R: Read> StreamReader<R> {
 
     /// Reads the next segment's raw container bytes (framing layer only).
     fn next_segment_bytes(&mut self) -> Result<Option<Vec<u8>>, DecompressError> {
-        if self.done {
-            return Ok(None);
+        while let Some(frame) = self.frames.next().transpose()? {
+            if let Frame::Segment { container, .. } = frame {
+                self.next_index += 1;
+                return Ok(Some(container));
+            }
         }
-        let len = read_varint(&mut self.source)? as usize;
-        if len == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        if len > MAX_SEGMENT_BYTES {
-            return Err(DecompressError::corrupt("segment implausibly large"));
-        }
-        let container = read_segment_bytes(&mut self.source, len)?;
-        self.next_index += 1;
-        Ok(Some(container))
+        Ok(None)
     }
 
     /// Convenience: drains the whole stream into one vector.
@@ -307,7 +478,6 @@ impl<R: Read> StreamReader<R> {
         Ok(out)
     }
 }
-
 /// Report from [`salvage`]: what survived and what was dropped.
 #[derive(Debug, Clone)]
 pub struct SalvageReport {
@@ -325,13 +495,16 @@ pub struct SalvageReport {
     /// tail) before the terminator: everything after that point was
     /// discarded.
     pub tail_lost: bool,
+    /// Offsets of commit frames that fail their check although every
+    /// segment they seal is intact; the output carries fresh ones.
+    pub commits_damaged: Vec<u64>,
 }
 
 impl SalvageReport {
     /// Was the source undamaged (nothing dropped, nothing repaired)?
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.dropped.is_empty() && self.repaired.is_empty() && !self.tail_lost
+        self.is_lossless() && self.repaired.is_empty() && self.commits_damaged.is_empty()
     }
 
     /// Did every segment survive into the output (repairs included)?
@@ -347,29 +520,50 @@ impl SalvageReport {
 /// dropping only what neither verification nor parity can save. Intact
 /// segments are copied *byte-for-byte* — never re-encoded; repaired
 /// segments are written as their canonical (originally-written) bytes.
-/// The output is always a well-formed, terminated stream.
+/// Each commit frame is checked, then rewritten to seal what the output
+/// holds, and the output keeps the input's version, so salvaging an
+/// undamaged stream reproduces it exactly. The output is always a
+/// well-formed, terminated stream; `sink` is flushed, not synced — the
+/// caller makes the copy durable as a whole.
 ///
 /// # Errors
 /// `InvalidData` if `source` is not a PaSTRI stream at all (bad magic or
 /// version); otherwise any I/O error from reading or writing. Damage
 /// *inside* the stream is not an error — it is reported in the
 /// [`SalvageReport`].
-pub fn salvage<R: Read, W: Write>(source: R, mut sink: W) -> io::Result<SalvageReport> {
-    let mut reader = StreamReader::new(source)
+pub fn salvage<R: ReadAt, W: Write>(source: R, sink: W) -> io::Result<SalvageReport> {
+    let mut frames = Frames::new(&source)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    sink.write_all(&STREAM_MAGIC)?;
-    sink.write_all(&[STREAM_VERSION])?;
+    let mut scan = CommitScan::new(&source)?;
+    let mut out = Journaled::new(sink);
+    out.write_all(&STREAM_MAGIC)?;
+    out.write_all(&[frames.version])?;
     let mut report = SalvageReport {
         kept: 0,
         repaired: Vec::new(),
         dropped: Vec::new(),
         tail_lost: false,
+        commits_damaged: Vec::new(),
     };
+    let (mut index, mut values_kept, mut damage_sealed) = (0usize, 0u64, 0usize);
     loop {
-        let index = reader.next_index;
-        match reader.next_segment_bytes() {
-            Ok(None) => break,
-            Ok(Some(container)) => {
+        match frames.next() {
+            None => break,
+            Some(Ok(Frame::Commit { at, record })) => {
+                // A damaged segment fails its span too; that is reported
+                // with the segment.
+                let damage = report.repaired.len() + report.dropped.len();
+                match scan.record(at, &record, index as u64) {
+                    Err(e) if e.kind() != io::ErrorKind::InvalidData => return Err(e),
+                    Err(_) if damage == damage_sealed => report.commits_damaged.push(at),
+                    _ => {}
+                }
+                damage_sealed = damage;
+                write_varint(&mut out, COMMIT_FRAME)?;
+                out.seal(report.kept as u64, values_kept)?;
+            }
+            Some(Ok(Frame::Segment { at, container })) => {
+                scan.feed(at, &container)?;
                 // Only verified-decodable segments are worth keeping —
                 // after giving parity a chance to reconstruct them.
                 let RepairedDecode {
@@ -378,27 +572,30 @@ pub fn salvage<R: Read, W: Write>(source: R, mut sink: W) -> io::Result<SalvageR
                     healed,
                 } = decode_with_repair(&container);
                 match values {
-                    Ok(_) => {
+                    Ok(v) => {
                         let bytes = healed.as_deref().unwrap_or(&container);
-                        write_varint(&mut sink, bytes.len() as u64)?;
-                        sink.write_all(bytes)?;
+                        write_varint(&mut out, bytes.len() as u64)?;
+                        out.write_all(bytes)?;
                         report.kept += 1;
+                        values_kept += v.len() as u64;
                         if let Some(r) = repair {
                             report.repaired.push((index, r));
                         }
                     }
                     Err(e) => report.dropped.push((index, e)),
                 }
+                index += 1;
             }
-            Err(_) => {
+            Some(Err(DecompressError::Unreadable(kind))) => return Err(kind.into()),
+            Some(Err(_)) => {
                 // Framing loss: boundaries are gone, drop the tail.
                 report.tail_lost = true;
                 break;
             }
         }
     }
-    write_varint(&mut sink, 0)?;
-    sink.flush()?;
+    write_varint(&mut out, 0)?;
+    out.flush()?;
     Ok(report)
 }
 
@@ -407,43 +604,6 @@ pub(crate) fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     let mut buf = Vec::with_capacity(10);
     crate::container::write_varint(&mut buf, v);
     w.write_all(&buf)
-}
-
-/// Reads one varint: at most 10 bytes, through the first without the
-/// continuation bit, decoded by the container's reader so both share
-/// one overflow rule.
-fn read_varint<R: Read>(r: &mut R) -> Result<u64, DecompressError> {
-    let mut buf = [0u8; 10];
-    let mut n = 0;
-    while n < buf.len() {
-        read_exact_or_truncated(r, &mut buf[n..=n])?;
-        n += 1;
-        if buf[n - 1] & 0x80 == 0 {
-            break;
-        }
-    }
-    crate::container::read_varint(&buf[..n], &mut 0)
-}
-
-/// Reads exactly `len` bytes, growing the buffer in bounded steps so the
-/// allocation tracks the bytes actually present: a hostile declared
-/// length against a short source fails after at most one extra step
-/// (≤ 4 MiB), not after reserving the full declared size.
-fn read_segment_bytes<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, DecompressError> {
-    let mut buf = Vec::new();
-    let mut remaining = len;
-    while remaining > 0 {
-        let step = remaining.min(SEGMENT_ALLOC_STEP);
-        let old = buf.len();
-        buf.resize(old + step, 0);
-        read_exact_or_truncated(r, &mut buf[old..])?;
-        remaining -= step;
-    }
-    Ok(buf)
-}
-
-fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), DecompressError> {
-    r.read_exact(buf).map_err(|_| DecompressError::Truncated)
 }
 
 #[cfg(test)]
@@ -484,28 +644,18 @@ mod tests {
         c: Compressor,
     ) -> (Vec<u8>, Vec<(usize, usize)>) {
         let data = patterned(36 * segments);
-        let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, c, 1).unwrap();
+        let mut w = StreamWriter::new(Vec::new(), c, 1, 2).unwrap();
         w.write_values(&data).unwrap();
-        w.finish().unwrap();
-        // Re-walk the framing to locate each payload.
-        let mut ranges = Vec::new();
-        let mut pos = 6; // magic + version
-        loop {
-            let mut p = pos;
-            let len = {
-                let mut slice = &sink[p..];
-                let before = slice.len();
-                let v = read_varint(&mut slice).unwrap() as usize;
-                p += before - slice.len();
-                v
-            };
-            if len == 0 {
-                break;
-            }
-            ranges.push((p, p + len));
-            pos = p + len;
-        }
+        let (sink, _) = w.finish().unwrap();
+        let ranges: Vec<(usize, usize)> = Frames::new(sink.as_slice())
+            .unwrap()
+            .filter_map(|f| match f.unwrap() {
+                Frame::Segment { at, container } => {
+                    Some((at as usize, at as usize + container.len()))
+                }
+                Frame::Commit { .. } => None,
+            })
+            .collect();
         assert_eq!(ranges.len(), segments);
         (sink, ranges)
     }
@@ -514,7 +664,7 @@ mod tests {
     fn roundtrip_multi_segment() {
         let data = patterned(36 * 23 + 17); // partial tail everywhere
         let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 4).unwrap();
+        let mut w = StreamWriter::new(&mut sink, compressor(), 4, 2).unwrap();
         // Feed in awkward chunk sizes.
         for chunk in data.chunks(77) {
             w.write_values(chunk).unwrap();
@@ -533,7 +683,7 @@ mod tests {
     #[test]
     fn empty_stream() {
         let mut sink = Vec::new();
-        let w = StreamWriter::new(&mut sink, compressor(), 2).unwrap();
+        let w = StreamWriter::new(&mut sink, compressor(), 2, 2).unwrap();
         w.finish().unwrap();
         let restored = StreamReader::new(sink.as_slice())
             .unwrap()
@@ -545,7 +695,7 @@ mod tests {
     #[test]
     fn zero_segment_size_is_an_error_not_a_panic() {
         let mut sink = Vec::new();
-        let err = match StreamWriter::new(&mut sink, compressor(), 0) {
+        let err = match StreamWriter::new(&mut sink, compressor(), 0, 2) {
             Err(e) => e,
             Ok(_) => panic!("zero blocks_per_segment must be rejected"),
         };
@@ -556,7 +706,7 @@ mod tests {
     fn segment_sizes_respected() {
         let data = patterned(36 * 10);
         let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 3).unwrap();
+        let mut w = StreamWriter::new(&mut sink, compressor(), 3, 2).unwrap();
         w.write_values(&data).unwrap();
         w.finish().unwrap();
         let mut r = StreamReader::new(sink.as_slice()).unwrap();
@@ -572,7 +722,7 @@ mod tests {
     fn truncation_detected() {
         let data = patterned(36 * 8);
         let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 2).unwrap();
+        let mut w = StreamWriter::new(&mut sink, compressor(), 2, 2).unwrap();
         w.write_values(&data).unwrap();
         w.finish().unwrap();
         // Cut before the terminator.
@@ -585,6 +735,34 @@ mod tests {
             }
         };
         assert!(result.is_err(), "truncation must surface as an error");
+    }
+
+    #[test]
+    fn commit_frames_sit_between_batches_and_readers_step_over_them() {
+        let data = patterned(36 * 7);
+        let mut w = StreamWriter::new(Vec::new(), compressor(), 1, 3).unwrap();
+        w.write_values(&data).unwrap();
+        let (sink, cp) = w.finish().unwrap();
+        assert_eq!(cp.segments, 7);
+        assert_eq!(cp.bytes, sink.len() as u64 - 1, "the terminator follows the last commit");
+        let kinds: String = Frames::new(sink.as_slice())
+            .unwrap()
+            .map(|f| match f.unwrap() {
+                Frame::Segment { .. } => 'S',
+                Frame::Commit { .. } => 'C',
+            })
+            .collect();
+        assert_eq!(kinds, "SSSCSSSCSC");
+        let restored = StreamReader::new(sink.as_slice()).unwrap().read_to_vec().unwrap();
+        assert_eq!(restored.len(), data.len());
+    }
+
+    #[test]
+    fn version_one_has_no_commit_frames() {
+        // In the frozen v1 layout a length of 1 is a (damaged) segment.
+        let bytes = [&STREAM_MAGIC[..], &[1, 1, 0xAB, 0]].concat();
+        let frames: Vec<Frame> = Frames::new(bytes.as_slice()).unwrap().map(Result::unwrap).collect();
+        assert_eq!(frames, vec![Frame::Segment { at: 7, container: vec![0xAB] }]);
     }
 
     #[test]
@@ -804,12 +982,12 @@ mod tests {
         let data = patterned(36 * 5 + 11);
         {
             let file = std::fs::File::create(&path).unwrap();
-            let mut w = StreamWriter::new(io::BufWriter::new(file), compressor(), 2).unwrap();
+            let mut w = StreamWriter::new(file, compressor(), 2, 2).unwrap();
             w.write_values(&data).unwrap();
             w.finish().unwrap();
         }
         let file = std::fs::File::open(&path).unwrap();
-        let restored = StreamReader::new(io::BufReader::new(file))
+        let restored = StreamReader::new(file)
             .unwrap()
             .read_to_vec()
             .unwrap();

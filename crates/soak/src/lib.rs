@@ -9,8 +9,9 @@
 //! repair-on-read, container writes, stream writes, crash-and-resume
 //! durable writes, scrubs) across many stores concurrently on the real
 //! work-distributing pool, while a fault schedule (seeded [`BitFlipper`]
-//! SDC events, [`CrashBudget`] torn stream kills, transient read errors
-//! driving the shared [`RetryPolicy`] backoff) fires throughout.
+//! SDC events, torn stream kills at a [`FaultyWriter`] byte budget,
+//! transient read errors driving the shared [`RetryPolicy`] backoff)
+//! fires throughout.
 //!
 //! At the end the harness proves **zero data loss** — every committed
 //! block either decodes within the error bound against its regenerable
@@ -42,11 +43,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use durable::retry::{splitmix64, RetryPolicy};
-use durable::{atomic_write, fresh_quarantine_path, journal_path};
+use durable::{atomic_write, fresh_quarantine_path};
 use eri_store::{StoreReader, StoreWriter};
 use faults::{
-    is_injected_crash, BitFlipper, CrashBudget, FaultConfig, FaultyReader, FaultyWriter,
-    WriteFaultConfig,
+    is_injected_crash, BitFlipper, FaultConfig, FaultyReader, FaultyWriter, WriteFaultConfig,
 };
 use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
@@ -71,7 +71,7 @@ pub struct OpMix {
     /// Framed stream writes (periodically killed torn, then salvaged).
     pub write_stream: u32,
     /// Durable side-store writes killed mid-write, then resumed from the
-    /// checkpoint journal and verified complete.
+    /// last in-band commit and verified complete.
     pub crash_resume: u32,
     /// Scrub passes: verify, splice repairs back, quarantine the rest.
     pub scrub: u32,
@@ -104,7 +104,7 @@ pub struct FaultPlan {
     pub bit_flip_every: usize,
     /// Bits flipped per SDC event.
     pub flips_per_event: usize,
-    /// Kill every Nth stream write torn, mid-byte, via a [`CrashBudget`].
+    /// Kill every Nth stream write torn, mid-byte, via a byte budget.
     /// 0 disables.
     pub torn_stream_every: usize,
     /// Probability that any store read call fails with a transient error
@@ -370,7 +370,7 @@ pub fn run(cfg: &SoakConfig) -> Result<SoakReport, SoakError> {
 
 fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError> {
     // Populate: every store gets `scale` committed blocks through the
-    // durable writer (journal created, checkpointed, removed on finish).
+    // durable writer (committed in-band every `checkpoint_every` blocks).
     let checkpoint_every = (cfg.scale / 4).max(1);
     (0..cfg.stores)
         .into_par_iter()
@@ -456,7 +456,6 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
         for s in 0..cfg.stores {
             let p = store_path(&cfg.dir, s);
             let _ = std::fs::remove_file(&p);
-            let _ = std::fs::remove_file(journal_path(&p));
         }
     }
 
@@ -504,17 +503,17 @@ fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(),
 /// corruption is the modeled fault; metadata damage is a different
 /// failure class (covered by the CLI corruption tests).
 fn inject_bit_flips(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
-    const HEADER_LEN: u64 = 52;
-    let header = std::fs::read(&ctx.path)?;
-    if header.len() < 48 {
+    // The trailer, the store's last 20 bytes, opens with the index offset.
+    let bytes = std::fs::read(&ctx.path)?;
+    let Some(trailer) = bytes.len().checked_sub(eri_store::TRAILER_LEN as usize) else {
         return Ok(());
-    }
-    let index_offset = u64::from_le_bytes(header[40..48].try_into().unwrap());
-    if index_offset <= HEADER_LEN {
+    };
+    let index_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+    if index_offset <= eri_store::HEADER_LEN_V2 {
         return Ok(()); // empty block region: nothing to corrupt
     }
     let flipper = BitFlipper::new(
-        HEADER_LEN,
+        eri_store::HEADER_LEN_V2,
         index_offset,
         cfg.faults.flips_per_event,
         splitmix64(op_seed ^ 0xB17F),
@@ -602,10 +601,10 @@ fn op_write_container(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Res
     Ok(())
 }
 
-/// A framed stream write, torn mid-byte by a [`CrashBudget`] when the
+/// A framed stream write, torn mid-byte by a kill budget when the
 /// schedule says so, then salvaged: every surviving segment must decode
-/// against the values that were fed in. A torn tail is *uncommitted*
-/// (streams carry no journal) — dropped bytes are accounted, not lost.
+/// against the values that were fed in. A torn tail is whatever the
+/// kill cut off — dropped bytes are accounted, not lost.
 fn op_write_stream(
     cfg: &SoakConfig,
     ctx: &mut StoreCtx,
@@ -627,12 +626,13 @@ fn op_write_stream(
             splitmix64(op_seed ^ 0x707A),
             WriteFaultConfig {
                 short_writes: true,
-                kill_after: torn.then(|| CrashBudget::new(budget)),
+                kill_after: torn.then_some(budget),
                 torn_kill: true,
             },
         );
         let t = Instant::now();
-        let mut sw = StreamWriter::new(faulty, Compressor::new(cfg.geometry, cfg.error_bound), 2)?;
+        let mut sw =
+            StreamWriter::new(faulty, Compressor::new(cfg.geometry, cfg.error_bound), 2, 2)?;
         sw.write_values(&fed)?;
         sw.finish()?;
         telemetry::observe_us("soak.write_us", t.elapsed().as_micros() as u64);
@@ -677,7 +677,7 @@ fn op_write_stream(
 }
 
 /// A durable side-store write killed mid-write (writer dropped without
-/// finish), resumed from its checkpoint journal, completed, and
+/// finish), resumed from its last in-band commit, completed, and
 /// verified block-for-block — the full crash/recovery cycle in one op.
 fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
     let side = ctx
@@ -692,7 +692,7 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
             w.append_block(&scratch_block(cfg.geometry, op_seed, b))
                 .map_err(store_io)?;
         }
-        // Crash: dropped without finish. The journal's last checkpoint
+        // Crash: dropped without finish. The last verified commit
         // defines the committed prefix; the tail is torn away on resume.
     }
     ctx.tallies.crashes += 1;
@@ -713,7 +713,6 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
         }
     }
     let _ = std::fs::remove_file(&side);
-    let _ = std::fs::remove_file(journal_path(&side));
     Ok(())
 }
 

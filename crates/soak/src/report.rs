@@ -52,7 +52,7 @@ pub struct Tallies {
     pub torn_tails: u64,
     /// Durable side-store writers killed mid-write.
     pub crashes: u64,
-    /// Successful journal resumes (must equal `crashes` at the end).
+    /// Successful resumes from the last commit (must equal `crashes` at the end).
     pub resumes: u64,
     /// Scrub ops run during the storm (the final sweep adds more).
     pub scrubs: u64,

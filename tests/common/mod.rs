@@ -1,14 +1,14 @@
 //! Shared fixtures for the repo-level integration tests: one seeded
-//! store builder and one stream-framing walker instead of every test
-//! crate growing its own. Used by `soak_smoke.rs`,
-//! `server_differential.rs`, `salvage_truncation.rs` and
-//! `corruption_recovery.rs` (and open to the rest —
-//! `eri_store_integration.rs`'s inline builders predate it).
+//! store builder and the segment ranges of a stream, instead of every
+//! test crate growing its own. Used by `soak_smoke.rs`,
+//! `server_differential.rs` and `corruption_recovery.rs` (and open to
+//! the rest — `eri_store_integration.rs`'s inline builders predate it).
 #![allow(dead_code)] // each including test crate uses a subset
 
 use std::path::{Path, PathBuf};
 
-use eri_store::{StoreWriter, HEADER_LEN_V2, INDEX_ENTRY_V2};
+use eri_store::StoreWriter;
+use pastri::stream::{Frame, Frames};
 use pastri::BlockGeometry;
 
 /// A fresh per-test scratch directory (removed if it already exists,
@@ -56,39 +56,20 @@ pub fn build_store(
 }
 
 /// `[start, end)` of each segment's container payload in a `PSTRS`
-/// stream, found by re-walking the framing: a 6-byte header ("PSTRS" +
-/// version), then per segment a LEB128 length and that many bytes, and
-/// a zero length at the end.
+/// stream, found by the stream module's walker.
 pub fn stream_segment_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let mut pos = 6;
-    loop {
-        let (mut len, mut shift) = (0usize, 0);
-        loop {
-            let b = bytes[pos];
-            pos += 1;
-            len |= usize::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        if len == 0 {
-            return ranges;
-        }
-        ranges.push((pos, pos + len));
-        pos += len;
-    }
+    Frames::new(bytes)
+        .unwrap()
+        .filter_map(|frame| match frame.unwrap() {
+            Frame::Segment { at, container } => Some((at as usize, at as usize + container.len())),
+            Frame::Commit { .. } => None,
+        })
+        .collect()
 }
 
-/// `(offset, len)` of block `i`'s container span, parsed from the v2
-/// on-disk index — where fault injectors aim.
+/// `(offset, len)` of block `i`'s container span, as the store's own
+/// commit walk finds it — where fault injectors aim.
 pub fn block_span(store: &[u8], i: usize) -> (u64, u64) {
-    assert_eq!(&store[..8], b"ERISTOR2", "block_span reads v2 stores");
-    let index_offset = u64::from_le_bytes(store[40..48].try_into().unwrap()) as usize;
-    let entry = index_offset + i * INDEX_ENTRY_V2 as usize;
-    let offset = u64::from_le_bytes(store[entry..entry + 8].try_into().unwrap());
-    let len = u64::from_le_bytes(store[entry + 8..entry + 16].try_into().unwrap());
-    assert!(offset >= HEADER_LEN_V2 && offset + len <= store.len() as u64);
-    (offset, len)
+    let (_, index) = eri_store::committed_index(store).expect("a readable store");
+    (index[i].0, index[i].1)
 }

@@ -119,7 +119,7 @@ fn stream_with_ranges_using(
     compressor: Compressor,
 ) -> (Vec<u8>, Vec<(usize, usize)>) {
     let mut sink = Vec::new();
-    let mut w = StreamWriter::new(&mut sink, compressor, 1).unwrap();
+    let mut w = StreamWriter::new(&mut sink, compressor, 1, 2).unwrap();
     w.write_values(&patterned(BLOCK_VALUES * segments)).unwrap();
     w.finish().unwrap();
     let ranges = common::stream_segment_ranges(&sink);

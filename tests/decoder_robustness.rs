@@ -4,9 +4,100 @@
 //! attacker-controlled input: decoders must validate them against the
 //! bytes actually present *before* allocating.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use pastri::{BlockGeometry, Compressor};
+
+/// The system allocator, noting the largest single request each thread
+/// makes, so a case can bound what a decoder allocates.
+struct Largest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; `note` only updates a thread-local counter and never
+// allocates.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Largest = Largest;
+
+/// The largest single allocation `f` makes on this thread.
+fn largest_allocation(f: impl FnOnce()) -> usize {
+    LARGEST.with(|l| l.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
+
+/// A valid stream (commit frames every 2 segments, no terminator yet)
+/// and a finished store (commits every 3 blocks), built once.
+fn valid_artifacts() -> &'static (Vec<u8>, Vec<u8>) {
+    static ARTIFACTS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let geometry = BlockGeometry::new(4, 9);
+        let values: Vec<f64> = (0..36 * 8).map(|i| (f64::from(i % 53) * 0.23).sin() * 4e-6).collect();
+        let mut stream = Vec::new();
+        let mut w = pastri::stream::StreamWriter::new(&mut stream, Compressor::new(geometry, 1e-9), 1, 2)
+            .unwrap();
+        w.write_values(&values).unwrap();
+        drop(w);
+        let mut store = Vec::new();
+        let mut w = eri_store::StoreWriter::new(&mut store, geometry, 1e-9, 3).unwrap();
+        w.append_blocks(&values).unwrap();
+        w.finish().unwrap();
+        (stream, store)
+    })
+}
+
+/// One damage `kind` at `seed` applied to a copy of `valid`: a bit flip,
+/// a truncation, an inflated length field (eight 0xFF bytes), or a
+/// stream whose first segment claims about 2^35 bytes.
+fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    let at = seed % bytes.len();
+    match kind {
+        0 => bytes[at] ^= 1 << (seed % 8),
+        1 => bytes.truncate(at),
+        2 => {
+            let end = (at + 8).min(bytes.len());
+            bytes[at..end].fill(0xFF);
+        }
+        _ => bytes.splice(6..7, [0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).for_each(drop),
+    }
+    bytes
+}
 
 fn soup() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..4096)
@@ -80,7 +171,7 @@ proptest! {
     #[test]
     fn stream_skip_and_salvage_never_panic(mut bytes in soup(), with_magic in any::<bool>()) {
         if with_magic && bytes.len() >= 6 {
-            bytes[..6].copy_from_slice(b"PSTRS\x01");
+            bytes[..6].copy_from_slice(b"PSTRS\x02");
         }
         if let Ok(mut r) = pastri::stream::StreamReader::new(bytes.as_slice()) {
             for _ in 0..64 {
@@ -154,14 +245,31 @@ proptest! {
     }
 
     #[test]
-    fn checkpoint_journal_scan_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
-        let magic = durable::JOURNAL_MAGIC;
-        if with_magic && bytes.len() >= magic.len() {
-            bytes[..magic.len()].copy_from_slice(&magic);
-        }
-        let (last, valid) = durable::scan_journal(&bytes);
-        prop_assert!(valid <= bytes.len());
-        prop_assert!(last.is_none() || valid > magic.len());
+    fn checkpoint_journal_scan_never_panics(
+        soup in soup(),
+        source in 0u8..3,
+        kind in 0u8..4,
+        seed in any::<usize>(),
+    ) {
+        // Stream and store recovery — the walks `resume` and
+        // `open_for_append` run before cutting a file — over byte soup
+        // and over damaged valid artifacts: never a panic, and never an
+        // allocation larger than twice the input plus one 64 KiB chunk.
+        let (stream, store) = valid_artifacts();
+        let bytes = match source {
+            0 => soup,
+            1 => mutated(stream, kind, seed),
+            _ => mutated(store, kind, seed),
+        };
+        let largest = largest_allocation(|| {
+            let _ = pastri::durable_stream::committed(&bytes.as_slice());
+            let _ = eri_store::committed_index(&bytes.as_slice());
+        });
+        prop_assert!(
+            largest <= 2 * bytes.len() + (64 << 10),
+            "{largest} bytes allocated for a {}-byte input",
+            bytes.len()
+        );
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! decoded values, for the current v2 format and the legacy v1 golden
 //! fixtures. This is the contract that makes the thread count a pure
 //! throughput knob: no reproducibility surface, no format divergence.
-//! Streams go through `DurableStreamWriter`, the parallel stream path
-//! `pastri compress --stream` runs.
+//! Streams go through `StreamWriter`, whose batches compress on the
+//! pool — the path `pastri compress --stream` runs.
 
 use std::path::Path;
 
-use pastri::durable_stream::DurableStreamWriter;
 use pastri::stream::{StreamReader, StreamWriter};
 use pastri::Compressor;
 use qchem::basis::BfConfig;
@@ -68,17 +67,15 @@ fn streams_byte_identical_across_thread_counts() {
     for data in [dataset(config, 21), Vec::new()] {
         for blocks_per_segment in [1usize, 4] {
             let mut baseline = Vec::new();
-            let mut w = StreamWriter::new(&mut baseline, c, blocks_per_segment).unwrap();
+            let mut w = StreamWriter::new(&mut baseline, c, blocks_per_segment, 3).unwrap();
             for chunk in data.chunks(997) {
                 w.write_values(chunk).unwrap();
             }
             w.finish().unwrap();
 
             for threads in THREAD_COUNTS {
-                let (sink, _, cp) = pool(threads).install(|| {
-                    let mut w =
-                        DurableStreamWriter::new(Vec::new(), Vec::new(), c, blocks_per_segment, 3)
-                            .unwrap();
+                let (sink, cp) = pool(threads).install(|| {
+                    let mut w = StreamWriter::new(Vec::new(), c, blocks_per_segment, 3).unwrap();
                     for chunk in data.chunks(997) {
                         w.write_values(chunk).unwrap();
                     }

@@ -2,13 +2,12 @@
 //! `|decompressed − original| ≤ EB` holds under the *parallel* pipeline —
 //! every scaling metric, the sparse ECQ fallback, all three evaluation
 //! error bounds, and both the in-memory container fan-out and the
-//! parallel batches of `DurableStreamWriter` (the `--stream` path).
+//! parallel batches of `StreamWriter` (the `--stream` path).
 //! Block content is generated adversarially (patterned, noisy,
 //! sparse-with-outliers, constant) rather than from the physics model,
 //! so the bound is exercised at its edges.
 
-use pastri::durable_stream::DurableStreamWriter;
-use pastri::stream::StreamReader;
+use pastri::stream::{StreamReader, StreamWriter};
 use pastri::{
     BlockGeometry, CompressorOptions, Compressor, EcqRepr, EncodingTree, ScalingMetric,
 };
@@ -102,10 +101,10 @@ proptest! {
         let restored = pool.install(|| pastri::decompress(&bytes).unwrap());
         check_bound(&values, &restored, eb, "container");
 
-        // Same input through the durable writer's parallel batches: same
+        // Same input through the stream writer's parallel batches: same
         // guarantee, and (determinism) the same container bytes inside.
-        let (sink, _, _) = pool.install(|| {
-            let mut w = DurableStreamWriter::new(Vec::new(), Vec::new(), c, 2, 2).unwrap();
+        let (sink, _) = pool.install(|| {
+            let mut w = StreamWriter::new(Vec::new(), c, 2, 2).unwrap();
             w.write_values(&values).unwrap();
             w.finish().unwrap()
         });

@@ -8,14 +8,14 @@
 //!   frames lie fully inside the prefix (byte-for-byte, in order),
 //!   drops nothing (truncation is framing loss, not payload damage),
 //!   reports `tail_lost` unless the prefix is the whole stream, and the
-//!   output always re-reads strictly clean.
+//!   output always re-reads strictly clean. Its frames — segments and
+//!   the commit frames between them — are the prefix's complete frames,
+//!   byte for byte.
 //!
 //! An exhaustive sweep pins one shape; a proptest varies segment count,
 //! segment size, and cut point.
 
-mod common;
-
-use pastri::stream::{salvage, StreamReader, StreamWriter};
+use pastri::stream::{salvage, Frame, Frames, StreamReader, StreamWriter};
 use pastri::{BlockGeometry, Compressor};
 use proptest::prelude::*;
 
@@ -33,19 +33,27 @@ fn patterned(n: usize) -> Vec<f64> {
 
 fn build_stream(segments: usize, blocks_per_segment: usize) -> Vec<u8> {
     let mut sink = Vec::new();
-    let mut w = StreamWriter::new(&mut sink, test_compressor(), blocks_per_segment).unwrap();
+    let mut w = StreamWriter::new(&mut sink, test_compressor(), blocks_per_segment, 2).unwrap();
     w.write_values(&patterned(BLOCK_VALUES * blocks_per_segment * segments))
         .unwrap();
     w.finish().unwrap();
     sink
 }
 
-/// Offset just past each complete segment frame (varint + payload).
-fn frame_ends(bytes: &[u8]) -> Vec<usize> {
-    common::stream_segment_ranges(bytes)
-        .into_iter()
-        .map(|(_, end)| end)
+/// Offset just past each frame, and whether it is a segment (rather
+/// than a commit frame).
+fn frame_ends(bytes: &[u8]) -> Vec<(usize, bool)> {
+    Frames::new(bytes)
+        .unwrap()
+        .map(|frame| match frame.unwrap() {
+            Frame::Segment { at, container } => (at as usize + container.len(), true),
+            Frame::Commit { at, record } => (at as usize + record.len(), false),
+        })
         .collect()
+}
+
+fn segments_in(ends: &[(usize, bool)]) -> usize {
+    ends.iter().filter(|&&(_, segment)| segment).count()
 }
 
 fn decode_all(bytes: &[u8]) -> Vec<Vec<f64>> {
@@ -61,7 +69,7 @@ fn decode_all(bytes: &[u8]) -> Vec<Vec<f64>> {
 /// Returns a message on failure so the proptest can report the case.
 fn check_truncation(
     full: &[u8],
-    ends: &[usize],
+    ends: &[(usize, bool)],
     clean: &[Vec<f64>],
     t: usize,
 ) -> Result<(), String> {
@@ -76,7 +84,8 @@ fn check_truncation(
     }
     let report = result.map_err(|e| format!("t={t}: salvage failed: {e}"))?;
 
-    let expect_kept = ends.iter().filter(|&&e| e <= t).count();
+    let fitting: Vec<(usize, bool)> = ends.iter().copied().filter(|&(e, _)| e <= t).collect();
+    let expect_kept = segments_in(&fitting);
     if report.kept != expect_kept {
         return Err(format!(
             "t={t}: kept {} but {expect_kept} frames fit the prefix",
@@ -120,11 +129,11 @@ fn check_truncation(
             return Err(format!("t={t}: kept segment {i} is not bit-exact"));
         }
     }
-    // Kept frames are copied verbatim: the output is header + the
-    // untouched frame bytes + terminator.
-    if expect_kept > 0 {
-        let frames = &full[6..ends[expect_kept - 1]];
-        if &out[6..out.len() - 1] != frames {
+    // Kept frames are copied verbatim and commit frames rewritten to
+    // the same bytes: the output is header + the untouched frame bytes
+    // + terminator.
+    if let Some(&(last, _)) = fitting.last() {
+        if out[6..out.len() - 1] != full[6..last] {
             return Err(format!("t={t}: kept frames must be byte-for-byte"));
         }
     }
@@ -136,7 +145,7 @@ fn check_truncation(
 fn every_truncation_prefix_salvages_cleanly() {
     let full = build_stream(5, 1);
     let ends = frame_ends(&full);
-    assert_eq!(ends.len(), 5);
+    assert_eq!(segments_in(&ends), 5);
     let clean = decode_all(&full);
     for t in 0..=full.len() {
         if let Err(msg) = check_truncation(&full, &ends, &clean, t) {
@@ -151,7 +160,7 @@ fn every_truncation_prefix_salvages_cleanly() {
 fn every_truncation_prefix_salvages_cleanly_multiblock() {
     let full = build_stream(3, 2);
     let ends = frame_ends(&full);
-    assert_eq!(ends.len(), 3);
+    assert_eq!(segments_in(&ends), 3);
     let clean = decode_all(&full);
     for t in 0..=full.len() {
         if let Err(msg) = check_truncation(&full, &ends, &clean, t) {
@@ -170,7 +179,7 @@ proptest! {
     ) {
         let full = build_stream(segments, blocks_per_segment);
         let ends = frame_ends(&full);
-        prop_assert_eq!(ends.len(), segments);
+        prop_assert_eq!(segments_in(&ends), segments);
         let clean = decode_all(&full);
         let t = (cut % (full.len() as u64 + 1)) as usize;
         if let Err(msg) = check_truncation(&full, &ends, &clean, t) {

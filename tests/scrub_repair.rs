@@ -7,13 +7,16 @@
 //! first parity-emitting encoder and are committed as bytes: they pin
 //! the promise that v3 containers and streams — parity section
 //! included — remain decodable *and repairable* by every future reader.
-//! Regenerate (only when the format version itself moves on) with:
+//! Regenerate the container (only when the container version itself
+//! moves on) with:
 //! `PASTRI_REGEN_GOLDEN=1 cargo test --test scrub_repair regen`.
+//! `v3_stream.pstrs` is a version-1 stream, a frozen layout today's
+//! writer no longer produces, so it is never regenerated.
 
 use std::path::{Path, PathBuf};
 
 use faults::BitFlipper;
-use pastri::stream::{salvage, StreamReader, StreamWriter};
+use pastri::stream::{salvage, Frame, Frames, StreamReader, StreamWriter};
 use pastri::{container_bit_stats, decompress, decompress_lossy, inspect, repair_container};
 use pastri::{BlockGeometry, Compressor};
 
@@ -49,8 +52,8 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 }
 
 /// Fixture (re)generation, gated behind an env var so it is inert in CI.
-/// The v3 fixtures compress the *same* original as the v1 fixtures, so
-/// one raw file serves both generations.
+/// The v3 container compresses the *same* original as the v1 fixtures,
+/// so one raw file serves both generations.
 #[test]
 fn regen_golden_v3_fixtures() {
     if std::env::var("PASTRI_REGEN_GOLDEN").is_err() {
@@ -60,12 +63,6 @@ fn regen_golden_v3_fixtures() {
     let container = golden_compressor().compress(&original);
     assert_eq!(inspect(&container).unwrap().version, 3);
     std::fs::write(golden_dir().join("v3_container.pastri"), &container).unwrap();
-
-    let mut stream = Vec::new();
-    let mut w = StreamWriter::new(&mut stream, golden_compressor(), 1).unwrap();
-    w.write_values(&original).unwrap();
-    w.finish().unwrap();
-    std::fs::write(golden_dir().join("v3_stream.pstrs"), &stream).unwrap();
 }
 
 #[test]
@@ -95,6 +92,7 @@ fn golden_v3_container_decodes_with_parity_metadata() {
 fn golden_v3_stream_decodes() {
     let bytes = golden("v3_stream.pstrs");
     let original = golden_original();
+    assert_eq!(bytes[5], 1, "the fixture is a version-1 stream");
     let values = StreamReader::new(bytes.as_slice())
         .unwrap()
         .read_to_vec()
@@ -103,6 +101,25 @@ fn golden_v3_stream_decodes() {
     for (a, b) in original.iter().zip(&values) {
         assert!((a - b).abs() <= EB);
     }
+    // Both golden streams verify clean, and salvage keeps their v1 bytes.
+    for name in ["v1_stream.pstrs", "v3_stream.pstrs"] {
+        let bytes = golden(name);
+        let mut out = Vec::new();
+        assert!(salvage(bytes.as_slice(), &mut out).unwrap().is_clean(), "{name}");
+        assert_eq!(out, bytes, "{name}");
+    }
+}
+
+/// `[start, end)` of segment `i`'s container in a stream.
+fn segment_range(stream: &[u8], i: usize) -> (usize, usize) {
+    Frames::new(stream)
+        .unwrap()
+        .filter_map(|frame| match frame.unwrap() {
+            Frame::Segment { at, container } => Some((at as usize, at as usize + container.len())),
+            Frame::Commit { .. } => None,
+        })
+        .nth(i)
+        .unwrap()
 }
 
 /// The writer is still deterministic over the fixture's input: the
@@ -283,13 +300,13 @@ fn beyond_budget_damage_degrades_to_attributed_skip() {
 fn stream_flip_salvages_to_original_bytes() {
     let values = patterned(81 * 6);
     let mut clean = Vec::new();
-    let mut w = StreamWriter::new(&mut clean, golden_compressor(), 2).unwrap();
+    let mut w = StreamWriter::new(&mut clean, golden_compressor(), 2, 2).unwrap();
     w.write_values(&values).unwrap();
     w.finish().unwrap();
 
     let mut damaged = clean.clone();
-    let mid = 6 + (damaged.len() - 6) / 2;
-    damaged[mid] ^= 0x02;
+    let (start, end) = segment_range(&clean, 1);
+    damaged[(start + end) / 2] ^= 0x02;
 
     let mut healed = Vec::new();
     let report = salvage(damaged.as_slice(), &mut healed).unwrap();
@@ -383,12 +400,10 @@ fn cli_scrub_quarantines_beyond_budget_damage() {
 /// restores the byte-exact stream.
 #[test]
 fn durable_stream_artifact_scrubs_clean_after_flip() {
-    use pastri::durable_stream::DurableFileWriter;
-
     let dir = temp_dir("durable");
     let path = dir.join("run.pstrs");
     let values = patterned(81 * 6);
-    let mut w = DurableFileWriter::create(&path, golden_compressor(), 1, 2).unwrap();
+    let mut w = StreamWriter::create(&path, golden_compressor(), 1, 2).unwrap();
     w.write_values(&values).unwrap();
     w.finish().unwrap();
     let clean = std::fs::read(&path).unwrap();
@@ -396,29 +411,7 @@ fn durable_stream_artifact_scrubs_clean_after_flip() {
     // Aim the injector at the middle of segment 2's container payload
     // (a flip on the stream *framing* varints would sever the tail —
     // that degradation is covered by the salvage tests).
-    let (seg_start, seg_end) = {
-        let mut pos = 6; // "PSTRS" + version byte
-        let mut ranges = Vec::new();
-        loop {
-            let mut len = 0usize;
-            let mut shift = 0;
-            loop {
-                let b = clean[pos];
-                pos += 1;
-                len |= ((b & 0x7f) as usize) << shift;
-                if b & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            if len == 0 {
-                break;
-            }
-            ranges.push((pos, pos + len));
-            pos += len;
-        }
-        ranges[2]
-    };
+    let (seg_start, seg_end) = segment_range(&clean, 2);
     let at = ((seg_start + seg_end) / 2) as u64;
     BitFlipper::new(at, at + 8, 1, 42).apply_to_file(&path).unwrap();
     assert_ne!(std::fs::read(&path).unwrap(), clean);

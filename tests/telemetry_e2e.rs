@@ -99,18 +99,16 @@ fn durable_stream_writer_publishes_one_span_per_batch() {
 
     telemetry::reset();
     telemetry::set_enabled(true);
-    let mut w =
-        pastri::durable_stream::DurableStreamWriter::new(Vec::new(), Vec::new(), compressor, 2, 2)
-            .expect("writer");
+    let mut w = pastri::stream::StreamWriter::new(Vec::new(), compressor, 2, 2).expect("writer");
     w.write_values(&data).expect("write");
-    let (sink, _, cp) = w.finish().expect("finish");
+    let (sink, cp) = w.finish().expect("finish");
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
 
     assert!(!sink.is_empty());
     assert_eq!(cp.segments, 4);
     // 8 blocks at 2 blocks/segment and 2 segments/checkpoint: two full
-    // batches, each one span and one journal record; `finish` has no
+    // batches, each one span and one commit record; `finish` has no
     // tail left to commit.
     assert_eq!(snap.spans_named("durable.commit_batch").count(), 2);
     assert_eq!(snap.counter("durable.checkpoints"), 2);
@@ -130,12 +128,11 @@ fn fault_injection_is_observable_through_telemetry() {
 
     // Crash-budget exhaustion: the kill fires once and is recorded both
     // as a counter and as an instant event.
-    let budget = faults::CrashBudget::new(10);
     let mut w = faults::FaultyWriter::new(
         Vec::new(),
         7,
         faults::WriteFaultConfig {
-            kill_after: Some(budget),
+            kill_after: Some(10),
             torn_kill: true,
             ..Default::default()
         },
@@ -167,9 +164,9 @@ fn durable_fsyncs_are_counted_and_timed() {
     durable::atomic_write(&path, b"payload").expect("atomic write");
     let after_atomic = telemetry::snapshot().counter("durable.fsyncs");
     // A fresh durable stream fsyncs its directory before any write, so
-    // the new artifact's and journal's entries survive a power loss.
+    // the new artifact's entry survives a power loss.
     let stream_path = dir.join("fsync-probe.pstrs");
-    let w = pastri::durable_stream::DurableFileWriter::create(
+    let w = pastri::stream::StreamWriter::create(
         &stream_path,
         Compressor::new(BlockGeometry::new(4, 9), 1e-10),
         1,
@@ -182,13 +179,12 @@ fn durable_fsyncs_are_counted_and_timed() {
     let snap = telemetry::snapshot();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&stream_path);
-    let _ = std::fs::remove_file(durable::journal_path(&stream_path));
 
     // atomic_write fsyncs the file and its directory.
     assert!(after_atomic >= 2, "{:?}", snap.counters);
     assert!(
         after_create > after_atomic,
-        "DurableFileWriter::create must fsync the parent directory"
+        "StreamWriter::create must fsync the parent directory"
     );
     let hist = snap
         .histograms
@@ -200,8 +196,8 @@ fn durable_fsyncs_are_counted_and_timed() {
 }
 
 /// A durable store write's every fsync is counted: the directory at
-/// create, a data and a journal fsync per checkpoint, and the final data
-/// fsync plus the directory fsync of the journal's removal.
+/// create, one data fsync per checkpoint (its commit record rides in the
+/// same file), and the final data fsync after the index and trailer.
 #[test]
 fn durable_store_counts_its_data_and_journal_fsyncs() {
     let _guard = lock();
@@ -223,7 +219,7 @@ fn durable_store_counts_its_data_and_journal_fsyncs() {
     assert_eq!(snap.counter("durable.checkpoints"), checkpoints);
     assert_eq!(
         snap.counter("durable.fsyncs"),
-        2 * checkpoints + 3,
+        1 + checkpoints + 1,
         "{:?}",
         snap.counters
     );
@@ -251,7 +247,6 @@ fn store_resume_over_a_torn_tail_counts_a_truncation() {
     let snap = telemetry::snapshot();
     drop(w);
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(durable::journal_path(&path));
 
     assert_eq!(cp.segments, 4);
     assert_eq!(snap.counter("durable.resume_truncations"), 1);
