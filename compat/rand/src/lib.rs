@@ -33,18 +33,6 @@ impl Standard for u64 {
     }
 }
 
-impl Standard for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Standard for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
@@ -65,21 +53,6 @@ impl SampleRange<f64> for std::ops::Range<f64> {
         self.start + u * (self.end - self.start)
     }
 }
-
-macro_rules! int_sample_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for std::ops::Range<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "gen_range: empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let draw = (u128::from(rng.next_u64()) % span) as i128;
-                (self.start as i128 + draw) as $t
-            }
-        }
-    )*};
-}
-
-int_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// Convenience methods, mirroring `rand::Rng`. Blanket-implemented for
 /// every [`RngCore`].
@@ -160,8 +133,6 @@ mod tests {
         for _ in 0..1000 {
             let f = rng.gen_range(-2.0..3.0f64);
             assert!((-2.0..3.0).contains(&f));
-            let i = rng.gen_range(-5i64..5);
-            assert!((-5..5).contains(&i));
             let u: f64 = rng.gen();
             assert!((0.0..1.0).contains(&u));
         }

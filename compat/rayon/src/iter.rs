@@ -22,18 +22,6 @@ impl<T: Send> ParIter<T> {
         Self { items }
     }
 
-    /// Number of items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Is the sequence empty?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Pairs each item with its index (mirrors rayon's indexed
     /// `enumerate`: indices are positions in the original order).
     #[must_use]
@@ -119,23 +107,6 @@ where
     /// order.
     pub fn collect<C: FromParallelIterator<R>>(self) -> C {
         C::from_ordered(run_map(self.items, self.f))
-    }
-
-    /// Runs the map on the worker crew, discarding results.
-    pub fn for_each<G>(self, g: G)
-    where
-        G: Fn(R) + Sync,
-    {
-        let f = self.f;
-        run_map(self.items, move |t| g(f(t)));
-    }
-
-    /// Sums the mapped values (map runs parallel, fold sequential).
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<R>,
-    {
-        run_map(self.items, self.f).into_iter().sum()
     }
 }
 

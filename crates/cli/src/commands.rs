@@ -499,7 +499,7 @@ pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// `pastri verify <file>`: scan any PaSTRI artifact — a single container
-/// (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR2`) — and
+/// (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR3`) — and
 /// print a per-block/segment damage report. Exit codes are the scripting
 /// contract: 0 clean, 2 when damage is found in a recognized artifact,
 /// 1 for I/O trouble or an unrecognized format.
@@ -562,10 +562,11 @@ struct Damage {
     /// Damaged units beyond the parity budget; a lost stream tail counts
     /// as one.
     unrepairable: usize,
-    /// Redundancy damaged while the data it guards is intact: container
-    /// parity groups, or stream commit frames.
+    /// Damaged redundancy: container parity groups, stream commit
+    /// frames, or store parity records. Rebuildable when the data it
+    /// guards is intact (or repairable).
     redundancy: usize,
-    /// `parity group` or `commit frame`.
+    /// `parity group`, `commit frame` or `parity record`.
     redundancy_unit: &'static str,
     tail_lost: bool,
     /// One report line per damaged unit.
@@ -667,19 +668,23 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
             } else {
                 None
             };
-            let lines = (report.damaged.iter())
-                .map(|d| {
-                    let fate = if d.repaired.is_some() {
-                        "repairable from parity"
-                    } else {
-                        "beyond the parity budget"
-                    };
-                    format!(
-                        "  block {} (offset {}): {} — {fate}",
-                        d.block, d.offset, d.error
-                    )
-                })
-                .collect();
+            let blocks = report.damaged.iter().map(|d| {
+                let fate = if d.repaired.is_some() {
+                    "repairable from parity"
+                } else {
+                    "beyond the parity budget"
+                };
+                format!("  block {} (offset {}): {} — {fate}", d.block, d.offset, d.error)
+            });
+            let records = report.records.iter().map(|r| {
+                let fate = if r.rebuilt.is_some() {
+                    "rebuildable"
+                } else {
+                    "not rebuildable: its stripe is beyond the parity budget"
+                };
+                let (s, at) = (r.stripe, r.offset);
+                format!("  parity record of stripe {s} (offset {at}): damaged ({fate})")
+            });
             let repairable = report.repairable();
             Damage {
                 kind: "ERI store",
@@ -687,10 +692,10 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                 total: report.blocks,
                 repairable,
                 unrepairable: report.damaged.len() - repairable,
-                redundancy: 0,
-                redundancy_unit: "parity group",
+                redundancy: report.records.len(),
+                redundancy_unit: "parity record",
                 tail_lost: false,
-                lines,
+                lines: blocks.chain(records).collect(),
                 healed,
             }
         }
@@ -2318,32 +2323,69 @@ mod tests {
         scrub(&sv(&[&comp, "--repair"]), &mut Vec::new()).unwrap();
         assert_eq!(fs::read(&comp).unwrap(), clean);
 
-        // Same cycle for an ERI store: flip inside the first block's
-        // parity shards (located by walking the container prefix).
+        // Same cycle for an ERI store: flip inside block 0, which its
+        // stripe's parity rebuilds, then inside that stripe's parity
+        // record, which is recomputed from the intact blocks.
         let store_path = dir.join("ss.eristore");
+        let store = store_path.to_string_lossy().into_owned();
+        let clean = write_store(&store_path, 5);
+        scrub(&sv(&[&store]), &mut Vec::new()).unwrap();
+        let record = eri_store::StoreReader::open(&store_path).unwrap().index().stripes[0].record;
+        for (at, what) in [(eri_store::HEADER_LEN + 40, "block 0"), (record + 30, "parity record")] {
+            let mut bytes = clean.clone();
+            bytes[at as usize] ^= 0x04;
+            fs::write(&store_path, &bytes).unwrap();
+            let mut report = Vec::new();
+            let err = scrub(&sv(&[&store]), &mut report).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(String::from_utf8(report).unwrap().contains(what), "{what}");
+            let mut report = Vec::new();
+            scrub(&sv(&[&store, "--repair"]), &mut report).unwrap();
+            assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
+            assert_eq!(fs::read(&store_path).unwrap(), clean, "{what}");
+            verify(&sv(&[&store]), &mut Vec::new()).unwrap();
+        }
+    }
+
+    /// A finished store of `blocks` blocks at `path`, committed once;
+    /// returns its bytes.
+    fn write_store(path: &std::path::Path, blocks: usize) -> Vec<u8> {
         let geom = pastri::BlockGeometry::new(4, 9);
-        let mut w = eri_store::StoreWriter::create_durable(&store_path, geom, 1e-10, 5).unwrap();
-        let values: Vec<f64> = (0..geom.block_size() * 5)
+        let mut w = eri_store::StoreWriter::create_durable(path, geom, 1e-10, blocks).unwrap();
+        let values: Vec<f64> = (0..geom.block_size() * blocks)
             .map(|i| ((i % 53) as f64 * 0.23).sin() * 2e-6)
             .collect();
         w.append_blocks(&values).unwrap();
         w.finish().unwrap();
-        let store = store_path.to_string_lossy().into_owned();
-        let clean = fs::read(&store_path).unwrap();
-        scrub(&sv(&[&store]), &mut Vec::new()).unwrap();
+        fs::read(path).unwrap()
+    }
 
-        let header = eri_store::HEADER_LEN_V2 as usize;
-        let (_, first_len) = pastri::inspect_prefix(&clean[header..]).unwrap();
-        let mut bytes = clean.clone();
-        bytes[header + first_len - 9] ^= 0x04;
+    #[test]
+    fn scrub_quarantines_unrepairable_store() {
+        // Block 1's container and its stripe's parity record shredded:
+        // at least three damaged pieces against a two-shard budget.
+        let dir = tmpdir();
+        let store_path = dir.join("sq.eristore");
+        let store = store_path.to_string_lossy().into_owned();
+        let mut bytes = write_store(&store_path, 5);
+        let reader = eri_store::StoreReader::open(&store_path).unwrap();
+        let (block, stripe) = (reader.index().blocks[1], reader.index().stripes[0]);
+        let container = block.offset..block.offset + block.len;
+        for p in container.chain(stripe.record..stripe.record + stripe.record_len).step_by(7) {
+            bytes[p as usize] ^= 0x40;
+        }
         fs::write(&store_path, &bytes).unwrap();
-        let err = scrub(&sv(&[&store]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 2);
+
         let mut report = Vec::new();
-        scrub(&sv(&[&store, "--repair"]), &mut report).unwrap();
-        assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
-        assert_eq!(fs::read(&store_path).unwrap(), clean);
-        verify(&sv(&[&store]), &mut Vec::new()).unwrap();
+        let err = scrub(&sv(&[&store, "--repair"]), &mut report).unwrap_err();
+        assert_eq!(err.code, 2, "unrepairable damage is exit 2");
+        assert!(err.message.contains("beyond the parity budget"), "{}", err.message);
+        let text = String::from_utf8(report).unwrap();
+        assert!(text.contains("block 1 "), "{text}");
+        assert!(text.contains("not rebuildable"), "{text}");
+        // The damaged original is quarantined before any rewrite.
+        let q = format!("{store}.quarantine");
+        assert_eq!(fs::read(&q).unwrap(), bytes, "quarantine preserves the damage");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * `verify`     — integrity-scan a container/stream/store; non-zero
 //!   exit with a per-block damage report when anything is corrupt
 //! * `scrub`      — classify damage as repairable/unrepairable; with
-//!   `--repair`, heal it in place from the containers' parity sections
+//!   `--repair`, heal it in place from the artifact's parity (container
+//!   parity sections, store stripes)
 //! * `salvage`    — rewrite a damaged stream, repairing what parity
 //!   covers and keeping intact segments
 //! * `gen`        — generate an ERI dataset file (GAMESS stand-in)

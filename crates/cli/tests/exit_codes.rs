@@ -68,14 +68,17 @@ fn build_server_store(path: &str, n: usize) {
     w.finish().unwrap();
 }
 
-/// Shreds stored block `i`'s whole container span — beyond the parity
-/// budget by construction, so reads must fail as corruption (exit 2).
+/// Shreds stored block `i`'s container and its stripe's parity record —
+/// beyond the two-shard parity budget by construction, so reads must
+/// fail as corruption (exit 2).
 fn shred_store_block(path: &str, i: usize) {
     let mut bytes = fs::read(path).unwrap();
     let (_, index) = eri_store::committed_index(&bytes[..]).unwrap();
-    let (off, len) = (index[i].0 as usize, index[i].1 as usize);
-    for p in (off + 8..off + len).step_by(7) {
-        bytes[p] ^= 0x55;
+    let block = index.blocks[i];
+    let stripe = index.stripes.iter().find(|s| i < s.first + s.members).unwrap();
+    let container = (block.offset + 8..block.offset + block.len).step_by(7);
+    for p in container.chain((stripe.record..stripe.record + stripe.record_len).step_by(7)) {
+        bytes[p as usize] ^= 0x55;
     }
     fs::write(path, bytes).unwrap();
 }

@@ -379,6 +379,26 @@ impl<'a, R: ReadAt + ?Sized> CommitScan<'a, R> {
         Ok(())
     }
 
+    /// Weighs the `record` bytes found at offset `at` where a commit
+    /// record belongs (the framing says so) but without its magic: torn
+    /// bytes can look like that, and so can a record with a flipped
+    /// magic. It is the latter when it names its own end offset and the
+    /// span before it verifies; then, with bytes after it, it is damage.
+    /// The walker stops here either way, and a frame that ends the
+    /// artifact stays a torn tail for [`finish`](Self::finish).
+    ///
+    /// # Errors
+    /// `InvalidData` for such a damaged record; any I/O error.
+    pub fn unmarked(&mut self, at: u64, record: &[u8; RECORD_LEN]) -> io::Result<()> {
+        self.hash_to(at)?;
+        let end = at + RECORD_LEN as u64;
+        let names_itself = record[20..28] == end.to_le_bytes();
+        if names_itself && record[28..32] == self.span.finish().to_le_bytes() && end < self.size {
+            return Err(damaged(self.span_start, end));
+        }
+        Ok(())
+    }
+
     /// The last verified commit, once the walker has stopped — at the
     /// end of the artifact, or at bytes it cannot frame. Everything since
     /// the last record met is searched for a record that names its own

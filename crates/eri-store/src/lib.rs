@@ -8,23 +8,51 @@
 //! consumer can fetch exactly the quartets it needs without touching the
 //! rest of the file — the access pattern of integral-direct Fock builds.
 //!
-//! File layout (version 2, current):
+//! File layout (version 3, current):
 //!
 //! ```text
-//! magic            8 bytes  "ERISTOR2"
+//! magic            8 bytes  "ERISTOR3"
 //! error bound      8 bytes  f64 LE
 //! num_subblocks    8 bytes  u64 LE
 //! subblock_size    8 bytes  u64 LE
-//! header_crc32     4 bytes  u32 LE  (CRC32 of the 32 bytes above)
-//! blocks           num_blocks PaSTRI containers in order, with a
-//!                  36-byte `durable` commit record ("PSTC") after
-//!                  each committed batch
+//! stripe width     4 bytes  u32 LE  (G: most blocks per stripe)
+//! parity shards    4 bytes  u32 LE  (P: Reed–Solomon shards per stripe)
+//! header_crc32     4 bytes  u32 LE  (CRC32 of the 40 bytes above)
+//! stripes          runs of at most G consecutive blocks, each block a
+//!                  parity-free (v2) PaSTRI container, each run followed
+//!                  by its parity record; a 36-byte `durable` commit
+//!                  record ("PSTC") after each committed batch
 //! index            num_blocks × (offset u64 LE, length u64 LE,
-//!                                payload_crc32 u32 LE)
+//!                                payload_crc32 u32 LE),
+//!                  then num_stripes × (record offset u64 LE,
+//!                                      members u32 LE)
 //! index_crc32      4 bytes  u32 LE  (CRC32 of the index bytes above)
 //! trailer          index offset u64 LE, num_blocks u64 LE,
-//!                  trailer_crc32 u32 LE (CRC32 of those 16 bytes)
+//!                  num_stripes u64 LE, trailer_crc32 u32 LE (CRC32 of
+//!                  those 24 bytes)
 //! ```
+//!
+//! A parity record:
+//!
+//! ```text
+//! magic            4 bytes  "PSTP"
+//! members          4 bytes  u32 LE  (blocks in the stripe, 1..=G)
+//! piece_len        8 bytes  u64 LE
+//! piece CRCs       (G + P) × u32 LE (the G data pieces, then the P
+//!                                    parity shards)
+//! shards           P × piece_len bytes
+//! record_crc32     4 bytes  u32 LE  (CRC32 of the record bytes above)
+//! ```
+//!
+//! A stripe's member containers are one contiguous byte run of length
+//! L, cut into G pieces of `piece_len = ⌈L / G⌉` bytes (the last ones
+//! short or empty, read as zero-padded). P Reed–Solomon shards protect
+//! the pieces, so parity costs `P / G` of the data, not P copies of each
+//! block. Any P damaged pieces or shards rebuild byte-exact: the piece
+//! CRCs say which ones to erase, so one flipped byte costs one piece,
+//! however many pieces its block spans. A stripe closes after G blocks,
+//! at every commit and at `finish`, so a commit never lands inside a
+//! stripe and resuming never reopens one.
 //!
 //! The per-entry `payload_crc32` covers the block's container
 //! bytes as written, so [`StoreReader::scrub`] can certify the whole
@@ -54,7 +82,8 @@ use checksum::crc32;
 use durable::retry::RetryStats;
 use durable::{read_exact_at, Checkpoint, CommitScan, Journaled, ReadAt, SyncWrite};
 use durable::{COMMIT_MAGIC, RECORD_LEN};
-use pastri::{BlockGeometry, Compressor};
+use parity::ReedSolomon;
+use pastri::{BlockGeometry, Compressor, CompressorOptions, ParityConfig};
 use rayon::prelude::*;
 
 /// Re-exported from [`durable::retry`]: the shared transient-I/O backoff
@@ -62,18 +91,25 @@ use rayon::prelude::*;
 /// one definition).
 pub use durable::retry::RetryPolicy;
 
-const MAGIC_V2: [u8; 8] = *b"ERISTOR2";
-/// Header bytes covered by the v2 header CRC (everything before it).
-const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8;
-/// Total v2 header length (body + header CRC32). Public so tooling and
-/// fault injectors can locate block spans without re-deriving the
-/// layout.
-pub const HEADER_LEN_V2: u64 = HEADER_BODY_LEN + 4;
-/// Size of one v2 index entry: offset u64 + len u64 + payload CRC32.
-pub const INDEX_ENTRY_V2: u64 = 20;
+const MAGIC: [u8; 8] = *b"ERISTOR3";
+/// Header bytes covered by the header CRC (everything before it).
+const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8 + 4 + 4;
+/// Total header length (body + header CRC32): block 0 starts here.
+/// Public so tooling and fault injectors can locate block spans without
+/// re-deriving the layout.
+pub const HEADER_LEN: u64 = HEADER_BODY_LEN + 4;
+/// Size of one block index entry: offset u64 + len u64 + payload CRC32.
+const BLOCK_ENTRY_LEN: u64 = 20;
+/// Size of one stripe index entry: record offset u64 + members u32.
+const STRIPE_ENTRY_LEN: u64 = 12;
 /// Size of the trailer ending every finished store: index offset u64 +
-/// block count u64 + CRC32.
-pub const TRAILER_LEN: u64 = 20;
+/// block count u64 + stripe count u64 + CRC32.
+pub const TRAILER_LEN: u64 = 28;
+/// First bytes of every parity record — distinct from a container's
+/// `PSTR` and a commit record's `PSTC`.
+const PARITY_MAGIC: [u8; 4] = *b"PSTP";
+/// Parity record bytes before the piece CRCs: magic, members, piece_len.
+const RECORD_HEAD: usize = 16;
 
 /// Errors from the block store.
 #[derive(Debug)]
@@ -267,23 +303,210 @@ fn read_exact_retry<R: ReadAt>(
     result
 }
 
-/// The writer's index: each block's (offset, length, payload CRC32).
-type Entries = Vec<(u64, u64, u32)>;
+/// The stripe geometry a store header records: at most `width` blocks
+/// (G) per stripe, protected by `shards` (P) Reed–Solomon shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Striping {
+    width: usize,
+    shards: usize,
+}
+
+impl Striping {
+    /// What every writer uses: the library's default parity layout.
+    fn standard() -> Self {
+        let p = ParityConfig::default();
+        Self {
+            width: p.group_size,
+            shards: p.parity_shards,
+        }
+    }
+
+    /// The striping a header's two fields describe, if it is encodable.
+    fn parse(width: u32, shards: u32) -> Option<Self> {
+        let (width, shards) = (width as usize, shards as usize);
+        (width >= 1 && shards >= 1 && width + shards <= 255).then_some(Self { width, shards })
+    }
+
+    fn piece_len(self, run: u64) -> u64 {
+        run.div_ceil(self.width as u64)
+    }
+
+    /// Bytes of the parity record for pieces of `piece_len` bytes
+    /// (saturating, so a hostile length compares as too large).
+    fn record_len(self, piece_len: u64) -> u64 {
+        let fixed = (RECORD_HEAD + 4 * (self.width + self.shards) + 4) as u64;
+        fixed.saturating_add(piece_len.saturating_mul(self.shards as u64))
+    }
+
+    /// The G data pieces of `run`, each at most `piece_len` bytes.
+    fn pieces(self, run: &[u8], piece_len: usize) -> Vec<&[u8]> {
+        (0..self.width)
+            .map(|k| &run[(k * piece_len).min(run.len())..((k + 1) * piece_len).min(run.len())])
+            .collect()
+    }
+
+    fn code(self) -> ReedSolomon {
+        ReedSolomon::new(self.width, self.shards).expect("striping is validated")
+    }
+
+    /// The parity record of a stripe of `members` blocks whose
+    /// containers are `run`.
+    fn record(self, run: &[u8], members: usize) -> Vec<u8> {
+        let piece_len = self.piece_len(run.len() as u64);
+        let pieces = self.pieces(run, piece_len as usize);
+        let shards = self
+            .code()
+            .encode_padded(&pieces, piece_len as usize)
+            .expect("pieces fit their length");
+        let mut rec = Vec::with_capacity(self.record_len(piece_len) as usize);
+        rec.extend_from_slice(&PARITY_MAGIC);
+        rec.extend_from_slice(&(members as u32).to_le_bytes());
+        rec.extend_from_slice(&piece_len.to_le_bytes());
+        for piece in pieces.iter().copied().chain(shards.iter().map(Vec::as_slice)) {
+            rec.extend_from_slice(&crc32(piece).to_le_bytes());
+        }
+        for shard in &shards {
+            rec.extend_from_slice(shard);
+        }
+        checksum::append_crc32_of(&mut rec);
+        rec
+    }
+
+    /// Is `record` exactly the record the writer put after `run`, as far
+    /// as its own fields and CRC can tell?
+    fn record_intact(self, run: &[u8], members: usize, record: &[u8]) -> bool {
+        let piece_len = self.piece_len(run.len() as u64);
+        let Some((body, crc)) = record.split_last_chunk::<4>() else {
+            return false;
+        };
+        record.len() as u64 == self.record_len(piece_len)
+            && body[..4] == PARITY_MAGIC
+            && body[4..8] == (members as u32).to_le_bytes()
+            && body[8..16] == piece_len.to_le_bytes()
+            && crc32(body) == u32::from_le_bytes(*crc)
+    }
+
+    /// `run` rebuilt from its pieces and `record`'s shards, erasing every
+    /// piece or shard whose CRC fails (even if the record's own CRC
+    /// fails: a wrong CRC in its list only erases one more piece).
+    /// `None` when more than P are erased. `record` must be
+    /// `record_len` bytes for `run`.
+    fn rebuild(self, run: &[u8], record: &[u8]) -> Option<Vec<u8>> {
+        let piece_len = self.piece_len(run.len() as u64) as usize;
+        let crc_of = |k: usize| u32_at(record, RECORD_HEAD + 4 * k);
+        let shards_at = RECORD_HEAD + 4 * (self.width + self.shards);
+        let data = self.pieces(run, piece_len).into_iter();
+        let parity = (0..self.shards).map(|j| &record[shards_at + j * piece_len..][..piece_len]);
+        let mut shards: Vec<Option<Vec<u8>>> = data
+            .chain(parity)
+            .enumerate()
+            .map(|(k, piece)| {
+                (crc32(piece) == crc_of(k)).then(|| {
+                    let mut padded = piece.to_vec();
+                    padded.resize(piece_len, 0);
+                    padded
+                })
+            })
+            .collect();
+        self.code().reconstruct(&mut shards).ok()?;
+        let mut out = Vec::with_capacity(self.width * piece_len);
+        for piece in shards.into_iter().take(self.width) {
+            out.extend_from_slice(&piece?);
+        }
+        out.truncate(run.len());
+        Some(out)
+    }
+}
+
+/// One block's index entry: where its container lives, and the CRC32 of
+/// those bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Absolute file offset of the container.
+    pub offset: u64,
+    /// Container length in bytes.
+    pub len: u64,
+    /// CRC32 of the container bytes.
+    pub crc: u32,
+}
+
+/// One stripe: `members` consecutive blocks from block `first`, whose
+/// containers run contiguously up to the parity record at `record`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stripe {
+    /// Index of the stripe's first block.
+    pub first: usize,
+    /// Blocks in the stripe.
+    pub members: usize,
+    /// Absolute file offset of the parity record.
+    pub record: u64,
+    /// Parity record length in bytes.
+    pub record_len: u64,
+}
+
+/// Where every block and every stripe's parity record lives.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreIndex {
+    /// One entry per block, in block order.
+    pub blocks: Vec<BlockEntry>,
+    /// One entry per stripe, in block order; together they cover every
+    /// block of a finished store.
+    pub stripes: Vec<Stripe>,
+}
+
+impl StoreIndex {
+    /// Blocks covered by closed stripes.
+    fn striped(&self) -> usize {
+        self.stripes.last().map_or(0, |s| s.first + s.members)
+    }
+
+    /// The stripe holding block `i` (which a stripe must cover).
+    fn stripe_of(&self, i: usize) -> &Stripe {
+        &self.stripes[self.stripes.partition_point(|s| s.first + s.members <= i)]
+    }
+
+    /// The on-disk index: block entries, stripe entries, CRC32.
+    fn encode(&self) -> Vec<u8> {
+        let len = self.blocks.len() * BLOCK_ENTRY_LEN as usize
+            + self.stripes.len() * STRIPE_ENTRY_LEN as usize;
+        let mut index = Vec::with_capacity(len + 4);
+        for b in &self.blocks {
+            index.extend_from_slice(&b.offset.to_le_bytes());
+            index.extend_from_slice(&b.len.to_le_bytes());
+            index.extend_from_slice(&b.crc.to_le_bytes());
+        }
+        for s in &self.stripes {
+            index.extend_from_slice(&s.record.to_le_bytes());
+            index.extend_from_slice(&(s.members as u32).to_le_bytes());
+        }
+        checksum::append_crc32_of(&mut index);
+        index
+    }
+}
 
 /// Writes a block store: append blocks, then [`finish`](StoreWriter::finish).
 ///
 /// Every store commits in-band through [`durable::Journaled`]: every
-/// `checkpoint_every` appended blocks a commit record is appended and
-/// the data fsync'd once, so after a crash
+/// `checkpoint_every` appended blocks the open stripe is closed, a
+/// commit record is appended and the data fsync'd once, so after a crash
 /// [`open_for_append`](StoreWriter::open_for_append) can cut the file
 /// after the last verified commit, rebuild the index by re-walking the
-/// committed containers, and continue. A resumed store is
-/// byte-identical to an uninterrupted one. Over an in-memory sink
-/// ([`new`](Self::new)) the same bytes come out.
+/// committed containers and parity records, and continue. A resumed
+/// store is byte-identical to an uninterrupted one. Over an in-memory
+/// sink ([`new`](Self::new)) the same bytes come out.
+///
+/// Bytes reach the sink a stripe at a time: a stripe's blocks wait in
+/// memory until its parity record is computed, and each append call
+/// writes all the stripes it closed with one `write_all`.
 pub struct StoreWriter<W: SyncWrite = File> {
     out: Journaled<W>,
     compressor: Compressor,
-    index: Entries,
+    striping: Striping,
+    index: StoreIndex,
+    /// Bytes appended but not yet written: closed stripes, then (from
+    /// `open_at`) the open stripe's containers.
+    pending: Vec<u8>,
+    open_at: usize,
     checkpoint_every: usize,
 }
 
@@ -302,15 +525,16 @@ impl StoreWriter<File> {
         eb: f64,
         checkpoint_every: usize,
     ) -> Result<Self, StoreError> {
-        Self::over(Journaled::create(path)?, geometry, eb, checkpoint_every, Vec::new())
+        Self::over(Journaled::create(path)?, geometry, eb, checkpoint_every, StoreIndex::default())
     }
 
     /// Resumes an interrupted write at `path`: [`committed_index`]
     /// walks the file to its last verified commit and rebuilds the
-    /// index of the blocks before it, and [`Journaled::resume`] cuts the
-    /// file there. Returns the writer plus the checkpoint —
-    /// `checkpoint.segments` blocks are already in the store, so the
-    /// producer resumes appending from block `checkpoint.segments`.
+    /// index of the blocks and stripes before it, and
+    /// [`Journaled::resume`] cuts the file there. Returns the writer plus
+    /// the checkpoint — `checkpoint.segments` blocks are already in the
+    /// store, so the producer resumes appending from block
+    /// `checkpoint.segments`.
     ///
     /// With no verified commit the store restarts from scratch (the
     /// checkpoint comes back all-zero).
@@ -331,7 +555,7 @@ impl StoreWriter<File> {
             let mut header = [0u8; HEADER_BODY_LEN as usize];
             if cp.bytes > 0 {
                 read_exact_at(file, &mut header, 0)?;
-                if header[..] != header_bytes(eb, geometry)[..] {
+                if header[..] != header_bytes(eb, geometry, Striping::standard())[..] {
                     return Err(StoreError::corrupt(
                         "resume parameters do not match the store header",
                     ));
@@ -358,47 +582,94 @@ impl<W: SyncWrite> StoreWriter<W> {
         eb: f64,
         checkpoint_every: usize,
     ) -> Result<Self, StoreError> {
-        Self::over(Journaled::new(sink), geometry, eb, checkpoint_every, Vec::new())
+        Self::over(Journaled::new(sink), geometry, eb, checkpoint_every, StoreIndex::default())
     }
 
     /// A writer over `out` whose committed prefix holds `index`'s
-    /// blocks. An empty artifact first gets its header, which the first
-    /// commit seals.
+    /// blocks and stripes. An empty artifact first gets its header,
+    /// which the first commit seals.
     fn over(
         mut out: Journaled<W>,
         geometry: BlockGeometry,
         eb: f64,
         checkpoint_every: usize,
-        index: Entries,
+        index: StoreIndex,
     ) -> Result<Self, StoreError> {
         check_checkpoint_every(checkpoint_every)?;
+        let striping = Striping::standard();
         if out.position() == 0 {
-            let header = header_bytes(eb, geometry);
+            let header = header_bytes(eb, geometry, striping);
             out.write_all(&header)?;
             out.write_all(&crc32(&header).to_le_bytes())?;
         }
+        let options = CompressorOptions {
+            parity: ParityConfig::NONE,
+            ..CompressorOptions::default()
+        };
         Ok(Self {
             out,
-            compressor: Compressor::new(geometry, eb),
+            compressor: Compressor::with_options(geometry, eb, options),
+            striping,
             index,
+            pending: Vec::new(),
+            open_at: 0,
             checkpoint_every,
         })
     }
 
-    /// Commits every block appended so far.
+    /// Closes the open stripe (if it has any blocks) by appending its
+    /// parity record.
+    fn close_stripe(&mut self) {
+        let first = self.index.striped();
+        let members = self.index.blocks.len() - first;
+        if members == 0 {
+            return;
+        }
+        let record = self.striping.record(&self.pending[self.open_at..], members);
+        self.index.stripes.push(Stripe {
+            first,
+            members,
+            record: self.out.position() + self.pending.len() as u64,
+            record_len: record.len() as u64,
+        });
+        self.pending.extend_from_slice(&record);
+        self.open_at = self.pending.len();
+    }
+
+    /// Writes every closed stripe still in memory, with one write.
+    fn write_closed(&mut self) -> io::Result<()> {
+        if self.open_at > 0 {
+            self.out.write_all(&self.pending[..self.open_at])?;
+            self.pending.drain(..self.open_at);
+            self.open_at = 0;
+        }
+        Ok(())
+    }
+
+    /// Closes the open stripe and commits every block appended so far.
     fn commit(&mut self) -> io::Result<()> {
-        let blocks = self.index.len() as u64;
+        self.close_stripe();
+        self.write_closed()?;
+        let blocks = self.index.blocks.len() as u64;
         self.out
             .commit(blocks, blocks * self.compressor.geometry().block_size() as u64)
     }
 
-    /// Writes one compressed block and commits once `checkpoint_every`
-    /// blocks have accumulated since the last commit.
-    fn push(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let offset = self.out.position();
-        self.out.write_all(payload)?;
-        self.index.push((offset, payload.len() as u64, crc32(payload)));
-        let blocks = self.index.len() as u64;
+    /// Appends one compressed block to the open stripe, closing it at G
+    /// blocks and committing once `checkpoint_every` blocks have
+    /// accumulated since the last commit.
+    fn push(&mut self, payload: &[u8]) -> io::Result<()> {
+        let offset = self.out.position() + self.pending.len() as u64;
+        self.pending.extend_from_slice(payload);
+        self.index.blocks.push(BlockEntry {
+            offset,
+            len: payload.len() as u64,
+            crc: crc32(payload),
+        });
+        if self.index.blocks.len() - self.index.striped() == self.striping.width {
+            self.close_stripe();
+        }
+        let blocks = self.index.blocks.len() as u64;
         if blocks - self.out.committed().segments >= self.checkpoint_every as u64 {
             self.commit()?;
         }
@@ -416,13 +687,14 @@ impl<W: SyncWrite> StoreWriter<W> {
             "append_block needs exactly one block"
         );
         let payload = self.compressor.compress(block);
-        self.push(&payload)
+        self.push(&payload)?;
+        Ok(self.write_closed()?)
     }
 
     /// Compresses and appends a batch of full blocks, fanning the
-    /// compression out across the parallel runtime (the file writes stay
-    /// sequential, so the store is byte-identical to appending the same
-    /// blocks one at a time).
+    /// compression out across the parallel runtime (the stripes are
+    /// laid out sequentially, so the store is byte-identical to
+    /// appending the same blocks one at a time).
     ///
     /// # Panics
     /// Panics if `values.len()` is not a multiple of
@@ -442,87 +714,153 @@ impl<W: SyncWrite> StoreWriter<W> {
         for payload in payloads {
             self.push(&payload)?;
         }
-        Ok(())
+        Ok(self.write_closed()?)
     }
 
     /// Commits any blocks since the last commit, appends the checksummed
     /// index and the trailer, and syncs. Returns the block count.
     pub fn finish(mut self) -> Result<usize, StoreError> {
-        if self.index.len() as u64 > self.out.committed().segments {
+        if self.index.blocks.len() as u64 > self.out.committed().segments {
             self.commit()?;
         }
         let index_offset = self.out.position();
-        let mut index = Vec::with_capacity(self.index.len() * INDEX_ENTRY_V2 as usize + 4);
-        for &(off, len, crc) in &self.index {
-            index.extend_from_slice(&off.to_le_bytes());
-            index.extend_from_slice(&len.to_le_bytes());
-            index.extend_from_slice(&crc.to_le_bytes());
-        }
-        checksum::append_crc32_of(&mut index);
-        let mut trailer = [index_offset, self.index.len() as u64].map(u64::to_le_bytes).concat();
+        let (blocks, stripes) = (self.index.blocks.len(), self.index.stripes.len());
+        let mut trailer =
+            [index_offset, blocks as u64, stripes as u64].map(u64::to_le_bytes).concat();
         checksum::append_crc32_of(&mut trailer);
-        self.out.write_all(&index)?;
+        self.out.write_all(&self.index.encode())?;
         self.out.write_all(&trailer)?;
         self.out.close()?;
-        Ok(self.index.len())
+        Ok(blocks)
     }
 }
 
 /// The last verified commit of the store in `source`, and the index of
-/// the blocks it covers: the file's framing — containers and commit
-/// records after the header — is walked with positional reads, holding
-/// one container (plus one commit record) at a time, and every record
-/// goes through a [`CommitScan`]. The walk stops at the first bytes that
-/// are neither (a torn tail, or a finished store's index), and the scan
-/// searches what follows for a commit the walk could not reach.
+/// the blocks and stripes it covers: the file's framing — containers,
+/// parity records and commit records after the header — is walked with
+/// positional reads, holding one container or record at a time, and
+/// every record goes through a [`CommitScan`]. The walk stops at the
+/// first bytes that are none of these (a torn tail, or a finished
+/// store's index), and the scan searches what follows for a commit the
+/// walk could not reach.
 ///
 /// # Errors
 /// `Corrupt` if committed data is damaged; any I/O error.
 pub fn committed_index<R: ReadAt + ?Sized>(
     source: &R,
-) -> Result<(Checkpoint, Entries), StoreError> {
+) -> Result<(Checkpoint, StoreIndex), StoreError> {
     let corrupt = |e: io::Error| match e.kind() {
         ErrorKind::InvalidData => StoreError::corrupt("damaged bytes inside committed data"),
         _ => StoreError::Io(e),
     };
     let size = source.size()?;
     let mut scan = CommitScan::new(source)?;
-    let mut index = Vec::new();
-    let mut pos = HEADER_LEN_V2;
+    let mut index = StoreIndex::default();
+    // A header whose striping is not encodable leaves nothing to walk.
+    let mut header = [0u8; HEADER_BODY_LEN as usize];
+    let striping = if size >= HEADER_LEN {
+        read_exact_at(source, &mut header, 0)?;
+        Striping::parse(u32_at(&header, 32), u32_at(&header, 36))
+    } else {
+        None
+    };
+    let mut pos = HEADER_LEN;
     let mut record = [0u8; RECORD_LEN];
     while pos < size {
+        let Some(striping) = striping else { break };
         let word = &mut record[..(size - pos).min(RECORD_LEN as u64) as usize];
         read_exact_at(source, word, pos)?;
+        let open = index.blocks.len() - index.striped();
         if word.starts_with(&COMMIT_MAGIC) {
-            if word.len() < RECORD_LEN {
-                break; // a torn record
+            if word.len() < RECORD_LEN || open > 0 {
+                break; // a torn record, or one no writer puts inside a stripe
             }
-            scan.record(pos, &record, index.len() as u64).map_err(corrupt)?;
+            scan.record(pos, &record, index.blocks.len() as u64).map_err(corrupt)?;
             pos += RECORD_LEN as u64;
             continue;
         }
-        let Some(container) = read_container(source, pos, size)? else {
-            break;
+        if word.starts_with(&PARITY_MAGIC) {
+            let Some(rec) = read_parity_record(source, pos, size, striping, &index, word)? else {
+                break;
+            };
+            scan.feed(pos, &rec)?;
+            index.stripes.push(Stripe {
+                first: index.blocks.len() - open,
+                members: open,
+                record: pos,
+                record_len: rec.len() as u64,
+            });
+            pos += rec.len() as u64;
+            continue;
+        }
+        let container = match read_container(source, pos, size)? {
+            Some(container) if open < striping.width => container,
+            _ => {
+                if word.len() == RECORD_LEN {
+                    // Perhaps a commit record that lost its magic.
+                    scan.unmarked(pos, &record).map_err(corrupt)?;
+                }
+                break;
+            }
         };
         scan.feed(pos, &container)?;
         let len = container.len() as u64;
-        index.push((pos, len, crc32(&container)));
+        index.blocks.push(BlockEntry {
+            offset: pos,
+            len,
+            crc: crc32(&container),
+        });
         pos += len;
     }
     let cp = scan.finish().map_err(corrupt)?;
     // `finish` writes the trailer only once its last commit is durable,
     // so a trailer that verifies names where that commit ends.
-    if size >= HEADER_LEN_V2 + TRAILER_LEN {
+    if size >= HEADER_LEN + TRAILER_LEN {
         let mut trailer = [0u8; TRAILER_LEN as usize];
         read_exact_at(source, &mut trailer, size - TRAILER_LEN)?;
         let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
-        let stored = u32::from_le_bytes(trailer[16..].try_into().unwrap());
-        if crc32(&trailer[..16]) == stored && index_offset != cp.bytes.max(HEADER_LEN_V2) {
+        let verified = crc32(&trailer[..24]) == u32_at(&trailer, 24);
+        if verified && index_offset != cp.bytes.max(HEADER_LEN) {
             return Err(StoreError::corrupt("damaged bytes before the index the trailer names"));
         }
     }
-    index.truncate(cp.segments as usize);
+    index.blocks.truncate(cp.segments as usize);
+    index.stripes.retain(|s| s.record < cp.bytes);
     Ok((cp, index))
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+/// The parity record at `pos` (whose first bytes are `word`), if it
+/// closes the open stripe of `index`: its member count and piece length
+/// must be the ones the walked containers imply, and it must fit the
+/// file — checked before anything is allocated for it.
+fn read_parity_record<R: ReadAt + ?Sized>(
+    source: &R,
+    pos: u64,
+    size: u64,
+    striping: Striping,
+    index: &StoreIndex,
+    word: &[u8],
+) -> io::Result<Option<Vec<u8>>> {
+    let open = index.blocks.len() - index.striped();
+    if open == 0 || word.len() < RECORD_HEAD {
+        return Ok(None);
+    }
+    let run = pos - index.blocks[index.striped()].offset;
+    let piece_len = striping.piece_len(run);
+    let len = striping.record_len(piece_len);
+    if u32_at(word, 4) as usize != open
+        || u64::from_le_bytes(word[8..16].try_into().unwrap()) != piece_len
+        || len > size - pos
+    {
+        return Ok(None);
+    }
+    let mut rec = vec![0u8; len as usize];
+    read_exact_at(source, &mut rec, pos)?;
+    Ok(Some(rec))
 }
 
 /// The whole container starting at `pos`, read in doubling steps from
@@ -561,23 +899,16 @@ fn check_checkpoint_every(checkpoint_every: usize) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// The 32 checksummed header bytes (magic through subblock size).
-fn header_bytes(eb: f64, geometry: BlockGeometry) -> Vec<u8> {
+/// The 40 checksummed header bytes (magic through parity shards).
+fn header_bytes(eb: f64, geometry: BlockGeometry, striping: Striping) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_BODY_LEN as usize);
-    h.extend_from_slice(&MAGIC_V2);
+    h.extend_from_slice(&MAGIC);
     h.extend_from_slice(&eb.to_le_bytes());
     h.extend_from_slice(&(geometry.num_subblocks as u64).to_le_bytes());
     h.extend_from_slice(&(geometry.subblock_size as u64).to_le_bytes());
+    h.extend_from_slice(&(striping.width as u32).to_le_bytes());
+    h.extend_from_slice(&(striping.shards as u32).to_le_bytes());
     h
-}
-
-/// One index entry: where the block's container lives, and the CRC32 of
-/// those bytes.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    offset: u64,
-    len: u64,
-    crc: u32,
 }
 
 /// One damaged block found by [`StoreReader::scrub`].
@@ -589,10 +920,22 @@ pub struct BlockDamage {
     pub offset: u64,
     /// What was wrong with it.
     pub error: StoreError,
-    /// The container rebuilt from its own parity section, certified
+    /// The container rebuilt from its stripe's parity, certified
     /// byte-identical to what the writer stored by the index CRC;
     /// `None` when the damage exceeds the parity budget.
     pub repaired: Option<Vec<u8>>,
+}
+
+/// One damaged parity record found by [`StoreReader::scrub`].
+#[derive(Debug)]
+pub struct RecordDamage {
+    /// Zero-based stripe index.
+    pub stripe: usize,
+    /// Absolute file offset of the record.
+    pub offset: u64,
+    /// The record recomputed from its stripe's blocks; `None` when some
+    /// of those blocks are damaged beyond the parity budget.
+    pub rebuilt: Option<Vec<u8>>,
 }
 
 /// Result of a full-store [`StoreReader::scrub`] scan.
@@ -602,13 +945,15 @@ pub struct ScrubReport {
     pub blocks: usize,
     /// Every block that failed verification.
     pub damaged: Vec<BlockDamage>,
+    /// Every parity record that failed verification.
+    pub records: Vec<RecordDamage>,
 }
 
 impl ScrubReport {
-    /// Did every block verify?
+    /// Did every block and every parity record verify?
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.damaged.is_empty()
+        self.damaged.is_empty() && self.records.is_empty()
     }
 
     /// Damaged blocks whose containers rebuilt byte-identical.
@@ -617,27 +962,35 @@ impl ScrubReport {
         self.damaged.iter().filter(|d| d.repaired.is_some()).count()
     }
 
-    /// Splices every rebuilt container into `bytes`, the scanned store
-    /// file's contents. Unrepairable blocks are left as they are.
+    /// Damaged parity records that were recomputed.
+    #[must_use]
+    pub fn rebuildable_records(&self) -> usize {
+        self.records.iter().filter(|r| r.rebuilt.is_some()).count()
+    }
+
+    /// Splices every rebuilt container and parity record into `bytes`,
+    /// the scanned store file's contents. Unrepairable damage is left as
+    /// it is.
     ///
     /// # Errors
-    /// [`StoreError::Corrupt`] if a rebuilt container would not fit
-    /// inside `bytes` (they are not the bytes that were scanned).
+    /// [`StoreError::Corrupt`] if a rebuilt span would not fit inside
+    /// `bytes` (they are not the bytes that were scanned).
     pub fn heal(&self, bytes: &mut [u8]) -> Result<(), StoreError> {
-        for d in &self.damaged {
-            let Some(container) = &d.repaired else {
-                continue;
-            };
-            let span = usize::try_from(d.offset)
+        let blocks = (self.damaged.iter())
+            .filter_map(|d| Some((Some(d.block), d.offset, d.repaired.as_deref()?)));
+        let records = (self.records.iter())
+            .filter_map(|r| Some((None, r.offset, r.rebuilt.as_deref()?)));
+        for (block, offset, fix) in blocks.chain(records) {
+            let span = usize::try_from(offset)
                 .ok()
-                .and_then(|start| Some(start..start.checked_add(container.len())?))
+                .and_then(|start| Some(start..start.checked_add(fix.len())?))
                 .filter(|span| span.end <= bytes.len())
                 .ok_or(StoreError::Corrupt {
-                    block: Some(d.block),
-                    offset: Some(d.offset),
-                    reason: "repaired block falls outside the file",
+                    block,
+                    offset: Some(offset),
+                    reason: "repaired span falls outside the file",
                 })?;
-            bytes[span].copy_from_slice(container);
+            bytes[span].copy_from_slice(fix);
         }
         Ok(())
     }
@@ -656,7 +1009,8 @@ pub struct StoreReader<R: ReadAt = File> {
     retry: RetryPolicy,
     geometry: BlockGeometry,
     error_bound: f64,
-    index: Vec<IndexEntry>,
+    striping: Striping,
+    index: StoreIndex,
     stats: SharedStats,
 }
 
@@ -670,13 +1024,13 @@ impl StoreReader<File> {
 impl<R: ReadAt> StoreReader<R> {
     /// Opens a store from any positional byte source, retrying
     /// transient read errors per `retry`. Validates the header and
-    /// index checksums and loads the index.
+    /// index checksums and the index's layout, and loads the index.
     pub fn from_source(source: R, retry: RetryPolicy) -> Result<Self, StoreError> {
         let stats = SharedStats::default();
         let file_len = source.size()?;
         let mut header = [0u8; HEADER_BODY_LEN as usize];
         read_exact_retry(&source, &mut header, 0, &retry, &stats)?;
-        if header[..8] != MAGIC_V2 {
+        if header[..8] != MAGIC {
             return Err(StoreError::corrupt("bad magic"));
         }
         read_stored_crc(&source, &retry, &stats, &header, HEADER_BODY_LEN, HEADER_BODY_LEN)?;
@@ -691,54 +1045,58 @@ impl<R: ReadAt> StoreReader<R> {
         if num_sb == 0 || sb_size == 0 || num_sb.saturating_mul(sb_size) > (1 << 28) {
             return Err(StoreError::corrupt("implausible geometry"));
         }
+        let striping = Striping::parse(u32_at(&header, 32), u32_at(&header, 36))
+            .ok_or(StoreError::corrupt("implausible stripe geometry"))?;
         // The trailer — the last thing `finish` writes — says where the
         // index is. An unfinished store has none, so its checksum fails.
-        if file_len < HEADER_LEN_V2 + 4 + TRAILER_LEN {
+        if file_len < HEADER_LEN + 4 + TRAILER_LEN {
             return Err(StoreError::corrupt("no trailer: the store was never finished"));
         }
         let trailer_at = file_len - TRAILER_LEN;
         let mut trailer = [0u8; TRAILER_LEN as usize - 4];
         read_exact_retry(&source, &mut trailer, trailer_at, &retry, &stats)?;
         read_stored_crc(&source, &retry, &stats, &trailer, file_len - 4, trailer_at)?;
-        let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
-        let num_blocks = u64::from_le_bytes(trailer[8..].try_into().unwrap());
+        let [index_offset, num_blocks, num_stripes] =
+            [0, 8, 16].map(|o| u64::from_le_bytes(trailer[o..o + 8].try_into().unwrap()));
         // Index plausibility: the index and its CRC must fill the bytes
         // between the index offset and the trailer exactly — checked
-        // *before* the index allocation, so a hostile block count cannot
+        // *before* the index allocation, so hostile counts cannot
         // request more memory than the file could hold.
-        let index_bytes_len = num_blocks.saturating_mul(INDEX_ENTRY_V2);
-        if index_offset < HEADER_LEN_V2
+        let index_bytes_len = num_blocks
+            .checked_mul(BLOCK_ENTRY_LEN)
+            .zip(num_stripes.checked_mul(STRIPE_ENTRY_LEN))
+            .and_then(|(b, s)| b.checked_add(s));
+        if index_offset < HEADER_LEN
             || index_bytes_len
-                .checked_add(4)
+                .and_then(|n| n.checked_add(4))
                 .and_then(|n| index_offset.checked_add(n))
                 != Some(trailer_at)
         {
             return Err(StoreError::corrupt("index out of bounds"));
         }
-        let num_blocks = num_blocks as usize;
+        let index_bytes_len = trailer_at - 4 - index_offset;
         let mut index_bytes = vec![0u8; index_bytes_len as usize];
         read_exact_retry(&source, &mut index_bytes, index_offset, &retry, &stats)?;
         let crc_at = index_offset + index_bytes_len;
         read_stored_crc(&source, &retry, &stats, &index_bytes, crc_at, index_offset)?;
-        let mut index = Vec::with_capacity(num_blocks);
-        for (i, entry) in index_bytes.chunks_exact(INDEX_ENTRY_V2 as usize).enumerate() {
-            let off = u64::from_le_bytes(entry[..8].try_into().unwrap());
-            let len = u64::from_le_bytes(entry[8..16].try_into().unwrap());
-            let crc = u32::from_le_bytes(entry[16..20].try_into().unwrap());
-            if off < HEADER_LEN_V2 || off.saturating_add(len) > index_offset {
-                return Err(StoreError::Corrupt {
-                    block: Some(i),
-                    offset: None,
-                    reason: "block entry out of bounds",
-                });
-            }
-            index.push(IndexEntry { offset: off, len, crc });
-        }
+        let (block_bytes, stripe_bytes) =
+            index_bytes.split_at((num_blocks * BLOCK_ENTRY_LEN) as usize);
+        let blocks: Vec<BlockEntry> = block_bytes
+            .chunks_exact(BLOCK_ENTRY_LEN as usize)
+            .map(|entry| BlockEntry {
+                offset: u64::from_le_bytes(entry[..8].try_into().unwrap()),
+                len: u64::from_le_bytes(entry[8..16].try_into().unwrap()),
+                crc: u32_at(entry, 16),
+            })
+            .collect();
+        let stripes = stripe_entries(stripe_bytes, &blocks, striping, index_offset)?;
+        let index = StoreIndex { blocks, stripes };
         Ok(Self {
             source,
             retry,
             geometry: BlockGeometry::new(num_sb, sb_size),
             error_bound: eb,
+            striping,
             index,
             stats,
         })
@@ -747,7 +1105,7 @@ impl<R: ReadAt> StoreReader<R> {
     /// Number of stored blocks.
     #[must_use]
     pub fn num_blocks(&self) -> usize {
-        self.index.len()
+        self.index.blocks.len()
     }
 
     /// Block geometry.
@@ -762,6 +1120,12 @@ impl<R: ReadAt> StoreReader<R> {
         self.error_bound
     }
 
+    /// Where every block and parity record lives.
+    #[must_use]
+    pub fn index(&self) -> &StoreIndex {
+        &self.index
+    }
+
     /// Lifetime counters: transient retries absorbed, backoff slept,
     /// blocks repaired from parity, blocks lost — summed over every
     /// thread that has read through this reader.
@@ -770,21 +1134,15 @@ impl<R: ReadAt> StoreReader<R> {
         self.stats.snapshot()
     }
 
-    /// Reads block `i`'s raw container bytes, unverified.
-    fn read_block_raw(&self, i: usize) -> Result<(IndexEntry, Vec<u8>), StoreError> {
-        let entry = *self.index.get(i).ok_or(StoreError::OutOfRange {
-            index: i,
-            blocks: self.index.len(),
-        })?;
-        let mut payload = vec![0u8; entry.len as usize];
-        read_exact_retry(&self.source, &mut payload, entry.offset, &self.retry, &self.stats)?;
-        Ok((entry, payload))
-    }
-
     /// Reads block `i`'s raw container bytes and verifies its stored
     /// CRC32.
     fn read_block_bytes(&self, i: usize) -> Result<Vec<u8>, StoreError> {
-        let (entry, payload) = self.read_block_raw(i)?;
+        let entry = *self.index.blocks.get(i).ok_or(StoreError::OutOfRange {
+            index: i,
+            blocks: self.num_blocks(),
+        })?;
+        let mut payload = vec![0u8; entry.len as usize];
+        read_exact_retry(&self.source, &mut payload, entry.offset, &self.retry, &self.stats)?;
         let actual = crc32(&payload);
         if entry.crc != actual {
             return Err(StoreError::Checksum {
@@ -797,27 +1155,42 @@ impl<R: ReadAt> StoreReader<R> {
         Ok(payload)
     }
 
-    /// Attempts to rebuild block `i`'s container from its own parity
-    /// section. The repair is accepted only if the rebuilt bytes match
-    /// the index CRC — i.e. they are bit-for-bit what the writer stored
-    /// — so a wrong repair can never masquerade as a right one.
+    /// `stripe`'s bytes in one positional read — its containers, then
+    /// its parity record — and where the record starts in them.
+    fn read_stripe(&self, stripe: &Stripe) -> Result<(Vec<u8>, usize), StoreError> {
+        let start = self.index.blocks[stripe.first].offset;
+        let mut bytes = vec![0u8; (stripe.record + stripe.record_len - start) as usize];
+        read_exact_retry(&self.source, &mut bytes, start, &self.retry, &self.stats)?;
+        Ok((bytes, (stripe.record - start) as usize))
+    }
+
+    /// Block `entry`'s bytes inside `run`, the containers of a stripe
+    /// starting at block `first`.
+    fn member<'a>(&self, run: &'a [u8], first: usize, entry: &BlockEntry) -> &'a [u8] {
+        let at = (entry.offset - self.index.blocks[first].offset) as usize;
+        &run[at..at + entry.len as usize]
+    }
+
+    /// Attempts to rebuild block `i`'s container from its stripe. The
+    /// repair is accepted only if the rebuilt bytes match the index
+    /// CRC — i.e. they are bit-for-bit what the writer stored — so a
+    /// wrong repair can never masquerade as a right one.
     fn try_repair_block(&self, i: usize) -> Option<Vec<u8>> {
-        let (entry, payload) = self.read_block_raw(i).ok()?;
-        let (repaired, report) = pastri::repair_container(&payload).ok()?;
-        if report.is_fully_repaired() && crc32(&repaired) == entry.crc {
-            Some(repaired)
-        } else {
-            None
-        }
+        let stripe = self.index.stripe_of(i);
+        let (bytes, run) = self.read_stripe(stripe).ok()?;
+        let rebuilt = self.striping.rebuild(&bytes[..run], &bytes[run..])?;
+        let entry = &self.index.blocks[i];
+        let block = self.member(&rebuilt, stripe.first, entry);
+        (crc32(block) == entry.crc).then(|| block.to_vec())
     }
 
     /// Reads and decompresses block `i` (random access: one positional
     /// read of the compressed payload). A block whose checksum fails is
-    /// transparently rebuilt from its container's parity section when
-    /// possible (counted in [`ReadStats::blocks_repaired`]); damage
-    /// beyond the parity budget is reported with the block index and
-    /// file offset attached (and counted in
-    /// [`ReadStats::blocks_dropped`]).
+    /// transparently rebuilt from its stripe's parity when possible (one
+    /// more positional read, of the whole stripe; counted in
+    /// [`ReadStats::blocks_repaired`]); damage beyond the parity budget
+    /// is reported with the block index and file offset attached (and
+    /// counted in [`ReadStats::blocks_dropped`]).
     pub fn read_block(&self, i: usize) -> Result<Vec<f64>, StoreError> {
         self.read_block_noting_repair(i).map(|(values, _)| values)
     }
@@ -859,35 +1232,132 @@ impl<R: ReadAt> StoreReader<R> {
         Ok(out)
     }
 
-    /// Scans every block and reports all damage, instead of stopping at
-    /// the first bad block like [`read_all`](Self::read_all), and tries
-    /// to rebuild each damaged block from its container's parity
-    /// section.
+    /// Scans every stripe — one read each — and reports all damage,
+    /// instead of stopping at the first bad block like
+    /// [`read_all`](Self::read_all): each damaged block with its
+    /// container rebuilt from the stripe's parity where the budget
+    /// allows, and each damaged parity record with its recomputed bytes
+    /// when its blocks are (or were rebuilt) intact.
     ///
     /// Blocks are certified by their stored CRC32 — bit-exact payload
     /// bytes are exactly what the writer produced, so decodability
     /// follows without paying for decompression. A caller heals the
-    /// store by splicing the rebuilt containers into a copy of the file
+    /// store by splicing the rebuilt bytes into a copy of the file
     /// ([`ScrubReport::heal`]) and atomically swapping it in.
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport {
             blocks: self.num_blocks(),
             damaged: Vec::new(),
+            records: Vec::new(),
         };
-        for i in 0..self.num_blocks() {
-            match self.read_block_bytes(i) {
-                Ok(_) => {}
-                Err(e @ StoreError::Io(_)) => return Err(e), // the medium, not the data
-                Err(error) => report.damaged.push(BlockDamage {
+        for (s, stripe) in self.index.stripes.iter().enumerate() {
+            let (bytes, run) = self.read_stripe(stripe)?;
+            let (run, record) = bytes.split_at(run);
+            let members = &self.index.blocks[stripe.first..stripe.first + stripe.members];
+            let bad: Vec<usize> = (0..stripe.members)
+                .filter(|&j| crc32(self.member(run, stripe.first, &members[j])) != members[j].crc)
+                .collect();
+            let record_intact = self.striping.record_intact(run, stripe.members, record);
+            if bad.is_empty() && record_intact {
+                continue;
+            }
+            let rebuilt = if bad.is_empty() {
+                None
+            } else {
+                self.striping.rebuild(run, record)
+            };
+            let mut healed = run.to_vec();
+            let mut intact = true;
+            for j in bad {
+                let (i, entry) = (stripe.first + j, &members[j]);
+                let repaired = (rebuilt.as_deref())
+                    .map(|r| self.member(r, stripe.first, entry))
+                    .filter(|b| crc32(b) == entry.crc)
+                    .map(<[u8]>::to_vec);
+                let at = (entry.offset - members[0].offset) as usize;
+                match &repaired {
+                    Some(block) => healed[at..at + block.len()].copy_from_slice(block),
+                    None => intact = false,
+                }
+                report.damaged.push(BlockDamage {
                     block: i,
-                    offset: self.index[i].offset,
-                    error,
-                    repaired: self.try_repair_block(i),
-                }),
+                    offset: entry.offset,
+                    error: StoreError::Checksum {
+                        block: Some(i),
+                        offset: Some(entry.offset),
+                        expected: entry.crc,
+                        actual: crc32(self.member(run, stripe.first, entry)),
+                    },
+                    repaired,
+                });
+            }
+            if !record_intact {
+                report.records.push(RecordDamage {
+                    stripe: s,
+                    offset: stripe.record,
+                    rebuilt: intact.then(|| self.striping.record(&healed, stripe.members)),
+                });
             }
         }
         Ok(report)
     }
+}
+
+/// The stripe entries of an index, checked against its `blocks` so
+/// they describe a layout the writer produces: stripes of 1..=G blocks
+/// covering every block in order, each a contiguous run of containers
+/// that ends where its parity record starts, and each record ending
+/// before the next stripe and before the index. Stripe reads then stay
+/// inside the file.
+fn stripe_entries(
+    bytes: &[u8],
+    blocks: &[BlockEntry],
+    striping: Striping,
+    index_offset: u64,
+) -> Result<Vec<Stripe>, StoreError> {
+    for (i, b) in blocks.iter().enumerate() {
+        if b.offset < HEADER_LEN || b.offset.saturating_add(b.len) > index_offset {
+            return Err(StoreError::Corrupt {
+                block: Some(i),
+                offset: None,
+                reason: "block entry out of bounds",
+            });
+        }
+    }
+    let bad = || StoreError::corrupt("stripe entry does not match the blocks");
+    let (mut first, mut end) = (0usize, HEADER_LEN);
+    let mut stripes = Vec::with_capacity(bytes.len() / STRIPE_ENTRY_LEN as usize);
+    for entry in bytes.chunks_exact(STRIPE_ENTRY_LEN as usize) {
+        let record = u64::from_le_bytes(entry[..8].try_into().unwrap());
+        let members = u32_at(entry, 8) as usize;
+        if !(1..=striping.width).contains(&members) || members > blocks.len() - first {
+            return Err(bad());
+        }
+        let run = &blocks[first..first + members];
+        let last = run[members - 1];
+        if run[0].offset < end
+            || run.windows(2).any(|w| w[0].offset + w[0].len != w[1].offset)
+            || last.offset + last.len != record
+        {
+            return Err(bad());
+        }
+        let record_len = striping.record_len(striping.piece_len(record - run[0].offset));
+        end = record
+            .checked_add(record_len)
+            .filter(|&e| e <= index_offset)
+            .ok_or_else(bad)?;
+        stripes.push(Stripe {
+            first,
+            members,
+            record,
+            record_len,
+        });
+        first += members;
+    }
+    if first != blocks.len() {
+        return Err(StoreError::corrupt("stripes do not cover the blocks"));
+    }
+    Ok(stripes)
 }
 
 #[cfg(test)]
@@ -921,7 +1391,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
-        let spans = r.index.iter().map(|e| (e.offset, e.len)).collect();
+        let spans = r.index.blocks.iter().map(|e| (e.offset, e.len)).collect();
         (bytes, spans)
     }
 
@@ -981,7 +1451,10 @@ mod tests {
         // Four commits (3 + 3 + 3 + the finishing 2) and no patched bytes:
         // the file opens and its blocks read back.
         let (cp, index) = committed_index(&std::fs::read(&path).unwrap().as_slice()).unwrap();
-        assert_eq!((cp.segments, index.len()), (11, 11));
+        assert_eq!((cp.segments, index.blocks.len()), (11, 11));
+        // Stripes close at every commit, and at finish.
+        let members: Vec<usize> = index.stripes.iter().map(|s| s.members).collect();
+        assert_eq!(members, [3, 3, 3, 2]);
         let r = StoreReader::open(&path).unwrap();
         assert!(r.scrub().unwrap().is_clean());
         let _ = std::fs::remove_file(&path);
@@ -1074,10 +1547,10 @@ mod tests {
         // A forged record claiming to end inside the header verifies
         // nothing: the store restarts rather than trusting it.
         let mut forged = Journaled::new(Vec::new());
-        forged.write_all(&clean[..HEADER_LEN_V2 as usize]).unwrap();
+        forged.write_all(&clean[..HEADER_LEN as usize]).unwrap();
         forged.commit(1, 16).unwrap();
         let mut bytes = forged.close().unwrap().0;
-        bytes[HEADER_LEN_V2 as usize + 20..][..8].copy_from_slice(&10u64.to_le_bytes());
+        bytes[HEADER_LEN as usize + 20..][..8].copy_from_slice(&10u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let (_, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp, Checkpoint::default());
@@ -1094,7 +1567,7 @@ mod tests {
         let path = tmp("durable-torn-vs-flip");
         // Torn inside block 5 (after the commit sealing blocks 0..4):
         // trimmed back to 4 blocks, and the resume finishes identical.
-        let (off5, len5, _) = index[5];
+        let BlockEntry { offset: off5, len: len5, .. } = index.blocks[5];
         std::fs::write(&path, &clean[..(off5 + len5 / 2) as usize]).unwrap();
         let (mut w, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp.segments, 4);
@@ -1104,7 +1577,7 @@ mod tests {
         w.finish().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), clean);
         // A flip inside block 1, sealed by commits that still verify.
-        let (off1, len1, _) = index[1];
+        let BlockEntry { offset: off1, len: len1, .. } = index.blocks[1];
         let mut bytes = clean.clone();
         bytes[(off1 + len1 / 2) as usize] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
@@ -1127,7 +1600,7 @@ mod tests {
         let (cp, index) = committed_index(&clean.as_slice()).unwrap();
         let last_record = (cp.bytes - RECORD_LEN as u64) as usize;
         let path = tmp("framing-flip");
-        for at in [0, 3, 5].map(|block| index[block].0 as usize).into_iter().chain([last_record]) {
+        for at in [0, 3, 5].map(|block| index.blocks[block].offset as usize).into_iter().chain([last_record]) {
             let mut bytes = clean.clone();
             bytes[at] ^= 0x20;
             std::fs::write(&path, &bytes).unwrap();
@@ -1140,6 +1613,26 @@ mod tests {
             );
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "flip at {at}: nothing trimmed");
         }
+        // Unfinished, with a stripe written after its last commit: that
+        // commit's record with a flipped magic still names itself and
+        // seals a span that verifies, so it is damage, not a tail.
+        let blocks: Vec<Vec<f64>> = (0..17).map(|b| patterned_block(geom, b)).collect();
+        let mut bytes = Vec::new();
+        let mut w = StoreWriter::new(&mut bytes, geom, 1e-9, 9).unwrap();
+        for b in &blocks {
+            w.append_block(b).unwrap();
+        }
+        drop(w);
+        let (cp, index) = committed_index(&bytes.as_slice()).unwrap();
+        assert_eq!((cp.segments, index.stripes.len()), (9, 2));
+        assert!(bytes.len() as u64 > cp.bytes, "the third stripe follows the commit");
+        bytes[cp.bytes as usize - RECORD_LEN] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            StoreWriter::open_for_append(&path, geom, 1e-9, 9),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing trimmed");
         // A finished store with no blocks has no commit, yet reopens.
         std::fs::write(&path, memory_store(geom, 1e-9, &[], 2)).unwrap();
         let (_, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
@@ -1251,31 +1744,80 @@ mod tests {
         );
     }
 
+    /// A finished store of 20 blocks in stripes of 8, 8 and 4, its
+    /// reader, and each block's clean values.
+    fn striped_store() -> (Vec<u8>, Vec<Vec<f64>>) {
+        let geom = BlockGeometry::new(4, 4);
+        let blocks: Vec<Vec<f64>> = (0..20).map(|b| patterned_block(geom, b)).collect();
+        let (bytes, _) = store_bytes(geom, 1e-9, &blocks);
+        let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        let members: Vec<usize> = r.index.stripes.iter().map(|s| s.members).collect();
+        assert_eq!(members, [8, 8, 4]);
+        let values = (0..20).map(|i| r.read_block(i).unwrap()).collect();
+        (bytes, values)
+    }
+
+    /// The bytes of stripe `s` of `bytes`: where its containers start,
+    /// where its parity record starts, and where that record ends.
+    fn stripe_span(bytes: &[u8], s: usize) -> (usize, usize, usize) {
+        let r = StoreReader::from_source(bytes, RetryPolicy::none()).unwrap();
+        let stripe = r.index.stripes[s];
+        let start = r.index.blocks[stripe.first].offset as usize;
+        (start, stripe.record as usize, (stripe.record + stripe.record_len) as usize)
+    }
+
+    /// One byte in the middle of each non-empty data piece and each
+    /// parity shard of stripe `s`, in piece order.
+    fn piece_middles(bytes: &[u8], s: usize) -> Vec<usize> {
+        let (start, record, _) = stripe_span(bytes, s);
+        let striping = Striping::standard();
+        let piece_len = striping.piece_len((record - start) as u64) as usize;
+        let data = (0..striping.width)
+            .map(|k| (k * piece_len, ((k + 1) * piece_len).min(record - start)))
+            .filter(|(from, to)| from < to)
+            .map(|(from, to)| start + (from + to) / 2);
+        let shards_at = record + RECORD_HEAD + 4 * (striping.width + striping.shards);
+        data.chain((0..striping.shards).map(|j| shards_at + j * piece_len + piece_len / 2))
+            .collect()
+    }
+
+    #[test]
+    fn stripes_cost_p_over_g_of_their_blocks() {
+        let (bytes, _) = striped_store();
+        let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        for (s, stripe) in r.index.stripes.iter().enumerate() {
+            let (start, record, end) = stripe_span(&bytes, s);
+            let piece_len = (record - start).div_ceil(8);
+            assert_eq!(end - record, 16 + 4 * 10 + 2 * piece_len + 4, "stripe {s}");
+            assert_eq!(&bytes[record..record + 4], b"PSTP");
+            assert_eq!(stripe.first, 8 * s);
+        }
+        // Parity-free members: every block is a v2 container.
+        for b in &r.index.blocks {
+            assert_eq!(bytes[b.offset as usize + 4], 2, "container version");
+        }
+    }
+
     #[test]
     fn payload_flip_repairs_on_read() {
-        let geom = BlockGeometry::new(4, 4);
-        let blocks: Vec<Vec<f64>> = (0..6).map(|b| patterned_block(geom, b)).collect();
-        let (clean_bytes, spans) = store_bytes(geom, 1e-9, &blocks);
+        // One flip in block 12, the fifth member of stripe 1.
+        let (clean_bytes, clean) = striped_store();
+        let (off, len) = {
+            let r = StoreReader::from_source(&clean_bytes[..], RetryPolicy::none()).unwrap();
+            (r.index.blocks[12].offset, r.index.blocks[12].len)
+        };
         let mut bytes = clean_bytes.clone();
-        let (off, len) = spans[4];
         bytes[(off + len / 2) as usize] ^= 0x01;
 
-        let clean_r =
-            StoreReader::from_source(&clean_bytes[..], RetryPolicy::none())
-                .unwrap();
-        let expected = clean_r.read_block(4).unwrap();
-
-        let r =
-            StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
         // Undamaged blocks still read, and don't touch the repair stats.
-        for i in [0usize, 1, 2, 3, 5] {
-            r.read_block(i).unwrap();
+        for i in (0..20).filter(|&i| i != 12) {
+            assert_eq!(r.read_block(i).unwrap(), clean[i]);
         }
         assert_eq!(r.read_stats().blocks_repaired, 0);
-        // The damaged one is rebuilt from its container's parity section
-        // and served bit-exact — and the repair is accounted for.
-        let got = r.read_block(4).unwrap();
-        assert_eq!(got, expected, "repaired read must match the clean read");
+        // The damaged one is rebuilt from its stripe's parity and served
+        // bit-exact — and the repair is accounted for.
+        assert_eq!(r.read_block(12).unwrap(), clean[12], "repaired read must match the clean read");
         assert_eq!(r.read_stats().blocks_repaired, 1);
         assert_eq!(r.read_stats().blocks_dropped, 0);
 
@@ -1284,10 +1826,11 @@ mod tests {
         // container byte-identical to what the writer stored, and heals
         // the file's bytes back to the clean store.
         let report = r.scrub().unwrap();
-        assert_eq!(report.blocks, 6);
+        assert_eq!(report.blocks, 20);
         assert_eq!(report.damaged.len(), 1);
+        assert!(report.records.is_empty(), "the parity record is intact");
         assert_eq!(report.repairable(), 1);
-        assert_eq!(report.damaged[0].block, 4);
+        assert_eq!(report.damaged[0].block, 12);
         assert_eq!(report.damaged[0].offset, off);
         assert_eq!(
             report.damaged[0].repaired.as_deref(),
@@ -1302,43 +1845,135 @@ mod tests {
             .heal(&mut healed[..(off + len / 2) as usize])
             .unwrap_err();
         assert!(
-            matches!(err, StoreError::Corrupt { block: Some(4), .. }),
+            matches!(err, StoreError::Corrupt { block: Some(12), .. }),
             "got {err:?}"
         );
     }
 
     #[test]
     fn damage_beyond_parity_budget_pinned_to_block() {
-        let geom = BlockGeometry::new(4, 4);
-        let blocks: Vec<Vec<f64>> = (0..6).map(|b| patterned_block(geom, b)).collect();
-        let (mut bytes, spans) = store_bytes(geom, 1e-9, &blocks);
-        let (off, len) = spans[4];
-        // Shred the whole container — payload and both parity shards —
-        // so the damage exceeds the per-group parity budget.
-        for p in (off + 8..off + len).step_by(7) {
+        // Block 12's whole container and its stripe's parity record
+        // shredded: at least three erasures against a two-shard budget.
+        let (mut bytes, clean) = striped_store();
+        let (_, record, end) = stripe_span(&bytes, 1);
+        let (off, len) = {
+            let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+            (r.index.blocks[12].offset, r.index.blocks[12].len)
+        };
+        for p in (off + 8..off + len).step_by(7).chain((record as u64..end as u64).step_by(7)) {
             bytes[p as usize] ^= 0x55;
         }
-        let r =
-            StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
-        for i in [0usize, 1, 2, 3, 5] {
-            r.read_block(i).unwrap();
+        let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+        // Its stripe-mates' own bytes are intact, so they still read.
+        for i in (0..20).filter(|&i| i != 12) {
+            assert_eq!(r.read_block(i).unwrap(), clean[i]);
         }
         // Pinned by index and offset, and counted as dropped.
-        match r.read_block(4).unwrap_err() {
+        match r.read_block(12).unwrap_err() {
             StoreError::Checksum { block, offset, .. } => {
-                assert_eq!(block, Some(4));
+                assert_eq!(block, Some(12));
                 assert_eq!(offset, Some(off));
             }
             other => panic!("expected checksum error, got {other:?}"),
         }
         assert_eq!(r.read_stats().blocks_dropped, 1);
         assert_eq!(r.read_stats().blocks_repaired, 0);
-        // scrub() agrees: damaged, and beyond repair.
+        // scrub() agrees: the block is beyond repair, and so the record
+        // cannot be recomputed either.
         let report = r.scrub().unwrap();
         assert_eq!(report.damaged.len(), 1);
-        assert_eq!(report.damaged[0].block, 4);
+        assert_eq!(report.damaged[0].block, 12);
         assert!(report.damaged[0].repaired.is_none());
         assert_eq!(report.repairable(), 0);
+        assert_eq!(report.records.len(), 1);
+        assert_eq!((report.records[0].stripe, report.records[0].offset), (1, record as u64));
+        assert!(report.records[0].rebuilt.is_none());
+    }
+
+    #[test]
+    fn every_single_byte_flip_in_a_stripe_heals_byte_identical() {
+        // Every byte of stripe 1 — its eight containers and its parity
+        // record — flipped in turn: reads serve the clean values, and
+        // scrub finds exactly one damaged block (repairable) or the
+        // damaged record alone (rebuildable), and heals the file.
+        let (clean_bytes, clean) = striped_store();
+        let (start, record, end) = stripe_span(&clean_bytes, 1);
+        for at in start..end {
+            let mut bytes = clean_bytes.clone();
+            bytes[at] ^= 0x5A;
+            let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+            for (i, want) in clean.iter().enumerate().take(16).skip(8) {
+                assert_eq!(&r.read_block(i).unwrap(), want, "flip at {at}: block {i}");
+            }
+            assert_eq!(r.read_stats().blocks_dropped, 0);
+            let report = r.scrub().unwrap();
+            if at < record {
+                assert_eq!((report.damaged.len(), report.repairable()), (1, 1), "flip at {at}");
+                assert!(report.records.is_empty(), "flip at {at}");
+            } else {
+                assert!(report.damaged.is_empty(), "flip at {at}");
+                assert_eq!((report.records.len(), report.rebuildable_records()), (1, 1));
+            }
+            report.heal(&mut bytes).unwrap();
+            assert!(bytes == clean_bytes, "flip at {at}: heal must be byte-identical");
+        }
+    }
+
+    #[test]
+    fn any_two_damaged_pieces_repair_and_three_are_refused() {
+        let (clean_bytes, clean) = striped_store();
+        let middles = piece_middles(&clean_bytes, 1);
+        assert_eq!(middles.len(), 10, "8 data pieces and 2 shards, none empty");
+        let damaged = |picks: &[usize]| {
+            let mut bytes = clean_bytes.clone();
+            for &k in picks {
+                bytes[middles[k]] ^= 0x81;
+            }
+            bytes
+        };
+        for a in 0..middles.len() {
+            for b in a + 1..middles.len() {
+                let mut bytes = damaged(&[a, b]);
+                let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+                for (i, want) in clean.iter().enumerate().take(16).skip(8) {
+                    assert_eq!(&r.read_block(i).unwrap(), want, "pieces {a},{b}: block {i}");
+                }
+                let report = r.scrub().unwrap();
+                assert_eq!(report.repairable(), report.damaged.len(), "pieces {a},{b}");
+                report.heal(&mut bytes).unwrap();
+                assert!(bytes == clean_bytes, "pieces {a},{b}: heal must be byte-identical");
+            }
+        }
+        // Three: every block whose bytes were hit is refused and pinned
+        // to itself; every other block still reads exact.
+        let r = StoreReader::from_source(&clean_bytes[..], RetryPolicy::none()).unwrap();
+        let spans: Vec<(usize, usize)> =
+            r.index.blocks.iter().map(|b| (b.offset as usize, (b.offset + b.len) as usize)).collect();
+        for a in 0..middles.len() {
+            for b in a + 1..middles.len() {
+                for c in b + 1..middles.len() {
+                    let bytes = damaged(&[a, b, c]);
+                    let r = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap();
+                    for (i, &(from, to)) in spans.iter().enumerate().take(16).skip(8) {
+                        let hit = [a, b, c].iter().any(|&k| (from..to).contains(&middles[k]));
+                        match r.read_block(i) {
+                            Ok(values) => {
+                                assert!(!hit, "pieces {a},{b},{c}: block {i} served past the budget");
+                                assert_eq!(values, clean[i]);
+                            }
+                            Err(StoreError::Checksum { block, .. }) => {
+                                assert!(hit, "pieces {a},{b},{c}: intact block {i} refused");
+                                assert_eq!(block, Some(i));
+                            }
+                            Err(e) => panic!("pieces {a},{b},{c}: block {i}: {e}"),
+                        }
+                    }
+                    let report = r.scrub().unwrap();
+                    assert_eq!(report.repairable(), 0, "pieces {a},{b},{c}");
+                    assert_eq!(report.rebuildable_records(), 0, "pieces {a},{b},{c}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1422,17 +2057,19 @@ mod tests {
     fn hostile_block_count_rejected_before_allocation() {
         let geom = BlockGeometry::new(4, 4);
         let blocks: Vec<Vec<f64>> = (0..2).map(|b| patterned_block(geom, b)).collect();
-        let (mut bytes, _) = store_bytes(geom, 1e-9, &blocks);
-        // Claim ~10^15 blocks; the index could never fit in the file, so
+        let (bytes, _) = store_bytes(geom, 1e-9, &blocks);
+        // Claim ~10^15 blocks, or stripes; the index could never fit in the file, so
         // open() must fail on the bounds check (the trailer CRC also
         // breaks, but either way: no giant allocation).
-        let at = bytes.len() - 12;
-        bytes[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
-        let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
-        assert!(
-            matches!(err, StoreError::Checksum { .. } | StoreError::Corrupt { .. }),
-            "got {err:?}"
-        );
+        for at in [bytes.len() - 20, bytes.len() - 12] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+            let err = StoreReader::from_source(&bytes[..], RetryPolicy::none()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Checksum { .. } | StoreError::Corrupt { .. }),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -86,10 +86,16 @@ pub fn committed<R: ReadAt + ?Sized>(source: &R) -> io::Result<Checkpoint> {
                 scan.feed(at, &container)?;
                 segments += 1;
             }
-            // A commit frame without its magic is misread framing (say,
-            // after a torn length varint), not a damaged record.
             Some(Ok(Frame::Commit { at, record })) if record.starts_with(&COMMIT_MAGIC) => {
                 scan.record(at, &record, segments)?;
+            }
+            // A commit frame without its magic is misread framing (say,
+            // after a torn length varint) — unless the record names its
+            // own end and seals a span that verifies: then only its
+            // magic is damaged.
+            Some(Ok(Frame::Commit { at, record })) => {
+                scan.unmarked(at, &record)?;
+                return scan.finish();
             }
             Some(Err(DecompressError::Unreadable(kind))) => return Err(kind.into()),
             _ => return scan.finish(),
@@ -304,6 +310,40 @@ mod tests {
             };
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing trimmed");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_flip_in_the_last_commit_record_is_refused() {
+        // The finished stream's last commit record is followed by the
+        // terminator, so a flip anywhere in it — magic included — is
+        // damage to committed bytes: refused, never trimmed.
+        let data = patterned(36 * 8);
+        let clean = memory_stream(&data, 2, 2);
+        let end = committed(&clean.as_slice()).unwrap().bytes as usize;
+        assert_eq!(end, clean.len() - 1, "the terminator follows the last record");
+        let path = tmp("last-record.pstrs");
+        for at in end - durable::RECORD_LEN..end {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x20;
+            assert_eq!(
+                committed(&bytes.as_slice()).unwrap_err().kind(),
+                io::ErrorKind::InvalidData,
+                "flip at {at}"
+            );
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(StreamWriter::resume(&path, compressor(), 2, 2).is_err(), "flip at {at}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "flip at {at}: nothing trimmed");
+        }
+        // Cut just after that record (no terminator yet), the same flips
+        // of its magic are a torn tail: the commit before it wins.
+        let torn = &clean[..end];
+        let previous = committed(&torn[..end - durable::RECORD_LEN - 1]).unwrap();
+        for at in end - durable::RECORD_LEN..end - durable::RECORD_LEN + 4 {
+            let mut bytes = torn.to_vec();
+            bytes[at] ^= 0x20;
+            assert_eq!(committed(&bytes.as_slice()).unwrap(), previous, "flip at {at}");
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -509,11 +509,11 @@ fn inject_bit_flips(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Resul
         return Ok(());
     };
     let index_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
-    if index_offset <= eri_store::HEADER_LEN_V2 {
+    if index_offset <= eri_store::HEADER_LEN {
         return Ok(()); // empty block region: nothing to corrupt
     }
     let flipper = BitFlipper::new(
-        eri_store::HEADER_LEN_V2,
+        eri_store::HEADER_LEN,
         index_offset,
         cfg.faults.flips_per_event,
         splitmix64(op_seed ^ 0xB17F),
@@ -716,11 +716,11 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
     Ok(())
 }
 
-/// One scrub pass over the store: verify every block, splice repairable
-/// damage back to the writer's exact bytes (atomic replacement), and
-/// quarantine what parity cannot save — preserving the damaged original
-/// at a fresh (never clobbered) quarantine path and recording the block
-/// in the ledger.
+/// One scrub pass over the store: verify every block and parity record,
+/// splice repairable blocks and recomputed records back to the writer's
+/// exact bytes (atomic replacement), and quarantine what parity cannot
+/// save — preserving the damaged original at a fresh (never clobbered)
+/// quarantine path and recording the block in the ledger.
 fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
     let bytes = std::fs::read(&ctx.path)?;
     let report = StoreReader::from_source(&bytes[..], RetryPolicy::none())
@@ -743,7 +743,7 @@ fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
         }
     }
     let repaired = report.repairable();
-    if repaired > 0 {
+    if repaired + report.rebuildable_records() > 0 {
         let mut healed = bytes;
         report.heal(&mut healed).map_err(store_io)?;
         atomic_write(&ctx.path, &healed)?;

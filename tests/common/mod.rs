@@ -71,5 +71,19 @@ pub fn stream_segment_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
 /// commit walk finds it — where fault injectors aim.
 pub fn block_span(store: &[u8], i: usize) -> (u64, u64) {
     let (_, index) = eri_store::committed_index(store).expect("a readable store");
-    (index[i].0, index[i].1)
+    (index.blocks[i].offset, index.blocks[i].len)
+}
+
+/// Shreds stored block `i`'s container and its stripe's parity record:
+/// at least three damaged pieces against the two-shard budget, so block
+/// `i` is unrecoverable by design while its stripe-mates' own bytes stay
+/// intact.
+pub fn shred_beyond_budget(store: &mut [u8], i: usize) {
+    let (_, index) = eri_store::committed_index(&*store).expect("a readable store");
+    let block = index.blocks[i];
+    let stripe = index.stripes.iter().find(|s| i < s.first + s.members).expect("a striped block");
+    let container = (block.offset + 8..block.offset + block.len).step_by(7);
+    for p in container.chain((stripe.record..stripe.record + stripe.record_len).step_by(7)) {
+        store[p as usize] ^= 0x55;
+    }
 }

@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn eri_store_reader_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
         if with_magic && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"ERISTOR2");
+            bytes[..8].copy_from_slice(b"ERISTOR3");
         }
         if let Ok(store) = eri_store::StoreReader::from_source(
             &bytes[..],
@@ -270,6 +270,51 @@ proptest! {
             "{largest} bytes allocated for a {}-byte input",
             bytes.len()
         );
+    }
+
+    #[test]
+    fn store_reads_and_stripe_repairs_allocate_within_the_input(
+        kind in 0u8..5,
+        seed in any::<usize>(),
+    ) {
+        // A finished store with a bit flip, a truncation or eight 0xFF
+        // bytes anywhere, or with one stripe's parity record claiming a
+        // 0xFF-inflated piece length or member count (plus a flip in the
+        // stripe's first block, so reading it repairs from that stripe):
+        // opening it, reading every block, scrubbing and walking its
+        // commits never allocate more than twice the input plus 64 KiB.
+        let (_, store) = valid_artifacts();
+        let mut bytes = mutated(store, kind.min(2), seed);
+        let mut repairable = None;
+        if kind >= 3 {
+            let (_, index) = eri_store::committed_index(&store.as_slice()).unwrap();
+            let stripe = index.stripes[seed % index.stripes.len()];
+            let field = if kind == 3 { 8..16 } else { 4..8 };
+            let at = stripe.record as usize;
+            bytes = store.clone();
+            bytes[at + field.start..at + field.end].fill(0xFF);
+            let block = index.blocks[stripe.first];
+            bytes[(block.offset + block.len / 2) as usize] ^= 0x10;
+            repairable = Some(stripe.first);
+        }
+        let mut read = None;
+        let largest = largest_allocation(|| {
+            if let Ok(r) = eri_store::StoreReader::from_source(&bytes[..], eri_store::RetryPolicy::none()) {
+                read = Some((0..r.num_blocks()).map(|i| r.read_block(i).is_ok()).collect::<Vec<_>>());
+                let _ = r.scrub();
+            }
+            let _ = eri_store::committed_index(&bytes.as_slice());
+        });
+        prop_assert!(
+            largest <= 2 * bytes.len() + (64 << 10),
+            "{largest} bytes allocated for a {}-byte input",
+            bytes.len()
+        );
+        // A damaged record header costs no data: the index knows the
+        // stripe's geometry, and the piece CRCs locate the flip.
+        if let Some(block) = repairable {
+            prop_assert!(read.is_some_and(|ok| ok.iter().all(|&ok| ok)), "block {block} must repair");
+        }
     }
 
     #[test]

@@ -73,16 +73,11 @@ fn flip_one_bit(path: &Path, i: usize, seed: u64) {
     assert_ne!(std::fs::read(path).unwrap(), bytes, "injection must land");
 }
 
-/// Shreds stored block `i`'s whole container — payload and parity
-/// shards alike — so the damage exceeds the per-group parity budget
-/// and the block is unrecoverable by design (the eri-store
-/// beyond-budget idiom).
+/// Shreds stored block `i` beyond its stripe's parity budget, so the
+/// block is unrecoverable by design (the eri-store beyond-budget idiom).
 fn shred_block(path: &Path, i: usize) {
     let mut bytes = std::fs::read(path).unwrap();
-    let (off, len) = common::block_span(&bytes, i);
-    for p in (off + 8..off + len).step_by(7) {
-        bytes[p as usize] ^= 0x55;
-    }
+    common::shred_beyond_budget(&mut bytes, i);
     std::fs::write(path, bytes).unwrap();
 }
 

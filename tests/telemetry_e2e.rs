@@ -233,21 +233,22 @@ fn store_resume_over_a_torn_tail_counts_a_truncation() {
     let dir = std::env::temp_dir().join(format!("telemetry-e2e-store-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("torn.eristore");
-    let (geom, data) = dd_dataset(6);
+    let (geom, data) = dd_dataset(17);
     {
-        let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, 4).unwrap();
+        let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, 9).unwrap();
         w.append_blocks(&data).unwrap();
-        // Dropped unfinished: blocks 4 and 5 are past the checkpoint.
+        // Dropped unfinished: blocks 9..17 filled a stripe, which went
+        // to the file, but no commit followed it.
     }
 
     telemetry::reset();
     telemetry::set_enabled(true);
-    let (w, cp) = eri_store::StoreWriter::open_for_append(&path, geom, 1e-10, 4).unwrap();
+    let (w, cp) = eri_store::StoreWriter::open_for_append(&path, geom, 1e-10, 9).unwrap();
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     drop(w);
     let _ = std::fs::remove_file(&path);
 
-    assert_eq!(cp.segments, 4);
+    assert_eq!(cp.segments, 9);
     assert_eq!(snap.counter("durable.resume_truncations"), 1);
 }

@@ -368,10 +368,7 @@ fn per_block_errors_degrade_without_sinking_the_batch() {
     // Shred one block beyond the parity budget (the eri-store idiom).
     {
         let mut bytes = std::fs::read(&path).unwrap();
-        let (off, len) = common::block_span(&bytes, shredded);
-        for p in (off + 8..off + len).step_by(7) {
-            bytes[p as usize] ^= 0x55;
-        }
+        common::shred_beyond_budget(&mut bytes, shredded);
         std::fs::write(&path, bytes).unwrap();
     }
     let direct = StoreReader::open(&path).unwrap();
