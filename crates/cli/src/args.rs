@@ -32,7 +32,7 @@ impl Args {
     /// Parses `argv` against the subcommand's `declared` flags:
     /// positionals anywhere, `--key value` for a declared value flag, a
     /// bare `--switch` for a declared switch (which never takes the next
-    /// word, so `--stream in.f64` leaves `in.f64` positional).
+    /// word, so `--resume in.f64` leaves `in.f64` positional).
     ///
     /// # Errors
     /// An undeclared `--name`, or a value flag with no value after it.

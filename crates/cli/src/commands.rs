@@ -178,16 +178,16 @@ fn with_threads<T: Send>(
 
 const COMPRESS: Flags = Flags {
     values: &[
-        "config", "eb", "threads", "metric", "tree", "segment-blocks", "checkpoint-every",
-        "telemetry", "telemetry-out",
+        "config", "eb", "threads", "metric", "tree", "checkpoint-every", "telemetry",
+        "telemetry-out",
     ],
-    switches: &["stream", "resume"],
+    switches: &["resume"],
 };
 
 /// `pastri compress <in.f64> <out.pastri> --config ... [--eb ...]
-/// [--threads N] [--stream [--segment-blocks B] [--checkpoint-every N]
-/// [--resume]]`. An `<out>` ending in `.eristore` writes the block
-/// store `pastri serve` mounts instead of a container.
+/// [--threads N] [--metric M] [--tree T]`. An `<out>` ending in
+/// `.eristore` writes the block store `pastri serve` mounts instead of
+/// a container, durably: `[--checkpoint-every N] [--resume]`.
 pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &COMPRESS)?;
     let telem = telemetry_capture(&args)?;
@@ -201,95 +201,36 @@ pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
     let threads = args.get_usize("threads", 0)?;
     if output.ends_with(".eristore") {
         compress_store(&args, input, output, config, eb, threads, out)?;
-        if let Some(t) = telem {
-            t.finish(out)?;
-        }
-        return Ok(());
+    } else {
+        compress_container(&args, input, output, config, eb, threads, out)?;
+    }
+    if let Some(t) = telem {
+        t.finish(out)?;
+    }
+    Ok(())
+}
+
+/// `compress` to a container: the whole input in memory, written
+/// atomically.
+fn compress_container(
+    args: &Args,
+    input: &str,
+    output: &str,
+    config: BfConfig,
+    eb: f64,
+    threads: usize,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    if args.get("checkpoint-every").is_some() || args.switch("resume") {
+        return Err(CliError::new(
+            "--checkpoint-every and --resume apply only to a .eristore output",
+        ));
     }
     let compressor = Compressor::with_options(
         BlockGeometry::from_dims(config.dims()),
         eb,
-        parse_options(&args)?,
+        parse_options(args)?,
     );
-    if args.switch("stream") {
-        // Bounded-memory, crash-safe path: read/compress/write segment
-        // by segment through a durable writer that seals each batch with
-        // an in-band commit frame and one fsync. `--resume` picks an
-        // interrupted run back up at its last verified commit.
-        let segment_blocks = args.get_usize("segment-blocks", 64)?.max(1);
-        let checkpoint_every = args.get_usize("checkpoint-every", 16)?.max(1);
-        let resume = args.switch("resume");
-        let run = || -> Result<(u64, u64), CliError> {
-            let out_path = std::path::Path::new(output);
-            let mut writer = if resume {
-                pastri::stream::StreamWriter::resume(
-                    out_path,
-                    compressor,
-                    segment_blocks,
-                    checkpoint_every,
-                )
-            } else {
-                pastri::stream::StreamWriter::create(
-                    out_path,
-                    compressor,
-                    segment_blocks,
-                    checkpoint_every,
-                )
-            }
-            .map_err(|e| CliError::new(format!("{output}: {e}")))?;
-            // Values already durable from the interrupted run: skip them
-            // in the input so the finished stream is byte-identical to
-            // an uninterrupted one.
-            let skipped = writer.checkpoint().values;
-            let mut infile =
-                fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-            if skipped > 0 {
-                use std::io::Seek;
-                infile
-                    .seek(std::io::SeekFrom::Start(skipped * 8))
-                    .map_err(|e| CliError::new(format!("{input}: {e}")))?;
-            }
-            let mut reader = std::io::BufReader::new(infile);
-            let mut buf = vec![0u8; config.block_size() * 8];
-            let mut total_in = skipped * 8;
-            loop {
-                let n = read_chunk(&mut reader, &mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                if n % 8 != 0 {
-                    return Err(CliError::new(format!(
-                        "{input}: length is not a multiple of 8 (raw f64 expected)"
-                    )));
-                }
-                let values: Vec<f64> = buf[..n]
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                total_in += n as u64;
-                writer.write_values(&values)?;
-            }
-            writer.finish()?;
-            Ok((total_in, skipped))
-        };
-        // `--threads N` pins the batch-compression crew; 0 = auto.
-        let (total_in, skipped) = with_threads(threads, run)?;
-        let out_len = fs::metadata(output)?.len();
-        let resumed = if skipped > 0 {
-            format!(", resumed at value {skipped}")
-        } else {
-            String::new()
-        };
-        writeln!(
-            out,
-            "{input} -> {output} (streamed, durable{resumed}): {total_in} -> {out_len} bytes (ratio {:.2}x, EB {eb:.1e})",
-            total_in as f64 / out_len as f64
-        )?;
-        if let Some(t) = telem {
-            t.finish(out)?;
-        }
-        return Ok(());
-    }
     let data = read_f64_file(input)?;
     let (bytes, stats) = with_threads(threads, || Ok(compressor.compress_with_stats(&data)))?;
     durable::atomic_write(std::path::Path::new(output), &bytes)
@@ -305,16 +246,17 @@ pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
         stats.bitrate(),
         eb
     )?;
-    if let Some(t) = telem {
-        t.finish(out)?;
-    }
     Ok(())
 }
 
 /// `compress` to a `.eristore`: one block store of whole `--config`
 /// blocks at default compressor options, the header recording only
-/// geometry and error bound. The store commits in-band like every
-/// durable artifact, with one commit covering the whole input. Until
+/// geometry and error bound. The input is read `--checkpoint-every`
+/// blocks at a time (default 1024), so memory is bounded by one batch;
+/// each batch is compressed on the rayon crew, appended and committed
+/// in-band with one fsync. `--resume` cuts an interrupted store back to
+/// its last verified commit and skips the input it covers, so the
+/// finished store is byte-identical to an uninterrupted run. Until
 /// `finish` appends the index and trailer the file has no trailer, so a
 /// torn write is refused by `serve` and `verify` rather than read.
 fn compress_store(
@@ -326,38 +268,87 @@ fn compress_store(
     threads: usize,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let stray = ["metric", "tree", "segment-blocks", "checkpoint-every"]
-        .into_iter()
-        .find(|flag| args.get(flag).is_some())
-        .or_else(|| ["stream", "resume"].into_iter().find(|flag| args.switch(flag)));
-    if let Some(flag) = stray {
+    if let Some(flag) = ["metric", "tree"].into_iter().find(|flag| args.get(flag).is_some()) {
         return Err(CliError::new(format!(
             "--{flag} does not apply to a .eristore output (stores use default options)"
         )));
     }
-    let data = read_f64_file(input)?;
+    let checkpoint_every = args.get_usize("checkpoint-every", 1024)?;
+    if checkpoint_every == 0 {
+        return Err(CliError::new("--checkpoint-every must be at least 1"));
+    }
+    let io_err = |e: std::io::Error| CliError::new(format!("{input}: {e}"));
+    let mut infile = fs::File::open(input).map_err(io_err)?;
+    let total_in = infile.metadata().map_err(io_err)?.len();
     let bs = config.block_size();
-    if data.len() % bs != 0 {
+    if total_in % (bs as u64 * 8) != 0 {
         return Err(CliError::new(format!(
-            "{input}: {} values is not a whole number of {bs}-value blocks",
-            data.len()
+            "{input}: {total_in} bytes is not a whole number of {bs}-value blocks (raw f64)"
         )));
     }
     let store_err = |e: eri_store::StoreError| CliError::new(format!("writing {output}: {e}"));
     let geometry = BlockGeometry::from_dims(config.dims());
-    let blocks = (data.len() / bs).max(1);
-    let mut writer =
-        eri_store::StoreWriter::create_durable(std::path::Path::new(output), geometry, eb, blocks)
+    let path = std::path::Path::new(output);
+    let (mut writer, skipped) = if args.switch("resume") {
+        let (writer, cp) =
+            eri_store::StoreWriter::open_for_append(path, geometry, eb, checkpoint_every)
+                .map_err(store_err)?;
+        (writer, cp.values)
+    } else {
+        let writer = eri_store::StoreWriter::create_durable(path, geometry, eb, checkpoint_every)
             .map_err(store_err)?;
-    with_threads(threads, || writer.append_blocks(&data).map_err(store_err))?;
+        (writer, 0)
+    };
+    if skipped * 8 > total_in {
+        return Err(CliError::new(format!(
+            "{output}: holds {skipped} values, more than {input} has"
+        )));
+    }
+    {
+        use std::io::Seek;
+        infile.seek(std::io::SeekFrom::Start(skipped * 8)).map_err(io_err)?;
+    }
+    let mut batch = Vec::with_capacity(checkpoint_every * bs);
+    // `--threads N` pins the batch-compression crew; 0 = auto.
+    with_threads(threads, || loop {
+        read_values(&mut infile, &mut batch, checkpoint_every * bs)?;
+        if batch.is_empty() {
+            return Ok(());
+        }
+        writer.append_blocks(&batch).map_err(store_err)?;
+    })?;
     let blocks = writer.finish().map_err(store_err)?;
     let out_len = fs::metadata(output)?.len();
+    let resumed = if skipped > 0 {
+        format!(", resumed at value {skipped}")
+    } else {
+        String::new()
+    };
     writeln!(
         out,
-        "{input} -> {output} (block store, {blocks} blocks): {} -> {out_len} bytes (ratio {:.2}x, EB {eb:.1e})",
-        data.len() * 8,
-        (data.len() * 8) as f64 / out_len as f64
+        "{input} -> {output} (block store, durable{resumed}, {blocks} blocks): {total_in} -> {out_len} bytes (ratio {:.2}x, EB {eb:.1e})",
+        total_in as f64 / out_len as f64
     )?;
+    Ok(())
+}
+
+/// Replaces `values` with the next (up to) `max` values of the raw f64
+/// input `r`, read through a 64 KiB buffer; empty at EOF.
+fn read_values(r: &mut impl std::io::Read, values: &mut Vec<f64>, max: usize) -> Result<(), CliError> {
+    values.clear();
+    let mut buf = vec![0u8; 64 << 10];
+    while values.len() < max {
+        let want = ((max - values.len()) * 8).min(buf.len());
+        let n = read_chunk(r, &mut buf[..want])?;
+        values.extend(
+            buf[..n]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        );
+        if n < want {
+            break;
+        }
+    }
     Ok(())
 }
 
@@ -381,17 +372,17 @@ const DECOMPRESS: Flags = Flags {
     switches: &[],
 };
 
-/// `pastri decompress <in.pastri> <out.f64>`.
+/// `pastri decompress <in> <out.f64>`: a container, a stream or a
+/// block store, told apart by magic.
 pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &DECOMPRESS)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in.pastri")?;
     let output = args.positional(1, "out.f64")?;
     let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
-    // Auto-detect the streamed ("PSTRS") vs single-container ("PSTR")
-    // format by magic. A decode failure in a file that carries a PaSTRI
-    // magic is corruption in a recognized artifact (exit 2); anything
-    // else is a format/usage error (exit 1).
+    // A decode failure in a file that carries a PaSTRI magic is
+    // corruption in a recognized artifact (exit 2); anything else is a
+    // format/usage error (exit 1).
     let recognized = bytes.starts_with(b"PSTR");
     let decode_err = |msg: String| {
         if recognized {
@@ -400,7 +391,14 @@ pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), Cli
             CliError::new(msg)
         }
     };
-    let values = if bytes.starts_with(b"PSTRS") {
+    let values = if bytes.starts_with(b"ERISTOR") {
+        eri_store::StoreReader::from_source(bytes.as_slice(), eri_store::RetryPolicy::none())
+            .and_then(|r| r.read_all())
+            .map_err(|e| match e {
+                eri_store::StoreError::Io(_) => CliError::new(format!("{input}: {e}")),
+                e => CliError::corruption(format!("{input}: {e}")),
+            })?
+    } else if bytes.starts_with(b"PSTRS") {
         pastri::stream::StreamReader::new(bytes.as_slice())
             .and_then(pastri::stream::StreamReader::read_to_vec)
             .map_err(|e| decode_err(format!("{input}: {e}")))?
@@ -562,11 +560,11 @@ struct Damage {
     /// Damaged units beyond the parity budget; a lost stream tail counts
     /// as one.
     unrepairable: usize,
-    /// Damaged redundancy: container parity groups, stream commit
-    /// frames, or store parity records. Rebuildable when the data it
-    /// guards is intact (or repairable).
+    /// Damaged redundancy outside the units: container parity groups or
+    /// store parity records (stream segments carry their parity inside).
+    /// Rebuildable when the data it guards is intact (or repairable).
     redundancy: usize,
-    /// `parity group`, `commit frame` or `parity record`.
+    /// `parity group` or `parity record`.
     redundancy_unit: &'static str,
     tail_lost: bool,
     /// One report line per damaged unit.
@@ -638,9 +636,6 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                     "  segment {scanned}: framing lost, tail unreadable"
                 ));
             }
-            for at in &report.commits_damaged {
-                lines.push(format!("  commit frame at offset {at}: damaged (rebuildable)"));
-            }
             let tail = usize::from(report.tail_lost);
             Damage {
                 kind: "PaSTRI stream",
@@ -648,8 +643,8 @@ fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
                 total: scanned + tail,
                 repairable: report.repaired.len(),
                 unrepairable: report.dropped.len() + tail,
-                redundancy: report.commits_damaged.len(),
-                redundancy_unit: "commit frame",
+                redundancy: 0,
+                redundancy_unit: "parity group",
                 tail_lost: report.tail_lost,
                 lines,
                 healed: (heal && !report.is_clean()).then_some(healed),
@@ -960,8 +955,8 @@ pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 const SOAK: Flags = Flags {
     values: &[
         "telemetry", "telemetry-out", "seed", "ops", "stores", "scale", "eb", "subblocks",
-        "subblock-size", "read-weight", "container-weight", "stream-weight", "crash-weight",
-        "scrub-weight", "bit-flip-every", "flips-per-event", "torn-every", "transient-rate",
+        "subblock-size", "read-weight", "container-weight", "crash-weight", "scrub-weight",
+        "bit-flip-every", "flips-per-event", "transient-rate",
         "max-transients", "slo-read-p99-us", "slo-min-repair-success", "slo-max-quarantined",
         "slo-max-resident-values", "seconds", "bench-out", "replicas", "clients", "requests",
         "max-batch", "faulty-every", "max-faults", "shed-every", "max-sheds-per-key",
@@ -1005,14 +1000,12 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
         read: args.get_usize("read-weight", cfg.mix.read as usize)? as u32,
         write_container: args.get_usize("container-weight", cfg.mix.write_container as usize)?
             as u32,
-        write_stream: args.get_usize("stream-weight", cfg.mix.write_stream as usize)? as u32,
         crash_resume: args.get_usize("crash-weight", cfg.mix.crash_resume as usize)? as u32,
         scrub: args.get_usize("scrub-weight", cfg.mix.scrub as usize)? as u32,
     };
     cfg.faults = soak::FaultPlan {
         bit_flip_every: args.get_usize("bit-flip-every", cfg.faults.bit_flip_every)?,
         flips_per_event: args.get_usize("flips-per-event", cfg.faults.flips_per_event)?,
-        torn_stream_every: args.get_usize("torn-every", cfg.faults.torn_stream_every)?,
         transient_rate: args.get_f64("transient-rate", cfg.faults.transient_rate)?,
         max_transient_errors: args
             .get_usize("max-transients", cfg.faults.max_transient_errors as usize)?
@@ -1063,8 +1056,8 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
     )?;
     writeln!(
         out,
-        "  faults: {} bit-flip events ({} bits), {} torn streams, {} crashes (all {} resumed), {} transient retries",
-        t.bit_flip_events, t.bit_flips, t.torn_streams, t.crashes, t.resumes, t.transient_retries
+        "  faults: {} bit-flip events ({} bits), {} torn writes (all {} resumed), {} transient retries",
+        t.bit_flip_events, t.bit_flips, t.crashes, t.resumes, t.transient_retries
     )?;
     writeln!(
         out,
@@ -1930,10 +1923,10 @@ mod tests {
     }
 
     #[test]
-    fn streamed_compress_roundtrips() {
+    fn store_compress_roundtrips() {
         let dir = tmpdir();
         let raw = dir.join("s.f64").to_string_lossy().into_owned();
-        let comp = dir.join("s.pstrs").to_string_lossy().into_owned();
+        let comp = dir.join("s-rt.eristore").to_string_lossy().into_owned();
         let back = dir.join("s-back.f64").to_string_lossy().into_owned();
         let mut out = Vec::new();
         generate(
@@ -1942,9 +1935,7 @@ mod tests {
         )
         .unwrap();
         compress(
-            &sv(&[
-                &raw, &comp, "--config", "dddd", "--stream", "--segment-blocks", "4",
-            ]),
+            &sv(&[&raw, &comp, "--config", "dddd", "--checkpoint-every", "4"]),
             &mut out,
         )
         .unwrap();
@@ -1956,7 +1947,18 @@ mod tests {
             assert!((a - b).abs() <= 1e-10);
         }
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("streamed"), "{text}");
+        assert!(text.contains("block store, durable, 9 blocks"), "{text}");
+
+        // Damage beyond the stripe's parity budget is exit 2.
+        let mut bytes = fs::read(&comp).unwrap();
+        let (_, index) = eri_store::committed_index(&bytes.as_slice()).unwrap();
+        let stripe = index.stripes[0];
+        for p in (index.blocks[0].offset..stripe.record + stripe.record_len).step_by(5) {
+            bytes[p as usize] ^= 0x55;
+        }
+        fs::write(&comp, &bytes).unwrap();
+        let err = decompress(&sv(&[&comp, &back]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
     }
 
     #[test]
@@ -1969,68 +1971,44 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        // Container and stream outputs must not depend on --threads.
-        for stream in [false, true] {
+        // Container and store outputs must not depend on --threads.
+        for (ext, extra) in [("out", &[][..]), ("eristore", &["--checkpoint-every", "2"][..])] {
             let mut baseline: Option<Vec<u8>> = None;
-            for threads in ["1", "2", "8"] {
-                let comp = dir
-                    .join(format!("t-{stream}-{threads}.out"))
-                    .to_string_lossy()
-                    .into_owned();
-                let mut argv = vec![
-                    raw.clone(),
-                    comp.clone(),
-                    "--config".into(),
-                    "dddd".into(),
-                    "--threads".into(),
-                    threads.into(),
-                ];
-                if stream {
-                    argv.extend(["--stream".into(), "--segment-blocks".into(), "2".into()]);
-                }
+            for threads in ["1", "2", "4", "8"] {
+                let comp = dir.join(format!("t-{threads}.{ext}")).to_string_lossy().into_owned();
+                let mut argv = sv(&[&raw, &comp, "--config", "dddd", "--threads", threads]);
+                argv.extend(sv(extra));
                 compress(&argv, &mut out).unwrap();
                 let bytes = fs::read(&comp).unwrap();
                 match &baseline {
                     None => baseline = Some(bytes),
-                    Some(b) => assert_eq!(&bytes, b, "stream={stream} threads={threads}"),
+                    Some(b) => assert_eq!(&bytes, b, "{ext} threads={threads}"),
                 }
             }
         }
     }
 
+    /// A copy in `dir` of the golden version-1 stream with parity
+    /// (five one-block segments).
+    fn golden_stream(dir: &std::path::Path, name: &str) -> String {
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v3_stream.pstrs");
+        let path = dir.join(name);
+        fs::copy(golden, &path).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
     /// `(container length, offset)` of a stream's first segment, found
     /// by the stream module's walker.
     fn first_segment(bytes: &[u8]) -> (usize, usize) {
-        pastri::stream::Frames::new(bytes)
-            .unwrap()
-            .find_map(|frame| match frame.unwrap() {
-                pastri::stream::Frame::Segment { at, container } => {
-                    Some((container.len(), at as usize))
-                }
-                pastri::stream::Frame::Commit { .. } => None,
-            })
-            .unwrap()
+        let segment = pastri::stream::Frames::new(bytes).unwrap().next().unwrap().unwrap();
+        (segment.container.len(), segment.at as usize)
     }
 
     #[test]
     fn verify_and_salvage_damaged_stream() {
         let dir = tmpdir();
-        let raw = dir.join("v.f64").to_string_lossy().into_owned();
-        let comp = dir.join("v.pstrs").to_string_lossy().into_owned();
+        let comp = golden_stream(&dir, "v.pstrs");
         let fixed = dir.join("v-fixed.pstrs").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "8", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(
-            &sv(&[
-                &raw, &comp, "--config", "dddd", "--stream", "--segment-blocks", "2",
-            ]),
-            &mut out,
-        )
-        .unwrap();
 
         // Clean stream verifies with exit 0.
         verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
@@ -2107,57 +2085,55 @@ mod tests {
     }
 
     #[test]
-    fn stream_compress_resumes_after_interruption() {
+    fn store_compress_resumes_after_interruption() {
         let dir = tmpdir();
-        let raw = dir.join("r.f64").to_string_lossy().into_owned();
-        let full = dir.join("r-full.pstrs").to_string_lossy().into_owned();
-        let part = dir.join("r-part.pstrs").to_string_lossy().into_owned();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (raw, full, part) = (path("r.f64"), path("r-full.eristore"), path("r-part.eristore"));
         let mut out = Vec::new();
         generate(
             &sv(&[&raw, "--config", "dddd", "--blocks", "24", "--model"]),
             &mut out,
         )
         .unwrap();
-        let stream_flags = [
-            "--config",
-            "dddd",
-            "--stream",
-            "--segment-blocks",
-            "2",
-            "--checkpoint-every",
-            "2",
-        ];
+        let flags = ["--config", "dddd", "--checkpoint-every", "4"];
         // Reference: one uninterrupted run.
         let mut argv = sv(&[&raw, &full]);
-        argv.extend(sv(&stream_flags));
+        argv.extend(sv(&flags));
         compress(&argv, &mut out).unwrap();
+        let clean = fs::read(&full).unwrap();
 
-        // Interrupted run: feed a prefix through the durable writer and
-        // "crash" (drop without finish), leaving an uncommitted tail.
-        {
-            let config = qchem::basis::BfConfig::parse("dddd").unwrap();
-            let compressor = Compressor::new(BlockGeometry::from_dims(config.dims()), 1e-10);
-            let mut w = pastri::stream::StreamWriter::create(
-                std::path::Path::new(&part),
-                compressor,
-                2,
-                2,
-            )
-            .unwrap();
-            let values = read_f64_file(&raw).unwrap();
-            w.write_values(&values[..values.len() / 2]).unwrap();
-            assert!(w.checkpoint().values > 0, "some batch must have committed");
+        // Interrupted runs: cut exactly at a commit, and torn mid-way
+        // through the blocks after one. Resuming through the CLI skips
+        // the committed input and finishes byte-identical.
+        let (at_commit, _) = eri_store::committed_index(&&clean[..clean.len() / 2]).unwrap();
+        assert!(at_commit.segments > 0, "some batch must have committed");
+        for cut in [at_commit.bytes as usize, at_commit.bytes as usize + 1000] {
+            fs::write(&part, &clean[..cut]).unwrap();
+            let mut resumed_out = Vec::new();
+            let mut argv = sv(&[&raw, &part]);
+            argv.extend(sv(&flags));
+            argv.push("--resume".into());
+            compress(&argv, &mut resumed_out).unwrap();
+            assert_eq!(fs::read(&part).unwrap(), clean, "cut at {cut}");
+            let text = String::from_utf8(resumed_out).unwrap();
+            assert!(text.contains(&format!("resumed at value {}", at_commit.values)), "{text}");
+            verify(&sv(&[&part]), &mut Vec::new()).unwrap();
         }
-        // Resume through the CLI: byte-identical to the clean run.
-        let mut resumed_out = Vec::new();
-        let mut argv = sv(&[&raw, &part]);
-        argv.extend(sv(&stream_flags));
-        argv.push("--resume".into());
-        compress(&argv, &mut resumed_out).unwrap();
-        assert_eq!(fs::read(&part).unwrap(), fs::read(&full).unwrap());
-        let text = String::from_utf8(resumed_out).unwrap();
-        assert!(text.contains("resumed at value"), "{text}");
-        verify(&sv(&[&part]), &mut Vec::new()).unwrap();
+
+        // Inputs that are not whole blocks are refused before writing.
+        let ragged = path("r-ragged.f64");
+        fs::write(&ragged, &fs::read(&raw).unwrap()[..8 * 1297]).unwrap();
+        let err = compress(&sv(&[&ragged, &path("r-ragged.eristore"), "--config", "dddd"]), &mut out)
+            .unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("whole number"), "{}", err.message);
+        assert!(!dir.join("r-ragged.eristore").exists());
+        // Durability flags are for stores only.
+        for extra in [&["--resume"][..], &["--checkpoint-every", "2"][..]] {
+            let mut argv = sv(&[&raw, &path("r.pastri"), "--config", "dddd"]);
+            argv.extend(sv(extra));
+            assert_eq!(compress(&argv, &mut out).unwrap_err().code, 1, "{extra:?}");
+        }
     }
 
     #[test]
@@ -2280,21 +2256,7 @@ mod tests {
     #[test]
     fn scrub_heals_stream_and_store_in_place() {
         let dir = tmpdir();
-        let raw = dir.join("ss.f64").to_string_lossy().into_owned();
-        let comp = dir.join("ss.pstrs").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "8", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(
-            &sv(&[
-                &raw, &comp, "--config", "dddd", "--stream", "--segment-blocks", "2",
-            ]),
-            &mut out,
-        )
-        .unwrap();
+        let comp = golden_stream(&dir, "ss.pstrs");
         let clean = fs::read(&comp).unwrap();
         scrub(&sv(&[&comp]), &mut Vec::new()).unwrap();
 
@@ -2310,18 +2272,6 @@ mod tests {
         assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
         assert_eq!(fs::read(&comp).unwrap(), clean);
         verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
-
-        // A flip inside the last commit record (before the terminator)
-        // spares every segment, yet verify reports it and scrub rebuilds it.
-        let mut bytes = clean.clone();
-        let last_record = bytes.len() - 1 - 10;
-        bytes[last_record] ^= 0x04;
-        fs::write(&comp, &bytes).unwrap();
-        let mut report = Vec::new();
-        assert_eq!(verify(&sv(&[&comp]), &mut report).unwrap_err().code, 2);
-        assert!(String::from_utf8(report).unwrap().contains("commit frame at offset"));
-        scrub(&sv(&[&comp, "--repair"]), &mut Vec::new()).unwrap();
-        assert_eq!(fs::read(&comp).unwrap(), clean);
 
         // Same cycle for an ERI store: flip inside block 0, which its
         // stripe's parity rebuilds, then inside that stripe's parity

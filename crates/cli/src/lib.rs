@@ -2,17 +2,20 @@
 //!
 //! Subcommands (see [`run`]):
 //!
-//! * `compress`   — raw little-endian f64 file → PaSTRI container, or
-//!   the ERI block store `serve` mounts when the output ends `.eristore`
-//! * `decompress` — PaSTRI container → raw f64 file
+//! * `compress`   — raw little-endian f64 file → PaSTRI container, or,
+//!   when the output ends `.eristore`, the durable ERI block store
+//!   `serve` mounts (bounded memory, in-band commits, `--resume`)
+//! * `decompress` — PaSTRI container, stream or block store → raw f64
+//!   file
 //! * `inspect`    — print container metadata and per-block-kind census
 //! * `verify`     — integrity-scan a container/stream/store; non-zero
 //!   exit with a per-block damage report when anything is corrupt
 //! * `scrub`      — classify damage as repairable/unrepairable; with
 //!   `--repair`, heal it in place from the artifact's parity (container
 //!   parity sections, store stripes)
-//! * `salvage`    — rewrite a damaged stream, repairing what parity
-//!   covers and keeping intact segments
+//! * `salvage`    — rewrite a damaged stream (the read-only format of
+//!   the golden fixtures), repairing what parity covers and keeping
+//!   intact segments
 //! * `gen`        — generate an ERI dataset file (GAMESS stand-in)
 //! * `assess`     — compare an original and a decompressed file
 //! * `report`     — re-render a saved `--telemetry json` capture as the
@@ -126,10 +129,10 @@ pub(crate) fn usage() -> &'static str {
 
 USAGE:
   pastri compress   <in.f64> <out.pastri> --config (dd|dd) --eb 1e-10
-                    [--metric ER] [--tree 5] [--stream [--segment-blocks 64]
-                    [--checkpoint-every 16] [--resume]]
+                    [--metric ER] [--tree 5]
   pastri compress   <in.f64> <out.eristore> --config (dd|dd) --eb 1e-10
-  pastri decompress <in.pastri> <out.f64>
+                    [--checkpoint-every 1024] [--resume]
+  pastri decompress <in.pastri|in.pstrs|in.eristore> <out.f64>
   pastri inspect    <in.pastri>
   pastri verify     <file>            (container, stream, or ERI store)
   pastri scrub      <file> [--repair] (heal damage in place from parity)
@@ -171,29 +174,30 @@ TELEMETRY (compress, decompress, scrub, soak, serve, fetch):
              (load in chrome://tracing or Perfetto).
   --telemetry-out FILE  write the capture to FILE instead of stdout.
 
-DURABILITY (streamed compression and block stores):
-  --stream writes durably: each batch of segments is sealed by a commit
-  record inside <out> itself and made durable by one fsync; no other
-  file is written. A .eristore output commits the same way, once.
-  --checkpoint-every N   segments per durable batch (default 16)
-  --resume               continue an interrupted --stream run: finds the
-                         last verified commit, discards the torn tail,
-                         skips the already-committed input, and finishes
+DURABILITY (block stores):
+  A .eristore output is written durably with bounded memory: the input
+  is read one batch of blocks at a time, and each batch is sealed by a
+  commit record inside <out> itself and made durable by one fsync; no
+  other file is written.
+  --checkpoint-every N   blocks per durable batch (default 1024)
+  --resume               continue an interrupted run: finds the last
+                         verified commit, discards the torn tail, skips
+                         the already-committed input, and finishes
                          byte-identical to an uninterrupted run. Pass
                          the same flags as the interrupted run.
 
 SOAK (deterministic fault-storm harness with SLO gates):
   `pastri soak` runs a seeded mixed workload (reads with repair-on-read,
-  container/stream/durable writes, scrubs, crash/resume) across many
-  stores concurrently while injecting bit-flip SDC, torn-write kills,
+  container writes, durable store writes torn mid-byte and resumed,
+  scrubs) across many stores concurrently while injecting bit-flip SDC
   and transient read errors. For a fixed --seed and --ops budget the
   op/fault tallies are bit-identical at any thread count. At the end it
   verifies zero data loss and evaluates the configured SLO gates.
   --ops N / --seconds S       op-count or wall-clock budget
   --stores N / --scale N      concurrency and blocks-per-store knobs
-  --read-weight --container-weight --stream-weight --crash-weight
-  --scrub-weight              op-mix weights (default 6/1/2/1/2)
-  --bit-flip-every N --flips-per-event K --torn-every N
+  --read-weight --container-weight --crash-weight
+  --scrub-weight              op-mix weights (default 6/1/3/2)
+  --bit-flip-every N --flips-per-event K
   --transient-rate P          fault schedule (0 disables a class)
   --slo-read-p99-us N --slo-min-repair-success F
   --slo-max-quarantined N --slo-max-resident-values N   SLO gates
@@ -202,8 +206,7 @@ SOAK (deterministic fault-storm harness with SLO gates):
 CACHE SERVER (`serve`):
   `pastri compress <in.f64> <out.eristore>` writes a block store: the
   input must hold whole --config blocks, compressed at default options
-  (--metric, --tree, --stream, --resume, --segment-blocks and
-  --checkpoint-every do not apply). `pastri serve` mounts
+  (--metric and --tree do not apply). `pastri serve` mounts
   one or more stores (shared geometry and error bound) as one global
   block index space, one reader per store shared by every thread, plus
   a byte-budgeted hot-block cache (--cache-mb), then serves the

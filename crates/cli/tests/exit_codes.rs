@@ -86,13 +86,8 @@ fn shred_store_block(path: &str, i: usize) {
 /// `(container length, offset)` of a stream's first segment, found by
 /// the stream module's walker.
 fn first_segment(bytes: &[u8]) -> (usize, usize) {
-    pastri::stream::Frames::new(bytes)
-        .unwrap()
-        .find_map(|frame| match frame.unwrap() {
-            pastri::stream::Frame::Segment { at, container } => Some((container.len(), at as usize)),
-            pastri::stream::Frame::Commit { .. } => None,
-        })
-        .unwrap()
+    let segment = pastri::stream::Frames::new(bytes).unwrap().next().unwrap().unwrap();
+    (segment.container.len(), segment.at as usize)
 }
 
 #[test]
@@ -104,7 +99,8 @@ fn exit_codes_follow_the_documented_contract() {
     let stream = p(&dir, "clean.pstrs");
     let missing = p(&dir, "no-such-file");
 
-    // Fixtures: a model dataset, a clean container, a clean stream.
+    // Fixtures: a model dataset, a clean container, and a clean stream
+    // copied from the golden fixture (nothing writes streams any more).
     assert_eq!(
         exit_code(&sv(&[
             "gen", &raw, "--config", "dddd", "--blocks", "8", "--model"
@@ -115,19 +111,11 @@ fn exit_codes_follow_the_documented_contract() {
         exit_code(&sv(&["compress", &raw, &container, "--config", "dddd"])),
         0
     );
-    assert_eq!(
-        exit_code(&sv(&[
-            "compress",
-            &raw,
-            &stream,
-            "--config",
-            "dddd",
-            "--stream",
-            "--segment-blocks",
-            "2",
-        ])),
-        0
-    );
+    fs::copy(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v3_stream.pstrs"),
+        &stream,
+    )
+    .unwrap();
 
     // Corrupt container: flip a byte inside the first block's payload
     // (located via the lossy decoder's per-block offsets) so both the
@@ -222,8 +210,8 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["compress", &odd_raw, &p(&dir, "c4.pastri"), "--config", "dddd"]),
             want: 1,
         },
-        // compress to a block store: clean / ragged input / a
-        // container-only flag.
+        // compress to a block store: clean / ragged input / its
+        // durability flags / a container-only flag.
         Case {
             label: "compress store clean",
             argv: sv(&["compress", &raw, &p(&dir, "c5.eristore"), "--config", "dddd"]),
@@ -235,34 +223,32 @@ fn exit_codes_follow_the_documented_contract() {
             want: 1,
         },
         Case {
-            label: "compress store with --stream",
-            argv: sv(&["compress", &raw, &p(&dir, "c7.eristore"), "--config", "dddd", "--stream"]),
-            want: 1,
-        },
-        Case {
-            label: "compress store with --resume",
+            label: "compress store with --resume and nothing to resume",
             argv: sv(&["compress", &raw, &p(&dir, "c8.eristore"), "--config", "dddd", "--resume"]),
-            want: 1,
-        },
-        Case {
-            label: "compress store with --segment-blocks",
-            argv: sv(&[
-                "compress", &raw, &p(&dir, "c9.eristore"), "--config", "dddd", "--segment-blocks", "2",
-            ]),
-            want: 1,
+            want: 0,
         },
         Case {
             label: "compress store with --checkpoint-every",
             argv: sv(&[
                 "compress", &raw, &p(&dir, "c10.eristore"), "--config", "dddd", "--checkpoint-every", "2",
             ]),
+            want: 0,
+        },
+        Case {
+            label: "compress store with --tree",
+            argv: sv(&["compress", &raw, &p(&dir, "c9.eristore"), "--config", "dddd", "--tree", "3"]),
             want: 1,
         },
-        // A switch never swallows the positional after it.
         Case {
-            label: "compress --stream before the positionals",
-            argv: sv(&["compress", "--stream", &raw, &p(&dir, "c11.pstrs"), "--config", "dddd"]),
-            want: 0,
+            label: "compress container with --resume",
+            argv: sv(&["compress", &raw, &p(&dir, "c11.pastri"), "--config", "dddd", "--resume"]),
+            want: 1,
+        },
+        // Streams are no longer written: `--stream` is an unknown flag.
+        Case {
+            label: "compress with unknown flag --stream",
+            argv: sv(&["compress", "--stream", &raw, &p(&dir, "c7.pstrs"), "--config", "dddd"]),
+            want: 1,
         },
         // decompress: clean / missing / damage in a recognized artifact.
         Case {
@@ -278,6 +264,16 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "decompress damaged container",
             argv: sv(&["decompress", &damaged_container, &out_f64]),
+            want: 2,
+        },
+        Case {
+            label: "decompress clean store",
+            argv: sv(&["decompress", &clean_store, &out_f64]),
+            want: 0,
+        },
+        Case {
+            label: "decompress store damaged beyond parity",
+            argv: sv(&["decompress", &shredded_store, &out_f64]),
             want: 2,
         },
         // verify: clean / missing / unknown magic / damaged.

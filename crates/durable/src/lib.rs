@@ -13,12 +13,12 @@
 //! * **In-band commit records** for artifacts that grow over hours:
 //!   [`Journaled`] appends a fixed-size, CRC-protected record
 //!   `(segments, values, bytes, span CRC)` to the artifact itself after
-//!   each batch of segments or blocks, then fsyncs once. The span CRC
+//!   each batch of blocks, then fsyncs once. The span CRC
 //!   covers every byte since the previous record, so one data fsync
 //!   makes the batch and its commit durable together. Artifacts are
 //!   append-only: no write ever overwrites committed bytes.
 //!
-//! Recovery is the format's own walk: a stream or store walks its
+//! Recovery is the format's own walk: the block store walks its
 //! framing with positional reads and hands each frame and commit record
 //! it meets to a [`CommitScan`]. A commit counts only if its record and
 //! its whole span verify; the artifact is cut after the last such
@@ -256,7 +256,7 @@ pub const RECORD_LEN: usize = 36;
 /// it survives a crash byte-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Checkpoint {
-    /// Segments (stream) or blocks (store) committed.
+    /// Blocks committed.
     pub segments: u64,
     /// Source values (f64s) those segments cover — what a resuming
     /// producer must skip before feeding the writer again.
@@ -489,8 +489,8 @@ pub fn fresh_quarantine_path(artifact: &Path) -> PathBuf {
 }
 
 /// A growing, append-only artifact that carries its own commit records:
-/// the one append, commit and recover protocol behind every durable
-/// writer (streams and block stores alike).
+/// the append, commit and recover protocol behind the block store, the
+/// one durable writer.
 ///
 /// Bytes go out through [`Write`], which tracks the write position and
 /// a running CRC32 of everything since the last commit.
@@ -536,12 +536,16 @@ impl<W: Write> Journaled<W> {
     pub fn committed(&self) -> Checkpoint {
         self.committed
     }
+}
 
-    /// Appends the record sealing everything written since the previous
-    /// one as `segments` segments (or blocks) covering `values` source
-    /// values, without syncing: a copy that is made durable as a whole,
-    /// such as an atomically replaced file, needs no fsync per record.
-    pub fn seal(&mut self, segments: u64, values: u64) -> io::Result<Checkpoint> {
+impl<W: SyncWrite> Journaled<W> {
+    /// Commits everything written since the previous commit as
+    /// `segments` segments (or blocks) covering `values` source values:
+    /// appends the record sealing that span, then fsyncs the data once.
+    /// When this returns, recovery finds this checkpoint (or a later
+    /// one).
+    pub fn commit(&mut self, segments: u64, values: u64) -> io::Result<()> {
+        let _span = telemetry::span("durable.commit_batch");
         let cp = Checkpoint {
             segments,
             values,
@@ -549,17 +553,6 @@ impl<W: Write> Journaled<W> {
         };
         self.data.write_all(&cp.record(std::mem::take(&mut self.span).finish()))?;
         self.position = cp.bytes;
-        Ok(cp)
-    }
-}
-
-impl<W: SyncWrite> Journaled<W> {
-    /// Commits everything written so far as `segments` segments (or
-    /// blocks) covering `values` source values: [`seal`](Self::seal),
-    /// then one data fsync. When this returns, recovery finds this
-    /// checkpoint (or a later one).
-    pub fn commit(&mut self, segments: u64, values: u64) -> io::Result<()> {
-        let cp = self.seal(segments, values)?;
         telemetry::counter_add("durable.checkpoints", 1);
         self.data.sync()?;
         self.committed = cp;

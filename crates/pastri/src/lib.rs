@@ -56,7 +56,6 @@
 
 mod block;
 mod container;
-pub mod durable_stream;
 mod encoding;
 mod error;
 mod geometry;

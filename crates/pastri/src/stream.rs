@@ -1,31 +1,17 @@
-//! Streaming compression over `std::io` — bounded memory for datasets
-//! that do not fit in RAM (the paper's production files are hundreds of
-//! GB; Sec. III motivates dumping them to a parallel file system as they
-//! are produced).
+//! The PaSTRI stream format, read-only: the layout of the golden
+//! fixtures (`tests/golden/v1_stream.pstrs`, `v3_stream.pstrs`). New
+//! durable output goes to the block store (`eri-store`), which writes
+//! as it goes, commits in-band and resumes after a crash; streams are
+//! kept so the fixtures still read, verify, scrub and salvage.
 //!
-//! Wire format: the ASCII magic `PSTRS` + version byte, then a sequence
-//! of *frames*, each opened by a varint:
+//! Layout (version 1): the ASCII magic `PSTRS` + version byte, then a
+//! sequence of *segments*, each a varint byte length followed by a
+//! complete standalone PaSTRI container, then a zero varint as the
+//! terminator. Any other version byte is [`DecompressError::BadVersion`].
 //!
-//! * a *segment* — the varint is the byte length of a complete
-//!   standalone PaSTRI container of up to `blocks_per_segment` blocks;
-//! * a *commit frame* (version 2) — the varint is 1, a length no
-//!   container can have, and a [`durable`] commit record follows,
-//!   sealing every byte since the previous one;
-//! * the terminator — a zero varint.
-//!
-//! Version 1, the frozen layout of the golden fixtures, has no commit
-//! frames. [`Frames`] is the one walker over both versions: the reader,
-//! [`salvage`] and crash recovery all go through it. Segments are
-//! independently decodable, so a reader can fan them out across threads
-//! or resume after a partial read; memory never exceeds one segment each
-//! way.
-//!
-//! [`StreamWriter`] writes version 2 over any [`SyncWrite`] sink: every
-//! `checkpoint_every` segments it compresses the batch on the rayon
-//! crew, appends a commit frame and fsyncs once. Its output is
-//! byte-identical at any thread count; over a file
-//! ([`StreamWriter::create`](crate::durable_stream)) it resumes after a
-//! crash.
+//! [`Frames`] is the one walker over the framing: the reader and
+//! [`salvage`] both go through it. Segments are independently
+//! decodable, so memory never exceeds one segment.
 //!
 //! Integrity comes from the embedded containers: each segment payload is
 //! a container carrying its own header and per-block CRC32s, so a
@@ -39,16 +25,25 @@
 //!
 //! ```
 //! use pastri::{BlockGeometry, Compressor};
-//! use pastri::stream::{StreamWriter, StreamReader};
+//! use pastri::stream::StreamReader;
 //!
+//! // A stream framed by hand: magic and version, each segment's LEB128
+//! // length and container, then the zero terminator.
 //! let compressor = Compressor::new(BlockGeometry::new(4, 9), 1e-9);
-//! let mut w = StreamWriter::new(Vec::new(), compressor, 8, 4).unwrap();
+//! let mut bytes = b"PSTRS\x01".to_vec();
 //! for chunk in [[0.25f64; 100], [0.5; 100]] {
-//!     w.write_values(&chunk).unwrap();
+//!     let container = compressor.compress(&chunk);
+//!     let mut len = container.len();
+//!     while len >= 0x80 {
+//!         bytes.push(len as u8 | 0x80);
+//!         len >>= 7;
+//!     }
+//!     bytes.push(len as u8);
+//!     bytes.extend_from_slice(&container);
 //! }
-//! let (sink, _) = w.finish().unwrap();
+//! bytes.push(0);
 //!
-//! let mut r = StreamReader::new(sink.as_slice()).unwrap();
+//! let mut r = StreamReader::new(bytes.as_slice()).unwrap();
 //! let mut restored = Vec::new();
 //! while let Some(seg) = r.next_segment().unwrap() {
 //!     restored.extend(seg);
@@ -58,176 +53,33 @@
 
 use std::io::{self, Write};
 
-use durable::{Checkpoint, CommitScan, Journaled, ReadAt, SyncWrite, RECORD_LEN};
-use rayon::ParallelSlice;
+use durable::ReadAt;
 
-use crate::container::Compressor;
 use crate::error::DecompressError;
 
 pub(crate) const STREAM_MAGIC: [u8; 5] = *b"PSTRS";
-/// The layout every writer produces: commit frames between segments.
-pub(crate) const STREAM_VERSION: u8 = 2;
-/// The frame varint that opens a commit frame (version 2 only).
-const COMMIT_FRAME: u64 = 1;
+/// The one stream version there is.
+const STREAM_VERSION: u8 = 1;
 
 /// Declared-length sanity ceiling for one segment (1 GiB).
 const MAX_SEGMENT_BYTES: u64 = 1 << 30;
 
-/// Compresses values into a version-2 stream, committing every
-/// `checkpoint_every` segments: the batch is compressed on the rayon
-/// crew (order-preserving, one segment per task), written, sealed by a
-/// commit frame and fsync'd once. `Vec<u8>` and other in-memory sinks
-/// sync for free; over a file the stream survives crashes (see
-/// [`crate::durable_stream`]).
-pub struct StreamWriter<W: SyncWrite> {
-    out: Journaled<W>,
-    compressor: Compressor,
-    /// Pending raw values (less than one segment).
-    buffer: Vec<f64>,
-    /// Full segments accumulated toward the next commit.
-    pending: Vec<Vec<f64>>,
-    segment_values: usize,
-    checkpoint_every: usize,
-}
-
-impl<W: SyncWrite> StreamWriter<W> {
-    /// Creates a writer flushing whole segments of `blocks_per_segment`
-    /// blocks and committing every `checkpoint_every` segments.
-    ///
-    /// # Errors
-    /// `InvalidInput` if `blocks_per_segment` or `checkpoint_every` is
-    /// zero.
-    pub fn new(
-        sink: W,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<Self> {
-        Self::over(Journaled::new(sink), compressor, blocks_per_segment, checkpoint_every)
-    }
-
-    /// Continues the stream whose committed prefix `out` already holds;
-    /// the caller skips `out.committed().values` source values before
-    /// writing more.
-    pub(crate) fn over(
-        out: Journaled<W>,
-        compressor: Compressor,
-        blocks_per_segment: usize,
-        checkpoint_every: usize,
-    ) -> io::Result<Self> {
-        if blocks_per_segment == 0 || checkpoint_every == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "blocks_per_segment and checkpoint_every must be at least 1",
-            ));
-        }
-        let segment_values = compressor.geometry().block_size() * blocks_per_segment;
-        Ok(Self {
-            out,
-            compressor,
-            buffer: Vec::with_capacity(segment_values),
-            pending: Vec::new(),
-            segment_values,
-            checkpoint_every,
-        })
-    }
-
-    /// The last durable checkpoint: what a crash right now would
-    /// preserve, and how many source values a resume would skip.
-    #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.out.committed()
-    }
-
-    /// Appends values, committing a batch whenever `checkpoint_every`
-    /// full segments have accumulated.
-    ///
-    /// # Errors
-    /// Any I/O error from the sink.
-    pub fn write_values(&mut self, values: &[f64]) -> io::Result<()> {
-        self.buffer.extend_from_slice(values);
-        while self.buffer.len() >= self.segment_values {
-            let rest = self.buffer.split_off(self.segment_values);
-            let full = std::mem::replace(&mut self.buffer, rest);
-            self.pending.push(full);
-            if self.pending.len() >= self.checkpoint_every {
-                self.commit_batch()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits the tail (as its own batch), writes the terminator and
-    /// syncs. Returns the sink and the final checkpoint. The terminator
-    /// is past the last commit: recovery trims it and a resumed
-    /// `finish` rewrites it.
-    ///
-    /// # Errors
-    /// Any I/O error from the sink.
-    pub fn finish(mut self) -> io::Result<(W, Checkpoint)> {
-        if !self.buffer.is_empty() {
-            let tail = std::mem::take(&mut self.buffer);
-            self.pending.push(tail);
-        }
-        self.commit_batch()?;
-        self.ensure_header()?;
-        write_varint(&mut self.out, 0)?;
-        self.out.close()
-    }
-
-    /// Writes every pending segment, then commits them as one batch.
-    fn commit_batch(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let _span = telemetry::span("durable.commit_batch");
-        self.ensure_header()?;
-        let batch = std::mem::take(&mut self.pending);
-        let compressor = self.compressor;
-        let containers: Vec<Vec<u8>> = batch
-            .par_iter()
-            .map(|seg| compressor.compress(seg))
-            .collect();
-        for container in &containers {
-            write_varint(&mut self.out, container.len() as u64)?;
-            self.out.write_all(container)?;
-        }
-        write_varint(&mut self.out, COMMIT_FRAME)?;
-        let committed = self.out.committed();
-        self.out.commit(
-            committed.segments + batch.len() as u64,
-            committed.values + batch.iter().map(|s| s.len() as u64).sum::<u64>(),
-        )
-    }
-
-    fn ensure_header(&mut self) -> io::Result<()> {
-        if self.out.position() == 0 {
-            self.out.write_all(&STREAM_MAGIC)?;
-            self.out.write_all(&[STREAM_VERSION])?;
-        }
-        Ok(())
-    }
-}
-
-/// One unit of stream framing.
+/// One segment of a stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// A segment: the stream offset of its container, and the
-    /// container's bytes.
-    Segment { at: u64, container: Vec<u8> },
-    /// A commit record (version 2): its stream offset and bytes.
-    Commit { at: u64, record: [u8; RECORD_LEN] },
+pub struct Segment {
+    /// The stream offset of the segment's container.
+    pub at: u64,
+    /// The container's bytes.
+    pub container: Vec<u8>,
 }
 
-/// The one walker over stream framing, versions 1 and 2: yields each
-/// segment and commit frame in order and stops at the terminator, or
-/// after the first framing error. Reads are positional and hold one
-/// frame at a time; a length field claiming more than the source holds
-/// fails before anything is allocated for it.
+/// The one walker over stream framing: yields each segment in order and
+/// stops at the terminator, or after the first framing error. Reads are
+/// positional and hold one segment at a time; a length field claiming
+/// more than the source holds fails before anything is allocated for it.
 pub struct Frames<R: ReadAt> {
     source: R,
     size: u64,
-    pub(crate) version: u8,
     /// Offset of the next unread byte.
     pos: u64,
     done: bool,
@@ -243,7 +95,6 @@ impl<R: ReadAt> Frames<R> {
         let mut frames = Self {
             size: source.size().map_err(unreadable)?,
             source,
-            version: 0,
             pos: 0,
             done: false,
         };
@@ -252,23 +103,17 @@ impl<R: ReadAt> Frames<R> {
         if magic[..5] != STREAM_MAGIC {
             return Err(DecompressError::BadMagic);
         }
-        if !(1..=STREAM_VERSION).contains(&magic[5]) {
+        if magic[5] != STREAM_VERSION {
             return Err(DecompressError::BadVersion(magic[5]));
         }
-        frames.version = magic[5];
         Ok(frames)
     }
 
-    fn read_frame(&mut self) -> Result<Option<Frame>, DecompressError> {
+    fn read_segment(&mut self) -> Result<Option<Segment>, DecompressError> {
         let len = self.read_varint()?;
         let at = self.pos;
         if len == 0 {
             return Ok(None);
-        }
-        if len == COMMIT_FRAME && self.version >= 2 {
-            let mut record = [0u8; RECORD_LEN];
-            self.read_exact(&mut record)?;
-            return Ok(Some(Frame::Commit { at, record }));
         }
         if len > MAX_SEGMENT_BYTES {
             return Err(DecompressError::corrupt("segment implausibly large"));
@@ -278,7 +123,7 @@ impl<R: ReadAt> Frames<R> {
         }
         let mut container = vec![0u8; len as usize];
         self.read_exact(&mut container)?;
-        Ok(Some(Frame::Segment { at, container }))
+        Ok(Some(Segment { at, container }))
     }
 
     /// Reads one varint, at most 10 bytes in one read, decoded by the
@@ -310,9 +155,9 @@ fn unreadable(e: io::Error) -> DecompressError {
 }
 
 impl<R: ReadAt> Iterator for Frames<R> {
-    type Item = Result<Frame, DecompressError>;
+    type Item = Result<Segment, DecompressError>;
 
-    /// The next frame; `None` at the terminator. An error is framing
+    /// The next segment; `None` at the terminator. An error is framing
     /// damage — a damaged length varint, an implausible length or a
     /// truncated tail — after which no further frame can be found, or
     /// `Unreadable` if the source fails; `None` follows it.
@@ -320,7 +165,7 @@ impl<R: ReadAt> Iterator for Frames<R> {
         if self.done {
             return None;
         }
-        let result = self.read_frame().transpose();
+        let result = self.read_segment().transpose();
         self.done = !matches!(result, Some(Ok(_)));
         result
     }
@@ -401,8 +246,7 @@ fn decode_with_repair(container: &[u8]) -> RepairedDecode {
     }
 }
 
-/// Streaming decompressor: yields one segment of values at a time,
-/// stepping over commit frames.
+/// Streaming decompressor: yields one segment of values at a time.
 pub struct StreamReader<R: ReadAt> {
     frames: Frames<R>,
     next_index: usize,
@@ -460,13 +304,9 @@ impl<R: ReadAt> StreamReader<R> {
 
     /// Reads the next segment's raw container bytes (framing layer only).
     fn next_segment_bytes(&mut self) -> Result<Option<Vec<u8>>, DecompressError> {
-        while let Some(frame) = self.frames.next().transpose()? {
-            if let Frame::Segment { container, .. } = frame {
-                self.next_index += 1;
-                return Ok(Some(container));
-            }
-        }
-        Ok(None)
+        let segment = self.frames.next().transpose()?;
+        self.next_index += usize::from(segment.is_some());
+        Ok(segment.map(|s| s.container))
     }
 
     /// Convenience: drains the whole stream into one vector.
@@ -495,16 +335,13 @@ pub struct SalvageReport {
     /// tail) before the terminator: everything after that point was
     /// discarded.
     pub tail_lost: bool,
-    /// Offsets of commit frames that fail their check although every
-    /// segment they seal is intact; the output carries fresh ones.
-    pub commits_damaged: Vec<u64>,
 }
 
 impl SalvageReport {
     /// Was the source undamaged (nothing dropped, nothing repaired)?
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.is_lossless() && self.repaired.is_empty() && self.commits_damaged.is_empty()
+        self.is_lossless() && self.repaired.is_empty()
     }
 
     /// Did every segment survive into the output (repairs included)?
@@ -519,88 +356,64 @@ impl SalvageReport {
 /// containers' parity sections when the damage is within budget, and
 /// dropping only what neither verification nor parity can save. Intact
 /// segments are copied *byte-for-byte* — never re-encoded; repaired
-/// segments are written as their canonical (originally-written) bytes.
-/// Each commit frame is checked, then rewritten to seal what the output
-/// holds, and the output keeps the input's version, so salvaging an
-/// undamaged stream reproduces it exactly. The output is always a
-/// well-formed, terminated stream; `sink` is flushed, not synced — the
-/// caller makes the copy durable as a whole.
+/// segments are written as their canonical (originally-written) bytes,
+/// so salvaging an undamaged stream reproduces it exactly. The output is
+/// always a well-formed, terminated stream; `sink` is flushed, not
+/// synced — the caller makes the copy durable as a whole.
 ///
 /// # Errors
 /// `InvalidData` if `source` is not a PaSTRI stream at all (bad magic or
 /// version); otherwise any I/O error from reading or writing. Damage
 /// *inside* the stream is not an error — it is reported in the
 /// [`SalvageReport`].
-pub fn salvage<R: ReadAt, W: Write>(source: R, sink: W) -> io::Result<SalvageReport> {
-    let mut frames = Frames::new(&source)
+pub fn salvage<R: ReadAt, W: Write>(source: R, mut sink: W) -> io::Result<SalvageReport> {
+    let frames = Frames::new(&source)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut scan = CommitScan::new(&source)?;
-    let mut out = Journaled::new(sink);
-    out.write_all(&STREAM_MAGIC)?;
-    out.write_all(&[frames.version])?;
+    sink.write_all(&STREAM_MAGIC)?;
+    sink.write_all(&[STREAM_VERSION])?;
     let mut report = SalvageReport {
         kept: 0,
         repaired: Vec::new(),
         dropped: Vec::new(),
         tail_lost: false,
-        commits_damaged: Vec::new(),
     };
-    let (mut index, mut values_kept, mut damage_sealed) = (0usize, 0u64, 0usize);
-    loop {
-        match frames.next() {
-            None => break,
-            Some(Ok(Frame::Commit { at, record })) => {
-                // A damaged segment fails its span too; that is reported
-                // with the segment.
-                let damage = report.repaired.len() + report.dropped.len();
-                match scan.record(at, &record, index as u64) {
-                    Err(e) if e.kind() != io::ErrorKind::InvalidData => return Err(e),
-                    Err(_) if damage == damage_sealed => report.commits_damaged.push(at),
-                    _ => {}
-                }
-                damage_sealed = damage;
-                write_varint(&mut out, COMMIT_FRAME)?;
-                out.seal(report.kept as u64, values_kept)?;
-            }
-            Some(Ok(Frame::Segment { at, container })) => {
-                scan.feed(at, &container)?;
-                // Only verified-decodable segments are worth keeping —
-                // after giving parity a chance to reconstruct them.
-                let RepairedDecode {
-                    values,
-                    repair,
-                    healed,
-                } = decode_with_repair(&container);
-                match values {
-                    Ok(v) => {
-                        let bytes = healed.as_deref().unwrap_or(&container);
-                        write_varint(&mut out, bytes.len() as u64)?;
-                        out.write_all(bytes)?;
-                        report.kept += 1;
-                        values_kept += v.len() as u64;
-                        if let Some(r) = repair {
-                            report.repaired.push((index, r));
-                        }
-                    }
-                    Err(e) => report.dropped.push((index, e)),
-                }
-                index += 1;
-            }
-            Some(Err(DecompressError::Unreadable(kind))) => return Err(kind.into()),
-            Some(Err(_)) => {
+    for (index, segment) in frames.enumerate() {
+        let container = match segment {
+            Ok(segment) => segment.container,
+            Err(DecompressError::Unreadable(kind)) => return Err(kind.into()),
+            Err(_) => {
                 // Framing loss: boundaries are gone, drop the tail.
                 report.tail_lost = true;
                 break;
             }
+        };
+        // Only verified-decodable segments are worth keeping — after
+        // giving parity a chance to reconstruct them.
+        let RepairedDecode {
+            values,
+            repair,
+            healed,
+        } = decode_with_repair(&container);
+        match values {
+            Ok(_) => {
+                let bytes = healed.as_deref().unwrap_or(&container);
+                write_varint(&mut sink, bytes.len() as u64)?;
+                sink.write_all(bytes)?;
+                report.kept += 1;
+                if let Some(r) = repair {
+                    report.repaired.push((index, r));
+                }
+            }
+            Err(e) => report.dropped.push((index, e)),
         }
     }
-    write_varint(&mut out, 0)?;
-    out.flush()?;
+    write_varint(&mut sink, 0)?;
+    sink.flush()?;
     Ok(report)
 }
 
 /// Writes `v` as the container's LEB128 varint in one `write_all`.
-pub(crate) fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
     let mut buf = Vec::with_capacity(10);
     crate::container::write_varint(&mut buf, v);
     w.write_all(&buf)
@@ -609,6 +422,7 @@ pub(crate) fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::Compressor;
     use crate::geometry::BlockGeometry;
 
     fn compressor() -> Compressor {
@@ -632,9 +446,21 @@ mod tests {
         (0..n).map(|i| ((i % 36) as f64 * 0.3).sin() * 1e-5).collect()
     }
 
-    /// A finished stream of `segments` full segments, one block each,
-    /// plus the byte ranges `[start, end)` of each segment's container
-    /// payload within the returned buffer.
+    /// `data` framed as a stream of `segment_values`-value segments
+    /// compressed by `c`.
+    fn framed(data: &[f64], segment_values: usize, c: Compressor) -> Vec<u8> {
+        let mut bytes = [&STREAM_MAGIC[..], &[STREAM_VERSION]].concat();
+        for segment in data.chunks(segment_values) {
+            let container = c.compress(segment);
+            write_varint(&mut bytes, container.len() as u64).unwrap();
+            bytes.extend_from_slice(&container);
+        }
+        write_varint(&mut bytes, 0).unwrap();
+        bytes
+    }
+
+    /// A stream of `segments` one-block segments, plus the byte ranges
+    /// `[start, end)` of each segment's container within it.
     fn stream_with_segments(segments: usize) -> (Vec<u8>, Vec<(usize, usize)>) {
         stream_with_segments_using(segments, compressor())
     }
@@ -643,34 +469,23 @@ mod tests {
         segments: usize,
         c: Compressor,
     ) -> (Vec<u8>, Vec<(usize, usize)>) {
-        let data = patterned(36 * segments);
-        let mut w = StreamWriter::new(Vec::new(), c, 1, 2).unwrap();
-        w.write_values(&data).unwrap();
-        let (sink, _) = w.finish().unwrap();
-        let ranges: Vec<(usize, usize)> = Frames::new(sink.as_slice())
+        let bytes = framed(&patterned(36 * segments), 36, c);
+        let ranges: Vec<(usize, usize)> = Frames::new(bytes.as_slice())
             .unwrap()
-            .filter_map(|f| match f.unwrap() {
-                Frame::Segment { at, container } => {
-                    Some((at as usize, at as usize + container.len()))
-                }
-                Frame::Commit { .. } => None,
+            .map(|s| {
+                let Segment { at, container } = s.unwrap();
+                (at as usize, at as usize + container.len())
             })
             .collect();
         assert_eq!(ranges.len(), segments);
-        (sink, ranges)
+        (bytes, ranges)
     }
 
     #[test]
     fn roundtrip_multi_segment() {
         let data = patterned(36 * 23 + 17); // partial tail everywhere
-        let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 4, 2).unwrap();
-        // Feed in awkward chunk sizes.
-        for chunk in data.chunks(77) {
-            w.write_values(chunk).unwrap();
-        }
-        w.finish().unwrap();
-        let restored = StreamReader::new(sink.as_slice())
+        let bytes = framed(&data, 36 * 4, compressor());
+        let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
             .unwrap();
@@ -682,10 +497,8 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let mut sink = Vec::new();
-        let w = StreamWriter::new(&mut sink, compressor(), 2, 2).unwrap();
-        w.finish().unwrap();
-        let restored = StreamReader::new(sink.as_slice())
+        let bytes = framed(&[], 36, compressor());
+        let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
             .unwrap();
@@ -693,23 +506,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_segment_size_is_an_error_not_a_panic() {
-        let mut sink = Vec::new();
-        let err = match StreamWriter::new(&mut sink, compressor(), 0, 2) {
-            Err(e) => e,
-            Ok(_) => panic!("zero blocks_per_segment must be rejected"),
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
     fn segment_sizes_respected() {
-        let data = patterned(36 * 10);
-        let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 3, 2).unwrap();
-        w.write_values(&data).unwrap();
-        w.finish().unwrap();
-        let mut r = StreamReader::new(sink.as_slice()).unwrap();
+        let bytes = framed(&patterned(36 * 10), 36 * 3, compressor());
+        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         let mut lens = Vec::new();
         while let Some(seg) = r.next_segment().unwrap() {
             lens.push(seg.len());
@@ -720,13 +519,9 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let data = patterned(36 * 8);
-        let mut sink = Vec::new();
-        let mut w = StreamWriter::new(&mut sink, compressor(), 2, 2).unwrap();
-        w.write_values(&data).unwrap();
-        w.finish().unwrap();
+        let bytes = framed(&patterned(36 * 8), 36 * 2, compressor());
         // Cut before the terminator.
-        let cut = &sink[..sink.len() - 3];
+        let cut = &bytes[..bytes.len() - 3];
         let mut r = StreamReader::new(cut).unwrap();
         let result = loop {
             match r.next_segment() {
@@ -738,31 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn commit_frames_sit_between_batches_and_readers_step_over_them() {
-        let data = patterned(36 * 7);
-        let mut w = StreamWriter::new(Vec::new(), compressor(), 1, 3).unwrap();
-        w.write_values(&data).unwrap();
-        let (sink, cp) = w.finish().unwrap();
-        assert_eq!(cp.segments, 7);
-        assert_eq!(cp.bytes, sink.len() as u64 - 1, "the terminator follows the last commit");
-        let kinds: String = Frames::new(sink.as_slice())
-            .unwrap()
-            .map(|f| match f.unwrap() {
-                Frame::Segment { .. } => 'S',
-                Frame::Commit { .. } => 'C',
-            })
-            .collect();
-        assert_eq!(kinds, "SSSCSSSCSC");
-        let restored = StreamReader::new(sink.as_slice()).unwrap().read_to_vec().unwrap();
-        assert_eq!(restored.len(), data.len());
-    }
-
-    #[test]
     fn version_one_has_no_commit_frames() {
-        // In the frozen v1 layout a length of 1 is a (damaged) segment.
+        // A length of 1 is a (damaged) one-byte segment, nothing else.
         let bytes = [&STREAM_MAGIC[..], &[1, 1, 0xAB, 0]].concat();
-        let frames: Vec<Frame> = Frames::new(bytes.as_slice()).unwrap().map(Result::unwrap).collect();
-        assert_eq!(frames, vec![Frame::Segment { at: 7, container: vec![0xAB] }]);
+        let segments: Vec<Segment> =
+            Frames::new(bytes.as_slice()).unwrap().map(Result::unwrap).collect();
+        assert_eq!(segments, vec![Segment { at: 7, container: vec![0xAB] }]);
     }
 
     #[test]
@@ -782,10 +558,15 @@ mod tests {
             StreamReader::new(&b"NOTPST\x01"[..]).err(),
             Some(DecompressError::BadMagic)
         ));
-        assert!(matches!(
-            StreamReader::new(&b"PSTRS\x63"[..]).err(),
-            Some(DecompressError::BadVersion(0x63))
-        ));
+        // Version 2 (commit frames between segments) is refused like
+        // any unknown version.
+        for version in [0u8, 2, 0x63] {
+            let header = [&STREAM_MAGIC[..], &[version, 0]].concat();
+            assert!(matches!(
+                StreamReader::new(header.as_slice()).err(),
+                Some(DecompressError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -980,12 +761,7 @@ mod tests {
     fn file_roundtrip() {
         let path = std::env::temp_dir().join(format!("pastri-stream-{}.pstrs", std::process::id()));
         let data = patterned(36 * 5 + 11);
-        {
-            let file = std::fs::File::create(&path).unwrap();
-            let mut w = StreamWriter::new(file, compressor(), 2, 2).unwrap();
-            w.write_values(&data).unwrap();
-            w.finish().unwrap();
-        }
+        std::fs::write(&path, framed(&data, 36 * 2, compressor())).unwrap();
         let file = std::fs::File::open(&path).unwrap();
         let restored = StreamReader::new(file)
             .unwrap()

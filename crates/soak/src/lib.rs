@@ -6,12 +6,11 @@
 //! nothing exercised them *together*, at scale, under sustained mixed
 //! traffic. This crate is that harness: a seeded workload generator that
 //! runs a configurable mix of operations (store reads with
-//! repair-on-read, container writes, stream writes, crash-and-resume
-//! durable writes, scrubs) across many stores concurrently on the real
-//! work-distributing pool, while a fault schedule (seeded [`BitFlipper`]
-//! SDC events, torn stream kills at a [`FaultyWriter`] byte budget,
-//! transient read errors driving the shared [`RetryPolicy`] backoff)
-//! fires throughout.
+//! repair-on-read, container writes, crash-and-resume durable writes
+//! torn at a [`FaultyWriter`] byte budget, scrubs) across many stores
+//! concurrently on the real work-distributing pool, while a fault
+//! schedule (seeded [`BitFlipper`] SDC events, transient read errors
+//! driving the shared [`RetryPolicy`] backoff) fires throughout.
 //!
 //! At the end the harness proves **zero data loss** — every committed
 //! block either decodes within the error bound against its regenerable
@@ -68,9 +67,7 @@ pub struct OpMix {
     pub read: u32,
     /// Compress → atomic-write → read-back container round trips.
     pub write_container: u32,
-    /// Framed stream writes (periodically killed torn, then salvaged).
-    pub write_stream: u32,
-    /// Durable side-store writes killed mid-write, then resumed from the
+    /// Durable side-store writes torn mid-byte, then resumed from the
     /// last in-band commit and verified complete.
     pub crash_resume: u32,
     /// Scrub passes: verify, splice repairs back, quarantine the rest.
@@ -82,8 +79,7 @@ impl Default for OpMix {
         Self {
             read: 6,
             write_container: 1,
-            write_stream: 2,
-            crash_resume: 1,
+            crash_resume: 3,
             scrub: 2,
         }
     }
@@ -91,7 +87,7 @@ impl Default for OpMix {
 
 impl OpMix {
     fn total(&self) -> u32 {
-        self.read + self.write_container + self.write_stream + self.crash_resume + self.scrub
+        self.read + self.write_container + self.crash_resume + self.scrub
     }
 }
 
@@ -104,9 +100,6 @@ pub struct FaultPlan {
     pub bit_flip_every: usize,
     /// Bits flipped per SDC event.
     pub flips_per_event: usize,
-    /// Kill every Nth stream write torn, mid-byte, via a byte budget.
-    /// 0 disables.
-    pub torn_stream_every: usize,
     /// Probability that any store read call fails with a transient error
     /// (absorbed by the retry policy).
     pub transient_rate: f64,
@@ -120,7 +113,6 @@ impl Default for FaultPlan {
         Self {
             bit_flip_every: 5,
             flips_per_event: 2,
-            torn_stream_every: 2,
             transient_rate: 0.05,
             max_transient_errors: 200,
         }
@@ -159,7 +151,7 @@ pub struct SoakConfig {
     pub ops: usize,
     /// Dataset scale knob: blocks per store.
     pub scale: usize,
-    /// Block geometry of every store and stream in the run.
+    /// Block geometry of every store in the run.
     pub geometry: BlockGeometry,
     /// Absolute error bound for every compressor in the run.
     pub error_bound: f64,
@@ -233,15 +225,12 @@ struct PlannedOp {
     seed: u64,
     /// Fire a bit-flip SDC event against this op's store first.
     bit_flip: bool,
-    /// For stream writes: kill this one torn.
-    torn: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     Read,
     WriteContainer,
-    WriteStream,
     CrashResume,
     Scrub,
 }
@@ -251,7 +240,6 @@ enum OpKind {
 fn plan(cfg: &SoakConfig) -> Vec<Vec<PlannedOp>> {
     let mut per_store: Vec<Vec<PlannedOp>> = vec![Vec::new(); cfg.stores];
     let total_weight = cfg.mix.total();
-    let mut stream_ops = 0usize;
     for i in 0..cfg.ops {
         let op_seed = splitmix64(cfg.seed ^ splitmix64(i as u64 + 1));
         let store = (splitmix64(op_seed ^ 0x5704) % cfg.stores as u64) as usize;
@@ -261,7 +249,6 @@ fn plan(cfg: &SoakConfig) -> Vec<Vec<PlannedOp>> {
         let ladder = [
             (cfg.mix.read, OpKind::Read),
             (cfg.mix.write_container, OpKind::WriteContainer),
-            (cfg.mix.write_stream, OpKind::WriteStream),
             (cfg.mix.crash_resume, OpKind::CrashResume),
             (cfg.mix.scrub, OpKind::Scrub),
         ];
@@ -274,17 +261,10 @@ fn plan(cfg: &SoakConfig) -> Vec<Vec<PlannedOp>> {
                 break;
             }
         }
-        let torn = if kind == OpKind::WriteStream {
-            stream_ops += 1;
-            cfg.faults.torn_stream_every != 0 && stream_ops.is_multiple_of(cfg.faults.torn_stream_every)
-        } else {
-            false
-        };
         per_store[store].push(PlannedOp {
             kind,
             seed: op_seed,
             bit_flip: cfg.faults.bit_flip_every != 0 && (i + 1) % cfg.faults.bit_flip_every == 0,
-            torn,
         });
     }
     per_store
@@ -306,8 +286,7 @@ fn expected_block(geom: BlockGeometry, s: usize, b: usize) -> Vec<f64> {
     block
 }
 
-/// Scratch values for side artifacts (streams, crash/resume side
-/// stores) — distinct family from the committed store blocks.
+/// Scratch values for side artifacts (crash/resume side stores) — distinct family from the committed store blocks.
 fn scratch_block(geom: BlockGeometry, op_seed: u64, b: usize) -> Vec<f64> {
     expected_block(geom, (splitmix64(op_seed) % 1024) as usize + 1024, b)
 }
@@ -489,7 +468,6 @@ fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(),
     match op.kind {
         OpKind::Read => op_read(cfg, ctx, op.seed),
         OpKind::WriteContainer => op_write_container(cfg, ctx, op.seed),
-        OpKind::WriteStream => op_write_stream(cfg, ctx, op.seed, op.torn),
         OpKind::CrashResume => op_crash_resume(cfg, ctx, op.seed),
         OpKind::Scrub => {
             ctx.tallies.scrubs += 1;
@@ -601,108 +579,54 @@ fn op_write_container(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Res
     Ok(())
 }
 
-/// A framed stream write, torn mid-byte by a kill budget when the
-/// schedule says so, then salvaged: every surviving segment must decode
-/// against the values that were fed in. A torn tail is whatever the
-/// kill cut off — dropped bytes are accounted, not lost.
-fn op_write_stream(
-    cfg: &SoakConfig,
-    ctx: &mut StoreCtx,
-    op_seed: u64,
-    torn: bool,
-) -> Result<(), SoakError> {
-    ctx.tallies.writes_stream += 1;
-    let blocks = 3 + (splitmix64(op_seed ^ 0x57E0) % 4) as usize;
-    let mut fed = Vec::with_capacity(blocks * cfg.geometry.block_size());
-    for b in 0..blocks {
-        fed.extend(scratch_block(cfg.geometry, op_seed, b));
+/// A durable side-store write torn mid-byte: the writer runs over a
+/// [`FaultyWriter`] whose seeded byte budget ends before the finished
+/// store does, the bytes that got out land in the side file, and
+/// `open_for_append` resumes from the last verified in-band commit and
+/// finishes the store. Every block must then read back within the
+/// error bound — the full crash/recovery cycle in one op.
+fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
+    let total = 4 + (splitmix64(op_seed ^ 0xCAFE) % 5) as usize;
+    let mut blocks = Vec::with_capacity(total * cfg.geometry.block_size());
+    for b in 0..total {
+        blocks.extend(scratch_block(cfg.geometry, op_seed, b));
     }
-
-    let mut buf: Vec<u8> = Vec::new();
-    let budget = 8 + splitmix64(op_seed ^ 0xC4A5) % 600;
-    let writer_result = (|| -> std::io::Result<()> {
+    let write = |sink: &mut Vec<u8>, kill_after: Option<u64>| {
         let faulty = FaultyWriter::new(
-            &mut buf,
+            sink,
             splitmix64(op_seed ^ 0x707A),
             WriteFaultConfig {
                 short_writes: true,
-                kill_after: torn.then_some(budget),
+                kill_after,
                 torn_kill: true,
             },
         );
-        let t = Instant::now();
-        let mut sw =
-            StreamWriter::new(faulty, Compressor::new(cfg.geometry, cfg.error_bound), 2, 2)?;
-        sw.write_values(&fed)?;
-        sw.finish()?;
-        telemetry::observe_us("soak.write_us", t.elapsed().as_micros() as u64);
-        Ok(())
-    })();
-    match writer_result {
-        Ok(()) => ctx.tallies.streams_completed += 1,
-        Err(ref e) if is_injected_crash(e) => ctx.tallies.torn_streams += 1,
-        Err(e) => return Err(e.into()),
+        let mut w = StoreWriter::new(faulty, cfg.geometry, cfg.error_bound, 2)?;
+        w.append_blocks(&blocks)?;
+        w.finish().map(drop)
+    };
+    // The uninterrupted store's length bounds the budget, so the kill
+    // always lands before the end.
+    let mut whole = Vec::new();
+    write(&mut whole, None).map_err(store_io)?;
+    let budget = splitmix64(op_seed ^ 0xDEAD) % whole.len() as u64;
+    let mut torn = Vec::new();
+    let t = Instant::now();
+    match write(&mut torn, Some(budget)) {
+        Err(eri_store::StoreError::Io(ref e)) if is_injected_crash(e) => ctx.tallies.crashes += 1,
+        Err(e) => return Err(store_io(e)),
+        Ok(()) => unreachable!("a budget short of the store always kills the writer"),
     }
-
-    // Salvage whatever hit the "disk" (the buffer) and verify it.
-    let mut healed = Vec::new();
-    match pastri::stream::salvage(&buf[..], &mut healed) {
-        Ok(sreport) => {
-            ctx.tallies.segments_salvaged += sreport.kept as u64;
-            ctx.tallies.segments_dropped += sreport.dropped.len() as u64;
-            if sreport.tail_lost {
-                ctx.tallies.torn_tails += 1;
-            }
-            // Truncation damage drops only the tail, so the salvaged
-            // stream must decode to a prefix of what was fed — any
-            // deviation is corruption, not crash loss.
-            if sreport.dropped.is_empty() {
-                let got = pastri::stream::StreamReader::new(&healed[..])
-                    .and_then(|r| r.read_to_vec())
-                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-                if !within_bound(&got, &fed[..got.len().min(fed.len())], cfg.error_bound)
-                    || got.len() > fed.len()
-                {
-                    ctx.tallies.value_mismatches += 1;
-                }
-            }
-        }
-        // Killed before even the magic got out: nothing was committed.
-        Err(ref e) if e.kind() == ErrorKind::InvalidData => {
-            ctx.tallies.streams_unrecoverable += 1;
-        }
-        Err(e) => return Err(e.into()),
-    }
-    Ok(())
-}
-
-/// A durable side-store write killed mid-write (writer dropped without
-/// finish), resumed from its last in-band commit, completed, and
-/// verified block-for-block — the full crash/recovery cycle in one op.
-fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
     let side = ctx
         .path
         .with_extension(format!("side{:08x}.eristore", op_seed as u32));
-    let total = 4 + (splitmix64(op_seed ^ 0xCAFE) % 5) as usize;
-    let kill_at = 1 + (splitmix64(op_seed ^ 0xDEAD) % total as u64) as usize;
-    {
-        let mut w = StoreWriter::create_durable(&side, cfg.geometry, cfg.error_bound, 2)
-            .map_err(store_io)?;
-        for b in 0..kill_at {
-            w.append_block(&scratch_block(cfg.geometry, op_seed, b))
-                .map_err(store_io)?;
-        }
-        // Crash: dropped without finish. The last verified commit
-        // defines the committed prefix; the tail is torn away on resume.
-    }
-    ctx.tallies.crashes += 1;
+    std::fs::write(&side, &torn)?;
     let (mut w, cp) = StoreWriter::open_for_append(&side, cfg.geometry, cfg.error_bound, 2)
         .map_err(store_io)?;
-    for b in cp.segments as usize..total {
-        w.append_block(&scratch_block(cfg.geometry, op_seed, b))
-            .map_err(store_io)?;
-    }
+    let done = cp.values as usize;
+    w.append_blocks(&blocks[done..]).map_err(store_io)?;
     w.finish().map_err(store_io)?;
+    telemetry::observe_us("soak.write_us", t.elapsed().as_micros() as u64);
     ctx.tallies.resumes += 1;
 
     let r = StoreReader::open(&side).map_err(store_io)?;
@@ -754,8 +678,6 @@ fn scrub_store(ctx: &mut StoreCtx) -> Result<(), SoakError> {
     Ok(())
 }
 
-use pastri::stream::StreamWriter;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,7 +701,6 @@ mod tests {
         cfg.faults = FaultPlan {
             bit_flip_every: 0,
             flips_per_event: 0,
-            torn_stream_every: 0,
             transient_rate: 0.0,
             max_transient_errors: 0,
         };
@@ -835,7 +756,6 @@ mod tests {
         cfg.mix = OpMix {
             read: 0,
             write_container: 0,
-            write_stream: 0,
             crash_resume: 0,
             scrub: 0,
         };

@@ -29,28 +29,13 @@ pub struct Tallies {
     /// Block reads that failed terminally (damage beyond parity; must
     /// end up quarantined or the final sweep charges data loss).
     pub read_failures: u64,
-    /// Blocks served with values outside the error bound, or resumed /
-    /// salvaged data that decoded wrong: silent corruption that leaked
+    /// Blocks served with values outside the error bound, or resumed
+    /// data that decoded wrong: silent corruption that leaked
     /// through every integrity layer. Always data loss.
     pub value_mismatches: u64,
     /// Container write ops.
     pub writes_container: u64,
-    /// Stream write ops.
-    pub writes_stream: u64,
-    /// Stream writes that ran to completion.
-    pub streams_completed: u64,
-    /// Stream writes killed torn by the crash budget.
-    pub torn_streams: u64,
-    /// Streams killed before even the magic was durable (nothing
-    /// committed, nothing to salvage).
-    pub streams_unrecoverable: u64,
-    /// Segments recovered by salvage across all stream writes.
-    pub segments_salvaged: u64,
-    /// Segments dropped by salvage (uncommitted by the crash model).
-    pub segments_dropped: u64,
-    /// Salvages that found a torn tail.
-    pub torn_tails: u64,
-    /// Durable side-store writers killed mid-write.
+    /// Durable side-store writes torn mid-byte by the crash budget.
     pub crashes: u64,
     /// Successful resumes from the last commit (must equal `crashes` at the end).
     pub resumes: u64,
@@ -81,13 +66,6 @@ impl Tallies {
         self.read_failures += other.read_failures;
         self.value_mismatches += other.value_mismatches;
         self.writes_container += other.writes_container;
-        self.writes_stream += other.writes_stream;
-        self.streams_completed += other.streams_completed;
-        self.torn_streams += other.torn_streams;
-        self.streams_unrecoverable += other.streams_unrecoverable;
-        self.segments_salvaged += other.segments_salvaged;
-        self.segments_dropped += other.segments_dropped;
-        self.torn_tails += other.torn_tails;
         self.crashes += other.crashes;
         self.resumes += other.resumes;
         self.scrubs += other.scrubs;
@@ -267,7 +245,7 @@ impl SoakReport {
         s.push_str("  \"bench\": \"soak\",\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!(
-            "  \"config\": {{\"stores\": {}, \"ops\": {}, \"scale\": {}, \"geometry\": [{}, {}], \"error_bound\": {}, \"mix\": [{}, {}, {}, {}, {}], \"faults\": {{\"bit_flip_every\": {}, \"flips_per_event\": {}, \"torn_stream_every\": {}, \"transient_rate\": {}, \"max_transient_errors\": {}}}}},\n",
+            "  \"config\": {{\"stores\": {}, \"ops\": {}, \"scale\": {}, \"geometry\": [{}, {}], \"error_bound\": {}, \"mix\": [{}, {}, {}, {}], \"faults\": {{\"bit_flip_every\": {}, \"flips_per_event\": {}, \"transient_rate\": {}, \"max_transient_errors\": {}}}}},\n",
             cfg.stores,
             cfg.ops,
             cfg.scale,
@@ -276,17 +254,15 @@ impl SoakReport {
             json_f64(cfg.error_bound),
             cfg.mix.read,
             cfg.mix.write_container,
-            cfg.mix.write_stream,
             cfg.mix.crash_resume,
             cfg.mix.scrub,
             cfg.faults.bit_flip_every,
             cfg.faults.flips_per_event,
-            cfg.faults.torn_stream_every,
             json_f64(cfg.faults.transient_rate),
             cfg.faults.max_transient_errors,
         ));
         s.push_str(&format!(
-            "  \"tallies\": {{\"ops_executed\": {}, \"ops_skipped\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"writes_container\": {}, \"writes_stream\": {}, \"streams_completed\": {}, \"torn_streams\": {}, \"streams_unrecoverable\": {}, \"segments_salvaged\": {}, \"segments_dropped\": {}, \"torn_tails\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
+            "  \"tallies\": {{\"ops_executed\": {}, \"ops_skipped\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"writes_container\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
             t.ops_executed,
             t.ops_skipped,
             t.reads,
@@ -294,13 +270,6 @@ impl SoakReport {
             t.read_failures,
             t.value_mismatches,
             t.writes_container,
-            t.writes_stream,
-            t.streams_completed,
-            t.torn_streams,
-            t.streams_unrecoverable,
-            t.segments_salvaged,
-            t.segments_dropped,
-            t.torn_tails,
             t.crashes,
             t.resumes,
             t.scrubs,
@@ -427,13 +396,6 @@ mod tests {
             read_failures: 1,
             value_mismatches: 1,
             writes_container: 1,
-            writes_stream: 1,
-            streams_completed: 1,
-            torn_streams: 1,
-            streams_unrecoverable: 1,
-            segments_salvaged: 1,
-            segments_dropped: 1,
-            torn_tails: 1,
             crashes: 1,
             resumes: 1,
             scrubs: 1,

@@ -1,6 +1,6 @@
 //! Shared fixtures for the repo-level integration tests: one seeded
-//! store builder and the segment ranges of a stream, instead of every
-//! test crate growing its own. Used by `soak_smoke.rs`,
+//! store builder, a framer for version-1 streams and the segment ranges
+//! of a stream, instead of every test crate growing its own. Used by `soak_smoke.rs`,
 //! `server_differential.rs` and `corruption_recovery.rs` (and open to
 //! the rest — `eri_store_integration.rs`'s inline builders predate it).
 #![allow(dead_code)] // each including test crate uses a subset
@@ -8,8 +8,8 @@
 use std::path::{Path, PathBuf};
 
 use eri_store::StoreWriter;
-use pastri::stream::{Frame, Frames};
-use pastri::BlockGeometry;
+use pastri::stream::Frames;
+use pastri::{BlockGeometry, Compressor};
 
 /// A fresh per-test scratch directory (removed if it already exists,
 /// *not* created — builders and harnesses create what they need).
@@ -55,14 +55,42 @@ pub fn build_store(
     blocks
 }
 
+/// `containers` framed the way the golden `*.pstrs` fixtures are: the
+/// magic `PSTRS`, version 1, then each container behind its LEB128 byte
+/// length, then a zero terminator. Nothing in the library writes
+/// streams; tests build them with this.
+pub fn frame_v1(containers: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = b"PSTRS\x01".to_vec();
+    for container in containers {
+        let mut len = container.len();
+        while len >= 0x80 {
+            bytes.push(len as u8 | 0x80);
+            len >>= 7;
+        }
+        bytes.push(len as u8);
+        bytes.extend_from_slice(container);
+    }
+    bytes.push(0);
+    bytes
+}
+
+/// `values` compressed by `compressor` in segments of
+/// `blocks_per_segment` blocks (the last one short), framed as a
+/// version-1 stream.
+pub fn v1_stream(values: &[f64], compressor: Compressor, blocks_per_segment: usize) -> Vec<u8> {
+    let segment = compressor.geometry().block_size() * blocks_per_segment;
+    let containers: Vec<Vec<u8>> = values.chunks(segment).map(|s| compressor.compress(s)).collect();
+    frame_v1(&containers)
+}
+
 /// `[start, end)` of each segment's container payload in a `PSTRS`
 /// stream, found by the stream module's walker.
 pub fn stream_segment_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
     Frames::new(bytes)
         .unwrap()
-        .filter_map(|frame| match frame.unwrap() {
-            Frame::Segment { at, container } => Some((at as usize, at as usize + container.len())),
-            Frame::Commit { .. } => None,
+        .map(|segment| {
+            let segment = segment.unwrap();
+            (segment.at as usize, segment.at as usize + segment.container.len())
         })
         .collect()
 }

@@ -11,7 +11,7 @@ mod common;
 
 use std::path::Path;
 
-use pastri::stream::{salvage, StreamReader, StreamWriter};
+use pastri::stream::{salvage, StreamReader};
 use pastri::{BlockGeometry, Compressor, CompressorOptions, ParityConfig};
 use proptest::prelude::*;
 
@@ -118,10 +118,7 @@ fn stream_with_ranges_using(
     segments: usize,
     compressor: Compressor,
 ) -> (Vec<u8>, Vec<(usize, usize)>) {
-    let mut sink = Vec::new();
-    let mut w = StreamWriter::new(&mut sink, compressor, 1, 2).unwrap();
-    w.write_values(&patterned(BLOCK_VALUES * segments)).unwrap();
-    w.finish().unwrap();
+    let sink = common::v1_stream(&patterned(BLOCK_VALUES * segments), compressor, 1);
     let ranges = common::stream_segment_ranges(&sink);
     assert_eq!(ranges.len(), segments);
     (sink, ranges)

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use pastri::{BlockGeometry, Compressor};
+use pastri::BlockGeometry;
 
 /// The system allocator, noting the largest single request each thread
 /// makes, so a case can bound what a decoder allocates.
@@ -61,18 +61,15 @@ fn largest_allocation(f: impl FnOnce()) -> usize {
     LARGEST.with(Cell::get)
 }
 
-/// A valid stream (commit frames every 2 segments, no terminator yet)
-/// and a finished store (commits every 3 blocks), built once.
+/// A valid stream (the golden `v3_stream.pstrs`) and a finished store
+/// (commits every 3 blocks), built once.
 fn valid_artifacts() -> &'static (Vec<u8>, Vec<u8>) {
     static ARTIFACTS: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     ARTIFACTS.get_or_init(|| {
         let geometry = BlockGeometry::new(4, 9);
         let values: Vec<f64> = (0..36 * 8).map(|i| (f64::from(i % 53) * 0.23).sin() * 4e-6).collect();
-        let mut stream = Vec::new();
-        let mut w = pastri::stream::StreamWriter::new(&mut stream, Compressor::new(geometry, 1e-9), 1, 2)
-            .unwrap();
-        w.write_values(&values).unwrap();
-        drop(w);
+        let stream = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v3_stream.pstrs"))
+            .expect("golden stream");
         let mut store = Vec::new();
         let mut w = eri_store::StoreWriter::new(&mut store, geometry, 1e-9, 3).unwrap();
         w.append_blocks(&values).unwrap();
@@ -171,7 +168,7 @@ proptest! {
     #[test]
     fn stream_skip_and_salvage_never_panic(mut bytes in soup(), with_magic in any::<bool>()) {
         if with_magic && bytes.len() >= 6 {
-            bytes[..6].copy_from_slice(b"PSTRS\x02");
+            bytes[..6].copy_from_slice(b"PSTRS\x01");
         }
         if let Ok(mut r) = pastri::stream::StreamReader::new(bytes.as_slice()) {
             for _ in 0..64 {
@@ -251,10 +248,11 @@ proptest! {
         kind in 0u8..4,
         seed in any::<usize>(),
     ) {
-        // Stream and store recovery — the walks `resume` and
-        // `open_for_append` run before cutting a file — over byte soup
-        // and over damaged valid artifacts: never a panic, and never an
-        // allocation larger than twice the input plus one 64 KiB chunk.
+        // Store recovery — the walk `open_for_append` runs before
+        // cutting a file — over byte soup and over damaged valid
+        // artifacts (a stream is foreign bytes to it): never a panic, and
+        // never an allocation larger than twice the input plus one
+        // 64 KiB chunk.
         let (stream, store) = valid_artifacts();
         let bytes = match source {
             0 => soup,
@@ -262,7 +260,6 @@ proptest! {
             _ => mutated(store, kind, seed),
         };
         let largest = largest_allocation(|| {
-            let _ = pastri::durable_stream::committed(&bytes.as_slice());
             let _ = eri_store::committed_index(&bytes.as_slice());
         });
         prop_assert!(

@@ -3,12 +3,14 @@
 //! decoded values, for the current v2 format and the legacy v1 golden
 //! fixtures. This is the contract that makes the thread count a pure
 //! throughput knob: no reproducibility surface, no format divergence.
-//! Streams go through `StreamWriter`, whose batches compress on the
-//! pool — the path `pastri compress --stream` runs.
+//! Block stores are pinned the same way by `eri-store`'s
+//! `batch_append_is_byte_identical_to_single_appends`.
+
+mod common;
 
 use std::path::Path;
 
-use pastri::stream::{StreamReader, StreamWriter};
+use pastri::stream::StreamReader;
 use pastri::Compressor;
 use qchem::basis::BfConfig;
 use qchem::dataset::EriDataset;
@@ -60,33 +62,28 @@ fn containers_byte_identical_across_thread_counts() {
 
 #[test]
 fn streams_byte_identical_across_thread_counts() {
+    // Streams are framed from containers, so a stream is as
+    // thread-independent as its containers, and it decodes to the same
+    // values under any pool. The empty input is a header and terminator
+    // only.
     let config = BfConfig::dd_dd();
     let c = compressor(config);
-    // One block per segment gives the most segments and batches for the
-    // pool to reorder; the empty input is a header and terminator only.
     for data in [dataset(config, 21), Vec::new()] {
         for blocks_per_segment in [1usize, 4] {
-            let mut baseline = Vec::new();
-            let mut w = StreamWriter::new(&mut baseline, c, blocks_per_segment, 3).unwrap();
-            for chunk in data.chunks(997) {
-                w.write_values(chunk).unwrap();
-            }
-            w.finish().unwrap();
-
+            let baseline = pool(1).install(|| common::v1_stream(&data, c, blocks_per_segment));
+            let decoded =
+                StreamReader::new(baseline.as_slice()).unwrap().read_to_vec().unwrap();
+            assert_eq!(decoded.len(), data.len());
             for threads in THREAD_COUNTS {
-                let (sink, cp) = pool(threads).install(|| {
-                    let mut w = StreamWriter::new(Vec::new(), c, blocks_per_segment, 3).unwrap();
-                    for chunk in data.chunks(997) {
-                        w.write_values(chunk).unwrap();
-                    }
-                    w.finish().unwrap()
-                });
                 let what = format!(
                     "values={} blocks_per_segment={blocks_per_segment} threads={threads}",
                     data.len()
                 );
-                assert_eq!(sink, baseline, "{what}");
-                assert_eq!(cp.values, data.len() as u64, "{what}");
+                let bytes = pool(threads).install(|| common::v1_stream(&data, c, blocks_per_segment));
+                assert_eq!(bytes, baseline, "{what}");
+                let values = pool(threads)
+                    .install(|| StreamReader::new(bytes.as_slice()).unwrap().read_to_vec().unwrap());
+                assert_eq!(values, decoded, "{what}");
             }
         }
     }

@@ -1,13 +1,11 @@
 //! Property test: the PaSTRI pointwise guarantee
 //! `|decompressed − original| ≤ EB` holds under the *parallel* pipeline —
 //! every scaling metric, the sparse ECQ fallback, all three evaluation
-//! error bounds, and both the in-memory container fan-out and the
-//! parallel batches of `StreamWriter` (the `--stream` path).
+//! error bounds, through the in-memory container fan-out.
 //! Block content is generated adversarially (patterned, noisy,
 //! sparse-with-outliers, constant) rather than from the physics model,
 //! so the bound is exercised at its edges.
 
-use pastri::stream::{StreamReader, StreamWriter};
 use pastri::{
     BlockGeometry, CompressorOptions, Compressor, EcqRepr, EncodingTree, ScalingMetric,
 };
@@ -100,15 +98,5 @@ proptest! {
         let bytes = pool.install(|| c.compress(&values));
         let restored = pool.install(|| pastri::decompress(&bytes).unwrap());
         check_bound(&values, &restored, eb, "container");
-
-        // Same input through the stream writer's parallel batches: same
-        // guarantee, and (determinism) the same container bytes inside.
-        let (sink, _) = pool.install(|| {
-            let mut w = StreamWriter::new(Vec::new(), c, 2, 2).unwrap();
-            w.write_values(&values).unwrap();
-            w.finish().unwrap()
-        });
-        let streamed = StreamReader::new(sink.as_slice()).unwrap().read_to_vec().unwrap();
-        prop_assert_eq!(&streamed, &restored, "stream and container decode must agree");
     }
 }

@@ -10,13 +10,16 @@
 //! Regenerate the container (only when the container version itself
 //! moves on) with:
 //! `PASTRI_REGEN_GOLDEN=1 cargo test --test scrub_repair regen`.
-//! `v3_stream.pstrs` is a version-1 stream, a frozen layout today's
-//! writer no longer produces, so it is never regenerated.
+//! `v3_stream.pstrs` is a version-1 stream, a read-only layout nothing
+//! writes any more, so it is never regenerated.
 
 use std::path::{Path, PathBuf};
 
 use faults::BitFlipper;
-use pastri::stream::{salvage, Frame, Frames, StreamReader, StreamWriter};
+mod common;
+
+use eri_store::{StoreReader, StoreWriter};
+use pastri::stream::{salvage, Frames, StreamReader};
 use pastri::{container_bit_stats, decompress, decompress_lossy, inspect, repair_container};
 use pastri::{BlockGeometry, Compressor};
 
@@ -112,14 +115,8 @@ fn golden_v3_stream_decodes() {
 
 /// `[start, end)` of segment `i`'s container in a stream.
 fn segment_range(stream: &[u8], i: usize) -> (usize, usize) {
-    Frames::new(stream)
-        .unwrap()
-        .filter_map(|frame| match frame.unwrap() {
-            Frame::Segment { at, container } => Some((at as usize, at as usize + container.len())),
-            Frame::Commit { .. } => None,
-        })
-        .nth(i)
-        .unwrap()
+    let segment = Frames::new(stream).unwrap().nth(i).unwrap().unwrap();
+    (segment.at as usize, segment.at as usize + segment.container.len())
 }
 
 /// The writer is still deterministic over the fixture's input: the
@@ -298,11 +295,7 @@ fn beyond_budget_damage_degrades_to_attributed_skip() {
 /// original bytes, with the repair attributed to its segment.
 #[test]
 fn stream_flip_salvages_to_original_bytes() {
-    let values = patterned(81 * 6);
-    let mut clean = Vec::new();
-    let mut w = StreamWriter::new(&mut clean, golden_compressor(), 2, 2).unwrap();
-    w.write_values(&values).unwrap();
-    w.finish().unwrap();
+    let clean = common::v1_stream(&patterned(81 * 6), golden_compressor(), 2);
 
     let mut damaged = clean.clone();
     let (start, end) = segment_range(&clean, 1);
@@ -397,27 +390,26 @@ fn cli_scrub_quarantines_beyond_budget_damage() {
 
 /// A durable (crash-safe) run's artifact is also a self-healing one:
 /// interrupt-free finish, then an SDC flip, then `scrub --repair`
-/// restores the byte-exact stream.
+/// restores the byte-exact store.
 #[test]
-fn durable_stream_artifact_scrubs_clean_after_flip() {
+fn durable_store_artifact_scrubs_clean_after_flip() {
     let dir = temp_dir("durable");
-    let path = dir.join("run.pstrs");
-    let values = patterned(81 * 6);
-    let mut w = StreamWriter::create(&path, golden_compressor(), 1, 2).unwrap();
-    w.write_values(&values).unwrap();
+    let path = dir.join("run.eristore");
+    let geometry = golden_compressor().geometry();
+    let mut w = StoreWriter::create_durable(&path, geometry, EB, 2).unwrap();
+    w.append_blocks(&patterned(81 * 6)).unwrap();
     w.finish().unwrap();
     let clean = std::fs::read(&path).unwrap();
 
-    // Aim the injector at the middle of segment 2's container payload
-    // (a flip on the stream *framing* varints would sever the tail —
-    // that degradation is covered by the salvage tests).
-    let (seg_start, seg_end) = segment_range(&clean, 2);
-    let at = ((seg_start + seg_end) / 2) as u64;
+    // Aim the injector at the middle of block 2's container.
+    let (offset, len) = common::block_span(&clean, 2);
+    let at = offset + len / 2;
     BitFlipper::new(at, at + 8, 1, 42).apply_to_file(&path).unwrap();
     assert_ne!(std::fs::read(&path).unwrap(), clean);
 
     let (res, _) = run_cli(&["scrub", path.to_str().unwrap(), "--repair"]);
-    assert!(res.is_ok(), "one flip is within every segment's budget");
+    assert!(res.is_ok(), "one flip is within every stripe's budget");
     assert_eq!(std::fs::read(&path).unwrap(), clean);
+    assert!(StoreReader::open(&path).unwrap().scrub().unwrap().is_clean());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -92,24 +92,22 @@ fn telemetry_never_changes_the_output_bytes() {
 }
 
 #[test]
-fn durable_stream_writer_publishes_one_span_per_batch() {
+fn durable_store_writer_publishes_one_span_per_batch() {
     let _guard = lock();
     let (geom, data) = dd_dataset(8);
-    let compressor = Compressor::new(geom, 1e-10);
 
     telemetry::reset();
     telemetry::set_enabled(true);
-    let mut w = pastri::stream::StreamWriter::new(Vec::new(), compressor, 2, 2).expect("writer");
-    w.write_values(&data).expect("write");
-    let (sink, cp) = w.finish().expect("finish");
+    let mut sink = Vec::new();
+    let mut w = eri_store::StoreWriter::new(&mut sink, geom, 1e-10, 4).expect("writer");
+    w.append_blocks(&data).expect("append");
+    assert_eq!(w.finish().expect("finish"), 8);
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
 
     assert!(!sink.is_empty());
-    assert_eq!(cp.segments, 4);
-    // 8 blocks at 2 blocks/segment and 2 segments/checkpoint: two full
-    // batches, each one span and one commit record; `finish` has no
-    // tail left to commit.
+    // 8 blocks at 4 blocks/checkpoint: two full batches, each one span
+    // and one commit record; `finish` has no tail left to commit.
     assert_eq!(snap.spans_named("durable.commit_batch").count(), 2);
     assert_eq!(snap.counter("durable.checkpoints"), 2);
 }
@@ -163,28 +161,23 @@ fn durable_fsyncs_are_counted_and_timed() {
     telemetry::set_enabled(true);
     durable::atomic_write(&path, b"payload").expect("atomic write");
     let after_atomic = telemetry::snapshot().counter("durable.fsyncs");
-    // A fresh durable stream fsyncs its directory before any write, so
+    // A fresh durable store fsyncs its directory before any write, so
     // the new artifact's entry survives a power loss.
-    let stream_path = dir.join("fsync-probe.pstrs");
-    let w = pastri::stream::StreamWriter::create(
-        &stream_path,
-        Compressor::new(BlockGeometry::new(4, 9), 1e-10),
-        1,
-        1,
-    )
-    .expect("create durable stream");
+    let store_path = dir.join("fsync-probe.eristore");
+    let w = eri_store::StoreWriter::create_durable(&store_path, BlockGeometry::new(4, 9), 1e-10, 1)
+        .expect("create durable store");
     let after_create = telemetry::snapshot().counter("durable.fsyncs");
     drop(w);
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&stream_path);
+    let _ = std::fs::remove_file(&store_path);
 
     // atomic_write fsyncs the file and its directory.
     assert!(after_atomic >= 2, "{:?}", snap.counters);
     assert!(
         after_create > after_atomic,
-        "StreamWriter::create must fsync the parent directory"
+        "StoreWriter::create_durable must fsync the parent directory"
     );
     let hist = snap
         .histograms
