@@ -2,10 +2,9 @@
 //! hybrid-configuration claim.
 
 use bench::{
-    benchmark_molecule, geometry_of, print_header, print_row, standard_dataset, standard_datasets,
-    Claims, Codec, RoundTrip, CLUSTER_COPIES, CLUSTER_SPACING, ERROR_BOUNDS,
+    benchmark_molecule, print_header, print_row, standard_dataset, standard_datasets, Claims,
+    Codec, RoundTrip, CLUSTER_COPIES, CLUSTER_SPACING, ERROR_BOUNDS,
 };
-use pastri::Compressor;
 use pfs_sim::{
     gamess_eri_rate_mbs, CompressorProfile, DumpLoadModel, GpfsModel, IoPhases, ReuseModel,
 };
@@ -66,25 +65,19 @@ pub fn fig8(_: &mut Claims) {
 ///
 /// Paper: at EB = 1e-10, SZ reaches 7.24×, ZFP 5.92×, PaSTRI up to 16.8×
 /// (~2.5× better on average). Three molecules × {(dd|dd),(ff|ff)} ×
-/// EB ∈ {1e-11, 1e-10, 1e-9}. The last column is PaSTRI with its
-/// default 2-of-8 parity, the cost of self-healing containers. A
-/// lossless row (Gzip-like, FPC) backs the related-work claim of
+/// EB ∈ {1e-11, 1e-10, 1e-9}. A lossless row (Gzip-like, FPC) backs the related-work claim of
 /// ~1.1–2×.
 pub fn fig9a(claims: &mut Claims) {
     println!("Fig. 9(a) reproduction — compression ratios\n");
-    let widths = [9usize, 22, 8, 8, 8, 16];
+    let widths = [9usize, 22, 8, 8, 8];
     for eb in ERROR_BOUNDS {
         println!("EB = {eb:.0e}:");
-        print_header(" | dataset | SZ | ZFP | PaSTRI | PaSTRI+parity", &widths);
-        let mut sums = [RoundTrip::default(); 4];
+        print_header(" | dataset | SZ | ZFP | PaSTRI", &widths);
+        let mut sums = [RoundTrip::default(); 3];
         let mut pastri_wins = true;
         for ds in standard_datasets() {
             let mut cells = vec![String::new(), ds.label.clone()];
-            let mut rts = Codec::ALL
-                .map(|c| c.round_trip(&ds.values, ds.config, eb))
-                .to_vec();
-            let with_parity = Compressor::new(geometry_of(ds.config), eb);
-            rts.push(RoundTrip::of(&with_parity, &ds.values));
+            let rts = Codec::ALL.map(|c| c.round_trip(&ds.values, ds.config, eb));
             pastri_wins &= rts[2].ratio() > rts[0].ratio().max(rts[1].ratio());
             for (sum, rt) in sums.iter_mut().zip(&rts) {
                 sum.add(*rt);

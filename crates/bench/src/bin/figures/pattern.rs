@@ -2,12 +2,12 @@
 //! Figs. 3–6.
 
 use bench::{
-    benchmark_molecule, geometry_of, option_table, pastri_compressor, print_header, print_row,
-    standard_dataset, standard_datasets, Claims, Codec, RoundTrip,
+    benchmark_molecule, geometry_of, option_table, print_header, print_row, standard_dataset,
+    standard_datasets, Claims, Codec, RoundTrip,
 };
 use pastri::{
-    ecq_bits, fit_pattern, BlockTypeStats, CompressionStats, CompressorOptions, PatternFit,
-    Quantizer, ScaleQuantizer, ScalingMetric,
+    ecq_bits, fit_pattern, BlockTypeStats, CompressionStats, Compressor, CompressorOptions,
+    PatternFit, Quantizer, ScaleQuantizer, ScalingMetric,
 };
 use qchem::basis::BfConfig;
 use qchem::dataset::{DatasetSpec, EriDataset};
@@ -184,7 +184,7 @@ pub fn fig4(claims: &mut Claims) {
     let config = BfConfig::dd_dd();
     let model = EriDataset::generate_model(config, 1000, 4242);
     let cr_of = |options, values: &[f64]| {
-        RoundTrip::of(&pastri_compressor(config, eb, options), values).ratio()
+        RoundTrip::of(&Compressor::with_options(geometry_of(config), eb, options), values).ratio()
     };
     let (fr, er) = (metrics[0], metrics[1]); // ScalingMetric::ALL order
     let (fr_m, er_m) = (cr_of(fr, &model.values), cr_of(er, &model.values));
@@ -303,7 +303,7 @@ pub fn fig6(claims: &mut Claims) {
     let eb = 1e-10;
     println!("Fig. 6 reproduction — ECQ distribution by block type (EB = {eb:.0e})\n");
     let census = |config, values: &[f64]| {
-        pastri_compressor(config, eb, CompressorOptions::default())
+        Compressor::new(geometry_of(config), eb)
             .compress_with_stats(values)
             .1
     };

@@ -3,13 +3,13 @@
 //! ablations.
 
 use bench::{
-    geometry_of, option_table, pastri_compressor, print_header, print_row, standard_dataset,
-    standard_datasets, Claims, Codec, RoundTrip, MOLECULES,
+    geometry_of, option_table, print_header, print_row, standard_dataset, standard_datasets,
+    Claims, Codec, RoundTrip, MOLECULES,
 };
 use codecs::huffman::{HuffmanCode, MAX_ALPHABET};
 use pastri::{
-    ecq_bits, fit_pattern, CompressionStats, CompressorOptions, EcqRepr, EncodingTree, Quantizer,
-    ScaleQuantizer, ScaleRule, ScalingMetric,
+    ecq_bits, fit_pattern, CompressionStats, Compressor, CompressorOptions, EcqRepr, EncodingTree,
+    Quantizer, ScaleQuantizer, ScaleRule, ScalingMetric,
 };
 use qchem::basis::BfConfig;
 
@@ -76,7 +76,7 @@ pub fn storage(claims: &mut Claims) {
     };
     let mut agg = CompressionStats::default();
     for ds in standard_datasets() {
-        let compressor = pastri_compressor(ds.config, eb, CompressorOptions::default());
+        let compressor = Compressor::new(geometry_of(ds.config), eb);
         let (_, stats) = compressor.compress_with_stats(&ds.values);
         row(ds.label.clone(), &stats);
         agg.merge(&stats);

@@ -3,7 +3,7 @@
 use std::fs;
 use std::io::Write;
 
-use pastri::{BlockGeometry, Compressor, CompressorOptions, EncodingTree, ScalingMetric};
+use pastri::BlockGeometry;
 use qchem::basis::BfConfig;
 use qchem::dataset::{DatasetSpec, EriDataset};
 use qchem::molecule::Molecule;
@@ -134,31 +134,6 @@ fn parse_config(args: &Args) -> Result<BfConfig, CliError> {
         .ok_or_else(|| CliError::new(format!("--config: `{raw}` is not a BF configuration")))
 }
 
-fn parse_options(args: &Args) -> Result<CompressorOptions, CliError> {
-    let metric = match args.get("metric").unwrap_or("ER").to_ascii_uppercase().as_str() {
-        "FR" => ScalingMetric::Fr,
-        "ER" => ScalingMetric::Er,
-        "AR" => ScalingMetric::Ar,
-        "AAR" => ScalingMetric::Aar,
-        "IS" => ScalingMetric::Is,
-        other => return Err(CliError::new(format!("--metric: unknown metric `{other}`"))),
-    };
-    let tree = match args.get("tree").unwrap_or("5") {
-        "1" => EncodingTree::Tree1,
-        "2" => EncodingTree::Tree2,
-        "3" => EncodingTree::Tree3,
-        "4" => EncodingTree::Tree4,
-        "5" => EncodingTree::Tree5,
-        "fixed" => EncodingTree::FixedLength,
-        other => return Err(CliError::new(format!("--tree: unknown tree `{other}`"))),
-    };
-    Ok(CompressorOptions {
-        metric,
-        tree,
-        ..Default::default()
-    })
-}
-
 /// Runs `f` on a rayon pool of `threads` workers, or on the global
 /// pool when `threads` is 0 (RAYON_NUM_THREADS, then available
 /// parallelism). Output is byte-identical at every thread count.
@@ -177,81 +152,15 @@ fn with_threads<T: Send>(
 }
 
 const COMPRESS: Flags = Flags {
-    values: &[
-        "config", "eb", "threads", "metric", "tree", "checkpoint-every", "telemetry",
-        "telemetry-out",
-    ],
+    values: &["config", "eb", "threads", "checkpoint-every", "telemetry", "telemetry-out"],
     switches: &["resume"],
 };
 
-/// `pastri compress <in.f64> <out.pastri> --config ... [--eb ...]
-/// [--threads N] [--metric M] [--tree T]`. An `<out>` ending in
-/// `.eristore` writes the block store `pastri serve` mounts instead of
-/// a container, durably: `[--checkpoint-every N] [--resume]`.
-pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv, &COMPRESS)?;
-    let telem = telemetry_capture(&args)?;
-    let input = args.positional(0, "in.f64")?;
-    let output = args.positional(1, "out.pastri")?;
-    let config = parse_config(&args)?;
-    let eb = args.get_f64("eb", 1e-10)?;
-    if !(eb.is_finite() && eb > 0.0) {
-        return Err(CliError::new("--eb must be finite and > 0"));
-    }
-    let threads = args.get_usize("threads", 0)?;
-    if output.ends_with(".eristore") {
-        compress_store(&args, input, output, config, eb, threads, out)?;
-    } else {
-        compress_container(&args, input, output, config, eb, threads, out)?;
-    }
-    if let Some(t) = telem {
-        t.finish(out)?;
-    }
-    Ok(())
-}
-
-/// `compress` to a container: the whole input in memory, written
-/// atomically.
-fn compress_container(
-    args: &Args,
-    input: &str,
-    output: &str,
-    config: BfConfig,
-    eb: f64,
-    threads: usize,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    if args.get("checkpoint-every").is_some() || args.switch("resume") {
-        return Err(CliError::new(
-            "--checkpoint-every and --resume apply only to a .eristore output",
-        ));
-    }
-    let compressor = Compressor::with_options(
-        BlockGeometry::from_dims(config.dims()),
-        eb,
-        parse_options(args)?,
-    );
-    let data = read_f64_file(input)?;
-    let (bytes, stats) = with_threads(threads, || Ok(compressor.compress_with_stats(&data)))?;
-    durable::atomic_write(std::path::Path::new(output), &bytes)
-        .map_err(|e| CliError::new(format!("writing {output}: {e}")))?;
-    writeln!(
-        out,
-        "{} -> {}: {} -> {} bytes (ratio {:.2}x, {:.2} bits/value, EB {:.1e})",
-        input,
-        output,
-        data.len() * 8,
-        bytes.len(),
-        stats.compression_ratio(),
-        stats.bitrate(),
-        eb
-    )?;
-    Ok(())
-}
-
-/// `compress` to a `.eristore`: one block store of whole `--config`
-/// blocks at default compressor options, the header recording only
-/// geometry and error bound. The input is read `--checkpoint-every`
+/// `pastri compress <in.f64> <out> --config ... [--eb ...] [--threads N]
+/// [--checkpoint-every N] [--resume]`: writes the durable block store
+/// `pastri serve` mounts, whatever `<out>` is named — one store of whole
+/// `--config` blocks at default compressor options, the header recording
+/// only geometry and error bound. The input is read `--checkpoint-every`
 /// blocks at a time (default 1024), so memory is bounded by one batch;
 /// each batch is compressed on the rayon crew, appended and committed
 /// in-band with one fsync. `--resume` cuts an interrupted store back to
@@ -259,20 +168,17 @@ fn compress_container(
 /// finished store is byte-identical to an uninterrupted run. Until
 /// `finish` appends the index and trailer the file has no trailer, so a
 /// torn write is refused by `serve` and `verify` rather than read.
-fn compress_store(
-    args: &Args,
-    input: &str,
-    output: &str,
-    config: BfConfig,
-    eb: f64,
-    threads: usize,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    if let Some(flag) = ["metric", "tree"].into_iter().find(|flag| args.get(flag).is_some()) {
-        return Err(CliError::new(format!(
-            "--{flag} does not apply to a .eristore output (stores use default options)"
-        )));
+pub(crate) fn compress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let args = Args::parse(argv, &COMPRESS)?;
+    let telem = telemetry_capture(&args)?;
+    let input = args.positional(0, "in.f64")?;
+    let output = args.positional(1, "out.eristore")?;
+    let config = parse_config(&args)?;
+    let eb = args.get_f64("eb", 1e-10)?;
+    if !(eb.is_finite() && eb > 0.0) {
+        return Err(CliError::new("--eb must be finite and > 0"));
     }
+    let threads = args.get_usize("threads", 0)?;
     let checkpoint_every = args.get_usize("checkpoint-every", 1024)?;
     if checkpoint_every == 0 {
         return Err(CliError::new("--checkpoint-every must be at least 1"));
@@ -329,6 +235,9 @@ fn compress_store(
         "{input} -> {output} (block store, durable{resumed}, {blocks} blocks): {total_in} -> {out_len} bytes (ratio {:.2}x, EB {eb:.1e})",
         total_in as f64 / out_len as f64
     )?;
+    if let Some(t) = telem {
+        t.finish(out)?;
+    }
     Ok(())
 }
 
@@ -372,52 +281,71 @@ const DECOMPRESS: Flags = Flags {
     switches: &[],
 };
 
-/// `pastri decompress <in> <out.f64>`: a container, a stream or a
-/// block store, told apart by magic.
+/// `pastri decompress <in> <out.f64>`: a block store, a container or a
+/// stream, told apart by magic.
 pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &DECOMPRESS)?;
     let telem = telemetry_capture(&args)?;
-    let input = args.positional(0, "in.pastri")?;
+    let input = args.positional(0, "in")?;
     let output = args.positional(1, "out.f64")?;
-    let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
-    // A decode failure in a file that carries a PaSTRI magic is
-    // corruption in a recognized artifact (exit 2); anything else is a
-    // format/usage error (exit 1).
-    let recognized = bytes.starts_with(b"PSTR");
-    let decode_err = |msg: String| {
-        if recognized {
-            CliError::corruption(msg)
-        } else {
-            CliError::new(msg)
-        }
-    };
-    let values = if bytes.starts_with(b"ERISTOR") {
-        eri_store::StoreReader::from_source(bytes.as_slice(), eri_store::RetryPolicy::none())
-            .and_then(|r| r.read_all())
-            .map_err(|e| match e {
-                eri_store::StoreError::Io(_) => CliError::new(format!("{input}: {e}")),
-                e => CliError::corruption(format!("{input}: {e}")),
-            })?
-    } else if bytes.starts_with(b"PSTRS") {
-        pastri::stream::StreamReader::new(bytes.as_slice())
-            .and_then(pastri::stream::StreamReader::read_to_vec)
-            .map_err(|e| decode_err(format!("{input}: {e}")))?
+    let values = if matches!(sniff(input), Ok(Artifact::Store)) {
+        decompress_store(input, output)?
     } else {
-        pastri::decompress(&bytes).map_err(|e| decode_err(format!("{input}: {e}")))?
+        let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
+        // A decode failure in a file that carries a PaSTRI magic is
+        // corruption in a recognized artifact (exit 2); anything else is
+        // a format/usage error (exit 1).
+        let decode_err = |e: pastri::DecompressError| {
+            let msg = format!("{input}: {e}");
+            if bytes.starts_with(b"PSTR") {
+                CliError::corruption(msg)
+            } else {
+                CliError::new(msg)
+            }
+        };
+        let values = if bytes.starts_with(b"PSTRS") {
+            pastri::stream::StreamReader::new(bytes.as_slice())
+                .and_then(pastri::stream::StreamReader::read_to_vec)
+                .map_err(decode_err)?
+        } else {
+            pastri::decompress(&bytes).map_err(decode_err)?
+        };
+        write_f64_file(output, &values)?;
+        values.len()
     };
-    write_f64_file(output, &values)?;
-    writeln!(
-        out,
-        "{} -> {}: {} values ({} bytes)",
-        input,
-        output,
-        values.len(),
-        values.len() * 8
-    )?;
+    writeln!(out, "{input} -> {output}: {values} values ({} bytes)", values * 8)?;
     if let Some(t) = telem {
         t.finish(out)?;
     }
     Ok(())
+}
+
+/// Decodes a block store into `output` one block at a time, through a
+/// buffered atomic file committed once at the end, so memory holds one
+/// block rather than the store and every value. Store damage is exit 2,
+/// I/O trouble exit 1. Returns the number of values written.
+fn decompress_store(input: &str, output: &str) -> Result<usize, CliError> {
+    let store_err = |e: eri_store::StoreError| match e {
+        eri_store::StoreError::Io(_) => CliError::new(format!("{input}: {e}")),
+        e => CliError::corruption(format!("{input}: {e}")),
+    };
+    let write_err = |e: std::io::Error| CliError::new(format!("writing {output}: {e}"));
+    let store = eri_store::StoreReader::open(std::path::Path::new(input)).map_err(store_err)?;
+    let file = durable::AtomicFile::create(std::path::Path::new(output)).map_err(write_err)?;
+    let mut sink = std::io::BufWriter::new(file);
+    let mut values = 0;
+    for i in 0..store.num_blocks() {
+        let block = store.read_block(i).map_err(store_err)?;
+        for v in &block {
+            sink.write_all(&v.to_le_bytes()).map_err(write_err)?;
+        }
+        values += block.len();
+    }
+    sink.into_inner()
+        .map_err(|e| write_err(e.into_error()))?
+        .commit()
+        .map_err(write_err)?;
+    Ok(values)
 }
 
 /// `pastri inspect <in.pastri>`: header metadata + per-kind block census
@@ -431,7 +359,7 @@ pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
     // lands here as one), is not a container: exit 1.
     let inspect_err = |e: pastri::DecompressError| {
         let msg = format!("{input}: {e}");
-        if bytes.starts_with(b"PSTR") && !matches!(e, pastri::DecompressError::BadVersion(_)) {
+        if bytes.starts_with(b"PSTR") && !matches!(e, pastri::DecompressError::BadVersion { .. }) {
             CliError::corruption(msg)
         } else {
             CliError::new(msg)
@@ -955,7 +883,7 @@ pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 const SOAK: Flags = Flags {
     values: &[
         "telemetry", "telemetry-out", "seed", "ops", "stores", "scale", "eb", "subblocks",
-        "subblock-size", "read-weight", "container-weight", "crash-weight", "scrub-weight",
+        "subblock-size", "read-weight", "crash-weight", "scrub-weight",
         "bit-flip-every", "flips-per-event", "transient-rate",
         "max-transients", "slo-read-p99-us", "slo-min-repair-success", "slo-max-quarantined",
         "slo-max-resident-values", "seconds", "bench-out", "replicas", "clients", "requests",
@@ -998,8 +926,6 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
     );
     cfg.mix = soak::OpMix {
         read: args.get_usize("read-weight", cfg.mix.read as usize)? as u32,
-        write_container: args.get_usize("container-weight", cfg.mix.write_container as usize)?
-            as u32,
         crash_resume: args.get_usize("crash-weight", cfg.mix.crash_resume as usize)? as u32,
         scrub: args.get_usize("scrub-weight", cfg.mix.scrub as usize)? as u32,
     };
@@ -1905,14 +1831,15 @@ mod tests {
             &mut out,
         )
         .unwrap();
+        // Whatever the output is named, it is a block store.
+        assert!(fs::read(&comp).unwrap().starts_with(b"ERISTOR"));
         decompress(&sv(&[&comp, &back]), &mut out).unwrap();
         assess(&sv(&[&raw, &back]), &mut out).unwrap();
-        inspect(&sv(&[&comp]), &mut out).unwrap();
 
         let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("block store"), "{text}");
         assert!(text.contains("ratio"), "{text}");
         assert!(text.contains("max abs err"), "{text}");
-        assert!(text.contains("valid PaSTRI container"), "{text}");
 
         // The round trip respects the bound.
         let orig = read_f64_file(&raw).unwrap();
@@ -1971,7 +1898,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        // Container and store outputs must not depend on --threads.
+        // Stores must not depend on --threads, at either cadence.
         for (ext, extra) in [("out", &[][..]), ("eristore", &["--checkpoint-every", "2"][..])] {
             let mut baseline: Option<Vec<u8>> = None;
             for threads in ["1", "2", "4", "8"] {
@@ -1988,12 +1915,14 @@ mod tests {
         }
     }
 
-    /// A copy in `dir` of the golden version-1 stream with parity
-    /// (five one-block segments).
-    fn golden_stream(dir: &std::path::Path, name: &str) -> String {
-        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v3_stream.pstrs");
+    /// A copy in `dir` of a golden fixture: nothing writes containers
+    /// with parity or streams any more. `v3_stream.pstrs` is a version-1
+    /// stream of five one-block segments; `v3_container.pastri` holds
+    /// five blocks in one parity group of two shards.
+    fn golden_copy(dir: &std::path::Path, fixture: &str, name: &str) -> String {
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
         let path = dir.join(name);
-        fs::copy(golden, &path).unwrap();
+        fs::copy(golden.join(fixture), &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 
@@ -2007,7 +1936,7 @@ mod tests {
     #[test]
     fn verify_and_salvage_damaged_stream() {
         let dir = tmpdir();
-        let comp = golden_stream(&dir, "v.pstrs");
+        let comp = golden_copy(&dir, "v3_stream.pstrs", "v.pstrs");
         let fixed = dir.join("v-fixed.pstrs").to_string_lossy().into_owned();
 
         // Clean stream verifies with exit 0.
@@ -2057,10 +1986,10 @@ mod tests {
     }
 
     #[test]
-    fn compressed_store_serves_what_the_container_decompresses() {
+    fn served_store_matches_its_decompress() {
         let dir = tmpdir();
         let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-        let (raw, store, comp) = (path("s.f64"), path("s.eristore"), path("s.pastri"));
+        let (raw, store) = (path("s.f64"), path("s.eristore"));
         let (served, direct) = (path("s-served.f64"), path("s-direct.f64"));
         let mut out = Vec::new();
         generate(
@@ -2071,17 +2000,8 @@ mod tests {
         compress(&sv(&[&raw, &store, "--config", "dddd"]), &mut out).unwrap();
         verify(&sv(&[&store]), &mut out).unwrap();
         serve(&sv(&[&store, "--out", &served]), &mut out).unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
-        decompress(&sv(&[&comp, &direct]), &mut out).unwrap();
+        decompress(&sv(&[&store, &direct]), &mut out).unwrap();
         assert_eq!(fs::read(&served).unwrap(), fs::read(&direct).unwrap());
-
-        // Options a store header cannot record are usage errors.
-        for (flag, value) in [("--metric", "AR"), ("--tree", "3")] {
-            let argv = sv(&[&raw, &path("s-bad.eristore"), "--config", "dddd", flag, value]);
-            let err = compress(&argv, &mut out).unwrap_err();
-            assert_eq!(err.code, 1, "{flag}");
-            assert!(err.message.contains(".eristore"), "{flag}: {}", err.message);
-        }
     }
 
     #[test]
@@ -2128,26 +2048,12 @@ mod tests {
         assert_eq!(err.code, 1);
         assert!(err.message.contains("whole number"), "{}", err.message);
         assert!(!dir.join("r-ragged.eristore").exists());
-        // Durability flags are for stores only.
-        for extra in [&["--resume"][..], &["--checkpoint-every", "2"][..]] {
-            let mut argv = sv(&[&raw, &path("r.pastri"), "--config", "dddd"]);
-            argv.extend(sv(extra));
-            assert_eq!(compress(&argv, &mut out).unwrap_err().code, 1, "{extra:?}");
-        }
     }
 
     #[test]
     fn verify_dispatches_on_container_magic() {
         let dir = tmpdir();
-        let raw = dir.join("c.f64").to_string_lossy().into_owned();
-        let comp = dir.join("c.pastri").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "4", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+        let comp = golden_copy(&dir, "v3_container.pastri", "c.pastri");
         verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
 
         // Damage near the end lands in the parity section: the data is
@@ -2183,15 +2089,7 @@ mod tests {
     #[test]
     fn scrub_heals_container_in_place() {
         let dir = tmpdir();
-        let raw = dir.join("sc.f64").to_string_lossy().into_owned();
-        let comp = dir.join("sc.pastri").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "6", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+        let comp = golden_copy(&dir, "v3_container.pastri", "sc.pastri");
         let clean = fs::read(&comp).unwrap();
 
         // Clean file: scrub is a no-op with exit 0.
@@ -2223,15 +2121,7 @@ mod tests {
     #[test]
     fn scrub_quarantines_unrepairable_container() {
         let dir = tmpdir();
-        let raw = dir.join("sq.f64").to_string_lossy().into_owned();
-        let comp = dir.join("sq.pastri").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "6", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+        let comp = golden_copy(&dir, "v3_container.pastri", "sq.pastri");
         let clean = fs::read(&comp).unwrap();
 
         // Damage three block payloads in the same parity group: one more
@@ -2256,7 +2146,7 @@ mod tests {
     #[test]
     fn scrub_heals_stream_and_store_in_place() {
         let dir = tmpdir();
-        let comp = golden_stream(&dir, "ss.pstrs");
+        let comp = golden_copy(&dir, "v3_stream.pstrs", "ss.pstrs");
         let clean = fs::read(&comp).unwrap();
         scrub(&sv(&[&comp]), &mut Vec::new()).unwrap();
 
@@ -2374,7 +2264,7 @@ mod tests {
         let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmpdir();
         let raw = dir.join("tel.f64").to_string_lossy().into_owned();
-        let comp = dir.join("tel.pastri").to_string_lossy().into_owned();
+        let comp = dir.join("tel.eristore").to_string_lossy().into_owned();
         let back = dir.join("tel-back.f64").to_string_lossy().into_owned();
         let jsonl = dir.join("tel.jsonl").to_string_lossy().into_owned();
         let trace = dir.join("tel.trace.json").to_string_lossy().into_owned();
@@ -2438,15 +2328,7 @@ mod tests {
     #[test]
     fn inspect_prints_storage_breakdown() {
         let dir = tmpdir();
-        let raw = dir.join("ib.f64").to_string_lossy().into_owned();
-        let comp = dir.join("ib.pastri").to_string_lossy().into_owned();
-        let mut out = Vec::new();
-        generate(
-            &sv(&[&raw, "--config", "dddd", "--blocks", "6", "--model"]),
-            &mut out,
-        )
-        .unwrap();
-        compress(&sv(&[&raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+        let comp = golden_copy(&dir, "v3_container.pastri", "ib.pastri");
         let mut ins_out = Vec::new();
         inspect(&sv(&[&comp]), &mut ins_out).unwrap();
         let text = String::from_utf8(ins_out).unwrap();
@@ -2457,15 +2339,5 @@ mod tests {
         // The printed raw bits must match the wire-walk accounting.
         let stats = pastri::container_bit_stats(&fs::read(&comp).unwrap()).unwrap();
         assert!(text.contains(&format!("ecq {} bits", stats.ecq_bits)), "{text}");
-    }
-
-    #[test]
-    fn metric_and_tree_flags() {
-        let args = Args::parse(&sv(&["--metric", "aar", "--tree", "3"]), &COMPRESS).unwrap();
-        let opts = parse_options(&args).unwrap();
-        assert_eq!(opts.metric, ScalingMetric::Aar);
-        assert_eq!(opts.tree, EncodingTree::Tree3);
-        let args = Args::parse(&sv(&["--metric", "nope"]), &COMPRESS).unwrap();
-        assert!(parse_options(&args).is_err());
     }
 }

@@ -2,17 +2,18 @@
 //!
 //! Subcommands (see [`run`]):
 //!
-//! * `compress`   — raw little-endian f64 file → PaSTRI container, or,
-//!   when the output ends `.eristore`, the durable ERI block store
-//!   `serve` mounts (bounded memory, in-band commits, `--resume`)
-//! * `decompress` — PaSTRI container, stream or block store → raw f64
+//! * `compress`   — raw little-endian f64 file → the durable ERI block
+//!   store `serve` mounts (bounded memory, in-band commits, `--resume`),
+//!   whatever the output is named
+//! * `decompress` — block store, PaSTRI container or stream → raw f64
 //!   file
 //! * `inspect`    — print container metadata and per-block-kind census
+//!   (containers are read-only: the golden fixtures and older files)
 //! * `verify`     — integrity-scan a container/stream/store; non-zero
 //!   exit with a per-block damage report when anything is corrupt
 //! * `scrub`      — classify damage as repairable/unrepairable; with
-//!   `--repair`, heal it in place from the artifact's parity (container
-//!   parity sections, store stripes)
+//!   `--repair`, heal it in place from the artifact's parity (store
+//!   stripes, or the parity section of a read-only v3 container)
 //! * `salvage`    — rewrite a damaged stream (the read-only format of
 //!   the golden fixtures), repairing what parity covers and keeping
 //!   intact segments
@@ -128,11 +129,9 @@ pub(crate) fn usage() -> &'static str {
     "pastri — error-bounded lossy compression for two-electron integrals
 
 USAGE:
-  pastri compress   <in.f64> <out.pastri> --config (dd|dd) --eb 1e-10
-                    [--metric ER] [--tree 5]
   pastri compress   <in.f64> <out.eristore> --config (dd|dd) --eb 1e-10
-                    [--checkpoint-every 1024] [--resume]
-  pastri decompress <in.pastri|in.pstrs|in.eristore> <out.f64>
+                    [--threads N] [--checkpoint-every 1024] [--resume]
+  pastri decompress <in.eristore|in.pastri|in.pstrs> <out.f64>
   pastri inspect    <in.pastri>
   pastri verify     <file>            (container, stream, or ERI store)
   pastri scrub      <file> [--repair] (heal damage in place from parity)
@@ -160,8 +159,6 @@ USAGE:
 FLAGS:
   --config   BF configuration, e.g. '(dd|dd)', '(ff|ff)', 'fdff'
   --eb       absolute error bound (default 1e-10)
-  --metric   FR | ER | AR | AAR | IS        (default ER)
-  --tree     1..5 or 'fixed'                (default 5)
   --molecule benzene | glutamine | alanine
   --cluster  tile N copies at 4.5 A (production-scale far-field mix)
   --model    use the fast Eq.-3 far-field model generator
@@ -175,10 +172,11 @@ TELEMETRY (compress, decompress, scrub, soak, serve, fetch):
   --telemetry-out FILE  write the capture to FILE instead of stdout.
 
 DURABILITY (block stores):
-  A .eristore output is written durably with bounded memory: the input
-  is read one batch of blocks at a time, and each batch is sealed by a
-  commit record inside <out> itself and made durable by one fsync; no
-  other file is written.
+  `compress` always writes a block store (ER metric, Tree 5), durably
+  and with bounded memory, whatever <out> is named: the input is read
+  one batch of blocks at a time, and each batch is sealed by a commit
+  record inside <out> itself and made durable by one fsync; no other
+  file is written. `decompress` of a store writes one block at a time.
   --checkpoint-every N   blocks per durable batch (default 1024)
   --resume               continue an interrupted run: finds the last
                          verified commit, discards the torn tail, skips
@@ -188,15 +186,15 @@ DURABILITY (block stores):
 
 SOAK (deterministic fault-storm harness with SLO gates):
   `pastri soak` runs a seeded mixed workload (reads with repair-on-read,
-  container writes, durable store writes torn mid-byte and resumed,
-  scrubs) across many stores concurrently while injecting bit-flip SDC
-  and transient read errors. For a fixed --seed and --ops budget the
+  durable store writes torn mid-byte and resumed, scrubs) across many
+  stores concurrently while injecting bit-flip SDC and transient read
+  errors. For a fixed --seed and --ops budget the
   op/fault tallies are bit-identical at any thread count. At the end it
   verifies zero data loss and evaluates the configured SLO gates.
   --ops N / --seconds S       op-count or wall-clock budget
   --stores N / --scale N      concurrency and blocks-per-store knobs
-  --read-weight --container-weight --crash-weight
-  --scrub-weight              op-mix weights (default 6/1/3/2)
+  --read-weight --crash-weight
+  --scrub-weight              op-mix weights (default 6/4/2)
   --bit-flip-every N --flips-per-event K
   --transient-rate P          fault schedule (0 disables a class)
   --slo-read-p99-us N --slo-min-repair-success F
@@ -205,14 +203,13 @@ SOAK (deterministic fault-storm harness with SLO gates):
 
 CACHE SERVER (`serve`):
   `pastri compress <in.f64> <out.eristore>` writes a block store: the
-  input must hold whole --config blocks, compressed at default options
-  (--metric and --tree do not apply). `pastri serve` mounts
+  input must hold whole --config blocks. `pastri serve` mounts
   one or more stores (shared geometry and error bound) as one global
   block index space, one reader per store shared by every thread, plus
   a byte-budgeted hot-block cache (--cache-mb), then serves the
   requested blocks in order (all blocks when --blocks is omitted);
-  --out writes them as raw f64, byte-identical to compressing to a
-  container and decompressing. Damaged blocks heal from parity on read
+  --out writes them as raw f64, byte-identical to `pastri decompress`
+  of the same store. Damaged blocks heal from parity on read
   and are counted as `repaired on read`.
 
 REMOTE SERVING (`serve --listen` / `fetch`):
@@ -256,8 +253,9 @@ OVERLOAD PROTECTION (DESIGN §14):
   a graceful drain whose books prove no admitted request was dropped.
 
 SELF-HEALING:
-  Containers carry Reed-Solomon parity by default (v3): up to 2 damaged
-  blocks per group of 8 rebuild bit-exact. `verify` classifies damage as
+  Block stores carry Reed-Solomon parity: 2 shards per stripe of 8
+  blocks rebuild any 2 damaged pieces bit-exact (read-only v3 containers
+  carry their own 2-of-8 group parity). `verify` classifies damage as
   repairable/unrepairable; `scrub --repair` heals repairable damage in
   place (atomic rewrite), quarantining the damaged original at
   <file>.quarantine when anything is beyond the parity budget.

@@ -83,6 +83,13 @@ fn shred_store_block(path: &str, i: usize) {
     fs::write(path, bytes).unwrap();
 }
 
+/// A copy at `dest` of the golden fixture `name`: nothing writes
+/// containers with parity or streams any more.
+fn copy_golden(name: &str, dest: &str) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name);
+    fs::copy(golden, dest).unwrap();
+}
+
 /// `(container length, offset)` of a stream's first segment, found by
 /// the stream module's walker.
 fn first_segment(bytes: &[u8]) -> (usize, usize) {
@@ -99,23 +106,16 @@ fn exit_codes_follow_the_documented_contract() {
     let stream = p(&dir, "clean.pstrs");
     let missing = p(&dir, "no-such-file");
 
-    // Fixtures: a model dataset, a clean container, and a clean stream
-    // copied from the golden fixture (nothing writes streams any more).
+    // Fixtures: a model dataset, and a clean container and a clean
+    // stream copied from the golden fixtures.
     assert_eq!(
         exit_code(&sv(&[
             "gen", &raw, "--config", "dddd", "--blocks", "8", "--model"
         ])),
         0
     );
-    assert_eq!(
-        exit_code(&sv(&["compress", &raw, &container, "--config", "dddd"])),
-        0
-    );
-    fs::copy(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/v3_stream.pstrs"),
-        &stream,
-    )
-    .unwrap();
+    copy_golden("v3_container.pastri", &container);
+    copy_golden("v3_stream.pstrs", &stream);
 
     // Corrupt container: flip a byte inside the first block's payload
     // (located via the lossy decoder's per-block offsets) so both the
@@ -148,6 +148,13 @@ fn exit_codes_follow_the_documented_contract() {
     // recognized artifact, so every integrity command exits 2.
     let bad_version_stream = p(&dir, "bad-version.pstrs");
     fs::write(&bad_version_stream, b"PSTRS\x09\x00").unwrap();
+    // The retired version-2 stream header: refused as a *stream* version.
+    let v2_stream = p(&dir, "v2-header.pstrs");
+    fs::write(&v2_stream, b"PSTRS\x02\x00").unwrap();
+    let mut msg = Vec::new();
+    let err = pastri_cli::run(&sv(&["decompress", &v2_stream, &p(&dir, "v2.f64")]), &mut msg);
+    let err = err.expect_err("a version-2 stream header does not decode");
+    assert!(err.message.contains("unsupported stream version 2"), "{}", err.message);
 
     // Not-a-PaSTRI-artifact input (unknown magic) and a raw file whose
     // length is not a multiple of 8 (invalid f64 input).
@@ -194,9 +201,10 @@ fn exit_codes_follow_the_documented_contract() {
         v
     };
     let cases = vec![
-        // compress: clean / missing input / invalid raw input.
+        // compress (always a block store, whatever the name): clean /
+        // missing input / invalid raw input.
         Case {
-            label: "compress clean",
+            label: "compress clean to a .pastri name",
             argv: sv(&["compress", &raw, &p(&dir, "c2.pastri"), "--config", "dddd"]),
             want: 0,
         },
@@ -210,8 +218,8 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["compress", &odd_raw, &p(&dir, "c4.pastri"), "--config", "dddd"]),
             want: 1,
         },
-        // compress to a block store: clean / ragged input / its
-        // durability flags / a container-only flag.
+        // compress to a .eristore: clean / ragged input / its
+        // durability flags.
         Case {
             label: "compress store clean",
             argv: sv(&["compress", &raw, &p(&dir, "c5.eristore"), "--config", "dddd"]),
@@ -234,17 +242,16 @@ fn exit_codes_follow_the_documented_contract() {
             ]),
             want: 0,
         },
+        // Containers and streams are no longer written: `--metric`,
+        // `--tree` and `--stream` are unknown flags.
         Case {
-            label: "compress store with --tree",
-            argv: sv(&["compress", &raw, &p(&dir, "c9.eristore"), "--config", "dddd", "--tree", "3"]),
+            label: "compress with unknown flags --metric/--tree",
+            argv: sv(&[
+                "compress", &raw, &p(&dir, "c9.eristore"), "--config", "dddd", "--metric", "AR",
+                "--tree", "3",
+            ]),
             want: 1,
         },
-        Case {
-            label: "compress container with --resume",
-            argv: sv(&["compress", &raw, &p(&dir, "c11.pastri"), "--config", "dddd", "--resume"]),
-            want: 1,
-        },
-        // Streams are no longer written: `--stream` is an unknown flag.
         Case {
             label: "compress with unknown flag --stream",
             argv: sv(&["compress", "--stream", &raw, &p(&dir, "c7.pstrs"), "--config", "dddd"]),
@@ -264,6 +271,11 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "decompress damaged container",
             argv: sv(&["decompress", &damaged_container, &out_f64]),
+            want: 2,
+        },
+        Case {
+            label: "decompress stream with a version-2 header",
+            argv: sv(&["decompress", &v2_stream, &out_f64]),
             want: 2,
         },
         Case {
@@ -776,15 +788,8 @@ fn wait_for_path(path: &str) {
 fn repeated_scrub_quarantines_do_not_clobber() {
     let _serial = one_at_a_time();
     let dir = tmpdir("quarantine");
-    let raw = p(&dir, "q.f64");
     let comp = p(&dir, "q.pastri");
-    let mut out = Vec::new();
-    pastri_cli::run(
-        &sv(&["gen", &raw, "--config", "dddd", "--blocks", "6", "--model"]),
-        &mut out,
-    )
-    .unwrap();
-    pastri_cli::run(&sv(&["compress", &raw, &comp, "--config", "dddd"]), &mut out).unwrap();
+    copy_golden("v3_container.pastri", &comp);
     let clean = fs::read(&comp).unwrap();
 
     // Damage three blocks in one parity group — beyond the two-shard

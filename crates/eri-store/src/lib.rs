@@ -83,7 +83,7 @@ use durable::retry::RetryStats;
 use durable::{read_exact_at, Checkpoint, CommitScan, Journaled, ReadAt, SyncWrite};
 use durable::{COMMIT_MAGIC, RECORD_LEN};
 use parity::ReedSolomon;
-use pastri::{BlockGeometry, Compressor, CompressorOptions, ParityConfig};
+use pastri::{BlockGeometry, Compressor};
 use rayon::prelude::*;
 
 /// Re-exported from [`durable::retry`]: the shared transient-I/O backoff
@@ -110,6 +110,11 @@ pub const TRAILER_LEN: u64 = 28;
 const PARITY_MAGIC: [u8; 4] = *b"PSTP";
 /// Parity record bytes before the piece CRCs: magic, members, piece_len.
 const RECORD_HEAD: usize = 16;
+/// Blocks per stripe (G) every writer uses; the header records it.
+const STRIPE_WIDTH: usize = 8;
+/// Reed–Solomon shards per stripe (P) every writer uses; the header
+/// records it.
+const STRIPE_SHARDS: usize = 2;
 
 /// Errors from the block store.
 #[derive(Debug)]
@@ -312,12 +317,11 @@ struct Striping {
 }
 
 impl Striping {
-    /// What every writer uses: the library's default parity layout.
+    /// What every writer uses: 2 shards per stripe of 8 blocks.
     fn standard() -> Self {
-        let p = ParityConfig::default();
         Self {
-            width: p.group_size,
-            shards: p.parity_shards,
+            width: STRIPE_WIDTH,
+            shards: STRIPE_SHARDS,
         }
     }
 
@@ -602,13 +606,9 @@ impl<W: SyncWrite> StoreWriter<W> {
             out.write_all(&header)?;
             out.write_all(&crc32(&header).to_le_bytes())?;
         }
-        let options = CompressorOptions {
-            parity: ParityConfig::NONE,
-            ..CompressorOptions::default()
-        };
         Ok(Self {
             out,
-            compressor: Compressor::with_options(geometry, eb, options),
+            compressor: Compressor::new(geometry, eb),
             striping,
             index,
             pending: Vec::new(),

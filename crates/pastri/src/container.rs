@@ -1,10 +1,10 @@
 //! The PaSTRI container format and the top-level [`Compressor`] API.
 //!
-//! Byte layout (version 3, current):
+//! Byte layout (version 2, the one the writer emits):
 //!
 //! ```text
 //! magic            4 bytes  "PSTR"
-//! version          1 byte   (= 3)
+//! version          1 byte   (= 2)
 //! metric wire id   1 byte   (provenance; not needed to decode)
 //! tree wire id     1 byte
 //! error bound      8 bytes  f64 LE
@@ -12,28 +12,39 @@
 //! subblock_size    varint
 //! original_len     varint   (doubles, before tail padding)
 //! num_blocks       varint
-//! parity_group     varint   (blocks per parity group)
-//! parity_shards    varint   (erasure shards per group)
-//! blocks_len       varint   (total bytes of the blocks section)
 //! header_crc32     4 bytes  u32 LE  (CRC32 of every byte above)
 //! blocks           num_blocks × { varint payload_bytes;
 //!                                 payload_crc32 4 bytes u32 LE;
 //!                                 payload }
-//! parity records   ceil(num_blocks / parity_group) ×
-//!                  { varint record_len;       (bytes after this varint)
-//!                    varint group_offset;     (first frame, relative to
-//!                                              the blocks section start)
-//!                    varint × blocks-in-group payload lengths;
-//!                    meta_crc32 4 bytes;      (over everything above)
-//!                    parity_shards × shard_crc32 4 bytes;
-//!                    parity_shards × shard    (len = max payload len) }
 //! ```
 //!
-//! Version 2 is the same layout minus the three parity header varints and
-//! the parity section; version 1 further drops both CRC32 fields. The
-//! decoder keeps both paths alive behind the version byte, so pre-v3
-//! archives remain readable, and [`ParityConfig::NONE`] still *writes*
-//! byte-identical v2 containers for callers that want zero overhead.
+//! This is the paper's container (Sec. IV-C): a header plus independent,
+//! byte-aligned blocks. It carries no erasure code; a block store
+//! (`eri-store`) holds each block as one such container and owns the
+//! parity.
+//!
+//! Two older layouts stay readable, for the golden fixtures under
+//! `tests/golden/`, but nothing writes them:
+//!
+//! * Version 1 drops both CRC32 fields.
+//! * Version 3 adds three header varints after `num_blocks` —
+//!   `parity_group` (blocks per group), `parity_shards` (erasure shards
+//!   per group) and `blocks_len` (bytes of the blocks section) — and
+//!   ends with a parity section of `ceil(num_blocks / parity_group)`
+//!   records:
+//!
+//!   ```text
+//!   { varint record_len;       (bytes after this varint)
+//!     varint group_offset;     (first frame, relative to the blocks
+//!                               section start)
+//!     varint × blocks-in-group payload lengths;
+//!     meta_crc32 4 bytes;      (over everything above)
+//!     parity_shards × shard_crc32 4 bytes;
+//!     parity_shards × shard    (len = max payload len) }
+//!   ```
+//!
+//!   [`crate::repair_container`] repairs such a container from its own
+//!   parity.
 //!
 //! Each block payload is byte-aligned and self-contained, which is what
 //! makes PaSTRI "highly parallelizable … each block compressed and
@@ -43,16 +54,6 @@
 //! a flipped bit is pinned to one block, strict decoding reports exactly
 //! which block (and byte offset) failed, and [`decompress_lossy`]
 //! recovers every other block.
-//!
-//! The v3 parity section turns detection into **repair**: every group of
-//! `parity_group` blocks carries `parity_shards` GF(256) Reed–Solomon
-//! erasure shards (see the `parity` crate), so up to `parity_shards`
-//! damaged blocks per group reconstruct byte-exactly. The record also
-//! duplicates each block's payload length and the group's absolute
-//! offset, CRC-protected — framing damage (a corrupted length varint,
-//! which pre-v3 lost every later block) is now repaired from the
-//! duplicate lengths, and each group re-anchors independently. See
-//! [`crate::repair_container`].
 
 use bitio::{BitReader, BitWriter};
 use checksum::crc32;
@@ -68,62 +69,12 @@ use crate::simd;
 use crate::stats::CompressionStats;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PSTR";
-/// Current container version with a parity section (default writes).
+/// Read-only container version with a parity section.
 pub(crate) const VERSION_V3: u8 = 3;
-/// Checksummed, parity-free container version (written by
-/// [`ParityConfig::NONE`]; still decodable).
+/// The checksummed, parity-free version every [`Compressor`] writes.
 pub(crate) const VERSION_V2: u8 = 2;
 /// Legacy checksum-free container version (still decodable).
 pub(crate) const VERSION_V1: u8 = 1;
-
-/// Forward-error-correction configuration: how blocks are grouped and
-/// how many GF(256) Reed–Solomon erasure shards protect each group.
-///
-/// The trade-off is overhead versus blast radius: `parity_shards` of
-/// parity per `group_size` blocks costs roughly
-/// `parity_shards / group_size` of the compressed size (shards are as
-/// long as the group's largest payload) and repairs up to
-/// `parity_shards` damaged blocks per group. The default — 2 shards per
-/// 8 blocks — survives any double-fault per group for ~25% overhead on
-/// top of PaSTRI's ~10–16× compression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParityConfig {
-    /// Blocks per parity group (last group may be smaller).
-    pub group_size: usize,
-    /// Erasure shards per group; `0` disables parity and writes the
-    /// v2 container layout byte-identically.
-    pub parity_shards: usize,
-}
-
-impl ParityConfig {
-    /// No parity: writes the pre-v3 (v2) container layout exactly.
-    pub const NONE: ParityConfig = ParityConfig {
-        group_size: 8,
-        parity_shards: 0,
-    };
-
-    /// Is this configuration encodable? GF(256) limits a group plus its
-    /// shards to 255 total.
-    #[must_use]
-    pub(crate) fn is_valid(&self) -> bool {
-        self.group_size >= 1 && self.group_size + self.parity_shards <= 255
-    }
-
-    /// Does this configuration emit a parity section?
-    #[must_use]
-    pub(crate) fn enabled(&self) -> bool {
-        self.parity_shards > 0
-    }
-}
-
-impl Default for ParityConfig {
-    fn default() -> Self {
-        ParityConfig {
-            group_size: 8,
-            parity_shards: 2,
-        }
-    }
-}
 
 /// How many bits quantize the scaling coefficients (paper Sec. IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -162,9 +113,6 @@ pub struct CompressorOptions {
     pub scale_rule: ScaleRule,
     /// ECQ representation policy (default: adaptive).
     pub ecq_repr: EcqRepr,
-    /// Forward-error-correction layout (default: 2 erasure shards per
-    /// 8-block group; [`ParityConfig::NONE`] writes parity-free v2).
-    pub parity: ParityConfig,
 }
 
 /// The PaSTRI compressor for one block geometry and error bound.
@@ -185,12 +133,6 @@ impl Compressor {
     /// Compressor with explicit metric/tree choices.
     #[must_use]
     pub fn with_options(geometry: BlockGeometry, eb: f64, options: CompressorOptions) -> Self {
-        assert!(
-            options.parity.is_valid(),
-            "parity group + shards must fit GF(256): group {} + shards {} > 255",
-            options.parity.group_size,
-            options.parity.parity_shards
-        );
         Self {
             geometry,
             quant: Quantizer::new(eb),
@@ -286,44 +228,24 @@ impl Compressor {
             for local in results.iter().filter_map(|(_, l)| l.as_deref()) {
                 s.merge(local);
             }
-            // Everything that is not block payload — header, framing,
-            // and the parity section — is container overhead.
+            // Everything that is not block payload — header and
+            // framing — is container overhead.
             s.record_container_bits(overhead as u64 * 8);
         }
         out
     }
 
-    /// Writes the complete container — header, framed blocks, and (for
-    /// parity-enabled options) the parity section — into `out` from the
-    /// per-block compressed `payloads`. Returns the non-payload byte
-    /// count (header + framing + parity section).
+    /// Writes the complete v2 container — header and framed blocks —
+    /// into `out` from the per-block compressed `payloads`. Returns the
+    /// non-payload byte count (header + framing).
     fn assemble_container(&self, out: &mut Vec<u8>, data_len: usize, payloads: &[&[u8]]) -> usize {
-        let num_blocks = payloads.len();
-        let parity = self.options.parity;
-        let with_parity = parity.enabled();
-        let blocks_len: usize = payloads.iter().map(|p| framed_len(p)).sum();
         let header_varints = [
             self.geometry.num_subblocks,
             self.geometry.subblock_size,
             data_len,
-            num_blocks,
-            parity.group_size,
-            parity.parity_shards,
-            blocks_len,
+            payloads.len(),
         ];
-        // The three parity fields are v3 only.
-        let header_varints = &header_varints[..if with_parity { 7 } else { 4 }];
-        let groups = || {
-            let mut group_offset = 0u64;
-            payloads.chunks(parity.group_size).map(move |group| {
-                let offset = group_offset;
-                group_offset += group.iter().map(|p| framed_len(p) as u64).sum::<u64>();
-                (group, offset)
-            })
-        };
-
-        // Reserve the exact length, parity section included, so `out`
-        // never regrows mid-write.
+        // Reserve the exact length so `out` never regrows mid-write.
         let header_len = MAGIC.len()
             + 3
             + 8
@@ -332,22 +254,16 @@ impl Compressor {
                 .map(|&v| varint_len(v as u64))
                 .sum::<usize>()
             + 4;
-        let parity_len: usize = if with_parity {
-            groups()
-                .map(|(group, offset)| parity_record_len(group, offset, parity.parity_shards))
-                .sum()
-        } else {
-            0
-        };
+        let blocks_len: usize = payloads.iter().map(|p| framed_len(p)).sum();
         let start = out.len();
-        out.reserve_exact(header_len + blocks_len + parity_len);
+        out.reserve_exact(header_len + blocks_len);
 
         out.extend_from_slice(&MAGIC);
-        out.push(if with_parity { VERSION_V3 } else { VERSION_V2 });
+        out.push(VERSION_V2);
         out.push(self.options.metric.wire_id());
         out.push(self.options.tree.wire_id());
         out.extend_from_slice(&self.quant.eb().to_le_bytes());
-        for &v in header_varints {
+        for v in header_varints {
             write_varint(out, v as u64);
         }
         checksum::append_crc32_of(out);
@@ -357,12 +273,7 @@ impl Compressor {
             out.extend_from_slice(&crc32(p).to_le_bytes());
             out.extend_from_slice(p);
         }
-        if with_parity {
-            for (group, offset) in groups() {
-                write_parity_record(out, group, offset, parity.parity_shards);
-            }
-        }
-        debug_assert_eq!(out.len() - start, header_len + blocks_len + parity_len);
+        debug_assert_eq!(out.len() - start, header_len + blocks_len);
         out.len() - payloads.iter().map(|p| p.len()).sum::<usize>()
     }
 
@@ -384,63 +295,6 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
 /// A block's bytes in the blocks section: length varint, CRC32, payload.
 fn framed_len(payload: &[u8]) -> usize {
     varint_len(payload.len() as u64) + 4 + payload.len()
-}
-
-/// The bytes after a parity record's length varint: group offset and
-/// payload-length varints, meta CRC32, then per shard a CRC32 and the
-/// shard (as long as the group's longest payload).
-fn parity_record_body_len(payloads: &[&[u8]], group_offset: u64, parity_shards: usize) -> usize {
-    let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
-    varint_len(group_offset)
-        + payloads
-            .iter()
-            .map(|p| varint_len(p.len() as u64))
-            .sum::<usize>()
-        + 4
-        + parity_shards * (4 + shard_len)
-}
-
-/// The full length [`write_parity_record`] writes for this group.
-fn parity_record_len(payloads: &[&[u8]], group_offset: u64, parity_shards: usize) -> usize {
-    let body = parity_record_body_len(payloads, group_offset, parity_shards);
-    varint_len(body as u64) + body
-}
-
-/// One complete parity record as assembled by the writer: the canonical
-/// byte encoding for the group covering `payloads`, starting
-/// `group_offset` bytes into the blocks section. `pub(crate)` so the
-/// repair path can re-emit records byte-identically.
-pub(crate) fn write_parity_record(
-    out: &mut Vec<u8>,
-    payloads: &[&[u8]],
-    group_offset: u64,
-    parity_shards: usize,
-) {
-    let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
-    let record_start = out.len();
-    write_varint(
-        out,
-        parity_record_body_len(payloads, group_offset, parity_shards) as u64,
-    );
-    write_varint(out, group_offset);
-    for p in payloads {
-        write_varint(out, p.len() as u64);
-    }
-    let meta_crc = crc32(&out[record_start..]);
-    out.extend_from_slice(&meta_crc.to_le_bytes());
-
-    // Shorter payloads read as zero-padded to the shard length.
-    let rs = parity::ReedSolomon::new(payloads.len(), parity_shards)
-        .expect("parity config validated at construction");
-    let shards = rs
-        .encode_padded(payloads, shard_len)
-        .expect("no payload is longer than the shard length");
-    for s in &shards {
-        out.extend_from_slice(&crc32(s).to_le_bytes());
-    }
-    for s in &shards {
-        out.extend_from_slice(s);
-    }
 }
 
 /// Parsed, validated container header.
@@ -485,7 +339,10 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     pos += 4;
     let version = *bytes.get(pos).ok_or(DecompressError::Truncated)?;
     if version != VERSION_V3 && version != VERSION_V2 && version != VERSION_V1 {
-        return Err(DecompressError::BadVersion(version));
+        return Err(DecompressError::BadVersion {
+            format: "container",
+            version,
+        });
     }
     pos += 1;
     let metric = ScalingMetric::from_wire_id(*bytes.get(pos).ok_or(DecompressError::Truncated)?);
@@ -694,12 +551,10 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
         // Strict decode also demands an intact parity section, so a torn
         // tail is an error, not silence.
         skip_parity_section(bytes, &header, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(
-                DecompressError::corrupt("trailing bytes after parity section")
-                    .at_offset(pos as u64),
-            );
-        }
+    }
+    // Every version ends exactly where its last section does.
+    if pos != bytes.len() {
+        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
     }
 
     let quant = Quantizer::new(header.eb);
@@ -911,6 +766,26 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, Decompre
     }
 }
 
+/// `v2` rewritten as the read-only v3 layout of the golden fixtures:
+/// the same header fields plus `parity_group` 8, `parity_shards` 2 and
+/// `blocks_len`, a fresh header CRC, the same frames, and the parity
+/// section [`crate::repair_container`] regrows after a tear at its start.
+#[cfg(test)]
+pub(crate) fn v3_of(v2: &[u8]) -> Vec<u8> {
+    let header = parse_header(v2).expect("a valid container");
+    assert_eq!(header.version, VERSION_V2);
+    let mut v3 = v2[..header.blocks_start - 4].to_vec();
+    v3[4] = VERSION_V3;
+    for v in [8, 2, v2.len() - header.blocks_start] {
+        write_varint(&mut v3, v as u64);
+    }
+    checksum::append_crc32_of(&mut v3);
+    v3.extend_from_slice(&v2[header.blocks_start..]);
+    let (v3, report) = crate::repair::repair_container(&v3).expect("a valid v3 header");
+    assert!(report.is_fully_repaired(), "{report:?}");
+    v3
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,19 +802,6 @@ mod tests {
             }
         }
         data
-    }
-
-    /// A compressor writing the parity-free v2 layout — for tests that
-    /// assert the pre-v3 bytes or the detect-without-repair semantics.
-    fn no_parity(geom: BlockGeometry, eb: f64) -> Compressor {
-        Compressor::with_options(
-            geom,
-            eb,
-            CompressorOptions {
-                parity: ParityConfig::NONE,
-                ..Default::default()
-            },
-        )
     }
 
     /// Rewrites a v2 container as the checksum-free v1 layout — the exact
@@ -1022,7 +884,7 @@ mod tests {
         bytes[4] = 99; // bad version
         assert!(matches!(
             decompress(&bytes).unwrap_err(),
-            DecompressError::BadVersion(99)
+            DecompressError::BadVersion { format: "container", version: 99 }
         ));
     }
 
@@ -1096,7 +958,7 @@ mod tests {
     #[test]
     fn writes_v2_with_valid_checksums() {
         let geom = BlockGeometry::new(2, 4);
-        let c = no_parity(geom, 1e-9);
+        let c = Compressor::new(geom, 1e-9);
         let bytes = c.compress(&patterned_stream(3, geom));
         assert_eq!(bytes[4], VERSION_V2);
         let header = parse_header(&bytes).unwrap();
@@ -1111,56 +973,29 @@ mod tests {
     }
 
     #[test]
-    fn writes_v3_with_parity_section_by_default() {
+    fn strict_decode_rejects_trailing_bytes() {
         let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
-        let bytes = c.compress(&patterned_stream(11, geom)); // 2 groups of 8 (one partial)
-        assert_eq!(bytes[4], VERSION_V3);
-        let header = parse_header(&bytes).unwrap();
-        assert!(header.has_parity());
-        assert_eq!(header.parity_group, 8);
-        assert_eq!(header.parity_shards, 2);
-
-        // Blocks section ends exactly where the header says.
-        let mut pos = header.blocks_start;
-        for b in 0..header.num_blocks {
-            let frame = next_frame(&bytes, &mut pos, true).unwrap();
-            verify_frame(&frame, b).unwrap();
+        let v2 = Compressor::new(geom, 1e-9).compress(&patterned_stream(3, geom));
+        for container in [strip_to_v1(&v2), v2.clone(), v3_of(&v2)] {
+            let values = decompress(&container).unwrap();
+            let mut padded = container.clone();
+            padded.extend_from_slice(b"garbage");
+            assert_eq!(
+                decompress(&padded).unwrap_err(),
+                DecompressError::corrupt("trailing bytes after container")
+                    .at_offset(container.len() as u64),
+                "version {}",
+                container[4]
+            );
+            // The lossy path still decodes every block.
+            assert_eq!(decompress_lossy(&padded).unwrap().values, values);
         }
-        assert_eq!(pos, header.blocks_start + header.blocks_len);
-
-        // Parity records chain to the end of the file.
-        let num_groups = header.num_blocks.div_ceil(header.parity_group);
-        for _ in 0..num_groups {
-            let record_len = read_varint(&bytes, &mut pos).unwrap() as usize;
-            pos += record_len;
-        }
-        assert_eq!(pos, bytes.len(), "no trailing bytes after parity");
-
-        // A pristine container reports clean and repairs to itself.
-        let (repaired, report) = crate::repair::repair_container(&bytes).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(repaired, bytes);
-    }
-
-    #[test]
-    fn parity_none_writes_byte_identical_v2() {
-        let geom = BlockGeometry::new(2, 4);
-        let data = patterned_stream(4, geom);
-        let v2 = no_parity(geom, 1e-9).compress(&data);
-        let v3 = Compressor::new(geom, 1e-9).compress(&data);
-        assert!(v3.len() > v2.len(), "parity section must add bytes");
-        // Same payloads, same framing — v3 is v2 plus header varints and
-        // the parity section.
-        let back2 = decompress(&v2).unwrap();
-        let back3 = decompress(&v3).unwrap();
-        assert_eq!(back2, back3);
     }
 
     #[test]
     fn v1_containers_still_decode() {
         let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
-        let c = no_parity(geom, 1e-10);
+        let c = Compressor::new(geom, 1e-10);
         let data = patterned_stream(4, geom);
         let v2 = c.compress(&data);
         let v1 = strip_to_v1(&v2);
@@ -1222,10 +1057,10 @@ mod tests {
     #[test]
     fn lossy_decode_recovers_undamaged_blocks() {
         // Parity-free container: damage is detected and skipped, not
-        // repaired — the pre-v3 contract.
+        // repaired.
         let geom = BlockGeometry::new(2, 4);
         let bs = geom.block_size();
-        let c = no_parity(geom, 1e-9);
+        let c = Compressor::new(geom, 1e-9);
         let data = patterned_stream(6, geom);
         let bytes = c.compress(&data);
         let clean = decompress(&bytes).unwrap();
@@ -1268,9 +1103,9 @@ mod tests {
     #[test]
     fn lossy_decode_reports_framing_loss() {
         // Parity-free container: a damaged length varint loses every
-        // later block — the pre-v3 contract v3 parity exists to fix.
+        // later block — what v3 parity repairs.
         let geom = BlockGeometry::new(2, 4);
-        let c = no_parity(geom, 1e-9);
+        let c = Compressor::new(geom, 1e-9);
         let bytes = c.compress(&patterned_stream(5, geom));
         let header = parse_header(&bytes).unwrap();
         // Corrupt block 1's length varint to an absurd value: framing for
@@ -1292,9 +1127,8 @@ mod tests {
     #[test]
     fn lossy_decode_repairs_payload_damage() {
         let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
         let data = patterned_stream(6, geom);
-        let bytes = c.compress(&data);
+        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
         let clean = decompress(&bytes).unwrap();
 
         // Flip a bit in block 2's payload.
@@ -1323,9 +1157,8 @@ mod tests {
     #[test]
     fn lossy_decode_repairs_framing_damage() {
         let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
         let data = patterned_stream(5, geom);
-        let bytes = c.compress(&data);
+        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
         let clean = decompress(&bytes).unwrap();
         let header = parse_header(&bytes).unwrap();
         // Corrupt block 1's length varint — pre-v3 this lost blocks 1..;
@@ -1345,8 +1178,7 @@ mod tests {
     #[test]
     fn repair_is_byte_identical_for_every_single_byte_corruption() {
         let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
-        let bytes = c.compress(&patterned_stream(10, geom));
+        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&patterned_stream(10, geom)));
         let header = parse_header(&bytes).unwrap();
         // Every byte past the header (the header itself carries no
         // parity): payloads, CRCs, length varints, parity metadata,
@@ -1367,9 +1199,8 @@ mod tests {
     fn damage_beyond_parity_budget_degrades_to_skip() {
         let geom = BlockGeometry::new(2, 4);
         let bs = geom.block_size();
-        let c = Compressor::new(geom, 1e-9);
         let data = patterned_stream(6, geom); // one group of 6, 2 shards
-        let bytes = c.compress(&data);
+        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
         let clean = decompress(&bytes).unwrap();
         let header = parse_header(&bytes).unwrap();
         // Damage 3 payloads (> 2 shards): unrepairable, but lossy decode
@@ -1402,8 +1233,7 @@ mod tests {
         // A torn write that loses part of the parity section: the data is
         // intact, so repair regenerates the full section byte-identically.
         let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
-        let bytes = c.compress(&patterned_stream(9, geom));
+        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&patterned_stream(9, geom)));
         let header = parse_header(&bytes).unwrap();
         let parity_start = header.blocks_start + header.blocks_len;
         for cut in [parity_start, parity_start + 3, bytes.len() - 1] {

@@ -13,8 +13,14 @@ use std::fmt;
 pub enum DecompressError {
     /// The stream does not start with the PaSTRI magic bytes.
     BadMagic,
-    /// Unsupported container version.
-    BadVersion(u8),
+    /// A version byte this build cannot read.
+    BadVersion {
+        /// The layout whose header carried it: `"container"` or
+        /// `"stream"`.
+        format: &'static str,
+        /// The version byte read.
+        version: u8,
+    },
     /// The stream ended before all declared content was read.
     Truncated,
     /// Reading the source failed for a reason other than its end.
@@ -117,7 +123,9 @@ impl fmt::Display for DecompressError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecompressError::BadMagic => write!(f, "not a PaSTRI stream (bad magic)"),
-            DecompressError::BadVersion(v) => write!(f, "unsupported container version {v}"),
+            DecompressError::BadVersion { format, version } => {
+                write!(f, "unsupported {format} version {version}")
+            }
             DecompressError::Truncated => write!(f, "stream truncated"),
             DecompressError::Unreadable(kind) => write!(f, "source unreadable: {kind}"),
             DecompressError::Corrupt { block, offset, reason } => {
@@ -184,6 +192,14 @@ mod tests {
             DecompressError::Truncated.with_block(1).at_offset(2),
             DecompressError::Truncated
         );
+    }
+
+    #[test]
+    fn bad_version_names_the_format_it_read() {
+        let stream = DecompressError::BadVersion { format: "stream", version: 2 };
+        assert_eq!(stream.to_string(), "unsupported stream version 2");
+        let container = DecompressError::BadVersion { format: "container", version: 9 };
+        assert_eq!(container.to_string(), "unsupported container version 9");
     }
 
     #[test]

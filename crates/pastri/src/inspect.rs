@@ -23,8 +23,8 @@ use crate::stats::CompressionStats;
 #[derive(Debug, Clone)]
 pub struct ContainerInfo {
     /// Container format version (1 = legacy checksum-free, 2 = CRC32
-    /// over header and each block payload, 3 = v2 plus a Reed–Solomon
-    /// parity section for self-healing).
+    /// over header and each block payload, the one layout written, 3 =
+    /// read-only v2 plus a Reed–Solomon parity section).
     pub version: u8,
     /// Absolute error bound the stream was compressed with.
     pub error_bound: f64,
@@ -213,10 +213,12 @@ mod tests {
 
         let (bytes, stats) = c.compress_with_stats(&data);
         let info = inspect(&bytes).unwrap();
-        assert_eq!(info.version, 3);
-        assert_eq!(info.parity_group, 8);
-        assert_eq!(info.parity_shards, 2);
-        assert!(info.parity_bytes > 0);
+        assert_eq!(info.version, 2);
+        assert_eq!((info.parity_group, info.parity_shards, info.parity_bytes), (0, 0, 0));
+        let v3 = inspect(&crate::container::v3_of(&bytes)).unwrap();
+        assert_eq!((v3.version, v3.parity_group, v3.parity_shards), (3, 8, 2));
+        assert!(v3.parity_bytes > 0);
+        assert_eq!(v3.kind_counts, stats.kind_counts);
         assert_eq!(info.error_bound, 1e-10);
         assert_eq!(info.geometry, geom);
         assert_eq!(info.original_len, data.len());

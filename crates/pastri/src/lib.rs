@@ -26,6 +26,17 @@
 //! fixed prefix tree ([`EncodingTree::Tree5`] by default) or a sparse
 //! (index, value) representation, whichever is smaller.
 //!
+//! # Formats
+//!
+//! [`Compressor`] writes one layout: the version-2 container, a header
+//! plus independent, CRC-framed blocks (paper Sec. IV-C), with no
+//! erasure code. Durable storage and its parity live in the `eri-store`
+//! crate, which holds each block as one such container. The version-1
+//! and version-3 containers and version-1 [`stream`]s are read-only:
+//! [`decompress`], [`decompress_lossy`], [`inspect`],
+//! [`repair_container`] and [`stream::salvage`] still read, repair and
+//! salvage them, for the golden fixtures under `tests/golden/`.
+//!
 //! # Quick start
 //!
 //! ```
@@ -69,7 +80,7 @@ pub mod stream;
 
 pub use container::{
     decompress, decompress_lossy, BlockOutcome, Compressor, CompressorOptions, EcqRepr,
-    LossyDecode, ParityConfig, ScaleRule,
+    LossyDecode, ScaleRule,
 };
 pub use encoding::EncodingTree;
 pub use error::DecompressError;

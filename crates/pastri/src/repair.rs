@@ -1,5 +1,8 @@
-//! Parity-based container repair: the "self-healing" half of the v3
-//! format.
+//! Parity-based container repair for the read-only v3 layout.
+//!
+//! Nothing writes v3 containers any more (a block store owns parity for
+//! the blocks it holds), but the golden fixtures under `tests/golden/`
+//! are v3, and `pastri scrub --repair` must still heal them.
 //!
 //! [`repair_container`] walks a container, classifies every block as
 //! clean / repairable / unrepairable, reconstructs what the parity
@@ -8,32 +11,31 @@
 //! backs [`crate::decompress_lossy`]'s transparent repair-on-read, the
 //! stream reader's skip path, and the `pastri scrub` CLI.
 //!
-//! Why byte-identity is achievable: the writer is deterministic, so the
-//! container is a pure function of (header fields, block payloads).
+//! Why byte-identity is achievable: the v3 writer was deterministic, so
+//! the container is a pure function of (header fields, block payloads).
 //! Recover the payloads and the whole file — length varints, CRCs,
-//! parity records — regenerates exactly. Three redundancy layers make
-//! recovery possible:
+//! parity records — regenerates exactly; [`write_parity_record`] is the
+//! one emitter of a parity record's canonical bytes. Three redundancy
+//! layers make recovery possible:
 //!
 //! 1. The header records the blocks-section length, locating the parity
 //!    section independently of block framing.
 //! 2. Every parity record duplicates its group's payload lengths and the
 //!    group's absolute offset under a CRC, so framing damage (which
-//!    pre-v3 lost every later block) is repaired from the duplicates,
-//!    and each group re-anchors independently.
+//!    loses every later block of a v2 container) is repaired from the
+//!    duplicates, and each group re-anchors independently.
 //! 3. GF(256) Reed–Solomon shards reconstruct up to `parity_shards`
 //!    missing payloads per group.
 //!
 //! The only hard failure is header damage: with 31-ish bytes of header
 //! against kilobytes of payload, protecting it with parity would buy
-//! little (a torn header means a torn file start, which the durable
-//! write path already prevents), and without a trusted header there is
-//! no geometry to repair against.
+//! little, and without a trusted header there is no geometry to repair
+//! against.
 
 use checksum::crc32;
 
 use crate::container::{
-    next_frame, parse_header, read_varint, varint_len, verify_frame, write_parity_record,
-    write_varint, Header,
+    next_frame, parse_header, read_varint, varint_len, verify_frame, write_varint, Header,
 };
 use crate::error::DecompressError;
 
@@ -76,6 +78,51 @@ impl RepairReport {
     #[must_use]
     pub fn is_damaged(&self) -> bool {
         !self.is_clean()
+    }
+}
+
+/// The bytes after a parity record's length varint: group offset and
+/// payload-length varints, meta CRC32, then per shard a CRC32 and the
+/// shard (as long as the group's longest payload).
+fn parity_record_body_len(payloads: &[&[u8]], group_offset: u64, parity_shards: usize) -> usize {
+    let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
+    varint_len(group_offset)
+        + payloads
+            .iter()
+            .map(|p| varint_len(p.len() as u64))
+            .sum::<usize>()
+        + 4
+        + parity_shards * (4 + shard_len)
+}
+
+/// The canonical bytes of the parity record for the group covering
+/// `payloads`, starting `group_offset` bytes into the blocks section:
+/// what the v3 writer emitted, so a rebuilt record is byte-identical.
+fn write_parity_record(out: &mut Vec<u8>, payloads: &[&[u8]], group_offset: u64, parity_shards: usize) {
+    let shard_len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
+    let record_start = out.len();
+    write_varint(
+        out,
+        parity_record_body_len(payloads, group_offset, parity_shards) as u64,
+    );
+    write_varint(out, group_offset);
+    for p in payloads {
+        write_varint(out, p.len() as u64);
+    }
+    let meta_crc = crc32(&out[record_start..]);
+    out.extend_from_slice(&meta_crc.to_le_bytes());
+
+    // Shorter payloads read as zero-padded to the shard length.
+    let rs = parity::ReedSolomon::new(payloads.len(), parity_shards)
+        .expect("parse_header bounds group + shards to GF(256)");
+    let shards = rs
+        .encode_padded(payloads, shard_len)
+        .expect("no payload is longer than the shard length");
+    for s in &shards {
+        out.extend_from_slice(&crc32(s).to_le_bytes());
+    }
+    for s in &shards {
+        out.extend_from_slice(s);
     }
 }
 

@@ -104,7 +104,10 @@ impl<R: ReadAt> Frames<R> {
             return Err(DecompressError::BadMagic);
         }
         if magic[5] != STREAM_VERSION {
-            return Err(DecompressError::BadVersion(magic[5]));
+            return Err(DecompressError::BadVersion {
+                format: "stream",
+                version: magic[5],
+            });
         }
         Ok(frames)
     }
@@ -425,33 +428,20 @@ mod tests {
     use crate::container::Compressor;
     use crate::geometry::BlockGeometry;
 
-    fn compressor() -> Compressor {
-        Compressor::new(BlockGeometry::new(4, 9), 1e-9)
-    }
-
-    /// Parity-free compressor: for tests pinning the pre-v3
-    /// detect-and-drop semantics.
-    fn compressor_no_parity() -> Compressor {
-        Compressor::with_options(
-            BlockGeometry::new(4, 9),
-            1e-9,
-            crate::container::CompressorOptions {
-                parity: crate::container::ParityConfig::NONE,
-                ..Default::default()
-            },
-        )
-    }
-
     fn patterned(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i % 36) as f64 * 0.3).sin() * 1e-5).collect()
     }
 
-    /// `data` framed as a stream of `segment_values`-value segments
-    /// compressed by `c`.
-    fn framed(data: &[f64], segment_values: usize, c: Compressor) -> Vec<u8> {
+    /// `data` framed as a stream of `segment_values`-value segments,
+    /// each a v2 container or, `with_parity`, its v3 rewrite.
+    fn framed(data: &[f64], segment_values: usize, with_parity: bool) -> Vec<u8> {
+        let compressor = Compressor::new(BlockGeometry::new(4, 9), 1e-9);
         let mut bytes = [&STREAM_MAGIC[..], &[STREAM_VERSION]].concat();
         for segment in data.chunks(segment_values) {
-            let container = c.compress(segment);
+            let mut container = compressor.compress(segment);
+            if with_parity {
+                container = crate::container::v3_of(&container);
+            }
             write_varint(&mut bytes, container.len() as u64).unwrap();
             bytes.extend_from_slice(&container);
         }
@@ -461,15 +451,8 @@ mod tests {
 
     /// A stream of `segments` one-block segments, plus the byte ranges
     /// `[start, end)` of each segment's container within it.
-    fn stream_with_segments(segments: usize) -> (Vec<u8>, Vec<(usize, usize)>) {
-        stream_with_segments_using(segments, compressor())
-    }
-
-    fn stream_with_segments_using(
-        segments: usize,
-        c: Compressor,
-    ) -> (Vec<u8>, Vec<(usize, usize)>) {
-        let bytes = framed(&patterned(36 * segments), 36, c);
+    fn stream_with_segments(segments: usize, with_parity: bool) -> (Vec<u8>, Vec<(usize, usize)>) {
+        let bytes = framed(&patterned(36 * segments), 36, with_parity);
         let ranges: Vec<(usize, usize)> = Frames::new(bytes.as_slice())
             .unwrap()
             .map(|s| {
@@ -484,7 +467,7 @@ mod tests {
     #[test]
     fn roundtrip_multi_segment() {
         let data = patterned(36 * 23 + 17); // partial tail everywhere
-        let bytes = framed(&data, 36 * 4, compressor());
+        let bytes = framed(&data, 36 * 4, false);
         let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
@@ -497,7 +480,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let bytes = framed(&[], 36, compressor());
+        let bytes = framed(&[], 36, false);
         let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
@@ -507,7 +490,7 @@ mod tests {
 
     #[test]
     fn segment_sizes_respected() {
-        let bytes = framed(&patterned(36 * 10), 36 * 3, compressor());
+        let bytes = framed(&patterned(36 * 10), 36 * 3, false);
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         let mut lens = Vec::new();
         while let Some(seg) = r.next_segment().unwrap() {
@@ -519,7 +502,7 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let bytes = framed(&patterned(36 * 8), 36 * 2, compressor());
+        let bytes = framed(&patterned(36 * 8), 36 * 2, false);
         // Cut before the terminator.
         let cut = &bytes[..bytes.len() - 3];
         let mut r = StreamReader::new(cut).unwrap();
@@ -564,7 +547,7 @@ mod tests {
             let header = [&STREAM_MAGIC[..], &[version, 0]].concat();
             assert!(matches!(
                 StreamReader::new(header.as_slice()).err(),
-                Some(DecompressError::BadVersion(v)) if v == version
+                Some(DecompressError::BadVersion { format: "stream", version: v }) if v == version
             ));
         }
     }
@@ -596,7 +579,7 @@ mod tests {
     #[test]
     fn skip_reader_repairs_damaged_segment_in_flight() {
         let segments = 16;
-        let (mut bytes, ranges) = stream_with_segments(segments);
+        let (mut bytes, ranges) = stream_with_segments(segments, true);
         let clean: Vec<Vec<f64>> = {
             let mut r = StreamReader::new(bytes.as_slice()).unwrap();
             std::iter::from_fn(|| r.next_segment().unwrap()).collect()
@@ -626,8 +609,7 @@ mod tests {
     #[test]
     fn skip_reader_drops_damage_when_parity_disabled() {
         let segments = 16;
-        let (mut bytes, ranges) =
-            stream_with_segments_using(segments, compressor_no_parity());
+        let (mut bytes, ranges) = stream_with_segments(segments, false);
         let clean: Vec<Vec<f64>> = {
             let mut r = StreamReader::new(bytes.as_slice()).unwrap();
             std::iter::from_fn(|| r.next_segment().unwrap()).collect()
@@ -660,7 +642,7 @@ mod tests {
     #[test]
     fn salvage_repairs_damaged_segment_to_original_bytes() {
         let segments = 16;
-        let (bytes, ranges) = stream_with_segments(segments);
+        let (bytes, ranges) = stream_with_segments(segments, true);
         let mut damaged = bytes.clone();
         let (start, end) = ranges[3];
         damaged[(start + end) / 2] ^= 0x40;
@@ -688,10 +670,9 @@ mod tests {
 
     #[test]
     fn salvage_keeps_intact_segments_verbatim() {
-        // Parity-free stream: the pre-v3 drop semantics.
+        // Parity-free stream: damage is dropped, not repaired.
         let segments = 16;
-        let (mut bytes, ranges) =
-            stream_with_segments_using(segments, compressor_no_parity());
+        let (mut bytes, ranges) = stream_with_segments(segments, false);
         let original_segment_bytes: Vec<Vec<u8>> = ranges
             .iter()
             .map(|&(s, e)| bytes[s..e].to_vec())
@@ -735,7 +716,7 @@ mod tests {
 
     #[test]
     fn salvage_truncated_tail() {
-        let (bytes, ranges) = stream_with_segments(4);
+        let (bytes, ranges) = stream_with_segments(4, true);
         // Cut mid-way through segment 2's payload.
         let cut = &bytes[..(ranges[2].0 + ranges[2].1) / 2];
         let mut out = Vec::new();
@@ -761,7 +742,7 @@ mod tests {
     fn file_roundtrip() {
         let path = std::env::temp_dir().join(format!("pastri-stream-{}.pstrs", std::process::id()));
         let data = patterned(36 * 5 + 11);
-        std::fs::write(&path, framed(&data, 36 * 2, compressor())).unwrap();
+        std::fs::write(&path, framed(&data, 36 * 2, false)).unwrap();
         let file = std::fs::File::open(&path).unwrap();
         let restored = StreamReader::new(file)
             .unwrap()

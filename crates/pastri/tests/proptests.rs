@@ -7,7 +7,7 @@
 //! fallback.
 
 use pastri::{
-    BlockGeometry, Compressor, CompressorOptions, EcqRepr, EncodingTree, ParityConfig, ScaleRule,
+    BlockGeometry, Compressor, CompressorOptions, EcqRepr, EncodingTree, ScaleRule,
     ScalingMetric,
 };
 use proptest::prelude::*;
@@ -42,7 +42,6 @@ fn options_strategy() -> impl Strategy<Value = CompressorOptions> {
             tree,
             scale_rule,
             ecq_repr,
-            ..CompressorOptions::default()
         })
 }
 
@@ -132,13 +131,10 @@ proptest! {
             }
         }
         // This asserts the *codec's* compression ratio: block payload
-        // bits only. Parity is off, and the container's fixed header and
-        // per-block framing (224 bits for one small block) are left out —
-        // with 1–3 small blocks they, not the codec, set the ratio.
-        let c = Compressor::with_options(geom, 1e-10, CompressorOptions {
-            parity: ParityConfig::NONE,
-            ..Default::default()
-        });
+        // bits only. The container's fixed header and per-block framing
+        // (224 bits for one small block) are left out — with 1–3 small
+        // blocks they, not the codec, set the ratio.
+        let c = Compressor::new(geom, 1e-10);
         let (bytes, stats) = c.compress_with_stats(&data);
         let back = c.decompress(&bytes).unwrap();
         for (a, b) in data.iter().zip(&back) {

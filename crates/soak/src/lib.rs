@@ -6,8 +6,8 @@
 //! nothing exercised them *together*, at scale, under sustained mixed
 //! traffic. This crate is that harness: a seeded workload generator that
 //! runs a configurable mix of operations (store reads with
-//! repair-on-read, container writes, crash-and-resume durable writes
-//! torn at a [`FaultyWriter`] byte budget, scrubs) across many stores
+//! repair-on-read, crash-and-resume durable writes torn at a
+//! [`FaultyWriter`] byte budget, scrubs) across many stores
 //! concurrently on the real work-distributing pool, while a fault
 //! schedule (seeded [`BitFlipper`] SDC events, transient read errors
 //! driving the shared [`RetryPolicy`] backoff) fires throughout.
@@ -47,7 +47,7 @@ use eri_store::{StoreReader, StoreWriter};
 use faults::{
     is_injected_crash, BitFlipper, FaultConfig, FaultyReader, FaultyWriter, WriteFaultConfig,
 };
-use pastri::{BlockGeometry, Compressor};
+use pastri::BlockGeometry;
 use rayon::prelude::*;
 
 pub mod report;
@@ -65,8 +65,6 @@ pub struct OpMix {
     /// Store reads with repair-on-read (through transient-fault
     /// injection and the shared retry policy).
     pub read: u32,
-    /// Compress → atomic-write → read-back container round trips.
-    pub write_container: u32,
     /// Durable side-store writes torn mid-byte, then resumed from the
     /// last in-band commit and verified complete.
     pub crash_resume: u32,
@@ -78,8 +76,7 @@ impl Default for OpMix {
     fn default() -> Self {
         Self {
             read: 6,
-            write_container: 1,
-            crash_resume: 3,
+            crash_resume: 4,
             scrub: 2,
         }
     }
@@ -87,7 +84,7 @@ impl Default for OpMix {
 
 impl OpMix {
     fn total(&self) -> u32 {
-        self.read + self.write_container + self.crash_resume + self.scrub
+        self.read + self.crash_resume + self.scrub
     }
 }
 
@@ -230,7 +227,6 @@ struct PlannedOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     Read,
-    WriteContainer,
     CrashResume,
     Scrub,
 }
@@ -248,7 +244,6 @@ fn plan(cfg: &SoakConfig) -> Vec<Vec<PlannedOp>> {
         let w = (splitmix64(op_seed ^ 0x0A11) % u64::from(total_weight)) as u32;
         let ladder = [
             (cfg.mix.read, OpKind::Read),
-            (cfg.mix.write_container, OpKind::WriteContainer),
             (cfg.mix.crash_resume, OpKind::CrashResume),
             (cfg.mix.scrub, OpKind::Scrub),
         ];
@@ -467,7 +462,6 @@ fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(),
     }
     match op.kind {
         OpKind::Read => op_read(cfg, ctx, op.seed),
-        OpKind::WriteContainer => op_write_container(cfg, ctx, op.seed),
         OpKind::CrashResume => op_crash_resume(cfg, ctx, op.seed),
         OpKind::Scrub => {
             ctx.tallies.scrubs += 1;
@@ -553,29 +547,6 @@ fn op_read(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), Soa
     let stats = r.read_stats();
     ctx.tallies.transient_retries += stats.transient_retries;
     ctx.tallies.read_repaired += stats.blocks_repaired;
-    Ok(())
-}
-
-/// Compress → atomic write → read back → verify → remove: the
-/// whole-file container path under concurrent load.
-fn op_write_container(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
-    ctx.tallies.writes_container += 1;
-    let compressor = Compressor::new(cfg.geometry, cfg.error_bound);
-    let block = scratch_block(cfg.geometry, op_seed, 0);
-    let t = Instant::now();
-    let payload = compressor.compress(&block);
-    let path = ctx.path.with_extension(format!("op{:08x}.pstr", op_seed as u32));
-    atomic_write(&path, &payload)?;
-    telemetry::observe_us("soak.write_us", t.elapsed().as_micros() as u64);
-    let back = std::fs::read(&path)?;
-    let values = pastri::decompress(&back)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    ctx.hold(values.len());
-    if !within_bound(&values, &block, cfg.error_bound) {
-        ctx.tallies.value_mismatches += 1;
-    }
-    ctx.release(values.len());
-    let _ = std::fs::remove_file(&path);
     Ok(())
 }
 
@@ -755,7 +726,6 @@ mod tests {
         let mut cfg = SoakConfig::storm(&dir, 1);
         cfg.mix = OpMix {
             read: 0,
-            write_container: 0,
             crash_resume: 0,
             scrub: 0,
         };

@@ -33,8 +33,6 @@ pub struct Tallies {
     /// data that decoded wrong: silent corruption that leaked
     /// through every integrity layer. Always data loss.
     pub value_mismatches: u64,
-    /// Container write ops.
-    pub writes_container: u64,
     /// Durable side-store writes torn mid-byte by the crash budget.
     pub crashes: u64,
     /// Successful resumes from the last commit (must equal `crashes` at the end).
@@ -65,7 +63,6 @@ impl Tallies {
         self.block_reads += other.block_reads;
         self.read_failures += other.read_failures;
         self.value_mismatches += other.value_mismatches;
-        self.writes_container += other.writes_container;
         self.crashes += other.crashes;
         self.resumes += other.resumes;
         self.scrubs += other.scrubs;
@@ -245,7 +242,7 @@ impl SoakReport {
         s.push_str("  \"bench\": \"soak\",\n");
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!(
-            "  \"config\": {{\"stores\": {}, \"ops\": {}, \"scale\": {}, \"geometry\": [{}, {}], \"error_bound\": {}, \"mix\": [{}, {}, {}, {}], \"faults\": {{\"bit_flip_every\": {}, \"flips_per_event\": {}, \"transient_rate\": {}, \"max_transient_errors\": {}}}}},\n",
+            "  \"config\": {{\"stores\": {}, \"ops\": {}, \"scale\": {}, \"geometry\": [{}, {}], \"error_bound\": {}, \"mix\": [{}, {}, {}], \"faults\": {{\"bit_flip_every\": {}, \"flips_per_event\": {}, \"transient_rate\": {}, \"max_transient_errors\": {}}}}},\n",
             cfg.stores,
             cfg.ops,
             cfg.scale,
@@ -253,7 +250,6 @@ impl SoakReport {
             cfg.geometry.subblock_size,
             json_f64(cfg.error_bound),
             cfg.mix.read,
-            cfg.mix.write_container,
             cfg.mix.crash_resume,
             cfg.mix.scrub,
             cfg.faults.bit_flip_every,
@@ -262,14 +258,13 @@ impl SoakReport {
             cfg.faults.max_transient_errors,
         ));
         s.push_str(&format!(
-            "  \"tallies\": {{\"ops_executed\": {}, \"ops_skipped\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"writes_container\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
+            "  \"tallies\": {{\"ops_executed\": {}, \"ops_skipped\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
             t.ops_executed,
             t.ops_skipped,
             t.reads,
             t.block_reads,
             t.read_failures,
             t.value_mismatches,
-            t.writes_container,
             t.crashes,
             t.resumes,
             t.scrubs,
@@ -395,7 +390,6 @@ mod tests {
             block_reads: 1,
             read_failures: 1,
             value_mismatches: 1,
-            writes_container: 1,
             crashes: 1,
             resumes: 1,
             scrubs: 1,

@@ -12,7 +12,7 @@ mod common;
 use std::path::Path;
 
 use pastri::stream::{salvage, StreamReader};
-use pastri::{BlockGeometry, Compressor, CompressorOptions, ParityConfig};
+use pastri::{BlockGeometry, Compressor};
 use proptest::prelude::*;
 
 fn golden(name: &str) -> Vec<u8> {
@@ -89,36 +89,19 @@ fn test_compressor() -> Compressor {
     Compressor::new(BlockGeometry::new(4, 9), 1e-10)
 }
 
-/// Parity-free (v2-layout) compressor: pins the detect-and-skip
-/// semantics that predate self-healing containers.
-fn test_compressor_no_parity() -> Compressor {
-    Compressor::with_options(
-        BlockGeometry::new(4, 9),
-        1e-10,
-        CompressorOptions {
-            parity: ParityConfig::NONE,
-            ..Default::default()
-        },
-    )
-}
-
 fn patterned(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| ((i % 71) as f64 * 0.17).sin() * 3e-6)
         .collect()
 }
 
-/// Builds a stream of `segments` one-block segments and locates each
-/// segment's container payload `[start, end)`.
-fn stream_with_ranges(segments: usize) -> (Vec<u8>, Vec<(usize, usize)>) {
-    stream_with_ranges_using(segments, test_compressor())
-}
-
-fn stream_with_ranges_using(
-    segments: usize,
-    compressor: Compressor,
-) -> (Vec<u8>, Vec<(usize, usize)>) {
-    let sink = common::v1_stream(&patterned(BLOCK_VALUES * segments), compressor, 1);
+/// Builds a stream of `segments` one-block segments — v3 containers
+/// `with_parity`, else the parity-free v2 layout, whose damage is
+/// detected and skipped — and locates each segment's container payload
+/// `[start, end)`.
+fn stream_with_ranges(segments: usize, with_parity: bool) -> (Vec<u8>, Vec<(usize, usize)>) {
+    let values = patterned(BLOCK_VALUES * segments);
+    let sink = common::v1_stream(&values, test_compressor(), 1, with_parity);
     let ranges = common::stream_segment_ranges(&sink);
     assert_eq!(ranges.len(), segments);
     (sink, ranges)
@@ -139,7 +122,7 @@ fn decode_all_segments(bytes: &[u8]) -> Vec<Vec<f64>> {
 #[test]
 fn sixteen_segments_one_flip_repairs_in_flight() {
     let segments = 16;
-    let (mut bytes, ranges) = stream_with_ranges(segments);
+    let (mut bytes, ranges) = stream_with_ranges(segments, true);
     let clean = decode_all_segments(&bytes);
 
     let (start, end) = ranges[7];
@@ -165,8 +148,7 @@ fn sixteen_segments_one_flip_repairs_in_flight() {
 #[test]
 fn sixteen_segments_one_flip_skips_one_without_parity() {
     let segments = 16;
-    let (mut bytes, ranges) =
-        stream_with_ranges_using(segments, test_compressor_no_parity());
+    let (mut bytes, ranges) = stream_with_ranges(segments, false);
     let clean = decode_all_segments(&bytes);
 
     let (start, end) = ranges[7];
@@ -194,7 +176,7 @@ fn sixteen_segments_one_flip_skips_one_without_parity() {
 #[test]
 fn salvage_then_strict_decode_succeeds() {
     let segments = 16;
-    let (original, ranges) = stream_with_ranges(segments);
+    let (original, ranges) = stream_with_ranges(segments, true);
     let clean = decode_all_segments(&original);
     let mut bytes = original.clone();
 
@@ -230,7 +212,7 @@ proptest! {
         k in 1usize..12,
     ) {
         let segments = 8;
-        let (mut bytes, ranges) = stream_with_ranges(segments);
+        let (mut bytes, ranges) = stream_with_ranges(segments, true);
         let clean = decode_all_segments(&bytes);
 
         let (start, end) = ranges[target];
@@ -262,8 +244,7 @@ proptest! {
         k in 1usize..12,
     ) {
         let segments = 8;
-        let (mut bytes, ranges) =
-            stream_with_ranges_using(segments, test_compressor_no_parity());
+        let (mut bytes, ranges) = stream_with_ranges(segments, false);
         let clean = decode_all_segments(&bytes);
 
         let (start, end) = ranges[target];

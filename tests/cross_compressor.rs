@@ -2,7 +2,7 @@
 //! error-bound contract on the same data, and the paper's headline
 //! ordering (PaSTRI ≫ SZ, ZFP on ERI data) holds end-to-end.
 
-use pastri::{BlockGeometry, Compressor, CompressorOptions, ParityConfig};
+use pastri::{BlockGeometry, Compressor};
 use qchem::basis::BfConfig;
 use qchem::dataset::{DatasetSpec, EriDataset};
 use qchem::molecule::Molecule;
@@ -45,13 +45,7 @@ fn pastri_beats_baselines_on_eri_data() {
     let ds = eri_data();
     let eb = 1e-10;
     let geom = BlockGeometry::from_dims(ds.config.dims());
-    // Parity off: SZ and ZFP carry no FEC, so the codec-vs-codec size
-    // comparison must not charge PaSTRI for its redundancy layer.
-    let opts = CompressorOptions {
-        parity: ParityConfig::NONE,
-        ..Default::default()
-    };
-    let pastri_len = Compressor::with_options(geom, eb, opts).compress(&ds.values).len();
+    let pastri_len = Compressor::new(geom, eb).compress(&ds.values).len();
     let sz_len = sz_lossy::SzCompressor::new(eb).compress(&ds.values).len();
     let zfp_len = zfp_lossy::ZfpCompressor::new(eb).compress(&ds.values).len();
     assert!(

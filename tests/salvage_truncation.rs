@@ -34,7 +34,7 @@ fn patterned(n: usize) -> Vec<f64> {
 
 fn build_stream(segments: usize, blocks_per_segment: usize) -> Vec<u8> {
     let values = patterned(BLOCK_VALUES * blocks_per_segment * segments);
-    common::v1_stream(&values, test_compressor(), blocks_per_segment)
+    common::v1_stream(&values, test_compressor(), blocks_per_segment, false)
 }
 
 /// Offset just past each segment.

@@ -49,7 +49,7 @@ fn storm_completes_with_zero_data_loss() {
     assert!(t.bit_flip_events > 0, "bit flips must fire: {t:?}");
     assert!(t.crashes > 0 && t.resumes > 0, "torn writes must fire and resume: {t:?}");
     assert_eq!(t.resumes, t.crashes, "every crash resumes: {t:?}");
-    assert!(t.reads > 0 && t.writes_container > 0, "{t:?}");
+    assert!(t.reads > 0, "{t:?}");
     assert!(t.scrubs > 0, "{t:?}");
     assert_eq!(t.ops_skipped, 0, "no time budget, nothing skipped");
 }
