@@ -325,10 +325,7 @@ pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), Cli
 /// block rather than the store and every value. Store damage is exit 2,
 /// I/O trouble exit 1. Returns the number of values written.
 fn decompress_store(input: &str, output: &str) -> Result<usize, CliError> {
-    let store_err = |e: eri_store::StoreError| match e {
-        eri_store::StoreError::Io(_) => CliError::new(format!("{input}: {e}")),
-        e => CliError::corruption(format!("{input}: {e}")),
-    };
+    let store_err = |e| store_failure(input, e);
     let write_err = |e: std::io::Error| CliError::new(format!("writing {output}: {e}"));
     let store = eri_store::StoreReader::open(std::path::Path::new(input)).map_err(store_err)?;
     let file = durable::AtomicFile::create(std::path::Path::new(output)).map_err(write_err)?;
@@ -348,11 +345,30 @@ fn decompress_store(input: &str, output: &str) -> Result<usize, CliError> {
     Ok(values)
 }
 
-/// `pastri inspect <in.pastri>`: header metadata + per-kind block census
-/// via the cheap O(blocks) inspection API — no value is decoded.
+/// A failed store open or read: I/O trouble is exit 1, anything else
+/// is damage in a recognized store, exit 2.
+fn store_failure(input: &str, e: eri_store::StoreError) -> CliError {
+    match e {
+        eri_store::StoreError::Io(_) => CliError::new(format!("{input}: {e}")),
+        e => CliError::corruption(format!("{input}: {e}")),
+    }
+}
+
+/// `pastri inspect <file>`: for a container, header metadata + per-kind
+/// block census via the cheap O(blocks) inspection API; for a block
+/// store, a summary of its index. No value is decoded.
 pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &Flags::NONE)?;
-    let input = args.positional(0, "in.pastri")?;
+    let input = args.positional(0, "file")?;
+    match sniff(input)? {
+        Artifact::Store => return inspect_store(input, out),
+        Artifact::Stream => {
+            return Err(CliError::new(format!(
+                "{input}: a PaSTRI stream; inspect reads containers and block stores"
+            )))
+        }
+        Artifact::Container => {}
+    }
     let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
     // Damage in a recognized container is exit 2. Anything without the
     // container magic, or with an unknown version (a `.pstrs` stream
@@ -406,6 +422,41 @@ pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliErr
         b.bookkeeping * 100.0,
         stats.verbatim_bits,
         b.verbatim * 100.0,
+    )?;
+    Ok(())
+}
+
+/// `inspect` of a block store: what [`eri_store::StoreReader::index`]
+/// holds, summed. A store whose header, index or trailer is damaged (or
+/// that was never finished) is exit 2.
+fn inspect_store(input: &str, out: &mut dyn Write) -> Result<(), CliError> {
+    let store = eri_store::StoreReader::open(std::path::Path::new(input))
+        .map_err(|e| store_failure(input, e))?;
+    let bytes = fs::metadata(input).map_err(|e| CliError::new(format!("{input}: {e}")))?.len();
+    let geometry = store.geometry();
+    let values = store.num_blocks() * geometry.block_size();
+    let index = store.index();
+    let parity: u64 = index.stripes.iter().map(|s| s.record_len).sum();
+    writeln!(
+        out,
+        "{input}: valid PaSTRI block store, {bytes} bytes, {values} values ({:.2}x vs raw)",
+        (values * 8) as f64 / bytes as f64
+    )?;
+    writeln!(
+        out,
+        "  error bound {:.1e}, geometry {}x{} ({} points/block), {} blocks, {} stripes",
+        store.error_bound(),
+        geometry.num_subblocks,
+        geometry.subblock_size,
+        geometry.block_size(),
+        store.num_blocks(),
+        index.stripes.len()
+    )?;
+    writeln!(
+        out,
+        "  parity: {parity} bytes in {} records ({:.1}% of the store)",
+        index.stripes.len(),
+        parity as f64 * 100.0 / bytes as f64
     )?;
     Ok(())
 }
@@ -2339,5 +2390,34 @@ mod tests {
         // The printed raw bits must match the wire-walk accounting.
         let stats = pastri::container_bit_stats(&fs::read(&comp).unwrap()).unwrap();
         assert!(text.contains(&format!("ecq {} bits", stats.ecq_bits)), "{text}");
+    }
+
+    #[test]
+    fn inspect_summarizes_a_store_from_its_index() {
+        let dir = tmpdir();
+        let path = dir.join("is.eristore");
+        let store = path.to_string_lossy().into_owned();
+        let bytes = write_store(&path, 20);
+        let mut ins_out = Vec::new();
+        inspect(&sv(&[&store]), &mut ins_out).unwrap();
+        let text = String::from_utf8(ins_out).unwrap();
+        let reader = eri_store::StoreReader::open(&path).unwrap();
+        let parity: u64 = reader.index().stripes.iter().map(|s| s.record_len).sum();
+        let values = 20 * 36;
+        let ratio = (values * 8) as f64 / bytes.len() as f64;
+        for want in [
+            format!("valid PaSTRI block store, {} bytes, {values} values", bytes.len()),
+            format!("({ratio:.2}x vs raw)"),
+            "error bound 1.0e-10, geometry 4x9 (36 points/block), 20 blocks, 3 stripes".into(),
+            format!("parity: {parity} bytes in 3 records"),
+        ] {
+            assert!(text.contains(&want), "missing `{want}` in {text}");
+        }
+        // A flipped header byte: the store cannot be opened, exit 2.
+        let mut damaged = bytes.clone();
+        damaged[10] ^= 0x01;
+        fs::write(&path, &damaged).unwrap();
+        assert_eq!(inspect(&sv(&[&store]), &mut Vec::new()).unwrap_err().code, 2);
+        let _ = fs::remove_file(&path);
     }
 }

@@ -7,8 +7,10 @@
 //!   whatever the output is named
 //! * `decompress` — block store, PaSTRI container or stream → raw f64
 //!   file
-//! * `inspect`    — print container metadata and per-block-kind census
-//!   (containers are read-only: the golden fixtures and older files)
+//! * `inspect`    — print a block store's index summary (blocks,
+//!   stripes, bytes, ratio, parity bytes), or a container's metadata
+//!   and per-block-kind census (containers are read-only: the golden
+//!   fixtures and older files)
 //! * `verify`     — integrity-scan a container/stream/store; non-zero
 //!   exit with a per-block damage report when anything is corrupt
 //! * `scrub`      — classify damage as repairable/unrepairable; with
@@ -132,7 +134,7 @@ USAGE:
   pastri compress   <in.f64> <out.eristore> --config (dd|dd) --eb 1e-10
                     [--threads N] [--checkpoint-every 1024] [--resume]
   pastri decompress <in.eristore|in.pastri|in.pstrs> <out.f64>
-  pastri inspect    <in.pastri>
+  pastri inspect    <in.eristore|in.pastri>
   pastri verify     <file>            (container, stream, or ERI store)
   pastri scrub      <file> [--repair] (heal damage in place from parity)
   pastri salvage    <in.pstrs> <out.pstrs>

@@ -160,6 +160,12 @@ fn exit_codes_follow_the_documented_contract() {
     // length is not a multiple of 8 (invalid f64 input).
     let junk = p(&dir, "junk.bin");
     fs::write(&junk, b"something else entirely").unwrap();
+    // Decoded as a container (it carries no other magic), junk is
+    // refused as one, not as a stream.
+    let err = pastri_cli::run(&sv(&["decompress", &junk, &p(&dir, "junk.f64")]), &mut msg);
+    let err = err.expect_err("junk does not decode");
+    assert_eq!(err.code, 1);
+    assert!(err.message.contains("not a PaSTRI container (bad magic)"), "{}", err.message);
     let odd_raw = p(&dir, "odd.f64");
     fs::write(&odd_raw, [0u8; 9]).unwrap();
     // Whole f64s, but not a whole number of `dddd` blocks.
@@ -187,6 +193,11 @@ fn exit_codes_follow_the_documented_contract() {
     build_server_store(&clean_store, 12);
     build_server_store(&shredded_store, 12);
     shred_store_block(&shredded_store, 3);
+    // A store whose header CRC fails: it cannot be opened at all.
+    let header_damaged_store = p(&dir, "header-damaged.eristore");
+    let mut bytes = fs::read(&clean_store).unwrap();
+    bytes[10] ^= 0x01;
+    fs::write(&header_damaged_store, &bytes).unwrap();
 
     struct Case {
         label: &'static str,
@@ -324,7 +335,8 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["verify", &bad_version_stream]),
             want: 2,
         },
-        // inspect: clean / header damage / not a container / a stream.
+        // inspect: clean / header damage / not a container / a stream /
+        // a store.
         Case {
             label: "inspect clean container",
             argv: sv(&["inspect", &container]),
@@ -344,6 +356,16 @@ fn exit_codes_follow_the_documented_contract() {
             label: "inspect stream",
             argv: sv(&["inspect", &stream]),
             want: 1,
+        },
+        Case {
+            label: "inspect clean store",
+            argv: sv(&["inspect", &clean_store]),
+            want: 0,
+        },
+        Case {
+            label: "inspect header-damaged store",
+            argv: sv(&["inspect", &header_damaged_store]),
+            want: 2,
         },
         // salvage: clean / missing / lossy (dropped tail).
         Case {

@@ -18,6 +18,13 @@
 //!   makes the batch and its commit durable together. Artifacts are
 //!   append-only: no write ever overwrites committed bytes.
 //!
+//! The commit fsync runs off the caller's thread when the sink offers a
+//! [`SyncHandle`] (files do): one helper thread per writer syncs commit
+//! k while the caller compresses batch k+1, and the writer's next write,
+//! commit or close waits for that sync first. So the sink sees the same
+//! writes, syncs and directory syncs in the same order as with an inline
+//! fsync; only the caller's work between two commits overlaps the sync.
+//!
 //! Recovery is the format's own walk: the block store walks its
 //! framing with positional reads and hands each frame and commit record
 //! it meets to a [`CommitScan`]. A commit counts only if its record and
@@ -39,12 +46,19 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread;
 
 use checksum::{crc32, Crc32};
 
 pub mod retry;
 
 pub use retry::{read_exact_retry, RetryPolicy, RetryStats};
+
+/// A call that syncs a sink from another thread: what
+/// [`SyncWrite::sync_handle`] returns. Each call must not return until
+/// every byte the sink accepted before the call is durable.
+pub type SyncHandle = Box<dyn FnMut() -> io::Result<()> + Send>;
 
 /// A byte sink that can force its contents to stable storage.
 ///
@@ -54,6 +68,14 @@ pub use retry::{read_exact_retry, RetryPolicy, RetryStats};
 pub trait SyncWrite: Write {
     /// Flushes and forces all written bytes to stable storage.
     fn sync(&mut self) -> io::Result<()>;
+
+    /// A handle that syncs this same sink from another thread, so
+    /// [`Journaled`] can run a commit's sync while its caller prepares
+    /// the next batch. The default, `None`, keeps every sync on the
+    /// caller's thread.
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        None
+    }
 }
 
 impl SyncWrite for File {
@@ -62,6 +84,13 @@ impl SyncWrite for File {
         // appends is durable too — a checkpoint must never describe
         // bytes the filesystem could forget.
         timed_fsync(|| self.sync_all())
+    }
+
+    /// A second descriptor of the same open file: an fsync through it
+    /// covers every write made through this one.
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        let file = self.try_clone().ok()?;
+        Some(Box::new(move || timed_fsync(|| file.sync_all())))
     }
 }
 
@@ -88,6 +117,10 @@ impl SyncWrite for Vec<u8> {
 impl<W: SyncWrite + ?Sized> SyncWrite for &mut W {
     fn sync(&mut self) -> io::Result<()> {
         (**self).sync()
+    }
+
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        (**self).sync_handle()
     }
 }
 
@@ -499,13 +532,101 @@ pub fn fresh_quarantine_path(artifact: &Path) -> PathBuf {
 /// For files, [`create`](Journaled::create) fsyncs the new file's
 /// directory entry and [`resume`](Journaled::resume) cuts an interrupted
 /// artifact back to its last verified commit. Every fsync goes through
-/// [`SyncWrite::sync`] or [`fsync_dir`], so `durable.fsyncs` and
-/// `durable.fsync_us` see them all.
+/// [`SyncWrite::sync`], a [`SyncHandle`] or [`fsync_dir`], so
+/// `durable.fsyncs` and `durable.fsync_us` see them all.
+///
+/// When the sink has a [`SyncHandle`], the first commit spawns one
+/// helper thread, and each commit hands its fsync to it and returns: at
+/// most one sync is in flight. Every later write, flush, commit and
+/// `close` first waits for it (the `durable.sync_wait` span), so nothing
+/// is written after a record until its fsync returns. A failed sync
+/// poisons the writer: that call and every later one return the error
+/// without touching the sink, and the fsync is never retried (after a
+/// failed fsync the kernel may already have dropped the unsynced pages).
+/// Dropping the writer waits for the in-flight sync and joins the helper.
 pub struct Journaled<W: Write> {
+    /// Declared before `data`, so a drop joins the helper (and finishes
+    /// its sync) before the sink goes.
+    syncer: Syncer,
     data: W,
     committed: Checkpoint,
+    sealed: Checkpoint,
     position: u64,
     span: Crc32,
+    /// `(kind, message)` of the sync failure that poisoned the writer.
+    poisoned: Option<(io::ErrorKind, String)>,
+}
+
+/// Where a [`Journaled`] writer's commit syncs run.
+enum Syncer {
+    /// No commit yet: the sink has not been asked for a handle.
+    Unasked,
+    /// The sink has no handle: each commit syncs on the caller's thread.
+    Inline,
+    /// A helper thread syncing through the sink's handle.
+    Helper(Helper),
+}
+
+/// One thread that runs a [`SyncHandle`] once per ticket, and the
+/// checkpoint its in-flight ticket makes durable.
+struct Helper {
+    /// `None` only while dropping: closing it ends the thread's loop.
+    tickets: Option<mpsc::Sender<()>>,
+    done: mpsc::Receiver<io::Result<()>>,
+    thread: Option<thread::JoinHandle<()>>,
+    in_flight: Option<Checkpoint>,
+}
+
+impl Helper {
+    fn spawn(mut handle: SyncHandle) -> Option<Self> {
+        let (tickets, requests) = mpsc::channel::<()>();
+        let (results, done) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("durable-sync".into())
+            .spawn(move || {
+                for () in requests {
+                    if results.send(handle()).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Self {
+            tickets: Some(tickets),
+            done,
+            thread: Some(thread),
+            in_flight: None,
+        })
+    }
+
+    /// Starts the sync that makes `cp` durable. A helper that has died
+    /// drops the ticket, and [`settle`](Self::settle) reports it.
+    fn hand_off(&mut self, cp: Checkpoint) {
+        if let Some(tickets) = &self.tickets {
+            let _ = tickets.send(());
+        }
+        self.in_flight = Some(cp);
+    }
+
+    /// Waits for the in-flight sync, if any: its checkpoint and result.
+    fn settle(&mut self) -> Option<(Checkpoint, io::Result<()>)> {
+        let cp = self.in_flight.take()?;
+        let _span = telemetry::span("durable.sync_wait");
+        let result = self
+            .done
+            .recv()
+            .unwrap_or_else(|_| Err(io::Error::other("the sync helper thread died")));
+        Some((cp, result))
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        self.tickets = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl<W: Write> Journaled<W> {
@@ -517,10 +638,13 @@ impl<W: Write> Journaled<W> {
     /// An artifact whose bytes up to `committed` are already in `data`.
     fn at(data: W, committed: Checkpoint) -> Self {
         Self {
+            syncer: Syncer::Unasked,
             data,
             committed,
+            sealed: committed,
             position: committed.bytes,
             span: Crc32::new(),
+            poisoned: None,
         }
     }
 
@@ -531,20 +655,55 @@ impl<W: Write> Journaled<W> {
     }
 
     /// The last durable checkpoint: everything at or before it survives
-    /// a crash.
+    /// a crash. A commit whose sync is still in flight is not in it yet.
     #[must_use]
     pub fn committed(&self) -> Checkpoint {
         self.committed
+    }
+
+    /// The last checkpoint whose commit record has been written: durable
+    /// once its sync settles.
+    #[must_use]
+    pub fn sealed(&self) -> Checkpoint {
+        self.sealed
+    }
+
+    /// Waits for the in-flight sync, if any, and fails if this or an
+    /// earlier sync failed.
+    fn settle(&mut self) -> io::Result<()> {
+        if let Syncer::Helper(helper) = &mut self.syncer {
+            if let Some((cp, result)) = helper.settle() {
+                self.synced(cp, result)?;
+            }
+        }
+        match &self.poisoned {
+            Some((kind, msg)) => {
+                Err(io::Error::new(*kind, format!("an earlier sync failed: {msg}")))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Records the outcome of the sync that makes `cp` durable.
+    fn synced(&mut self, cp: Checkpoint, result: io::Result<()>) -> io::Result<()> {
+        match &result {
+            Ok(()) => self.committed = cp,
+            Err(e) => self.poisoned = Some((e.kind(), e.to_string())),
+        }
+        result
     }
 }
 
 impl<W: SyncWrite> Journaled<W> {
     /// Commits everything written since the previous commit as
     /// `segments` segments (or blocks) covering `values` source values:
-    /// appends the record sealing that span, then fsyncs the data once.
-    /// When this returns, recovery finds this checkpoint (or a later
-    /// one).
+    /// appends the record sealing that span, then fsyncs the data once —
+    /// on the helper thread when the sink has a [`SyncHandle`], in which
+    /// case this returns with the sync in flight. Once settled (by the
+    /// next write, commit or `close`, which wait for it), recovery finds
+    /// this checkpoint (or a later one).
     pub fn commit(&mut self, segments: u64, values: u64) -> io::Result<()> {
+        self.settle()?;
         let _span = telemetry::span("durable.commit_batch");
         let cp = Checkpoint {
             segments,
@@ -553,16 +712,31 @@ impl<W: SyncWrite> Journaled<W> {
         };
         self.data.write_all(&cp.record(std::mem::take(&mut self.span).finish()))?;
         self.position = cp.bytes;
+        self.sealed = cp;
         telemetry::counter_add("durable.checkpoints", 1);
-        self.data.sync()?;
-        self.committed = cp;
-        Ok(())
+        if let Syncer::Unasked = self.syncer {
+            self.syncer = match self.data.sync_handle().and_then(Helper::spawn) {
+                Some(helper) => Syncer::Helper(helper),
+                None => Syncer::Inline,
+            };
+        }
+        match &mut self.syncer {
+            Syncer::Helper(helper) => {
+                helper.hand_off(cp);
+                Ok(())
+            }
+            _ => {
+                let result = self.data.sync();
+                self.synced(cp, result)
+            }
+        }
     }
 
-    /// Syncs the data one last time (bytes written since the last
-    /// commit, such as a terminator or an index) and returns the sink
-    /// and the last checkpoint.
+    /// Waits for the in-flight sync, syncs the data one last time (bytes
+    /// written since the last commit, such as a terminator or an index)
+    /// and returns the sink and the last checkpoint.
     pub fn close(mut self) -> io::Result<(W, Checkpoint)> {
+        self.settle()?;
         self.data.sync()?;
         Ok((self.data, self.committed))
     }
@@ -570,6 +744,7 @@ impl<W: SyncWrite> Journaled<W> {
 
 impl<W: Write> Write for Journaled<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.settle()?;
         let n = self.data.write(buf)?;
         self.span.update(&buf[..n]);
         self.position += n as u64;
@@ -577,6 +752,7 @@ impl<W: Write> Write for Journaled<W> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        self.settle()?;
         self.data.flush()
     }
 }
@@ -852,6 +1028,144 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), artifact(2, 0));
         assert!(sidecars(&path).is_empty(), "no sidecar: {:?}", sidecars(&path));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Ev {
+        Write(usize),
+        Sync,
+    }
+
+    type Log = std::sync::Arc<std::sync::Mutex<Vec<Ev>>>;
+
+    /// A sink that logs each write and sync. Its sync handle first runs
+    /// `before_sync(n)` for its n-th call (from 0), so a test can gate,
+    /// delay or fail a sync, and logs the sync only if that succeeds.
+    struct Logged {
+        log: Log,
+        before_sync: std::sync::Arc<dyn Fn(usize) -> io::Result<()> + Send + Sync>,
+    }
+
+    fn logged(
+        before_sync: impl Fn(usize) -> io::Result<()> + Send + Sync + 'static,
+    ) -> (Logged, Log) {
+        let log = Log::default();
+        let sink = Logged { log: log.clone(), before_sync: std::sync::Arc::new(before_sync) };
+        (sink, log)
+    }
+
+    fn events(log: &Log) -> Vec<Ev> {
+        log.lock().unwrap().clone()
+    }
+
+    impl Write for Logged {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().push(Ev::Write(buf.len()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SyncWrite for Logged {
+        fn sync(&mut self) -> io::Result<()> {
+            self.log.lock().unwrap().push(Ev::Sync);
+            Ok(())
+        }
+
+        fn sync_handle(&self) -> Option<SyncHandle> {
+            let (log, before_sync) = (self.log.clone(), self.before_sync.clone());
+            let mut calls = 0;
+            Some(Box::new(move || {
+                calls += 1;
+                before_sync(calls - 1)?;
+                log.lock().unwrap().push(Ev::Sync);
+                Ok(())
+            }))
+        }
+    }
+
+    #[test]
+    fn commit_returns_with_its_sync_in_flight_and_the_next_write_waits() {
+        // Each handle sync waits for a go-ahead the test sends only after
+        // `commit` returned: an inline sync would time out instead.
+        let (go, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(gate);
+        let (sink, log) = logged(move |_| {
+            let wait = std::time::Duration::from_secs(10);
+            gate.lock().unwrap().recv_timeout(wait).map_err(io::Error::other)
+        });
+        let mut j = Journaled::new(sink);
+        j.write_all(&[1; CHUNK]).unwrap();
+        j.commit(1, 4).unwrap();
+        assert_eq!(j.sealed(), cp(1));
+        assert_eq!(j.committed(), Checkpoint::default(), "durable only once its sync returns");
+        assert_eq!(events(&log), [Ev::Write(CHUNK), Ev::Write(RECORD_LEN)]);
+        go.send(()).unwrap();
+        j.write_all(&[2; CHUNK]).unwrap();
+        assert_eq!(j.committed(), cp(1));
+        let order = [Ev::Write(CHUNK), Ev::Write(RECORD_LEN), Ev::Sync, Ev::Write(CHUNK)];
+        assert_eq!(events(&log), order, "the write waited for the sync");
+        j.commit(2, 8).unwrap();
+        go.send(()).unwrap();
+        assert_eq!(j.close().unwrap().1, cp(2));
+        assert_eq!(events(&log)[4..], [Ev::Write(RECORD_LEN), Ev::Sync, Ev::Sync]);
+    }
+
+    #[test]
+    fn a_failed_sync_poisons_the_writer_and_is_never_retried() {
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = calls.clone();
+        let (sink, log) = logged(move |n| {
+            counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if n == 1 {
+                return Err(io::Error::other("disk gone"));
+            }
+            Ok(())
+        });
+        let mut j = Journaled::new(sink);
+        for i in 1..=2 {
+            j.write_all(&[i as u8; CHUNK]).unwrap();
+            j.commit(i, i * 4).unwrap();
+        }
+        // Commit 2's sync failed on the helper: the next call reports it.
+        let err = j.write_all(&[3; CHUNK]).unwrap_err();
+        assert!(err.to_string().contains("disk gone"), "{err}");
+        assert_eq!(j.committed(), cp(1), "the last good checkpoint stays");
+        let seen = events(&log);
+        assert!(j.write_all(&[3; CHUNK]).is_err());
+        assert!(j.flush().is_err());
+        assert!(j.commit(3, 12).is_err());
+        assert_eq!(j.committed(), cp(1));
+        let err = j.close().err().expect("close fails too");
+        assert!(err.to_string().contains("disk gone"), "{err}");
+        assert_eq!(events(&log), seen, "nothing reaches the sink after the failure");
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 2, "never retried");
+    }
+
+    #[test]
+    fn dropping_a_writer_waits_for_its_sync() {
+        // The sync waits for a go-ahead; the drop, on its own thread,
+        // must not return before the sync does.
+        let (go, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(gate);
+        let (sink, log) = logged(move |_| gate.lock().unwrap().recv().map_err(io::Error::other));
+        let mut j = Journaled::new(sink);
+        j.write_all(&[1; CHUNK]).unwrap();
+        j.commit(1, 4).unwrap();
+        let (dropped, returned) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(j);
+            dropped.send(()).unwrap();
+        });
+        let early = returned.recv_timeout(std::time::Duration::from_millis(200));
+        assert!(early.is_err(), "drop returned with its sync in flight");
+        go.send(()).unwrap();
+        returned.recv().unwrap();
+        dropper.join().unwrap();
+        assert_eq!(events(&log), [Ev::Write(CHUNK), Ev::Write(RECORD_LEN), Ev::Sync]);
     }
 
     /// The `Journaled` recovery tests share the process-wide telemetry

@@ -4,13 +4,16 @@
 //! record, or damaged before a commit that still verifies. The writer
 //! tests in the crate root append one block at a time; these feed the
 //! way `pastri compress … .eristore` does, resuming from
-//! `checkpoint.values`.
+//! `checkpoint.values` — and a commit sync that fails on the writer's
+//! sync helper.
 
 #[cfg(test)]
 mod tests {
+    use std::fs::File;
+    use std::io::{self, Write};
     use std::path::{Path, PathBuf};
 
-    use durable::Checkpoint;
+    use durable::{Checkpoint, SyncHandle, SyncWrite};
     use pastri::BlockGeometry;
 
     use crate::tests::{memory_store, patterned_block, tmp};
@@ -274,5 +277,83 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A store file whose `fail_at`-th handle sync (from 1) fails the
+    /// way a dying disk's does: the bytes written since the last good
+    /// sync are gone, and the error comes back.
+    struct FailingDisk {
+        file: File,
+        fail_at: usize,
+    }
+
+    impl Write for FailingDisk {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.file.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl SyncWrite for FailingDisk {
+        fn sync(&mut self) -> io::Result<()> {
+            self.file.sync_all()
+        }
+
+        fn sync_handle(&self) -> Option<SyncHandle> {
+            let file = self.file.try_clone().ok()?;
+            let (fail_at, mut calls, mut synced) = (self.fail_at, 0, 0);
+            Some(Box::new(move || {
+                calls += 1;
+                if calls == fail_at {
+                    file.set_len(synced)?;
+                    return Err(io::Error::other("injected sync failure"));
+                }
+                file.sync_all()?;
+                synced = file.metadata()?.len();
+                Ok(())
+            }))
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_sync_fails_the_writer_and_resume_keeps_the_last_good_commit() {
+        // 12 blocks, 4 per call, a commit every 4: commit k's sync is
+        // settled by the call after the one that sealed it — the next
+        // `append_blocks` for commits 1 and 2, `finish` for commit 3.
+        let blocks = blocks(12);
+        let expected = memory_store(geom(), EB, &blocks, 4);
+        for fail_at in [2usize, 3] {
+            let path = tmp(&format!("failed-sync-{fail_at}"));
+            let file = File::create(&path).unwrap();
+            let disk = FailingDisk { file, fail_at };
+            let mut w = StoreWriter::new(disk, geom(), EB, 4).unwrap();
+            let mut calls = blocks.chunks(4).map(<[Vec<f64>]>::concat);
+            for batch in calls.by_ref().take(fail_at) {
+                w.append_blocks(&batch).unwrap();
+            }
+            let err = match calls.next() {
+                Some(batch) => {
+                    let err = w.append_blocks(&batch).unwrap_err();
+                    // Every later call fails too, without writing a byte.
+                    let len = std::fs::metadata(&path).unwrap().len();
+                    assert!(w.append_blocks(&blocks[0]).is_err());
+                    assert!(w.finish().is_err());
+                    assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+                    err
+                }
+                None => w.finish().unwrap_err(),
+            };
+            assert!(err.to_string().contains("injected sync failure"), "{err}");
+
+            let (mut w, cp) = StoreWriter::open_for_append(&path, geom(), EB, 4).unwrap();
+            assert_eq!(cp.segments, 4 * (fail_at as u64 - 1), "fail_at {fail_at}");
+            w.append_blocks(&blocks[cp.segments as usize..].concat()).unwrap();
+            w.finish().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "fail_at {fail_at}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

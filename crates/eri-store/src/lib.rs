@@ -499,6 +499,11 @@ impl StoreIndex {
 /// store is byte-identical to an uninterrupted one. Over an in-memory
 /// sink ([`new`](Self::new)) the same bytes come out.
 ///
+/// A file's commit fsync runs on the journal's helper thread while the
+/// caller compresses the next batch; the batch's first write waits for
+/// it. The commit cadence therefore counts sealed commit records, not
+/// settled ones.
+///
 /// Bytes reach the sink a stripe at a time: a stripe's blocks wait in
 /// memory until its parity record is computed, and each append call
 /// writes all the stripes it closed with one `write_all`.
@@ -670,7 +675,7 @@ impl<W: SyncWrite> StoreWriter<W> {
             self.close_stripe();
         }
         let blocks = self.index.blocks.len() as u64;
-        if blocks - self.out.committed().segments >= self.checkpoint_every as u64 {
+        if blocks - self.out.sealed().segments >= self.checkpoint_every as u64 {
             self.commit()?;
         }
         Ok(())
@@ -720,7 +725,7 @@ impl<W: SyncWrite> StoreWriter<W> {
     /// Commits any blocks since the last commit, appends the checksummed
     /// index and the trailer, and syncs. Returns the block count.
     pub fn finish(mut self) -> Result<usize, StoreError> {
-        if self.index.blocks.len() as u64 > self.out.committed().segments {
+        if self.index.blocks.len() as u64 > self.out.sealed().segments {
             self.commit()?;
         }
         let index_offset = self.out.position();

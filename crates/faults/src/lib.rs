@@ -31,7 +31,8 @@
 //! can share the same arithmetic.
 
 use std::io::{self, ErrorKind, Write};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use durable::retry::splitmix64;
 use durable::ReadAt;
@@ -40,7 +41,7 @@ pub mod overload;
 pub mod power;
 pub mod proxy;
 
-pub use power::PowerLossFile;
+pub use power::{Op, PowerLossFile};
 pub use proxy::{FaultyProxy, ProxyFaultConfig, ProxyTallies, WireFault};
 
 /// What to inject. The default injects nothing — enable modes per test.
@@ -286,7 +287,7 @@ pub fn is_injected_crash(e: &io::Error) -> bool {
 /// [`WriteFaultConfig`], deterministically per seed. After the kill
 /// budget runs dry the writer is *dead*: nothing further reaches the
 /// inner writer, mirroring a killed process whose file descriptors are
-/// gone.
+/// gone — its sync handle included.
 pub struct FaultyWriter<W> {
     inner: W,
     seed: u64,
@@ -294,7 +295,8 @@ pub struct FaultyWriter<W> {
     calls: u64,
     /// Bytes accepted so far (what the kill budget is charged).
     accepted: u64,
-    dead: bool,
+    /// Shared with the sync handles, which fail once the writer is dead.
+    dead: Arc<AtomicBool>,
     abort_hook: Option<Box<dyn FnMut() + Send>>,
 }
 
@@ -308,7 +310,7 @@ impl<W> FaultyWriter<W> {
             config,
             calls: 0,
             accepted: 0,
-            dead: false,
+            dead: Arc::default(),
             abort_hook: None,
         }
     }
@@ -328,9 +330,12 @@ impl<W> FaultyWriter<W> {
         self.inner
     }
 
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
+
     fn die(&mut self) -> io::Error {
-        if !self.dead {
-            self.dead = true;
+        if !self.dead.swap(true, Ordering::SeqCst) {
             telemetry::counter_add("faults.crashes_injected", 1);
             telemetry::counter_add("faults.crash_budget_exhausted", 1);
             telemetry::event("faults.crash_budget_exhausted");
@@ -344,7 +349,7 @@ impl<W> FaultyWriter<W> {
 
 impl<W: Write> Write for FaultyWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
+        if self.is_dead() {
             return Err(crash_error());
         }
         let call = self.calls;
@@ -368,7 +373,7 @@ impl<W: Write> Write for FaultyWriter<W> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
+        if self.is_dead() {
             return Err(crash_error());
         }
         self.inner.flush()
@@ -377,10 +382,21 @@ impl<W: Write> Write for FaultyWriter<W> {
 
 impl<W: durable::SyncWrite> durable::SyncWrite for FaultyWriter<W> {
     fn sync(&mut self) -> io::Result<()> {
-        if self.dead {
+        if self.is_dead() {
             return Err(crash_error());
         }
         self.inner.sync()
+    }
+
+    fn sync_handle(&self) -> Option<durable::SyncHandle> {
+        let mut inner = self.inner.sync_handle()?;
+        let dead = Arc::clone(&self.dead);
+        Some(Box::new(move || {
+            if dead.load(Ordering::SeqCst) {
+                return Err(crash_error());
+            }
+            inner()
+        }))
     }
 }
 
@@ -582,6 +598,30 @@ mod tests {
         let e = w.write_all(&[2u8; 4]).unwrap_err();
         assert!(is_injected_crash(&e));
         assert_eq!(w.into_inner(), vec![1u8; 8]);
+    }
+
+    #[test]
+    fn sync_handle_delegates_and_dies_with_the_writer() {
+        use durable::SyncWrite as _;
+        let plain = FaultyWriter::new(Vec::new(), 9, WriteFaultConfig::default());
+        assert!(plain.sync_handle().is_none(), "no inner handle, no handle");
+        let file = PowerLossFile::new();
+        let mut w = FaultyWriter::new(
+            file.clone(),
+            9,
+            WriteFaultConfig {
+                kill_after: Some(8),
+                torn_kill: false,
+                ..Default::default()
+            },
+        );
+        let mut handle = w.sync_handle().expect("the inner file has a handle");
+        w.write_all(b"abcd").unwrap();
+        handle().unwrap();
+        assert_eq!(file.history(), [Op::Write(b"abcd".to_vec()), Op::Sync]);
+        assert!(is_injected_crash(&w.write_all(b"efghij").unwrap_err()));
+        assert!(is_injected_crash(&handle().unwrap_err()));
+        assert_eq!(file.operations(), 2, "a dead writer's handle syncs nothing");
     }
 
     #[test]

@@ -16,18 +16,23 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use durable::retry::splitmix64;
-use durable::SyncWrite;
+use durable::{SyncHandle, SyncWrite};
 
-#[derive(Debug)]
-enum Op {
+/// One operation a [`PowerLossFile`] recorded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    /// Bytes appended by one `write` call.
     Write(Vec<u8>),
+    /// An fsync of the file, through `sync` or a sync handle.
     Sync,
+    /// An fsync of the file's directory.
     DirSync,
 }
 
 /// A recording sink standing for one newly created file: every write,
 /// `sync` and directory fsync is logged in order. Clones share the log,
-/// so a harness keeps a handle while a writer owns another.
+/// so a harness keeps a handle while a writer owns another — and the
+/// file's [`SyncHandle`] logs into it from the writer's sync helper.
 #[derive(Debug, Clone, Default)]
 pub struct PowerLossFile {
     log: Arc<Mutex<Vec<Op>>>,
@@ -51,6 +56,12 @@ impl PowerLossFile {
     #[must_use]
     pub fn operations(&self) -> usize {
         self.ops().len()
+    }
+
+    /// Every operation recorded so far, in order.
+    #[must_use]
+    pub fn history(&self) -> Vec<Op> {
+        self.ops().clone()
     }
 
     /// Every byte written, in order: the file after a clean shutdown.
@@ -118,6 +129,14 @@ impl SyncWrite for PowerLossFile {
         self.ops().push(Op::Sync);
         Ok(())
     }
+
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        let file = self.clone();
+        Some(Box::new(move || {
+            file.ops().push(Op::Sync);
+            Ok(())
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -157,5 +176,17 @@ mod tests {
         assert!(missing > 0 && missing < 64, "{missing} of 64");
         f.sync_dir();
         assert!((0..64).all(|seed| f.crash_state(f.operations(), seed) == Some(b"data".to_vec())));
+    }
+
+    #[test]
+    fn the_sync_handle_logs_into_the_same_history_from_any_thread() {
+        let mut f = PowerLossFile::new();
+        let mut handle = f.sync_handle().expect("a power-loss file has a sync handle");
+        f.write_all(b"ab").unwrap();
+        std::thread::spawn(move || handle().unwrap()).join().unwrap();
+        f.write_all(b"cd").unwrap();
+        f.sync().unwrap();
+        let ab = Op::Write(b"ab".to_vec());
+        assert_eq!(f.history(), [ab, Op::Sync, Op::Write(b"cd".to_vec()), Op::Sync]);
     }
 }

@@ -334,7 +334,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     let mut pos = 0usize;
     let magic = bytes.get(..4).ok_or(DecompressError::Truncated)?;
     if magic != MAGIC {
-        return Err(DecompressError::BadMagic);
+        return Err(DecompressError::BadMagic { format: "container" });
     }
     pos += 4;
     let version = *bytes.get(pos).ok_or(DecompressError::Truncated)?;
@@ -876,7 +876,10 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert_eq!(decompress(b"nope").unwrap_err(), DecompressError::BadMagic);
+        assert_eq!(
+            decompress(b"nope").unwrap_err(),
+            DecompressError::BadMagic { format: "container" }
+        );
         assert_eq!(decompress(b"PS").unwrap_err(), DecompressError::Truncated);
         let geom = BlockGeometry::new(2, 2);
         let c = Compressor::new(geom, 1e-10);

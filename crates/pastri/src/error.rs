@@ -11,8 +11,11 @@ use std::fmt;
 /// Why a compressed stream could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecompressError {
-    /// The stream does not start with the PaSTRI magic bytes.
-    BadMagic,
+    /// The bytes do not start with the magic of the layout being read.
+    BadMagic {
+        /// The layout the reader expected: `"container"` or `"stream"`.
+        format: &'static str,
+    },
     /// A version byte this build cannot read.
     BadVersion {
         /// The layout whose header carried it: `"container"` or
@@ -122,7 +125,7 @@ impl DecompressError {
 impl fmt::Display for DecompressError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecompressError::BadMagic => write!(f, "not a PaSTRI stream (bad magic)"),
+            DecompressError::BadMagic { format } => write!(f, "not a PaSTRI {format} (bad magic)"),
             DecompressError::BadVersion { format, version } => {
                 write!(f, "unsupported {format} version {version}")
             }
@@ -200,6 +203,14 @@ mod tests {
         assert_eq!(stream.to_string(), "unsupported stream version 2");
         let container = DecompressError::BadVersion { format: "container", version: 9 };
         assert_eq!(container.to_string(), "unsupported container version 9");
+    }
+
+    #[test]
+    fn bad_magic_names_the_format_it_expected() {
+        let container = DecompressError::BadMagic { format: "container" };
+        assert_eq!(container.to_string(), "not a PaSTRI container (bad magic)");
+        let stream = DecompressError::BadMagic { format: "stream" };
+        assert_eq!(stream.to_string(), "not a PaSTRI stream (bad magic)");
     }
 
     #[test]

@@ -261,7 +261,7 @@ mod tests {
     fn container_bit_stats_rejects_garbage() {
         assert!(matches!(
             container_bit_stats(b"nope"),
-            Err(DecompressError::BadMagic)
+            Err(DecompressError::BadMagic { format: "container" })
         ));
         let geom = BlockGeometry::new(2, 4);
         let c = Compressor::new(geom, 1e-8);
@@ -271,7 +271,10 @@ mod tests {
 
     #[test]
     fn inspect_rejects_garbage() {
-        assert!(matches!(inspect(b"nope"), Err(DecompressError::BadMagic)));
+        assert!(matches!(
+            inspect(b"nope"),
+            Err(DecompressError::BadMagic { format: "container" })
+        ));
         let geom = BlockGeometry::new(2, 2);
         let c = Compressor::new(geom, 1e-8);
         let bytes = c.compress(&[1e-5; 8]);

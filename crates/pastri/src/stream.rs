@@ -101,7 +101,7 @@ impl<R: ReadAt> Frames<R> {
         let mut magic = [0u8; 6];
         frames.read_exact(&mut magic)?;
         if magic[..5] != STREAM_MAGIC {
-            return Err(DecompressError::BadMagic);
+            return Err(DecompressError::BadMagic { format: "stream" });
         }
         if magic[5] != STREAM_VERSION {
             return Err(DecompressError::BadVersion {
@@ -539,7 +539,7 @@ mod tests {
     fn bad_magic_rejected() {
         assert!(matches!(
             StreamReader::new(&b"NOTPST\x01"[..]).err(),
-            Some(DecompressError::BadMagic)
+            Some(DecompressError::BadMagic { format: "stream" })
         ));
         // Version 2 (commit frames between segments) is refused like
         // any unknown version.

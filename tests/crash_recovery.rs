@@ -21,7 +21,10 @@
 //! samples those states from a seeded model (`faults::PowerLossFile`):
 //! readers never return wrong data from them, and recovery then finishes
 //! byte-identical to the uninterrupted artifact. `PROPTEST_CASES` sets
-//! the sample count.
+//! the sample count. The model's file has a sync handle, so these runs
+//! sync each commit on the writer's helper thread, and
+//! `the_sync_helper_leaves_the_operation_order_unchanged` pins that the
+//! file sees exactly the operations an inline sync makes.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -30,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use durable::{Checkpoint, SyncWrite};
 use eri_store::{committed_index, RetryPolicy, StoreError, StoreReader, StoreWriter};
-use faults::{is_injected_crash, FaultyWriter, PowerLossFile, WriteFaultConfig};
+use faults::{is_injected_crash, FaultyWriter, Op, PowerLossFile, WriteFaultConfig};
 use pastri::BlockGeometry;
 use proptest::prelude::*;
 
@@ -484,5 +487,64 @@ fn power_loss_regressions() {
     for &(at, seed) in REGRESSIONS {
         let state = run.file.crash_state(at.min(run.file.operations()), seed);
         store_survives(state.as_deref(), run, data, &format!("store-{at}-{seed:x}"));
+    }
+}
+
+/// A power-loss file without a sync handle: the writer syncs it on the
+/// caller's thread.
+struct InlineSync(PowerLossFile);
+
+impl Write for InlineSync {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl SyncWrite for InlineSync {
+    fn sync(&mut self) -> io::Result<()> {
+        self.0.sync()
+    }
+}
+
+/// Writes a store of `data` committed every `every` blocks to `sink`,
+/// `per_call` blocks per `append_blocks`.
+fn write_store<W: SyncWrite>(sink: W, data: &[f64], every: usize, per_call: usize) {
+    let mut w = StoreWriter::new(sink, geometry(), EB, every).unwrap();
+    for batch in data.chunks(BLOCK_VALUES * per_call) {
+        w.append_blocks(batch).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+/// Moving each commit's sync onto the helper thread changes nothing the
+/// file sees: the same writes and syncs in the same order as inline
+/// syncs, at every cadence, call size and thread count.
+#[test]
+fn the_sync_helper_leaves_the_operation_order_unchanged() {
+    let blocks = 70;
+    let data = patterned(BLOCK_VALUES * blocks);
+    for threads in [1usize, 4] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            for every in [1usize, 3, 64] {
+                for per_call in [BLOCKS_PER_CALL, every] {
+                    let (helper, inline) = (PowerLossFile::new(), PowerLossFile::new());
+                    write_store(helper.clone(), &data, every, per_call);
+                    write_store(InlineSync(inline.clone()), &data, every, per_call);
+                    let tag = format!("threads {threads}, every {every}, {per_call} per call");
+                    assert_eq!(helper.history(), inline.history(), "{tag}");
+                    let syncs = helper.history().iter().filter(|op| **op == Op::Sync).count();
+                    let commits = blocks.div_ceil(every);
+                    assert_eq!(syncs, commits + 1, "{tag}: one per commit, one at finish");
+                }
+            }
+        });
     }
 }

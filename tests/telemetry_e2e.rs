@@ -190,7 +190,9 @@ fn durable_fsyncs_are_counted_and_timed() {
 
 /// A durable store write's every fsync is counted: the directory at
 /// create, one data fsync per checkpoint (its commit record rides in the
-/// same file), and the final data fsync after the index and trailer.
+/// same file, and its sync on the writer's helper thread), and the final
+/// data fsync after the index and trailer. The caller waits on each
+/// checkpoint's sync once, in one `durable.sync_wait` span.
 #[test]
 fn durable_store_counts_its_data_and_journal_fsyncs() {
     let _guard = lock();
@@ -216,6 +218,8 @@ fn durable_store_counts_its_data_and_journal_fsyncs() {
         "{:?}",
         snap.counters
     );
+    assert_eq!(snap.spans_named("durable.commit_batch").count() as u64, checkpoints);
+    assert_eq!(snap.spans_named("durable.sync_wait").count() as u64, checkpoints);
 }
 
 /// Resuming a store whose tail outran its last checkpoint trims the tail
