@@ -80,12 +80,18 @@ pub fn fig3(claims: &mut Claims) {
     let sbs = config.subblock_size();
     let subblocks = |b: usize| (&ds.block(b)[..sbs], &ds.block(b)[sbs..2 * sbs]);
 
-    // Pick the block whose first two sub-blocks match best under scaling
-    // (the paper hand-picked a representative far-field block).
+    // The paper hand-picked a representative far-field block: among the
+    // blocks whose extremum is at most the median block's, pick the one
+    // whose first two sub-blocks match best under scaling.
+    let extremum = |b: usize| ds.block(b).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let mut extrema: Vec<f64> = (0..ds.num_blocks()).map(extremum).collect();
+    extrema.sort_by(f64::total_cmp);
+    let n = extrema.len();
+    let median = (extrema[(n - 1) / 2] + extrema[n / 2]) / 2.0;
     let deviation = |b: usize| {
-        let ext = ds.block(b).iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let ext = extremum(b);
         let (s0, s1) = subblocks(b);
-        let scale = anchor_scale(s0, s1).filter(|_| ext >= 1e-9)?;
+        let scale = anchor_scale(s0, s1).filter(|_| (1e-9..=median).contains(&ext))?;
         let dev = (0..sbs).map(|i| (s1[i] - scale * s0[i]).abs());
         Some(dev.fold(0.0, f64::max) / ext)
     };

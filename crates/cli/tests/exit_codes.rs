@@ -63,7 +63,7 @@ fn build_server_store(path: &str, n: usize) {
                 block.push(s * ((i + b) as f64 * 0.37).sin() * 1e-6);
             }
         }
-        w.append_block(&block).unwrap();
+        w.append_blocks(&block).unwrap();
     }
     w.finish().unwrap();
 }

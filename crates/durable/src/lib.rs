@@ -18,12 +18,12 @@
 //!   makes the batch and its commit durable together. Artifacts are
 //!   append-only: no write ever overwrites committed bytes.
 //!
-//! The commit fsync runs off the caller's thread when the sink offers a
-//! [`SyncHandle`] (files do): one helper thread per writer syncs commit
-//! k while the caller compresses batch k+1, and the writer's next write,
-//! commit or close waits for that sync first. So the sink sees the same
-//! writes, syncs and directory syncs in the same order as with an inline
-//! fsync; only the caller's work between two commits overlaps the sync.
+//! Every sink syncs through one [`SyncHandle`], and every commit's sync
+//! runs off the caller's thread: one helper thread per writer syncs
+//! commit k while the caller compresses batch k+1, and the writer's next
+//! write, commit or close waits for that sync first. So the sink sees
+//! each commit's sync right after its record and before any later
+//! write; only the caller's work between two commits overlaps the sync.
 //!
 //! Recovery is the format's own walk: the block store walks its
 //! framing with positional reads and hands each frame and commit record
@@ -37,8 +37,9 @@
 //! a record the walk could not reach because the framing before it is
 //! damaged.
 //!
-//! Sinks are abstracted by [`SyncWrite`] (a `Write` that can fsync), so
-//! the fault-injection harness can interpose on every byte and fsync.
+//! Sinks are abstracted by [`SyncWrite`] (a `Write` that hands out a
+//! [`SyncHandle`]), so the fault-injection harness can interpose on every
+//! byte and fsync.
 //! Sources are abstracted by [`ReadAt`] (positional reads through
 //! `&self`), so one open file can serve many threads at once and the
 //! same harness can interpose on every read.
@@ -61,36 +62,24 @@ pub use retry::{read_exact_retry, RetryPolicy, RetryStats};
 pub type SyncHandle = Box<dyn FnMut() -> io::Result<()> + Send>;
 
 /// A byte sink that can force its contents to stable storage.
-///
-/// `sync` must not return until every byte previously accepted by
-/// `write` is durable (for files: `fsync`). In-memory sinks are their
-/// own stable storage, so their `sync` is a no-op.
 pub trait SyncWrite: Write {
-    /// Flushes and forces all written bytes to stable storage.
-    fn sync(&mut self) -> io::Result<()>;
-
-    /// A handle that syncs this same sink from another thread, so
-    /// [`Journaled`] can run a commit's sync while its caller prepares
-    /// the next batch. The default, `None`, keeps every sync on the
-    /// caller's thread.
-    fn sync_handle(&self) -> Option<SyncHandle> {
-        None
-    }
+    /// A handle that syncs this same sink, from any thread: the one way
+    /// [`Journaled`] makes the sink's bytes durable. In-memory sinks are
+    /// their own stable storage, so their handle is a no-op.
+    ///
+    /// # Errors
+    /// Any error making the handle (for files: duplicating the descriptor).
+    fn sync_handle(&self) -> io::Result<SyncHandle>;
 }
 
 impl SyncWrite for File {
-    fn sync(&mut self) -> io::Result<()> {
-        // sync_all (fsync, not fdatasync) so file-size metadata from
-        // appends is durable too — a checkpoint must never describe
-        // bytes the filesystem could forget.
-        timed_fsync(|| self.sync_all())
-    }
-
     /// A second descriptor of the same open file: an fsync through it
-    /// covers every write made through this one.
-    fn sync_handle(&self) -> Option<SyncHandle> {
-        let file = self.try_clone().ok()?;
-        Some(Box::new(move || timed_fsync(|| file.sync_all())))
+    /// covers every write made through this one. It is `sync_all` (fsync,
+    /// not fdatasync) so file-size metadata from appends is durable too —
+    /// a checkpoint must never describe bytes the filesystem could forget.
+    fn sync_handle(&self) -> io::Result<SyncHandle> {
+        let file = self.try_clone()?;
+        Ok(Box::new(move || timed_fsync(|| file.sync_all())))
     }
 }
 
@@ -109,17 +98,13 @@ fn timed_fsync(f: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
 }
 
 impl SyncWrite for Vec<u8> {
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
+    fn sync_handle(&self) -> io::Result<SyncHandle> {
+        Ok(Box::new(|| Ok(())))
     }
 }
 
 impl<W: SyncWrite + ?Sized> SyncWrite for &mut W {
-    fn sync(&mut self) -> io::Result<()> {
-        (**self).sync()
-    }
-
-    fn sync_handle(&self) -> Option<SyncHandle> {
+    fn sync_handle(&self) -> io::Result<SyncHandle> {
         (**self).sync_handle()
     }
 }
@@ -532,22 +517,22 @@ pub fn fresh_quarantine_path(artifact: &Path) -> PathBuf {
 /// For files, [`create`](Journaled::create) fsyncs the new file's
 /// directory entry and [`resume`](Journaled::resume) cuts an interrupted
 /// artifact back to its last verified commit. Every fsync goes through
-/// [`SyncWrite::sync`], a [`SyncHandle`] or [`fsync_dir`], so
-/// `durable.fsyncs` and `durable.fsync_us` see them all.
+/// the sink's [`SyncHandle`] or [`fsync_dir`], so `durable.fsyncs` and
+/// `durable.fsync_us` see them all.
 ///
-/// When the sink has a [`SyncHandle`], the first commit spawns one
-/// helper thread, and each commit hands its fsync to it and returns: at
-/// most one sync is in flight. Every later write, flush, commit and
-/// `close` first waits for it (the `durable.sync_wait` span), so nothing
-/// is written after a record until its fsync returns. A failed sync
-/// poisons the writer: that call and every later one return the error
-/// without touching the sink, and the fsync is never retried (after a
-/// failed fsync the kernel may already have dropped the unsynced pages).
+/// The first commit takes the sink's handle and spawns one helper
+/// thread, and each commit hands its fsync to it and returns: at most
+/// one sync is in flight. Every later write, flush, commit and `close`
+/// first waits for it (the `durable.sync_wait` span), so nothing is
+/// written after a record until its fsync returns. A failed sync poisons
+/// the writer: that call and every later one return the error without
+/// touching the sink, and the fsync is never retried (after a failed
+/// fsync the kernel may already have dropped the unsynced pages).
 /// Dropping the writer waits for the in-flight sync and joins the helper.
 pub struct Journaled<W: Write> {
-    /// Declared before `data`, so a drop joins the helper (and finishes
-    /// its sync) before the sink goes.
-    syncer: Syncer,
+    /// `None` until the first commit. Declared before `data`, so a drop
+    /// joins the helper (and finishes its sync) before the sink goes.
+    helper: Option<Helper>,
     data: W,
     committed: Checkpoint,
     sealed: Checkpoint,
@@ -557,28 +542,19 @@ pub struct Journaled<W: Write> {
     poisoned: Option<(io::ErrorKind, String)>,
 }
 
-/// Where a [`Journaled`] writer's commit syncs run.
-enum Syncer {
-    /// No commit yet: the sink has not been asked for a handle.
-    Unasked,
-    /// The sink has no handle: each commit syncs on the caller's thread.
-    Inline,
-    /// A helper thread syncing through the sink's handle.
-    Helper(Helper),
-}
-
 /// One thread that runs a [`SyncHandle`] once per ticket, and the
 /// checkpoint its in-flight ticket makes durable.
 struct Helper {
-    /// `None` only while dropping: closing it ends the thread's loop.
+    /// `None` only while closing or dropping: closing it ends the
+    /// thread's loop, and the thread returns its handle.
     tickets: Option<mpsc::Sender<()>>,
     done: mpsc::Receiver<io::Result<()>>,
-    thread: Option<thread::JoinHandle<()>>,
+    thread: Option<thread::JoinHandle<SyncHandle>>,
     in_flight: Option<Checkpoint>,
 }
 
 impl Helper {
-    fn spawn(mut handle: SyncHandle) -> Option<Self> {
+    fn spawn(mut handle: SyncHandle) -> io::Result<Self> {
         let (tickets, requests) = mpsc::channel::<()>();
         let (results, done) = mpsc::channel();
         let thread = thread::Builder::new()
@@ -589,9 +565,9 @@ impl Helper {
                         break;
                     }
                 }
-            })
-            .ok()?;
-        Some(Self {
+                handle
+            })?;
+        Ok(Self {
             tickets: Some(tickets),
             done,
             thread: Some(thread),
@@ -612,12 +588,22 @@ impl Helper {
     fn settle(&mut self) -> Option<(Checkpoint, io::Result<()>)> {
         let cp = self.in_flight.take()?;
         let _span = telemetry::span("durable.sync_wait");
-        let result = self
-            .done
-            .recv()
-            .unwrap_or_else(|_| Err(io::Error::other("the sync helper thread died")));
+        let result = self.done.recv().unwrap_or_else(|_| Err(died()));
         Some((cp, result))
     }
+
+    /// Ends the thread and takes its handle back.
+    fn into_handle(mut self) -> io::Result<SyncHandle> {
+        self.tickets = None;
+        match self.thread.take().map(thread::JoinHandle::join) {
+            Some(Ok(handle)) => Ok(handle),
+            _ => Err(died()),
+        }
+    }
+}
+
+fn died() -> io::Error {
+    io::Error::other("the sync helper thread died")
 }
 
 impl Drop for Helper {
@@ -638,7 +624,7 @@ impl<W: Write> Journaled<W> {
     /// An artifact whose bytes up to `committed` are already in `data`.
     fn at(data: W, committed: Checkpoint) -> Self {
         Self {
-            syncer: Syncer::Unasked,
+            helper: None,
             data,
             committed,
             sealed: committed,
@@ -671,10 +657,12 @@ impl<W: Write> Journaled<W> {
     /// Waits for the in-flight sync, if any, and fails if this or an
     /// earlier sync failed.
     fn settle(&mut self) -> io::Result<()> {
-        if let Syncer::Helper(helper) = &mut self.syncer {
-            if let Some((cp, result)) = helper.settle() {
-                self.synced(cp, result)?;
+        if let Some((cp, result)) = self.helper.as_mut().and_then(Helper::settle) {
+            if let Err(e) = &result {
+                self.poisoned = Some((e.kind(), e.to_string()));
             }
+            result?;
+            self.committed = cp;
         }
         match &self.poisoned {
             Some((kind, msg)) => {
@@ -683,28 +671,24 @@ impl<W: Write> Journaled<W> {
             None => Ok(()),
         }
     }
-
-    /// Records the outcome of the sync that makes `cp` durable.
-    fn synced(&mut self, cp: Checkpoint, result: io::Result<()>) -> io::Result<()> {
-        match &result {
-            Ok(()) => self.committed = cp,
-            Err(e) => self.poisoned = Some((e.kind(), e.to_string())),
-        }
-        result
-    }
 }
 
 impl<W: SyncWrite> Journaled<W> {
     /// Commits everything written since the previous commit as
     /// `segments` segments (or blocks) covering `values` source values:
-    /// appends the record sealing that span, then fsyncs the data once —
-    /// on the helper thread when the sink has a [`SyncHandle`], in which
-    /// case this returns with the sync in flight. Once settled (by the
-    /// next write, commit or `close`, which wait for it), recovery finds
-    /// this checkpoint (or a later one).
+    /// appends the record sealing that span and returns with its fsync in
+    /// flight on the helper thread. The first commit takes the sink's
+    /// [`SyncHandle`] and spawns the helper before it writes anything, so
+    /// a sink that cannot give one fails here with nothing written. Once
+    /// settled (by the next write, commit or `close`, which wait for it),
+    /// recovery finds this checkpoint (or a later one).
     pub fn commit(&mut self, segments: u64, values: u64) -> io::Result<()> {
         self.settle()?;
         let _span = telemetry::span("durable.commit_batch");
+        let helper = match &mut self.helper {
+            Some(helper) => helper,
+            none => none.insert(Helper::spawn(self.data.sync_handle()?)?),
+        };
         let cp = Checkpoint {
             segments,
             values,
@@ -714,30 +698,21 @@ impl<W: SyncWrite> Journaled<W> {
         self.position = cp.bytes;
         self.sealed = cp;
         telemetry::counter_add("durable.checkpoints", 1);
-        if let Syncer::Unasked = self.syncer {
-            self.syncer = match self.data.sync_handle().and_then(Helper::spawn) {
-                Some(helper) => Syncer::Helper(helper),
-                None => Syncer::Inline,
-            };
-        }
-        match &mut self.syncer {
-            Syncer::Helper(helper) => {
-                helper.hand_off(cp);
-                Ok(())
-            }
-            _ => {
-                let result = self.data.sync();
-                self.synced(cp, result)
-            }
-        }
+        helper.hand_off(cp);
+        Ok(())
     }
 
-    /// Waits for the in-flight sync, syncs the data one last time (bytes
-    /// written since the last commit, such as a terminator or an index)
-    /// and returns the sink and the last checkpoint.
+    /// Waits for the in-flight sync, syncs the data one last time through
+    /// the same handle on the caller's thread (bytes written since the
+    /// last commit, such as a terminator or an index) and returns the
+    /// sink and the last checkpoint.
     pub fn close(mut self) -> io::Result<(W, Checkpoint)> {
         self.settle()?;
-        self.data.sync()?;
+        let mut sync = match self.helper.take() {
+            Some(helper) => helper.into_handle()?,
+            None => self.data.sync_handle()?,
+        };
+        sync()?;
         Ok((self.data, self.committed))
     }
 }
@@ -799,7 +774,7 @@ impl Journaled<File> {
             telemetry::counter_add("durable.resume_truncations", 1);
         }
         data.set_len(cp.bytes)?;
-        data.sync()?;
+        timed_fsync(|| data.sync_all())?;
         data.seek(SeekFrom::Start(cp.bytes))?;
         fsync_dir(&parent_of(path))?;
         Ok((Self::at(data, cp), state))
@@ -1070,15 +1045,10 @@ mod tests {
     }
 
     impl SyncWrite for Logged {
-        fn sync(&mut self) -> io::Result<()> {
-            self.log.lock().unwrap().push(Ev::Sync);
-            Ok(())
-        }
-
-        fn sync_handle(&self) -> Option<SyncHandle> {
+        fn sync_handle(&self) -> io::Result<SyncHandle> {
             let (log, before_sync) = (self.log.clone(), self.before_sync.clone());
             let mut calls = 0;
-            Some(Box::new(move || {
+            Ok(Box::new(move || {
                 calls += 1;
                 before_sync(calls - 1)?;
                 log.lock().unwrap().push(Ev::Sync);
@@ -1090,7 +1060,8 @@ mod tests {
     #[test]
     fn commit_returns_with_its_sync_in_flight_and_the_next_write_waits() {
         // Each handle sync waits for a go-ahead the test sends only after
-        // `commit` returned: an inline sync would time out instead.
+        // `commit` returned: a sync on the caller's thread would time out
+        // instead. `close`'s final sync runs the same handle.
         let (go, gate) = std::sync::mpsc::channel::<()>();
         let gate = std::sync::Mutex::new(gate);
         let (sink, log) = logged(move |_| {
@@ -1110,8 +1081,34 @@ mod tests {
         assert_eq!(events(&log), order, "the write waited for the sync");
         j.commit(2, 8).unwrap();
         go.send(()).unwrap();
+        go.send(()).unwrap();
         assert_eq!(j.close().unwrap().1, cp(2));
         assert_eq!(events(&log)[4..], [Ev::Write(RECORD_LEN), Ev::Sync, Ev::Sync]);
+    }
+
+    #[test]
+    fn a_sink_that_cannot_give_a_handle_fails_its_first_commit_unwritten() {
+        struct NoHandle(Vec<u8>);
+        impl Write for NoHandle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.write(buf)
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl SyncWrite for NoHandle {
+            fn sync_handle(&self) -> io::Result<SyncHandle> {
+                Err(io::Error::other("no descriptor left"))
+            }
+        }
+        let mut j = Journaled::new(NoHandle(Vec::new()));
+        j.write_all(&[1; CHUNK]).unwrap();
+        let err = j.commit(1, 4).unwrap_err();
+        assert!(err.to_string().contains("no descriptor left"), "{err}");
+        assert_eq!(j.sealed(), Checkpoint::default());
+        assert_eq!(j.data.0, [1; CHUNK], "no record was written");
     }
 
     #[test]

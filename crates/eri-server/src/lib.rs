@@ -399,7 +399,7 @@ mod tests {
     fn build(path: &Path, geom: BlockGeometry, n: usize, seed: usize) {
         let mut w = StoreWriter::create_durable(path, geom, 1e-10, n.max(1)).unwrap();
         for b in 0..n {
-            w.append_block(&patterned_block(geom, seed + b)).unwrap();
+            w.append_blocks(&patterned_block(geom, seed + b)).unwrap();
         }
         w.finish().unwrap();
     }

@@ -50,7 +50,7 @@ fn build_store(dir: &std::path::Path) -> std::path::PathBuf {
     let geom = pastri::BlockGeometry::new(SUBBLOCKS, SUBBLOCK_SIZE);
     let mut w = eri_store::StoreWriter::create_durable(&path, geom, 1e-10, BLOCKS).unwrap();
     for b in 0..BLOCKS {
-        w.append_block(&expected_block(b)).unwrap();
+        w.append_blocks(&expected_block(b)).unwrap();
     }
     w.finish().unwrap();
     path

@@ -499,7 +499,7 @@ impl StoreIndex {
 /// store is byte-identical to an uninterrupted one. Over an in-memory
 /// sink ([`new`](Self::new)) the same bytes come out.
 ///
-/// A file's commit fsync runs on the journal's helper thread while the
+/// Each commit's fsync runs on the journal's helper thread while the
 /// caller compresses the next batch; the batch's first write waits for
 /// it. The commit cadence therefore counts sealed commit records, not
 /// settled ones.
@@ -681,25 +681,10 @@ impl<W: SyncWrite> StoreWriter<W> {
         Ok(())
     }
 
-    /// Compresses and appends one full block.
-    ///
-    /// # Panics
-    /// Panics if `block.len() != geometry.block_size()`.
-    pub fn append_block(&mut self, block: &[f64]) -> Result<(), StoreError> {
-        assert_eq!(
-            block.len(),
-            self.compressor.geometry().block_size(),
-            "append_block needs exactly one block"
-        );
-        let payload = self.compressor.compress(block);
-        self.push(&payload)?;
-        Ok(self.write_closed()?)
-    }
-
     /// Compresses and appends a batch of full blocks, fanning the
     /// compression out across the parallel runtime (the stripes are
-    /// laid out sequentially, so the store is byte-identical to
-    /// appending the same blocks one at a time).
+    /// laid out sequentially, so the store is byte-identical however
+    /// the blocks are split across calls).
     ///
     /// # Panics
     /// Panics if `values.len()` is not a multiple of
@@ -1366,7 +1351,7 @@ fn stripe_entries(
 }
 
 #[cfg(test)]
-mod durable_stream;
+mod durable_writer;
 
 #[cfg(test)]
 mod tests {
@@ -1393,7 +1378,7 @@ mod tests {
         let path = tmp(&format!("mk-{:p}", blocks.as_ptr()));
         let mut w = StoreWriter::create_durable(&path, geom, eb, 64).unwrap();
         for b in blocks {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -1435,7 +1420,7 @@ mod tests {
         let mut sink = Vec::new();
         let mut w = StoreWriter::new(&mut sink, geom, eb, every).unwrap();
         for b in blocks {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         w.finish().unwrap();
         sink
@@ -1449,7 +1434,7 @@ mod tests {
         let path = tmp("durable-identical");
         let mut w = StoreWriter::create_durable(&path, geom, 1e-10, 3).unwrap();
         for b in &blocks {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         assert_eq!(w.finish().unwrap(), 11);
         assert_eq!(std::fs::read(&path).unwrap(), memory_store(geom, 1e-10, &blocks, 3));
@@ -1482,7 +1467,7 @@ mod tests {
         {
             let mut w = StoreWriter::create_durable(&path, geom, eb, 4).unwrap();
             for b in &blocks[..10] {
-                w.append_block(b).unwrap();
+                w.append_blocks(b).unwrap();
             }
             // "Crash": dropped without finish. Blocks 8..10 were never
             // checkpointed and will be truncated away on resume.
@@ -1491,7 +1476,7 @@ mod tests {
         assert_eq!(cp.segments, 8, "two full batches of 4 committed");
         assert_eq!(cp.values, 8 * geom.block_size() as u64);
         for b in &blocks[cp.segments as usize..] {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         assert_eq!(w.finish().unwrap(), 17);
         assert_eq!(std::fs::read(&path).unwrap(), memory_store(geom, eb, &blocks, 4));
@@ -1518,7 +1503,7 @@ mod tests {
         let path = tmp("prefix-readable");
         let mut w = StoreWriter::create_durable(&path, geom, 1e-9, 5).unwrap();
         for b in &blocks {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
         let (cp, index) = committed_index(&bytes.as_slice()).unwrap();
@@ -1574,12 +1559,12 @@ mod tests {
         let path = tmp("durable-nojournal");
         {
             let mut w = StoreWriter::create_durable(&path, geom, 1e-9, 2).unwrap();
-            w.append_block(&patterned_block(geom, 0)).unwrap();
+            w.append_blocks(&patterned_block(geom, 0)).unwrap();
         }
         let (mut w, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp, Checkpoint::default());
         for b in 0..3 {
-            w.append_block(&patterned_block(geom, b)).unwrap();
+            w.append_blocks(&patterned_block(geom, b)).unwrap();
         }
         assert_eq!(w.finish().unwrap(), 3);
         assert!(StoreReader::open(&path).unwrap().scrub().unwrap().is_clean());
@@ -1592,7 +1577,7 @@ mod tests {
         let path = tmp("durable-mismatch");
         {
             let mut w = StoreWriter::create_durable(&path, geom, 1e-9, 1).unwrap();
-            w.append_block(&patterned_block(geom, 0)).unwrap();
+            w.append_blocks(&patterned_block(geom, 0)).unwrap();
         }
         let other_geom = BlockGeometry::new(8, 2);
         assert!(matches!(
@@ -1650,7 +1635,7 @@ mod tests {
         let (mut w, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp.segments, 4);
         for b in &blocks[4..] {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         w.finish().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), clean);
@@ -1698,7 +1683,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut w = StoreWriter::new(&mut bytes, geom, 1e-9, 9).unwrap();
         for b in &blocks {
-            w.append_block(b).unwrap();
+            w.append_blocks(b).unwrap();
         }
         drop(w);
         let (cp, index) = committed_index(&bytes.as_slice()).unwrap();
@@ -1727,7 +1712,7 @@ mod tests {
         {
             let mut w = StoreWriter::create_durable(&path, geom, eb, 64).unwrap();
             for b in &blocks {
-                w.append_block(b).unwrap();
+                w.append_blocks(b).unwrap();
             }
             assert_eq!(w.finish().unwrap(), 12);
         }
@@ -1775,7 +1760,7 @@ mod tests {
         let geom = BlockGeometry::new(2, 2);
         {
             let mut w = StoreWriter::create_durable(&path, geom, 1e-8, 64).unwrap();
-            w.append_block(&[1e-5; 4]).unwrap();
+            w.append_blocks(&[1e-5; 4]).unwrap();
             // dropped without finish()
         }
         let err = StoreReader::open(&path);
@@ -1803,7 +1788,7 @@ mod tests {
         let geom = BlockGeometry::new(2, 2);
         let mut w = StoreWriter::create_durable(&path, geom, 1e-8, 64).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = w.append_block(&[0.0; 3]);
+            let _ = w.append_blocks(&[0.0; 3]);
         }));
         assert!(result.is_err());
         let _ = std::fs::remove_file(&path);

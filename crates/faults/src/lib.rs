@@ -381,17 +381,11 @@ impl<W: Write> Write for FaultyWriter<W> {
 }
 
 impl<W: durable::SyncWrite> durable::SyncWrite for FaultyWriter<W> {
-    fn sync(&mut self) -> io::Result<()> {
-        if self.is_dead() {
-            return Err(crash_error());
-        }
-        self.inner.sync()
-    }
-
-    fn sync_handle(&self) -> Option<durable::SyncHandle> {
+    /// The inner sink's handle, failing like the writer once it is dead.
+    fn sync_handle(&self) -> io::Result<durable::SyncHandle> {
         let mut inner = self.inner.sync_handle()?;
         let dead = Arc::clone(&self.dead);
-        Some(Box::new(move || {
+        Ok(Box::new(move || {
             if dead.load(Ordering::SeqCst) {
                 return Err(crash_error());
             }
@@ -571,7 +565,8 @@ mod tests {
                 // Everything else fails too, like a killed process.
                 assert!(w.write(b"x").is_err());
                 assert!(w.flush().is_err());
-                assert!(durable::SyncWrite::sync(&mut w).is_err());
+                let mut handle = durable::SyncWrite::sync_handle(&w).unwrap();
+                assert!(handle().is_err());
             } else {
                 result.unwrap();
             }
@@ -603,8 +598,6 @@ mod tests {
     #[test]
     fn sync_handle_delegates_and_dies_with_the_writer() {
         use durable::SyncWrite as _;
-        let plain = FaultyWriter::new(Vec::new(), 9, WriteFaultConfig::default());
-        assert!(plain.sync_handle().is_none(), "no inner handle, no handle");
         let file = PowerLossFile::new();
         let mut w = FaultyWriter::new(
             file.clone(),
@@ -615,7 +608,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut handle = w.sync_handle().expect("the inner file has a handle");
+        let mut handle = w.sync_handle().unwrap();
         w.write_all(b"abcd").unwrap();
         handle().unwrap();
         assert_eq!(file.history(), [Op::Write(b"abcd".to_vec()), Op::Sync]);

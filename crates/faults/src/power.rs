@@ -23,7 +23,7 @@ use durable::{SyncHandle, SyncWrite};
 pub enum Op {
     /// Bytes appended by one `write` call.
     Write(Vec<u8>),
-    /// An fsync of the file, through `sync` or a sync handle.
+    /// An fsync of the file, through `sync` or the file's sync handle.
     Sync,
     /// An fsync of the file's directory.
     DirSync,
@@ -43,6 +43,12 @@ impl PowerLossFile {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Records an fsync of the file, what a call of its [`SyncHandle`]
+    /// does.
+    pub fn sync(&self) {
+        self.ops().push(Op::Sync);
     }
 
     /// Records an fsync of the file's directory, where a real writer
@@ -125,15 +131,10 @@ impl Write for PowerLossFile {
 }
 
 impl SyncWrite for PowerLossFile {
-    fn sync(&mut self) -> io::Result<()> {
-        self.ops().push(Op::Sync);
-        Ok(())
-    }
-
-    fn sync_handle(&self) -> Option<SyncHandle> {
+    fn sync_handle(&self) -> io::Result<SyncHandle> {
         let file = self.clone();
-        Some(Box::new(move || {
-            file.ops().push(Op::Sync);
+        Ok(Box::new(move || {
+            file.sync();
             Ok(())
         }))
     }
@@ -149,7 +150,7 @@ mod tests {
         f.write_all(b"head").unwrap();
         f.sync_dir();
         f.write_all(b"0123").unwrap();
-        f.sync().unwrap();
+        f.sync();
         f.write_all(b"aaaa").unwrap();
         f.write_all(b"bbbb").unwrap();
         assert_eq!(f.contents(), b"head0123aaaabbbb");
@@ -171,7 +172,7 @@ mod tests {
     fn a_file_without_a_directory_fsync_may_be_missing() {
         let mut f = PowerLossFile::new();
         f.write_all(b"data").unwrap();
-        f.sync().unwrap();
+        f.sync();
         let missing = (0..64).filter(|&seed| f.crash_state(f.operations(), seed).is_none()).count();
         assert!(missing > 0 && missing < 64, "{missing} of 64");
         f.sync_dir();
@@ -181,11 +182,11 @@ mod tests {
     #[test]
     fn the_sync_handle_logs_into_the_same_history_from_any_thread() {
         let mut f = PowerLossFile::new();
-        let mut handle = f.sync_handle().expect("a power-loss file has a sync handle");
+        let mut handle = f.sync_handle().unwrap();
         f.write_all(b"ab").unwrap();
         std::thread::spawn(move || handle().unwrap()).join().unwrap();
         f.write_all(b"cd").unwrap();
-        f.sync().unwrap();
+        f.sync();
         let ab = Op::Write(b"ab".to_vec());
         assert_eq!(f.history(), [ab, Op::Sync, Op::Write(b"cd".to_vec()), Op::Sync]);
     }

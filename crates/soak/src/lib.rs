@@ -354,7 +354,7 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
                 StoreWriter::create_durable(&path, cfg.geometry, cfg.error_bound, checkpoint_every)
                     .map_err(store_io)?;
             for b in 0..cfg.scale {
-                w.append_block(&expected_block(cfg.geometry, s, b))
+                w.append_blocks(&expected_block(cfg.geometry, s, b))
                     .map_err(store_io)?;
             }
             w.finish().map_err(store_io)?;

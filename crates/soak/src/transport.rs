@@ -429,7 +429,7 @@ fn run_transport_inner(
         )
         .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
         for b in 0..cfg.scale {
-            w.append_block(&expected_block(cfg.geometry, 0, b))
+            w.append_blocks(&expected_block(cfg.geometry, 0, b))
                 .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
         }
         w.finish()

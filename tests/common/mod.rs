@@ -50,7 +50,7 @@ pub fn build_store(
     let mut writer = StoreWriter::create_durable(path, geom, eb, n.max(1)).expect("fixture store");
     let blocks: Vec<Vec<f64>> = (0..n).map(|b| patterned_block(geom, seed + b)).collect();
     for b in &blocks {
-        writer.append_block(b).expect("fixture append");
+        writer.append_blocks(b).expect("fixture append");
     }
     writer.finish().expect("fixture finish");
     blocks

@@ -21,18 +21,24 @@
 //! samples those states from a seeded model (`faults::PowerLossFile`):
 //! readers never return wrong data from them, and recovery then finishes
 //! byte-identical to the uninterrupted artifact. `PROPTEST_CASES` sets
-//! the sample count. The model's file has a sync handle, so these runs
-//! sync each commit on the writer's helper thread, and
-//! `the_sync_helper_leaves_the_operation_order_unchanged` pins that the
-//! file sees exactly the operations an inline sync makes.
+//! the sample count.
+//!
+//! Every sink here syncs through its handle, as a file does: the
+//! kill-point disk records its synced watermark from the writer's helper
+//! thread, and so does the model's file. So both harnesses drive the
+//! writer that production runs, and
+//! `the_sync_helper_leaves_the_operation_order_unchanged` pins the order
+//! the file sees: each commit record is followed at once by its sync.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use durable::{Checkpoint, SyncWrite};
-use eri_store::{committed_index, RetryPolicy, StoreError, StoreReader, StoreWriter};
+use durable::{Checkpoint, SyncHandle, SyncWrite, COMMIT_MAGIC, RECORD_LEN};
+use eri_store::{
+    committed_index, RetryPolicy, StoreError, StoreReader, StoreWriter, TRAILER_LEN,
+};
 use faults::{is_injected_crash, FaultyWriter, Op, PowerLossFile, WriteFaultConfig};
 use pastri::BlockGeometry;
 use proptest::prelude::*;
@@ -70,8 +76,8 @@ fn reference_store(data: &[f64]) -> Vec<u8> {
 }
 
 /// An in-memory "disk" that records every accepted byte plus the fsync
-/// watermark, shared with the harness so it can autopsy the state after
-/// the writer dies mid-run.
+/// watermark, which its sync handle sets, shared with the harness so it
+/// can autopsy the state after the writer dies mid-run.
 #[derive(Clone, Default)]
 struct SharedDisk {
     bytes: Arc<Mutex<Vec<u8>>>,
@@ -90,10 +96,13 @@ impl Write for SharedDisk {
 }
 
 impl SyncWrite for SharedDisk {
-    fn sync(&mut self) -> io::Result<()> {
-        let len = self.bytes.lock().unwrap().len();
-        self.synced.store(len, Ordering::SeqCst);
-        Ok(())
+    fn sync_handle(&self) -> io::Result<SyncHandle> {
+        let disk = self.clone();
+        Ok(Box::new(move || {
+            let len = disk.bytes.lock().unwrap().len();
+            disk.synced.store(len, Ordering::SeqCst);
+            Ok(())
+        }))
     }
 }
 
@@ -351,7 +360,7 @@ fn store_crash_states_resume_byte_identical() {
     {
         let mut w = StoreWriter::create_durable(&live, geometry, EB, 3).unwrap();
         for b in 0..blocks {
-            w.append_block(&data[b * BLOCK_VALUES..(b + 1) * BLOCK_VALUES])
+            w.append_blocks(&data[b * BLOCK_VALUES..(b + 1) * BLOCK_VALUES])
                 .unwrap();
             snapshots.push(std::fs::read(&live).unwrap());
         }
@@ -424,7 +433,7 @@ fn recorded() -> &'static (Recorded, Vec<f64>) {
         store.sync_dir();
         let mut w = StoreWriter::new(store.clone(), geometry(), EB, 3).unwrap();
         for block in data.chunks(BLOCK_VALUES) {
-            w.append_block(block).unwrap();
+            w.append_blocks(block).unwrap();
         }
         w.finish().unwrap();
         (Recorded { expected: store.contents(), file: store }, data)
@@ -490,26 +499,6 @@ fn power_loss_regressions() {
     }
 }
 
-/// A power-loss file without a sync handle: the writer syncs it on the
-/// caller's thread.
-struct InlineSync(PowerLossFile);
-
-impl Write for InlineSync {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
-    }
-}
-
-impl SyncWrite for InlineSync {
-    fn sync(&mut self) -> io::Result<()> {
-        self.0.sync()
-    }
-}
-
 /// Writes a store of `data` committed every `every` blocks to `sink`,
 /// `per_call` blocks per `append_blocks`.
 fn write_store<W: SyncWrite>(sink: W, data: &[f64], every: usize, per_call: usize) {
@@ -520,13 +509,18 @@ fn write_store<W: SyncWrite>(sink: W, data: &[f64], every: usize, per_call: usiz
     w.finish().unwrap();
 }
 
-/// Moving each commit's sync onto the helper thread changes nothing the
-/// file sees: the same writes and syncs in the same order as inline
-/// syncs, at every cadence, call size and thread count.
+/// Syncing each commit on the helper thread keeps the order the file
+/// sees, at every cadence, call size and thread count: each commit
+/// record is followed at once by its sync, and the only other sync is
+/// `finish`'s final one, right after the trailer.
 #[test]
 fn the_sync_helper_leaves_the_operation_order_unchanged() {
     let blocks = 70;
     let data = patterned(BLOCK_VALUES * blocks);
+    let record = |op: &Op| {
+        matches!(op, Op::Write(b) if b.len() == RECORD_LEN && b.starts_with(&COMMIT_MAGIC))
+    };
+    let trailer = |op: &Op| matches!(op, Op::Write(b) if b.len() == TRAILER_LEN as usize);
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -534,15 +528,26 @@ fn the_sync_helper_leaves_the_operation_order_unchanged() {
             .unwrap();
         pool.install(|| {
             for every in [1usize, 3, 64] {
+                let mut in_memory = Vec::new();
+                write_store(&mut in_memory, &data, every, every);
                 for per_call in [BLOCKS_PER_CALL, every] {
-                    let (helper, inline) = (PowerLossFile::new(), PowerLossFile::new());
-                    write_store(helper.clone(), &data, every, per_call);
-                    write_store(InlineSync(inline.clone()), &data, every, per_call);
+                    let file = PowerLossFile::new();
+                    write_store(file.clone(), &data, every, per_call);
                     let tag = format!("threads {threads}, every {every}, {per_call} per call");
-                    assert_eq!(helper.history(), inline.history(), "{tag}");
-                    let syncs = helper.history().iter().filter(|op| **op == Op::Sync).count();
-                    let commits = blocks.div_ceil(every);
-                    assert_eq!(syncs, commits + 1, "{tag}: one per commit, one at finish");
+                    let ops = file.history();
+                    for (i, pair) in ops.windows(2).enumerate() {
+                        let synced = pair[1] == Op::Sync;
+                        if record(&pair[0]) {
+                            assert!(synced, "{tag}: op {i}, a commit record, is not synced next");
+                        } else if synced {
+                            let last = i + 2 == ops.len();
+                            assert!(last && trailer(&pair[0]), "{tag}: op {i} is synced");
+                        }
+                    }
+                    assert_eq!(ops.last(), Some(&Op::Sync), "{tag}: finish syncs last");
+                    let commits = ops.iter().filter(|op| record(op)).count();
+                    assert_eq!(commits, blocks.div_ceil(every), "{tag}");
+                    assert_eq!(file.contents(), in_memory, "{tag}");
                 }
             }
         });

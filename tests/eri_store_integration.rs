@@ -28,7 +28,7 @@ fn analytic_dataset_through_disk_store() {
     // Write block by block, as an integral program would during generation.
     let mut w = StoreWriter::create_durable(&path, geom, eb, ds.num_blocks().max(1)).unwrap();
     for b in 0..ds.num_blocks() {
-        w.append_block(ds.block(b)).unwrap();
+        w.append_blocks(ds.block(b)).unwrap();
     }
     assert_eq!(w.finish().unwrap(), ds.num_blocks());
 
@@ -67,7 +67,7 @@ fn store_survives_many_small_blocks() {
             let block: Vec<f64> = (0..geom.block_size())
                 .map(|i| ((i + b) as f64 * 0.21).sin() * 1e-5)
                 .collect();
-            w.append_block(&block).unwrap();
+            w.append_blocks(&block).unwrap();
         }
         w.finish().unwrap();
     }
