@@ -68,6 +68,15 @@ fn build_server_store(path: &str, n: usize) {
     w.finish().unwrap();
 }
 
+/// Bytes of the `ReadResponse` frame that serves `blocks` of the store
+/// at `path`: frame header, request id and count, then a status byte,
+/// a length and the stored container per block, then the frame CRC.
+fn read_response_frame_len(path: &str, blocks: std::ops::Range<usize>) -> u64 {
+    let bytes = fs::read(path).unwrap();
+    let (_, index) = eri_store::committed_index(&bytes[..]).unwrap();
+    12 + 12 + index.blocks[blocks].iter().map(|b| 5 + b.len).sum::<u64>() + 4
+}
+
 /// Shreds stored block `i`'s container and its stripe's parity record —
 /// beyond the two-shard parity budget by construction, so reads must
 /// fail as corruption (exit 2).
@@ -611,6 +620,9 @@ fn transport_exit_codes_follow_the_documented_contract() {
         srv.run(Some(3)).unwrap()
     });
     let upstream = addr_rx.recv().unwrap();
+    // Each attempt's flip lands between the end of the 44-byte Hello
+    // and the end of the 4-block response, wherever compression puts it.
+    let exchange_end = 44 + read_response_frame_len(&store, 0..4);
     let proxy = faults::FaultyProxy::start(
         &upstream,
         0xC11,
@@ -619,7 +631,7 @@ fn transport_exit_codes_follow_the_documented_contract() {
             classes: vec![faults::WireFault::Corrupt],
             max_faults: u32::MAX,
             offset_base: 60,
-            offset_window: 800,
+            offset_window: exchange_end - 60,
             ..faults::ProxyFaultConfig::default()
         },
     )
@@ -704,10 +716,48 @@ fn transport_exit_codes_follow_the_documented_contract() {
     // surface the protocol fault as exit 1, not swallow it. The mock
     // server serves reads correctly but answers `TelemetryRequest`
     // with a `Hello`.
+    let (mock_addr, server) = mock_server(mock_container);
+    let wrong_scrape = exit_code(&sv(&[
+        "fetch", &format!("tcp:{mock_addr}"), "--stats", "--deadline-ms", "10000",
+    ]));
+    assert_eq!(wrong_scrape, 1, "a protocol fault in the telemetry scrape is exit 1");
+    assert_eq!(server.join().unwrap(), 1, "the scrape was sent once, not retried");
+
+    // A damaged container inside an intact frame: the frame CRC holds,
+    // but block 1's own payload CRC does not, so the client's decode
+    // refuses it — corruption, exit 2, and not a retried frame error.
+    let (mock_addr, server) = mock_server(|id| {
+        let mut c = mock_container(id);
+        if id == 1 {
+            let last = c.len() - 1;
+            c[last] ^= 0x20;
+        }
+        c
+    });
+    let damaged = exit_code(&sv(&[
+        "fetch", &format!("tcp:{mock_addr}"), "--retries", "0", "--deadline-ms", "10000",
+    ]));
+    assert_eq!(damaged, 2, "a damaged container in a CRC-valid frame is exit 2");
+    assert_eq!(server.join().unwrap(), 0, "no scrape without --stats");
+}
+
+/// Mock server block `id`: the one-block container of 4 copies of
+/// `id`, as a store of 1×4 blocks at EB 1e-10 holds it.
+fn mock_container(id: u64) -> Vec<u8> {
+    pastri::Compressor::new(pastri::BlockGeometry::new(1, 4), 1e-10).compress(&[id as f64; 4])
+}
+
+/// A one-connection PTRF server announcing two 1×4 blocks at EB 1e-10,
+/// answering each read with `container(id)` per id and each telemetry
+/// scrape with a `Hello` (a protocol fault). Joins to the number of
+/// scrapes it was sent.
+fn mock_server(
+    container: impl Fn(u64) -> Vec<u8> + Send + 'static,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<u32>) {
     use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock};
     use std::io::Write as _;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let mock_addr = listener.local_addr().unwrap();
+    let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut conn = eri_server::transport::Conn::Tcp(stream);
@@ -724,7 +774,7 @@ fn transport_exit_codes_follow_the_documented_contract() {
         while let Ok(msg) = protocol::read_frame(&mut conn) {
             let reply = match msg {
                 Message::ReadRequest(rq) => {
-                    let blocks = rq.ids.iter().map(|&id| WireBlock::Values(vec![id as f64; 4]));
+                    let blocks = rq.ids.iter().map(|&id| WireBlock::Container(container(id)));
                     Message::ReadResponse(ReadResponse {
                         request_id: rq.request_id,
                         blocks: blocks.collect(),
@@ -741,11 +791,7 @@ fn transport_exit_codes_follow_the_documented_contract() {
         }
         scrapes
     });
-    let wrong_scrape = exit_code(&sv(&[
-        "fetch", &format!("tcp:{mock_addr}"), "--stats", "--deadline-ms", "10000",
-    ]));
-    assert_eq!(wrong_scrape, 1, "a protocol fault in the telemetry scrape is exit 1");
-    assert_eq!(server.join().unwrap(), 1, "the scrape was sent once, not retried");
+    (addr, server)
 }
 
 /// `fetch --stats` prints the server's books from a live scrape. The

@@ -2,9 +2,13 @@
 //!
 //! The server's read path is decompress-many (PaSTRI Fig. 11): the same
 //! shell-quartet blocks are re-read every SCF iteration, with a skewed
-//! popularity distribution. This cache holds *decompressed* blocks —
-//! trading memory for the decode cost the reuse model charges per miss
-//! — under a hard byte budget so a server never balloons past what the
+//! popularity distribution. This cache holds each block's *compressed*
+//! container bytes, exactly as the store certified them after stripe
+//! repair — the paper's premise that compressed data is cheaper to
+//! keep and move than to re-read, while decoding stays with the
+//! consumer. A hit saves the store read, CRC check and any repair; at
+//! PaSTRI's ratios the same budget holds ~10× the blocks decoded f64
+//! would. The budget is hard, so a server never balloons past what the
 //! operator provisioned.
 //!
 //! Design:
@@ -40,17 +44,17 @@ pub(crate) const ENTRY_OVERHEAD: usize = 64;
 /// Sentinel "no slot" index for the intrusive list.
 const NIL: usize = usize::MAX;
 
-/// Bytes an entry of `len` decompressed f64 values is charged against
-/// the budget. Public so the model-based proptests can mirror the
+/// Bytes an entry of a `len`-byte container is charged against the
+/// budget. Public so the model-based proptests can mirror the
 /// arithmetic exactly.
 #[must_use]
 pub fn entry_cost(len: usize) -> usize {
-    len * 8 + ENTRY_OVERHEAD
+    len + ENTRY_OVERHEAD
 }
 
 struct Slot {
     key: u64,
-    block: Arc<Vec<f64>>,
+    block: Arc<[u8]>,
     cost: usize,
     prev: usize,
     next: usize,
@@ -109,7 +113,7 @@ impl Shard {
     }
 
     /// Touches `key` and returns its block, or `None` on miss.
-    fn get(&mut self, key: u64) -> Option<Arc<Vec<f64>>> {
+    fn get(&mut self, key: u64) -> Option<Arc<[u8]>> {
         let i = *self.map.get(&key)?;
         self.detach(i);
         self.push_front(i);
@@ -123,7 +127,7 @@ impl Shard {
         self.detach(i);
         let cost = self.slots[i].cost;
         self.map.remove(&self.slots[i].key);
-        self.slots[i].block = Arc::new(Vec::new()); // release the payload now
+        self.slots[i].block = Arc::from([]); // release the payload now
         self.free.push(i);
         self.bytes -= cost;
         cost
@@ -132,10 +136,10 @@ impl Shard {
     /// Inserts (or refreshes) `key`. Returns `(admitted, evictions,
     /// net_bytes_delta)` so the caller can fold counters without
     /// holding the lock longer than the structural update.
-    fn insert(&mut self, key: u64, block: Arc<Vec<f64>>) -> (bool, u64, isize) {
+    fn insert(&mut self, key: u64, block: Arc<[u8]>) -> (bool, u64, isize) {
         let cost = entry_cost(block.len());
         if let Some(&i) = self.map.get(&key) {
-            // Same key ⇒ same decompressed block; refresh recency only.
+            // Same key ⇒ same stored container; refresh recency only.
             self.detach(i);
             self.push_front(i);
             self.slots[i].block = block;
@@ -255,7 +259,7 @@ impl BlockCache {
     }
 
     /// Looks `key` up, counting a hit or miss and refreshing recency.
-    pub fn get(&self, key: u64) -> Option<Arc<Vec<f64>>> {
+    pub fn get(&self, key: u64) -> Option<Arc<[u8]>> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let got = crate::lock_recover(&self.shards[self.shard_of(key)]).get(key);
         if got.is_some() {
@@ -271,7 +275,7 @@ impl BlockCache {
     /// Admits `block` under `key` (evicting LRU entries as needed) or
     /// rejects it if it could never fit its shard. Returns whether the
     /// block is now resident.
-    pub fn insert(&self, key: u64, block: Arc<Vec<f64>>) -> bool {
+    pub fn insert(&self, key: u64, block: Arc<[u8]>) -> bool {
         let (admitted, evictions, delta) =
             crate::lock_recover(&self.shards[self.shard_of(key)]).insert(key, block);
         if !admitted {
@@ -335,18 +339,18 @@ impl BlockCache {
 mod tests {
     use super::*;
 
-    fn block(len: usize, fill: f64) -> Arc<Vec<f64>> {
-        Arc::new(vec![fill; len])
+    fn block(len: usize, fill: u8) -> Arc<[u8]> {
+        vec![fill; len].into()
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let c = BlockCache::new(1 << 20, 4);
         assert!(c.get(7).is_none());
-        assert!(c.insert(7, block(16, 1.5)));
+        assert!(c.insert(7, block(16, 0xA5)));
         let got = c.get(7).expect("resident");
         assert_eq!(got.len(), 16);
-        assert_eq!(got[0].to_bits(), 1.5f64.to_bits());
+        assert_eq!(got[0], 0xA5);
         let s = c.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
     }
@@ -354,12 +358,12 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_within_budget() {
         // Single shard so the LRU order is global: room for exactly two
-        // 16-value entries (2 × (128 + 64) = 384).
+        // 128-byte entries (2 × (128 + 64) = 384).
         let c = BlockCache::new(384, 1);
-        assert!(c.insert(1, block(16, 1.0)));
-        assert!(c.insert(2, block(16, 2.0)));
+        assert!(c.insert(1, block(128, 1)));
+        assert!(c.insert(2, block(128, 2)));
         assert!(c.get(1).is_some()); // touch 1 → victim is now 2
-        assert!(c.insert(3, block(16, 3.0)));
+        assert!(c.insert(3, block(128, 3)));
         assert!(c.peek(1) && !c.peek(2) && c.peek(3));
         let s = c.stats();
         assert_eq!(s.evictions, 1);
@@ -369,8 +373,8 @@ mod tests {
     #[test]
     fn oversized_entry_is_rejected_not_admitted() {
         let c = BlockCache::new(256, 1);
-        assert!(c.insert(1, block(8, 1.0))); // 64+64=128 ≤ 256
-        assert!(!c.insert(2, block(64, 2.0))); // 512+64 > 256 → reject
+        assert!(c.insert(1, block(64, 1))); // 64+64=128 ≤ 256
+        assert!(!c.insert(2, block(512, 2))); // 512+64 > 256 → reject
         assert!(c.peek(1), "a reject must not flush residents");
         assert_eq!(c.stats().admission_rejects, 1);
     }
@@ -378,12 +382,12 @@ mod tests {
     #[test]
     fn high_water_tracks_peak_not_current() {
         let c = BlockCache::new(1 << 20, 1);
-        c.insert(1, block(1024, 1.0));
+        c.insert(1, block(8192, 1));
         let peak = c.stats().bytes;
         // Force the big entry out with enough small ones.
-        let c2 = BlockCache::new(entry_cost(1024), 1);
-        c2.insert(1, block(1024, 1.0));
-        c2.insert(2, block(8, 2.0));
+        let c2 = BlockCache::new(entry_cost(8192), 1);
+        c2.insert(1, block(8192, 1));
+        c2.insert(2, block(64, 2));
         let s = c2.stats();
         assert_eq!(s.high_water_bytes, peak.max(s.high_water_bytes));
         assert!(s.bytes < s.high_water_bytes);

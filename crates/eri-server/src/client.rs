@@ -13,9 +13,18 @@
 //!   caller gets [`ClientError::Frame`] (the CLI maps it to exit 2 —
 //!   the bytes were damaged, not merely unavailable).
 //! * **Per-block errors** — structured statuses inside an intact
-//!   response. *Not* retried here: the server already ran its own
-//!   repair-on-read and retry policy against the store; a corrupt
-//!   block is a property of the artifact, not of this connection.
+//!   response, and containers that fail the client's own decode. *Not*
+//!   retried here: the server already ran its own repair-on-read and
+//!   retry policy against the store; a corrupt block is a property of
+//!   the artifact, not of this connection.
+//!
+//! The server sends each block as its stored container bytes; the
+//! client decodes them with [`pastri::decompress_block`] at the
+//! geometry and error bound the `Hello` announced. That guarded entry
+//! point refuses a container naming any other geometry, bound or block
+//! count before it allocates, so a broken or hostile server costs at
+//! most one block's values per slot, and the failure is a
+//! [`BlockErrorKind::Corruption`] at that slot's position.
 //!
 //! Retries draw their backoff from [`durable::retry::RetryPolicy`] —
 //! the same bounded exponential + seeded half-range jitter the store
@@ -29,6 +38,7 @@ use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
 use durable::retry::RetryPolicy;
+use pastri::BlockGeometry;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState, Transition};
 use crate::protocol::{
@@ -358,13 +368,12 @@ impl RemoteClient {
         &mut self,
         ids: &[u64],
     ) -> Result<Vec<Result<Vec<f64>, BlockError>>, ClientError> {
-        let values_per_block =
-            self.hello.num_subblocks as usize * self.hello.subblock_size as usize;
-        let per_batch = protocol::max_ids_per_read(values_per_block, self.cfg.max_response_bytes);
+        let geometry = self.geometry();
+        let per_batch = protocol::max_ids_per_read(geometry, self.cfg.max_response_bytes);
         if per_batch == 0 {
             return Err(ClientError::Config(format!(
-                "blocks of {values_per_block} values cannot fit one per frame under \
-                 {} payload bytes",
+                "blocks of {} values cannot fit one per frame under {} payload bytes",
+                geometry.block_size(),
                 self.cfg.max_response_bytes.min(protocol::MAX_FRAME_PAYLOAD as usize)
             )));
         }
@@ -375,8 +384,14 @@ impl RemoteClient {
         Ok(out)
     }
 
+    /// The served block geometry (`open_conn` refused a `Hello` with a
+    /// zero dimension).
+    fn geometry(&self) -> BlockGeometry {
+        BlockGeometry::new(self.hello.num_subblocks as usize, self.hello.subblock_size as usize)
+    }
+
     /// One request/response exchange for a batch already sized to fit
-    /// the frame budget.
+    /// the frame budget, each container decoded at its own position.
     fn read_batch(
         &mut self,
         ids: &[u64],
@@ -412,12 +427,19 @@ impl RemoteClient {
                 ids.len()
             )));
         }
+        let (geometry, eb) = (self.geometry(), self.hello.error_bound);
         Ok(rs
             .blocks
             .into_iter()
             .zip(ids)
             .map(|(b, &id)| match b {
-                WireBlock::Values(v) => Ok(v),
+                WireBlock::Container(c) => pastri::decompress_block(&c, geometry, eb).map_err(|e| {
+                    BlockError {
+                        block: id,
+                        kind: BlockErrorKind::Corruption,
+                        message: format!("served container: {e}"),
+                    }
+                }),
                 WireBlock::Error { kind, message } => {
                     Err(BlockError { block: id, kind, message })
                 }
@@ -708,12 +730,100 @@ fn open_conn(
             hello.version
         )));
     }
+    if hello.num_subblocks == 0 || hello.subblock_size == 0 {
+        return Err(AttemptError::Protocol(format!(
+            "server announces a degenerate {}x{} block geometry",
+            hello.num_subblocks, hello.subblock_size
+        )));
+    }
     Ok((conn, hello))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ReadResponse;
+    use pastri::Compressor;
+
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    /// `container` (one block of `geom`) with its header rewritten to
+    /// claim one `claimed` block instead, header CRC recomputed so only
+    /// the guarded decode can refuse it.
+    fn reclaimed(container: &[u8], geom: BlockGeometry, claimed: BlockGeometry) -> Vec<u8> {
+        let mut old = Vec::new();
+        for v in [geom.num_subblocks, geom.subblock_size, geom.block_size(), 1] {
+            varint(&mut old, v as u64);
+        }
+        let body = 15 + old.len();
+        assert_eq!(container[15..body], old[..], "header varints where expected");
+        let mut out = container[..15].to_vec();
+        for v in [claimed.num_subblocks, claimed.subblock_size, claimed.block_size(), 1] {
+            varint(&mut out, v as u64);
+        }
+        out.extend_from_slice(&checksum::crc32(&out).to_le_bytes());
+        out.extend_from_slice(&container[body + 4..]);
+        out
+    }
+
+    #[test]
+    fn hostile_container_is_corruption_at_its_position_only() {
+        // A server whose second slot carries a CRC-valid header claiming
+        // one 16384×16384 block (2 GiB decoded): the client refuses it
+        // as corruption at that position, before allocating, and still
+        // serves the slots around it.
+        let geom = BlockGeometry::new(4, 32);
+        let eb = 1e-10;
+        let blocks: Vec<Vec<f64>> = (0..3)
+            .map(|b| (0..128).map(|i| ((i + 7 * b) as f64 * 0.21).sin() * 1e-6).collect())
+            .collect();
+        let compressor = Compressor::new(geom, eb);
+        let containers: Vec<Vec<u8>> = blocks.iter().map(|b| compressor.compress(b)).collect();
+        let hostile = reclaimed(&containers[1], geom, BlockGeometry::new(1 << 14, 1 << 14));
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let served = [containers[0].clone(), hostile, containers[2].clone()];
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::Tcp(stream);
+            let hello = Hello {
+                version: PROTO_VERSION,
+                num_blocks: 3,
+                num_subblocks: 4,
+                subblock_size: 32,
+                error_bound: eb,
+            };
+            protocol::write_frame(&mut conn, &Message::Hello(hello)).unwrap();
+            conn.flush().unwrap();
+            let Ok(Message::ReadRequest(rq)) = protocol::read_frame(&mut conn) else {
+                panic!("want a read request")
+            };
+            let blocks = rq.ids.iter().map(|&id| WireBlock::Container(served[id as usize].clone()));
+            let reply = ReadResponse { request_id: rq.request_id, blocks: blocks.collect() };
+            protocol::write_frame(&mut conn, &Message::ReadResponse(reply)).unwrap();
+            conn.flush().unwrap();
+        });
+
+        let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
+        let mut client = RemoteClient::connect(&[ep], ClientConfig::default()).unwrap();
+        let got = client.read_blocks(&[0, 1, 2]).unwrap();
+        server.join().unwrap();
+        let err = got[1].as_ref().unwrap_err();
+        assert_eq!((err.block, err.kind), (1, BlockErrorKind::Corruption), "{err}");
+        for pos in [0, 2] {
+            let values = got[pos].as_ref().unwrap();
+            assert_eq!(values.len(), 128);
+            assert!(values.iter().zip(&blocks[pos]).all(|(a, b)| (a - b).abs() <= eb));
+        }
+        assert_eq!(client.stats().retries, 0, "a bad container is not a connection fault");
+    }
 
     #[test]
     fn zero_deadline_connect_errors_instead_of_panicking() {

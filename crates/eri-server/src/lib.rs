@@ -11,35 +11,42 @@
 //!   Its reads are positional and take `&self`, so every thread reads
 //!   through it at once with no lock and no seek state. Multiple stores
 //!   mount side by side under one global block index space.
+//! * **Compressed end to end** — the server never decodes. It serves
+//!   each block's stored container bytes (a one-block PaSTRI v2
+//!   container, header and payload CRCs included), and the consumer
+//!   decodes them with [`pastri::decompress_block`]: the paper's
+//!   premise that compressed data is cheaper to keep and move than
+//!   decoded data (Figs. 10–11).
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
-//!   cache ([`cache::BlockCache`]) holding *decompressed* blocks, so a
-//!   popular quartet pays decompression once, not once per reuse.
+//!   cache ([`cache::BlockCache`]) holding those container bytes, so a
+//!   popular quartet pays its store read once, not once per reuse.
 //! * **Batched reads** — `ServerHandle::read_blocks_each` takes one
 //!   request's block ids, serves hits from memory, fans the distinct
 //!   misses out on the rayon pool, and reassembles results in request
 //!   order.
 //! * **Repair-on-read preserved** — misses go through
-//!   [`eri_store::StoreReader::read_block_noting_repair`], so an
-//!   injected fault heals from container parity and counts
+//!   [`eri_store::StoreReader::read_container_noting_repair`], so an
+//!   injected fault heals from stripe parity and counts
 //!   `store.blocks_repaired` exactly like a direct read; only the
-//!   *post-repair* block is ever admitted to the cache (there is no
-//!   pre-repair value to leak: insertion happens strictly after the
-//!   read returns the certified block).
+//!   *post-repair* container is ever admitted to the cache (there is no
+//!   pre-repair byte to leak: insertion happens strictly after the
+//!   read returns the certified bytes).
 //!
 //! Telemetry contract (all under the global recorder, off by default):
 //! counters `server.requests`, `server.blocks`, `server.store_reads`;
 //! histograms `server.read_us` (per-block service time, hits included)
-//! and `server.miss_us` (store fetch + decompress path only); span
+//! and `server.miss_us` (store fetch, CRC check and repair only); span
 //! `server.batch`; journal event `store.repair` (block id, 1) for each
 //! read that rebuilt its block from parity. The cache layer adds
 //! `cache.hits` / `cache.misses` / `cache.evictions` /
-//! `cache.admission_rejects` and the `cache.bytes` gauge.
+//! `cache.admission_rejects` and the `cache.bytes` gauge. Decoding
+//! shows as the consumer's `decompress.container` spans.
 //!
 //! Two front ends share this handle: the in-process batch API used by
 //! `pastri serve` and the tests, and the PTRF wire transport behind
 //! `pastri serve --listen` / `pastri fetch`. Both serve through
 //! `ServerHandle::read_blocks_each`; [`ServerHandle::read_blocks`] is
-//! its all-or-nothing collect.
+//! its all-or-nothing collect, decoded in process.
 
 use std::fs::File;
 use std::path::Path;
@@ -130,7 +137,8 @@ impl ServerError {
 /// Tunables for [`ServerHandle::open`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Hot-block cache byte budget (decompressed payload + overhead).
+    /// Hot-block cache byte budget (compressed container bytes +
+    /// per-entry overhead).
     pub cache_bytes: usize,
     /// Transient-retry policy handed to every store reader.
     pub retry: RetryPolicy,
@@ -264,24 +272,22 @@ impl ServerHandle {
     }
 
     /// Serves one batch: block `ids` (duplicates and any order allowed)
-    /// → one `Result` per position, in request order. Hits come
+    /// → one container per position, in request order. Hits come
     /// straight from the cache; the distinct missed ids are fetched in
     /// parallel on the rayon pool (in request order on a one-thread
     /// pool), each through the repair-on-read path, then admitted to
-    /// the cache post-repair.
+    /// the cache post-repair. Nothing is decoded here: each `Ok` holds
+    /// the block's stored container bytes.
     ///
     /// One bad block never sinks the batch: a corrupt or out-of-range
     /// id yields a structured error at its own position while the rest
     /// is served normally. This is the transport serving path: a remote
     /// client asked for 64 blocks deserves 63 good blocks and one
     /// per-block error frame, not a connection reset.
-    pub(crate) fn read_blocks_each(
-        &self,
-        ids: &[usize],
-    ) -> Vec<Result<Arc<Vec<f64>>, ServerError>> {
+    pub(crate) fn read_blocks_each(&self, ids: &[usize]) -> Vec<Result<Arc<[u8]>, ServerError>> {
         telemetry::counter_add("server.requests", 1);
         let _batch = telemetry::span("server.batch");
-        let mut out: Vec<Option<Result<Arc<Vec<f64>>, ServerError>>> =
+        let mut out: Vec<Option<Result<Arc<[u8]>, ServerError>>> =
             (0..ids.len()).map(|_| None).collect();
         // Every miss as (id, position).
         let mut misses: Vec<(usize, usize)> = Vec::new();
@@ -306,13 +312,13 @@ impl ServerHandle {
         misses.sort_unstable();
         let mut runs: Vec<&[(usize, usize)]> = misses.chunk_by(|a, b| a.0 == b.0).collect();
         runs.sort_unstable_by_key(|run| run[0].1);
-        let fetched: Vec<Result<Arc<Vec<f64>>, ServerError>> =
+        let fetched: Vec<Result<Arc<[u8]>, ServerError>> =
             runs.par_iter().map(|run| self.read_miss(run[0].0)).collect();
         for (run, res) in runs.iter().zip(fetched) {
             match res {
-                Ok(block) => {
+                Ok(container) => {
                     for &(_, pos) in *run {
-                        out[pos] = Some(Ok(Arc::clone(&block)));
+                        out[pos] = Some(Ok(Arc::clone(&container)));
                     }
                 }
                 // Errors carry non-clonable I/O sources, and a block that
@@ -330,32 +336,45 @@ impl ServerHandle {
         out.into_iter().map(|b| b.expect("every position filled")).collect()
     }
 
-    /// All-or-nothing batch: `ServerHandle::read_blocks_each`
-    /// collected into one `Result`. A failed batch reports the error of
-    /// its first failing position; the blocks that did read are still
-    /// cached.
+    /// All-or-nothing batch: `ServerHandle::read_blocks_each`, each
+    /// container decoded (in parallel on the rayon pool) and collected
+    /// into one `Result`. A failed batch reports the error of its first
+    /// failing position; the blocks that did read are still cached.
     pub fn read_blocks(&self, ids: &[usize]) -> Result<Vec<Arc<Vec<f64>>>, ServerError> {
-        self.read_blocks_each(ids).into_iter().collect()
+        let containers = self.read_blocks_each(ids);
+        ids.par_iter()
+            .zip(containers)
+            .map(|(&id, c)| self.decode(id, &c?))
+            .collect()
     }
 
     /// Convenience wrapper: one block.
     pub fn read_block(&self, id: usize) -> Result<Arc<Vec<f64>>, ServerError> {
-        self.read_blocks_each(&[id]).pop().expect("one result")
+        let container = self.read_blocks_each(&[id]).pop().expect("one result")?;
+        self.decode(id, &container)
+    }
+
+    /// Decodes block `id`'s container at the mounted geometry and error
+    /// bound, the same guarded decode a remote client runs.
+    fn decode(&self, id: usize, container: &[u8]) -> Result<Arc<Vec<f64>>, ServerError> {
+        pastri::decompress_block(container, self.geometry(), self.error_bound())
+            .map(Arc::new)
+            .map_err(|e| ServerError::Store { block: id, source: e.into() })
     }
 
     /// One cache-miss store read: repair-on-read via
-    /// `StoreReader::read_block_noting_repair`, telemetry, and strictly
-    /// post-repair cache admission (the reader only returns certified
-    /// — checksum-verified, parity-rebuilt if needed — values, so
-    /// nothing stale can be admitted).
-    fn read_miss(&self, id: usize) -> Result<Arc<Vec<f64>>, ServerError> {
+    /// `StoreReader::read_container_noting_repair`, telemetry, and
+    /// strictly post-repair cache admission (the reader only returns
+    /// certified — checksum-verified, parity-rebuilt if needed — bytes,
+    /// so nothing stale can be admitted).
+    fn read_miss(&self, id: usize) -> Result<Arc<[u8]>, ServerError> {
         let t = Instant::now();
         // Mounts are in global order, so the owner is the last one
         // starting at or before `id`.
         let mount = &self.mounts[self.mounts.partition_point(|m| m.first_block <= id) - 1];
-        let (values, repaired) = mount
+        let (container, repaired) = mount
             .reader
-            .read_block_noting_repair(id - mount.first_block)
+            .read_container_noting_repair(id - mount.first_block)
             .map_err(|e| ServerError::Store { block: id, source: e })?;
         if repaired {
             // Repair-on-read healed this block mid-serve: a journal
@@ -369,9 +388,9 @@ impl ServerHandle {
         telemetry::observe_us("server.miss_us", us);
         telemetry::observe_us("server.read_us", us);
         telemetry::counter_add("server.store_reads", 1);
-        let block = Arc::new(values);
-        self.cache.insert(id as u64, Arc::clone(&block));
-        Ok(block)
+        let container: Arc<[u8]> = container.into();
+        self.cache.insert(id as u64, Arc::clone(&container));
+        Ok(container)
     }
 }
 
@@ -479,8 +498,8 @@ mod tests {
         let path = tmp("hit.eristore");
         build(&path, geom, 4, 0);
         let srv = ServerHandle::open(&[&path], &ServerConfig::default()).unwrap();
-        let a = srv.read_block(2).unwrap();
-        let b = srv.read_block(2).unwrap();
+        let a = srv.read_blocks_each(&[2]).pop().unwrap().unwrap();
+        let b = srv.read_blocks_each(&[2]).pop().unwrap().unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second read must come from the cache");
         let s = srv.cache_stats();
         assert_eq!((s.hits, s.misses), (1, 1));

@@ -1,5 +1,5 @@
 //! The PTRF wire protocol: length-prefixed, CRC32-framed messages for
-//! serving decompressed ERI blocks out of process.
+//! serving compressed ERI blocks out of process.
 //!
 //! Every frame is:
 //!
@@ -40,10 +40,16 @@
 //!   "untraced" and the server adopts nothing), `count u32`, then
 //!   `count` block ids as `u64`.
 //! * `ReadResponse`: `request_id u64`, `count u32`, then per block a
-//!   `status u8` — `0` followed by `len u32` + `len` f64 bit patterns,
-//!   or an error code followed by `msg_len u32` + UTF-8 message. A bad
-//!   block degrades to its own status byte; the other blocks in the
-//!   response are unaffected.
+//!   `status u8` — `0` followed by `len u32` + `len` bytes of the
+//!   block's stored container (a one-block PaSTRI v2 container, exactly
+//!   as the store certified it after stripe repair), or an error code
+//!   followed by `msg_len u32` + UTF-8 message. A bad block degrades to
+//!   its own status byte; the other blocks in the response are
+//!   unaffected. The server never decodes: the client decodes each
+//!   container with [`pastri::decompress_block`] at the `Hello`'s
+//!   geometry and error bound. The container's own header and payload
+//!   CRCs travel with it, so integrity is checked from the disk to the
+//!   client's decode, on top of the frame CRC.
 //! * `Overloaded`: the server shed a request instead of serving it —
 //!   `request_id u64`, `reason u8` (0 = shed under load, 1 = draining),
 //!   `retry_after_ms u32` (backoff hint).
@@ -58,13 +64,17 @@
 //! **One version.** The server always speaks first with a `Hello`
 //! carrying [`PROTO_VERSION`]; a client refuses any other version
 //! with a protocol error. There is no negotiation and no downgrade.
+//! Version 5 is the compressed `ReadResponse` above; version 4 carried
+//! decoded f64 values in the same slot and is not spoken.
 
 use std::io::{self, Read, Write};
+
+use pastri::BlockGeometry;
 
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
 pub(crate) const MAGIC: [u8; 4] = *b"PTRF";
 /// Protocol version spoken by this build; carried in `Hello`.
-pub const PROTO_VERSION: u32 = 4;
+pub const PROTO_VERSION: u32 = 5;
 /// Fixed frame header length (magic + kind + reserved + payload len).
 pub(crate) const HEADER_LEN: usize = 12;
 /// Hard cap on payload length — reject before allocating.
@@ -81,31 +91,33 @@ const READ_RESPONSE_OVERHEAD: usize = 12;
 const READ_REQUEST_OVERHEAD: usize = 32;
 
 /// Worst-case `ReadResponse` payload bytes for `ids` blocks of
-/// `values_per_block` f64 values: the fixed overhead plus, per slot,
-/// the larger of full values (1 + 4 + 8·values) or a clamped error
-/// message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The one formula
-/// behind both the batch cap ([`max_ids_per_read`]) and the server's
-/// admission byte budget. Saturates rather than overflowing.
+/// `geometry`: the fixed overhead plus, per slot, the larger of the
+/// largest container one block can produce
+/// ([`pastri::max_block_container_len`]: 1 + 4 + container) or a
+/// clamped error message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The one
+/// formula behind both the batch cap ([`max_ids_per_read`]) and the
+/// server's admission byte budget. Saturates rather than overflowing.
 #[must_use]
-pub(crate) fn max_read_response_len(ids: usize, values_per_block: usize) -> usize {
-    let per_slot =
-        8usize.saturating_mul(values_per_block).max(MAX_BLOCK_ERROR_MESSAGE).saturating_add(5);
+pub(crate) fn max_read_response_len(ids: usize, geometry: BlockGeometry) -> usize {
+    let per_slot = pastri::max_block_container_len(geometry)
+        .max(MAX_BLOCK_ERROR_MESSAGE)
+        .saturating_add(5);
     READ_RESPONSE_OVERHEAD.saturating_add(ids.saturating_mul(per_slot))
 }
 
 /// How many block ids one `ReadRequest`/`ReadResponse` exchange can
 /// carry under `payload_cap` bytes of frame payload, for blocks of
-/// `values_per_block` f64 values. Sized for the worst case on both
-/// sides of the wire: 8 bytes per id in the request, and
-/// `max_read_response_len` in the response. The client chunks its
-/// id lists with this and the server rejects batches past it, so
-/// neither side can be asked to encode a frame the other would refuse
-/// as [`FrameError::TooLarge`]. Returns 0 when even a single block
-/// cannot fit — callers must surface that as a config error.
+/// `geometry`. Sized for the worst case on both sides of the wire: 8
+/// bytes per id in the request, and `max_read_response_len` in the
+/// response. The client chunks its id lists with this and the server
+/// rejects batches past it, so neither side can be asked to encode a
+/// frame the other would refuse as [`FrameError::TooLarge`]. Returns 0
+/// when even a single block cannot fit — callers must surface that as
+/// a config error.
 #[must_use]
-pub fn max_ids_per_read(values_per_block: usize, payload_cap: usize) -> usize {
+pub fn max_ids_per_read(geometry: BlockGeometry, payload_cap: usize) -> usize {
     let cap = payload_cap.min(MAX_FRAME_PAYLOAD as usize);
-    let per_slot = max_read_response_len(1, values_per_block) - READ_RESPONSE_OVERHEAD;
+    let per_slot = max_read_response_len(1, geometry) - READ_RESPONSE_OVERHEAD;
     let by_response = cap.saturating_sub(READ_RESPONSE_OVERHEAD) / per_slot;
     let by_request = cap.saturating_sub(READ_REQUEST_OVERHEAD) / 8;
     by_response.min(by_request)
@@ -223,11 +235,12 @@ impl std::fmt::Display for BlockErrorKind {
     }
 }
 
-/// One block slot in a `ReadResponse`: the decompressed values, or a
-/// structured per-block error that leaves the rest of the batch intact.
-#[derive(Debug, Clone, PartialEq)]
+/// One block slot in a `ReadResponse`: the block's stored container
+/// bytes, or a structured per-block error that leaves the rest of the
+/// batch intact.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireBlock {
-    Values(Vec<f64>),
+    Container(Vec<u8>),
     Error { kind: BlockErrorKind, message: String },
 }
 
@@ -442,7 +455,7 @@ fn payload_len(msg: &Message) -> usize {
                     .iter()
                     .map(|b| {
                         5 + match b {
-                            WireBlock::Values(v) => 8 * v.len(),
+                            WireBlock::Container(c) => c.len(),
                             WireBlock::Error { message, .. } => message.len(),
                         }
                     })
@@ -494,10 +507,10 @@ fn encode_payload(msg: &Message, p: &mut Vec<u8>) {
             p.extend_from_slice(&(rs.blocks.len() as u32).to_le_bytes());
             for b in &rs.blocks {
                 match b {
-                    WireBlock::Values(v) => {
+                    WireBlock::Container(c) => {
                         p.push(0);
-                        p.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        put_u64s(p, v.iter().map(|x| x.to_bits()));
+                        p.extend_from_slice(&(c.len() as u32).to_le_bytes());
+                        p.extend_from_slice(c);
                     }
                     WireBlock::Error { kind, message } => {
                         p.push(kind.code());
@@ -601,10 +614,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
                 let status = c.u8()?;
                 if status == 0 {
                     let len = c.u32()? as usize;
-                    if len > c.buf.len() / 8 {
-                        return Err(FrameError::Malformed("value count past end of payload"));
-                    }
-                    blocks.push(WireBlock::Values(c.u64s(len)?.map(f64::from_bits).collect()));
+                    blocks.push(WireBlock::Container(c.take(len)?.to_vec()));
                 } else {
                     let kind = BlockErrorKind::from_code(status)
                         .ok_or(FrameError::Malformed("unknown block status"))?;
@@ -636,6 +646,13 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
 mod tests {
     use super::*;
     use checksum::crc32;
+    use pastri::Compressor;
+
+    /// The one-block container the store writes for `values`, at a
+    /// one-sub-block geometry of `values.len()` points.
+    fn container_of(values: &[f64]) -> Vec<u8> {
+        Compressor::new(BlockGeometry::new(1, values.len()), 1e-10).compress(values)
+    }
 
     fn round_trip(msg: &Message) {
         let bytes = frame_bytes(msg).unwrap();
@@ -673,12 +690,12 @@ mod tests {
             Message::ReadResponse(ReadResponse {
                 request_id: 7,
                 blocks: vec![
-                    WireBlock::Values(vec![1.0, -2.5e-12, f64::MIN_POSITIVE]),
+                    WireBlock::Container(container_of(&[1.0, -2.5e-12, f64::MIN_POSITIVE])),
                     WireBlock::Error {
                         kind: BlockErrorKind::Corruption,
                         message: "block 99: parity budget exceeded".into(),
                     },
-                    WireBlock::Values(vec![]),
+                    WireBlock::Container(vec![]),
                     WireBlock::Error { kind: BlockErrorKind::OutOfRange, message: String::new() },
                 ],
             }),
@@ -702,7 +719,7 @@ mod tests {
 
     /// Frame offsets of every `u32` count or length field in `msg`'s
     /// frame: the header's payload length, plus the id count, block
-    /// count and per-block value/message lengths where the kind has
+    /// count and per-block container/message lengths where the kind has
     /// them.
     fn length_fields(msg: &Message) -> Vec<usize> {
         let mut offsets = vec![8];
@@ -714,7 +731,7 @@ mod tests {
                 for b in &rs.blocks {
                     offsets.push(off + 1);
                     off += 5 + match b {
-                        WireBlock::Values(v) => 8 * v.len(),
+                        WireBlock::Container(c) => c.len(),
                         WireBlock::Error { message, .. } => message.len(),
                     };
                 }
@@ -784,10 +801,23 @@ mod tests {
     }
 
     /// Two frames past the checksum kernel's 128-byte threshold: a
-    /// 1000-id request and a 16-block `(dd|dd)`-sized response, filled
-    /// with fixed bit patterns.
+    /// 1000-id request and a 16-block `(dd|dd)` response of real
+    /// containers — even blocks smooth enough to code, odd blocks fixed
+    /// bit patterns (NaNs included) that go verbatim.
     fn large_messages() -> Vec<Message> {
         let word = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let compressor = Compressor::new(BlockGeometry::new(36, 36), 1e-10);
+        let block = |b: u64| -> Vec<f64> {
+            (0..1296u64)
+                .map(|i| {
+                    if b.is_multiple_of(2) {
+                        ((i / 36 + b) as f64 * 0.61).cos() * ((i % 36) as f64 * 0.37).sin() * 1e-6
+                    } else {
+                        f64::from_bits(word(b * 1296 + i))
+                    }
+                })
+                .collect()
+        };
         vec![
             Message::ReadRequest(ReadRequest {
                 request_id: 1,
@@ -799,9 +829,7 @@ mod tests {
             Message::ReadResponse(ReadResponse {
                 request_id: 42,
                 blocks: (0..16u64)
-                    .map(|b| {
-                        WireBlock::Values((0..1296).map(|i| f64::from_bits(word(b * 1296 + i))).collect())
-                    })
+                    .map(|b| WireBlock::Container(compressor.compress(&block(b))))
                     .collect(),
             }),
         ]
@@ -809,23 +837,22 @@ mod tests {
 
     #[test]
     fn frames_match_their_pinned_encoding() {
-        // (frame length, trailing CRC field) of every sample frame, as
-        // encoded by the two-pass encoder and the table-only CRC before
-        // frames were sized first and encoded in place. The trailing
-        // field pins every byte before it; the CRC of a *whole* frame is
-        // always the residue 0x2144df1c and pins nothing.
+        // (frame length, trailing CRC field) of every sample frame under
+        // protocol version 5, whose read responses carry containers. The
+        // trailing field pins every byte before it; the CRC of a *whole*
+        // frame is always the residue 0x2144df1c and pins nothing.
         let pinned: [(usize, u32); 11] = [
-            (44, 0x1c3c_a417),
+            (44, 0x1d89_590a),
             (80, 0x71fd_696b),
             (48, 0x7ae0_087c),
-            (104, 0x5a58_5878),
+            (127, 0x952e_dd4d),
             (29, 0xffdf_e357),
             (29, 0x55ff_acda),
             (16, 0x9565_1724),
             (62, 0x0767_d872),
             (16, 0x4c45_0588),
             (8048, 0x7c00_4b11),
-            (165_996, 0xc427_f8c9),
+            (85_081, 0x825e_7044),
         ];
         let msgs: Vec<Message> = sample_messages().into_iter().chain(large_messages()).collect();
         assert_eq!(msgs.len(), pinned.len());
@@ -836,7 +863,6 @@ mod tests {
             assert_eq!(stored, crc, "frame of {} bytes", len);
             assert_eq!(crc32(&frame), 0x2144_df1c);
             assert_eq!(payload_len(msg), len - HEADER_LEN - 4, "size-first length");
-            // Compared as bytes: the large samples carry NaN bit patterns.
             assert_eq!(frame_bytes(&read_frame(&mut &frame[..]).unwrap()).unwrap(), frame);
         }
     }
@@ -993,13 +1019,13 @@ mod tests {
 
     #[test]
     fn oversized_messages_fail_at_encode_time() {
-        // One values slot just past the payload cap: encoding must be
-        // a real TooLarge error (not a debug_assert), and write_frame
+        // One container slot just past the payload cap: encoding must
+        // be a real TooLarge error (not a debug_assert), and write_frame
         // must put nothing on the wire.
-        let values = (MAX_FRAME_PAYLOAD as usize - 12 - 5) / 8 + 1;
+        let bytes = MAX_FRAME_PAYLOAD as usize - 12 - 5 + 1;
         let msg = Message::ReadResponse(ReadResponse {
             request_id: 1,
-            blocks: vec![WireBlock::Values(vec![0.0; values])],
+            blocks: vec![WireBlock::Container(vec![0; bytes])],
         });
         assert!(matches!(frame_bytes(&msg).unwrap_err(), FrameError::TooLarge(_)));
         let mut sink = Vec::new();
@@ -1020,35 +1046,86 @@ mod tests {
 
     #[test]
     fn batch_sizing_keeps_worst_case_exchanges_under_the_cap() {
-        for (values, cap) in [
-            (1usize, 4096usize),
-            (128, 1 << 16),
-            (128, MAX_FRAME_PAYLOAD as usize),
-            (0, 1024),
+        for (geometry, cap) in [
+            (BlockGeometry::new(1, 1), 4096usize),
+            (BlockGeometry::new(4, 32), 1 << 16),
+            (BlockGeometry::new(36, 36), 1 << 16),
+            (BlockGeometry::new(36, 36), MAX_FRAME_PAYLOAD as usize),
+            (BlockGeometry::new(1, 16), 1024),
             // Caps past the protocol hard limit are clamped to it.
-            (128, usize::MAX),
+            (BlockGeometry::new(4, 32), usize::MAX),
         ] {
-            let n = max_ids_per_read(values, cap);
+            let n = max_ids_per_read(geometry, cap);
             let cap = cap.min(MAX_FRAME_PAYLOAD as usize);
-            assert!(n >= 1, "values={values} cap={cap} gives empty batches");
+            assert!(n >= 1, "{geometry:?} cap={cap} gives empty batches");
             // Worst-case response: every slot an error with a clamped
-            // message, or every slot full values — whichever is wider.
-            let per_slot = 5 + (8 * values).max(MAX_BLOCK_ERROR_MESSAGE);
-            assert_eq!(max_read_response_len(n, values), 12 + n * per_slot);
-            assert!(12 + n * per_slot <= cap, "values={values} cap={cap} n={n}");
+            // message, or every slot the largest container a block can
+            // produce — whichever is wider.
+            let per_slot =
+                5 + pastri::max_block_container_len(geometry).max(MAX_BLOCK_ERROR_MESSAGE);
+            assert_eq!(max_read_response_len(n, geometry), 12 + n * per_slot);
+            assert!(12 + n * per_slot <= cap, "{geometry:?} cap={cap} n={n}");
             // Request side: fixed overhead plus 8 bytes per id.
-            assert!(32 + n * 8 <= cap, "request side: values={values} cap={cap} n={n}");
+            assert!(32 + n * 8 <= cap, "request side: {geometry:?} cap={cap} n={n}");
             // And n is maximal: one more block would overflow a side.
             assert!(
                 12 + (n + 1) * per_slot > cap || 32 + (n + 1) * 8 > cap,
-                "values={values} cap={cap} n={n} not maximal"
+                "{geometry:?} cap={cap} n={n} not maximal"
             );
         }
         // A block too large to ever fit one frame yields 0, not a lie,
         // and no size overflows.
-        assert_eq!(max_ids_per_read(MAX_FRAME_PAYLOAD as usize, usize::MAX), 0);
-        assert_eq!(max_ids_per_read(usize::MAX, usize::MAX), 0);
-        assert_eq!(max_read_response_len(usize::MAX, 1), usize::MAX);
+        assert_eq!(max_ids_per_read(BlockGeometry::new(1 << 14, 1 << 14), usize::MAX), 0);
+        let huge = BlockGeometry { num_subblocks: usize::MAX, subblock_size: usize::MAX };
+        assert_eq!(pastri::max_block_container_len(huge), usize::MAX);
+        assert_eq!(max_ids_per_read(huge, usize::MAX), 0);
+        assert_eq!(max_read_response_len(usize::MAX, BlockGeometry::new(1, 1)), usize::MAX);
+    }
+
+    #[test]
+    fn container_bound_holds_for_adversarial_blocks() {
+        // Non-finite values and random bit patterns take the verbatim
+        // path, the largest a block can be coded: its container meets
+        // the exported bound exactly. Smooth, spiky and all-zero blocks
+        // stay under it.
+        let mut rng = 0xB0_u64;
+        let mut next = || {
+            rng = durable::retry::splitmix64(rng);
+            rng
+        };
+        for geometry in [
+            BlockGeometry::new(1, 1),
+            BlockGeometry::new(4, 32),
+            BlockGeometry::new(36, 36),
+            BlockGeometry::new(100, 100),
+        ] {
+            let bound = pastri::max_block_container_len(geometry);
+            let n = geometry.block_size();
+            let compressor = Compressor::new(geometry, 1e-10);
+            let mut with_nan = vec![1e-7; n];
+            with_nan[n / 2] = f64::NAN;
+            let verbatim = [
+                with_nan,
+                vec![f64::INFINITY; n],
+                (0..n).map(|_| f64::from_bits(next())).collect::<Vec<f64>>(),
+            ];
+            for values in &verbatim {
+                let c = compressor.compress(values);
+                assert_eq!(c.len(), bound, "{geometry:?}: verbatim block must meet the bound");
+                let back = pastri::decompress_block(&c, geometry, 1e-10).unwrap();
+                assert!(back.iter().zip(values).all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+            let coded = [
+                vec![0.0; n],
+                (0..n).map(|i| (i as f64 * 0.3).sin() * 1e-6).collect(),
+                (0..n).map(|i| if i % 7 == 0 { 1e6 } else { 1e-9 }).collect(),
+                (0..n).map(|_| (next() % 2001) as f64 * 1e-3 - 1.0).collect::<Vec<f64>>(),
+            ];
+            for values in &coded {
+                let c = compressor.compress(values);
+                assert!(c.len() <= bound, "{geometry:?}: {} > {bound}", c.len());
+            }
+        }
     }
 
     #[test]
@@ -1086,23 +1163,27 @@ mod tests {
 
     #[test]
     fn value_bits_survive_exactly() {
-        // f64s travel as bit patterns: NaN payloads, -0.0, subnormals
-        // all come back bit-identical.
+        // Containers travel as opaque bytes: a verbatim block carrying
+        // NaN payloads, -0.0, subnormals and extremes comes back
+        // byte-identical, and so decodes to the same bit patterns.
         let values = vec![
             f64::from_bits(0x7ff8_0000_dead_beef),
             -0.0,
             f64::MIN_POSITIVE / 2.0,
             f64::MAX,
         ];
+        let container = container_of(&values);
         let msg = Message::ReadResponse(ReadResponse {
             request_id: 1,
-            blocks: vec![WireBlock::Values(values.clone())],
+            blocks: vec![WireBlock::Container(container.clone())],
         });
         let got = read_frame(&mut &frame_bytes(&msg).unwrap()[..]).unwrap();
         match got {
             Message::ReadResponse(rs) => match &rs.blocks[0] {
-                WireBlock::Values(v) => {
-                    for (a, b) in v.iter().zip(&values) {
+                WireBlock::Container(c) => {
+                    assert_eq!(*c, container);
+                    let back = pastri::decompress_block(c, BlockGeometry::new(1, 4), 1e-10).unwrap();
+                    for (a, b) in back.iter().zip(&values) {
                         assert_eq!(a.to_bits(), b.to_bits());
                     }
                 }

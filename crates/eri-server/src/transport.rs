@@ -539,7 +539,7 @@ fn serve_read<'a>(
     admission: &'a AdmissionController,
     inject: Option<&InjectedLoad>,
     batch_cap: usize,
-    values_per_block: usize,
+    geometry: pastri::BlockGeometry,
     conn_id: u64,
 ) -> (Message, Option<Permit<'a>>) {
     telemetry::counter_add("rpc.requests", 1);
@@ -577,7 +577,7 @@ fn serve_read<'a>(
         }
     }
     // Worst-case bytes this response may pin while in flight.
-    let bytes = protocol::max_read_response_len(rq.ids.len(), values_per_block);
+    let bytes = protocol::max_read_response_len(rq.ids.len(), geometry);
     let budget = Duration::from_millis(u64::from(rq.budget_ms));
     let permit = match admission.admit(conn_id, budget, bytes) {
         Admission::Admitted(p) => p,
@@ -597,7 +597,7 @@ fn serve_read<'a>(
         .read_blocks_each(&ids)
         .into_iter()
         .map(|r| match r {
-            Ok(b) => WireBlock::Values(b.to_vec()),
+            Ok(container) => WireBlock::Container(container.to_vec()),
             Err(e) => block_error(&e),
         })
         .collect();
@@ -621,11 +621,9 @@ fn handle_conn(
     conn_id: u64,
 ) {
     let geom = handle.geometry();
-    let values_per_block = geom.num_subblocks * geom.subblock_size;
     // The largest batch whose worst-case response still fits one frame;
     // conforming clients chunk to the same bound.
-    let batch_cap =
-        protocol::max_ids_per_read(values_per_block, protocol::MAX_FRAME_PAYLOAD as usize);
+    let batch_cap = protocol::max_ids_per_read(geom, protocol::MAX_FRAME_PAYLOAD as usize);
     let hello = Message::Hello(Hello {
         version: PROTO_VERSION,
         num_blocks: handle.num_blocks() as u64,
@@ -680,7 +678,7 @@ fn handle_conn(
                     admission,
                     load.as_ref(),
                     batch_cap,
-                    values_per_block,
+                    geom,
                     conn_id,
                 )
             }

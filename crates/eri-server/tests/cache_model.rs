@@ -17,9 +17,9 @@
 //! * a same-seed replay yields a bit-identical deterministic tally
 //!   line (soak-style determinism).
 //!
-//! Keys map to block lengths deterministically (`len(key)`), mirroring
-//! the server's invariant that a block id always denotes the same
-//! decompressed block.
+//! Keys map to container lengths deterministically (`len(key)`),
+//! mirroring the server's invariant that a block id always denotes the
+//! same stored container.
 
 use std::sync::Arc;
 
@@ -27,9 +27,11 @@ use durable::retry::splitmix64;
 use eri_server::cache::{entry_cost, BlockCache};
 use proptest::{proptest, ProptestConfig};
 
-/// Deterministic block length for a key: 1..=64 values.
+/// Deterministic container length for a key: 8..=512 bytes, in steps
+/// of 8, so entry costs span 72..=576 bytes against the 256..12 288-byte
+/// budgets below.
 fn len_of(key: u64) -> usize {
-    1 + (splitmix64(key ^ 0xdead_beef_cafe_f00d) % 64) as usize
+    8 * (1 + (splitmix64(key ^ 0xdead_beef_cafe_f00d) % 64) as usize)
 }
 
 /// Reference model: per shard, an MRU-first list of keys plus the
@@ -112,8 +114,8 @@ impl Model {
     }
 }
 
-fn block_for(key: u64) -> Arc<Vec<f64>> {
-    Arc::new(vec![f64::from_bits(splitmix64(key)); len_of(key)])
+fn block_for(key: u64) -> Arc<[u8]> {
+    vec![splitmix64(key) as u8; len_of(key)].into()
 }
 
 /// Replays `ops` seeded operations against a fresh cache, checking the

@@ -183,7 +183,8 @@ fn raw_read(ep: &Endpoint, request_id: u64, ids: Vec<u64>) -> Message {
     protocol::read_frame(&mut conn).unwrap()
 }
 
-/// A raw-frame client gets the store's values for a `ReadRequest`, and
+/// A raw-frame client gets the store's containers for a `ReadRequest`
+/// (decoding to its values), and
 /// a structured `Overloaded` frame with the retry hint when shed.
 #[test]
 fn raw_read_requests_get_values_or_a_structured_shed() {
@@ -198,7 +199,10 @@ fn raw_read_requests_get_values_or_a_structured_shed() {
             assert_eq!(rr.blocks.len(), 2);
             for (slot, id) in rr.blocks.iter().zip([0usize, 3]) {
                 match slot {
-                    WireBlock::Values(v) => assert_block_close(v, id),
+                    WireBlock::Container(c) => {
+                        let geom = pastri::BlockGeometry::new(SUBBLOCKS, SUBBLOCK_SIZE);
+                        assert_block_close(&pastri::decompress_block(c, geom, 1e-10).unwrap(), id)
+                    }
                     WireBlock::Error { kind, message } => {
                         panic!("clean block {id} errored: {kind:?} {message}")
                     }

@@ -1190,26 +1190,38 @@ impl<R: ReadAt> StoreReader<R> {
     /// learn that by diffing [`read_stats`](Self::read_stats) around
     /// the call — another thread's repair may land in between.
     pub fn read_block_noting_repair(&self, i: usize) -> Result<(Vec<f64>, bool), StoreError> {
-        let (payload, repaired) = match self.read_block_bytes(i) {
-            Ok(p) => (p, false),
-            Err(e @ StoreError::Checksum { .. }) => match self.try_repair_block(i) {
-                Some(rebuilt) => {
-                    self.stats.repaired();
-                    (rebuilt, true)
-                }
-                None => {
-                    self.stats.dropped();
-                    return Err(e);
-                }
-            },
-            Err(e) => return Err(e),
-        };
-        match pastri::decompress(&payload) {
+        let (container, repaired) = self.read_container_noting_repair(i)?;
+        match pastri::decompress_block(&container, self.geometry, self.error_bound) {
             Ok(values) => Ok((values, repaired)),
             Err(e) => {
                 self.stats.dropped();
                 Err(e.into())
             }
+        }
+    }
+
+    /// Block `i`'s container bytes exactly as the writer stored them,
+    /// without decoding: the bytes whose index CRC verifies, or, when
+    /// they are damaged, the container rebuilt from its stripe's parity
+    /// (counted in [`ReadStats::blocks_repaired`]; damage beyond the
+    /// budget counts in [`ReadStats::blocks_dropped`]). The flag says
+    /// whether *this* read repaired. Decode the bytes with
+    /// [`pastri::decompress_block`] at this store's geometry and error
+    /// bound.
+    pub fn read_container_noting_repair(&self, i: usize) -> Result<(Vec<u8>, bool), StoreError> {
+        match self.read_block_bytes(i) {
+            Ok(p) => Ok((p, false)),
+            Err(e @ StoreError::Checksum { .. }) => match self.try_repair_block(i) {
+                Some(rebuilt) => {
+                    self.stats.repaired();
+                    Ok((rebuilt, true))
+                }
+                None => {
+                    self.stats.dropped();
+                    Err(e)
+                }
+            },
+            Err(e) => Err(e),
         }
     }
 

@@ -123,6 +123,20 @@ impl ProxyTallies {
         self.truncates + self.corrupts + self.drops + self.stalls + self.resets
     }
 
+    /// How many faults of `class` fired: a test aiming a fault at its
+    /// exchange asserts this is > 0, so frames that shrink later cannot
+    /// silently move the exchange out of the fault's byte window.
+    #[must_use]
+    pub fn of(&self, class: WireFault) -> u64 {
+        match class {
+            WireFault::Truncate => self.truncates,
+            WireFault::Corrupt => self.corrupts,
+            WireFault::Drop => self.drops,
+            WireFault::Stall => self.stalls,
+            WireFault::Reset => self.resets,
+        }
+    }
+
     /// Accumulates another proxy's tallies (e.g. one per replica).
     pub fn add(&mut self, other: &ProxyTallies) {
         self.conns += other.conns;

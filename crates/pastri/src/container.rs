@@ -59,7 +59,7 @@ use bitio::{BitReader, BitWriter};
 use checksum::crc32;
 use rayon::prelude::*;
 
-use crate::block::{compress_block, decompress_block};
+use crate::block::{self, compress_block};
 use crate::encoding::EncodingTree;
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
@@ -289,6 +289,70 @@ impl Compressor {
 pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
     let mut out = Vec::new();
     decompress_into(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// The largest container [`Compressor::compress`] can write for one
+/// block of `geometry`: the v2 header, one block's framing, and the
+/// verbatim payload of `3 + 64·V` bits that bounds every block kind (a
+/// coded block that would not be smaller is written verbatim).
+/// Saturates rather than overflowing, so a hostile geometry sizes to
+/// `usize::MAX`, never to a wrapped small number.
+#[must_use]
+pub fn max_block_container_len(geometry: BlockGeometry) -> usize {
+    let values = geometry.num_subblocks.saturating_mul(geometry.subblock_size);
+    let payload = values.saturating_mul(8).saturating_add(1);
+    let varints = [geometry.num_subblocks, geometry.subblock_size, values, 1, payload];
+    varints
+        .iter()
+        .map(|&v| varint_len(v as u64))
+        .fold(MAGIC.len() + 3 + 8 + 4 + 4, usize::saturating_add)
+        .saturating_add(payload)
+}
+
+/// Decodes a container that must hold exactly one block of `geometry`
+/// at error bound `eb`: a v2 container whose header names that geometry
+/// and that bound (bit for bit), one block and `original_len` equal to
+/// the block size. Anything else is refused as corruption *before* any
+/// buffer sized by the header is allocated, so bytes from an untrusted
+/// peer cost at most one block's values.
+///
+/// This is the decoder for block-store containers, wherever they are
+/// read: the store reader passes its own geometry and bound, a remote
+/// client the ones its server announced.
+pub fn decompress_block(
+    bytes: &[u8],
+    geometry: BlockGeometry,
+    eb: f64,
+) -> Result<Vec<f64>, DecompressError> {
+    let _span = telemetry::span("decompress.container");
+    let header = parse_header(bytes)?;
+    if header.version != VERSION_V2 {
+        return Err(DecompressError::BadVersion {
+            format: "container",
+            version: header.version,
+        });
+    }
+    if header.geometry != geometry {
+        return Err(DecompressError::corrupt("container geometry differs from the expected block"));
+    }
+    if header.eb.to_bits() != eb.to_bits() {
+        return Err(DecompressError::corrupt("container error bound differs from the expected one"));
+    }
+    let bs = geometry.block_size();
+    if header.num_blocks != 1 || header.original_len != bs {
+        return Err(DecompressError::corrupt("container does not hold exactly one block"));
+    }
+    let mut pos = header.blocks_start;
+    let frame = next_frame(bytes, &mut pos, true).map_err(|e| e.with_block(0))?;
+    verify_frame(&frame, 0)?;
+    if pos != bytes.len() {
+        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
+    }
+    let mut out = vec![0.0; bs];
+    let mut r = BitReader::new(frame.payload);
+    block::decompress_block(&mut r, &geometry, &Quantizer::new(eb), header.tree, &mut out)
+        .map_err(|e| e.with_block(0).at_offset(frame.offset))?;
     Ok(out)
 }
 
@@ -565,7 +629,7 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
         .enumerate()
         .try_for_each(|(b, (chunk, frame))| {
             let mut r = BitReader::new(frame.payload);
-            decompress_block(&mut r, &geometry, &quant, tree, chunk)
+            block::decompress_block(&mut r, &geometry, &quant, tree, chunk)
                 .map_err(|e| e.with_block(b).at_offset(frame.offset))
         })?;
     out.truncate(header.original_len);
@@ -702,7 +766,7 @@ fn decompress_lossy_core(bytes: &[u8], header: &Header) -> Result<LossyDecode, D
                 }
                 Ok(frame) => verify_frame(frame, b).err().or_else(|| {
                     let mut r = BitReader::new(frame.payload);
-                    match decompress_block(&mut r, &geometry, &quant, tree, chunk) {
+                    match block::decompress_block(&mut r, &geometry, &quant, tree, chunk) {
                         Ok(()) => None,
                         Err(e) => {
                             // A failed decode may have partially filled the

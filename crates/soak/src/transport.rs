@@ -169,8 +169,11 @@ impl TransportStormConfig {
                 classes: WireFault::ALL.to_vec(),
                 max_faults: 64,
                 stall: Duration::from_millis(400),
+                // Past the 44-byte Hello and inside the connection's
+                // first response: one 4×8 block's container is 46+ bytes
+                // here, so even a one-block response ends past byte 120.
                 offset_base: 60,
-                offset_window: 512,
+                offset_window: 60,
             },
             attempt_timeout: Duration::from_millis(250),
             deadline: Duration::from_secs(20),

@@ -148,6 +148,20 @@ pub fn block_span(store: &[u8], i: usize) -> (u64, u64) {
     (index.blocks[i].offset, index.blocks[i].len)
 }
 
+/// Bytes of the PTRF `Hello` frame a server sends first on every
+/// connection: the fault proxy counts downstream offsets from its start.
+pub const HELLO_FRAME_LEN: u64 = 44;
+
+/// Bytes of the PTRF `ReadResponse` frame that serves `ids` from the
+/// store at `path`: frame header (12), request id and count (12), a
+/// status byte and a length (5) plus the stored container per id, and
+/// the frame CRC (4). Fault-proxy tests aim their byte windows with it.
+pub fn read_response_frame_len(path: &Path, ids: &[usize]) -> u64 {
+    let bytes = std::fs::read(path).expect("a readable store");
+    let (_, index) = eri_store::committed_index(&bytes[..]).expect("a finished store");
+    12 + 12 + ids.iter().map(|&i| 5 + index.blocks[i].len).sum::<u64>() + 4
+}
+
 /// Shreds stored block `i`'s container and its stripe's parity record:
 /// at least three damaged pieces against the two-shard budget, so block
 /// `i` is unrecoverable by design while its stripe-mates' own bytes stay

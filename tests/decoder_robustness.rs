@@ -96,6 +96,29 @@ fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
     bytes
 }
 
+/// A one-block container of the valid store's 4×9 geometry with its
+/// header varints rewritten to claim one block of `claimed`, header CRC
+/// recomputed so only the geometry check can refuse it.
+fn reclaimed(container: &[u8], claimed: BlockGeometry) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: usize) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    // Magic, version, metric, tree and EB, then the four one-byte
+    // varints 4, 9, 36 and 1, then the header CRC.
+    assert_eq!(container[15..19], [4, 9, 36, 1], "a one-block 4x9 container");
+    let mut out = container[..15].to_vec();
+    for v in [claimed.num_subblocks, claimed.subblock_size, claimed.block_size(), 1] {
+        varint(&mut out, v);
+    }
+    out.extend_from_slice(&checksum::crc32(&out).to_le_bytes());
+    out.extend_from_slice(&container[23..]);
+    out
+}
+
 fn soup() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..4096)
 }
@@ -311,6 +334,44 @@ proptest! {
         // stripe's geometry, and the piece CRCs locate the flip.
         if let Some(block) = repairable {
             prop_assert!(read.is_some_and(|ok| ok.iter().all(|&ok| ok)), "block {block} must repair");
+        }
+    }
+
+    #[test]
+    fn block_decoder_allocates_at_most_one_block(
+        kind in 0u8..4,
+        seed in any::<usize>(),
+        claimed in 0usize..3,
+    ) {
+        // One of the store's containers with a bit flip, a truncation,
+        // eight 0xFF bytes, or a header rewritten (CRC recomputed) to
+        // claim another geometry, up to one 16384×16384 block. Decoding
+        // it through the guarded entry point at the store's geometry
+        // and EB — as a remote client decodes what a server sent —
+        // never allocates more than one block's values plus 64 KiB.
+        let (_, store) = valid_artifacts();
+        let (_, index) = eri_store::committed_index(&store.as_slice()).unwrap();
+        let entry = index.blocks[seed % index.blocks.len()];
+        let container = &store[entry.offset as usize..(entry.offset + entry.len) as usize];
+        let geometry = BlockGeometry::new(4, 9);
+        let bytes = match kind {
+            0..=2 => mutated(container, kind, seed),
+            _ => {
+                let side = [5, 1 << 10, 1 << 14][claimed];
+                reclaimed(container, BlockGeometry::new(side, side))
+            }
+        };
+        let mut result = None;
+        let largest = largest_allocation(|| {
+            result = Some(pastri::decompress_block(&bytes, geometry, 1e-9));
+        });
+        prop_assert!(
+            largest <= geometry.block_size() * 8 + (64 << 10),
+            "{largest} bytes allocated for a {}-byte container",
+            bytes.len()
+        );
+        if kind == 3 {
+            prop_assert!(result.is_some_and(|r| r.is_err()), "another geometry must be refused");
         }
     }
 

@@ -203,7 +203,11 @@ fn faulty_overloaded_fetch_traces_end_to_end_and_merges() {
     };
     let (addr, stop, jh) = start_server(&path, Some(Arc::new(inject)));
 
-    // Seeded wire faults between client and server.
+    // Seeded wire faults between client and server: the truncation
+    // lands past the Hello and before the end of the one response.
+    let ids: Vec<u64> = (0..BLOCKS as u64).collect();
+    let all: Vec<usize> = (0..BLOCKS).collect();
+    let exchange_end = common::HELLO_FRAME_LEN + common::read_response_frame_len(&path, &all);
     let proxy = FaultyProxy::start(
         &addr,
         0x0BE5,
@@ -213,7 +217,7 @@ fn faulty_overloaded_fetch_traces_end_to_end_and_merges() {
             max_faults: 2,
             stall: Duration::from_secs(2),
             offset_base: 60,
-            offset_window: 1500,
+            offset_window: exchange_end - 60,
         },
     )
     .unwrap();
@@ -227,14 +231,16 @@ fn faulty_overloaded_fetch_traces_end_to_end_and_merges() {
         let _span = telemetry::span("client.fetch");
         let mut client =
             RemoteClient::connect(&[Endpoint::Tcp(proxy.addr())], client_cfg(42)).unwrap();
-        let ids: Vec<u64> = (0..BLOCKS as u64).collect();
         let blocks = client.read_blocks_strict(&ids).unwrap();
         assert_eq!(blocks.len(), BLOCKS, "all blocks served despite faults and sheds");
     }
     std::thread::sleep(Duration::from_millis(100));
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
-    proxy.stop();
+    let tallies = proxy.stop();
+    for class in [WireFault::Truncate, WireFault::Reset] {
+        assert!(tallies.of(class) >= 1, "{class:?} never fired: {tallies:?}");
+    }
     stop.stop();
     jh.join().unwrap().unwrap();
 

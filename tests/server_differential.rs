@@ -285,12 +285,12 @@ fn concurrent_callers_share_one_cache_at_1_and_4_threads() {
             .into_iter()
             .map(|r| r.expect("clean store reads"))
             .collect();
-        // The cache holds about a quarter of the decompressed store, so
+        // The cache holds about a quarter of the store's containers, so
         // the callers both hit and evict.
-        let cfg = ServerConfig {
-            cache_bytes: STORE_BLOCKS / 4 * eri_server::cache::entry_cost(geom().block_size()),
-            ..ServerConfig::default()
-        };
+        let stored = StoreReader::open(&path).unwrap();
+        let entries: usize =
+            stored.index().blocks.iter().map(|b| eri_server::cache::entry_cost(b.len as usize)).sum();
+        let cfg = ServerConfig { cache_bytes: entries / 4, ..ServerConfig::default() };
 
         pool(threads).install(|| {
             let srv = ServerHandle::open(&[&path], &cfg).unwrap();

@@ -81,6 +81,12 @@ fn start_server(
     (local, stop, jh, handle)
 }
 
+/// Downstream byte offset where a fresh connection's first exchange —
+/// the `Hello`, then the response to a request for `ids` — ends.
+fn first_exchange_end(store: &Path, ids: &[usize]) -> u64 {
+    common::HELLO_FRAME_LEN + common::read_response_frame_len(store, ids)
+}
+
 fn tcp_any() -> Endpoint {
     Endpoint::Tcp("127.0.0.1:0".into())
 }
@@ -153,8 +159,9 @@ fn every_fault_class_recovers_byte_identical() {
             other => panic!("expected tcp endpoint, got {other}"),
         };
         // The first two connections carry the fault; the retry budget
-        // outlives them. Offsets land past the 44-byte Hello frame, in
-        // the data-bearing response stream.
+        // outlives them. Offsets land past the 44-byte Hello frame and
+        // inside the first batch's response, so each connection's fault
+        // fires in the exchange it opens with.
         let proxy = FaultyProxy::start(
             &upstream,
             0x5EED ^ class as u64,
@@ -164,7 +171,7 @@ fn every_fault_class_recovers_byte_identical() {
                 max_faults: 2,
                 stall: Duration::from_secs(2),
                 offset_base: 60,
-                offset_window: 1500,
+                offset_window: first_exchange_end(&path, &ids[..5]) - 60,
             },
         )
         .unwrap();
@@ -183,10 +190,7 @@ fn every_fault_class_recovers_byte_identical() {
 
         let cs = client.stats();
         let tallies = proxy.stop();
-        assert!(
-            tallies.total() >= 1,
-            "class {class:?} never fired: {tallies:?}"
-        );
+        assert!(tallies.of(class) >= 1, "class {class:?} never fired: {tallies:?}");
         assert!(
             cs.retries >= 1,
             "class {class:?} recovered without retrying? {cs:?} / {tallies:?}"
@@ -257,7 +261,8 @@ fn stall_past_deadline_is_an_error_not_a_hang() {
         Endpoint::Tcp(addr) => addr.clone(),
         other => panic!("expected tcp endpoint, got {other}"),
     };
-    // Every connection stalls for far longer than the whole deadline.
+    // Every connection stalls for far longer than the whole deadline,
+    // inside the response to its one request.
     let proxy = FaultyProxy::start(
         &upstream,
         0xDEAD,
@@ -267,7 +272,7 @@ fn stall_past_deadline_is_an_error_not_a_hang() {
             max_faults: u32::MAX,
             stall: Duration::from_secs(20),
             offset_base: 60,
-            offset_window: 500,
+            offset_window: first_exchange_end(&path, &[0, 1, 2]) - 60,
         },
     )
     .unwrap();
@@ -298,8 +303,9 @@ fn stall_past_deadline_is_an_error_not_a_hang() {
         "deadline must cut the stall short, took {elapsed:?}"
     );
     assert!(client.stats().deadline_exceeded >= 1, "{:?}", client.stats());
+    let tallies = proxy.stop();
+    assert!(tallies.of(WireFault::Stall) >= 1, "the stall never fired: {tallies:?}");
 
-    drop(proxy);
     stop.stop();
     jh.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -424,7 +430,7 @@ fn whole_store_fetches_chunk_below_the_frame_cap_byte_identical() {
     let mut client = RemoteClient::connect(&[local], cfg).unwrap();
     let hello = client.hello();
     let per_batch = eri_server::protocol::max_ids_per_read(
-        hello.num_subblocks as usize * hello.subblock_size as usize,
+        BlockGeometry::new(hello.num_subblocks as usize, hello.subblock_size as usize),
         budget,
     );
     assert!((1..BLOCKS).contains(&per_batch), "budget must force chunking: {per_batch}");
@@ -465,10 +471,7 @@ fn oversized_batches_degrade_to_per_block_errors() {
     let mut sock = std::net::TcpStream::connect(&addr).unwrap();
     assert!(matches!(protocol::read_frame(&mut sock).unwrap(), Message::Hello(_)));
     let geom = handle.geometry();
-    let cap = protocol::max_ids_per_read(
-        geom.num_subblocks * geom.subblock_size,
-        protocol::MAX_FRAME_PAYLOAD as usize,
-    );
+    let cap = protocol::max_ids_per_read(geom, protocol::MAX_FRAME_PAYLOAD as usize);
     let ids: Vec<u64> = (0..cap as u64 + 1).collect();
     protocol::write_frame(
         &mut sock,
@@ -502,7 +505,7 @@ fn oversized_batches_degrade_to_per_block_errors() {
     let Message::ReadResponse(rs2) = protocol::read_frame(&mut sock).unwrap() else {
         panic!("want ReadResponse")
     };
-    assert!(rs2.blocks.iter().all(|b| matches!(b, WireBlock::Values(_))), "{rs2:?}");
+    assert!(rs2.blocks.iter().all(|b| matches!(b, WireBlock::Container(_))), "{rs2:?}");
 
     drop(sock);
     stop.stop();
@@ -686,6 +689,8 @@ fn rpc_telemetry_name_contract() {
         Endpoint::Tcp(addr) => addr.clone(),
         other => panic!("expected tcp endpoint, got {other}"),
     };
+    let ids: Vec<u64> = (0..BLOCKS as u64).collect();
+    let first: Vec<usize> = (0..6).collect();
     let proxy = FaultyProxy::start(
         &upstream,
         0x7E1E,
@@ -695,7 +700,7 @@ fn rpc_telemetry_name_contract() {
             max_faults: 2,
             stall: Duration::from_secs(1),
             offset_base: 60,
-            offset_window: 800,
+            offset_window: first_exchange_end(&path, &first) - 60,
         },
     )
     .unwrap();
@@ -704,7 +709,6 @@ fn rpc_telemetry_name_contract() {
     telemetry::set_enabled(true);
     let mut client =
         RemoteClient::connect(&[Endpoint::Tcp(proxy.addr())], fault_client_cfg()).unwrap();
-    let ids: Vec<u64> = (0..BLOCKS as u64).collect();
     for batch in ids.chunks(6) {
         client.read_blocks_strict(batch).unwrap();
     }
@@ -726,7 +730,8 @@ fn rpc_telemetry_name_contract() {
         "per-request server span present"
     );
 
-    drop(proxy);
+    let tallies = proxy.stop();
+    assert!(tallies.of(WireFault::Corrupt) >= 1, "the corruption never fired: {tallies:?}");
     stop.stop();
     jh.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
