@@ -933,17 +933,12 @@ pub(crate) fn assess(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 
 const SOAK: Flags = Flags {
     values: &[
-        "telemetry", "telemetry-out", "seed", "ops", "stores", "scale", "eb", "subblocks",
-        "subblock-size", "read-weight", "crash-weight", "scrub-weight",
-        "bit-flip-every", "flips-per-event", "transient-rate",
-        "max-transients", "slo-read-p99-us", "slo-min-repair-success", "slo-max-quarantined",
-        "slo-max-resident-values", "seconds", "bench-out", "replicas", "clients", "requests",
-        "max-batch", "faulty-every", "max-faults", "shed-every", "max-sheds-per-key",
-        "delay-every", "breaker-threshold", "slo-rpc-p99-us", "slo-max-deadline-exceeded",
-        "slo-max-frame-errors", "slo-max-shed-rate", "slo-queue-wait-p99-us",
-        "slo-max-breaker-opened",
+        "telemetry", "telemetry-out", "seed", "ops", "stores", "scale", "slo-read-p99-us",
+        "slo-min-repair-success", "bench-out", "clients", "requests", "faulty-every",
+        "max-faults", "slo-max-deadline-exceeded", "slo-max-shed-rate",
+        "slo-queue-wait-p99-us", "slo-max-breaker-opened",
     ],
-    switches: &["transport", "overload", "keep"],
+    switches: &["transport", "overload"],
 };
 
 /// `pastri soak <dir> [--seed N] [--ops N] [--stores N] [--scale N] …`:
@@ -964,30 +959,11 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
         return soak_transport(&args, dir, out, telem);
     }
 
-    let defaults = soak::SoakConfig::storm(std::path::Path::new(dir), 42);
-    let mut cfg = defaults;
+    let mut cfg = soak::SoakConfig::storm(std::path::Path::new(dir), 42);
     cfg.seed = args.get_usize("seed", 42)? as u64;
     cfg.ops = args.get_usize("ops", cfg.ops)?;
     cfg.stores = args.get_usize("stores", cfg.stores)?;
     cfg.scale = args.get_usize("scale", cfg.scale)?;
-    cfg.error_bound = args.get_f64("eb", cfg.error_bound)?;
-    cfg.geometry = BlockGeometry::new(
-        args.get_usize("subblocks", cfg.geometry.num_subblocks)?,
-        args.get_usize("subblock-size", cfg.geometry.subblock_size)?,
-    );
-    cfg.mix = soak::OpMix {
-        read: args.get_usize("read-weight", cfg.mix.read as usize)? as u32,
-        crash_resume: args.get_usize("crash-weight", cfg.mix.crash_resume as usize)? as u32,
-        scrub: args.get_usize("scrub-weight", cfg.mix.scrub as usize)? as u32,
-    };
-    cfg.faults = soak::FaultPlan {
-        bit_flip_every: args.get_usize("bit-flip-every", cfg.faults.bit_flip_every)?,
-        flips_per_event: args.get_usize("flips-per-event", cfg.faults.flips_per_event)?,
-        transient_rate: args.get_f64("transient-rate", cfg.faults.transient_rate)?,
-        max_transient_errors: args
-            .get_usize("max-transients", cfg.faults.max_transient_errors as usize)?
-            as u32,
-    };
     cfg.slo = soak::SloGates {
         read_p99_us: args
             .get("slo-read-p99-us")
@@ -998,22 +974,8 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
             .get("slo-min-repair-success")
             .map(|_| args.get_f64("slo-min-repair-success", 0.0))
             .transpose()?,
-        max_quarantined: args
-            .get("slo-max-quarantined")
-            .map(|_| args.get_usize("slo-max-quarantined", 0))
-            .transpose()?
-            .map(|v| v as u64),
-        max_resident_values: args
-            .get("slo-max-resident-values")
-            .map(|_| args.get_usize("slo-max-resident-values", 0))
-            .transpose()?
-            .map(|v| v as i64),
+        ..soak::SloGates::default()
     };
-    let seconds = args.get_f64("seconds", 0.0)?;
-    if seconds > 0.0 {
-        cfg.time_budget = Some(std::time::Duration::from_secs_f64(seconds));
-    }
-    cfg.keep_artifacts = args.switch("keep");
     let bench_out = args.get("bench-out").unwrap_or("BENCH_soak.json");
 
     let report = soak::run(&cfg).map_err(|e| match e {
@@ -1024,11 +986,10 @@ pub(crate) fn soak_cmd(argv: &[String], out: &mut dyn Write) -> Result<(), CliEr
     let t = &report.tallies;
     writeln!(
         out,
-        "soak: seed {} — {} ops across {} stores ({} skipped), {:.2}s wall",
+        "soak: seed {} — {} ops across {} stores, {:.2}s wall",
         report.seed,
         t.ops_executed,
         cfg.stores,
-        t.ops_skipped,
         report.wall.as_secs_f64()
     )?;
     writeln!(
@@ -1107,39 +1068,16 @@ fn soak_transport(
     } else {
         soak::TransportStormConfig::storm(dir, seed)
     };
-    cfg.replicas = args.get_usize("replicas", cfg.replicas)?;
     cfg.clients = args.get_usize("clients", cfg.clients)?;
     cfg.requests_per_client = args.get_usize("requests", cfg.requests_per_client)?;
-    cfg.max_batch = args.get_usize("max-batch", cfg.max_batch)?;
     cfg.scale = args.get_usize("scale", cfg.scale)?;
-    cfg.error_bound = args.get_f64("eb", cfg.error_bound)?;
     cfg.faults.faulty_every =
         args.get_usize("faulty-every", cfg.faults.faulty_every as usize)? as u32;
     cfg.faults.max_faults = args.get_usize("max-faults", cfg.faults.max_faults as usize)? as u32;
-    if let Some(ovl) = cfg.overload.as_mut() {
-        ovl.inject.shed_every = args.get_usize("shed-every", ovl.inject.shed_every as usize)? as u64;
-        ovl.inject.max_sheds_per_key =
-            args.get_usize("max-sheds-per-key", ovl.inject.max_sheds_per_key as usize)? as u32;
-        ovl.inject.delay_every =
-            args.get_usize("delay-every", ovl.inject.delay_every as usize)? as u64;
-        ovl.breaker.failure_threshold = args
-            .get_usize("breaker-threshold", ovl.breaker.failure_threshold as usize)?
-            as u32;
-    }
     cfg.slo = soak::TransportSloGates {
-        rpc_p99_us: args
-            .get("slo-rpc-p99-us")
-            .map(|_| args.get_usize("slo-rpc-p99-us", 0))
-            .transpose()?
-            .map(|v| v as u64),
         max_deadline_exceeded: args
             .get("slo-max-deadline-exceeded")
             .map(|_| args.get_usize("slo-max-deadline-exceeded", 0))
-            .transpose()?
-            .map(|v| v as u64),
-        max_frame_errors: args
-            .get("slo-max-frame-errors")
-            .map(|_| args.get_usize("slo-max-frame-errors", 0))
             .transpose()?
             .map(|v| v as u64),
         max_shed_rate: args
@@ -1156,8 +1094,8 @@ fn soak_transport(
             .map(|_| args.get_usize("slo-max-breaker-opened", 0))
             .transpose()?
             .map(|v| v as u64),
+        ..soak::TransportSloGates::default()
     };
-    cfg.keep_artifacts = args.switch("keep");
     let bench_out = args.get("bench-out").unwrap_or("BENCH_transport_soak.json");
 
     let report = soak::run_transport(&cfg).map_err(|e| match e {

@@ -143,9 +143,10 @@ USAGE:
   pastri assess     <original.f64> <decompressed.f64>
   pastri report     <telemetry.jsonl>
   pastri soak       <dir> [--seed 42] [--ops 120] [--stores 4] [--scale 12]
-                    [--seconds S] [--bench-out BENCH_soak.json] [--keep]
-                    [--transport [--overload] [--replicas N] [--clients N]
-                     [--requests N] [--shed-every N] [--breaker-threshold N]
+                    [--bench-out BENCH_soak.json]
+                    [--transport [--overload] [--clients N] [--requests N]
+                     [--faulty-every N] [--max-faults N]
+                     [--slo-max-deadline-exceeded N]
                      [--slo-max-shed-rate F] [--slo-queue-wait-p99-us N]
                      [--slo-max-breaker-opened N]]
   pastri serve      <store.eristore>... [--blocks 0,3,7-9] [--out raw.f64]
@@ -193,14 +194,9 @@ SOAK (deterministic fault-storm harness with SLO gates):
   errors. For a fixed --seed and --ops budget the
   op/fault tallies are bit-identical at any thread count. At the end it
   verifies zero data loss and evaluates the configured SLO gates.
-  --ops N / --seconds S       op-count or wall-clock budget
+  --ops N                     op budget
   --stores N / --scale N      concurrency and blocks-per-store knobs
-  --read-weight --crash-weight
-  --scrub-weight              op-mix weights (default 6/4/2)
-  --bit-flip-every N --flips-per-event K
-  --transient-rate P          fault schedule (0 disables a class)
-  --slo-read-p99-us N --slo-min-repair-success F
-  --slo-max-quarantined N --slo-max-resident-values N   SLO gates
+  --slo-read-p99-us N --slo-min-repair-success F        SLO gates
   --bench-out FILE            machine-readable report (BENCH_soak.json)
 
 CACHE SERVER (`serve`):
@@ -238,8 +234,8 @@ LIVE OBSERVABILITY (DESIGN §15):
   joins the two exports into one cross-process Chrome timeline.
 
 OVERLOAD PROTECTION (DESIGN §14):
-  The server admits requests through a permit budget (global, per-conn,
-  and response-bytes); a request whose estimated queue wait exceeds its
+  The server admits requests through a permit budget (global and
+  response-bytes); a request whose estimated queue wait exceeds its
   carried deadline budget is shed *immediately* with an `Overloaded`
   frame carrying a retry-after hint — never a silent timeout. The
   client treats `Overloaded` as a backoff signal (exit 1, distinct from

@@ -220,6 +220,10 @@ fn exit_codes_follow_the_documented_contract() {
         v.extend(sv(extra));
         v
     };
+    // Removed soak flags: a script passing one must fail loudly, not
+    // run a different storm.
+    let soak_seconds = sv(&["soak", &soak_dir, "--seconds", "5"]);
+    let soak_max_batch = sv(&["soak", &soak_dir, "--transport", "--max-batch", "2"]);
     let cases = vec![
         // compress (always a block store, whatever the name): clean /
         // missing input / invalid raw input.
@@ -444,6 +448,16 @@ fn exit_codes_follow_the_documented_contract() {
             argv: soak_case(&["--slo-read-p99-us", "0"]),
             want: 2,
         },
+        Case {
+            label: "soak with removed flag --seconds",
+            argv: soak_seconds.clone(),
+            want: 1,
+        },
+        Case {
+            label: "soak --transport with removed flag --max-batch",
+            argv: soak_max_batch.clone(),
+            want: 1,
+        },
         // serve: clean / missing store / out-of-range request /
         // beyond-parity-budget block in a mounted shard.
         Case {
@@ -536,6 +550,10 @@ fn exit_codes_follow_the_documented_contract() {
         "exit-code contract violations:\n{}",
         failures.join("\n")
     );
+    for argv in [&soak_seconds, &soak_max_batch] {
+        let err = pastri_cli::run(argv, &mut Vec::new()).unwrap_err();
+        assert!(err.message.contains("unknown flag"), "{argv:?}: {}", err.message);
+    }
     assert!(
         Path::new(&format!("{shredded_store}.quarantine")).exists(),
         "scrub --repair must quarantine a store it cannot fully heal"

@@ -1,7 +1,11 @@
 //! Admission control for the transport server: a global in-flight
-//! permit budget, a per-connection limit, a deadline-aware admission
-//! queue, and an in-flight response-bytes budget — plus the drain
-//! accounting that proves an admitted request is never dropped.
+//! permit budget, a deadline-aware admission queue, and an in-flight
+//! response-bytes budget — plus the drain accounting that proves an
+//! admitted request is never dropped.
+//!
+//! There is no per-connection cap: a connection's handler serves its
+//! frames one at a time and drops the permit before reading the next
+//! frame, so no connection ever holds more than one permit.
 //!
 //! The contract (DESIGN §14):
 //!
@@ -31,7 +35,6 @@
 //! budget, so directed tests can drive every shed path
 //! deterministically.
 
-use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,8 +46,6 @@ use crate::protocol::OverloadReason;
 pub(crate) struct AdmissionConfig {
     /// Global cap on concurrently served requests (permits).
     pub max_in_flight: usize,
-    /// Cap on concurrently admitted requests per connection.
-    pub max_per_conn: usize,
     /// Cap on requests waiting for a permit; past it, shed.
     pub max_queued: usize,
     /// Cap on the summed worst-case response bytes of all admitted
@@ -57,7 +58,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_in_flight: 64,
-            max_per_conn: 8,
             max_queued: 256,
             response_bytes_budget: 256 << 20,
         }
@@ -72,8 +72,6 @@ pub(crate) enum ShedCause {
     WaitExceedsBudget,
     /// The admission queue is at `max_queued`.
     QueueFull,
-    /// The connection is at `max_per_conn`.
-    PerConnLimit,
     /// Waited in the queue until the budget ran out.
     BudgetExhausted,
     /// The server is draining.
@@ -100,7 +98,6 @@ impl ShedCause {
         match self {
             ShedCause::WaitExceedsBudget => "shed.wait_exceeds_budget",
             ShedCause::QueueFull => "shed.queue_full",
-            ShedCause::PerConnLimit => "shed.per_conn_limit",
             ShedCause::BudgetExhausted => "shed.budget_exhausted",
             ShedCause::Draining => "shed.draining",
             ShedCause::Injected => "shed.injected",
@@ -173,7 +170,6 @@ struct Inner {
     in_flight: usize,
     queued: usize,
     bytes_in_flight: usize,
-    per_conn: HashMap<u64, usize>,
     draining: bool,
     stats: AdmissionStats,
     /// EWMA of observed service times in µs (α = 1/8), the queue-wait
@@ -199,7 +195,6 @@ impl AdmissionController {
                 in_flight: 0,
                 queued: 0,
                 bytes_in_flight: 0,
-                per_conn: HashMap::new(),
                 draining: false,
                 stats: AdmissionStats::default(),
                 est_service_us: 0,
@@ -248,12 +243,10 @@ impl AdmissionController {
 
     /// Decides one request: admit (possibly after queueing within
     /// `budget`), or shed with a retry-after hint. `bytes` is the
-    /// worst-case response size this request may pin while in flight.
-    pub(crate) fn admit(&self, conn_id: u64, budget: Duration, bytes: usize) -> Admission<'_> {
-        self.admit_with_priority(conn_id, budget, bytes, 0)
-    }
-
-    pub(crate) fn admit_with_priority(
+    /// worst-case response size this request may pin while in flight;
+    /// `priority` 0 sheds on the queue-wait estimate, ≥ 1 only on hard
+    /// limits. `conn_id` tags the journal entry of a shed.
+    pub(crate) fn admit(
         &self,
         conn_id: u64,
         budget: Duration,
@@ -264,10 +257,6 @@ impl AdmissionController {
         let mut inner = lock_recover(&self.inner);
         if inner.draining {
             return Self::shed(&mut inner, conn_id, ShedCause::Draining, Duration::ZERO);
-        }
-        if inner.per_conn.get(&conn_id).copied().unwrap_or(0) >= self.cfg.max_per_conn {
-            let hint = Duration::from_micros(inner.est_service_us.max(1000));
-            return Self::shed(&mut inner, conn_id, ShedCause::PerConnLimit, hint);
         }
         if inner.queued >= self.cfg.max_queued {
             let hint = Duration::from_micros(Self::estimated_wait_us(&inner, &self.cfg).max(1000));
@@ -307,7 +296,6 @@ impl AdmissionController {
         inner.in_flight += 1;
         telemetry::gauge_set("server.in_flight", inner.in_flight as i64);
         inner.bytes_in_flight += bytes;
-        *inner.per_conn.entry(conn_id).or_insert(0) += 1;
         inner.stats.admitted += 1;
         telemetry::counter_add("server.admitted", 1);
         let waited = start.elapsed().as_micros() as u64;
@@ -315,7 +303,6 @@ impl AdmissionController {
         drop(inner);
         Admission::Admitted(Permit {
             controller: self,
-            conn_id,
             bytes,
             admitted_at: Instant::now(),
         })
@@ -359,17 +346,11 @@ impl AdmissionController {
         }
     }
 
-    fn release(&self, conn_id: u64, bytes: usize, served_in: Duration) {
+    fn release(&self, bytes: usize, served_in: Duration) {
         let mut inner = lock_recover(&self.inner);
         inner.in_flight -= 1;
         telemetry::gauge_set("server.in_flight", inner.in_flight as i64);
         inner.bytes_in_flight = inner.bytes_in_flight.saturating_sub(bytes);
-        if let Some(n) = inner.per_conn.get_mut(&conn_id) {
-            *n -= 1;
-            if *n == 0 {
-                inner.per_conn.remove(&conn_id);
-            }
-        }
         inner.stats.completed += 1;
         let us = served_in.as_micros() as u64;
         inner.est_service_us = if inner.est_service_us == 0 {
@@ -386,14 +367,13 @@ impl AdmissionController {
 /// books, feeds the service-time EWMA, and wakes queued waiters.
 pub(crate) struct Permit<'a> {
     controller: &'a AdmissionController,
-    conn_id: u64,
     bytes: usize,
     admitted_at: Instant,
 }
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.controller.release(self.conn_id, self.bytes, self.admitted_at.elapsed());
+        self.controller.release(self.bytes, self.admitted_at.elapsed());
     }
 }
 
@@ -409,17 +389,17 @@ mod tests {
     #[test]
     fn permits_bound_concurrency_and_release_on_drop() {
         let c = ctl(AdmissionConfig { max_in_flight: 2, ..AdmissionConfig::default() });
-        let p1 = match c.admit(1, Duration::from_secs(1), 0) {
+        let p1 = match c.admit(1, Duration::from_secs(1), 0, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
-        let p2 = match c.admit(2, Duration::from_secs(1), 0) {
+        let p2 = match c.admit(2, Duration::from_secs(1), 0, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
         // Third request with a tiny budget: queued, then budget runs
         // out — a structured shed, never a silent timeout.
-        match c.admit(3, Duration::from_millis(5), 0) {
+        match c.admit(3, Duration::from_millis(5), 0, 0) {
             Admission::Shed { cause, retry_after } => {
                 assert_eq!(cause, ShedCause::BudgetExhausted);
                 assert!(retry_after > Duration::ZERO);
@@ -428,7 +408,7 @@ mod tests {
         }
         drop(p1);
         drop(p2);
-        match c.admit(3, Duration::from_millis(100), 0) {
+        match c.admit(3, Duration::from_millis(100), 0, 0) {
             Admission::Admitted(_) => {}
             Admission::Shed { cause, .. } => panic!("shed after release: {cause:?}"),
         }
@@ -439,47 +419,25 @@ mod tests {
     }
 
     #[test]
-    fn per_conn_limit_sheds_the_connection_not_the_server() {
-        let c = ctl(AdmissionConfig {
-            max_in_flight: 8,
-            max_per_conn: 1,
-            ..AdmissionConfig::default()
-        });
-        let _p = match c.admit(7, Duration::from_secs(1), 0) {
-            Admission::Admitted(p) => p,
-            Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
-        };
-        match c.admit(7, Duration::from_secs(1), 0) {
-            Admission::Shed { cause, .. } => assert_eq!(cause, ShedCause::PerConnLimit),
-            Admission::Admitted(_) => panic!("per-conn limit must hold"),
-        }
-        // Another connection is unaffected.
-        match c.admit(8, Duration::from_secs(1), 0) {
-            Admission::Admitted(_) => {}
-            Admission::Shed { cause, .. } => panic!("other conn shed: {cause:?}"),
-        };
-    }
-
-    #[test]
     fn queue_wait_estimate_sheds_normal_but_not_critical() {
         let c = ctl(AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::default() });
         // Teach the EWMA a long service time.
         {
-            let p = match c.admit(1, Duration::from_secs(1), 0) {
+            let p = match c.admit(1, Duration::from_secs(1), 0, 0) {
                 Admission::Admitted(p) => p,
                 Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
             };
             std::thread::sleep(Duration::from_millis(30));
             drop(p);
         }
-        let _hold = match c.admit(1, Duration::from_secs(1), 0) {
+        let _hold = match c.admit(1, Duration::from_secs(1), 0, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
         // Normal priority, budget far under the ~30 ms estimate: shed
         // immediately with the estimate as the hint.
         let t0 = Instant::now();
-        match c.admit_with_priority(2, Duration::from_micros(50), 0, 0) {
+        match c.admit(2, Duration::from_micros(50), 0, 0) {
             Admission::Shed { cause, retry_after } => {
                 assert_eq!(cause, ShedCause::WaitExceedsBudget);
                 assert!(retry_after >= Duration::from_millis(1));
@@ -489,7 +447,7 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_millis(20), "immediate, not queued");
         // Critical priority rides out the estimate (and then the
         // budget runs out in the queue — still structured).
-        match c.admit_with_priority(2, Duration::from_millis(2), 0, 1) {
+        match c.admit(2, Duration::from_millis(2), 0, 1) {
             Admission::Shed { cause, .. } => assert_eq!(cause, ShedCause::BudgetExhausted),
             Admission::Admitted(_) => panic!("permit is held"),
         };
@@ -502,12 +460,12 @@ mod tests {
             response_bytes_budget: 100,
             ..AdmissionConfig::default()
         });
-        let p1 = match c.admit(1, Duration::from_secs(1), 80) {
+        let p1 = match c.admit(1, Duration::from_secs(1), 80, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
         // 80 + 80 > 100: waits, then budget-sheds.
-        match c.admit(2, Duration::from_millis(5), 80) {
+        match c.admit(2, Duration::from_millis(5), 80, 0) {
             Admission::Shed { cause, .. } => assert_eq!(cause, ShedCause::BudgetExhausted),
             Admission::Admitted(_) => panic!("bytes budget must hold"),
         }
@@ -515,7 +473,7 @@ mod tests {
         // server is empty (in_flight == 0 exempts it) — oversized
         // batches degrade at the protocol layer instead.
         drop(p1);
-        match c.admit(2, Duration::from_millis(100), 500) {
+        match c.admit(2, Duration::from_millis(100), 500, 0) {
             Admission::Admitted(_) => {}
             Admission::Shed { cause, .. } => panic!("empty-server oversize shed: {cause:?}"),
         };
@@ -524,12 +482,12 @@ mod tests {
     #[test]
     fn drain_refuses_new_and_waits_for_admitted() {
         let c = ctl(AdmissionConfig { max_in_flight: 4, ..AdmissionConfig::default() });
-        let p = match c.admit(1, Duration::from_secs(1), 0) {
+        let p = match c.admit(1, Duration::from_secs(1), 0, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
         c.begin_drain();
-        match c.admit(2, Duration::from_secs(1), 0) {
+        match c.admit(2, Duration::from_secs(1), 0, 0) {
             Admission::Shed { cause, .. } => assert_eq!(cause, ShedCause::Draining),
             Admission::Admitted(_) => panic!("draining must refuse"),
         }
@@ -554,12 +512,12 @@ mod tests {
     #[test]
     fn queued_waiters_are_drained_with_a_refusal_not_a_drop() {
         let c = ctl(AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::default() });
-        let p = match c.admit(1, Duration::from_secs(1), 0) {
+        let p = match c.admit(1, Duration::from_secs(1), 0, 0) {
             Admission::Admitted(p) => p,
             Admission::Shed { cause, .. } => panic!("shed: {cause:?}"),
         };
         let cause = std::thread::scope(|s| {
-            let waiter = s.spawn(|| match c.admit(2, Duration::from_secs(10), 0) {
+            let waiter = s.spawn(|| match c.admit(2, Duration::from_secs(10), 0, 0) {
                 Admission::Shed { cause, .. } => cause,
                 Admission::Admitted(_) => panic!("queued waiter must be refused on drain"),
             });

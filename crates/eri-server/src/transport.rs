@@ -30,9 +30,9 @@
 //!   [`crate::protocol::max_ids_per_read`] and never trip this).
 //! * **Overload sheds, never stalls.** Every request after `Hello`
 //!   passes admission control ([`crate::admission`]): a global in-flight
-//!   permit budget, a per-connection limit, a response-bytes budget,
-//!   and a deadline-aware queue that refuses a request *immediately*
-//!   when its estimated wait exceeds the deadline budget it carried.
+//!   permit budget, a response-bytes budget, and a deadline-aware
+//!   queue that refuses a request *immediately* when its estimated
+//!   wait exceeds the deadline budget it carried.
 //!   A shed surfaces as an `Overloaded` frame with a retry-after hint
 //!   — never as a silent timeout.
 //! * **Drain, don't drop.** [`StopHandle::drain`] stops admitting,
@@ -579,7 +579,7 @@ fn serve_read<'a>(
     // Worst-case bytes this response may pin while in flight.
     let bytes = protocol::max_read_response_len(rq.ids.len(), geometry);
     let budget = Duration::from_millis(u64::from(rq.budget_ms));
-    let permit = match admission.admit(conn_id, budget, bytes) {
+    let permit = match admission.admit(conn_id, budget, bytes, 0) {
         Admission::Admitted(p) => p,
         Admission::Shed { cause, retry_after } => {
             return (overloaded(rq.request_id, cause, retry_after), None)
@@ -685,15 +685,10 @@ fn handle_conn(
             Message::TelemetryRequest => {
                 // A live scrape of the full recorder. Admitted at
                 // priority 1 so dashboards keep reading while priority-0
-                // traffic sheds; hard limits (queue full, per-conn,
-                // draining) still apply and surface as Overloaded.
+                // traffic sheds; hard limits (queue full, draining)
+                // still apply and surface as Overloaded.
                 let bytes = telemetry::export::json_lines(&telemetry::snapshot()).into_bytes();
-                match admission.admit_with_priority(
-                    conn_id,
-                    Duration::from_secs(60),
-                    bytes.len(),
-                    1,
-                ) {
+                match admission.admit(conn_id, Duration::from_secs(60), bytes.len(), 1) {
                     Admission::Admitted(p) => {
                         telemetry::counter_add("server.scrapes", 1);
                         (Message::TelemetryResponse(bytes), Some(p))

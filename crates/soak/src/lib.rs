@@ -16,8 +16,8 @@
 //! block either decodes within the error bound against its regenerable
 //! expected values, or is accounted for in the quarantine ledger — and
 //! evaluates declarative **SLO gates** (read p99 latency, repair
-//! success rate, resident-memory high-water, max quarantine count). The
-//! gates read what the run measured itself, per store; the same numbers
+//! success rate, resident-memory high-water). The gates read what the
+//! run measured itself, per store; the same numbers
 //! also go to telemetry for observers, but a reset of the process-wide
 //! recorder mid-run cannot turn a failing gate into a pass.
 //!
@@ -30,8 +30,6 @@
 //! store while stores run concurrently, so no tally depends on thread
 //! interleaving: for a fixed seed and op budget, the op/fault tallies in
 //! `BENCH_soak.json` are bit-identical at any `RAYON_NUM_THREADS`.
-//! (A wall-clock budget — [`SoakConfig::time_budget`] — necessarily
-//! trades that away: skipped-op counts then depend on timing.)
 //!
 //! Like `bench` and the test suite — and unlike every production crate —
 //! this crate depends on `faults` by design: injecting faults is its job.
@@ -55,9 +53,15 @@ pub mod transport;
 
 pub use report::{GateResult, SoakReport, Tallies};
 pub use transport::{
-    run_transport, OverloadStormConfig, OverloadTallies, TransportReport, TransportSloGates,
-    TransportStormConfig, TransportTallies,
+    run_transport, OverloadTallies, TransportReport, TransportSloGates, TransportStormConfig,
+    TransportTallies,
 };
+
+/// Block geometry of every store either storm writes.
+pub(crate) const GEOMETRY: BlockGeometry = BlockGeometry { num_subblocks: 4, subblock_size: 8 };
+
+/// Absolute error bound of every store either storm writes.
+pub(crate) const ERROR_BOUND: f64 = 1e-9;
 
 /// Relative weights of the operation kinds in the workload mix.
 #[derive(Debug, Clone, Copy)]
@@ -127,8 +131,6 @@ pub struct SloGates {
     /// repaired / (repaired + unrepairable) must be at least this
     /// (vacuously passes when no block was ever damaged).
     pub min_repair_success: Option<f64>,
-    /// Total quarantined blocks must not exceed this.
-    pub max_quarantined: Option<u64>,
     /// Decompressed f64 values held at once — the sum of every store's
     /// own high-water, since stores run concurrently — must not exceed
     /// this.
@@ -148,22 +150,12 @@ pub struct SoakConfig {
     pub ops: usize,
     /// Dataset scale knob: blocks per store.
     pub scale: usize,
-    /// Block geometry of every store in the run.
-    pub geometry: BlockGeometry,
-    /// Absolute error bound for every compressor in the run.
-    pub error_bound: f64,
     /// Workload mix.
     pub mix: OpMix,
     /// Fault schedule.
     pub faults: FaultPlan,
     /// End-of-run gates.
     pub slo: SloGates,
-    /// Optional wall-clock budget: ops not started by the deadline are
-    /// skipped (and tallied). Costs tally determinism — see the crate
-    /// docs.
-    pub time_budget: Option<Duration>,
-    /// Keep store files and quarantines on disk after the run.
-    pub keep_artifacts: bool,
 }
 
 impl SoakConfig {
@@ -177,13 +169,9 @@ impl SoakConfig {
             stores: 4,
             ops: 120,
             scale: 12,
-            geometry: BlockGeometry::new(4, 8),
-            error_bound: 1e-9,
             mix: OpMix::default(),
             faults: FaultPlan::default(),
             slo: SloGates::default(),
-            time_budget: None,
-            keep_artifacts: false,
         }
     }
 }
@@ -269,12 +257,12 @@ fn plan(cfg: &SoakConfig) -> Vec<Vec<PlannedOp>> {
 /// the verification sweep regenerates ground truth instead of holding
 /// the whole dataset resident. Smooth (compresses like real ERI blocks)
 /// and distinct per `(store, block)`.
-fn expected_block(geom: BlockGeometry, s: usize, b: usize) -> Vec<f64> {
-    let mut block = Vec::with_capacity(geom.block_size());
+fn expected_block(s: usize, b: usize) -> Vec<f64> {
+    let mut block = Vec::with_capacity(GEOMETRY.block_size());
     let phase = (s as f64).mul_add(0.83, b as f64 * 0.61);
-    for sb in 0..geom.num_subblocks {
+    for sb in 0..GEOMETRY.num_subblocks {
         let scale = ((sb as f64).mul_add(0.47, phase)).cos();
-        for i in 0..geom.subblock_size {
+        for i in 0..GEOMETRY.subblock_size {
             block.push(scale * ((i as f64).mul_add(0.37, phase)).sin() * 1e-6);
         }
     }
@@ -282,8 +270,8 @@ fn expected_block(geom: BlockGeometry, s: usize, b: usize) -> Vec<f64> {
 }
 
 /// Scratch values for side artifacts (crash/resume side stores) — distinct family from the committed store blocks.
-fn scratch_block(geom: BlockGeometry, op_seed: u64, b: usize) -> Vec<f64> {
-    expected_block(geom, (splitmix64(op_seed) % 1024) as usize + 1024, b)
+fn scratch_block(op_seed: u64, b: usize) -> Vec<f64> {
+    expected_block((splitmix64(op_seed) % 1024) as usize + 1024, b)
 }
 
 fn store_path(dir: &Path, s: usize) -> PathBuf {
@@ -350,11 +338,10 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
         .into_par_iter()
         .map(|s| -> Result<(), SoakError> {
             let path = store_path(&cfg.dir, s);
-            let mut w =
-                StoreWriter::create_durable(&path, cfg.geometry, cfg.error_bound, checkpoint_every)
-                    .map_err(store_io)?;
+            let mut w = StoreWriter::create_durable(&path, GEOMETRY, ERROR_BOUND, checkpoint_every)
+                .map_err(store_io)?;
             for b in 0..cfg.scale {
-                w.append_blocks(&expected_block(cfg.geometry, s, b))
+                w.append_blocks(&expected_block(s, b))
                     .map_err(store_io)?;
             }
             w.finish().map_err(store_io)?;
@@ -364,7 +351,6 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
 
     // The storm: per-store op sequences run concurrently, each strictly
     // sequential inside, so tallies are interleaving-independent.
-    let deadline = cfg.time_budget.map(|d| started + d);
     let per_store = plan(cfg);
     let outcomes: Vec<Result<StoreCtx, SoakError>> = per_store
         .into_par_iter()
@@ -379,10 +365,6 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
                 resident_high_water: 0,
             };
             for op in ops {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    ctx.tallies.ops_skipped += 1;
-                    continue;
-                }
                 execute_op(cfg, &mut ctx, op)?;
                 ctx.tallies.ops_executed += 1;
             }
@@ -406,8 +388,7 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
         for b in 0..cfg.scale {
             match r.read_block(b) {
                 Ok(values) => {
-                    let expected = expected_block(cfg.geometry, ctx.id, b);
-                    if !within_bound(&values, &expected, cfg.error_bound) {
+                    if !within_bound(&values, &expected_block(ctx.id, b)) {
                         unaccounted_loss += 1;
                     }
                 }
@@ -426,11 +407,8 @@ fn run_inner(cfg: &SoakConfig, started: Instant) -> Result<SoakReport, SoakError
     }
     tallies.quarantined = ctxs.iter().map(|c| c.ledger.len() as u64).sum();
 
-    if !cfg.keep_artifacts {
-        for s in 0..cfg.stores {
-            let p = store_path(&cfg.dir, s);
-            let _ = std::fs::remove_file(&p);
-        }
+    for s in 0..cfg.stores {
+        let _ = std::fs::remove_file(store_path(&cfg.dir, s));
     }
 
     let snap = telemetry::snapshot();
@@ -448,12 +426,12 @@ fn store_io(e: eri_store::StoreError) -> SoakError {
     }
 }
 
-fn within_bound(got: &[f64], expected: &[f64], eb: f64) -> bool {
+fn within_bound(got: &[f64], expected: &[f64]) -> bool {
     got.len() == expected.len()
         && got
             .iter()
             .zip(expected)
-            .all(|(g, e)| (g - e).abs() <= eb + 1e-300)
+            .all(|(g, e)| (g - e).abs() <= ERROR_BOUND + 1e-300)
 }
 
 fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(), SoakError> {
@@ -462,7 +440,7 @@ fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(),
     }
     match op.kind {
         OpKind::Read => op_read(cfg, ctx, op.seed),
-        OpKind::CrashResume => op_crash_resume(cfg, ctx, op.seed),
+        OpKind::CrashResume => op_crash_resume(ctx, op.seed),
         OpKind::Scrub => {
             ctx.tallies.scrubs += 1;
             scrub_store(ctx)
@@ -531,8 +509,7 @@ fn op_read(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), Soa
         match outcome {
             Ok(values) => {
                 ctx.hold(values.len());
-                let expected = expected_block(cfg.geometry, ctx.id, b);
-                if !within_bound(&values, &expected, cfg.error_bound) {
+                if !within_bound(&values, &expected_block(ctx.id, b)) {
                     // Served values outside the bound: silent corruption
                     // leaked through every integrity layer. Data loss.
                     ctx.tallies.value_mismatches += 1;
@@ -556,11 +533,11 @@ fn op_read(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), Soa
 /// `open_for_append` resumes from the last verified in-band commit and
 /// finishes the store. Every block must then read back within the
 /// error bound — the full crash/recovery cycle in one op.
-fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
+fn op_crash_resume(ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
     let total = 4 + (splitmix64(op_seed ^ 0xCAFE) % 5) as usize;
-    let mut blocks = Vec::with_capacity(total * cfg.geometry.block_size());
+    let mut blocks = Vec::with_capacity(total * GEOMETRY.block_size());
     for b in 0..total {
-        blocks.extend(scratch_block(cfg.geometry, op_seed, b));
+        blocks.extend(scratch_block(op_seed, b));
     }
     let write = |sink: &mut Vec<u8>, kill_after: Option<u64>| {
         let faulty = FaultyWriter::new(
@@ -572,7 +549,7 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
                 torn_kill: true,
             },
         );
-        let mut w = StoreWriter::new(faulty, cfg.geometry, cfg.error_bound, 2)?;
+        let mut w = StoreWriter::new(faulty, GEOMETRY, ERROR_BOUND, 2)?;
         w.append_blocks(&blocks)?;
         w.finish().map(drop)
     };
@@ -592,8 +569,8 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
         .path
         .with_extension(format!("side{:08x}.eristore", op_seed as u32));
     std::fs::write(&side, &torn)?;
-    let (mut w, cp) = StoreWriter::open_for_append(&side, cfg.geometry, cfg.error_bound, 2)
-        .map_err(store_io)?;
+    let (mut w, cp) =
+        StoreWriter::open_for_append(&side, GEOMETRY, ERROR_BOUND, 2).map_err(store_io)?;
     let done = cp.values as usize;
     w.append_blocks(&blocks[done..]).map_err(store_io)?;
     w.finish().map_err(store_io)?;
@@ -603,7 +580,7 @@ fn op_crash_resume(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result
     let r = StoreReader::open(&side).map_err(store_io)?;
     for b in 0..total {
         let values = r.read_block(b).map_err(store_io)?;
-        if !within_bound(&values, &scratch_block(cfg.geometry, op_seed, b), cfg.error_bound) {
+        if !within_bound(&values, &scratch_block(op_seed, b)) {
             ctx.tallies.value_mismatches += 1;
         }
     }

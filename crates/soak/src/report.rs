@@ -11,17 +11,14 @@ use std::time::Duration;
 
 use telemetry::{HistRec, Snapshot};
 
-use crate::SoakConfig;
+use crate::{SoakConfig, ERROR_BOUND, GEOMETRY};
 
 /// Everything the storm did and every fault it absorbed. All fields are
-/// pure functions of `(seed, op budget)` — thread-count independent —
-/// except `ops_skipped`, which only moves under a wall-clock budget.
+/// pure functions of `(seed, op budget)`, thread-count independent.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Tallies {
     /// Ops actually executed.
     pub ops_executed: u64,
-    /// Ops skipped because the wall-clock budget expired.
-    pub ops_skipped: u64,
     /// Read ops (each reads 1–4 blocks).
     pub reads: u64,
     /// Individual block reads attempted.
@@ -58,7 +55,6 @@ impl Tallies {
     /// for determinism; addition is commutative anyway).
     pub(crate) fn add(&mut self, other: &Tallies) {
         self.ops_executed += other.ops_executed;
-        self.ops_skipped += other.ops_skipped;
         self.reads += other.reads;
         self.block_reads += other.block_reads;
         self.read_failures += other.read_failures;
@@ -192,14 +188,6 @@ pub(crate) fn build(
             pass: actual.is_none_or(|v| v >= min),
         });
     }
-    if let Some(max) = cfg.slo.max_quarantined {
-        gates.push(GateResult {
-            gate: "max_quarantined",
-            threshold: max as f64,
-            actual: Some(tallies.quarantined as f64),
-            pass: tallies.quarantined <= max,
-        });
-    }
     if let Some(max) = cfg.slo.max_resident_values {
         gates.push(GateResult {
             gate: "max_resident_values",
@@ -231,9 +219,8 @@ fn json_f64(v: f64) -> String {
 
 impl SoakReport {
     /// Renders the machine-readable report. The `"tallies"` and
-    /// `"config"` lines are bit-identical across same-seed runs (with an
-    /// op-count budget); `"slo"` and `"timing"` carry the measured,
-    /// run-varying numbers.
+    /// `"config"` lines are bit-identical across same-seed runs;
+    /// `"slo"` and `"timing"` carry the measured, run-varying numbers.
     #[must_use]
     pub fn to_json(&self, cfg: &SoakConfig) -> String {
         let t = &self.tallies;
@@ -246,9 +233,9 @@ impl SoakReport {
             cfg.stores,
             cfg.ops,
             cfg.scale,
-            cfg.geometry.num_subblocks,
-            cfg.geometry.subblock_size,
-            json_f64(cfg.error_bound),
+            GEOMETRY.num_subblocks,
+            GEOMETRY.subblock_size,
+            json_f64(ERROR_BOUND),
             cfg.mix.read,
             cfg.mix.crash_resume,
             cfg.mix.scrub,
@@ -258,9 +245,8 @@ impl SoakReport {
             cfg.faults.max_transient_errors,
         ));
         s.push_str(&format!(
-            "  \"tallies\": {{\"ops_executed\": {}, \"ops_skipped\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
+            "  \"tallies\": {{\"ops_executed\": {}, \"reads\": {}, \"block_reads\": {}, \"read_failures\": {}, \"value_mismatches\": {}, \"crashes\": {}, \"resumes\": {}, \"scrubs\": {}, \"bit_flip_events\": {}, \"bit_flips\": {}, \"read_repaired\": {}, \"scrub_repaired\": {}, \"quarantined\": {}, \"transient_retries\": {}}},\n",
             t.ops_executed,
-            t.ops_skipped,
             t.reads,
             t.block_reads,
             t.read_failures,
@@ -385,7 +371,6 @@ mod tests {
         let mut probe = Tallies::default();
         let ones = Tallies {
             ops_executed: 1,
-            ops_skipped: 1,
             reads: 1,
             block_reads: 1,
             read_failures: 1,

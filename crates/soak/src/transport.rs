@@ -27,10 +27,25 @@ use eri_server::{
 use eri_store::{StoreReader, StoreWriter};
 use faults::overload::{OverloadConfig, OverloadInjector};
 use faults::{FaultyProxy, ProxyFaultConfig, ProxyTallies, WireFault};
-use pastri::BlockGeometry;
 
 use crate::report::GateResult;
-use crate::{expected_block, SoakError};
+use crate::{expected_block, SoakError, ERROR_BOUND, GEOMETRY};
+
+/// Most blocks per request (each request draws 1..=this, seeded).
+const MAX_BATCH: usize = 4;
+/// Per-attempt socket budget (and connect timeout) of every client.
+const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
+/// Whole-call deadline of every client.
+const DEADLINE: Duration = Duration::from_secs(20);
+/// Budget for the overload storm's end-of-run graceful drain.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// The overload storm's client breakers: count-driven (infinite
+/// window, zero cooldown), so transitions are a pure function of each
+/// client's outcome sequence, which the injector makes a pure function
+/// of the seed.
+const OVERLOAD_BREAKER: BreakerConfig =
+    BreakerConfig { failure_threshold: 3, window_us: u64::MAX, cooldown_us: 0 };
 
 /// End-of-run gates over the wire workload. `None` disables a gate.
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,9 +57,6 @@ pub struct TransportSloGates {
     /// Deadline overruns summed over the clients' own stats must not
     /// exceed this.
     pub max_deadline_exceeded: Option<u64>,
-    /// Corrupt frames the clients detected, summed over their own
-    /// stats, must not exceed this.
-    pub max_frame_errors: Option<u64>,
     /// Overload mode: sheds per planned request must not exceed this
     /// rate (e.g. 0.5 = at most one shed per two planned requests).
     pub max_shed_rate: Option<f64>,
@@ -71,57 +83,18 @@ pub struct TransportStormConfig {
     pub clients: usize,
     /// Batched read requests per client.
     pub requests_per_client: usize,
-    /// Blocks per request (1..=max, seeded draw).
-    pub max_batch: usize,
     /// Blocks per store.
     pub scale: usize,
-    /// Geometry of every block.
-    pub geometry: BlockGeometry,
-    /// Error bound of the store.
-    pub error_bound: f64,
     /// Per-replica wire fault plan (the proxy seed varies per replica).
     pub faults: ProxyFaultConfig,
-    /// Per-attempt socket budget for the clients.
-    pub attempt_timeout: Duration,
-    /// Whole-call deadline for the clients.
-    pub deadline: Duration,
     /// End-of-run gates.
     pub slo: TransportSloGates,
-    /// Keep replica stores on disk after the run.
-    pub keep_artifacts: bool,
-    /// Overload mode: when set, the storm runs *without* wire-fault
-    /// proxies (the wire is clean) and instead installs a seeded
-    /// overload injector on the server plus circuit breakers in the
-    /// clients, ending with a graceful drain instead of an abrupt stop.
-    pub overload: Option<OverloadStormConfig>,
-}
-
-/// Settings for an overload storm (see [`TransportStormConfig::overload`]).
-#[derive(Debug, Clone)]
-pub struct OverloadStormConfig {
-    /// Seeded forced-shed / slow-handler plan installed on the server.
-    pub inject: OverloadConfig,
-    /// Client circuit-breaker tuning. The defaults here are
-    /// *count-driven* (infinite window, zero cooldown) so breaker
-    /// transitions are a pure function of each client's outcome
-    /// sequence — which the injector makes a pure function of the seed.
-    pub breaker: BreakerConfig,
-    /// Budget for the end-of-run graceful drain.
-    pub drain_deadline: Duration,
-}
-
-impl Default for OverloadStormConfig {
-    fn default() -> Self {
-        OverloadStormConfig {
-            inject: OverloadConfig::default(),
-            breaker: BreakerConfig {
-                failure_threshold: 3,
-                window_us: u64::MAX,
-                cooldown_us: 0,
-            },
-            drain_deadline: Duration::from_secs(10),
-        }
-    }
+    /// Overload mode: the storm runs *without* wire-fault proxies (the
+    /// wire is clean) and instead installs the seeded default
+    /// [`OverloadConfig`] injector on the server plus count-driven
+    /// circuit breakers in the clients, ending with a graceful drain
+    /// instead of an abrupt stop.
+    pub overload: bool,
 }
 
 /// Deterministic overload accounting: in overload mode every one of
@@ -160,10 +133,7 @@ impl TransportStormConfig {
             replicas: 2,
             clients: 4,
             requests_per_client: 24,
-            max_batch: 4,
             scale: 16,
-            geometry: BlockGeometry::new(4, 8),
-            error_bound: 1e-9,
             faults: ProxyFaultConfig {
                 faulty_every: 3,
                 classes: WireFault::ALL.to_vec(),
@@ -175,11 +145,8 @@ impl TransportStormConfig {
                 offset_base: 60,
                 offset_window: 60,
             },
-            attempt_timeout: Duration::from_millis(250),
-            deadline: Duration::from_secs(20),
             slo: TransportSloGates::default(),
-            keep_artifacts: false,
-            overload: None,
+            overload: false,
         }
     }
 
@@ -194,7 +161,7 @@ impl TransportStormConfig {
     pub fn overload_storm(dir: &Path, seed: u64) -> Self {
         Self {
             replicas: 1,
-            overload: Some(OverloadStormConfig::default()),
+            overload: true,
             ..Self::storm(dir, seed)
         }
     }
@@ -319,10 +286,10 @@ impl TransportReport {
             cfg.replicas,
             cfg.clients,
             cfg.requests_per_client,
-            cfg.max_batch,
+            MAX_BATCH,
             cfg.scale,
-            cfg.geometry.num_subblocks,
-            cfg.geometry.subblock_size,
+            GEOMETRY.num_subblocks,
+            GEOMETRY.subblock_size,
             cfg.faults.faulty_every,
             cfg.faults.max_faults,
         ));
@@ -388,7 +355,7 @@ impl TransportReport {
 /// seed, independent of execution order.
 fn planned_batch(cfg: &TransportStormConfig, client: usize, request: usize) -> Vec<u64> {
     let base = splitmix64(cfg.seed ^ splitmix64(((client as u64) << 20) | (request as u64 + 1)));
-    let n = (splitmix64(base ^ 0xBA7C) % cfg.max_batch.max(1) as u64) as usize + 1;
+    let n = (splitmix64(base ^ 0xBA7C) % MAX_BATCH as u64) as usize + 1;
     (0..n)
         .map(|k| splitmix64(base ^ (k as u64 + 1)) % cfg.scale as u64)
         .collect()
@@ -403,8 +370,8 @@ pub fn run_transport(cfg: &TransportStormConfig) -> Result<TransportReport, Soak
     if cfg.replicas == 0 || cfg.clients == 0 || cfg.scale == 0 {
         return Err(SoakError::Config("replicas, clients, and scale must be at least 1"));
     }
-    if cfg.requests_per_client == 0 || cfg.max_batch == 0 {
-        return Err(SoakError::Config("requests_per_client and max_batch must be at least 1"));
+    if cfg.requests_per_client == 0 {
+        return Err(SoakError::Config("requests_per_client must be at least 1"));
     }
     std::fs::create_dir_all(&cfg.dir)?;
 
@@ -424,15 +391,10 @@ fn run_transport_inner(
     // Replica stores: write the first, byte-copy the rest.
     let store_path = |r: usize| cfg.dir.join(format!("replica-{r:02}.eristore"));
     {
-        let mut w = StoreWriter::create_durable(
-            &store_path(0),
-            cfg.geometry,
-            cfg.error_bound,
-            cfg.scale.max(1),
-        )
-        .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
+        let mut w = StoreWriter::create_durable(&store_path(0), GEOMETRY, ERROR_BOUND, cfg.scale)
+            .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
         for b in 0..cfg.scale {
-            w.append_blocks(&expected_block(cfg.geometry, 0, b))
+            w.append_blocks(&expected_block(0, b))
                 .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?;
         }
         w.finish()
@@ -470,10 +432,10 @@ fn run_transport_inner(
             ServerHandle::open(&[store_path(r)], &ServerConfig::default())
                 .map_err(|e| SoakError::Io(std::io::Error::other(e.to_string())))?,
         );
-        let inject = cfg.overload.as_ref().map(|o| {
+        let inject = cfg.overload.then(|| {
             let injector = OverloadInjector::new(
                 splitmix64(cfg.seed ^ ((r as u64 + 1) * 0x0FE2_10AD)),
-                o.inject.clone(),
+                OverloadConfig::default(),
             );
             Arc::new(move |key: u64, attempt: u32| {
                 let d = injector.decide(key, attempt);
@@ -488,7 +450,7 @@ fn run_transport_inner(
         let Endpoint::Tcp(addr) = srv.local_endpoint() else { unreachable!() };
         let stop = srv.stop_handle();
         let jh = Arc::clone(&srv).spawn(None);
-        if cfg.overload.is_some() {
+        if cfg.overload {
             endpoints.push(Endpoint::Tcp(addr));
         } else {
             let proxy = FaultyProxy::start(
@@ -511,9 +473,9 @@ fn run_transport_inner(
             let truth = &truth;
             handles.push(scope.spawn(move || {
                 let ccfg = ClientConfig {
-                    deadline: cfg.deadline,
-                    attempt_timeout: cfg.attempt_timeout,
-                    connect_timeout: cfg.attempt_timeout.max(Duration::from_millis(250)),
+                    deadline: DEADLINE,
+                    attempt_timeout: ATTEMPT_TIMEOUT,
+                    connect_timeout: ATTEMPT_TIMEOUT,
                     retry: RetryPolicy {
                         max_retries: 10,
                         initial_backoff: Duration::from_micros(200),
@@ -523,8 +485,8 @@ fn run_transport_inner(
                     // Wire-fault mode runs breaker-less so its tallies
                     // stay bit-identical to the pre-breaker baseline;
                     // overload mode turns it on with count-driven
-                    // tuning (see OverloadStormConfig).
-                    breaker: cfg.overload.as_ref().map(|o| o.breaker.clone()),
+                    // tuning.
+                    breaker: cfg.overload.then_some(OVERLOAD_BREAKER),
                     ..ClientConfig::default()
                 };
                 let mut o = ClientOutcome {
@@ -586,16 +548,13 @@ fn run_transport_inner(
     let mut admission_total = eri_server::admission::AdmissionStats::default();
     let mut drain_complete = true;
     for (stop, jh) in servers {
-        let stats = match &cfg.overload {
-            Some(o) => {
-                let outcome = stop.drain(o.drain_deadline);
-                drain_complete &= outcome.complete;
-                outcome.stats
-            }
-            None => {
-                stop.stop();
-                stop.admission().stats()
-            }
+        let stats = if cfg.overload {
+            let outcome = stop.drain(DRAIN_DEADLINE);
+            drain_complete &= outcome.complete;
+            outcome.stats
+        } else {
+            stop.stop();
+            stop.admission().stats()
         };
         admission_total.admitted += stats.admitted;
         admission_total.completed += stats.completed;
@@ -603,10 +562,8 @@ fn run_transport_inner(
         admission_total.refused_draining += stats.refused_draining;
         let _ = jh.join().expect("server thread");
     }
-    if !cfg.keep_artifacts {
-        for r in 0..cfg.replicas {
-            let _ = std::fs::remove_file(store_path(r));
-        }
+    for r in 0..cfg.replicas {
+        let _ = std::fs::remove_file(store_path(r));
     }
 
     // Fold in client-index order: value_sig stays seed-deterministic.
@@ -638,7 +595,7 @@ fn run_transport_inner(
     overload_t.server_completed = admission_total.completed;
     overload_t.refused_draining = admission_total.refused_draining;
     overload_t.drain_complete = drain_complete;
-    let overload = cfg.overload.as_ref().map(|_| overload_t);
+    let overload = cfg.overload.then_some(overload_t);
 
     let snap = telemetry::snapshot();
     let rpc_p99_us = snap
@@ -669,14 +626,6 @@ fn run_transport_inner(
             threshold: max as f64,
             actual: Some(recovery.deadline_exceeded as f64),
             pass: recovery.deadline_exceeded <= max,
-        });
-    }
-    if let Some(max) = cfg.slo.max_frame_errors {
-        gates.push(GateResult {
-            gate: "max_frame_errors",
-            threshold: max as f64,
-            actual: Some(recovery.frame_errors as f64),
-            pass: recovery.frame_errors <= max,
         });
     }
     if let Some(limit) = cfg.slo.max_shed_rate {

@@ -51,7 +51,6 @@ fn storm_completes_with_zero_data_loss() {
     assert_eq!(t.resumes, t.crashes, "every crash resumes: {t:?}");
     assert!(t.reads > 0, "{t:?}");
     assert!(t.scrubs > 0, "{t:?}");
-    assert_eq!(t.ops_skipped, 0, "no time budget, nothing skipped");
 }
 
 #[test]
