@@ -19,12 +19,13 @@
 //!   the artifact, not of this connection.
 //!
 //! The server sends each block as its stored container bytes; the
-//! client decodes them with [`pastri::decompress_block`] at the
-//! geometry and error bound the `Hello` announced. That guarded entry
-//! point refuses a container naming any other geometry, bound or block
-//! count before it allocates, so a broken or hostile server costs at
-//! most one block's values per slot, and the failure is a
-//! [`BlockErrorKind::Corruption`] at that slot's position.
+//! client decodes a response's containers in one
+//! [`pastri::decompress_blocks`] call at the geometry and error bound
+//! the `Hello` announced. That guarded entry point refuses a container
+//! naming any other geometry, bound or block count before it allocates,
+//! so a broken or hostile server costs at most one block's values per
+//! slot, and the failure is a [`BlockErrorKind::Corruption`] at that
+//! slot's position.
 //!
 //! Retries draw their backoff from [`durable::retry::RetryPolicy`] —
 //! the same bounded exponential + seeded half-range jitter the store
@@ -427,19 +428,31 @@ impl RemoteClient {
                 ids.len()
             )));
         }
-        let (geometry, eb) = (self.geometry(), self.hello.error_bound);
+        // Every served container decodes in one call, which pairs their
+        // Dense streams.
+        let containers: Vec<&[u8]> = rs
+            .blocks
+            .iter()
+            .filter_map(|b| match b {
+                WireBlock::Container(c) => Some(c.as_slice()),
+                WireBlock::Error { .. } => None,
+            })
+            .collect();
+        let mut decoded =
+            pastri::decompress_blocks(&containers, self.geometry(), self.hello.error_bound)
+                .into_iter();
         Ok(rs
             .blocks
             .into_iter()
             .zip(ids)
             .map(|(b, &id)| match b {
-                WireBlock::Container(c) => pastri::decompress_block(&c, geometry, eb).map_err(|e| {
-                    BlockError {
+                WireBlock::Container(_) => {
+                    decoded.next().expect("one result per container").map_err(|e| BlockError {
                         block: id,
                         kind: BlockErrorKind::Corruption,
                         message: format!("served container: {e}"),
-                    }
-                }),
+                    })
+                }
                 WireBlock::Error { kind, message } => {
                     Err(BlockError { block: id, kind, message })
                 }

@@ -14,7 +14,7 @@
 //! * **Compressed end to end** — the server never decodes. It serves
 //!   each block's stored container bytes (a one-block PaSTRI v2
 //!   container, header and payload CRCs included), and the consumer
-//!   decodes them with [`pastri::decompress_block`]: the paper's
+//!   decodes them with [`pastri::decompress_blocks`]: the paper's
 //!   premise that compressed data is cheaper to keep and move than
 //!   decoded data (Figs. 10–11).
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
@@ -336,15 +336,26 @@ impl ServerHandle {
         out.into_iter().map(|b| b.expect("every position filled")).collect()
     }
 
-    /// All-or-nothing batch: `ServerHandle::read_blocks_each`, each
-    /// container decoded (in parallel on the rayon pool) and collected
-    /// into one `Result`. A failed batch reports the error of its first
-    /// failing position; the blocks that did read are still cached.
+    /// All-or-nothing batch: `ServerHandle::read_blocks_each`, its
+    /// containers decoded in one [`pastri::decompress_blocks`] call, as
+    /// a remote client decodes a response, and collected into one
+    /// `Result`. A failed batch reports the error of its first failing
+    /// position; the blocks that did read are still cached.
     pub fn read_blocks(&self, ids: &[usize]) -> Result<Vec<Arc<Vec<f64>>>, ServerError> {
         let containers = self.read_blocks_each(ids);
-        ids.par_iter()
+        let read: Vec<&[u8]> = containers.iter().filter_map(|c| c.as_deref().ok()).collect();
+        let mut decoded =
+            pastri::decompress_blocks(&read, self.geometry(), self.error_bound()).into_iter();
+        ids.iter()
             .zip(containers)
-            .map(|(&id, c)| self.decode(id, &c?))
+            .map(|(&id, c)| {
+                c?;
+                decoded
+                    .next()
+                    .expect("one result per read container")
+                    .map(Arc::new)
+                    .map_err(|e| ServerError::Store { block: id, source: e.into() })
+            })
             .collect()
     }
 

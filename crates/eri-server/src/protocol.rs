@@ -46,7 +46,7 @@
 //!   followed by `msg_len u32` + UTF-8 message. A bad block degrades to
 //!   its own status byte; the other blocks in the response are
 //!   unaffected. The server never decodes: the client decodes each
-//!   container with [`pastri::decompress_block`] at the `Hello`'s
+//!   response's containers with [`pastri::decompress_blocks`] at the `Hello`'s
 //!   geometry and error bound. The container's own header and payload
 //!   CRCs travel with it, so integrity is checked from the disk to the
 //!   client's decode, on top of the frame CRC.

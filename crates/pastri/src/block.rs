@@ -27,18 +27,19 @@
 //!
 //! One walker reads this layout: `walk_block` parses every field and makes
 //! every width and index check, handing the fields to a `BlockSink`. It has
-//! two sinks: [`decompress_block`] dequantizes into the block, and
+//! two sinks: [`decompress_blocks`] dequantizes into the block, and
 //! [`crate::container_bit_stats`] recovers the compressor's bit accounting.
 //!
-//! On the decode path the dense ECQ stream never lands in a buffer: the
-//! tree decoder hands each value to the sink as it decodes it, and Tree 5
-//! decodes a word's worth of symbols per bit-reader load (see
-//! `EncodingTree::decode_stream`).
+//! On the decode path the dense ECQ stream never lands in a buffer. The
+//! walker stops at it and hands over its cursor; [`decompress_blocks`]
+//! then decodes the Tree 5 streams of a batch two at a time in one
+//! interleaved loop (see `encoding::walk_pair`), adding each value into
+//! its row as it decodes it.
 
 use bitio::{bits_for, BitReader, BitWriter};
 
 use crate::container::{CompressorOptions, EcqRepr, ScaleRule};
-use crate::encoding::{EcqCensus, EcqCounts, EncodingTree};
+use crate::encoding::{walk_pair, EcqCensus, EcqCounts, EncodingTree, Prefix3Walk};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::{fit_pattern, fit_values, ScalingMetric};
@@ -302,7 +303,8 @@ pub(crate) struct BlockLayout {
     pub(crate) header_bits: u64,
     pub(crate) pq_bits: u64,
     pub(crate) sq_bits: u64,
-    /// Dense stream, or sparse count plus outlier list.
+    /// Dense stream, or sparse count plus outlier list; 0 for a Dense
+    /// stream the sink takes (see [`BlockSink::TAKES_DENSE`]).
     pub(crate) ecq_bits: u64,
     pub(crate) verbatim_bits: u64,
 }
@@ -311,6 +313,10 @@ pub(crate) struct BlockLayout {
 /// block. The walker owns the layout and every check on it; a sink only
 /// consumes. Every method defaults to ignoring its field.
 pub(crate) trait BlockSink {
+    /// Whether [`walk_block`] stops at a Dense block's ECQ stream and
+    /// hands it over undecoded, instead of decoding it through
+    /// [`ecq`](Self::ecq).
+    const TAKES_DENSE: bool = false;
     /// Value `i` of a Verbatim block.
     fn verbatim(&mut self, _i: usize, _v: f64) {}
     /// The next pattern code (PQ), in point order.
@@ -319,23 +325,39 @@ pub(crate) trait BlockSink {
     /// already arrived.
     fn scale(&mut self, _j: usize, _q: i64, _sq_quant: &ScaleQuantizer) {}
     /// Point `idx` carries ECQ code `q`: every point of a Dense block in
-    /// order, as its stream decodes, or each outlier of a Sparse one.
+    /// order, as its stream decodes (unless the sink takes the stream),
+    /// or each outlier of a Sparse one.
     fn ecq(&mut self, _idx: usize, _q: i64) {}
     /// The block has been read in full.
     fn end(&mut self, _layout: &BlockLayout) {}
 }
 
+/// A Dense block's ECQ stream as [`walk_block`] hands it to a sink that
+/// takes it: its `EC_{b,max}` and the reader at its first symbol.
+pub(crate) struct DenseStream<'a> {
+    ecb_max: u32,
+    r: BitReader<'a>,
+}
+
 /// Reads one block's bit layout from `r` — the only reader of it — and
-/// feeds every field to `sink`. [`decompress_block`] and
+/// feeds every field to `sink`. [`decompress_blocks`] and
 /// [`crate::container_bit_stats`] are its two sinks; a compressed-domain
 /// consumer gets P, S and the sparse ECQ the same way, without building
 /// the block.
-pub(crate) fn walk_block<S: BlockSink>(
-    r: &mut BitReader<'_>,
+///
+/// For a sink that [takes](BlockSink::TAKES_DENSE) Dense streams, a Dense
+/// block's walk stops at its ECQ stream and returns it; `r` is left at
+/// the stream's start. Otherwise the walk returns `None`.
+///
+/// Inlined into each build of [`decompress_blocks`], so the field reads
+/// and the prediction rows compile for that build too.
+#[inline(always)]
+pub(crate) fn walk_block<'a, S: BlockSink>(
+    r: &mut BitReader<'a>,
     geom: &BlockGeometry,
     tree: EncodingTree,
     sink: &mut S,
-) -> Result<(), DecompressError> {
+) -> Result<Option<DenseStream<'a>>, DecompressError> {
     let start = r.bit_pos();
     let kind = BlockKind::from_bits(r.read_bits(3)?)
         .ok_or(DecompressError::corrupt("unknown block kind"))?;
@@ -349,6 +371,7 @@ pub(crate) fn walk_block<S: BlockSink>(
         ecq_bits: 0,
         verbatim_bits: 0,
     };
+    let mut dense = None;
     match kind {
         BlockKind::AllZero => {}
         BlockKind::Verbatim => {
@@ -385,7 +408,12 @@ pub(crate) fn walk_block<S: BlockSink>(
                 }
                 layout.ecb_max = ecb_max;
                 let ecq_start = r.bit_pos();
-                if kind == BlockKind::Dense {
+                if kind == BlockKind::Dense && S::TAKES_DENSE {
+                    dense = Some(DenseStream {
+                        ecb_max,
+                        r: r.clone(),
+                    });
+                } else if kind == BlockKind::Dense {
                     tree.decode_stream(block_size, ecb_max, r, |i, q| sink.ecq(i, q))?;
                 } else {
                     let nol = r.read_bits(bits_for(block_size as u64 + 1))? as usize;
@@ -407,18 +435,21 @@ pub(crate) fn walk_block<S: BlockSink>(
         }
     }
     sink.end(&layout);
-    Ok(())
+    Ok(dense)
 }
 
-/// The decode sink: dequantizes each field straight into the block.
+/// The decode sink: dequantizes each field straight into the block, and
+/// takes a Dense block's stream for [`decompress_blocks`] to decode.
 struct DecodeSink<'a> {
     quant: &'a Quantizer,
     out: &'a mut [f64],
     /// Dequantized pattern, filled before any scale arrives.
-    phat: Vec<f64>,
+    phat: &'a mut Vec<f64>,
 }
 
 impl BlockSink for DecodeSink<'_> {
+    const TAKES_DENSE: bool = true;
+
     fn verbatim(&mut self, i: usize, v: f64) {
         self.out[i] = v;
     }
@@ -431,7 +462,7 @@ impl BlockSink for DecodeSink<'_> {
         // Prediction row `j` = its scale times the pattern.
         let sh = sq_quant.dequantize(q);
         let sbs = self.phat.len();
-        for (o, &p) in self.out[j * sbs..(j + 1) * sbs].iter_mut().zip(&self.phat) {
+        for (o, &p) in self.out[j * sbs..(j + 1) * sbs].iter_mut().zip(self.phat.iter()) {
             *o = sh * p;
         }
     }
@@ -447,23 +478,111 @@ impl BlockSink for DecodeSink<'_> {
     }
 }
 
-/// Decompresses one block from `r` into `out`.
+/// One block of a [`decompress_blocks`] batch: its payload, the tree its
+/// container names, where its values go, and how its decode went.
+pub(crate) struct BlockJob<'a> {
+    pub(crate) payload: &'a [u8],
+    pub(crate) tree: EncodingTree,
+    /// `geom.block_size()` values.
+    pub(crate) out: &'a mut [f64],
+    /// `Ok` until the block fails. On failure `out` holds whatever the
+    /// decode reached.
+    pub(crate) result: Result<(), DecompressError>,
+}
+
+impl<'a> BlockJob<'a> {
+    pub(crate) fn new(payload: &'a [u8], tree: EncodingTree, out: &'a mut [f64]) -> Self {
+        Self {
+            payload,
+            tree,
+            out,
+            result: Ok(()),
+        }
+    }
+}
+
+/// Decodes a batch of blocks, each into its job's `out`.
 ///
-/// `out.len()` must equal `geom.block_size()`.
+/// Each block is walked first: its prediction rows `S_j·P` are written,
+/// and an AllZero, PatternOnly, Sparse or Verbatim block is decoded in
+/// full. A Dense block's Tree 5 stream then waits for the next one, and
+/// the two are decoded in one interleaved loop ([`walk_pair`]) that adds
+/// each `q·2EB` into its row; an odd one out runs alone through the same
+/// step. Every value thus comes from the same two operations, in the
+/// same order, as a block decoded alone, and one block's failure never
+/// changes another's values or result.
+///
+/// Compiled once per [`Simd`] build: call it through
+/// [`Simd::decompress_blocks`].
+#[inline(always)]
+pub(crate) fn decompress_blocks(jobs: &mut [BlockJob<'_>], geom: &BlockGeometry, quant: &Quantizer) {
+    let (n, bin) = (geom.block_size(), quant.bin());
+    let mut phat = Vec::with_capacity(geom.subblock_size);
+    // A Tree 5 stream waiting for a partner: its job's index and walk.
+    let mut waiting: Option<(usize, Prefix3Walk<'_>)> = None;
+    for j in 0..jobs.len() {
+        let job = &mut jobs[j];
+        assert_eq!(job.out.len(), n, "block job of the wrong size");
+        phat.clear();
+        let mut r = BitReader::new(job.payload);
+        let mut sink = DecodeSink {
+            quant,
+            out: job.out,
+            phat: &mut phat,
+        };
+        let stream = match walk_block(&mut r, geom, job.tree, &mut sink) {
+            Ok(Some(stream)) => stream,
+            Ok(None) => continue,
+            Err(e) => {
+                job.result = Err(e);
+                continue;
+            }
+        };
+        let DenseStream { ecb_max, mut r } = stream;
+        let Some(mut walk) = job.tree.prefix3_walk(n, ecb_max, r.clone()) else {
+            // The other trees read symbol by symbol, alone.
+            job.result = job.tree.decode_stream(n, ecb_max, &mut r, add_into(job.out, bin));
+            continue;
+        };
+        match waiting.take() {
+            None => waiting = Some((j, walk)),
+            Some((w, mut partner)) => {
+                let (head, tail) = jobs.split_at_mut(j);
+                let (a, b) = (&mut head[w], &mut tail[0]);
+                (a.result, b.result) = walk_pair(
+                    &mut partner,
+                    &mut walk,
+                    &mut add_into(a.out, bin),
+                    &mut add_into(b.out, bin),
+                );
+            }
+        }
+    }
+    if let Some((w, mut walk)) = waiting {
+        let job = &mut jobs[w];
+        job.result = walk.finish(&mut add_into(job.out, bin));
+    }
+}
+
+/// Decodes one block's payload into `out`: a batch of one.
 pub(crate) fn decompress_block(
-    r: &mut BitReader<'_>,
+    payload: &[u8],
     geom: &BlockGeometry,
     quant: &Quantizer,
     tree: EncodingTree,
     out: &mut [f64],
 ) -> Result<(), DecompressError> {
-    assert_eq!(out.len(), geom.block_size());
-    let mut sink = DecodeSink {
-        quant,
-        out,
-        phat: Vec::with_capacity(geom.subblock_size),
-    };
-    walk_block(r, geom, tree, &mut sink)
+    let mut jobs = [BlockJob::new(payload, tree, out)];
+    Simd::detect().decompress_blocks(&mut jobs, geom, quant);
+    let [job] = jobs;
+    job.result
+}
+
+/// Adds ECQ code `q`, dequantized (`q·2EB`, as
+/// [`Quantizer::dequantize`]), into point `i` of `out`.
+#[inline(always)]
+fn add_into(out: &mut [f64], bin: f64) -> impl FnMut(usize, i64) + '_ {
+    move |i, q| out[i] += q as f64 * bin
 }
 
 #[cfg(test)]
@@ -495,9 +614,8 @@ mod tests {
         };
         let kind = kind_of(&stats);
         let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
         let mut out = vec![0.0; g.block_size()];
-        decompress_block(&mut r, &g, &quant, EncodingTree::Tree5, &mut out).unwrap();
+        decompress_block(&bytes, &g, &quant, EncodingTree::Tree5, &mut out).unwrap();
         (out, kind, bytes.len())
     }
 
@@ -620,9 +738,8 @@ mod tests {
         compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w_auto, None);
         // Whichever representation was chosen, it round-trips within EB.
         let bytes = w_auto.into_bytes();
-        let mut r = BitReader::new(&bytes);
         let mut out = vec![0.0; g.block_size()];
-        decompress_block(&mut r, &g, &quant, EncodingTree::Tree5, &mut out).unwrap();
+        decompress_block(&bytes, &g, &quant, EncodingTree::Tree5, &mut out).unwrap();
         assert_within(&block, &out, 1e-10);
     }
 
@@ -647,9 +764,8 @@ mod tests {
         let mut w = BitWriter::new();
         compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w, None);
         let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes[..bytes.len() / 2]);
         let mut out = vec![0.0; g.block_size()];
-        let err = decompress_block(&mut r, &g, &quant, EncodingTree::Tree5, &mut out);
+        let err = decompress_block(&bytes[..bytes.len() / 2], &g, &quant, EncodingTree::Tree5, &mut out);
         assert!(err.is_err());
     }
 
@@ -737,6 +853,194 @@ mod tests {
         }
     }
 
+    /// Every block payload of `container`, with the geometry, quantizer
+    /// and tree its header names.
+    fn payloads_of(container: &[u8]) -> (BlockGeometry, Quantizer, EncodingTree, Vec<&[u8]>) {
+        let header = crate::container::parse_header(container).unwrap();
+        let mut pos = header.blocks_start;
+        let payloads = (0..header.num_blocks)
+            .map(|_| {
+                crate::container::next_frame(container, &mut pos, header.has_checksums())
+                    .unwrap()
+                    .payload
+            })
+            .collect();
+        (header.geometry, Quantizer::new(header.eb), header.tree, payloads)
+    }
+
+    /// Each block's result and, when it decoded, its values' bits:
+    /// `payloads` decoded in `simd`'s build as one batch, or each alone.
+    fn decode_bits(
+        simd: Simd,
+        (geom, quant, tree): (&BlockGeometry, &Quantizer, EncodingTree),
+        payloads: &[&[u8]],
+        batched: bool,
+    ) -> Vec<Result<Vec<u64>, DecompressError>> {
+        let bs = geom.block_size();
+        let mut values = vec![0.0; payloads.len() * bs];
+        let mut jobs: Vec<BlockJob<'_>> = values
+            .chunks_mut(bs)
+            .zip(payloads)
+            .map(|(out, &payload)| BlockJob::new(payload, tree, out))
+            .collect();
+        if batched {
+            simd.decompress_blocks(&mut jobs, geom, quant);
+        } else {
+            for job in jobs.chunks_mut(1) {
+                simd.decompress_blocks(job, geom, quant);
+            }
+        }
+        let results: Vec<_> = jobs.into_iter().map(|job| job.result).collect();
+        results
+            .into_iter()
+            .zip(values.chunks(bs))
+            .map(|(r, v)| r.map(|()| v.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    /// Batched decode gives every block the bits it gets decoded alone, in
+    /// every build of the decoder, and `decompress` gives them at 1 and 4
+    /// threads: on benzene ERIs of four configurations at two error bounds, on the golden containers and streams, and on batches
+    /// where truncated and bit-flipped payloads sit between intact ones.
+    #[test]
+    fn every_simd_build_decodes_the_same_bits() {
+        use qchem::basis::BfConfig;
+        use qchem::dataset::{DatasetSpec, EriDataset};
+        use qchem::molecule::Molecule;
+
+        let golden = |name: &str| {
+            std::fs::read(format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR")))
+                .expect("golden fixture")
+        };
+        let mut containers = Vec::new();
+        for config in [BfConfig::dd_dd(), BfConfig::ff_ff(), BfConfig::fd_ff(), BfConfig::df_fd()] {
+            // Analytic f-shell quartets cost seconds each in a debug
+            // build, so those configurations take the far-field model.
+            let values = if config == BfConfig::dd_dd() {
+                let spec = DatasetSpec {
+                    molecule: Molecule::benzene(),
+                    config,
+                    max_blocks: 200,
+                    seed: 0xB17,
+                };
+                EriDataset::generate(&spec).values
+            } else {
+                EriDataset::generate_model(config, 40_000 / config.block_size(), 0xB17).values
+            };
+            let geom = BlockGeometry::from_dims(config.dims());
+            for eb in [1e-10, 1e-6] {
+                containers.push(crate::Compressor::new(geom, eb).compress(&values));
+            }
+        }
+        containers.push(golden("v1_container.pastri"));
+        containers.push(golden("v3_container.pastri"));
+        for stream in ["v1_stream.pstrs", "v3_stream.pstrs"] {
+            let bytes = golden(stream);
+            for segment in crate::stream::Frames::new(&bytes[..]).unwrap() {
+                containers.push(segment.unwrap().container);
+            }
+        }
+        let pools: Vec<_> = [1, 4]
+            .map(|t| rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap())
+            .into();
+        let mut dense = 0;
+        for (c, container) in containers.iter().enumerate() {
+            let (geom, quant, tree, payloads) = payloads_of(container);
+            let code = (&geom, &quant, tree);
+            let portable = Simd::variants()[0].1;
+            let alone = decode_bits(portable, code, &payloads, false);
+            dense += payloads.iter().filter(|p| p[0] >> 5 == BlockKind::Dense as u8).count();
+            // Cut every third payload short and flip a bit in every
+            // fifth, so failing streams pair with intact ones.
+            let damaged: Vec<Vec<u8>> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| match i % 15 {
+                    0 | 3 | 6 | 9 | 12 => p[..p.len() / 2].to_vec(),
+                    5 | 10 => {
+                        let mut p = p.to_vec();
+                        let at = p.len() * 2 / 3;
+                        p[at] ^= 0x10;
+                        p
+                    }
+                    _ => p.to_vec(),
+                })
+                .collect();
+            let damaged: Vec<&[u8]> = damaged.iter().map(Vec::as_slice).collect();
+            let damaged_alone = decode_bits(portable, code, &damaged, false);
+            for (name, simd) in Simd::variants() {
+                let runs = [
+                    ("batched", decode_bits(simd, code, &payloads, true), &alone),
+                    ("alone", decode_bits(simd, code, &payloads, false), &alone),
+                    ("damaged", decode_bits(simd, code, &damaged, true), &damaged_alone),
+                ];
+                for (run, got, want) in runs {
+                    if let Some(b) = (0..want.len()).find(|&b| got[b] != want[b]) {
+                        panic!("{name}, {run}: container {c} block {b} differs");
+                    }
+                }
+            }
+            let want: Vec<u64> = alone.into_iter().flat_map(Result::unwrap).collect();
+            for pool in &pools {
+                let got = pool.install(|| crate::decompress(container)).unwrap();
+                assert!(
+                    got.iter().map(|x| x.to_bits()).eq(want[..got.len()].iter().copied()),
+                    "container {c} at {} threads",
+                    pool.current_num_threads()
+                );
+            }
+        }
+        assert!(dense >= 100, "only {dense} Dense blocks");
+
+        // One-block containers: intact, with a flipped payload bit under
+        // a recomputed CRC, with a flipped bit, of another geometry and
+        // truncated. `decompress_blocks` gives each slot what
+        // `decompress_block` gives it alone.
+        let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
+        let values = EriDataset::generate_model(BfConfig::dd_dd(), 24, 0x5EED).values;
+        let compressor = crate::Compressor::new(geom, 1e-10);
+        let mut mixed: Vec<Vec<u8>> = Vec::new();
+        for (i, block) in values.chunks(geom.block_size()).enumerate() {
+            let mut c = compressor.compress(block);
+            match i % 6 {
+                1 => {
+                    let header = crate::container::parse_header(&c).unwrap();
+                    let mut pos = header.blocks_start;
+                    let len = crate::container::next_frame(&c, &mut pos, true).unwrap().payload.len();
+                    let start = pos - len;
+                    c[start + len / 2] ^= 0x04;
+                    let crc = checksum::crc32(&c[start..pos]);
+                    c[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+                }
+                2 => {
+                    let at = c.len() - 3;
+                    c[at] ^= 1;
+                }
+                3 => c = crate::Compressor::new(BlockGeometry::new(6, 216), 1e-10).compress(block),
+                4 => c.truncate(c.len() - 2),
+                _ => {}
+            }
+            mixed.push(c);
+        }
+        let mixed: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
+        let bits = |r: Result<Vec<f64>, DecompressError>| {
+            r.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let alone: Vec<_> = mixed
+            .iter()
+            .map(|c| bits(crate::decompress_block(c, geom, 1e-10)))
+            .collect();
+        assert!(alone.iter().filter(|r| r.is_err()).count() >= 12, "damage went unseen");
+        for pool in &pools {
+            let batched: Vec<_> = pool
+                .install(|| crate::decompress_blocks(&mixed, geom, 1e-10))
+                .into_iter()
+                .map(bits)
+                .collect();
+            assert_eq!(batched, alone, "at {} threads", pool.current_num_threads());
+        }
+    }
+
     #[test]
     fn all_metrics_and_trees_roundtrip() {
         let pat: Vec<f64> = (0..8).map(|i| ((i as f64) * 0.8).sin() * 2e-6 + 1e-7).collect();
@@ -764,9 +1068,8 @@ mod tests {
                 };
                 compress_block(&block, &g, &quant, &opts, &mut w, None);
                 let bytes = w.into_bytes();
-                let mut r = BitReader::new(&bytes);
                 let mut out = vec![0.0; g.block_size()];
-                decompress_block(&mut r, &g, &quant, tree, &mut out).unwrap();
+                decompress_block(&bytes, &g, &quant, tree, &mut out).unwrap();
                 assert_within(&block, &out, 1e-10);
             }
         }

@@ -55,17 +55,17 @@
 //! which block (and byte offset) failed, and [`decompress_lossy`]
 //! recovers every other block.
 
-use bitio::{BitReader, BitWriter};
+use bitio::BitWriter;
 use checksum::crc32;
 use rayon::prelude::*;
 
-use crate::block::{self, compress_block};
+use crate::block::{self, compress_block, BlockJob};
 use crate::encoding::EncodingTree;
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::ScalingMetric;
 use crate::quant::Quantizer;
-use crate::simd;
+use crate::simd::{self, Simd};
 use crate::stats::CompressionStats;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PSTR";
@@ -319,13 +319,84 @@ pub fn max_block_container_len(geometry: BlockGeometry) -> usize {
 ///
 /// This is the decoder for block-store containers, wherever they are
 /// read: the store reader passes its own geometry and bound, a remote
-/// client the ones its server announced.
+/// client the ones its server announced. It is a batch of one of
+/// [`decompress_blocks`].
 pub fn decompress_block(
     bytes: &[u8],
     geometry: BlockGeometry,
     eb: f64,
 ) -> Result<Vec<f64>, DecompressError> {
+    decompress_blocks(&[bytes], geometry, eb)
+        .pop()
+        .expect("one result per container")
+}
+
+/// [`decompress_block`] of every container in `containers`, each result
+/// at its container's position. Every container is checked as
+/// [`decompress_block`] checks it before any value buffer is allocated,
+/// so `k` hostile containers cost at most `k` blocks' values. One bad
+/// container costs only its own slot.
+///
+/// The blocks decode in batches of 16, which pair their Dense streams;
+/// a call of more than one batch spreads them over the rayon crew, and
+/// a single batch decodes on the calling thread.
+pub fn decompress_blocks(
+    containers: &[&[u8]],
+    geometry: BlockGeometry,
+    eb: f64,
+) -> Vec<Result<Vec<f64>, DecompressError>> {
     let _span = telemetry::span("decompress.container");
+    let checked: Vec<_> = containers
+        .iter()
+        .map(|bytes| check_block_container(bytes, geometry, eb))
+        .collect();
+    let bs = geometry.block_size();
+    let mut values: Vec<Vec<f64>> = checked
+        .iter()
+        .map(|c| if c.is_ok() { vec![0.0; bs] } else { Vec::new() })
+        .collect();
+    let mut jobs: Vec<BlockJob<'_>> = checked
+        .iter()
+        .zip(&mut values)
+        .filter_map(|(c, out)| {
+            let (tree, frame) = c.as_ref().ok()?;
+            Some(BlockJob::new(frame.payload, *tree, out))
+        })
+        .collect();
+    if !jobs.is_empty() {
+        // Every job's header carried `eb`, and `parse_header` admits
+        // only a finite, positive bound.
+        let quant = Quantizer::new(eb);
+        let simd = Simd::detect();
+        jobs.par_chunks_mut(GROUP)
+            .for_each(|group| simd.decompress_blocks(group, &geometry, &quant));
+    }
+    let mut decoded = jobs.into_iter().map(|job| job.result).collect::<Vec<_>>().into_iter();
+    checked
+        .into_iter()
+        .zip(values)
+        .map(|(c, v)| {
+            let (_, frame) = c?;
+            decoded
+                .next()
+                .expect("one decode per checked container")
+                .map_err(|e| e.with_block(0).at_offset(frame.offset))?;
+            Ok(v)
+        })
+        .collect()
+}
+
+/// Blocks per batch of [`Simd::decompress_blocks`]: enough to pair the
+/// Dense streams of every batch, whatever the thread count.
+const GROUP: usize = 16;
+
+/// [`decompress_block`]'s checks: `bytes` must be a v2 container of one
+/// block of `geometry` at `eb`. Returns its tree and checksummed frame.
+fn check_block_container(
+    bytes: &[u8],
+    geometry: BlockGeometry,
+    eb: f64,
+) -> Result<(EncodingTree, BlockFrame<'_>), DecompressError> {
     let header = parse_header(bytes)?;
     if header.version != VERSION_V2 {
         return Err(DecompressError::BadVersion {
@@ -339,8 +410,7 @@ pub fn decompress_block(
     if header.eb.to_bits() != eb.to_bits() {
         return Err(DecompressError::corrupt("container error bound differs from the expected one"));
     }
-    let bs = geometry.block_size();
-    if header.num_blocks != 1 || header.original_len != bs {
+    if header.num_blocks != 1 || header.original_len != geometry.block_size() {
         return Err(DecompressError::corrupt("container does not hold exactly one block"));
     }
     let mut pos = header.blocks_start;
@@ -349,11 +419,7 @@ pub fn decompress_block(
     if pos != bytes.len() {
         return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
     }
-    let mut out = vec![0.0; bs];
-    let mut r = BitReader::new(frame.payload);
-    block::decompress_block(&mut r, &geometry, &Quantizer::new(eb), header.tree, &mut out)
-        .map_err(|e| e.with_block(0).at_offset(frame.offset))?;
-    Ok(out)
+    Ok((header.tree, frame))
 }
 
 /// A block's bytes in the blocks section: length varint, CRC32, payload.
@@ -622,15 +688,25 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
     }
 
     let quant = Quantizer::new(header.eb);
+    let simd = Simd::detect();
     out.clear();
     out.resize(header.num_blocks * bs, 0.0);
-    out.par_chunks_mut(bs)
-        .zip(frames.par_iter())
+    out.par_chunks_mut(GROUP * bs)
+        .zip(frames.par_chunks(GROUP))
         .enumerate()
-        .try_for_each(|(b, (chunk, frame))| {
-            let mut r = BitReader::new(frame.payload);
-            block::decompress_block(&mut r, &geometry, &quant, tree, chunk)
-                .map_err(|e| e.with_block(b).at_offset(frame.offset))
+        .try_for_each(|(g, (chunk, frames))| {
+            let mut jobs: Vec<BlockJob<'_>> = chunk
+                .chunks_mut(bs)
+                .zip(frames)
+                .map(|(values, frame)| BlockJob::new(frame.payload, tree, values))
+                .collect();
+            simd.decompress_blocks(&mut jobs, &geometry, &quant);
+            // The batch's first failure, as a block-by-block decode
+            // would meet it.
+            jobs.into_iter().zip(frames).enumerate().try_for_each(|(j, (job, frame))| {
+                job.result
+                    .map_err(|e| e.with_block(g * GROUP + j).at_offset(frame.offset))
+            })
         })?;
     out.truncate(header.original_len);
     Ok(())
@@ -765,8 +841,7 @@ fn decompress_lossy_core(bytes: &[u8], header: &Header) -> Result<LossyDecode, D
                     }
                 }
                 Ok(frame) => verify_frame(frame, b).err().or_else(|| {
-                    let mut r = BitReader::new(frame.payload);
-                    match block::decompress_block(&mut r, &geometry, &quant, tree, chunk) {
+                    match block::decompress_block(frame.payload, &geometry, &quant, tree, chunk) {
                         Ok(()) => None,
                         Err(e) => {
                             // A failed decode may have partially filled the

@@ -364,7 +364,7 @@ impl EncodingTree {
     /// order.
     ///
     /// Tree 5's two coders (the 3-symbol code and Tree 3) decode from a
-    /// bit reservoir ([`decode_prefix3`]); the other trees read symbol by
+    /// bit reservoir ([`Prefix3Walk`]); the other trees read symbol by
     /// symbol. On error `emit` may already have seen values decoded from
     /// bits past the end of the stream; the caller discards them.
     pub(crate) fn decode_stream(
@@ -374,9 +374,13 @@ impl EncodingTree {
         r: &mut BitReader<'_>,
         mut emit: impl FnMut(usize, i64),
     ) -> Result<(), DecompressError> {
+        if let Some(mut walk) = self.prefix3_walk(n, ecb_max, r.clone()) {
+            walk.finish(&mut emit)?;
+            *r = walk.r;
+            return Ok(());
+        }
         match self.resolve(ecb_max) {
-            Resolved::Tri => decode_prefix3(&Prefix3::TRI, n, ecb_max, r, emit)?,
-            Resolved::Tree3 => decode_prefix3(&Prefix3::tree3(ecb_max), n, ecb_max, r, emit)?,
+            Resolved::Tri | Resolved::Tree3 => unreachable!("walked above"),
             Resolved::Tree1 => {
                 for i in 0..n {
                     let v = if !r.read_bit()? {
@@ -432,6 +436,23 @@ impl EncodingTree {
         Ok(())
     }
 
+    /// The reservoir walk of an `n`-symbol stream at `r` when this tree
+    /// resolves to one of Tree 5's two coders at `ecb_max`; `None` for
+    /// the trees that read symbol by symbol.
+    pub(crate) fn prefix3_walk<'a>(
+        &self,
+        n: usize,
+        ecb_max: u32,
+        r: BitReader<'a>,
+    ) -> Option<Prefix3Walk<'a>> {
+        let code = match self.resolve(ecb_max) {
+            Resolved::Tri => Prefix3::TRI,
+            Resolved::Tree3 => Prefix3::tree3(ecb_max),
+            _ => return None,
+        };
+        Some(Prefix3Walk::new(code, n, ecb_max, r))
+    }
+
     /// Tree 5's adaptivity: resolve to the concrete coder for this block.
     fn resolve(&self, ecb_max: u32) -> Resolved {
         match self {
@@ -464,15 +485,16 @@ enum Resolved {
 
 /// A prefix code whose symbol is fixed by its first three bits: Tree 5's
 /// two coders. Indexed by those three bits, byte `top` of `lens` is the
-/// symbol's length and `val[top]` its value. At the indices set in
-/// `others` the value is instead the `EC_{b,max}`-bit two's complement
+/// symbol's length and `val[top]` its value. Where `other_mask[top]` is
+/// all ones the value is instead the `EC_{b,max}`-bit two's complement
 /// after a 2-bit prefix, and `val` holds 0.
+#[derive(Clone, Copy)]
 struct Prefix3 {
     /// One length per byte, so the decode loop's critical path reads a
     /// length with a shift rather than a dependent load.
     lens: u64,
     val: [i64; 8],
-    others: u32,
+    other_mask: [i64; 8],
 }
 
 impl Prefix3 {
@@ -480,7 +502,7 @@ impl Prefix3 {
     const TRI: Self = Self {
         lens: pack([1, 1, 1, 1, 2, 2, 2, 2]),
         val: [0, 0, 0, 0, 1, 1, -1, -1],
-        others: 0,
+        other_mask: [0; 8],
     };
 
     /// `0 → 0`, `10` + value, `110 → 1`, `111 → −1`.
@@ -489,8 +511,28 @@ impl Prefix3 {
         Self {
             lens: pack([1, 1, 1, 1, other, other, 3, 3]),
             val: [0, 0, 0, 0, 0, 0, 1, -1],
-            others: 0b0011_0000,
+            other_mask: [0, 0, 0, 0, -1, -1, 0, 0],
         }
+    }
+
+    /// The longest symbol's length.
+    fn max_len(&self) -> u32 {
+        (0..8).map(|k| ((self.lens >> (8 * k)) & 0xff) as u32).max().unwrap_or(0)
+    }
+
+    /// Decodes the symbol at the top of `word`, an "others" payload
+    /// shifted down by `payload_shift = 64 − EC_{b,max}`, then shifts
+    /// `word` past it and `marker` left by its length.
+    #[inline(always)]
+    fn decode(&self, payload_shift: u32, word: &mut u64, marker: &mut u64) -> i64 {
+        let top = (*word >> 61) as usize;
+        // Byte `top` of `lens`: shift by `8 · top`.
+        let len = (self.lens >> ((*word >> 58) & 0x38)) & 0xff;
+        let payload = ((*word << 2) as i64) >> payload_shift;
+        let v = (payload & self.other_mask[top]) | self.val[top];
+        *word <<= len;
+        *marker <<= len;
+        v
     }
 }
 
@@ -506,50 +548,139 @@ const fn pack(lens: [u32; 8]) -> u64 {
     packed
 }
 
-/// Decodes `n` symbols of `code` from a bit reservoir: one
-/// [`BitReader::peek_word`] serves every symbol that fits in its
-/// [`PEEK_BITS`], each decoded branch-free from the word's top three
-/// bits, and one checked [`BitReader::skip`] commits them. Bits past the
-/// end of the stream peek as zero, so a truncated stream decodes padding
-/// into the reservoir, and that `skip` is what turns it into `Truncated`.
-/// A symbol wider than a peeked word (Tree 3's "others" at
-/// `EC_{b,max} > 55`) is read with checked field reads.
-fn decode_prefix3(
-    code: &Prefix3,
-    n: usize,
+/// One stream of a [`Prefix3`] code being decoded from a bit reservoir.
+///
+/// Each step takes one [`BitReader::peek_word`] and decodes a fixed
+/// `k = PEEK_BITS / max_len` symbols from it, each branch-free from the
+/// word's top three bits, with no test of whether the next symbol fits:
+/// `k` of the longest symbols do. A marker bit shifted along with the
+/// word counts the bits they took, and one checked [`BitReader::skip`]
+/// commits them. Bits past the end of the stream peek as zero, so a
+/// truncated stream decodes padding into the reservoir, and that `skip`
+/// is what turns it into `Truncated`. A code whose longest symbol is
+/// wider than a peeked word (Tree 3's "others" at `EC_{b,max} > 55`)
+/// has `k = 0` and decodes one symbol at a time, reading such a symbol
+/// with checked field reads.
+///
+/// Each symbol's length must be known before the next can be read, so
+/// one stream keeps the core waiting on that chain; [`walk_pair`] runs
+/// two independent chains in one loop.
+pub(crate) struct Prefix3Walk<'a> {
+    code: Prefix3,
     ecb_max: u32,
-    r: &mut BitReader<'_>,
-    mut emit: impl FnMut(usize, i64),
-) -> Result<(), DecompressError> {
-    debug_assert!((1..=64).contains(&ecb_max));
-    let mut i = 0;
-    while i < n {
-        let mut word = r.peek_word();
-        let mut used = 0;
-        while i < n {
-            let top = (word >> 61) as usize;
-            // Byte `top` of `lens`: shift by `8 · top`.
-            let len = ((code.lens >> ((word >> 58) & 0x38)) & 0xff) as u32;
-            if used + len > PEEK_BITS {
-                break;
-            }
-            let payload = ((word << 2) as i64) >> (64 - ecb_max);
-            let is_other = -i64::from((code.others >> top) & 1);
-            emit(i, (payload & is_other) | code.val[top]);
-            word <<= len;
-            used += len;
-            i += 1;
-        }
-        if used == 0 {
-            // The next symbol is an "others" wider than a peeked word.
-            r.skip(2)?;
-            emit(i, r.read_signed(ecb_max)?);
-            i += 1;
-        } else {
-            r.skip(used)?;
+    /// Symbols per step; 0 when the longest symbol exceeds a word.
+    k: usize,
+    /// Index of the next symbol.
+    next: usize,
+    n: usize,
+    /// At the next symbol's first bit.
+    r: BitReader<'a>,
+}
+
+impl<'a> Prefix3Walk<'a> {
+    fn new(code: Prefix3, n: usize, ecb_max: u32, r: BitReader<'a>) -> Self {
+        debug_assert!((1..=64).contains(&ecb_max));
+        Self {
+            code,
+            ecb_max,
+            k: (PEEK_BITS / code.max_len()) as usize,
+            next: 0,
+            n,
+            r,
         }
     }
-    Ok(())
+
+    /// Whether a full step of `k` symbols remains.
+    #[inline(always)]
+    fn has_full_step(&self) -> bool {
+        self.k != 0 && self.n - self.next >= self.k
+    }
+
+    /// Decodes the next `count ≤ k` symbols from one peeked word.
+    #[inline(always)]
+    fn step(&mut self, count: usize, emit: &mut impl FnMut(usize, i64)) -> Result<(), DecompressError> {
+        let (code, shift) = (self.code, 64 - self.ecb_max);
+        let (mut word, mut marker) = (self.r.peek_word(), 1u64);
+        let start = self.next;
+        for i in start..start + count {
+            emit(i, code.decode(shift, &mut word, &mut marker));
+        }
+        self.next = start + count;
+        self.r.skip(marker.trailing_zeros())?;
+        Ok(())
+    }
+
+    /// Decodes the next symbol alone, for a code with `k = 0`.
+    fn wide_symbol(&mut self, emit: &mut impl FnMut(usize, i64)) -> Result<(), DecompressError> {
+        let Prefix3 { lens, val, other_mask } = self.code;
+        let top = (self.r.peek_word() >> 61) as usize;
+        let v = if other_mask[top] != 0 {
+            self.r.skip(2)?;
+            self.r.read_signed(self.ecb_max)?
+        } else {
+            self.r.skip(((lens >> (8 * top)) & 0xff) as u32)?;
+            val[top]
+        };
+        emit(self.next, v);
+        self.next += 1;
+        Ok(())
+    }
+
+    /// Decodes the rest of the stream alone.
+    #[inline(always)]
+    pub(crate) fn finish(&mut self, emit: &mut impl FnMut(usize, i64)) -> Result<(), DecompressError> {
+        while self.next < self.n {
+            if self.k == 0 {
+                self.wide_symbol(emit)?;
+            } else {
+                self.step(self.k.min(self.n - self.next), emit)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Decodes two independent streams in one loop, so the core overlaps
+/// their symbol-length chains; `emit_a` and `emit_b` see each stream's
+/// values in order, exactly as [`Prefix3Walk::finish`] would hand them
+/// over. Each turn is one step of each stream, their symbols
+/// alternating while both have some left in the turn. When one stream
+/// fails or has less than a full step left, the other runs on alone: a
+/// failing partner never changes a stream's values or result.
+#[inline(always)]
+pub(crate) fn walk_pair(
+    a: &mut Prefix3Walk<'_>,
+    b: &mut Prefix3Walk<'_>,
+    emit_a: &mut impl FnMut(usize, i64),
+    emit_b: &mut impl FnMut(usize, i64),
+) -> (Result<(), DecompressError>, Result<(), DecompressError>) {
+    let (code_a, shift_a) = (a.code, 64 - a.ecb_max);
+    let (code_b, shift_b) = (b.code, 64 - b.ecb_max);
+    let both = a.k.min(b.k);
+    while a.has_full_step() && b.has_full_step() {
+        let (mut word_a, mut word_b) = (a.r.peek_word(), b.r.peek_word());
+        let (mut marker_a, mut marker_b) = (1u64, 1u64);
+        let (start_a, start_b) = (a.next, b.next);
+        for s in 0..both {
+            emit_a(start_a + s, code_a.decode(shift_a, &mut word_a, &mut marker_a));
+            emit_b(start_b + s, code_b.decode(shift_b, &mut word_b, &mut marker_b));
+        }
+        for s in both..a.k {
+            emit_a(start_a + s, code_a.decode(shift_a, &mut word_a, &mut marker_a));
+        }
+        for s in both..b.k {
+            emit_b(start_b + s, code_b.decode(shift_b, &mut word_b, &mut marker_b));
+        }
+        a.next = start_a + a.k;
+        b.next = start_b + b.k;
+        match (a.r.skip(marker_a.trailing_zeros()), b.r.skip(marker_b.trailing_zeros())) {
+            (Ok(()), Ok(())) => {}
+            (Err(e), Ok(())) => return (Err(e.into()), b.finish(emit_b)),
+            (Ok(()), Err(e)) => return (a.finish(emit_a), Err(e.into())),
+            (Err(ea), Err(eb)) => return (Err(ea.into()), Err(eb.into())),
+        }
+    }
+    (a.finish(emit_a), b.finish(emit_b))
 }
 
 #[cfg(test)]
@@ -870,6 +1001,8 @@ mod tests {
     /// `Ok` with the same values and end position, or both return `Err`.
     mod differential {
         use super::{census, decode, reference_decode, ALL};
+        use crate::encoding::{walk_pair, EncodingTree};
+        use crate::error::DecompressError;
         use bitio::{BitReader, BitWriter};
         use proptest::prelude::*;
 
@@ -965,6 +1098,85 @@ mod tests {
                 for cut in 0..bytes.len() {
                     agree(tree_ix, n, ecb_max, lead, &bytes[..cut]);
                 }
+            }
+        }
+
+        /// One stream of a pair: its Tree 5 `EC_{b,max}`, lead offset,
+        /// symbol count and byte soup. ANDing `thinning` extra random
+        /// words into each byte makes zero bits, and so long runs of
+        /// short symbols, likelier.
+        fn soup_stream() -> impl Strategy<Value = (u32, u32, usize, Vec<u8>)> {
+            (1u32..=62, 0u32..64, 0usize..=1296, 0usize..2048, 0u32..4, any::<u64>()).prop_map(
+                |(ecb_max, lead, n, len, thinning, seed)| {
+                    let mut x = seed | 1;
+                    let mut next = move || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x
+                    };
+                    let bytes = (0..len)
+                        .map(|_| (0..thinning).fold(next(), |b, _| b & next()) as u8)
+                        .collect();
+                    (ecb_max, lead, n, bytes)
+                },
+            )
+        }
+
+        /// Checks one stream of a pair walk against [`reference_decode`]
+        /// from the walk's start: the same values and end position, or
+        /// an error from both.
+        fn matches_reference(
+            (ecb_max, n): (u32, usize),
+            start: &BitReader<'_>,
+            result: Result<(), DecompressError>,
+            got: &[i64],
+            end: u64,
+        ) {
+            let mut slow = start.clone();
+            match (result, reference_decode(EncodingTree::Tree5, n, ecb_max, &mut slow)) {
+                (Ok(()), Ok(want)) => {
+                    assert_eq!(got, &want[..], "EC_b,max {ecb_max}");
+                    assert_eq!(end, slow.bit_pos(), "end position at EC_b,max {ecb_max}");
+                }
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!(
+                    "EC_b,max {ecb_max}: {got:?} vs reference {:?}",
+                    want.map(|v| v.len())
+                ),
+            }
+        }
+
+        proptest! {
+            /// Two independent Tree 5 streams walked as a pair: each
+            /// decodes to what the reference reads alone, so a partner that
+            /// is truncated or fails never changes the other stream.
+            #[test]
+            fn pair_walk_matches_the_reference_on_byte_soup(a in soup_stream(), b in soup_stream()) {
+                let start = [&a, &b].map(|(_, lead, _, bytes)| {
+                    let mut r = BitReader::new(bytes);
+                    // A lead past the end leaves the walk at bit 0.
+                    let _ = r.skip(*lead);
+                    r
+                });
+                let [mut walk_a, mut walk_b] = [(&a, &start[0]), (&b, &start[1])].map(|((ecb_max, _, n, _), r)| {
+                    EncodingTree::Tree5.prefix3_walk(*n, *ecb_max, r.clone()).expect("Tree 5 walks")
+                });
+                let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+                let (result_a, result_b) = walk_pair(
+                    &mut walk_a,
+                    &mut walk_b,
+                    &mut |i, v| {
+                        assert_eq!(i, got_a.len(), "values arrive in order");
+                        got_a.push(v);
+                    },
+                    &mut |i, v| {
+                        assert_eq!(i, got_b.len(), "values arrive in order");
+                        got_b.push(v);
+                    },
+                );
+                matches_reference((a.0, a.2), &start[0], result_a, &got_a, walk_a.r.bit_pos());
+                matches_reference((b.0, b.2), &start[1], result_b, &got_b, walk_b.r.bit_pos());
             }
         }
     }

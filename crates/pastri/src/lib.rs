@@ -79,7 +79,8 @@ mod stats;
 pub mod stream;
 
 pub use container::{
-    decompress, decompress_block, decompress_lossy, max_block_container_len, BlockOutcome,
+    decompress, decompress_block, decompress_blocks, decompress_lossy, max_block_container_len,
+    BlockOutcome,
     Compressor, CompressorOptions, EcqRepr, LossyDecode, ScaleRule,
 };
 pub use encoding::EncodingTree;

@@ -1,14 +1,18 @@
-//! The compressor's vectorized loops, and the run-time choice between
-//! their two builds.
+//! The codec's hot loops, and the run-time choice between their two
+//! builds.
 //!
 //! Two loops carry the write path: the ER pattern scan
 //! ([`crate::metrics::er_scan`]) and the ECQ row kernel below. Each is
 //! one `#[inline(always)]` body compiled twice: portably (2-wide SSE2 on
 //! the x86_64 baseline) and, on x86_64, under `avx2` (4-wide, with the
-//! 64-bit compares SSE2 lacks). [`Simd`] holds the choice, made by one
-//! CPUID check per block before either loop runs. Neither build uses
-//! FMA, so both round every operation identically and write the same
-//! bytes.
+//! 64-bit compares SSE2 lacks). The read path's batch block decoder
+//! ([`crate::block::decompress_blocks`]) is compiled the same two ways,
+//! its second build under `avx2,bmi2`: BMI2's flagless shifts shorten
+//! the ECQ walk's symbol-length chain. [`Simd`] holds the choice, made
+//! by CPUID checks once per block or batch before any of them runs. No
+//! build uses FMA, so every build rounds every operation identically:
+//! the compressor writes the same bytes and the decoder the same
+//! values.
 //!
 //! # The ECQ row kernel
 //!
@@ -31,6 +35,7 @@
 //! block Verbatim. Wherever the kernel accepts a row, both paths give
 //! the same codes.
 
+use crate::block::{decompress_blocks, BlockJob};
 use crate::encoding::EcqCensus;
 use crate::geometry::BlockGeometry;
 use crate::metrics::{er_scan, ErScan};
@@ -92,7 +97,7 @@ fn row_kernel(
 /// The loops compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{row_kernel, BlockGeometry, EcqCensus, ErScan, Quantizer};
+    use super::{row_kernel, BlockGeometry, BlockJob, EcqCensus, ErScan, Quantizer};
 
     /// Proof that the running CPU has AVX2: only [`Avx2::detect`] makes
     /// one.
@@ -142,6 +147,37 @@ mod avx2 {
     ) -> Option<EcqCensus> {
         row_kernel(values, pattern, scale, quant, codes)
     }
+
+    /// Proof that the running CPU has AVX2 and BMI2: only
+    /// [`Avx2Bmi2::detect`] makes one.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Avx2Bmi2(());
+
+    impl Avx2Bmi2 {
+        /// `Some` when the CPU reports both features.
+        pub(super) fn detect() -> Option<Self> {
+            (std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("bmi2"))
+                .then_some(Self(()))
+        }
+
+        #[inline]
+        pub(super) fn decompress_blocks(
+            self,
+            jobs: &mut [BlockJob<'_>],
+            geom: &BlockGeometry,
+            quant: &Quantizer,
+        ) {
+            // SAFETY: an `Avx2Bmi2` exists only once `detect` has seen
+            // the CPU report AVX2 and BMI2, the features
+            // `decompress_blocks` is compiled for.
+            unsafe { decompress_blocks(jobs, geom, quant) }
+        }
+    }
+
+    #[target_feature(enable = "avx2,bmi2")]
+    fn decompress_blocks(jobs: &mut [BlockJob<'_>], geom: &BlockGeometry, quant: &Quantizer) {
+        super::decompress_blocks(jobs, geom, quant);
+    }
 }
 
 /// Asks the CPU to start loading `values` into its L2 cache: the
@@ -170,11 +206,14 @@ mod hint {
     }
 }
 
-/// Which build of the vectorized loops this CPU runs.
+/// Which build of the hot loops this CPU runs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Simd {
     #[cfg(target_arch = "x86_64")]
     avx2: Option<avx2::Avx2>,
+    /// The decoder's build.
+    #[cfg(target_arch = "x86_64")]
+    avx2_bmi2: Option<avx2::Avx2Bmi2>,
 }
 
 impl Simd {
@@ -183,6 +222,8 @@ impl Simd {
         Self {
             #[cfg(target_arch = "x86_64")]
             avx2: avx2::Avx2::detect(),
+            #[cfg(target_arch = "x86_64")]
+            avx2_bmi2: avx2::Avx2Bmi2::detect(),
         }
     }
 
@@ -191,16 +232,33 @@ impl Simd {
     #[cfg(test)]
     pub(crate) fn variants() -> Vec<(&'static str, Self)> {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = avx2::Avx2::detect().map(|k| ("avx2", Self { avx2: Some(k) }));
+        let avx2 = avx2::Avx2::detect().map(|_| ("avx2", Self::detect()));
         #[cfg(not(target_arch = "x86_64"))]
         let avx2 = None;
         let portable = Self {
             #[cfg(target_arch = "x86_64")]
             avx2: None,
+            #[cfg(target_arch = "x86_64")]
+            avx2_bmi2: None,
         };
         std::iter::once(("portable", portable))
             .chain(avx2)
             .collect()
+    }
+
+    /// [`decompress_blocks`] in this build.
+    #[inline]
+    pub(crate) fn decompress_blocks(
+        self,
+        jobs: &mut [BlockJob<'_>],
+        geom: &BlockGeometry,
+        quant: &Quantizer,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2_bmi2) = self.avx2_bmi2 {
+            return avx2_bmi2.decompress_blocks(jobs, geom, quant);
+        }
+        decompress_blocks(jobs, geom, quant);
     }
 
     /// [`er_scan`] in this build.

@@ -376,6 +376,44 @@ proptest! {
     }
 
     #[test]
+    fn block_batch_decoder_allocates_at_most_one_block_per_container(
+        k in 1usize..12,
+        seed in any::<usize>(),
+    ) {
+        // `k` of the store's containers, each intact or given one of the
+        // damages above (a claimed geometry of up to 16384×16384 among
+        // them), decoded in one batch through the guarded entry point:
+        // no single allocation exceeds `k` blocks' values plus 64 KiB,
+        // and every slot gets what decoding it alone gives.
+        let (_, store) = valid_artifacts();
+        let (_, index) = eri_store::committed_index(&store.as_slice()).unwrap();
+        let geometry = BlockGeometry::new(4, 9);
+        let containers: Vec<Vec<u8>> = (0..k)
+            .map(|i| {
+                let s = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9));
+                let entry = index.blocks[s % index.blocks.len()];
+                let container = &store[entry.offset as usize..(entry.offset + entry.len) as usize];
+                match s % 5 {
+                    kind @ 0..=2 => mutated(container, kind as u8, s / 5),
+                    3 => reclaimed(container, BlockGeometry::new(1 << 14, 1 << 14)),
+                    _ => container.to_vec(),
+                }
+            })
+            .collect();
+        let slices: Vec<&[u8]> = containers.iter().map(Vec::as_slice).collect();
+        let mut batched = None;
+        let largest = largest_allocation(|| {
+            batched = Some(pastri::decompress_blocks(&slices, geometry, 1e-9));
+        });
+        prop_assert!(
+            largest <= k * geometry.block_size() * 8 + (64 << 10),
+            "{largest} bytes allocated for {k} containers"
+        );
+        let alone: Vec<_> = slices.iter().map(|c| pastri::decompress_block(c, geometry, 1e-9)).collect();
+        prop_assert_eq!(batched, Some(alone));
+    }
+
+    #[test]
     fn telemetry_json_reader_never_panics(bytes in soup()) {
         let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
     }
