@@ -475,20 +475,65 @@ pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
     Ok(())
 }
 
-/// `pastri verify <file>`: scan any PaSTRI artifact — a single container
-/// (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR3`) — and
-/// print a per-block/segment damage report. Exit codes are the scripting
-/// contract: 0 clean, 2 when damage is found in a recognized artifact,
-/// 1 for I/O trouble or an unrecognized format.
+/// `pastri verify <file>`: check any PaSTRI artifact — a single
+/// container (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR3`).
+/// A store gets a per-block damage report; a read-only container or
+/// stream gets a strict decode, and its first damage is the error. Exit
+/// codes are the scripting contract: 0 clean, 2 when damage is found in
+/// a recognized artifact, 1 for I/O trouble or an unrecognized format.
 pub(crate) fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "file")?;
-    let found = damage(input, false)?;
-    found.print(input, out)?;
-    found.verdict(input)
+    match sniff(input)? {
+        Artifact::Store => {
+            let found = store_damage(input, false)?;
+            found.print(input, out)?;
+            found.verdict(input)
+        }
+        Artifact::Container => {
+            let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
+            let values = pastri::decompress(&bytes)
+                .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
+            writeln!(out, "{input}: PaSTRI container, {} values decoded, clean", values.len())?;
+            Ok(())
+        }
+        Artifact::Stream => {
+            let segments = verify_stream(input)?;
+            writeln!(out, "{input}: PaSTRI stream, {segments} segment(s) decoded, clean")?;
+            Ok(())
+        }
+    }
 }
 
-/// The on-disk layouts `verify`, `scrub` and `salvage` recognize.
+/// Decodes every segment of the stream at `input` strictly, one at a
+/// time, and returns how many there were. The first damage is exit 2,
+/// naming the segment and its stream offset: where its container starts
+/// when the container fails to decode, where its length varint starts
+/// when the framing does.
+fn verify_stream(input: &str) -> Result<usize, CliError> {
+    use pastri::DecompressError;
+    let failure = |what: String, e: DecompressError| match e {
+        DecompressError::Unreadable(_) => CliError::new(format!("{input}: {e}")),
+        e => CliError::corruption(format!("{input}: {what}{e}")),
+    };
+    let file = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
+    let frames = pastri::stream::Frames::new(file).map_err(|e| failure(String::new(), e))?;
+    // Past the magic and version byte.
+    let mut next_at = 6;
+    let mut segments = 0;
+    for (index, segment) in frames.enumerate() {
+        let segment = segment
+            .map_err(|e| failure(format!("segment {index} (framing at stream offset {next_at}): "), e))?;
+        pastri::decompress(&segment.container).map_err(|e| {
+            failure(format!("segment {index} (container at stream offset {}): ", segment.at), e)
+        })?;
+        next_at = segment.at + segment.container.len() as u64;
+        segments += 1;
+    }
+    Ok(segments)
+}
+
+/// The on-disk layouts `verify`, `scrub` and `inspect` recognize.
 enum Artifact {
     Container,
     Stream,
@@ -516,188 +561,82 @@ fn sniff(input: &str) -> Result<Artifact, CliError> {
     }
 }
 
-/// A failed [`pastri::stream::salvage`]: `InvalidData` from a file that
-/// carries the stream magic is a damaged stream header (exit 2);
-/// anything else is I/O trouble or not a stream at all (exit 1).
-fn salvage_failure(input: &str, e: std::io::Error) -> CliError {
-    let msg = format!("{input}: {e}");
-    if e.kind() == std::io::ErrorKind::InvalidData && matches!(sniff(input), Ok(Artifact::Stream)) {
-        CliError::corruption(msg)
-    } else {
-        CliError::new(msg)
-    }
-}
-
-/// One integrity pass over an artifact: the classification `verify`
+/// One integrity pass over a block store: the classification `verify`
 /// prints and `scrub` prints and heals.
 struct Damage {
-    kind: &'static str,
-    /// `block` or `segment`.
-    unit: &'static str,
-    total: usize,
+    blocks: usize,
     repairable: usize,
-    /// Damaged units beyond the parity budget; a lost stream tail counts
-    /// as one.
+    /// Damaged blocks beyond their stripe's parity budget.
     unrepairable: usize,
-    /// Damaged redundancy outside the units: container parity groups or
-    /// store parity records (stream segments carry their parity inside).
-    /// Rebuildable when the data it guards is intact (or repairable).
-    redundancy: usize,
-    /// `parity group` or `parity record`.
-    redundancy_unit: &'static str,
-    tail_lost: bool,
-    /// One report line per damaged unit.
+    /// Damaged parity records. Rebuildable when the blocks they guard
+    /// are intact (or repairable).
+    records: usize,
+    /// One report line per damaged block or record.
     lines: Vec<String>,
-    /// The artifact with every repairable unit healed (and unrepairable
-    /// stream segments dropped); only built when healing was asked for
-    /// and something is damaged.
+    /// The store with every repairable piece healed; only built when
+    /// healing was asked for and something is damaged.
     healed: Option<Vec<u8>>,
 }
 
-/// Classifies every block or segment of `input` through the library's
-/// own repair path for its layout. Without `heal`, streams and stores
-/// are scanned without holding the whole file in memory.
-fn damage(input: &str, heal: bool) -> Result<Damage, CliError> {
-    let read = || fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")));
-    let found = match sniff(input)? {
-        Artifact::Container => {
-            // The repair report finds *all* on-disk damage (payloads,
-            // framing, and the parity section itself) and says which of
-            // it the parity budget covers.
-            let (repaired, report) = pastri::repair_container(&read()?).map_err(|e| {
-                CliError::corruption(format!("{input}: unrecoverable header damage: {e}"))
-            })?;
-            let mut lines = Vec::new();
-            for b in &report.repaired_blocks {
-                lines.push(format!("  block {b}: damaged, repairable from parity"));
-            }
-            for b in &report.unrepairable_blocks {
-                lines.push(format!("  block {b}: damaged beyond the parity budget"));
-            }
-            for g in &report.parity_groups_rebuilt {
-                lines.push(format!(
-                    "  parity group {g}: parity section damaged (rebuildable)"
-                ));
-            }
-            Damage {
-                kind: "PaSTRI container",
-                unit: "block",
-                total: report.total_blocks,
-                repairable: report.repaired_blocks.len(),
-                unrepairable: report.unrepairable_blocks.len(),
-                redundancy: report.parity_groups_rebuilt.len(),
-                redundancy_unit: "parity group",
-                tail_lost: false,
-                lines,
-                healed: (heal && report.is_damaged()).then_some(repaired),
-            }
-        }
-        Artifact::Stream => {
-            // Salvage repairs what parity covers and drops the rest; its
-            // report is the classification and its output the heal.
-            let file = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-            let (mut healed, mut discard) = (Vec::new(), std::io::sink());
-            let sink: &mut dyn Write = if heal { &mut healed } else { &mut discard };
-            let report = pastri::stream::salvage(file, sink)
-                .map_err(|e| salvage_failure(input, e))?;
-            let scanned = report.kept + report.dropped.len();
-            let mut lines = Vec::new();
-            for (i, _) in &report.repaired {
-                lines.push(format!("  segment {i}: damaged, repairable from parity"));
-            }
-            for (i, e) in &report.dropped {
-                lines.push(format!(
-                    "  segment {i}: damaged beyond the parity budget ({e})"
-                ));
-            }
-            if report.tail_lost {
-                lines.push(format!(
-                    "  segment {scanned}: framing lost, tail unreadable"
-                ));
-            }
-            let tail = usize::from(report.tail_lost);
-            Damage {
-                kind: "PaSTRI stream",
-                unit: "segment",
-                total: scanned + tail,
-                repairable: report.repaired.len(),
-                unrepairable: report.dropped.len() + tail,
-                redundancy: 0,
-                redundancy_unit: "parity group",
-                tail_lost: report.tail_lost,
-                lines,
-                healed: (heal && !report.is_clean()).then_some(healed),
-            }
-        }
-        Artifact::Store => {
-            let report = eri_store::StoreReader::open(std::path::Path::new(input))
-                .and_then(|store| store.scrub())
-                .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-            let healed = if heal && !report.is_clean() {
-                let mut bytes = read()?;
-                report
-                    .heal(&mut bytes)
-                    .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
-                Some(bytes)
-            } else {
-                None
-            };
-            let blocks = report.damaged.iter().map(|d| {
-                let fate = if d.repaired.is_some() {
-                    "repairable from parity"
-                } else {
-                    "beyond the parity budget"
-                };
-                format!("  block {} (offset {}): {} — {fate}", d.block, d.offset, d.error)
-            });
-            let records = report.records.iter().map(|r| {
-                let fate = if r.rebuilt.is_some() {
-                    "rebuildable"
-                } else {
-                    "not rebuildable: its stripe is beyond the parity budget"
-                };
-                let (s, at) = (r.stripe, r.offset);
-                format!("  parity record of stripe {s} (offset {at}): damaged ({fate})")
-            });
-            let repairable = report.repairable();
-            Damage {
-                kind: "ERI store",
-                unit: "block",
-                total: report.blocks,
-                repairable,
-                unrepairable: report.damaged.len() - repairable,
-                redundancy: report.records.len(),
-                redundancy_unit: "parity record",
-                tail_lost: false,
-                lines: blocks.chain(records).collect(),
-                healed,
-            }
-        }
+/// Classifies every block and parity record of the store at `input`
+/// through the store's own scrub. Without `heal`, the store is scanned
+/// without holding the whole file in memory.
+fn store_damage(input: &str, heal: bool) -> Result<Damage, CliError> {
+    let report = eri_store::StoreReader::open(std::path::Path::new(input))
+        .and_then(|store| store.scrub())
+        .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
+    let healed = if heal && !report.is_clean() {
+        let mut bytes =
+            fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
+        report
+            .heal(&mut bytes)
+            .map_err(|e| CliError::corruption(format!("{input}: {e}")))?;
+        Some(bytes)
+    } else {
+        None
     };
-    Ok(found)
+    let blocks = report.damaged.iter().map(|d| {
+        let fate = if d.repaired.is_some() {
+            "repairable from parity"
+        } else {
+            "beyond the parity budget"
+        };
+        format!("  block {} (offset {}): {} — {fate}", d.block, d.offset, d.error)
+    });
+    let records = report.records.iter().map(|r| {
+        let fate = if r.rebuilt.is_some() {
+            "rebuildable"
+        } else {
+            "not rebuildable: its stripe is beyond the parity budget"
+        };
+        let (s, at) = (r.stripe, r.offset);
+        format!("  parity record of stripe {s} (offset {at}): damaged ({fate})")
+    });
+    let repairable = report.repairable();
+    Ok(Damage {
+        blocks: report.blocks,
+        repairable,
+        unrepairable: report.damaged.len() - repairable,
+        records: report.records.len(),
+        lines: blocks.chain(records).collect(),
+        healed,
+    })
 }
 
 impl Damage {
     fn is_clean(&self) -> bool {
-        self.repairable + self.unrepairable + self.redundancy == 0
+        self.repairable + self.unrepairable + self.records == 0
     }
 
-    /// The summary line, then one line per damaged unit.
+    /// The summary line, then one line per damaged block or record.
     fn print(&self, input: &str, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(
             out,
-            "{input}: {}, {} {}(s) scanned, {} damaged ({} repairable, {} unrepairable){}",
-            self.kind,
-            self.total,
-            self.unit,
+            "{input}: ERI store, {} block(s) scanned, {} damaged ({} repairable, {} unrepairable)",
+            self.blocks,
             self.repairable + self.unrepairable,
             self.repairable,
             self.unrepairable,
-            if self.tail_lost {
-                ", tail unreadable"
-            } else {
-                ""
-            }
         )?;
         for line in &self.lines {
             writeln!(out, "{line}")?;
@@ -712,76 +651,24 @@ impl Damage {
         let what = if self.is_clean() {
             return Ok(());
         } else if damaged == 0 {
-            // Damage confined to the redundancy itself: the data is
-            // intact, but the file is not the one the writer produced.
+            // Damage confined to the parity itself: the data is intact,
+            // but the file is not the one the writer produced.
             format!(
-                "{} {}(s) damaged (data intact — run `pastri scrub --repair`)",
-                self.redundancy, self.redundancy_unit
+                "{} parity record(s) damaged (data intact — run `pastri scrub --repair`)",
+                self.records
             )
         } else if self.unrepairable == 0 {
             format!(
-                "{damaged} of {} {}(s) damaged (all repairable — run `pastri scrub --repair`)",
-                self.total, self.unit
+                "{damaged} of {} block(s) damaged (all repairable — run `pastri scrub --repair`)",
+                self.blocks
             )
         } else {
             format!(
-                "{damaged} of {} {}(s) damaged ({} beyond the parity budget)",
-                self.total, self.unit, self.unrepairable
+                "{damaged} of {} block(s) damaged ({} beyond the parity budget)",
+                self.blocks, self.unrepairable
             )
         };
         Err(CliError::corruption(format!("{input}: {what}")))
-    }
-}
-
-/// `pastri salvage <in.pstrs> <out.pstrs>`: rewrite a damaged stream,
-/// repairing damaged segments from their containers' parity where the
-/// budget allows, keeping intact segments byte-for-byte, and dropping
-/// only what is beyond repair. The output is committed atomically
-/// (temp file, fsync, rename) and always verifies clean; the exit code
-/// reports
-/// what salvage found in the *input* — 0 if no data was lost (repairs
-/// are not losses), 2 if segments were dropped, the tail was
-/// unreadable, or the stream header itself is damaged.
-pub(crate) fn salvage(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(argv, &Flags::NONE)?;
-    let input = args.positional(0, "in.pstrs")?;
-    let output = args.positional(1, "out.pstrs")?;
-    let infile = fs::File::open(input).map_err(|e| CliError::new(format!("{input}: {e}")))?;
-    let outfile = durable::AtomicFile::create(std::path::Path::new(output))
-        .map_err(|e| CliError::new(format!("{output}: {e}")))?;
-    let mut sink = std::io::BufWriter::new(outfile);
-    let report = pastri::stream::salvage(infile, &mut sink)
-        .map_err(|e| salvage_failure(input, e))?;
-    sink.into_inner()
-        .map_err(|e| CliError::new(format!("{output}: {e}")))?
-        .commit()
-        .map_err(|e| CliError::new(format!("{output}: {e}")))?;
-    writeln!(
-        out,
-        "{input} -> {output}: kept {} segment(s), repaired {}, dropped {}{}",
-        report.kept,
-        report.repaired.len(),
-        report.dropped.len(),
-        if report.tail_lost {
-            " (framing damage: tail lost)"
-        } else {
-            ""
-        }
-    )?;
-    for (index, _) in &report.repaired {
-        writeln!(out, "  repaired segment {index} from parity")?;
-    }
-    for (index, err) in &report.dropped {
-        writeln!(out, "  dropped segment {index}: {err}")?;
-    }
-    if report.is_lossless() {
-        Ok(())
-    } else {
-        Err(CliError::corruption(format!(
-            "{input}: salvage dropped {} segment(s){}",
-            report.dropped.len(),
-            if report.tail_lost { " and lost the tail" } else { "" }
-        )))
     }
 }
 
@@ -790,16 +677,17 @@ const SCRUB: Flags = Flags {
     switches: &["repair"],
 };
 
-/// `pastri scrub <file> [--repair]`: the maintenance half of
-/// self-healing storage. Scans any PaSTRI artifact — container, stream,
-/// or ERI store — with the same classifier as `verify`, which marks
-/// every damaged block/segment as repairable (its parity budget covers
-/// the damage) or not. With `--repair`, repairable damage is healed *in
-/// place*: the fixed file is rewritten atomically (temp + fsync +
-/// rename), byte-identical to what the writer originally produced. When
-/// damage exceeds the parity budget, the damaged original is preserved
-/// at `<file>.quarantine` before any rewrite, so nothing is destroyed by
-/// a best-effort repair.
+/// `pastri scrub <store> [--repair]`: the maintenance half of
+/// self-healing storage. Scans a block store with the same classifier
+/// as `verify`, which marks every damaged block as repairable (its
+/// stripe's parity covers the damage) or not, and every damaged parity
+/// record as rebuildable or not. With `--repair`, repairable damage is
+/// healed *in place*: the fixed file is rewritten atomically (temp +
+/// fsync + rename), byte-identical to what the writer originally
+/// produced. When damage exceeds the parity budget, the damaged
+/// original is preserved at `<file>.quarantine` before any rewrite, so
+/// nothing is destroyed by a best-effort repair. Containers and streams
+/// are read-only: scrub refuses them (exit 1).
 ///
 /// Exit codes: 0 clean, 0 damage fully repaired in place (with report),
 /// 2 damage present and not (fully) repaired.
@@ -807,7 +695,14 @@ pub(crate) fn scrub(argv: &[String], out: &mut dyn Write) -> Result<(), CliError
     let args = Args::parse(argv, &SCRUB)?;
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "file")?;
-    let result = damage(input, args.switch("repair")).and_then(|found| heal(input, &found, out));
+    let result = sniff(input)
+        .and_then(|artifact| match artifact {
+            Artifact::Store => store_damage(input, args.switch("repair")),
+            Artifact::Container | Artifact::Stream => Err(CliError::new(format!(
+                "{input}: PaSTRI containers and streams are read-only; scrub takes block stores"
+            ))),
+        })
+        .and_then(|found| heal(input, &found, out));
     // Telemetry is exported even when the scrub found damage: the
     // capture of a failing run is exactly what a postmortem wants.
     if let Some(t) = telem {
@@ -831,8 +726,8 @@ fn heal(input: &str, found: &Damage, out: &mut dyn Write) -> Result<(), CliError
         rewrite_atomic(input, healed)?;
         writeln!(
             out,
-            "{input}: repaired in place ({} {}(s) rebuilt from parity, {} {}(s) regenerated)",
-            found.repairable, found.unit, found.redundancy, found.redundancy_unit
+            "{input}: repaired in place ({} block(s) rebuilt from parity, {} parity record(s) regenerated)",
+            found.repairable, found.records
         )?;
         return Ok(());
     }
@@ -842,8 +737,8 @@ fn heal(input: &str, found: &Damage, out: &mut dyn Write) -> Result<(), CliError
     quarantine(input, &original, out)?;
     rewrite_atomic(input, healed)?;
     Err(CliError::corruption(format!(
-        "{input}: {} {}(s) damaged beyond the parity budget",
-        found.unrepairable, found.unit
+        "{input}: {} block(s) damaged beyond the parity budget",
+        found.unrepairable
     )))
 }
 
@@ -1915,63 +1810,45 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
-    /// `(container length, offset)` of a stream's first segment, found
+    /// The stream offset of a stream's first segment's container, found
     /// by the stream module's walker.
-    fn first_segment(bytes: &[u8]) -> (usize, usize) {
-        let segment = pastri::stream::Frames::new(bytes).unwrap().next().unwrap().unwrap();
-        (segment.container.len(), segment.at as usize)
+    fn first_segment_at(bytes: &[u8]) -> usize {
+        pastri::stream::Frames::new(bytes).unwrap().next().unwrap().unwrap().at as usize
     }
 
     #[test]
-    fn verify_and_salvage_damaged_stream() {
+    fn verify_names_the_damaged_stream_segment() {
         let dir = tmpdir();
         let comp = golden_copy(&dir, "v3_stream.pstrs", "v.pstrs");
-        let fixed = dir.join("v-fixed.pstrs").to_string_lossy().into_owned();
 
         // Clean stream verifies with exit 0.
-        verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
-
-        // Flip one bit deep inside the first segment's container.
-        let clean = fs::read(&comp).unwrap();
-        let (seg_len, seg_start) = first_segment(&clean);
-        let mut bytes = clean.clone();
-        bytes[seg_start + seg_len / 2] ^= 0x10;
-        fs::write(&comp, &bytes).unwrap();
-
-        // Damaged stream: verify fails with a damage report and the
-        // documented corruption exit code — even though the damage is
-        // repairable, the bytes on disk are not what was written.
         let mut report = Vec::new();
-        let err = verify(&sv(&[&comp]), &mut report).unwrap_err();
-        assert!(err.message.contains("damaged"), "{}", err.message);
-        assert_eq!(err.code, 2, "verify damage is exit code 2");
+        verify(&sv(&[&comp]), &mut report).unwrap();
         let text = String::from_utf8(report).unwrap();
-        assert!(text.contains("segment"), "{text}");
-        assert!(text.contains("repairable"), "{text}");
+        assert!(text.contains("PaSTRI stream, 5 segment(s) decoded, clean"), "{text}");
 
-        // Salvage heals the damaged segment from parity: nothing was
-        // lost, so the exit code is 0, and the output is byte-identical
-        // to the stream as originally written.
-        let mut out = Vec::new();
-        salvage(&sv(&[&comp, &fixed]), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("repaired 1"), "{text}");
-        assert_eq!(fs::read(&fixed).unwrap(), clean, "salvage heals to original bytes");
-        verify(&sv(&[&fixed]), &mut Vec::new()).unwrap();
+        // Flip one bit inside the first segment's block payload (its
+        // parity section starts 70 bytes into the container): a strict
+        // decode names the segment, its stream offset, and the block and
+        // offset inside its container.
+        let clean = fs::read(&comp).unwrap();
+        let seg_start = first_segment_at(&clean);
+        let mut bytes = clean.clone();
+        bytes[seg_start + 40] ^= 0x10;
+        fs::write(&comp, &bytes).unwrap();
+        let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.code, 2, "verify damage is exit code 2");
+        let want = format!("segment 0 (container at stream offset {seg_start}): ");
+        assert!(err.message.contains(&want), "{}", err.message);
+        assert!(err.message.contains("checksum mismatch in block 0 at offset 26"), "{}", err.message);
+        let err = decompress(&sv(&[&comp, &format!("{comp}.f64")]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
 
-        // Salvaging the already-clean output repairs/drops nothing.
-        let refixed = dir.join("v-refixed.pstrs").to_string_lossy().into_owned();
-        salvage(&sv(&[&fixed, &refixed]), &mut Vec::new()).unwrap();
-
-        // Truncation loses real data: salvage reports it with exit 2 but
-        // still writes an output that verifies clean.
-        let torn = dir.join("v-torn.pstrs").to_string_lossy().into_owned();
-        let cut = dir.join("v-cut.pstrs").to_string_lossy().into_owned();
-        fs::write(&torn, &clean[..clean.len() - 12]).unwrap();
-        let mut out = Vec::new();
-        let err = salvage(&sv(&[&torn, &cut]), &mut out).unwrap_err();
-        assert_eq!(err.code, 2, "lossy salvage is exit code 2");
-        verify(&sv(&[&cut]), &mut Vec::new()).unwrap();
+        // A torn tail is framing damage at the first segment it cuts.
+        fs::write(&comp, &clean[..clean.len() - 12]).unwrap();
+        let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("segment 4 (framing at stream offset "), "{}", err.message);
     }
 
     #[test]
@@ -2043,118 +1920,58 @@ mod tests {
     fn verify_dispatches_on_container_magic() {
         let dir = tmpdir();
         let comp = golden_copy(&dir, "v3_container.pastri", "c.pastri");
-        verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
+        let mut report = Vec::new();
+        verify(&sv(&[&comp]), &mut report).unwrap();
+        let text = String::from_utf8(report).unwrap();
+        assert!(text.contains("PaSTRI container, 405 values decoded, clean"), "{text}");
 
         // Damage near the end lands in the parity section: the data is
-        // intact, but verify must still flag the file as damaged.
-        let mut bytes = fs::read(&comp).unwrap();
-        let last = bytes.len() - 9;
-        bytes[last] ^= 0x01;
-        fs::write(&comp, &bytes).unwrap();
-        let mut report = Vec::new();
-        let err = verify(&sv(&[&comp]), &mut report).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("damaged"), "{}", err.message);
-        let text = String::from_utf8(report).unwrap();
-        assert!(text.contains("block"), "{text}");
-
-        // Damage a block payload proper: verify must name the block and
-        // classify it repairable.
-        let clean = {
-            bytes[last] ^= 0x01;
-            bytes.clone()
-        };
+        // intact, but nothing repairs the file, so verify names the
+        // damaged record.
+        let clean = fs::read(&comp).unwrap();
         let info = pastri::inspect(&clean).unwrap();
         let parity_start = info.container_bytes - info.parity_bytes as usize;
+        let mut bytes = clean.clone();
+        bytes[clean.len() - 9] ^= 0x01;
+        fs::write(&comp, &bytes).unwrap();
+        let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
+        assert_eq!(err.code, 2);
+        let want = format!("parity shard checksum mismatch (offset {parity_start})");
+        assert!(err.message.contains(&want), "{}", err.message);
+
+        // Damage a block payload proper: verify names the block.
+        let mut bytes = clean.clone();
         bytes[parity_start - 4] ^= 0x01; // tail of the last block's frame
         fs::write(&comp, &bytes).unwrap();
-        let mut report = Vec::new();
-        let err = verify(&sv(&[&comp]), &mut report).unwrap_err();
+        let err = verify(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
         assert_eq!(err.code, 2);
-        let text = String::from_utf8(report).unwrap();
-        assert!(text.contains("repairable from parity"), "{text}");
+        assert!(err.message.contains("checksum mismatch in block 4 at offset "), "{}", err.message);
     }
 
     #[test]
-    fn scrub_heals_container_in_place() {
+    fn scrub_refuses_containers_and_streams() {
         let dir = tmpdir();
-        let comp = golden_copy(&dir, "v3_container.pastri", "sc.pastri");
-        let clean = fs::read(&comp).unwrap();
-
-        // Clean file: scrub is a no-op with exit 0.
-        let mut report = Vec::new();
-        scrub(&sv(&[&comp]), &mut report).unwrap();
-        assert!(String::from_utf8(report).unwrap().contains("clean"));
-
-        // Flip a byte in a block payload.
-        let info = pastri::inspect(&clean).unwrap();
-        let parity_start = info.container_bytes - info.parity_bytes as usize;
-        let mut bytes = clean.clone();
-        bytes[parity_start - 4] ^= 0x40;
-        fs::write(&comp, &bytes).unwrap();
-
-        // Without --repair: detect-only, exit 2, file untouched.
-        let err = scrub(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--repair"), "{}", err.message);
-        assert_eq!(fs::read(&comp).unwrap(), bytes, "detect-only must not modify");
-
-        // With --repair: healed in place, byte-identical, exit 0.
-        let mut report = Vec::new();
-        scrub(&sv(&[&comp, "--repair"]), &mut report).unwrap();
-        assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
-        assert_eq!(fs::read(&comp).unwrap(), clean, "repair restores original bytes");
-        verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
-    }
-
-    #[test]
-    fn scrub_quarantines_unrepairable_container() {
-        let dir = tmpdir();
-        let comp = golden_copy(&dir, "v3_container.pastri", "sq.pastri");
-        let clean = fs::read(&comp).unwrap();
-
-        // Damage three block payloads in the same parity group: one more
-        // than the two-shard budget covers. (Offsets point at each
-        // block's framing; +8 is safely inside the payload proper.)
-        let decoded = pastri::decompress_lossy(&clean).unwrap();
-        let mut bytes = clean.clone();
-        for o in decoded.outcomes.iter().take(3) {
-            bytes[o.offset as usize + 8] ^= 0x40;
+        for (fixture, name) in [("v3_container.pastri", "sc.pastri"), ("v3_stream.pstrs", "sc.pstrs")] {
+            let path = golden_copy(&dir, fixture, name);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[100] ^= 0x10;
+            fs::write(&path, &bytes).unwrap();
+            for argv in [sv(&[&path]), sv(&[&path, "--repair"])] {
+                let err = scrub(&argv, &mut Vec::new()).unwrap_err();
+                assert_eq!(err.code, 1, "{}", err.message);
+                assert!(err.message.contains("read-only"), "{}", err.message);
+            }
+            assert_eq!(fs::read(&path).unwrap(), bytes, "{fixture}: scrub must not touch it");
+            assert!(!std::path::Path::new(&format!("{path}.quarantine")).exists());
         }
-        fs::write(&comp, &bytes).unwrap();
-
-        let mut report = Vec::new();
-        let err = scrub(&sv(&[&comp, "--repair"]), &mut report).unwrap_err();
-        assert_eq!(err.code, 2, "unrepairable damage is exit 2");
-        assert!(err.message.contains("beyond the parity budget"), "{}", err.message);
-        // The damaged original is quarantined before any rewrite.
-        let q = format!("{comp}.quarantine");
-        assert_eq!(fs::read(&q).unwrap(), bytes, "quarantine preserves the damage");
     }
 
     #[test]
-    fn scrub_heals_stream_and_store_in_place() {
+    fn scrub_heals_store_in_place() {
+        // Flip inside block 0, which its stripe's parity rebuilds, then
+        // inside that stripe's parity record, which is recomputed from
+        // the intact blocks.
         let dir = tmpdir();
-        let comp = golden_copy(&dir, "v3_stream.pstrs", "ss.pstrs");
-        let clean = fs::read(&comp).unwrap();
-        scrub(&sv(&[&comp]), &mut Vec::new()).unwrap();
-
-        // Flip deep inside the first segment, then heal in place.
-        let (seg_len, seg_start) = first_segment(&clean);
-        let mut bytes = clean.clone();
-        bytes[seg_start + seg_len / 2] ^= 0x20;
-        fs::write(&comp, &bytes).unwrap();
-        let err = scrub(&sv(&[&comp]), &mut Vec::new()).unwrap_err();
-        assert_eq!(err.code, 2);
-        let mut report = Vec::new();
-        scrub(&sv(&[&comp, "--repair"]), &mut report).unwrap();
-        assert!(String::from_utf8(report).unwrap().contains("repaired in place"));
-        assert_eq!(fs::read(&comp).unwrap(), clean);
-        verify(&sv(&[&comp]), &mut Vec::new()).unwrap();
-
-        // Same cycle for an ERI store: flip inside block 0, which its
-        // stripe's parity rebuilds, then inside that stripe's parity
-        // record, which is recomputed from the intact blocks.
         let store_path = dir.join("ss.eristore");
         let store = store_path.to_string_lossy().into_owned();
         let clean = write_store(&store_path, 5);
@@ -2300,9 +2117,12 @@ mod tests {
         assert!(trace_text.trim_start().starts_with('['), "{trace_text}");
         assert!(trace_text.contains("decompress.container"), "{trace_text}");
 
-        // Scrub accepts the flag too (clean file: empty-ish capture is fine).
+        // Scrub accepts the flag too, on the store just written (clean:
+        // an empty-ish capture is fine).
         let mut scrub_out = Vec::new();
         scrub(&sv(&[&comp, "--telemetry", "summary"]), &mut scrub_out).unwrap();
+        let text = String::from_utf8(scrub_out).unwrap();
+        assert!(text.contains("ERI store, 6 block(s) scanned, 0 damaged"), "{text}");
 
         // Unknown format is a usage error.
         let err = compress(

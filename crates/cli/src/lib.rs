@@ -11,14 +11,12 @@
 //!   stripes, bytes, ratio, parity bytes), or a container's metadata
 //!   and per-block-kind census (containers are read-only: the golden
 //!   fixtures and older files)
-//! * `verify`     — integrity-scan a container/stream/store; non-zero
-//!   exit with a per-block damage report when anything is corrupt
-//! * `scrub`      — classify damage as repairable/unrepairable; with
-//!   `--repair`, heal it in place from the artifact's parity (store
-//!   stripes, or the parity section of a read-only v3 container)
-//! * `salvage`    — rewrite a damaged stream (the read-only format of
-//!   the golden fixtures), repairing what parity covers and keeping
-//!   intact segments
+//! * `verify`     — integrity-check a container/stream/store: a store
+//!   gets a per-block damage report, a read-only container or stream a
+//!   strict decode; non-zero exit when anything is corrupt
+//! * `scrub`      — classify a block store's damage as
+//!   repairable/unrepairable; with `--repair`, heal it in place from its
+//!   stripes' parity (containers and streams are read-only: refused)
 //! * `gen`        — generate an ERI dataset file (GAMESS stand-in)
 //! * `assess`     — compare an original and a decompressed file
 //! * `report`     — re-render a saved `--telemetry json` capture as the
@@ -51,8 +49,7 @@ use std::fmt;
 /// * `1` — I/O or usage error (missing file, bad flag, unknown format)
 /// * `2` — corruption found in a recognized PaSTRI artifact
 ///   (`verify`/`decompress`/`inspect` hit damage, `scrub` could not
-///   fully repair, `salvage` had to drop segments or met a damaged
-///   stream header, or `soak` lost data / violated an SLO gate)
+///   fully repair a store, or `soak` lost data / violated an SLO gate)
 #[derive(Debug)]
 pub struct CliError {
     pub message: String,
@@ -105,7 +102,6 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         "inspect" => commands::inspect(rest, out),
         "verify" => commands::verify(rest, out),
         "scrub" => commands::scrub(rest, out),
-        "salvage" => commands::salvage(rest, out),
         "gen" => commands::generate(rest, out),
         "assess" => commands::assess(rest, out),
         "report" => commands::report(rest, out),
@@ -136,8 +132,7 @@ USAGE:
   pastri decompress <in.eristore|in.pastri|in.pstrs> <out.f64>
   pastri inspect    <in.eristore|in.pastri>
   pastri verify     <file>            (container, stream, or ERI store)
-  pastri scrub      <file> [--repair] (heal damage in place from parity)
-  pastri salvage    <in.pstrs> <out.pstrs>
+  pastri scrub      <store.eristore> [--repair] (heal damage in place)
   pastri gen        <out.f64> --molecule benzene --config (dd|dd)
                     [--blocks 100] [--seed 0] [--cluster 1] [--model]
   pastri assess     <original.f64> <decompressed.f64>
@@ -253,19 +248,22 @@ OVERLOAD PROTECTION (DESIGN §14):
 
 SELF-HEALING:
   Block stores carry Reed-Solomon parity: 2 shards per stripe of 8
-  blocks rebuild any 2 damaged pieces bit-exact (read-only v3 containers
-  carry their own 2-of-8 group parity). `verify` classifies damage as
-  repairable/unrepairable; `scrub --repair` heals repairable damage in
-  place (atomic rewrite), quarantining the damaged original at
-  <file>.quarantine when anything is beyond the parity budget.
+  blocks rebuild any 2 damaged pieces bit-exact. `verify` classifies a
+  store's damage as repairable/unrepairable; `scrub --repair` heals
+  repairable damage in place (atomic rewrite), quarantining the damaged
+  original at <file>.quarantine when anything is beyond the parity
+  budget. Containers and streams (the golden fixtures) are read-only:
+  `verify` and `decompress` decode them strictly, so any damage, v3
+  parity section included, is exit 2 naming the block and offset (and
+  the segment for a stream); `scrub` refuses them with exit 1.
 
 EXIT CODES:
-  0  success / artifact clean / scrub fully repaired in place
-  1  I/O or usage error (missing file, bad flag, unknown format)
+  0  success / artifact clean / scrub fully repaired a store in place
+  1  I/O or usage error (missing file, bad flag, unknown format, scrub
+     of a container or stream)
   2  corruption found (verify found damage; decompress hit damage in a
-     recognized artifact; scrub could not fully repair, or found damage
-     without --repair; salvage dropped data or met a damaged stream
-     header; soak lost data or violated
+     recognized artifact; scrub could not fully repair a store, or found
+     damage without --repair; soak lost data or violated
      an SLO gate; serve hit a block beyond the parity
      budget; fetch saw corrupt frames or blocks past the retry budget)"
 }

@@ -79,10 +79,11 @@ fn read_response_frame_len(path: &str, blocks: std::ops::Range<usize>) -> u64 {
 
 /// Shreds stored block `i`'s container and its stripe's parity record —
 /// beyond the two-shard parity budget by construction, so reads must
-/// fail as corruption (exit 2).
+/// fail as corruption (exit 2). The store's own index locates them, so
+/// a store already shredded elsewhere can be shredded again.
 fn shred_store_block(path: &str, i: usize) {
     let mut bytes = fs::read(path).unwrap();
-    let (_, index) = eri_store::committed_index(&bytes[..]).unwrap();
+    let index = eri_store::StoreReader::open(Path::new(path)).unwrap().index().clone();
     let block = index.blocks[i];
     let stripe = index.stripes.iter().find(|s| i < s.first + s.members).unwrap();
     let container = (block.offset + 8..block.offset + block.len).step_by(7);
@@ -126,14 +127,12 @@ fn exit_codes_follow_the_documented_contract() {
     copy_golden("v3_container.pastri", &container);
     copy_golden("v3_stream.pstrs", &stream);
 
-    // Corrupt container: flip a byte inside the first block's payload
-    // (located via the lossy decoder's per-block offsets) so both the
-    // strict decoder and verify see a checksum mismatch.
+    // Corrupt container: flip a byte inside block 2's payload, so both
+    // the strict decoder and verify see a checksum mismatch.
     let damaged_container = p(&dir, "damaged.pastri");
     let container_bytes = fs::read(&container).unwrap();
-    let decoded = pastri::decompress_lossy(&container_bytes).unwrap();
     let mut bytes = container_bytes.clone();
-    bytes[decoded.outcomes[0].offset as usize + 8] ^= 0x40;
+    bytes[100] ^= 0x40;
     fs::write(&damaged_container, &bytes).unwrap();
 
     // Header-damaged container: flip a bit of the stored error bound, so
@@ -144,7 +143,7 @@ fn exit_codes_follow_the_documented_contract() {
     fs::write(&header_damaged, &bytes).unwrap();
 
     // Corrupt stream: flip deep inside the first segment's container,
-    // plus a truncated copy whose tail salvage must drop.
+    // plus a truncated copy.
     let damaged_stream = p(&dir, "damaged.pstrs");
     let stream_bytes = fs::read(&stream).unwrap();
     let (seg_len, seg_start) = first_segment(&stream_bytes);
@@ -193,7 +192,6 @@ fn exit_codes_follow_the_documented_contract() {
     ];
 
     let out_f64 = p(&dir, "out.f64");
-    let out_pstrs = p(&dir, "out.pstrs");
 
     // Cache-server fixtures: a clean store and a copy with one block
     // shredded beyond the parity budget.
@@ -224,6 +222,7 @@ fn exit_codes_follow_the_documented_contract() {
     // run a different storm.
     let soak_seconds = sv(&["soak", &soak_dir, "--seconds", "5"]);
     let soak_max_batch = sv(&["soak", &soak_dir, "--transport", "--max-batch", "2"]);
+    let salvage = sv(&["salvage", &stream, &p(&dir, "out.pstrs")]);
     let cases = vec![
         // compress (always a block store, whatever the name): clean /
         // missing input / invalid raw input.
@@ -298,6 +297,16 @@ fn exit_codes_follow_the_documented_contract() {
             want: 2,
         },
         Case {
+            label: "decompress damaged stream",
+            argv: sv(&["decompress", &damaged_stream, &out_f64]),
+            want: 2,
+        },
+        Case {
+            label: "decompress truncated stream",
+            argv: sv(&["decompress", &truncated_stream, &out_f64]),
+            want: 2,
+        },
+        Case {
             label: "decompress stream with a version-2 header",
             argv: sv(&["decompress", &v2_stream, &out_f64]),
             want: 2,
@@ -344,6 +353,11 @@ fn exit_codes_follow_the_documented_contract() {
             want: 2,
         },
         Case {
+            label: "verify truncated stream",
+            argv: sv(&["verify", &truncated_stream]),
+            want: 2,
+        },
+        Case {
             label: "verify stream bad version",
             argv: sv(&["verify", &bad_version_stream]),
             want: 2,
@@ -380,37 +394,23 @@ fn exit_codes_follow_the_documented_contract() {
             argv: sv(&["inspect", &header_damaged_store]),
             want: 2,
         },
-        // salvage: clean / missing / lossy (dropped tail).
+        // salvage is gone: an unknown subcommand.
         Case {
-            label: "salvage clean stream",
-            argv: sv(&["salvage", &stream, &out_pstrs]),
-            want: 0,
-        },
-        Case {
-            label: "salvage missing input",
-            argv: sv(&["salvage", &missing, &out_pstrs]),
+            label: "salvage is an unknown subcommand",
+            argv: salvage.clone(),
             want: 1,
         },
-        Case {
-            label: "salvage truncated stream",
-            argv: sv(&["salvage", &truncated_stream, &p(&dir, "cut.pstrs")]),
-            want: 2,
-        },
-        Case {
-            label: "salvage stream bad version",
-            argv: sv(&["salvage", &bad_version_stream, &p(&dir, "bv.pstrs")]),
-            want: 2,
-        },
-        Case {
-            label: "salvage container",
-            argv: sv(&["salvage", &container, &p(&dir, "not-a-stream.pstrs")]),
-            want: 1,
-        },
-        // scrub: clean / missing / damage without --repair.
+        // scrub takes block stores only: containers and streams, clean
+        // or damaged, are read-only (exit 1).
         Case {
             label: "scrub clean container",
             argv: sv(&["scrub", &container]),
-            want: 0,
+            want: 1,
+        },
+        Case {
+            label: "scrub --repair damaged container",
+            argv: sv(&["scrub", &damaged_container, "--repair"]),
+            want: 1,
         },
         Case {
             label: "scrub missing file",
@@ -418,14 +418,19 @@ fn exit_codes_follow_the_documented_contract() {
             want: 1,
         },
         Case {
+            label: "scrub clean stream",
+            argv: sv(&["scrub", &stream]),
+            want: 1,
+        },
+        Case {
             label: "scrub damaged stream detect-only",
             argv: sv(&["scrub", &damaged_stream]),
-            want: 2,
+            want: 1,
         },
         Case {
             label: "scrub stream bad version",
             argv: sv(&["scrub", &bad_version_stream]),
-            want: 2,
+            want: 1,
         },
         // soak: clean storm / un-creatable store dir / impossible gate.
         Case {
@@ -498,6 +503,11 @@ fn exit_codes_follow_the_documented_contract() {
             want: 2,
         },
         Case {
+            label: "scrub clean store",
+            argv: sv(&["scrub", &clean_store]),
+            want: 0,
+        },
+        Case {
             label: "scrub shredded store detect-only",
             argv: sv(&["scrub", &shredded_store]),
             want: 2,
@@ -554,6 +564,9 @@ fn exit_codes_follow_the_documented_contract() {
         let err = pastri_cli::run(argv, &mut Vec::new()).unwrap_err();
         assert!(err.message.contains("unknown flag"), "{argv:?}: {}", err.message);
     }
+    let err = pastri_cli::run(&salvage, &mut Vec::new()).unwrap_err();
+    assert!(err.message.contains("unknown subcommand `salvage`"), "{}", err.message);
+    assert_eq!(fs::read(&damaged_container).unwrap()[100], container_bytes[100] ^ 0x40);
     assert!(
         Path::new(&format!("{shredded_store}.quarantine")).exists(),
         "scrub --repair must quarantine a store it cannot fully heal"
@@ -874,35 +887,26 @@ fn wait_for_path(path: &str) {
 fn repeated_scrub_quarantines_do_not_clobber() {
     let _serial = one_at_a_time();
     let dir = tmpdir("quarantine");
-    let comp = p(&dir, "q.pastri");
-    copy_golden("v3_container.pastri", &comp);
-    let clean = fs::read(&comp).unwrap();
+    let store = p(&dir, "q.eristore");
+    build_server_store(&store, 12);
 
-    // Damage three blocks in one parity group — beyond the two-shard
-    // repair budget, so `scrub --repair` must quarantine the original.
-    let damage = |clean: &[u8], mask: u8| {
-        let decoded = pastri::decompress_lossy(clean).unwrap();
-        let mut bytes = clean.to_vec();
-        for o in decoded.outcomes.iter().take(3) {
-            bytes[o.offset as usize + 8] ^= mask;
-        }
-        bytes
-    };
-
-    let first = damage(&clean, 0x40);
-    fs::write(&comp, &first).unwrap();
-    let err = pastri_cli::run(&sv(&["scrub", &comp, "--repair"]), &mut Vec::new()).unwrap_err();
+    // Shred block 3 beyond its stripe's two-shard budget, so `scrub
+    // --repair` must quarantine the original.
+    shred_store_block(&store, 3);
+    let first = fs::read(&store).unwrap();
+    let err = pastri_cli::run(&sv(&["scrub", &store, "--repair"]), &mut Vec::new()).unwrap_err();
     assert_eq!(err.code, 2);
-    let q0 = format!("{comp}.quarantine");
+    let q0 = format!("{store}.quarantine");
     assert_eq!(fs::read(&q0).unwrap(), first, "first quarantine holds the damage");
 
-    // Damage again with a different mask: the second quarantine must go
+    // Shred block 9, in the other stripe: the second quarantine must go
     // to a numbered suffix, leaving the first capture intact.
-    let second = damage(&fs::read(&comp).unwrap(), 0x20);
-    fs::write(&comp, &second).unwrap();
-    let err = pastri_cli::run(&sv(&["scrub", &comp, "--repair"]), &mut Vec::new()).unwrap_err();
+    shred_store_block(&store, 9);
+    let second = fs::read(&store).unwrap();
+    let err = pastri_cli::run(&sv(&["scrub", &store, "--repair"]), &mut Vec::new()).unwrap_err();
     assert_eq!(err.code, 2);
-    let q1 = format!("{comp}.quarantine.1");
+    let q1 = format!("{store}.quarantine.1");
     assert_eq!(fs::read(&q0).unwrap(), first, "first capture must survive");
     assert_eq!(fs::read(&q1).unwrap(), second, "second capture gets a numbered suffix");
+    assert_ne!(first, second);
 }

@@ -1,9 +1,9 @@
-//! GF(256) Reed–Solomon erasure coding for PaSTRI parity groups.
+//! GF(256) Reed–Solomon erasure coding for PaSTRI block-store stripes.
 //!
-//! The v3 container groups compressed blocks into parity groups and
-//! stores a handful of erasure shards per group, so that any `k` damaged
-//! blocks (where `k` = the parity shard count) can be reconstructed
-//! byte-exactly from the survivors. This crate is the arithmetic core:
+//! The block store cuts each stripe of compressed blocks into equal
+//! pieces and stores a handful of erasure shards per stripe, so that any
+//! `k` damaged pieces (where `k` = the parity shard count) can be
+//! reconstructed byte-exactly from the survivors. This crate is the arithmetic core:
 //! systematic Reed–Solomon over GF(2^8) with the 0x11d polynomial and a
 //! Cauchy coding matrix, implemented dependency-free per the repo's
 //! vendored-compat policy.
@@ -14,7 +14,7 @@
 //! out of `d + p` suffice — with no per-parameter validation needed.
 //!
 //! Erasure-only decoding: callers know *which* shards are damaged
-//! (PaSTRI stores a CRC32 per block and per shard), so decoding is a
+//! (the store keeps a CRC32 per piece and per shard), so decoding is a
 //! single `d × d` Gauss–Jordan inversion over the surviving rows, not a
 //! full error-locating decoder.
 //!
@@ -307,8 +307,7 @@ impl ReedSolomon {
     /// `data + parity` entries in order (data first); `None` marks an
     /// erasure, and all present shards must share one length. Fails with
     /// [`ParityError::TooManyErasures`] when fewer than `data` survive —
-    /// the group is then unrecoverable and the caller falls back to the
-    /// skip/salvage path.
+    /// the stripe is then beyond repair and its damaged pieces are lost.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), ParityError> {
         let total = self.data + self.parity;
         if shards.len() != total {

@@ -564,20 +564,6 @@ pub(crate) fn decompress_blocks(jobs: &mut [BlockJob<'_>], geom: &BlockGeometry,
     }
 }
 
-/// Decodes one block's payload into `out`: a batch of one.
-pub(crate) fn decompress_block(
-    payload: &[u8],
-    geom: &BlockGeometry,
-    quant: &Quantizer,
-    tree: EncodingTree,
-    out: &mut [f64],
-) -> Result<(), DecompressError> {
-    let mut jobs = [BlockJob::new(payload, tree, out)];
-    Simd::detect().decompress_blocks(&mut jobs, geom, quant);
-    let [job] = jobs;
-    job.result
-}
-
 /// Adds ECQ code `q`, dequantized (`q·2EB`, as
 /// [`Quantizer::dequantize`]), into point `i` of `out`.
 #[inline(always)]
@@ -588,6 +574,20 @@ fn add_into(out: &mut [f64], bin: f64) -> impl FnMut(usize, i64) + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes one block's payload into `out`: a batch of one.
+    fn decompress_block(
+        payload: &[u8],
+        geom: &BlockGeometry,
+        quant: &Quantizer,
+        tree: EncodingTree,
+        out: &mut [f64],
+    ) -> Result<(), DecompressError> {
+        let mut jobs = [BlockJob::new(payload, tree, out)];
+        Simd::detect().decompress_blocks(&mut jobs, geom, quant);
+        let [job] = jobs;
+        job.result
+    }
 
     fn geom() -> BlockGeometry {
         BlockGeometry::new(6, 8)

@@ -43,23 +43,23 @@
 //!     parity_shards × shard    (len = max payload len) }
 //!   ```
 //!
-//!   [`crate::repair_container`] repairs such a container from its own
-//!   parity.
+//!   Decoding checks every record's CRCs and lengths and
+//!   reconstructs nothing: damage anywhere in the parity section is an
+//!   error, like damage to a block.
 //!
 //! Each block payload is byte-aligned and self-contained, which is what
 //! makes PaSTRI "highly parallelizable … each block compressed and
 //! decompressed completely independent from each other" (paper
 //! Sec. IV-C): both directions fan blocks out across threads with rayon.
 //! The per-block CRC32 exploits the same independence for *integrity*:
-//! a flipped bit is pinned to one block, strict decoding reports exactly
-//! which block (and byte offset) failed, and [`decompress_lossy`]
-//! recovers every other block.
+//! a flipped bit is pinned to one block, and decoding reports exactly
+//! which block (and byte offset) failed.
 
 use bitio::BitWriter;
 use checksum::crc32;
 use rayon::prelude::*;
 
-use crate::block::{self, compress_block, BlockJob};
+use crate::block::{compress_block, BlockJob};
 use crate::encoding::EncodingTree;
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
@@ -529,23 +529,17 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     }
 
     if version >= VERSION_V2 {
-        let stored = u32::from_le_bytes(
-            bytes
-                .get(pos..pos + 4)
-                .ok_or(DecompressError::Truncated)?
-                .try_into()
-                .unwrap(),
-        );
-        let actual = crc32(&bytes[..pos]);
+        let crc_at = pos;
+        let stored = read_u32(bytes, &mut pos)?;
+        let actual = crc32(&bytes[..crc_at]);
         if stored != actual {
             return Err(DecompressError::ChecksumMismatch {
                 block: None,
-                offset: Some(pos as u64),
+                offset: Some(crc_at as u64),
                 expected: stored,
                 actual,
             });
         }
-        pos += 4;
     }
 
     Ok(Header {
@@ -588,15 +582,7 @@ pub(crate) fn next_frame<'a>(
         return Err(DecompressError::corrupt("empty block payload").at_offset(offset));
     }
     let stored_crc = if checksummed {
-        let c = u32::from_le_bytes(
-            bytes
-                .get(*pos..*pos + 4)
-                .ok_or(DecompressError::Truncated)?
-                .try_into()
-                .unwrap(),
-        );
-        *pos += 4;
-        Some(c)
+        Some(read_u32(bytes, pos)?)
     } else {
         None
     };
@@ -611,10 +597,14 @@ pub(crate) fn next_frame<'a>(
     })
 }
 
-/// Walks the v3 parity record chain that starts at `pos` (a handful of
-/// varints, no payload is read), leaving `pos` just past the section.
-/// A no-op for containers without parity.
-pub(crate) fn skip_parity_section(
+/// Walks the v3 parity section that starts at `pos`, leaving `pos` just
+/// past it, and checks each record as it passes: the meta CRC over its
+/// length, group offset and payload lengths, `record_len` against the
+/// size those lengths give, and every shard's CRC. Nothing is
+/// reconstructed, so any damage to the section is an error at the
+/// offset of the record that holds it. A no-op for containers without
+/// parity.
+pub(crate) fn check_parity_section(
     bytes: &[u8],
     header: &Header,
     pos: &mut usize,
@@ -622,14 +612,51 @@ pub(crate) fn skip_parity_section(
     if !header.has_parity() {
         return Ok(());
     }
-    for _ in 0..header.num_blocks.div_ceil(header.parity_group) {
+    let (group, shards) = (header.parity_group, header.parity_shards);
+    for g in 0..header.num_blocks.div_ceil(group) {
+        let record_start = *pos;
+        let damaged = |reason| DecompressError::corrupt(reason).at_offset(record_start as u64);
         let record_len = read_varint(bytes, pos)? as usize;
-        *pos = pos
+        let body_start = *pos;
+        let record_end = body_start
             .checked_add(record_len)
-            .filter(|&p| p <= bytes.len())
+            .filter(|&end| end <= bytes.len())
             .ok_or(DecompressError::Truncated)?;
+        let _group_offset = read_varint(bytes, pos)?;
+        let mut shard_len = 0;
+        for _ in 0..(header.num_blocks - g * group).min(group) {
+            shard_len = shard_len.max(read_varint(bytes, pos)? as usize);
+        }
+        let meta_end = *pos;
+        if crc32(&bytes[record_start..meta_end]) != read_u32(bytes, pos)? {
+            return Err(damaged("parity record checksum mismatch"));
+        }
+        let expected_len = shard_len
+            .checked_add(4)
+            .and_then(|shard| shard.checked_mul(shards))
+            .and_then(|parity| parity.checked_add(meta_end - body_start + 4));
+        if expected_len != Some(record_len) {
+            return Err(damaged("parity record length mismatch"));
+        }
+        let mut shard_at = *pos + 4 * shards;
+        for _ in 0..shards {
+            let stored = read_u32(bytes, pos)?;
+            if crc32(&bytes[shard_at..shard_at + shard_len]) != stored {
+                return Err(damaged("parity shard checksum mismatch"));
+            }
+            shard_at += shard_len;
+        }
+        debug_assert_eq!(shard_at, record_end);
+        *pos = record_end;
     }
     Ok(())
+}
+
+/// Reads a little-endian `u32` at `pos` and steps past it.
+fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, DecompressError> {
+    let word = bytes.get(*pos..*pos + 4).ok_or(DecompressError::Truncated)?;
+    *pos += 4;
+    Ok(u32::from_le_bytes(word.try_into().unwrap()))
 }
 
 /// Verifies a frame's stored CRC32 against its payload (no-op for v1).
@@ -653,8 +680,8 @@ pub(crate) fn verify_frame(frame: &BlockFrame<'_>, block: usize) -> Result<(), D
 /// decoded every iteration. The buffer is cleared and resized as needed.
 ///
 /// Strict: the first damaged block aborts the decode, and the error
-/// carries that block's index and byte offset. Use [`decompress_lossy`]
-/// to recover everything around the damage instead.
+/// carries that block's index and byte offset. A v3 container's parity
+/// section is checked, never used.
 pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), DecompressError> {
     let _span = telemetry::span("decompress.container");
     let header = parse_header(bytes)?;
@@ -678,9 +705,9 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
                 DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
             );
         }
-        // Strict decode also demands an intact parity section, so a torn
-        // tail is an error, not silence.
-        skip_parity_section(bytes, &header, &mut pos)?;
+        // An intact parity section too, so a torn tail is an error,
+        // not silence.
+        check_parity_section(bytes, &header, &mut pos)?;
     }
     // Every version ends exactly where its last section does.
     if pos != bytes.len() {
@@ -710,162 +737,6 @@ pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), De
         })?;
     out.truncate(header.original_len);
     Ok(())
-}
-
-/// The fate of one block under [`decompress_lossy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockOutcome {
-    /// Zero-based block index.
-    pub block: usize,
-    /// Container byte offset of the block's framing (its length varint),
-    /// or of the failure point for blocks lost to framing damage.
-    pub offset: u64,
-    /// `None` if the block decoded cleanly; otherwise why it was skipped.
-    pub error: Option<DecompressError>,
-    /// `true` when the block was damaged on disk but reconstructed from
-    /// the container's parity section before decoding (v3 only).
-    pub repaired: bool,
-}
-
-impl BlockOutcome {
-    /// Did this block decode cleanly (possibly after parity repair)?
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
-}
-
-/// Result of a best-effort decode: recovered values plus a per-block
-/// damage report.
-#[derive(Debug, Clone)]
-pub struct LossyDecode {
-    /// Decoded values; elements belonging to damaged blocks are `0.0`
-    /// (the format's padding value, matching the paper's screened-element
-    /// convention). Length equals the recorded original length.
-    pub values: Vec<f64>,
-    /// One entry per declared block, in order.
-    pub outcomes: Vec<BlockOutcome>,
-}
-
-impl LossyDecode {
-    /// Number of blocks that could not be recovered.
-    #[must_use]
-    pub fn damaged(&self) -> usize {
-        self.outcomes.iter().filter(|o| !o.is_ok()).count()
-    }
-
-    /// Number of blocks reconstructed from parity before decoding.
-    #[must_use]
-    pub fn repaired(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.repaired).count()
-    }
-
-    /// `true` when every block decoded cleanly (repaired blocks count as
-    /// clean — their values are byte-exact reconstructions).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.damaged() == 0
-    }
-}
-
-/// Best-effort decompression: damaged blocks are first *repaired* from
-/// the container's parity section (v3), and only blocks beyond the
-/// parity budget are skipped (their output left zero-filled) and
-/// reported. Only header-level damage — bad magic/version, a truncated
-/// or checksum-failed header — is a hard error, because without a
-/// trusted header there is no geometry to frame blocks with.
-///
-/// Every recovered block still honors the container's error bound; the
-/// report tells the caller exactly which value ranges are untrustworthy
-/// (block `b` covers `b·block_size .. (b+1)·block_size` values) and
-/// which were silently repaired ([`BlockOutcome::repaired`]).
-pub fn decompress_lossy(bytes: &[u8]) -> Result<LossyDecode, DecompressError> {
-    let header = parse_header(bytes)?;
-    if header.has_parity() {
-        let (repaired_bytes, report) = crate::repair::repair_with_header(bytes, &header);
-        if !report.repaired_blocks.is_empty() {
-            let repaired_header = parse_header(&repaired_bytes)?;
-            let mut decode = decompress_lossy_core(&repaired_bytes, &repaired_header)?;
-            for &b in &report.repaired_blocks {
-                if let Some(o) = decode.outcomes.get_mut(b) {
-                    o.repaired = true;
-                }
-            }
-            return Ok(decode);
-        }
-    }
-    decompress_lossy_core(bytes, &header)
-}
-
-fn decompress_lossy_core(bytes: &[u8], header: &Header) -> Result<LossyDecode, DecompressError> {
-    let geometry = header.geometry;
-    let bs = geometry.block_size();
-    let tree = header.tree;
-
-    // Frame what we can. A damaged length varint breaks framing for every
-    // later block (lengths chain), so the scan stops there and the
-    // remaining blocks are reported lost at the failure offset.
-    let mut frames: Vec<Result<BlockFrame<'_>, (u64, DecompressError)>> =
-        Vec::with_capacity(header.num_blocks);
-    let mut pos = header.blocks_start;
-    let mut framing_lost: Option<(u64, DecompressError)> = None;
-    for b in 0..header.num_blocks {
-        if let Some(lost) = framing_lost {
-            frames.push(Err(lost));
-            continue;
-        }
-        match next_frame(bytes, &mut pos, header.has_checksums()) {
-            Ok(frame) => frames.push(Ok(frame)),
-            Err(e) => {
-                let at = (pos as u64, e.with_block(b));
-                frames.push(Err(at));
-                framing_lost = Some(at);
-            }
-        }
-    }
-
-    let quant = Quantizer::new(header.eb);
-    let mut values = vec![0.0f64; header.num_blocks * bs];
-    let outcomes: Vec<BlockOutcome> = values
-        .par_chunks_mut(bs)
-        .zip(frames.par_iter())
-        .enumerate()
-        .map(|(b, (chunk, frame))| {
-            let error = match frame {
-                Err((offset, e)) => {
-                    return BlockOutcome {
-                        block: b,
-                        offset: *offset,
-                        error: Some(*e),
-                        repaired: false,
-                    }
-                }
-                Ok(frame) => verify_frame(frame, b).err().or_else(|| {
-                    match block::decompress_block(frame.payload, &geometry, &quant, tree, chunk) {
-                        Ok(()) => None,
-                        Err(e) => {
-                            // A failed decode may have partially filled the
-                            // chunk; restore the zero fill.
-                            chunk.fill(0.0);
-                            Some(e.with_block(b).at_offset(frame.offset))
-                        }
-                    }
-                }),
-            };
-            let offset = match frame {
-                Ok(f) => f.offset,
-                Err((o, _)) => *o,
-            };
-            BlockOutcome {
-                block: b,
-                offset,
-                error,
-                repaired: false,
-            }
-        })
-        .collect();
-    values.truncate(header.original_len);
-    Ok(LossyDecode { values, outcomes })
 }
 
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -905,29 +776,13 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, Decompre
     }
 }
 
-/// `v2` rewritten as the read-only v3 layout of the golden fixtures:
-/// the same header fields plus `parity_group` 8, `parity_shards` 2 and
-/// `blocks_len`, a fresh header CRC, the same frames, and the parity
-/// section [`crate::repair_container`] regrows after a tear at its start.
-#[cfg(test)]
-pub(crate) fn v3_of(v2: &[u8]) -> Vec<u8> {
-    let header = parse_header(v2).expect("a valid container");
-    assert_eq!(header.version, VERSION_V2);
-    let mut v3 = v2[..header.blocks_start - 4].to_vec();
-    v3[4] = VERSION_V3;
-    for v in [8, 2, v2.len() - header.blocks_start] {
-        write_varint(&mut v3, v as u64);
-    }
-    checksum::append_crc32_of(&mut v3);
-    v3.extend_from_slice(&v2[header.blocks_start..]);
-    let (v3, report) = crate::repair::repair_container(&v3).expect("a valid v3 header");
-    assert!(report.is_fully_repaired(), "{report:?}");
-    v3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The golden v3 container: five 9×9 blocks in one parity group of
+    /// two shards.
+    const GOLDEN_V3: &[u8] = include_bytes!("../../../tests/golden/v3_container.pastri");
 
     fn patterned_stream(blocks: usize, geom: BlockGeometry) -> Vec<f64> {
         let mut data = Vec::new();
@@ -1118,8 +973,8 @@ mod tests {
     fn strict_decode_rejects_trailing_bytes() {
         let geom = BlockGeometry::new(2, 4);
         let v2 = Compressor::new(geom, 1e-9).compress(&patterned_stream(3, geom));
-        for container in [strip_to_v1(&v2), v2.clone(), v3_of(&v2)] {
-            let values = decompress(&container).unwrap();
+        for container in [strip_to_v1(&v2), v2.clone(), GOLDEN_V3.to_vec()] {
+            decompress(&container).unwrap();
             let mut padded = container.clone();
             padded.extend_from_slice(b"garbage");
             assert_eq!(
@@ -1129,8 +984,105 @@ mod tests {
                 "version {}",
                 container[4]
             );
-            // The lossy path still decodes every block.
-            assert_eq!(decompress_lossy(&padded).unwrap().values, values);
+        }
+    }
+
+    /// Nothing repairs a v3 container, so its parity section must not
+    /// hide damage: every single-byte flip after the header, in a frame,
+    /// a payload or a parity record, fails the strict decode.
+    #[test]
+    fn every_v3_body_byte_flip_fails_strict_decode() {
+        let header = parse_header(GOLDEN_V3).unwrap();
+        let mut damaged = GOLDEN_V3.to_vec();
+        for at in header.blocks_start..GOLDEN_V3.len() {
+            damaged[at] ^= 0x40;
+            assert!(decompress(&damaged).is_err(), "flip at byte {at} decoded");
+            damaged[at] ^= 0x40;
+        }
+    }
+
+    /// The compressor has not drifted from the golden v3 container: its
+    /// header records the error bound and geometry today's v2 writer
+    /// records for the fixture's original, and each block payload,
+    /// walked with the frame reader `inspect` uses, equals today's byte
+    /// for byte.
+    #[test]
+    fn golden_v3_fixture_matches_current_writer() {
+        let original: Vec<f64> = include_bytes!("../../../tests/golden/v1_original.f64")
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let v2 = Compressor::new(BlockGeometry::new(9, 9), 1e-10).compress(&original);
+        let blocks = |bytes: &[u8]| {
+            let header = parse_header(bytes).unwrap();
+            let mut pos = header.blocks_start;
+            let payloads: Vec<Vec<u8>> = (0..header.num_blocks)
+                .map(|_| next_frame(bytes, &mut pos, true).unwrap().payload.to_vec())
+                .collect();
+            (header.eb.to_bits(), header.geometry, header.original_len, payloads)
+        };
+        let (v3, now) = (blocks(GOLDEN_V3), blocks(&v2));
+        assert_eq!(v3.3.len(), 5);
+        assert_eq!(v3, now, "the compressor's bytes drifted from the golden v3 container");
+    }
+
+    /// Each parity check names its record: a flip in the metadata, a
+    /// flip in a shard, and a `record_len` that disagrees with the
+    /// metadata under a recomputed meta CRC.
+    #[test]
+    fn parity_damage_is_reported_at_its_record() {
+        let header = parse_header(GOLDEN_V3).unwrap();
+        let start = header.blocks_start + header.blocks_len;
+        let at_record = |reason| Err(DecompressError::corrupt(reason).at_offset(start as u64));
+        let flipped = |at: usize| {
+            let mut bytes = GOLDEN_V3.to_vec();
+            bytes[at] ^= 0x01;
+            decompress(&bytes)
+        };
+        assert_eq!(flipped(start + 3), at_record("parity record checksum mismatch"));
+        assert_eq!(flipped(GOLDEN_V3.len() - 1), at_record("parity shard checksum mismatch"));
+
+        // One record (five blocks, groups of eight): claim one byte less.
+        let mut pos = start;
+        let record_len = read_varint(GOLDEN_V3, &mut pos).unwrap();
+        let mut shorter = Vec::new();
+        write_varint(&mut shorter, record_len - 1);
+        assert_eq!(shorter.len(), pos - start, "same varint width");
+        let mut meta_end = pos;
+        for _ in 0..=header.num_blocks {
+            read_varint(GOLDEN_V3, &mut meta_end).unwrap();
+        }
+        let mut bytes = GOLDEN_V3.to_vec();
+        bytes[start..pos].copy_from_slice(&shorter);
+        let meta_crc = crc32(&bytes[start..meta_end]).to_le_bytes();
+        bytes[meta_end..meta_end + 4].copy_from_slice(&meta_crc);
+        assert_eq!(decompress(&bytes), at_record("parity record length mismatch"));
+
+        // A payload length no record could hold, under a valid meta
+        // CRC: refused, never an overflow.
+        let mut hostile = GOLDEN_V3[..start].to_vec();
+        let mut meta = Vec::new();
+        for v in [0, u64::MAX >> 1, 1, 1, 1, 1] {
+            write_varint(&mut meta, v);
+        }
+        write_varint(&mut hostile, meta.len() as u64 + 4);
+        hostile.extend_from_slice(&meta);
+        let meta_crc = crc32(&hostile[start..]).to_le_bytes();
+        hostile.extend_from_slice(&meta_crc);
+        assert_eq!(decompress(&hostile), at_record("parity record length mismatch"));
+    }
+
+    /// A parity section cut short anywhere is `Truncated`.
+    #[test]
+    fn strict_decode_rejects_a_torn_parity_tail() {
+        let header = parse_header(GOLDEN_V3).unwrap();
+        let parity_start = header.blocks_start + header.blocks_len;
+        for cut in [parity_start, parity_start + 3, GOLDEN_V3.len() - 1] {
+            assert_eq!(
+                decompress(&GOLDEN_V3[..cut]),
+                Err(DecompressError::Truncated),
+                "cut={cut}"
+            );
         }
     }
 
@@ -1194,204 +1146,5 @@ mod tests {
             ),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn lossy_decode_recovers_undamaged_blocks() {
-        // Parity-free container: damage is detected and skipped, not
-        // repaired.
-        let geom = BlockGeometry::new(2, 4);
-        let bs = geom.block_size();
-        let c = Compressor::new(geom, 1e-9);
-        let data = patterned_stream(6, geom);
-        let bytes = c.compress(&data);
-        let clean = decompress(&bytes).unwrap();
-
-        // Clean container: lossy == strict.
-        let lossy = decompress_lossy(&bytes).unwrap();
-        assert!(lossy.is_clean());
-        assert_eq!(lossy.values, clean);
-
-        // Flip a bit in block 2's payload.
-        let header = parse_header(&bytes).unwrap();
-        let mut pos = header.blocks_start;
-        let mut flip_at = 0;
-        for b in 0..header.num_blocks {
-            let frame = next_frame(&bytes, &mut pos, true).unwrap();
-            if b == 2 {
-                flip_at = pos - frame.payload.len() + 1;
-            }
-        }
-        let mut damaged = bytes.clone();
-        damaged[flip_at] ^= 0x80;
-
-        let lossy = decompress_lossy(&damaged).unwrap();
-        assert_eq!(lossy.damaged(), 1);
-        assert!(!lossy.outcomes[2].is_ok());
-        assert!(matches!(
-            lossy.outcomes[2].error,
-            Some(DecompressError::ChecksumMismatch { block: Some(2), .. })
-        ));
-        assert_eq!(lossy.values.len(), clean.len());
-        for (i, (a, b)) in lossy.values.iter().zip(&clean).enumerate() {
-            if (2 * bs..3 * bs).contains(&i) {
-                assert_eq!(*a, 0.0, "damaged block must be zero-filled at {i}");
-            } else {
-                assert_eq!(a, b, "undamaged value differs at {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn lossy_decode_reports_framing_loss() {
-        // Parity-free container: a damaged length varint loses every
-        // later block — what v3 parity repairs.
-        let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
-        let bytes = c.compress(&patterned_stream(5, geom));
-        let header = parse_header(&bytes).unwrap();
-        // Corrupt block 1's length varint to an absurd value: framing for
-        // blocks 1.. is gone, but block 0 must survive.
-        let mut pos = header.blocks_start;
-        let _ = next_frame(&bytes, &mut pos, true).unwrap();
-        let mut damaged = bytes.clone();
-        damaged[pos] = 0xff;
-        damaged[pos + 1] = 0xff;
-
-        let lossy = decompress_lossy(&damaged).unwrap();
-        assert!(lossy.outcomes[0].is_ok());
-        assert_eq!(lossy.damaged(), 4);
-        for o in &lossy.outcomes[1..] {
-            assert!(!o.is_ok());
-        }
-    }
-
-    #[test]
-    fn lossy_decode_repairs_payload_damage() {
-        let geom = BlockGeometry::new(2, 4);
-        let data = patterned_stream(6, geom);
-        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
-        let clean = decompress(&bytes).unwrap();
-
-        // Flip a bit in block 2's payload.
-        let header = parse_header(&bytes).unwrap();
-        let mut pos = header.blocks_start;
-        let mut flip_at = 0;
-        for b in 0..header.num_blocks {
-            let frame = next_frame(&bytes, &mut pos, true).unwrap();
-            if b == 2 {
-                flip_at = pos - frame.payload.len() + 1;
-            }
-        }
-        let mut damaged = bytes.clone();
-        damaged[flip_at] ^= 0x80;
-
-        // Strict decode still refuses silently-corrupted input...
-        assert!(decompress(&damaged).is_err());
-        // ...but the lossy path repairs it transparently and says so.
-        let lossy = decompress_lossy(&damaged).unwrap();
-        assert!(lossy.is_clean(), "repair should recover the block");
-        assert_eq!(lossy.repaired(), 1);
-        assert!(lossy.outcomes[2].repaired);
-        assert_eq!(lossy.values, clean);
-    }
-
-    #[test]
-    fn lossy_decode_repairs_framing_damage() {
-        let geom = BlockGeometry::new(2, 4);
-        let data = patterned_stream(5, geom);
-        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
-        let clean = decompress(&bytes).unwrap();
-        let header = parse_header(&bytes).unwrap();
-        // Corrupt block 1's length varint — pre-v3 this lost blocks 1..;
-        // the parity metadata's duplicate lengths re-anchor the frames.
-        let mut pos = header.blocks_start;
-        let _ = next_frame(&bytes, &mut pos, true).unwrap();
-        let mut damaged = bytes.clone();
-        damaged[pos] = 0xff;
-        damaged[pos + 1] = 0xff;
-
-        let lossy = decompress_lossy(&damaged).unwrap();
-        assert!(lossy.is_clean(), "framing damage should repair: {:?}",
-            lossy.outcomes.iter().filter(|o| !o.is_ok()).collect::<Vec<_>>());
-        assert_eq!(lossy.values, clean);
-    }
-
-    #[test]
-    fn repair_is_byte_identical_for_every_single_byte_corruption() {
-        let geom = BlockGeometry::new(2, 4);
-        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&patterned_stream(10, geom)));
-        let header = parse_header(&bytes).unwrap();
-        // Every byte past the header (the header itself carries no
-        // parity): payloads, CRCs, length varints, parity metadata,
-        // shard checksums, shard bytes.
-        for at in header.blocks_start..bytes.len() {
-            let mut damaged = bytes.clone();
-            damaged[at] ^= 0x40;
-            if damaged[at] == bytes[at] {
-                continue;
-            }
-            let (repaired, report) = crate::repair::repair_container(&damaged).unwrap();
-            assert!(report.is_fully_repaired(), "byte {at}: {report:?}");
-            assert_eq!(repaired, bytes, "byte {at} did not repair byte-identically");
-        }
-    }
-
-    #[test]
-    fn damage_beyond_parity_budget_degrades_to_skip() {
-        let geom = BlockGeometry::new(2, 4);
-        let bs = geom.block_size();
-        let data = patterned_stream(6, geom); // one group of 6, 2 shards
-        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&data));
-        let clean = decompress(&bytes).unwrap();
-        let header = parse_header(&bytes).unwrap();
-        // Damage 3 payloads (> 2 shards): unrepairable, but lossy decode
-        // still recovers the other 3 blocks.
-        let mut damaged = bytes.clone();
-        let mut pos = header.blocks_start;
-        for b in 0..header.num_blocks {
-            let frame = next_frame(&bytes, &mut pos, true).unwrap();
-            if b < 3 {
-                damaged[pos - frame.payload.len() / 2] ^= 0x08;
-            }
-        }
-        let (_, report) = crate::repair::repair_container(&damaged).unwrap();
-        assert_eq!(report.unrepairable_blocks, vec![0, 1, 2]);
-        assert!(!report.is_fully_repaired());
-
-        let lossy = decompress_lossy(&damaged).unwrap();
-        assert_eq!(lossy.damaged(), 3);
-        for (i, (a, b)) in lossy.values.iter().zip(&clean).enumerate() {
-            if i < 3 * bs {
-                assert_eq!(*a, 0.0, "unrepairable block must zero-fill at {i}");
-            } else {
-                assert_eq!(a, b, "undamaged value differs at {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn repair_handles_torn_parity_tail() {
-        // A torn write that loses part of the parity section: the data is
-        // intact, so repair regenerates the full section byte-identically.
-        let geom = BlockGeometry::new(2, 4);
-        let bytes = v3_of(&Compressor::new(geom, 1e-9).compress(&patterned_stream(9, geom)));
-        let header = parse_header(&bytes).unwrap();
-        let parity_start = header.blocks_start + header.blocks_len;
-        for cut in [parity_start, parity_start + 3, bytes.len() - 1] {
-            let (repaired, report) = crate::repair::repair_container(&bytes[..cut]).unwrap();
-            assert!(report.is_fully_repaired(), "cut={cut}: {report:?}");
-            assert_eq!(repaired, bytes, "cut={cut}");
-        }
-    }
-
-    #[test]
-    fn lossy_decode_rejects_header_damage() {
-        let geom = BlockGeometry::new(2, 4);
-        let c = Compressor::new(geom, 1e-9);
-        let mut bytes = c.compress(&patterned_stream(2, geom));
-        bytes[8] ^= 0x01; // error-bound field: header CRC must fail
-        assert!(decompress_lossy(&bytes).is_err());
-        assert!(decompress_lossy(b"nope").is_err());
     }
 }

@@ -1,10 +1,10 @@
 //! Decompression error type.
 //!
 //! Corruption errors carry *where* the damage was found — the block index
-//! within the container and the byte offset of the block's framing — so
-//! callers (the CLI `verify` report, [`crate::container::decompress_lossy`],
-//! the salvage path) can localize damage instead of just learning "the
-//! file is bad".
+//! within the container and the byte offset of the block's framing, or
+//! of the damaged v3 parity record — so callers (the CLI `verify`
+//! report) can localize damage instead of just learning "the file is
+//! bad".
 
 use std::fmt;
 

@@ -3,7 +3,7 @@
 //! Both entry points read a container through the decoder's own walkers:
 //! [`parse_header`] (so the header CRC, error bound, block count and size
 //! ceiling are validated exactly as `decompress` validates them),
-//! [`next_frame`], [`skip_parity_section`] and, for the bit accounting,
+//! [`next_frame`], [`check_parity_section`] and, for the bit accounting,
 //! [`walk_block`]. [`inspect`] is a cheap census — sizes, error bound,
 //! geometry, per-kind block counts from each payload's 3-bit kind tag —
 //! that never decodes a value; [`container_bit_stats`] walks every block's
@@ -12,7 +12,7 @@
 use bitio::BitReader;
 
 use crate::block::{paper_block_type, walk_block, BlockKind, BlockLayout, BlockSink};
-use crate::container::{next_frame, parse_header, skip_parity_section};
+use crate::container::{next_frame, parse_header, check_parity_section};
 use crate::encoding::{EcqCounts, EncodingTree};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
@@ -94,7 +94,7 @@ pub fn inspect_prefix(bytes: &[u8]) -> Result<(ContainerInfo, usize), Decompress
         payload_bytes += frame.payload.len() as u64;
     }
     let parity_start = pos;
-    skip_parity_section(bytes, &header, &mut pos)?;
+    check_parity_section(bytes, &header, &mut pos)?;
     Ok((
         ContainerInfo {
             version: header.version,
@@ -142,7 +142,7 @@ pub fn container_bit_stats(bytes: &[u8]) -> Result<CompressionStats, DecompressE
         walk_block(&mut r, &header.geometry, header.tree, &mut sink)
             .map_err(|e| e.with_block(b).at_offset(frame.offset))?;
     }
-    skip_parity_section(bytes, &header, &mut pos)?;
+    check_parity_section(bytes, &header, &mut pos)?;
 
     let mut stats = sink.stats;
     stats.compressed_bytes = pos as u64;
@@ -215,10 +215,17 @@ mod tests {
         let info = inspect(&bytes).unwrap();
         assert_eq!(info.version, 2);
         assert_eq!((info.parity_group, info.parity_shards, info.parity_bytes), (0, 0, 0));
-        let v3 = inspect(&crate::container::v3_of(&bytes)).unwrap();
+        // The golden v3 container holds the blocks today's compressor
+        // writes for its original, plus a parity section.
+        let original: Vec<f64> = include_bytes!("../../../tests/golden/v1_original.f64")
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let (_, golden) = Compressor::new(BlockGeometry::new(9, 9), 1e-10).compress_with_stats(&original);
+        let v3 = inspect(include_bytes!("../../../tests/golden/v3_container.pastri")).unwrap();
         assert_eq!((v3.version, v3.parity_group, v3.parity_shards), (3, 8, 2));
         assert!(v3.parity_bytes > 0);
-        assert_eq!(v3.kind_counts, stats.kind_counts);
+        assert_eq!(v3.kind_counts, golden.kind_counts);
         assert_eq!(info.error_bound, 1e-10);
         assert_eq!(info.geometry, geom);
         assert_eq!(info.original_len, data.len());

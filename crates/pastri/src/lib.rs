@@ -32,10 +32,11 @@
 //! plus independent, CRC-framed blocks (paper Sec. IV-C), with no
 //! erasure code. Durable storage and its parity live in the `eri-store`
 //! crate, which holds each block as one such container. The version-1
-//! and version-3 containers and version-1 [`stream`]s are read-only:
-//! [`decompress`], [`decompress_lossy`], [`inspect`],
-//! [`repair_container`] and [`stream::salvage`] still read, repair and
-//! salvage them, for the golden fixtures under `tests/golden/`.
+//! and version-3 containers and version-1 [`stream`]s are decode-only,
+//! kept for the golden fixtures under `tests/golden/`: [`decompress`],
+//! [`inspect`] and [`stream::StreamReader`] read them strictly, and any
+//! damage, including damage to a v3 parity section, is an error. Nothing
+//! repairs or salvages them.
 //!
 //! # Quick start
 //!
@@ -73,15 +74,13 @@ mod geometry;
 mod inspect;
 mod metrics;
 mod quant;
-mod repair;
 mod simd;
 mod stats;
 pub mod stream;
 
 pub use container::{
-    decompress, decompress_block, decompress_blocks, decompress_lossy, max_block_container_len,
-    BlockOutcome,
-    Compressor, CompressorOptions, EcqRepr, LossyDecode, ScaleRule,
+    decompress, decompress_block, decompress_blocks, max_block_container_len, Compressor,
+    CompressorOptions, EcqRepr, ScaleRule,
 };
 pub use encoding::EncodingTree;
 pub use error::DecompressError;
@@ -89,5 +88,4 @@ pub use geometry::BlockGeometry;
 pub use inspect::{container_bit_stats, inspect, inspect_prefix, ContainerInfo};
 pub use metrics::{fit_pattern, PatternFit, ScalingMetric};
 pub use quant::{ecq_bits, Quantizer, ScaleQuantizer};
-pub use repair::{repair_container, RepairReport};
 pub use stats::{BlockTypeStats, CompressionStats, StorageBreakdown};

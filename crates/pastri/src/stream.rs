@@ -1,27 +1,24 @@
-//! The PaSTRI stream format, read-only: the layout of the golden
+//! The PaSTRI stream format, decode-only: the layout of the golden
 //! fixtures (`tests/golden/v1_stream.pstrs`, `v3_stream.pstrs`). New
 //! durable output goes to the block store (`eri-store`), which writes
 //! as it goes, commits in-band and resumes after a crash; streams are
-//! kept so the fixtures still read, verify, scrub and salvage.
+//! kept so the fixtures still read and verify.
 //!
 //! Layout (version 1): the ASCII magic `PSTRS` + version byte, then a
 //! sequence of *segments*, each a varint byte length followed by a
 //! complete standalone PaSTRI container, then a zero varint as the
 //! terminator. Any other version byte is [`DecompressError::BadVersion`].
 //!
-//! [`Frames`] is the one walker over the framing: the reader and
-//! [`salvage`] both go through it. Segments are independently
-//! decodable, so memory never exceeds one segment.
+//! [`Frames`] is the one walker over the framing, and [`StreamReader`]
+//! decodes what it yields. Segments are independently decodable, so
+//! memory never exceeds one segment.
 //!
 //! Integrity comes from the embedded containers: each segment payload is
 //! a container carrying its own header and per-block CRC32s, so a
-//! flipped bit inside a segment is detected there. Because segments are
-//! length-prefixed and independent, a damaged segment can be *skipped* —
-//! [`StreamReader::next_segment_or_skip`] keeps reading past it, and
-//! [`salvage`] rewrites a damaged stream keeping every intact segment
-//! byte-for-byte. Only damage to the framing itself (a length varint or
-//! a truncated tail) loses the remainder of the stream, since segment
-//! boundaries can no longer be located.
+//! flipped bit inside a segment is detected there. Reading is strict:
+//! the first damaged segment, or damage to the framing itself (a length
+//! varint or a truncated tail), fails the read. Nothing skips or
+//! salvages past damage.
 //!
 //! ```
 //! use pastri::{BlockGeometry, Compressor};
@@ -51,7 +48,7 @@
 //! assert_eq!(restored.len(), 200);
 //! ```
 
-use std::io::{self, Write};
+use std::io;
 
 use durable::ReadAt;
 
@@ -174,85 +171,9 @@ impl<R: ReadAt> Iterator for Frames<R> {
     }
 }
 
-/// One segment's fate under [`StreamReader::next_segment_or_skip`].
-#[derive(Debug, Clone)]
-pub struct SegmentOutcome {
-    /// Zero-based segment index within the stream.
-    pub index: usize,
-    /// The recovered values, or why the segment was skipped.
-    pub values: Result<Vec<f64>, DecompressError>,
-    /// Damage report when the segment's container needed parity repair:
-    /// `Some` with the blocks reconstructed when repair succeeded (the
-    /// values are then byte-exact), or `Some` with unrepairable blocks
-    /// when damage exceeded the parity budget (`values` is the error).
-    pub repair: Option<crate::repair::RepairReport>,
-}
-impl SegmentOutcome {
-    /// Was this segment damaged on disk but fully reconstructed?
-    #[must_use]
-    pub fn was_repaired(&self) -> bool {
-        self.values.is_ok() && self.repair.is_some()
-    }
-}
-
-/// What one segment's container yielded after giving parity a chance.
-struct RepairedDecode {
-    /// The recovered values, or the original (strict) failure.
-    values: Result<Vec<f64>, DecompressError>,
-    /// Repair report when damage was found.
-    repair: Option<crate::repair::RepairReport>,
-    /// The repaired container bytes when repair fully succeeded —
-    /// canonical, i.e. byte-identical to what the writer emitted.
-    healed: Option<Vec<u8>>,
-}
-
-/// Strict decode with transparent parity repair.
-fn decode_with_repair(container: &[u8]) -> RepairedDecode {
-    match crate::repair::repair_container(container) {
-        Ok((repaired, report)) if report.is_damaged() && report.is_fully_repaired() => {
-            match crate::container::decompress(&repaired) {
-                Ok(v) => {
-                    telemetry::counter_add("repair.on_read_hits", 1);
-                    RepairedDecode {
-                        values: Ok(v),
-                        repair: Some(report),
-                        healed: Some(repaired),
-                    }
-                }
-                Err(e) => RepairedDecode {
-                    values: Err(e),
-                    repair: Some(report),
-                    healed: None,
-                },
-            }
-        }
-        Ok((_, report)) if report.is_damaged() => {
-            // Beyond the parity budget: surface the strict decoder's
-            // diagnosis (it pins the first failing block and offset).
-            let err = match crate::container::decompress(container) {
-                Err(e) => e,
-                Ok(_) => DecompressError::corrupt("damage beyond parity budget"),
-            };
-            RepairedDecode {
-                values: Err(err),
-                repair: Some(report),
-                healed: None,
-            }
-        }
-        // Clean, or header-level damage repair cannot help with either
-        // way: strict decode is the answer.
-        _ => RepairedDecode {
-            values: crate::container::decompress(container),
-            repair: None,
-            healed: None,
-        },
-    }
-}
-
 /// Streaming decompressor: yields one segment of values at a time.
 pub struct StreamReader<R: ReadAt> {
     frames: Frames<R>,
-    next_index: usize,
 }
 
 impl<R: ReadAt> StreamReader<R> {
@@ -260,56 +181,16 @@ impl<R: ReadAt> StreamReader<R> {
     pub fn new(source: R) -> Result<Self, DecompressError> {
         Ok(Self {
             frames: Frames::new(source)?,
-            next_index: 0,
         })
     }
 
     /// Reads and decompresses the next segment; `None` at the terminator.
-    ///
-    /// Strict: any damage fails the call. Use
-    /// [`next_segment_or_skip`](Self::next_segment_or_skip) to read past
-    /// damaged segments.
+    /// Strict: any damage fails the call.
     pub fn next_segment(&mut self) -> Result<Option<Vec<f64>>, DecompressError> {
-        match self.next_segment_bytes()? {
+        match self.frames.next().transpose()? {
             None => Ok(None),
-            Some(container) => crate::container::decompress(&container).map(Some),
+            Some(segment) => crate::container::decompress(&segment.container).map(Some),
         }
-    }
-
-    /// Reads the next segment, recovering it if intact, *repairing* it
-    /// from its container's parity section if damaged-but-within-budget,
-    /// and skipping it (with the reason) only when damage exceeds what
-    /// parity can reconstruct. Returns `None` at the stream terminator.
-    ///
-    /// Repaired segments come back `Ok` with byte-exact values and a
-    /// [`SegmentOutcome::repair`] report saying what was reconstructed.
-    ///
-    /// # Errors
-    /// Only for unrecoverable framing loss — a damaged length varint or a
-    /// truncated tail — after which segment boundaries cannot be located
-    /// and no further segments can be read.
-    pub fn next_segment_or_skip(
-        &mut self,
-    ) -> Result<Option<SegmentOutcome>, DecompressError> {
-        let index = self.next_index;
-        match self.next_segment_bytes()? {
-            None => Ok(None),
-            Some(container) => {
-                let RepairedDecode { values, repair, .. } = decode_with_repair(&container);
-                Ok(Some(SegmentOutcome {
-                    index,
-                    values,
-                    repair,
-                }))
-            }
-        }
-    }
-
-    /// Reads the next segment's raw container bytes (framing layer only).
-    fn next_segment_bytes(&mut self) -> Result<Option<Vec<u8>>, DecompressError> {
-        let segment = self.frames.next().transpose()?;
-        self.next_index += usize::from(segment.is_some());
-        Ok(segment.map(|s| s.container))
     }
 
     /// Convenience: drains the whole stream into one vector.
@@ -321,111 +202,11 @@ impl<R: ReadAt> StreamReader<R> {
         Ok(out)
     }
 }
-/// Report from [`salvage`]: what survived and what was dropped.
-#[derive(Debug, Clone)]
-pub struct SalvageReport {
-    /// Segments written to the output (verbatim copies plus repairs).
-    pub kept: usize,
-    /// Index and repair report of each segment that was damaged but fully
-    /// reconstructed from its container's parity section. These segments
-    /// count toward `kept`; the output holds their canonical
-    /// (as-originally-written) bytes.
-    pub repaired: Vec<(usize, crate::repair::RepairReport)>,
-    /// Index and failure reason of each segment dropped for payload
-    /// damage beyond the parity budget.
-    pub dropped: Vec<(usize, DecompressError)>,
-    /// `true` when framing was lost (damaged length varint or truncated
-    /// tail) before the terminator: everything after that point was
-    /// discarded.
-    pub tail_lost: bool,
-}
-
-impl SalvageReport {
-    /// Was the source undamaged (nothing dropped, nothing repaired)?
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.is_lossless() && self.repaired.is_empty()
-    }
-
-    /// Did every segment survive into the output (repairs included)?
-    #[must_use]
-    pub fn is_lossless(&self) -> bool {
-        self.dropped.is_empty() && !self.tail_lost
-    }
-}
-
-/// Rewrites a (possibly damaged) stream from `source` into `sink`,
-/// keeping every intact segment, *repairing* damaged segments from their
-/// containers' parity sections when the damage is within budget, and
-/// dropping only what neither verification nor parity can save. Intact
-/// segments are copied *byte-for-byte* — never re-encoded; repaired
-/// segments are written as their canonical (originally-written) bytes,
-/// so salvaging an undamaged stream reproduces it exactly. The output is
-/// always a well-formed, terminated stream; `sink` is flushed, not
-/// synced — the caller makes the copy durable as a whole.
-///
-/// # Errors
-/// `InvalidData` if `source` is not a PaSTRI stream at all (bad magic or
-/// version); otherwise any I/O error from reading or writing. Damage
-/// *inside* the stream is not an error — it is reported in the
-/// [`SalvageReport`].
-pub fn salvage<R: ReadAt, W: Write>(source: R, mut sink: W) -> io::Result<SalvageReport> {
-    let frames = Frames::new(&source)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    sink.write_all(&STREAM_MAGIC)?;
-    sink.write_all(&[STREAM_VERSION])?;
-    let mut report = SalvageReport {
-        kept: 0,
-        repaired: Vec::new(),
-        dropped: Vec::new(),
-        tail_lost: false,
-    };
-    for (index, segment) in frames.enumerate() {
-        let container = match segment {
-            Ok(segment) => segment.container,
-            Err(DecompressError::Unreadable(kind)) => return Err(kind.into()),
-            Err(_) => {
-                // Framing loss: boundaries are gone, drop the tail.
-                report.tail_lost = true;
-                break;
-            }
-        };
-        // Only verified-decodable segments are worth keeping — after
-        // giving parity a chance to reconstruct them.
-        let RepairedDecode {
-            values,
-            repair,
-            healed,
-        } = decode_with_repair(&container);
-        match values {
-            Ok(_) => {
-                let bytes = healed.as_deref().unwrap_or(&container);
-                write_varint(&mut sink, bytes.len() as u64)?;
-                sink.write_all(bytes)?;
-                report.kept += 1;
-                if let Some(r) = repair {
-                    report.repaired.push((index, r));
-                }
-            }
-            Err(e) => report.dropped.push((index, e)),
-        }
-    }
-    write_varint(&mut sink, 0)?;
-    sink.flush()?;
-    Ok(report)
-}
-
-/// Writes `v` as the container's LEB128 varint in one `write_all`.
-fn write_varint<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(10);
-    crate::container::write_varint(&mut buf, v);
-    w.write_all(&buf)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::Compressor;
+    use crate::container::{write_varint, Compressor};
     use crate::geometry::BlockGeometry;
 
     fn patterned(n: usize) -> Vec<f64> {
@@ -433,41 +214,23 @@ mod tests {
     }
 
     /// `data` framed as a stream of `segment_values`-value segments,
-    /// each a v2 container or, `with_parity`, its v3 rewrite.
-    fn framed(data: &[f64], segment_values: usize, with_parity: bool) -> Vec<u8> {
+    /// each a v2 container.
+    fn framed(data: &[f64], segment_values: usize) -> Vec<u8> {
         let compressor = Compressor::new(BlockGeometry::new(4, 9), 1e-9);
         let mut bytes = [&STREAM_MAGIC[..], &[STREAM_VERSION]].concat();
         for segment in data.chunks(segment_values) {
-            let mut container = compressor.compress(segment);
-            if with_parity {
-                container = crate::container::v3_of(&container);
-            }
-            write_varint(&mut bytes, container.len() as u64).unwrap();
+            let container = compressor.compress(segment);
+            write_varint(&mut bytes, container.len() as u64);
             bytes.extend_from_slice(&container);
         }
-        write_varint(&mut bytes, 0).unwrap();
+        write_varint(&mut bytes, 0);
         bytes
-    }
-
-    /// A stream of `segments` one-block segments, plus the byte ranges
-    /// `[start, end)` of each segment's container within it.
-    fn stream_with_segments(segments: usize, with_parity: bool) -> (Vec<u8>, Vec<(usize, usize)>) {
-        let bytes = framed(&patterned(36 * segments), 36, with_parity);
-        let ranges: Vec<(usize, usize)> = Frames::new(bytes.as_slice())
-            .unwrap()
-            .map(|s| {
-                let Segment { at, container } = s.unwrap();
-                (at as usize, at as usize + container.len())
-            })
-            .collect();
-        assert_eq!(ranges.len(), segments);
-        (bytes, ranges)
     }
 
     #[test]
     fn roundtrip_multi_segment() {
         let data = patterned(36 * 23 + 17); // partial tail everywhere
-        let bytes = framed(&data, 36 * 4, false);
+        let bytes = framed(&data, 36 * 4);
         let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
@@ -480,7 +243,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let bytes = framed(&[], 36, false);
+        let bytes = framed(&[], 36);
         let restored = StreamReader::new(bytes.as_slice())
             .unwrap()
             .read_to_vec()
@@ -490,7 +253,7 @@ mod tests {
 
     #[test]
     fn segment_sizes_respected() {
-        let bytes = framed(&patterned(36 * 10), 36 * 3, false);
+        let bytes = framed(&patterned(36 * 10), 36 * 3);
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         let mut lens = Vec::new();
         while let Some(seg) = r.next_segment().unwrap() {
@@ -502,7 +265,7 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let bytes = framed(&patterned(36 * 8), 36 * 2, false);
+        let bytes = framed(&patterned(36 * 8), 36 * 2);
         // Cut before the terminator.
         let cut = &bytes[..bytes.len() - 3];
         let mut r = StreamReader::new(cut).unwrap();
@@ -560,7 +323,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&STREAM_MAGIC);
         bytes.push(STREAM_VERSION);
-        write_varint(&mut bytes, 512 << 20).unwrap();
+        write_varint(&mut bytes, 512 << 20);
         bytes.extend_from_slice(&[1, 2, 3]);
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         assert_eq!(r.next_segment().unwrap_err(), DecompressError::Truncated);
@@ -568,7 +331,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&STREAM_MAGIC);
         bytes.push(STREAM_VERSION);
-        write_varint(&mut bytes, (2u64 << 30) + 1).unwrap();
+        write_varint(&mut bytes, (2u64 << 30) + 1);
         let mut r = StreamReader::new(bytes.as_slice()).unwrap();
         assert!(matches!(
             r.next_segment().unwrap_err(),
@@ -576,173 +339,34 @@ mod tests {
         ));
     }
 
+    /// Reading is strict: the segments before a damaged one decode
+    /// bit-exact, and the damaged one fails the read.
     #[test]
-    fn skip_reader_repairs_damaged_segment_in_flight() {
-        let segments = 16;
-        let (mut bytes, ranges) = stream_with_segments(segments, true);
-        let clean: Vec<Vec<f64>> = {
-            let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-            std::iter::from_fn(|| r.next_segment().unwrap()).collect()
-        };
-        // Flip one bit inside segment 7's first block payload: repairable
-        // from the container's parity section.
-        let (start, _) = ranges[7];
-        let header = crate::container::parse_header(&bytes[start..]).unwrap();
-        bytes[start + header.blocks_start + 8] ^= 0x04;
-
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        let mut repaired = Vec::new();
-        while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-            let idx = outcome.index;
-            if outcome.was_repaired() {
-                repaired.push(idx);
-            }
-            assert_eq!(
-                outcome.values.as_ref().expect("every segment recovers"),
-                &clean[idx],
-                "segment {idx} must be bit-exact"
-            );
-        }
-        assert_eq!(repaired, vec![7], "exactly segment 7 needed repair");
-    }
-
-    #[test]
-    fn skip_reader_drops_damage_when_parity_disabled() {
-        let segments = 16;
-        let (mut bytes, ranges) = stream_with_segments(segments, false);
-        let clean: Vec<Vec<f64>> = {
-            let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-            std::iter::from_fn(|| r.next_segment().unwrap()).collect()
-        };
-        // Flip one bit in segment 7's payload (inside a block payload,
-        // well past the container header).
-        let (start, end) = ranges[7];
-        bytes[(start + end) / 2] ^= 0x04;
-
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        let mut recovered = Vec::new();
-        let mut damaged = Vec::new();
-        while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-            match outcome.values {
-                Ok(v) => recovered.push((outcome.index, v)),
-                Err(e) => damaged.push((outcome.index, e)),
-            }
-        }
-        assert_eq!(damaged.len(), 1, "exactly one damaged segment");
-        assert_eq!(damaged[0].0, 7);
-        assert_eq!(recovered.len(), segments - 1);
-        for (idx, values) in &recovered {
-            assert_eq!(
-                values, &clean[*idx],
-                "undamaged segment {idx} must be bit-exact"
-            );
-        }
-    }
-
-    #[test]
-    fn salvage_repairs_damaged_segment_to_original_bytes() {
-        let segments = 16;
-        let (bytes, ranges) = stream_with_segments(segments, true);
+    fn damaged_segment_fails_the_read_after_intact_ones() {
+        let bytes = framed(&patterned(36 * 16), 36);
+        let clean = StreamReader::new(bytes.as_slice()).unwrap().read_to_vec().unwrap();
+        // Flip one bit in segment 7's block payload, well past the
+        // container header.
+        let segment = Frames::new(bytes.as_slice()).unwrap().nth(7).unwrap().unwrap();
         let mut damaged = bytes.clone();
-        let (start, end) = ranges[3];
-        damaged[(start + end) / 2] ^= 0x40;
+        damaged[segment.at as usize + segment.container.len() / 2] ^= 0x04;
 
-        let mut out = Vec::new();
-        let report = salvage(damaged.as_slice(), &mut out).unwrap();
-        assert_eq!(report.kept, segments, "nothing dropped: parity repairs");
-        assert!(report.dropped.is_empty());
-        assert_eq!(report.repaired.len(), 1);
-        assert_eq!(report.repaired[0].0, 3);
-        assert!(!report.tail_lost);
-        assert!(report.is_lossless());
-        assert!(!report.is_clean(), "a repair means the source was damaged");
-
-        // Repair is byte-exact: the salvaged stream equals the stream as
-        // originally written, flip undone.
-        assert_eq!(out, bytes);
-
-        // Salvaging the repaired output again is a clean no-op.
-        let mut out2 = Vec::new();
-        let report2 = salvage(out.as_slice(), &mut out2).unwrap();
-        assert!(report2.is_clean());
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn salvage_keeps_intact_segments_verbatim() {
-        // Parity-free stream: damage is dropped, not repaired.
-        let segments = 16;
-        let (mut bytes, ranges) = stream_with_segments(segments, false);
-        let original_segment_bytes: Vec<Vec<u8>> = ranges
-            .iter()
-            .map(|&(s, e)| bytes[s..e].to_vec())
-            .collect();
-        let (start, end) = ranges[3];
-        bytes[(start + end) / 2] ^= 0x40;
-
-        let mut out = Vec::new();
-        let report = salvage(bytes.as_slice(), &mut out).unwrap();
-        assert_eq!(report.kept, segments - 1);
-        assert_eq!(report.dropped.len(), 1);
-        assert_eq!(report.dropped[0].0, 3);
-        assert!(report.repaired.is_empty());
-        assert!(!report.tail_lost);
-        assert!(!report.is_clean());
-
-        // The salvaged stream is valid, and every kept segment's bytes
-        // match the original exactly.
-        let mut r = StreamReader::new(out.as_slice()).unwrap();
-        let mut kept_payloads = Vec::new();
-        while let Some(container) = r.next_segment_bytes().unwrap() {
-            kept_payloads.push(container);
+        let mut r = StreamReader::new(damaged.as_slice()).unwrap();
+        for i in 0..7 {
+            let values = r.next_segment().unwrap().unwrap();
+            assert_eq!(values, clean[36 * i..36 * (i + 1)], "segment {i} must be bit-exact");
         }
-        let expected: Vec<&Vec<u8>> = original_segment_bytes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 3)
-            .map(|(_, b)| b)
-            .collect();
-        assert_eq!(kept_payloads.len(), expected.len());
-        for (got, want) in kept_payloads.iter().zip(expected) {
-            assert_eq!(got, want, "salvage must copy verbatim");
-        }
-
-        // Salvaging an already-clean salvage output is a no-op.
-        let mut out2 = Vec::new();
-        let report2 = salvage(out.as_slice(), &mut out2).unwrap();
-        assert!(report2.is_clean());
-        assert_eq!(out, out2);
-    }
-
-    #[test]
-    fn salvage_truncated_tail() {
-        let (bytes, ranges) = stream_with_segments(4, true);
-        // Cut mid-way through segment 2's payload.
-        let cut = &bytes[..(ranges[2].0 + ranges[2].1) / 2];
-        let mut out = Vec::new();
-        let report = salvage(cut, &mut out).unwrap();
-        assert_eq!(report.kept, 2);
-        assert!(report.tail_lost);
-        // Output is still a valid, terminated stream.
-        let restored = StreamReader::new(out.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert_eq!(restored.len(), 36 * 2);
-    }
-
-    #[test]
-    fn salvage_rejects_non_streams() {
-        let mut out = Vec::new();
-        let err = salvage(&b"not a stream at all"[..], &mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(
+            r.next_segment(),
+            Err(DecompressError::ChecksumMismatch { block: Some(0), .. })
+        ));
     }
 
     #[test]
     fn file_roundtrip() {
         let path = std::env::temp_dir().join(format!("pastri-stream-{}.pstrs", std::process::id()));
         let data = patterned(36 * 5 + 11);
-        std::fs::write(&path, framed(&data, 36 * 2, false)).unwrap();
+        std::fs::write(&path, framed(&data, 36 * 2)).unwrap();
         let file = std::fs::File::open(&path).unwrap();
         let restored = StreamReader::new(file)
             .unwrap()

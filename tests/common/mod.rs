@@ -1,9 +1,10 @@
 //! Shared fixtures for the repo-level integration tests: one seeded
-//! store builder, a rewriter from v2 to v3 containers, a framer for
-//! version-1 streams and the segment ranges of a stream, instead of
-//! every test crate growing its own. Used by `soak_smoke.rs`,
-//! `server_differential.rs` and `corruption_recovery.rs` (and open to
-//! the rest — `eri_store_integration.rs`'s inline builders predate it).
+//! store builder, the golden fixtures, a framer for version-1 streams
+//! and the segment ranges of a stream, instead of every test crate
+//! growing its own. Used by `soak_smoke.rs`, `server_differential.rs`,
+//! `corruption_recovery.rs`, `scrub_repair.rs` and
+//! `decoder_robustness.rs` (and open to the rest —
+//! `eri_store_integration.rs`'s inline builders predate it).
 #![allow(dead_code)] // each including test crate uses a subset
 
 use std::path::{Path, PathBuf};
@@ -56,6 +57,21 @@ pub fn build_store(
     blocks
 }
 
+/// The committed bytes of the golden fixture `name` under `tests/golden/`.
+pub fn golden(name: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture {name}: {e}"))
+}
+
+/// The 405 values every golden container and stream compresses: five
+/// 9×9 blocks at EB 1e-10.
+pub fn golden_original() -> Vec<f64> {
+    golden("v1_original.f64")
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
 /// Appends `v` as an LEB128 varint, the integer encoding of container
 /// headers and stream framing.
 fn push_varint(bytes: &mut Vec<u8>, mut v: usize) {
@@ -64,36 +80,6 @@ fn push_varint(bytes: &mut Vec<u8>, mut v: usize) {
         v >>= 7;
     }
     bytes.push(v as u8);
-}
-
-/// `v2` rewritten as a v3 container, the read-only layout of the golden
-/// `v3_container.pastri`: the same header fields plus `parity_group` 8,
-/// `parity_shards` 2 and `blocks_len`, a fresh header CRC and the same
-/// frames. `repair_container` regrows the parity section, as it does for
-/// a v3 file torn where that section starts. Nothing in the library
-/// writes v3; tests that need container parity build it with this.
-pub fn v3_of(v2: &[u8]) -> Vec<u8> {
-    assert_eq!(&v2[..5], b"PSTR\x02", "a v2 container");
-    // Magic, version, metric, tree and error bound, then four varints:
-    // subblocks, subblock size, values and blocks.
-    let mut pos = 15;
-    for _ in 0..4 {
-        while v2[pos] & 0x80 != 0 {
-            pos += 1;
-        }
-        pos += 1;
-    }
-    let blocks_start = pos + 4; // past the header CRC
-    let mut v3 = v2[..pos].to_vec();
-    v3[4] = 3;
-    for field in [8, 2, v2.len() - blocks_start] {
-        push_varint(&mut v3, field);
-    }
-    v3.extend_from_slice(&checksum::crc32(&v3).to_le_bytes());
-    v3.extend_from_slice(&v2[blocks_start..]);
-    let (v3, report) = pastri::repair_container(&v3).expect("a valid v3 header");
-    assert!(report.is_fully_repaired(), "{report:?}");
-    v3
 }
 
 /// `containers` framed the way the golden `*.pstrs` fixtures are: the
@@ -112,20 +98,10 @@ pub fn frame_v1(containers: &[Vec<u8>]) -> Vec<u8> {
 
 /// `values` compressed by `compressor` in segments of
 /// `blocks_per_segment` blocks (the last one short), framed as a
-/// version-1 stream; `with_parity` rewrites each container as v3, as in
-/// the golden `v3_stream.pstrs`.
-pub fn v1_stream(
-    values: &[f64],
-    compressor: Compressor,
-    blocks_per_segment: usize,
-    with_parity: bool,
-) -> Vec<u8> {
+/// version-1 stream of v2 containers.
+pub fn v1_stream(values: &[f64], compressor: Compressor, blocks_per_segment: usize) -> Vec<u8> {
     let segment = compressor.geometry().block_size() * blocks_per_segment;
-    let containers: Vec<Vec<u8>> = values
-        .chunks(segment)
-        .map(|s| compressor.compress(s))
-        .map(|c| if with_parity { v3_of(&c) } else { c })
-        .collect();
+    let containers: Vec<Vec<u8>> = values.chunks(segment).map(|s| compressor.compress(s)).collect();
     frame_v1(&containers)
 }
 

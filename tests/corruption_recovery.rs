@@ -1,6 +1,9 @@
-//! Corruption resilience, end to end: golden v1 back-compat, single-bit
-//! damage recovery across a 16-segment stream, salvage, and seeded
-//! multi-bit fault injection.
+//! Corruption detection, end to end: golden v1 back-compat, single-bit
+//! damage across a 16-segment stream, and seeded multi-bit fault
+//! injection. Streams are decode-only, so damage is never repaired or
+//! skipped: the strict reader fails at the damaged segment, and decoding
+//! each segment the framing walker yields on its own shows the damage
+//! stays inside that segment.
 //!
 //! The golden fixtures under `tests/golden/` were written by the v1
 //! encoder (before checksums existed) and are committed as bytes: they
@@ -9,25 +12,10 @@
 
 mod common;
 
-use std::path::Path;
-
-use pastri::stream::{salvage, StreamReader};
+use common::{golden, golden_original};
+use pastri::stream::{Frames, StreamReader};
 use pastri::{BlockGeometry, Compressor};
 use proptest::prelude::*;
-
-fn golden(name: &str) -> Vec<u8> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture {name}: {e}"))
-}
-
-fn golden_original() -> Vec<f64> {
-    golden("v1_original.f64")
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
 
 #[test]
 fn golden_v1_container_still_decodes() {
@@ -46,11 +34,6 @@ fn golden_v1_container_still_decodes() {
             "v1 decode must honor the recorded bound"
         );
     }
-
-    // The lossy path agrees and reports a clean bill of health.
-    let lossy = pastri::decompress_lossy(&bytes).unwrap();
-    assert!(lossy.is_clean());
-    assert_eq!(lossy.values, values);
 }
 
 #[test]
@@ -78,7 +61,6 @@ fn golden_v1_damage_never_panics() {
         let mut bytes = clean.clone();
         faults::BitFlipper::new(4, bytes.len() as u64, 3, seed).apply(&mut bytes);
         let _ = pastri::decompress(&bytes);
-        let _ = pastri::decompress_lossy(&bytes);
         let _ = pastri::inspect(&bytes);
     }
 }
@@ -95,148 +77,87 @@ fn patterned(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Builds a stream of `segments` one-block segments — v3 containers
-/// `with_parity`, else the parity-free v2 layout, whose damage is
-/// detected and skipped — and locates each segment's container payload
-/// `[start, end)`.
-fn stream_with_ranges(segments: usize, with_parity: bool) -> (Vec<u8>, Vec<(usize, usize)>) {
+/// Builds a stream of `segments` one-block v2 segments and locates each
+/// segment's container payload `[start, end)`.
+fn stream_with_ranges(segments: usize) -> (Vec<u8>, Vec<(usize, usize)>) {
     let values = patterned(BLOCK_VALUES * segments);
-    let sink = common::v1_stream(&values, test_compressor(), 1, with_parity);
+    let sink = common::v1_stream(&values, test_compressor(), 1);
     let ranges = common::stream_segment_ranges(&sink);
     assert_eq!(ranges.len(), segments);
     (sink, ranges)
 }
 
-fn decode_all_segments(bytes: &[u8]) -> Vec<Vec<f64>> {
-    let mut r = StreamReader::new(bytes).unwrap();
-    let mut out = Vec::new();
-    while let Some(seg) = r.next_segment().unwrap() {
-        out.push(seg);
-    }
-    out
+/// Each segment the framing walker yields, decoded strictly on its own.
+fn decode_each_segment(bytes: &[u8]) -> Vec<Result<Vec<f64>, pastri::DecompressError>> {
+    Frames::new(bytes)
+        .unwrap()
+        .map(|segment| pastri::decompress(&segment.unwrap().container))
+        .collect()
 }
 
-/// The self-healing headline scenario: 16 segments, one flipped bit, and
-/// *all 16* segments come back bit-exact — the damaged one rebuilt from
-/// its container's parity section, in flight, with the repair reported.
+/// One flipped bit in segment 7 of 16: the strict reader returns
+/// segments 0..7 bit-exact and then fails, and segment 7 is the only one
+/// that fails to decode on its own.
 #[test]
-fn sixteen_segments_one_flip_repairs_in_flight() {
+fn sixteen_segments_one_flip_fails_only_its_segment() {
     let segments = 16;
-    let (mut bytes, ranges) = stream_with_ranges(segments, true);
-    let clean = decode_all_segments(&bytes);
-
-    let (start, end) = ranges[7];
-    bytes[(start + end) / 2] ^= 0x08; // deep inside the container
-
-    let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-    let mut ok = 0;
-    let mut repaired = Vec::new();
-    while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-        if outcome.was_repaired() {
-            repaired.push(outcome.index);
-        }
-        let v = outcome.values.expect("all segments recover under parity");
-        assert_eq!(v, clean[outcome.index], "recovered segments are bit-exact");
-        ok += 1;
-    }
-    assert_eq!(ok, segments);
-    assert_eq!(repaired, vec![7], "the flip is found and attributed");
-}
-
-/// Without parity (v2 layout), the same flip is detected and skipped:
-/// 15 of 16 recovered, exactly one reported damaged — the PR 1 contract.
-#[test]
-fn sixteen_segments_one_flip_skips_one_without_parity() {
-    let segments = 16;
-    let (mut bytes, ranges) = stream_with_ranges(segments, false);
-    let clean = decode_all_segments(&bytes);
+    let (mut bytes, ranges) = stream_with_ranges(segments);
+    let clean: Vec<Vec<f64>> = decode_each_segment(&bytes).into_iter().map(Result::unwrap).collect();
 
     let (start, end) = ranges[7];
     bytes[(start + end) / 2] ^= 0x08; // deep in a block payload
 
     let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-    let mut ok = 0;
-    let mut damaged = Vec::new();
-    while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-        match outcome.values {
-            Ok(v) => {
-                assert_eq!(v, clean[outcome.index], "recovered segments are bit-exact");
-                ok += 1;
-            }
-            Err(e) => damaged.push((outcome.index, e)),
+    for (i, want) in clean.iter().enumerate().take(7) {
+        assert_eq!(&r.next_segment().unwrap().unwrap(), want, "segment {i} is bit-exact");
+    }
+    assert!(r.next_segment().is_err(), "the damaged segment fails the read");
+
+    for (i, decoded) in decode_each_segment(&bytes).into_iter().enumerate() {
+        match decoded {
+            Ok(v) => assert_eq!(v, clean[i], "segment {i} is bit-exact"),
+            Err(e) => assert_eq!(i, 7, "segment {i} failed: {e}"),
         }
     }
-    assert_eq!(ok, segments - 1);
-    assert_eq!(damaged.len(), 1);
-    assert_eq!(damaged[0].0, 7);
-}
-
-/// ... and `salvage` heals the damaged stream back to its original
-/// bytes: nothing dropped, the repair reported, strict decode clean.
-#[test]
-fn salvage_then_strict_decode_succeeds() {
-    let segments = 16;
-    let (original, ranges) = stream_with_ranges(segments, true);
-    let clean = decode_all_segments(&original);
-    let mut bytes = original.clone();
-
-    let (start, end) = ranges[7];
-    bytes[(start + end) / 2] ^= 0x08;
-
-    let mut healed = Vec::new();
-    let report = salvage(bytes.as_slice(), &mut healed).unwrap();
-    assert_eq!(report.kept, segments, "parity keeps every segment");
-    assert!(report.dropped.is_empty());
-    assert_eq!(report.repaired.len(), 1);
-    assert_eq!(report.repaired[0].0, 7);
-    assert!(!report.tail_lost);
-    assert!(report.is_lossless());
-
-    // The healed stream is byte-identical to the stream as originally
-    // written, and decodes *strictly* — no skipping needed.
-    assert_eq!(healed, original);
-    let recovered = decode_all_segments(&healed);
-    assert_eq!(recovered, clean);
 }
 
 proptest! {
-    /// Seeded fault injection against parity-protected segments: flip `k`
-    /// random bits inside one segment. The damage must stay contained —
-    /// either the segment repairs to bit-exact values or it is skipped
-    /// with the damage attributed to it; every other segment comes back
-    /// bit-exact, and nothing may panic.
+    /// Seeded fault injection against the golden v3 stream's
+    /// parity-carrying segments: flip `k` random bits inside one
+    /// segment's container. Nothing repairs them, so the damage must be
+    /// detected and stay contained: the flipped segment fails to decode,
+    /// every other segment comes back bit-exact, and nothing panics.
     #[test]
     fn flipped_bits_are_contained_to_their_segment(
         seed in any::<u64>(),
-        target in 0usize..8,
+        target in 0usize..5,
         k in 1usize..12,
     ) {
-        let segments = 8;
-        let (mut bytes, ranges) = stream_with_ranges(segments, true);
-        let clean = decode_all_segments(&bytes);
+        let mut bytes = golden("v3_stream.pstrs");
+        let ranges = common::stream_segment_ranges(&bytes);
+        prop_assert_eq!(ranges.len(), 5);
+        let clean: Vec<Vec<f64>> =
+            decode_each_segment(&bytes).into_iter().map(Result::unwrap).collect();
 
         let (start, end) = ranges[target];
         faults::BitFlipper::new(start as u64, end as u64, k, seed).apply(&mut bytes);
 
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        let mut seen = vec![false; segments];
-        while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-            seen[outcome.index] = true;
-            match outcome.values {
+        let decoded = decode_each_segment(&bytes);
+        prop_assert_eq!(decoded.len(), 5, "every segment must be visited");
+        for (i, d) in decoded.into_iter().enumerate() {
+            match d {
                 Ok(v) => {
-                    // Repaired or untouched either way the values must be
-                    // bit-exact; silent corruption is never acceptable.
-                    prop_assert_eq!(&v, &clean[outcome.index]);
+                    prop_assert_ne!(i, target, "a damaged v3 segment must never decode");
+                    prop_assert_eq!(&v, &clean[i]);
                 }
-                Err(_) => prop_assert_eq!(outcome.index, target,
+                Err(_) => prop_assert_eq!(i, target,
                     "damage must be attributed to the flipped segment"),
             }
         }
-        prop_assert!(seen.iter().all(|&s| s), "every segment must be visited");
     }
 
-    /// The same property without parity: corruption is *detected* (never
-    /// silently decoded) even when it cannot be repaired.
+    /// The same property over v2 containers: corruption is *detected*
+    /// (never silently decoded).
     #[test]
     fn flipped_bits_are_detected_without_parity(
         seed in any::<u64>(),
@@ -244,26 +165,25 @@ proptest! {
         k in 1usize..12,
     ) {
         let segments = 8;
-        let (mut bytes, ranges) = stream_with_ranges(segments, false);
-        let clean = decode_all_segments(&bytes);
+        let (mut bytes, ranges) = stream_with_ranges(segments);
+        let clean: Vec<Vec<f64>> =
+            decode_each_segment(&bytes).into_iter().map(Result::unwrap).collect();
 
         let (start, end) = ranges[target];
         faults::BitFlipper::new(start as u64, end as u64, k, seed).apply(&mut bytes);
 
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        let mut seen = vec![false; segments];
-        while let Some(outcome) = r.next_segment_or_skip().unwrap() {
-            seen[outcome.index] = true;
-            match outcome.values {
+        let decoded = decode_each_segment(&bytes);
+        prop_assert_eq!(decoded.len(), segments, "every segment must be visited");
+        for (i, d) in decoded.into_iter().enumerate() {
+            match d {
                 Ok(v) => {
-                    prop_assert_ne!(outcome.index, target,
+                    prop_assert_ne!(i, target,
                         "a corrupted v2 segment must never decode silently");
-                    prop_assert_eq!(&v, &clean[outcome.index]);
+                    prop_assert_eq!(&v, &clean[i]);
                 }
-                Err(_) => prop_assert_eq!(outcome.index, target,
+                Err(_) => prop_assert_eq!(i, target,
                     "damage must be attributed to the flipped segment"),
             }
         }
-        prop_assert!(seen.iter().all(|&s| s), "every segment must be visited");
     }
 }

@@ -8,6 +8,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
+mod common;
+
+use common::golden;
 use proptest::prelude::*;
 use pastri::BlockGeometry;
 
@@ -68,19 +71,29 @@ fn valid_artifacts() -> &'static (Vec<u8>, Vec<u8>) {
     ARTIFACTS.get_or_init(|| {
         let geometry = BlockGeometry::new(4, 9);
         let values: Vec<f64> = (0..36 * 8).map(|i| (f64::from(i % 53) * 0.23).sin() * 4e-6).collect();
-        let stream = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/v3_stream.pstrs"))
-            .expect("golden stream");
         let mut store = Vec::new();
         let mut w = eri_store::StoreWriter::new(&mut store, geometry, 1e-9, 3).unwrap();
         w.append_blocks(&values).unwrap();
         w.finish().unwrap();
-        (stream, store)
+        (golden("v3_stream.pstrs"), store)
+    })
+}
+
+/// The decode-only artifacts nothing writes any more, read once: the
+/// golden v1 and v3 containers, then the golden v1 and v3 streams.
+fn legacy_artifacts() -> &'static [Vec<u8>; 4] {
+    static LEGACY: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
+    LEGACY.get_or_init(|| {
+        ["v1_container.pastri", "v3_container.pastri", "v1_stream.pstrs", "v3_stream.pstrs"]
+            .map(golden)
     })
 }
 
 /// One damage `kind` at `seed` applied to a copy of `valid`: a bit flip,
-/// a truncation, an inflated length field (eight 0xFF bytes), or a
-/// stream whose first segment claims about 2^35 bytes.
+/// a truncation, an inflated length field (eight 0xFF bytes), a stream
+/// whose first segment claims about 2^35 bytes, or a splice: up to 64
+/// bytes of a golden artifact, taken from anywhere in it, copied over
+/// `valid` from a seeded offset on.
 fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
     let mut bytes = valid.to_vec();
     let at = seed % bytes.len();
@@ -91,9 +104,44 @@ fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
             let end = (at + 8).min(bytes.len());
             bytes[at..end].fill(0xFF);
         }
-        _ => bytes.splice(6..7, [0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).for_each(drop),
+        3 => bytes.splice(6..7, [0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).for_each(drop),
+        _ => {
+            let donor = &legacy_artifacts()[(seed / 7) % 4];
+            let from = (seed / 29) % donor.len();
+            let len = (1 + (seed / 31) % 64).min(donor.len() - from).min(bytes.len() - at);
+            bytes[at..at + len].copy_from_slice(&donor[from..from + len]);
+        }
     }
     bytes
+}
+
+/// The values a container header at the start of `bytes` declares
+/// (blocks × block size), read field by field as the decoder reads them;
+/// 0 when there is no such header. The strict decoder may allocate what
+/// a header declares, and nothing larger than the input besides.
+fn declared_values(bytes: &[u8]) -> usize {
+    fn varint(bytes: &[u8], pos: &mut usize) -> Option<usize> {
+        let mut v = 0usize;
+        for shift in (0..64).step_by(7) {
+            let byte = *bytes.get(*pos)?;
+            *pos += 1;
+            v |= usize::from(byte & 0x7f).checked_shl(shift).unwrap_or(0);
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+    // Magic, version, metric, tree and EB, then subblocks, subblock
+    // size, values and blocks.
+    let mut pos = 15;
+    let mut fields = [0; 4];
+    for field in &mut fields {
+        let Some(v) = varint(bytes, &mut pos) else { return 0 };
+        *field = v;
+    }
+    let [num_subblocks, subblock_size, _, blocks] = fields;
+    blocks.saturating_mul(num_subblocks.saturating_mul(subblock_size))
 }
 
 /// A one-block container of the valid store's 4×9 geometry with its
@@ -174,40 +222,57 @@ proptest! {
     }
 
     #[test]
-    fn pastri_lossy_decoder_never_panics(mut bytes in soup(), version in 1u8..3) {
-        if bytes.len() >= 5 {
+    fn pastri_strict_legacy_decoder_never_panics(
+        mut bytes in soup(),
+        version in 1u8..=3,
+        source in 0u8..3,
+        kind in 0u8..5,
+        seed in any::<usize>(),
+    ) {
+        // The decode-only container versions, strictly decoded and
+        // inspected: byte soup behind a v1/v2/v3 header, or a damaged or
+        // spliced golden v1 or v3 container. Never a panic, and never
+        // an allocation larger than the values the header declares plus
+        // 32 bytes per input byte and 64 KiB.
+        if source > 0 {
+            bytes = mutated(&legacy_artifacts()[usize::from(source) - 1], kind, seed);
+        } else if bytes.len() >= 5 {
             bytes[..4].copy_from_slice(b"PSTR");
-            bytes[4] = version; // exercise both the v1 and v2 paths
+            bytes[4] = version;
         }
-        if let Ok(lossy) = pastri::decompress_lossy(&bytes) {
-            // Whatever survives must be internally consistent.
-            assert_eq!(
-                lossy.damaged(),
-                lossy.outcomes.iter().filter(|o| o.error.is_some()).count()
-            );
-        }
+        let largest = largest_allocation(|| {
+            let _ = pastri::decompress(&bytes);
+            let _ = pastri::inspect(&bytes);
+            let _ = pastri::container_bit_stats(&bytes);
+        });
+        let bound = declared_values(&bytes).saturating_mul(8).saturating_add(32 * bytes.len() + (64 << 10));
+        prop_assert!(largest <= bound, "{largest} bytes allocated, bound {bound}");
     }
 
     #[test]
-    fn stream_skip_and_salvage_never_panic(mut bytes in soup(), with_magic in any::<bool>()) {
-        if with_magic && bytes.len() >= 6 {
-            bytes[..6].copy_from_slice(b"PSTRS\x01");
-        }
-        if let Ok(mut r) = pastri::stream::StreamReader::new(bytes.as_slice()) {
-            for _ in 0..64 {
-                match r.next_segment_or_skip() {
-                    Ok(Some(_)) => {}
-                    _ => break,
+    fn pastri_strict_legacy_stream_reader_never_panics(
+        source in 0u8..2,
+        kind in 0u8..5,
+        seed in any::<usize>(),
+    ) {
+        // The golden v1 and v3 streams, damaged or spliced, read
+        // strictly and walked frame by frame with each segment decoded
+        // on its own: never a panic, and never an allocation larger than
+        // the input plus what one segment's header declares.
+        let bytes = mutated(&legacy_artifacts()[2 + usize::from(source)], kind, seed);
+        let mut declared = 0;
+        let largest = largest_allocation(|| {
+            let _ = pastri::stream::StreamReader::new(bytes.as_slice())
+                .and_then(pastri::stream::StreamReader::read_to_vec);
+            if let Ok(frames) = pastri::stream::Frames::new(bytes.as_slice()) {
+                for segment in frames.flatten() {
+                    declared = declared.max(declared_values(&segment.container));
+                    let _ = pastri::decompress(&segment.container);
                 }
             }
-        }
-        // Salvage of soup must never panic, and when it succeeds its
-        // output must be a valid stream.
-        let mut sink = Vec::new();
-        if pastri::stream::salvage(bytes.as_slice(), &mut sink).is_ok() {
-            let mut r = pastri::stream::StreamReader::new(sink.as_slice()).unwrap();
-            while let Ok(Some(_)) = r.next_segment() {}
-        }
+        });
+        let bound = declared.saturating_mul(8).saturating_add(32 * bytes.len() + (64 << 10));
+        prop_assert!(largest <= bound, "{largest} bytes allocated, bound {bound}");
     }
 
     #[test]
@@ -430,5 +495,25 @@ proptest! {
         let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
         bytes.truncate(cut % bytes.len());
         let _ = telemetry::export::from_json_lines(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Every truncation prefix of every golden container and stream, the
+/// shape a torn copy leaves, is a strict error: never `Ok`, never a
+/// panic.
+#[test]
+fn every_truncation_prefix_of_a_golden_artifact_is_an_error() {
+    let [v1, v3, v1_stream, v3_stream] = legacy_artifacts();
+    for (name, full) in [("v1 container", v1), ("v3 container", v3)] {
+        for t in 0..full.len() {
+            assert!(pastri::decompress(&full[..t]).is_err(), "{name} cut at {t} decoded");
+        }
+    }
+    for (name, full) in [("v1 stream", v1_stream), ("v3 stream", v3_stream)] {
+        for t in 0..full.len() {
+            let read = pastri::stream::StreamReader::new(&full[..t])
+                .and_then(pastri::stream::StreamReader::read_to_vec);
+            assert!(read.is_err(), "{name} cut at {t} decoded");
+        }
     }
 }

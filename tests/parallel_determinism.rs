@@ -70,7 +70,7 @@ fn streams_byte_identical_across_thread_counts() {
     let c = compressor(config);
     for data in [dataset(config, 21), Vec::new()] {
         for blocks_per_segment in [1usize, 4] {
-            let baseline = pool(1).install(|| common::v1_stream(&data, c, blocks_per_segment, false));
+            let baseline = pool(1).install(|| common::v1_stream(&data, c, blocks_per_segment));
             let decoded =
                 StreamReader::new(baseline.as_slice()).unwrap().read_to_vec().unwrap();
             assert_eq!(decoded.len(), data.len());
@@ -79,7 +79,7 @@ fn streams_byte_identical_across_thread_counts() {
                     "values={} blocks_per_segment={blocks_per_segment} threads={threads}",
                     data.len()
                 );
-                let bytes = pool(threads).install(|| common::v1_stream(&data, c, blocks_per_segment, false));
+                let bytes = pool(threads).install(|| common::v1_stream(&data, c, blocks_per_segment));
                 assert_eq!(bytes, baseline, "{what}");
                 let values = pool(threads)
                     .install(|| StreamReader::new(bytes.as_slice()).unwrap().read_to_vec().unwrap());
