@@ -13,7 +13,10 @@
 //! For decoders that take several symbols per load, the reader also
 //! offers [`BitReader::peek_word`] (at least [`PEEK_BITS`] upcoming bits,
 //! zero-padded past the end) and the checked [`BitReader::skip`] that
-//! commits what was consumed.
+//! commits what was consumed. Its counterpart on the writer,
+//! [`BitWriter::write_codes`], packs a run of prefix-code symbols the
+//! caller has already top-aligned, a group at a time with one 8-byte
+//! store per group.
 //!
 //! Bits are packed MSB-first within each byte: the first bit written becomes
 //! the most significant bit of the first byte. Multi-bit fields are written
@@ -45,7 +48,7 @@ mod reader;
 mod writer;
 
 pub use reader::{BitReader, ReadError, PEEK_BITS};
-pub use writer::BitWriter;
+pub use writer::{BitWriter, GROUP_BITS};
 
 /// Number of bits needed to represent `v` distinct values (`ceil(log2(v))`),
 /// with `bits_for(0) == 0` and `bits_for(1) == 0`.

@@ -288,30 +288,30 @@ pub(crate) fn decompress(argv: &[String], out: &mut dyn Write) -> Result<(), Cli
     let telem = telemetry_capture(&args)?;
     let input = args.positional(0, "in")?;
     let output = args.positional(1, "out.f64")?;
-    let values = if matches!(sniff(input), Ok(Artifact::Store)) {
-        decompress_store(input, output)?
-    } else {
-        let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
-        // A decode failure in a file that carries a PaSTRI magic is
-        // corruption in a recognized artifact (exit 2); anything else is
-        // a format/usage error (exit 1).
-        let decode_err = |e: pastri::DecompressError| {
-            let msg = format!("{input}: {e}");
-            if bytes.starts_with(b"PSTR") {
-                CliError::corruption(msg)
-            } else {
-                CliError::new(msg)
-            }
-        };
-        let values = if bytes.starts_with(b"PSTRS") {
-            pastri::stream::StreamReader::new(bytes.as_slice())
-                .and_then(pastri::stream::StreamReader::read_to_vec)
-                .map_err(decode_err)?
-        } else {
-            pastri::decompress(&bytes).map_err(decode_err)?
-        };
-        write_f64_file(output, &values)?;
-        values.len()
+    let values = match sniff(input) {
+        Ok(Artifact::Store) => decompress_store(input, output)?,
+        Ok(Artifact::Stream) => {
+            let mut values = Vec::new();
+            decode_stream(input, |segment| values.extend(segment))?;
+            write_f64_file(output, &values)?;
+            values.len()
+        }
+        _ => {
+            let bytes = fs::read(input).map_err(|e| CliError::new(format!("reading {input}: {e}")))?;
+            // A decode failure in a file that carries a PaSTRI magic is
+            // corruption in a recognized artifact (exit 2); anything else
+            // is a format/usage error (exit 1).
+            let values = pastri::decompress(&bytes).map_err(|e| {
+                let msg = format!("{input}: {e}");
+                if bytes.starts_with(b"PSTR") {
+                    CliError::corruption(msg)
+                } else {
+                    CliError::new(msg)
+                }
+            })?;
+            write_f64_file(output, &values)?;
+            values.len()
+        }
     };
     writeln!(out, "{input} -> {output}: {values} values ({} bytes)", values * 8)?;
     if let Some(t) = telem {
@@ -498,7 +498,7 @@ pub(crate) fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
             Ok(())
         }
         Artifact::Stream => {
-            let segments = verify_stream(input)?;
+            let segments = decode_stream(input, drop)?;
             writeln!(out, "{input}: PaSTRI stream, {segments} segment(s) decoded, clean")?;
             Ok(())
         }
@@ -506,11 +506,12 @@ pub(crate) fn verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// Decodes every segment of the stream at `input` strictly, one at a
-/// time, and returns how many there were. The first damage is exit 2,
-/// naming the segment and its stream offset: where its container starts
-/// when the container fails to decode, where its length varint starts
-/// when the framing does.
-fn verify_stream(input: &str) -> Result<usize, CliError> {
+/// time, hands each one's values to `take`, and returns how many
+/// there were. `verify` and `decompress` both read streams here. The
+/// first damage is exit 2, naming the segment and its stream offset:
+/// where its container starts when the container fails to decode, where
+/// its length varint starts when the framing does.
+fn decode_stream(input: &str, mut take: impl FnMut(Vec<f64>)) -> Result<usize, CliError> {
     use pastri::DecompressError;
     let failure = |what: String, e: DecompressError| match e {
         DecompressError::Unreadable(_) => CliError::new(format!("{input}: {e}")),
@@ -524,16 +525,17 @@ fn verify_stream(input: &str) -> Result<usize, CliError> {
     for (index, segment) in frames.enumerate() {
         let segment = segment
             .map_err(|e| failure(format!("segment {index} (framing at stream offset {next_at}): "), e))?;
-        pastri::decompress(&segment.container).map_err(|e| {
+        take(pastri::decompress(&segment.container).map_err(|e| {
             failure(format!("segment {index} (container at stream offset {}): ", segment.at), e)
-        })?;
+        })?);
         next_at = segment.at + segment.container.len() as u64;
         segments += 1;
     }
     Ok(segments)
 }
 
-/// The on-disk layouts `verify`, `scrub` and `inspect` recognize.
+/// The on-disk layouts `verify`, `scrub`, `inspect` and `decompress`
+/// recognize.
 enum Artifact {
     Container,
     Stream,

@@ -164,6 +164,23 @@ fn exit_codes_follow_the_documented_contract() {
     let err = err.expect_err("a version-2 stream header does not decode");
     assert!(err.message.contains("unsupported stream version 2"), "{}", err.message);
 
+    // Damage inside the third segment's container: `decompress` names
+    // the segment and where its container starts in the file, as
+    // `verify` does.
+    let later_damaged_stream = p(&dir, "later-damaged.pstrs");
+    let third = pastri::stream::Frames::new(&stream_bytes[..]).unwrap().nth(2).unwrap().unwrap();
+    let mut bytes = stream_bytes.clone();
+    bytes[third.at as usize + third.container.len() / 2] ^= 0x10;
+    fs::write(&later_damaged_stream, &bytes).unwrap();
+    let where_ = format!("segment 2 (container at stream offset {}): ", third.at);
+    let decompress_err =
+        pastri_cli::run(&sv(&["decompress", &later_damaged_stream, &p(&dir, "later.f64")]), &mut msg)
+            .expect_err("a damaged segment does not decode");
+    let verify_err = pastri_cli::run(&sv(&["verify", &later_damaged_stream]), &mut msg)
+        .expect_err("a damaged segment does not verify");
+    assert!(decompress_err.message.contains(&where_), "{}", decompress_err.message);
+    assert_eq!(decompress_err.message, verify_err.message);
+
     // Not-a-PaSTRI-artifact input (unknown magic) and a raw file whose
     // length is not a multiple of 8 (invalid f64 input).
     let junk = p(&dir, "junk.bin");
@@ -299,6 +316,11 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "decompress damaged stream",
             argv: sv(&["decompress", &damaged_stream, &out_f64]),
+            want: 2,
+        },
+        Case {
+            label: "decompress stream damaged in a later segment",
+            argv: sv(&["decompress", &later_damaged_stream, &out_f64]),
             want: 2,
         },
         Case {

@@ -42,7 +42,7 @@ use crate::container::{CompressorOptions, EcqRepr, ScaleRule};
 use crate::encoding::{walk_pair, EcqCensus, EcqCounts, EncodingTree, Prefix3Walk};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
-use crate::metrics::{fit_pattern, fit_values, ScalingMetric};
+use crate::metrics::{er_scan, fit_pattern, fit_values, ScalingMetric};
 use crate::quant::{Quantizer, ScaleQuantizer};
 use crate::simd::{quantize_row, Simd};
 use crate::stats::CompressionStats;
@@ -90,12 +90,15 @@ pub(crate) fn compress_block(
 ) {
     assert_eq!(block.len(), geom.block_size(), "partial block passed to compress_block");
     let start_bits = w.bit_len();
-    let kind = compress_block_inner(Simd::detect(), block, geom, quant, opts, w, stats);
+    let kind = Simd::detect().compress_block(block, geom, quant, opts, w, stats);
     debug_assert!(w.bit_len() > start_bits || kind == BlockKind::AllZero);
 }
 
-fn compress_block_inner(
-    simd: Simd,
+/// [`compress_block`]'s body, compiled once per [`Simd`] build with the
+/// ER scan, the ECQ row kernel and the ECQ emitter inlined: call it
+/// through [`Simd::compress_block`].
+#[inline(always)]
+pub(crate) fn compress_block_inner(
     block: &[f64],
     geom: &BlockGeometry,
     quant: &Quantizer,
@@ -112,7 +115,7 @@ fn compress_block_inner(
     // One pass over the block finds each sub-block's extremum (ER's
     // metric), the block's, and with it whether every value is finite.
     let select_stage = telemetry::span("compress.pattern_select");
-    let scan = simd.er_scan(geom, block);
+    let scan = er_scan(geom, block);
     // Non-finite data can't be quantized: store raw.
     if !scan.is_finite() {
         drop(select_stage);
@@ -167,7 +170,7 @@ fn compress_block_inner(
     let mut census = EcqCensus::default();
     let rows = ecq.chunks_exact_mut(sbs).zip(block.chunks_exact(sbs));
     for ((codes, row), &sh) in rows.zip(&shat) {
-        let Some(row_census) = quantize_row(simd, row, &phat, sh, quant, codes) else {
+        let Some(row_census) = quantize_row(row, &phat, sh, quant, codes) else {
             write_verbatim(block, w, &mut stats);
             return BlockKind::Verbatim;
         };
@@ -236,12 +239,7 @@ fn compress_block_inner(
         BlockKind::Sparse => {
             w.write_bits(u64::from(ecb_max), 6);
             w.write_bits(nol, bits_for(block_size as u64 + 1));
-            for (i, &q) in ecq.iter().enumerate() {
-                if q != 0 {
-                    w.write_bits(i as u64, bits_for(block_size as u64));
-                    w.write_signed(q, ecb_max);
-                }
-            }
+            write_outliers(&ecq, bits_for(block_size as u64), ecb_max, w);
         }
         BlockKind::AllZero | BlockKind::Verbatim => unreachable!(),
     }
@@ -265,6 +263,26 @@ fn compress_block_inner(
         );
     }
     kind
+}
+
+/// Writes a Sparse block's outlier list: the index and value of each
+/// non-zero code, in order. One pass per 64 codes gathers which are
+/// non-zero into a bit mask, with no branch on their values, and only
+/// those are written.
+#[inline(always)]
+fn write_outliers(ecq: &[i64], idx_bits: u32, ecb_max: u32, w: &mut BitWriter) {
+    for (c, codes) in ecq.chunks(64).enumerate() {
+        let mut nonzero = codes
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (j, &q)| mask | u64::from(q != 0) << j);
+        while nonzero != 0 {
+            let i = c * 64 + nonzero.trailing_zeros() as usize;
+            nonzero &= nonzero - 1;
+            w.write_bits(i as u64, idx_bits);
+            w.write_signed(ecq[i], ecb_max);
+        }
+    }
 }
 
 fn write_verbatim(block: &[f64], w: &mut BitWriter, stats: &mut Option<&mut CompressionStats>) {
@@ -769,13 +787,14 @@ mod tests {
         assert!(err.is_err());
     }
 
-    /// Each build of the vectorized loops writes the same bytes, for
+    /// Each build of the block compressor writes the same bytes, for
     /// every tree, representation and scale rule, on blocks that take
     /// every path: AllZero, PatternOnly, Dense, Sparse, scalar-path rows
-    /// and Verbatim.
+    /// and Verbatim. Blocks come in two geometries: `(dd|dd)`-like 6×36,
+    /// and `(ff|ff)`-sized 100×100, whose ECQ streams span several
+    /// emitter chunks.
     #[test]
     fn every_simd_build_writes_the_same_bytes() {
-        let g = BlockGeometry::new(6, 36);
         let mut x = 0x853c_49e6_748f_ea9bu64;
         let mut next = move || {
             x ^= x << 13;
@@ -783,73 +802,72 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut blocks: Vec<Vec<f64>> = vec![vec![0.0; 216], vec![-0.0; 216]];
-        for k in 0..60 {
-            let pat: Vec<f64> = (0..36)
-                .map(|_| ((next() >> 11) as f64 / 2f64.powi(53) - 0.5) * 1e-6)
-                .collect();
-            let noise = [0.0, 1e-11, 1e-10, 1e-9, 1e-7][k % 5];
-            let mut b = Vec::new();
-            for j in 0..6 {
-                let s = 1.0 - j as f64 * 0.17;
-                b.extend(
-                    pat.iter()
-                        .map(|p| p * s + ((next() >> 11) as f64 / 2f64.powi(53) - 0.5) * noise),
-                );
-            }
-            if k % 7 == 3 {
-                b[(next() % 216) as usize] = 1e6; // huge outlier: scalar rows or verbatim
-            }
-            if k % 11 == 5 {
-                b[(next() % 216) as usize] = f64::NAN;
-            }
-            blocks.push(b);
-        }
+        let mut uniform = move || (next() >> 11) as f64 / 2f64.powi(53) - 0.5;
         let eb_values = [1e-10, 1e-12, 2.5e-11];
-        for tree in [
-            EncodingTree::Tree1,
-            EncodingTree::Tree4,
-            EncodingTree::Tree5,
-            EncodingTree::FixedLength,
-        ] {
-            for ecq_repr in [EcqRepr::Auto, EcqRepr::DenseOnly, EcqRepr::SparseOnly] {
-                for scale_rule in [ScaleRule::Practical, ScaleRule::NaiveEbBins] {
-                    let opts = CompressorOptions {
-                        tree,
-                        ecq_repr,
-                        scale_rule,
-                        ..Default::default()
-                    };
-                    for (i, block) in blocks.iter().enumerate() {
-                        let quant = Quantizer::new(eb_values[i % 3]);
-                        let outputs: Vec<(&str, Vec<u8>, CompressionStats)> =
-                            crate::simd::Simd::variants()
+        for (g, count) in [(BlockGeometry::new(6, 36), 60), (BlockGeometry::new(100, 100), 6)] {
+            let (sbs, n) = (g.subblock_size, g.block_size());
+            let mut blocks: Vec<Vec<f64>> = vec![vec![0.0; n], vec![-0.0; n]];
+            for k in 0..count {
+                let pat: Vec<f64> = (0..sbs).map(|_| uniform() * 1e-6).collect();
+                let noise = [0.0, 1e-11, 1e-10, 1e-9, 1e-7][k % 5];
+                let mut b = Vec::new();
+                for j in 0..g.num_subblocks {
+                    let s = 1.0 - j as f64 * 1.02 / g.num_subblocks as f64;
+                    b.extend(pat.iter().map(|p| p * s + uniform() * noise));
+                }
+                if k % 7 == 3 {
+                    // Huge outlier: scalar rows or verbatim.
+                    b[((uniform() + 0.5) * n as f64) as usize] = 1e6;
+                }
+                if k % 11 == 5 {
+                    b[((uniform() + 0.5) * n as f64) as usize] = f64::NAN;
+                }
+                blocks.push(b);
+            }
+            // Tree 5's two coders and the outlier list, as the portable
+            // build wrote them.
+            let mut dense = CompressionStats::default();
+            let mut sparse = CompressionStats::default();
+            for tree in crate::encoding::tests::ALL {
+                for ecq_repr in [EcqRepr::Auto, EcqRepr::DenseOnly, EcqRepr::SparseOnly] {
+                    for scale_rule in [ScaleRule::Practical, ScaleRule::NaiveEbBins] {
+                        let opts = CompressorOptions {
+                            tree,
+                            ecq_repr,
+                            scale_rule,
+                            ..Default::default()
+                        };
+                        for (i, block) in blocks.iter().enumerate() {
+                            let quant = Quantizer::new(eb_values[i % 3]);
+                            let outputs: Vec<(&str, Vec<u8>, CompressionStats)> = Simd::variants()
                                 .into_iter()
                                 .map(|(name, simd)| {
                                     let mut w = BitWriter::new();
                                     let mut stats = CompressionStats::default();
-                                    compress_block_inner(
-                                        simd,
-                                        block,
-                                        &g,
-                                        &quant,
-                                        &opts,
-                                        &mut w,
-                                        Some(&mut stats),
-                                    );
+                                    simd.compress_block(block, &g, &quant, &opts, &mut w, Some(&mut stats));
                                     (name, w.into_bytes(), stats)
                                 })
                                 .collect();
-                        for (name, bytes, stats) in &outputs[1..] {
-                            assert_eq!(
-                                bytes, &outputs[0].1,
-                                "{name} vs portable: block {i} {opts:?}"
-                            );
-                            assert_eq!(stats, &outputs[0].2, "{name} vs portable stats: block {i}");
+                            for (name, bytes, stats) in &outputs[1..] {
+                                assert_eq!(
+                                    bytes, &outputs[0].1,
+                                    "{name} vs portable: {g:?} block {i} {opts:?}"
+                                );
+                                assert_eq!(stats, &outputs[0].2, "{name} vs portable stats: block {i}");
+                            }
+                            match (tree, ecq_repr) {
+                                (EncodingTree::Tree5, EcqRepr::DenseOnly) => dense.merge(&outputs[0].2),
+                                (EncodingTree::Tree5, EcqRepr::SparseOnly) => sparse.merge(&outputs[0].2),
+                                _ => {}
+                            }
                         }
                     }
                 }
             }
+            let coded = |k: BlockKind| dense.kind_counts[k as usize];
+            assert!(coded(BlockKind::Dense) > 0 && dense.type_counts[1] > 0, "{g:?}: no 3-symbol stream");
+            assert!(dense.type_counts[2] + dense.type_counts[3] > 0, "{g:?}: no Tree 3 stream");
+            assert!(sparse.kind_counts[BlockKind::Sparse as usize] > 0, "{g:?}: no outlier list");
         }
     }
 

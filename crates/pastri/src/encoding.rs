@@ -11,7 +11,7 @@
 //! All trees encode one `i64` ECQ value per symbol. "Others" leaves carry
 //! the value verbatim in `EC_{b,max}` signed bits.
 
-use bitio::{BitReader, BitWriter, PEEK_BITS};
+use bitio::{BitReader, BitWriter, GROUP_BITS, PEEK_BITS};
 
 use crate::error::DecompressError;
 use crate::quant::ecq_bits;
@@ -277,19 +277,51 @@ impl EncodingTree {
 
     /// Encodes a stream of ECQ values.
     ///
-    /// Tree 5's two coders (the 3-symbol code and Tree 3) emit each
-    /// symbol as one `(code, len)` field: prefix and value bits are
-    /// packed first, so the writer sees one call per value.
+    /// Tree 5's two coders (the 3-symbol code and Tree 3 while its
+    /// longest symbol fits a [`GROUP_BITS`] group) go through the
+    /// two-pass emitter ([`emit_two_pass`]); the other trees, and Tree 3
+    /// at a wider `EC_{b,max}`, write symbol by symbol. Inlined into each
+    /// build of the block compressor.
+    #[inline(always)]
     pub(crate) fn encode_stream(&self, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
         match self.resolve(ecb_max) {
             Resolved::Tri => {
-                for &v in ecq {
-                    assert!((-1..=1).contains(&v), "EC_b,max = 2 stream contains {v}");
-                    // 0 → `0`, 1 → `10`, −1 → `11`.
-                    let nz = u64::from(v != 0);
-                    w.write_bits((nz << 1) | u64::from(v < 0), 1 + nz as u32);
+                let bad = ecq.iter().fold(false, |bad, &v| bad | !(-1..=1).contains(&v));
+                if bad {
+                    let v = ecq.iter().find(|v| !(-1..=1).contains(*v)).expect("a value out of range");
+                    panic!("EC_b,max = 2 stream contains {v}");
                 }
+                // 0 → `0`, 1 → `10`, −1 → `11`.
+                emit_two_pass(ecq, 2, w, |v| {
+                    let nz = u64::from(v != 0);
+                    ((nz << 63) | (u64::from(v < 0) << 62), 1 + nz as u8)
+                });
             }
+            Resolved::Tree3 if 2 + ecb_max <= GROUP_BITS => {
+                // 0 → `0`, 1 → `110`, −1 → `111`, others `10` + the
+                // value's `EC_{b,max}`-bit two's complement.
+                let other_len = 2 + ecb_max as u8;
+                let payload_shift = 64 - ecb_max;
+                emit_two_pass(ecq, 2 + ecb_max, w, |v| {
+                    let one = v.unsigned_abs() == 1;
+                    let others = (1 << 63) | ((v as u64) << payload_shift >> 2);
+                    let ones = (0b110 << 61) | (u64::from(v < 0) << 61);
+                    match (v == 0, one) {
+                        (true, _) => (0, 1),
+                        (false, true) => (ones, 3),
+                        (false, false) => (others, other_len),
+                    }
+                });
+            }
+            _ => self.encode_per_symbol(ecq, ecb_max, w),
+        }
+    }
+
+    /// [`encode_stream`](Self::encode_stream) for the trees that write
+    /// symbol by symbol.
+    fn encode_per_symbol(&self, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
+        match self.resolve(ecb_max) {
+            Resolved::Tri => unreachable!("emitted in two passes"),
             Resolved::Tree1 => {
                 for &v in ecq {
                     if v == 0 {
@@ -314,22 +346,17 @@ impl EncodingTree {
                 }
             }
             Resolved::Tree3 => {
-                // "Others" is `10` + the value's `EC_{b,max}`-bit two's
-                // complement, one field while `2 + EC_{b,max} ≤ 64`.
-                let mask = u64::MAX >> (64 - ecb_max.clamp(1, 64));
+                // "Others" too wide for a group: `10`, then the value.
                 for &v in ecq {
-                    let (code, len) = match v {
-                        0 => (0, 1),
-                        1 => (0b110, 3),
-                        -1 => (0b111, 3),
-                        _ if ecb_max <= 62 => ((0b10 << ecb_max) | (v as u64 & mask), 2 + ecb_max),
+                    match v {
+                        0 => w.write_bit(false),
+                        1 => w.write_bits(0b110, 3),
+                        -1 => w.write_bits(0b111, 3),
                         _ => {
                             w.write_bits(0b10, 2);
                             w.write_signed(v, ecb_max);
-                            continue;
                         }
-                    };
-                    w.write_bits(code, len);
+                    }
                 }
             }
             Resolved::Tree4 => {
@@ -469,6 +496,28 @@ impl EncodingTree {
             }
             EncodingTree::FixedLength => Resolved::Fixed,
         }
+    }
+}
+
+/// ECQ codes per chunk of [`emit_two_pass`]: its scratch stays on the
+/// stack whatever the block size.
+const CHUNK: usize = 256;
+
+/// Writes `ecq` under a prefix code whose symbols are at most `max_len ≤
+/// GROUP_BITS` bits, in two passes over each chunk of [`CHUNK`] codes.
+/// The first maps each code through `symbol` to its top-aligned bits and
+/// length, with no branch, so it vectorizes; the second packs them with
+/// [`BitWriter::write_codes`], whose accumulator stays in a register.
+#[inline(always)]
+fn emit_two_pass(ecq: &[i64], max_len: u32, w: &mut BitWriter, symbol: impl Fn(i64) -> (u64, u8)) {
+    let mut codes = [0u64; CHUNK];
+    let mut lens = [0u8; CHUNK];
+    for chunk in ecq.chunks(CHUNK) {
+        let (codes, lens) = (&mut codes[..chunk.len()], &mut lens[..chunk.len()]);
+        for ((code, len), &v) in codes.iter_mut().zip(lens.iter_mut()).zip(chunk) {
+            (*code, *len) = symbol(v);
+        }
+        w.write_codes(codes, lens, max_len);
     }
 }
 
@@ -684,7 +733,7 @@ pub(crate) fn walk_pair(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::quant::ecq_bits;
 
@@ -715,7 +764,7 @@ mod tests {
         Ok(out)
     }
 
-    const ALL: [EncodingTree; 6] = [
+    pub(crate) const ALL: [EncodingTree; 6] = [
         EncodingTree::Tree1,
         EncodingTree::Tree2,
         EncodingTree::Tree3,
@@ -995,12 +1044,52 @@ mod tests {
         Ok(out)
     }
 
+    /// The per-symbol loops the two-pass emitter replaced, for the
+    /// 3-symbol code and Tree 3: one `write_bits` per symbol, or two for
+    /// an "others" symbol too wide for one field. The other trees still
+    /// write symbol by symbol.
+    fn reference_encode(tree: EncodingTree, ecq: &[i64], ecb_max: u32, w: &mut BitWriter) {
+        match tree.resolve(ecb_max) {
+            Resolved::Tri => {
+                for &v in ecq {
+                    assert!((-1..=1).contains(&v), "EC_b,max = 2 stream contains {v}");
+                    let nz = u64::from(v != 0);
+                    w.write_bits((nz << 1) | u64::from(v < 0), 1 + nz as u32);
+                }
+            }
+            Resolved::Tree3 => {
+                let mask = u64::MAX >> (64 - ecb_max.clamp(1, 64));
+                for &v in ecq {
+                    let (code, len) = match v {
+                        0 => (0, 1),
+                        1 => (0b110, 3),
+                        -1 => (0b111, 3),
+                        _ if ecb_max <= 62 => ((0b10 << ecb_max) | (v as u64 & mask), 2 + ecb_max),
+                        _ => {
+                            w.write_bits(0b10, 2);
+                            w.write_signed(v, ecb_max);
+                            continue;
+                        }
+                    };
+                    w.write_bits(code, len);
+                }
+            }
+            _ => tree.encode_per_symbol(ecq, ecb_max, w),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "EC_b,max = 2 stream contains 2")]
+    fn three_symbol_code_refuses_wider_values() {
+        EncodingTree::Tree5.encode_stream(&[0, 1, -1, 2, 0], 2, &mut BitWriter::new());
+    }
+
     /// Every ECQ decoder against [`reference_decode`], at every lead
     /// offset and `EC_{b,max}` the block layout admits: on byte soup and
     /// on valid encodings cut at every byte length, both decoders return
     /// `Ok` with the same values and end position, or both return `Err`.
     mod differential {
-        use super::{census, decode, reference_decode, ALL};
+        use super::{census, decode, reference_decode, reference_encode, ALL};
         use crate::encoding::{walk_pair, EncodingTree};
         use crate::error::DecompressError;
         use bitio::{BitReader, BitWriter};
@@ -1084,11 +1173,7 @@ mod tests {
                 shape in 0u8..4,
                 seed in any::<u64>(),
             ) {
-                let mut ecq = census::stream(ecb_max.max(2), shape, n, seed);
-                if ecb_max == 1 {
-                    // One signed bit holds only 0 and −1.
-                    ecq.iter_mut().for_each(|v| *v = v.signum().min(0));
-                }
+                let ecq = fitting_stream(ecb_max, shape, n, seed);
                 let mut w = BitWriter::new();
                 w.write_bits(seed, lead);
                 ALL[tree_ix].encode_stream(&ecq, ecb_max, &mut w);
@@ -1098,6 +1183,74 @@ mod tests {
                 for cut in 0..bytes.len() {
                     agree(tree_ix, n, ecb_max, lead, &bytes[..cut]);
                 }
+            }
+        }
+
+        /// An ECQ stream of `n` values that fit `ecb_max` signed bits.
+        fn fitting_stream(ecb_max: u32, shape: u8, n: usize, seed: u64) -> Vec<i64> {
+            let mut ecq = census::stream(ecb_max.max(2), shape, n, seed);
+            if ecb_max == 1 {
+                // One signed bit holds only 0 and −1.
+                ecq.iter_mut().for_each(|v| *v = v.signum().min(0));
+            }
+            ecq
+        }
+
+        /// Writes `lead` bits of `seed`, then `ecq` through the emitter
+        /// and through [`reference_encode`], then one more field, and
+        /// checks that both writers end at the same bit with the same
+        /// bytes.
+        fn encoders_agree(tree: EncodingTree, ecq: &[i64], ecb_max: u32, lead: u32, seed: u64) {
+            let [fast, slow] = [false, true].map(|reference| {
+                let mut w = BitWriter::new();
+                w.write_bits(seed, lead);
+                if reference {
+                    reference_encode(tree, ecq, ecb_max, &mut w);
+                } else {
+                    tree.encode_stream(ecq, ecb_max, &mut w);
+                }
+                let end = w.bit_len();
+                w.write_bits(0b101, 3);
+                (end, w.into_bytes())
+            });
+            let ctx = format!("{} at EC_b,max {ecb_max}, lead {lead}, {} symbols", tree.name(), ecq.len());
+            assert_eq!(fast.0, slow.0, "end bit: {ctx}");
+            if let Some(at) = (0..fast.1.len()).find(|&i| fast.1[i] != slow.1[i]) {
+                panic!("byte {at} differs: {ctx}");
+            }
+        }
+
+        /// Every tree at every `EC_{b,max}` from 1 to 64 and every writer
+        /// start offset, on streams from empty to past one emitter chunk.
+        #[test]
+        fn emitter_matches_the_per_symbol_reference_at_every_width_and_offset() {
+            for (t, tree) in ALL.into_iter().enumerate() {
+                for ecb_max in 1..=64 {
+                    for lead in 0..64 {
+                        let k = (t + ecb_max as usize + lead as usize) % 7;
+                        let n = [0, 1, 37, 255, 256, 257, 600][k];
+                        let seed = u64::from(ecb_max) << 32 | u64::from(lead) << 8 | t as u64;
+                        let ecq = fitting_stream(ecb_max, (lead % 4) as u8, n, seed);
+                        encoders_agree(tree, &ecq, ecb_max, lead, seed);
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            /// Random streams, including lengths that are no multiple of
+            /// the emitter's chunk and lengths past a `(dd|dd)` block.
+            #[test]
+            fn emitter_matches_the_per_symbol_reference(
+                tree_ix in 0usize..6,
+                ecb_max in 1u32..=64,
+                lead in 0u32..64,
+                n in 0usize..=3000,
+                shape in 0u8..4,
+                seed in any::<u64>(),
+            ) {
+                let ecq = fitting_stream(ecb_max, shape, n, seed);
+                encoders_agree(ALL[tree_ix], &ecq, ecb_max, lead, seed);
             }
         }
 

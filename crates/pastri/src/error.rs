@@ -132,7 +132,7 @@ impl fmt::Display for DecompressError {
             DecompressError::Truncated => write!(f, "stream truncated"),
             DecompressError::Unreadable(kind) => write!(f, "source unreadable: {kind}"),
             DecompressError::Corrupt { block, offset, reason } => {
-                write!(f, "corrupt stream: {reason}")?;
+                write!(f, "corrupt data: {reason}")?;
                 if let Some(b) = block {
                     write!(f, " (block {b}")?;
                     if let Some(o) = offset {
@@ -186,7 +186,7 @@ mod tests {
                 reason: "bad thing"
             }
         );
-        assert_eq!(e.to_string(), "corrupt stream: bad thing (block 3, offset 40)");
+        assert_eq!(e.to_string(), "corrupt data: bad thing (block 3, offset 40)");
     }
 
     #[test]

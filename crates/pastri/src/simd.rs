@@ -1,18 +1,20 @@
 //! The codec's hot loops, and the run-time choice between their two
 //! builds.
 //!
-//! Two loops carry the write path: the ER pattern scan
-//! ([`crate::metrics::er_scan`]) and the ECQ row kernel below. Each is
-//! one `#[inline(always)]` body compiled twice: portably (2-wide SSE2 on
-//! the x86_64 baseline) and, on x86_64, under `avx2` (4-wide, with the
-//! 64-bit compares SSE2 lacks). The read path's batch block decoder
-//! ([`crate::block::decompress_blocks`]) is compiled the same two ways,
-//! its second build under `avx2,bmi2`: BMI2's flagless shifts shorten
-//! the ECQ walk's symbol-length chain. [`Simd`] holds the choice, made
-//! by CPUID checks once per block or batch before any of them runs. No
-//! build uses FMA, so every build rounds every operation identically:
-//! the compressor writes the same bytes and the decoder the same
-//! values.
+//! Each direction is one `#[inline(always)]` body compiled twice:
+//! portably (2-wide SSE2 on the x86_64 baseline) and, on x86_64, under
+//! `avx2,bmi2`. The write path is the block compressor
+//! ([`crate::block::compress_block_inner`]), with the ER pattern scan
+//! ([`crate::metrics::er_scan`]), the ECQ row kernel below and the
+//! two-pass ECQ emitter inlined: AVX2 gives the scan and the kernel
+//! four lanes and the 64-bit compares SSE2 lacks, and BMI2's flagless
+//! shifts serve the emitter's bit packer. The read path is the batch
+//! block decoder ([`crate::block::decompress_blocks`]), where those
+//! shifts shorten the ECQ walk's symbol-length chain. [`Simd`] holds
+//! the choice, made by CPUID checks once per block or batch before
+//! either runs. No build uses FMA, so every build rounds every
+//! operation identically: the compressor writes the same bytes and the
+//! decoder the same values.
 //!
 //! # The ECQ row kernel
 //!
@@ -35,11 +37,16 @@
 //! block Verbatim. Wherever the kernel accepts a row, both paths give
 //! the same codes.
 
-use crate::block::{decompress_blocks, BlockJob};
+use bitio::BitWriter;
+
+use crate::block::{compress_block_inner, decompress_blocks, BlockJob, BlockKind};
+use crate::container::CompressorOptions;
 use crate::encoding::EcqCensus;
 use crate::geometry::BlockGeometry;
+#[cfg(test)]
 use crate::metrics::{er_scan, ErScan};
 use crate::quant::{ecq_bits, Quantizer};
+use crate::stats::CompressionStats;
 
 /// `1.5·2^52`: `x + SHIFT` lies in `[2^52, 2^53)`, where consecutive
 /// doubles are 1 apart, for every `|x| < 2^51`.
@@ -94,59 +101,16 @@ fn row_kernel(
     })
 }
 
-/// The loops compiled for AVX2.
+/// The builds for AVX2 and BMI2.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{row_kernel, BlockGeometry, BlockJob, EcqCensus, ErScan, Quantizer};
-
-    /// Proof that the running CPU has AVX2: only [`Avx2::detect`] makes
-    /// one.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx2(());
-
-    impl Avx2 {
-        /// `Some` when the CPU reports AVX2. std caches the CPUID probe,
-        /// so this is an atomic load.
-        pub(super) fn detect() -> Option<Self> {
-            std::is_x86_feature_detected!("avx2").then_some(Self(()))
-        }
-
-        #[inline]
-        pub(super) fn er_scan(self, geom: &BlockGeometry, block: &[f64]) -> ErScan {
-            // SAFETY: an `Avx2` exists only once `detect` has seen the
-            // CPU report AVX2, the one feature `er_scan` is compiled for.
-            unsafe { er_scan(geom, block) }
-        }
-
-        #[inline]
-        pub(super) fn row(
-            self,
-            values: &[f64],
-            pattern: &[f64],
-            scale: f64,
-            quant: &Quantizer,
-            codes: &mut [i64],
-        ) -> Option<EcqCensus> {
-            // SAFETY: as for `er_scan` above; `row` needs AVX2 alone.
-            unsafe { row(values, pattern, scale, quant, codes) }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn er_scan(geom: &BlockGeometry, block: &[f64]) -> ErScan {
-        super::er_scan(geom, block)
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn row(
-        values: &[f64],
-        pattern: &[f64],
-        scale: f64,
-        quant: &Quantizer,
-        codes: &mut [i64],
-    ) -> Option<EcqCensus> {
-        row_kernel(values, pattern, scale, quant, codes)
-    }
+    #[cfg(test)]
+    use super::{row_kernel, EcqCensus, ErScan};
+    use super::{BlockGeometry, BlockJob, Quantizer};
+    use crate::block::{compress_block_inner, BlockKind};
+    use crate::container::CompressorOptions;
+    use crate::stats::CompressionStats;
+    use bitio::BitWriter;
 
     /// Proof that the running CPU has AVX2 and BMI2: only
     /// [`Avx2Bmi2::detect`] makes one.
@@ -154,7 +118,8 @@ mod avx2 {
     pub(super) struct Avx2Bmi2(());
 
     impl Avx2Bmi2 {
-        /// `Some` when the CPU reports both features.
+        /// `Some` when the CPU reports both features. std caches the
+        /// CPUID probes, so this is two atomic loads.
         pub(super) fn detect() -> Option<Self> {
             (std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("bmi2"))
                 .then_some(Self(()))
@@ -172,11 +137,78 @@ mod avx2 {
             // `decompress_blocks` is compiled for.
             unsafe { decompress_blocks(jobs, geom, quant) }
         }
+
+        #[inline]
+        pub(super) fn compress_block(
+            self,
+            block: &[f64],
+            geom: &BlockGeometry,
+            quant: &Quantizer,
+            opts: &CompressorOptions,
+            w: &mut BitWriter,
+            stats: Option<&mut CompressionStats>,
+        ) -> BlockKind {
+            // SAFETY: as for `decompress_blocks` above.
+            unsafe { compress_block(block, geom, quant, opts, w, stats) }
+        }
+
+        #[cfg(test)]
+        pub(super) fn er_scan(self, geom: &BlockGeometry, block: &[f64]) -> ErScan {
+            // SAFETY: as for `decompress_blocks` above.
+            unsafe { er_scan(geom, block) }
+        }
+
+        #[cfg(test)]
+        pub(super) fn row(
+            self,
+            values: &[f64],
+            pattern: &[f64],
+            scale: f64,
+            quant: &Quantizer,
+            codes: &mut [i64],
+        ) -> Option<EcqCensus> {
+            // SAFETY: as for `decompress_blocks` above.
+            unsafe { row(values, pattern, scale, quant, codes) }
+        }
     }
 
     #[target_feature(enable = "avx2,bmi2")]
     fn decompress_blocks(jobs: &mut [BlockJob<'_>], geom: &BlockGeometry, quant: &Quantizer) {
         super::decompress_blocks(jobs, geom, quant);
+    }
+
+    #[target_feature(enable = "avx2,bmi2")]
+    fn compress_block(
+        block: &[f64],
+        geom: &BlockGeometry,
+        quant: &Quantizer,
+        opts: &CompressorOptions,
+        w: &mut BitWriter,
+        stats: Option<&mut CompressionStats>,
+    ) -> BlockKind {
+        compress_block_inner(block, geom, quant, opts, w, stats)
+    }
+
+    /// The ER scan alone, as the compressor's build inlines it: for the
+    /// differential tests.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,bmi2")]
+    fn er_scan(geom: &BlockGeometry, block: &[f64]) -> ErScan {
+        super::er_scan(geom, block)
+    }
+
+    /// The row kernel alone, as the compressor's build inlines it: for
+    /// the differential tests.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,bmi2")]
+    fn row(
+        values: &[f64],
+        pattern: &[f64],
+        scale: f64,
+        quant: &Quantizer,
+        codes: &mut [i64],
+    ) -> Option<EcqCensus> {
+        row_kernel(values, pattern, scale, quant, codes)
     }
 }
 
@@ -210,9 +242,6 @@ mod hint {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Simd {
     #[cfg(target_arch = "x86_64")]
-    avx2: Option<avx2::Avx2>,
-    /// The decoder's build.
-    #[cfg(target_arch = "x86_64")]
     avx2_bmi2: Option<avx2::Avx2Bmi2>,
 }
 
@@ -220,8 +249,6 @@ impl Simd {
     /// The widest build the CPU supports.
     pub(crate) fn detect() -> Self {
         Self {
-            #[cfg(target_arch = "x86_64")]
-            avx2: avx2::Avx2::detect(),
             #[cfg(target_arch = "x86_64")]
             avx2_bmi2: avx2::Avx2Bmi2::detect(),
         }
@@ -232,17 +259,15 @@ impl Simd {
     #[cfg(test)]
     pub(crate) fn variants() -> Vec<(&'static str, Self)> {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = avx2::Avx2::detect().map(|_| ("avx2", Self::detect()));
+        let avx2_bmi2 = avx2::Avx2Bmi2::detect().map(|_| ("avx2,bmi2", Self::detect()));
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = None;
+        let avx2_bmi2 = None;
         let portable = Self {
-            #[cfg(target_arch = "x86_64")]
-            avx2: None,
             #[cfg(target_arch = "x86_64")]
             avx2_bmi2: None,
         };
         std::iter::once(("portable", portable))
-            .chain(avx2)
+            .chain(avx2_bmi2)
             .collect()
     }
 
@@ -261,18 +286,36 @@ impl Simd {
         decompress_blocks(jobs, geom, quant);
     }
 
-    /// [`er_scan`] in this build.
+    /// [`compress_block_inner`] in this build.
     #[inline]
+    pub(crate) fn compress_block(
+        self,
+        block: &[f64],
+        geom: &BlockGeometry,
+        quant: &Quantizer,
+        opts: &CompressorOptions,
+        w: &mut BitWriter,
+        stats: Option<&mut CompressionStats>,
+    ) -> BlockKind {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2_bmi2) = self.avx2_bmi2 {
+            return avx2_bmi2.compress_block(block, geom, quant, opts, w, stats);
+        }
+        compress_block_inner(block, geom, quant, opts, w, stats)
+    }
+
+    /// [`er_scan`] in this build.
+    #[cfg(test)]
     pub(crate) fn er_scan(self, geom: &BlockGeometry, block: &[f64]) -> ErScan {
         #[cfg(target_arch = "x86_64")]
-        if let Some(avx2) = self.avx2 {
-            return avx2.er_scan(geom, block);
+        if let Some(avx2_bmi2) = self.avx2_bmi2 {
+            return avx2_bmi2.er_scan(geom, block);
         }
         er_scan(geom, block)
     }
 
     /// The ECQ row kernel in this build.
-    #[inline]
+    #[cfg(test)]
     fn row_kernel(
         self,
         values: &[f64],
@@ -282,8 +325,8 @@ impl Simd {
         codes: &mut [i64],
     ) -> Option<EcqCensus> {
         #[cfg(target_arch = "x86_64")]
-        if let Some(avx2) = self.avx2 {
-            return avx2.row(values, pattern, scale, quant, codes);
+        if let Some(avx2_bmi2) = self.avx2_bmi2 {
+            return avx2_bmi2.row(values, pattern, scale, quant, codes);
         }
         row_kernel(values, pattern, scale, quant, codes)
     }
@@ -293,9 +336,10 @@ impl Simd {
 /// through the row kernel, or, for a row it rejects, through
 /// [`scalar_row`]. `None` means some point of the row cannot be coded
 /// within `EB`, and the block goes Verbatim.
-#[inline]
+///
+/// Inlined into each build of the block compressor, with the row kernel.
+#[inline(always)]
 pub(crate) fn quantize_row(
-    simd: Simd,
     values: &[f64],
     pattern: &[f64],
     scale: f64,
@@ -303,7 +347,7 @@ pub(crate) fn quantize_row(
     codes: &mut [i64],
 ) -> Option<EcqCensus> {
     debug_assert!(values.len() == pattern.len() && codes.len() == pattern.len());
-    simd.row_kernel(values, pattern, scale, quant, codes)
+    row_kernel(values, pattern, scale, quant, codes)
         .or_else(|| scalar_row(values, pattern, scale, quant, codes))
 }
 
@@ -436,7 +480,7 @@ mod tests {
             }
         }
         let mut codes = vec![0i64; values.len()];
-        let got = quantize_row(Simd::detect(), values, pattern, scale, &quant, &mut codes);
+        let got = quantize_row(values, pattern, scale, &quant, &mut codes);
         assert_eq!(got, census_ref, "dispatched census: {ctx}");
         if got.is_some() {
             assert_eq!(Some(&codes), codes_ref.as_ref(), "dispatched codes: {ctx}");
