@@ -6,8 +6,8 @@ use bench::{
     standard_datasets, Claims, Codec, RoundTrip,
 };
 use pastri::{
-    ecq_bits, fit_pattern, BlockTypeStats, CompressionStats, Compressor, CompressorOptions,
-    PatternFit, Quantizer, ScaleQuantizer, ScalingMetric,
+    container_bit_stats, ecq_bits, fit_pattern, BlockTypeStats, CompressionStats, Compressor,
+    CompressorOptions, PatternFit, Quantizer, ScaleQuantizer, ScalingMetric,
 };
 use qchem::basis::BfConfig;
 use qchem::dataset::{DatasetSpec, EriDataset};
@@ -309,9 +309,8 @@ pub fn fig6(claims: &mut Claims) {
     let eb = 1e-10;
     println!("Fig. 6 reproduction — ECQ distribution by block type (EB = {eb:.0e})\n");
     let census = |config, values: &[f64]| {
-        Compressor::new(geometry_of(config), eb)
-            .compress_with_stats(values)
-            .1
+        let bytes = Compressor::new(geometry_of(config), eb).compress(values);
+        container_bit_stats(&bytes).expect("a container just written")
     };
     let mut stats = CompressionStats::default();
     for ds in standard_datasets() {

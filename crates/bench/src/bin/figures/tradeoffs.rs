@@ -8,8 +8,8 @@ use bench::{
 };
 use codecs::huffman::{HuffmanCode, MAX_ALPHABET};
 use pastri::{
-    ecq_bits, fit_pattern, CompressionStats, Compressor, CompressorOptions, EcqRepr, EncodingTree,
-    Quantizer, ScaleQuantizer, ScaleRule, ScalingMetric,
+    container_bit_stats, ecq_bits, fit_pattern, CompressionStats, Compressor, CompressorOptions,
+    EcqRepr, EncodingTree, Quantizer, ScaleQuantizer, ScaleRule, ScalingMetric,
 };
 use qchem::basis::BfConfig;
 
@@ -77,7 +77,8 @@ pub fn storage(claims: &mut Claims) {
     let mut agg = CompressionStats::default();
     for ds in standard_datasets() {
         let compressor = Compressor::new(geometry_of(ds.config), eb);
-        let (_, stats) = compressor.compress_with_stats(&ds.values);
+        let bytes = compressor.compress(&ds.values);
+        let stats = container_bit_stats(&bytes).expect("a container just written");
         row(ds.label.clone(), &stats);
         agg.merge(&stats);
     }

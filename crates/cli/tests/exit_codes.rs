@@ -141,6 +141,9 @@ fn exit_codes_follow_the_documented_contract() {
     let mut bytes = container_bytes.clone();
     bytes[13] ^= 0x10;
     fs::write(&header_damaged, &bytes).unwrap();
+    // A cut container: its first 300 bytes.
+    let truncated_container = p(&dir, "truncated.pastri");
+    fs::write(&truncated_container, &container_bytes[..300]).unwrap();
 
     // Corrupt stream: flip deep inside the first segment's container,
     // plus a truncated copy.
@@ -163,6 +166,11 @@ fn exit_codes_follow_the_documented_contract() {
     let err = pastri_cli::run(&sv(&["decompress", &v2_stream, &p(&dir, "v2.f64")]), &mut msg);
     let err = err.expect_err("a version-2 stream header does not decode");
     assert!(err.message.contains("unsupported stream version 2"), "{}", err.message);
+    // A cut container is truncated input, not a truncated stream.
+    let err = pastri_cli::run(&sv(&["verify", &truncated_container]), &mut msg)
+        .expect_err("a cut container does not verify");
+    assert!(err.message.contains("truncated"), "{}", err.message);
+    assert!(!err.message.contains("stream"), "{}", err.message);
 
     // Damage inside the third segment's container: `decompress` names
     // the segment and where its container starts in the file, as
@@ -367,6 +375,11 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "verify damaged container",
             argv: sv(&["verify", &damaged_container]),
+            want: 2,
+        },
+        Case {
+            label: "verify truncated container",
+            argv: sv(&["verify", &truncated_container]),
             want: 2,
         },
         Case {

@@ -28,7 +28,8 @@
 //! One walker reads this layout: `walk_block` parses every field and makes
 //! every width and index check, handing the fields to a `BlockSink`. It has
 //! two sinks: [`decompress_blocks`] dequantizes into the block, and
-//! [`crate::container_bit_stats`] recovers the compressor's bit accounting.
+//! [`crate::container_bit_stats`] counts its bits, the crate's only bit
+//! accounting.
 //!
 //! On the decode path the dense ECQ stream never lands in a buffer. The
 //! walker stops at it and hands over its cursor; [`decompress_blocks`]
@@ -45,7 +46,6 @@ use crate::geometry::BlockGeometry;
 use crate::metrics::{er_scan, fit_pattern, fit_values, ScalingMetric};
 use crate::quant::{Quantizer, ScaleQuantizer};
 use crate::simd::{quantize_row, Simd};
-use crate::stats::CompressionStats;
 
 /// How a block was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,8 @@ impl BlockKind {
     }
 }
 
-/// Compresses one full-sized block into `w`.
+/// Compresses one full-sized block into `w` and returns the kind it
+/// wrote.
 ///
 /// `block.len()` must equal `geom.block_size()` (callers zero-pad partial
 /// trailing blocks, mirroring the paper's screened-element handling).
@@ -86,12 +87,12 @@ pub(crate) fn compress_block(
     quant: &Quantizer,
     opts: &CompressorOptions,
     w: &mut BitWriter,
-    stats: Option<&mut CompressionStats>,
-) {
+) -> BlockKind {
     assert_eq!(block.len(), geom.block_size(), "partial block passed to compress_block");
     let start_bits = w.bit_len();
-    let kind = Simd::detect().compress_block(block, geom, quant, opts, w, stats);
+    let kind = Simd::detect().compress_block(block, geom, quant, opts, w);
     debug_assert!(w.bit_len() > start_bits || kind == BlockKind::AllZero);
+    kind
 }
 
 /// [`compress_block`]'s body, compiled once per [`Simd`] build with the
@@ -104,7 +105,6 @@ pub(crate) fn compress_block_inner(
     quant: &Quantizer,
     opts: &CompressorOptions,
     w: &mut BitWriter,
-    mut stats: Option<&mut CompressionStats>,
 ) -> BlockKind {
     let metric = opts.metric;
     let tree = opts.tree;
@@ -119,17 +119,13 @@ pub(crate) fn compress_block_inner(
     // Non-finite data can't be quantized: store raw.
     if !scan.is_finite() {
         drop(select_stage);
-        write_verbatim(block, w, &mut stats);
+        write_verbatim(block, w);
         return BlockKind::Verbatim;
     }
     // All-zero (within EB) block: 3 bits total.
     if scan.ext() <= eb {
         drop(select_stage);
         w.write_bits(BlockKind::AllZero as u64, 3);
-        if let Some(s) = stats.as_deref_mut() {
-            s.record_header_bits(3);
-            s.record_block(BlockKind::AllZero, 1);
-        }
         return BlockKind::AllZero;
     }
     let fit = match metric {
@@ -143,7 +139,7 @@ pub(crate) fn compress_block_inner(
     let quantize_stage = telemetry::span("compress.quantize");
     let Some((pq, pb)) = quant.quantize_pattern(pattern) else {
         drop(quantize_stage);
-        write_verbatim(block, w, &mut stats);
+        write_verbatim(block, w);
         return BlockKind::Verbatim;
     };
     let sb_bits = match opts.scale_rule {
@@ -171,28 +167,26 @@ pub(crate) fn compress_block_inner(
     let rows = ecq.chunks_exact_mut(sbs).zip(block.chunks_exact(sbs));
     for ((codes, row), &sh) in rows.zip(&shat) {
         let Some(row_census) = quantize_row(row, &phat, sh, quant, codes) else {
-            write_verbatim(block, w, &mut stats);
+            write_verbatim(block, w);
             return BlockKind::Verbatim;
         };
         census.merge(&row_census);
     }
     let ecb_max = census.max_bits.max(2);
-    // Tree 4's price and the statistics need every value's bin.
-    let counts = (stats.is_some() || tree == EncodingTree::Tree4).then(|| EcqCounts::of(&ecq));
 
     // Fixed header + PQ + SQ costs (everything but the ECQ payload).
-    let pat_sb_bits = u64::from(bits_for(geom.num_subblocks as u64));
     let base_cost = 3
-        + pat_sb_bits
+        + u64::from(bits_for(geom.num_subblocks as u64))
         + 12
         + sbs as u64 * u64::from(pb)
         + geom.num_subblocks as u64 * u64::from(sq_quant.bits());
 
     let nol = census.nonzero();
     let all_zero_ecq = nol == 0;
-    let dense_cost = tree.cost_from_census(&census, ecb_max).unwrap_or_else(|| {
-        tree.cost_from_counts(counts.as_ref().expect("counted for Tree 4"), ecb_max)
-    });
+    // Tree 4's price needs every value's bin.
+    let dense_cost = tree
+        .cost_from_census(&census, ecb_max)
+        .unwrap_or_else(|| tree.cost_from_counts(&EcqCounts::of(&ecq), ecb_max));
     let idx_bits = u64::from(bits_for(block_size as u64));
     let count_bits = u64::from(bits_for(block_size as u64 + 1));
     let sparse_cost = count_bits + nol * (idx_bits + u64::from(ecb_max));
@@ -215,7 +209,7 @@ pub(crate) fn compress_block_inner(
 
     // Incompressible block: raw storage is cheaper.
     if base_cost + payload_cost >= 3 + block_size as u64 * 64 {
-        write_verbatim(block, w, &mut stats);
+        write_verbatim(block, w);
         return BlockKind::Verbatim;
     }
 
@@ -244,24 +238,6 @@ pub(crate) fn compress_block_inner(
         BlockKind::AllZero | BlockKind::Verbatim => unreachable!(),
     }
 
-    if let Some(s) = stats {
-        s.record_header_bits(3 + pat_sb_bits + 12 + if kind == BlockKind::PatternOnly { 0 } else { 6 });
-        s.record_pq_bits(sbs as u64 * u64::from(pb));
-        s.record_sq_bits(geom.num_subblocks as u64 * u64::from(sq_quant.bits()));
-        let ecq_payload = match kind {
-            BlockKind::PatternOnly => 0,
-            BlockKind::Dense => dense_cost,
-            BlockKind::Sparse => sparse_cost,
-            _ => unreachable!(),
-        };
-        s.record_ecq_bits(ecq_payload);
-        let block_type = usize::from(paper_block_type(kind, ecb_max));
-        s.record_block(kind, block_type);
-        s.record_ecq_counts(
-            block_type,
-            counts.as_ref().expect("counted for the statistics"),
-        );
-    }
     kind
 }
 
@@ -285,15 +261,10 @@ fn write_outliers(ecq: &[i64], idx_bits: u32, ecb_max: u32, w: &mut BitWriter) {
     }
 }
 
-fn write_verbatim(block: &[f64], w: &mut BitWriter, stats: &mut Option<&mut CompressionStats>) {
+fn write_verbatim(block: &[f64], w: &mut BitWriter) {
     w.write_bits(BlockKind::Verbatim as u64, 3);
     for &v in block {
         w.write_bits(v.to_bits(), 64);
-    }
-    if let Some(s) = stats.as_deref_mut() {
-        s.record_header_bits(3);
-        s.record_verbatim_bits(block.len() as u64 * 64);
-        s.record_block(BlockKind::Verbatim, 3);
     }
 }
 
@@ -592,6 +563,7 @@ fn add_into(out: &mut [f64], bin: f64) -> impl FnMut(usize, i64) + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CompressionStats;
 
     /// Decodes one block's payload into `out`: a batch of one.
     fn decompress_block(
@@ -615,22 +587,7 @@ mod tests {
         let g = geom();
         let quant = Quantizer::new(eb);
         let mut w = BitWriter::new();
-        let mut stats = CompressionStats::default();
-        compress_block(block, &g, &quant, &CompressorOptions::default(), &mut w, Some(&mut stats));
-        let kind_of = |s: &CompressionStats| {
-            let kinds = [
-                BlockKind::AllZero,
-                BlockKind::PatternOnly,
-                BlockKind::Dense,
-                BlockKind::Sparse,
-                BlockKind::Verbatim,
-            ];
-            kinds
-                .into_iter()
-                .find(|&k| s.kind_counts[k as usize] > 0)
-                .unwrap()
-        };
-        let kind = kind_of(&stats);
+        let kind = compress_block(block, &g, &quant, &CompressorOptions::default(), &mut w);
         let bytes = w.into_bytes();
         let mut out = vec![0.0; g.block_size()];
         decompress_block(&bytes, &g, &quant, EncodingTree::Tree5, &mut out).unwrap();
@@ -753,7 +710,7 @@ mod tests {
         let g = geom();
         let quant = Quantizer::new(1e-10);
         let mut w_auto = BitWriter::new();
-        compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w_auto, None);
+        compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w_auto);
         // Whichever representation was chosen, it round-trips within EB.
         let bytes = w_auto.into_bytes();
         let mut out = vec![0.0; g.block_size()];
@@ -780,7 +737,7 @@ mod tests {
         let g = geom();
         let quant = Quantizer::new(1e-10);
         let mut w = BitWriter::new();
-        compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w, None);
+        compress_block(&block, &g, &quant, &CompressorOptions::default(), &mut w);
         let bytes = w.into_bytes();
         let mut out = vec![0.0; g.block_size()];
         let err = decompress_block(&bytes[..bytes.len() / 2], &g, &quant, EncodingTree::Tree5, &mut out);
@@ -824,8 +781,8 @@ mod tests {
                 }
                 blocks.push(b);
             }
-            // Tree 5's two coders and the outlier list, as the portable
-            // build wrote them.
+            // Tree 5's two coders and the outlier list, as a wire walk
+            // of the portable build's payloads counts them.
             let mut dense = CompressionStats::default();
             let mut sparse = CompressionStats::default();
             for tree in crate::encoding::tests::ALL {
@@ -839,27 +796,31 @@ mod tests {
                         };
                         for (i, block) in blocks.iter().enumerate() {
                             let quant = Quantizer::new(eb_values[i % 3]);
-                            let outputs: Vec<(&str, Vec<u8>, CompressionStats)> = Simd::variants()
+                            let outputs: Vec<(&str, Vec<u8>, BlockKind)> = Simd::variants()
                                 .into_iter()
                                 .map(|(name, simd)| {
                                     let mut w = BitWriter::new();
-                                    let mut stats = CompressionStats::default();
-                                    simd.compress_block(block, &g, &quant, &opts, &mut w, Some(&mut stats));
-                                    (name, w.into_bytes(), stats)
+                                    let kind = simd.compress_block(block, &g, &quant, &opts, &mut w);
+                                    (name, w.into_bytes(), kind)
                                 })
                                 .collect();
-                            for (name, bytes, stats) in &outputs[1..] {
+                            let (_, portable, kind) = &outputs[0];
+                            for (name, bytes, k) in &outputs[1..] {
                                 assert_eq!(
-                                    bytes, &outputs[0].1,
+                                    (bytes, k),
+                                    (portable, kind),
                                     "{name} vs portable: {g:?} block {i} {opts:?}"
                                 );
-                                assert_eq!(stats, &outputs[0].2, "{name} vs portable stats: block {i}");
                             }
-                            match (tree, ecq_repr) {
-                                (EncodingTree::Tree5, EcqRepr::DenseOnly) => dense.merge(&outputs[0].2),
-                                (EncodingTree::Tree5, EcqRepr::SparseOnly) => sparse.merge(&outputs[0].2),
-                                _ => {}
-                            }
+                            let census = match (tree, ecq_repr) {
+                                (EncodingTree::Tree5, EcqRepr::DenseOnly) => &mut dense,
+                                (EncodingTree::Tree5, EcqRepr::SparseOnly) => &mut sparse,
+                                _ => continue,
+                            };
+                            let mut walked = CompressionStats::default();
+                            crate::inspect::record_block_bits(&mut walked, portable, &g, tree).unwrap();
+                            assert_eq!(walked.kind_counts[*kind as usize], 1, "block {i}: {kind:?}");
+                            census.merge(&walked);
                         }
                     }
                 }
@@ -1084,7 +1045,7 @@ mod tests {
                     tree,
                     ..Default::default()
                 };
-                compress_block(&block, &g, &quant, &opts, &mut w, None);
+                compress_block(&block, &g, &quant, &opts, &mut w);
                 let bytes = w.into_bytes();
                 let mut out = vec![0.0; g.block_size()];
                 decompress_block(&bytes, &g, &quant, tree, &mut out).unwrap();

@@ -66,7 +66,6 @@ use crate::geometry::BlockGeometry;
 use crate::metrics::ScalingMetric;
 use crate::quant::Quantizer;
 use crate::simd::{self, Simd};
-use crate::stats::CompressionStats;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PSTR";
 /// Read-only container version with a parity section.
@@ -157,31 +156,12 @@ impl Compressor {
     /// original length is recorded so decompression restores it exactly.
     #[must_use]
     pub fn compress(&self, data: &[f64]) -> Vec<u8> {
-        self.compress_impl(data, None)
-    }
-
-    /// Like [`compress`](Self::compress), also returning statistics.
-    #[must_use]
-    pub fn compress_with_stats(&self, data: &[f64]) -> (Vec<u8>, CompressionStats) {
-        let mut stats = CompressionStats::default();
-        let out = self.compress_impl(data, Some(&mut stats));
-        stats.compressed_bytes = out.len() as u64;
-        stats.original_bytes = (data.len() * 8) as u64;
-        (out, stats)
-    }
-
-    /// Shared body of [`compress`](Self::compress) and
-    /// [`compress_with_stats`](Self::compress_with_stats). Per-block
-    /// statistics are gathered only when `stats` is given: plain
-    /// compression does not pay for the accounting.
-    fn compress_impl(&self, data: &[f64], stats: Option<&mut CompressionStats>) -> Vec<u8> {
         let _span = telemetry::span("compress.container");
         let bs = self.geometry.block_size();
         let num_blocks = self.geometry.blocks_for_len(data.len());
-        let want_stats = stats.is_some();
 
         // Per-block payloads in parallel; the tail block is padded.
-        let results: Vec<(Vec<u8>, Option<Box<CompressionStats>>)> = (0..num_blocks)
+        let payloads: Vec<Vec<u8>> = (0..num_blocks)
             .into_par_iter()
             .map(|b| {
                 let _block_span = telemetry::span("compress.block");
@@ -189,56 +169,28 @@ impl Compressor {
                 let end = ((b + 1) * bs).min(data.len());
                 // The next block loads while this one is coded.
                 simd::prefetch(&data[end..((b + 2) * bs).min(data.len())]);
-                let mut local = want_stats.then(Box::<CompressionStats>::default);
                 // A byte per value holds all but the least compressible
                 // blocks without regrowing.
                 let mut w = BitWriter::with_capacity(bs);
+                let (geom, quant, opts) = (&self.geometry, &self.quant, &self.options);
                 if end - start == bs {
-                    compress_block(
-                        &data[start..end],
-                        &self.geometry,
-                        &self.quant,
-                        &self.options,
-                        &mut w,
-                        local.as_deref_mut(),
-                    );
+                    compress_block(&data[start..end], geom, quant, opts, &mut w);
                 } else {
                     let mut padded = vec![0.0f64; bs];
                     padded[..end - start].copy_from_slice(&data[start..end]);
-                    compress_block(
-                        &padded,
-                        &self.geometry,
-                        &self.quant,
-                        &self.options,
-                        &mut w,
-                        local.as_deref_mut(),
-                    );
+                    compress_block(&padded, geom, quant, opts, &mut w);
                 }
-                (w.into_bytes(), local)
+                w.into_bytes()
             })
             .collect();
 
-        // Assemble the container.
-        let mut out = Vec::new();
-        let payloads: Vec<&[u8]> = results.iter().map(|(p, _)| p.as_slice()).collect();
-        let assemble_span = telemetry::span("container.assemble");
-        let overhead = self.assemble_container(&mut out, data.len(), &payloads);
-        drop(assemble_span);
-        if let Some(s) = stats {
-            for local in results.iter().filter_map(|(_, l)| l.as_deref()) {
-                s.merge(local);
-            }
-            // Everything that is not block payload — header and
-            // framing — is container overhead.
-            s.record_container_bits(overhead as u64 * 8);
-        }
-        out
+        let _assemble_span = telemetry::span("container.assemble");
+        self.assemble_container(data.len(), &payloads)
     }
 
-    /// Writes the complete v2 container — header and framed blocks —
-    /// into `out` from the per-block compressed `payloads`. Returns the
-    /// non-payload byte count (header + framing).
-    fn assemble_container(&self, out: &mut Vec<u8>, data_len: usize, payloads: &[&[u8]]) -> usize {
+    /// The complete v2 container — header and framed blocks — of the
+    /// per-block compressed `payloads`.
+    fn assemble_container(&self, data_len: usize, payloads: &[Vec<u8>]) -> Vec<u8> {
         let header_varints = [
             self.geometry.num_subblocks,
             self.geometry.subblock_size,
@@ -255,8 +207,7 @@ impl Compressor {
                 .sum::<usize>()
             + 4;
         let blocks_len: usize = payloads.iter().map(|p| framed_len(p)).sum();
-        let start = out.len();
-        out.reserve_exact(header_len + blocks_len);
+        let mut out = Vec::with_capacity(header_len + blocks_len);
 
         out.extend_from_slice(&MAGIC);
         out.push(VERSION_V2);
@@ -264,17 +215,17 @@ impl Compressor {
         out.push(self.options.tree.wire_id());
         out.extend_from_slice(&self.quant.eb().to_le_bytes());
         for v in header_varints {
-            write_varint(out, v as u64);
+            write_varint(&mut out, v as u64);
         }
-        checksum::append_crc32_of(out);
+        checksum::append_crc32_of(&mut out);
 
         for p in payloads {
-            write_varint(out, p.len() as u64);
+            write_varint(&mut out, p.len() as u64);
             out.extend_from_slice(&crc32(p).to_le_bytes());
             out.extend_from_slice(p);
         }
-        debug_assert_eq!(out.len() - start, header_len + blocks_len);
-        out.len() - payloads.iter().map(|p| p.len()).sum::<usize>()
+        debug_assert_eq!(out.len(), header_len + blocks_len);
+        out
     }
 
     /// Decompresses a PaSTRI container produced by any [`Compressor`];
@@ -286,11 +237,66 @@ impl Compressor {
 
 /// Decompresses a PaSTRI container (self-describing; no configuration
 /// needed).
+///
+/// Strict: the first damaged block aborts the decode, and the error
+/// carries that block's index and byte offset. A v3 container's parity
+/// section is checked, never used.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
-    let mut out = Vec::new();
-    decompress_into(bytes, &mut out)?;
+    let _span = telemetry::span("decompress.container");
+    let header = parse_header(bytes)?;
+    let geometry = header.geometry;
+    let bs = geometry.block_size();
+    let tree = header.tree;
+
+    // Slice out per-block payloads (cheap sequential scan, including CRC
+    // verification), then decode in parallel.
+    let mut frames = Vec::with_capacity(header.num_blocks);
+    let mut pos = header.blocks_start;
+    for b in 0..header.num_blocks {
+        let frame =
+            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
+        verify_frame(&frame, b)?;
+        frames.push(frame);
+    }
+    if header.version >= VERSION_V3 {
+        if pos != header.blocks_start + header.blocks_len {
+            return Err(
+                DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
+            );
+        }
+        // An intact parity section too, so a torn tail is an error,
+        // not silence.
+        check_parity_section(bytes, &header, &mut pos)?;
+    }
+    // Every version ends exactly where its last section does.
+    if pos != bytes.len() {
+        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
+    }
+
+    let quant = Quantizer::new(header.eb);
+    let simd = Simd::detect();
+    let mut out = vec![0.0; header.num_blocks * bs];
+    out.par_chunks_mut(GROUP * bs)
+        .zip(frames.par_chunks(GROUP))
+        .enumerate()
+        .try_for_each(|(g, (chunk, frames))| {
+            let mut jobs: Vec<BlockJob<'_>> = chunk
+                .chunks_mut(bs)
+                .zip(frames)
+                .map(|(values, frame)| BlockJob::new(frame.payload, tree, values))
+                .collect();
+            simd.decompress_blocks(&mut jobs, &geometry, &quant);
+            // The batch's first failure, as a block-by-block decode
+            // would meet it.
+            jobs.into_iter().zip(frames).enumerate().try_for_each(|(j, (job, frame))| {
+                job.result
+                    .map_err(|e| e.with_block(g * GROUP + j).at_offset(frame.offset))
+            })
+        })?;
+    out.truncate(header.original_len);
     Ok(out)
 }
+
 
 /// The largest container [`Compressor::compress`] can write for one
 /// block of `geometry`: the v2 header, one block's framing, and the
@@ -522,8 +528,8 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     if num_blocks > bytes.len() {
         return Err(DecompressError::corrupt("block count exceeds container size"));
     }
-    // In-memory decode ceiling (16 GiB of doubles). Larger datasets use
-    // the streaming format, which decodes segment by segment.
+    // In-memory decode ceiling (16 GiB of doubles). Larger datasets go
+    // to block stores, which decode block by block.
     if num_blocks.saturating_mul(bs) > (1usize << 31) {
         return Err(DecompressError::corrupt("decoded size exceeds in-memory ceiling"));
     }
@@ -675,70 +681,6 @@ pub(crate) fn verify_frame(frame: &BlockFrame<'_>, block: usize) -> Result<(), D
     Ok(())
 }
 
-/// Decompresses into a caller-provided buffer, reusing its allocation —
-/// the right API for the SCF reuse loop, where the same container is
-/// decoded every iteration. The buffer is cleared and resized as needed.
-///
-/// Strict: the first damaged block aborts the decode, and the error
-/// carries that block's index and byte offset. A v3 container's parity
-/// section is checked, never used.
-pub(crate) fn decompress_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), DecompressError> {
-    let _span = telemetry::span("decompress.container");
-    let header = parse_header(bytes)?;
-    let geometry = header.geometry;
-    let bs = geometry.block_size();
-    let tree = header.tree;
-
-    // Slice out per-block payloads (cheap sequential scan, including CRC
-    // verification), then decode in parallel.
-    let mut frames = Vec::with_capacity(header.num_blocks);
-    let mut pos = header.blocks_start;
-    for b in 0..header.num_blocks {
-        let frame =
-            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
-        verify_frame(&frame, b)?;
-        frames.push(frame);
-    }
-    if header.version >= VERSION_V3 {
-        if pos != header.blocks_start + header.blocks_len {
-            return Err(
-                DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
-            );
-        }
-        // An intact parity section too, so a torn tail is an error,
-        // not silence.
-        check_parity_section(bytes, &header, &mut pos)?;
-    }
-    // Every version ends exactly where its last section does.
-    if pos != bytes.len() {
-        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
-    }
-
-    let quant = Quantizer::new(header.eb);
-    let simd = Simd::detect();
-    out.clear();
-    out.resize(header.num_blocks * bs, 0.0);
-    out.par_chunks_mut(GROUP * bs)
-        .zip(frames.par_chunks(GROUP))
-        .enumerate()
-        .try_for_each(|(g, (chunk, frames))| {
-            let mut jobs: Vec<BlockJob<'_>> = chunk
-                .chunks_mut(bs)
-                .zip(frames)
-                .map(|(values, frame)| BlockJob::new(frame.payload, tree, values))
-                .collect();
-            simd.decompress_blocks(&mut jobs, &geometry, &quant);
-            // The batch's first failure, as a block-by-block decode
-            // would meet it.
-            jobs.into_iter().zip(frames).enumerate().try_for_each(|(j, (job, frame))| {
-                job.result
-                    .map_err(|e| e.with_block(g * GROUP + j).at_offset(frame.offset))
-            })
-        })?;
-    out.truncate(header.original_len);
-    Ok(())
-}
-
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -850,7 +792,8 @@ mod tests {
         let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
         let c = Compressor::new(geom, 1e-10);
         let data = patterned_stream(8, geom);
-        let (bytes, stats) = c.compress_with_stats(&data);
+        let bytes = c.compress(&data);
+        let stats = crate::container_bit_stats(&bytes).unwrap();
         assert_eq!(stats.blocks, 8);
         assert_eq!(stats.compressed_bytes, bytes.len() as u64);
         assert_eq!(stats.original_bytes, (data.len() * 8) as u64);
@@ -922,25 +865,6 @@ mod tests {
         for v in back {
             assert!((v - 1e-5).abs() <= 1e-8);
         }
-    }
-
-    #[test]
-    fn decompress_into_reuses_buffer() {
-        let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
-        let c = Compressor::new(geom, 1e-10);
-        let data = patterned_stream(3, geom);
-        let bytes = c.compress(&data);
-        let mut buf = Vec::with_capacity(data.len() + 100);
-        let cap_before = buf.capacity();
-        super::decompress_into(&bytes, &mut buf).unwrap();
-        assert_eq!(buf.len(), data.len());
-        assert_eq!(buf.capacity(), cap_before, "no reallocation expected");
-        for (a, b) in data.iter().zip(&buf) {
-            assert!((a - b).abs() <= 1e-10);
-        }
-        // Second decode into the same buffer.
-        super::decompress_into(&bytes, &mut buf).unwrap();
-        assert_eq!(buf.len(), data.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-/// Why a compressed stream could not be decoded.
+/// Why compressed input could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecompressError {
     /// The bytes do not start with the magic of the layout being read.
@@ -24,7 +24,7 @@ pub enum DecompressError {
         /// The version byte read.
         version: u8,
     },
-    /// The stream ended before all declared content was read.
+    /// The input ended before all declared content was read.
     Truncated,
     /// Reading the source failed for a reason other than its end.
     Unreadable(std::io::ErrorKind),
@@ -129,7 +129,7 @@ impl fmt::Display for DecompressError {
             DecompressError::BadVersion { format, version } => {
                 write!(f, "unsupported {format} version {version}")
             }
-            DecompressError::Truncated => write!(f, "stream truncated"),
+            DecompressError::Truncated => write!(f, "input truncated"),
             DecompressError::Unreadable(kind) => write!(f, "source unreadable: {kind}"),
             DecompressError::Corrupt { block, offset, reason } => {
                 write!(f, "corrupt data: {reason}")?;

@@ -7,7 +7,8 @@
 //! [`walk_block`]. [`inspect`] is a cheap census — sizes, error bound,
 //! geometry, per-kind block counts from each payload's 3-bit kind tag —
 //! that never decodes a value; [`container_bit_stats`] walks every block's
-//! bit layout to recover the compressor's storage accounting.
+//! bit layout to count where the container's bits go. That walk is the
+//! crate's one bit accounting: the compressor keeps none.
 
 use bitio::BitReader;
 
@@ -115,65 +116,75 @@ pub fn inspect_prefix(bytes: &[u8]) -> Result<(ContainerInfo, usize), Decompress
     ))
 }
 
-/// Reconstructs the full [`CompressionStats`] of a container from its
-/// bytes alone — the same accounting `compress_with_stats` produces,
-/// recovered after the fact by walking every block's bit layout.
+/// The [`CompressionStats`] of a container, read from its bytes: the
+/// block census by kind and by paper type (Fig. 6), the ECQ histograms
+/// and the Sec. V-B storage breakdown, down to the container's own
+/// framing bits. This is the only place the crate counts them; the
+/// compressor writes bytes and keeps no accounting, so callers compress
+/// and then ask this function, as `pastri inspect` does.
 ///
 /// Decodes structure (widths, kinds, ECQ symbols) but never dequantizes a
 /// value, so it is cheaper than decompression and needs no error-bound
-/// arithmetic. For any well-formed container the result is *identical*,
-/// field for field, to what the compressor recorded when it produced the
-/// bytes; `pastri inspect` uses this to print the Sec. V-B storage
-/// breakdown for archived datasets whose compression-time stats are gone.
+/// arithmetic.
 pub fn container_bit_stats(bytes: &[u8]) -> Result<CompressionStats, DecompressError> {
     let header = parse_header(bytes)?;
-    let mut sink = StatsSink {
-        stats: CompressionStats::default(),
-        counts: EcqCounts::default(),
-        block_size: header.geometry.block_size(),
-    };
+    let mut stats = CompressionStats::default();
     let mut pos = header.blocks_start;
     let mut payload_bytes = 0u64;
     for b in 0..header.num_blocks {
         let frame =
             next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
         payload_bytes += frame.payload.len() as u64;
-        let mut r = BitReader::new(frame.payload);
-        walk_block(&mut r, &header.geometry, header.tree, &mut sink)
+        record_block_bits(&mut stats, frame.payload, &header.geometry, header.tree)
             .map_err(|e| e.with_block(b).at_offset(frame.offset))?;
     }
     check_parity_section(bytes, &header, &mut pos)?;
 
-    let mut stats = sink.stats;
     stats.compressed_bytes = pos as u64;
     stats.original_bytes = (header.original_len * 8) as u64;
     stats.record_container_bits((pos as u64 - payload_bytes) * 8);
     Ok(stats)
 }
 
-/// The bit-accounting sink: files each block exactly as the compressor
-/// did when it wrote it.
-struct StatsSink {
-    stats: CompressionStats,
-    /// ECQ census of the block being walked.
+/// Files one block payload into `stats`: its kind and paper type, the
+/// bits of each of its fields and its ECQ census. [`container_bit_stats`]
+/// runs it on every frame.
+pub(crate) fn record_block_bits(
+    stats: &mut CompressionStats,
+    payload: &[u8],
+    geometry: &BlockGeometry,
+    tree: EncodingTree,
+) -> Result<(), DecompressError> {
+    let mut sink = StatsSink {
+        stats,
+        counts: EcqCounts::default(),
+        block_size: geometry.block_size(),
+    };
+    walk_block(&mut BitReader::new(payload), geometry, tree, &mut sink).map(|_| ())
+}
+
+/// The bit-accounting sink of one block.
+struct StatsSink<'a> {
+    stats: &'a mut CompressionStats,
+    /// ECQ census of the block.
     counts: EcqCounts,
     block_size: usize,
 }
 
-impl BlockSink for StatsSink {
+impl BlockSink for StatsSink<'_> {
     fn ecq(&mut self, _idx: usize, q: i64) {
         self.counts.record(q);
     }
 
     fn end(&mut self, layout: &BlockLayout) {
-        let s = &mut self.stats;
+        let s = &mut *self.stats;
         s.record_header_bits(layout.header_bits);
         s.record_pq_bits(layout.pq_bits);
         s.record_sq_bits(layout.sq_bits);
         s.record_ecq_bits(layout.ecq_bits);
         s.record_verbatim_bits(layout.verbatim_bits);
-        // The compressor has always filed AllZero under type index 1 and
-        // Verbatim under 3; reproduce its accounting exactly.
+        // AllZero blocks are filed under type index 1 and Verbatim under
+        // 3: the census `figures fig6` reports.
         let block_type = match layout.kind {
             BlockKind::AllZero => 1,
             BlockKind::Verbatim => 3,
@@ -181,10 +192,9 @@ impl BlockSink for StatsSink {
         };
         s.record_block(layout.kind, block_type);
         if !matches!(layout.kind, BlockKind::AllZero | BlockKind::Verbatim) {
-            // The encoder histograms every point, zeros included.
-            let mut counts = std::mem::take(&mut self.counts);
-            counts.by_bits[1] += self.block_size as u64 - counts.total();
-            s.record_ecq_counts(block_type, &counts);
+            // The histogram counts every point, zeros included.
+            self.counts.by_bits[1] += self.block_size as u64 - self.counts.total();
+            s.record_ecq_counts(block_type, &self.counts);
         }
     }
 }
@@ -211,7 +221,8 @@ mod tests {
             ((x >> 11) as f64 / 2f64.powi(53) - 0.5) * 1e-6
         }));
 
-        let (bytes, stats) = c.compress_with_stats(&data);
+        let bytes = c.compress(&data);
+        let stats = container_bit_stats(&bytes).unwrap();
         let info = inspect(&bytes).unwrap();
         assert_eq!(info.version, 2);
         assert_eq!((info.parity_group, info.parity_shards, info.parity_bytes), (0, 0, 0));
@@ -221,7 +232,8 @@ mod tests {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let (_, golden) = Compressor::new(BlockGeometry::new(9, 9), 1e-10).compress_with_stats(&original);
+        let golden = Compressor::new(BlockGeometry::new(9, 9), 1e-10).compress(&original);
+        let golden = inspect(&golden).unwrap();
         let v3 = inspect(include_bytes!("../../../tests/golden/v3_container.pastri")).unwrap();
         assert_eq!((v3.version, v3.parity_group, v3.parity_shards), (3, 8, 2));
         assert!(v3.parity_bytes > 0);
@@ -237,31 +249,22 @@ mod tests {
         assert!(info.payload_bytes <= bytes.len() as u64);
     }
 
+    /// The golden containers' accounting, as `pastri inspect` prints it.
+    /// Both hold the same five blocks; the v3 one adds a parity section,
+    /// which counts as bookkeeping.
     #[test]
-    fn container_bit_stats_matches_compressor_exactly() {
-        let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
-        let c = Compressor::new(geom, 1e-10);
-        let mut data = Vec::new();
-        // Patterned (pattern-only / sparse), zero, noisy (dense), and
-        // non-finite (verbatim) blocks — every BlockKind on the wire.
-        let pat: Vec<f64> = (0..36).map(|i| ((i as f64) * 0.4).sin() * 1e-6).collect();
-        for j in 0..36 {
-            data.extend(pat.iter().map(|p| p * (1.0 - j as f64 / 40.0)));
+    fn container_bit_stats_pins_the_golden_containers() {
+        let v1 = &include_bytes!("../../../tests/golden/v1_container.pastri")[..];
+        let v3 = &include_bytes!("../../../tests/golden/v3_container.pastri")[..];
+        for (fixture, bookkeeping_bits) in [(v1, 307), (v3, 1307)] {
+            let s = container_bit_stats(fixture).unwrap();
+            assert_eq!(s.kind_counts, [0, 3, 0, 2, 0]);
+            assert_eq!(s.pq_bits + s.sq_bits, 1044);
+            assert_eq!(s.ecq_bits, 41);
+            assert_eq!(s.header_bits + s.container_bits, bookkeeping_bits);
+            assert_eq!(s.verbatim_bits, 0);
+            assert_eq!(s.compressed_bytes, fixture.len() as u64);
         }
-        data.extend(std::iter::repeat_n(0.0, 1296));
-        let mut x = 7u64;
-        data.extend((0..1296).map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((x >> 11) as f64 / 2f64.powi(53) - 0.5) * 1e-6
-        }));
-        let mut tail = vec![1e-6; 1296];
-        tail[100] = f64::NAN;
-        data.extend(tail);
-
-        let (bytes, stats) = c.compress_with_stats(&data);
-        assert!(stats.kind_counts[4] > 0, "dataset must include a verbatim block");
-        let recovered = container_bit_stats(&bytes).unwrap();
-        assert_eq!(recovered, stats, "wire walk must reproduce compression-time stats");
     }
 
     #[test]

@@ -33,10 +33,17 @@
 //! erasure code. Durable storage and its parity live in the `eri-store`
 //! crate, which holds each block as one such container. The version-1
 //! and version-3 containers and version-1 [`stream`]s are decode-only,
-//! kept for the golden fixtures under `tests/golden/`: [`decompress`],
-//! [`inspect`] and [`stream::StreamReader`] read them strictly, and any
-//! damage, including damage to a v3 parity section, is an error. Nothing
-//! repairs or salvages them.
+//! kept for the golden fixtures under `tests/golden/`: [`decompress`]
+//! and [`inspect`] read containers strictly, and a stream is read by
+//! walking its segments with [`stream::Frames`] and decoding each with
+//! [`decompress`]. Any damage, including damage to a v3 parity section,
+//! is an error. Nothing repairs or salvages them.
+//!
+//! # Statistics
+//!
+//! The block census, ECQ histograms and storage breakdown of the paper's
+//! Fig. 6 and Sec. V-B come from [`container_bit_stats`], which walks a
+//! container's bytes; the compressor itself keeps no accounting.
 //!
 //! # Quick start
 //!

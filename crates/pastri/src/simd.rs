@@ -46,7 +46,6 @@ use crate::geometry::BlockGeometry;
 #[cfg(test)]
 use crate::metrics::{er_scan, ErScan};
 use crate::quant::{ecq_bits, Quantizer};
-use crate::stats::CompressionStats;
 
 /// `1.5·2^52`: `x + SHIFT` lies in `[2^52, 2^53)`, where consecutive
 /// doubles are 1 apart, for every `|x| < 2^51`.
@@ -109,7 +108,6 @@ mod avx2 {
     use super::{BlockGeometry, BlockJob, Quantizer};
     use crate::block::{compress_block_inner, BlockKind};
     use crate::container::CompressorOptions;
-    use crate::stats::CompressionStats;
     use bitio::BitWriter;
 
     /// Proof that the running CPU has AVX2 and BMI2: only
@@ -146,10 +144,9 @@ mod avx2 {
             quant: &Quantizer,
             opts: &CompressorOptions,
             w: &mut BitWriter,
-            stats: Option<&mut CompressionStats>,
         ) -> BlockKind {
             // SAFETY: as for `decompress_blocks` above.
-            unsafe { compress_block(block, geom, quant, opts, w, stats) }
+            unsafe { compress_block(block, geom, quant, opts, w) }
         }
 
         #[cfg(test)]
@@ -184,9 +181,8 @@ mod avx2 {
         quant: &Quantizer,
         opts: &CompressorOptions,
         w: &mut BitWriter,
-        stats: Option<&mut CompressionStats>,
     ) -> BlockKind {
-        compress_block_inner(block, geom, quant, opts, w, stats)
+        compress_block_inner(block, geom, quant, opts, w)
     }
 
     /// The ER scan alone, as the compressor's build inlines it: for the
@@ -295,13 +291,12 @@ impl Simd {
         quant: &Quantizer,
         opts: &CompressorOptions,
         w: &mut BitWriter,
-        stats: Option<&mut CompressionStats>,
     ) -> BlockKind {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2_bmi2) = self.avx2_bmi2 {
-            return avx2_bmi2.compress_block(block, geom, quant, opts, w, stats);
+            return avx2_bmi2.compress_block(block, geom, quant, opts, w);
         }
-        compress_block_inner(block, geom, quant, opts, w, stats)
+        compress_block_inner(block, geom, quant, opts, w)
     }
 
     /// [`er_scan`] in this build.

@@ -2,6 +2,10 @@
 //! (Fig. 6), and the output storage breakdown (paper Sec. V-B: "PQ and SQ
 //! constitute around 20-30% of PaSTRI's output data size, whereas ECQ
 //! constitutes around 70-80%").
+//!
+//! [`crate::container_bit_stats`] fills these in by walking a container's
+//! bytes; it is the crate's one bit accounting, and the compressor keeps
+//! none.
 
 use crate::block::BlockKind;
 use crate::encoding::EcqCounts;
@@ -9,7 +13,7 @@ use crate::encoding::EcqCounts;
 /// Maximum ECQ bin index tracked in histograms (bin = bits needed).
 pub(crate) const MAX_ECQ_BIN: usize = 56;
 
-/// Aggregate statistics over a compression run.
+/// Aggregate statistics of a container, or of several merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressionStats {
     /// Input bytes (original doubles, excluding padding).
@@ -60,7 +64,7 @@ impl Default for CompressionStats {
 }
 
 impl CompressionStats {
-    /// Merge another stats accumulator into this one (parallel reduce).
+    /// Merge another container's statistics into these.
     pub fn merge(&mut self, other: &CompressionStats) {
         self.original_bytes += other.original_bytes;
         self.compressed_bytes += other.compressed_bytes;

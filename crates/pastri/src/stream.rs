@@ -9,9 +9,9 @@
 //! complete standalone PaSTRI container, then a zero varint as the
 //! terminator. Any other version byte is [`DecompressError::BadVersion`].
 //!
-//! [`Frames`] is the one walker over the framing, and [`StreamReader`]
-//! decodes what it yields. Segments are independently decodable, so
-//! memory never exceeds one segment.
+//! [`Frames`] is the one walker over the framing, and [`crate::decompress`]
+//! decodes each container it yields. Segments are independently
+//! decodable, so memory never exceeds one segment.
 //!
 //! Integrity comes from the embedded containers: each segment payload is
 //! a container carrying its own header and per-block CRC32s, so a
@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use pastri::{BlockGeometry, Compressor};
-//! use pastri::stream::StreamReader;
+//! use pastri::stream::Frames;
 //!
 //! // A stream framed by hand: magic and version, each segment's LEB128
 //! // length and container, then the zero terminator.
@@ -40,10 +40,9 @@
 //! }
 //! bytes.push(0);
 //!
-//! let mut r = StreamReader::new(bytes.as_slice()).unwrap();
 //! let mut restored = Vec::new();
-//! while let Some(seg) = r.next_segment().unwrap() {
-//!     restored.extend(seg);
+//! for segment in Frames::new(bytes.as_slice()).unwrap() {
+//!     restored.extend(pastri::decompress(&segment.unwrap().container).unwrap());
 //! }
 //! assert_eq!(restored.len(), 200);
 //! ```
@@ -171,42 +170,10 @@ impl<R: ReadAt> Iterator for Frames<R> {
     }
 }
 
-/// Streaming decompressor: yields one segment of values at a time.
-pub struct StreamReader<R: ReadAt> {
-    frames: Frames<R>,
-}
-
-impl<R: ReadAt> StreamReader<R> {
-    /// Validates the stream header.
-    pub fn new(source: R) -> Result<Self, DecompressError> {
-        Ok(Self {
-            frames: Frames::new(source)?,
-        })
-    }
-
-    /// Reads and decompresses the next segment; `None` at the terminator.
-    /// Strict: any damage fails the call.
-    pub fn next_segment(&mut self) -> Result<Option<Vec<f64>>, DecompressError> {
-        match self.frames.next().transpose()? {
-            None => Ok(None),
-            Some(segment) => crate::container::decompress(&segment.container).map(Some),
-        }
-    }
-
-    /// Convenience: drains the whole stream into one vector.
-    pub fn read_to_vec(mut self) -> Result<Vec<f64>, DecompressError> {
-        let mut out = Vec::new();
-        while let Some(seg) = self.next_segment()? {
-            out.extend(seg);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{write_varint, Compressor};
+    use crate::container::{decompress, write_varint, Compressor};
     use crate::geometry::BlockGeometry;
 
     fn patterned(n: usize) -> Vec<f64> {
@@ -227,14 +194,24 @@ mod tests {
         bytes
     }
 
+    /// Each segment's values in order, or the first error: the framing's
+    /// or a container's.
+    fn segments<R: ReadAt>(source: R) -> Result<Vec<Vec<f64>>, DecompressError> {
+        Frames::new(source)?
+            .map(|segment| decompress(&segment?.container))
+            .collect()
+    }
+
+    /// Every segment's values, concatenated.
+    fn read_to_vec<R: ReadAt>(source: R) -> Result<Vec<f64>, DecompressError> {
+        Ok(segments(source)?.concat())
+    }
+
     #[test]
     fn roundtrip_multi_segment() {
         let data = patterned(36 * 23 + 17); // partial tail everywhere
         let bytes = framed(&data, 36 * 4);
-        let restored = StreamReader::new(bytes.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
+        let restored = read_to_vec(bytes.as_slice()).unwrap();
         assert_eq!(restored.len(), data.len());
         for (a, b) in data.iter().zip(&restored) {
             assert!((a - b).abs() <= 1e-9);
@@ -244,21 +221,13 @@ mod tests {
     #[test]
     fn empty_stream() {
         let bytes = framed(&[], 36);
-        let restored = StreamReader::new(bytes.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert!(restored.is_empty());
+        assert!(read_to_vec(bytes.as_slice()).unwrap().is_empty());
     }
 
     #[test]
     fn segment_sizes_respected() {
         let bytes = framed(&patterned(36 * 10), 36 * 3);
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        let mut lens = Vec::new();
-        while let Some(seg) = r.next_segment().unwrap() {
-            lens.push(seg.len());
-        }
+        let lens: Vec<usize> = segments(bytes.as_slice()).unwrap().iter().map(Vec::len).collect();
         // 10 blocks at 3 per segment: 3+3+3+1 blocks => 108,108,108,36.
         assert_eq!(lens, vec![108, 108, 108, 36]);
     }
@@ -268,14 +237,7 @@ mod tests {
         let bytes = framed(&patterned(36 * 8), 36 * 2);
         // Cut before the terminator.
         let cut = &bytes[..bytes.len() - 3];
-        let mut r = StreamReader::new(cut).unwrap();
-        let result = loop {
-            match r.next_segment() {
-                Ok(Some(_)) => continue,
-                other => break other,
-            }
-        };
-        assert!(result.is_err(), "truncation must surface as an error");
+        assert!(read_to_vec(cut).is_err(), "truncation must surface as an error");
     }
 
     #[test]
@@ -291,17 +253,17 @@ mod tests {
     fn damaged_length_varint() {
         let next = |varint: &[u8]| {
             let bytes = [&STREAM_MAGIC[..], &[STREAM_VERSION], varint].concat();
-            StreamReader::new(bytes.as_slice()).unwrap().next_segment()
+            Frames::new(bytes.as_slice()).unwrap().next()
         };
         let overflow = DecompressError::corrupt("varint overflow");
-        assert_eq!(next(&[0xff; 10]), Err(overflow));
-        assert_eq!(next(&[0xff; 9]), Err(DecompressError::Truncated));
+        assert_eq!(next(&[0xff; 10]), Some(Err(overflow)));
+        assert_eq!(next(&[0xff; 9]), Some(Err(DecompressError::Truncated)));
     }
 
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(
-            StreamReader::new(&b"NOTPST\x01"[..]).err(),
+            Frames::new(&b"NOTPST\x01"[..]).err(),
             Some(DecompressError::BadMagic { format: "stream" })
         ));
         // Version 2 (commit frames between segments) is refused like
@@ -309,7 +271,7 @@ mod tests {
         for version in [0u8, 2, 0x63] {
             let header = [&STREAM_MAGIC[..], &[version, 0]].concat();
             assert!(matches!(
-                StreamReader::new(header.as_slice()).err(),
+                Frames::new(header.as_slice()).err(),
                 Some(DecompressError::BadVersion { format: "stream", version: v }) if v == version
             ));
         }
@@ -318,25 +280,22 @@ mod tests {
     #[test]
     fn hostile_declared_length_stays_bounded() {
         // Header + a segment claiming ~512 MiB with 3 real bytes behind
-        // it: the reader must fail with Truncated after at most one
-        // allocation step, not reserve the declared size.
+        // it: the walker must fail with Truncated before it allocates
+        // the declared size.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&STREAM_MAGIC);
         bytes.push(STREAM_VERSION);
         write_varint(&mut bytes, 512 << 20);
         bytes.extend_from_slice(&[1, 2, 3]);
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(r.next_segment().unwrap_err(), DecompressError::Truncated);
+        let mut frames = Frames::new(bytes.as_slice()).unwrap();
+        assert_eq!(frames.next(), Some(Err(DecompressError::Truncated)));
         // And a length over the hard ceiling is rejected outright.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&STREAM_MAGIC);
         bytes.push(STREAM_VERSION);
         write_varint(&mut bytes, (2u64 << 30) + 1);
-        let mut r = StreamReader::new(bytes.as_slice()).unwrap();
-        assert!(matches!(
-            r.next_segment().unwrap_err(),
-            DecompressError::Corrupt { .. }
-        ));
+        let mut frames = Frames::new(bytes.as_slice()).unwrap();
+        assert!(matches!(frames.next(), Some(Err(DecompressError::Corrupt { .. }))));
     }
 
     /// Reading is strict: the segments before a damaged one decode
@@ -344,20 +303,24 @@ mod tests {
     #[test]
     fn damaged_segment_fails_the_read_after_intact_ones() {
         let bytes = framed(&patterned(36 * 16), 36);
-        let clean = StreamReader::new(bytes.as_slice()).unwrap().read_to_vec().unwrap();
+        let clean = read_to_vec(bytes.as_slice()).unwrap();
         // Flip one bit in segment 7's block payload, well past the
         // container header.
         let segment = Frames::new(bytes.as_slice()).unwrap().nth(7).unwrap().unwrap();
         let mut damaged = bytes.clone();
         damaged[segment.at as usize + segment.container.len() / 2] ^= 0x04;
 
-        let mut r = StreamReader::new(damaged.as_slice()).unwrap();
+        let mut frames = Frames::new(damaged.as_slice()).unwrap();
         for i in 0..7 {
-            let values = r.next_segment().unwrap().unwrap();
+            let values = decompress(&frames.next().unwrap().unwrap().container).unwrap();
             assert_eq!(values, clean[36 * i..36 * (i + 1)], "segment {i} must be bit-exact");
         }
         assert!(matches!(
-            r.next_segment(),
+            decompress(&frames.next().unwrap().unwrap().container),
+            Err(DecompressError::ChecksumMismatch { block: Some(0), .. })
+        ));
+        assert!(matches!(
+            read_to_vec(damaged.as_slice()),
             Err(DecompressError::ChecksumMismatch { block: Some(0), .. })
         ));
     }
@@ -368,10 +331,7 @@ mod tests {
         let data = patterned(36 * 5 + 11);
         std::fs::write(&path, framed(&data, 36 * 2)).unwrap();
         let file = std::fs::File::open(&path).unwrap();
-        let restored = StreamReader::new(file)
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
+        let restored = read_to_vec(file).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(restored.len(), data.len());
         for (a, b) in data.iter().zip(&restored) {

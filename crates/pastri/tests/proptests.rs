@@ -7,8 +7,8 @@
 //! fallback.
 
 use pastri::{
-    BlockGeometry, Compressor, CompressorOptions, EcqRepr, EncodingTree, ScaleRule,
-    ScalingMetric,
+    container_bit_stats, BlockGeometry, CompressionStats, Compressor, CompressorOptions, EcqRepr,
+    EncodingTree, ScaleRule, ScalingMetric,
 };
 use proptest::prelude::*;
 
@@ -135,7 +135,8 @@ proptest! {
         // (224 bits for one small block) are left out — with 1–3 small
         // blocks they, not the codec, set the ratio.
         let c = Compressor::new(geom, 1e-10);
-        let (bytes, stats) = c.compress_with_stats(&data);
+        let bytes = c.compress(&data);
+        let stats = container_bit_stats(&bytes).unwrap();
         let back = c.decompress(&bytes).unwrap();
         for (a, b) in data.iter().zip(&back) {
             prop_assert!((a - b).abs() <= 1e-10);
@@ -174,28 +175,42 @@ proptest! {
     }
 
     #[test]
-    fn stats_never_change_the_bytes(
-        data in proptest::collection::vec(-1e-4..1e-4f64, 0..400),
-        opts in options_strategy(),
-    ) {
-        // Plain compression skips the accounting; the output must not notice.
-        let geom = BlockGeometry::new(6, 10);
-        let c = Compressor::with_options(geom, 1e-10, opts);
-        prop_assert_eq!(c.compress_with_stats(&data).0, c.compress(&data));
-    }
-
-    #[test]
     fn stats_block_accounting(
         data in proptest::collection::vec(-1e-4..1e-4f64, 1..500),
+        opts in options_strategy(),
     ) {
         let geom = BlockGeometry::new(5, 7);
-        let c = Compressor::new(geom, 1e-9);
-        let (bytes, stats) = c.compress_with_stats(&data);
+        let c = Compressor::with_options(geom, 1e-9, opts);
+        let bytes = c.compress(&data);
+        let stats = container_bit_stats(&bytes).unwrap();
         prop_assert_eq!(stats.blocks as usize, geom.blocks_for_len(data.len()));
         prop_assert_eq!(stats.compressed_bytes as usize, bytes.len());
+        prop_assert_eq!(stats.original_bytes as usize, data.len() * 8);
         let kinds: u64 = stats.kind_counts.iter().sum();
         prop_assert_eq!(kinds, stats.blocks);
         let types: u64 = stats.type_counts.iter().sum();
         prop_assert_eq!(types, stats.blocks);
+
+        // Blocks are coded independently, so each block compressed alone
+        // is a one-block container holding the same payload, and its
+        // walk is that block's accounting: every payload bit but the
+        // last byte's padding.
+        let mut merged = CompressionStats::default();
+        for (b, block) in data.chunks(geom.block_size()).enumerate() {
+            let one = container_bit_stats(&c.compress(block)).unwrap();
+            let payload_bits = one.compressed_bytes * 8 - one.container_bits;
+            let accounted =
+                one.header_bits + one.pq_bits + one.sq_bits + one.ecq_bits + one.verbatim_bits;
+            prop_assert!(
+                accounted <= payload_bits && accounted + 8 > payload_bits,
+                "block {}: {} bits accounted of a {}-bit payload", b, accounted, payload_bits
+            );
+            merged.merge(&one);
+        }
+        // The per-block walks add up to the container's, framing aside.
+        merged.original_bytes = stats.original_bytes;
+        merged.compressed_bytes = stats.compressed_bytes;
+        merged.container_bits = stats.container_bits;
+        prop_assert_eq!(merged, stats);
     }
 }

@@ -34,8 +34,10 @@ fn main() {
     let error_bound = 1e-10;
     let compressor = Compressor::new(BlockGeometry::from_dims(config.dims()), error_bound);
 
-    // 3. Compress.
-    let (compressed, stats) = compressor.compress_with_stats(&dataset.values);
+    // 3. Compress, then read the container's statistics back from its
+    //    bytes.
+    let compressed = compressor.compress(&dataset.values);
+    let stats = pastri::container_bit_stats(&compressed).expect("a container just written");
     println!(
         "compressed {} -> {} bytes (ratio {:.2}x, {:.2} bits/double)",
         dataset.byte_size(),

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use eri_store::StoreWriter;
 use pastri::stream::Frames;
-use pastri::{BlockGeometry, Compressor};
+use pastri::{BlockGeometry, Compressor, DecompressError};
 
 /// A fresh per-test scratch directory (removed if it already exists,
 /// *not* created — builders and harnesses create what they need).
@@ -103,6 +103,18 @@ pub fn v1_stream(values: &[f64], compressor: Compressor, blocks_per_segment: usi
     let segment = compressor.geometry().block_size() * blocks_per_segment;
     let containers: Vec<Vec<u8>> = values.chunks(segment).map(|s| compressor.compress(s)).collect();
     frame_v1(&containers)
+}
+
+/// Every segment of the stream `bytes` decoded in order, strictly: the
+/// framing walked by `Frames`, each segment's container by
+/// `pastri::decompress`, as `pastri decompress` reads a stream. The
+/// first damage fails the read.
+pub fn read_stream(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
+    let mut values = Vec::new();
+    for segment in Frames::new(bytes)? {
+        values.extend(pastri::decompress(&segment?.container)?);
+    }
+    Ok(values)
 }
 
 /// `[start, end)` of each segment's container payload in a `PSTRS`

@@ -210,15 +210,7 @@ proptest! {
         if with_magic && bytes.len() >= 6 {
             bytes[..6].copy_from_slice(b"PSTRS\x01");
         }
-        if let Ok(mut r) = pastri::stream::StreamReader::new(bytes.as_slice()) {
-            // Bounded iteration: corrupted streams must terminate.
-            for _ in 0..64 {
-                match r.next_segment() {
-                    Ok(Some(_)) => {}
-                    _ => break,
-                }
-            }
-        }
+        let _ = common::read_stream(&bytes);
     }
 
     #[test]
@@ -262,8 +254,7 @@ proptest! {
         let bytes = mutated(&legacy_artifacts()[2 + usize::from(source)], kind, seed);
         let mut declared = 0;
         let largest = largest_allocation(|| {
-            let _ = pastri::stream::StreamReader::new(bytes.as_slice())
-                .and_then(pastri::stream::StreamReader::read_to_vec);
+            let _ = common::read_stream(&bytes);
             if let Ok(frames) = pastri::stream::Frames::new(bytes.as_slice()) {
                 for segment in frames.flatten() {
                     declared = declared.max(declared_values(&segment.container));
@@ -511,9 +502,7 @@ fn every_truncation_prefix_of_a_golden_artifact_is_an_error() {
     }
     for (name, full) in [("v1 stream", v1_stream), ("v3 stream", v3_stream)] {
         for t in 0..full.len() {
-            let read = pastri::stream::StreamReader::new(&full[..t])
-                .and_then(pastri::stream::StreamReader::read_to_vec);
-            assert!(read.is_err(), "{name} cut at {t} decoded");
+            assert!(common::read_stream(&full[..t]).is_err(), "{name} cut at {t} decoded");
         }
     }
 }

@@ -10,7 +10,6 @@ mod common;
 
 use std::path::Path;
 
-use pastri::stream::StreamReader;
 use pastri::Compressor;
 use qchem::basis::BfConfig;
 use qchem::dataset::EriDataset;
@@ -71,8 +70,7 @@ fn streams_byte_identical_across_thread_counts() {
     for data in [dataset(config, 21), Vec::new()] {
         for blocks_per_segment in [1usize, 4] {
             let baseline = pool(1).install(|| common::v1_stream(&data, c, blocks_per_segment));
-            let decoded =
-                StreamReader::new(baseline.as_slice()).unwrap().read_to_vec().unwrap();
+            let decoded = common::read_stream(&baseline).unwrap();
             assert_eq!(decoded.len(), data.len());
             for threads in THREAD_COUNTS {
                 let what = format!(
@@ -81,8 +79,7 @@ fn streams_byte_identical_across_thread_counts() {
                 );
                 let bytes = pool(threads).install(|| common::v1_stream(&data, c, blocks_per_segment));
                 assert_eq!(bytes, baseline, "{what}");
-                let values = pool(threads)
-                    .install(|| StreamReader::new(bytes.as_slice()).unwrap().read_to_vec().unwrap());
+                let values = pool(threads).install(|| common::read_stream(&bytes).unwrap());
                 assert_eq!(values, decoded, "{what}");
             }
         }
@@ -120,19 +117,9 @@ fn golden_v1_decode_identical_across_thread_counts() {
     }
 
     let stream = golden("v1_stream.pstrs");
-    let stream_baseline = pool(1).install(|| {
-        StreamReader::new(stream.as_slice())
-            .unwrap()
-            .read_to_vec()
-            .unwrap()
-    });
+    let stream_baseline = pool(1).install(|| common::read_stream(&stream).unwrap());
     for threads in THREAD_COUNTS {
-        let values = pool(threads).install(|| {
-            StreamReader::new(stream.as_slice())
-                .unwrap()
-                .read_to_vec()
-                .unwrap()
-        });
+        let values = pool(threads).install(|| common::read_stream(&stream).unwrap());
         assert_eq!(values, stream_baseline, "v1 stream at {threads} threads");
     }
 }

@@ -18,9 +18,8 @@ use std::path::{Path, PathBuf};
 use faults::BitFlipper;
 mod common;
 
-use common::{golden, golden_original};
+use common::{golden, golden_original, read_stream};
 use eri_store::{StoreReader, StoreWriter};
-use pastri::stream::StreamReader;
 use pastri::{container_bit_stats, decompress, inspect};
 use pastri::{BlockGeometry, Compressor};
 
@@ -37,10 +36,6 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .num_threads(threads)
         .build()
         .unwrap()
-}
-
-fn read_stream(bytes: &[u8]) -> Result<Vec<f64>, pastri::DecompressError> {
-    StreamReader::new(bytes)?.read_to_vec()
 }
 
 #[test]
