@@ -1,13 +1,14 @@
 //! CRC32 (IEEE 802.3 / zlib polynomial, reflected) — the integrity
-//! checksum used by the v2 PaSTRI container, the `PSTRS` stream, the
-//! `ERISTOR3` block store, durable commit records and the PTRF wire frame.
+//! checksum used by the v2 PaSTRI container and each block frame it
+//! holds, the `PSTRS` stream, the `ERISTOR4` block store (which keeps
+//! those frames), durable commit records and the PTRF wire frame.
 //!
 //! Dependency-free, with two paths chosen at run time:
 //!
 //! * inputs of 128 bytes or more, on an `x86_64` CPU that reports
 //!   `pclmulqdq` and `sse4.1`, go through a carry-less-multiply folding
 //!   kernel (~20 GB/s on one core of an Intel Xeon: 8 µs for a 166 KB
-//!   PTRF frame, 0.13 µs for a 2.6 KB store container);
+//!   PTRF frame, 0.13 µs for a 2.6 KB stored block);
 //! * everything else — short inputs, the < 16-byte tail the kernel
 //!   leaves, other targets, CPUs without the feature — uses a
 //!   compile-time slice-by-4 table (~0.8 GB/s on the same core, ~200 µs

@@ -476,7 +476,7 @@ pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// `pastri verify <file>`: check any PaSTRI artifact — a single
-/// container (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR3`).
+/// container (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR4`).
 /// A store gets a per-block damage report; a read-only container or
 /// stream gets a strict decode, and its first damage is the error. Exit
 /// codes are the scripting contract: 0 clean, 2 when damage is found in
@@ -1895,7 +1895,10 @@ mod tests {
         // the committed input and finishes byte-identical.
         let (at_commit, _) = eri_store::committed_index(&&clean[..clean.len() / 2]).unwrap();
         assert!(at_commit.segments > 0, "some batch must have committed");
-        for cut in [at_commit.bytes as usize, at_commit.bytes as usize + 1000] {
+        let (_, index) = eri_store::committed_index(&clean.as_slice()).unwrap();
+        let next = index.blocks[at_commit.segments as usize];
+        assert_eq!(next.offset, at_commit.bytes, "the next block follows the commit");
+        for cut in [at_commit.bytes, next.offset + next.len / 2].map(|c| c as usize) {
             fs::write(&part, &clean[..cut]).unwrap();
             let mut resumed_out = Vec::new();
             let mut argv = sv(&[&raw, &part]);
@@ -2091,8 +2094,9 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(sum_out).unwrap();
-        assert!(text.contains("compress.container"), "{text}");
-        assert!(text.contains("compress.block"), "{text}");
+        for stage in ["compress.block", "compress.pattern_select", "compress.ecq_encode"] {
+            assert!(text.contains(stage), "{stage}: {text}");
+        }
         assert!(!telemetry::is_enabled(), "capture must disable the recorder");
 
         // JSON lines to a file, then `pastri report` re-renders them.
@@ -2107,7 +2111,7 @@ mod tests {
         let mut rep_out = Vec::new();
         report(&sv(&[&jsonl]), &mut rep_out).unwrap();
         let text = String::from_utf8(rep_out).unwrap();
-        assert!(text.contains("compress.container"), "{text}");
+        assert!(text.contains("compress.block"), "{text}");
 
         // Chrome trace from decompress: structurally valid trace-event JSON.
         decompress(

@@ -199,8 +199,8 @@ CACHE SERVER (`serve`):
   input must hold whole --config blocks. `pastri serve` mounts
   one or more stores (shared geometry and error bound) as one global
   block index space, one reader per store shared by every thread, plus
-  a hot-block cache of compressed containers (--cache-mb counts their
-  bytes), then serves the requested blocks in order (all blocks when
+  a hot-block cache of compressed block frames (--cache-mb counts
+  their bytes), then serves the requested blocks in order (all blocks when
   --blocks is omitted);
   --out writes them as raw f64, byte-identical to `pastri decompress`
   of the same store. Damaged blocks heal from parity on read

@@ -782,18 +782,18 @@ fn transport_exit_codes_follow_the_documented_contract() {
     // surface the protocol fault as exit 1, not swallow it. The mock
     // server serves reads correctly but answers `TelemetryRequest`
     // with a `Hello`.
-    let (mock_addr, server) = mock_server(mock_container);
+    let (mock_addr, server) = mock_server(mock_block);
     let wrong_scrape = exit_code(&sv(&[
         "fetch", &format!("tcp:{mock_addr}"), "--stats", "--deadline-ms", "10000",
     ]));
     assert_eq!(wrong_scrape, 1, "a protocol fault in the telemetry scrape is exit 1");
     assert_eq!(server.join().unwrap(), 1, "the scrape was sent once, not retried");
 
-    // A damaged container inside an intact frame: the frame CRC holds,
+    // A damaged block inside an intact PTRF frame: the PTRF CRC holds,
     // but block 1's own payload CRC does not, so the client's decode
     // refuses it — corruption, exit 2, and not a retried frame error.
     let (mock_addr, server) = mock_server(|id| {
-        let mut c = mock_container(id);
+        let mut c = mock_block(id);
         if id == 1 {
             let last = c.len() - 1;
             c[last] ^= 0x20;
@@ -803,22 +803,22 @@ fn transport_exit_codes_follow_the_documented_contract() {
     let damaged = exit_code(&sv(&[
         "fetch", &format!("tcp:{mock_addr}"), "--retries", "0", "--deadline-ms", "10000",
     ]));
-    assert_eq!(damaged, 2, "a damaged container in a CRC-valid frame is exit 2");
+    assert_eq!(damaged, 2, "a damaged block in a CRC-valid PTRF frame is exit 2");
     assert_eq!(server.join().unwrap(), 0, "no scrape without --stats");
 }
 
-/// Mock server block `id`: the one-block container of 4 copies of
-/// `id`, as a store of 1×4 blocks at EB 1e-10 holds it.
-fn mock_container(id: u64) -> Vec<u8> {
-    pastri::Compressor::new(pastri::BlockGeometry::new(1, 4), 1e-10).compress(&[id as f64; 4])
+/// Mock server block `id`: the frame of 4 copies of `id`, as a store
+/// of 1×4 blocks at EB 1e-10 holds it.
+fn mock_block(id: u64) -> Vec<u8> {
+    pastri::Compressor::new(pastri::BlockGeometry::new(1, 4), 1e-10).compress_block(&[id as f64; 4])
 }
 
 /// A one-connection PTRF server announcing two 1×4 blocks at EB 1e-10,
-/// answering each read with `container(id)` per id and each telemetry
+/// answering each read with `block(id)` per id and each telemetry
 /// scrape with a `Hello` (a protocol fault). Joins to the number of
 /// scrapes it was sent.
 fn mock_server(
-    container: impl Fn(u64) -> Vec<u8> + Send + 'static,
+    block: impl Fn(u64) -> Vec<u8> + Send + 'static,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<u32>) {
     use eri_server::protocol::{self, Hello, Message, ReadResponse, WireBlock};
     use std::io::Write as _;
@@ -840,7 +840,7 @@ fn mock_server(
         while let Ok(msg) = protocol::read_frame(&mut conn) {
             let reply = match msg {
                 Message::ReadRequest(rq) => {
-                    let blocks = rq.ids.iter().map(|&id| WireBlock::Container(container(id)));
+                    let blocks = rq.ids.iter().map(|&id| WireBlock::Frame(block(id)));
                     Message::ReadResponse(ReadResponse {
                         request_id: rq.request_id,
                         blocks: blocks.collect(),

@@ -263,8 +263,9 @@ pub fn read_exact_at<R: ReadAt + ?Sized>(r: &R, buf: &mut [u8], offset: u64) -> 
     read_exact_retry(r, buf, offset, &RetryPolicy::none(), &mut RetryStats::default())
 }
 
-/// First bytes of every commit record — distinct from a container's
-/// `PSTR`, so a store walker tells the two apart by their first word.
+/// First bytes of every commit record. A store walker tries its own
+/// checksummed framing first and takes these bytes as a record only
+/// where that fails.
 pub const COMMIT_MAGIC: [u8; 4] = *b"PSTC";
 /// Bytes per commit record: magic, segments, values, bytes (u64 LE
 /// each), the span CRC32 and the CRC32 of the 32 bytes before it.

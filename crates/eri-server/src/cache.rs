@@ -3,8 +3,7 @@
 //! The server's read path is decompress-many (PaSTRI Fig. 11): the same
 //! shell-quartet blocks are re-read every SCF iteration, with a skewed
 //! popularity distribution. This cache holds each block's *compressed*
-//! container bytes, exactly as the store certified them after stripe
-//! repair — the paper's premise that compressed data is cheaper to
+//! frame, exactly as the store certified it after stripe repair — the paper's premise that compressed data is cheaper to
 //! keep and move than to re-read, while decoding stays with the
 //! consumer. A hit saves the store read, CRC check and any repair; at
 //! PaSTRI's ratios the same budget holds ~10× the blocks decoded f64
@@ -44,7 +43,7 @@ pub(crate) const ENTRY_OVERHEAD: usize = 64;
 /// Sentinel "no slot" index for the intrusive list.
 const NIL: usize = usize::MAX;
 
-/// Bytes an entry of a `len`-byte container is charged against the
+/// Bytes an entry of a `len`-byte frame is charged against the
 /// budget. Public so the model-based proptests can mirror the
 /// arithmetic exactly.
 #[must_use]
@@ -139,7 +138,7 @@ impl Shard {
     fn insert(&mut self, key: u64, block: Arc<[u8]>) -> (bool, u64, isize) {
         let cost = entry_cost(block.len());
         if let Some(&i) = self.map.get(&key) {
-            // Same key ⇒ same stored container; refresh recency only.
+            // Same key ⇒ same stored frame; refresh recency only.
             self.detach(i);
             self.push_front(i);
             self.slots[i].block = block;

@@ -13,19 +13,19 @@
 //!   caller gets [`ClientError::Frame`] (the CLI maps it to exit 2 —
 //!   the bytes were damaged, not merely unavailable).
 //! * **Per-block errors** — structured statuses inside an intact
-//!   response, and containers that fail the client's own decode. *Not*
+//!   response, and frames that fail the client's own decode. *Not*
 //!   retried here: the server already ran its own repair-on-read and
 //!   retry policy against the store; a corrupt block is a property of
 //!   the artifact, not of this connection.
 //!
-//! The server sends each block as its stored container bytes; the
-//! client decodes a response's containers in one
-//! [`pastri::decompress_blocks`] call at the geometry and error bound
-//! the `Hello` announced. That guarded entry point refuses a container
-//! naming any other geometry, bound or block count before it allocates,
-//! so a broken or hostile server costs at most one block's values per
-//! slot, and the failure is a [`BlockErrorKind::Corruption`] at that
-//! slot's position.
+//! The server sends each block as its stored PaSTRI frame; the client
+//! decodes a response's frames in one [`pastri::decompress_blocks`]
+//! call at the geometry and error bound the `Hello` announced, which no
+//! frame repeats. A frame that does not parse exactly or whose CRC fails
+//! is refused before anything is allocated for it, and no frame costs
+//! more than one block's values, so a broken or hostile server costs at
+//! most that per slot, and the failure is a
+//! [`BlockErrorKind::Corruption`] at that slot's position.
 //!
 //! Retries draw their backoff from [`durable::retry::RetryPolicy`] —
 //! the same bounded exponential + seeded half-range jitter the store
@@ -392,7 +392,7 @@ impl RemoteClient {
     }
 
     /// One request/response exchange for a batch already sized to fit
-    /// the frame budget, each container decoded at its own position.
+    /// the frame budget, each block's frame decoded at its own position.
     fn read_batch(
         &mut self,
         ids: &[u64],
@@ -428,29 +428,29 @@ impl RemoteClient {
                 ids.len()
             )));
         }
-        // Every served container decodes in one call, which pairs their
+        // Every served frame decodes in one call, which pairs their
         // Dense streams.
-        let containers: Vec<&[u8]> = rs
+        let frames: Vec<&[u8]> = rs
             .blocks
             .iter()
             .filter_map(|b| match b {
-                WireBlock::Container(c) => Some(c.as_slice()),
+                WireBlock::Frame(f) => Some(f.as_slice()),
                 WireBlock::Error { .. } => None,
             })
             .collect();
         let mut decoded =
-            pastri::decompress_blocks(&containers, self.geometry(), self.hello.error_bound)
+            pastri::decompress_blocks(&frames, self.geometry(), self.hello.error_bound)
                 .into_iter();
         Ok(rs
             .blocks
             .into_iter()
             .zip(ids)
             .map(|(b, &id)| match b {
-                WireBlock::Container(_) => {
-                    decoded.next().expect("one result per container").map_err(|e| BlockError {
+                WireBlock::Frame(_) => {
+                    decoded.next().expect("one result per frame").map_err(|e| BlockError {
                         block: id,
                         kind: BlockErrorKind::Corruption,
-                        message: format!("served container: {e}"),
+                        message: format!("served frame: {e}"),
                     })
                 }
                 WireBlock::Error { kind, message } => {
@@ -749,6 +749,13 @@ fn open_conn(
             hello.num_subblocks, hello.subblock_size
         )));
     }
+    // Frames carry no bound of their own: this one decodes every block.
+    if !(hello.error_bound.is_finite() && hello.error_bound > 0.0) {
+        return Err(AttemptError::Protocol(format!(
+            "server announces an invalid error bound {}",
+            hello.error_bound
+        )));
+    }
     Ok((conn, hello))
 }
 
@@ -756,59 +763,34 @@ fn open_conn(
 mod tests {
     use super::*;
     use crate::protocol::ReadResponse;
-    use pastri::Compressor;
-
-    fn varint(out: &mut Vec<u8>, mut v: u64) {
-        while v >= 0x80 {
-            out.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        out.push(v as u8);
-    }
-
-    /// `container` (one block of `geom`) with its header rewritten to
-    /// claim one `claimed` block instead, header CRC recomputed so only
-    /// the guarded decode can refuse it.
-    fn reclaimed(container: &[u8], geom: BlockGeometry, claimed: BlockGeometry) -> Vec<u8> {
-        let mut old = Vec::new();
-        for v in [geom.num_subblocks, geom.subblock_size, geom.block_size(), 1] {
-            varint(&mut old, v as u64);
-        }
-        let body = 15 + old.len();
-        assert_eq!(container[15..body], old[..], "header varints where expected");
-        let mut out = container[..15].to_vec();
-        for v in [claimed.num_subblocks, claimed.subblock_size, claimed.block_size(), 1] {
-            varint(&mut out, v as u64);
-        }
-        out.extend_from_slice(&checksum::crc32(&out).to_le_bytes());
-        out.extend_from_slice(&container[body + 4..]);
-        out
-    }
 
     #[test]
-    fn hostile_container_is_corruption_at_its_position_only() {
-        // A server whose second slot carries a CRC-valid header claiming
-        // one 16384×16384 block (2 GiB decoded): the client refuses it
-        // as corruption at that position, before allocating, and still
-        // serves the slots around it.
+    fn damaged_frame_is_corruption_at_its_position_only() {
+        // A server whose second slot carries a frame with a flipped
+        // payload bit, and whose third carries one whose length varint
+        // claims u64::MAX bytes: the client refuses each as corruption
+        // at its own position, before allocating for it, and still
+        // serves the slots around them.
         let geom = BlockGeometry::new(4, 32);
         let eb = 1e-10;
-        let blocks: Vec<Vec<f64>> = (0..3)
+        let blocks: Vec<Vec<f64>> = (0..4)
             .map(|b| (0..128).map(|i| ((i + 7 * b) as f64 * 0.21).sin() * 1e-6).collect())
             .collect();
-        let compressor = Compressor::new(geom, eb);
-        let containers: Vec<Vec<u8>> = blocks.iter().map(|b| compressor.compress(b)).collect();
-        let hostile = reclaimed(&containers[1], geom, BlockGeometry::new(1 << 14, 1 << 14));
+        let compressor = pastri::Compressor::new(geom, eb);
+        let mut served: Vec<Vec<u8>> =
+            blocks.iter().map(|b| compressor.compress_block(b)).collect();
+        *served[1].last_mut().unwrap() ^= 0x10;
+        let payload_at = served[2].iter().position(|&b| b < 0x80).unwrap() + 1;
+        served[2].splice(..payload_at, [0xFF; 9].into_iter().chain([0x01]));
 
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let served = [containers[0].clone(), hostile, containers[2].clone()];
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut conn = Conn::Tcp(stream);
             let hello = Hello {
                 version: PROTO_VERSION,
-                num_blocks: 3,
+                num_blocks: 4,
                 num_subblocks: 4,
                 subblock_size: 32,
                 error_bound: eb,
@@ -818,7 +800,7 @@ mod tests {
             let Ok(Message::ReadRequest(rq)) = protocol::read_frame(&mut conn) else {
                 panic!("want a read request")
             };
-            let blocks = rq.ids.iter().map(|&id| WireBlock::Container(served[id as usize].clone()));
+            let blocks = rq.ids.iter().map(|&id| WireBlock::Frame(served[id as usize].clone()));
             let reply = ReadResponse { request_id: rq.request_id, blocks: blocks.collect() };
             protocol::write_frame(&mut conn, &Message::ReadResponse(reply)).unwrap();
             conn.flush().unwrap();
@@ -826,16 +808,18 @@ mod tests {
 
         let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
         let mut client = RemoteClient::connect(&[ep], ClientConfig::default()).unwrap();
-        let got = client.read_blocks(&[0, 1, 2]).unwrap();
+        let got = client.read_blocks(&[0, 1, 2, 3]).unwrap();
         server.join().unwrap();
-        let err = got[1].as_ref().unwrap_err();
-        assert_eq!((err.block, err.kind), (1, BlockErrorKind::Corruption), "{err}");
-        for pos in [0, 2] {
+        for pos in [1, 2] {
+            let err = got[pos].as_ref().unwrap_err();
+            assert_eq!((err.block, err.kind), (pos as u64, BlockErrorKind::Corruption), "{err}");
+        }
+        for pos in [0, 3] {
             let values = got[pos].as_ref().unwrap();
             assert_eq!(values.len(), 128);
             assert!(values.iter().zip(&blocks[pos]).all(|(a, b)| (a - b).abs() <= eb));
         }
-        assert_eq!(client.stats().retries, 0, "a bad container is not a connection fault");
+        assert_eq!(client.stats().retries, 0, "a bad frame is not a connection fault");
     }
 
     #[test]

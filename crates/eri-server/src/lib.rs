@@ -12,23 +12,24 @@
 //!   through it at once with no lock and no seek state. Multiple stores
 //!   mount side by side under one global block index space.
 //! * **Compressed end to end** — the server never decodes. It serves
-//!   each block's stored container bytes (a one-block PaSTRI v2
-//!   container, header and payload CRCs included), and the consumer
-//!   decodes them with [`pastri::decompress_blocks`]: the paper's
+//!   each block's stored frame (payload length, payload CRC32 and
+//!   payload, as [`pastri::Compressor::compress_block`] writes it), and the consumer
+//!   decodes frames with [`pastri::decompress_blocks`] at the geometry
+//!   and error bound stated once for the whole store: the paper's
 //!   premise that compressed data is cheaper to keep and move than
 //!   decoded data (Figs. 10–11).
 //! * **Hot-block cache** — a byte-budgeted, sharded-lock LRU/admission
-//!   cache ([`cache::BlockCache`]) holding those container bytes, so a
+//!   cache ([`cache::BlockCache`]) holding those frames, so a
 //!   popular quartet pays its store read once, not once per reuse.
 //! * **Batched reads** — `ServerHandle::read_blocks_each` takes one
 //!   request's block ids, serves hits from memory, fans the distinct
 //!   misses out on the rayon pool, and reassembles results in request
 //!   order.
 //! * **Repair-on-read preserved** — misses go through
-//!   [`eri_store::StoreReader::read_container_noting_repair`], so an
+//!   [`eri_store::StoreReader::read_frame_noting_repair`], so an
 //!   injected fault heals from stripe parity and counts
 //!   `store.blocks_repaired` exactly like a direct read; only the
-//!   *post-repair* container is ever admitted to the cache (there is no
+//!   *post-repair* frame is ever admitted to the cache (there is no
 //!   pre-repair byte to leak: insertion happens strictly after the
 //!   read returns the certified bytes).
 //!
@@ -46,7 +47,8 @@
 //! `pastri serve` and the tests, and the PTRF wire transport behind
 //! `pastri serve --listen` / `pastri fetch`. Both serve through
 //! `ServerHandle::read_blocks_each`; [`ServerHandle::read_blocks`] is
-//! its all-or-nothing collect, decoded in process.
+//! its all-or-nothing collect, decoded in process, and the one
+//! in-process read.
 
 use std::fs::File;
 use std::path::Path;
@@ -137,7 +139,7 @@ impl ServerError {
 /// Tunables for [`ServerHandle::open`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Hot-block cache byte budget (compressed container bytes +
+    /// Hot-block cache byte budget (compressed frame bytes +
     /// per-entry overhead).
     pub cache_bytes: usize,
     /// Transient-retry policy handed to every store reader.
@@ -272,12 +274,12 @@ impl ServerHandle {
     }
 
     /// Serves one batch: block `ids` (duplicates and any order allowed)
-    /// → one container per position, in request order. Hits come
+    /// → one frame per position, in request order. Hits come
     /// straight from the cache; the distinct missed ids are fetched in
     /// parallel on the rayon pool (in request order on a one-thread
     /// pool), each through the repair-on-read path, then admitted to
     /// the cache post-repair. Nothing is decoded here: each `Ok` holds
-    /// the block's stored container bytes.
+    /// the block's stored frame.
     ///
     /// One bad block never sinks the batch: a corrupt or out-of-range
     /// id yields a structured error at its own position while the rest
@@ -316,9 +318,9 @@ impl ServerHandle {
             runs.par_iter().map(|run| self.read_miss(run[0].0)).collect();
         for (run, res) in runs.iter().zip(fetched) {
             match res {
-                Ok(container) => {
+                Ok(frame) => {
                     for &(_, pos) in *run {
-                        out[pos] = Some(Ok(Arc::clone(&container)));
+                        out[pos] = Some(Ok(Arc::clone(&frame)));
                     }
                 }
                 // Errors carry non-clonable I/O sources, and a block that
@@ -337,44 +339,31 @@ impl ServerHandle {
     }
 
     /// All-or-nothing batch: `ServerHandle::read_blocks_each`, its
-    /// containers decoded in one [`pastri::decompress_blocks`] call, as
-    /// a remote client decodes a response, and collected into one
+    /// frames decoded in one [`pastri::decompress_blocks`] call, as a
+    /// remote client decodes a response, and collected into one
     /// `Result`. A failed batch reports the error of its first failing
-    /// position; the blocks that did read are still cached.
+    /// position; the blocks that did read are still cached. One block is
+    /// a batch of one.
     pub fn read_blocks(&self, ids: &[usize]) -> Result<Vec<Arc<Vec<f64>>>, ServerError> {
-        let containers = self.read_blocks_each(ids);
-        let read: Vec<&[u8]> = containers.iter().filter_map(|c| c.as_deref().ok()).collect();
+        let frames = self.read_blocks_each(ids);
+        let read: Vec<&[u8]> = frames.iter().filter_map(|f| f.as_deref().ok()).collect();
         let mut decoded =
             pastri::decompress_blocks(&read, self.geometry(), self.error_bound()).into_iter();
         ids.iter()
-            .zip(containers)
-            .map(|(&id, c)| {
-                c?;
+            .zip(frames)
+            .map(|(&id, f)| {
+                f?;
                 decoded
                     .next()
-                    .expect("one result per read container")
+                    .expect("one result per read frame")
                     .map(Arc::new)
                     .map_err(|e| ServerError::Store { block: id, source: e.into() })
             })
             .collect()
     }
 
-    /// Convenience wrapper: one block.
-    pub fn read_block(&self, id: usize) -> Result<Arc<Vec<f64>>, ServerError> {
-        let container = self.read_blocks_each(&[id]).pop().expect("one result")?;
-        self.decode(id, &container)
-    }
-
-    /// Decodes block `id`'s container at the mounted geometry and error
-    /// bound, the same guarded decode a remote client runs.
-    fn decode(&self, id: usize, container: &[u8]) -> Result<Arc<Vec<f64>>, ServerError> {
-        pastri::decompress_block(container, self.geometry(), self.error_bound())
-            .map(Arc::new)
-            .map_err(|e| ServerError::Store { block: id, source: e.into() })
-    }
-
     /// One cache-miss store read: repair-on-read via
-    /// `StoreReader::read_container_noting_repair`, telemetry, and
+    /// `StoreReader::read_frame_noting_repair`, telemetry, and
     /// strictly post-repair cache admission (the reader only returns
     /// certified — checksum-verified, parity-rebuilt if needed — bytes,
     /// so nothing stale can be admitted).
@@ -383,9 +372,9 @@ impl ServerHandle {
         // Mounts are in global order, so the owner is the last one
         // starting at or before `id`.
         let mount = &self.mounts[self.mounts.partition_point(|m| m.first_block <= id) - 1];
-        let (container, repaired) = mount
+        let (frame, repaired) = mount
             .reader
-            .read_container_noting_repair(id - mount.first_block)
+            .read_frame_noting_repair(id - mount.first_block)
             .map_err(|e| ServerError::Store { block: id, source: e })?;
         if repaired {
             // Repair-on-read healed this block mid-serve: a journal
@@ -399,9 +388,9 @@ impl ServerHandle {
         telemetry::observe_us("server.miss_us", us);
         telemetry::observe_us("server.read_us", us);
         telemetry::counter_add("server.store_reads", 1);
-        let container: Arc<[u8]> = container.into();
-        self.cache.insert(id as u64, Arc::clone(&container));
-        Ok(container)
+        let frame: Arc<[u8]> = frame.into();
+        self.cache.insert(id as u64, Arc::clone(&frame));
+        Ok(frame)
     }
 }
 
@@ -470,7 +459,7 @@ mod tests {
             } else {
                 db.read_block(id - 5).unwrap()
             };
-            assert_eq!(*srv.read_block(id).unwrap(), want, "global id {id}");
+            assert_eq!(*srv.read_blocks(&[id]).unwrap()[0], want, "global id {id}");
         }
         let _ = std::fs::remove_file(&pa);
         let _ = std::fs::remove_file(&pb);
@@ -497,7 +486,7 @@ mod tests {
         let path = tmp("oor.eristore");
         build(&path, geom, 3, 0);
         let srv = ServerHandle::open(&[&path], &ServerConfig::default()).unwrap();
-        let err = srv.read_block(3).unwrap_err();
+        let err = srv.read_blocks(&[3]).unwrap_err();
         assert!(matches!(err, ServerError::OutOfRange { index: 3, blocks: 3 }), "{err}");
         assert!(!err.is_corruption());
         let _ = std::fs::remove_file(&path);

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! The CRC reuses the `checksum` crate (same IEEE-reflected CRC32 the
-//! container format uses), so a flipped bit anywhere in a frame —
+//! PaSTRI formats use), so a flipped bit anywhere in a frame —
 //! header, length, or payload — is detected before any field is
 //! trusted. Decoding is hostile-length hardened in the same spirit as
 //! the container parsers: the payload length is capped before
@@ -41,15 +41,16 @@
 //!   `count` block ids as `u64`.
 //! * `ReadResponse`: `request_id u64`, `count u32`, then per block a
 //!   `status u8` — `0` followed by `len u32` + `len` bytes of the
-//!   block's stored container (a one-block PaSTRI v2 container, exactly
-//!   as the store certified it after stripe repair), or an error code
-//!   followed by `msg_len u32` + UTF-8 message. A bad block degrades to
-//!   its own status byte; the other blocks in the response are
-//!   unaffected. The server never decodes: the client decodes each
-//!   response's containers with [`pastri::decompress_blocks`] at the `Hello`'s
-//!   geometry and error bound. The container's own header and payload
-//!   CRCs travel with it, so integrity is checked from the disk to the
-//!   client's decode, on top of the frame CRC.
+//!   block's stored PaSTRI frame (payload length varint, payload CRC32,
+//!   payload; exactly as the store certified it after stripe repair), or
+//!   an error code followed by `msg_len u32` + UTF-8 message. A bad
+//!   block degrades to its own status byte; the other blocks in the
+//!   response are unaffected. The server never decodes: the client
+//!   decodes each response's frames with [`pastri::decompress_blocks`]
+//!   at the `Hello`'s geometry and error bound, which no frame repeats.
+//!   Each frame's payload CRC travels with it from the disk, so
+//!   integrity is checked from the disk to the client's decode, on top
+//!   of the PTRF frame CRC.
 //! * `Overloaded`: the server shed a request instead of serving it —
 //!   `request_id u64`, `reason u8` (0 = shed under load, 1 = draining),
 //!   `retry_after_ms u32` (backoff hint).
@@ -64,8 +65,9 @@
 //! **One version.** The server always speaks first with a `Hello`
 //! carrying [`PROTO_VERSION`]; a client refuses any other version
 //! with a protocol error. There is no negotiation and no downgrade.
-//! Version 5 is the compressed `ReadResponse` above; version 4 carried
-//! decoded f64 values in the same slot and is not spoken.
+//! Version 6 is the `ReadResponse` of frames above; version 5 carried a
+//! whole one-block container per slot, and version 4 decoded f64
+//! values. Neither is spoken.
 
 use std::io::{self, Read, Write};
 
@@ -74,7 +76,7 @@ use pastri::BlockGeometry;
 /// Frame magic: "PTRF" (PaSTRI Transport Frame).
 pub(crate) const MAGIC: [u8; 4] = *b"PTRF";
 /// Protocol version spoken by this build; carried in `Hello`.
-pub const PROTO_VERSION: u32 = 5;
+pub const PROTO_VERSION: u32 = 6;
 /// Fixed frame header length (magic + kind + reserved + payload len).
 pub(crate) const HEADER_LEN: usize = 12;
 /// Hard cap on payload length — reject before allocating.
@@ -92,14 +94,14 @@ const READ_REQUEST_OVERHEAD: usize = 32;
 
 /// Worst-case `ReadResponse` payload bytes for `ids` blocks of
 /// `geometry`: the fixed overhead plus, per slot, the larger of the
-/// largest container one block can produce
-/// ([`pastri::max_block_container_len`]: 1 + 4 + container) or a
-/// clamped error message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The one
+/// largest frame one block can produce
+/// ([`pastri::max_frame_len`]: 1 + 4 + frame) or a clamped error
+/// message (1 + 4 + [`MAX_BLOCK_ERROR_MESSAGE`]). The one
 /// formula behind both the batch cap ([`max_ids_per_read`]) and the
 /// server's admission byte budget. Saturates rather than overflowing.
 #[must_use]
 pub(crate) fn max_read_response_len(ids: usize, geometry: BlockGeometry) -> usize {
-    let per_slot = pastri::max_block_container_len(geometry)
+    let per_slot = pastri::max_frame_len(geometry)
         .max(MAX_BLOCK_ERROR_MESSAGE)
         .saturating_add(5);
     READ_RESPONSE_OVERHEAD.saturating_add(ids.saturating_mul(per_slot))
@@ -235,12 +237,11 @@ impl std::fmt::Display for BlockErrorKind {
     }
 }
 
-/// One block slot in a `ReadResponse`: the block's stored container
-/// bytes, or a structured per-block error that leaves the rest of the
-/// batch intact.
+/// One block slot in a `ReadResponse`: the block's stored frame, or a
+/// structured per-block error that leaves the rest of the batch intact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireBlock {
-    Container(Vec<u8>),
+    Frame(Vec<u8>),
     Error { kind: BlockErrorKind, message: String },
 }
 
@@ -455,7 +456,7 @@ fn payload_len(msg: &Message) -> usize {
                     .iter()
                     .map(|b| {
                         5 + match b {
-                            WireBlock::Container(c) => c.len(),
+                            WireBlock::Frame(c) => c.len(),
                             WireBlock::Error { message, .. } => message.len(),
                         }
                     })
@@ -507,7 +508,7 @@ fn encode_payload(msg: &Message, p: &mut Vec<u8>) {
             p.extend_from_slice(&(rs.blocks.len() as u32).to_le_bytes());
             for b in &rs.blocks {
                 match b {
-                    WireBlock::Container(c) => {
+                    WireBlock::Frame(c) => {
                         p.push(0);
                         p.extend_from_slice(&(c.len() as u32).to_le_bytes());
                         p.extend_from_slice(c);
@@ -614,7 +615,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
                 let status = c.u8()?;
                 if status == 0 {
                     let len = c.u32()? as usize;
-                    blocks.push(WireBlock::Container(c.take(len)?.to_vec()));
+                    blocks.push(WireBlock::Frame(c.take(len)?.to_vec()));
                 } else {
                     let kind = BlockErrorKind::from_code(status)
                         .ok_or(FrameError::Malformed("unknown block status"))?;
@@ -646,12 +647,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, FrameError> {
 mod tests {
     use super::*;
     use checksum::crc32;
-    use pastri::Compressor;
 
-    /// The one-block container the store writes for `values`, at a
-    /// one-sub-block geometry of `values.len()` points.
-    fn container_of(values: &[f64]) -> Vec<u8> {
-        Compressor::new(BlockGeometry::new(1, values.len()), 1e-10).compress(values)
+    /// The frame the store writes for `values`, at a one-sub-block
+    /// geometry of `values.len()` points.
+    fn frame_of(values: &[f64]) -> Vec<u8> {
+        pastri::Compressor::new(BlockGeometry::new(1, values.len()), 1e-10).compress_block(values)
     }
 
     fn round_trip(msg: &Message) {
@@ -690,12 +690,12 @@ mod tests {
             Message::ReadResponse(ReadResponse {
                 request_id: 7,
                 blocks: vec![
-                    WireBlock::Container(container_of(&[1.0, -2.5e-12, f64::MIN_POSITIVE])),
+                    WireBlock::Frame(frame_of(&[1.0, -2.5e-12, f64::MIN_POSITIVE])),
                     WireBlock::Error {
                         kind: BlockErrorKind::Corruption,
                         message: "block 99: parity budget exceeded".into(),
                     },
-                    WireBlock::Container(vec![]),
+                    WireBlock::Frame(vec![]),
                     WireBlock::Error { kind: BlockErrorKind::OutOfRange, message: String::new() },
                 ],
             }),
@@ -719,7 +719,7 @@ mod tests {
 
     /// Frame offsets of every `u32` count or length field in `msg`'s
     /// frame: the header's payload length, plus the id count, block
-    /// count and per-block container/message lengths where the kind has
+    /// count and per-block frame/message lengths where the kind has
     /// them.
     fn length_fields(msg: &Message) -> Vec<usize> {
         let mut offsets = vec![8];
@@ -731,7 +731,7 @@ mod tests {
                 for b in &rs.blocks {
                     offsets.push(off + 1);
                     off += 5 + match b {
-                        WireBlock::Container(c) => c.len(),
+                        WireBlock::Frame(c) => c.len(),
                         WireBlock::Error { message, .. } => message.len(),
                     };
                 }
@@ -802,11 +802,11 @@ mod tests {
 
     /// Two frames past the checksum kernel's 128-byte threshold: a
     /// 1000-id request and a 16-block `(dd|dd)` response of real
-    /// containers — even blocks smooth enough to code, odd blocks fixed
+    /// frames — even blocks smooth enough to code, odd blocks fixed
     /// bit patterns (NaNs included) that go verbatim.
     fn large_messages() -> Vec<Message> {
         let word = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let compressor = Compressor::new(BlockGeometry::new(36, 36), 1e-10);
+        let compressor = pastri::Compressor::new(BlockGeometry::new(36, 36), 1e-10);
         let block = |b: u64| -> Vec<f64> {
             (0..1296u64)
                 .map(|i| {
@@ -829,7 +829,7 @@ mod tests {
             Message::ReadResponse(ReadResponse {
                 request_id: 42,
                 blocks: (0..16u64)
-                    .map(|b| WireBlock::Container(compressor.compress(&block(b))))
+                    .map(|b| WireBlock::Frame(compressor.compress_block(&block(b))))
                     .collect(),
             }),
         ]
@@ -838,21 +838,21 @@ mod tests {
     #[test]
     fn frames_match_their_pinned_encoding() {
         // (frame length, trailing CRC field) of every sample frame under
-        // protocol version 5, whose read responses carry containers. The
+        // protocol version 6, whose read responses carry frames. The
         // trailing field pins every byte before it; the CRC of a *whole*
         // frame is always the residue 0x2144df1c and pins nothing.
         let pinned: [(usize, u32); 11] = [
-            (44, 0x1d89_590a),
+            (44, 0x1f57_5e2d),
             (80, 0x71fd_696b),
             (48, 0x7ae0_087c),
-            (127, 0x952e_dd4d),
+            (104, 0x99f0_a052),
             (29, 0xffdf_e357),
             (29, 0x55ff_acda),
             (16, 0x9565_1724),
             (62, 0x0767_d872),
             (16, 0x4c45_0588),
             (8048, 0x7c00_4b11),
-            (85_081, 0x825e_7044),
+            (84_697, 0xe39e_ab25),
         ];
         let msgs: Vec<Message> = sample_messages().into_iter().chain(large_messages()).collect();
         assert_eq!(msgs.len(), pinned.len());
@@ -1019,13 +1019,13 @@ mod tests {
 
     #[test]
     fn oversized_messages_fail_at_encode_time() {
-        // One container slot just past the payload cap: encoding must
+        // One frame slot just past the payload cap: encoding must
         // be a real TooLarge error (not a debug_assert), and write_frame
         // must put nothing on the wire.
         let bytes = MAX_FRAME_PAYLOAD as usize - 12 - 5 + 1;
         let msg = Message::ReadResponse(ReadResponse {
             request_id: 1,
-            blocks: vec![WireBlock::Container(vec![0; bytes])],
+            blocks: vec![WireBlock::Frame(vec![0; bytes])],
         });
         assert!(matches!(frame_bytes(&msg).unwrap_err(), FrameError::TooLarge(_)));
         let mut sink = Vec::new();
@@ -1059,10 +1059,10 @@ mod tests {
             let cap = cap.min(MAX_FRAME_PAYLOAD as usize);
             assert!(n >= 1, "{geometry:?} cap={cap} gives empty batches");
             // Worst-case response: every slot an error with a clamped
-            // message, or every slot the largest container a block can
+            // message, or every slot the largest frame a block can
             // produce — whichever is wider.
             let per_slot =
-                5 + pastri::max_block_container_len(geometry).max(MAX_BLOCK_ERROR_MESSAGE);
+                5 + pastri::max_frame_len(geometry).max(MAX_BLOCK_ERROR_MESSAGE);
             assert_eq!(max_read_response_len(n, geometry), 12 + n * per_slot);
             assert!(12 + n * per_slot <= cap, "{geometry:?} cap={cap} n={n}");
             // Request side: fixed overhead plus 8 bytes per id.
@@ -1077,15 +1077,15 @@ mod tests {
         // and no size overflows.
         assert_eq!(max_ids_per_read(BlockGeometry::new(1 << 14, 1 << 14), usize::MAX), 0);
         let huge = BlockGeometry { num_subblocks: usize::MAX, subblock_size: usize::MAX };
-        assert_eq!(pastri::max_block_container_len(huge), usize::MAX);
+        assert_eq!(pastri::max_frame_len(huge), usize::MAX);
         assert_eq!(max_ids_per_read(huge, usize::MAX), 0);
         assert_eq!(max_read_response_len(usize::MAX, BlockGeometry::new(1, 1)), usize::MAX);
     }
 
     #[test]
-    fn container_bound_holds_for_adversarial_blocks() {
+    fn frame_bound_holds_for_adversarial_blocks() {
         // Non-finite values and random bit patterns take the verbatim
-        // path, the largest a block can be coded: its container meets
+        // path, the largest a block can be coded: its frame meets
         // the exported bound exactly. Smooth, spiky and all-zero blocks
         // stay under it.
         let mut rng = 0xB0_u64;
@@ -1099,9 +1099,10 @@ mod tests {
             BlockGeometry::new(36, 36),
             BlockGeometry::new(100, 100),
         ] {
-            let bound = pastri::max_block_container_len(geometry);
+            let bound = pastri::max_frame_len(geometry);
             let n = geometry.block_size();
-            let compressor = Compressor::new(geometry, 1e-10);
+            let compressor = pastri::Compressor::new(geometry, 1e-10);
+            let compress = |values: &[f64]| compressor.compress_block(values);
             let mut with_nan = vec![1e-7; n];
             with_nan[n / 2] = f64::NAN;
             let verbatim = [
@@ -1110,7 +1111,7 @@ mod tests {
                 (0..n).map(|_| f64::from_bits(next())).collect::<Vec<f64>>(),
             ];
             for values in &verbatim {
-                let c = compressor.compress(values);
+                let c = compress(values);
                 assert_eq!(c.len(), bound, "{geometry:?}: verbatim block must meet the bound");
                 let back = pastri::decompress_block(&c, geometry, 1e-10).unwrap();
                 assert!(back.iter().zip(values).all(|(a, b)| a.to_bits() == b.to_bits()));
@@ -1122,7 +1123,7 @@ mod tests {
                 (0..n).map(|_| (next() % 2001) as f64 * 1e-3 - 1.0).collect::<Vec<f64>>(),
             ];
             for values in &coded {
-                let c = compressor.compress(values);
+                let c = compress(values);
                 assert!(c.len() <= bound, "{geometry:?}: {} > {bound}", c.len());
             }
         }
@@ -1163,7 +1164,7 @@ mod tests {
 
     #[test]
     fn value_bits_survive_exactly() {
-        // Containers travel as opaque bytes: a verbatim block carrying
+        // Frames travel as opaque bytes: a verbatim block carrying
         // NaN payloads, -0.0, subnormals and extremes comes back
         // byte-identical, and so decodes to the same bit patterns.
         let values = vec![
@@ -1172,16 +1173,16 @@ mod tests {
             f64::MIN_POSITIVE / 2.0,
             f64::MAX,
         ];
-        let container = container_of(&values);
+        let frame = frame_of(&values);
         let msg = Message::ReadResponse(ReadResponse {
             request_id: 1,
-            blocks: vec![WireBlock::Container(container.clone())],
+            blocks: vec![WireBlock::Frame(frame.clone())],
         });
         let got = read_frame(&mut &frame_bytes(&msg).unwrap()[..]).unwrap();
         match got {
             Message::ReadResponse(rs) => match &rs.blocks[0] {
-                WireBlock::Container(c) => {
-                    assert_eq!(*c, container);
+                WireBlock::Frame(c) => {
+                    assert_eq!(*c, frame);
                     let back = pastri::decompress_block(c, BlockGeometry::new(1, 4), 1e-10).unwrap();
                     for (a, b) in back.iter().zip(&values) {
                         assert_eq!(a.to_bits(), b.to_bits());

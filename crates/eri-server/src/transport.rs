@@ -597,7 +597,7 @@ fn serve_read<'a>(
         .read_blocks_each(&ids)
         .into_iter()
         .map(|r| match r {
-            Ok(container) => WireBlock::Container(container.to_vec()),
+            Ok(frame) => WireBlock::Frame(frame.to_vec()),
             Err(e) => block_error(&e),
         })
         .collect();

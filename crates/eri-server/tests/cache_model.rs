@@ -17,9 +17,9 @@
 //! * a same-seed replay yields a bit-identical deterministic tally
 //!   line (soak-style determinism).
 //!
-//! Keys map to container lengths deterministically (`len(key)`),
+//! Keys map to frame lengths deterministically (`len(key)`),
 //! mirroring the server's invariant that a block id always denotes the
-//! same stored container.
+//! same stored frame.
 
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ use durable::retry::splitmix64;
 use eri_server::cache::{entry_cost, BlockCache};
 use proptest::{proptest, ProptestConfig};
 
-/// Deterministic container length for a key: 8..=512 bytes, in steps
+/// Deterministic frame length for a key: 8..=512 bytes, in steps
 /// of 8, so entry costs span 72..=576 bytes against the 256..12 288-byte
 /// budgets below.
 fn len_of(key: u64) -> usize {

@@ -39,7 +39,7 @@ fn back_to_back_requests_on_one_connection_never_overlap() {
     w.finish().unwrap();
     let reader = eri_store::StoreReader::open(&path).unwrap();
     let stored: Vec<Vec<u8>> = (0..BLOCKS)
-        .map(|b| reader.read_container_noting_repair(b).unwrap().0)
+        .map(|b| reader.read_frame_noting_repair(b).unwrap().0)
         .collect();
 
     // Every request's handler holds its permit for 30 ms: a server that
@@ -93,10 +93,10 @@ fn back_to_back_requests_on_one_connection_never_overlap() {
         assert_eq!(rr.blocks.len(), ids.len());
         for (slot, &id) in rr.blocks.iter().zip(ids) {
             match slot {
-                WireBlock::Container(c) => {
+                WireBlock::Frame(c) => {
                     assert_eq!(
                         c, &stored[id as usize],
-                        "block {id} is the stored container"
+                        "block {id} is the stored frame"
                     );
                 }
                 WireBlock::Error { kind, message } => panic!("block {id}: {kind:?} {message}"),

@@ -183,7 +183,7 @@ fn raw_read(ep: &Endpoint, request_id: u64, ids: Vec<u64>) -> Message {
     protocol::read_frame(&mut conn).unwrap()
 }
 
-/// A raw-frame client gets the store's containers for a `ReadRequest`
+/// A raw-frame client gets the store's frames for a `ReadRequest`
 /// (decoding to its values), and
 /// a structured `Overloaded` frame with the retry hint when shed.
 #[test]
@@ -199,7 +199,7 @@ fn raw_read_requests_get_values_or_a_structured_shed() {
             assert_eq!(rr.blocks.len(), 2);
             for (slot, id) in rr.blocks.iter().zip([0usize, 3]) {
                 match slot {
-                    WireBlock::Container(c) => {
+                    WireBlock::Frame(c) => {
                         let geom = pastri::BlockGeometry::new(SUBBLOCKS, SUBBLOCK_SIZE);
                         assert_block_close(&pastri::decompress_block(c, geom, 1e-10).unwrap(), id)
                     }
@@ -232,44 +232,43 @@ fn raw_read_requests_get_values_or_a_structured_shed() {
 }
 
 /// A `RemoteClient` refuses a server announcing another protocol
-/// version: a clean protocol error naming both versions, no downgrade.
+/// version (a clean protocol error naming both versions, no downgrade)
+/// or an error bound that is not finite and positive.
 #[test]
 fn client_refuses_a_server_speaking_another_version() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
     let old = PROTO_VERSION - 1;
+    // Frames carry no error bound of their own: the `Hello`'s decodes
+    // every block.
+    let cases = [
+        (old, 1e-10, [old.to_string(), PROTO_VERSION.to_string()]),
+        (PROTO_VERSION, f64::NAN, ["error bound NaN".into(), String::new()]),
+    ];
+    for (version, error_bound, names) in cases {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Mock server: one connection, one Hello.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = Conn::Tcp(stream);
+            let hello =
+                Hello { version, num_blocks: 4, num_subblocks: 1, subblock_size: 4, error_bound };
+            protocol::write_frame(&mut conn, &Message::Hello(hello)).unwrap();
+            conn.flush().unwrap();
+            // The client must hang up without sending a frame.
+            protocol::read_frame(&mut conn).is_err()
+        });
 
-    // Mock server: one connection, announces the previous version.
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut conn = Conn::Tcp(stream);
-        protocol::write_frame(
-            &mut conn,
-            &Message::Hello(Hello {
-                version: old,
-                num_blocks: 4,
-                num_subblocks: 1,
-                subblock_size: 4,
-                error_bound: 1e-10,
-            }),
-        )
-        .unwrap();
-        conn.flush().unwrap();
-        // The client must hang up without sending a frame.
-        protocol::read_frame(&mut conn).is_err()
-    });
-
-    let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
-    let cfg = ClientConfig {
-        retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
-        ..ClientConfig::default()
-    };
-    let err = match RemoteClient::connect(&[ep], cfg) {
-        Ok(_) => panic!("a version-{old} server must be refused"),
-        Err(e) => e,
-    };
-    let ClientError::Protocol(msg) = &err else { panic!("want a protocol error, got {err}") };
-    assert!(msg.contains(&old.to_string()), "names the server's version: {msg}");
-    assert!(msg.contains(&PROTO_VERSION.to_string()), "names the client's version: {msg}");
-    assert!(server.join().unwrap(), "the client sent nothing after the Hello");
+        let ep = Endpoint::parse(&format!("tcp:{addr}")).unwrap();
+        let cfg = ClientConfig {
+            retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
+            ..ClientConfig::default()
+        };
+        let err = match RemoteClient::connect(&[ep], cfg) {
+            Ok(_) => panic!("a version-{version} server at EB {error_bound} must be refused"),
+            Err(e) => e,
+        };
+        let ClientError::Protocol(msg) = &err else { panic!("want a protocol error, got {err}") };
+        assert!(names.iter().all(|n| msg.contains(n.as_str())), "names {names:?}: {msg}");
+        assert!(server.join().unwrap(), "the client sent nothing after the Hello");
+    }
 }

@@ -192,7 +192,7 @@ mod tests {
         let leftovers = [
             std::fs::read(&path).unwrap(),
             expected[..HEADER_LEN as usize - 3].to_vec(),
-            b"ERISTOR3garbage".to_vec(),
+            b"ERISTOR4garbage".to_vec(),
         ];
         for leftover in leftovers {
             std::fs::write(&path, &leftover).unwrap();
@@ -248,18 +248,18 @@ mod tests {
     #[test]
     fn framing_damage_before_a_verified_commit_is_invalid_data() {
         // A flipped header byte — magic, error bound, geometry, striping
-        // or its CRC — or a flipped byte in a block's container header
-        // stops or misleads the walk early; the commits past it still
+        // or its CRC — or a flipped byte in a block's frame (its length,
+        // CRC or payload) stops or misleads the walk early; the commits past it still
         // verify, so the file is refused and left as it was.
         let blocks = blocks(6);
         let path = interrupted("stream-framing", &blocks, 6, 6, 2);
         let clean = std::fs::read(&path).unwrap();
         let (_, index) = committed_index(&clean.as_slice()).unwrap();
         let header = [0usize, 7, 8, 16, 24, 32, 36, HEADER_LEN as usize - 1].map(|at| (at, 0x01));
-        let containers = index.blocks[..4]
+        let frames = index.blocks[..4]
             .iter()
             .flat_map(|e| [0usize, 4, 8].map(|k| (e.offset as usize + k, 0x02)));
-        for (at, mask) in header.into_iter().chain(containers) {
+        for (at, mask) in header.into_iter().chain(frames) {
             let mut bytes = clean.clone();
             bytes[at] ^= mask;
             std::fs::write(&path, &bytes).unwrap();

@@ -8,10 +8,10 @@
 //! consumer can fetch exactly the quartets it needs without touching the
 //! rest of the file — the access pattern of integral-direct Fock builds.
 //!
-//! File layout (version 3, current):
+//! File layout (version 4, current):
 //!
 //! ```text
-//! magic            8 bytes  "ERISTOR3"
+//! magic            8 bytes  "ERISTOR4"
 //! error bound      8 bytes  f64 LE
 //! num_subblocks    8 bytes  u64 LE
 //! subblock_size    8 bytes  u64 LE
@@ -19,9 +19,9 @@
 //! parity shards    4 bytes  u32 LE  (P: Reed–Solomon shards per stripe)
 //! header_crc32     4 bytes  u32 LE  (CRC32 of the 40 bytes above)
 //! stripes          runs of at most G consecutive blocks, each block a
-//!                  parity-free (v2) PaSTRI container, each run followed
-//!                  by its parity record; a 36-byte `durable` commit
-//!                  record ("PSTC") after each committed batch
+//!                  PaSTRI frame (below), each run followed by its
+//!                  parity record; a 36-byte `durable` commit record
+//!                  ("PSTC") after each committed batch
 //! index            num_blocks × (offset u64 LE, length u64 LE,
 //!                                payload_crc32 u32 LE),
 //!                  then num_stripes × (record offset u64 LE,
@@ -31,6 +31,10 @@
 //!                  num_stripes u64 LE, trailer_crc32 u32 LE (CRC32 of
 //!                  those 24 bytes)
 //! ```
+//!
+//! A block is the frame a v2 PaSTRI container holds for it
+//! ([`Compressor::compress_block`]: payload length varint, payload CRC32,
+//! Tree 5 payload), with no header: the one above holds for every block.
 //!
 //! A parity record:
 //!
@@ -44,7 +48,7 @@
 //! record_crc32     4 bytes  u32 LE  (CRC32 of the record bytes above)
 //! ```
 //!
-//! A stripe's member containers are one contiguous byte run of length
+//! A stripe's member frames are one contiguous byte run of length
 //! L, cut into G pieces of `piece_len = ⌈L / G⌉` bytes (the last ones
 //! short or empty, read as zero-padded). P Reed–Solomon shards protect
 //! the pieces, so parity costs `P / G` of the data, not P copies of each
@@ -54,8 +58,8 @@
 //! at every commit and at `finish`, so a commit never lands inside a
 //! stripe and resuming never reopens one.
 //!
-//! The per-entry `payload_crc32` covers the block's container
-//! bytes as written, so [`StoreReader::scrub`] can certify the whole
+//! The per-entry `payload_crc32` covers the block's frame bytes as
+//! written, so [`StoreReader::scrub`] can certify the whole
 //! store — and [`StoreReader::read_block`] can pin damage to one block —
 //! without decompressing anything.
 //!
@@ -91,7 +95,7 @@ use rayon::prelude::*;
 /// one definition).
 pub use durable::retry::RetryPolicy;
 
-const MAGIC: [u8; 8] = *b"ERISTOR3";
+const MAGIC: [u8; 8] = *b"ERISTOR4";
 /// Header bytes covered by the header CRC (everything before it).
 const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8 + 4 + 4;
 /// Total header length (body + header CRC32): block 0 starts here.
@@ -105,8 +109,9 @@ const STRIPE_ENTRY_LEN: u64 = 12;
 /// Size of the trailer ending every finished store: index offset u64 +
 /// block count u64 + stripe count u64 + CRC32.
 pub const TRAILER_LEN: u64 = 28;
-/// First bytes of every parity record — distinct from a container's
-/// `PSTR` and a commit record's `PSTC`.
+/// First bytes of every parity record, distinct from a commit record's
+/// `PSTC`. A frame may start with the same bytes, so the recovery walk
+/// tries a frame, which must verify, before either record.
 const PARITY_MAGIC: [u8; 4] = *b"PSTP";
 /// Parity record bytes before the piece CRCs: magic, members, piece_len.
 const RECORD_HEAD: usize = 16;
@@ -219,8 +224,8 @@ pub struct ReadStats {
     /// Total microseconds slept in retry backoff.
     pub backoff_micros: u64,
     /// Blocks whose checksum failed but that were rebuilt from their
-    /// container's parity section (and re-certified against the index
-    /// CRC) before being served.
+    /// stripe's parity (and re-certified against the index CRC) before
+    /// being served.
     pub blocks_repaired: u64,
     /// Blocks that failed terminally: damaged beyond the parity budget
     /// (or carrying no parity at all).
@@ -353,8 +358,8 @@ impl Striping {
         ReedSolomon::new(self.width, self.shards).expect("striping is validated")
     }
 
-    /// The parity record of a stripe of `members` blocks whose
-    /// containers are `run`.
+    /// The parity record of a stripe of `members` blocks whose frames
+    /// are `run`.
     fn record(self, run: &[u8], members: usize) -> Vec<u8> {
         let piece_len = self.piece_len(run.len() as u64);
         let pieces = self.pieces(run, piece_len as usize);
@@ -422,20 +427,20 @@ impl Striping {
     }
 }
 
-/// One block's index entry: where its container lives, and the CRC32 of
+/// One block's index entry: where its frame lives, and the CRC32 of
 /// those bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEntry {
-    /// Absolute file offset of the container.
+    /// Absolute file offset of the frame.
     pub offset: u64,
-    /// Container length in bytes.
+    /// Frame length in bytes.
     pub len: u64,
-    /// CRC32 of the container bytes.
+    /// CRC32 of the frame bytes.
     pub crc: u32,
 }
 
 /// One stripe: `members` consecutive blocks from block `first`, whose
-/// containers run contiguously up to the parity record at `record`.
+/// frames run contiguously up to the parity record at `record`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stripe {
     /// Index of the stripe's first block.
@@ -495,7 +500,7 @@ impl StoreIndex {
 /// commit record is appended and the data fsync'd once, so after a crash
 /// [`open_for_append`](StoreWriter::open_for_append) can cut the file
 /// after the last verified commit, rebuild the index by re-walking the
-/// committed containers and parity records, and continue. A resumed
+/// committed frames and parity records, and continue. A resumed
 /// store is byte-identical to an uninterrupted one. Over an in-memory
 /// sink ([`new`](Self::new)) the same bytes come out.
 ///
@@ -513,7 +518,7 @@ pub struct StoreWriter<W: SyncWrite = File> {
     striping: Striping,
     index: StoreIndex,
     /// Bytes appended but not yet written: closed stripes, then (from
-    /// `open_at`) the open stripe's containers.
+    /// `open_at`) the open stripe's frames.
     pending: Vec<u8>,
     open_at: usize,
     checkpoint_every: usize,
@@ -660,16 +665,16 @@ impl<W: SyncWrite> StoreWriter<W> {
             .commit(blocks, blocks * self.compressor.geometry().block_size() as u64)
     }
 
-    /// Appends one compressed block to the open stripe, closing it at G
+    /// Appends one block's frame to the open stripe, closing it at G
     /// blocks and committing once `checkpoint_every` blocks have
     /// accumulated since the last commit.
-    fn push(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn push(&mut self, frame: &[u8]) -> io::Result<()> {
         let offset = self.out.position() + self.pending.len() as u64;
-        self.pending.extend_from_slice(payload);
+        self.pending.extend_from_slice(frame);
         self.index.blocks.push(BlockEntry {
             offset,
-            len: payload.len() as u64,
-            crc: crc32(payload),
+            len: frame.len() as u64,
+            crc: crc32(frame),
         });
         if self.index.blocks.len() - self.index.striped() == self.striping.width {
             self.close_stripe();
@@ -697,12 +702,12 @@ impl<W: SyncWrite> StoreWriter<W> {
             "append_blocks needs whole blocks ({bs} values each)"
         );
         let compressor = &self.compressor;
-        let payloads: Vec<Vec<u8>> = values
+        let frames: Vec<Vec<u8>> = values
             .par_chunks(bs)
-            .map(|block| compressor.compress(block))
+            .map(|block| compressor.compress_block(block))
             .collect();
-        for payload in payloads {
-            self.push(&payload)?;
+        for frame in frames {
+            self.push(&frame)?;
         }
         Ok(self.write_closed()?)
     }
@@ -726,13 +731,14 @@ impl<W: SyncWrite> StoreWriter<W> {
 }
 
 /// The last verified commit of the store in `source`, and the index of
-/// the blocks and stripes it covers: the file's framing — containers,
+/// the blocks and stripes it covers: the file's framing — frames,
 /// parity records and commit records after the header — is walked with
-/// positional reads, holding one container or record at a time, and
-/// every record goes through a [`CommitScan`]. The walk stops at the
-/// first bytes that are none of these (a torn tail, or a finished
-/// store's index), and the scan searches what follows for a commit the
-/// walk could not reach.
+/// positional reads, holding one frame or record at a time, and every
+/// record goes through a [`CommitScan`]. A frame's first bytes may read
+/// `PSTC` or `PSTP`, so the record magics are tried only where no frame
+/// verifies. The walk stops at the first bytes that are none of these
+/// (a torn tail, or a finished store's index), and the scan searches
+/// what follows for a commit the walk could not reach.
 ///
 /// # Errors
 /// `Corrupt` if committed data is damaged; any I/O error.
@@ -748,11 +754,14 @@ pub fn committed_index<R: ReadAt + ?Sized>(
     let mut index = StoreIndex::default();
     // A header whose striping is not encodable leaves nothing to walk.
     let mut header = [0u8; HEADER_BODY_LEN as usize];
-    let striping = if size >= HEADER_LEN {
+    let (striping, max_frame) = if size >= HEADER_LEN {
         read_exact_at(source, &mut header, 0)?;
-        Striping::parse(u32_at(&header, 32), u32_at(&header, 36))
+        let num_subblocks = u64_at(&header, 16) as usize;
+        let subblock_size = u64_at(&header, 24) as usize;
+        let max_frame = pastri::max_frame_len(BlockGeometry { num_subblocks, subblock_size });
+        (Striping::parse(u32_at(&header, 32), u32_at(&header, 36)), max_frame as u64)
     } else {
-        None
+        (None, 0)
     };
     let mut pos = HEADER_LEN;
     let mut record = [0u8; RECORD_LEN];
@@ -761,6 +770,19 @@ pub fn committed_index<R: ReadAt + ?Sized>(
         let word = &mut record[..(size - pos).min(RECORD_LEN as u64) as usize];
         read_exact_at(source, word, pos)?;
         let open = index.blocks.len() - index.striped();
+        if open < striping.width {
+            if let Some(frame) = read_frame(source, pos, size.min(pos.saturating_add(max_frame)), word)? {
+                scan.feed(pos, &frame)?;
+                let len = frame.len() as u64;
+                index.blocks.push(BlockEntry {
+                    offset: pos,
+                    len,
+                    crc: crc32(&frame),
+                });
+                pos += len;
+                continue;
+            }
+        }
         if word.starts_with(&COMMIT_MAGIC) {
             if word.len() < RECORD_LEN || open > 0 {
                 break; // a torn record, or one no writer puts inside a stripe
@@ -770,37 +792,23 @@ pub fn committed_index<R: ReadAt + ?Sized>(
             continue;
         }
         if word.starts_with(&PARITY_MAGIC) {
-            let Some(rec) = read_parity_record(source, pos, size, striping, &index, word)? else {
-                break;
-            };
-            scan.feed(pos, &rec)?;
-            index.stripes.push(Stripe {
-                first: index.blocks.len() - open,
-                members: open,
-                record: pos,
-                record_len: rec.len() as u64,
-            });
-            pos += rec.len() as u64;
-            continue;
-        }
-        let container = match read_container(source, pos, size)? {
-            Some(container) if open < striping.width => container,
-            _ => {
-                if word.len() == RECORD_LEN {
-                    // Perhaps a commit record that lost its magic.
-                    scan.unmarked(pos, &record).map_err(corrupt)?;
-                }
-                break;
+            if let Some(rec) = read_parity_record(source, pos, size, striping, &index, word)? {
+                scan.feed(pos, &rec)?;
+                index.stripes.push(Stripe {
+                    first: index.blocks.len() - open,
+                    members: open,
+                    record: pos,
+                    record_len: rec.len() as u64,
+                });
+                pos += rec.len() as u64;
+                continue;
             }
-        };
-        scan.feed(pos, &container)?;
-        let len = container.len() as u64;
-        index.blocks.push(BlockEntry {
-            offset: pos,
-            len,
-            crc: crc32(&container),
-        });
-        pos += len;
+        }
+        if word.len() == RECORD_LEN {
+            // Perhaps a commit record that lost its magic.
+            scan.unmarked(pos, &record).map_err(corrupt)?;
+        }
+        break;
     }
     let cp = scan.finish().map_err(corrupt)?;
     // `finish` writes the trailer only once its last commit is durable,
@@ -808,9 +816,8 @@ pub fn committed_index<R: ReadAt + ?Sized>(
     if size >= HEADER_LEN + TRAILER_LEN {
         let mut trailer = [0u8; TRAILER_LEN as usize];
         read_exact_at(source, &mut trailer, size - TRAILER_LEN)?;
-        let index_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
         let verified = crc32(&trailer[..24]) == u32_at(&trailer, 24);
-        if verified && index_offset != cp.bytes.max(HEADER_LEN) {
+        if verified && u64_at(&trailer, 0) != cp.bytes.max(HEADER_LEN) {
             return Err(StoreError::corrupt("damaged bytes before the index the trailer names"));
         }
     }
@@ -823,9 +830,13 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
 }
 
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
 /// The parity record at `pos` (whose first bytes are `word`), if it
 /// closes the open stripe of `index`: its member count and piece length
-/// must be the ones the walked containers imply, and it must fit the
+/// must be the ones the walked frames imply, and it must fit the
 /// file — checked before anything is allocated for it.
 fn read_parity_record<R: ReadAt + ?Sized>(
     source: &R,
@@ -853,29 +864,22 @@ fn read_parity_record<R: ReadAt + ?Sized>(
     Ok(Some(rec))
 }
 
-/// The whole container starting at `pos`, read in doubling steps from
-/// 4 KiB so the buffer stays within twice the container (and within the
-/// file); `None` when the bytes there are not one.
-fn read_container<R: ReadAt + ?Sized>(
+/// The frame at `pos` (whose first bytes are `word`), if one is there
+/// that ends by `end` — checked before anything is allocated for it —
+/// and whose CRC verifies.
+fn read_frame<R: ReadAt + ?Sized>(
     source: &R,
     pos: u64,
-    size: u64,
+    end: u64,
+    word: &[u8],
 ) -> io::Result<Option<Vec<u8>>> {
-    let remaining = size - pos;
-    let mut want = remaining.min(4 << 10);
-    loop {
-        let mut buf = vec![0u8; want as usize];
-        read_exact_at(source, &mut buf, pos)?;
-        match pastri::inspect_prefix(&buf) {
-            Ok((_, len)) => {
-                buf.truncate(len);
-                return Ok(Some(buf));
-            }
-            Err(pastri::DecompressError::Truncated) if want < remaining => {
-                want = (want * 2).min(remaining);
-            }
-            Err(_) => return Ok(None),
+    match pastri::frame_len(word) {
+        Ok(len) if len <= end - pos => {
+            let mut frame = vec![0u8; len as usize];
+            read_exact_at(source, &mut frame, pos)?;
+            Ok(pastri::check_frame(&frame).is_ok().then_some(frame))
         }
+        _ => Ok(None),
     }
 }
 
@@ -906,11 +910,11 @@ fn header_bytes(eb: f64, geometry: BlockGeometry, striping: Striping) -> Vec<u8>
 pub struct BlockDamage {
     /// Zero-based block index.
     pub block: usize,
-    /// Absolute file offset of the block's container.
+    /// Absolute file offset of the block's frame.
     pub offset: u64,
     /// What was wrong with it.
     pub error: StoreError,
-    /// The container rebuilt from its stripe's parity, certified
+    /// The frame rebuilt from its stripe's parity, certified
     /// byte-identical to what the writer stored by the index CRC;
     /// `None` when the damage exceeds the parity budget.
     pub repaired: Option<Vec<u8>>,
@@ -946,7 +950,7 @@ impl ScrubReport {
         self.damaged.is_empty() && self.records.is_empty()
     }
 
-    /// Damaged blocks whose containers rebuilt byte-identical.
+    /// Damaged blocks whose frames rebuilt byte-identical.
     #[must_use]
     pub fn repairable(&self) -> usize {
         self.damaged.iter().filter(|d| d.repaired.is_some()).count()
@@ -958,7 +962,7 @@ impl ScrubReport {
         self.records.iter().filter(|r| r.rebuilt.is_some()).count()
     }
 
-    /// Splices every rebuilt container and parity record into `bytes`,
+    /// Splices every rebuilt frame and parity record into `bytes`,
     /// the scanned store file's contents. Unrepairable damage is left as
     /// it is.
     ///
@@ -1025,13 +1029,11 @@ impl<R: ReadAt> StoreReader<R> {
         }
         read_stored_crc(&source, &retry, &stats, &header, HEADER_BODY_LEN, HEADER_BODY_LEN)?;
 
-        let rd_u64 = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().unwrap());
         let eb = f64::from_le_bytes(header[8..16].try_into().unwrap());
         if !(eb.is_finite() && eb > 0.0) {
             return Err(StoreError::corrupt("invalid error bound"));
         }
-        let num_sb = rd_u64(16) as usize;
-        let sb_size = rd_u64(24) as usize;
+        let (num_sb, sb_size) = (u64_at(&header, 16) as usize, u64_at(&header, 24) as usize);
         if num_sb == 0 || sb_size == 0 || num_sb.saturating_mul(sb_size) > (1 << 28) {
             return Err(StoreError::corrupt("implausible geometry"));
         }
@@ -1124,8 +1126,7 @@ impl<R: ReadAt> StoreReader<R> {
         self.stats.snapshot()
     }
 
-    /// Reads block `i`'s raw container bytes and verifies its stored
-    /// CRC32.
+    /// Reads block `i`'s frame bytes and verifies its stored CRC32.
     fn read_block_bytes(&self, i: usize) -> Result<Vec<u8>, StoreError> {
         let entry = *self.index.blocks.get(i).ok_or(StoreError::OutOfRange {
             index: i,
@@ -1145,7 +1146,7 @@ impl<R: ReadAt> StoreReader<R> {
         Ok(payload)
     }
 
-    /// `stripe`'s bytes in one positional read — its containers, then
+    /// `stripe`'s bytes in one positional read — its frames, then
     /// its parity record — and where the record starts in them.
     fn read_stripe(&self, stripe: &Stripe) -> Result<(Vec<u8>, usize), StoreError> {
         let start = self.index.blocks[stripe.first].offset;
@@ -1154,14 +1155,14 @@ impl<R: ReadAt> StoreReader<R> {
         Ok((bytes, (stripe.record - start) as usize))
     }
 
-    /// Block `entry`'s bytes inside `run`, the containers of a stripe
+    /// Block `entry`'s bytes inside `run`, the frames of a stripe
     /// starting at block `first`.
     fn member<'a>(&self, run: &'a [u8], first: usize, entry: &BlockEntry) -> &'a [u8] {
         let at = (entry.offset - self.index.blocks[first].offset) as usize;
         &run[at..at + entry.len as usize]
     }
 
-    /// Attempts to rebuild block `i`'s container from its stripe. The
+    /// Attempts to rebuild block `i`'s frame from its stripe. The
     /// repair is accepted only if the rebuilt bytes match the index
     /// CRC — i.e. they are bit-for-bit what the writer stored — so a
     /// wrong repair can never masquerade as a right one.
@@ -1182,33 +1183,24 @@ impl<R: ReadAt> StoreReader<R> {
     /// is reported with the block index and file offset attached (and
     /// counted in [`ReadStats::blocks_dropped`]).
     pub fn read_block(&self, i: usize) -> Result<Vec<f64>, StoreError> {
-        self.read_block_noting_repair(i).map(|(values, _)| values)
+        let (frame, _) = self.read_frame_noting_repair(i)?;
+        pastri::decompress_block(&frame, self.geometry, self.error_bound).map_err(|e| {
+            self.stats.dropped();
+            e.into()
+        })
     }
 
-    /// [`read_block`](Self::read_block), also saying whether *this* read
-    /// rebuilt the block from parity. Threads sharing the reader cannot
-    /// learn that by diffing [`read_stats`](Self::read_stats) around
-    /// the call — another thread's repair may land in between.
-    pub fn read_block_noting_repair(&self, i: usize) -> Result<(Vec<f64>, bool), StoreError> {
-        let (container, repaired) = self.read_container_noting_repair(i)?;
-        match pastri::decompress_block(&container, self.geometry, self.error_bound) {
-            Ok(values) => Ok((values, repaired)),
-            Err(e) => {
-                self.stats.dropped();
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Block `i`'s container bytes exactly as the writer stored them,
-    /// without decoding: the bytes whose index CRC verifies, or, when
-    /// they are damaged, the container rebuilt from its stripe's parity
+    /// Block `i`'s frame exactly as the writer stored it, without
+    /// decoding: the bytes whose index CRC verifies, or, when they are
+    /// damaged, the frame rebuilt from its stripe's parity
     /// (counted in [`ReadStats::blocks_repaired`]; damage beyond the
     /// budget counts in [`ReadStats::blocks_dropped`]). The flag says
-    /// whether *this* read repaired. Decode the bytes with
-    /// [`pastri::decompress_block`] at this store's geometry and error
-    /// bound.
-    pub fn read_container_noting_repair(&self, i: usize) -> Result<(Vec<u8>, bool), StoreError> {
+    /// whether *this* read repaired: threads sharing the reader cannot
+    /// learn that by diffing [`read_stats`](Self::read_stats) around the
+    /// call, since another thread's repair may land in between. Decode
+    /// the bytes with [`pastri::decompress_block`] at this store's
+    /// geometry and error bound.
+    pub fn read_frame_noting_repair(&self, i: usize) -> Result<(Vec<u8>, bool), StoreError> {
         match self.read_block_bytes(i) {
             Ok(p) => Ok((p, false)),
             Err(e @ StoreError::Checksum { .. }) => match self.try_repair_block(i) {
@@ -1237,7 +1229,7 @@ impl<R: ReadAt> StoreReader<R> {
     /// Scans every stripe — one read each — and reports all damage,
     /// instead of stopping at the first bad block like
     /// [`read_all`](Self::read_all): each damaged block with its
-    /// container rebuilt from the stripe's parity where the budget
+    /// frame rebuilt from the stripe's parity where the budget
     /// allows, and each damaged parity record with its recomputed bytes
     /// when its blocks are (or were rebuilt) intact.
     ///
@@ -1307,7 +1299,7 @@ impl<R: ReadAt> StoreReader<R> {
 
 /// The stripe entries of an index, checked against its `blocks` so
 /// they describe a layout the writer produces: stripes of 1..=G blocks
-/// covering every block in order, each a contiguous run of containers
+/// covering every block in order, each a contiguous run of frames
 /// that ends where its parity record starts, and each record ending
 /// before the next stripe and before the index. Stripe reads then stay
 /// inside the file.
@@ -1509,7 +1501,7 @@ mod tests {
     #[test]
     fn committed_prefix_is_always_readable_mid_write() {
         // Mid-write (no index or trailer yet), every committed block's
-        // container decodes from the bytes up to the last commit alone.
+        // frame decodes from the bytes up to the last commit alone.
         let geom = BlockGeometry::new(4, 4);
         let blocks: Vec<Vec<f64>> = (0..10).map(|b| patterned_block(geom, b)).collect();
         let path = tmp("prefix-readable");
@@ -1522,8 +1514,8 @@ mod tests {
         assert_eq!((cp.segments, cp.bytes), (10, bytes.len() as u64));
         let prefix = &bytes[..cp.bytes as usize];
         for (entry, want) in index.blocks.iter().zip(&blocks) {
-            let container = &prefix[entry.offset as usize..(entry.offset + entry.len) as usize];
-            let got = pastri::decompress(container).unwrap();
+            let frame = &prefix[entry.offset as usize..(entry.offset + entry.len) as usize];
+            let got = pastri::decompress_block(frame, geom, 1e-9).unwrap();
             assert!(got.iter().zip(want).all(|(g, v)| (g - v).abs() <= 1e-9));
         }
         w.finish().unwrap();
@@ -1665,7 +1657,7 @@ mod tests {
 
     #[test]
     fn framing_damage_before_a_verified_commit_is_corrupt_and_kept() {
-        // A flipped container magic stops the walk at that block; the
+        // A flipped frame length stops the walk at that block; the
         // commits past it still verify, so nothing may be trimmed. A
         // flipped magic in the last commit record hides that record, but
         // the finished store's trailer says where the last commit ends.
@@ -1713,6 +1705,72 @@ mod tests {
         let (_, cp) = StoreWriter::open_for_append(&path, geom, 1e-9, 2).unwrap();
         assert_eq!(cp, Checkpoint::default());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A frame of an 80-byte payload — length varint `0x50`, `P` — whose
+    /// CRC's bytes are `crc` and whose payload starts with `head`. CRC32
+    /// is affine: a message followed by its own CRC has the fixed CRC
+    /// `0x2144df1c`, and XORing `d` into that suffix moves the CRC by `d`
+    /// shifted through 32 zero bits. Running the register back 32 bits
+    /// from the wanted change gives `d`.
+    fn forged_frame(crc: [u8; 4], head: &[u8]) -> Vec<u8> {
+        let mut d = u32::from_le_bytes(crc) ^ 0x2144_df1c;
+        for _ in 0..32 {
+            d = if d >> 31 == 1 { (d ^ 0xEDB8_8320) << 1 | 1 } else { d << 1 };
+        }
+        let mut payload = head.to_vec();
+        payload.resize(76, 0x2A);
+        payload.extend_from_slice(&(crc32(&payload) ^ d).to_le_bytes());
+        [&[0x50], &crc[..], &payload].concat()
+    }
+
+    /// Ten frames of 4×4 blocks, the one at `at` replaced by `forged`,
+    /// pushed with a commit every 3 blocks, the tenth left torn: the
+    /// recovery walk takes the forged frame as a block and returns the
+    /// writer's index, and a resume finishes byte-identical to an
+    /// uninterrupted run.
+    fn walk_takes_a_forged_frame(at: usize, forged: Vec<u8>) {
+        let (geom, eb) = (BlockGeometry::new(4, 4), 1e-9);
+        let compressor = Compressor::new(geom, eb);
+        let mut frames: Vec<Vec<u8>> =
+            (0..10).map(|b| compressor.compress_block(&patterned_block(geom, b))).collect();
+        frames[at] = forged;
+        let (mut uninterrupted, mut bytes) = (Vec::new(), Vec::new());
+        let mut w = StoreWriter::new(&mut uninterrupted, geom, eb, 3).unwrap();
+        frames.iter().for_each(|f| w.push(f).unwrap());
+        w.finish().unwrap();
+        let mut w = StoreWriter::new(&mut bytes, geom, eb, 3).unwrap();
+        frames[..9].iter().for_each(|f| w.push(f).unwrap());
+        let written = w.index.clone();
+        drop(w);
+        bytes.extend_from_slice(&frames[9][..frames[9].len() / 2]);
+        assert_eq!(committed_index(&bytes.as_slice()).unwrap().1, written);
+        let path = tmp(&format!("forged-{at}"));
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut w, cp) = StoreWriter::open_for_append(&path, geom, eb, 3).unwrap();
+        assert_eq!(cp.segments, 9);
+        w.push(&frames[9]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), uninterrupted);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn frames_that_read_as_records_are_blocks() {
+        // Block 3 follows the commit sealing blocks 0..3 and opens a
+        // stripe: its frame starts `PSTC`.
+        let commit = forged_frame(*b"STC\0", &[]);
+        assert_eq!(commit[..4], COMMIT_MAGIC);
+        walk_takes_a_forged_frame(3, commit);
+        // Block 4 follows block 3 in that stripe: its frame starts like
+        // the record that would close the stripe there, `PSTP`, one
+        // member and block 3's piece length.
+        let geom = BlockGeometry::new(4, 4);
+        let block3 = Compressor::new(geom, 1e-9).compress_block(&patterned_block(geom, 3));
+        let piece_len = Striping::standard().piece_len(block3.len() as u64);
+        let parity = forged_frame(*b"STP\x01", &[&[0; 3][..], &piece_len.to_le_bytes()].concat());
+        assert_eq!(parity[..16], [&PARITY_MAGIC[..], &1u32.to_le_bytes(), &piece_len.to_le_bytes()].concat());
+        walk_takes_a_forged_frame(4, parity);
     }
 
     #[test]
@@ -1832,7 +1890,7 @@ mod tests {
         (bytes, values)
     }
 
-    /// The bytes of stripe `s` of `bytes`: where its containers start,
+    /// The bytes of stripe `s` of `bytes`: where its frames start,
     /// where its parity record starts, and where that record ends.
     fn stripe_span(bytes: &[u8], s: usize) -> (usize, usize, usize) {
         let r = StoreReader::from_source(bytes, RetryPolicy::none()).unwrap();
@@ -1867,9 +1925,9 @@ mod tests {
             assert_eq!(&bytes[record..record + 4], b"PSTP");
             assert_eq!(stripe.first, 8 * s);
         }
-        // Parity-free members: every block is a v2 container.
+        // Parity-free members: every block is one bare frame.
         for b in &r.index.blocks {
-            assert_eq!(bytes[b.offset as usize + 4], 2, "container version");
+            pastri::check_frame(&bytes[b.offset as usize..(b.offset + b.len) as usize]).unwrap();
         }
     }
 
@@ -1898,7 +1956,7 @@ mod tests {
 
         // scrub() still reports the on-disk damage (it certifies bytes,
         // not serveability), classifies it repairable with a rebuilt
-        // container byte-identical to what the writer stored, and heals
+        // frame byte-identical to what the writer stored, and heals
         // the file's bytes back to the clean store.
         let report = r.scrub().unwrap();
         assert_eq!(report.blocks, 20);
@@ -1914,7 +1972,7 @@ mod tests {
         let mut healed = r.source.to_vec();
         report.heal(&mut healed).unwrap();
         assert_eq!(healed, clean_bytes);
-        // A rebuilt container that would not fit the given bytes is
+        // A rebuilt frame that would not fit the given bytes is
         // refused, not spliced.
         let err = report
             .heal(&mut healed[..(off + len / 2) as usize])
@@ -1927,7 +1985,7 @@ mod tests {
 
     #[test]
     fn damage_beyond_parity_budget_pinned_to_block() {
-        // Block 12's whole container and its stripe's parity record
+        // Block 12's whole frame and its stripe's parity record
         // shredded: at least three erasures against a two-shard budget.
         let (mut bytes, clean) = striped_store();
         let (_, record, end) = stripe_span(&bytes, 1);
@@ -1967,7 +2025,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_in_a_stripe_heals_byte_identical() {
-        // Every byte of stripe 1 — its eight containers and its parity
+        // Every byte of stripe 1 — its eight frames and its parity
         // record — flipped in turn: reads serve the clean values, and
         // scrub finds exactly one damaged block (repairable) or the
         // damaged record alone (rebuildable), and heals the file.
@@ -2172,8 +2230,8 @@ mod tests {
                         (t..16)
                             .step_by(4)
                             .map(|i| {
-                                let (values, repaired) = shared.read_block_noting_repair(i).unwrap();
-                                (i, values, repaired)
+                                let (frame, repaired) = shared.read_frame_noting_repair(i).unwrap();
+                                (i, pastri::decompress_block(&frame, geom, 1e-9).unwrap(), repaired)
                             })
                             .collect::<Vec<_>>()
                     })

@@ -269,11 +269,14 @@ fn write_verbatim(block: &[f64], w: &mut BitWriter) {
 }
 
 /// The paper's block taxonomy (Fig. 6): type 0 = all-zero ECQ, type 1 =
-/// `EC_{b,max} = 2`, type 2 = `3..=6`, type 3 = `> 6`.
+/// `EC_{b,max} = 2`, type 2 = `3..=6`, type 3 = `> 6`. An all-zero block
+/// has no ECQ at all, so it is type 0; a verbatim block, which could not
+/// be coded, is type 3.
 #[must_use]
 pub(crate) fn paper_block_type(kind: BlockKind, ecb_max: u32) -> u8 {
     match kind {
         BlockKind::AllZero | BlockKind::PatternOnly => 0,
+        BlockKind::Verbatim => 3,
         _ => match ecb_max {
             0..=2 => 1,
             3..=6 => 2,
@@ -725,6 +728,7 @@ mod tests {
         assert_eq!(paper_block_type(BlockKind::Dense, 2), 1);
         assert_eq!(paper_block_type(BlockKind::Dense, 5), 2);
         assert_eq!(paper_block_type(BlockKind::Sparse, 9), 3);
+        assert_eq!(paper_block_type(BlockKind::Verbatim, 0), 3);
     }
 
     #[test]
@@ -879,8 +883,11 @@ mod tests {
 
     /// Batched decode gives every block the bits it gets decoded alone, in
     /// every build of the decoder, and `decompress` gives them at 1 and 4
-    /// threads: on benzene ERIs of four configurations at two error bounds, on the golden containers and streams, and on batches
-    /// where truncated and bit-flipped payloads sit between intact ones.
+    /// threads: on ERIs of four configurations at two error bounds, on
+    /// the golden containers and streams, and on batches where damaged
+    /// payloads and frames sit between intact ones. Each ERI block's
+    /// `compress_block` frame is also checked to be the bytes its
+    /// container holds for it after the header.
     #[test]
     fn every_simd_build_decodes_the_same_bits() {
         use qchem::basis::BfConfig;
@@ -908,7 +915,15 @@ mod tests {
             };
             let geom = BlockGeometry::from_dims(config.dims());
             for eb in [1e-10, 1e-6] {
-                containers.push(crate::Compressor::new(geom, eb).compress(&values));
+                let compressor = crate::Compressor::new(geom, eb);
+                let container = compressor.compress(&values);
+                let frames: Vec<u8> = values
+                    .chunks(geom.block_size())
+                    .flat_map(|block| compressor.compress_block(block))
+                    .collect();
+                let header = crate::container::parse_header(&container).unwrap();
+                assert_eq!(container[header.blocks_start..], frames, "{} eb={eb}", config.label());
+                containers.push(container);
             }
         }
         containers.push(golden("v1_container.pastri"));
@@ -971,35 +986,30 @@ mod tests {
         }
         assert!(dense >= 100, "only {dense} Dense blocks");
 
-        // One-block containers: intact, with a flipped payload bit under
-        // a recomputed CRC, with a flipped bit, of another geometry and
-        // truncated. `decompress_blocks` gives each slot what
-        // `decompress_block` gives it alone.
+        // Frames: intact, with a flipped payload bit under a recomputed
+        // CRC (so the decoder meets it), with a flipped bit, with a
+        // trailing byte and truncated. `decompress_blocks` gives each
+        // slot what `decompress_block` gives it alone.
         let geom = BlockGeometry::from_dims([6, 6, 6, 6]);
         let values = EriDataset::generate_model(BfConfig::dd_dd(), 24, 0x5EED).values;
         let compressor = crate::Compressor::new(geom, 1e-10);
         let mut mixed: Vec<Vec<u8>> = Vec::new();
         for (i, block) in values.chunks(geom.block_size()).enumerate() {
-            let mut c = compressor.compress(block);
+            let mut f = compressor.compress_block(block);
+            let start = f.len() - crate::check_frame(&f).unwrap().len();
             match i % 6 {
                 1 => {
-                    let header = crate::container::parse_header(&c).unwrap();
-                    let mut pos = header.blocks_start;
-                    let len = crate::container::next_frame(&c, &mut pos, true).unwrap().payload.len();
-                    let start = pos - len;
-                    c[start + len / 2] ^= 0x04;
-                    let crc = checksum::crc32(&c[start..pos]);
-                    c[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+                    let at = start + (f.len() - start) / 2;
+                    f[at] ^= 0x04;
+                    let crc = checksum::crc32(&f[start..]);
+                    f[start - 4..start].copy_from_slice(&crc.to_le_bytes());
                 }
-                2 => {
-                    let at = c.len() - 3;
-                    c[at] ^= 1;
-                }
-                3 => c = crate::Compressor::new(BlockGeometry::new(6, 216), 1e-10).compress(block),
-                4 => c.truncate(c.len() - 2),
+                2 => *f.last_mut().unwrap() ^= 1,
+                3 => f.push(0),
+                4 => f.truncate(f.len() - 2),
                 _ => {}
             }
-            mixed.push(c);
+            mixed.push(f);
         }
         let mixed: Vec<&[u8]> = mixed.iter().map(Vec::as_slice).collect();
         let bits = |r: Result<Vec<f64>, DecompressError>| {
@@ -1007,9 +1017,15 @@ mod tests {
         };
         let alone: Vec<_> = mixed
             .iter()
-            .map(|c| bits(crate::decompress_block(c, geom, 1e-10)))
+            .map(|f| bits(crate::decompress_block(f, geom, 1e-10)))
             .collect();
-        assert!(alone.iter().filter(|r| r.is_err()).count() >= 12, "damage went unseen");
+        for (i, r) in alone.iter().enumerate() {
+            match i % 6 {
+                0 | 5 => assert!(r.is_ok(), "intact frame {i} refused"),
+                2..=4 => assert!(r.is_err(), "damaged frame {i} accepted"),
+                _ => {}
+            }
+        }
         for pool in &pools {
             let batched: Vec<_> = pool
                 .install(|| crate::decompress_blocks(&mixed, geom, 1e-10))

@@ -19,9 +19,12 @@
 //! ```
 //!
 //! This is the paper's container (Sec. IV-C): a header plus independent,
-//! byte-aligned blocks. It carries no erasure code; a block store
-//! (`eri-store`) holds each block as one such container and owns the
-//! parity.
+//! byte-aligned blocks. It carries no erasure code. One block's
+//! `{ varint; crc32; payload }` is its *frame*:
+//! [`Compressor::compress_block`] writes one alone and
+//! [`decompress_blocks`] reads it back, so a block store (`eri-store`,
+//! which owns the parity) and the PTRF wire keep each block as a frame
+//! and state the geometry and error bound once.
 //!
 //! Two older layouts stay readable, for the golden fixtures under
 //! `tests/golden/`, but nothing writes them:
@@ -59,7 +62,7 @@ use bitio::BitWriter;
 use checksum::crc32;
 use rayon::prelude::*;
 
-use crate::block::{compress_block, BlockJob};
+use crate::block::{self, BlockJob};
 use crate::encoding::EncodingTree;
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
@@ -160,42 +163,59 @@ impl Compressor {
         let bs = self.geometry.block_size();
         let num_blocks = self.geometry.blocks_for_len(data.len());
 
-        // Per-block payloads in parallel; the tail block is padded.
-        let payloads: Vec<Vec<u8>> = (0..num_blocks)
+        // Per-block frames in parallel; the tail block is padded.
+        let frames: Vec<Vec<u8>> = (0..num_blocks)
             .into_par_iter()
             .map(|b| {
-                let _block_span = telemetry::span("compress.block");
                 let start = b * bs;
                 let end = ((b + 1) * bs).min(data.len());
                 // The next block loads while this one is coded.
                 simd::prefetch(&data[end..((b + 2) * bs).min(data.len())]);
-                // A byte per value holds all but the least compressible
-                // blocks without regrowing.
-                let mut w = BitWriter::with_capacity(bs);
-                let (geom, quant, opts) = (&self.geometry, &self.quant, &self.options);
                 if end - start == bs {
-                    compress_block(&data[start..end], geom, quant, opts, &mut w);
+                    self.compress_block(&data[start..end])
                 } else {
                     let mut padded = vec![0.0f64; bs];
                     padded[..end - start].copy_from_slice(&data[start..end]);
-                    compress_block(&padded, geom, quant, opts, &mut w);
+                    self.compress_block(&padded)
                 }
-                w.into_bytes()
             })
             .collect();
 
         let _assemble_span = telemetry::span("container.assemble");
-        self.assemble_container(data.len(), &payloads)
+        self.assemble_container(data.len(), &frames)
     }
 
-    /// The complete v2 container — header and framed blocks — of the
-    /// per-block compressed `payloads`.
-    fn assemble_container(&self, data_len: usize, payloads: &[Vec<u8>]) -> Vec<u8> {
+    /// Compresses one full block into its frame: the bytes a v2
+    /// container holds for it after the header (payload length varint,
+    /// payload CRC32 u32 LE, payload). The one frame writer, behind both
+    /// [`Compressor::compress`] and the block store; [`decompress_blocks`]
+    /// reads frames back.
+    ///
+    /// # Panics
+    /// If `values.len()` is not the geometry's block size.
+    #[must_use]
+    pub fn compress_block(&self, values: &[f64]) -> Vec<u8> {
+        let _span = telemetry::span("compress.block");
+        // A byte per value holds all but the least compressible blocks
+        // without regrowing.
+        let mut w = BitWriter::with_capacity(values.len());
+        block::compress_block(values, &self.geometry, &self.quant, &self.options, &mut w);
+        let payload = w.into_bytes();
+        let mut frame = Vec::with_capacity(varint_len(payload.len() as u64) + 4 + payload.len());
+        write_varint(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// The complete v2 container — header and block frames — of the
+    /// per-block `frames`.
+    fn assemble_container(&self, data_len: usize, frames: &[Vec<u8>]) -> Vec<u8> {
         let header_varints = [
             self.geometry.num_subblocks,
             self.geometry.subblock_size,
             data_len,
-            payloads.len(),
+            frames.len(),
         ];
         // Reserve the exact length so `out` never regrows mid-write.
         let header_len = MAGIC.len()
@@ -206,7 +226,7 @@ impl Compressor {
                 .map(|&v| varint_len(v as u64))
                 .sum::<usize>()
             + 4;
-        let blocks_len: usize = payloads.iter().map(|p| framed_len(p)).sum();
+        let blocks_len: usize = frames.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(header_len + blocks_len);
 
         out.extend_from_slice(&MAGIC);
@@ -219,10 +239,8 @@ impl Compressor {
         }
         checksum::append_crc32_of(&mut out);
 
-        for p in payloads {
-            write_varint(&mut out, p.len() as u64);
-            out.extend_from_slice(&crc32(p).to_le_bytes());
-            out.extend_from_slice(p);
+        for f in frames {
+            out.extend_from_slice(f);
         }
         debug_assert_eq!(out.len(), header_len + blocks_len);
         out
@@ -297,65 +315,80 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
     Ok(out)
 }
 
-
-/// The largest container [`Compressor::compress`] can write for one
-/// block of `geometry`: the v2 header, one block's framing, and the
-/// verbatim payload of `3 + 64·V` bits that bounds every block kind (a
-/// coded block that would not be smaller is written verbatim).
-/// Saturates rather than overflowing, so a hostile geometry sizes to
-/// `usize::MAX`, never to a wrapped small number.
+/// The largest frame [`Compressor::compress_block`] can write for one
+/// block of `geometry`: its length varint and CRC, and the verbatim payload of
+/// `3 + 64·V` bits that bounds every block kind (a coded block that
+/// would not be smaller is written verbatim). Saturates rather than
+/// overflowing, so a hostile geometry sizes to `usize::MAX`, never to a
+/// wrapped small number.
 #[must_use]
-pub fn max_block_container_len(geometry: BlockGeometry) -> usize {
+pub fn max_frame_len(geometry: BlockGeometry) -> usize {
     let values = geometry.num_subblocks.saturating_mul(geometry.subblock_size);
     let payload = values.saturating_mul(8).saturating_add(1);
-    let varints = [geometry.num_subblocks, geometry.subblock_size, values, 1, payload];
-    varints
-        .iter()
-        .map(|&v| varint_len(v as u64))
-        .fold(MAGIC.len() + 3 + 8 + 4 + 4, usize::saturating_add)
-        .saturating_add(payload)
+    (varint_len(payload as u64) + 4).saturating_add(payload)
 }
 
-/// Decodes a container that must hold exactly one block of `geometry`
-/// at error bound `eb`: a v2 container whose header names that geometry
-/// and that bound (bit for bit), one block and `original_len` equal to
-/// the block size. Anything else is refused as corruption *before* any
-/// buffer sized by the header is allocated, so bytes from an untrusted
-/// peer cost at most one block's values.
-///
-/// This is the decoder for block-store containers, wherever they are
-/// read: the store reader passes its own geometry and bound, a remote
-/// client the ones its server announced. It is a batch of one of
+/// The byte length (saturating) of the frame that starts `bytes`, read
+/// from its length varint alone, so a reader can size a frame before
+/// reading it. An error when the varint is cut short, overflows or
+/// declares an empty payload.
+pub fn frame_len(bytes: &[u8]) -> Result<u64, DecompressError> {
+    let mut pos = 0;
+    let len = read_varint(bytes, &mut pos)?;
+    if len == 0 {
+        return Err(DecompressError::corrupt("empty block payload"));
+    }
+    Ok(len.saturating_add(pos as u64 + 4))
+}
+
+/// The payload of `bytes`, which must be exactly one frame — no byte
+/// missing, none after it — whose CRC32 verifies. Nothing is decoded.
+pub fn check_frame(bytes: &[u8]) -> Result<&[u8], DecompressError> {
+    let mut pos = 0;
+    let frame = next_frame(bytes, &mut pos, true).map_err(|e| e.with_block(0))?;
+    verify_frame(&frame, 0)?;
+    if pos != bytes.len() {
+        return Err(DecompressError::corrupt("trailing bytes after frame").at_offset(pos as u64));
+    }
+    Ok(frame.payload)
+}
+
+/// Decodes one block from its frame: the frame must pass
+/// [`check_frame`], and its payload decodes as Tree 5 at the caller's
+/// `geometry` and `eb`, which a frame does not record. Allocates at most
+/// one block of values, whatever the bytes. A batch of one of
 /// [`decompress_blocks`].
+///
+/// # Panics
+/// If `eb` is not finite and positive and the frame checks out.
 pub fn decompress_block(
-    bytes: &[u8],
+    frame: &[u8],
     geometry: BlockGeometry,
     eb: f64,
 ) -> Result<Vec<f64>, DecompressError> {
-    decompress_blocks(&[bytes], geometry, eb)
+    decompress_blocks(&[frame], geometry, eb)
         .pop()
-        .expect("one result per container")
+        .expect("one result per frame")
 }
 
-/// [`decompress_block`] of every container in `containers`, each result
-/// at its container's position. Every container is checked as
-/// [`decompress_block`] checks it before any value buffer is allocated,
-/// so `k` hostile containers cost at most `k` blocks' values. One bad
-/// container costs only its own slot.
+/// [`decompress_block`] of every frame in `frames`, each result at its
+/// frame's position. Every frame is checked before any value buffer is
+/// allocated, so `k` hostile frames cost at most `k` blocks' values.
+/// One bad frame costs only its own slot.
 ///
 /// The blocks decode in batches of 16, which pair their Dense streams;
 /// a call of more than one batch spreads them over the rayon crew, and
 /// a single batch decodes on the calling thread.
+///
+/// # Panics
+/// If `eb` is not finite and positive and some frame checks out.
 pub fn decompress_blocks(
-    containers: &[&[u8]],
+    frames: &[&[u8]],
     geometry: BlockGeometry,
     eb: f64,
 ) -> Vec<Result<Vec<f64>, DecompressError>> {
     let _span = telemetry::span("decompress.container");
-    let checked: Vec<_> = containers
-        .iter()
-        .map(|bytes| check_block_container(bytes, geometry, eb))
-        .collect();
+    let checked: Vec<_> = frames.iter().map(|bytes| check_frame(bytes)).collect();
     let bs = geometry.block_size();
     let mut values: Vec<Vec<f64>> = checked
         .iter()
@@ -364,14 +397,9 @@ pub fn decompress_blocks(
     let mut jobs: Vec<BlockJob<'_>> = checked
         .iter()
         .zip(&mut values)
-        .filter_map(|(c, out)| {
-            let (tree, frame) = c.as_ref().ok()?;
-            Some(BlockJob::new(frame.payload, *tree, out))
-        })
+        .filter_map(|(c, out)| Some(BlockJob::new(c.as_ref().ok()?, EncodingTree::Tree5, out)))
         .collect();
     if !jobs.is_empty() {
-        // Every job's header carried `eb`, and `parse_header` admits
-        // only a finite, positive bound.
         let quant = Quantizer::new(eb);
         let simd = Simd::detect();
         jobs.par_chunks_mut(GROUP)
@@ -382,11 +410,11 @@ pub fn decompress_blocks(
         .into_iter()
         .zip(values)
         .map(|(c, v)| {
-            let (_, frame) = c?;
+            c?;
             decoded
                 .next()
-                .expect("one decode per checked container")
-                .map_err(|e| e.with_block(0).at_offset(frame.offset))?;
+                .expect("one decode per checked frame")
+                .map_err(|e| e.with_block(0).at_offset(0))?;
             Ok(v)
         })
         .collect()
@@ -395,43 +423,6 @@ pub fn decompress_blocks(
 /// Blocks per batch of [`Simd::decompress_blocks`]: enough to pair the
 /// Dense streams of every batch, whatever the thread count.
 const GROUP: usize = 16;
-
-/// [`decompress_block`]'s checks: `bytes` must be a v2 container of one
-/// block of `geometry` at `eb`. Returns its tree and checksummed frame.
-fn check_block_container(
-    bytes: &[u8],
-    geometry: BlockGeometry,
-    eb: f64,
-) -> Result<(EncodingTree, BlockFrame<'_>), DecompressError> {
-    let header = parse_header(bytes)?;
-    if header.version != VERSION_V2 {
-        return Err(DecompressError::BadVersion {
-            format: "container",
-            version: header.version,
-        });
-    }
-    if header.geometry != geometry {
-        return Err(DecompressError::corrupt("container geometry differs from the expected block"));
-    }
-    if header.eb.to_bits() != eb.to_bits() {
-        return Err(DecompressError::corrupt("container error bound differs from the expected one"));
-    }
-    if header.num_blocks != 1 || header.original_len != geometry.block_size() {
-        return Err(DecompressError::corrupt("container does not hold exactly one block"));
-    }
-    let mut pos = header.blocks_start;
-    let frame = next_frame(bytes, &mut pos, true).map_err(|e| e.with_block(0))?;
-    verify_frame(&frame, 0)?;
-    if pos != bytes.len() {
-        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
-    }
-    Ok((header.tree, frame))
-}
-
-/// A block's bytes in the blocks section: length varint, CRC32, payload.
-fn framed_len(payload: &[u8]) -> usize {
-    varint_len(payload.len() as u64) + 4 + payload.len()
-}
 
 /// Parsed, validated container header.
 pub(crate) struct Header {

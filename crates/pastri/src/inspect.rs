@@ -67,20 +67,10 @@ impl ContainerInfo {
 }
 
 /// Parses a PaSTRI container's metadata. Cost is O(number of blocks), not
-/// O(data): only each block's first byte is examined.
+/// O(data): only each block's first byte is examined. Bytes after the
+/// container are tolerated and counted in
+/// [`ContainerInfo::container_bytes`].
 pub fn inspect(bytes: &[u8]) -> Result<ContainerInfo, DecompressError> {
-    let (mut info, _) = inspect_prefix(bytes)?;
-    // Historical behavior: the whole input is attributed to the
-    // container, trailing bytes included.
-    info.container_bytes = bytes.len();
-    Ok(info)
-}
-
-/// Parses a container at the *start* of `bytes`, tolerating trailing
-/// data, and returns the info plus the exact byte length the container
-/// occupies. This is what lets recovery re-walk back-to-back containers
-/// (e.g. rebuilding a store index after a crash) without an index.
-pub fn inspect_prefix(bytes: &[u8]) -> Result<(ContainerInfo, usize), DecompressError> {
     let header = parse_header(bytes)?;
     let mut pos = header.blocks_start;
     let mut kind_counts = [0u64; 5];
@@ -96,24 +86,21 @@ pub fn inspect_prefix(bytes: &[u8]) -> Result<(ContainerInfo, usize), Decompress
     }
     let parity_start = pos;
     check_parity_section(bytes, &header, &mut pos)?;
-    Ok((
-        ContainerInfo {
-            version: header.version,
-            error_bound: header.eb,
-            geometry: header.geometry,
-            original_len: header.original_len,
-            num_blocks: header.num_blocks,
-            container_bytes: pos,
-            metric: header.metric,
-            tree: header.tree,
-            kind_counts,
-            payload_bytes,
-            parity_group: header.parity_group,
-            parity_shards: header.parity_shards,
-            parity_bytes: (pos - parity_start) as u64,
-        },
-        pos,
-    ))
+    Ok(ContainerInfo {
+        version: header.version,
+        error_bound: header.eb,
+        geometry: header.geometry,
+        original_len: header.original_len,
+        num_blocks: header.num_blocks,
+        container_bytes: bytes.len(),
+        metric: header.metric,
+        tree: header.tree,
+        kind_counts,
+        payload_bytes,
+        parity_group: header.parity_group,
+        parity_shards: header.parity_shards,
+        parity_bytes: (pos - parity_start) as u64,
+    })
 }
 
 /// The [`CompressionStats`] of a container, read from its bytes: the
@@ -183,13 +170,7 @@ impl BlockSink for StatsSink<'_> {
         s.record_sq_bits(layout.sq_bits);
         s.record_ecq_bits(layout.ecq_bits);
         s.record_verbatim_bits(layout.verbatim_bits);
-        // AllZero blocks are filed under type index 1 and Verbatim under
-        // 3: the census `figures fig6` reports.
-        let block_type = match layout.kind {
-            BlockKind::AllZero => 1,
-            BlockKind::Verbatim => 3,
-            kind => usize::from(paper_block_type(kind, layout.ecb_max)),
-        };
+        let block_type = usize::from(paper_block_type(layout.kind, layout.ecb_max));
         s.record_block(layout.kind, block_type);
         if !matches!(layout.kind, BlockKind::AllZero | BlockKind::Verbatim) {
             // The histogram counts every point, zeros included.
@@ -292,22 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn inspect_prefix_tolerates_trailing_data() {
+    fn inspect_counts_trailing_bytes_in_the_container() {
         let geom = BlockGeometry::new(2, 4);
         let c = Compressor::new(geom, 1e-8);
         let a = c.compress(&[1e-5; 8]);
-        let b = c.compress(&[2e-5; 8]);
-        // Two back-to-back containers: prefix parsing walks each exactly.
         let mut joined = a.clone();
-        joined.extend_from_slice(&b);
-        let (info_a, len_a) = inspect_prefix(&joined).unwrap();
-        assert_eq!(len_a, a.len());
-        assert_eq!(info_a.container_bytes, a.len());
-        let (info_b, len_b) = inspect_prefix(&joined[len_a..]).unwrap();
-        assert_eq!(len_b, b.len());
-        assert_eq!(info_b.original_len, 8);
-        // Whole-input inspect still attributes everything to one container.
-        assert_eq!(inspect(&joined).unwrap().container_bytes, joined.len());
+        joined.extend_from_slice(&c.compress(&[2e-5; 8]));
+        let (alone, followed) = (inspect(&a).unwrap(), inspect(&joined).unwrap());
+        assert_eq!(alone.container_bytes, a.len());
+        assert_eq!(followed.container_bytes, joined.len());
+        assert_eq!((followed.original_len, followed.kind_counts), (8, alone.kind_counts));
     }
 
     #[test]
@@ -318,5 +293,7 @@ mod tests {
         let info = inspect(&bytes).unwrap();
         assert_eq!(info.kind_counts[0], 100); // all AllZero
         assert_eq!(info.num_blocks, 100);
+        // Fig. 6 files an all-zero block under paper type 0.
+        assert_eq!(container_bit_stats(&bytes).unwrap().block_types()[0].count, 100);
     }
 }

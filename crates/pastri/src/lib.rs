@@ -30,8 +30,12 @@
 //!
 //! [`Compressor`] writes one layout: the version-2 container, a header
 //! plus independent, CRC-framed blocks (paper Sec. IV-C), with no
-//! erasure code. Durable storage and its parity live in the `eri-store`
-//! crate, which holds each block as one such container. The version-1
+//! erasure code. One block's framing in it — payload length, CRC32,
+//! payload — is that block's *frame*: [`Compressor::compress_block`]
+//! writes one and [`decompress_blocks`] decodes them at a geometry and
+//! error bound the caller states. Durable storage and its parity live in the `eri-store`
+//! crate, which holds each block as a frame, and the PTRF wire carries
+//! frames too. The version-1
 //! and version-3 containers and version-1 [`stream`]s are decode-only,
 //! kept for the golden fixtures under `tests/golden/`: [`decompress`]
 //! and [`inspect`] read containers strictly, and a stream is read by
@@ -86,13 +90,13 @@ mod stats;
 pub mod stream;
 
 pub use container::{
-    decompress, decompress_block, decompress_blocks, max_block_container_len, Compressor,
-    CompressorOptions, EcqRepr, ScaleRule,
+    check_frame, decompress, decompress_block, decompress_blocks, frame_len,
+    max_frame_len, Compressor, CompressorOptions, EcqRepr, ScaleRule,
 };
 pub use encoding::EncodingTree;
 pub use error::DecompressError;
 pub use geometry::BlockGeometry;
-pub use inspect::{container_bit_stats, inspect, inspect_prefix, ContainerInfo};
+pub use inspect::{container_bit_stats, inspect, ContainerInfo};
 pub use metrics::{fit_pattern, PatternFit, ScalingMetric};
 pub use quant::{ecq_bits, Quantizer, ScaleQuantizer};
 pub use stats::{BlockTypeStats, CompressionStats, StorageBreakdown};

@@ -91,9 +91,11 @@ fn legacy_artifacts() -> &'static [Vec<u8>; 4] {
 
 /// One damage `kind` at `seed` applied to a copy of `valid`: a bit flip,
 /// a truncation, an inflated length field (eight 0xFF bytes), a stream
-/// whose first segment claims about 2^35 bytes, or a splice: up to 64
-/// bytes of a golden artifact, taken from anywhere in it, copied over
-/// `valid` from a seeded offset on.
+/// whose first segment claims about 2^35 bytes, one to eight trailing
+/// bytes, a leading length varint (a frame's) replaced by one declaring
+/// `u64::MAX` bytes, or a splice: up to 64 bytes of a golden artifact,
+/// taken from anywhere in it, copied over `valid` from a seeded offset
+/// on.
 fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
     let mut bytes = valid.to_vec();
     let at = seed % bytes.len();
@@ -105,6 +107,11 @@ fn mutated(valid: &[u8], kind: u8, seed: usize) -> Vec<u8> {
             bytes[at..end].fill(0xFF);
         }
         3 => bytes.splice(6..7, [0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).for_each(drop),
+        5 => bytes.extend((0..1 + seed % 8).map(|i| (seed >> (8 * i)) as u8)),
+        6 => {
+            let varint_len = bytes.iter().position(|&b| b < 0x80).unwrap() + 1;
+            bytes.splice(..varint_len, [0xFF; 9].into_iter().chain([0x01])).for_each(drop);
+        }
         _ => {
             let donor = &legacy_artifacts()[(seed / 7) % 4];
             let from = (seed / 29) % donor.len();
@@ -144,28 +151,10 @@ fn declared_values(bytes: &[u8]) -> usize {
     blocks.saturating_mul(num_subblocks.saturating_mul(subblock_size))
 }
 
-/// A one-block container of the valid store's 4×9 geometry with its
-/// header varints rewritten to claim one block of `claimed`, header CRC
-/// recomputed so only the geometry check can refuse it.
-fn reclaimed(container: &[u8], claimed: BlockGeometry) -> Vec<u8> {
-    fn varint(out: &mut Vec<u8>, mut v: usize) {
-        while v >= 0x80 {
-            out.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        out.push(v as u8);
-    }
-    // Magic, version, metric, tree and EB, then the four one-byte
-    // varints 4, 9, 36 and 1, then the header CRC.
-    assert_eq!(container[15..19], [4, 9, 36, 1], "a one-block 4x9 container");
-    let mut out = container[..15].to_vec();
-    for v in [claimed.num_subblocks, claimed.subblock_size, claimed.block_size(), 1] {
-        varint(&mut out, v);
-    }
-    out.extend_from_slice(&checksum::crc32(&out).to_le_bytes());
-    out.extend_from_slice(&container[23..]);
-    out
-}
+/// The `mutated` kinds that damage a block's frame: a bit flip, a
+/// truncation, trailing bytes and a `u64::MAX` length. A frame claims no
+/// geometry or bound, so these are all the ways it can lie.
+const FRAME_DAMAGE: [u8; 4] = [0, 1, 5, 6];
 
 fn soup() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..4096)
@@ -201,7 +190,6 @@ proptest! {
         }
         let _ = pastri::decompress(&bytes);
         let _ = pastri::inspect(&bytes);
-        let _ = pastri::inspect_prefix(&bytes);
         let _ = pastri::container_bit_stats(&bytes);
     }
 
@@ -269,7 +257,7 @@ proptest! {
     #[test]
     fn eri_store_reader_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
         if with_magic && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"ERISTOR3");
+            bytes[..8].copy_from_slice(b"ERISTOR4");
         }
         if let Ok(store) = eri_store::StoreReader::from_source(
             &bytes[..],
@@ -397,38 +385,46 @@ proptest! {
     fn block_decoder_allocates_at_most_one_block(
         kind in 0u8..4,
         seed in any::<usize>(),
-        claimed in 0usize..3,
     ) {
-        // One of the store's containers with a bit flip, a truncation,
-        // eight 0xFF bytes, or a header rewritten (CRC recomputed) to
-        // claim another geometry, up to one 16384×16384 block. Decoding
-        // it through the guarded entry point at the store's geometry
-        // and EB — as a remote client decodes what a server sent —
-        // never allocates more than one block's values plus 64 KiB.
+        // One of the store's frames with a bit flip, a truncation,
+        // trailing bytes, or a length varint inflated to u64::MAX.
+        // Decoding it through the guarded entry point at the store's
+        // geometry and EB — as a remote client decodes what a server
+        // sent — refuses it and never allocates more than one block's
+        // values plus 64 KiB. Spliced into the store in the clean
+        // frame's place, it stops the recovery walk before the commits
+        // that seal it, which then refuse the store, and the walk
+        // allocates within the input.
         let (_, store) = valid_artifacts();
         let (_, index) = eri_store::committed_index(&store.as_slice()).unwrap();
         let entry = index.blocks[seed % index.blocks.len()];
-        let container = &store[entry.offset as usize..(entry.offset + entry.len) as usize];
+        let (at, end) = (entry.offset as usize, (entry.offset + entry.len) as usize);
         let geometry = BlockGeometry::new(4, 9);
-        let bytes = match kind {
-            0..=2 => mutated(container, kind, seed),
-            _ => {
-                let side = [5, 1 << 10, 1 << 14][claimed];
-                reclaimed(container, BlockGeometry::new(side, side))
-            }
-        };
+        let bytes = mutated(&store[at..end], FRAME_DAMAGE[usize::from(kind)], seed);
         let mut result = None;
         let largest = largest_allocation(|| {
             result = Some(pastri::decompress_block(&bytes, geometry, 1e-9));
         });
         prop_assert!(
             largest <= geometry.block_size() * 8 + (64 << 10),
-            "{largest} bytes allocated for a {}-byte container",
+            "{largest} bytes allocated for a {}-byte frame",
             bytes.len()
         );
-        if kind == 3 {
-            prop_assert!(result.is_some_and(|r| r.is_err()), "another geometry must be refused");
-        }
+        prop_assert!(result.is_some_and(|r| r.is_err()), "a damaged frame must be refused");
+        let damaged = [&store[..at], &bytes, &store[end..]].concat();
+        let mut walked = None;
+        let largest = largest_allocation(|| {
+            walked = Some(eri_store::committed_index(&damaged.as_slice()));
+        });
+        prop_assert!(
+            largest <= 2 * damaged.len() + (64 << 10),
+            "{largest} bytes allocated walking a {}-byte store",
+            damaged.len()
+        );
+        prop_assert!(
+            matches!(walked, Some(Err(eri_store::StoreError::Corrupt { .. }))),
+            "{walked:?}"
+        );
     }
 
     #[test]
@@ -436,36 +432,34 @@ proptest! {
         k in 1usize..12,
         seed in any::<usize>(),
     ) {
-        // `k` of the store's containers, each intact or given one of the
-        // damages above (a claimed geometry of up to 16384×16384 among
-        // them), decoded in one batch through the guarded entry point:
-        // no single allocation exceeds `k` blocks' values plus 64 KiB,
-        // and every slot gets what decoding it alone gives.
+        // `k` of the store's frames, each intact or given one of the
+        // damages above, decoded in one batch through the guarded
+        // entry point: no single allocation exceeds `k` blocks' values
+        // plus 64 KiB, and every slot gets what decoding it alone gives.
         let (_, store) = valid_artifacts();
         let (_, index) = eri_store::committed_index(&store.as_slice()).unwrap();
         let geometry = BlockGeometry::new(4, 9);
-        let containers: Vec<Vec<u8>> = (0..k)
+        let frames: Vec<Vec<u8>> = (0..k)
             .map(|i| {
                 let s = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9));
                 let entry = index.blocks[s % index.blocks.len()];
-                let container = &store[entry.offset as usize..(entry.offset + entry.len) as usize];
+                let frame = &store[entry.offset as usize..(entry.offset + entry.len) as usize];
                 match s % 5 {
-                    kind @ 0..=2 => mutated(container, kind as u8, s / 5),
-                    3 => reclaimed(container, BlockGeometry::new(1 << 14, 1 << 14)),
-                    _ => container.to_vec(),
+                    4 => frame.to_vec(),
+                    kind => mutated(frame, FRAME_DAMAGE[kind], s / 5),
                 }
             })
             .collect();
-        let slices: Vec<&[u8]> = containers.iter().map(Vec::as_slice).collect();
+        let slices: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         let mut batched = None;
         let largest = largest_allocation(|| {
             batched = Some(pastri::decompress_blocks(&slices, geometry, 1e-9));
         });
         prop_assert!(
             largest <= k * geometry.block_size() * 8 + (64 << 10),
-            "{largest} bytes allocated for {k} containers"
+            "{largest} bytes allocated for {k} frames"
         );
-        let alone: Vec<_> = slices.iter().map(|c| pastri::decompress_block(c, geometry, 1e-9)).collect();
+        let alone: Vec<_> = slices.iter().map(|f| pastri::decompress_block(f, geometry, 1e-9)).collect();
         prop_assert_eq!(batched, Some(alone));
     }
 

@@ -170,7 +170,7 @@ fn sdc_heals_through_the_server_and_cache_serves_the_healed_block() {
 
             // The second read is a cache hit and must serve the healed
             // block, not a stale pre-repair value.
-            let again = srv.read_block(damaged_block).unwrap();
+            let again = srv.read_blocks(&[damaged_block]).unwrap().remove(0);
             assert_bit_identical(&again, &direct[damaged_block], damaged_block);
             let stats = srv.cache_stats();
             assert!(stats.hits >= 1, "{stats:?}");
@@ -263,7 +263,7 @@ fn beyond_parity_damage_is_an_error_not_wrong_data() {
                 if id == shredded {
                     continue;
                 }
-                let got = srv.read_block(id).unwrap();
+                let got = srv.read_blocks(&[id]).unwrap().remove(0);
                 assert_bit_identical(&got, want.as_ref().unwrap(), id);
             }
         });

@@ -505,7 +505,7 @@ fn oversized_batches_degrade_to_per_block_errors() {
     let Message::ReadResponse(rs2) = protocol::read_frame(&mut sock).unwrap() else {
         panic!("want ReadResponse")
     };
-    assert!(rs2.blocks.iter().all(|b| matches!(b, WireBlock::Container(_))), "{rs2:?}");
+    assert!(rs2.blocks.iter().all(|b| matches!(b, WireBlock::Frame(_))), "{rs2:?}");
 
     drop(sock);
     stop.stop();
