@@ -1,7 +1,8 @@
 //! CRC32 (IEEE 802.3 / zlib polynomial, reflected) — the integrity
 //! checksum used by the v2 PaSTRI container and each block frame it
-//! holds, the `PSTRS` stream, the `ERISTOR4` block store (which keeps
-//! those frames), durable commit records and the PTRF wire frame.
+//! holds, the `PSTRS` stream, the `ERISTOR5` block store (which keeps
+//! those frames and certifies each by its own CRC), durable commit
+//! records and the PTRF wire frame.
 //!
 //! Dependency-free, with two paths chosen at run time:
 //!

@@ -355,8 +355,9 @@ fn store_failure(input: &str, e: eri_store::StoreError) -> CliError {
 }
 
 /// `pastri inspect <file>`: for a container, header metadata + per-kind
-/// block census via the cheap O(blocks) inspection API; for a block
-/// store, a summary of its index. No value is decoded.
+/// block census and storage breakdown, read through the decoder's own
+/// container walk, so `inspect` refuses what `decompress` refuses; for
+/// a block store, a summary of its index. No value is decoded.
 pub(crate) fn inspect(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(argv, &Flags::NONE)?;
     let input = args.positional(0, "file")?;
@@ -476,7 +477,7 @@ pub(crate) fn report(argv: &[String], out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// `pastri verify <file>`: check any PaSTRI artifact — a single
-/// container (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR4`).
+/// container (`PSTR`), a stream (`PSTRS`), or an eri-store (`ERISTOR5`).
 /// A store gets a per-block damage report; a read-only container or
 /// stream gets a strict decode, and its first damage is the error. Exit
 /// codes are the scripting contract: 0 clean, 2 when damage is found in

@@ -141,6 +141,21 @@ fn exit_codes_follow_the_documented_contract() {
     let mut bytes = container_bytes.clone();
     bytes[13] ^= 0x10;
     fs::write(&header_damaged, &bytes).unwrap();
+    // The golden v1 container with bytes after it, and the golden v3
+    // one with a bit flipped inside a block's frame: `inspect` reads
+    // them as `decompress` does, so it refuses both.
+    let trailing_container = p(&dir, "trailing.pastri");
+    copy_golden("v1_container.pastri", &trailing_container);
+    let mut bytes = fs::read(&trailing_container).unwrap();
+    bytes.extend_from_slice(b"junk");
+    fs::write(&trailing_container, &bytes).unwrap();
+    let err = pastri_cli::run(&sv(&["inspect", &trailing_container]), &mut Vec::new())
+        .expect_err("a container with trailing bytes does not inspect");
+    assert!(err.message.contains("trailing bytes after container"), "{}", err.message);
+    let frame_damaged = p(&dir, "frame-damaged.pastri");
+    let mut bytes = container_bytes.clone();
+    bytes[60] ^= 0x04;
+    fs::write(&frame_damaged, &bytes).unwrap();
     // A cut container: its first 300 bytes.
     let truncated_container = p(&dir, "truncated.pastri");
     fs::write(&truncated_container, &container_bytes[..300]).unwrap();
@@ -407,6 +422,16 @@ fn exit_codes_follow_the_documented_contract() {
         Case {
             label: "inspect header-damaged container",
             argv: sv(&["inspect", &header_damaged]),
+            want: 2,
+        },
+        Case {
+            label: "inspect container with trailing bytes",
+            argv: sv(&["inspect", &trailing_container]),
+            want: 2,
+        },
+        Case {
+            label: "inspect frame-damaged container",
+            argv: sv(&["inspect", &frame_damaged]),
             want: 2,
         },
         Case {

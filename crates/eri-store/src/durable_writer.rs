@@ -192,7 +192,7 @@ mod tests {
         let leftovers = [
             std::fs::read(&path).unwrap(),
             expected[..HEADER_LEN as usize - 3].to_vec(),
-            b"ERISTOR4garbage".to_vec(),
+            b"ERISTOR5garbage".to_vec(),
         ];
         for leftover in leftovers {
             std::fs::write(&path, &leftover).unwrap();

@@ -8,10 +8,10 @@
 //! consumer can fetch exactly the quartets it needs without touching the
 //! rest of the file — the access pattern of integral-direct Fock builds.
 //!
-//! File layout (version 4, current):
+//! File layout (version 5, current):
 //!
 //! ```text
-//! magic            8 bytes  "ERISTOR4"
+//! magic            8 bytes  "ERISTOR5"
 //! error bound      8 bytes  f64 LE
 //! num_subblocks    8 bytes  u64 LE
 //! subblock_size    8 bytes  u64 LE
@@ -22,8 +22,7 @@
 //!                  PaSTRI frame (below), each run followed by its
 //!                  parity record; a 36-byte `durable` commit record
 //!                  ("PSTC") after each committed batch
-//! index            num_blocks × (offset u64 LE, length u64 LE,
-//!                                payload_crc32 u32 LE),
+//! index            num_blocks × frame length u32 LE,
 //!                  then num_stripes × (record offset u64 LE,
 //!                                      members u32 LE)
 //! index_crc32      4 bytes  u32 LE  (CRC32 of the index bytes above)
@@ -35,6 +34,10 @@
 //! A block is the frame a v2 PaSTRI container holds for it
 //! ([`Compressor::compress_block`]: payload length varint, payload CRC32,
 //! Tree 5 payload), with no header: the one above holds for every block.
+//! A stripe's frames lie back to back and end where its parity record
+//! starts, so the index keeps only each frame's length: a block's offset
+//! is its stripe's record offset minus the lengths of the members from
+//! it on.
 //!
 //! A parity record:
 //!
@@ -58,10 +61,11 @@
 //! at every commit and at `finish`, so a commit never lands inside a
 //! stripe and resuming never reopens one.
 //!
-//! The per-entry `payload_crc32` covers the block's frame bytes as
-//! written, so [`StoreReader::scrub`] can certify the whole
-//! store — and [`StoreReader::read_block`] can pin damage to one block —
-//! without decompressing anything.
+//! A frame certifies itself: [`pastri::check_frame`] verifies its
+//! payload CRC32 and that its length varint spans exactly the bytes the
+//! index gives it. That one check lets [`StoreReader::scrub`] certify
+//! the whole store — and [`StoreReader::read_block`] pin damage to one
+//! block — without decompressing anything.
 //!
 //! The file is append-only: a writer streams blocks without knowing
 //! their sizes in advance, commits them in batches in-band, and
@@ -95,15 +99,15 @@ use rayon::prelude::*;
 /// one definition).
 pub use durable::retry::RetryPolicy;
 
-const MAGIC: [u8; 8] = *b"ERISTOR4";
+const MAGIC: [u8; 8] = *b"ERISTOR5";
 /// Header bytes covered by the header CRC (everything before it).
 const HEADER_BODY_LEN: u64 = 8 + 8 + 8 + 8 + 4 + 4;
 /// Total header length (body + header CRC32): block 0 starts here.
 /// Public so tooling and fault injectors can locate block spans without
 /// re-deriving the layout.
 pub const HEADER_LEN: u64 = HEADER_BODY_LEN + 4;
-/// Size of one block index entry: offset u64 + len u64 + payload CRC32.
-const BLOCK_ENTRY_LEN: u64 = 20;
+/// Size of one block index entry: the frame length, u32.
+const BLOCK_ENTRY_LEN: u64 = 4;
 /// Size of one stripe index entry: record offset u64 + members u32.
 const STRIPE_ENTRY_LEN: u64 = 12;
 /// Size of the trailer ending every finished store: index offset u64 +
@@ -223,9 +227,9 @@ pub struct ReadStats {
     pub transient_retries: u64,
     /// Total microseconds slept in retry backoff.
     pub backoff_micros: u64,
-    /// Blocks whose checksum failed but that were rebuilt from their
-    /// stripe's parity (and re-certified against the index CRC) before
-    /// being served.
+    /// Blocks whose frame failed its check but that were rebuilt from
+    /// their stripe's parity (and re-certified with
+    /// [`pastri::check_frame`]) before being served.
     pub blocks_repaired: u64,
     /// Blocks that failed terminally: damaged beyond the parity budget
     /// (or carrying no parity at all).
@@ -427,16 +431,15 @@ impl Striping {
     }
 }
 
-/// One block's index entry: where its frame lives, and the CRC32 of
-/// those bytes.
+/// One block's index entry: where its frame lives. A finished store
+/// records only the length; the reader derives the offset from the
+/// block's stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockEntry {
     /// Absolute file offset of the frame.
     pub offset: u64,
     /// Frame length in bytes.
     pub len: u64,
-    /// CRC32 of the frame bytes.
-    pub crc: u32,
 }
 
 /// One stripe: `members` consecutive blocks from block `first`, whose
@@ -474,15 +477,14 @@ impl StoreIndex {
         &self.stripes[self.stripes.partition_point(|s| s.first + s.members <= i)]
     }
 
-    /// The on-disk index: block entries, stripe entries, CRC32.
+    /// The on-disk index: frame lengths, stripe entries, CRC32.
     fn encode(&self) -> Vec<u8> {
         let len = self.blocks.len() * BLOCK_ENTRY_LEN as usize
             + self.stripes.len() * STRIPE_ENTRY_LEN as usize;
         let mut index = Vec::with_capacity(len + 4);
         for b in &self.blocks {
-            index.extend_from_slice(&b.offset.to_le_bytes());
-            index.extend_from_slice(&b.len.to_le_bytes());
-            index.extend_from_slice(&b.crc.to_le_bytes());
+            let len = u32::try_from(b.len).expect("frames of blocks under 2^29 values fit a u32");
+            index.extend_from_slice(&len.to_le_bytes());
         }
         for s in &self.stripes {
             index.extend_from_slice(&s.record.to_le_bytes());
@@ -674,7 +676,6 @@ impl<W: SyncWrite> StoreWriter<W> {
         self.index.blocks.push(BlockEntry {
             offset,
             len: frame.len() as u64,
-            crc: crc32(frame),
         });
         if self.index.blocks.len() - self.index.striped() == self.striping.width {
             self.close_stripe();
@@ -774,11 +775,7 @@ pub fn committed_index<R: ReadAt + ?Sized>(
             if let Some(frame) = read_frame(source, pos, size.min(pos.saturating_add(max_frame)), word)? {
                 scan.feed(pos, &frame)?;
                 let len = frame.len() as u64;
-                index.blocks.push(BlockEntry {
-                    offset: pos,
-                    len,
-                    crc: crc32(&frame),
-                });
+                index.blocks.push(BlockEntry { offset: pos, len });
                 pos += len;
                 continue;
             }
@@ -914,9 +911,9 @@ pub struct BlockDamage {
     pub offset: u64,
     /// What was wrong with it.
     pub error: StoreError,
-    /// The frame rebuilt from its stripe's parity, certified
-    /// byte-identical to what the writer stored by the index CRC;
-    /// `None` when the damage exceeds the parity budget.
+    /// The frame rebuilt from its stripe's parity, certified by
+    /// [`pastri::check_frame`] at the length the index gives it; `None`
+    /// when the damage exceeds the parity budget.
     pub repaired: Option<Vec<u8>>,
 }
 
@@ -1073,16 +1070,7 @@ impl<R: ReadAt> StoreReader<R> {
         read_stored_crc(&source, &retry, &stats, &index_bytes, crc_at, index_offset)?;
         let (block_bytes, stripe_bytes) =
             index_bytes.split_at((num_blocks * BLOCK_ENTRY_LEN) as usize);
-        let blocks: Vec<BlockEntry> = block_bytes
-            .chunks_exact(BLOCK_ENTRY_LEN as usize)
-            .map(|entry| BlockEntry {
-                offset: u64::from_le_bytes(entry[..8].try_into().unwrap()),
-                len: u64::from_le_bytes(entry[8..16].try_into().unwrap()),
-                crc: u32_at(entry, 16),
-            })
-            .collect();
-        let stripes = stripe_entries(stripe_bytes, &blocks, striping, index_offset)?;
-        let index = StoreIndex { blocks, stripes };
+        let index = index_entries(block_bytes, stripe_bytes, striping, index_offset)?;
         Ok(Self {
             source,
             retry,
@@ -1126,24 +1114,16 @@ impl<R: ReadAt> StoreReader<R> {
         self.stats.snapshot()
     }
 
-    /// Reads block `i`'s frame bytes and verifies its stored CRC32.
+    /// Reads block `i`'s frame and [certifies](certify) it.
     fn read_block_bytes(&self, i: usize) -> Result<Vec<u8>, StoreError> {
         let entry = *self.index.blocks.get(i).ok_or(StoreError::OutOfRange {
             index: i,
             blocks: self.num_blocks(),
         })?;
-        let mut payload = vec![0u8; entry.len as usize];
-        read_exact_retry(&self.source, &mut payload, entry.offset, &self.retry, &self.stats)?;
-        let actual = crc32(&payload);
-        if entry.crc != actual {
-            return Err(StoreError::Checksum {
-                block: Some(i),
-                offset: Some(entry.offset),
-                expected: entry.crc,
-                actual,
-            });
-        }
-        Ok(payload)
+        let mut frame = vec![0u8; entry.len as usize];
+        read_exact_retry(&self.source, &mut frame, entry.offset, &self.retry, &self.stats)?;
+        certify(&frame, i, entry.offset)?;
+        Ok(frame)
     }
 
     /// `stripe`'s bytes in one positional read — its frames, then
@@ -1163,16 +1143,15 @@ impl<R: ReadAt> StoreReader<R> {
     }
 
     /// Attempts to rebuild block `i`'s frame from its stripe. The
-    /// repair is accepted only if the rebuilt bytes match the index
-    /// CRC — i.e. they are bit-for-bit what the writer stored — so a
-    /// wrong repair can never masquerade as a right one.
+    /// repair is accepted only if the rebuilt frame passes
+    /// [`pastri::check_frame`] at its index length, so a wrong repair
+    /// can never masquerade as a right one.
     fn try_repair_block(&self, i: usize) -> Option<Vec<u8>> {
         let stripe = self.index.stripe_of(i);
         let (bytes, run) = self.read_stripe(stripe).ok()?;
         let rebuilt = self.striping.rebuild(&bytes[..run], &bytes[run..])?;
-        let entry = &self.index.blocks[i];
-        let block = self.member(&rebuilt, stripe.first, entry);
-        (crc32(block) == entry.crc).then(|| block.to_vec())
+        let block = self.member(&rebuilt, stripe.first, &self.index.blocks[i]);
+        pastri::check_frame(block).is_ok().then(|| block.to_vec())
     }
 
     /// Reads and decompresses block `i` (random access: one positional
@@ -1191,8 +1170,8 @@ impl<R: ReadAt> StoreReader<R> {
     }
 
     /// Block `i`'s frame exactly as the writer stored it, without
-    /// decoding: the bytes whose index CRC verifies, or, when they are
-    /// damaged, the frame rebuilt from its stripe's parity
+    /// decoding: the bytes that pass [`pastri::check_frame`], or, when
+    /// they are damaged, the frame rebuilt from its stripe's parity
     /// (counted in [`ReadStats::blocks_repaired`]; damage beyond the
     /// budget counts in [`ReadStats::blocks_dropped`]). The flag says
     /// whether *this* read repaired: threads sharing the reader cannot
@@ -1203,16 +1182,18 @@ impl<R: ReadAt> StoreReader<R> {
     pub fn read_frame_noting_repair(&self, i: usize) -> Result<(Vec<u8>, bool), StoreError> {
         match self.read_block_bytes(i) {
             Ok(p) => Ok((p, false)),
-            Err(e @ StoreError::Checksum { .. }) => match self.try_repair_block(i) {
-                Some(rebuilt) => {
-                    self.stats.repaired();
-                    Ok((rebuilt, true))
+            Err(e @ (StoreError::Checksum { .. } | StoreError::Corrupt { .. })) => {
+                match self.try_repair_block(i) {
+                    Some(rebuilt) => {
+                        self.stats.repaired();
+                        Ok((rebuilt, true))
+                    }
+                    None => {
+                        self.stats.dropped();
+                        Err(e)
+                    }
                 }
-                None => {
-                    self.stats.dropped();
-                    Err(e)
-                }
-            },
+            }
             Err(e) => Err(e),
         }
     }
@@ -1233,11 +1214,12 @@ impl<R: ReadAt> StoreReader<R> {
     /// allows, and each damaged parity record with its recomputed bytes
     /// when its blocks are (or were rebuilt) intact.
     ///
-    /// Blocks are certified by their stored CRC32 — bit-exact payload
-    /// bytes are exactly what the writer produced, so decodability
-    /// follows without paying for decompression. A caller heals the
-    /// store by splicing the rebuilt bytes into a copy of the file
-    /// ([`ScrubReport::heal`]) and atomically swapping it in.
+    /// Blocks are certified by [`pastri::check_frame`] — a frame whose
+    /// payload CRC verifies at its index length is exactly what the
+    /// writer produced, so decodability follows without paying for
+    /// decompression. A caller heals the store by splicing the rebuilt
+    /// bytes into a copy of the file ([`ScrubReport::heal`]) and
+    /// atomically swapping it in.
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport {
             blocks: self.num_blocks(),
@@ -1248,8 +1230,11 @@ impl<R: ReadAt> StoreReader<R> {
             let (bytes, run) = self.read_stripe(stripe)?;
             let (run, record) = bytes.split_at(run);
             let members = &self.index.blocks[stripe.first..stripe.first + stripe.members];
-            let bad: Vec<usize> = (0..stripe.members)
-                .filter(|&j| crc32(self.member(run, stripe.first, &members[j])) != members[j].crc)
+            let bad: Vec<(usize, StoreError)> = (members.iter().enumerate())
+                .filter_map(|(j, entry)| {
+                    let frame = self.member(run, stripe.first, entry);
+                    Some((j, certify(frame, stripe.first + j, entry.offset).err()?))
+                })
                 .collect();
             let record_intact = self.striping.record_intact(run, stripe.members, record);
             if bad.is_empty() && record_intact {
@@ -1262,11 +1247,11 @@ impl<R: ReadAt> StoreReader<R> {
             };
             let mut healed = run.to_vec();
             let mut intact = true;
-            for j in bad {
+            for (j, error) in bad {
                 let (i, entry) = (stripe.first + j, &members[j]);
                 let repaired = (rebuilt.as_deref())
                     .map(|r| self.member(r, stripe.first, entry))
-                    .filter(|b| crc32(b) == entry.crc)
+                    .filter(|b| pastri::check_frame(b).is_ok())
                     .map(<[u8]>::to_vec);
                 let at = (entry.offset - members[0].offset) as usize;
                 match &repaired {
@@ -1276,12 +1261,7 @@ impl<R: ReadAt> StoreReader<R> {
                 report.damaged.push(BlockDamage {
                     block: i,
                     offset: entry.offset,
-                    error: StoreError::Checksum {
-                        block: Some(i),
-                        offset: Some(entry.offset),
-                        expected: entry.crc,
-                        actual: crc32(self.member(run, stripe.first, entry)),
-                    },
+                    error,
                     repaired,
                 });
             }
@@ -1297,61 +1277,77 @@ impl<R: ReadAt> StoreReader<R> {
     }
 }
 
-/// The stripe entries of an index, checked against its `blocks` so
-/// they describe a layout the writer produces: stripes of 1..=G blocks
-/// covering every block in order, each a contiguous run of frames
-/// that ends where its parity record starts, and each record ending
-/// before the next stripe and before the index. Stripe reads then stay
-/// inside the file.
-fn stripe_entries(
-    bytes: &[u8],
-    blocks: &[BlockEntry],
-    striping: Striping,
-    index_offset: u64,
-) -> Result<Vec<Stripe>, StoreError> {
-    for (i, b) in blocks.iter().enumerate() {
-        if b.offset < HEADER_LEN || b.offset.saturating_add(b.len) > index_offset {
-            return Err(StoreError::Corrupt {
-                block: Some(i),
-                offset: None,
-                reason: "block entry out of bounds",
-            });
+/// Certifies block `i`'s stored `frame`, read from `offset`, with
+/// [`pastri::check_frame`]: its payload CRC32 must verify, and its
+/// length varint must span exactly the bytes the index gives the block.
+fn certify(frame: &[u8], i: usize, offset: u64) -> Result<(), StoreError> {
+    let (block, offset) = (Some(i), Some(offset));
+    match pastri::check_frame(frame) {
+        Ok(_) => Ok(()),
+        Err(pastri::DecompressError::ChecksumMismatch { expected, actual, .. }) => {
+            Err(StoreError::Checksum { block, offset, expected, actual })
+        }
+        Err(_) => {
+            let reason = "frame does not span its index entry";
+            Err(StoreError::Corrupt { block, offset, reason })
         }
     }
+}
+
+/// The index of a store from its on-disk entries: `lengths`, one u32
+/// frame length per block, and `stripes`, one entry per stripe. A
+/// stripe's frames run contiguously up to its parity record, so its
+/// first block starts at `record` minus the lengths of its members. The
+/// entries must describe a layout the writer produces: stripes of
+/// 1..=G blocks covering every block in order, each starting at or after
+/// the end of the previous record (of the header, for the first) and
+/// each record ending before the index. Stripe reads then stay inside
+/// the file.
+fn index_entries(
+    lengths: &[u8],
+    stripes: &[u8],
+    striping: Striping,
+    index_offset: u64,
+) -> Result<StoreIndex, StoreError> {
+    let lengths: Vec<u64> = lengths.chunks_exact(4).map(|e| u64::from(u32_at(e, 0))).collect();
     let bad = || StoreError::corrupt("stripe entry does not match the blocks");
-    let (mut first, mut end) = (0usize, HEADER_LEN);
-    let mut stripes = Vec::with_capacity(bytes.len() / STRIPE_ENTRY_LEN as usize);
-    for entry in bytes.chunks_exact(STRIPE_ENTRY_LEN as usize) {
-        let record = u64::from_le_bytes(entry[..8].try_into().unwrap());
+    let mut index = StoreIndex {
+        blocks: Vec::with_capacity(lengths.len()),
+        stripes: Vec::with_capacity(stripes.len() / STRIPE_ENTRY_LEN as usize),
+    };
+    let mut end = HEADER_LEN;
+    for entry in stripes.chunks_exact(STRIPE_ENTRY_LEN as usize) {
+        let record = u64_at(entry, 0);
         let members = u32_at(entry, 8) as usize;
-        if !(1..=striping.width).contains(&members) || members > blocks.len() - first {
+        let first = index.blocks.len();
+        if !(1..=striping.width).contains(&members) {
             return Err(bad());
         }
-        let run = &blocks[first..first + members];
-        let last = run[members - 1];
-        if run[0].offset < end
-            || run.windows(2).any(|w| w[0].offset + w[0].len != w[1].offset)
-            || last.offset + last.len != record
-        {
-            return Err(bad());
+        let run = lengths.get(first..first + members).ok_or_else(bad)?;
+        // At most 255 lengths of at most 2^32 bytes: no overflow.
+        let run_len: u64 = run.iter().sum();
+        let start = record.checked_sub(run_len).filter(|&start| start >= end);
+        let mut offset = start.ok_or_else(bad)?;
+        for &len in run {
+            index.blocks.push(BlockEntry { offset, len });
+            offset += len;
         }
-        let record_len = striping.record_len(striping.piece_len(record - run[0].offset));
+        let record_len = striping.record_len(striping.piece_len(run_len));
         end = record
             .checked_add(record_len)
             .filter(|&e| e <= index_offset)
             .ok_or_else(bad)?;
-        stripes.push(Stripe {
+        index.stripes.push(Stripe {
             first,
             members,
             record,
             record_len,
         });
-        first += members;
     }
-    if first != blocks.len() {
+    if index.blocks.len() != lengths.len() {
         return Err(StoreError::corrupt("stripes do not cover the blocks"));
     }
-    Ok(stripes)
+    Ok(index)
 }
 
 #[cfg(test)]

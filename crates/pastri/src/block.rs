@@ -839,16 +839,9 @@ mod tests {
     /// Every block payload of `container`, with the geometry, quantizer
     /// and tree its header names.
     fn payloads_of(container: &[u8]) -> (BlockGeometry, Quantizer, EncodingTree, Vec<&[u8]>) {
-        let header = crate::container::parse_header(container).unwrap();
-        let mut pos = header.blocks_start;
-        let payloads = (0..header.num_blocks)
-            .map(|_| {
-                crate::container::next_frame(container, &mut pos, header.has_checksums())
-                    .unwrap()
-                    .payload
-            })
-            .collect();
-        (header.geometry, Quantizer::new(header.eb), header.tree, payloads)
+        let walk = crate::container::walk_container(container).unwrap();
+        let payloads = walk.frames.iter().map(|f| f.payload).collect();
+        (walk.header.geometry, Quantizer::new(walk.header.eb), walk.header.tree, payloads)
     }
 
     /// Each block's result and, when it decoded, its values' bits:

@@ -261,35 +261,10 @@ impl Compressor {
 /// section is checked, never used.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<f64>, DecompressError> {
     let _span = telemetry::span("decompress.container");
-    let header = parse_header(bytes)?;
+    let Walked { header, frames, .. } = walk_container(bytes)?;
     let geometry = header.geometry;
     let bs = geometry.block_size();
     let tree = header.tree;
-
-    // Slice out per-block payloads (cheap sequential scan, including CRC
-    // verification), then decode in parallel.
-    let mut frames = Vec::with_capacity(header.num_blocks);
-    let mut pos = header.blocks_start;
-    for b in 0..header.num_blocks {
-        let frame =
-            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
-        verify_frame(&frame, b)?;
-        frames.push(frame);
-    }
-    if header.version >= VERSION_V3 {
-        if pos != header.blocks_start + header.blocks_len {
-            return Err(
-                DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
-            );
-        }
-        // An intact parity section too, so a torn tail is an error,
-        // not silence.
-        check_parity_section(bytes, &header, &mut pos)?;
-    }
-    // Every version ends exactly where its last section does.
-    if pos != bytes.len() {
-        return Err(DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64));
-    }
 
     let quant = Quantizer::new(header.eb);
     let simd = Simd::detect();
@@ -346,7 +321,6 @@ pub fn frame_len(bytes: &[u8]) -> Result<u64, DecompressError> {
 pub fn check_frame(bytes: &[u8]) -> Result<&[u8], DecompressError> {
     let mut pos = 0;
     let frame = next_frame(bytes, &mut pos, true).map_err(|e| e.with_block(0))?;
-    verify_frame(&frame, 0)?;
     if pos != bytes.len() {
         return Err(DecompressError::corrupt("trailing bytes after frame").at_offset(pos as u64));
     }
@@ -451,10 +425,6 @@ impl Header {
     pub(crate) fn has_checksums(&self) -> bool {
         self.version >= VERSION_V2
     }
-
-    pub(crate) fn has_parity(&self) -> bool {
-        self.version >= VERSION_V3 && self.parity_shards > 0
-    }
 }
 
 pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
@@ -554,17 +524,16 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, DecompressError> {
     })
 }
 
-/// One block's framing within a container: where it sits, its declared
-/// checksum (v2+), and the payload bytes.
+/// One block's framing within a container: where it sits and its
+/// payload bytes.
 pub(crate) struct BlockFrame<'a> {
     /// Container byte offset of this block's length varint.
     pub(crate) offset: u64,
-    /// CRC32 recorded in the container; `None` for v1.
-    pub(crate) stored_crc: Option<u32>,
     pub(crate) payload: &'a [u8],
 }
 
-/// Reads the next block frame. Validates the declared length against the
+/// Reads the next block frame and, when `checksummed` (v2+), verifies
+/// its payload CRC32. Validates the declared length against the
 /// remaining input *before* any allocation or slicing, so a hostile
 /// length field cannot trigger an oversized request.
 pub(crate) fn next_frame<'a>(
@@ -578,19 +547,69 @@ pub(crate) fn next_frame<'a>(
     if len == 0 {
         return Err(DecompressError::corrupt("empty block payload").at_offset(offset));
     }
-    let stored_crc = if checksummed {
-        Some(read_u32(bytes, pos)?)
-    } else {
-        None
-    };
+    let stored_crc = checksummed.then(|| read_u32(bytes, pos)).transpose()?;
     let payload = bytes
         .get(*pos..pos.checked_add(len).ok_or(DecompressError::Truncated)?)
         .ok_or(DecompressError::Truncated)?;
     *pos += len;
-    Ok(BlockFrame {
-        offset,
-        stored_crc,
-        payload,
+    if let Some(expected) = stored_crc {
+        let actual = crc32(payload);
+        if expected != actual {
+            return Err(DecompressError::ChecksumMismatch {
+                block: None,
+                offset: Some(offset),
+                expected,
+                actual,
+            });
+        }
+    }
+    Ok(BlockFrame { offset, payload })
+}
+
+/// A container read end to end without decoding a value.
+pub(crate) struct Walked<'a> {
+    pub(crate) header: Header,
+    /// Every block's frame, in block order.
+    pub(crate) frames: Vec<BlockFrame<'a>>,
+    /// Bytes of the v3 parity section; 0 for other versions.
+    pub(crate) parity_bytes: usize,
+}
+
+/// Walks a whole container: the header, each block's frame (with its
+/// CRC, for v2+), v3's declared blocks section length and its parity
+/// section, and then the end of the input, which must be the end of the
+/// last section. The one container walk: [`decompress`],
+/// [`crate::inspect`] and [`crate::container_bit_stats`] all read
+/// through it, so they refuse the same framing damage.
+pub(crate) fn walk_container(bytes: &[u8]) -> Result<Walked<'_>, DecompressError> {
+    let header = parse_header(bytes)?;
+    let mut frames = Vec::with_capacity(header.num_blocks);
+    let mut pos = header.blocks_start;
+    for b in 0..header.num_blocks {
+        let frame = next_frame(bytes, &mut pos, header.has_checksums());
+        frames.push(frame.map_err(|e| e.with_block(b))?);
+    }
+    let blocks_end = pos;
+    if header.version >= VERSION_V3 {
+        if pos - header.blocks_start != header.blocks_len {
+            return Err(
+                DecompressError::corrupt("blocks section length mismatch").at_offset(pos as u64)
+            );
+        }
+        // An intact parity section too, so a torn tail is an error,
+        // not silence.
+        check_parity_section(bytes, &header, &mut pos)?;
+    }
+    // Every version ends exactly where its last section does.
+    if pos != bytes.len() {
+        return Err(
+            DecompressError::corrupt("trailing bytes after container").at_offset(pos as u64)
+        );
+    }
+    Ok(Walked {
+        header,
+        frames,
+        parity_bytes: pos - blocks_end,
     })
 }
 
@@ -599,16 +618,12 @@ pub(crate) fn next_frame<'a>(
 /// length, group offset and payload lengths, `record_len` against the
 /// size those lengths give, and every shard's CRC. Nothing is
 /// reconstructed, so any damage to the section is an error at the
-/// offset of the record that holds it. A no-op for containers without
-/// parity.
-pub(crate) fn check_parity_section(
+/// offset of the record that holds it.
+fn check_parity_section(
     bytes: &[u8],
     header: &Header,
     pos: &mut usize,
 ) -> Result<(), DecompressError> {
-    if !header.has_parity() {
-        return Ok(());
-    }
     let (group, shards) = (header.parity_group, header.parity_shards);
     for g in 0..header.num_blocks.div_ceil(group) {
         let record_start = *pos;
@@ -654,22 +669,6 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, DecompressError> {
     let word = bytes.get(*pos..*pos + 4).ok_or(DecompressError::Truncated)?;
     *pos += 4;
     Ok(u32::from_le_bytes(word.try_into().unwrap()))
-}
-
-/// Verifies a frame's stored CRC32 against its payload (no-op for v1).
-pub(crate) fn verify_frame(frame: &BlockFrame<'_>, block: usize) -> Result<(), DecompressError> {
-    if let Some(stored) = frame.stored_crc {
-        let actual = crc32(frame.payload);
-        if stored != actual {
-            return Err(DecompressError::ChecksumMismatch {
-                block: Some(block),
-                offset: Some(frame.offset),
-                expected: stored,
-                actual,
-            });
-        }
-    }
-    Ok(())
 }
 
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -873,15 +872,10 @@ mod tests {
         let c = Compressor::new(geom, 1e-9);
         let bytes = c.compress(&patterned_stream(3, geom));
         assert_eq!(bytes[4], VERSION_V2);
-        let header = parse_header(&bytes).unwrap();
-        assert!(header.has_checksums());
-        assert!(!header.has_parity());
-        let mut pos = header.blocks_start;
-        for b in 0..header.num_blocks {
-            let frame = next_frame(&bytes, &mut pos, true).unwrap();
-            verify_frame(&frame, b).unwrap();
-        }
-        assert_eq!(pos, bytes.len(), "no trailing bytes");
+        let walk = walk_container(&bytes).unwrap();
+        assert!(walk.header.has_checksums());
+        assert_eq!((walk.header.parity_shards, walk.parity_bytes), (0, 0));
+        assert_eq!(walk.frames.len(), 3);
     }
 
     #[test]
@@ -918,9 +912,8 @@ mod tests {
 
     /// The compressor has not drifted from the golden v3 container: its
     /// header records the error bound and geometry today's v2 writer
-    /// records for the fixture's original, and each block payload,
-    /// walked with the frame reader `inspect` uses, equals today's byte
-    /// for byte.
+    /// records for the fixture's original, and each block payload equals
+    /// today's byte for byte.
     #[test]
     fn golden_v3_fixture_matches_current_writer() {
         let original: Vec<f64> = include_bytes!("../../../tests/golden/v1_original.f64")
@@ -929,11 +922,8 @@ mod tests {
             .collect();
         let v2 = Compressor::new(BlockGeometry::new(9, 9), 1e-10).compress(&original);
         let blocks = |bytes: &[u8]| {
-            let header = parse_header(bytes).unwrap();
-            let mut pos = header.blocks_start;
-            let payloads: Vec<Vec<u8>> = (0..header.num_blocks)
-                .map(|_| next_frame(bytes, &mut pos, true).unwrap().payload.to_vec())
-                .collect();
+            let Walked { header, frames, .. } = walk_container(bytes).unwrap();
+            let payloads: Vec<Vec<u8>> = frames.iter().map(|f| f.payload.to_vec()).collect();
             (header.eb.to_bits(), header.geometry, header.original_len, payloads)
         };
         let (v3, now) = (blocks(GOLDEN_V3), blocks(&v2));

@@ -1,26 +1,26 @@
 //! Container inspection without full decompression.
 //!
-//! Both entry points read a container through the decoder's own walkers:
-//! [`parse_header`] (so the header CRC, error bound, block count and size
-//! ceiling are validated exactly as `decompress` validates them),
-//! [`next_frame`], [`check_parity_section`] and, for the bit accounting,
-//! [`walk_block`]. [`inspect`] is a cheap census — sizes, error bound,
-//! geometry, per-kind block counts from each payload's 3-bit kind tag —
-//! that never decodes a value; [`container_bit_stats`] walks every block's
-//! bit layout to count where the container's bits go. That walk is the
-//! crate's one bit accounting: the compressor keeps none.
+//! Both entry points read a container through the decoder's own walk,
+//! [`walk_container`]: the header (so the header CRC, error bound, block
+//! count and size ceiling are validated exactly as `decompress` validates
+//! them), every frame with its CRC, the v3 parity section and the end of
+//! the input. Each block's bit layout is then read with [`walk_block`],
+//! which never dequantizes a value. [`inspect`] reports the census —
+//! sizes, error bound, geometry, per-kind block counts;
+//! [`container_bit_stats`] counts where the container's bits go. That
+//! walk is the crate's one bit accounting: the compressor keeps none.
 
 use bitio::BitReader;
 
 use crate::block::{paper_block_type, walk_block, BlockKind, BlockLayout, BlockSink};
-use crate::container::{next_frame, parse_header, check_parity_section};
+use crate::container::{walk_container, Walked};
 use crate::encoding::{EcqCounts, EncodingTree};
 use crate::error::DecompressError;
 use crate::geometry::BlockGeometry;
 use crate::metrics::ScalingMetric;
 use crate::stats::CompressionStats;
 
-/// Everything the container header + block tags reveal.
+/// Everything a container's header and blocks reveal.
 #[derive(Debug, Clone)]
 pub struct ContainerInfo {
     /// Container format version (1 = legacy checksum-free, 2 = CRC32
@@ -66,26 +66,13 @@ impl ContainerInfo {
     }
 }
 
-/// Parses a PaSTRI container's metadata. Cost is O(number of blocks), not
-/// O(data): only each block's first byte is examined. Bytes after the
-/// container are tolerated and counted in
-/// [`ContainerInfo::container_bytes`].
+/// Parses a PaSTRI container's metadata. Reads every byte, as
+/// [`container_bit_stats`] does, and accepts exactly the containers it
+/// accepts: a container with damaged framing, a failing CRC or bytes
+/// after its last section is refused, as `decompress` refuses it.
 pub fn inspect(bytes: &[u8]) -> Result<ContainerInfo, DecompressError> {
-    let header = parse_header(bytes)?;
-    let mut pos = header.blocks_start;
-    let mut kind_counts = [0u64; 5];
-    let mut payload_bytes = 0u64;
-    for b in 0..header.num_blocks {
-        let frame =
-            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
-        // The kind is the top 3 bits of the (never empty) payload.
-        let kind = BlockKind::from_bits(u64::from(frame.payload[0] >> 5))
-            .ok_or(DecompressError::corrupt("unknown block kind"))?;
-        kind_counts[kind as usize] += 1;
-        payload_bytes += frame.payload.len() as u64;
-    }
-    let parity_start = pos;
-    check_parity_section(bytes, &header, &mut pos)?;
+    let (walk, stats) = census(bytes)?;
+    let header = walk.header;
     Ok(ContainerInfo {
         version: header.version,
         error_bound: header.eb,
@@ -95,11 +82,11 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerInfo, DecompressError> {
         container_bytes: bytes.len(),
         metric: header.metric,
         tree: header.tree,
-        kind_counts,
-        payload_bytes,
+        kind_counts: stats.kind_counts,
+        payload_bytes: walk.frames.iter().map(|f| f.payload.len() as u64).sum(),
         parity_group: header.parity_group,
         parity_shards: header.parity_shards,
-        parity_bytes: (pos - parity_start) as u64,
+        parity_bytes: walk.parity_bytes as u64,
     })
 }
 
@@ -114,23 +101,24 @@ pub fn inspect(bytes: &[u8]) -> Result<ContainerInfo, DecompressError> {
 /// value, so it is cheaper than decompression and needs no error-bound
 /// arithmetic.
 pub fn container_bit_stats(bytes: &[u8]) -> Result<CompressionStats, DecompressError> {
-    let header = parse_header(bytes)?;
+    census(bytes).map(|(_, stats)| stats)
+}
+
+/// The walk of the container `bytes` and the bit census of its blocks:
+/// what [`inspect`] and [`container_bit_stats`] both read.
+fn census(bytes: &[u8]) -> Result<(Walked<'_>, CompressionStats), DecompressError> {
+    let walk = walk_container(bytes)?;
     let mut stats = CompressionStats::default();
-    let mut pos = header.blocks_start;
-    let mut payload_bytes = 0u64;
-    for b in 0..header.num_blocks {
-        let frame =
-            next_frame(bytes, &mut pos, header.has_checksums()).map_err(|e| e.with_block(b))?;
-        payload_bytes += frame.payload.len() as u64;
-        record_block_bits(&mut stats, frame.payload, &header.geometry, header.tree)
+    let mut payload_bits = 0;
+    for (b, frame) in walk.frames.iter().enumerate() {
+        payload_bits += frame.payload.len() as u64 * 8;
+        record_block_bits(&mut stats, frame.payload, &walk.header.geometry, walk.header.tree)
             .map_err(|e| e.with_block(b).at_offset(frame.offset))?;
     }
-    check_parity_section(bytes, &header, &mut pos)?;
-
-    stats.compressed_bytes = pos as u64;
-    stats.original_bytes = (header.original_len * 8) as u64;
-    stats.record_container_bits((pos as u64 - payload_bytes) * 8);
-    Ok(stats)
+    stats.compressed_bytes = bytes.len() as u64;
+    stats.original_bytes = (walk.header.original_len * 8) as u64;
+    stats.record_container_bits(bytes.len() as u64 * 8 - payload_bits);
+    Ok((walk, stats))
 }
 
 /// Files one block payload into `stats`: its kind and paper type, the
@@ -273,16 +261,18 @@ mod tests {
     }
 
     #[test]
-    fn inspect_counts_trailing_bytes_in_the_container() {
+    fn inspect_refuses_trailing_bytes_as_decompress_does() {
         let geom = BlockGeometry::new(2, 4);
         let c = Compressor::new(geom, 1e-8);
         let a = c.compress(&[1e-5; 8]);
         let mut joined = a.clone();
         joined.extend_from_slice(&c.compress(&[2e-5; 8]));
-        let (alone, followed) = (inspect(&a).unwrap(), inspect(&joined).unwrap());
-        assert_eq!(alone.container_bytes, a.len());
-        assert_eq!(followed.container_bytes, joined.len());
-        assert_eq!((followed.original_len, followed.kind_counts), (8, alone.kind_counts));
+        assert_eq!(inspect(&a).unwrap().container_bytes, a.len());
+        let refusal = crate::decompress(&joined).unwrap_err();
+        let trailing = DecompressError::corrupt("trailing bytes after container");
+        assert_eq!(refusal, trailing.at_offset(a.len() as u64));
+        assert_eq!(inspect(&joined).unwrap_err(), refusal);
+        assert_eq!(container_bit_stats(&joined).unwrap_err(), refusal);
     }
 
     #[test]

@@ -453,7 +453,8 @@ fn execute_op(cfg: &SoakConfig, ctx: &mut StoreCtx, op: PlannedOp) -> Result<(),
 /// corruption is the modeled fault; metadata damage is a different
 /// failure class (covered by the CLI corruption tests).
 fn inject_bit_flips(cfg: &SoakConfig, ctx: &mut StoreCtx, op_seed: u64) -> Result<(), SoakError> {
-    // The trailer, the store's last 20 bytes, opens with the index offset.
+    // The trailer, the store's last `TRAILER_LEN` bytes, opens with the
+    // index offset.
     let bytes = std::fs::read(&ctx.path)?;
     let Some(trailer) = bytes.len().checked_sub(eri_store::TRAILER_LEN as usize) else {
         return Ok(());

@@ -213,20 +213,35 @@ proptest! {
         // inspected: byte soup behind a v1/v2/v3 header, or a damaged or
         // spliced golden v1 or v3 container. Never a panic, and never
         // an allocation larger than the values the header declares plus
-        // 32 bytes per input byte and 64 KiB.
+        // 32 bytes per input byte and 64 KiB. The readers agree:
+        // `inspect` and `container_bit_stats` accept the same inputs,
+        // and so does `decompress` where every frame carries a CRC (v2
+        // and v3); a v1 frame has none, so there `inspect`, which walks
+        // each block's layout without decoding values, accepts at least
+        // what `decompress` accepts.
         if source > 0 {
             bytes = mutated(&legacy_artifacts()[usize::from(source) - 1], kind, seed);
         } else if bytes.len() >= 5 {
             bytes[..4].copy_from_slice(b"PSTR");
             bytes[4] = version;
         }
+        let mut accepted = (false, false, false);
         let largest = largest_allocation(|| {
-            let _ = pastri::decompress(&bytes);
-            let _ = pastri::inspect(&bytes);
-            let _ = pastri::container_bit_stats(&bytes);
+            accepted = (
+                pastri::decompress(&bytes).is_ok(),
+                pastri::inspect(&bytes).is_ok(),
+                pastri::container_bit_stats(&bytes).is_ok(),
+            );
         });
         let bound = declared_values(&bytes).saturating_mul(8).saturating_add(32 * bytes.len() + (64 << 10));
         prop_assert!(largest <= bound, "{largest} bytes allocated, bound {bound}");
+        let (decoded, inspected, counted) = accepted;
+        prop_assert_eq!(inspected, counted, "inspect and container_bit_stats disagree");
+        if matches!(bytes.get(4), Some(2 | 3)) {
+            prop_assert_eq!(decoded, inspected, "decompress and inspect disagree");
+        } else {
+            prop_assert!(!decoded || inspected, "decompress accepted what inspect refused");
+        }
     }
 
     #[test]
@@ -257,7 +272,7 @@ proptest! {
     #[test]
     fn eri_store_reader_never_panics(mut bytes in soup(), with_magic in any::<bool>()) {
         if with_magic && bytes.len() >= 8 {
-            bytes[..8].copy_from_slice(b"ERISTOR4");
+            bytes[..8].copy_from_slice(b"ERISTOR5");
         }
         if let Ok(store) = eri_store::StoreReader::from_source(
             &bytes[..],
@@ -361,11 +376,11 @@ proptest! {
             bytes[(block.offset + block.len / 2) as usize] ^= 0x10;
             repairable = Some(stripe.first);
         }
-        let mut read = None;
+        let (mut read, mut scrubbed) = (None, None);
         let largest = largest_allocation(|| {
             if let Ok(r) = eri_store::StoreReader::from_source(&bytes[..], eri_store::RetryPolicy::none()) {
                 read = Some((0..r.num_blocks()).map(|i| r.read_block(i).is_ok()).collect::<Vec<_>>());
-                let _ = r.scrub();
+                scrubbed = r.scrub().ok();
             }
             let _ = eri_store::committed_index(&bytes.as_slice());
         });
@@ -374,6 +389,14 @@ proptest! {
             "{largest} bytes allocated for a {}-byte input",
             bytes.len()
         );
+        // Reads and scrub certify frames alike: the blocks whose read
+        // fails are exactly those scrub finds damaged and cannot repair.
+        if let (Some(read), Some(report)) = (&read, &scrubbed) {
+            let failed: Vec<usize> = (0..read.len()).filter(|&i| !read[i]).collect();
+            let lost: Vec<usize> =
+                report.damaged.iter().filter(|d| d.repaired.is_none()).map(|d| d.block).collect();
+            prop_assert_eq!(failed, lost);
+        }
         // A damaged record header costs no data: the index knows the
         // stripe's geometry, and the piece CRCs locate the flip.
         if let Some(block) = repairable {

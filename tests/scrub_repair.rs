@@ -154,16 +154,16 @@ fn golden_v3_stream_every_byte_flip_fails_strict_decode() {
     assert!(accepted.is_empty(), "flips (byte, bit) decoded: {accepted:?}");
 }
 
-/// Inspection trusts the header no more than decoding does: every
-/// single-bit flip after the magic and version, up to the end of the
-/// header CRC (byte 28 of the golden container), is an error for both
-/// `inspect` and `container_bit_stats` — never a census of a wrong
-/// error bound or geometry.
+/// Inspection trusts the container no more than decoding does: every
+/// single-bit flip after the magic and version — in the header, a frame
+/// or the parity section — is an error for both `inspect` and
+/// `container_bit_stats`, never a census of a wrong error bound,
+/// geometry or block.
 #[test]
 fn golden_v3_header_bit_flips_fail_inspection() {
     let clean = golden("v3_container.pastri");
     assert!(inspect(&clean).is_ok() && container_bit_stats(&clean).is_ok());
-    for pos in 5..28 {
+    for pos in 5..clean.len() {
         for bit in 0..8 {
             let mut damaged = clean.clone();
             damaged[pos] ^= 1 << bit;
